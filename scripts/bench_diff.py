@@ -6,10 +6,8 @@ Usage:
 
 Compares two benchmark payloads (``BENCH_*.json`` artifacts from the
 pytest-benchmark harness, ``python -m repro.experiments --json`` output,
-``repro-profile/1`` documents, or ``repro-bench-host/*`` host wall-clock
-documents from ``benchmarks/bench_host.py``) and exits nonzero when any
-workload's cycle count — or host ``host_seconds`` / ``*_speedup``
-metric — regressed beyond the threshold.  CI runs this against the
+or ``repro-profile/1`` documents) and exits nonzero when any workload's
+cycle count regressed beyond the threshold.  CI runs this against the
 committed baselines in ``benchmarks/baselines/``.
 """
 

@@ -12,8 +12,6 @@ Dispatches on the payload's ``schema`` tag:
   ``schemas/validate.schema.json``;
 - ``repro-faults/1`` (``python -m repro.faults sweep --json``) against
   ``schemas/faults.schema.json``;
-- ``repro-bench-host/1`` and ``/2`` (``benchmarks/bench_host.py``)
-  against ``schemas/bench_host.schema.json``;
 - ``repro-bench-history/1`` (one ``python -m repro.obs record`` entry,
   i.e. one line of ``benchmarks/history/history.jsonl``) against
   ``schemas/bench_history.schema.json``, by delegating to the canonical
@@ -50,11 +48,6 @@ cannot express:
   degradation ratios must be consistent with the recorded cycle counts,
   ok cells must degrade monotonically within their bound, and scenario
   dicts must carry exactly the ``FaultPlan`` fields;
-- for host benchmarks: the speedup ratios must be consistent with the
-  recorded wall-clock seconds and the top-level ``ok`` flag must equal
-  the conjunction of the structural checks; ``/2`` payloads must
-  additionally carry monotone per-cell latency percentiles for both
-  instrumented runs;
 - for lint reports: every diagnostic must carry a 1-based line *and*
   column (the front end's no-location-free-diagnostics invariant,
   enforced at the artifact level too), codes must match ``[FW]NNN``
@@ -82,9 +75,6 @@ SCHEMA_TAG = "repro-experiment/1"
 PROFILE_TAG = "repro-profile/1"
 VALIDATE_TAG = "repro-validate/1"
 FAULTS_TAG = "repro-faults/1"
-BENCH_HOST_TAG = "repro-bench-host/1"
-BENCH_HOST_TAG_V2 = "repro-bench-host/2"
-BENCH_HOST_TAG_V3 = "repro-bench-host/3"
 BENCH_HISTORY_TAG = "repro-bench-history/1"
 METRICS_TAG = "repro-metrics/1"
 LINT_TAG = "repro-lint/1"
@@ -590,144 +580,6 @@ def validate_faults(payload) -> None:
                         f"stored {cf[c]!r} != recount {want}")
 
 
-BENCH_HOST_CHECKS = ("all_runs_ok", "warm_cache_hit", "byte_identical",
-                     "speedup_positive")
-
-#: the /3 additions: the source-JIT engine lane of the host matrix
-BENCH_HOST_V3_CHECKS = ("source_cache_hit", "engine_byte_identical",
-                        "source_speedup_positive")
-BENCH_HOST_V3_RUNS = ("source_cold", "source_prime", "source_warm")
-
-
-def validate_bench_host(payload) -> None:
-    v3 = payload.get("schema") == BENCH_HOST_TAG_V3
-    _expect(isinstance(payload.get("jobs"), int)
-            and payload.get("jobs", 0) >= 2,
-            "$.jobs", "need an integer worker count >= 2")
-    runs = payload.get("runs")
-    min_runs = 8 if v3 else 5
-    if _expect(isinstance(runs, dict) and len(runs) >= min_runs, "$.runs",
-               f"need the {min_runs}-run host matrix"):
-        required_runs = ("tree_cold", "cold", "prime", "warm")
-        if v3:
-            required_runs += BENCH_HOST_V3_RUNS
-        for name in required_runs:
-            _expect(name in runs, "$.runs", f"missing run {name!r}")
-        for name, r in runs.items():
-            path = f"$.runs.{name}"
-            if not _expect(isinstance(r, dict), path,
-                           "run must be an object"):
-                continue
-            _expect(isinstance(r.get("argv"), list) and r.get("argv"),
-                    path, "need the subprocess argv")
-            _expect(isinstance(r.get("seconds"), (int, float))
-                    and r.get("seconds", -1) >= 0,
-                    path, "need nonnegative seconds")
-            _expect(isinstance(r.get("returncode"), int), path,
-                    "need an integer returncode")
-    cache = payload.get("cache") or {}
-    par = payload.get("parallel") or {}
-    base = payload.get("baseline") or {}
-    for sect, keys in (("cache", ("cold_seconds", "prime_seconds",
-                                  "warm_seconds", "warm_speedup",
-                                  "compile_speedup")),
-                       ("parallel", ("serial_seconds", "parallel_seconds",
-                                     "parallel_speedup")),
-                       ("baseline", ("tree_cold_seconds",
-                                     "end_to_end_speedup"))):
-        d = payload.get(sect)
-        if not _expect(isinstance(d, dict), f"$.{sect}",
-                       "need an object"):
-            continue
-        for k in keys:
-            _expect(isinstance(d.get(k), (int, float))
-                    and d.get(k, -1) >= 0,
-                    f"$.{sect}.{k}", "need a nonnegative number")
-    # derived ratios must be consistent with the recorded seconds
-    def ratio_ok(num, den, got) -> bool:
-        if not all(isinstance(v, (int, float)) for v in (num, den, got)):
-            return True   # shape errors already reported above
-        want = num / max(den, 1e-9)
-        return abs(got - want) <= REL_TOL * max(abs(want), 1.0)
-
-    _expect(ratio_ok(base.get("tree_cold_seconds"),
-                     cache.get("warm_seconds"),
-                     cache.get("warm_speedup")),
-            "$.cache.warm_speedup",
-            "inconsistent with tree_cold/warm seconds")
-    _expect(ratio_ok(par.get("serial_seconds"),
-                     par.get("parallel_seconds"),
-                     par.get("parallel_speedup")),
-            "$.parallel.parallel_speedup",
-            "inconsistent with serial/parallel seconds")
-    if v3:
-        check_bench_host_engines(payload, ratio_ok)
-    check_bench_host_provenance(payload)
-    if payload.get("schema") in (BENCH_HOST_TAG_V2, BENCH_HOST_TAG_V3):
-        check_bench_host_latency(payload)
-    required_checks = list(BENCH_HOST_CHECKS)
-    if payload.get("schema") in (BENCH_HOST_TAG_V2, BENCH_HOST_TAG_V3):
-        required_checks.append("latency_recorded")
-    if v3:
-        required_checks.extend(BENCH_HOST_V3_CHECKS)
-    checks = payload.get("checks")
-    if _expect(isinstance(checks, dict)
-               and set(required_checks) <= set(checks),
-               "$.checks", f"must cover {required_checks}"):
-        _expect(all(isinstance(v, bool) for v in checks.values()),
-                "$.checks", "check values must be booleans")
-        _expect(payload.get("ok") == all(checks.values()), "$.ok",
-                "ok flag must equal the conjunction of the checks")
-
-
-def check_bench_host_engines(payload, ratio_ok) -> None:
-    """The /3 engines section: per-tier seconds and derived speedups."""
-    eng = payload.get("engines")
-    if not _expect(isinstance(eng, dict), "$.engines",
-                   "a /3 payload needs the per-engine section"):
-        return
-    for k in ("tree_cold_seconds", "compiled_cold_seconds",
-              "source_cold_seconds", "compiled_warm_seconds",
-              "source_prime_seconds", "source_warm_seconds",
-              "compiled_warm_speedup", "source_warm_speedup",
-              "source_vs_compiled_speedup"):
-        _expect(isinstance(eng.get(k), (int, float))
-                and eng.get(k, -1) >= 0,
-                f"$.engines.{k}", "need a nonnegative number")
-    _expect(isinstance(eng.get("byte_identical"), bool),
-            "$.engines.byte_identical", "need a boolean")
-    _expect(ratio_ok(eng.get("tree_cold_seconds"),
-                     eng.get("source_warm_seconds"),
-                     eng.get("source_warm_speedup")),
-            "$.engines.source_warm_speedup",
-            "inconsistent with tree_cold/source_warm seconds")
-    _expect(ratio_ok(eng.get("compiled_warm_seconds"),
-                     eng.get("source_warm_seconds"),
-                     eng.get("source_vs_compiled_speedup")),
-            "$.engines.source_vs_compiled_speedup",
-            "inconsistent with compiled_warm/source_warm seconds")
-
-
-def check_bench_host_provenance(payload) -> None:
-    """The optional git/host stamps (additive to the /2 shape)."""
-    git = payload.get("git")
-    if git is not None:
-        if _expect(isinstance(git, dict), "$.git", "must be an object"):
-            _expect(git.get("sha") is None or isinstance(git["sha"], str),
-                    "$.git.sha", "must be a string or null")
-            _expect(git.get("dirty") is None
-                    or isinstance(git["dirty"], bool),
-                    "$.git.dirty", "must be a boolean or null")
-    host = payload.get("host")
-    if host is not None:
-        if _expect(isinstance(host, dict), "$.host", "must be an object"):
-            for key in ("python", "platform", "cpu_count"):
-                _expect(key in host, "$.host", f"missing {key!r}")
-            cc = host.get("cpu_count")
-            _expect(cc is None or (isinstance(cc, int) and cc >= 1),
-                    "$.host.cpu_count", "must be an integer >= 1")
-
-
 def validate_bench_history_entry(payload) -> list[str]:
     """Delegate to the canonical repro-bench-history/1 checker."""
     try:
@@ -738,37 +590,6 @@ def validate_bench_history_entry(payload) -> list[str]:
             os.path.abspath(__file__))), "src"))
         from repro.obs.history import validate_entry
     return validate_entry(payload)
-
-
-def check_bench_host_latency(payload) -> None:
-    """The /2 latency section: percentiles for both instrumented runs."""
-    latency = payload.get("latency")
-    if not _expect(isinstance(latency, dict) and len(latency) >= 2,
-                   "$.latency",
-                   "need latency entries for both instrumented runs"):
-        return
-    for name, rec in latency.items():
-        path = f"$.latency.{name}"
-        if not _expect(isinstance(rec, dict), path, "must be an object"):
-            continue
-        for k in ("cells", "p50_s", "p95_s", "p99_s"):
-            _expect(k in rec, path, f"missing {k!r}")
-        cells = rec.get("cells")
-        _expect(isinstance(cells, int) and cells >= 0, path,
-                "cells must be a nonnegative integer")
-        ps = [rec.get(k) for k in ("p50_s", "p95_s", "p99_s")]
-        if cells:
-            ok = all(isinstance(p, (int, float)) and p >= 0 for p in ps)
-            _expect(ok, path,
-                    "a populated run needs nonnegative percentiles")
-            if ok:
-                _expect(ps[0] <= ps[1] + REL_TOL
-                        and ps[1] <= ps[2] + REL_TOL, path,
-                        f"percentiles not monotone: p50={ps[0]} "
-                        f"p95={ps[1]} p99={ps[2]}")
-        else:
-            _expect(all(p is None for p in ps), path,
-                    "an empty run must have null percentiles")
 
 
 def validate_metrics_payload(payload) -> list[str]:
@@ -975,9 +796,6 @@ def validate(payload) -> list[str]:
     if tag == FAULTS_TAG:
         validate_faults(payload)
         return list(_errors)
-    if tag in (BENCH_HOST_TAG, BENCH_HOST_TAG_V2, BENCH_HOST_TAG_V3):
-        validate_bench_host(payload)
-        return list(_errors)
     if tag == BENCH_HISTORY_TAG:
         _errors.extend(validate_bench_history_entry(payload))
         return list(_errors)
@@ -992,9 +810,7 @@ def validate(payload) -> list[str]:
         return list(_errors)
     _expect(tag == SCHEMA_TAG, "$.schema",
             f"expected {SCHEMA_TAG!r}, {PROFILE_TAG!r}, "
-            f"{VALIDATE_TAG!r}, {FAULTS_TAG!r}, {BENCH_HOST_TAG!r}, "
-            f"{BENCH_HOST_TAG_V2!r}, {BENCH_HOST_TAG_V3!r}, "
-            f"{BENCH_HISTORY_TAG!r}, "
+            f"{VALIDATE_TAG!r}, {FAULTS_TAG!r}, {BENCH_HISTORY_TAG!r}, "
             f"{METRICS_TAG!r}, {LINT_TAG!r} or {SERVER_TAG!r}, "
             f"got {tag!r}")
     experiments = payload.get("experiments")
@@ -1034,10 +850,6 @@ def main(argv: list[str]) -> int:
         print(f"OK: {s['cells_run']} oracle cell(s) "
               f"({s['ok']} ok, {s['harness_faults']} harness fault(s)) "
               f"conform to {FAULTS_TAG}")
-    elif payload.get("schema") in (BENCH_HOST_TAG, BENCH_HOST_TAG_V2,
-                                   BENCH_HOST_TAG_V3):
-        print(f"OK: {len(payload['runs'])} host benchmark run(s) "
-              f"conform to {payload['schema']}")
     elif payload.get("schema") == BENCH_HISTORY_TAG:
         print(f"OK: history entry with {len(payload['metrics'])} "
               f"metric(s) conforms to {BENCH_HISTORY_TAG}")

@@ -12,12 +12,13 @@ Three pieces, composable and individually optional:
   harness's pass bisection and the experiments/faults matrices re-run
   the same front-end work per cell; with the cache they pay it once.
 
-- :mod:`repro.execmodel.compiled` — the closure compiler behind
-  ``Interpreter(engine="compiled")``: statement lists are lowered once
-  to Python closures (flattened dispatch, hoisted intrinsic and symbol
-  lookups, precompiled index arithmetic, and a vectorized numpy fast
-  path for eligible innermost DOALL bodies), guaranteed
-  numerics-identical to the tree-walking interpreter.
+- :mod:`repro.execmodel.compiled` — the compiler behind
+  ``Interpreter(engine="compiled")``, the one fast engine: statement
+  lists are compiled once to Python/NumPy source modules whose text is
+  cached here as ``jit-source`` artifacts (whole-grid array code for
+  loop nests proven exact, closures with flattened dispatch and hoisted
+  lookups for everything else), guaranteed numerics-identical to the
+  tree-walking interpreter.
 
 - :mod:`repro.engine.parallel` — an order-preserving multiprocessing
   fan-out (``--jobs N``) used by ``repro.experiments``,

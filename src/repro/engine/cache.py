@@ -176,7 +176,7 @@ class CompilationCache:
         return pair
 
     def jit_source(self, source: str, *, fingerprint: str, emit) -> str:
-        """Module text for one source-JIT statement list, memoized.
+        """Module text for one compiled-engine statement list, memoized.
 
         ``source`` is the deterministic statement dump, ``fingerprint``
         the codegen-relevant symbol facts plus emitter version, ``emit``

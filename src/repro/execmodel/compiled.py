@@ -1,30 +1,33 @@
-"""Closure compiler: lower statement lists to precompiled Python closures.
+"""The compiled engine: statement lists lowered once, executed many times.
 
 ``Interpreter(engine="compiled")`` routes every ``exec_body`` through
-this module.  Each statement list is compiled *once* into a flat list of
-closures — one per statement — so the per-statement work drops to one
-indirect call:
+this module.  Like KAP's one translation path emitting one specialised
+text per program, each statement list is compiled *once*:
 
-- statement dispatch (the ``isinstance`` ladder of ``exec_stmt``) is
-  resolved at compile time;
-- intrinsic tables (``INTRINSICS``/``_NP_FUNCS``), Cedar library
-  routines, callee units, and symbol-table facts (declared types,
-  implicit-rule integers) are looked up once and captured in the
-  closures;
-- DO-loop index cells are resolved to one dict slot before the loop
-  body runs instead of a scope-chain walk per iteration;
-- eligible innermost DOALL bodies take a vectorized numpy fast path
-  (whole-loop evaluation over the iteration vector).
+- loop nests the lowerer (:mod:`repro.execmodel.source_jit`) can prove
+  bit-identical become whole-grid NumPy source, emitted into one Python
+  module per list.  The module text is cached by the engine's SHA-256
+  content address (artifact kind ``jit-source`` in
+  :mod:`repro.engine.cache`), so warm runs skip analysis and emission,
+  and a corrupt stored module quarantines and re-emits like any other
+  entry;
+- every other statement becomes a Python closure: statement dispatch
+  (the ``isinstance`` ladder of ``exec_stmt``) is resolved at compile
+  time; intrinsics, Cedar library routines, callee units and
+  symbol-table facts (declared types, implicit-rule integers) are looked
+  up once and captured; DO-loop index cells are resolved to one dict
+  slot before the body runs instead of a scope-chain walk per iteration.
 
-The compiled engine is **numerics-identical** to the tree-walking
-interpreter: every closure replicates the exact operation sequence of
-the corresponding ``exec_stmt``/``eval`` branch (same numpy calls, same
+The engine is **numerics-identical** to the tree-walking interpreter:
+every closure replicates the exact operation sequence of the
+corresponding ``exec_stmt``/``eval`` branch (same numpy calls, same
 Python arithmetic, same truncation rules, same evaluation order), and
-the vector fast path is restricted to statements whose elementwise numpy
-evaluation is bit-equal to the scalar loop (plain ``var`` subscripts,
-exactness-whitelisted intrinsics only).  Anything outside the compiled
-subset falls back to the interpreter's own methods, so coverage is
-total.
+the lowerer only accepts loops whose vector evaluation is bit-equal to
+the scalar loop.  The fallback ladder is total: a loop the lowerer
+rejects runs as a closure (a ``ParallelDo`` through the interpreter's
+own worker-by-worker ``_parallel_do``), a statement with no closure form
+runs through ``exec_stmt``, and a module that fails to compile or load
+drops its whole list to closures.
 
 The compiler is only engaged when no :class:`ShadowRecorder` is
 attached — dynamic race detection instruments the tree-walk path, which
@@ -33,58 +36,47 @@ stays authoritative for ``repro.validate``'s race checks.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.cedar import nodes as C
 from repro.cedar.library import CEDAR_LIBRARY
 from repro.errors import InterpreterBudgetError, InterpreterError
+from repro.execmodel.interp import (Interpreter, _GotoSignal,
+                                    _ReturnSignal, _StopSignal)
+from repro.execmodel.source_jit import (JIT_VERSION, NOOP_STMTS, Runtime,
+                                        coerces_to_int, emit_module)
 from repro.execmodel.values import FArray, Scope
 from repro.fortran import ast_nodes as F
 from repro.fortran.intrinsics import INTRINSICS
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.execmodel.interp import Interpreter
-
 StmtFn = Callable[[Scope], None]
 ExprFn = Callable[[Scope], object]
 
-#: intrinsics whose scalar callable and numpy equivalent are bit-equal
-#: elementwise (correctly-rounded or pure integer/compare ops) — the
-#: only ones the DOALL vector fast path may lower.  Transcendentals
-#: (exp, log, sin, …) are excluded: libm and npymath may differ in the
-#: last ulp, and the fast path promises bit-identity with the scalar
-#: loop, not closeness.
-_VEC_EXACT_INTRINSICS = frozenset({
-    "sqrt", "dsqrt", "abs", "dabs", "iabs",
-    "min", "max", "min0", "max0", "amin1", "amax1", "dmin1", "dmax1",
-    "sign", "isign", "nint", "int", "ifix", "idint",
-    "float", "real", "dble", "sngl",
-})
-
-_NOOP_STMTS = (F.ContinueStmt, F.TypeDecl, F.DimensionStmt, F.CommonStmt,
-               F.ParameterStmt, F.DataStmt, F.EquivalenceStmt,
-               F.ImplicitStmt, F.ExternalStmt, F.IntrinsicStmt, F.SaveStmt,
-               C.GlobalDecl, C.ClusterDecl, C.ProcessCommonStmt,
-               # sync statements are functional no-ops without a shadow
-               C.AwaitStmt, C.AdvanceStmt, C.LockStmt, C.UnlockStmt,
-               C.PostWaitStmt)
+#: binary operators whose Fortran semantics need more than one Python
+#: operator — shared with the emitted modules
+_BINOP_HELPERS = {"/": Runtime.div, ".and.": Runtime.and_,
+                  ".or.": Runtime.or_, ".eqv.": Runtime.eqv,
+                  ".neqv.": Runtime.neqv}
 
 
 def _noop(scope: Scope) -> None:
     return None
 
 
-class ClosureCompiler:
+class Compiler:
     """Per-interpreter statement-list compiler and executor."""
 
-    def __init__(self, interp: "Interpreter"):
+    def __init__(self, interp: Interpreter):
         self.interp = interp
-        # id(stmts) -> (closures, label map, stmts) — the stmts reference
+        # id(stmts) -> (fns, label map, stmts) — the stmts reference
         # pins the list so its id cannot be recycled
         self._bodies: dict[int, tuple[list[StmtFn], dict, list]] = {}
+        #: loop nests running as emitted NumPy source, and statements
+        #: lowered to closures instead — for observability and tests
         self.vectorized_loops = 0
+        self.fallback_stmts = 0
 
     # ------------------------------------------------------------------
     # execution
@@ -93,12 +85,17 @@ class ClosureCompiler:
                   unit_name: str) -> None:
         entry = self._bodies.get(id(stmts))
         if entry is None:
-            entry = self._compile_entry(stmts, unit_name)
+            from repro.telemetry import span
+
+            with span("compile", unit=unit_name, stmts=len(stmts)):
+                entry = (self._compile_list(stmts, unit_name),
+                         {s.label: i for i, s in enumerate(stmts)
+                          if s.label is not None},
+                         stmts)
             self._bodies[id(stmts)] = entry
         fns, labels, _ = entry
         interp = self.interp
         budget = interp.step_budget
-        from repro.execmodel.interp import _GotoSignal
 
         pc, n = 0, len(fns)
         while pc < n:
@@ -118,32 +115,64 @@ class ClosureCompiler:
             pc += 1
 
     # ------------------------------------------------------------------
-    # statement compilation
+    # statement-list compilation
 
-    def _compile_entry(self, stmts: list[F.Stmt],
-                       unit_name: str) -> tuple[list[StmtFn], dict, list]:
-        """Compile one statement list to its execution entry.
+    def _compile_list(self, stmts: list[F.Stmt], unit: str) -> list[StmtFn]:
+        """One function per statement, from the list's cached module."""
+        from repro.engine.cache import get_cache
+        from repro.obs.log import get_logger
 
-        The engine tiers hook in here: the source JIT subclass replaces
-        this step (cached module emission) while inheriting the
-        execution loop above unchanged.
+        try:
+            text = get_cache().jit_source(
+                self._dump(stmts), fingerprint=self._fingerprint(unit),
+                emit=lambda: emit_module(self.interp, stmts, unit))
+            code = compile(text, f"<jit-source:{unit}>", "exec")
+            ns: dict = {}
+            exec(code, ns)
+            fns = ns["make"](Runtime(self, stmts, unit))
+            if len(fns) != len(stmts):
+                raise ValueError(
+                    f"module yields {len(fns)} fns for {len(stmts)} "
+                    f"statements")
+        except InterpreterError:
+            raise
+        except Exception as exc:   # corrupt or stale module text:
+            # closures are always able to take the whole list
+            get_logger("execmodel.compiled").warning(
+                "module_rejected", unit=unit,
+                error_type=type(exc).__name__)
+            self.fallback_stmts += len(stmts)
+            return [self._stmt(s, unit) for s in stmts]
+        return fns
+
+    def _fingerprint(self, unit: str) -> str:
+        """Codegen-relevant facts beyond the statement dump."""
+        st = self.interp.tables.get(unit)
+        facts = ""
+        if st is not None:
+            facts = ";".join(
+                f"{n}:{sym.type}:{int(sym.is_array)}"
+                for n, sym in sorted(st.symbols.items()))
+        return f"jit{JIT_VERSION}|{unit}|{facts}"
+
+    @staticmethod
+    def _dump(stmts: list[F.Stmt]) -> str:
+        """Deterministic text form of a statement list (cache address).
+
+        AST nodes are plain dataclasses, so ``repr`` is a stable
+        structural rendering (including source-line stamps, which only
+        narrows sharing, never falsifies it).
         """
-        from repro.telemetry import span
+        return "\n".join(repr(s) for s in stmts)
 
-        with span("compile", unit=unit_name, stmts=len(stmts)):
-            fns = [self._stmt(s, unit_name) for s in stmts]
-            labels = {s.label: i for i, s in enumerate(stmts)
-                      if s.label is not None}
-        return (fns, labels, stmts)
+    # ------------------------------------------------------------------
+    # closure lowering: statements
 
     def _stmt(self, s: F.Stmt, unit: str) -> StmtFn:
         interp = self.interp
         if isinstance(s, F.Assign):
             return self._assign(s, unit)
         if isinstance(s, C.ParallelDo):
-            vec = self._try_vectorize(s, unit)
-            if vec is not None:
-                return vec
             return lambda scope: interp._parallel_do(s, scope, unit)
         if isinstance(s, F.DoLoop):
             return self._do_loop(s, unit)
@@ -169,14 +198,12 @@ class ClosureCompiler:
                     sub(scope)
             return fn
         if isinstance(s, F.Goto):
-            from repro.execmodel.interp import _GotoSignal
             target = s.target
 
             def fn(scope: Scope) -> None:
                 raise _GotoSignal(target)
             return fn
         if isinstance(s, F.ComputedGoto):
-            from repro.execmodel.interp import _GotoSignal
             index = self._expr(s.index, unit)
             targets = list(s.targets)
 
@@ -185,18 +212,15 @@ class ClosureCompiler:
                 if 1 <= k <= len(targets):
                     raise _GotoSignal(targets[k - 1])
             return fn
-        if isinstance(s, _NOOP_STMTS):
+        if isinstance(s, NOOP_STMTS):
             return _noop
         if isinstance(s, F.CallStmt):
             return lambda scope: interp._call_stmt(s, scope, unit)
         if isinstance(s, F.ReturnStmt):
-            from repro.execmodel.interp import _ReturnSignal
-
             def fn(scope: Scope) -> None:
                 raise _ReturnSignal()
             return fn
         if isinstance(s, F.StopStmt):
-            from repro.execmodel.interp import _StopSignal
             message = s.message
 
             def fn(scope: Scope) -> None:
@@ -249,35 +273,9 @@ class ClosureCompiler:
             s.target, value(scope), scope, unit)
 
     def _assign_var(self, name: str, value: ExprFn, unit: str) -> StmtFn:
-        # symbol-table facts are static: resolve the declared-integer /
-        # implicit-integer branch of Interpreter._assign at compile time
-        st = self.interp.tables.get(unit)
-        sym = st.lookup(name) if st else None
-        declared_int = sym is not None and sym.type == "integer"
-        implicit_int = sym is None and name[0] in "ijklmn"
-        coerce_int = declared_int or implicit_int
-
-        def fn(scope: Scope) -> None:
-            v = value(scope)
-            sc = scope.lookup_scope(name)
-            cur = sc.vars[name] if sc is not None else None
-            if isinstance(cur, FArray):
-                cur.data[...] = v
-                return
-            if sc is None:
-                sc = scope._root()
-            if isinstance(cur, (int, np.integer)) and not isinstance(
-                    cur, (bool, np.bool_)):
-                sc.vars[name] = int(np.trunc(v))
-                return
-            if isinstance(v, np.ndarray):
-                raise InterpreterError(
-                    f"array value assigned to scalar {name!r}")
-            if coerce_int and not isinstance(v, (bool, np.bool_)):
-                sc.vars[name] = int(np.trunc(v))
-            else:
-                sc.vars[name] = v
-        return fn
+        coerce_int = coerces_to_int(self.interp.tables.get(unit), name)
+        store = Runtime.astore
+        return lambda scope: store(scope, name, value(scope), coerce_int)
 
     # -- loops ---------------------------------------------------------
 
@@ -339,11 +337,8 @@ class ClosureCompiler:
             if e.op == "+":
                 return operand
             if e.op == ".not.":
-                def fn(scope: Scope):
-                    v = operand(scope)
-                    return ~np.asarray(v) if isinstance(v, np.ndarray) \
-                        else not v
-                return fn
+                not_ = Runtime.not_
+                return lambda scope: not_(operand(scope))
         node = e
         return lambda scope: (_ for _ in ()).throw(InterpreterError(
             f"cannot evaluate {type(node).__name__}"))
@@ -398,9 +393,8 @@ class ClosureCompiler:
             return lambda scope: interp._invoke(callee, args_ast, scope, unit)
         info = INTRINSICS.get(name)
         if info is not None:
-            from repro.execmodel.interp import _NP_FUNCS
             scalar_fn = info.fn
-            np_fn = _NP_FUNCS.get(name)
+            np_fn = info.np_fn
             arg_fns = [self._expr(a, unit) for a in args]
 
             def fn(scope: Scope):
@@ -422,27 +416,12 @@ class ClosureCompiler:
         lf = self._expr(e.left, unit)
         rf = self._expr(e.right, unit)
         op = e.op
-        # note: like the tree-walk, .and./.or. evaluate BOTH operands
-        # (Fortran does not promise short-circuiting; keeping eager
-        # evaluation preserves operation order and side-effect parity)
         if op == "+":
             return lambda scope: lf(scope) + rf(scope)
         if op == "-":
             return lambda scope: lf(scope) - rf(scope)
         if op == "*":
             return lambda scope: lf(scope) * rf(scope)
-        if op == "/":
-            is_int = self.interp._is_int
-
-            def fn(scope: Scope):
-                l = lf(scope)
-                r = rf(scope)
-                if is_int(l) and is_int(r):
-                    return np.trunc(np.divide(l, r)).astype(np.int64) \
-                        if isinstance(l, np.ndarray) \
-                        or isinstance(r, np.ndarray) else int(l / r)
-                return l / r
-            return fn
         if op == "**":
             return lambda scope: lf(scope) ** rf(scope)
         if op == ".lt.":
@@ -457,329 +436,13 @@ class ClosureCompiler:
             return lambda scope: lf(scope) > rf(scope)
         if op == ".ge.":
             return lambda scope: lf(scope) >= rf(scope)
-        any_arr = self.interp._any_arr
-        if op == ".and.":
-            def fn(scope: Scope):
-                l, r = lf(scope), rf(scope)
-                return np.logical_and(l, r) if any_arr(l, r) else (l and r)
-            return fn
-        if op == ".or.":
-            def fn(scope: Scope):
-                l, r = lf(scope), rf(scope)
-                return np.logical_or(l, r) if any_arr(l, r) else (l or r)
-            return fn
-        if op == ".eqv.":
-            def fn(scope: Scope):
-                l, r = lf(scope), rf(scope)
-                return np.equal(l, r) if any_arr(l, r) \
-                    else (bool(l) == bool(r))
-            return fn
-        if op == ".neqv.":
-            def fn(scope: Scope):
-                l, r = lf(scope), rf(scope)
-                return np.not_equal(l, r) if any_arr(l, r) \
-                    else (bool(l) != bool(r))
-            return fn
+        # like the tree-walk, .and./.or. evaluate BOTH operands (Fortran
+        # does not promise short-circuiting; keeping eager evaluation
+        # preserves operation order and side-effect parity)
+        helper = _BINOP_HELPERS.get(op)
+        if helper is not None:
+            return lambda scope: helper(lf(scope), rf(scope))
 
         def fn(scope: Scope):
             raise InterpreterError(f"unknown operator {op!r}")
         return fn
-
-    # ------------------------------------------------------------------
-    # DOALL vector fast path
-
-    def _try_vectorize(self, s: C.ParallelDo,
-                       unit: str) -> Optional[StmtFn]:
-        """Whole-loop numpy evaluation of an eligible DOALL body.
-
-        Eligible means: a ``doall`` with no preamble/postamble/locals
-        whose body is exclusively assignments to array elements indexed
-        by the plain loop variable (plus loop-invariant subscripts), with
-        right-hand sides built from literals, loop-invariant scalars, the
-        loop variable, conforming array reads, arithmetic/relational
-        operators, and exactness-whitelisted intrinsics.  Each iteration
-        then writes a distinct element per statement, so per-statement
-        vectorization executes the same operations on the same values as
-        the scalar worker loop — bit-identically — in one numpy call.
-        """
-        if s.order != "doall" or s.preamble or s.postamble or s.locals_:
-            return None
-        if not s.body:
-            return None
-        var = s.var
-        symtab = self.interp.tables.get(unit)
-        if symtab is None:
-            return None
-
-        writes: dict[str, tuple[int, ...]] = {}   # name -> var-dim mask
-        for st in s.body:
-            if not isinstance(st, F.Assign):
-                return None
-            t = st.target
-            if not isinstance(t, (F.ArrayRef, F.Apply)):
-                return None
-            subs = (t.subscripts if isinstance(t, F.ArrayRef) else t.args)
-            mask = self._var_dims(subs, var)
-            if mask is None or not any(mask):
-                return None
-            prev = writes.get(t.name)
-            if prev is not None and prev != mask:
-                return None   # two write shapes for one array: bail
-            writes[t.name] = mask
-        for st in s.body:
-            t = st.target
-            subs = (t.subscripts if isinstance(t, F.ArrayRef) else t.args)
-            for sub, is_var in zip(subs, writes[t.name]):
-                if not is_var and not self._vec_invariant_ok(
-                        sub, var, writes, unit):
-                    return None
-            if not self._vec_expr_ok(st.value, var, writes, unit):
-                return None
-
-        compiled = [self._vec_stmt(st, var, unit) for st in s.body]
-        lo_f = self._expr(s.start, unit)
-        hi_f = self._expr(s.end, unit)
-        step_f = self._expr(s.step, unit) if s.step is not None else None
-        self.vectorized_loops += 1
-
-        def fn(scope: Scope) -> None:
-            lo = int(lo_f(scope))
-            hi = int(hi_f(scope))
-            step = int(step_f(scope)) if step_f is not None else 1
-            if step == 0:
-                raise InterpreterError("zero DO step")
-            count = len(range(lo, hi + (1 if step > 0 else -1), step))
-            if count == 0:
-                return
-            iv = np.arange(lo, lo + step * count, step, dtype=np.int64)
-            for stmt in compiled:
-                stmt(scope, iv)
-        return fn
-
-    @staticmethod
-    def _var_dims(subs, var: str) -> Optional[tuple[int, ...]]:
-        """Per-dimension loop-variable mask, or None if ineligible."""
-        mask = []
-        for sub in subs:
-            if isinstance(sub, F.RangeExpr):
-                return None
-            if isinstance(sub, F.Var) and sub.name == var:
-                mask.append(1)
-            elif any(isinstance(n, F.Var) and n.name == var
-                     for n in sub.walk()):
-                return None   # var inside arithmetic: not plain indexing
-            else:
-                mask.append(0)
-        return tuple(mask)
-
-    def _vec_invariant_ok(self, e: F.Expr, var: str, writes: dict,
-                          unit: str) -> bool:
-        """A loop-invariant subexpression: no loop var, no written names."""
-        for n in e.walk():
-            if isinstance(n, F.Var) and (n.name == var or n.name in writes):
-                return False
-            if isinstance(n, (F.ArrayRef, F.Apply, F.FuncCall)) \
-                    and n.name in writes:
-                return False
-            if isinstance(n, F.RangeExpr):
-                return False
-        return True
-
-    def _vec_expr_ok(self, e: F.Expr, var: str, writes: dict,
-                     unit: str) -> bool:
-        symtab = self.interp.tables.get(unit)
-        if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit)):
-            return True
-        if isinstance(e, F.Var):
-            if e.name == var:
-                return True
-            sym = symtab.lookup(e.name)
-            # whole-array reads broadcast wrongly; written scalars are
-            # impossible here (all targets are arrays) but stay safe
-            return not (sym is not None and sym.is_array) \
-                and e.name not in writes
-        if isinstance(e, (F.ArrayRef, F.Apply)):
-            sym = symtab.lookup(e.name)
-            if sym is not None and sym.is_array:
-                subs = (e.subscripts if isinstance(e, F.ArrayRef)
-                        else e.args)
-                mask = self._var_dims(subs, var)
-                if mask is None:
-                    return False
-                if e.name in writes and mask != writes[e.name]:
-                    # a read whose var-dims differ from the write's could
-                    # cross iterations; the scalar order would matter
-                    return False
-                for sub, is_var in zip(subs, mask):
-                    if not is_var and not self._vec_invariant_ok(
-                            sub, var, writes, unit):
-                        return False
-                return True
-            # not an array: an intrinsic spelled as Apply
-            return self._vec_intrinsic_ok(e.name, list(subs), var, writes,
-                                          unit)
-        if isinstance(e, F.FuncCall):
-            return self._vec_intrinsic_ok(e.name, e.args, var, writes, unit)
-        if isinstance(e, F.BinOp):
-            return (self._vec_expr_ok(e.left, var, writes, unit)
-                    and self._vec_expr_ok(e.right, var, writes, unit))
-        if isinstance(e, F.UnOp):
-            return e.op in ("-", "+", ".not.") \
-                and self._vec_expr_ok(e.operand, var, writes, unit)
-        return False
-
-    def _vec_intrinsic_ok(self, name: str, args, var: str, writes: dict,
-                          unit: str) -> bool:
-        if name not in _VEC_EXACT_INTRINSICS:
-            return False
-        from repro.execmodel.interp import _NP_FUNCS
-        if name not in _NP_FUNCS:
-            return False
-        return all(self._vec_expr_ok(a, var, writes, unit) for a in args)
-
-    # -- vector code generation ---------------------------------------
-
-    def _vec_stmt(self, st: F.Assign, var: str,
-                  unit: str) -> Callable[[Scope, np.ndarray], None]:
-        value = self._vec_expr(st.value, var, unit)
-        t = st.target
-        name = t.name
-        subs = (t.subscripts if isinstance(t, F.ArrayRef) else t.args)
-        key_fns = self._vec_index(subs, var, unit)
-
-        def fn(scope: Scope, iv: np.ndarray) -> None:
-            arr = scope.get(name)
-            if not isinstance(arr, FArray):
-                raise InterpreterError(f"{name!r} is not an array")
-            arr.data[self._vec_key(arr, key_fns, scope, iv, name)] = \
-                value(scope, iv)
-        return fn
-
-    def _vec_index(self, subs, var: str, unit: str):
-        """Per-dimension index builders: the loop vector or an invariant."""
-        out = []
-        for sub in subs:
-            if isinstance(sub, F.Var) and sub.name == var:
-                out.append(None)           # the iteration vector
-            else:
-                out.append(self._expr(sub, unit))
-        return out
-
-    @staticmethod
-    def _vec_key(arr: FArray, key_fns, scope: Scope, iv: np.ndarray,
-                 name: str):
-        key = []
-        for dim, kf in enumerate(key_fns):
-            lo = arr.lowers[dim]
-            n = arr.data.shape[dim]
-            if kf is None:
-                j = iv - lo
-                if len(j) and (int(j.min()) < 0 or int(j.max()) >= n):
-                    bad = int(iv.min()) if int(j.min()) < 0 else int(iv.max())
-                    raise InterpreterError(
-                        f"subscript {bad} out of bounds in dimension "
-                        f"{dim + 1} [{lo}, {lo + n - 1}]")
-                key.append(j)
-            else:
-                j = int(kf(scope)) - lo
-                if not (0 <= j < n):
-                    raise InterpreterError(
-                        f"subscript {j + lo} out of bounds in dimension "
-                        f"{dim + 1} [{lo}, {lo + n - 1}]")
-                key.append(j)
-        return tuple(key)
-
-    def _vec_expr(self, e: F.Expr, var: str, unit: str,
-                  ) -> Callable[[Scope, np.ndarray], object]:
-        if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit)):
-            v = e.value
-            return lambda scope, iv: v
-        if isinstance(e, F.Var):
-            if e.name == var:
-                return lambda scope, iv: iv
-            scalar = self._expr(e, unit)
-            return lambda scope, iv: scalar(scope)
-        if isinstance(e, (F.ArrayRef, F.Apply)):
-            symtab = self.interp.tables.get(unit)
-            sym = symtab.lookup(e.name)
-            subs = (e.subscripts if isinstance(e, F.ArrayRef) else e.args)
-            if sym is not None and sym.is_array:
-                name = e.name
-                key_fns = self._vec_index(subs, var, unit)
-                vec_key = self._vec_key
-
-                def fn(scope: Scope, iv: np.ndarray):
-                    arr = scope.get(name)
-                    if not isinstance(arr, FArray):
-                        raise InterpreterError(f"{name!r} is not an array")
-                    return arr.data[vec_key(arr, key_fns, scope, iv, name)]
-                return fn
-            return self._vec_call(e.name, list(subs), var, unit)
-        if isinstance(e, F.FuncCall):
-            return self._vec_call(e.name, e.args, var, unit)
-        if isinstance(e, F.BinOp):
-            lf = self._vec_expr(e.left, var, unit)
-            rf = self._vec_expr(e.right, var, unit)
-            return self._vec_binop(e.op, lf, rf)
-        if isinstance(e, F.UnOp):
-            f = self._vec_expr(e.operand, var, unit)
-            if e.op == "-":
-                return lambda scope, iv: -f(scope, iv)
-            if e.op == "+":
-                return f
-            if e.op == ".not.":
-                return lambda scope, iv: ~np.asarray(f(scope, iv))
-        raise InterpreterError(
-            f"cannot vectorize {type(e).__name__}")  # pragma: no cover
-
-    def _vec_call(self, name: str, args, var: str, unit: str):
-        from repro.execmodel.interp import _NP_FUNCS
-        np_fn = _NP_FUNCS[name]
-        arg_fns = [self._vec_expr(a, var, unit) for a in args]
-        return lambda scope, iv: np_fn(*[f(scope, iv) for f in arg_fns])
-
-    def _vec_binop(self, op: str, lf, rf):
-        if op == "+":
-            return lambda scope, iv: lf(scope, iv) + rf(scope, iv)
-        if op == "-":
-            return lambda scope, iv: lf(scope, iv) - rf(scope, iv)
-        if op == "*":
-            return lambda scope, iv: lf(scope, iv) * rf(scope, iv)
-        if op == "/":
-            is_int = self.interp._is_int
-
-            def fn(scope: Scope, iv: np.ndarray):
-                l = lf(scope, iv)
-                r = rf(scope, iv)
-                if is_int(l) and is_int(r):
-                    return np.trunc(np.divide(l, r)).astype(np.int64) \
-                        if isinstance(l, np.ndarray) \
-                        or isinstance(r, np.ndarray) else int(l / r)
-                return l / r
-            return fn
-        if op == "**":
-            return lambda scope, iv: lf(scope, iv) ** rf(scope, iv)
-        if op == ".lt.":
-            return lambda scope, iv: lf(scope, iv) < rf(scope, iv)
-        if op == ".le.":
-            return lambda scope, iv: lf(scope, iv) <= rf(scope, iv)
-        if op == ".eq.":
-            return lambda scope, iv: lf(scope, iv) == rf(scope, iv)
-        if op == ".ne.":
-            return lambda scope, iv: lf(scope, iv) != rf(scope, iv)
-        if op == ".gt.":
-            return lambda scope, iv: lf(scope, iv) > rf(scope, iv)
-        if op == ".ge.":
-            return lambda scope, iv: lf(scope, iv) >= rf(scope, iv)
-        if op == ".and.":
-            return lambda scope, iv: np.logical_and(lf(scope, iv),
-                                                    rf(scope, iv))
-        if op == ".or.":
-            return lambda scope, iv: np.logical_or(lf(scope, iv),
-                                                   rf(scope, iv))
-        if op == ".eqv.":
-            return lambda scope, iv: np.equal(lf(scope, iv), rf(scope, iv))
-        if op == ".neqv.":
-            return lambda scope, iv: np.not_equal(lf(scope, iv),
-                                                  rf(scope, iv))
-        raise InterpreterError(f"unknown operator {op!r}")  # pragma: no cover

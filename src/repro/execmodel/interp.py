@@ -33,67 +33,6 @@ from repro.execmodel.values import DTYPES, FArray, Scope
 if TYPE_CHECKING:  # pragma: no cover
     from repro.execmodel.shadow import ShadowRecorder
 
-def _np_sign(a, b):
-    # Fortran SIGN: |a| carrying b's arithmetic sign, with SIGN(a, -0.0)
-    # = +|a| (np.copysign would propagate the negative zero).
-    return np.where(np.greater_equal(b, 0), np.abs(a), -np.abs(a))
-
-
-def _np_nint(x):
-    return np.where(np.greater_equal(x, 0), np.floor(x + 0.5),
-                    -np.floor(-x + 0.5)).astype(np.int64)
-
-
-def _np_min(*xs):
-    # n-ary, unlike np.minimum: np.minimum(a, b, c) treats c as out=.
-    out = xs[0]
-    for x in xs[1:]:
-        out = np.minimum(out, x)
-    return out
-
-
-def _np_max(*xs):
-    out = xs[0]
-    for x in xs[1:]:
-        out = np.maximum(out, x)
-    return out
-
-
-def _np_int(x):
-    return np.asarray(np.trunc(x)).astype(np.int64)
-
-
-def _np_float(x):
-    return np.asarray(x).astype(np.float64)
-
-
-#: numpy equivalents for intrinsics applied to array sections.  Every
-#: entry must agree elementwise with the scalar INTRINSICS callable —
-#: tests/execmodel/test_intrinsic_consistency.py cross-checks them.
-_NP_FUNCS = {
-    "sqrt": np.sqrt, "dsqrt": np.sqrt,
-    "abs": np.abs, "dabs": np.abs, "iabs": np.abs,
-    "exp": np.exp, "dexp": np.exp,
-    "log": np.log, "alog": np.log, "dlog": np.log,
-    "log10": np.log10, "alog10": np.log10,
-    "sin": np.sin, "dsin": np.sin, "cos": np.cos, "dcos": np.cos,
-    "tan": np.tan, "atan": np.arctan, "datan": np.arctan,
-    "atan2": np.arctan2, "datan2": np.arctan2,
-    "asin": np.arcsin, "acos": np.arccos,
-    "min": _np_min, "max": _np_max, "min0": _np_min, "max0": _np_max,
-    "amin1": _np_min, "amax1": _np_max, "dmin1": _np_min, "dmax1": _np_max,
-    # Fortran MOD truncates toward zero (result carries the *dividend*'s
-    # sign); np.mod is floored division and follows the divisor instead.
-    "mod": np.fmod, "amod": np.fmod, "dmod": np.fmod,
-    "sign": _np_sign, "isign": _np_sign,
-    "dim": lambda a, b: np.maximum(a - b, 0),
-    "nint": _np_nint,
-    "int": _np_int, "ifix": _np_int, "idint": _np_int,
-    "float": _np_float, "real": _np_float, "dble": _np_float,
-    "sngl": _np_float,
-    "tanh": np.tanh, "sinh": np.sinh, "cosh": np.cosh,
-}
-
 
 class _GotoSignal(Exception):
     def __init__(self, label: int):
@@ -109,8 +48,8 @@ class _StopSignal(Exception):
         self.message = message
 
 
-#: the three execution engine tiers, slowest (reference) first
-ENGINES = ("tree", "compiled", "source")
+#: the execution engines: the reference tree walk and the one fast tier
+ENGINES = ("tree", "compiled")
 
 
 class Interpreter:
@@ -136,12 +75,11 @@ class Interpreter:
         :class:`repro.errors.InterpreterBudgetError` carrying the source
         line of the statement that tripped the budget.
 
-        ``engine`` selects ``"tree"`` (the reference tree-walk),
-        ``"compiled"`` (:mod:`repro.execmodel.compiled` closures —
-        numerics-identical, several times faster) or ``"source"``
-        (:mod:`repro.execmodel.source_jit` — cached Python/NumPy source
-        modules with generalized loop-nest vectorization; falls back
-        per loop to the closure tier, and from there to the tree walk).
+        ``engine`` selects ``"tree"`` (the reference tree-walk) or
+        ``"compiled"`` (:mod:`repro.execmodel.compiled` — statement
+        lists compiled once to cached Python/NumPy source modules with
+        loop-nest vectorization, per-statement closures for the rest;
+        bit-identical to the tree walk, several times faster).
         A shadow recorder forces the tree-walk: race instrumentation
         lives on that path.  ``engine=None`` (the default) resolves to
         ``$REPRO_ENGINE`` when set, else ``"tree"`` — harnesses that
@@ -165,17 +103,12 @@ class Interpreter:
         self.engine = engine if shadow is None else "tree"
         self._compiler = None
         if self.engine == "compiled":
-            from repro.execmodel.compiled import ClosureCompiler
+            from repro.execmodel.compiled import Compiler
 
-            self._compiler = ClosureCompiler(self)
+            self._compiler = Compiler(self)
             # instance attribute shadows the method: every recursive
             # self.exec_body — unit bodies, loop bodies, _invoke —
             # routes through the compiler
-            self.exec_body = self._compiler.exec_body
-        elif self.engine == "source":
-            from repro.execmodel.source_jit import SourceJit
-
-            self._compiler = SourceJit(self)
             self.exec_body = self._compiler.exec_body
 
     # ------------------------------------------------------------------
@@ -712,7 +645,7 @@ class Interpreter:
         if info is not None:
             args = [self.eval(a, scope, unit) for a in e.args]
             if any(isinstance(a, np.ndarray) for a in args):
-                fn = _NP_FUNCS.get(e.name)
+                fn = info.np_fn
                 if fn is None:
                     raise InterpreterError(
                         f"intrinsic {e.name!r} not vectorized")
@@ -892,6 +825,16 @@ def _resolve_handler(t: type, chain):
     return None
 
 
+#: synchronization statements: functional no-ops under simulation (the
+#: race detector tracks the lock ones)
+_SYNC_STMTS = (C.AwaitStmt, C.AdvanceStmt, C.LockStmt, C.UnlockStmt,
+               C.PostWaitStmt)
+#: declarations in executable position
+_DECL_STMTS = (F.TypeDecl, F.DimensionStmt, F.CommonStmt, F.ParameterStmt,
+               F.DataStmt, F.EquivalenceStmt, F.ImplicitStmt,
+               F.ExternalStmt, F.IntrinsicStmt, F.SaveStmt, C.GlobalDecl,
+               C.ClusterDecl, C.ProcessCommonStmt)
+
 _STMT_CHAIN = [
     (F.Assign, Interpreter._exec_assign),
     (C.ParallelDo, Interpreter._parallel_do),
@@ -907,12 +850,8 @@ _STMT_CHAIN = [
     (F.StopStmt, Interpreter._exec_stop),
     (F.PrintStmt, Interpreter._exec_print),
     (F.ReadStmt, Interpreter._exec_read),
-    ((C.AwaitStmt, C.AdvanceStmt, C.LockStmt, C.UnlockStmt,
-      C.PostWaitStmt), Interpreter._exec_sync),
-    ((F.TypeDecl, F.DimensionStmt, F.CommonStmt, F.ParameterStmt,
-      F.DataStmt, F.EquivalenceStmt, F.ImplicitStmt, F.ExternalStmt,
-      F.IntrinsicStmt, F.SaveStmt, C.GlobalDecl, C.ClusterDecl,
-      C.ProcessCommonStmt), Interpreter._exec_noop),
+    (_SYNC_STMTS, Interpreter._exec_sync),
+    (_DECL_STMTS, Interpreter._exec_noop),
 ]
 _STMT_HANDLERS: dict[type, Any] = {}
 

@@ -1,23 +1,18 @@
-"""Source-emitting JIT: compile statement lists to Python/NumPy modules.
+"""Loop-nest lowering: whole-grid Python/NumPy source for the compiled engine.
 
-``Interpreter(engine="source")`` routes every ``exec_body`` through this
-module — the third execution tier.  Where the closure tier
-(:mod:`repro.execmodel.compiled`) lowers each statement to a Python
-closure, this tier emits a real Python/NumPy *source module* per
-statement list, compiles it (``compile()``/``exec`` into a private
-namespace), and executes the resulting functions.  The emitted text is
-cached by the engine's SHA-256 content address (artifact kind
-``jit-source`` in :mod:`repro.engine.cache`), so warm runs skip both
-analysis and emission; the on-disk store reuses the digest-verified v2
-format, so a corrupt module quarantines and recompiles like any other
-entry.
+:class:`repro.execmodel.compiled.Compiler` emits one Python module per
+statement list through :func:`emit_module`; this module decides which of
+the list's loops become vectorized source and writes that source.  Every
+statement the lowerer declines is emitted as a ``fb(i)`` request for the
+compiler's scalar closure, so coverage is total.
 
-The vectorized fast path is generalized beyond the closure tier's
-single-statement innermost-DOALL whitelist:
+What lowers:
 
 - **loop nests** — a DOALL (or plain sequential DO) whose body is a
   chain of nested loops ending in eligible assignments is lowered to
   one set of broadcast NumPy operations over the full iteration grid;
+  the restructurer's strip-mined PARALLEL DO is recognized and
+  collapsed back to its elementwise form first;
 - **IF-guarded bodies** — ``IF (c) a(i) = e`` and two-arm block IFs
   lower to masked assignment: the guard is evaluated over the whole
   grid (exactly as the scalar loop evaluates it every iteration), and
@@ -33,52 +28,53 @@ single-statement innermost-DOALL whitelist:
   ``np.minimum.reduce``/``np.maximum.reduce`` when the accumulator and
   contribution provably share a type class.
 
-Every lowering carries the same exactness obligation as the closure
-fast path: plain loop-variable subscripts, exactness-whitelisted
-intrinsics only (``_VEC_EXACT_INTRINSICS``), reads of written arrays
-restricted to the writing iteration's element.  Anything that cannot be
-proven bit-identical falls back *per loop* to the closure tier, which
-itself falls back per statement to the tree walk — coverage is total.
-
-Signed-zero and NaN treatment of the MIN/MAX lowerings follows the
-established whitelist policy (``min``/``max`` are already
-exactness-whitelisted elementwise in the closure tier).
+Every lowering carries one exactness obligation — the vector evaluation
+must be bit-equal to the scalar loop: plain or affine loop-variable
+subscripts, intrinsics marked ``exact`` in
+:data:`repro.fortran.intrinsics.INTRINSICS` only, reads of written
+arrays restricted to the writing iteration's element.  Anything that
+cannot be proven falls back *per loop* (recurrences are rejected, never
+approximated).  Signed-zero and NaN treatment of the MIN/MAX lowerings
+follows the same table (``min``/``max`` are exact elementwise).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.cedar import nodes as C
 from repro.cedar.library import CEDAR_LIBRARY
 from repro.errors import InterpreterError
-from repro.execmodel.compiled import (ClosureCompiler, _NOOP_STMTS,
-                                      _VEC_EXACT_INTRINSICS)
+from repro.execmodel.interp import (_DECL_STMTS, _SYNC_STMTS,
+                                    Interpreter)
 from repro.execmodel.values import FArray, Scope
 from repro.fortran import ast_nodes as F
 from repro.fortran.intrinsics import INTRINSICS
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.execmodel.interp import Interpreter
-
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact so stale module text can never be served to a newer runtime
-_JIT_VERSION = 1
+JIT_VERSION = 1
+
+#: statements that do nothing when executed (sync statements are
+#: functional no-ops without a shadow recorder)
+NOOP_STMTS = (F.ContinueStmt,) + _DECL_STMTS + _SYNC_STMTS
 
 #: loop-nest levels the lowerer can walk through
 _LOOPS = (F.DoLoop, C.ParallelDo)
 
-#: intrinsics whose result type class is fixed regardless of arguments
-_INT_INTRINSICS = frozenset({"int", "ifix", "idint", "nint", "iabs",
-                             "isign", "min0", "max0"})
-_FLOAT_INTRINSICS = frozenset({"float", "real", "dble", "sngl", "sqrt",
-                               "dsqrt", "amin1", "amax1", "dmin1",
-                               "dmax1"})
-#: intrinsics whose result type class follows their arguments
-_POLY_INTRINSICS = frozenset({"abs", "dabs", "min", "max", "sign"})
+
+def coerces_to_int(symtab, name: str) -> bool:
+    """Whether a scalar store to ``name`` truncates to integer: declared
+    integer, or undeclared under the implicit i-n rule.  Symbol-table
+    facts are static, so this branch of ``Interpreter._assign`` is
+    resolved once at compile time."""
+    sym = symtab.lookup(name) if symtab is not None else None
+    if sym is not None:
+        return sym.type == "integer"
+    return name[0] in "ijklmn"
 
 
 class _Ineligible(Exception):
@@ -95,32 +91,31 @@ def _fmt_literal(v) -> str:
     return repr(v)
 
 
-class _Runtime:
-    """The ``rt`` object handed to every emitted module's ``make()``.
+class Runtime:
+    """Semantics shared by the compiler's closures and emitted modules.
 
-    Holds the per-interpreter state the generated source cannot embed:
+    One instance per statement list is the ``rt`` object handed to the
+    module's ``make()``: it carries what generated source cannot embed —
     scope access, bounds-checked grid loads/stores, the Fortran
     division/logical helpers, the numpy intrinsic table, and the
-    closure-tier fallback for statements the emitter declined.
+    compiler's closure lowering for statements the emitter declined.
+    The static helpers double as the closures' own operator semantics.
     """
 
-    def __init__(self, compiler: "SourceJit", stmts: list, unit: str):
+    #: the vectorizable intrinsics, as emitted code indexes them
+    np_funcs = {name: info.np_fn for name, info in INTRINSICS.items()
+                if info.exact}
+
+    def __init__(self, compiler, stmts: list, unit: str):
         self.compiler = compiler
         self.stmts = stmts
         self.unit = unit
-        from repro.execmodel.interp import _NP_FUNCS
-
-        self.np_funcs = _NP_FUNCS
-
-    # -- fallback ladder: source -> closure (-> tree inside closures) --
 
     def fallback(self, i: int):
-        return ClosureCompiler._stmt(self.compiler, self.stmts[i],
-                                     self.unit)
+        return self.compiler._stmt(self.stmts[i], self.unit)
 
     def tally(self, loops: int, fallback: int) -> None:
         self.compiler.vectorized_loops += loops
-        self.compiler.source_stmts += loops
         self.compiler.fallback_stmts += fallback
 
     @property
@@ -148,7 +143,9 @@ class _Runtime:
 
     @staticmethod
     def astore(scope: Scope, name: str, value, coerce_int: bool):
-        """Replay ``ClosureCompiler._assign_var`` for one scalar store.
+        """One scalar store, replicating ``Interpreter._assign``'s
+        coercion ladder with the symbol-table facts pre-resolved into
+        ``coerce_int``.
 
         Returns the stored value exactly as a fresh scope read would see
         it, so a reduction's accumulation loop observes the same
@@ -180,7 +177,7 @@ class _Runtime:
     def error(self, msg: str):
         raise InterpreterError(msg)
 
-    # -- runtime calls replicating the closure tier --------------------
+    # -- library/intrinsic calls in loop-invariant position ------------
 
     @staticmethod
     def call(scope: Scope, name: str, vals: tuple):
@@ -188,19 +185,16 @@ class _Runtime:
             return CEDAR_LIBRARY[name].fn(*vals)
         info = INTRINSICS.get(name)
         if info is not None:
-            from repro.execmodel.interp import _NP_FUNCS
-
             for v in vals:
                 if isinstance(v, np.ndarray):
-                    np_fn = _NP_FUNCS.get(name)
-                    if np_fn is None:
+                    if info.np_fn is None:
                         raise InterpreterError(
                             f"intrinsic {name!r} not vectorized")
-                    return np_fn(*vals)
+                    return info.np_fn(*vals)
             return info.fn(*vals)
         raise InterpreterError(f"unknown function {name!r}")
 
-    # -- grid loads/stores (bounds-checked like the closure fast path) -
+    # -- grid loads/stores (bounds-checked like FArray.get/set) --------
 
     @staticmethod
     def _grid_key(arr: FArray, parts: tuple) -> tuple:
@@ -243,8 +237,6 @@ class _Runtime:
 
     @staticmethod
     def div(l, r):
-        from repro.execmodel.interp import Interpreter
-
         if Interpreter._is_int(l) and Interpreter._is_int(r):
             if isinstance(l, np.ndarray) or isinstance(r, np.ndarray):
                 return np.trunc(np.divide(l, r)).astype(np.int64)
@@ -342,7 +334,7 @@ def _desugar_stripmine(pdo: F.Stmt) -> Optional[C.ParallelDo]:
     if names is None or len(names) != 2:
         return None
     v = pdo.var
-    body = [s for s in pdo.body if not isinstance(s, _NOOP_STMTS)]
+    body = [s for s in pdo.body if not isinstance(s, NOOP_STMTS)]
     if len(body) < 3:
         return None
     a1, a2, rest = body[0], body[1], body[2:]
@@ -451,10 +443,10 @@ def _desugar_stripmine(pdo: F.Stmt) -> Optional[C.ParallelDo]:
 class _LoopLowerer:
     """Analysis + Python/NumPy source emission for one loop nest."""
 
-    def __init__(self, jit: "SourceJit", loop: F.Stmt, unit: str):
-        self.jit = jit
+    def __init__(self, interp: Interpreter, loop: F.Stmt, unit: str):
+        self.interp = interp
         self.unit = unit
-        self.symtab = jit.interp.tables.get(unit)
+        self.symtab = interp.tables.get(unit)
         if self.symtab is None:
             raise _Ineligible("no symbol table")
         self.levels: list[F.Stmt] = []
@@ -506,7 +498,7 @@ class _LoopLowerer:
             # declaration/CONTINUE no-ops around a single nested loop do
             # not break the nest (shared-termination DO chains end in a
             # labelled CONTINUE the tree walk also ignores)
-            inner = [s for s in body if not isinstance(s, _NOOP_STMTS)]
+            inner = [s for s in body if not isinstance(s, NOOP_STMTS)]
             if len(inner) == 1 and isinstance(inner[0], _LOOPS):
                 node = inner[0]
                 continue
@@ -612,7 +604,7 @@ class _LoopLowerer:
         """Array-element targets of one innermost statement (validated)."""
         if id(st) in self.reductions:
             return []
-        if isinstance(st, _NOOP_STMTS):
+        if isinstance(st, NOOP_STMTS):
             return []
         if isinstance(st, F.Assign):
             t = st.target
@@ -704,7 +696,7 @@ class _LoopLowerer:
 
         ``ctx`` maps each axis variable to its lane-array name (open grid
         or compressed); ``ctx=None`` is invariant/scalar mode, mirroring
-        the closure tier's ``_expr`` semantics.
+        the closures' ``_expr`` semantics.
         """
         if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit)):
             return _fmt_literal(e.value)
@@ -761,14 +753,11 @@ class _LoopLowerer:
         if name in self.writes or name in self.red_vars:
             raise _Ineligible("call shadows a written name")
         if ctx is not None:
-            from repro.execmodel.interp import _NP_FUNCS
-
-            if name not in _VEC_EXACT_INTRINSICS or name not in _NP_FUNCS:
-                raise _Ineligible(f"intrinsic {name!r} not exactness-"
-                                  f"whitelisted")
+            if name not in Runtime.np_funcs:
+                raise _Ineligible(f"intrinsic {name!r} not exact")
             parts = [self.ex(a, ctx) for a in args]
             return f"NP[{name!r}]({', '.join(parts)})"
-        if name in self.jit.interp.units:
+        if name in self.interp.units:
             raise _Ineligible("user routine in invariant position")
         parts = [self.ex(a, None) for a in args]
         return f"CALL(s, {name!r}, ({', '.join(parts)},))"
@@ -813,16 +802,13 @@ class _LoopLowerer:
             if isinstance(e, (F.ArrayRef, F.Apply)) \
                     and self._is_array_sym(e.name):
                 return self._sym_class(e.name)
-            name = e.name
-            args = (e.subscripts if isinstance(e, F.ArrayRef) else e.args)
-            if name in _INT_INTRINSICS:
-                return "i"
-            if name in _FLOAT_INTRINSICS:
-                return "f"
-            if name in _POLY_INTRINSICS:
+            info = INTRINSICS.get(e.name)
+            if info is not None and info.result == "arg":
+                args = (e.subscripts if isinstance(e, F.ArrayRef)
+                        else e.args)
                 return self._join_class([self._type_class(a)
                                          for a in args])
-            return None
+            return info.result if info is not None else None
         if isinstance(e, F.BinOp):
             if e.op in ("+", "-", "*", "/", "**"):
                 return self._join_class([self._type_class(e.left),
@@ -852,12 +838,6 @@ class _LoopLowerer:
 
     def _grid_ctx(self) -> dict:
         return {v: f"_g{a}" for a, v in enumerate(self.axes)}
-
-    def _coerce_flag(self, var: str) -> str:
-        sym = self.symtab.lookup(var)
-        declared_int = sym is not None and sym.type == "integer"
-        implicit_int = sym is None and var[0] in "ijklmn"
-        return "True" if declared_int or implicit_int else "False"
 
     def _target_parts(self, t, ctx: dict) -> str:
         subs = t.subscripts if isinstance(t, F.ArrayRef) else t.args
@@ -897,7 +877,7 @@ class _LoopLowerer:
         doall0 = isinstance(self.levels[0], C.ParallelDo)
         self._uniq += 1
         u = self._uniq
-        coerce = self._coerce_flag(var)
+        coerce = coerces_to_int(self.symtab, var)
         out.append(f"{indent}_a{u} = G(s, {var!r})")
         if kind == "minmax":
             op, contrib = info[2], info[3]
@@ -937,7 +917,7 @@ class _LoopLowerer:
         if id(st) in self.reductions:
             self._emit_reduction(st, out, indent)
             return
-        if isinstance(st, _NOOP_STMTS):
+        if isinstance(st, NOOP_STMTS):
             return
         ctx = self._grid_ctx()
         if isinstance(st, F.Assign):
@@ -1008,120 +988,52 @@ class _LoopLowerer:
         return out
 
 
-class SourceJit(ClosureCompiler):
-    """Compile statement lists to cached Python/NumPy source modules."""
-
-    def __init__(self, interp: "Interpreter"):
-        super().__init__(interp)
-        #: statements whose lowering came from emitted source (vs the
-        #: closure-tier fallback), for observability and tests
-        self.source_stmts = 0
-        self.fallback_stmts = 0
-
-    # the closure tier's exec_body drives execution; only the per-list
-    # compilation step is replaced
-    def _compile_entry(self, stmts: list[F.Stmt],
-                       unit_name: str) -> tuple:
-        from repro.telemetry import span
-
-        with span("compile", unit=unit_name, stmts=len(stmts)):
-            fns = self._compile_list(stmts, unit_name)
-            labels = {s.label: i for i, s in enumerate(stmts)
-                      if s.label is not None}
-        return (fns, labels, stmts)
-
-    def _compile_list(self, stmts: list[F.Stmt], unit: str) -> list:
-        from repro.engine.cache import get_cache
-        from repro.obs.log import get_logger
-
-        try:
-            text = get_cache().jit_source(
-                self._dump(stmts), fingerprint=self._fingerprint(unit),
-                emit=lambda: self.emit_module(stmts, unit))
-            code = compile(text, f"<jit-source:{unit}>", "exec")
-            ns: dict = {}
-            exec(code, ns)
-            fns = ns["make"](_Runtime(self, stmts, unit))
-            if len(fns) != len(stmts):
-                raise ValueError(
-                    f"module yields {len(fns)} fns for {len(stmts)} "
-                    f"statements")
-        except InterpreterError:
-            raise
-        except Exception as exc:   # corrupt or stale module text: the
-            # closure tier is always able to take the whole list
-            get_logger("execmodel.source_jit").warning(
-                "module_rejected", unit=unit,
-                error_type=type(exc).__name__)
-            self.fallback_stmts += len(stmts)
-            return [ClosureCompiler._stmt(self, s, unit) for s in stmts]
-        return fns
-
-    def _fingerprint(self, unit: str) -> str:
-        """Codegen-relevant facts beyond the statement dump."""
-        st = self.interp.tables.get(unit)
-        facts = ""
-        if st is not None:
-            facts = ";".join(
-                f"{n}:{sym.type}:{int(sym.is_array)}"
-                for n, sym in sorted(st.symbols.items()))
-        return f"jit{_JIT_VERSION}|{unit}|{facts}"
-
-    @staticmethod
-    def _dump(stmts: list[F.Stmt]) -> str:
-        """Deterministic text form of a statement list (cache address).
-
-        AST nodes are plain dataclasses, so ``repr`` is a stable
-        structural rendering (including source-line stamps, which only
-        narrows sharing, never falsifies it).
-        """
-        return "\n".join(repr(s) for s in stmts)
-
-    # -- module emission -----------------------------------------------
-
-    def emit_module(self, stmts: list[F.Stmt], unit: str) -> str:
-        lowered: dict[int, list[str]] = {}
-        for i, s in enumerate(stmts):
-            if isinstance(s, _LOOPS):
-                try:
-                    lowered[i] = _LoopLowerer(self, s, unit).emit(
-                        f"_s{i}")
-                except _Ineligible:
-                    pass
-        head = [
-            f'"""jit-source module: unit {unit!r}, {len(stmts)} '
-            f'statements, {len(lowered)} vectorized loops '
-            f'(emitter v{_JIT_VERSION})."""',
-            "import numpy as np",
-            "",
-            "",
-            "def make(rt):",
-            "    fb = rt.fallback",
-            "    G = rt.scalar",
-            "    VL = rt.vload",
-            "    VS = rt.vstore",
-            "    CALL = rt.call",
-            "    DIV = rt.div",
-            "    AND = rt.and_",
-            "    OR = rt.or_",
-            "    EQV = rt.eqv",
-            "    NEQV = rt.neqv",
-            "    NOT = rt.not_",
-            "    NP = rt.np_funcs",
-            "    ERR = rt.error",
-            "    SSET = rt.sset",
-            "    AST = rt.astore",
-            "    RED = rt.red_flat",
-            f"    rt.tally({len(lowered)}, {len(stmts) - len(lowered)})",
-            "    fns = []",
-        ]
-        body: list[str] = []
-        for i in range(len(stmts)):
-            if i in lowered:
-                body.append("")
-                body.extend("    " + line for line in lowered[i])
-                body.append(f"    fns.append(_s{i})")
-            else:
-                body.append(f"    fns.append(fb({i}))")
-        tail = ["    return fns", ""]
-        return "\n".join(head + body + tail)
+def emit_module(interp: Interpreter, stmts: list[F.Stmt],
+                unit: str) -> str:
+    """Deterministic module text for one statement list: a ``make(rt)``
+    returning one function per statement — ``_s<i>`` for each lowered
+    loop, ``rt.fallback(i)`` for everything else."""
+    lowered: dict[int, list[str]] = {}
+    for i, s in enumerate(stmts):
+        if isinstance(s, _LOOPS):
+            try:
+                lowered[i] = _LoopLowerer(interp, s, unit).emit(f"_s{i}")
+            except _Ineligible:
+                pass
+    head = [
+        f'"""jit-source module: unit {unit!r}, {len(stmts)} '
+        f'statements, {len(lowered)} vectorized loops '
+        f'(emitter v{JIT_VERSION})."""',
+        "import numpy as np",
+        "",
+        "",
+        "def make(rt):",
+        "    fb = rt.fallback",
+        "    G = rt.scalar",
+        "    VL = rt.vload",
+        "    VS = rt.vstore",
+        "    CALL = rt.call",
+        "    DIV = rt.div",
+        "    AND = rt.and_",
+        "    OR = rt.or_",
+        "    EQV = rt.eqv",
+        "    NEQV = rt.neqv",
+        "    NOT = rt.not_",
+        "    NP = rt.np_funcs",
+        "    ERR = rt.error",
+        "    SSET = rt.sset",
+        "    AST = rt.astore",
+        "    RED = rt.red_flat",
+        f"    rt.tally({len(lowered)}, {len(stmts) - len(lowered)})",
+        "    fns = []",
+    ]
+    body: list[str] = []
+    for i in range(len(stmts)):
+        if i in lowered:
+            body.append("")
+            body.extend("    " + line for line in lowered[i])
+            body.append(f"    fns.append(_s{i})")
+        else:
+            body.append(f"    fns.append(fb({i}))")
+    tail = ["    return fns", ""]
+    return "\n".join(head + body + tail)

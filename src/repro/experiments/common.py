@@ -4,6 +4,12 @@
 performance estimator twice — the serial/scalar original and the
 restructured parallel program — and reports the speedup, which is what
 every table and figure of the paper plots.
+
+Also home to the CLI flags the harnesses share: ``add_engine_args`` (the
+performance layer — ``--jobs``, ``--cache-dir``, ``--telemetry``,
+``--log-level`` — on every harness) and ``add_interpreter_arg``
+(``--engine``, only on the harnesses that execute programs; nothing
+here builds an interpreter).
 """
 
 from __future__ import annotations
@@ -167,14 +173,15 @@ def scale_bindings(bindings: Mapping[str, float], n: int,
 
 
 # ---------------------------------------------------------------------------
-# shared engine CLI flags (experiments / validate / faults)
+# shared engine CLI flags (experiments / validate / faults / server)
 
 
 def add_engine_args(ap: argparse.ArgumentParser) -> None:
-    """Install the performance-layer flags every sweep harness shares.
+    """Install the performance-layer flags every harness shares.
 
-    Defined once here so ``repro.experiments``, ``repro.validate`` and
-    ``repro.faults`` cannot drift: same names, same defaults, same help.
+    Defined once here so ``repro.experiments``, ``repro.validate``,
+    ``repro.faults`` and ``repro.server`` cannot drift: same names, same
+    defaults, same help.
     """
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="fan sweep cells out over N worker processes "
@@ -199,17 +206,22 @@ def add_engine_args(ap: argparse.ArgumentParser) -> None:
                          "flight recorder (default: $REPRO_LOG, else "
                          "off; off is a true no-op and never changes "
                          "sweep payloads)")
+
+
+def add_interpreter_arg(ap: argparse.ArgumentParser, default: str) -> None:
+    """``--engine``, for the harnesses that execute programs
+    (``repro.validate``, ``repro.faults``); estimation-only paths never
+    build an :class:`~repro.execmodel.interp.Interpreter`.  ``default``
+    names the engine the harness runs when nothing selects one."""
     from repro.execmodel.interp import ENGINES
 
     ap.add_argument("--engine", default=None, choices=ENGINES,
-                    help="interpreter engine tier for every run this "
-                         "harness executes: tree (reference walk), "
-                         "compiled (closure lowering), source (cached "
-                         "source-JIT; vectorizes eligible loop nests, "
-                         "falls back per loop).  All tiers are "
-                         "bit-identical on results (default: "
-                         "$REPRO_ENGINE, else each harness's own "
-                         "default)")
+                    help="interpreter engine for every run this harness "
+                         "executes: tree (reference walk) or compiled "
+                         "(cached NumPy source modules for vectorizable "
+                         "loop nests, closures for the rest); results "
+                         "are bit-identical (default: $REPRO_ENGINE, "
+                         f"else {default})")
 
 
 def configure_engine(ns: argparse.Namespace) -> int:

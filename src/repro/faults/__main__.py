@@ -114,9 +114,11 @@ def main(argv: list[str] | None = None) -> int:
                    help="emit the repro-faults/1 JSON payload on stdout")
     p.add_argument("-o", "--output", metavar="FILE",
                    help="write the JSON payload to FILE")
-    from repro.experiments.common import add_engine_args
+    from repro.experiments.common import (add_engine_args,
+                                          add_interpreter_arg)
 
     add_engine_args(p)
+    add_interpreter_arg(p, "tree")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("list", help="print the fault-scenario matrix")

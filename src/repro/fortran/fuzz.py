@@ -455,31 +455,25 @@ def make_case(prog: FuzzProgram, n: int = 24):
 def differential_check(prog: FuzzProgram, n: int = 24,
                        processors: tuple[int, ...] = (2,),
                        seeds: tuple[int, ...] = (3,),
-                       engines: tuple[str, ...] = ("compiled", "source"),
                        ) -> Optional[str]:
     """Differential-execution oracle for executable fuzz programs.
 
     Restructures the program under the ``automatic`` pipeline and
-    compares parallel interpretation against the sequential baseline,
-    once per engine tier — generated programs exercise the closure
-    compiler *and* the source-JIT's lowering paths, not just the
-    committed workloads.  Returns ``None`` when every configuration
-    validates under every engine, else a description of the first
-    failure.
+    compares parallel interpretation (the tree walk, under the race
+    detector) against the sequential baseline on the compiled engine —
+    so generated programs exercise the engine's lowering paths, not
+    just the committed workloads.  Returns ``None`` when the
+    configuration validates, else a description of the first failure.
     """
     from repro.validate.configs import PIPELINE_CONFIGS
     from repro.validate.differential import validate_workload
 
-    case = make_case(prog, n=n)
-    for engine in engines:
-        result = validate_workload(
-            case, {"automatic": PIPELINE_CONFIGS["automatic"]},
-            seeds=seeds, processors=processors, bisect=False,
-            engine=engine)
-        for cfg in result.configs:
-            if not cfg.ok:
-                detail = cfg.error or cfg.status
-                return f"config {cfg.config} [engine {engine}]: {detail}"
+    result = validate_workload(
+        make_case(prog, n=n), {"automatic": PIPELINE_CONFIGS["automatic"]},
+        seeds=seeds, processors=processors, bisect=False)
+    for cfg in result.configs:
+        if not cfg.ok:
+            return f"config {cfg.config}: {cfg.error or cfg.status}"
     return None
 
 

@@ -1,15 +1,20 @@
 """Catalogue of the Fortran 77 intrinsic functions the front end knows.
 
 Each entry records the Python callable used by the functional interpreter
-and a nominal cost class used by the performance model ('cheap' ≈ an ALU
-op, 'func' ≈ a short libm routine, 'heavy' ≈ divide/sqrt class latency).
+element-at-a-time, its NumPy equivalent for array sections and vectorized
+loops, and a nominal cost class used by the performance model ('cheap' ≈
+an ALU op, 'func' ≈ a short libm routine, 'heavy' ≈ divide/sqrt class
+latency).  This is the one intrinsic table: the tree walk, the compiled
+engine and the loop lowerer's exactness and type-class proofs all read it,
+and tests/execmodel/test_intrinsic_consistency.py cross-checks ``fn``
+against ``np_fn`` for every entry that has both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,6 +26,17 @@ class Intrinsic:
     fn: Callable
     cost_class: str = "func"
     reduction: bool = False  # True for vector reductions (sum, dotproduct)
+    #: NumPy equivalent applied to array arguments; must agree
+    #: elementwise with ``fn``.  None: not applicable to arrays.
+    np_fn: Optional[Callable] = None
+    #: ``fn`` and ``np_fn`` are *bit-equal* elementwise (correctly-rounded
+    #: or pure integer/compare ops) — the only intrinsics a loop may be
+    #: vectorized through.  Transcendentals (exp, log, sin, …) are not:
+    #: libm and npymath may differ in the last ulp.
+    exact: bool = False
+    #: result type class: "i" integer or "f" real whatever the arguments,
+    #: "arg" follows the arguments, None unknown
+    result: Optional[str] = None
 
 
 def _fmin(*xs):
@@ -49,64 +65,121 @@ def _nint(x):
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
+def _np_sign(a, b):
+    # Fortran SIGN: |a| carrying b's arithmetic sign, with SIGN(a, -0.0)
+    # = +|a| (np.copysign would propagate the negative zero).
+    return np.where(np.greater_equal(b, 0), np.abs(a), -np.abs(a))
+
+
+def _np_nint(x):
+    return np.where(np.greater_equal(x, 0), np.floor(x + 0.5),
+                    -np.floor(-x + 0.5)).astype(np.int64)
+
+
+def _np_min(*xs):
+    # n-ary, unlike np.minimum: np.minimum(a, b, c) treats c as out=.
+    out = xs[0]
+    for x in xs[1:]:
+        out = np.minimum(out, x)
+    return out
+
+
+def _np_max(*xs):
+    out = xs[0]
+    for x in xs[1:]:
+        out = np.maximum(out, x)
+    return out
+
+
+def _np_int(x):
+    return np.asarray(np.trunc(x)).astype(np.int64)
+
+
+def _np_float(x):
+    return np.asarray(x).astype(np.float64)
+
+
+def _np_dim(a, b):
+    return np.maximum(a - b, 0)
+
+
 INTRINSICS: dict[str, Intrinsic] = {}
 
 
-def _reg(name: str, arity, fn, cost_class="func", reduction=False) -> None:
-    INTRINSICS[name] = Intrinsic(name, arity, fn, cost_class, reduction)
+def _reg(name: str, *args, **fields) -> None:
+    INTRINSICS[name] = Intrinsic(name, *args, **fields)
 
 
 # numeric conversion / simple
-_reg("abs", (1, 1), abs, "cheap")
-_reg("iabs", (1, 1), abs, "cheap")
-_reg("dabs", (1, 1), abs, "cheap")
-_reg("int", (1, 1), int, "cheap")
-_reg("ifix", (1, 1), int, "cheap")
-_reg("idint", (1, 1), int, "cheap")
-_reg("float", (1, 1), float, "cheap")
-_reg("real", (1, 1), float, "cheap")
-_reg("dble", (1, 1), float, "cheap")
-_reg("sngl", (1, 1), float, "cheap")
-_reg("nint", (1, 1), _nint, "cheap")
-_reg("sign", (2, 2), _sign, "cheap")
-_reg("isign", (2, 2), _sign, "cheap")
-_reg("dim", (2, 2), _dim, "cheap")
-_reg("mod", (2, 2), _mod, "cheap")
-_reg("amod", (2, 2), _mod, "cheap")
-_reg("dmod", (2, 2), _mod, "cheap")
-_reg("max", (2, -1), _fmax, "cheap")
-_reg("max0", (2, -1), _fmax, "cheap")
-_reg("amax1", (2, -1), _fmax, "cheap")
-_reg("dmax1", (2, -1), _fmax, "cheap")
-_reg("min", (2, -1), _fmin, "cheap")
-_reg("min0", (2, -1), _fmin, "cheap")
-_reg("amin1", (2, -1), _fmin, "cheap")
-_reg("dmin1", (2, -1), _fmin, "cheap")
+_reg("abs", (1, 1), abs, "cheap", np_fn=np.abs, exact=True, result="arg")
+_reg("iabs", (1, 1), abs, "cheap", np_fn=np.abs, exact=True, result="i")
+_reg("dabs", (1, 1), abs, "cheap", np_fn=np.abs, exact=True, result="arg")
+_reg("int", (1, 1), int, "cheap", np_fn=_np_int, exact=True, result="i")
+_reg("ifix", (1, 1), int, "cheap", np_fn=_np_int, exact=True, result="i")
+_reg("idint", (1, 1), int, "cheap", np_fn=_np_int, exact=True, result="i")
+_reg("float", (1, 1), float, "cheap", np_fn=_np_float, exact=True,
+     result="f")
+_reg("real", (1, 1), float, "cheap", np_fn=_np_float, exact=True,
+     result="f")
+_reg("dble", (1, 1), float, "cheap", np_fn=_np_float, exact=True,
+     result="f")
+_reg("sngl", (1, 1), float, "cheap", np_fn=_np_float, exact=True,
+     result="f")
+_reg("nint", (1, 1), _nint, "cheap", np_fn=_np_nint, exact=True,
+     result="i")
+_reg("sign", (2, 2), _sign, "cheap", np_fn=_np_sign, exact=True,
+     result="arg")
+_reg("isign", (2, 2), _sign, "cheap", np_fn=_np_sign, exact=True,
+     result="i")
+_reg("dim", (2, 2), _dim, "cheap", np_fn=_np_dim)
+# np.fmod, not np.mod: Fortran MOD carries the *dividend*'s sign; np.mod
+# is floored division and follows the divisor instead.
+_reg("mod", (2, 2), _mod, "cheap", np_fn=np.fmod)
+_reg("amod", (2, 2), _mod, "cheap", np_fn=np.fmod)
+_reg("dmod", (2, 2), _mod, "cheap", np_fn=np.fmod)
+_reg("max", (2, -1), _fmax, "cheap", np_fn=_np_max, exact=True,
+     result="arg")
+_reg("max0", (2, -1), _fmax, "cheap", np_fn=_np_max, exact=True,
+     result="i")
+_reg("amax1", (2, -1), _fmax, "cheap", np_fn=_np_max, exact=True,
+     result="f")
+_reg("dmax1", (2, -1), _fmax, "cheap", np_fn=_np_max, exact=True,
+     result="f")
+_reg("min", (2, -1), _fmin, "cheap", np_fn=_np_min, exact=True,
+     result="arg")
+_reg("min0", (2, -1), _fmin, "cheap", np_fn=_np_min, exact=True,
+     result="i")
+_reg("amin1", (2, -1), _fmin, "cheap", np_fn=_np_min, exact=True,
+     result="f")
+_reg("dmin1", (2, -1), _fmin, "cheap", np_fn=_np_min, exact=True,
+     result="f")
 
 # math
-_reg("sqrt", (1, 1), math.sqrt, "heavy")
-_reg("dsqrt", (1, 1), math.sqrt, "heavy")
-_reg("exp", (1, 1), math.exp)
-_reg("dexp", (1, 1), math.exp)
-_reg("log", (1, 1), math.log)
-_reg("alog", (1, 1), math.log)
-_reg("dlog", (1, 1), math.log)
-_reg("log10", (1, 1), math.log10)
-_reg("alog10", (1, 1), math.log10)
-_reg("sin", (1, 1), math.sin)
-_reg("dsin", (1, 1), math.sin)
-_reg("cos", (1, 1), math.cos)
-_reg("dcos", (1, 1), math.cos)
-_reg("tan", (1, 1), math.tan)
-_reg("atan", (1, 1), math.atan)
-_reg("datan", (1, 1), math.atan)
-_reg("atan2", (2, 2), math.atan2)
-_reg("datan2", (2, 2), math.atan2)
-_reg("asin", (1, 1), math.asin)
-_reg("acos", (1, 1), math.acos)
-_reg("sinh", (1, 1), math.sinh)
-_reg("cosh", (1, 1), math.cosh)
-_reg("tanh", (1, 1), math.tanh)
+_reg("sqrt", (1, 1), math.sqrt, "heavy", np_fn=np.sqrt, exact=True,
+     result="f")
+_reg("dsqrt", (1, 1), math.sqrt, "heavy", np_fn=np.sqrt, exact=True,
+     result="f")
+_reg("exp", (1, 1), math.exp, np_fn=np.exp)
+_reg("dexp", (1, 1), math.exp, np_fn=np.exp)
+_reg("log", (1, 1), math.log, np_fn=np.log)
+_reg("alog", (1, 1), math.log, np_fn=np.log)
+_reg("dlog", (1, 1), math.log, np_fn=np.log)
+_reg("log10", (1, 1), math.log10, np_fn=np.log10)
+_reg("alog10", (1, 1), math.log10, np_fn=np.log10)
+_reg("sin", (1, 1), math.sin, np_fn=np.sin)
+_reg("dsin", (1, 1), math.sin, np_fn=np.sin)
+_reg("cos", (1, 1), math.cos, np_fn=np.cos)
+_reg("dcos", (1, 1), math.cos, np_fn=np.cos)
+_reg("tan", (1, 1), math.tan, np_fn=np.tan)
+_reg("atan", (1, 1), math.atan, np_fn=np.arctan)
+_reg("datan", (1, 1), math.atan, np_fn=np.arctan)
+_reg("atan2", (2, 2), math.atan2, np_fn=np.arctan2)
+_reg("datan2", (2, 2), math.atan2, np_fn=np.arctan2)
+_reg("asin", (1, 1), math.asin, np_fn=np.arcsin)
+_reg("acos", (1, 1), math.acos, np_fn=np.arccos)
+_reg("sinh", (1, 1), math.sinh, np_fn=np.sinh)
+_reg("cosh", (1, 1), math.cosh, np_fn=np.cosh)
+_reg("tanh", (1, 1), math.tanh, np_fn=np.tanh)
 
 # Fortran 90 vector reductions accepted on restructurer input (paper §2.1)
 _reg("sum", (1, 1), np.sum, "func", reduction=True)

@@ -2,12 +2,10 @@
 
 Compares two performance payloads — ``repro-experiment/1`` documents
 (``BENCH_*.json`` artifacts or ``python -m repro.experiments --json``
-output), ``repro-profile/1`` documents, or ``repro-bench-host/*`` host
-wall-clock documents (``benchmarks/bench_host.py``) — workload by
-workload (run by run for host benchmarks), reports
-per-experiment cycle deltas, and flags regressions beyond a threshold.
-``scripts/bench_diff.py`` and ``python -m repro.prof diff`` front this as
-the CI regression gate against the committed baselines in
+output) or ``repro-profile/1`` documents — workload by workload,
+reports per-experiment cycle deltas, and flags regressions beyond a
+threshold.  ``scripts/bench_diff.py`` and ``python -m repro.prof diff``
+front this as the CI regression gate against the committed baselines in
 ``benchmarks/baselines/``.
 
 A *regression* is a cycle-count increase (the restructured program got
@@ -26,19 +24,6 @@ METRIC_REGRESSES_UP = {
     "serial_cycles": True,
     "total_cycles": True,
     "speedup": False,
-    # host wall-clock payloads (repro-bench-host/1, /2 and /3)
-    "host_seconds": True,
-    "warm_speedup": False,
-    "compile_speedup": False,
-    "parallel_speedup": False,
-    # /3 engine-tier ratios: higher is better
-    "compiled_warm_speedup": False,
-    "source_warm_speedup": False,
-    "source_vs_compiled_speedup": False,
-    # /2 per-cell latency percentiles: latency regresses upward
-    "p50_s": True,
-    "p95_s": True,
-    "p99_s": True,
 }
 
 
@@ -106,33 +91,6 @@ def extract_metrics(payload: dict) -> dict[str, dict[str, float]]:
             v = run.get("total_cycles")
             if isinstance(v, (int, float)):
                 out[key] = {"total_cycles": float(v)}
-        return out
-    if schema in ("repro-bench-host/1", "repro-bench-host/2",
-                  "repro-bench-host/3"):
-        for name, run in (payload.get("runs") or {}).items():
-            v = run.get("seconds") if isinstance(run, dict) else None
-            if isinstance(v, (int, float)):
-                out[f"host/{name}"] = {"host_seconds": float(v)}
-        for sect, metrics in (("cache", ("warm_speedup",
-                                         "compile_speedup")),
-                              ("parallel", ("parallel_speedup",)),
-                              # /3: the engine-tier ratios
-                              ("engines", ("compiled_warm_speedup",
-                                           "source_warm_speedup",
-                                           "source_vs_compiled_speedup"))):
-            d = payload.get(sect) or {}
-            got = {m: float(d[m]) for m in metrics
-                   if isinstance(d.get(m), (int, float))}
-            if got:
-                out[f"host/{sect}"] = got
-        # /2: per-cell latency percentiles diff like any other metric
-        for name, rec in (payload.get("latency") or {}).items():
-            if not isinstance(rec, dict):
-                continue
-            got = {m: float(rec[m]) for m in ("p50_s", "p95_s", "p99_s")
-                   if isinstance(rec.get(m), (int, float))}
-            if got:
-                out[f"host/latency/{name}"] = got
         return out
     raise ValueError(f"unsupported payload schema {schema!r}")
 

@@ -186,7 +186,6 @@ class RestructurerService:
             "path": request.get("path") or "<request>",
             "quick": bool(request.get("quick")),
             "fault_scenario": request.get("fault_scenario") or None,
-            "engine": request.get("engine") or None,
             "timeout_s": timeout_s,
             "server_pid": os.getpid(),
             "attempt": 1,
@@ -212,13 +211,6 @@ class RestructurerService:
             if scenario_name not in SCENARIO_SPECS:
                 return (f"unknown fault scenario {scenario_name!r} "
                         f"(known: {', '.join(sorted(SCENARIO_SPECS))})")
-        engine = request.get("engine")
-        if engine is not None:
-            from repro.execmodel.interp import ENGINES
-
-            if engine not in ENGINES:
-                return (f"unknown engine {engine!r} "
-                        f"(known: {', '.join(ENGINES)})")
         return None
 
     # -- execution ---------------------------------------------------------
@@ -263,7 +255,7 @@ class RestructurerService:
         from repro.engine.cache import content_key
 
         fp = "|".join(str(request.get(k) or "") for k in
-                      ("path", "quick", "fault_scenario", "engine"))
+                      ("path", "quick", "fault_scenario"))
         return content_key("server-restructure", request["source"], fp)
 
     def handle(self, endpoint: str, request) -> dict:

@@ -122,21 +122,7 @@ def run_request_cell(req: dict) -> dict:
         # chaos runs inside the isolation boundary: a serial-mode kill
         # directive surfaces as a retryable fault, not a server death
         _apply_chaos(req)
-        engine = req.get("engine")
-        if not engine:
-            return handler(req)
-        # pin the requested execution tier for everything this cell
-        # runs (any Interpreter built without an explicit engine reads
-        # $REPRO_ENGINE); restore afterwards for serial-mode reuse
-        prev = os.environ.get("REPRO_ENGINE")
-        os.environ["REPRO_ENGINE"] = engine
-        try:
-            return handler(req)
-        finally:
-            if prev is None:
-                os.environ.pop("REPRO_ENGINE", None)
-            else:
-                os.environ["REPRO_ENGINE"] = prev
+        return handler(req)
 
     # disk-store failures in this (possibly forked) process can't feed
     # the parent's circuit breaker directly — count them here and ship

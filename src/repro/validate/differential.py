@@ -34,6 +34,10 @@ from repro.workloads import ValidationCase
 #: equivalence bounds the workload test suites have always used
 DEFAULT_ATOL = 1e-4
 DEFAULT_RTOL = 1e-3
+#: interpreter engine for baselines, unshadowed variants and bisection
+#: probes — the one default library and CLI callers share (race-checked
+#: variant runs use the instrumented tree walk whatever this says)
+DEFAULT_ENGINE = "compiled"
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ class WorkloadResult:
 
 
 def run_baseline(case: ValidationCase, seed: int, *,
-                 engine: str = "tree") -> dict:
+                 engine: str = DEFAULT_ENGINE) -> dict:
     """Interpret the sequential original; returns the result dict.
 
     The parse is served by the compilation cache — one parse per source
@@ -146,7 +150,7 @@ def run_baseline(case: ValidationCase, seed: int, *,
 def run_variant(case: ValidationCase, options: RestructurerOptions,
                 seed: int, processors: int,
                 shadow: Optional[ShadowRecorder] = None, *,
-                engine: str = "tree",
+                engine: str = DEFAULT_ENGINE,
                 cedar=None, report=None) -> tuple[dict, object]:
     """Interpret the restructured Cedar program.
 
@@ -230,7 +234,7 @@ def bisect_stages(case: ValidationCase, stages: list[str], *,
                   seed: int, processors: int,
                   atol: float = DEFAULT_ATOL,
                   rtol: float = DEFAULT_RTOL,
-                  engine: str = "tree",
+                  engine: str = DEFAULT_ENGINE,
                   baseline: Optional[dict] = None) -> Optional[str]:
     """Name the pass stage that introduced a divergence.
 
@@ -280,7 +284,7 @@ def validate_workload(case: ValidationCase,
                       atol: float = DEFAULT_ATOL,
                       rtol: float = DEFAULT_RTOL,
                       bisect: bool = True,
-                      engine: str = "tree") -> WorkloadResult:
+                      engine: str = DEFAULT_ENGINE) -> WorkloadResult:
     """Differentially validate one workload under every configuration.
 
     ``engine`` selects the interpreter engine for baselines and

@@ -1,14 +1,15 @@
-"""Property test: the interpreter's two intrinsic tables must agree.
+"""Property test: each intrinsic's scalar and NumPy forms must agree.
 
 The interpreter evaluates an intrinsic two ways: element-at-a-time with
-the scalar callable from ``repro.fortran.intrinsics.INTRINSICS``, and
-vectorized over array sections with the numpy equivalent from
-``repro.execmodel.interp._NP_FUNCS``.  Any disagreement means the same
-Fortran expression computes different values depending on whether the
-restructurer vectorized the surrounding loop — exactly the class of bug
-(``np.mod`` vs Fortran's truncating MOD) translation validation exists
-to catch.  This test cross-checks every shared entry on random inputs,
-with directed cases for the historically wrong ones.
+the entry's scalar callable (``Intrinsic.fn``), and vectorized over
+array sections with its NumPy equivalent (``Intrinsic.np_fn``), both
+from the one table ``repro.fortran.intrinsics.INTRINSICS``.  Any
+disagreement means the same Fortran expression computes different
+values depending on whether the restructurer vectorized the surrounding
+loop — exactly the class of bug (``np.mod`` vs Fortran's truncating
+MOD) translation validation exists to catch.  This test cross-checks
+every entry that has an ``np_fn`` on random inputs, with directed cases
+for the historically wrong ones.
 """
 
 import math
@@ -16,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.execmodel.interp import _NP_FUNCS, Interpreter
+from repro.execmodel.interp import Interpreter
 from repro.fortran.intrinsics import INTRINSICS
 from repro.fortran.parser import parse_program
 
@@ -33,10 +34,8 @@ _DOMAINS = {
 }
 _DEFAULT_DOMAIN = (-50.0, 50.0)
 
-#: intrinsics that take (and return) integers
-_INTEGER = {"iabs", "isign", "min0", "max0"}
-
-SHARED = sorted(set(INTRINSICS) & set(_NP_FUNCS))
+SHARED = sorted(n for n, info in INTRINSICS.items()
+                if info.np_fn is not None)
 
 
 def _draw(name: str, nargs: int, *, integer: bool) -> list:
@@ -55,20 +54,22 @@ def _arity(name: str) -> int:
 
 @pytest.mark.parametrize("name", SHARED)
 def test_scalar_vs_vector_agree(name):
-    """INTRINSICS[name] on scalars == _NP_FUNCS[name] on 1-elem arrays."""
-    scalar_fn = INTRINSICS[name].fn
-    vector_fn = _NP_FUNCS[name]
-    integer = name in _INTEGER
+    """``fn`` on scalars == ``np_fn`` on 1-element arrays."""
+    info = INTRINSICS[name]
     nargs = _arity(name)
-    for trial in range(200):
-        args = _draw(name, nargs, integer=integer)
-        if name in ("mod", "amod", "dmod") and args[1] == 0:
-            continue
-        want = scalar_fn(*args)
-        got = vector_fn(*[np.asarray([a]) for a in args])
-        got_val = np.asarray(got).ravel()[0]
-        assert got_val == pytest.approx(want, rel=1e-12, abs=1e-12), (
-            f"{name}{tuple(args)}: scalar {want} != vectorized {got_val}")
+    # integer-result intrinsics see integer operands too (iabs, min0, …
+    # take them; the conversions int/nint must pass them through)
+    for integer in ((False, True) if info.result == "i" else (False,)):
+        for trial in range(200):
+            args = _draw(name, nargs, integer=integer)
+            if name in ("mod", "amod", "dmod") and args[1] == 0:
+                continue
+            want = info.fn(*args)
+            got = info.np_fn(*[np.asarray([a]) for a in args])
+            got_val = np.asarray(got).ravel()[0]
+            assert got_val == pytest.approx(want, rel=1e-12, abs=1e-12), (
+                f"{name}{tuple(args)}: scalar {want} != vectorized "
+                f"{got_val}")
 
 
 class TestDirectedCases:
@@ -83,15 +84,16 @@ class TestDirectedCases:
         # sign; np.mod (floored) carries the divisor's and was wrong for
         # every negative-dividend case here.
         want = a - int(a / b) * b
-        got = np.asarray(_NP_FUNCS["mod"](np.asarray([a]), np.asarray([b])))
+        got = np.asarray(INTRINSICS["mod"].np_fn(np.asarray([a]),
+                                                 np.asarray([b])))
         assert got.ravel()[0] == pytest.approx(want)
         assert INTRINSICS["mod"].fn(a, b) == pytest.approx(want)
 
     def test_sign_of_negative_zero_is_positive(self):
         # SIGN(a, -0.0) = +|a| in Fortran 77 (negative zero compares
         # equal to zero); np.copysign would return -|a|.
-        got = np.asarray(_NP_FUNCS["sign"](np.asarray([3.0]),
-                                           np.asarray([-0.0])))
+        got = np.asarray(INTRINSICS["sign"].np_fn(np.asarray([3.0]),
+                                                  np.asarray([-0.0])))
         assert got.ravel()[0] == 3.0
         assert INTRINSICS["sign"].fn(3.0, -0.0) == 3.0
 
@@ -99,21 +101,21 @@ class TestDirectedCases:
         # np.minimum(a, b, c) treats c as out= — the third argument was
         # silently overwritten and its value returned unreduced.
         a, b, c = (np.asarray([5.0]), np.asarray([2.0]), np.asarray([8.0]))
-        got = _NP_FUNCS["min"](a, b, c)
+        got = INTRINSICS["min"].np_fn(a, b, c)
         assert np.asarray(got).ravel()[0] == 2.0
         assert c[0] == 8.0, "third argument must not be used as out="
-        got = _NP_FUNCS["max"](a, b, c)
+        got = INTRINSICS["max"].np_fn(a, b, c)
         assert np.asarray(got).ravel()[0] == 8.0
 
     def test_int_truncates_like_fortran(self):
         for x in (-2.7, -0.3, 0.3, 2.7):
-            got = np.asarray(_NP_FUNCS["int"](np.asarray([x])))
+            got = np.asarray(INTRINSICS["int"].np_fn(np.asarray([x])))
             assert got.ravel()[0] == int(x)
             assert INTRINSICS["int"].fn(x) == int(x)
 
     def test_nint_rounds_half_away_from_zero(self):
         for x, want in ((2.5, 3), (-2.5, -3), (0.5, 1), (-0.5, -1)):
-            got = np.asarray(_NP_FUNCS["nint"](np.asarray([x])))
+            got = np.asarray(INTRINSICS["nint"].np_fn(np.asarray([x])))
             assert got.ravel()[0] == want
             assert INTRINSICS["nint"].fn(x) == want
 

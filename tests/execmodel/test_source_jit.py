@@ -1,12 +1,12 @@
-"""The source-JIT engine tier (repro.execmodel.source_jit).
+"""The compiled engine's loop lowering (repro.execmodel.source_jit).
 
-Bit-identity across engines is the golden suite's job
+Bit-identity with the tree walk is the golden suite's job
 (test_engine_equivalence.py); this file pins the *mechanics*: which
 loop shapes vectorize (whole nests, guarded bodies, reductions), which
 are rejected (recurrences), that the restructurer's strip-mined
 PARALLEL DO output is recognized, that emitted modules round-trip
 through the jit-source cache, and that a poisoned module never breaks
-execution — the engine falls back to the closure tier per list.
+execution — the list falls back to closures.
 """
 
 import numpy as np
@@ -87,7 +87,7 @@ STENCIL = """
 
 
 def _both(src, entry, *args, processors=1):
-    """Run tree and source engines; return (tree_out, out, compiler)."""
+    """Run both engines; return (tree_out, compiled_out, compiler)."""
     def fresh():
         return [np.copy(a) if isinstance(a, np.ndarray) else a
                 for a in args]
@@ -95,7 +95,7 @@ def _both(src, entry, *args, processors=1):
     sf = cached_parse(src)
     tree = Interpreter(sf, processors=processors,
                        engine="tree").call(entry, *fresh())
-    interp = Interpreter(sf, processors=processors, engine="source")
+    interp = Interpreter(sf, processors=processors, engine="compiled")
     out = interp.call(entry, *fresh())
     return tree, out, interp._compiler
 
@@ -113,7 +113,6 @@ class TestVectorizedShapes:
         tree, out, comp = _both(ELEM, "scale2", 6, np.zeros((6, 6)), b)
         _assert_bits(tree, out)
         assert comp.vectorized_loops == 1
-        assert comp.source_stmts >= 1
 
     def test_guarded_body_uses_masked_lanes(self):
         b = np.linspace(-1.0, 1.0, 8)
@@ -140,7 +139,7 @@ class TestRejectedShapes:
     def test_recurrence_falls_back_not_wrong(self):
         """x(i) = x(i-1) + x(i): the read mask differs from the write
         mask, so the proof rejects the loop; the tree semantics are
-        replayed by the closure fallback."""
+        replayed by the loop's closure."""
         x = np.arange(7.0) + 1.0
         tree, out, comp = _both(RECUR, "scan", 7, x)
         _assert_bits(tree, out)
@@ -153,7 +152,7 @@ class TestRejectedShapes:
         case = CASES["tridag"]
         cedar, _ = cached_restructure(case.source)
         args, _ = case.make_args(case.n, np.random.default_rng(3))
-        interp = Interpreter(cedar, processors=4, engine="source")
+        interp = Interpreter(cedar, processors=4, engine="compiled")
         interp.call(case.entry, *args)
         assert interp._compiler.vectorized_loops == 0
 
@@ -174,12 +173,33 @@ class TestRestructuredPrograms:
         case = CASES[wname]
         cedar, _ = cached_restructure(case.source)
         args, _ = case.make_args(case.n, np.random.default_rng(3))
-        interp = Interpreter(cedar, processors=4, engine="source")
+        interp = Interpreter(cedar, processors=4, engine="compiled")
         interp.call(case.entry, *args)
         assert interp._compiler.vectorized_loops \
             >= self.EXPECTED_MIN[wname], (
                 f"{wname}: fast-path coverage narrowed to "
                 f"{interp._compiler.vectorized_loops} nest(s)")
+
+    def test_qcd_automatic_doall_is_lowered(self):
+        """The XDOALL at line 19 of QCD's automatic output is the one
+        loop in the committed workloads that only the closure tier's own
+        vectoriser (deleted) took under ``engine="compiled"``; rejected
+        by the lowerer, it would silently run worker-by-worker through
+        ``_parallel_do``."""
+        from repro.cedar.nodes import ParallelDo
+        from repro.execmodel.source_jit import _LoopLowerer
+        from repro.validate.configs import PIPELINE_CONFIGS
+
+        case = CASES["QCD"]
+        cedar, _ = cached_restructure(case.source,
+                                      PIPELINE_CONFIGS["automatic"]())
+        [pdo] = [n for n in cedar.walk() if isinstance(n, ParallelDo)]
+        assert (pdo.line, pdo.order) == (19, "doall")
+        interp = Interpreter(cedar, processors=4, engine="compiled")
+        _LoopLowerer(interp, pdo, "qcd")    # raises when ineligible
+        args, _ = case.make_args(case.n, np.random.default_rng(3))
+        interp.call(case.entry, *args)
+        assert interp._compiler.vectorized_loops == 1
 
 
 class TestModuleCache:
@@ -192,12 +212,12 @@ class TestModuleCache:
     def test_modules_served_from_cache(self, fresh_cache):
         sf = cached_parse(ELEM)
         b = np.arange(36.0).reshape(6, 6)
-        Interpreter(sf, processors=1, engine="source").call(
+        Interpreter(sf, processors=1, engine="compiled").call(
             "scale2", 6, np.zeros((6, 6)), b)
         st = fresh_cache.stats()["by_kind"]["jit-source"]
         assert st["misses"] >= 1 and st["disk_writes"] >= 1
         # a second interpreter over the same program recompiles nothing
-        Interpreter(sf, processors=1, engine="source").call(
+        Interpreter(sf, processors=1, engine="compiled").call(
             "scale2", 6, np.zeros((6, 6)), b)
         st = fresh_cache.stats()["by_kind"]["jit-source"]
         assert st["hits"] >= 1
@@ -205,8 +225,8 @@ class TestModuleCache:
     def test_poisoned_module_text_falls_back(self, fresh_cache):
         """A digest-valid but unparseable stored module (stale entry,
         hand-edited store) must not take the engine down: compile()
-        fails, the list falls back to the closure tier, and results
-        stay bit-identical."""
+        fails, the list falls back to closures, and results stay
+        bit-identical."""
         fresh_cache.jit_source = \
             lambda source, *, fingerprint, emit: "this is not python ("
         case = CASES["cg"]
@@ -215,10 +235,10 @@ class TestModuleCache:
         tree = Interpreter(cedar, processors=4,
                            engine="tree").call(case.entry, *args)
         args2, _ = case.make_args(case.n, np.random.default_rng(3))
-        interp = Interpreter(cedar, processors=4, engine="source")
+        interp = Interpreter(cedar, processors=4, engine="compiled")
         out = interp.call(case.entry, *args2)
         _assert_bits(tree, out)
-        assert interp._compiler.source_stmts == 0
+        assert interp._compiler.vectorized_loops == 0
         assert interp._compiler.fallback_stmts >= 1
 
     def test_emitted_module_is_deterministic(self, fresh_cache):
@@ -237,20 +257,15 @@ class TestModuleCache:
         b = np.arange(36.0).reshape(6, 6)
         for _ in range(2):
             fresh_cache.clear()
-            Interpreter(sf, processors=1, engine="source").call(
+            Interpreter(sf, processors=1, engine="compiled").call(
                 "scale2", 6, np.zeros((6, 6)), b)
-        unit_texts = [t for t in texts if "scale2" in t or True]
-        assert len(unit_texts) >= 2
-        assert unit_texts[0] == unit_texts[-1]
+        assert len(texts) >= 2
+        assert texts[0] == texts[-1]
 
 
 class TestEngineSelection:
-    def test_validate_differential_accepts_source(self):
-        from repro.validate.configs import PIPELINE_CONFIGS
-        from repro.validate.differential import validate_workload
+    def test_source_is_no_longer_an_engine(self):
+        from repro.errors import InterpreterError
 
-        case = CASES["cg"]
-        res = validate_workload(
-            case, {"automatic": PIPELINE_CONFIGS["automatic"]},
-            seeds=[3], processors=[2], bisect=False, engine="source")
-        assert all(c.status == "ok" for c in res.configs)
+        with pytest.raises(InterpreterError, match="unknown engine"):
+            Interpreter(cached_parse(ELEM), engine="source")

@@ -207,11 +207,24 @@ class TestRequestDedup:
 
     def test_result_shaping_fields_split_the_key(self, service):
         base = service._dedup_key("restructure", dict(self.BODY))
-        for extra in ({"quick": False}, {"engine": "source"},
-                      {"fault_scenario": "chaos"}, {"path": "x.f"}):
+        for extra in ({"quick": False}, {"fault_scenario": "chaos"},
+                      {"path": "x.f"}):
             other = service._dedup_key("restructure",
                                        {**self.BODY, **extra})
             assert other is not None and other != base, extra
+
+    def test_engine_is_just_an_unknown_field(self, service):
+        """/restructure never runs an interpreter, so it has no engine
+        to select: a body carrying ``engine`` (any value) is served like
+        one carrying any other unknown field — same key, same result."""
+        base = service._dedup_key("restructure", dict(self.BODY))
+        plain = service.handle("restructure", dict(self.BODY))
+        for extra in ({"engine": "source"}, {"no_such_field": 1}):
+            body = {**self.BODY, **extra}
+            assert service._dedup_key("restructure", body) == base
+            env = service.handle("restructure", body)
+            assert env["status"] == "ok"
+            assert env["result"] == plain["result"]
 
     def test_chaos_and_lint_never_coalesce(self, service):
         assert service._dedup_key(
