@@ -1,199 +1,247 @@
 #!/usr/bin/env python3
-"""Validate a repro JSON payload — experiment tables or profiles.
+"""Validate a repro JSON artifact against its schema and invariants.
 
 Usage: ``validate_experiment_json.py payload.json`` (or ``-`` for stdin).
-Dispatches on the payload's ``schema`` tag:
+Exit status: 0 valid; 1 invalid JSON or violations; 2 usage error
+(wrong argument count, unreadable path).
 
-- ``repro-experiment/1`` (``python -m repro.experiments --json``,
-  ``BENCH_*.json``) against ``schemas/experiment.schema.json``;
-- ``repro-profile/1`` (``--profile`` output) against
-  ``schemas/profile.schema.json``;
-- ``repro-validate/1`` (``python -m repro.validate --json``) against
-  ``schemas/validate.schema.json``;
-- ``repro-faults/1`` (``python -m repro.faults sweep --json``) against
-  ``schemas/faults.schema.json``;
-- ``repro-bench-history/1`` (one ``python -m repro.obs record`` entry,
-  i.e. one line of ``benchmarks/history/history.jsonl``) against
-  ``schemas/bench_history.schema.json``, by delegating to the canonical
-  checker in ``repro.obs.history`` (which also enforces that the stored
-  fingerprint matches the host stamp);
-- ``repro-metrics/1`` (``--telemetry`` session artifacts) against
-  ``schemas/metrics.schema.json``, by delegating to the canonical
-  checker in ``repro.telemetry.schema`` (the one place the histogram /
-  span / summary invariants live);
-- ``repro-lint/1`` (``python -m repro.lint --json``) against
-  ``schemas/lint.schema.json``.
+The payload's ``schema`` tag selects one of ``schemas/*.schema.json``
+(keyed by its ``$id``): ``repro-experiment/1`` (``python -m
+repro.experiments --json``, ``BENCH_*.json``), ``repro-profile/1``
+(``--profile``), ``repro-validate/1``, ``repro-faults/1``,
+``repro-lint/1``, ``repro-metrics/1`` (``--telemetry`` sessions) and
+``repro-server/1`` (service envelopes).
 
-This is a hand-rolled checker — the environment deliberately carries no
-jsonschema dependency — plus semantic invariants the schema language
-cannot express:
+Validation is schema-first.  :func:`check_shape` interprets the
+JSON-Schema subset those files use and is the only code that checks
+artifact *shape*; every violation names the JSON path.  Only when the
+shape is clean does the tag's invariant hook run the cross-field
+semantics the schema language cannot say, so the hooks index the
+payload without guards:
 
-- every cycle breakdown's group totals sum to its grand total (1e-6
-  relative): attribution never changes totals;
-- every loop the planner accepted as ``serial`` has at least one
-  rejection/failure decision with a reason: the trace must explain why a
-  loop did not parallelize;
-- for profiles: the memory-side ledger cycles must equal the cycles
-  recomputed from the hardware counters and the embedded machine
-  constants (1e-6 relative), and every loop's per-CE busy cycles must
-  sum to its ``busy_time``;
-- for validation reports: every status label must be consistent with its
+- experiments: every cycle breakdown's group totals sum to its grand
+  total (1e-6 relative — attribution never changes totals), rows carry
+  exactly the table's columns, and every loop the planner accepted as
+  ``serial`` has a rejection/failure decision with a reason;
+- profiles: the memory-side ledger cycles equal the cycles recomputed
+  from the hardware counters and the embedded machine constants, and
+  every loop's per-CE busy cycles sum to its ``busy_time``;
+- validation reports: every status label is consistent with its
   evidence (``divergent`` iff divergences recorded, ``race`` iff
   conflicts but no divergences, ``error`` carries a message, ``ok``
-  carries nothing), culprit passes must come from the configuration's
-  own stage list (or be ``base-parallelization``), and the summary
-  counts must equal recounts over the body;
-- for fault sweeps: summary counts must equal recounts over the runs,
-  every cell's ``ok`` flag must equal the conjunction of its checks,
-  degradation ratios must be consistent with the recorded cycle counts,
-  ok cells must degrade monotonically within their bound, and scenario
-  dicts must carry exactly the ``FaultPlan`` fields;
-- for lint reports: every diagnostic must carry a 1-based line *and*
-  column (the front end's no-location-free-diagnostics invariant,
-  enforced at the artifact level too), codes must match ``[FW]NNN``
-  with severity agreeing with the prefix, per-file and top-level
-  ``ok``/counts must equal recounts over the diagnostics.
-
-- for server envelopes (``repro-server/1``): the status must be one of
-  the five classified outcomes, it decides which of ``result`` /
-  ``fault`` / ``reason`` must be present, ``retries`` must equal
-  ``attempts - 1``, and a successful ``/restructure`` result must embed
-  a full ``repro-experiment/1`` payload, checked recursively — the
+  carries nothing), culprit passes come from the configuration's own
+  stage list (or are ``base-parallelization``), and the summary counts
+  equal recounts over the body;
+- fault sweeps: summary counts equal recounts over the runs, every
+  cell's ``ok`` flag equals the conjunction of its checks, degradation
+  ratios are consistent with the recorded cycle counts, and ok cells
+  degrade monotonically within their bound;
+- lint reports: severity agrees with the ``[FW]NNN`` code prefix and
+  per-file and top-level ``ok``/counts equal recounts over the
+  diagnostics;
+- telemetry sessions: histogram bucket counts sum to ``count`` and the
+  percentiles are monotone within ``[min, max]``, every span's pid and
+  parent resolve within the document, and the summary's cell / stage /
+  worker / cache figures equal recounts over the spans and counters;
+- server envelopes: the status decides which of ``result`` / ``fault`` /
+  ``reason`` is present, ``retries == attempts - 1``, and a successful
+  result embeds a full ``repro-experiment/1`` (``/restructure``) or
+  ``repro-lint/1`` (``/lint``) payload, validated recursively — the
   service serves the same artifact the CLI emits.
-
-Validation/experiment payloads produced under ``--keep-going`` /
-``--timeout`` may additionally carry a top-level ``faults`` array of
-structured harness-fault reports; it is checked everywhere it appears.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
+from pathlib import Path
 
-SCHEMA_TAG = "repro-experiment/1"
-PROFILE_TAG = "repro-profile/1"
-VALIDATE_TAG = "repro-validate/1"
-FAULTS_TAG = "repro-faults/1"
-BENCH_HISTORY_TAG = "repro-bench-history/1"
-METRICS_TAG = "repro-metrics/1"
-LINT_TAG = "repro-lint/1"
-SERVER_TAG = "repro-server/1"
-
-#: the classified-outcome contract: every repro.server response carries
-#: exactly one of these
-SERVER_STATUSES = {"ok", "degraded", "shed", "invalid-input", "error"}
-SERVER_ENDPOINTS = {"restructure", "lint"}
-ACTIONS = {"accepted", "rejected", "failed", "applied", "declined", "noted"}
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 REL_TOL = 1e-6
 
-#: machine constants every profile run must embed (besides "name")
-PROFILE_MACHINE_KEYS = ("lat_cache", "lat_cluster", "lat_global",
-                        "lat_global_prefetched", "prefetch_trigger",
-                        "page_fault_cost")
-PROFILE_ROLES = {"serial", "parallel"}
-MEMORY_KEYS = ("mem_global", "mem_cluster", "mem_cache", "prefetch",
-               "page_fault")
 
-_errors: list[str] = []
+def load_schemas() -> dict[str, dict]:
+    """Every ``schemas/*.schema.json``, keyed by its ``$id`` (the tag)."""
+    docs = (json.loads(p.read_text())
+            for p in sorted(SCHEMA_DIR.glob("*.schema.json")))
+    return {doc["$id"]: doc for doc in docs}
 
 
-def err(path: str, msg: str) -> None:
-    _errors.append(f"{path}: {msg}")
+SCHEMAS = load_schemas()
+
+# ---------------------------------------------------------------------------
+# shape: the JSON-Schema subset the schema files use
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str,
+               "boolean": bool, "null": type(None)}
+
+#: every keyword :func:`check_shape` understands; the first five
+#: describe rather than constrain
+KEYWORDS = frozenset({
+    "$schema", "$id", "title", "description", "definitions",
+    "$ref", "type", "const", "enum", "oneOf",
+    "minimum", "maximum", "exclusiveMinimum", "minLength", "pattern",
+    "minItems", "maxItems", "items",
+    "minProperties", "required", "properties", "additionalProperties"})
 
 
-def _expect(cond: bool, path: str, msg: str) -> bool:
-    if not cond:
-        err(path, msg)
-    return cond
+def _has_type(v, name: str) -> bool:
+    if name in ("number", "integer"):
+        kinds = int if name == "integer" else (int, float)
+        return isinstance(v, kinds) and not isinstance(v, bool)
+    return isinstance(v, _JSON_TYPES[name])
 
 
-def check_breakdown(bd, path: str) -> None:
-    if not _expect(isinstance(bd, dict), path, "breakdown must be an object"):
-        return
-    if not _expect("total" in bd and "groups" in bd, path,
-                   "breakdown needs 'total' and 'groups'"):
-        return
-    total = bd["total"]
-    group_sum = 0.0
-    for g, cats in bd["groups"].items():
-        gpath = f"{path}.groups.{g}"
-        if not _expect(isinstance(cats, dict) and "total" in cats, gpath,
-                       "group needs a 'total'"):
-            continue
-        cat_sum = sum(v for k, v in cats.items() if k != "total")
-        _expect(abs(cat_sum - cats["total"])
-                <= REL_TOL * max(abs(cats["total"]), 1.0),
-                gpath, f"category sum {cat_sum} != group total "
-                       f"{cats['total']}")
-        group_sum += cats["total"]
-    _expect(abs(group_sum - total) <= REL_TOL * max(abs(total), 1.0),
-            path, f"group sum {group_sum} != total {total}")
+def check_shape(v, schema: dict, root: dict, path: str,
+                out: list[str]) -> None:
+    """Append one ``path: message`` per way *v* departs from *schema*.
+
+    *root* is the document a local ``$ref`` resolves in.  A keyword
+    outside :data:`KEYWORDS` raises: a constraint the interpreter would
+    silently skip must not look enforced.
+    """
+    unknown = set(schema) - KEYWORDS
+    if unknown:
+        raise ValueError(f"{path}: unsupported schema keyword(s) "
+                         f"{sorted(unknown)}")
+    if "$ref" in schema:
+        target = root
+        for part in schema["$ref"].removeprefix("#/").split("/"):
+            target = target[part]
+        return check_shape(v, target, root, path, out)
+
+    def bad(msg: str, at: str = path) -> None:
+        out.append(f"{at}: {msg}")
+
+    if "type" in schema:
+        names = schema["type"]
+        names = names if isinstance(names, list) else [names]
+        if not any(_has_type(v, n) for n in names):
+            # the remaining keywords presuppose the type
+            return bad(f"expected {' or '.join(names)}, "
+                       f"got {type(v).__name__}")
+    if "const" in schema and v != schema["const"]:
+        bad(f"expected {schema['const']!r}, got {v!r}")
+    if "enum" in schema and v not in schema["enum"]:
+        bad(f"expected one of {schema['enum']}, got {v!r}")
+    if "oneOf" in schema:
+        matches = 0
+        for alternative in schema["oneOf"]:
+            trial: list[str] = []
+            check_shape(v, alternative, root, path, trial)
+            matches += not trial
+        if matches != 1:
+            bad(f"matches {matches} of the oneOf alternatives, need 1")
+
+    if isinstance(v, bool):
+        pass
+    elif isinstance(v, (int, float)):
+        if "minimum" in schema and v < schema["minimum"]:
+            bad(f"{v} is below the minimum {schema['minimum']}")
+        if "maximum" in schema and v > schema["maximum"]:
+            bad(f"{v} is above the maximum {schema['maximum']}")
+        if "exclusiveMinimum" in schema \
+                and v <= schema["exclusiveMinimum"]:
+            bad(f"{v} must exceed {schema['exclusiveMinimum']}")
+    elif isinstance(v, str):
+        if len(v) < schema.get("minLength", 0):
+            bad(f"string shorter than {schema['minLength']}")
+        if "pattern" in schema and not re.search(schema["pattern"], v):
+            bad(f"{v!r} does not match {schema['pattern']!r}")
+    elif isinstance(v, list):
+        if len(v) < schema.get("minItems", 0):
+            bad(f"need at least {schema['minItems']} item(s), "
+                f"got {len(v)}")
+        if len(v) > schema.get("maxItems", len(v)):
+            bad(f"need at most {schema['maxItems']} item(s), "
+                f"got {len(v)}")
+        if "items" in schema:
+            for i, item in enumerate(v):
+                check_shape(item, schema["items"], root,
+                            f"{path}[{i}]", out)
+    elif isinstance(v, dict):
+        if len(v) < schema.get("minProperties", 0):
+            bad(f"need at least {schema['minProperties']} key(s), "
+                f"got {len(v)}")
+        for key in schema.get("required", ()):
+            if key not in v:
+                bad("missing required key", f"{path}.{key}")
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in v.items():
+            if key in props:
+                check_shape(item, props[key], root, f"{path}.{key}", out)
+            elif extra is False:
+                bad("unexpected key", f"{path}.{key}")
+            elif extra is not True:
+                check_shape(item, extra, root, f"{path}.{key}", out)
 
 
-def check_decision(d, path: str) -> None:
-    if not _expect(isinstance(d, dict), path, "decision must be an object"):
-        return
-    for key in ("kind", "unit", "technique", "action"):
-        _expect(key in d, path, f"decision missing {key!r}")
-    if "action" in d:
-        _expect(d["action"] in ACTIONS, path,
-                f"unknown action {d['action']!r}")
-    if "kind" in d:
-        _expect(d["kind"] in ("plan", "pass"), path,
-                f"unknown kind {d['kind']!r}")
-
-
-def check_serial_loops_explained(decisions, path: str) -> None:
-    """Every planner-accepted 'serial' loop must carry a rejection reason."""
-    serial = {(d.get("loop"), d.get("line")) for d in decisions
-              if d.get("kind") == "plan" and d.get("action") == "accepted"
-              and d.get("technique") == "serial"}
-    for loop, line in sorted(serial, key=str):
-        explained = any(
-            (d.get("loop"), d.get("line")) == (loop, line)
-            and d.get("action") in ("rejected", "failed")
-            and d.get("reason")
-            for d in decisions)
-        _expect(explained, path,
-                f"serial loop {loop!r} (line {line}) has no rejection "
-                f"reason in the trace")
-
-
-def check_trace_entry(w, path: str) -> None:
-    if not _expect(isinstance(w, dict), path, "trace entry must be an object"):
-        return
-    for key in ("speedup", "serial_cycles", "parallel_cycles"):
-        _expect(isinstance(w.get(key), (int, float)), path,
-                f"missing numeric {key!r}")
-    for key in ("serial_breakdown", "parallel_breakdown"):
-        if key in w:
-            check_breakdown(w[key], f"{path}.{key}")
-    decisions = w.get("decisions", [])
-    for i, d in enumerate(decisions):
-        check_decision(d, f"{path}.decisions[{i}]")
-    check_serial_loops_explained(decisions, path)
-
-
-def check_table(t, path: str) -> None:
-    if not _expect(isinstance(t, dict), path, "table must be an object"):
-        return
-    for key in ("title", "columns", "rows", "notes", "meta"):
-        _expect(key in t, path, f"table missing {key!r}")
-    cols = t.get("columns", [])
-    _expect(isinstance(cols, list) and all(isinstance(c, str) for c in cols),
-            f"{path}.columns", "columns must be a list of strings")
-    for i, row in enumerate(t.get("rows", [])):
-        rpath = f"{path}.rows[{i}]"
-        if _expect(isinstance(row, dict), rpath, "row must be an object"):
-            _expect(set(row) == set(cols), rpath,
-                    "row keys must match the columns")
-    for name, w in t.get("meta", {}).get("trace", {}).items():
-        check_trace_entry(w, f"{path}.meta.trace.{name}")
+# ---------------------------------------------------------------------------
+# invariant hooks: cross-field semantics, run on shape-clean payloads only
 
 
 def _rel_eq(a: float, b: float) -> bool:
     return abs(a - b) <= REL_TOL * max(abs(a), abs(b), 1.0)
+
+
+def _recount(stored: dict, want: dict, path: str, out: list[str]) -> None:
+    for key, n in want.items():
+        if stored.get(key) != n:
+            out.append(f"{path}.{key}: stored {stored.get(key)!r} != "
+                       f"recount {n}")
+
+
+def _duplicates(keys: list, path: str, what: str, out: list[str]) -> None:
+    if len(keys) != len(set(keys)):
+        out.append(f"{path}: duplicate {what}")
+
+
+def _breakdown(bd: dict, path: str, out: list[str]) -> None:
+    group_sum = 0.0
+    for g, cats in bd["groups"].items():
+        cat_sum = sum(v for k, v in cats.items() if k != "total")
+        if not _rel_eq(cat_sum, cats["total"]):
+            out.append(f"{path}.groups.{g}: category sum {cat_sum} != "
+                       f"group total {cats['total']}")
+        group_sum += cats["total"]
+    if not _rel_eq(group_sum, bd["total"]):
+        out.append(f"{path}: group sum {group_sum} != total "
+                   f"{bd['total']}")
+
+
+def _serial_loops_explained(decisions: list, path: str,
+                            out: list[str]) -> None:
+    """Every planner-accepted 'serial' loop must carry a rejection reason."""
+    def where(d):
+        return d.get("loop"), d.get("line")
+
+    serial = {where(d) for d in decisions
+              if (d["kind"], d["action"], d["technique"])
+              == ("plan", "accepted", "serial")}
+    for loop, line in sorted(serial, key=str):
+        if not any(where(d) == (loop, line) and d.get("reason")
+                   and d["action"] in ("rejected", "failed")
+                   for d in decisions):
+            out.append(f"{path}: serial loop {loop!r} (line {line}) has "
+                       f"no rejection reason in the trace")
+
+
+def check_experiment(payload: dict, path: str, out: list[str]) -> None:
+    for name, table in payload["experiments"].items():
+        tpath = f"{path}.experiments.{name}"
+        columns = set(table["columns"])
+        for i, row in enumerate(table["rows"]):
+            if set(row) != columns:
+                out.append(f"{tpath}.rows[{i}]: row keys must match the "
+                           f"columns")
+        for wname, w in table["meta"].get("trace", {}).items():
+            wpath = f"{tpath}.meta.trace.{wname}"
+            for key in ("serial_breakdown", "parallel_breakdown"):
+                if key in w:
+                    _breakdown(w[key], f"{wpath}.{key}", out)
+            _serial_loops_explained(w.get("decisions", []), wpath, out)
 
 
 def memory_cycles_from_counters(counters: dict, machine: dict) -> dict:
@@ -219,614 +267,353 @@ def memory_cycles_from_counters(counters: dict, machine: dict) -> dict:
     }
 
 
-def check_profile_loop(lp, path: str) -> None:
-    if not _expect(isinstance(lp, dict), path, "loop must be an object"):
-        return
-    for key in ("label", "level", "order", "workers", "base", "total_time",
-                "busy_time", "worker_busy", "utilization", "imbalance",
-                "n_spans"):
-        _expect(key in lp, path, f"loop missing {key!r}")
-    wb = lp.get("worker_busy")
-    if isinstance(wb, list):
-        _expect(len(wb) == lp.get("workers"), path,
-                f"worker_busy has {len(wb)} entries for "
-                f"{lp.get('workers')} workers")
-        busy = lp.get("busy_time", 0.0)
-        _expect(_rel_eq(sum(wb), busy), path,
-                f"worker busy sum {sum(wb)} != busy_time {busy}")
-    for key in ("utilization", "imbalance"):
-        v = lp.get(key)
-        if isinstance(v, (int, float)):
-            _expect(-REL_TOL <= v <= 1.0 + REL_TOL, path,
-                    f"{key} {v} outside [0, 1]")
-    _expect(lp.get("level") in ("C", "S", "X"), path,
-            f"unknown loop level {lp.get('level')!r}")
-    _expect(lp.get("order") in ("doall", "doacross"), path,
-            f"unknown loop order {lp.get('order')!r}")
+def check_profile(payload: dict, path: str, out: list[str]) -> None:
+    runs = payload["runs"]
+    for i, run in enumerate(runs):
+        mpath = f"{path}.runs[{i}].memory_cycles"
+        stored = run["memory_cycles"]
+        recomputed = memory_cycles_from_counters(run["counters"],
+                                                 run["machine"])
+        for k, want in recomputed.items():
+            if not _rel_eq(stored["from_counters"][k], want):
+                out.append(f"{mpath}.from_counters.{k}: stored "
+                           f"{stored['from_counters'][k]} != recomputed "
+                           f"{want}")
+            if not _rel_eq(stored["ledger"][k], want):
+                out.append(f"{mpath}.ledger.{k}: ledger "
+                           f"{stored['ledger'][k]} does not reconcile "
+                           f"with counters ({want})")
+        for j, lp in enumerate(run["loops"]):
+            lpath = f"{path}.runs[{i}].loops[{j}]"
+            busy = lp["worker_busy"]
+            if len(busy) != lp["workers"]:
+                out.append(f"{lpath}: worker_busy has {len(busy)} entries "
+                           f"for {lp['workers']} workers")
+            if not _rel_eq(sum(busy), lp["busy_time"]):
+                out.append(f"{lpath}: worker busy sum {sum(busy)} != "
+                           f"busy_time {lp['busy_time']}")
+    _duplicates([(r["workload"], r["role"]) for r in runs],
+                f"{path}.runs", "(workload, role) pairs", out)
 
 
-def check_profile_run(run, path: str) -> None:
-    if not _expect(isinstance(run, dict), path, "run must be an object"):
-        return
-    _expect(isinstance(run.get("workload"), str) and run.get("workload"),
-            path, "run needs a workload name")
-    _expect(run.get("role") in PROFILE_ROLES, path,
-            f"role must be one of {sorted(PROFILE_ROLES)}, "
-            f"got {run.get('role')!r}")
-    machine = run.get("machine")
-    machine_ok = _expect(isinstance(machine, dict), path,
-                         "run needs a machine object")
-    if machine_ok:
-        _expect(isinstance(machine.get("name"), str), f"{path}.machine",
-                "machine needs a name")
-        for k in PROFILE_MACHINE_KEYS:
-            machine_ok &= _expect(
-                isinstance(machine.get(k), (int, float)),
-                f"{path}.machine", f"missing numeric constant {k!r}")
-    _expect(isinstance(run.get("total_cycles"), (int, float))
-            and run.get("total_cycles", -1) >= 0,
-            path, "total_cycles must be a non-negative number")
-    counters = run.get("counters")
-    counters_ok = _expect(bool(isinstance(counters, dict) and counters),
-                          path, "run needs a non-empty counters object")
-    if counters_ok:
-        for k, v in counters.items():
-            counters_ok &= _expect(
-                isinstance(v, (int, float)) and v >= 0,
-                f"{path}.counters.{k}", f"counter must be >= 0, got {v!r}")
-    mc = run.get("memory_cycles")
-    if _expect(isinstance(mc, dict) and "ledger" in mc
-               and "from_counters" in mc, path,
-               "run needs memory_cycles.{ledger,from_counters}"):
-        ledger, fc = mc["ledger"], mc["from_counters"]
-        for d, name in ((ledger, "ledger"), (fc, "from_counters")):
-            _expect(isinstance(d, dict) and set(d) == set(MEMORY_KEYS),
-                    f"{path}.memory_cycles.{name}",
-                    f"must have exactly the keys {sorted(MEMORY_KEYS)}")
-        if (machine_ok and counters_ok and isinstance(ledger, dict)
-                and isinstance(fc, dict) and set(ledger) == set(MEMORY_KEYS)
-                and set(fc) == set(MEMORY_KEYS)):
-            recomputed = memory_cycles_from_counters(counters, machine)
-            for k in MEMORY_KEYS:
-                _expect(_rel_eq(fc[k], recomputed[k]),
-                        f"{path}.memory_cycles.from_counters.{k}",
-                        f"stored {fc[k]} != recomputed {recomputed[k]}")
-                _expect(_rel_eq(ledger[k], recomputed[k]),
-                        f"{path}.memory_cycles.ledger.{k}",
-                        f"ledger {ledger[k]} does not reconcile with "
-                        f"counters ({recomputed[k]})")
-    hr = run.get("prefetch_hit_rate")
-    if hr is not None:
-        _expect(isinstance(hr, (int, float)) and 0.0 <= hr <= 1.0, path,
-                f"prefetch_hit_rate {hr!r} outside [0, 1]")
-    loops = run.get("loops")
-    if _expect(isinstance(loops, list), path, "run needs a loops array"):
-        for i, lp in enumerate(loops):
-            check_profile_loop(lp, f"{path}.loops[{i}]")
+def _config_result(c: dict, path: str, out: list[str]) -> None:
+    def bad(msg: str) -> None:
+        out.append(f"{path}: {msg}")
 
-
-def validate_profile(payload) -> None:
-    _expect(isinstance(payload.get("experiment"), str)
-            and payload.get("experiment"),
-            "$.experiment", "need a non-empty experiment name")
-    runs = payload.get("runs")
-    if _expect(isinstance(runs, list) and runs, "$.runs",
-               "need a non-empty runs array"):
-        for i, run in enumerate(runs):
-            check_profile_run(run, f"$.runs[{i}]")
-        names = [(r.get("workload"), r.get("role")) for r in runs
-                 if isinstance(r, dict)]
-        _expect(len(names) == len(set(names)), "$.runs",
-                "duplicate (workload, role) pairs")
-
-
-VALIDATE_STATUSES = {"ok", "divergent", "race", "error"}
-VALIDATE_SUITES = {"linalg", "perfect"}
-RACE_KINDS = {"write-write", "read-write"}
-
-
-def check_divergence(d, path: str) -> None:
-    if not _expect(isinstance(d, dict), path,
-                   "divergence must be an object"):
-        return
-    for key in ("key", "dtype", "max_abs", "max_rel", "mismatches",
-                "processors", "seed"):
-        _expect(key in d, path, f"divergence missing {key!r}")
-    m = d.get("mismatches")
-    if isinstance(m, int):
-        _expect(m >= 1, path, f"a divergence needs >= 1 mismatch, got {m}")
-
-
-def check_race(r, path: str) -> None:
-    if not _expect(isinstance(r, dict), path, "race must be an object"):
-        return
-    for key in ("loop", "var", "kind", "iterations"):
-        _expect(key in r, path, f"race missing {key!r}")
-    _expect(r.get("kind") in RACE_KINDS, path,
-            f"unknown race kind {r.get('kind')!r}")
-    its = r.get("iterations")
-    if _expect(isinstance(its, list) and len(its) == 2, path,
-               "iterations must be a pair"):
-        _expect(its[0] != its[1], path,
-                "a conflict needs two *different* iterations")
-
-
-def check_config_result(c, path: str) -> None:
-    if not _expect(isinstance(c, dict), path, "config must be an object"):
-        return
-    status = c.get("status")
-    _expect(status in VALIDATE_STATUSES, path,
-            f"unknown status {status!r}")
-    divs = c.get("divergences", [])
-    races = c.get("races", [])
-    for i, d in enumerate(divs):
-        check_divergence(d, f"{path}.divergences[{i}]")
+    status, divs, races = c["status"], c["divergences"], c["races"]
     for i, r in enumerate(races):
-        check_race(r, f"{path}.races[{i}]")
+        if r["iterations"][0] == r["iterations"][1]:
+            out.append(f"{path}.races[{i}]: a conflict needs two "
+                       f"*different* iterations")
     # the status label must be consistent with the recorded evidence
     if status == "ok":
-        _expect(not divs, path, "status 'ok' but divergences recorded")
-        _expect(not races, path, "status 'ok' but races recorded")
-        _expect(c.get("error") is None, path,
-                "status 'ok' but an error message is present")
+        if divs:
+            bad("status 'ok' but divergences recorded")
+        if races:
+            bad("status 'ok' but races recorded")
+        if c["error"] is not None:
+            bad("status 'ok' but an error message is present")
     elif status == "divergent":
-        _expect(bool(divs), path,
-                "status 'divergent' without any divergence")
+        if not divs:
+            bad("status 'divergent' without any divergence")
     elif status == "race":
-        _expect(bool(races), path, "status 'race' without any conflict")
-        _expect(not divs, path,
-                "status 'race' but divergences recorded (divergent wins)")
-    elif status == "error":
-        _expect(isinstance(c.get("error"), str) and c.get("error"), path,
-                "status 'error' needs a message")
-    culprit = c.get("culprit_pass")
+        if not races:
+            bad("status 'race' without any conflict")
+        if divs:
+            bad("status 'race' but divergences recorded (divergent wins)")
+    elif not c["error"]:
+        bad("status 'error' needs a message")
+    culprit = c["culprit_pass"]
     if culprit is not None:
-        _expect(status == "divergent", path,
-                "culprit_pass only makes sense on a divergent config")
-        stages = c.get("stages", [])
-        _expect(culprit == "base-parallelization" or culprit in stages,
-                path, f"culprit {culprit!r} is not one of the config's "
-                      f"stages")
-    _expect(c.get("loops_checked", 0) >= 0, path,
-            "loops_checked must be >= 0")
+        if status != "divergent":
+            bad("culprit_pass only makes sense on a divergent config")
+        if culprit != "base-parallelization" \
+                and culprit not in c["stages"]:
+            bad(f"culprit {culprit!r} is not one of the config's stages")
 
 
-def validate_validation(payload) -> None:
-    configs = payload.get("configs")
-    _expect(isinstance(configs, list) and configs
-            and all(isinstance(x, str) for x in configs),
-            "$.configs", "need a non-empty list of config names")
-    workloads = payload.get("workloads")
+def check_validation(payload: dict, path: str, out: list[str]) -> None:
+    workloads = payload["workloads"]
     runs = []
-    if _expect(isinstance(workloads, list) and workloads, "$.workloads",
-               "need a non-empty workloads array"):
-        for i, w in enumerate(workloads):
-            wpath = f"$.workloads[{i}]"
-            if not _expect(isinstance(w, dict), wpath,
-                           "workload must be an object"):
-                continue
-            _expect(isinstance(w.get("workload"), str) and w.get("workload"),
-                    wpath, "workload needs a name")
-            _expect(w.get("suite") in VALIDATE_SUITES, wpath,
-                    f"unknown suite {w.get('suite')!r}")
-            for j, c in enumerate(w.get("configs", [])):
-                check_config_result(c, f"{wpath}.configs[{j}]")
-                if isinstance(c, dict):
-                    runs.append(c)
-        names = [w.get("workload") for w in workloads
-                 if isinstance(w, dict)]
-        _expect(len(names) == len(set(names)), "$.workloads",
-                "duplicate workload names")
-    summary = payload.get("summary")
-    if _expect(isinstance(summary, dict), "$.summary",
-               "need a summary object"):
-        recount = {
-            "workloads": len(workloads) if isinstance(workloads, list)
-            else 0,
-            "configs_run": len(runs),
-            "ok": sum(1 for c in runs if c.get("status") == "ok"),
-            "divergent": sum(1 for c in runs
-                             if c.get("status") == "divergent"),
-            "race": sum(1 for c in runs if c.get("status") == "race"),
-            "error": sum(1 for c in runs if c.get("status") == "error"),
-            "loops_checked": sum(c.get("loops_checked", 0) for c in runs),
-            "conflicts": sum(len(c.get("races", [])) for c in runs),
-        }
-        for key, want in recount.items():
-            _expect(summary.get(key) == want, f"$.summary.{key}",
-                    f"stored {summary.get(key)!r} != recount {want}")
+    for i, w in enumerate(workloads):
+        for j, c in enumerate(w["configs"]):
+            _config_result(c, f"{path}.workloads[{i}].configs[{j}]", out)
+            runs.append(c)
+    _duplicates([w["workload"] for w in workloads], f"{path}.workloads",
+                "workload names", out)
+    want = {"workloads": len(workloads), "configs_run": len(runs),
+            "loops_checked": sum(c["loops_checked"] for c in runs),
+            "conflicts": sum(len(c["races"]) for c in runs)}
+    for status in ("ok", "divergent", "race", "error"):
+        want[status] = sum(1 for c in runs if c["status"] == status)
+    _recount(payload["summary"], want, f"{path}.summary", out)
 
 
-FAULT_REPORT_KINDS = {"timeout", "error", "internal"}
 FAULT_CHECKS = ("monotone", "attributed", "bounded", "numerics_identical",
                 "recovery_ok", "no_deadlock")
-FAULT_PLAN_KEYS = frozenset({
-    "name", "seed", "dead_ces", "death_cycle", "ce_slowdown",
-    "cluster_slowdown", "memory_degradation", "bandwidth_factor",
-    "prefetch_disabled", "lost_sync_rate", "helper_delay"})
 
 
-def check_fault_report(f, path: str) -> None:
-    if not _expect(isinstance(f, dict), path,
-                   "fault report must be an object"):
-        return
-    for key in ("label", "kind", "error_type", "message", "elapsed_s"):
-        _expect(key in f, path, f"fault report missing {key!r}")
-    _expect(f.get("kind") in FAULT_REPORT_KINDS, path,
-            f"unknown fault kind {f.get('kind')!r}")
-    es = f.get("elapsed_s")
-    if isinstance(es, (int, float)):
-        _expect(es >= 0, path, f"elapsed_s must be >= 0, got {es}")
+def _fault_run(r: dict, path: str, scenarios: dict,
+               out: list[str]) -> None:
+    def bad(msg: str) -> None:
+        out.append(f"{path}: {msg}")
 
-
-def check_harness_faults(payload) -> None:
-    """The optional top-level ``faults`` array (keep-going harness)."""
-    faults = payload.get("faults")
-    if faults is None:
-        return
-    if _expect(isinstance(faults, list), "$.faults",
-               "faults must be an array"):
-        for i, f in enumerate(faults):
-            check_fault_report(f, f"$.faults[{i}]")
-
-
-def check_fault_plan(plan, path: str) -> None:
-    if not _expect(isinstance(plan, dict), path,
-                   "scenario plan must be an object"):
-        return
-    _expect(set(plan) == FAULT_PLAN_KEYS, path,
-            f"plan must carry exactly the FaultPlan fields "
-            f"(got {sorted(plan)})")
-    if not set(plan) == FAULT_PLAN_KEYS:
-        return
-    _expect(plan["cluster_slowdown"] >= 1, path, "cluster_slowdown < 1")
-    _expect(plan["memory_degradation"] >= 1, path, "memory_degradation < 1")
-    _expect(0 < plan["bandwidth_factor"] <= 1, path,
-            "bandwidth_factor outside (0, 1]")
-    _expect(0 <= plan["lost_sync_rate"] <= 1, path,
-            "lost_sync_rate outside [0, 1]")
-    _expect(plan["death_cycle"] >= 0 and plan["helper_delay"] >= 0, path,
-            "death_cycle/helper_delay must be >= 0")
-    _expect(all(isinstance(w, int) and w >= 0 for w in plan["dead_ces"]),
-            path, "dead_ces must be worker indices >= 0")
-    _expect(all(isinstance(e, list) and len(e) == 2 and e[1] >= 1
-                for e in plan["ce_slowdown"]),
-            path, "ce_slowdown must be [worker, factor >= 1] pairs")
-
-
-def check_fault_run(r, path: str, scenarios) -> None:
-    if not _expect(isinstance(r, dict), path, "run must be an object"):
-        return
-    for key in ("workload", "scenario", "healthy_cycles", "faulted_cycles",
-                "fault_cycles", "degradation", "bound", "injected_faults",
-                "sync_retries", "survivors", "checks", "ok"):
-        if not _expect(key in r, path, f"run missing {key!r}"):
-            return
-    if isinstance(scenarios, dict):
-        _expect(r["scenario"] in scenarios, path,
-                f"scenario {r['scenario']!r} not in the sweep's matrix")
-    checks = r["checks"]
-    if not _expect(isinstance(checks, dict)
-                   and set(FAULT_CHECKS) <= set(checks), path,
-                   f"checks must cover {list(FAULT_CHECKS)}"):
-        return
-    _expect(r["ok"] == all(checks[c] for c in FAULT_CHECKS), path,
-            "ok flag does not equal the conjunction of the checks")
+    if r["scenario"] not in scenarios:
+        bad(f"scenario {r['scenario']!r} not in the sweep's matrix")
+    if r["ok"] != all(r["checks"][c] for c in FAULT_CHECKS):
+        bad("ok flag does not equal the conjunction of the checks")
     healthy, faulted = r["healthy_cycles"], r["faulted_cycles"]
     ratio = faulted / max(healthy, 1e-9)
-    _expect(_rel_eq(r["degradation"], ratio), path,
-            f"degradation {r['degradation']} != faulted/healthy {ratio}")
-    _expect(r["survivors"] >= 1, path,
-            "survivors must be >= 1 (no-deadlock guarantee)")
-    _expect(r["fault_cycles"] >= 0, path, "fault_cycles must be >= 0")
+    if not _rel_eq(r["degradation"], ratio):
+        bad(f"degradation {r['degradation']} != faulted/healthy {ratio}")
     if r["ok"]:
-        _expect(r["degradation"] >= 1.0 - REL_TOL, path,
-                f"ok cell degraded below healthy ({r['degradation']})")
-        _expect(faulted <= healthy * r["bound"] + 1.0, path,
-                f"ok cell exceeds its bound "
+        if r["degradation"] < 1.0 - REL_TOL:
+            bad(f"ok cell degraded below healthy ({r['degradation']})")
+        if faulted > healthy * r["bound"] + 1.0:
+            bad(f"ok cell exceeds its bound "
                 f"({faulted} > {healthy} * {r['bound']})")
 
 
-def validate_faults(payload) -> None:
-    _expect(isinstance(payload.get("machine"), str)
-            and payload.get("machine"),
-            "$.machine", "need a machine name")
-    workloads = payload.get("workloads")
-    _expect(isinstance(workloads, list) and workloads
-            and all(isinstance(w, str) for w in workloads),
-            "$.workloads", "need a non-empty list of workload names")
-    scenarios = payload.get("scenarios")
-    if _expect(isinstance(scenarios, dict) and scenarios, "$.scenarios",
-               "need a non-empty scenarios object"):
-        for name, plan in scenarios.items():
-            check_fault_plan(plan, f"$.scenarios.{name}")
-            if isinstance(plan, dict) and plan.get("name") not in (None,
-                                                                   name):
-                err(f"$.scenarios.{name}",
-                    f"plan name {plan.get('name')!r} != key {name!r}")
-    runs = payload.get("runs")
-    if not _expect(isinstance(runs, list), "$.runs",
-                   "need a runs array"):
-        runs = []
+def check_faults(payload: dict, path: str, out: list[str]) -> None:
+    scenarios, runs = payload["scenarios"], payload["runs"]
+    for name, plan in scenarios.items():
+        ppath = f"{path}.scenarios.{name}"
+        if plan["name"] != name:
+            out.append(f"{ppath}: plan name {plan['name']!r} != key "
+                       f"{name!r}")
+        if any(factor < 1 for _, factor in plan["ce_slowdown"]):
+            out.append(f"{ppath}: ce_slowdown must be "
+                       f"[worker, factor >= 1] pairs")
     for i, r in enumerate(runs):
-        check_fault_run(r, f"$.runs[{i}]", scenarios)
-    cells = [(r.get("workload"), r.get("scenario")) for r in runs
-             if isinstance(r, dict)]
-    _expect(len(cells) == len(set(cells)), "$.runs",
-            "duplicate (workload, scenario) cells")
-    check_harness_faults(payload)
-    summary = payload.get("summary")
-    if _expect(isinstance(summary, dict), "$.summary",
-               "need a summary object"):
-        runs_d = [r for r in runs if isinstance(r, dict)]
-        n_ok = sum(1 for r in runs_d if r.get("ok"))
-        recount = {
-            "cells_run": len(runs_d),
-            "ok": n_ok,
-            "failed": len(runs_d) - n_ok,
-            "harness_faults": len(payload.get("faults") or []),
-        }
-        for key, want in recount.items():
-            _expect(summary.get(key) == want, f"$.summary.{key}",
-                    f"stored {summary.get(key)!r} != recount {want}")
-        cf = summary.get("checks_failed")
-        if _expect(isinstance(cf, dict) and set(FAULT_CHECKS) <= set(cf),
-                   "$.summary.checks_failed",
-                   f"must cover {list(FAULT_CHECKS)}"):
-            for c in FAULT_CHECKS:
-                want = sum(1 for r in runs_d
-                           if not r.get("checks", {}).get(c, False))
-                _expect(cf[c] == want, f"$.summary.checks_failed.{c}",
-                        f"stored {cf[c]!r} != recount {want}")
+        _fault_run(r, f"{path}.runs[{i}]", scenarios, out)
+    _duplicates([(r["workload"], r["scenario"]) for r in runs],
+                f"{path}.runs", "(workload, scenario) cells", out)
+    summary = payload["summary"]
+    n_ok = sum(1 for r in runs if r["ok"])
+    _recount(summary, {"cells_run": len(runs), "ok": n_ok,
+                       "failed": len(runs) - n_ok,
+                       "harness_faults": len(payload["faults"])},
+             f"{path}.summary", out)
+    _recount(summary["checks_failed"],
+             {c: sum(1 for r in runs if not r["checks"][c])
+              for c in FAULT_CHECKS},
+             f"{path}.summary.checks_failed", out)
 
 
-def validate_bench_history_entry(payload) -> list[str]:
-    """Delegate to the canonical repro-bench-history/1 checker."""
-    try:
-        from repro.obs.history import validate_entry
-    except ImportError:
-        import os
-        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src"))
-        from repro.obs.history import validate_entry
-    return validate_entry(payload)
+def _lint_file(f: dict, path: str, out: list[str]) -> None:
+    count = {"error": 0, "warning": 0}
+    for i, d in enumerate(f["diagnostics"]):
+        count[d["severity"]] += 1
+        want = "error" if d["code"][0] == "F" else "warning"
+        if d["severity"] != want:
+            out.append(f"{path}.diagnostics[{i}]: severity "
+                       f"{d['severity']!r} disagrees with code prefix "
+                       f"{d['code'][0]!r}")
+    for severity, n in count.items():
+        key = f"{severity}_count"
+        if f[key] != n:
+            out.append(f"{path}: {key} {f[key]!r} != recount {n}")
+    if f["ok"] != (count["error"] == 0 and f["suppressed_errors"] == 0):
+        out.append(f"{path}: ok flag {f['ok']!r} disagrees with the "
+                   f"diagnostics")
 
 
-def validate_metrics_payload(payload) -> list[str]:
-    """Delegate to the canonical repro-metrics/1 checker.
-
-    The invariants live in ``repro.telemetry.schema`` (one code path);
-    this script only needs ``src`` importable, falling back to its own
-    repo-relative location when ``PYTHONPATH`` is not set.
-    """
-    try:
-        from repro.telemetry.schema import validate_metrics
-    except ImportError:
-        import os
-        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src"))
-        from repro.telemetry.schema import validate_metrics
-    return validate_metrics(payload)
-
-
-LINT_SEVERITIES = {"error", "warning"}
-
-
-def check_lint_diag(d, path: str) -> None:
-    if not _expect(isinstance(d, dict), path,
-                   "diagnostic must be an object"):
-        return
-    code = d.get("code")
-    code_ok = _expect(
-        isinstance(code, str) and len(code) == 4 and code[0] in "FW"
-        and code[1:].isdigit(), path, f"malformed code {code!r}")
-    _expect(isinstance(d.get("slug"), str) and d.get("slug"), path,
-            "diagnostic needs a slug")
-    sev = d.get("severity")
-    _expect(sev in LINT_SEVERITIES, path, f"unknown severity {sev!r}")
-    if code_ok and sev in LINT_SEVERITIES:
-        want = "error" if code[0] == "F" else "warning"
-        _expect(sev == want, path,
-                f"severity {sev!r} disagrees with code prefix {code[0]!r}")
-    _expect(isinstance(d.get("message"), str) and d.get("message"), path,
-            "diagnostic needs a message")
-    # the front end's core invariant: no diagnostic without a location
-    for key in ("line", "col"):
-        v = d.get(key)
-        _expect(isinstance(v, int) and v >= 1, path,
-                f"{key} must be a 1-based integer, got {v!r}")
-
-
-def check_lint_file(f, path: str) -> None:
-    if not _expect(isinstance(f, dict), path, "file must be an object"):
-        return
-    for key in ("path", "ok", "error_count", "warning_count",
-                "suppressed_errors", "diagnostics"):
-        if not _expect(key in f, path, f"file missing {key!r}"):
-            return
-    _expect(isinstance(f["path"], str) and f["path"], path,
-            "file needs a path")
-    diags = f["diagnostics"]
-    if not _expect(isinstance(diags, list), f"{path}.diagnostics",
-                   "must be an array"):
-        return
-    for i, d in enumerate(diags):
-        check_lint_diag(d, f"{path}.diagnostics[{i}]")
-    n_err = sum(1 for d in diags if isinstance(d, dict)
-                and d.get("severity") == "error")
-    n_warn = sum(1 for d in diags if isinstance(d, dict)
-                 and d.get("severity") == "warning")
-    _expect(f["error_count"] == n_err, path,
-            f"error_count {f['error_count']!r} != recount {n_err}")
-    _expect(f["warning_count"] == n_warn, path,
-            f"warning_count {f['warning_count']!r} != recount {n_warn}")
-    _expect(isinstance(f["suppressed_errors"], int)
-            and f["suppressed_errors"] >= 0, path,
-            "suppressed_errors must be an integer >= 0")
-    want_ok = n_err == 0 and f.get("suppressed_errors") == 0
-    _expect(f["ok"] == want_ok, path,
-            f"ok flag {f['ok']!r} disagrees with the diagnostics")
-
-
-def validate_lint(payload) -> None:
-    files = payload.get("files")
-    if not _expect(isinstance(files, list) and files, "$.files",
-                   "need a non-empty files array"):
-        return
+def check_lint(payload: dict, path: str, out: list[str]) -> None:
+    files = payload["files"]
     for i, f in enumerate(files):
-        check_lint_file(f, f"$.files[{i}]")
-    files_d = [f for f in files if isinstance(f, dict)]
-    _expect(payload.get("ok") == all(f.get("ok") is True for f in files_d),
-            "$.ok", "ok flag must equal the conjunction of the files")
-    for key in ("error_count", "warning_count"):
-        want = sum(f.get(key, 0) for f in files_d
-                   if isinstance(f.get(key), int))
-        _expect(payload.get(key) == want, f"$.{key}",
-                f"stored {payload.get(key)!r} != recount {want}")
-    names = [f.get("path") for f in files_d]
-    _expect(len(names) == len(set(names)), "$.files",
-            "duplicate file paths")
-    meta = payload.get("meta")
-    if _expect(isinstance(meta, dict), "$.meta", "need a meta object"):
-        _expect(meta.get("tool") == "repro.lint", "$.meta.tool",
-                f"expected 'repro.lint', got {meta.get('tool')!r}")
+        _lint_file(f, f"{path}.files[{i}]", out)
+    if payload["ok"] != all(f["ok"] for f in files):
+        out.append(f"{path}.ok: ok flag must equal the conjunction of "
+                   f"the files")
+    _recount(payload, {key: sum(f[key] for f in files)
+                       for key in ("error_count", "warning_count")},
+             path, out)
+    _duplicates([f["path"] for f in files], f"{path}.files",
+                "file paths", out)
 
 
-def validate_server(payload) -> None:
-    """The ``repro-server/1`` response envelope.
+_PERCENTILES = ("p50", "p90", "p95", "p99")
 
-    Cross-field invariants: the status decides which of ``result`` /
-    ``fault`` / ``reason`` must be present, ``retries`` must equal
-    ``attempts - 1``, and a successful ``/restructure`` result must
-    embed a full ``repro-experiment/1`` payload (checked recursively —
-    the service serves the same artifact the CLI emits).
-    """
-    for key in ("schema", "request_id", "endpoint", "status", "attempts",
-                "retries", "degraded", "reason", "elapsed_s", "result",
-                "fault"):
-        _expect(key in payload, f"$.{key}", "required envelope key")
-    status = payload.get("status")
-    if not _expect(status in SERVER_STATUSES, "$.status",
-                   f"expected one of {sorted(SERVER_STATUSES)}, "
-                   f"got {status!r}"):
+
+def _histogram(h: dict, path: str, out: list[str]) -> None:
+    def bad(msg: str) -> None:
+        out.append(f"{path}: {msg}")
+
+    bounds, counts, count = h["bounds"], h["counts"], h["count"]
+    if any(a >= b for a, b in zip(bounds, bounds[1:])):
+        bad("bounds must be strictly increasing")
+    if len(counts) != len(bounds) + 1:
+        bad(f"need len(bounds)+1 counts, got {len(counts)} for "
+            f"{len(bounds)} bounds")
+    if sum(counts) != count:
+        bad(f"bucket counts sum to {sum(counts)}, count says {count}")
+    if count == 0:
+        if any(h[p] is not None for p in _PERCENTILES):
+            bad("empty histogram must have null percentiles")
         return
-    _expect(isinstance(payload.get("request_id"), str)
-            and payload.get("request_id"), "$.request_id",
-            "need a non-empty request id")
-    endpoint = payload.get("endpoint")
-    _expect(endpoint in SERVER_ENDPOINTS, "$.endpoint",
-            f"expected one of {sorted(SERVER_ENDPOINTS)}, "
-            f"got {endpoint!r}")
-    attempts = payload.get("attempts")
-    if _expect(isinstance(attempts, int) and attempts >= 1, "$.attempts",
-               f"need a positive attempt count, got {attempts!r}"):
-        _expect(payload.get("retries") == attempts - 1, "$.retries",
-                f"retries {payload.get('retries')!r} != attempts - 1 "
-                f"({attempts - 1})")
-    degraded = payload.get("degraded")
-    _expect(isinstance(degraded, list)
-            and all(isinstance(d, str) and d for d in degraded),
-            "$.degraded", "must be a list of non-empty strings")
-    elapsed = payload.get("elapsed_s")
-    _expect(isinstance(elapsed, (int, float)) and elapsed >= 0,
-            "$.elapsed_s", f"need a non-negative number, got {elapsed!r}")
+    lo, hi = h["min"], h["max"]
+    if lo is None or hi is None or lo > hi:
+        return bad("non-empty histogram needs numeric min <= max")
+    prev = lo
+    for p in _PERCENTILES:
+        v = h[p]
+        if v is None:
+            bad(f"{p} must be numeric")
+            continue
+        if not lo - REL_TOL <= v <= hi + REL_TOL:
+            bad(f"{p}={v} escapes [min={lo}, max={hi}]")
+        if v < prev - REL_TOL:
+            bad(f"{p}={v} < previous percentile {prev} (not monotone)")
+        prev = v
+    if not count * lo - REL_TOL <= h["sum"] <= count * hi + REL_TOL:
+        bad(f"sum={h['sum']} inconsistent with count*[min,max]")
 
-    result, fault = payload.get("result"), payload.get("fault")
+
+def check_metrics(payload: dict, path: str, out: list[str]) -> None:
+    for i, h in enumerate(payload["metrics"]["histograms"]):
+        _histogram(h, f"{path}.metrics.histograms[{i}]", out)
+
+    spans, pids = payload["spans"], set(payload["pids"])
+    ids = {s["id"] for s in spans}
+    for i, s in enumerate(spans):
+        spath = f"{path}.spans[{i}]"
+        if pids and s["pid"] not in pids:
+            out.append(f"{spath}: pid {s['pid']!r} not in $.pids")
+        parent = s.get("parent")
+        if parent is not None and parent not in ids:
+            out.append(f"{spath}: parent {parent!r} does not resolve in "
+                       f"the document")
+        if s["name"] == "cell" and s["cell"] is None:
+            out.append(f"{spath}: a cell span must carry its cell index")
+
+    summary, spath = payload["summary"], f"{path}.summary"
+    n_cells = sum(1 for s in spans if s["name"] == "cell")
+    if summary["cells"] != n_cells:
+        out.append(f"{spath}.cells: says {summary['cells']}, span "
+                   f"recount is {n_cells}")
+    stage_counts: dict[str, int] = {}
+    for s in spans:
+        if s["name"] != "cell":
+            stage_counts[s["name"]] = stage_counts.get(s["name"], 0) + 1
+    stages = summary["stages"]
+    if set(stages) != set(stage_counts):
+        out.append(f"{spath}.stages: stage names {sorted(stages)} != span "
+                   f"recount {sorted(stage_counts)}")
+    for name, st in stages.items():
+        if st["count"] != stage_counts.get(name, 0):
+            out.append(f"{spath}.stages.{name}: count {st['count']} != "
+                       f"span recount {stage_counts.get(name, 0)}")
+    span_pids = {str(s["pid"]) for s in spans}
+    if set(summary["workers"]) != span_pids:
+        out.append(f"{spath}.workers: worker pids "
+                   f"{sorted(summary['workers'])} != span pids "
+                   f"{sorted(span_pids)}")
+    for kind, slot in summary["cache"].items():
+        total = slot["hits"] + slot["misses"]
+        want = slot["hits"] / total if total else 0.0
+        if abs(slot["hit_rate"] - want) > REL_TOL:
+            out.append(f"{spath}.cache.{kind}: hit_rate "
+                       f"{slot['hit_rate']} != {want}")
+
+
+def check_server(payload: dict, path: str, out: list[str]) -> None:
+    def bad(key: str, msg: str) -> None:
+        out.append(f"{path}.{key}: {msg}")
+
+    status, degraded = payload["status"], payload["degraded"]
+    result, fault = payload["result"], payload["fault"]
+    if payload["retries"] != payload["attempts"] - 1:
+        bad("retries", f"retries {payload['retries']!r} != attempts - 1 "
+                       f"({payload['attempts'] - 1})")
     if status in ("ok", "degraded"):
-        _expect(fault is None, "$.fault",
-                f"a {status} response must not carry a fault")
-        _expect(result is not None, "$.result",
-                f"a {status} response must carry a result")
-        if status == "ok":
-            _expect(not degraded, "$.degraded",
-                    "an ok response must have an empty degraded list")
-        else:
-            _expect(bool(degraded), "$.degraded",
-                    "a degraded response must say how it degraded")
-    elif status == "error":
-        _expect(result is None, "$.result",
-                "an error response must not carry a result")
-        if _expect(isinstance(fault, dict), "$.fault",
-                   "an error response must carry a fault object"):
-            for key in ("label", "kind", "error_type", "message"):
-                _expect(key in fault, f"$.fault.{key}",
-                        "required fault key")
-    else:                        # shed / invalid-input
-        _expect(result is None, "$.result",
-                f"a {status} response must not carry a result")
-        _expect(isinstance(payload.get("reason"), str)
-                and payload.get("reason"), "$.reason",
-                f"a {status} response must carry a reason")
+        if fault is not None:
+            bad("fault", f"a {status} response must not carry a fault")
+        if result is None:
+            bad("result", f"a {status} response must carry a result")
+        if status == "ok" and degraded:
+            bad("degraded", "an ok response must have an empty degraded "
+                            "list")
+        if status == "degraded" and not degraded:
+            bad("degraded", "a degraded response must say how it degraded")
+    else:
+        if result is not None:
+            bad("result", f"a {status} response must not carry a result")
+        if status == "error" and fault is None:
+            bad("fault", "an error response must carry a fault object")
+        if status != "error" and not payload["reason"]:
+            bad("reason", f"a {status} response must carry a reason")
+    if result is not None and payload["endpoint"] == "restructure":
+        _validate_as(result.get("experiment"), "repro-experiment/1",
+                     f"{path}.result.experiment", out)
+    elif result is not None:
+        _validate_as(result, "repro-lint/1", f"{path}.result", out)
 
-    if result is None or not isinstance(result, dict):
-        return
-    if endpoint == "restructure":
-        exp = result.get("experiment")
-        if _expect(isinstance(exp, dict), "$.result.experiment",
-                   "restructure results embed the experiment payload"):
-            _expect(exp.get("schema") == SCHEMA_TAG,
-                    "$.result.experiment.schema",
-                    f"expected {SCHEMA_TAG!r}, got {exp.get('schema')!r}")
-            experiments = exp.get("experiments")
-            if _expect(isinstance(experiments, dict) and experiments,
-                       "$.result.experiment.experiments",
-                       "need a non-empty experiments object"):
-                for name, t in experiments.items():
-                    check_table(t, f"$.result.experiment"
-                                   f".experiments.{name}")
-    elif endpoint == "lint":
-        _expect(result.get("schema") == LINT_TAG, "$.result.schema",
-                f"expected {LINT_TAG!r}, got {result.get('schema')!r}")
-        validate_lint(result)
+
+HOOKS = {
+    "repro-experiment/1": check_experiment,
+    "repro-profile/1": check_profile,
+    "repro-validate/1": check_validation,
+    "repro-faults/1": check_faults,
+    "repro-lint/1": check_lint,
+    "repro-metrics/1": check_metrics,
+    "repro-server/1": check_server,
+}
+
+
+def _validate_as(payload, tag: str, path: str, out: list[str]) -> None:
+    """Shape first; the tag's hook only when the shape is clean."""
+    before = len(out)
+    check_shape(payload, SCHEMAS[tag], SCHEMAS[tag], path, out)
+    if len(out) == before:
+        HOOKS[tag](payload, path, out)
 
 
 def validate(payload) -> list[str]:
     """Return a list of violations (empty == valid)."""
-    _errors.clear()
-    if not _expect(isinstance(payload, dict), "$", "payload must be an object"):
-        return list(_errors)
+    if not isinstance(payload, dict):
+        return ["$: payload must be an object"]
     tag = payload.get("schema")
-    if tag == PROFILE_TAG:
-        validate_profile(payload)
-        return list(_errors)
-    if tag == VALIDATE_TAG:
-        validate_validation(payload)
-        check_harness_faults(payload)
-        return list(_errors)
-    if tag == FAULTS_TAG:
-        validate_faults(payload)
-        return list(_errors)
-    if tag == BENCH_HISTORY_TAG:
-        _errors.extend(validate_bench_history_entry(payload))
-        return list(_errors)
-    if tag == METRICS_TAG:
-        _errors.extend(validate_metrics_payload(payload))
-        return list(_errors)
-    if tag == LINT_TAG:
-        validate_lint(payload)
-        return list(_errors)
-    if tag == SERVER_TAG:
-        validate_server(payload)
-        return list(_errors)
-    _expect(tag == SCHEMA_TAG, "$.schema",
-            f"expected {SCHEMA_TAG!r}, {PROFILE_TAG!r}, "
-            f"{VALIDATE_TAG!r}, {FAULTS_TAG!r}, {BENCH_HISTORY_TAG!r}, "
-            f"{METRICS_TAG!r}, {LINT_TAG!r} or {SERVER_TAG!r}, "
-            f"got {tag!r}")
-    experiments = payload.get("experiments")
-    if _expect(isinstance(experiments, dict) and experiments,
-               "$.experiments", "need a non-empty experiments object"):
-        for name, t in experiments.items():
-            check_table(t, f"$.experiments.{name}")
-    check_harness_faults(payload)
-    return list(_errors)
+    if not (isinstance(tag, str) and tag in SCHEMAS):
+        return [f"$.schema: expected one of {sorted(SCHEMAS)}, "
+                f"got {tag!r}"]
+    out: list[str] = []
+    _validate_as(payload, tag, "$", out)
+    return out
+
+
+#: what a valid payload of each tag amounts to, for the OK line
+_SUMMARY = {
+    "repro-experiment/1": lambda p: f"{len(p['experiments'])} experiment(s)",
+    "repro-profile/1": lambda p: f"{len(p['runs'])} profiled run(s)",
+    "repro-validate/1": lambda p: (
+        f"{p['summary']['configs_run']} validation run(s) over "
+        f"{p['summary']['workloads']} workload(s)"),
+    "repro-faults/1": lambda p: (
+        f"{p['summary']['cells_run']} oracle cell(s) "
+        f"({p['summary']['ok']} ok, {p['summary']['harness_faults']} "
+        f"harness fault(s))"),
+    "repro-lint/1": lambda p: (
+        f"lint report over {len(p['files'])} file(s) "
+        f"({p['error_count']} error(s), {p['warning_count']} warning(s))"),
+    "repro-metrics/1": lambda p: (
+        f"{len(p['spans'])} span(s) over {p['summary']['cells']} cell(s) "
+        f"and {len(p['pids'])} process(es)"),
+    "repro-server/1": lambda p: (
+        f"{p['endpoint']} envelope with status {p['status']!r}"),
+}
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
+        print("usage: validate_experiment_json.py PAYLOAD.json  "
+              "('-' reads stdin)", file=sys.stderr)
         return 2
-    raw = sys.stdin.read() if argv[1] == "-" else open(argv[1]).read()
+    try:
+        raw = sys.stdin.read() if argv[1] == "-" \
+            else Path(argv[1]).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {argv[1]}: {exc}", file=sys.stderr)
+        return 2
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -838,34 +625,8 @@ def main(argv: list[str]) -> int:
             print(p, file=sys.stderr)
         print(f"{len(problems)} violation(s)", file=sys.stderr)
         return 1
-    if payload.get("schema") == PROFILE_TAG:
-        print(f"OK: {len(payload['runs'])} profiled run(s) conform to "
-              f"{PROFILE_TAG}")
-    elif payload.get("schema") == VALIDATE_TAG:
-        s = payload["summary"]
-        print(f"OK: {s['configs_run']} validation run(s) over "
-              f"{s['workloads']} workload(s) conform to {VALIDATE_TAG}")
-    elif payload.get("schema") == FAULTS_TAG:
-        s = payload["summary"]
-        print(f"OK: {s['cells_run']} oracle cell(s) "
-              f"({s['ok']} ok, {s['harness_faults']} harness fault(s)) "
-              f"conform to {FAULTS_TAG}")
-    elif payload.get("schema") == BENCH_HISTORY_TAG:
-        print(f"OK: history entry with {len(payload['metrics'])} "
-              f"metric(s) conforms to {BENCH_HISTORY_TAG}")
-    elif payload.get("schema") == METRICS_TAG:
-        s = payload["summary"]
-        print(f"OK: {len(payload['spans'])} span(s) over "
-              f"{s['cells']} cell(s) and {len(payload['pids'])} "
-              f"process(es) conform to {METRICS_TAG}")
-    elif payload.get("schema") == LINT_TAG:
-        print(f"OK: lint report over {len(payload['files'])} file(s) "
-              f"({payload['error_count']} error(s), "
-              f"{payload['warning_count']} warning(s)) conforms to "
-              f"{LINT_TAG}")
-    else:
-        n = len(payload["experiments"])
-        print(f"OK: {n} experiment(s) conform to {SCHEMA_TAG}")
+    tag = payload["schema"]
+    print(f"OK: {_SUMMARY[tag](payload)} conform to {tag}")
     return 0
 
 

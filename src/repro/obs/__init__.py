@@ -1,24 +1,20 @@
-"""repro.obs — the longitudinal/forensic observability plane.
+"""repro.obs — the forensic half of host observability.
 
 Where :mod:`repro.trace`/:mod:`repro.prof` observe the *simulated*
-machine and :mod:`repro.telemetry` observes one run of the *host*
-pipeline, this package watches runs **over time** and **explains**
-them:
+machine and :mod:`repro.telemetry` measures one run of the *host*
+pipeline, these library modules **explain** a run:
 
-- :mod:`repro.obs.history` + :mod:`repro.obs.sentinel` — an append-only
-  bench history (``repro-bench-history/1``) of ``repro-bench-host/2``
-  and ``repro-metrics/1`` payloads, stamped with git SHA + machine
-  fingerprint, gated by a statistical regression sentinel
-  (Mann-Whitney / bootstrap CI with per-metric thresholds);
 - :mod:`repro.obs.explain` — the cross-layer "why was this slow" join:
   host span time × simulated cycle categories × cache hit/miss ×
-  worker queue delay, per sweep cell;
+  worker queue delay, per sweep cell
+  (``python -m repro.telemetry explain DIR``);
 - :mod:`repro.obs.log` — structured JSONL logging with levels and
   telemetry-correlated ids, a true no-op while unconfigured;
 - :mod:`repro.obs.flight` — the crash flight recorder: a bounded ring
   of recent log/span events dumped into fault reports.
 
-CLI: ``python -m repro.obs record|check|report|explain``.
+Regressions over time are gated by the repository benchmark
+(``BENCHMARK.json``, ``bench/README.md``), not from here.
 """
 
 from repro.obs.log import configure as configure_logging

@@ -1,6 +1,6 @@
 """Cross-layer correlation: the "why was this sweep cell slow" join.
 
-``python -m repro.obs explain DIR [--sweep PAYLOAD] [--cell N]`` joins,
+``python -m repro.telemetry explain DIR [--sweep PAYLOAD] [--cell N]`` joins,
 per sweep cell, four layers that the other planes only see separately:
 
 - **host time** — the cell's wall-clock span from the ``repro-metrics/1``

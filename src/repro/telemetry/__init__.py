@@ -13,7 +13,9 @@ Enable with ``--telemetry DIR`` on any sweep harness (or the
 ``REPRO_TELEMETRY`` environment variable); off is the default and a
 true no-op — instrumented code paths emit nothing and every sweep's
 JSON payload stays byte-identical.  Render with
-``python -m repro.telemetry report DIR``.
+``python -m repro.telemetry report DIR``; ask why a cell was slow with
+``python -m repro.telemetry explain DIR``; validate ``DIR/metrics.json``
+with ``scripts/validate_experiment_json.py`` like every other artifact.
 """
 
 from repro.telemetry.export import SCHEMA_TAG, finalize, merge_dir
@@ -24,7 +26,6 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     get_registry,
 )
-from repro.telemetry.schema import validate_metrics
 from repro.telemetry.spans import (
     cell_span,
     configure,
@@ -51,5 +52,4 @@ __all__ = [
     "merge_dir",
     "shutdown",
     "span",
-    "validate_metrics",
 ]

@@ -7,17 +7,21 @@
     command works both on finished sessions and on the raw shard
     directory of a crashed sweep.
 
-``python -m repro.telemetry validate DIR|metrics.json``
-    Check the artifact against the ``repro-metrics/1`` schema and its
-    semantic invariants (histogram percentile bounds, span linkage,
-    summary recounts).
+``python -m repro.telemetry explain DIR|metrics.json [--sweep PAYLOAD]``
+    The cross-layer "why was this slow" join: per sweep cell, host span
+    time x worker queue delay x cache hits/misses x (with ``--sweep``)
+    the simulated cycle/degradation attribution.
 
 ``python -m repro.telemetry merge DIR``
     Fold per-process shards into ``metrics.json`` / ``spans.jsonl`` /
     ``metrics.prom`` without rendering (what instrumented harnesses do
     automatically at exit).
 
-Exit status: 0 ok; 1 validation violations; 2 usage error.
+The artifact itself is validated by
+``scripts/validate_experiment_json.py DIR/metrics.json``.
+
+Exit status: 0 ok; 1 invalid JSON; 2 usage error (missing or
+unrecognized input).
 """
 
 from __future__ import annotations
@@ -50,19 +54,23 @@ def _cmd_report(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(ns: argparse.Namespace) -> int:
-    from repro.telemetry.schema import validate_metrics
+def _cmd_explain(ns: argparse.Namespace) -> int:
+    from repro.obs import explain
 
-    payload = _load(ns.path)
-    problems = validate_metrics(payload)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        print(f"{len(problems)} violation(s)", file=sys.stderr)
-        return 1
-    print(f"OK: {len(payload['spans'])} span(s), "
-          f"{payload['summary']['cells']} cell(s) conform to "
-          f"{payload['schema']}")
+    payload = explain.load_metrics(ns.path)
+    sweep = None
+    if ns.sweep:
+        sweep = json.loads(Path(ns.sweep).read_text())
+        if not isinstance(sweep, dict):
+            raise ValueError(f"{ns.sweep}: expected a JSON object")
+    rows = explain.correlate(payload, sweep)
+    if ns.as_json:
+        if ns.cell is not None:
+            rows = [r for r in rows if r["cell"] == ns.cell]
+        json.dump(rows, sys.stdout, indent=2)
+        print()
+    else:
+        print(explain.render(rows, cell=ns.cell))
     return 0
 
 
@@ -89,10 +97,18 @@ def main(argv: list[str] | None = None) -> int:
                    help="slowest cells to list (default 10)")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("validate",
-                       help="check a repro-metrics/1 artifact")
+    p = sub.add_parser("explain",
+                       help="per-cell slow-cell attribution join")
     p.add_argument("path", help="session directory or metrics.json")
-    p.set_defaults(func=_cmd_validate)
+    p.add_argument("--sweep", default=None, metavar="PAYLOAD",
+                   help="the sweep's JSON payload (repro-experiment/1, "
+                        "repro-validate/1 or repro-faults/1) to join "
+                        "the simulated side")
+    p.add_argument("--cell", type=int, default=None,
+                   help="detail view of one cell index")
+    p.add_argument("--json", action="store_true", dest="as_json",
+                   help="emit the joined rows as JSON")
+    p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("merge",
                        help="fold per-process shards into the artifact")
@@ -105,12 +121,12 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         sys.stderr.close()
         return 0
-    except FileNotFoundError as exc:
-        print(f"repro.telemetry: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"repro.telemetry: invalid JSON: {exc}", file=sys.stderr)
         return 1
+    except (OSError, ValueError) as exc:
+        print(f"repro.telemetry: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def _summarize(spans: list[dict], metrics: dict) -> dict:
         else:
             slot["misses"] += c["value"]
     # the cache registers counters for every artifact kind up front;
-    # kinds the run never touched (e.g. jit-source under the closure
+    # kinds the run never touched (e.g. jit-source under the tree
     # engine) would report a meaningless 0/0 slot — drop them.
     cache = {kind: slot for kind, slot in cache.items()
              if slot["hits"] + slot["misses"] > 0}

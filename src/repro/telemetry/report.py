@@ -20,11 +20,10 @@ def _bar(frac: float, width: int = 24) -> str:
     return "#" * n + "." * (width - n)
 
 
-def _histogram_row(metrics: dict, name: str) -> dict | None:
-    for h in metrics.get("histograms", ()):
-        if h["name"] == name and not h.get("labels"):
-            return h
-    return None
+def _nearest_rank(ordered: list[float], pct: int) -> float:
+    """The exact order statistic: the smallest value with at least
+    ``pct`` percent of the sample at or below it."""
+    return ordered[max(0, -(-pct * len(ordered) // 100) - 1)]
 
 
 def render_report(payload: dict, top: int = 10) -> str:
@@ -40,15 +39,19 @@ def render_report(payload: dict, top: int = 10) -> str:
                  + (f", {s['cell_errors']} cell error(s)"
                     if s.get("cell_errors") else ""))
 
-    cell_hist = _histogram_row(payload.get("metrics", {}),
-                               "repro_cell_seconds")
-    if cell_hist and cell_hist.get("count"):
+    # exact order statistics over the cell spans the artifact carries;
+    # the bucketed repro_cell_seconds histogram can only answer with a
+    # bucket edge on a sample this small
+    cell_s = sorted(sp.get("duration_s", 0.0)
+                    for sp in payload.get("spans", ())
+                    if sp.get("name") == "cell")
+    if cell_s:
         lines.append(
-            f"  cell latency: p50 {_fmt_s(cell_hist['p50']).strip()}  "
-            f"p90 {_fmt_s(cell_hist['p90']).strip()}  "
-            f"p95 {_fmt_s(cell_hist['p95']).strip()}  "
-            f"p99 {_fmt_s(cell_hist['p99']).strip()}  "
-            f"max {_fmt_s(cell_hist['max']).strip()}")
+            "  cell latency: "
+            + "  ".join(f"p{pct} "
+                        f"{_fmt_s(_nearest_rank(cell_s, pct)).strip()}"
+                        for pct in (50, 90, 95, 99))
+            + f"  max {_fmt_s(cell_s[-1]).strip()}")
 
     stages = s.get("stages", {})
     if stages:

@@ -90,26 +90,18 @@ class TestJsonCli:
                        and d.get("reason")]
                 assert rej, f"{name}: serial loop {key} unexplained"
 
-    def test_validator_accepts_real_payload(self, table1_payload):
-        sys.path.insert(0, "scripts")
-        try:
-            import validate_experiment_json as v
-        finally:
-            sys.path.pop(0)
-        assert v.validate(table1_payload) == []
+    def test_validator_accepts_real_payload(self, table1_payload,
+                                            validator):
+        assert validator.validate(table1_payload) == []
 
-    def test_validator_rejects_broken_payloads(self, table1_payload):
-        sys.path.insert(0, "scripts")
-        try:
-            import validate_experiment_json as v
-        finally:
-            sys.path.pop(0)
-        assert v.validate({"schema": "wrong"})
+    def test_validator_rejects_broken_payloads(self, table1_payload,
+                                               validator):
+        assert validator.validate({"schema": "wrong"})
         broken = json.loads(json.dumps(table1_payload))
         t1 = broken["experiments"]["table1"]
         first = next(iter(t1["meta"]["trace"].values()))
         first["serial_breakdown"]["total"] += 1e6  # break the invariant
-        problems = v.validate(broken)
+        problems = validator.validate(broken)
         assert any("group sum" in p for p in problems)
 
     def test_unknown_experiment_errors(self):

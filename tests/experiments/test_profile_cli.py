@@ -25,15 +25,10 @@ class TestProfileCli:
         assert (profile_artifacts / "table1.trace.json").exists()
         assert (profile_artifacts / "table1.profile.json").exists()
 
-    def test_profile_doc_validates(self, profile_artifacts):
-        sys.path.insert(0, "scripts")
-        try:
-            import validate_experiment_json as v
-        finally:
-            sys.path.pop(0)
+    def test_profile_doc_validates(self, profile_artifacts, validator):
         doc = json.loads(
             (profile_artifacts / "table1.profile.json").read_text())
-        assert v.validate(doc) == []
+        assert validator.validate(doc) == []
         assert doc["schema"] == "repro-profile/1"
         assert doc["quick"] is True
 

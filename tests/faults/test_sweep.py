@@ -1,25 +1,10 @@
 """Degradation oracle: payload shape, invariants, schema conformance."""
 
-import importlib.util
-import pathlib
-
 import pytest
 
 from repro.errors import ReproError
 from repro.faults.harness import SweepJournal
 from repro.faults.sweep import CHECKS, SCHEMA_TAG, run_sweep
-
-_REPO = pathlib.Path(__file__).resolve().parents[2]
-
-
-def _load_validator():
-    spec = importlib.util.spec_from_file_location(
-        "validate_experiment_json",
-        _REPO / "scripts" / "validate_experiment_json.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
 
 @pytest.fixture(scope="module")
 def payload():
@@ -42,8 +27,7 @@ class TestPayload:
         for r in payload["runs"]:
             assert set(r["checks"]) == set(CHECKS)
 
-    def test_conforms_to_validator(self, payload):
-        validator = _load_validator()
+    def test_conforms_to_validator(self, payload, validator):
         assert validator.validate(payload) == []
 
     def test_lost_sync_fires_on_cascade(self, payload):

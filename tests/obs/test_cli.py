@@ -1,166 +1,10 @@
-"""python -m repro.obs: record / check / report / explain round-trip."""
+"""``python -m repro.telemetry explain``: the CLI over repro.obs.explain."""
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.obs.__main__ import main
-
-ROOT = Path(__file__).resolve().parents[2]
-
-
-def bench_payload(warm=1.0):
-    return {
-        "schema": "repro-bench-host/2",
-        "runs": {"cold": {"seconds": 5.0}, "warm": {"seconds": warm}},
-        "cache": {"warm_speedup": 5.0 / warm},
-    }
-
-
-@pytest.fixture()
-def payload_file(tmp_path):
-    def _write(name, warm=1.0):
-        p = tmp_path / name
-        p.write_text(json.dumps(bench_payload(warm)))
-        return str(p)
-    return _write
-
-
-@pytest.fixture()
-def history(tmp_path):
-    return str(tmp_path / "history.jsonl")
-
-
-class TestRecord:
-    def test_record_appends_valid_entry(self, payload_file, history,
-                                        capsys):
-        rc = main(["record", payload_file("b.json"),
-                   "--history", history, "--note", "smoke"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "recorded" in out and "[1 entry]" in out
-        from repro.obs import history as hist
-
-        [entry] = hist.load_history(history)
-        assert entry["note"] == "smoke"
-        assert hist.validate_entry(entry) == []
-
-    def test_recorded_entry_passes_repo_validator(self, payload_file,
-                                                  history, capsys):
-        assert main(["record", payload_file("b.json"),
-                     "--history", history]) == 0
-        capsys.readouterr()
-        from repro.obs import history as hist
-
-        [entry] = hist.load_history(history)
-        entry_file = Path(history).parent / "entry.json"
-        entry_file.write_text(json.dumps(entry))
-        proc = subprocess.run(
-            [sys.executable,
-             str(ROOT / "scripts" / "validate_experiment_json.py"),
-             str(entry_file)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "repro-bench-history/1" in proc.stdout
-
-    def test_dry_run_prints_without_writing(self, payload_file,
-                                            history, capsys):
-        rc = main(["record", payload_file("b.json"),
-                   "--history", history, "--dry-run"])
-        assert rc == 0
-        entry = json.loads(capsys.readouterr().out)
-        assert entry["schema"] == "repro-bench-history/1"
-        assert not Path(history).exists()
-
-    def test_unreadable_payload_is_usage_error(self, history, capsys):
-        assert main(["record", "no/such/file.json",
-                     "--history", history]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_payload_without_metrics_is_usage_error(self, tmp_path,
-                                                    history, capsys):
-        p = tmp_path / "junk.json"
-        p.write_text('{"schema": "garbage/1"}')
-        assert main(["record", str(p), "--history", history]) == 2
-
-
-class TestCheck:
-    def _seed(self, payload_file, history, capsys, n=4):
-        for i in range(n):
-            assert main(["record", payload_file(f"b{i}.json",
-                                                warm=1.0 + 0.01 * i),
-                         "--history", history]) == 0
-        capsys.readouterr()
-
-    def test_stable_history_passes(self, payload_file, history, capsys):
-        self._seed(payload_file, history, capsys)
-        assert main(["check", "--history", history]) == 0
-        out = capsys.readouterr().out
-        assert "ok" in out and "0 regression(s)" in out
-
-    def test_degraded_current_fails(self, payload_file, history,
-                                    capsys):
-        self._seed(payload_file, history, capsys)
-        assert main(["check", "--history", history,
-                     "--current", payload_file("bad.json", warm=3.0)]) \
-            == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out and "host_seconds/warm" in out
-
-    def test_threshold_override_loosens(self, payload_file, history,
-                                        capsys):
-        self._seed(payload_file, history, capsys)
-        assert main(["check", "--history", history,
-                     "--current", payload_file("bad.json", warm=3.0),
-                     "--threshold", "host_seconds/*=5.0",
-                     "--threshold", "*_speedup=5.0"]) == 0
-
-    def test_json_output(self, payload_file, history, capsys):
-        self._seed(payload_file, history, capsys)
-        assert main(["check", "--history", history, "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] and report["verdicts"]
-
-    def test_bad_threshold_is_usage_error(self, history, capsys):
-        assert main(["check", "--history", history,
-                     "--threshold", "nonsense"]) == 2
-
-    def test_empty_history_is_ok(self, history, capsys):
-        assert main(["check", "--history", history]) == 0
-        assert "empty or missing history" in capsys.readouterr().err
-
-    def test_internal_fault_exits_3(self, payload_file, history,
-                                    capsys, monkeypatch):
-        self._seed(payload_file, history, capsys, n=1)
-        from repro.obs import sentinel
-
-        def boom(*a, **k):
-            raise RuntimeError("sentinel on fire")
-
-        monkeypatch.setattr(sentinel, "check_history", boom)
-        assert main(["check", "--history", history]) == 3
-        assert "internal fault" in capsys.readouterr().err
-
-
-class TestReport:
-    def test_trend_over_recorded_entries(self, payload_file, history,
-                                         capsys):
-        for i in range(3):
-            assert main(["record",
-                         payload_file(f"b{i}.json", warm=1.0 + 0.2 * i),
-                         "--history", history]) == 0
-        capsys.readouterr()
-        assert main(["report", "--history", history]) == 0
-        out = capsys.readouterr().out
-        assert "3 entries" in out
-        assert "host_seconds/warm" in out and "warm_speedup" in out
-
-    def test_empty_history(self, history, capsys):
-        assert main(["report", "--history", history]) == 0
-        assert "empty" in capsys.readouterr().out
+from repro.telemetry.__main__ import main
 
 
 class TestExplain:

@@ -1,7 +1,7 @@
 """One exit-code convention across every sweep-shaped CLI.
 
-``repro.experiments``, ``repro.validate``, ``repro.faults sweep`` and
-``repro.obs check`` all promise the same map::
+``repro.experiments``, ``repro.validate`` and ``repro.faults sweep`` all
+promise the same map::
 
     0  ok
     1  regression / failed validation / failed oracle check
@@ -12,8 +12,6 @@ This test drives each tool through each outcome in-process.  The lone
 hole is deliberate: ``repro.experiments`` reserves 1 for
 ``repro.prof diff`` and has no regression outcome of its own.
 """
-
-import json
 
 import pytest
 
@@ -96,41 +94,8 @@ def _faults(outcome, tmp_path, monkeypatch):
     return _run(main, base)
 
 
-def _obs_check(outcome, tmp_path, monkeypatch):
-    from repro.obs.__main__ import main
-
-    hist_file = str(tmp_path / "history.jsonl")
-
-    def payload(warm):
-        p = tmp_path / f"p{warm}.json"
-        p.write_text(json.dumps({
-            "schema": "repro-bench-host/2",
-            "runs": {"warm": {"seconds": warm}}}))
-        return str(p)
-
-    if outcome == "usage":
-        return _run(main, ["check", "--history", hist_file,
-                           "--threshold", "nonsense"])
-    assert _run(main, ["record", payload(1.0),
-                       "--history", hist_file]) == 0
-    if outcome == "ok":
-        return _run(main, ["check", "--history", hist_file,
-                           "--current", payload(1.01)])
-    if outcome == "regression":
-        return _run(main, ["check", "--history", hist_file,
-                           "--current", payload(9.0)])
-    # crash: the sentinel itself blowing up
-    from repro.obs import sentinel
-
-    def boom(*a, **k):
-        raise RuntimeError("sentinel on fire")
-
-    monkeypatch.setattr(sentinel, "check_history", boom)
-    return _run(main, ["check", "--history", hist_file])
-
-
 TOOLS = {"experiments": _experiments, "validate": _validate,
-         "faults": _faults, "obs-check": _obs_check}
+         "faults": _faults}
 
 EXPECTED = {"ok": 0, "regression": 1, "usage": 2, "crash": 3}
 

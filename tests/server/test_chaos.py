@@ -205,18 +205,13 @@ class TestByteIdentity:
         assert cli.returncode == 0, cli.stderr
         assert served == cli.stdout
 
-    def test_served_envelope_validates(self, chaos_service):
-        sys.path.insert(0, str(REPO / "scripts"))
-        try:
-            import validate_experiment_json as vej
-        finally:
-            sys.path.pop(0)
+    def test_served_envelope_validates(self, chaos_service, validator):
         for request in ({"source": SRC, "quick": True},
                         {"source": SRC, "quick": True,
                          "fault_scenario": "chaos"},
                         {"source": "junk"}):
             env = chaos_service.handle("restructure", request)
-            problems = vej.validate(env)
+            problems = validator.validate(env)
             assert problems == [], (request, problems)
         env = chaos_service.handle("lint", {"source": SRC})
-        assert vej.validate(env) == []
+        assert validator.validate(env) == []

@@ -1,29 +1,14 @@
 """The PR's acceptance scenario: a ``--jobs 2 --telemetry DIR`` sweep
-produces one merged ``repro-metrics/1`` artifact that passes both
-validators, carries spans from at least two worker processes with
+produces one merged ``repro-metrics/1`` artifact that passes the
+artifact validator, carries spans from at least two worker processes with
 per-stage breakdowns and cache hit rates — while the sweep's own JSON
 payload stays byte-identical to a serial, telemetry-off run."""
 
 import contextlib
-import importlib.util
 import io
 import json
-from pathlib import Path
 
 import pytest
-
-from repro import telemetry
-
-ROOT = Path(__file__).resolve().parents[2]
-
-
-def _load_script_validator():
-    spec = importlib.util.spec_from_file_location(
-        "validate_experiment_json",
-        ROOT / "scripts" / "validate_experiment_json.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +36,14 @@ class TestAcceptance:
     def test_sweep_json_byte_identical(self, sweep):
         assert sweep["on"] == sweep["off"]
 
-    def test_artifact_passes_canonical_validator(self, sweep):
-        assert telemetry.validate_metrics(sweep["payload"]) == []
+    def test_artifact_passes_canonical_validator(self, sweep, validator):
+        assert validator.validate(sweep["payload"]) == []
 
-    def test_artifact_passes_script_validator(self, sweep):
-        mod = _load_script_validator()
-        assert mod.validate(sweep["payload"]) == []
+    def test_artifact_passes_script_validator(self, sweep, validator,
+                                              capsys):
+        path = str(sweep["dir"] / "metrics.json")
+        assert validator.main(["validate", path]) == 0
+        assert "conform to repro-metrics/1" in capsys.readouterr().out
 
     def test_spans_from_at_least_two_workers(self, sweep):
         span_pids = {s["pid"] for s in sweep["payload"]["spans"]}
@@ -103,21 +90,22 @@ class TestAcceptance:
 
 class TestEnvVarPath:
     def test_env_var_enables_telemetry(self, tmp_path, monkeypatch,
-                                       capsys):
+                                       capsys, validator):
         import repro.validate.__main__ as val
 
         tdir = tmp_path / "telem"
         monkeypatch.setenv("REPRO_TELEMETRY", str(tdir))
         assert val.main(["tridag", "--no-bisect", "--json"]) == 0
         payload = json.loads((tdir / "metrics.json").read_text())
-        assert telemetry.validate_metrics(payload) == []
+        assert validator.validate(payload) == []
         assert payload["summary"]["cells"] == 1
         # finalize popped the env var: the session does not leak
         import os
 
         assert "REPRO_TELEMETRY" not in os.environ
 
-    def test_faults_sweep_instrumented(self, tmp_path, capsys):
+    def test_faults_sweep_instrumented(self, tmp_path, capsys,
+                                       validator):
         import repro.faults.__main__ as faults
 
         tdir = tmp_path / "telem"
@@ -125,7 +113,7 @@ class TestEnvVarPath:
                             "--scenarios", "healthy", "dead-ce",
                             "--json", "--telemetry", str(tdir)]) == 0
         payload = json.loads((tdir / "metrics.json").read_text())
-        assert telemetry.validate_metrics(payload) == []
+        assert validator.validate(payload) == []
         # the fault sweep fans out per workload: one cell here
         assert payload["summary"]["cells"] == 1
         assert payload["harness"] == "repro.faults sweep"

@@ -1,4 +1,5 @@
-"""The ``python -m repro.telemetry`` CLI: report, validate, merge."""
+"""The ``python -m repro.telemetry`` CLI (report, merge) and the artifact
+validator's CLI over a telemetry session."""
 
 import json
 
@@ -30,23 +31,33 @@ class TestMerge:
 
 
 class TestValidate:
-    def test_valid_artifact_passes(self, tmp_path, capsys):
+    """``scripts/validate_experiment_json.py`` is the one validator CLI;
+    its exit map: 0 valid, 1 violations, 2 unreadable input."""
+
+    def test_valid_artifact_passes(self, tmp_path, capsys, validator):
         _session(tmp_path)
-        assert main(["validate", str(tmp_path)]) == 0
+        main(["merge", str(tmp_path)])
+        assert validator.main(
+            ["validate", str(tmp_path / "metrics.json")]) == 0
         assert "conform to repro-metrics/1" in capsys.readouterr().out
 
-    def test_corrupt_artifact_fails(self, tmp_path, capsys):
+    def test_corrupt_artifact_fails(self, tmp_path, capsys, validator):
         _session(tmp_path)
         main(["merge", str(tmp_path)])
         capsys.readouterr()
         doc = json.loads((tmp_path / "metrics.json").read_text())
         doc["summary"]["cells"] = 99
         (tmp_path / "metrics.json").write_text(json.dumps(doc))
-        assert main(["validate", str(tmp_path)]) == 1
+        assert validator.main(
+            ["validate", str(tmp_path / "metrics.json")]) == 1
         assert "violation" in capsys.readouterr().err
 
-    def test_missing_path_is_usage_error(self, tmp_path, capsys):
-        assert main(["validate", str(tmp_path / "nope")]) == 2
+    def test_missing_path_is_usage_error(self, tmp_path, capsys,
+                                         validator):
+        assert validator.main(["validate", str(tmp_path / "nope")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert validator.main(["validate"]) == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestReport:
@@ -68,3 +79,18 @@ class TestReport:
         assert main(["report", str(tmp_path / "metrics.json"),
                      "--top", "1"]) == 0
         assert "top 1 slowest cell(s)" in capsys.readouterr().out
+
+    def test_cell_latency_is_exact_order_statistic(self, tmp_path,
+                                                   capsys):
+        """p50 is the nearest-rank median of the cell spans, not an
+        edge of the repro_cell_seconds histogram's buckets."""
+        from repro.telemetry.report import _fmt_s
+
+        _session(tmp_path, cells=6)
+        payload = telemetry.merge_dir(tmp_path)
+        durations = sorted(s["duration_s"] for s in payload["spans"]
+                           if s["name"] == "cell")
+        assert main(["report", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"p50 {_fmt_s(durations[2]).strip()}  p90 " \
+            f"{_fmt_s(durations[5]).strip()}" in out

@@ -146,7 +146,8 @@ class TestMergeDir:
                     pass
         telemetry.flush()
 
-    def test_merge_builds_artifact_and_removes_shards(self, tmp_path):
+    def test_merge_builds_artifact_and_removes_shards(self, tmp_path,
+                                                      validator):
         self._session(tmp_path)
         payload = telemetry.merge_dir(tmp_path, harness="test")
         assert payload["schema"] == telemetry.SCHEMA_TAG
@@ -156,7 +157,7 @@ class TestMergeDir:
         assert not list(tmp_path.glob("metrics-*.json"))
         for name in ("metrics.json", "spans.jsonl", "metrics.prom"):
             assert (tmp_path / name).exists()
-        assert telemetry.validate_metrics(payload) == []
+        assert validator.validate(payload) == []
 
     def test_remerge_is_idempotent(self, tmp_path):
         self._session(tmp_path)
@@ -189,19 +190,19 @@ class TestMergeDir:
 
 
 class TestValidatorCatchesCorruption:
-    def test_doctored_artifact_fails_validation(self, tmp_path):
+    def test_doctored_artifact_fails_validation(self, tmp_path,
+                                                validator):
         telemetry.configure(tmp_path)
         with telemetry.cell_span(0, "x"):
             pass
         telemetry.flush()
         payload = telemetry.merge_dir(tmp_path)
-        assert telemetry.validate_metrics(payload) == []
+        assert validator.validate(payload) == []
         payload["summary"]["cells"] += 1
-        assert any("recount" in p for p in
-                   telemetry.validate_metrics(payload))
+        assert any("recount" in p for p in validator.validate(payload))
         payload["spans"][0]["parent"] = "nope-1"
-        assert any("does not resolve" in p for p in
-                   telemetry.validate_metrics(payload))
+        assert any("does not resolve" in p
+                   for p in validator.validate(payload))
 
 
 class TestShardTolerance:

@@ -1,7 +1,6 @@
 """Differential validation: comparison, bisection, reports, CLI."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -19,15 +18,6 @@ from repro.validate import (
 )
 from repro.validate import differential
 from repro.workloads import validation_cases
-
-
-def _script_validator():
-    sys.path.insert(0, "scripts")
-    try:
-        import validate_experiment_json as v
-    finally:
-        sys.path.pop(0)
-    return v
 
 
 class TestCompareOutputs:
@@ -150,28 +140,27 @@ class TestValidateWorkload:
             assert c.divergences == [] and c.races == []
             assert c.compared_keys, "must compare at least one result key"
 
-    def test_report_conforms_to_schema_checker(self, result):
+    def test_report_conforms_to_schema_checker(self, result, validator):
         payload = build_report([result], configs=["automatic", "manual"])
         payload = json.loads(json.dumps(payload))  # as CI would read it
-        v = _script_validator()
-        assert v.validate(payload) == []
+        assert validator.validate(payload) == []
 
-    def test_checker_rejects_inconsistent_status(self, result):
+    def test_checker_rejects_inconsistent_status(self, result, validator):
         payload = json.loads(json.dumps(
             build_report([result], configs=["automatic", "manual"])))
-        v = _script_validator()
         broken = json.loads(json.dumps(payload))
         broken["workloads"][0]["configs"][0]["status"] = "race"
-        problems = v.validate(broken)
+        problems = validator.validate(broken)
         assert any("without any conflict" in p for p in problems)
         broken = json.loads(json.dumps(payload))
         broken["summary"]["ok"] += 1
-        problems = v.validate(broken)
+        problems = validator.validate(broken)
         assert any("recount" in p for p in problems)
 
 
 class TestCli:
-    def test_cli_runs_one_workload_clean(self, capsys, tmp_path):
+    def test_cli_runs_one_workload_clean(self, capsys, tmp_path,
+                                         validator):
         from repro.validate.__main__ import main
         out = tmp_path / "v.json"
         rc = main(["tridag", "--processors", "2", "-o", str(out)])
@@ -179,8 +168,7 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["schema"] == "repro-validate/1"
         assert payload["summary"]["ok"] == payload["summary"]["configs_run"]
-        v = _script_validator()
-        assert v.validate(payload) == []
+        assert validator.validate(payload) == []
 
     def test_cli_rejects_unknown_workload(self):
         from repro.validate.__main__ import main
