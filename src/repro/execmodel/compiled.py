@@ -29,9 +29,16 @@ own worker-by-worker ``_parallel_do``), a statement with no closure form
 runs through ``exec_stmt``, and a module that fails to compile or load
 drops its whole list to closures.
 
-The compiler is only engaged when no :class:`ShadowRecorder` is
-attached — dynamic race detection instruments the tree-walk path, which
-stays authoritative for ``repro.validate``'s race checks.
+With a :class:`~repro.execmodel.shadow.ShadowRecorder` attached the
+choice is made once, at compile time: no list is emitted as a module
+(every statement takes the closure form, every ``ParallelDo`` the
+interpreter's instrumented ``_parallel_do``), and the closures for
+variable reads, element and section reads, scalar, element and section
+stores and ``LOCK``/``UNLOCK`` make exactly the ``record_*`` calls of
+the tree handlers they replicate, in the same order.  Whatever is
+delegated to the interpreter (``_assign``, ``_invoke``, library calls,
+WHERE/READ) keeps the tree's own hooks.  Without a recorder neither the
+closures nor the module text know one could exist.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ class Compiler:
 
     def __init__(self, interp: Interpreter):
         self.interp = interp
+        self.shadow = interp.shadow
         # id(stmts) -> (fns, label map, stmts) — the stmts reference
         # pins the list so its id cannot be recycled
         self._bodies: dict[int, tuple[list[StmtFn], dict, list]] = {}
@@ -119,6 +127,12 @@ class Compiler:
 
     def _compile_list(self, stmts: list[F.Stmt], unit: str) -> list[StmtFn]:
         """One function per statement, from the list's cached module."""
+        if self.shadow is not None:
+            # race-checked run: whole-grid NumPy source has no
+            # per-iteration accesses to record
+            self.fallback_stmts += len(stmts)
+            return [self._stmt(s, unit) for s in stmts]
+
         from repro.engine.cache import get_cache
         from repro.obs.log import get_logger
 
@@ -212,6 +226,13 @@ class Compiler:
                 if 1 <= k <= len(targets):
                     raise _GotoSignal(targets[k - 1])
             return fn
+        if self.shadow is not None and isinstance(
+                s, (C.LockStmt, C.UnlockStmt)):
+            # the race detector tracks critical sections
+            held = (self.shadow.acquire if isinstance(s, C.LockStmt)
+                    else self.shadow.release)
+            lock = s.name
+            return lambda scope: held(lock)
         if isinstance(s, NOOP_STMTS):
             return _noop
         if isinstance(s, F.CallStmt):
@@ -248,6 +269,7 @@ class Compiler:
             name = target.name
             subs = (target.subscripts if isinstance(target, F.ArrayRef)
                     else target.args)
+            sh = self.shadow
             if any(isinstance(x, F.RangeExpr) for x in subs):
                 spec_fns = [self._spec(x, unit) for x in subs]
 
@@ -258,7 +280,17 @@ class Compiler:
                         raise InterpreterError(f"{name!r} is not an array")
                     view = arr.slice_of([f(scope) for f in spec_fns])
                     view[...] = v
-                return fn
+
+                def recording(scope: Scope) -> None:
+                    v = value(scope)
+                    arr = scope.get(name)
+                    if not isinstance(arr, FArray):
+                        raise InterpreterError(f"{name!r} is not an array")
+                    specs = [f(scope) for f in spec_fns]
+                    if sh.recording:
+                        sh.record_array(arr, name, "w", specs=specs)
+                    arr.slice_of(specs)[...] = v
+                return fn if sh is None else recording
             sub_fns = [self._expr(x, unit) for x in subs]
 
             def fn(scope: Scope) -> None:
@@ -267,7 +299,17 @@ class Compiler:
                 if not isinstance(arr, FArray):
                     raise InterpreterError(f"{name!r} is not an array")
                 arr.set(tuple(int(f(scope)) for f in sub_fns), v)
-            return fn
+
+            def recording(scope: Scope) -> None:
+                v = value(scope)
+                arr = scope.get(name)
+                if not isinstance(arr, FArray):
+                    raise InterpreterError(f"{name!r} is not an array")
+                idx = tuple(int(f(scope)) for f in sub_fns)
+                if sh.recording:
+                    sh.record_array(arr, name, "w", idx=idx)
+                arr.set(idx, v)
+            return fn if sh is None else recording
         interp = self.interp
         return lambda scope: interp._assign(
             s.target, value(scope), scope, unit)
@@ -275,7 +317,24 @@ class Compiler:
     def _assign_var(self, name: str, value: ExprFn, unit: str) -> StmtFn:
         coerce_int = coerces_to_int(self.interp.tables.get(unit), name)
         store = Runtime.astore
-        return lambda scope: store(scope, name, value(scope), coerce_int)
+        sh = self.shadow
+        if sh is None:
+            return lambda scope: store(scope, name, value(scope), coerce_int)
+
+        def recording(scope: Scope) -> None:
+            v = value(scope)
+            if sh.recording:
+                # an undefined name is created in the root scope
+                # (Scope.set semantics) — keyed there, as the tree does
+                sc = scope.lookup_scope(name) or scope._root()
+                cur = sc.vars.get(name)
+                if isinstance(cur, FArray):
+                    sh.record_array(cur, name, "w",
+                                    idx=() if cur.data.ndim == 0 else None)
+                else:
+                    sh.record_scalar(sc, name, "w")
+            store(scope, name, v, coerce_int)
+        return recording
 
     # -- loops ---------------------------------------------------------
 
@@ -311,6 +370,7 @@ class Compiler:
             return lambda scope: v
         if isinstance(e, F.Var):
             name = e.name
+            sh = self.shadow
 
             def fn(scope: Scope):
                 sc = scope.lookup_scope(name)
@@ -323,7 +383,24 @@ class Compiler:
                         return d.item()
                     return d
                 return v
-            return fn
+
+            def recording(scope: Scope):
+                sc = scope.lookup_scope(name)
+                if sc is None:
+                    raise InterpreterError(f"undefined variable {name!r}")
+                v = sc.vars[name]
+                if isinstance(v, FArray):
+                    d = v.data
+                    if sh.recording:
+                        sh.record_array(v, name, "r",
+                                        idx=() if d.ndim == 0 else None)
+                    if d.ndim == 0:  # COMMON scalar box
+                        return d.item()
+                    return d
+                if sh.recording:
+                    sh.record_scalar(sc, name, "r")
+                return v
+            return fn if sh is None else recording
         if isinstance(e, (F.ArrayRef, F.Apply)):
             return self._ref_or_call(e, unit)
         if isinstance(e, F.FuncCall):
@@ -347,6 +424,7 @@ class Compiler:
         name = e.name
         subs = e.subscripts if isinstance(e, F.ArrayRef) else e.args
         call = self._func_call(name, list(subs), unit)
+        sh = self.shadow
         if any(isinstance(x, F.RangeExpr) for x in subs):
             spec_fns = [self._spec(x, unit) for x in subs]
 
@@ -356,7 +434,17 @@ class Compiler:
                 if isinstance(v, FArray):
                     return v.slice_of([f(scope) for f in spec_fns])
                 return call(scope)
-            return fn
+
+            def recording(scope: Scope):
+                sc = scope.lookup_scope(name)
+                v = sc.vars[name] if sc is not None else None
+                if isinstance(v, FArray):
+                    specs = [f(scope) for f in spec_fns]
+                    if sh.recording:
+                        sh.record_array(v, name, "r", specs=specs)
+                    return v.slice_of(specs)
+                return call(scope)
+            return fn if sh is None else recording
         sub_fns = [self._expr(x, unit) for x in subs]
 
         def fn(scope: Scope):
@@ -365,7 +453,17 @@ class Compiler:
             if isinstance(v, FArray):
                 return v.get(tuple(int(f(scope)) for f in sub_fns))
             return call(scope)
-        return fn
+
+        def recording(scope: Scope):
+            sc = scope.lookup_scope(name)
+            v = sc.vars[name] if sc is not None else None
+            if isinstance(v, FArray):
+                idx = tuple(int(f(scope)) for f in sub_fns)
+                if sh.recording:
+                    sh.record_array(v, name, "r", idx=idx)
+                return v.get(idx)
+            return call(scope)
+        return fn if sh is None else recording
 
     def _spec(self, x: F.Expr, unit: str) -> ExprFn:
         if isinstance(x, F.RangeExpr):

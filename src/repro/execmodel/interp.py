@@ -80,11 +80,12 @@ class Interpreter:
         lists compiled once to cached Python/NumPy source modules with
         loop-nest vectorization, per-statement closures for the rest;
         bit-identical to the tree walk, several times faster).
-        A shadow recorder forces the tree-walk: race instrumentation
-        lives on that path.  ``engine=None`` (the default) resolves to
-        ``$REPRO_ENGINE`` when set, else ``"tree"`` — harnesses that
-        construct interpreters without an explicit engine inherit the
-        sweep-wide selection."""
+        Both engines host a shadow recorder: the compiled engine then
+        skips loop-nest vectorization and builds closures carrying the
+        tree handlers' ``record_*`` calls.  ``engine=None`` (the
+        default) resolves to ``$REPRO_ENGINE`` when set, else
+        ``"tree"`` — harnesses that construct interpreters without an
+        explicit engine inherit the sweep-wide selection."""
         if engine is None:
             engine = os.environ.get("REPRO_ENGINE") or "tree"
         if engine not in ENGINES:
@@ -100,7 +101,7 @@ class Interpreter:
         self.shadow = shadow
         self.step_budget = step_budget
         self._steps = 0
-        self.engine = engine if shadow is None else "tree"
+        self.engine = engine
         self._compiler = None
         if self.engine == "compiled":
             from repro.execmodel.compiled import Compiler

@@ -219,8 +219,10 @@ def add_interpreter_arg(ap: argparse.ArgumentParser, default: str) -> None:
                     help="interpreter engine for every run this harness "
                          "executes: tree (reference walk) or compiled "
                          "(cached NumPy source modules for vectorizable "
-                         "loop nests, closures for the rest); results "
-                         "are bit-identical (default: $REPRO_ENGINE, "
+                         "loop nests, closures for the rest; race-"
+                         "checked runs record from closures alone); "
+                         "results and race verdicts are identical "
+                         "(default: $REPRO_ENGINE, "
                          f"else {default})")
 
 

@@ -459,9 +459,9 @@ def differential_check(prog: FuzzProgram, n: int = 24,
     """Differential-execution oracle for executable fuzz programs.
 
     Restructures the program under the ``automatic`` pipeline and
-    compares parallel interpretation (the tree walk, under the race
-    detector) against the sequential baseline on the compiled engine —
-    so generated programs exercise the engine's lowering paths, not
+    compares parallel interpretation under the race detector against
+    the sequential baseline, both on the compiled engine — so generated
+    programs exercise the engine's lowering and recording paths, not
     just the committed workloads.  Returns ``None`` when the
     configuration validates, else a description of the first failure.
     """

@@ -34,9 +34,9 @@ from repro.workloads import ValidationCase
 #: equivalence bounds the workload test suites have always used
 DEFAULT_ATOL = 1e-4
 DEFAULT_RTOL = 1e-3
-#: interpreter engine for baselines, unshadowed variants and bisection
-#: probes — the one default library and CLI callers share (race-checked
-#: variant runs use the instrumented tree walk whatever this says)
+#: interpreter engine for every run — baselines, race-checked variants
+#: and bisection probes — and the one default library and CLI callers
+#: share; ``tree`` is the oracle the fast engine's verdicts are pinned to
 DEFAULT_ENGINE = "compiled"
 
 
@@ -157,7 +157,7 @@ def run_variant(case: ValidationCase, options: RestructurerOptions,
     The parse → restructure front end is served by the compilation
     cache; callers looping over (seed × processors) cells may also pass
     a pre-restructured ``cedar``/``report`` pair to skip even the cache
-    probe.  A shadow recorder forces the tree-walk engine.
+    probe.  ``engine`` applies with or without a shadow recorder.
     """
     if cedar is None:
         cedar, report = cached_restructure(case.source, options)
@@ -287,10 +287,10 @@ def validate_workload(case: ValidationCase,
                       engine: str = DEFAULT_ENGINE) -> WorkloadResult:
     """Differentially validate one workload under every configuration.
 
-    ``engine`` selects the interpreter engine for baselines and
-    bisection; the shadow-instrumented variant runs always use the
-    tree-walk (race detection lives there), so results are engine-
-    independent by the compiled engine's numerics-identity guarantee.
+    ``engine`` selects the interpreter engine for every run: baselines,
+    the shadow-instrumented variant runs and bisection probes.  Results
+    and race verdicts are engine-independent — the compiled engine is
+    numerics-identical to the tree walk and records the same accesses.
     """
     wr = WorkloadResult(workload=case.name, suite=case.suite,
                         entry=case.entry, n=case.n,
@@ -310,6 +310,7 @@ def validate_workload(case: ValidationCase,
                     shadow = ShadowRecorder()
                     result, report = run_variant(case, opts, seed, p,
                                                  shadow=shadow,
+                                                 engine=engine,
                                                  cedar=cedar,
                                                  report=report0)
                     cr.loops_checked += shadow.loops_checked

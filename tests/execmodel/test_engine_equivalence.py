@@ -104,15 +104,21 @@ def test_track_multisets_match_baseline():
                     err_msg=f"TRACK[{engine}]/{k}: multiset diverged")
 
 
-@pytest.mark.parametrize("engine", FAST_ENGINES)
-def test_shadow_recorder_forces_tree_engine(engine):
+def test_shadow_recorder_keeps_selected_engine():
+    """A recorder rides on whichever engine was selected; under
+    ``compiled`` it only keeps statement lists out of the vectoriser."""
     from repro.execmodel.shadow import ShadowRecorder
 
-    case = CASES["tridag"]
+    case = CASES["cg"]
     cedar, _ = cached_restructure(case.source)
-    interp = Interpreter(cedar, processors=2, shadow=ShadowRecorder(),
-                         engine=engine)
-    assert interp.engine == "tree"
+    for engine in ("tree",) + FAST_ENGINES:
+        interp = Interpreter(cedar, processors=2, shadow=ShadowRecorder(),
+                             engine=engine)
+        assert interp.engine == engine
+    args, _ = case.make_args(case.n, np.random.default_rng(3))
+    interp.call(case.entry, *args)
+    assert interp._compiler.vectorized_loops == 0
+    assert interp.shadow.loops_checked > 0
 
 
 def test_unknown_engine_rejected():

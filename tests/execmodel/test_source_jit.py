@@ -9,15 +9,28 @@ through the jit-source cache, and that a poisoned module never breaks
 execution — the list falls back to closures.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.engine import cached_parse, cached_restructure
 from repro.engine import cache as cache_mod
 from repro.execmodel.interp import Interpreter
+from repro.execmodel.source_jit import JIT_VERSION
+from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
 
 CASES = validation_cases()
+
+#: what the unrecorded compiled engine did to every committed program at
+#: emitter v1: ``workload/config`` -> [vectorized_loops, fallback_stmts,
+#: digest of every statement list's cache-key inputs and module text].
+#: Regenerate (only together with a JIT_VERSION bump) by running this
+#: file: ``PYTHONPATH=src python tests/execmodel/test_source_jit.py``
+GOLDEN = Path(__file__).with_name("jit_source_golden.json")
 
 ELEM = """
       subroutine scale2(n, a, b)
@@ -202,6 +215,52 @@ class TestRestructuredPrograms:
         assert interp._compiler.vectorized_loops == 1
 
 
+def compiled_engine_footprint(cache) -> dict:
+    """Run all 22 workloads x {sequential, automatic, manual} on the
+    compiled engine, no recorder attached, through ``cache`` (which must
+    be the process default) and summarise what was compiled."""
+    seen = hashlib.sha256()
+    orig = cache.jit_source
+
+    def spy(source, *, fingerprint, emit):
+        text = orig(source, fingerprint=fingerprint, emit=emit)
+        for part in (source, fingerprint, text):
+            seen.update(part.encode() + b"\0")
+        return text
+
+    cache.jit_source = spy
+    out = {}
+    for wname, case in sorted(CASES.items()):
+        programs = {"sequential": cached_parse(case.source)}
+        for config in sorted(PIPELINE_CONFIGS):
+            programs[config] = cached_restructure(
+                case.source, PIPELINE_CONFIGS[config]())[0]
+        for config, program in programs.items():
+            seen = hashlib.sha256()
+            args, _ = case.make_args(case.n, np.random.default_rng(3))
+            interp = Interpreter(program, processors=4, engine="compiled")
+            interp.call(case.entry, *args)
+            out[f"{wname}/{config}"] = [
+                interp._compiler.vectorized_loops,
+                interp._compiler.fallback_stmts, seen.hexdigest()[:16]]
+    return out
+
+
+class TestOffMeansOff:
+    """A recorder can ride on the compiled engine; without one the
+    engine must not know: same module text under the same cache keys,
+    same loops vectorized, same statements left to closures."""
+
+    def test_unrecorded_footprint_is_the_golden_one(self, monkeypatch):
+        golden = json.loads(GOLDEN.read_text())
+        assert golden.pop("jit_version") == JIT_VERSION, (
+            "emitter changed: regenerate jit_source_golden.json")
+        cache = cache_mod.CompilationCache()
+        monkeypatch.setattr(cache_mod, "_DEFAULT", cache)
+        assert compiled_engine_footprint(cache) == golden
+        assert len(golden) == 3 * len(CASES)
+
+
 class TestModuleCache:
     @pytest.fixture
     def fresh_cache(self, monkeypatch, tmp_path):
@@ -269,3 +328,12 @@ class TestEngineSelection:
 
         with pytest.raises(InterpreterError, match="unknown engine"):
             Interpreter(cached_parse(ELEM), engine="source")
+
+
+if __name__ == "__main__":
+    cache_mod._DEFAULT = cache_mod.CompilationCache()
+    rows = {"jit_version": JIT_VERSION,
+            **compiled_engine_footprint(cache_mod._DEFAULT)}
+    GOLDEN.write_text("{\n" + ",\n".join(
+        f"{json.dumps(k)}: {json.dumps(v)}" for k, v in rows.items())
+        + "\n}\n")
