@@ -43,7 +43,9 @@ import json
 import os
 import pickle
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -68,6 +70,15 @@ ARTIFACT_KINDS = ("parse", "restructure", "jit-source")
 
 #: length of the hex digest line heading every on-disk entry
 _DIGEST_LEN = 64
+
+#: in-memory entries one process keeps; the least recently used goes
+#: first.  Without a bound a long-lived server worker holds every
+#: distinct source it was ever sent.  Sized from measured working sets:
+#: one pass of the benchmark's ``experiments-sweep`` leaves 140 entries
+#: (about 60 reused, 80 used once) and no hit on any sweep reaches
+#: further back than 55 entries, so this cap evicts nothing a pass
+#: still needs.
+MEM_ENTRIES_CAP = 96
 
 
 def options_fingerprint(options: "RestructurerOptions | None") -> str:
@@ -103,7 +114,10 @@ class CompilationCache:
                  registry: MetricsRegistry | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.enabled = enabled
-        self._mem: dict[str, object] = {}
+        # least recently used first; handler threads of a degraded
+        # (pool:serial) server share the process-wide instance
+        self._mem: OrderedDict[str, object] = OrderedDict()
+        self._mem_lock = threading.Lock()
         #: optional observer of disk-store failures (not plain misses):
         #: the server's store circuit breaker hooks in here so repeated
         #: I/O errors trip it into in-memory mode
@@ -150,6 +164,21 @@ class CompilationCache:
         if mutable:
             return F.SourceFile([u.clone() for u in sf.units])
         return sf
+
+    def seed_parse(self, source: str, sf: "F.SourceFile") -> None:
+        """Adopt ``sf`` as the pristine parse of ``source``.
+
+        For a caller that already parsed ``source`` itself — the linter,
+        whose recovering parser takes the strict parser's path on any
+        source it reports no error for — so the estimators' ``parse``
+        does not parse it a second time.  ``sf`` becomes the shared
+        instance: the caller must not modify it afterwards.
+        """
+        if not self.enabled:
+            return
+        key = content_key("parse", source)
+        if self._mem_get(key) is None:
+            self._store(key, sf, "parse")
 
     def restructure(self, source: str,
                     options: "RestructurerOptions | None" = None,
@@ -203,7 +232,8 @@ class CompilationCache:
 
     def _quarantine_value(self, key: str, kind: str) -> None:
         """Drop a decoded-but-wrong-typed entry from both stores."""
-        self._mem.pop(key, None)
+        with self._mem_lock:
+            self._mem.pop(key, None)
         self._ctr[kind, "corrupt"].inc()
         _LOG.warning("entry_wrong_type", kind=kind, key=key[:12])
         if self.cache_dir is not None:
@@ -260,7 +290,8 @@ class CompilationCache:
 
     def clear(self) -> None:
         """Drop the in-memory store (the disk store is left alone)."""
-        self._mem.clear()
+        with self._mem_lock:
+            self._mem.clear()
 
     def _zero_metrics(self) -> None:
         """Start a fresh accounting epoch (counter objects stay valid)."""
@@ -269,8 +300,22 @@ class CompilationCache:
 
     # -- storage -------------------------------------------------------
 
+    def _mem_get(self, key: str):
+        with self._mem_lock:
+            value = self._mem.get(key)
+            if value is not None:
+                self._mem.move_to_end(key)
+            return value
+
+    def _mem_put(self, key: str, value: object) -> None:
+        with self._mem_lock:
+            self._mem[key] = value
+            self._mem.move_to_end(key)
+            while len(self._mem) > MEM_ENTRIES_CAP:
+                self._mem.popitem(last=False)
+
     def _load(self, key: str, kind: str):
-        hit = self._mem.get(key)
+        hit = self._mem_get(key)
         if hit is not None:
             self._ctr[kind, "hit"].inc()
             return hit
@@ -287,7 +332,7 @@ class CompilationCache:
             if data is not None:
                 value = self._verify(data, kind, key, path)
                 if value is not None:
-                    self._mem[key] = value
+                    self._mem_put(key, value)
                     self._ctr[kind, "hit"].inc()
                     self._ctr[kind, "disk_reads"].inc()
                     self._ctr[kind, "disk_bytes_read"].inc(len(data))
@@ -341,7 +386,7 @@ class CompilationCache:
                 pass
 
     def _store(self, key: str, value: object, kind: str) -> None:
-        self._mem[key] = value
+        self._mem_put(key, value)
         if self.cache_dir is None:
             return
         path = self._disk_path(key)

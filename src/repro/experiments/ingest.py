@@ -39,6 +39,7 @@ def ingest_source(text: str, path: str, quick: bool = False,
     machine with a :class:`repro.faults.FaultPlan` (timing only; the
     restructuring itself is untouched).
     """
+    from repro.engine.cache import get_cache
     from repro.experiments.common import (SpeedupResult,
                                           restructured_estimate,
                                           serial_estimate)
@@ -49,6 +50,9 @@ def ingest_source(text: str, path: str, quick: bool = False,
     report = lint_source(text, path=path)
     if report.error_count or report.ast is None:
         return None, report
+    # the lint above already parsed a clean source: hand its tree to
+    # the estimators below instead of parsing the text a second time
+    get_cache().seed_parse(text, report.ast)
 
     size = QUICK_SIZE if quick else DEFAULT_SIZE
     machine = cedar_config1()

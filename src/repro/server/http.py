@@ -41,18 +41,28 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 def _make_handler(service: RestructurerService):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # a response is written as headers, then body; with Nagle on,
+        # the body segment waits for the client's (delayed, ~40 ms) ACK
+        # of the headers
+        disable_nagle_algorithm = True
 
         # route stdlib request logging into the structured log
         def log_message(self, fmt, *args):  # noqa: A003 - stdlib name
             _LOG.debug("http", line=fmt % args)
 
-        def _send_json(self, code: int, payload: dict) -> None:
-            body = json.dumps(payload, indent=2).encode() + b"\n"
+        def _send(self, code: int, content_type: str,
+                  body: bytes) -> None:
             self.send_response(code)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+
+        def _send_json(self, code: int, payload: dict) -> None:
+            self._send(code, "application/json",
+                       json.dumps(payload, indent=2).encode() + b"\n")
 
         def _send_envelope(self, envelope: dict) -> None:
             self._send_json(_STATUS_HTTP.get(envelope["status"], 500),
@@ -65,13 +75,8 @@ def _make_handler(service: RestructurerService):
                 ready = service.readyz()
                 self._send_json(200 if ready["ready"] else 503, ready)
             elif self.path == "/metrics":
-                body = service.metrics_text().encode()
-                self.send_response(200)
-                self.send_header("Content-Type",
-                                 "text/plain; version=0.0.4")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                self._send(200, "text/plain; version=0.0.4",
+                           service.metrics_text().encode())
             else:
                 self._send_json(404, {"error": "not found",
                                       "path": self.path})
@@ -82,10 +87,21 @@ def _make_handler(service: RestructurerService):
                 self._send_json(404, {"error": "not found",
                                       "path": self.path})
                 return
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
-                self._send_envelope(service.handle(endpoint, {
-                    "source": ""}))  # classified invalid-input
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            problem = None
+            if length < 0:
+                problem = "Content-Length must be a non-negative integer"
+            elif length > MAX_BODY_BYTES:
+                problem = f"request body exceeds {MAX_BODY_BYTES} bytes"
+            if problem is not None:
+                # the body is left unread (its length is unknown or
+                # refused), so the connection cannot carry another
+                # request: whatever follows would be parsed as one
+                self.close_connection = True
+                self._send_envelope(service.reject(endpoint, problem))
                 return
             try:
                 request = json.loads(

@@ -15,6 +15,13 @@ one of five statuses:
 ``error``           transient faults exhausted the retry budget
 ==================  =====================================================
 
+Request path: validate → result table → admission queue → pool.  The
+result table (bounded LRU, :data:`RESULT_TABLE_CAP`) computes identical
+``/restructure`` bodies once — concurrent ones wait on the first, later
+ones are answered from its retained outcome without a worker — and each
+answer is still its own envelope (own ``request_id``, ``elapsed_s``,
+metrics, service-state degradations).
+
 Durability: accepted requests journal ``accept:<id>`` before running
 and ``done:<id>`` after; a restarted server reports requests that were
 in flight when it died as ``lost-on-restart`` in ``/healthz`` instead
@@ -32,9 +39,10 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import OrderedDict
 from typing import Optional
 
-from repro.engine.cache import get_cache
+from repro.engine.cache import content_key, get_cache
 from repro.faults.harness import SweepJournal
 from repro.obs.log import get_logger
 from repro.server.breaker import OPEN, CircuitBreaker
@@ -53,14 +61,82 @@ _SUPERVISOR_SLACK_S = 5.0
 _LOG = get_logger("server.service")
 
 
-class _InflightRequest:
-    """One leader computation that identical concurrent requests join."""
+#: entries the result table keeps, least recently used evicted first.
+#: One entry is one ``/restructure`` result payload (6-34 KiB as JSON
+#: for the repository's workloads, a few times that as objects), so a
+#: long-lived server spends at most a few MB on it however many
+#: distinct bodies it is sent.
+RESULT_TABLE_CAP = 128
 
-    __slots__ = ("done", "envelope")
+
+class _Result:
+    """One result-table entry: pending until its leader settles it,
+    then the worker outcome every identical request is answered from."""
+
+    __slots__ = ("done", "outcome")
 
     def __init__(self):
         self.done = threading.Event()
-        self.envelope: Optional[dict] = None
+        #: ``{"payload", "degraded"}`` as the worker reported them —
+        #: never an envelope: ids, timings and service-state
+        #: degradations belong to the request being answered
+        self.outcome: Optional[dict] = None
+
+
+class _ResultTable:
+    """Bounded LRU of ``/restructure`` outcomes, keyed by request
+    content (:meth:`RestructurerService._dedup_key`).
+
+    An entry is *pending* while the first request with its key (the
+    leader) computes, and identical concurrent requests wait on it;
+    settled with a shareable outcome it stays and answers later
+    identical requests without a worker; settled without one it is
+    dropped.  Pending entries are never evicted — a waiter holds each —
+    so when every slot is pending a new key simply gets no entry and
+    runs uncoalesced.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[str, _Result] = OrderedDict()
+
+    def claim(self, key: str) -> tuple[Optional[_Result], bool]:
+        """``(entry, leader)``: an existing entry to be answered from
+        (``leader`` False), or a fresh pending one the caller must
+        :meth:`settle` (``leader`` True; ``None`` when the table is
+        full of pending entries)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry, False
+            if len(self._entries) >= RESULT_TABLE_CAP:
+                oldest = next((k for k, e in self._entries.items()
+                               if e.done.is_set()), None)
+                if oldest is None:
+                    return None, True
+                del self._entries[oldest]
+            entry = self._entries[key] = _Result()
+            return entry, True
+
+    def settle(self, key: str, entry: _Result,
+               outcome: Optional[dict]) -> None:
+        """Publish the leader's outcome (``None``: nothing shareable)
+        and release the waiters."""
+        with self._lock:
+            entry.outcome = outcome
+            if outcome is None and self._entries.get(key) is entry:
+                del self._entries[key]
+        entry.done.set()
+
+    def pending(self) -> int:
+        with self._lock:
+            return sum(1 for e in self._entries.values()
+                       if not e.done.is_set())
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
 
 class RestructurerService:
@@ -90,11 +166,10 @@ class RestructurerService:
         self._id_lock = threading.Lock()
         self._id_n = 0
         self._sleep = time.sleep
-        # identical concurrent /restructure bodies coalesce onto one
-        # in-flight computation, keyed by the engine cache's content
-        # address (see _dedup_key)
-        self._inflight_lock = threading.Lock()
-        self._inflight: dict[str, _InflightRequest] = {}
+        # identical /restructure bodies are computed once: concurrent
+        # ones wait on the first, later ones are answered from its
+        # retained outcome (see _dedup_key, _ResultTable)
+        self._results = _ResultTable()
         # requests that were in flight when a previous incarnation died
         self.lost_on_restart = self._recover_orphans()
         # disk-store failures anywhere in the cache feed the breaker
@@ -240,26 +315,35 @@ class RestructurerService:
                 "elapsed_s": 0.0, "traceback": "", "detail": {}}}
 
     def _dedup_key(self, endpoint: str, request: dict) -> Optional[str]:
-        """Content address of one coalescible request, or None.
+        """Result-table key of one shareable request, or None.
 
-        Only plain ``/restructure`` bodies coalesce: chaos directives
-        are per-request by design (each carries its own kill budget),
-        and other endpoints are cheap enough not to bother.  The key is
-        the engine cache's content address over the source, with every
-        result-shaping request field folded into the fingerprint — two
-        requests share a key only if their envelopes' results are
-        interchangeable by construction.
+        Only plain ``/restructure`` bodies share results: chaos
+        directives are per-request by design (each carries its own kill
+        budget), and other endpoints are cheap enough not to bother.
+        The key is the engine cache's content address over the source,
+        with every result-shaping request field folded into the
+        fingerprint — two requests share a key only if their envelopes'
+        results are interchangeable by construction.
         """
         if endpoint != "restructure" or request.get("chaos"):
             return None
-        from repro.engine.cache import content_key
-
         fp = "|".join(str(request.get(k) or "") for k in
                       ("path", "quick", "fault_scenario"))
         return content_key("server-restructure", request["source"], fp)
 
+    def reject(self, endpoint: str, reason: str) -> dict:
+        """The ``invalid-input`` envelope for a request the front end
+        refused before it had a body to hand to :meth:`handle`."""
+        return self._envelope(self._next_id(), endpoint, "invalid-input",
+                              reason=reason, t0=time.monotonic())
+
     def handle(self, endpoint: str, request) -> dict:
-        """Run one request end to end; always returns an envelope."""
+        """Run one request end to end; always returns an envelope.
+
+        The path is validate → result table → admission → pool: a body
+        whose outcome the table holds (or is computing) never reaches
+        the queue or a worker.
+        """
         request_id = self._next_id()
         t0 = time.monotonic()
         problem = self._validate(endpoint, request)
@@ -267,69 +351,88 @@ class RestructurerService:
             return self._envelope(request_id, endpoint, "invalid-input",
                                   reason=problem, t0=t0)
         key = self._dedup_key(endpoint, request)
-        cell: Optional[_InflightRequest] = None
-        leader = True
+        entry: Optional[_Result] = None
         if key is not None:
-            with self._inflight_lock:
-                cell = self._inflight.get(key)
-                if cell is None:
-                    cell = self._inflight[key] = _InflightRequest()
-                else:
-                    leader = False
-        if not leader:
-            # follower: ride the in-flight computation instead of
-            # recomputing an identical body
-            self.registry.counter("repro_server_dedup_total",
-                                  endpoint=endpoint).inc()
-            _LOG.info("request_deduplicated", request_id=request_id,
-                      endpoint=endpoint)
-            timeout_s = float(request.get("timeout_s")
-                              or self.default_timeout_s)
-            budget = (timeout_s + _SUPERVISOR_SLACK_S) \
-                * max(1, self.retry.max_attempts)
-            if cell.done.wait(budget) and cell.envelope is not None:
-                return cell.envelope
-            return self._envelope(request_id, endpoint, "shed",
-                                  reason="coalesced computation did not "
-                                         "finish in time — retry",
-                                  t0=t0)
-        envelope: Optional[dict] = None
+            entry, leader = self._results.claim(key)
+            if not leader:
+                envelope = self._answer_from(entry, request_id, endpoint,
+                                             request, t0)
+                if envelope is not None:
+                    return envelope
+                # the leader's outcome was its own (faulted, retried,
+                # shed, degraded service): compute ours, uncoalesced
+                entry = None
+        outcome: Optional[dict] = None
         try:
             deadline_s = request.get("deadline_s")
             try:
                 self.queue.acquire(
                     float(deadline_s) if deadline_s is not None else None)
             except ShedRequest as shed:
-                envelope = self._envelope(request_id, endpoint, "shed",
-                                          reason=shed.reason, t0=t0)
-                return envelope
+                return self._envelope(request_id, endpoint, "shed",
+                                      reason=shed.reason, t0=t0)
             try:
-                envelope = self._handle_admitted(request_id, endpoint,
-                                                 request, t0)
+                envelope, outcome = self._handle_admitted(
+                    request_id, endpoint, request, t0)
                 return envelope
             finally:
                 self.queue.release()
         finally:
-            if cell is not None:
-                with self._inflight_lock:
-                    self._inflight.pop(key, None)
-                cell.envelope = envelope
-                cell.done.set()
+            if entry is not None:
+                self._results.settle(key, entry, outcome)
+
+    def _answer_from(self, entry: _Result, request_id: str,
+                     endpoint: str, request: dict,
+                     t0: float) -> Optional[dict]:
+        """This request's own envelope around another request's
+        outcome; None when that request settled nothing shareable."""
+        self.registry.counter("repro_server_dedup_total",
+                              endpoint=endpoint).inc()
+        _LOG.info("request_deduplicated", request_id=request_id,
+                  endpoint=endpoint)
+        if not entry.done.is_set():
+            timeout_s = float(request.get("timeout_s")
+                              or self.default_timeout_s)
+            budget = (timeout_s + _SUPERVISOR_SLACK_S) \
+                * max(1, self.retry.max_attempts)
+            if not entry.done.wait(budget):
+                return self._envelope(
+                    request_id, endpoint, "shed",
+                    reason="coalesced computation did not finish in "
+                           "time — retry", t0=t0)
+        outcome = entry.outcome
+        if outcome is None:
+            return None
+        degraded = self._service_degradations(request_id) \
+            + outcome["degraded"]
+        return self._envelope(
+            request_id, endpoint, "degraded" if degraded else "ok",
+            degraded=degraded, result=outcome["payload"], t0=t0)
+
+    def _service_degradations(self, request_id: str) -> list[str]:
+        """Degradations the service's own state imposes on a request
+        answered now, whoever computed its result."""
+        if self.store_breaker.state != OPEN:
+            return []
+        cache = get_cache()
+        if cache.cache_dir is not None:
+            _LOG.warning("cache_disk_disabled", request_id=request_id)
+            cache.cache_dir = None
+        return ["cache:memory-only"]
 
     def _handle_admitted(self, request_id: str, endpoint: str,
-                         request: dict, t0: float) -> dict:
+                         request: dict, t0: float,
+                         ) -> tuple[dict, Optional[dict]]:
+        """``(envelope, outcome)``: ``outcome`` is the worker's
+        ``{"payload", "degraded"}`` when any identical request may be
+        answered from it — a first-attempt success on a healthy service
+        — and None otherwise."""
         self._journal(f"accept:{request_id}", {"endpoint": endpoint})
         timeout_s = float(request.get("timeout_s")
                           or self.default_timeout_s)
         req = self._build_worker_request(request_id, endpoint, request,
                                          timeout_s)
-        degraded: list[str] = []
-        if self.store_breaker.state == OPEN:
-            degraded.append("cache:memory-only")
-            cache = get_cache()
-            if cache.cache_dir is not None:
-                _LOG.warning("cache_disk_disabled", request_id=request_id)
-                cache.cache_dir = None
+        degraded = self._service_degradations(request_id)
         attempt = 0
         while True:
             attempt += 1
@@ -351,7 +454,7 @@ class RestructurerService:
                     fault=fault, t0=t0)
                 self._journal(f"done:{request_id}",
                               {"status": "error", "attempts": attempt})
-                return envelope
+                return envelope, None
             delay = self.retry.backoff(request_id, attempt)
             _LOG.warning("request_retry", request_id=request_id,
                          attempt=attempt, delay_s=delay,
@@ -366,7 +469,11 @@ class RestructurerService:
                 reason=outcome.get("message") or "invalid input", t0=t0)
             self._journal(f"done:{request_id}",
                           {"status": "invalid-input"})
-            return envelope
+            return envelope, None
+        shareable = None
+        if attempt == 1 and not degraded:
+            shareable = {"payload": outcome.get("payload"),
+                         "degraded": list(outcome.get("degraded") or [])}
         degraded.extend(outcome.get("degraded") or [])
         status = "degraded" if degraded else "ok"
         envelope = self._envelope(
@@ -374,7 +481,7 @@ class RestructurerService:
             degraded=degraded, result=outcome.get("payload"), t0=t0)
         self._journal(f"done:{request_id}",
                       {"status": status, "attempts": attempt})
-        return envelope
+        return envelope, shareable
 
     # -- health and lifecycle ----------------------------------------------
 

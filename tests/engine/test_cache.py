@@ -96,6 +96,119 @@ class TestMemoryCache:
         assert c.parse(SRC) is not a
 
 
+def variant(i: int) -> str:
+    return SRC.replace("axpy", f"axpy{i}")
+
+
+class TestBoundedMemory:
+    """The in-memory store is an LRU capped at MEM_ENTRIES_CAP."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        from repro.engine import cache as cache_mod
+
+        monkeypatch.setattr(cache_mod, "MEM_ENTRIES_CAP", 4)
+
+    def test_never_over_cap(self):
+        c = CompilationCache()
+        for i in range(12):
+            c.parse(variant(i))
+            assert c.stats()["entries"] <= 4
+        assert c.stats()["entries"] == 4
+
+    def test_reused_key_survives_eviction_pressure(self):
+        c = CompilationCache()
+        kept = c.parse(SRC)
+        for i in range(12):
+            c.parse(variant(i))
+            assert c.parse(SRC) is kept     # the hit moves it to the end
+        assert c.misses == 13
+
+    def test_evicted_key_recomputes_to_an_equal_artifact(self):
+        c = CompilationCache()
+        first = c.parse(SRC)
+        cedar, _ = c.restructure(SRC)
+        for i in range(4):
+            c.parse(variant(i))
+        misses = c.misses
+        again = c.parse(SRC)
+        assert c.misses == misses + 1
+        assert again is not first and again == first
+        assert c.restructure(SRC)[0] == cedar
+
+    def test_evicted_key_rereads_the_disk_store(self, tmp_path):
+        c = CompilationCache(cache_dir=tmp_path)
+        first = c.parse(SRC)
+        for i in range(4):
+            c.parse(variant(i))
+        misses, disk_hits = c.misses, c.disk_hits
+        again = c.parse(SRC)
+        assert c.disk_hits == disk_hits + 1 and c.misses == misses
+        assert again is not first and again == first
+
+    def test_threads_never_overfill_or_raise(self):
+        import sys
+        import threading
+
+        c = CompilationCache()
+        trees = {i: c.parse(variant(i), mutable=True) for i in range(9)}
+        failures = []
+
+        def worker(w):
+            try:
+                for n in range(300):
+                    i = (w * 5 + n) % 9
+                    c.seed_parse(variant(i), trees[i])
+                    if c.parse(variant(i)) != trees[i]:
+                        failures.append(i)
+                    if c.stats()["entries"] > 4:
+                        failures.append("over cap")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,))
+                       for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
+class TestSeedParse:
+    def test_seeded_tree_is_what_parse_returns(self):
+        from repro.fortran.parser import parse_program
+
+        c = CompilationCache()
+        sf = parse_program(SRC)
+        c.seed_parse(SRC, sf)
+        assert c.parse(SRC) is sf
+        assert c.hits == 1 and c.misses == 0
+        assert c.parse(SRC, mutable=True).units[0] is not sf.units[0]
+
+    def test_seed_never_replaces_a_cached_tree(self):
+        from repro.fortran.parser import parse_program
+
+        c = CompilationCache()
+        cached = c.parse(SRC)
+        c.seed_parse(SRC, parse_program(SRC))
+        assert c.parse(SRC) is cached
+
+    def test_disabled_cache_ignores_the_seed(self):
+        from repro.fortran.parser import parse_program
+
+        c = CompilationCache(enabled=False)
+        sf = parse_program(SRC)
+        c.seed_parse(SRC, sf)
+        assert c.parse(SRC) is not sf and c.stats()["entries"] == 0
+
+
 class TestDiskCache:
     def test_second_instance_hits_disk(self, tmp_path):
         c1 = CompilationCache(cache_dir=tmp_path)

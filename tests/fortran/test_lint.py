@@ -281,3 +281,47 @@ def test_ingest_json_is_experiment_shaped(capsys):
     for row in table["rows"]:
         assert set(row) == set(table["columns"])
     assert table["meta"]["lint"]["ok"] is True
+
+
+def clean_sources():
+    """The 22 validation sources and the pinned 50-program fuzz corpus."""
+    import pathlib
+
+    from repro.workloads import validation_cases
+
+    corpus = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.f"))
+    return [(name, case.source)
+            for name, case in sorted(validation_cases().items())] \
+        + [(p.name, p.read_text()) for p in corpus]
+
+
+def test_clean_lint_tree_is_the_strict_parsers_tree():
+    """``ingest_source`` hands the linter's tree to the estimators
+    (``seed_parse``) instead of parsing a clean source again: on a
+    source with no error the recovering parser must have built exactly
+    what the strict one builds."""
+    sources = clean_sources()
+    assert len(sources) == 22 + 50
+    for name, source in sources:
+        report = lint_source(source, path=name)
+        assert report.error_count == 0, name
+        assert report.ast == parse_program(source), name
+
+
+def test_ingest_json_is_the_same_with_and_without_the_seeded_tree(capsys):
+    from repro.engine import cache
+
+    argv = ["--source", "examples/sample.f", "--quick", "--json"]
+    try:
+        cache.configure(enabled=False)      # seeding off: strict parse
+        assert experiments_main(argv) == 0
+        strict = capsys.readouterr().out
+        seeded_cache = cache.configure(enabled=True)
+        assert experiments_main(argv) == 0
+        seeded = capsys.readouterr().out
+        by_kind = seeded_cache.stats()["by_kind"]
+    finally:
+        cache.configure()
+    assert seeded == strict
+    # the one tree served every consumer: nothing was parsed twice
+    assert by_kind["parse"]["misses"] == 0 and by_kind["parse"]["hits"] > 0

@@ -1,6 +1,7 @@
 """The HTTP front end: routes, status mapping, concurrent clients."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -145,3 +146,100 @@ class TestConcurrentClients:
                    for _, status in results)
         assert sum(1 for c, _ in results if c == 200) == 6
         assert sum(1 for c, _ in results if c == 422) == 3
+
+
+def raw_exchange(url, request: bytes, timeout=10.0) -> bytes:
+    """Send ``request`` verbatim; return everything the server writes
+    until it closes the connection (or ``timeout`` passes)."""
+    host, port = url[len("http://"):].split(":")
+    with socket.create_connection((host, int(port)),
+                                  timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def split_responses(stream: bytes) -> list[tuple[int, dict]]:
+    """The ``(status code, JSON body)`` of each response in ``stream``."""
+    out = []
+    while stream:
+        head, _, rest = stream.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        length = next(int(line.split(b":")[1]) for line in lines
+                      if line.lower().startswith(b"content-length:"))
+        out.append((int(lines[0].split()[1]), json.loads(rest[:length])))
+        stream = rest[length:]
+    return out
+
+
+def post_head(path: str, content_length: str) -> bytes:
+    return (f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n").encode()
+
+
+class TestContentLength:
+    """A refused or unparseable ``Content-Length`` is a classified 422
+    and never leaves the connection's framing in doubt."""
+
+    def test_oversized_body_is_refused_and_not_reparsed(self, server_url):
+        from repro.server.http import MAX_BODY_BYTES
+
+        # the refused body, pipelined, spells a second request: a
+        # server that left it unread would answer it too
+        body = post_head("/lint", "2") + b"{}"
+        stream = raw_exchange(
+            server_url,
+            post_head("/restructure", str(MAX_BODY_BYTES + 1)) + body)
+        responses = split_responses(stream)
+        assert len(responses) == 1
+        code, env = responses[0]
+        assert code == 422 and env["status"] == "invalid-input"
+        assert env["reason"] == \
+            f"request body exceeds {MAX_BODY_BYTES} bytes"
+        assert b"connection: close" in stream.lower()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_unusable_length_is_classified(self, server_url, value):
+        # returns at all: rfile.read(-1) would block until the timeout
+        stream = raw_exchange(server_url,
+                              post_head("/restructure", value))
+        (code, env), = split_responses(stream)
+        assert code == 422 and env["status"] == "invalid-input"
+        assert env["schema"] == "repro-server/1"
+        assert "Content-Length" in env["reason"]
+
+
+class TestTransport:
+    def test_accepted_connection_has_nagle_off(self):
+        """Headers and body are two writes; with Nagle on, the second
+        waits out the client's delayed ACK of the first."""
+        svc = RestructurerService(workers=1, registry=MetricsRegistry())
+        server = make_server(svc)
+        seen = []
+
+        class Recording(server.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                seen.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        server.RequestHandlerClass = Recording
+        thread = threading.Thread(target=server.serve_forever,
+                                  daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            code, _ = get(f"http://{host}:{port}", "/readyz")
+        finally:
+            server.shutdown()
+            server.server_close()
+            svc.drain(timeout_s=5.0)
+            get_cache().disk_error_hook = None
+        assert code == 200
+        assert seen and all(seen)

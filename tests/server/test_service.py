@@ -36,6 +36,20 @@ def service():
     get_cache().disk_error_hook = None
 
 
+def counter_values(service, name: str) -> list:
+    return [c["value"] for c in service.registry.snapshot()["counters"]
+            if c["name"] == name]
+
+
+def wait_until(predicate, timeout_s: float = 10.0) -> None:
+    import time
+
+    give_up = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < give_up, "condition never held"
+        time.sleep(0.002)
+
+
 class TestEnvelope:
     def test_ok_envelope_shape(self, service):
         env = service.handle("restructure", {"source": SRC,
@@ -195,8 +209,8 @@ class TestLifecycle:
 class TestRequestDedup:
     """Identical concurrent /restructure bodies coalesce onto one
     in-flight computation (content-addressed by source + result-shaping
-    fields); followers ride the leader's envelope instead of
-    recomputing."""
+    fields); followers are answered from the leader's outcome, each in
+    its own envelope, instead of recomputing."""
 
     BODY = {"source": SRC, "quick": True}
 
@@ -231,39 +245,47 @@ class TestRequestDedup:
             "restructure", {**self.BODY, "chaos": {"stall_s": 1}}) is None
         assert service._dedup_key("lint", dict(self.BODY)) is None
 
-    def test_follower_rides_leader_envelope(self, service):
+    def test_follower_shares_the_result_not_the_envelope(self, service):
         import threading
 
-        from repro.server.service import _InflightRequest
+        release = threading.Event()
+        canned = {"outcome": "ok", "payload": {"x": 1}, "degraded": []}
 
-        key = service._dedup_key("restructure", dict(self.BODY))
-        cell = service._inflight[key] = _InflightRequest()
-        got = {}
+        def blocked_attempt(req, degraded):
+            assert release.wait(10.0)
+            return dict(canned)
 
-        def follower():
-            got["env"] = service.handle("restructure", dict(self.BODY))
+        service._run_attempt = blocked_attempt
+        envs = []
 
-        t = threading.Thread(target=follower)
-        t.start()
-        # the follower is parked on the in-flight cell; publish the
-        # leader's envelope and it must return that object verbatim
-        leader_env = {"schema": SERVER_SCHEMA, "status": "ok",
-                      "request_id": "req-leader", "result": {"x": 1}}
-        cell.envelope = leader_env
-        cell.done.set()
-        t.join(timeout=10.0)
-        assert not t.is_alive()
-        assert got["env"] is leader_env
-        dedups = [c["value"]
-                  for c in service.registry.snapshot()["counters"]
-                  if c["name"] == "repro_server_dedup_total"]
-        assert dedups == [1]
-        del service._inflight[key]
+        def call():
+            envs.append(service.handle("restructure", dict(self.BODY)))
 
-    def test_leader_clears_the_inflight_table(self, service):
-        env = service.handle("restructure", dict(self.BODY))
-        assert env["status"] == "ok"
-        assert service._inflight == {}
+        leader = threading.Thread(target=call)
+        leader.start()
+        wait_until(lambda: service._results.pending() == 1)
+        follower = threading.Thread(target=call)
+        follower.start()
+        # the follower is parked on the leader's pending entry
+        wait_until(lambda: counter_values(
+            service, "repro_server_dedup_total") == [1])
+        release.set()
+        for t in (leader, follower):
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        a, b = envs
+        assert a["status"] == b["status"] == "ok"
+        assert a["result"] == b["result"] == {"x": 1}
+        assert a["request_id"] != b["request_id"]
+        assert counter_values(service, "repro_server_dedup_total") == [1]
+        assert counter_values(service,
+                              "repro_server_requests_total") == [2]
+
+    def test_no_pending_entry_survives_a_finished_request(self, service):
+        for body in (self.BODY, {"source": "not fortran"},
+                     {**self.BODY, "fault_scenario": "chaos"}):
+            service.handle("restructure", dict(body))
+            assert service._results.pending() == 0
 
     def test_concurrent_identical_requests_all_serve(self, service):
         import threading
@@ -283,8 +305,187 @@ class TestRequestDedup:
             t.join(timeout=120.0)
         assert len(envs) == 3
         assert all(e["status"] == "ok" for e in envs)
-        # coalesced followers return the leader's envelope verbatim, so
-        # payloads agree whether or not the threads actually overlapped
+        # coalesced followers are answered from the leader's outcome,
+        # so payloads agree whether or not the threads overlapped
         results = [e["result"]["experiment"]["experiments"]["source"]
                    for e in envs]
         assert results[0] == results[1] == results[2]
+
+
+class TestResultTable:
+    """The bounded table in front of the pool: what it answers, what it
+    refuses to keep, and that it stays bounded."""
+
+    BODY = {"source": SRC, "quick": True}
+
+    @staticmethod
+    def count_pool_calls(service) -> list:
+        calls = []
+        submit = service.supervisor.submit
+
+        def counting(fn, req, label, **kw):
+            calls.append(label)
+            return submit(fn, req, label, **kw)
+
+        service.supervisor.submit = counting
+        return calls
+
+    @staticmethod
+    def canned_attempts(service, outcomes=None) -> list:
+        """Replace the pool with a stub answering ``outcomes`` in turn
+        (then a plain ok echoing the request's source); returns the
+        list of sources it was asked for."""
+        asked = []
+        queue = list(outcomes or [])
+
+        def attempt(req, degraded):
+            asked.append(req["source"])
+            if queue:
+                return queue.pop(0)
+            return {"outcome": "ok", "payload": {"echo": req["source"]},
+                    "degraded": []}
+
+        service._run_attempt = attempt
+        return asked
+
+    @pytest.mark.parametrize("extra", [{}, {"fault_scenario": "chaos"}])
+    def test_hit_equals_the_pool_computed_result(self, service, extra):
+        calls = self.count_pool_calls(service)
+        body = {**self.BODY, **extra}
+        first = service.handle("restructure", dict(body))
+        hit = service.handle("restructure", dict(body))
+        assert len(calls) == 1              # the hit never saw the pool
+        assert hit["result"] == first["result"]
+        assert hit["status"] == first["status"] \
+            == ("degraded" if extra else "ok")
+        assert hit["degraded"] == first["degraded"]
+        assert hit["request_id"] != first["request_id"]
+        assert hit["attempts"] == 1 and hit["fault"] is None
+        assert set(hit) == ENVELOPE_KEYS
+        assert sum(counter_values(
+            service, "repro_server_requests_total")) == 2
+
+    def test_chaos_and_lint_bodies_are_not_retained(self, service):
+        service.handle("lint", {"source": SRC})
+        service.handle("restructure",
+                       {**self.BODY, "chaos": {"stall_s": 0.0}})
+        assert len(service._results) == 0
+
+    def test_faulted_and_retried_outcomes_are_not_retained(self, service):
+        fault = {"outcome": "fault", "fault": {
+            "label": "x", "kind": "internal", "error_type": "Boom",
+            "message": "boom", "elapsed_s": 0.0, "traceback": "",
+            "detail": {}}}
+        asked = self.canned_attempts(service, [dict(fault)])
+        env = service.handle("restructure", dict(self.BODY))
+        assert env["status"] == "ok" and env["attempts"] == 2
+        assert len(service._results) == 0
+        self.canned_attempts(service, [dict(fault), dict(fault)])
+        env = service.handle("restructure", dict(self.BODY))
+        assert env["status"] == "error"
+        assert len(service._results) == 0
+        assert len(asked) == 2
+
+    def test_worker_invalid_input_is_not_retained(self, service):
+        env = service.handle("restructure", {"source": "not fortran"})
+        assert env["status"] == "invalid-input"
+        assert len(service._results) == 0
+
+    def test_pool_serial_outcome_is_not_retained(self, service):
+        for _ in range(3):
+            service.pool_breaker.record_failure()
+        env = service.handle("restructure", dict(self.BODY))
+        assert env["degraded"] == ["pool:serial"]
+        assert len(service._results) == 0
+
+    def test_hit_under_open_store_breaker_reports_memory_only(
+            self, service):
+        calls = self.count_pool_calls(service)
+        first = service.handle("restructure", dict(self.BODY))
+        assert first["status"] == "ok"
+        for _ in range(3):
+            service.store_breaker.record_failure()
+        assert service.store_breaker.state == "open"
+        hit = service.handle("restructure", dict(self.BODY))
+        assert len(calls) == 1
+        assert hit["status"] == "degraded"
+        assert hit["degraded"] == ["cache:memory-only"]
+        assert hit["result"] == first["result"]
+
+    def test_never_exceeds_its_cap_and_keeps_what_is_reused(
+            self, service, monkeypatch):
+        from repro.server import service as service_mod
+
+        monkeypatch.setattr(service_mod, "RESULT_TABLE_CAP", 3)
+        asked = self.canned_attempts(service)
+        for i in range(10):
+            service.handle("restructure", {"source": f"s{i}"})
+            assert len(service._results) <= 3
+            # s0 is asked for again between any two new bodies, so
+            # eviction pressure never reaches it
+            env = service.handle("restructure", {"source": "s0"})
+            assert env["result"] == {"echo": "s0"}
+        assert asked.count("s0") == 1
+        # an evicted body is simply computed again
+        env = service.handle("restructure", {"source": "s1"})
+        assert env["result"] == {"echo": "s1"}
+        assert asked.count("s1") == 2
+        assert len(service._results) <= 3
+
+    def test_pending_entries_are_never_evicted(self, monkeypatch):
+        from repro.server import service as service_mod
+
+        monkeypatch.setattr(service_mod, "RESULT_TABLE_CAP", 2)
+        table = service_mod._ResultTable()
+        a, a_leads = table.claim("a")
+        b, b_leads = table.claim("b")
+        assert a_leads and b_leads
+        # both slots pending: a third key gets no entry, evicts nothing
+        assert table.claim("c") == (None, True)
+        assert len(table) == 2 and table.pending() == 2
+        table.settle("a", a, {"payload": 1, "degraded": []})
+        c, c_leads = table.claim("c")       # evicts settled a, not b
+        assert c is not None and c_leads
+        assert table.claim("b") == (b, False)
+        assert table.claim("a") == (None, True)
+        assert len(table) == 2 and table.pending() == 2
+
+    def test_concurrent_mixed_keys_stress(self, service, monkeypatch):
+        """More threads than cores over fewer slots than keys: every
+        answer is the right one for its body, the table stays within
+        its cap, nothing is left pending, every request is counted."""
+        import sys
+        import threading
+
+        from repro.server import service as service_mod
+
+        monkeypatch.setattr(service_mod, "RESULT_TABLE_CAP", 4)
+        self.canned_attempts(service)
+        service.queue.capacity = 64
+        wrong, over_cap = [], []
+
+        def client(i):
+            for n in range(40):
+                src = f"s{(i * 7 + n) % 9}"
+                env = service.handle("restructure", {"source": src})
+                if env["result"] != {"echo": src}:
+                    wrong.append((src, env))
+                if len(service._results) > 4:
+                    over_cap.append(len(service._results))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and over_cap == []
+        assert service._results.pending() == 0
+        assert sum(counter_values(
+            service, "repro_server_requests_total")) == 8 * 40
