@@ -16,6 +16,7 @@ Submodules:
 - :mod:`repro.analysis.reductions` — reduction recognition (scalar sums,
   min/max, dot products, array-element accumulators, multiple statements).
 - :mod:`repro.analysis.privatization` — scalar and array privatization.
+- :mod:`repro.analysis.nest` — one lazily filled record of these per nest.
 - :mod:`repro.analysis.interproc` — call graph, MOD/REF summaries,
   demand-driven interprocedural constant propagation.
 - :mod:`repro.analysis.runtime_test` — run-time dependence test synthesis

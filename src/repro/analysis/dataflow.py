@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
+from repro.analysis.refs import subscripts_of
 from repro.fortran import ast_nodes as F
 
 
@@ -27,13 +28,6 @@ class Assigned(IntEnum):
     NO = 0
     MAYBE = 1
     YES = 2
-
-
-def _join(a: Assigned, b: Assigned) -> Assigned:
-    """Merge of two control-flow paths."""
-    if a == b:
-        return a
-    return Assigned.MAYBE
 
 
 @dataclass
@@ -75,170 +69,194 @@ def _trips_at_least_once(loop: F.DoLoop) -> bool:
     return False
 
 
-def _expr_reads(e: F.Expr, name: str) -> bool:
-    for n in e.walk():
-        if isinstance(n, F.Var) and n.name == name:
-            return True
-    return False
+class RegionUsage:
+    """Definite-assignment summaries of *every* scalar in a statement
+    region, from one walk (the restructurer asks about each candidate
+    name of a nest; the region is walked once, not once per name)."""
+
+    def __init__(self, stmts: list[F.Stmt]):
+        self.saw_goto = False
+        self._usage: dict[str, ScalarUsage] = {}
+        self._region(stmts, (self._usage, None))
+
+    def of(self, name: str) -> ScalarUsage:
+        u = self._usage.get(name) or ScalarUsage()
+        u.saw_goto = self.saw_goto  # a GOTO anywhere taints every name
+        return u
+
+    def observes(self, name: str) -> bool:
+        """Would executing the region observe the variable's current
+        value?  True only for an *upward-exposed* read (a read reached
+        before any sure redefinition) or an opaque call/GOTO — a region
+        that redefines the variable before every read does not keep it
+        live."""
+        u = self._usage.get(name)
+        return self.saw_goto or (u is not None
+                                 and (u.upward_exposed or u.in_call))
+
+    # A scope is (usage by name, enclosing scope).  A nested region starts
+    # each name at the enclosing scope's *current* state, read lazily on
+    # first touch: the enclosing state cannot change while the nested
+    # region is being walked.
+
+    @staticmethod
+    def _get(scope, name: str) -> ScalarUsage:
+        usage, outer = scope
+        u = usage.get(name)
+        if u is None:
+            assigned = Assigned.NO
+            while outer is not None:
+                seen = outer[0].get(name)
+                if seen is not None:
+                    assigned = seen.assigned
+                    break
+                outer = outer[1]
+            u = usage[name] = ScalarUsage(assigned=assigned)
+        return u
+
+    def _reads(self, e: F.Expr, scope) -> None:
+        for n in e.walk():
+            if isinstance(n, F.Var):
+                u = self._get(scope, n.name)
+                u.read_anywhere = True
+                if u.assigned != Assigned.YES:
+                    u.upward_exposed = True
+
+    def _writes(self, name: str, scope) -> None:
+        u = self._get(scope, name)
+        u.assigned = Assigned.YES
+        u.written_anywhere = True
+
+    def _region(self, stmts: list[F.Stmt], scope) -> None:
+        for s in stmts:
+            self._stmt(s, scope)
+
+    def _nested(self, scope, walk, arg) -> dict[str, ScalarUsage]:
+        """Walk a nested region; fold its flags into ``scope`` and return
+        its per-name usage for the caller's ``assigned`` merge."""
+        inner: dict[str, ScalarUsage] = {}
+        walk(arg, (inner, scope))
+        for name, iu in inner.items():
+            u = self._get(scope, name)
+            u.read_anywhere |= iu.read_anywhere
+            u.written_anywhere |= iu.written_anywhere
+            u.in_call |= iu.in_call
+        return inner
+
+    def _stmt(self, s: F.Stmt, scope) -> None:
+        if isinstance(s, F.Assign):
+            self._reads(s.value, scope)
+            t = s.target
+            if isinstance(t, F.Var):
+                self._writes(t.name, scope)
+            else:
+                for x in subscripts_of(t) or ():
+                    self._reads(x, scope)
+        elif isinstance(s, F.DoLoop):
+            for e in (s.start, s.end, s.step):
+                if e is not None:
+                    self._reads(e, scope)
+            # loop variable reads inside refer to the (assigned) index
+            self._writes(s.var, scope)
+            trips = _trips_at_least_once(s)
+            for name, iu in self._nested(scope, self._region,
+                                         s.body).items():
+                u = scope[0][name]
+                if u.assigned != Assigned.YES:
+                    if iu.upward_exposed:
+                        u.upward_exposed = True
+                    if not trips and iu.written_anywhere:
+                        # body may execute zero times: sure defs degrade
+                        u.assigned = Assigned.MAYBE
+                if trips:
+                    u.assigned = iu.assigned
+        elif isinstance(s, F.IfBlock):
+            for c, _ in s.arms:
+                if c is not None:
+                    self._reads(c, scope)
+            entry = {}
+            arms = []
+            for _, body in s.arms:
+                arms.append(self._nested(scope, self._region, body))
+                for name in arms[-1]:
+                    if name not in entry:
+                        entry[name] = scope[0][name].assigned
+                        # flags were folded in; ``assigned`` is untouched
+                        # until every arm has been walked
+            falls_through = not s.arms or s.arms[-1][0] is not None
+            for name, before in entry.items():
+                u = scope[0][name]
+                states = [arm[name].assigned if name in arm else before
+                          for arm in arms]
+                if falls_through:
+                    states.append(before)  # no ELSE
+                # merge of the control-flow paths: sure only if all agree
+                u.assigned = (states[0] if len(set(states)) == 1
+                              else Assigned.MAYBE)
+                if any(name in arm and arm[name].upward_exposed
+                       for arm in arms):
+                    u.upward_exposed = True
+        elif isinstance(s, F.LogicalIf):
+            self._reads(s.cond, scope)
+            for name, iu in self._nested(scope, self._stmt, s.stmt).items():
+                u = scope[0][name]
+                if iu.upward_exposed:
+                    u.upward_exposed = True
+                if iu.assigned == Assigned.YES and u.assigned != Assigned.YES:
+                    u.assigned = Assigned.MAYBE
+        elif isinstance(s, F.CallStmt):
+            for a in s.args:
+                if isinstance(a, F.Var):
+                    u = self._get(scope, a.name)
+                    u.in_call = u.read_anywhere = u.written_anywhere = True
+                else:
+                    self._reads(a, scope)
+        elif isinstance(s, (F.Goto, F.ComputedGoto)):
+            self.saw_goto = True
+        elif isinstance(s, F.PrintStmt):
+            for item in s.items:
+                self._reads(item, scope)
+        elif isinstance(s, F.ReadStmt):
+            for item in s.items:
+                if isinstance(item, F.Var):
+                    self._writes(item.name, scope)
+        # Continue / Return / Stop / declarations: no effect
 
 
 def scalar_usage(stmts: list[F.Stmt], name: str) -> ScalarUsage:
     """Analyze reads/writes of scalar ``name`` through a statement region."""
-    u = ScalarUsage()
-    _walk_region(stmts, name, u)
-    return u
+    return RegionUsage(stmts).of(name)
 
 
-def _walk_region(stmts: list[F.Stmt], name: str, u: ScalarUsage) -> None:
-    for s in stmts:
-        _walk_stmt(s, name, u)
-
-
-def _note_read(u: ScalarUsage) -> None:
-    u.read_anywhere = True
-    if u.assigned != Assigned.YES:
-        u.upward_exposed = True
-
-
-def _walk_stmt(s: F.Stmt, name: str, u: ScalarUsage) -> None:
-    if isinstance(s, F.Assign):
-        if _expr_reads(s.value, name):
-            _note_read(u)
-        t = s.target
-        if isinstance(t, (F.ArrayRef, F.Apply)):
-            subs = t.subscripts if isinstance(t, F.ArrayRef) else t.args
-            if any(_expr_reads(x, name) for x in subs):
-                _note_read(u)
-        if isinstance(t, F.Var) and t.name == name:
-            u.assigned = Assigned.YES
-            u.written_anywhere = True
-        return
-    if isinstance(s, F.DoLoop):
-        for e in (s.start, s.end, s.step):
-            if e is not None and _expr_reads(e, name):
-                _note_read(u)
-        if s.var == name:
-            u.assigned = Assigned.YES
-            u.written_anywhere = True
-            # loop variable reads inside refer to the (assigned) index
-        inner = ScalarUsage()
-        inner.assigned = u.assigned
-        _walk_region(s.body, name, inner)
-        if inner.upward_exposed and u.assigned != Assigned.YES:
-            u.upward_exposed = True
-        u.read_anywhere |= inner.read_anywhere
-        u.written_anywhere |= inner.written_anywhere
-        u.in_call |= inner.in_call
-        u.saw_goto |= inner.saw_goto
-        if _trips_at_least_once(s):
-            u.assigned = inner.assigned
-        elif inner.written_anywhere and u.assigned != Assigned.YES:
-            # body may execute zero times: sure defs degrade to MAYBE
-            u.assigned = Assigned.MAYBE
-        return
-    if isinstance(s, F.IfBlock):
-        if any(c is not None and _expr_reads(c, name) for c, _ in s.arms):
-            _note_read(u)
-        states = []
-        any_read_exposed = False
-        for cond, body in s.arms:
-            inner = ScalarUsage()
-            inner.assigned = u.assigned
-            _walk_region(body, name, inner)
-            states.append(inner.assigned)
-            any_read_exposed |= inner.upward_exposed
-            u.read_anywhere |= inner.read_anywhere
-            u.written_anywhere |= inner.written_anywhere
-            u.in_call |= inner.in_call
-            u.saw_goto |= inner.saw_goto
-        if not s.arms or s.arms[-1][0] is not None:
-            states.append(u.assigned)  # fall-through when no ELSE
-        merged = states[0]
-        for st in states[1:]:
-            merged = _join(merged, st)
-        u.assigned = merged
-        if any_read_exposed:
-            u.upward_exposed = True
-        return
-    if isinstance(s, F.LogicalIf):
-        if _expr_reads(s.cond, name):
-            _note_read(u)
-        inner = ScalarUsage()
-        inner.assigned = u.assigned
-        _walk_stmt(s.stmt, name, inner)
-        if inner.upward_exposed:
-            u.upward_exposed = True
-        u.read_anywhere |= inner.read_anywhere
-        u.written_anywhere |= inner.written_anywhere
-        u.in_call |= inner.in_call
-        u.saw_goto |= inner.saw_goto
-        if inner.assigned == Assigned.YES and u.assigned != Assigned.YES:
-            u.assigned = Assigned.MAYBE
-        return
-    if isinstance(s, F.CallStmt):
-        for a in s.args:
-            if isinstance(a, F.Var) and a.name == name:
-                u.in_call = True
-                u.read_anywhere = True
-                u.written_anywhere = True
-            elif _expr_reads(a, name):
-                _note_read(u)
-        return
-    if isinstance(s, (F.Goto, F.ComputedGoto)):
-        u.saw_goto = True
-        return
-    if isinstance(s, F.PrintStmt):
-        if any(_expr_reads(i, name) for i in s.items):
-            _note_read(u)
-        return
-    if isinstance(s, F.ReadStmt):
-        for i in s.items:
-            if isinstance(i, F.Var) and i.name == name:
-                u.assigned = Assigned.YES
-                u.written_anywhere = True
-        return
-    # Continue / Return / Stop / declarations: no effect
+def regions_after(stmts: list[F.Stmt],
+                  marker: F.Stmt) -> Optional[list[list[F.Stmt]]]:
+    """The statement regions control may reach after ``marker`` finishes:
+    the rest of its own statement list, then for each enclosing construct
+    outwards the loop body (later iterations re-execute it) and the rest
+    of that level.  None if ``marker`` is not under ``stmts``."""
+    for idx, s in enumerate(stmts):
+        if s is marker:
+            return [stmts[idx + 1:]]
+        if isinstance(s, F.DoLoop):
+            sub = regions_after(s.body, marker)
+            if sub is not None:
+                return sub + [s.body, stmts[idx + 1:]]
+        elif isinstance(s, F.IfBlock):
+            for _, body in s.arms:
+                sub = regions_after(body, marker)
+                if sub is not None:
+                    return sub + [stmts[idx + 1:]]
+    return None
 
 
 def reads_after(stmts: list[F.Stmt], marker: F.Stmt, name: str) -> Optional[bool]:
     """Does ``name`` get read in ``stmts`` strictly after statement ``marker``?
 
-    Searches the flat statement list containing ``marker`` and everything
-    nested below later statements.  Returns None if ``marker`` is not found
-    at this level (caller should descend).
+    Returns None if ``marker`` is not found.
     """
-    def observes(region: list[F.Stmt]) -> bool:
-        """Would executing ``region`` next observe the current value?
-
-        True only for an *upward-exposed* read (a read reached before any
-        sure redefinition) or an opaque call — a region that redefines the
-        variable before every read does not keep it live.
-        """
-        usage = scalar_usage(region, name)
-        return usage.upward_exposed or usage.in_call or usage.saw_goto
-
-    for idx, s in enumerate(stmts):
-        if s is marker:
-            return observes(stmts[idx + 1:])
-        # descend into structured statements
-        if isinstance(s, F.DoLoop):
-            sub = reads_after(s.body, marker, name)
-            if sub is not None:
-                if sub:
-                    return True
-                # later iterations of this loop re-execute the whole body,
-                # then the statements after the loop run
-                if observes(s.body):
-                    return True
-                return observes(stmts[idx + 1:])
-        elif isinstance(s, F.IfBlock):
-            for _, body in s.arms:
-                sub = reads_after(body, marker, name)
-                if sub is not None:
-                    if sub:
-                        return True
-                    return observes(stmts[idx + 1:])
-    return None
+    regions = regions_after(stmts, marker)
+    return None if regions is None else any(
+        RegionUsage(r).observes(name) for r in regions)
 
 
 def live_after_loop(unit: F.ProgramUnit, loop: F.Stmt, name: str,
@@ -248,9 +266,5 @@ def live_after_loop(unit: F.ProgramUnit, loop: F.Stmt, name: str,
     ``escapes`` should be True for dummy arguments, COMMON and SAVE
     variables (their value is observable by callers).
     """
-    if escapes:
-        return True
-    result = reads_after(unit.body, loop, name)
-    if result is None:
-        return True  # loop not found where expected: stay safe
-    return result
+    # None: loop not found where expected — stay safe
+    return escapes or reads_after(unit.body, loop, name) is not False

@@ -24,9 +24,6 @@ from repro.analysis.depend.tests import DependenceTester, TestResult
 from repro.analysis.refs import LoopInfo, Ref, RefCollector
 from repro.fortran import ast_nodes as F
 
-#: Names whose references never produce memory dependences (sync intrinsics).
-_IGNORED_NAMES: frozenset[str] = frozenset()
-
 
 @dataclass
 class Dependence:
@@ -75,9 +72,6 @@ class DependenceGraph:
         """Dependences carried by the loop at ``depth`` in the nest."""
         return [d for d in self.deps if d.carried_by(depth)]
 
-    def on_variable(self, name: str) -> list[Dependence]:
-        return [d for d in self.deps if d.variable == name]
-
     def variables_with_carried(self, depth: int) -> set[str]:
         return {d.variable for d in self.carried_at(depth)}
 
@@ -107,31 +101,26 @@ def _common_nest(a: Ref, b: Ref) -> tuple[LoopInfo, ...]:
 def build_dependence_graph(loop: F.DoLoop,
                            params: Mapping[str, int] | None = None,
                            effects=None,
-                           scalars: bool = True) -> DependenceGraph:
+                           refs: list[Ref] | None = None) -> DependenceGraph:
     """Build the dependence graph of ``loop`` (the outermost of the nest).
 
     ``params`` maps PARAMETER names to integer values.  ``effects`` is an
-    optional interprocedural MOD/REF oracle for CALL statements.  With
-    ``scalars=False``, scalar-variable dependences are omitted (useful when
-    the caller has already run scalar analyses).
+    optional interprocedural MOD/REF oracle for CALL statements.  A
+    caller that already holds the nest's reference inventory (collected
+    with that oracle, under ``LoopInfo.of(loop)``) passes it as ``refs``.
     """
-    rc = RefCollector(effects)
-    rc.collect(loop.body, (LoopInfo.of(loop),))
-    refs = rc.refs
+    if refs is None:
+        refs = RefCollector(effects).collect(loop.body, (LoopInfo.of(loop),))
     graph = DependenceGraph(loop=loop, nest=(LoopInfo.of(loop),), refs=refs)
 
     # group references by variable
     by_name: dict[str, list[tuple[int, Ref]]] = {}
     for pos, r in enumerate(refs):
-        if r.name in _IGNORED_NAMES:
-            continue
         by_name.setdefault(r.name, []).append((pos, r))
 
     loop_vars = {li.var for r in refs for li in r.loops}
 
     for name, items in by_name.items():
-        if not scalars and all(r.is_scalar for _, r in items):
-            continue
         if name in loop_vars and all(r.is_scalar for _, r in items):
             continue  # loop index variables are handled by loop semantics
         writes = [(p, r) for p, r in items if r.is_write]

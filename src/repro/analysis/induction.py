@@ -24,7 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.expr import const_value, linearize, simplify
+from collections import Counter
+
+from repro.analysis.expr import LinearExpr, const_value, linearize, simplify
+from repro.analysis.nest import NestRecord
 from repro.fortran import ast_nodes as F
 
 
@@ -76,22 +79,18 @@ def _invariant(e: F.Expr, loop_vars: set[str], written: set[str]) -> bool:
     return True
 
 
-def _count_writes(stmts: list[F.Stmt], name: str) -> int:
-    count = 0
-    for s in F.stmts_walk(stmts):
-        if isinstance(s, F.Assign) and isinstance(s.target, F.Var) \
-                and s.target.name == name:
-            count += 1
-        elif isinstance(s, F.CallStmt):
-            for a in s.args:
-                if isinstance(a, F.Var) and a.name == name:
-                    count += 1  # conservative
-        elif isinstance(s, F.DoLoop) and s.var == name:
-            count += 1
-        elif isinstance(s, F.ReadStmt):
-            for a in s.items:
-                if isinstance(a, F.Var) and a.name == name:
-                    count += 1
+def _write_counts(stmts: list[F.Stmt]) -> Counter:
+    """How many statements write each scalar (conservative for calls)."""
+    count: Counter = Counter()
+    for s in stmts:
+        if isinstance(s, F.Assign) and isinstance(s.target, F.Var):
+            count[s.target.name] += 1
+        elif isinstance(s, F.DoLoop):
+            count[s.var] += 1
+        elif isinstance(s, (F.CallStmt, F.ReadStmt)):
+            for a in (s.args if isinstance(s, F.CallStmt) else s.items):
+                if isinstance(a, F.Var):
+                    count[a.name] += 1
     return count
 
 
@@ -126,7 +125,7 @@ def _find(stmts: list[F.Stmt], target: F.Stmt) -> bool:
     return False
 
 
-def find_induction_variables(loop: F.DoLoop,
+def find_induction_variables(loop: "F.DoLoop | NestRecord",
                              params: dict[str, int] | None = None
                              ) -> list[InductionVar]:
     """Find induction variables of ``loop`` (updates anywhere in its nest).
@@ -134,25 +133,22 @@ def find_induction_variables(loop: F.DoLoop,
     Recognized updates must be the *only* write of the variable in the
     nest and must execute unconditionally.
     """
-    from repro.analysis.refs import written_names
-
-    written = written_names(loop.body)
-    loop_vars = {loop.var}
-    for s in F.stmts_walk(loop.body):
-        if isinstance(s, F.DoLoop):
-            loop_vars.add(s.var)
+    nest = NestRecord.of(loop)
+    loop = nest.loop
+    loop_vars = {loop.var} | nest.inner_vars
+    writes = _write_counts(nest.stmts)
 
     out: list[InductionVar] = []
-    for s in F.stmts_walk(loop.body):
+    for s in nest.stmts:
         m = _match_update(s) if isinstance(s, F.Assign) else None
         if m is None:
             continue
         name, op, step = m
         if name in loop_vars:
             continue
-        if _count_writes(loop.body, name) != 1:
+        if writes[name] != 1:
             continue
-        if not _invariant(step, loop_vars, written - {name}):
+        if not _invariant(step, loop_vars, nest.written - {name}):
             continue
         path: list[F.DoLoop] = []
         if not _is_unconditional_in(loop.body, s, path):
@@ -239,8 +235,6 @@ def _polynomial_closed_form(outer: F.DoLoop, inner_path: list[F.DoLoop],
         return None
     if inner.step is not None and const_value(inner.step) != 1:
         return None
-    from repro.analysis.expr import LinearExpr
-
     ub = linearize(inner.end, params)
     if ub is None:
         return None

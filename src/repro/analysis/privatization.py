@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.analysis.dataflow import Assigned, live_after_loop, scalar_usage
-from repro.analysis.expr import exprs_equal, linearize
-from repro.analysis.refs import LoopInfo, Ref, RefCollector
+from repro.analysis.expr import LinearExpr, linearize
+from repro.analysis.nest import NestRecord
+from repro.analysis.refs import Ref
 from repro.fortran import ast_nodes as F
 from repro.fortran.symtab import SymbolTable
 
@@ -44,13 +44,14 @@ class PrivatizationResult:
         return f"<{self.name}: {verdict}>"
 
 
-def analyze_scalar(loop: F.DoLoop, name: str,
+def analyze_scalar(loop: "F.DoLoop | NestRecord", name: str,
                    unit: Optional[F.ProgramUnit] = None,
                    symtab: Optional[SymbolTable] = None) -> PrivatizationResult:
     """Decide scalar privatizability of ``name`` in ``loop``."""
-    if name == loop.var:
+    nest = NestRecord.of(loop, unit, symtab)
+    if name == nest.loop.var:
         return PrivatizationResult(name, False, reason="loop index")
-    usage = scalar_usage(loop.body, name)
+    usage = nest.usage.of(name)
     if usage.conservative:
         return PrivatizationResult(
             name, False, reason="goto or call involving the variable")
@@ -60,33 +61,19 @@ def analyze_scalar(loop: F.DoLoop, name: str,
     if usage.upward_exposed:
         return PrivatizationResult(
             name, False, reason="read before assigned within an iteration")
-    needs_lv = _live_after(loop, name, unit, symtab)
-    return PrivatizationResult(name, True, needs_last_value=needs_lv)
-
-
-def _live_after(loop: F.DoLoop, name: str,
-                unit: Optional[F.ProgramUnit],
-                symtab: Optional[SymbolTable]) -> bool:
-    if unit is None:
-        return True  # unknown context: assume observable
-    escapes = False
-    if symtab is not None:
-        sym = symtab.lookup(name)
-        if sym is not None:
-            escapes = sym.is_dummy or sym.common_block is not None or sym.saved
-    return live_after_loop(unit, loop, name, escapes)
+    return PrivatizationResult(name, True,
+                               needs_last_value=nest.live_after(name))
 
 
 # ---------------------------------------------------------------------------
 # array privatization
 # ---------------------------------------------------------------------------
 
-def _subscript_key(ref: Ref, outer_var: str,
-                   params: Mapping[str, int] | None):
-    """Affine forms of the subscripts, or None if any is non-affine or
-    depends on the privatization loop index (crossing iterations via the
-    index is fine — same iteration means same index value — so references
-    through the outer index are comparable symbolically)."""
+def _subscript_key(ref: Ref, params: Mapping[str, int] | None):
+    """Affine forms of the subscripts, or None if any is non-affine
+    (crossing iterations via the privatization loop index is fine — same
+    iteration means same index value — so references through the outer
+    index are comparable symbolically)."""
     out = []
     for s in ref.subscripts:
         le = linearize(s, params)
@@ -111,11 +98,11 @@ def _provable_nonneg(le, positive: frozenset[str] | set[str]) -> bool:
     return total >= 0
 
 
-def _write_covers_read(write: Ref, read: Ref, outer: F.DoLoop,
+def _write_covers_read(write: Ref, read: Ref,
                        params: Mapping[str, int] | None,
                        positive: frozenset[str] = frozenset()) -> bool:
     """Does ``write`` (earlier, unconditional) cover ``read`` in the same
-    iteration of ``outer``?
+    iteration of the privatization loop?
 
     Per-dimension interval containment: each dimension's subscript must be
     affine in **at most one** inner-loop index with unit coefficient (so
@@ -128,8 +115,8 @@ def _write_covers_read(write: Ref, read: Ref, outer: F.DoLoop,
         return False
     if write.conditional:
         return False
-    wk = _subscript_key(write, outer.var, params)
-    rk = _subscript_key(read, outer.var, params)
+    wk = _subscript_key(write, params)
+    rk = _subscript_key(read, params)
     if wk is None or rk is None:
         return False
 
@@ -143,8 +130,6 @@ def _write_covers_read(write: Ref, read: Ref, outer: F.DoLoop,
         if len(wvars) > 1 or len(rvars) > 1:
             return False
         # symbolic residues (e.g. the outer index, array strides) must match
-        from repro.analysis.expr import LinearExpr
-
         w_res = wsub
         r_res = rsub
         if wvars:
@@ -183,27 +168,6 @@ def _write_covers_read(write: Ref, read: Ref, outer: F.DoLoop,
     return True
 
 
-def _range_encloses(w: LoopInfo, r: LoopInfo,
-                    params: Mapping[str, int] | None) -> bool:
-    """True if loop range of ``w`` provably contains that of ``r``."""
-    if (w.step is not None) or (r.step is not None):
-        # non-unit steps touch strided element sets: require identical loops
-        if (w.step is None) != (r.step is None):
-            return False
-        if w.step is not None and not exprs_equal(w.step, r.step, params):
-            return False
-        return (exprs_equal(w.start, r.start, params)
-                and exprs_equal(w.end, r.end, params))
-    wl, rl = linearize(w.start, params), linearize(r.start, params)
-    wu, ru = linearize(w.end, params), linearize(r.end, params)
-    if None in (wl, rl, wu, ru):
-        return (exprs_equal(w.start, r.start, params)
-                and exprs_equal(w.end, r.end, params))
-    lo_ok = (wl == rl) or ((wl - rl).is_constant and (wl - rl).const <= 0)
-    hi_ok = (wu == ru) or ((wu - ru).is_constant and (wu - ru).const >= 0)
-    return lo_ok and hi_ok
-
-
 def _affine_interval(ref: Ref, params: Mapping[str, int] | None):
     """1-D written/read interval (lo, hi) as LinearExprs, or None.
 
@@ -221,8 +185,6 @@ def _affine_interval(ref: Ref, params: Mapping[str, int] | None):
         return le, le
     if len(ivars) > 1 or le.coeff(ivars[0]) != 1:
         return None
-    from repro.analysis.expr import LinearExpr
-
     li = inner[ivars[0]]
     if li.step is not None:
         return None
@@ -234,7 +196,7 @@ def _affine_interval(ref: Ref, params: Mapping[str, int] | None):
     return res + lo, res + hi
 
 
-def _union_covers_read(writes: list[Ref], read: Ref, outer: F.DoLoop,
+def _union_covers_read(writes: list[Ref], read: Ref,
                        params: Mapping[str, int] | None,
                        positive: frozenset[str] = frozenset()) -> bool:
     """Does the union of several unconditional 1-D writes cover the read?
@@ -302,54 +264,52 @@ def _positive_symbols(symtab: Optional[SymbolTable]) -> frozenset[str]:
     return frozenset(out)
 
 
-def analyze_array(loop: F.DoLoop, name: str,
+def analyze_array(loop: "F.DoLoop | NestRecord", name: str,
                   unit: Optional[F.ProgramUnit] = None,
                   symtab: Optional[SymbolTable] = None,
                   params: Mapping[str, int] | None = None) -> PrivatizationResult:
     """Decide array privatizability of ``name`` in ``loop``."""
-    rc = RefCollector()
-    rc.collect(loop.body, (LoopInfo.of(loop),))
-    if rc.has_goto:
+    nest = NestRecord.of(loop, unit, symtab, params)
+    if nest.collector.has_goto:
         return PrivatizationResult(name, False, True, reason="goto in loop")
-    refs = [r for r in rc.refs if r.name == name]
+    refs = nest.by_name.get(name, [])
     if any(r.in_call for r in refs):
         return PrivatizationResult(name, False, True,
                                    reason="passed to a call")
-    writes = [r for r in refs if r.is_write]
-    reads = [r for r in refs if not r.is_write]
+    writes = [(i, r) for i, r in enumerate(refs) if r.is_write]
     if not writes:
         return PrivatizationResult(name, False, True, reason="read-only")
 
-    positive = _positive_symbols(symtab)
-    order = {id(r): i for i, r in enumerate(rc.refs)}
-    for rd in reads:
-        earlier = [wr for wr in writes if order[id(wr)] < order[id(rd)]]
-        covered = any(_write_covers_read(wr, rd, loop, params, positive)
+    positive = _positive_symbols(nest.symtab)
+    for pos, rd in enumerate(refs):
+        if rd.is_write:
+            continue
+        earlier = [wr for i, wr in writes if i < pos]
+        covered = any(_write_covers_read(wr, rd, params, positive)
                       for wr in earlier)
         if not covered:
-            covered = _union_covers_read(earlier, rd, loop, params, positive)
+            covered = _union_covers_read(earlier, rd, params, positive)
         if not covered:
             return PrivatizationResult(
                 name, False, True,
-                reason=f"read not covered by an earlier write in the iteration")
-    needs_lv = _live_after(loop, name, unit, symtab)
-    return PrivatizationResult(name, True, True, needs_last_value=needs_lv)
+                reason="read not covered by an earlier write in the iteration")
+    return PrivatizationResult(name, True, True,
+                               needs_last_value=nest.live_after(name))
 
 
-def find_privatizable(loop: F.DoLoop,
+def find_privatizable(loop: "F.DoLoop | NestRecord",
                       unit: Optional[F.ProgramUnit] = None,
                       symtab: Optional[SymbolTable] = None,
                       params: Mapping[str, int] | None = None,
                       arrays: bool = True) -> list[PrivatizationResult]:
-    """All privatizable variables of ``loop`` (scalars, optionally arrays)."""
-    rc = RefCollector()
-    rc.collect(loop.body, (LoopInfo.of(loop),))
+    """All privatizable variables of ``loop`` (scalars, optionally arrays);
+    ``params`` is the caller's even when ``loop`` is a record."""
+    nest = NestRecord.of(loop, unit, symtab, params)
     names_scalar: set[str] = set()
     names_array: set[str] = set()
-    inner_vars = {s.var for s in F.stmts_walk(loop.body)
-                  if isinstance(s, F.DoLoop)}
-    for r in rc.refs:
-        if r.name == loop.var or r.name in inner_vars:
+    inner_vars = nest.inner_vars
+    for r in nest.refs:
+        if r.name == nest.loop.var or r.name in inner_vars:
             continue
         if r.is_scalar:
             names_scalar.add(r.name)
@@ -357,12 +317,12 @@ def find_privatizable(loop: F.DoLoop,
             names_array.add(r.name)
     out: list[PrivatizationResult] = []
     for n in sorted(names_scalar - names_array):
-        res = analyze_scalar(loop, n, unit, symtab)
+        res = analyze_scalar(nest, n)
         if res.privatizable:
             out.append(res)
     if arrays:
         for n in sorted(names_array):
-            res = analyze_array(loop, n, unit, symtab, params)
+            res = analyze_array(nest, n, params=params)
             if res.privatizable:
                 out.append(res)
     # inner loop index variables are trivially private

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.expr import exprs_equal
-from repro.analysis.refs import Ref, collect_refs
+from repro.analysis.nest import NestRecord
+from repro.analysis.refs import subscripts_of
 from repro.fortran import ast_nodes as F
 
 #: operator → neutral element (used by the transformation pass)
@@ -42,14 +43,6 @@ class Reduction:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Reduction {self.var} {self.op} {self.kind} x{len(self.stmts)}>"
-
-
-def _subscripts_of(t: F.Expr) -> Optional[list[F.Expr]]:
-    if isinstance(t, F.ArrayRef):
-        return t.subscripts
-    if isinstance(t, F.Apply):
-        return t.args
-    return None
 
 
 def _expr_mentions(e: F.Expr, name: str) -> bool:
@@ -109,7 +102,7 @@ def _match_accumulation(stmt: F.Stmt) -> Optional[tuple[str, str, Optional[list[
         v = t.name
         subs = None
     else:
-        subs = _subscripts_of(t)
+        subs = subscripts_of(t)
         if subs is None:
             return None
         v = t.name
@@ -117,8 +110,8 @@ def _match_accumulation(stmt: F.Stmt) -> Optional[tuple[str, str, Optional[list[
     def self_ref(x: F.Expr) -> bool:
         if subs is None:
             return isinstance(x, F.Var) and x.name == v
-        got = _subscripts_of(x)
-        if got is None or not isinstance(x, (F.ArrayRef, F.Apply)) or x.name != v:
+        got = subscripts_of(x)
+        if got is None or x.name != v:
             return False
         return len(got) == len(subs) and all(
             exprs_equal(a, b) for a, b in zip(got, subs))
@@ -155,12 +148,11 @@ def _match_accumulation(stmt: F.Stmt) -> Optional[tuple[str, str, Optional[list[
     return None
 
 
-def find_reductions(loop: F.DoLoop) -> list[Reduction]:
+def find_reductions(loop: "F.DoLoop | NestRecord") -> list[Reduction]:
     """Recognize reductions in ``loop`` (accumulations anywhere in the nest)."""
+    nest = NestRecord.of(loop)
     candidates: dict[str, list[tuple[F.Stmt, str, Optional[list[F.Expr]], F.Expr]]] = {}
-    disqualified: set[str] = set()
-
-    for s in F.stmts_walk(loop.body):
+    for s in nest.stmts:
         if not isinstance(s, (F.Assign, F.LogicalIf)):
             continue
         m = _match_accumulation(s)
@@ -169,14 +161,7 @@ def find_reductions(loop: F.DoLoop) -> list[Reduction]:
             candidates.setdefault(v, []).append((s, op, subs, contrib))
 
     out: list[Reduction] = []
-    refs = collect_refs(loop.body)
-    by_name: dict[str, list[Ref]] = {}
-    for r in refs:
-        by_name.setdefault(r.name, []).append(r)
-
     for v, accs in candidates.items():
-        if v in disqualified:
-            continue
         ops = {op for _, op, _, _ in accs}
         if len(ops) != 1:
             continue  # mixed operators: cannot reorder safely
@@ -188,15 +173,8 @@ def find_reductions(loop: F.DoLoop) -> list[Reduction]:
             if isinstance(s, F.LogicalIf):
                 stmt_ids.add(id(s.stmt))
         # every ref to v must belong to an accumulation statement
-        ok = True
-        for r in by_name.get(v, []):
-            if id(r.stmt) not in stmt_ids:
-                ok = False
-                break
-            if r.in_call:
-                ok = False
-                break
-        if not ok:
+        if any(id(r.stmt) not in stmt_ids or r.in_call
+               for r in nest.by_name.get(v, [])):
             continue
         is_array = any(subs is not None for _, _, subs, _ in accs)
         if is_array and not all(subs is not None for _, _, subs, _ in accs):
@@ -208,8 +186,3 @@ def find_reductions(loop: F.DoLoop) -> list[Reduction]:
         else:
             out.append(Reduction(v, op, "scalar", stmts))
     return out
-
-
-def reduction_variables(loop: F.DoLoop) -> set[str]:
-    """Names of all recognized reduction accumulators in ``loop``."""
-    return {r.var for r in find_reductions(loop)}

@@ -13,7 +13,7 @@ COMMON variable is conservatively treated as both read and written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.fortran import ast_nodes as F
 
@@ -58,6 +58,14 @@ class Ref:
         return len(self.loops)
 
 
+def subscripts_of(e: F.Expr) -> Optional[list[F.Expr]]:
+    """Subscript list of an array reference (resolved or still an
+    :class:`Apply`), None for anything else."""
+    if isinstance(e, F.ArrayRef):
+        return e.subscripts
+    return e.args if isinstance(e, F.Apply) else None
+
+
 #: Effects oracle: call statement → (ref names, mod names) among the actual
 #: arguments, or None when the callee is unknown.
 EffectsOracle = Callable[[F.CallStmt], Optional[tuple[set[str], set[str]]]]
@@ -88,10 +96,8 @@ class RefCollector:
         if isinstance(s, F.Assign):
             self._expr(s.value, loops, cond, s)
             t = s.target
-            if isinstance(t, F.Var):
-                self._add(t.name, [], True, s, loops, cond)
-            elif isinstance(t, (F.ArrayRef, F.Apply)):
-                subs = t.subscripts if isinstance(t, F.ArrayRef) else t.args
+            if isinstance(t, (F.Var, F.ArrayRef, F.Apply)):
+                subs = subscripts_of(t) or []
                 for sub in subs:
                     self._expr(sub, loops, cond, s)
                 self._add(t.name, list(subs), True, s, loops, cond)
@@ -131,11 +137,9 @@ class RefCollector:
             return
         if isinstance(s, F.ReadStmt):
             for item in s.items:
-                if isinstance(item, F.Var):
-                    self._add(item.name, [], True, s, loops, cond)
-                elif isinstance(item, (F.ArrayRef, F.Apply)):
-                    subs = item.subscripts if isinstance(item, F.ArrayRef) else item.args
-                    self._add(item.name, list(subs), True, s, loops, cond)
+                if isinstance(item, (F.Var, F.ArrayRef, F.Apply)):
+                    self._add(item.name, list(subscripts_of(item) or []),
+                              True, s, loops, cond)
             return
         # Continue/Return/Stop/declarations: no data references
         return
@@ -147,23 +151,14 @@ class RefCollector:
         for a in s.args:
             # expression args are pure reads; variable/array args may be
             # modified by the callee
-            if isinstance(a, F.Var):
-                is_mod = summary is None or a.name in summary[1]
-                is_ref = summary is None or a.name in summary[0]
-                if is_ref:
-                    self._add(a.name, [], False, s, loops, cond, in_call=True)
-                if is_mod:
-                    self._add(a.name, [], True, s, loops, cond, in_call=True)
-            elif isinstance(a, (F.ArrayRef, F.Apply)):
-                subs = a.subscripts if isinstance(a, F.ArrayRef) else a.args
+            if isinstance(a, (F.Var, F.ArrayRef, F.Apply)):
+                subs = subscripts_of(a) or []
                 for sub in subs:
                     self._expr(sub, loops, cond, s)
-                is_mod = summary is None or a.name in summary[1]
-                is_ref = summary is None or a.name in summary[0]
-                if is_ref:
+                if summary is None or a.name in summary[0]:
                     self._add(a.name, list(subs), False, s, loops, cond,
                               in_call=True)
-                if is_mod:
+                if summary is None or a.name in summary[1]:
                     self._add(a.name, list(subs), True, s, loops, cond,
                               in_call=True)
             else:
@@ -173,11 +168,8 @@ class RefCollector:
 
     def _expr(self, e: F.Expr, loops: tuple[LoopInfo, ...],
               cond: bool, stmt: F.Stmt) -> None:
-        if isinstance(e, F.Var):
-            self._add(e.name, [], False, stmt, loops, cond)
-            return
-        if isinstance(e, (F.ArrayRef, F.Apply)):
-            subs = e.subscripts if isinstance(e, F.ArrayRef) else e.args
+        if isinstance(e, (F.Var, F.ArrayRef, F.Apply)):
+            subs = subscripts_of(e) or []
             for sub in subs:
                 self._expr(sub, loops, cond, stmt)
             self._add(e.name, list(subs), False, stmt, loops, cond)
@@ -213,27 +205,6 @@ def collect_refs(stmts: list[F.Stmt],
     return RefCollector(effects).collect(stmts, loops)
 
 
-def loop_refs(loop: F.DoLoop,
-              effects: EffectsOracle | None = None) -> tuple[list[Ref], RefCollector]:
-    """References inside one loop (body only), with the collector's flags."""
-    rc = RefCollector(effects)
-    rc.collect(loop.body, (LoopInfo.of(loop),))
-    return rc.refs, rc
-
-
 def written_names(stmts: list[F.Stmt]) -> set[str]:
     """Names assigned anywhere under ``stmts`` (conservative for calls)."""
     return {r.name for r in collect_refs(stmts) if r.is_write}
-
-
-def read_names(stmts: list[F.Stmt]) -> set[str]:
-    """Names read anywhere under ``stmts`` (conservative for calls)."""
-    return {r.name for r in collect_refs(stmts) if not r.is_write}
-
-
-def inner_loops(stmts: list[F.Stmt]) -> Iterator[F.DoLoop]:
-    """Yield every DoLoop in the subtree, outermost first."""
-    for s in stmts:
-        for n in s.walk():
-            if isinstance(n, F.DoLoop):
-                yield n

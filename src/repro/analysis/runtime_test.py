@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.analysis.expr import LinearExpr, linearize, simplify
-from repro.analysis.refs import LoopInfo, Ref, RefCollector
+from repro.analysis.nest import NestRecord
+from repro.analysis.refs import LoopInfo, Ref
 from repro.fortran import ast_nodes as F
 
 
@@ -112,7 +113,7 @@ def _split_symbolic(e: F.Expr, nest_vars: list[str],
     return le, strides
 
 
-def synthesize_runtime_test(loop: F.DoLoop,
+def synthesize_runtime_test(loop: "F.DoLoop | NestRecord",
                             params: Mapping[str, int] | None = None
                             ) -> Optional[RuntimeTest]:
     """Try to build a run-time independence test for ``loop``.
@@ -120,8 +121,8 @@ def synthesize_runtime_test(loop: F.DoLoop,
     ``loop`` is the candidate parallel loop (index ``j`` in the module
     docstring); its body may contain inner loops (index ``i``).
     """
-    rc = RefCollector()
-    rc.collect(loop.body, (LoopInfo.of(loop),))
+    nest = NestRecord.of(loop)
+    loop, rc = nest.loop, nest.collector
     if rc.has_goto or rc.has_unknown_calls:
         return None
 

@@ -35,7 +35,7 @@ from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.fortran import ast_nodes as F
 from repro.fortran.intrinsics import INTRINSICS
-from repro.fortran.symtab import SymbolTable, build_symbol_table
+from repro.fortran.symtab import SymbolTable, shared_symbol_tables
 from repro.machine.config import MachineConfig
 from repro.machine.memory import AccessProfile, MemorySystem
 from repro.machine.paging import PagingModel
@@ -100,8 +100,9 @@ class PerfEstimator:
         self.sf = sf
         self.cfg = config
         self.units = {u.name: u for u in sf.units}
-        self.tables: dict[str, SymbolTable] = {
-            u.name: build_symbol_table(u) for u in sf.units}
+        # ``sf`` is read-only from here on (estimation never mutates the
+        # tree), so every estimator over it shares one set of tables
+        self.tables: dict[str, SymbolTable] = shared_symbol_tables(sf)
         # one injector per estimator: the machine models share its
         # deterministic signal stream and injected-fault bookkeeping.
         # An inactive plan injects nothing — estimates stay bit-identical

@@ -1,8 +1,12 @@
 """AST node definitions for the Fortran 77 front end.
 
 Nodes are plain dataclasses.  Child traversal is generic: any field whose
-value is a ``Node`` or a list of ``Node`` is a child.  Two traversal helpers
-are provided: :class:`Visitor` (read-only, dispatches on class name) and
+value is a ``Node`` or a (nested) list/tuple of ``Node`` is a child.
+Which fields *can* hold children is decided once per node class from its
+field annotations (:func:`node_slots`), so traversal, cloning, rebuilding
+and comparison read a precomputed tuple of field names instead of
+introspecting the dataclass on every visit.  Two traversal helpers are
+provided: :class:`Visitor` (read-only, dispatches on class name) and
 :class:`Transformer` (rebuilds, a method may return a replacement node, a
 list of nodes for statement positions, or ``None`` to keep recursing).
 
@@ -13,31 +17,125 @@ these into :class:`ArrayRef` or :class:`FuncCall` once declarations are known.
 
 from __future__ import annotations
 
+import ast as _pyast
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 
 # ---------------------------------------------------------------------------
 # base machinery
 # ---------------------------------------------------------------------------
 
-def _iter_nodes(value: Any) -> Iterator["Node"]:
-    """Yield Nodes inside arbitrarily nested lists/tuples."""
-    if isinstance(value, Node):
-        yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _iter_nodes(item)
+class NodeSlots(NamedTuple):
+    """Field names of one node class, by what a traversal needs."""
+    fields: tuple[str, ...]    # every dataclass field, declaration order
+    child: tuple[str, ...]     # fields that can hold Nodes
+    compared: tuple[str, ...]  # fields structural equality looks at
+
+
+#: fields that are layout artifacts, not program structure
+_EQUAL_IGNORED = frozenset({"line"})
+
+_SCALAR_TYPES = frozenset({"str", "int", "float", "bool", "None"})
+_CONTAINER_TYPES = frozenset({"list", "tuple", "Optional", "Union"})
+
+
+def _annotation_is_leaf(tree: _pyast.expr) -> bool:
+    """True when the annotation names only scalars and fully
+    parameterised containers of scalars (``Optional[int]``,
+    ``list[str]``) — such a field can never hold a Node."""
+    if isinstance(tree, _pyast.Constant):
+        return tree.value is None
+    if isinstance(tree, _pyast.Name):
+        return tree.id in _SCALAR_TYPES
+    if isinstance(tree, _pyast.Subscript):
+        return (isinstance(tree.value, _pyast.Name)
+                and tree.value.id in _CONTAINER_TYPES
+                and _annotation_is_leaf(tree.slice))
+    if isinstance(tree, _pyast.Tuple):
+        return all(_annotation_is_leaf(e) for e in tree.elts)
+    if isinstance(tree, _pyast.BinOp) and isinstance(tree.op, _pyast.BitOr):
+        return _annotation_is_leaf(tree.left) and _annotation_is_leaf(tree.right)
+    return False
+
+
+def _can_hold_nodes(annotation: Any) -> bool:
+    """Conservative: anything not provably scalar counts as child-bearing
+    (its value is then inspected at run time, as every field once was)."""
+    if not isinstance(annotation, str):
+        annotation = getattr(annotation, "__name__", None) or repr(annotation)
+    try:
+        return not _annotation_is_leaf(
+            _pyast.parse(annotation, mode="eval").body)
+    except SyntaxError:
+        return True
+
+
+_SLOTS: dict[type, NodeSlots] = {}
+
+
+def node_slots(cls: type) -> NodeSlots:
+    """The :class:`NodeSlots` of a node class, computed on first use (the
+    ``@dataclass`` decorator has not run yet when ``__init_subclass__``
+    fires, so the table cannot be filled at class creation)."""
+    slots = _SLOTS.get(cls)
+    if slots is None:
+        fs = dataclasses.fields(cls)
+        slots = _SLOTS[cls] = NodeSlots(
+            tuple(f.name for f in fs),
+            tuple(f.name for f in fs if _can_hold_nodes(f.type)),
+            tuple(f.name for f in fs if f.name not in _EQUAL_IGNORED))
+    return slots
+
+
+def _collect_nodes(seq: Any, out: list["Node"]) -> None:
+    """Append the Nodes inside arbitrarily nested lists/tuples, in order."""
+    for item in seq:
+        if isinstance(item, Node):
+            out.append(item)
+        elif isinstance(item, (list, tuple)):
+            _collect_nodes(item, out)
+
+
+def _child_list(node: "Node") -> list["Node"]:
+    out: list[Node] = []
+    cls = node.__class__
+    for name in (_SLOTS.get(cls) or node_slots(cls)).child:
+        v = getattr(node, name)
+        if isinstance(v, Node):
+            out.append(v)
+        elif isinstance(v, (list, tuple)):
+            _collect_nodes(v, out)
+    return out
+
+
+def _walk(stack: list["Node"]) -> Iterator["Node"]:
+    """Pre-order walk of the nodes on ``stack`` (top of stack first).  A
+    node's children are read when the walk resumes after yielding it."""
+    pop = stack.pop
+    while stack:
+        node = pop()
+        yield node
+        kids = _child_list(node)
+        if kids:
+            kids.reverse()
+            stack.extend(kids)
+
+
+_ATOMS = frozenset({str, int, float, bool, type(None)})
 
 
 def _clone_value(value: Any) -> Any:
     """Deep-copy Nodes inside arbitrarily nested lists/tuples."""
+    cls = value.__class__
+    if cls in _ATOMS:
+        return value
     if isinstance(value, Node):
         return value.clone()
-    if isinstance(value, list):
+    if cls is list:
         return [_clone_value(v) for v in value]
-    if isinstance(value, tuple):
+    if cls is tuple:
         return tuple(_clone_value(v) for v in value)
     return value
 
@@ -49,39 +147,55 @@ class Node:
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (descending into nested lists/tuples,
         e.g. IfBlock's (condition, body) arms)."""
-        for f in dataclasses.fields(self):
-            yield from _iter_nodes(getattr(self, f.name))
+        return iter(_child_list(self))
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants, pre-order."""
-        yield self
-        for c in self.children():
-            yield from c.walk()
+        return _walk([self])
 
     def clone(self) -> "Node":
         """Deep copy of the subtree (including nested list/tuple fields)."""
-        kwargs: dict[str, Any] = {}
-        for f in dataclasses.fields(self):
-            kwargs[f.name] = _clone_value(getattr(self, f.name))
-        return type(self)(**kwargs)
+        return self.__class__(**{
+            name: _clone_value(getattr(self, name))
+            for name in node_slots(self.__class__).fields})
 
 
-class Visitor:
+class _Dispatcher:
+    """``visit_<ClassName>`` lookup, done once per (visitor class, node
+    class): each visitor class owns a table of its unbound methods."""
+
+    _dispatch: dict[type, Any] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._dispatch = {}
+
+    def _method_for(self, node: Node):
+        cls = node.__class__
+        try:
+            return self._dispatch[cls]
+        except KeyError:
+            method = self._dispatch[cls] = getattr(
+                type(self), "visit_" + cls.__name__, None)
+            return method
+
+
+class Visitor(_Dispatcher):
     """Read-only traversal with per-class dispatch (``visit_<ClassName>``)."""
 
     def visit(self, node: Node) -> Any:
-        method = getattr(self, "visit_" + type(node).__name__, None)
+        method = self._method_for(node)
         if method is not None:
-            return method(node)
+            return method(self, node)
         return self.generic_visit(node)
 
     def generic_visit(self, node: Node) -> Any:
-        for c in node.children():
+        for c in _child_list(node):
             self.visit(c)
         return None
 
 
-class Transformer:
+class Transformer(_Dispatcher):
     """Rebuilding traversal.
 
     ``visit_<ClassName>`` may return:
@@ -92,17 +206,18 @@ class Transformer:
     """
 
     def visit(self, node: Node) -> Node | list[Node]:
-        method = getattr(self, "visit_" + type(node).__name__, None)
+        method = self._method_for(node)
         if method is not None:
-            result = method(node)
+            result = method(self, node)
             if result is not None:
                 return result
         return self.generic_transform(node)
 
     def generic_transform(self, node: Node) -> Node:
-        for f in dataclasses.fields(node):
-            setattr(node, f.name, self._transform_value(getattr(node, f.name),
-                                                        f.name))
+        for name in node_slots(node.__class__).child:
+            v = getattr(node, name)
+            if v is not None:
+                setattr(node, name, self._transform_value(v, name))
         return node
 
     def _transform_value(self, v: Any, field_name: str) -> Any:
@@ -558,12 +673,7 @@ def is_const_int(e: Expr, value: int | None = None) -> bool:
 
 def stmts_walk(stmts: list[Stmt]) -> Iterator[Node]:
     """Walk every node under a statement list."""
-    for s in stmts:
-        yield from s.walk()
-
-
-#: fields that are layout artifacts, not program structure
-_EQUAL_IGNORED = frozenset({"line"})
+    return _walk(list(reversed(stmts)))
 
 
 def ast_equal(a: Any, b: Any) -> bool:
@@ -577,10 +687,8 @@ def ast_equal(a: Any, b: Any) -> bool:
     if isinstance(a, Node) or isinstance(b, Node):
         if type(a) is not type(b):
             return False
-        for f in dataclasses.fields(a):
-            if f.name in _EQUAL_IGNORED:
-                continue
-            if not ast_equal(getattr(a, f.name), getattr(b, f.name)):
+        for name in node_slots(a.__class__).compared:
+            if not ast_equal(getattr(a, name), getattr(b, name)):
                 return False
         return True
     if isinstance(a, (list, tuple)) or isinstance(b, (list, tuple)):
@@ -604,11 +712,9 @@ def ast_diff(a: Any, b: Any, path: str = "$") -> Optional[str]:
     if isinstance(a, Node) or isinstance(b, Node):
         if type(a) is not type(b):
             return (f"{path}: {type(a).__name__} != {type(b).__name__}")
-        for f in dataclasses.fields(a):
-            if f.name in _EQUAL_IGNORED:
-                continue
-            d = ast_diff(getattr(a, f.name), getattr(b, f.name),
-                         f"{path}.{f.name}")
+        for name in node_slots(a.__class__).compared:
+            d = ast_diff(getattr(a, name), getattr(b, name),
+                         f"{path}.{name}")
             if d is not None:
                 return d
         return None

@@ -190,3 +190,15 @@ class _ApplyResolver(F.Transformer):
 def resolve_source_file(sf: F.SourceFile) -> dict[str, SymbolTable]:
     """Build and return symbol tables for every unit of a source file."""
     return {u.name: build_symbol_table(u) for u in sf.units}
+
+
+def shared_symbol_tables(sf: F.SourceFile) -> dict[str, SymbolTable]:
+    """The symbol tables of a tree nobody transforms any more (a
+    compilation-cache artifact, a finished restructuring), built on the
+    first request and kept on the tree itself, so they live exactly as
+    long as it does.  Read-only consumers share them; do not call this
+    on a tree that is still going to be rewritten."""
+    tables = sf.__dict__.get("_symbol_tables")
+    if tables is None:
+        tables = sf.__dict__["_symbol_tables"] = resolve_source_file(sf)
+    return tables

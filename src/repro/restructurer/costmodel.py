@@ -10,9 +10,6 @@ number of processors that may execute it concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.analysis.expr import const_value
 from repro.fortran import ast_nodes as F
 
@@ -91,19 +88,6 @@ def _stmt_ops(s: F.Stmt, default_trip: int) -> float:
     if isinstance(s, F.CallStmt):
         return 20.0 + 2.0 * len(s.args)
     return 0.5
-
-
-@dataclass
-class VersionEstimate:
-    """Scored candidate version of one loop nest."""
-
-    label: str
-    time: float
-    kind: str            # headline loop kind ('xdoall', 'serial', ...)
-    detail: str = ""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{self.label}: {self.time:.1f} ops ({self.kind})>"
 
 
 class CostModel:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.depend.graph import DependenceGraph
+from repro.analysis.nest import NestRecord
 from repro.cedar.nodes import LockStmt, ParallelDo, UnlockStmt
 from repro.fortran import ast_nodes as F
 from repro.restructurer.costmodel import estimate_body_ops
@@ -38,15 +39,8 @@ class CriticalPlan:
     variables: set[str]
 
 
-def _top_index(loop: F.DoLoop, stmt: F.Stmt) -> Optional[int]:
-    for i, s in enumerate(loop.body):
-        for node in s.walk():
-            if node is stmt:
-                return i
-    return None
-
-
-def plan_critical_section(loop: F.DoLoop, graph: DependenceGraph,
+def plan_critical_section(loop: "F.DoLoop | NestRecord",
+                          graph: DependenceGraph,
                           ignore: set[str] = frozenset(),
                           max_fraction: float = 0.5) -> Optional[CriticalPlan]:
     """Find a contiguous region covering all carried dependences.
@@ -58,12 +52,14 @@ def plan_critical_section(loop: F.DoLoop, graph: DependenceGraph,
     carried = [d for d in graph.carried_at(0) if d.variable not in ignore]
     if not carried:
         return None
+    nest = NestRecord.of(loop)
+    loop = nest.loop
     first = len(loop.body)
     last = -1
     variables: set[str] = set()
     for d in carried:
-        si = _top_index(loop, d.source.stmt)
-        ti = _top_index(loop, d.sink.stmt)
+        si = nest.top_index(d.source.stmt)
+        ti = nest.top_index(d.sink.stmt)
         if si is None or ti is None:
             return None
         first = min(first, si, ti)

@@ -15,16 +15,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis.depend.graph import build_dependence_graph
+from repro.analysis.nest import NestRecord
 from repro.fortran import ast_nodes as F
-
-
-def _stmt_index(loop: F.DoLoop, node: F.Stmt) -> int | None:
-    for i, s in enumerate(loop.body):
-        for n in s.walk():
-            if n is node:
-                return i
-    return None
 
 
 def distribute(loop: F.DoLoop,
@@ -39,11 +31,11 @@ def distribute(loop: F.DoLoop,
     if n <= 1:
         return [loop]
 
-    g = build_dependence_graph(loop, params=params)
+    nest = NestRecord(loop, params=params)
     edges: dict[int, set[int]] = {i: set() for i in range(n)}
-    for d in g.deps:
-        si = _stmt_index(loop, d.source.stmt)
-        ti = _stmt_index(loop, d.sink.stmt)
+    for d in nest.graph.deps:
+        si = nest.top_index(d.source.stmt)
+        ti = nest.top_index(d.sink.stmt)
         if si is None or ti is None:
             return [loop]  # defensive: unmapped statement
         if si != ti:

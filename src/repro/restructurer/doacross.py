@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.depend.graph import Dependence, DependenceGraph
+from repro.analysis.depend.graph import DependenceGraph
+from repro.analysis.nest import NestRecord
 from repro.cedar.nodes import AdvanceStmt, AwaitStmt, ParallelDo
 from repro.errors import TransformError
 from repro.fortran import ast_nodes as F
@@ -45,16 +46,7 @@ class DoacrossPlan:
                 f"(distance {self.distance}, {share:.0f}% of body ops)")
 
 
-def _top_level_index(loop: F.DoLoop, stmt: F.Stmt) -> Optional[int]:
-    """Index of the top-level statement of ``loop.body`` containing ``stmt``."""
-    for i, s in enumerate(loop.body):
-        for node in s.walk():
-            if node is stmt:
-                return i
-    return None
-
-
-def plan_doacross(loop: F.DoLoop, graph: DependenceGraph,
+def plan_doacross(loop: "F.DoLoop | NestRecord", graph: DependenceGraph,
                   ignore: set[str] = frozenset()) -> Optional[DoacrossPlan]:
     """Plan a DOACROSS for ``loop`` given its dependence graph.
 
@@ -65,14 +57,16 @@ def plan_doacross(loop: F.DoLoop, graph: DependenceGraph,
     carried = [d for d in graph.carried_at(0) if d.variable not in ignore]
     if not carried:
         return None  # plain DOALL, no sync needed
+    nest = NestRecord.of(loop)
+    loop = nest.loop
     first = len(loop.body)
     last = -1
     min_dist = None
     for d in carried:
         if d.distance is None or d.distance[0] <= 0:
             return None  # unknown or backward distance: cannot sync simply
-        src_i = _top_level_index(loop, d.source.stmt)
-        sink_i = _top_level_index(loop, d.sink.stmt)
+        src_i = nest.top_index(d.source.stmt)
+        sink_i = nest.top_index(d.sink.stmt)
         if src_i is None or sink_i is None:
             return None
         first = min(first, src_i, sink_i)

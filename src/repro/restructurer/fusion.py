@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from repro.analysis.depend.graph import build_dependence_graph
 from repro.analysis.expr import exprs_equal
-from repro.analysis.refs import written_names
-from repro.errors import TransformError
+from repro.analysis.nest import NestRecord
+from repro.analysis.privatization import find_privatizable
+from repro.analysis.reductions import find_reductions
 from repro.fortran import ast_nodes as F
 from repro.restructurer.rename import rename_in_stmts
 from repro.trace.events import NULL_SINK, DecisionEvent
@@ -36,46 +36,6 @@ def same_header(a: F.DoLoop, b: F.DoLoop,
             and exprs_equal(step_a, step_b, params))
 
 
-def fusion_legal(a: F.DoLoop, b: F.DoLoop,
-                 params: Mapping[str, int] | None = None,
-                 ignore: frozenset[str] | set[str] = frozenset()) -> bool:
-    """Can ``a`` and ``b`` (adjacent, same header) be fused?
-
-    We fuse the bodies into a probe loop and check that no dependence from
-    a ``b``-statement to an ``a``-statement is carried (backward across
-    the fusion seam), and no loop-independent dependence from ``b`` to
-    ``a`` exists.
-    """
-    if not same_header(a, b, params):
-        return False
-    body_b = [s.clone() for s in b.body]
-    if b.var != a.var:
-        rename_in_stmts(body_b, {b.var: a.var})
-    probe = F.DoLoop(var=a.var, start=a.start, end=a.end, step=a.step,
-                     body=[s.clone() for s in a.body] + body_b)
-    a_stmts = set()
-    for i, s in enumerate(probe.body):
-        if i < len(a.body):
-            for node in s.walk():
-                a_stmts.add(id(node))
-    g = build_dependence_graph(probe, params=params)
-    for d in g.deps:
-        if d.variable in ignore:
-            continue  # replicated loop-invariant scalars: benign by design
-        src_in_a = id(d.source.stmt) in a_stmts
-        sink_in_a = id(d.sink.stmt) in a_stmts
-        if src_in_a == sink_in_a:
-            continue  # within one original loop: unchanged by fusion
-        if not src_in_a and sink_in_a:
-            # dependence b → a: fusion would reverse it
-            return False
-        # a → b dependence: legal unless it becomes backward-carried,
-        # i.e. some direction vector has '>' in the fused loop position
-        if any(dv and dv[0] == ">" for dv in d.directions):
-            return False
-    return True
-
-
 def fuse(a: F.DoLoop, b: F.DoLoop) -> F.DoLoop:
     """Fuse ``b`` into ``a`` (headers must match; returns the fused loop)."""
     body_b = [s.clone() for s in b.body]
@@ -83,6 +43,46 @@ def fuse(a: F.DoLoop, b: F.DoLoop) -> F.DoLoop:
         rename_in_stmts(body_b, {b.var: a.var})
     return F.DoLoop(var=a.var, start=a.start, end=a.end, step=a.step,
                     body=list(a.body) + body_b, line=a.line)
+
+
+def try_fuse(a: F.DoLoop, b: F.DoLoop,
+             params: Mapping[str, int] | None = None,
+             ignore: frozenset[str] | set[str] = frozenset()
+             ) -> Optional[NestRecord]:
+    """The analysis record of ``fuse(a, b)`` when ``a`` and ``b``
+    (adjacent) can legally be fused, else None.
+
+    Legal when the headers match and, in the fused loop, no dependence
+    from a ``b``-statement to an ``a``-statement is carried (backward
+    across the fusion seam) and no loop-independent dependence from ``b``
+    to ``a`` exists.
+    """
+    if not same_header(a, b, params):
+        return None
+    merged = NestRecord(fuse(a, b), params=params)
+    seam = len(a.body)
+    for d in merged.graph.deps:
+        if d.variable in ignore:
+            continue  # replicated loop-invariant scalars: benign by design
+        src_in_a = merged.top_index(d.source.stmt) < seam
+        sink_in_a = merged.top_index(d.sink.stmt) < seam
+        if src_in_a == sink_in_a:
+            continue  # within one original loop: unchanged by fusion
+        if not src_in_a and sink_in_a:
+            # dependence b → a: fusion would reverse it
+            return None
+        # a → b dependence: legal unless it becomes backward-carried,
+        # i.e. some direction vector has '>' in the fused loop position
+        if any(dv and dv[0] == ">" for dv in d.directions):
+            return None
+    return merged
+
+
+def fusion_legal(a: F.DoLoop, b: F.DoLoop,
+                 params: Mapping[str, int] | None = None,
+                 ignore: frozenset[str] | set[str] = frozenset()) -> bool:
+    """Can ``a`` and ``b`` (adjacent, same header) be fused?"""
+    return try_fuse(a, b, params, ignore) is not None
 
 
 def fuse_everywhere(stmts: list[F.Stmt],
@@ -117,6 +117,9 @@ def fuse_adjacent_in(stmts: list[F.Stmt],
     """
     fused = 0
     i = 0
+    #: record of a loop this pass has already analysed (the previous
+    #: candidate's second loop, or the loop it just built by fusing)
+    known: Optional[NestRecord] = None
     while i < len(stmts):
         a = stmts[i]
         if not isinstance(a, F.DoLoop):
@@ -137,8 +140,11 @@ def fuse_adjacent_in(stmts: list[F.Stmt],
         if j >= len(stmts) or not isinstance(stmts[j], F.DoLoop):
             i += 1
             continue
-        b = stmts[j]
-        if between and not _replicable(between, a, b):
+        rec_a = known if known is not None and known.loop is a \
+            else NestRecord(a, params=params)
+        known = rec_b = NestRecord(stmts[j], params=params)
+        b = rec_b.loop
+        if between and not _replicable(between, rec_a, rec_b):
             i += 1
             continue
         probe_a = a
@@ -150,15 +156,15 @@ def fuse_adjacent_in(stmts: list[F.Stmt],
                                line=a.line)
             replicated = {s.target.name for s in between
                           if isinstance(s.target, F.Var)}
-        if not fusion_legal(probe_a, b, params, ignore=replicated):
+        merged = try_fuse(probe_a, b, params, ignore=replicated)
+        if merged is None:
             i += 1
             continue
         # profitability: never fuse a parallelizable loop into a serial
         # one — the merged loop would inherit the serialization (QCD's
         # RNG loop must not swallow the measurement loop)
-        merged = fuse(probe_a, b)
-        if (_parallelish(a, params) or _parallelish(b, params)) \
-                and not _parallelish(merged, params):
+        if (_parallelish(rec_a) or _parallelish(rec_b)) \
+                and not _parallelish(merged):
             sink.emit(DecisionEvent(
                 kind="pass", unit=unit, technique="fusion", action="declined",
                 loop=f"do {a.var}", line=a.line,
@@ -173,50 +179,41 @@ def fuse_adjacent_in(stmts: list[F.Stmt],
         sink.emit(DecisionEvent(
             kind="pass", unit=unit, technique="fusion", action="applied",
             loop=f"do {a.var}", line=a.line, reason=why))
-        stmts[i:j + 1] = [merged]
+        stmts[i:j + 1] = [merged.loop]
+        known = merged
         fused += 1
         # stay at i: the merged loop may fuse with the next one too
     return fused
 
 
-def _parallelish(loop: F.DoLoop,
-                 params: Mapping[str, int] | None = None) -> bool:
+def _parallelish(nest: NestRecord) -> bool:
     """Cheap parallelizability probe: carried deps modulo privatizable
     scalars/arrays and recognized reductions."""
-    from repro.analysis.privatization import find_privatizable
-    from repro.analysis.reductions import reduction_variables
-
-    g = build_dependence_graph(loop, params=params)
-    ignore = {p.name for p in find_privatizable(loop, arrays=True)
+    ignore = {p.name for p in find_privatizable(nest, arrays=True)
               if p.privatizable}
-    ignore |= reduction_variables(loop)
-    return g.is_parallel(0, ignore)
+    ignore |= {r.var for r in find_reductions(nest)}
+    return nest.graph.is_parallel(0, ignore)
 
 
-def _replicable(between: list[F.Stmt], a: F.DoLoop, b: F.DoLoop) -> bool:
+def _replicable(between: list[F.Stmt], a: NestRecord, b: NestRecord) -> bool:
     """Safe to replicate ``between`` into every iteration?
 
     The statements must be scalar assignments whose targets are not read
     or written by either loop body (they become redundant recomputation),
     and whose RHS reads nothing the first loop writes.
     """
-    from repro.analysis.refs import read_names
-
-    a_written = written_names(a.body)
-    b_written = written_names(b.body)
-    a_read = read_names(a.body)
-    b_read = read_names(b.body)
+    a_read = {r.name for r in a.refs if not r.is_write}
     produced: set[str] = set()
     for s in between:
         assert isinstance(s.target, F.Var)
         t = s.target.name
-        if t in a_written | b_written | a_read:
+        if t in a.written | b.written | a_read:
             return False
         for n in s.value.walk():
             name = None
             if isinstance(n, (F.Var, F.ArrayRef, F.Apply, F.FuncCall)):
                 name = n.name
-            if name is not None and name in (a_written - produced):
+            if name is not None and name in (a.written - produced):
                 return False
         produced.add(t)
     # targets may be read by the second loop — that is the point — but the
@@ -224,6 +221,6 @@ def _replicable(between: list[F.Stmt], a: F.DoLoop, b: F.DoLoop) -> bool:
     # loop indices
     for s in between:
         for n in s.value.walk():
-            if isinstance(n, F.Var) and n.name in (a.var, b.var):
+            if isinstance(n, F.Var) and n.name in (a.loop.var, b.loop.var):
                 return False
     return True

@@ -45,9 +45,7 @@ def _names_in(stmts: list[F.Stmt]) -> set[str]:
     for node in F.stmts_walk(stmts):
         if isinstance(node, (F.Var, F.ArrayRef, F.Apply)):
             out.add(node.name)
-        elif isinstance(node, F.DoLoop):
-            out.add(node.var)
-        elif isinstance(node, ParallelDo):
+        elif isinstance(node, (F.DoLoop, ParallelDo)):
             out.add(node.var)
     return out
 
@@ -72,8 +70,7 @@ def globalize_unit(unit: F.ProgramUnit, symtab: SymbolTable,
     cross_cluster: set[str] = set()
     for s in F.stmts_walk(unit.body):
         if isinstance(s, ParallelDo) and s.level in ("S", "X"):
-            used = _names_in(s.body) | _names_in(s.preamble) \
-                | _names_in(s.postamble) | {s.var}
+            used = _names_in(s.preamble + s.body + s.postamble) | {s.var}
             for e in (s.start, s.end, s.step):
                 if e is not None:
                     for n in e.walk():

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.expr import simplify
 from repro.analysis.induction import InductionVar
-from repro.errors import TransformError
+from repro.analysis.nest import NestRecord
 from repro.fortran import ast_nodes as F
 from repro.restructurer.names import NamePool
 from repro.restructurer.rename import substitute_reads
@@ -58,24 +58,19 @@ def _reads_follow_update(loop: F.DoLoop, iv: InductionVar) -> bool:
     """True if every read of the IV occurs textually after its update
     (pre-order position), so the post-update closed form is correct for
     all of them."""
-    seen_update = False
     for node in F.stmts_walk(loop.body):
         if node is iv.update:
-            seen_update = True
-            continue
+            return True  # everything after it, its own RHS included
         if isinstance(node, F.Var) and node.name == iv.name:
-            if not seen_update:
-                # the update's own RHS read is visited under the update
-                # statement; anything else before it disqualifies
-                under_update = any(n is node for n in iv.update.walk())
-                if not under_update:
-                    return False
+            return False
     return True
 
 
-def substitute_inductions(loop: F.DoLoop, ivs: list[InductionVar],
+def substitute_inductions(loop: "F.DoLoop | NestRecord",
+                          ivs: list[InductionVar],
                           pool: NamePool) -> InductionOutcome:
-    """Substitute each closed-form IV in ``loop`` (body mutated in place).
+    """Substitute each closed-form IV in ``loop`` (body mutated in place;
+    a record handed in is invalidated with every rewrite).
 
     For each variable ``v``:
 
@@ -85,6 +80,8 @@ def substitute_inductions(loop: F.DoLoop, ivs: list[InductionVar],
     3. the update statement is deleted;
     4. ``v = <closed form at final iteration>`` is emitted after the loop.
     """
+    nest = NestRecord.of(loop)
+    loop = nest.loop
     out = InductionOutcome()
     for iv in ivs:
         if iv.closed_form is None:
@@ -103,9 +100,7 @@ def substitute_inductions(loop: F.DoLoop, ivs: list[InductionVar],
 
         # nest variables that the closed form mentions, with their ends
         nest_vars: list[tuple[str, F.Expr]] = [(loop.var, loop.end)]
-        for s in F.stmts_walk(loop.body):
-            if isinstance(s, F.DoLoop):
-                nest_vars.append((s.var, s.end))
+        nest_vars += [(s.var, s.end) for s in nest.inner_loops]
 
         out.before_loop.append(
             F.Assign(target=F.Var(v0), value=F.Var(iv.name)))
@@ -117,6 +112,7 @@ def substitute_inductions(loop: F.DoLoop, ivs: list[InductionVar],
             if isinstance(res, list):
                 loop.body[i:i + 1] = res
         substitute_reads(loop.body, iv.name, closed)
+        nest.invalidate()
 
         final = _final_trip_env(loop, closed, nest_vars)
         out.after_loop.append(F.Assign(target=F.Var(iv.name), value=final))

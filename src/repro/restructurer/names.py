@@ -10,17 +10,12 @@ class NamePool:
 
     def __init__(self, unit: F.ProgramUnit):
         self.used: set[str] = set(unit.args)
-        for node in list(F.stmts_walk(unit.specs)) + list(F.stmts_walk(unit.body)):
-            if isinstance(node, (F.Var, F.ArrayRef, F.Apply, F.FuncCall)):
+        for node in F.stmts_walk(unit.specs + unit.body):
+            if isinstance(node, (F.Var, F.ArrayRef, F.Apply, F.FuncCall,
+                                 F.EntityDecl)):
                 self.used.add(node.name)
             elif isinstance(node, F.DoLoop):
                 self.used.add(node.var)
-            elif isinstance(node, F.EntityDecl):
-                self.used.add(node.name)
-        for spec in unit.specs:
-            for node in spec.walk():
-                if isinstance(node, F.EntityDecl):
-                    self.used.add(node.name)
 
     def fresh(self, base: str) -> str:
         """A new name derived from ``base`` (f77 style: ≤ 6 significant chars

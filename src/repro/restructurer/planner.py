@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.analysis.depend.graph import DependenceGraph, build_dependence_graph
+from repro.analysis.expr import linearize
 from repro.analysis.induction import find_induction_variables
+from repro.analysis.nest import NestRecord
 from repro.analysis.privatization import PrivatizationResult, find_privatizable
 from repro.analysis.reductions import Reduction, find_reductions
 from repro.analysis.runtime_test import synthesize_runtime_test
@@ -41,7 +42,7 @@ from repro.restructurer.doacross import build_doacross, plan_doacross
 from repro.restructurer.induction_sub import substitute_inductions
 from repro.restructurer.names import NamePool
 from repro.restructurer.options import RestructurerOptions
-from repro.restructurer.privatize import privatize_for_loop
+from repro.restructurer.privatize import last_value_assign, privatize_for_loop
 from repro.restructurer.recurrence import replace_with_library
 from repro.restructurer.reduction_xform import transform_reductions
 from repro.restructurer.scalar_expansion import plan_expansion
@@ -93,7 +94,7 @@ class NestPlan:
         }
 
 
-def _monotonic_arrays(loop: F.DoLoop, ivs) -> dict[str, str]:
+def _monotonic_arrays(nest: NestRecord, ivs) -> dict[str, str]:
     """Arrays provably written at distinct addresses every iteration.
 
     An array qualifies for IV ``v`` when *every* reference to it in the
@@ -103,37 +104,24 @@ def _monotonic_arrays(loop: F.DoLoop, ivs) -> dict[str, str]:
     so the (non-affine after substitution) dependences on the array can
     be discharged.  Returns {array name: iv name}.
     """
-    from repro.analysis.expr import linearize
-    from repro.analysis.refs import LoopInfo, RefCollector
-
     mono_ivs = {iv.name for iv in ivs if iv.strictly_monotonic}
     if not mono_ivs:
         return {}
-    rc = RefCollector()
-    rc.collect(loop.body, (LoopInfo.of(loop),))
-    by_name: dict[str, list] = {}
-    for r in rc.refs:
-        if r.subscripts:
-            by_name.setdefault(r.name, []).append(r)
     out: dict[str, str] = {}
-    for name, refs in by_name.items():
+    for name, refs in nest.by_name.items():
         forms = []
-        ok = True
         for r in refs:
-            if r.in_call or len(r.subscripts) != 1:
-                ok = False
+            if not r.subscripts:
+                continue
+            le = linearize(r.subscripts[0]) \
+                if len(r.subscripts) == 1 and not r.in_call else None
+            used = le.variables() if le is not None else set()
+            if len(used) != 1 or not used <= mono_ivs \
+                    or abs(le.coeff(*used)) != 1:
+                forms = []  # one unexplained reference disqualifies
                 break
-            le = linearize(r.subscripts[0])
-            if le is None:
-                ok = False
-                break
-            ivs_used = le.variables() & mono_ivs
-            if len(ivs_used) != 1 or len(le.variables()) != 1 \
-                    or abs(le.coeff(next(iter(ivs_used)))) != 1:
-                ok = False
-                break
-            forms.append((next(iter(ivs_used)), le.const, le.coeffs))
-        if ok and forms and len({f for f in forms}) == 1:
+            forms.append((*used, le.const, le.coeffs))
+        if len(set(forms)) == 1:
             out[name] = forms[0][0]
     return out
 
@@ -167,6 +155,11 @@ class LoopPlanner:
             reason=reason, predicted_cycles=cost))
 
     def plan(self, loop: F.DoLoop) -> NestPlan:
+        # every analysis below reads this one record; induction
+        # substitution, the only step that rewrites ``loop`` in place,
+        # invalidates it
+        nest = NestRecord(loop, self.unit, self.symtab, self.params,
+                          self.effects)
         notes: list[str] = []
         before: list[F.Stmt] = []
         after: list[F.Stmt] = []
@@ -176,7 +169,7 @@ class LoopPlanner:
         substituted: list[str] = []
         mono_arrays: set[str] = set()
         if self.opt.basic_induction or self.opt.generalized_induction:
-            ivs = find_induction_variables(loop, self.params)
+            ivs = find_induction_variables(nest, self.params)
             allowed = []
             for iv in ivs:
                 if iv.kind == "basic" and self.opt.basic_induction:
@@ -185,8 +178,8 @@ class LoopPlanner:
                         and self.opt.generalized_induction:
                     allowed.append(iv)
             if allowed:
-                candidates = _monotonic_arrays(loop, allowed)
-                outcome = substitute_inductions(loop, allowed, self.pool)
+                candidates = _monotonic_arrays(nest, allowed)
+                outcome = substitute_inductions(nest, allowed, self.pool)
                 before.extend(outcome.before_loop)
                 after.extend(outcome.after_loop)
                 substituted = outcome.substituted
@@ -214,12 +207,11 @@ class LoopPlanner:
                                 line=loop.line, discharged=discharged)
 
         # 3. reductions
-        reductions = self._allowed_reductions(loop)
+        reductions = self._allowed_reductions(nest)
 
         # 4. privatization
         priv = find_privatizable(
-            loop, self.unit, self.symtab, self.params,
-            arrays=self.opt.array_privatization)
+            nest, params=self.params, arrays=self.opt.array_privatization)
         priv_ok = [p for p in priv if p.privatizable]
         if not self.opt.scalar_privatization:
             priv_ok = [p for p in priv_ok if p.is_array]
@@ -228,24 +220,21 @@ class LoopPlanner:
         # explained only if the privatization transform will actually take
         # it: arrays needing a last value are declined there, and scalars
         # needing one must have a synthesizable final assignment.
-        from repro.restructurer.privatize import _last_value_assign
-
         ignorable: set[str] = set()
         for p in priv_ok:
             if p.needs_last_value:
                 if p.is_array:
                     continue
-                if _last_value_assign(loop, p.name) is None:
+                if last_value_assign(nest, p.name) is None:
                     continue
             ignorable.add(p.name)
-        graph = build_dependence_graph(loop, self.params, self.effects)
+        graph = nest.graph
         # a "reduction" whose accumulator carries no dependence (e.g. an
         # array element indexed by the parallel loop) needs no transform:
         # treating it as one would privatize/combine whole arrays for
         # nothing
         carried_vars = graph.variables_with_carried(0)
         reductions = [r for r in reductions if r.var in carried_vars]
-        self._active_reduction_vars = {r.var for r in reductions}
         ignore = (ignorable
                   | {r.var for r in reductions}
                   | set(substituted)
@@ -263,11 +252,13 @@ class LoopPlanner:
                               + (", ".join(blockers) if blockers
                                  else "unanalyzable references"))
         inner = self._inner_loop(loop)
-        inner_parallel = (inner is not None
-                          and self._inner_is_parallel(loop, inner, graph))
+        if inner is not None:
+            inner = NestRecord(inner, self.unit, self.symtab, self.params,
+                               self.effects)
+        inner_parallel = inner is not None and self._inner_is_parallel(inner)
 
         # 6. enumerate and score
-        versions = self._versions(loop, graph, ignore, reductions, priv_ok,
+        versions = self._versions(nest, ignore, reductions, priv_ok,
                                   outer_parallel, inner, inner_parallel)
         versions = versions[: self.opt.max_versions]
         if not versions:
@@ -309,10 +300,11 @@ class LoopPlanner:
 
     # ------------------------------------------------------------------
 
-    def _allowed_reductions(self, loop: F.DoLoop) -> list[Reduction]:
+    def _allowed_reductions(self, nest: "F.DoLoop | NestRecord"
+                            ) -> list[Reduction]:
         if not self.opt.simple_reductions:
             return []
-        reds = find_reductions(loop)
+        reds = find_reductions(nest)
         out = []
         for r in reds:
             if r.kind == "array":
@@ -334,21 +326,21 @@ class LoopPlanner:
             return inners[0]
         return None
 
-    def _inner_is_parallel(self, outer: F.DoLoop, inner: F.DoLoop,
-                           outer_graph: DependenceGraph) -> bool:
-        sub = build_dependence_graph(inner, self.params, self.effects)
-        priv = find_privatizable(inner, self.unit, self.symtab, self.params,
+    def _inner_is_parallel(self, inner: NestRecord) -> bool:
+        priv = find_privatizable(inner, params=self.params,
                                  arrays=self.opt.array_privatization)
         ignore = {p.name for p in priv if p.privatizable}
         # reductions are NOT ignorable here: the CDOALL built for the inner
         # loop has no reduction transform, so an accumulator would race
-        return sub.is_parallel(0, ignore)
+        return inner.graph.is_parallel(0, ignore)
 
     # ------------------------------------------------------------------
 
-    def _versions(self, loop, graph, ignore, reductions, priv_ok,
-                  outer_parallel, inner, inner_parallel):
+    def _versions(self, nest, ignore, reductions, priv_ok,
+                  outer_parallel, inner_nest, inner_parallel):
         """(label, score, builder) candidates, unsorted."""
+        loop, graph = nest.loop, nest.graph
+        inner = inner_nest.loop if inner_nest is not None else None
         trips = trip_count(loop, self.opt.default_trip)
         body_ops = estimate_body_ops(loop.body, self.opt.default_trip)
         out: list[tuple[str, float, Callable[[], list[F.Stmt]]]] = []
@@ -374,7 +366,7 @@ class LoopPlanner:
                     self.cost.parallel("xdoall", trips,
                                        max(0.35 * body_ops, 1.0),
                                        self.cost.total_p),
-                    lambda: self._build_xdoall(loop, reductions, priv_ok,
+                    lambda: self._build_xdoall(nest, reductions, priv_ok,
                                                vector=True),
                 ))
                 # single-cluster mapping: far cheaper startup, 8 procs —
@@ -385,14 +377,14 @@ class LoopPlanner:
                         self.cost.parallel("cdoall", trips,
                                            max(0.35 * body_ops, 1.0),
                                            self.cost.ppc),
-                        lambda: self._build_xdoall(loop, reductions, priv_ok,
+                        lambda: self._build_xdoall(nest, reductions, priv_ok,
                                                    vector=True, level="C"),
                     ))
             out.append((
                 "xdoall",
                 self.cost.parallel("xdoall", trips, body_ops,
                                    self.cost.total_p),
-                lambda: self._build_xdoall(loop, reductions, priv_ok,
+                lambda: self._build_xdoall(nest, reductions, priv_ok,
                                            vector=False),
             ))
             if self.opt.cluster_mapping:
@@ -400,7 +392,7 @@ class LoopPlanner:
                     "cdoall",
                     self.cost.parallel("cdoall", trips, body_ops,
                                        self.cost.ppc),
-                    lambda: self._build_xdoall(loop, reductions, priv_ok,
+                    lambda: self._build_xdoall(nest, reductions, priv_ok,
                                                vector=False, level="C"),
                 ))
             if inner is not None and inner_parallel:
@@ -413,13 +405,13 @@ class LoopPlanner:
                     "sdoall-cdoall",
                     self.cost.parallel("sdoall", trips, rest + inner_cost,
                                        self.cost.clusters),
-                    lambda: self._build_sdoall_cdoall(loop, inner,
+                    lambda: self._build_sdoall_cdoall(loop, inner_nest,
                                                       reductions, priv_ok),
                 ))
         else:
             # DOACROSS alternative for carried-but-synchronizable loops
             if self.opt.doacross and not reductions:
-                plan = plan_doacross(loop, graph, ignore)
+                plan = plan_doacross(nest, graph, ignore)
                 if plan is not None:
                     score = self.cost.doacross(
                         "cdoacross", trips, body_ops,
@@ -443,7 +435,7 @@ class LoopPlanner:
                                   "synchronized ordered loop")
             # run-time dependence test: two-version loop
             if self.opt.runtime_dependence_test:
-                test = synthesize_runtime_test(loop, self.params)
+                test = synthesize_runtime_test(nest, self.params)
                 if test is not None:
                     par_score = self.cost.parallel(
                         "xdoall", trips, body_ops, self.cost.total_p)
@@ -451,7 +443,7 @@ class LoopPlanner:
                         "runtime-two-version",
                         par_score * 1.1 + 10.0,
                         lambda t=test: self._build_two_version(
-                            loop, t, reductions, priv_ok),
+                            nest, t, reductions, priv_ok),
                     ))
                 else:
                     self._emit(loop, "runtime-two-version", "rejected",
@@ -459,7 +451,7 @@ class LoopPlanner:
                                       "synthesizable for the subscripts")
             # unordered critical section (§4.1.6)
             if self.opt.critical_sections:
-                cplan = plan_critical_section(loop, graph, ignore)
+                cplan = plan_critical_section(nest, graph, ignore)
                 if cplan is not None:
                     base = self.cost.parallel("xdoall", trips, body_ops,
                                               self.cost.total_p)
@@ -489,13 +481,14 @@ class LoopPlanner:
         return F.DoLoop(var=loop.var, start=loop.start, end=loop.end,
                         step=loop.step, body=new_body)
 
-    def _build_xdoall(self, loop: F.DoLoop, reductions: list[Reduction],
+    def _build_xdoall(self, nest: NestRecord, reductions: list[Reduction],
                       priv: list[PrivatizationResult],
                       vector: bool, level: str = "X") -> list[F.Stmt]:
-        work = loop.clone()
-        active = getattr(self, "_active_reduction_vars", None)
+        work = nest.loop.clone()
+        # the same reductions, as statements of the clone
+        active = {r.var for r in reductions}
         reds = [r for r in self._allowed_reductions(work)
-                if active is None or r.var in active]
+                if r.var in active] if active else []
         red_out = transform_reductions(work, reds, self.pool, self.symtab,
                                        sink=self.sink, unit=self.unit.name)
         priv_out = privatize_for_loop(
@@ -509,7 +502,7 @@ class LoopPlanner:
                     "partial accumulator stays scalar per processor")
             # analyze scalars on the original loop (still in the unit tree,
             # so liveness queries see the surrounding code)
-            plan = plan_expansion(loop, self.pool, self.symtab, self.unit)
+            plan = plan_expansion(nest, self.pool)
             if not plan.ok:
                 raise TransformError(
                     f"scalars block vectorization: {plan.blocked}")
@@ -535,7 +528,7 @@ class LoopPlanner:
         pdo.postamble = red_out.postamble
         return [pdo] + priv_out.after_loop
 
-    def _build_sdoall_cdoall(self, loop: F.DoLoop, inner: F.DoLoop,
+    def _build_sdoall_cdoall(self, loop: F.DoLoop, inner: NestRecord,
                              reductions: list[Reduction],
                              priv: list[PrivatizationResult]) -> list[F.Stmt]:
         if reductions:
@@ -543,8 +536,7 @@ class LoopPlanner:
                 "reductions are mapped to single-level XDOALL loops")
         # analyze the inner loop while it still sits in the original tree
         inner_priv_results = find_privatizable(
-            inner, self.unit, self.symtab, self.params,
-            arrays=self.opt.array_privatization)
+            inner, params=self.params, arrays=self.opt.array_privatization)
         work = loop.clone()
         w_inner = self._inner_loop(work)
         assert w_inner is not None
@@ -588,10 +580,10 @@ class LoopPlanner:
         pdo = build_doacross(plan, level="C", locals_=priv_out.locals_)
         return [pdo] + priv_out.after_loop
 
-    def _build_two_version(self, loop: F.DoLoop, test,
+    def _build_two_version(self, nest: NestRecord, test,
                            reductions, priv) -> list[F.Stmt]:
-        parallel = self._build_xdoall(loop, reductions, priv, vector=False)
-        serial = [loop.clone()]
+        parallel = self._build_xdoall(nest, reductions, priv, vector=False)
+        serial = [nest.loop.clone()]
         return [build_two_version(test, parallel, serial)]
 
     def _vectorize_inner_loops(self, stmts: list[F.Stmt]) -> None:
@@ -600,14 +592,12 @@ class LoopPlanner:
         while i < len(stmts):
             s = stmts[i]
             if isinstance(s, F.DoLoop):
-                inner_has_loop = any(isinstance(x, F.DoLoop)
-                                     for x in F.stmts_walk(s.body))
-                if not inner_has_loop:
-                    g = build_dependence_graph(s, self.params, self.effects)
+                nest = NestRecord(s, params=self.params, effects=self.effects)
+                if not nest.inner_loops:
                     priv = {p.name for p in
-                            find_privatizable(s, arrays=False)
+                            find_privatizable(nest, arrays=False)
                             if p.privatizable and not p.is_array}
-                    if g.is_parallel(0, priv):
+                    if nest.graph.is_parallel(0, priv):
                         try:
                             stmts[i:i + 1] = vectorize_inner(s)
                             i += 1

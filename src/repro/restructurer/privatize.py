@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.nest import NestRecord
 from repro.analysis.privatization import PrivatizationResult
 from repro.errors import TransformError
 from repro.fortran import ast_nodes as F
 from repro.fortran.symtab import SymbolTable
+from repro.restructurer.rename import substitute_reads
 from repro.trace.events import NULL_SINK, DecisionEvent
 
 
@@ -46,26 +48,23 @@ def _decl_for(name: str, symtab: SymbolTable | None) -> F.TypeDecl:
     return F.TypeDecl(type=F.TypeSpec(base), entities=[ent])
 
 
-def _last_value_assign(loop: F.DoLoop, name: str) -> F.Stmt | None:
+def last_value_assign(loop: "F.DoLoop | NestRecord",
+                      name: str) -> F.Stmt | None:
     """Synthesize the post-loop last-value assignment for a scalar.
 
     Supported when the scalar has exactly one unconditional top-level
     definition ``name = rhs`` whose RHS only uses the loop index and
     loop-invariant values: the last value is ``rhs[i → end]``.
     """
-    from repro.analysis.refs import written_names
-    from repro.restructurer.rename import substitute_reads
-
-    defs = [s for s in loop.body
-            if isinstance(s, F.Assign) and isinstance(s.target, F.Var)
-            and s.target.name == name]
-    all_defs = [s for s in F.stmts_walk(loop.body)
+    nest = NestRecord.of(loop)
+    loop = nest.loop
+    all_defs = [s for s in nest.stmts
                 if isinstance(s, F.Assign) and isinstance(s.target, F.Var)
                 and s.target.name == name]
-    if len(defs) != 1 or len(all_defs) != 1:
-        return None
-    rhs = defs[0].value.clone()
-    written = written_names(loop.body) - {name, loop.var}
+    if len(all_defs) != 1 or not any(s is all_defs[0] for s in loop.body):
+        return None  # conditional, nested or ambiguous definition
+    rhs = all_defs[0].value.clone()
+    written = nest.written - {name, loop.var}
     for n in rhs.walk():
         if isinstance(n, F.Var) and n.name in written:
             return None
@@ -106,7 +105,7 @@ def privatize_for_loop(loop: F.DoLoop,
                 emit("declined", r.name,
                      "live-out array needs a last-value copy")
                 continue
-            lv = _last_value_assign(loop, r.name)
+            lv = last_value_assign(loop, r.name)
             if lv is None:
                 out.declined.append(r.name)
                 emit("declined", r.name,

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.nest import NestRecord
 from repro.analysis.privatization import analyze_scalar
 from repro.fortran import ast_nodes as F
-from repro.fortran.symtab import SymbolTable
 from repro.restructurer.names import NamePool
 
 
@@ -34,29 +34,26 @@ class ExpansionPlan:
         return not self.blocked
 
 
-def plan_expansion(loop: F.DoLoop, pool: NamePool,
-                   symtab: SymbolTable | None = None,
-                   unit: F.ProgramUnit | None = None) -> ExpansionPlan:
-    """Decide scalar expansion for vectorizing ``loop``.
+def plan_expansion(nest: NestRecord, pool: NamePool) -> ExpansionPlan:
+    """Decide scalar expansion for vectorizing ``nest.loop`` (the record
+    carries the unit and symbol table liveness and types come from).
 
     Every scalar assigned in the body must be privatizable (def before use
     each iteration, not live out); such scalars expand.  Anything else
     blocks vectorization of this loop.
     """
-    assigned: set[str] = set()
-    for s in F.stmts_walk(loop.body):
-        if isinstance(s, F.Assign) and isinstance(s.target, F.Var):
-            assigned.add(s.target.name)
-        elif isinstance(s, F.DoLoop):
-            assigned.add(s.var)
+    symtab = nest.symtab
+    assigned = {s.target.name for s in nest.stmts
+                if isinstance(s, F.Assign) and isinstance(s.target, F.Var)}
+    assigned |= nest.inner_vars
 
     mapping: dict[str, str] = {}
     types: dict[str, str] = {}
     blocked: list[str] = []
     for name in sorted(assigned):
-        if name == loop.var:
+        if name == nest.loop.var:
             continue
-        res = analyze_scalar(loop, name, unit, symtab)
+        res = analyze_scalar(nest, name)
         if not res.privatizable or res.needs_last_value:
             blocked.append(name)
             continue
