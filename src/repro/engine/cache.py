@@ -265,6 +265,10 @@ class CompilationCache:
         return self._sum("disk_writes")
 
     def stats(self) -> dict:
+        # under the lock: ``_mem_put`` holds cap + 1 entries between its
+        # insert and its eviction, which no observer may see
+        with self._mem_lock:
+            entries = len(self._mem)
         return {
             "enabled": self.enabled,
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
@@ -272,7 +276,7 @@ class CompilationCache:
             "misses": self.misses,
             "disk_hits": self.disk_hits,
             "disk_writes": self.disk_writes,
-            "entries": len(self._mem),
+            "entries": entries,
             "by_kind": {
                 kind: {
                     "hits": self._ctr[kind, "hit"].value,

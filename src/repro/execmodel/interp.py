@@ -4,8 +4,8 @@ The interpreter exists to *verify transformations*: running the original
 and the restructured program on the same inputs must give the same
 results.  Parallel loops are executed worker-by-worker — each simulated
 processor gets its own loop-local scope, runs the preamble, executes its
-share of the iterations (self-scheduling order: worker ``w`` takes
-iterations ``w, w+P, …``), then the postamble — so privatization,
+share of the iterations (whatever the interpreter's ``deal`` hands it;
+by default :func:`cyclic_deal`), then the postamble — so privatization,
 scalar expansion, reduction partials and last-value code are all checked
 for real.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,13 @@ class _StopSignal(Exception):
 ENGINES = ("tree", "compiled")
 
 
+def cyclic_deal(n: int, p: int) -> list[range]:
+    """The default iteration→worker deal of a DOALL: of ``n`` iterations
+    on ``p`` workers, worker ``w`` takes positions ``w, w+P, …`` — the
+    order a healthy machine's self-scheduled chunk queue produces."""
+    return [range(w, n, p) for w in range(p)]
+
+
 class Interpreter:
     """Executes program units of one source file."""
 
@@ -64,7 +71,9 @@ class Interpreter:
                  inputs: list[float] | None = None,
                  shadow: "ShadowRecorder | None" = None,
                  step_budget: int | None = STEP_BUDGET,
-                 engine: str | None = None):
+                 engine: str | None = None,
+                 deal: Callable[[int, int], Sequence[Sequence[int]]]
+                 | None = None):
         """``shadow`` is an optional
         :class:`repro.execmodel.shadow.ShadowRecorder`; when given, every
         shared-storage access inside parallel DOALL loops is logged and
@@ -85,7 +94,16 @@ class Interpreter:
         tree handlers' ``record_*`` calls.  ``engine=None`` (the
         default) resolves to ``$REPRO_ENGINE`` when set, else
         ``"tree"`` — harnesses that construct interpreters without an
-        explicit engine inherit the sweep-wide selection."""
+        explicit engine inherit the sweep-wide selection.
+
+        ``deal(n, p)`` decides which worker runs which iteration of every
+        DOALL: it returns ``p`` sequences of positions in ``range(n)``,
+        worker ``w`` executing its sequence in order (default
+        :func:`cyclic_deal`).  Both engines read it, so they stay
+        bit-identical under any deal; DOACROSS loops stay ordered.  The
+        result is taken as given — a deal that drops or repeats a
+        position runs exactly that, which is what the oracles' negative
+        controls rely on."""
         if engine is None:
             engine = os.environ.get("REPRO_ENGINE") or "tree"
         if engine not in ENGINES:
@@ -102,6 +120,7 @@ class Interpreter:
         self.step_budget = step_budget
         self._steps = 0
         self.engine = engine
+        self.deal = deal or cyclic_deal
         self._compiler = None
         if self.engine == "compiled":
             from repro.execmodel.compiled import Compiler
@@ -378,8 +397,8 @@ class Interpreter:
             else None
         p = max(1, min(self.processors, len(iters) or 1))
         try:
-            for w in range(p):
-                mine = iters[w::p]
+            for share in self.deal(len(iters), p):
+                mine = [iters[i] for i in share]
                 if not mine and not s.preamble and not s.postamble:
                     continue
                 wscope = self._worker_scope(s, scope, unit)

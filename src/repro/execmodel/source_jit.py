@@ -23,10 +23,11 @@ What lowers:
   :func:`repro.analysis.reductions.find_reductions` evaluate their
   contributed terms vectorized, then replay the tree walk's exact
   per-iteration accumulation: same left-spine operator order, same
-  per-store integer-coercion ladder, same worker-interleaved iteration
-  order when the outer axis is a DOALL.  MIN/MAX accumulators lower to
-  ``np.minimum.reduce``/``np.maximum.reduce`` when the accumulator and
-  contribution provably share a type class.
+  per-store integer-coercion ladder, same worker-by-worker iteration
+  order (the interpreter's ``deal``) when the outer axis is a DOALL.
+  MIN/MAX accumulators lower to ``np.minimum.reduce``/
+  ``np.maximum.reduce`` when the accumulator and contribution provably
+  share a type class.
 
 Every lowering carries one exactness obligation — the vector evaluation
 must be bit-equal to the scalar loop: plain or affine loop-variable
@@ -41,6 +42,7 @@ follows the same table (``min``/``max`` are exact elementwise).
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -117,10 +119,6 @@ class Runtime:
     def tally(self, loops: int, fallback: int) -> None:
         self.compiler.vectorized_loops += loops
         self.compiler.fallback_stmts += fallback
-
-    @property
-    def processors(self) -> int:
-        return self.compiler.interp.processors
 
     # -- scope access --------------------------------------------------
 
@@ -277,17 +275,16 @@ class Runtime:
         """Flatten a grid of contributed terms into scalar-loop order.
 
         C-order ravel is the sequential nest order; a DOALL outer axis
-        is permuted into the simulator's worker-interleaved order
-        (worker ``w`` takes iterations ``w, w+P, ...``).
+        is permuted into the order the tree walk visits it in — worker
+        by worker, each through its share of the interpreter's deal.
         """
         a = np.broadcast_to(np.asarray(value), shape)
         if doall_outer and len(shape) >= 1:
+            interp = self.compiler.interp
             n0 = shape[0]
-            p = max(1, min(self.processors, n0 or 1))
-            if p > 1:
-                idx = np.concatenate(
-                    [np.arange(w, n0, p) for w in range(p)])
-                a = a[idx]
+            p = max(1, min(interp.processors, n0 or 1))
+            a = a[np.fromiter(chain.from_iterable(interp.deal(n0, p)),
+                              dtype=np.intp)]
         return a.ravel()
 
 

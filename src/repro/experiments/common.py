@@ -7,9 +7,9 @@ every table and figure of the paper plots.
 
 Also home to the CLI flags the harnesses share: ``add_engine_args`` (the
 performance layer — ``--jobs``, ``--cache-dir``, ``--telemetry``,
-``--log-level`` — on every harness) and ``add_interpreter_arg``
-(``--engine``, only on the harnesses that execute programs; nothing
-here builds an interpreter).
+``--log-level`` — on every harness) and ``add_interpreter_arg`` /
+``selected_engine`` (``--engine``, only on the harnesses that execute
+programs; nothing here builds an interpreter).
 """
 
 from __future__ import annotations
@@ -208,12 +208,13 @@ def add_engine_args(ap: argparse.ArgumentParser) -> None:
                          "sweep payloads)")
 
 
-def add_interpreter_arg(ap: argparse.ArgumentParser, default: str) -> None:
+def add_interpreter_arg(ap: argparse.ArgumentParser) -> None:
     """``--engine``, for the harnesses that execute programs
     (``repro.validate``, ``repro.faults``); estimation-only paths never
-    build an :class:`~repro.execmodel.interp.Interpreter`.  ``default``
-    names the engine the harness runs when nothing selects one."""
+    build an :class:`~repro.execmodel.interp.Interpreter`.  Read the
+    choice back with :func:`selected_engine`."""
     from repro.execmodel.interp import ENGINES
+    from repro.validate.differential import DEFAULT_ENGINE
 
     ap.add_argument("--engine", default=None, choices=ENGINES,
                     help="interpreter engine for every run this harness "
@@ -222,8 +223,18 @@ def add_interpreter_arg(ap: argparse.ArgumentParser, default: str) -> None:
                          "loop nests, closures for the rest; race-"
                          "checked runs record from closures alone); "
                          "results and race verdicts are identical "
-                         "(default: $REPRO_ENGINE, "
-                         f"else {default})")
+                         "(default: $REPRO_ENGINE, else "
+                         f"{DEFAULT_ENGINE} — one default for every "
+                         "harness)")
+
+
+def selected_engine(ns: argparse.Namespace) -> str:
+    """The engine a harness runs: ``--engine``, else ``$REPRO_ENGINE``,
+    else the one default every harness shares."""
+    from repro.validate.differential import DEFAULT_ENGINE
+
+    return getattr(ns, "engine", None) \
+        or os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
 
 
 def configure_engine(ns: argparse.Namespace) -> int:

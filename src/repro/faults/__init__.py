@@ -6,7 +6,8 @@ The chaos layer: seeded, reproducible machine-degradation plans
 (watchdogs, crash isolation, checkpoint journals — :mod:`.harness`), and
 a degradation oracle (``python -m repro.faults sweep``) asserting that a
 faulted machine *degrades* — slower, attributed, bounded — but never
-*diverges*: numerics stay bit-identical to the healthy run.
+*diverges*: with the plan dealing the iterations over the surviving CEs
+(:meth:`FaultPlan.deal`), results still validate.
 
 Only the plan/injector layer is exported here; the harness and sweep are
 imported by the CLIs on demand (they pull in the experiment stack).

@@ -3,7 +3,8 @@
 ``python -m repro.faults sweep [--quick]``
     Run the degradation oracle over the fault matrix (workloads ×
     scenarios), asserting monotone / attributed / bounded degradation
-    with bit-identical numerics.  ``--json`` (or ``-o FILE``) emits the
+    and results that still validate with the plan dealing the
+    iterations.  ``--json`` (or ``-o FILE``) emits the
     ``repro-faults/1`` payload.
 
 ``python -m repro.faults list``
@@ -43,7 +44,7 @@ def _cmd_list(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    from repro.experiments.common import configure_engine
+    from repro.experiments.common import configure_engine, selected_engine
     from repro.faults.harness import SweepJournal
     from repro.faults.sweep import run_sweep
 
@@ -56,7 +57,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             workloads=ns.workloads or None,
             scenarios=ns.scenarios or None,
             quick=ns.quick, timeout=ns.timeout,
-            journal=journal, progress=progress, jobs=jobs)
+            journal=journal, progress=progress, jobs=jobs,
+            engine=selected_engine(ns))
     except ReproError as exc:
         print(f"repro.faults: {exc}", file=sys.stderr)
         return 2
@@ -118,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
                                           add_interpreter_arg)
 
     add_engine_args(p)
-    add_interpreter_arg(p, "tree")
+    add_interpreter_arg(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("list", help="print the fault-scenario matrix")

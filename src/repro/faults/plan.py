@@ -25,14 +25,33 @@ Determinism: everything is derived from the plan's ``seed`` through
 plan produces the same degradation regardless of call order or process.
 An inactive (default) plan is a guaranteed no-op: every injection site
 short-circuits, keeping healthy results bit-identical.
+
+A plan degrades *time* in the estimator and *who runs what* in the
+interpreter, from one replay of the self-scheduled chunk queue
+(:meth:`FaultPlan.drain`): the scheduler prices it, and
+:meth:`FaultPlan.deal` hands ``Interpreter(deal=…)`` the resulting
+iteration→worker assignment, so "results do not depend on which CE ran
+which iteration" is something the oracle actually runs.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import asdict, dataclass, replace
+from typing import Sequence
 
 from repro.errors import FaultInjectionError
+
+#: what one DOALL iteration costs, in cycles, when the plan deals
+#: iterations for the *functional* replay (:meth:`FaultPlan.deal`).  The
+#: interpreter has no clock, so every iteration is one chunk of this
+#: nominal cost; it is a constant of the model, not a tunable.  200 is
+#: the order of a loop body at validation sizes (n = 24) and half of
+#: ``dead-ce-late``'s ``death_cycle``, so a CE dying at cycle 400 takes
+#: two iterations of a 24-trip loop and retires mid-loop, where a healthy
+#: CE takes three.
+NOMINAL_CHUNK_CYCLES = 200.0
 
 
 @dataclass(frozen=True)
@@ -162,6 +181,70 @@ class FaultPlan:
             return True
         rng = random.Random(f"{self.seed}:sync:{index}")
         return rng.random() < self.lost_sync_rate
+
+    # -- the self-scheduled chunk queue ---------------------------------------
+
+    def drain(self, chunk_costs: Sequence[float], p: int,
+              dispatch: float = 0.0, preamble: float = 0.0
+              ) -> tuple[list[int], list[tuple[float, int]]]:
+        """Replay ``p`` workers draining a self-scheduled chunk queue.
+
+        Whichever live worker is free first (ties: lowest index) takes
+        the next chunk; a dying CE finishes its in-flight chunk, then
+        retires at ``death_cycle`` and never grabs another; slow CEs
+        stretch whatever they execute by their clock factor.  Deadlock
+        is impossible by construction — :meth:`survivors` always leaves
+        a live worker.  Returns ``(owners, clocks)``: the worker that
+        took each chunk, and the ``(free_at, worker)`` entries of the
+        workers that had not retired when the queue ran dry.
+
+        The one drain loop behind both halves of the oracle: the
+        scheduler prices it (``LoopScheduler._fault_delta_selfsched``),
+        :meth:`deal` reads who ran what off it.
+        """
+        alive = set(self.survivors(p))
+        death = self.death_cycle
+        f = [self.speed_factor(w) for w in range(p)]
+        heap = [(preamble * f[w], w) for w in range(p)]
+        heapq.heapify(heap)
+        owners: list[int] = []
+        while len(owners) < len(chunk_costs):
+            t, w = heapq.heappop(heap)
+            if w not in alive and t >= death:
+                continue  # retired: in-flight chunk done, takes no more work
+            t += (dispatch + chunk_costs[len(owners)]) * f[w]
+            owners.append(w)
+            heapq.heappush(heap, (t, w))
+        return owners, heap
+
+    def deal(self, n: int, p: int) -> list[list[int]]:
+        """Which worker runs which of a DOALL's ``n`` iterations: the
+        functional replay of :meth:`drain`, every iteration one chunk of
+        :data:`NOMINAL_CHUNK_CYCLES`.
+
+        Always a partition of ``range(n)`` into ``p`` ascending shares —
+        work is redistributed, never lost.  A CE dead from cycle 0 gets
+        nothing, one dying later keeps what it took before
+        ``death_cycle``, a slow CE takes proportionally fewer chunks.
+        Equal clocks tie-break by worker index, so a plan with no dead
+        and no individually slowed CE — healthy, memory/sync/helper
+        faults, a uniformly slow cluster — deals exactly the
+        interpreter's default ``w, w+P, …``.
+        """
+        owners, _ = self.drain([NOMINAL_CHUNK_CYCLES] * n, p)
+        shares: list[list[int]] = [[] for _ in range(p)]
+        for i, w in enumerate(owners):
+            shares[w].append(i)
+        return shares
+
+    @property
+    def deal_key(self) -> tuple:
+        """Everything :meth:`deal` can see of the plan: plans with equal
+        keys deal identically for every ``(n, p)``."""
+        if not self.dead_ces and not self.ce_slowdown:
+            return ()
+        return (self.dead_ces, self.death_cycle, self.ce_slowdown,
+                self.cluster_slowdown)
 
     # -- degradation bound ----------------------------------------------------
 

@@ -15,17 +15,34 @@ interpret — and asserts the contract of the chaos layer:
     :meth:`~repro.faults.plan.FaultPlan.degradation_bound` — degradation
     is graceful, not a cliff;
 ``numerics_identical``
-    interpreting the restructured program is bit-identical run-to-run
-    under fault configuration — faults live strictly in the timing
-    layer, they cannot perturb a single computed value;
+    faults live strictly in the timing layer, they cannot perturb a
+    single computed value.  Per cell: the Cedar tree — the only object
+    the estimator and the interpreter share — unparses to the same text
+    after the cell's faulted estimate as when the row's harness was
+    built, so the first cell to fail names the estimate that leaked.
+    Per row: after the row's last estimate, one fresh run under the
+    deal of the row's first run is bit-identical to that first run
+    (folded into the last cell's verdict);
 ``recovery_ok``
-    interpreting with only the *surviving* processor count still matches
-    the sequential baseline within validation tolerances — the
-    self-scheduled work redistributes, results stay correct;
+    the restructured program, interpreted on 8 workers *under the
+    plan's deal* (:meth:`~repro.faults.plan.FaultPlan.deal`: dead CEs
+    stop taking iterations, slow CEs take fewer, the survivors pick up
+    the rest), still matches the sequential baseline within validation
+    tolerances — the self-scheduled work redistributes, results stay
+    correct whichever CE ran which iteration (reductions may round
+    differently; they must still validate);
 ``no_deadlock``
     every faulted estimate completes to a finite total (each run is
     additionally watchdogged — a hang becomes a harness fault, not a
     stuck sweep).
+
+The functional half costs one interpretation per *distinct input*: a
+row (one workload × its scenarios) makes 1 sequential baseline + D runs
++ 1 re-run, D being the number of distinct deals among its scenarios
+(:attr:`~repro.faults.plan.FaultPlan.deal_key`; the 11-scenario matrix
+has 5 — seven scenarios deal exactly the healthy ``w, w+P, …`` — so 7
+interpretations a row).  Not modelled by the deal: late helpers and lost
+syncs stay timing-only (a DOACROSS runs in order whatever the plan says).
 
 The result is a ``repro-faults/1`` JSON payload
 (``schemas/faults.schema.json``; semantic checks in
@@ -36,17 +53,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.cedar.unparse import unparse_cedar
 from repro.engine import cached_restructure
 from repro.errors import ReproError
 from repro.execmodel.perf import PerfEstimator
 from repro.faults.harness import FaultReport, run_isolated
 from repro.faults.plan import FaultPlan, all_scenarios
 from repro.machine.config import cedar_config1
-from repro.validate.differential import compare_outputs, run_baseline
+from repro.validate.differential import (DEFAULT_ENGINE, compare_outputs,
+                                         run_baseline, run_variant)
 from repro.workloads import validation_cases
 
 SCHEMA_TAG = "repro-faults/1"
@@ -62,6 +82,9 @@ QUICK_WORKLOADS = ("tridag", "cg", "TRFD", "cascade")
 #: parallel loops have many chunks to redistribute)
 ESTIMATE_N = {"linalg": 64, "perfect": 24, "synthetic": 96}
 ESTIMATE_N_QUICK = {"linalg": 32, "perfect": 16, "synthetic": 48}
+
+#: simulated CEs of every functional run (one Cedar cluster)
+WORKERS = 8
 
 #: worker counts a loop can actually run at (cluster/spread/cross
 #: levels, clipped by trip counts) — the analytic bound must hold at
@@ -85,7 +108,7 @@ class FaultRun:
     bound: float = 1.0                # analytic ceiling on degradation
     injected_faults: int = 0
     sync_retries: int = 0
-    survivors: int = 0                # surviving workers out of 8
+    survivors: int = 0                # surviving workers out of WORKERS
     checks: dict = field(default_factory=dict)
 
     @property
@@ -110,21 +133,26 @@ class FaultRun:
 
 
 class _WorkloadHarness:
-    """Per-workload shared state: parsed+restructured once, baseline
-    interpreted once, faulted estimates run per scenario."""
+    """Per-workload (row) shared state: parsed+restructured once,
+    baseline interpreted once, a faulted estimate per scenario, the
+    restructured program interpreted once per distinct deal."""
 
-    def __init__(self, case, estimate_n: int, seed: int = 3):
+    def __init__(self, case, estimate_n: int, seed: int = 3,
+                 engine: str = DEFAULT_ENGINE):
         self.case = case
         self.seed = seed
+        self.engine = engine
         self.cfg = cedar_config1()
         # default-options restructure through the compilation cache (the
         # cedar program is read-only downstream — estimator + interpreter)
         self.cedar, _ = cached_restructure(case.source)
+        self.cedar_text = unparse_cedar(self.cedar)
         registry = _bindings_registry(case)
         self.bindings = registry(estimate_n)
         self.healthy = self._estimate(None)
-        self.baseline_out = run_baseline(case, seed)
-        self._interp_cache: dict[int, dict] = {}
+        self.baseline_out = run_baseline(case, seed, engine=engine)
+        #: deal key -> (the first plan that dealt it, its result)
+        self._runs: dict[tuple, tuple[FaultPlan, dict]] = {}
 
     def _estimate(self, plan: Optional[FaultPlan]):
         est = PerfEstimator(self.cedar, self.cfg, faults=plan)
@@ -134,26 +162,30 @@ class _WorkloadHarness:
     def estimate(self, plan: FaultPlan):
         return self._estimate(plan if plan.active else None)
 
-    def interpret(self, processors: int) -> dict:
-        """Interpret the restructured program (cached per P)."""
-        if processors not in self._interp_cache:
-            from repro.execmodel.interp import Interpreter
+    def tree_untouched(self) -> bool:
+        """Whether the shared Cedar tree still reads as it was built."""
+        return unparse_cedar(self.cedar) == self.cedar_text
 
-            rng = np.random.default_rng(self.seed)
-            args, _ = self.case.make_args(self.case.n, rng)
-            interp = Interpreter(self.cedar, processors=processors)
-            self._interp_cache[processors] = interp.call(
-                self.case.entry, *args)
-        return self._interp_cache[processors]
+    def _interpret(self, plan: FaultPlan) -> dict:
+        # loops re-enter with the same few (n, p): deal each once a run
+        out, _ = run_variant(self.case, None, self.seed, WORKERS,
+                             engine=self.engine, cedar=self.cedar,
+                             deal=lru_cache(maxsize=None)(plan.deal))
+        return out
 
-    def interpret_fresh(self, processors: int) -> dict:
-        """Interpret again with a fresh interpreter (no cache)."""
-        from repro.execmodel.interp import Interpreter
+    def interpret(self, plan: FaultPlan) -> dict:
+        """The restructured program on :data:`WORKERS` workers under
+        ``plan``'s deal (one run per distinct deal)."""
+        key = plan.deal_key
+        if key not in self._runs:
+            self._runs[key] = (plan, self._interpret(plan))
+        return self._runs[key][1]
 
-        rng = np.random.default_rng(self.seed)
-        args, _ = self.case.make_args(self.case.n, rng)
-        return Interpreter(self.cedar, processors=processors).call(
-            self.case.entry, *args)
+    def rerun_identical(self) -> bool:
+        """Whether a fresh run under the row's first deal is
+        bit-identical to that first run."""
+        plan, first = next(iter(self._runs.values()))
+        return _outputs_identical(first, self._interpret(plan))
 
 
 def _cascade_args(n, rng):
@@ -195,16 +227,19 @@ def _outputs_identical(a: dict, b: dict) -> bool:
     return True
 
 
-def run_cell(harness: _WorkloadHarness, plan: FaultPlan) -> FaultRun:
-    """Run one oracle cell: estimate + interpret under one plan."""
+def run_cell(harness: _WorkloadHarness, plan: FaultPlan,
+             last_in_row: bool = False) -> FaultRun:
+    """Run one oracle cell: estimate + interpret under one plan.
+
+    ``last_in_row`` marks the row's final cell, which also carries the
+    row-level re-run of ``numerics_identical``."""
     case = harness.case
     healthy_res, _ = harness.healthy
     run = FaultRun(workload=case.name, scenario=plan.name)
     run.healthy_cycles = healthy_res.total
     run.bound = max(plan.degradation_bound(p)
                     for p in _BOUND_WORKER_COUNTS)
-    survivors = plan.survivors(8)
-    run.survivors = len(survivors)
+    run.survivors = len(plan.survivors(WORKERS))
 
     res, injector = harness.estimate(plan)
     run.faulted_cycles = res.total
@@ -230,18 +265,21 @@ def run_cell(harness: _WorkloadHarness, plan: FaultPlan) -> FaultRun:
         res.total <= healthy_res.total * run.bound + 1.0)
 
     # -- functional invariants ----------------------------------------------
-    # faults are timing-only: two runs under the fault configuration must
-    # be *bit-identical* (nothing can leak from the plan into values)
-    out_a = harness.interpret(8)
-    out_b = harness.interpret_fresh(8)
-    run.checks["numerics_identical"] = _outputs_identical(out_a, out_b)
-    # recovery: with only the surviving CEs executing, results still
-    # match the sequential baseline within validation tolerances
-    out_surv = harness.interpret(max(len(survivors), 1))
+    # faults are timing-only: the estimate just made must have left the
+    # tree it shares with the interpreter exactly as built
+    identical = harness.tree_untouched()
+    # recovery: with the plan dealing the iterations — dead CEs drop out,
+    # slow ones take fewer, survivors take the rest — results still match
+    # the sequential baseline within validation tolerances
     divergences = compare_outputs(
-        harness.baseline_out, out_surv,
+        harness.baseline_out, harness.interpret(plan),
         permutation_ok=case.permutation_ok,
-        processors=len(survivors), seed=harness.seed)
+        processors=WORKERS, seed=harness.seed)
+    if last_in_row:
+        # every estimate of the row is behind us: values are still
+        # bit-identical run-to-run
+        identical = harness.rerun_identical() and identical
+    run.checks["numerics_identical"] = identical
     run.checks["recovery_ok"] = not divergences
     return run
 
@@ -263,7 +301,8 @@ def run_sweep(workloads: Sequence[str] | None = None,
               timeout: Optional[float] = None,
               journal=None,
               progress: Optional[Callable[[str], None]] = None,
-              jobs: int = 1) -> dict:
+              jobs: int = 1,
+              engine: str = DEFAULT_ENGINE) -> dict:
     """Run the fault matrix; returns the ``repro-faults/1`` payload.
 
     Each cell runs crash-isolated under ``timeout``; a crashed or hung
@@ -274,7 +313,9 @@ def run_sweep(workloads: Sequence[str] | None = None,
     ``jobs`` fans workloads out over worker processes (the harness — one
     restructure + healthy baseline per workload — is the natural unit of
     shared state).  Serial and parallel runs share one code path and one
-    deterministic merge order, so payloads are byte-identical.
+    deterministic merge order, so payloads are byte-identical.  ``engine``
+    is the interpreter engine of every run, baselines included; payloads
+    do not depend on it.
     """
     say = progress or (lambda msg: None)
     names = list(workloads if workloads is not None
@@ -297,6 +338,7 @@ def run_sweep(workloads: Sequence[str] | None = None,
                 if journal is not None and f"{wname}:{s}" in journal]
         jobs_list.append({
             "workload": wname, "quick": quick, "timeout": timeout,
+            "engine": engine,
             "scenario_override": (list(scenarios)
                                   if scenarios is not None else None),
             "skip": done,

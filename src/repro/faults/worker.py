@@ -13,9 +13,9 @@ from __future__ import annotations
 def run_fault_workload(job: dict) -> dict:
     """Run one workload row of the fault matrix.
 
-    ``job`` keys: workload, quick (bool), timeout, scenario_override
-    (list of scenario names or None), skip (scenario names already in
-    the parent's journal).  Returns::
+    ``job`` keys: workload, quick (bool), timeout, engine,
+    scenario_override (list of scenario names or None), skip (scenario
+    names already in the parent's journal).  Returns::
 
         {"workload": str,
          "baseline_fault": fault-dict | None,
@@ -45,19 +45,22 @@ def run_fault_workload(job: dict) -> dict:
     case = cases[wname]
 
     harness, fr = run_isolated(
-        lambda: _WorkloadHarness(case, estimate_n=sizes[case.suite]),
+        lambda: _WorkloadHarness(case, estimate_n=sizes[case.suite],
+                                 engine=job["engine"]),
         label=f"{wname} baseline", timeout=timeout)
     if fr is not None:
         return {"workload": wname, "baseline_fault": fr.to_dict(),
                 "cells": []}
 
     cells: list[dict] = []
+    todo = [s for s in plans if s not in skip]
     for sname, plan in plans.items():
         if sname in skip:
             cells.append({"scenario": sname, "resumed": True})
             continue
         cell, fr = run_isolated(
-            lambda plan=plan: run_cell(harness, plan),
+            lambda plan=plan, last=sname == todo[-1]:
+                run_cell(harness, plan, last_in_row=last),
             label=f"{wname}:{sname}", timeout=timeout)
         if fr is not None:
             cells.append({"scenario": sname, "run": None,

@@ -352,35 +352,21 @@ class LoopScheduler:
                                healthy_total: float) -> float:
         """Extra completion cycles of the self-scheduled deal under faults.
 
-        Re-runs the chunk-queue drain with the plan applied: a dying CE
-        finishes its in-flight chunk, then retires at ``death_cycle`` and
-        never grabs another; survivors keep draining the queue; slow CEs
-        stretch whatever they execute by their clock factor.  Deadlock is
-        impossible by construction — :meth:`FaultPlan.survivors` always
-        leaves at least one live worker (the OS restarts the cluster's
-        master CE), so every chunk is eventually dispatched and results
-        stay bit-identical to the healthy run; only time degrades.
+        Re-runs the chunk-queue drain with the plan applied
+        (:meth:`FaultPlan.drain`, the loop :meth:`FaultPlan.deal` deals
+        the interpreter's iterations from): every chunk is eventually
+        dispatched to a live worker, so results stay correct and only
+        time degrades.
         """
         plan = self.faults.plan
+        _, clocks = plan.drain(chunk_costs, p, dispatch, preamble)
         alive = set(plan.survivors(p))
-        death = plan.death_cycle
-        f = [plan.speed_factor(w) for w in range(p)]
-        heap = [(preamble * f[w], w) for w in range(p)]
-        heapq.heapify(heap)
-        i = 0
-        while i < len(chunk_costs):
-            t, w = heapq.heappop(heap)
-            if w not in alive and t >= death:
-                continue  # retired: in-flight chunk done, takes no more work
-            t += (dispatch + chunk_costs[i]) * f[w]
-            i += 1
-            heapq.heappush(heap, (t, w))
         # survivors run the postamble; a dead CE's last chunk still has
         # to land (its stores complete) before the loop can exit
         finish = 0.0
-        for t, w in heap:
-            finish = max(finish,
-                         t + (postamble * f[w] if w in alive else 0.0))
+        for t, w in clocks:
+            finish = max(finish, t + (postamble * plan.speed_factor(w)
+                                      if w in alive else 0.0))
         return max(0.0, startup + finish - healthy_total)
 
     def _fault_delta_doacross(self, trips: int, iter_cost: float,

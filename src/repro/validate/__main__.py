@@ -32,16 +32,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.engine.parallel import WorkerCrash, parallel_map
 from repro.experiments.common import (add_engine_args,
                                       add_interpreter_arg,
-                                      configure_engine)
+                                      configure_engine, selected_engine)
 from repro.validate.configs import PIPELINE_CONFIGS
-from repro.validate.differential import (DEFAULT_ATOL, DEFAULT_ENGINE,
-                                         DEFAULT_RTOL)
+from repro.validate.differential import DEFAULT_ATOL, DEFAULT_RTOL
 from repro.validate.report import build_report_from_dicts, render_text_from_dicts
 from repro.validate.worker import run_workload_cell
 from repro.workloads import validation_cases
@@ -108,10 +106,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("-o", "--output", metavar="FILE",
                     help="write the JSON payload to FILE")
     add_engine_args(ap)
-    add_interpreter_arg(ap, DEFAULT_ENGINE)
+    add_interpreter_arg(ap)
     ns = ap.parse_args(argv)
     jobs = configure_engine(ns)
-    engine = ns.engine or os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
+    engine = selected_engine(ns)
 
     cases = validation_cases()
     if ns.workloads:

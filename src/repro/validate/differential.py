@@ -151,19 +151,20 @@ def run_variant(case: ValidationCase, options: RestructurerOptions,
                 seed: int, processors: int,
                 shadow: Optional[ShadowRecorder] = None, *,
                 engine: str = DEFAULT_ENGINE,
-                cedar=None, report=None) -> tuple[dict, object]:
+                cedar=None, report=None, deal=None) -> tuple[dict, object]:
     """Interpret the restructured Cedar program.
 
     The parse → restructure front end is served by the compilation
     cache; callers looping over (seed × processors) cells may also pass
     a pre-restructured ``cedar``/``report`` pair to skip even the cache
-    probe.  ``engine`` applies with or without a shadow recorder.
+    probe.  ``engine`` applies with or without a shadow recorder;
+    ``deal`` is the interpreter's iteration→worker deal (default cyclic).
     """
     if cedar is None:
         cedar, report = cached_restructure(case.source, options)
     args, _ = case.make_args(case.n, np.random.default_rng(seed))
     interp = Interpreter(cedar, processors=processors, shadow=shadow,
-                         engine=engine)
+                         engine=engine, deal=deal)
     return interp.call(case.entry, *args), report
 
 

@@ -1,7 +1,8 @@
 """Golden equivalence suite: the compiled engine must be *bit-identical*
 to the tree-walking interpreter — same dtypes, same bytes — on every
-workload, restructurer configuration, and processor count.  This is the
-contract that lets harnesses default to ``engine="compiled"``.
+workload, restructurer configuration, processor count, and
+iteration→worker deal.  This is the contract that lets harnesses default
+to ``engine="compiled"``.
 """
 
 import numpy as np
@@ -11,11 +12,21 @@ from hypothesis import strategies as st
 
 from repro.engine import cached_parse, cached_restructure
 from repro.engine.cache import get_cache
-from repro.execmodel.interp import Interpreter
+from repro.execmodel.interp import Interpreter, cyclic_deal
+from repro.faults.plan import all_scenarios
+from repro.faults.sweep import SWEEP_WORKLOADS, _synthetic_cases
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
 
 CASES = validation_cases()
+
+#: the deals the fault sweep interprets under — one scenario per distinct
+#: deal of the matrix — plus one whose shares are not even ascending
+_BY_KEY: dict = {}
+for _name, _plan in all_scenarios().items():
+    _BY_KEY.setdefault(_plan.deal_key, (_name, _plan.deal))
+DEALS = dict(_BY_KEY.values(), reversed=lambda n, p: [
+    share[::-1] for share in reversed(cyclic_deal(n, p))])
 
 #: the non-reference engines, each proven against the tree walk
 FAST_ENGINES = ("compiled",)
@@ -51,10 +62,10 @@ def assert_bit_identical(a: dict, b: dict, ctx: str) -> None:
 
 
 def _outputs(program, case, seed: int, processors: int,
-             engine: str) -> dict:
+             engine: str, deal=None) -> dict:
     args, _ = case.make_args(case.n, np.random.default_rng(seed))
-    return Interpreter(program, processors=processors,
-                       engine=engine).call(case.entry, *args)
+    return Interpreter(program, processors=processors, engine=engine,
+                       deal=deal).call(case.entry, *args)
 
 
 @pytest.mark.parametrize("lowering", LOWERINGS, indirect=True)
@@ -81,6 +92,20 @@ def test_restructured_programs_identical(wname, config, lowering):
                         engine="compiled")
         assert_bit_identical(
             tree, fast, f"{wname}@{config}/P={processors}[{lowering}]")
+
+
+@pytest.mark.parametrize("deal", sorted(DEALS))
+@pytest.mark.parametrize("wname", SWEEP_WORKLOADS)
+def test_identical_under_every_deal(wname, deal):
+    """Who runs which iteration is the interpreter's ``deal``; both
+    engines read it, reductions included."""
+    case = {**CASES, **_synthetic_cases()}[wname]
+    cedar, _ = cached_restructure(case.source)
+    tree = _outputs(cedar, case, seed=3, processors=8, engine="tree",
+                    deal=DEALS[deal])
+    fast = _outputs(cedar, case, seed=3, processors=8, engine="compiled",
+                    deal=DEALS[deal])
+    assert_bit_identical(tree, fast, f"{wname}@deal={deal}")
 
 
 def test_track_multisets_match_baseline():

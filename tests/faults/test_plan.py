@@ -1,8 +1,17 @@
 """FaultPlan: validation, determinism, no-deadlock, (de)serialization."""
 
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FaultInjectionError
+from repro.execmodel.interp import cyclic_deal
 from repro.faults.plan import (FaultPlan, QUICK_SCENARIOS, SCENARIO_SPECS,
                                all_scenarios, scenario)
 
@@ -139,3 +148,99 @@ class TestBound:
                        {"prefetch_disabled": True},
                        {"lost_sync_rate": 0.5}, {"helper_delay": 400.0}]:
             assert FaultPlan(**kwargs).degradation_bound(8) > base, kwargs
+
+
+plan_seeds = st.integers(min_value=0, max_value=10_000)
+trip_counts = st.integers(min_value=0, max_value=200)
+worker_counts = st.integers(min_value=1, max_value=8)
+
+#: evaluated here and in a child process with another hash seed
+_DEAL_PROBE = ("[FaultPlan.sample(s).deal(n, p) for s in range(12) "
+               "for n, p in ((24, 8), (7, 3), (64, 5))]")
+
+
+class TestDeal:
+    """``FaultPlan.deal``: the functional replay of the chunk queue."""
+
+    @given(plan_seed=plan_seeds, n=trip_counts, p=worker_counts)
+    @settings(max_examples=200, deadline=None)
+    def test_is_a_partition_in_ascending_shares(self, plan_seed, n, p):
+        plan = FaultPlan.sample(plan_seed)
+        shares = plan.deal(n, p)
+        assert len(shares) == p
+        assert sorted(i for share in shares for i in share) \
+            == list(range(n))
+        assert all(share == sorted(share) for share in shares)
+        assert plan.deal(n, p) == shares
+
+    def test_is_the_same_in_another_process(self):
+        env = dict(os.environ, PYTHONHASHSEED="1",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        code = ("import json; from repro.faults.plan import FaultPlan; "
+                f"print(json.dumps({_DEAL_PROBE}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True).stdout
+        assert json.loads(out) == eval(_DEAL_PROBE)
+
+    @given(plan_seed=plan_seeds, n=trip_counts, p=worker_counts)
+    @settings(max_examples=200, deadline=None)
+    def test_no_dead_or_singled_out_ce_means_the_cyclic_deal(
+            self, plan_seed, n, p):
+        # timing-only faults and a uniformly slow cluster stretch every
+        # clock alike: ties still break by worker index
+        plan = replace(FaultPlan.sample(plan_seed),
+                       dead_ces=(), ce_slowdown=())
+        assert plan.deal_key == FaultPlan().deal_key
+        assert plan.deal(n, p) == [list(r) for r in cyclic_deal(n, p)]
+
+    @given(plan_seed=plan_seeds, n=trip_counts, p=worker_counts)
+    @settings(max_examples=200, deadline=None)
+    def test_dead_from_cycle_zero_gets_nothing(self, plan_seed, n, p):
+        plan = replace(FaultPlan.sample(plan_seed), death_cycle=0.0)
+        shares = plan.deal(n, p)
+        alive = plan.survivors(p)
+        assert all(shares[w] == [] for w in range(p) if w not in alive)
+
+    def test_late_death_retires_mid_loop(self):
+        plan = scenario("dead-ce-late")
+        shares = plan.deal(24, 8)
+        healthy = len(cyclic_deal(24, 8)[0])
+        for w in plan.dead_ces:
+            assert 1 <= len(shares[w]) < healthy
+        assert all(len(shares[w]) >= healthy for w in plan.survivors(8))
+
+    def test_slow_ce_takes_fewer(self):
+        shares = scenario("slow-ce").deal(24, 8)
+        assert 1 <= len(shares[2]) < min(
+            len(s) for w, s in enumerate(shares) if w != 2)
+
+    @given(seed_a=plan_seeds, seed_b=plan_seeds, degraded=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_equal_keys_deal_equally(self, seed_a, seed_b, degraded):
+        a = FaultPlan.sample(seed_a)
+        if degraded:
+            # everything the key leaves out is free to differ
+            b = replace(FaultPlan.sample(seed_b), dead_ces=a.dead_ces,
+                        death_cycle=a.death_cycle,
+                        ce_slowdown=a.ce_slowdown,
+                        cluster_slowdown=a.cluster_slowdown)
+        else:
+            a = replace(a, dead_ces=(), ce_slowdown=())
+            b = replace(FaultPlan.sample(seed_b),
+                        dead_ces=(), ce_slowdown=())
+        assert a.deal_key == b.deal_key
+        for n in range(65):
+            for p in range(1, 9):
+                assert a.deal(n, p) == b.deal(n, p), (n, p)
+
+    def test_the_matrix_has_five_distinct_deals(self):
+        by_key: dict = {}
+        for name, plan in all_scenarios().items():
+            by_key.setdefault(plan.deal_key, []).append(name)
+        assert len(by_key) == 5
+        assert sorted(names[0] for names in by_key.values()
+                      if len(names) == 1) == [
+            "chaos", "dead-ce", "dead-ce-late", "slow-ce"]
+        assert len(by_key[FaultPlan().deal_key]) == 7
+

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ReproError
+from repro.execmodel.interp import Interpreter
 from repro.faults.harness import SweepJournal
+from repro.faults.plan import SCENARIO_SPECS, scenario
 from repro.faults.sweep import CHECKS, SCHEMA_TAG, run_sweep
 
 @pytest.fixture(scope="module")
@@ -81,3 +83,55 @@ class TestSweepHarness:
         assert second["summary"]["cells_run"] == 2
         assert second["runs"] == first["runs"]
         assert any("resumed from journal" in m for m in resumed)
+
+    def test_jobs_and_engine_do_not_change_the_payload(self, payload):
+        args = (["cg", "cascade"],
+                ["healthy", "dead-ce", "lost-sync", "chaos"])
+        assert run_sweep(*args, quick=True, jobs=2) == payload
+        assert run_sweep(*args, quick=True, engine="tree") == payload
+
+
+@pytest.fixture
+def interpreter_calls(monkeypatch):
+    """Entry names of every ``Interpreter.call`` made during the test."""
+    calls: list[str] = []
+    call = Interpreter.call
+
+    def counted(self, name, *args):
+        calls.append(name)
+        return call(self, name, *args)
+
+    monkeypatch.setattr(Interpreter, "call", counted)
+    return calls
+
+
+class TestInterpretationBudget:
+    """The functional half pays per distinct input — a count, not a
+    timing: 1 sequential baseline + one run per distinct deal among the
+    row's scenarios + 1 re-run."""
+
+    @pytest.mark.parametrize("scenarios", [
+        list(SCENARIO_SPECS),
+        list(reversed(SCENARIO_SPECS)),
+        ["bank-outage", "lost-sync", "healthy", "late-helpers"],
+        ["slow-ce", "dead-ce"],
+    ], ids=["matrix", "matrix-reversed", "healthy-like", "degraded"])
+    def test_one_run_per_distinct_deal(self, interpreter_calls, scenarios):
+        result = run_sweep(["cg"], scenarios, quick=True)
+        assert result["summary"]["ok"] == len(scenarios)
+        distinct = len({scenario(s).deal_key for s in scenarios})
+        assert len(interpreter_calls) == 1 + distinct + 1
+        if len(scenarios) == len(SCENARIO_SPECS):
+            assert len(interpreter_calls) == 7        # was 15 a row
+
+    def test_resumed_row_runs_only_what_is_missing(self, tmp_path,
+                                                   interpreter_calls):
+        scenarios = ["healthy", "dead-ce", "slow-ce"]
+        run_sweep(["cg"], scenarios[:2], quick=True,
+                  journal=SweepJournal(tmp_path / "j.jsonl"))
+        del interpreter_calls[:]
+        resumed = run_sweep(["cg"], scenarios, quick=True,
+                            journal=SweepJournal(tmp_path / "j.jsonl"))
+        assert len(interpreter_calls) == 3    # baseline, slow-ce, re-run
+        assert resumed["runs"] == run_sweep(["cg"], scenarios,
+                                            quick=True)["runs"]
