@@ -29,16 +29,25 @@ own worker-by-worker ``_parallel_do``), a statement with no closure form
 runs through ``exec_stmt``, and a module that fails to compile or load
 drops its whole list to closures.
 
-With a :class:`~repro.execmodel.shadow.ShadowRecorder` attached the
-choice is made once, at compile time: no list is emitted as a module
-(every statement takes the closure form, every ``ParallelDo`` the
-interpreter's instrumented ``_parallel_do``), and the closures for
-variable reads, element and section reads, scalar, element and section
-stores and ``LOCK``/``UNLOCK`` make exactly the ``record_*`` calls of
-the tree handlers they replicate, in the same order.  Whatever is
-delegated to the interpreter (``_assign``, ``_invoke``, library calls,
-WHERE/READ) keeps the tree's own hooks.  Without a recorder neither the
-closures nor the module text know one could exist.
+A :class:`~repro.execmodel.shadow.ShadowRecorder` does not turn the
+lowerer off.  With one attached, a list's module is the emitter's
+recorder-aware text (its own ``jit-source`` entry: the mode is part of
+the fingerprint): each lowered loop tests ``recording`` on entry and,
+inside a checked iteration of an enclosing loop, hands the statement to
+its closure; otherwise a DOALL-headed nest the lowering proof shows
+conflict-free opens the loop on the recorder, logs the index sets it
+loads and stores in bulk and closes it, and a sequential nest runs as it
+does unrecorded.  The closures are built for the recorder: variable
+reads, element and section reads, scalar, element and section stores and
+``LOCK``/``UNLOCK`` make exactly the ``record_*`` calls of the tree
+handlers they replicate, in the same order, and every ``ParallelDo``
+left to them runs the interpreter's instrumented ``_parallel_do`` — so
+whatever can conflict is logged access by access, in the tree's order.
+Whatever is delegated to the interpreter (``_assign``, ``_invoke``,
+library calls, WHERE/READ) keeps the tree's own hooks.  Without a
+recorder neither the closures nor the module text know one could exist.
+A list with no loop in it has nothing to lower and gets closures
+directly, with no module.
 """
 
 from __future__ import annotations
@@ -52,8 +61,9 @@ from repro.cedar.library import CEDAR_LIBRARY
 from repro.errors import InterpreterBudgetError, InterpreterError
 from repro.execmodel.interp import (Interpreter, _GotoSignal,
                                     _ReturnSignal, _StopSignal)
-from repro.execmodel.source_jit import (JIT_VERSION, NOOP_STMTS, Runtime,
-                                        coerces_to_int, emit_module)
+from repro.execmodel.source_jit import (JIT_VERSION, LOOPS, NOOP_STMTS,
+                                        Runtime, coerces_to_int,
+                                        emit_module)
 from repro.execmodel.values import FArray, Scope
 from repro.fortran import ast_nodes as F
 from repro.fortran.intrinsics import INTRINSICS
@@ -126,20 +136,22 @@ class Compiler:
     # statement-list compilation
 
     def _compile_list(self, stmts: list[F.Stmt], unit: str) -> list[StmtFn]:
-        """One function per statement, from the list's cached module."""
-        if self.shadow is not None:
-            # race-checked run: whole-grid NumPy source has no
-            # per-iteration accesses to record
+        """One function per statement, from the list's cached module
+        (the recorder-aware text when a recorder is attached)."""
+        if not any(isinstance(s, LOOPS) for s in stmts):
+            # no loop, nothing to lower: closures need no module
             self.fallback_stmts += len(stmts)
             return [self._stmt(s, unit) for s in stmts]
 
         from repro.engine.cache import get_cache
         from repro.obs.log import get_logger
 
+        rec = self.shadow is not None
         try:
             text = get_cache().jit_source(
-                self._dump(stmts), fingerprint=self._fingerprint(unit),
-                emit=lambda: emit_module(self.interp, stmts, unit))
+                self._dump(stmts),
+                fingerprint=self._fingerprint(stmts, unit, rec),
+                emit=lambda: emit_module(self.interp, stmts, unit, rec))
             code = compile(text, f"<jit-source:{unit}>", "exec")
             ns: dict = {}
             exec(code, ns)
@@ -159,15 +171,25 @@ class Compiler:
             return [self._stmt(s, unit) for s in stmts]
         return fns
 
-    def _fingerprint(self, unit: str) -> str:
-        """Codegen-relevant facts beyond the statement dump."""
+    def _fingerprint(self, stmts: list[F.Stmt], unit: str,
+                     rec: bool) -> str:
+        """Codegen-relevant facts beyond the statement dump: emitter
+        version and mode, the symbol facts, and which of the names the
+        list calls are program units here (a unit is called before an
+        intrinsic of its name, so the same statements lower differently
+        in a program that defines one)."""
         st = self.interp.tables.get(unit)
         facts = ""
         if st is not None:
             facts = ";".join(
                 f"{n}:{sym.type}:{int(sym.is_array)}"
                 for n, sym in sorted(st.symbols.items()))
-        return f"jit{JIT_VERSION}|{unit}|{facts}"
+        units = self.interp.units
+        called = sorted({n.name for s in stmts for n in s.walk()
+                         if isinstance(n, (F.FuncCall, F.Apply, F.ArrayRef))
+                         and n.name in units})
+        return (f"jit{JIT_VERSION}{'r' if rec else ''}|{unit}|"
+                f"{','.join(called)}|{facts}")
 
     @staticmethod
     def _dump(stmts: list[F.Stmt]) -> str:

@@ -90,8 +90,11 @@ class Interpreter:
         loop-nest vectorization, per-statement closures for the rest;
         bit-identical to the tree walk, several times faster).
         Both engines host a shadow recorder: the compiled engine then
-        skips loop-nest vectorization and builds closures carrying the
-        tree handlers' ``record_*`` calls.  ``engine=None`` (the
+        builds closures carrying the tree handlers' ``record_*`` calls
+        and still lowers loop nests — one headed by a DOALL logs the
+        index sets it touches in bulk, unless it is already inside a
+        checked iteration or could conflict, in which case it records
+        access by access like the tree.  ``engine=None`` (the
         default) resolves to ``$REPRO_ENGINE`` when set, else
         ``"tree"`` — harnesses that construct interpreters without an
         explicit engine inherit the sweep-wide selection.

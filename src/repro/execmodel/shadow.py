@@ -37,6 +37,13 @@ single writer differs from some reader is a read-write conflict.  Only
 cells written under a lock (or belonging to a coarsened array, below)
 fall back to comparing access events pairwise, locksets included.
 
+A loop the compiled engine runs as one whole grid is held open by the
+engine itself and logs through :meth:`ShadowRecorder.record_block`: many
+rows of the same format per call, one per (element, iteration) it
+touched.  Only loops that cannot conflict are run that way (see
+:mod:`repro.execmodel.source_jit`), so the order of those rows — not the
+tree's — never reaches a report.
+
 A section of more than ``expand_cap`` elements is coarsened to a
 whole-array supercell, which conflicts with every element access to the
 same array (conservative).  WHERE-masked section writes are recorded for
@@ -294,6 +301,36 @@ class ShadowRecorder:
                 off = _SECTION0 - len(log.sections)
                 log.sections.append(offsets)
             log.rows.extend((tok, off, ctx.cur_iter, self._lockset))
+
+    def record_block(self, ctx: _LoopCtx, kind: str,
+                     storage: "FArray | Scope", name: str,
+                     offsets, iterations) -> None:
+        """Many accesses of one variable in one call, for a loop that
+        runs as a whole grid rather than iteration by iteration.
+
+        ``storage`` is the array, or the scope holding scalar ``name``;
+        ``offsets`` are flat C-order element offsets (0 for a scalar)
+        and ``iterations`` the iteration each access belongs to,
+        broadcast against each other.  The rows go to ``ctx``'s log
+        alone: the caller holds the loop open itself — no worker or
+        iteration is begun on it, so it has no private storage to set
+        aside — and only does so while no enclosing loop is
+        ``recording``."""
+        if isinstance(storage, FArray):
+            pin, key, arr = storage.data, id(storage.data), storage
+        else:
+            pin, key, arr = storage, (id(storage), name), None
+        tok = self._tokens.get(key)
+        if tok is None:
+            tok = self._token(pin, name, key, arr)
+        rows = np.empty(np.broadcast(offsets, iterations).shape + (4,),
+                        dtype=np.int64)
+        rows[..., 0] = tok
+        rows[..., 1] = offsets
+        rows[..., 2] = iterations
+        rows[..., 3] = self._lockset
+        (ctx.writes if kind == "w" else ctx.reads).rows.frombytes(
+            rows.tobytes())
 
     def _section(self, tok: int, arr: FArray,
                  specs: Optional[list]) -> Optional[np.ndarray]:

@@ -27,7 +27,33 @@ What lowers:
   order (the interpreter's ``deal``) when the outer axis is a DOALL.
   MIN/MAX accumulators lower to ``np.minimum.reduce``/
   ``np.maximum.reduce`` when the accumulator and contribution provably
-  share a type class.
+  share a type class;
+- **partial-sum DOALLs** — the one shape the restructurer's reduction
+  pass emits (loop-local real partials, a preamble assigning each a
+  literal, accumulations into them, a postamble of ``LOCK; v = v op
+  partial; UNLOCK`` triples): the contributed terms are evaluated
+  vectorized, then every worker share of the interpreter's ``deal`` —
+  exactly as dealt, so a share that drops or repeats a position changes
+  the result as it does on the tree — is folded sequentially from the
+  preamble value and combined into ``v`` through the scalar store
+  ladder.  A zero-trip loop still runs preamble + postamble once.
+
+With a :class:`~repro.execmodel.shadow.ShadowRecorder` attached the same
+emitter writes a second, recorder-aware text (:func:`emit_module` with
+``rec=True``).  Every lowered function first tests ``recording``: inside
+a checked iteration of an enclosing loop the statement goes to the
+compiler's instrumented closure.  Otherwise a sequential nest runs as it
+does unrecorded (nothing is being checked), and a nest whose only
+parallel level is the outermost opens the loop on the recorder, logs —
+from the very ``_grid_key`` result each load/store indexes with — the
+flat offsets of every reference paired with the outer iteration values
+(the strip start for a collapsed strip-mined loop), one row per
+iteration for each shared scalar the body names, and closes it.  Loops
+the lowering proof cannot show conflict-free stay on the instrumented
+``_parallel_do``, so conflict order and the per-loop cap are always the
+tree's: LOCK/UNLOCK or a shared scalar write in the body, a parallel
+level below the outermost, and — checked at loop entry — two referenced
+array names bound to one ``ndarray``.
 
 Every lowering carries one exactness obligation — the vector evaluation
 must be bit-equal to the scalar loop: plain or affine loop-variable
@@ -58,14 +84,14 @@ from repro.fortran.intrinsics import INTRINSICS
 
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact so stale module text can never be served to a newer runtime
-JIT_VERSION = 1
+JIT_VERSION = 2
 
 #: statements that do nothing when executed (sync statements are
 #: functional no-ops without a shadow recorder)
 NOOP_STMTS = (F.ContinueStmt,) + _DECL_STMTS + _SYNC_STMTS
 
 #: loop-nest levels the lowerer can walk through
-_LOOPS = (F.DoLoop, C.ParallelDo)
+LOOPS = (F.DoLoop, C.ParallelDo)
 
 
 def coerces_to_int(symtab, name: str) -> bool:
@@ -110,6 +136,7 @@ class Runtime:
 
     def __init__(self, compiler, stmts: list, unit: str):
         self.compiler = compiler
+        self.shadow = compiler.shadow
         self.stmts = stmts
         self.unit = unit
 
@@ -196,6 +223,10 @@ class Runtime:
 
     @staticmethod
     def _grid_key(arr: FArray, parts: tuple) -> tuple:
+        if len(parts) != arr.data.ndim:
+            raise InterpreterError(
+                f"rank mismatch: {len(parts)} subscripts for rank "
+                f"{arr.data.ndim} array")
         key = []
         for dim, part in enumerate(parts):
             lo = arr.lowers[dim]
@@ -218,18 +249,69 @@ class Runtime:
                 key.append(j)
         return tuple(key)
 
-    def vload(self, scope: Scope, name: str, parts: tuple):
+    def vload(self, scope: Scope, name: str, parts: tuple,
+              cx=None, it=None):
+        """Load a grid of elements; recorder-aware text passes the open
+        loop ``cx`` and the lanes' iteration labels ``it``."""
         arr = scope.get(name)
         if not isinstance(arr, FArray):
             raise InterpreterError(f"{name!r} is not an array")
-        return arr.data[self._grid_key(arr, parts)]
+        key = self._grid_key(arr, parts)
+        if cx is not None:
+            self._log(cx, "r", arr, name, key, it)
+        return arr.data[key]
 
     def vstore(self, scope: Scope, name: str, parts: tuple,
-               value) -> None:
+               value, cx=None, it=None) -> None:
         arr = scope.get(name)
         if not isinstance(arr, FArray):
             raise InterpreterError(f"{name!r} is not an array")
-        arr.data[self._grid_key(arr, parts)] = value
+        key = self._grid_key(arr, parts)
+        if cx is not None:
+            self._log(cx, "w", arr, name, key, it)
+        arr.data[key] = value
+
+    # -- bulk shadow recording (recorder-aware text only) --------------
+
+    def _log(self, cx, kind: str, arr: FArray, name: str, key: tuple,
+             it) -> None:
+        """One bulk row block for a grid access: the C-order offsets of
+        the elements ``key`` indexes, paired with the lanes' iteration
+        labels."""
+        off = key[0]
+        for j, n in zip(key[1:], arr.data.shape[1:]):
+            off = off * n + j
+        self.shadow.record_block(cx, kind, arr, name, off, it)
+
+    def log_scalars(self, cx, scope: Scope, names: tuple, it) -> None:
+        """A read per iteration of each shared scalar the loop names —
+        a superset of what a guarded body evaluates, which only adds
+        reads of cells a bulk-recorded loop never writes."""
+        for name in names:
+            sc = scope.lookup_scope(name)
+            if sc is None:
+                continue
+            v = sc.vars[name]
+            if isinstance(v, FArray):
+                if v.data.ndim:
+                    continue
+                sc = v                       # COMMON scalar box
+            self.shadow.record_block(cx, "r", sc, name, 0, it)
+
+    @staticmethod
+    def aliased(scope: Scope, names: tuple) -> bool:
+        """Whether two of the array names are bound to one ``ndarray``
+        (argument association): the lowering proof compares references
+        by name, so such a loop keeps the instrumented path."""
+        seen = set()
+        for name in names:
+            sc = scope.lookup_scope(name)
+            v = sc.vars[name] if sc is not None else None
+            if isinstance(v, FArray):
+                if id(v.data) in seen:
+                    return True
+                seen.add(id(v.data))
+        return False
 
     # -- Fortran operator semantics ------------------------------------
 
@@ -287,18 +369,33 @@ class Runtime:
                               dtype=np.intp)]
         return a.ravel()
 
+    @staticmethod
+    def red_rows(value, shape: tuple):
+        """A grid of contributed terms as one row per outer iteration,
+        each row in sequential nest order."""
+        a = np.asarray(value)
+        if a.shape != shape:
+            a = np.broadcast_to(a, shape)
+        return a.reshape(shape[0], -1)
 
-def _scalar_locals(node: C.ParallelDo) -> Optional[set]:
-    """Names declared by a DOALL's private ``locals_`` when every one is
-    a scalar declaration, else None."""
-    names: set = set()
+    def shares(self, n: int):
+        """The worker shares ``_parallel_do`` walks for ``n`` iterations,
+        exactly as the interpreter's deal hands them out."""
+        interp = self.compiler.interp
+        return interp.deal(n, max(1, min(interp.processors, n or 1)))
+
+
+def _scalar_locals(node: C.ParallelDo) -> Optional[dict]:
+    """Name -> declared type of a DOALL's private ``locals_`` when every
+    one is a scalar declaration, else None."""
+    names: dict = {}
     for d in node.locals_:
         if not isinstance(d, F.TypeDecl):
             return None
         for ent in d.entities:
             if ent.dims:
                 return None
-            names.add(ent.name)
+            names[ent.name] = d.type.base
     return names
 
 
@@ -327,8 +424,8 @@ def _desugar_stripmine(pdo: F.Stmt) -> Optional[C.ParallelDo]:
     if not isinstance(pdo.step, F.IntLit) or pdo.step.value < 1:
         return None
     blk = pdo.step.value
-    names = _scalar_locals(pdo)
-    if names is None or len(names) != 2:
+    names = set(_scalar_locals(pdo) or ())
+    if len(names) != 2:
         return None
     v = pdo.var
     body = [s for s in pdo.body if not isinstance(s, NOOP_STMTS)]
@@ -438,14 +535,19 @@ def _desugar_stripmine(pdo: F.Stmt) -> Optional[C.ParallelDo]:
 
 
 class _LoopLowerer:
-    """Analysis + Python/NumPy source emission for one loop nest."""
+    """Analysis + Python/NumPy source emission for one loop nest.
 
-    def __init__(self, interp: Interpreter, loop: F.Stmt, unit: str):
+    ``rec`` selects the recorder-aware text (module docstring)."""
+
+    def __init__(self, interp: Interpreter, loop: F.Stmt, unit: str,
+                 rec: bool = False):
         self.interp = interp
         self.unit = unit
         self.symtab = interp.tables.get(unit)
         if self.symtab is None:
             raise _Ineligible("no symbol table")
+        self.loop = loop
+        self.rec = rec
         self.levels: list[F.Stmt] = []
         self.axes: list[str] = []            # loop vars, outer -> inner
         self.private_axes: set[int] = set()  # declared in a PDO's locals
@@ -453,9 +555,31 @@ class _LoopLowerer:
         self.red_vars: set[str] = set()
         self.reductions: dict[int, tuple] = {}  # id(stmt) -> lowering
         self.body: list[F.Stmt] = []
+        #: block size when the outermost level is a collapsed strip-mine
+        self.strip: Optional[int] = None
+        # partial-sum DOALL: partial -> preamble literal, the postamble
+        # as (target, op, partial) combines, and its lock names
+        self.partials: dict[str, float] = {}
+        self.combines: list[tuple[str, str, str]] = []
+        self.locks: list[str] = []
+        self._folds: list[str] = []          # per-iteration fold lines
+        self._arrays: set[str] = set()       # array names referenced
+        #: source name of the iteration labels of the lanes being
+        #: emitted while a bulk-recorded loop is open, else None
+        self._it: Optional[str] = None
         self._uniq = 0
         self._collect_nest(loop)
+        #: recorder-aware text of a nest with a parallel level: lowered
+        #: only if it may log in bulk
+        self.bulk = rec and any(isinstance(lv, C.ParallelDo)
+                                for lv in self.levels)
+        if self.bulk:
+            self._check_bulk_structure()
         self._collect_reductions(loop)
+        if self.partials:
+            self._check_partial_sums()
+        if self.bulk and self.red_vars - set(self.partials):
+            raise _Ineligible("shared scalar written in a checked loop")
         self._collect_writes()
 
     # -- structure -----------------------------------------------------
@@ -467,6 +591,62 @@ class _LoopLowerer:
                     and not s.postamble and not s.locals_)
         return isinstance(s, F.DoLoop)
 
+    def _user_callable(self, name: str) -> bool:
+        """Whether a call to ``name`` resolves to a program unit or a
+        Cedar library routine before any intrinsic of that name (the
+        order of ``Interpreter._func_call``)."""
+        return name in self.interp.units or name in CEDAR_LIBRARY
+
+    def _match_partial_sums(self, node: C.ParallelDo) -> set:
+        """Recognize ``reduction_xform``'s scalar output on the
+        outermost DOALL and fill ``partials``/``combines``/``locks``;
+        returns the locals that are not partials."""
+        decls = _scalar_locals(node)
+        if node.order != "doall" or not decls:
+            raise _Ineligible("ineligible nest level")
+        for st in node.preamble:
+            name = st.target.name if isinstance(st, F.Assign) \
+                and isinstance(st.target, F.Var) else None
+            # real-typed partials only: an integer one (declared, or by
+            # the implicit rule the tree applies to names its symbol
+            # table does not hold) truncates on every store
+            if name not in decls or name in self.partials \
+                    or not isinstance(st.value, F.RealLit) \
+                    or decls[name] not in ("real", "doubleprecision") \
+                    or coerces_to_int(self.symtab, name):
+                raise _Ineligible("preamble is not a partial's literal")
+            self.partials[name] = st.value.value
+        post = node.postamble
+        if not self.partials or len(post) != 3 * len(self.partials):
+            raise _Ineligible("postamble is not one combine per partial")
+        for lock, st, unlock in zip(post[0::3], post[1::3], post[2::3]):
+            if not (isinstance(lock, C.LockStmt)
+                    and isinstance(unlock, C.UnlockStmt)
+                    and lock.name == unlock.name
+                    and isinstance(st, F.Assign)
+                    and isinstance(st.target, F.Var)):
+                raise _Ineligible("postamble is not LOCK/combine/UNLOCK")
+            v, e = st.target.name, st.value
+            if isinstance(e, F.BinOp) and e.op in ("+", "*"):
+                op, args = e.op, [e.left, e.right]
+            elif isinstance(e, F.FuncCall) and e.name in ("min", "max") \
+                    and len(e.args) == 2 \
+                    and not self._user_callable(e.name):
+                op, args = e.name, e.args
+            else:
+                raise _Ineligible("unknown combine")
+            if not (isinstance(args[0], F.Var) and args[0].name == v
+                    and isinstance(args[1], F.Var)
+                    and args[1].name in self.partials
+                    and all(args[1].name != c[2] for c in self.combines)
+                    and v not in decls and v != node.var
+                    and not self._is_array_sym(v)):
+                raise _Ineligible("combine is not v = v op partial")
+            self.combines.append((v, op, args[1].name))
+            if lock.name not in self.locks:
+                self.locks.append(lock.name)
+        return set(decls) - set(self.partials)
+
     def _collect_nest(self, loop: F.Stmt) -> None:
         node: F.Stmt = loop
         pending: list[tuple[int, set]] = []
@@ -474,7 +654,14 @@ class _LoopLowerer:
             if not self._plain_level(node):
                 d = _desugar_stripmine(node)
                 if d is not None:
+                    if not self.levels:
+                        self.strip = node.step.value
                     node = d
+                elif not self.levels and isinstance(node, C.ParallelDo) \
+                        and (node.preamble or node.postamble):
+                    names = self._match_partial_sums(node)
+                    if names:
+                        pending.append((0, names))
                 else:
                     # a DOALL whose private locals declare only inner
                     # loop variables is still plain: worker scopes hide
@@ -486,7 +673,7 @@ class _LoopLowerer:
                              and not node.postamble else None)
                     if not names:
                         raise _Ineligible("ineligible nest level")
-                    pending.append((len(self.axes), names))
+                    pending.append((len(self.axes), set(names)))
             if node.var in self.axes:
                 raise _Ineligible("duplicate loop variable")
             self.levels.append(node)
@@ -496,7 +683,7 @@ class _LoopLowerer:
             # not break the nest (shared-termination DO chains end in a
             # labelled CONTINUE the tree walk also ignores)
             inner = [s for s in body if not isinstance(s, NOOP_STMTS)]
-            if len(inner) == 1 and isinstance(inner[0], _LOOPS):
+            if len(inner) == 1 and isinstance(inner[0], LOOPS):
                 node = inner[0]
                 continue
             if not inner:
@@ -541,6 +728,40 @@ class _LoopLowerer:
                 self.reductions[id(st)] = info
             self.red_vars.add(red.var)
 
+    def _check_partial_sums(self) -> None:
+        """The fold replays each partial on its own, after the grid:
+        every partial must be a recognized accumulator (so nothing else
+        reads or assigns it), and no combine target may also be
+        accumulated directly in the body (its stores would interleave
+        with the postambles worker by worker)."""
+        if not set(self.partials) <= self.red_vars:
+            raise _Ineligible("partial is not a recognized accumulator")
+        if self.red_vars & {v for v, _, _ in self.combines}:
+            raise _Ineligible("combine target accumulated in the body")
+
+    def _check_bulk_structure(self) -> None:
+        """Only loops the lowering proof shows conflict-free may log in
+        bulk (their row order is not the tree's): one parallel level,
+        the outermost, and no critical section.  ``__init__`` adds the
+        third condition — no shared scalar accumulated — once the
+        reductions are known."""
+        if any(isinstance(lv, C.ParallelDo) for lv in self.levels[1:]):
+            raise _Ineligible("parallel level below the outermost")
+        if any(isinstance(n, (C.LockStmt, C.UnlockStmt))
+               for st in self.loop.body for n in st.walk()):
+            raise _Ineligible("critical section in a checked loop")
+
+    def _shared_scalars(self) -> tuple:
+        """Scalar names the original loop body reads that live outside
+        the worker scope (inner DO variables not declared local are
+        shared, and the tree records their reads)."""
+        loop = self.loop
+        private = {loop.var} | set(_scalar_locals(loop) or ())
+        return tuple(sorted(
+            {n.name for st in loop.body for n in st.walk()
+             if isinstance(n, F.Var) and n.name not in private
+             and not self._is_array_sym(n.name)}))
+
     @staticmethod
     def _match_strict(st: F.Stmt, var: str, op: str) -> Optional[tuple]:
         """Map one accumulation statement to a lowering that replays the
@@ -554,10 +775,11 @@ class _LoopLowerer:
         if op in ("min", "max"):
             if isinstance(v, (F.FuncCall, F.Apply)) and len(v.args) == 2:
                 a, b = v.args
+                # (…, contribution, call name, accumulator comes first)
                 if isinstance(a, F.Var) and a.name == var:
-                    return ("minmax", var, op, b)
+                    return ("minmax", var, op, b, v.name, True)
                 if isinstance(b, F.Var) and b.name == var:
-                    return ("minmax", var, op, a)
+                    return ("minmax", var, op, a, v.name, False)
             return None
         if not isinstance(v, F.BinOp):
             return None
@@ -701,6 +923,9 @@ class _LoopLowerer:
             name = e.name
             if name in self.red_vars:
                 raise _Ineligible("accumulator read outside reduction")
+            if any(name == v for v, _, _ in self.combines):
+                # worker w+1's iterations would see worker w's combine
+                raise _Ineligible("combine target read in the loop")
             if ctx is not None and name in ctx:
                 return ctx[name]
             if name in self.axes or name in self.writes:
@@ -743,14 +968,23 @@ class _LoopLowerer:
                 if entry is not None and ctx is None:
                     raise _Ineligible("axis in invariant position")
                 parts.append(self._sub_src(sub, entry, ctx))
-            return f"VL(s, {name!r}, ({', '.join(parts)},))"
+            self._arrays.add(name)
+            return (f"VL(s, {name!r}, ({', '.join(parts)},)"
+                    f"{self._rec_args()})")
         return self._ex_call(name, list(subs), ctx)
+
+    def _rec_args(self) -> str:
+        """Trailing ``cx, it`` of a load/store emitted while a
+        bulk-recorded loop is open."""
+        return "" if self._it is None else f", _cx, {self._it}"
 
     def _ex_call(self, name: str, args, ctx: Optional[dict]) -> str:
         if name in self.writes or name in self.red_vars:
             raise _Ineligible("call shadows a written name")
         if ctx is not None:
-            if name not in Runtime.np_funcs:
+            # a unit or library routine of an intrinsic's name is what
+            # the tree walk calls
+            if name not in Runtime.np_funcs or self._user_callable(name):
                 raise _Ineligible(f"intrinsic {name!r} not exact")
             parts = [self.ex(a, ctx) for a in args]
             return f"NP[{name!r}]({', '.join(parts)})"
@@ -847,8 +1081,10 @@ class _LoopLowerer:
                      indent: str) -> None:
         rhs = self.ex(st.value, ctx)
         t = st.target
+        self._arrays.add(t.name)
         out.append(f"{indent}VS(s, {t.name!r}, "
-                   f"({self._target_parts(t, ctx)}), {rhs})")
+                   f"({self._target_parts(t, ctx)}), {rhs}"
+                   f"{self._rec_args()})")
 
     def _emit_guarded(self, mask_src: str, assigns: list, out: list,
                       indent: str) -> None:
@@ -860,14 +1096,22 @@ class _LoopLowerer:
         for a, v in enumerate(self.axes):
             out.append(f"{indent}_h{u}_{a} = _iv{a}[_w{u}[{a}]]")
             cctx[v] = f"_h{u}_{a}"
+        it = self._it
+        if it is not None:      # the true lanes' iteration labels
+            out.append(f"{indent}_k{u} = {it}.ravel()[_w{u}[0]]")
+            self._it = f"_k{u}"
         out.append(f"{indent}if _h{u}_0.size:")
         for st in assigns:
             self._emit_assign(st, cctx, out, indent + "    ")
+        self._it = it
 
     def _emit_reduction(self, st: F.Stmt, out: list,
                         indent: str) -> None:
         info = self.reductions[id(st)]
         kind, var = info[0], info[1]
+        if var in self.partials:
+            self._emit_partial(info, out, indent)
+            return
         ctx = self._grid_ctx()
         k = len(self.axes)
         shape = ", ".join(f"_n{a}" for a in range(k))
@@ -882,6 +1126,8 @@ class _LoopLowerer:
             ccls = self._type_class(contrib)
             if acls is None or ccls != acls:
                 raise _Ineligible("min/max reduction type classes differ")
+            if self._user_callable(info[4]):
+                raise _Ineligible("min/max names a user routine")
             csrc = self.ex(contrib, ctx)
             red = "np.minimum" if op == "min" else "np.maximum"
             out.append(f"{indent}_f{u} = RED({csrc}, ({shape},), False)")
@@ -909,6 +1155,73 @@ class _LoopLowerer:
         out.append(f"{indent}for _q{u} in range(_f{u}_0.shape[0]):")
         out.append(f"{indent}    _a{u} = AST(s, {var!r}, {upd}, "
                    f"{coerce})")
+
+    def _emit_partial(self, info: tuple, out: list, indent: str) -> None:
+        """One accumulation into a partial: its contributed terms as one
+        row per outer iteration, and the fold line that replays one
+        element of them (``_q`` the dealt position, ``_r`` the place in
+        the row) with the tree's own scalar arithmetic."""
+        kind, var = info[0], info[1]
+        ctx = self._grid_ctx()
+        k = len(self.axes)
+        shape = ", ".join(f"_n{a}" for a in range(k))
+        acc = self._acc(var)
+        self._uniq += 1
+        u = self._uniq
+
+        def rows(j: int, e: F.Expr) -> str:
+            out.append(f"{indent}_f{u}_{j} = ROWS({self.ex(e, ctx)}, "
+                       f"({shape},))")
+            return f"_f{u}_{j}[_q, {0 if k == 1 else '_r'}]"
+
+        if kind == "minmax":
+            contrib, fname, acc_first = info[3:]
+            # the partial is real; a real contribution keeps it so
+            # whichever argument min/max hands back
+            if self._type_class(contrib) != "f" \
+                    or self._user_callable(fname):
+                raise _Ineligible("min/max into a partial is not exact")
+            term = rows(0, contrib)
+            args = f"{acc}, {term}" if acc_first else f"{term}, {acc}"
+            upd = f"CALL(s, {fname!r}, ({args}))"
+        elif kind == "spine":
+            upd = acc
+            for j, (top, te) in enumerate(info[2]):
+                upd = f"({upd} {top} {rows(j, te)})"
+        else:   # ("right", var, op, expr):  s = e op s
+            upd = f"({rows(0, info[3])} {info[2]} {acc})"
+        self._folds.append(f"{acc} = {upd}")
+
+    def _acc(self, partial: str) -> str:
+        """The emitted function's local holding ``partial``."""
+        return f"_p{list(self.partials).index(partial)}"
+
+    def _emit_folds(self, out: list) -> None:
+        """Worker by worker, as dealt: preamble value, the worker's
+        share of the folds, postamble combines.  Runs once — on the one
+        empty share — for a zero-trip loop, like ``_parallel_do``."""
+        # a combine target is read once: every later value is what its
+        # own store ladder returned, as a fresh read would see it
+        cur = {}
+        for v, _, _ in self.combines:
+            if v not in cur:
+                cur[v] = f"_v{len(cur)}"
+                out.append(f"{cur[v]} = G(s, {v!r})")
+        out.append("for _sh in DEAL(_n0):")
+        for p, lit in self.partials.items():
+            out.append(f"    {self._acc(p)} = {_fmt_literal(lit)}")
+        out.append("    if _t:")
+        out.append("        for _q in _sh:")
+        indent = " " * 12
+        if len(self.axes) > 1:
+            out.append(f"{indent}for _r in range(_m):")
+            indent += "    "
+        out.extend(indent + line for line in self._folds)
+        for v, op, p in self.combines:
+            val = f"({cur[v]} {op} {self._acc(p)})" if op in "+*" \
+                else f"CALL(s, {op!r}, ({cur[v]}, {self._acc(p)}))"
+            out.append(f"    {cur[v]} = AST(s, {v!r}, {val}, "
+                       f"{coerces_to_int(self.symtab, v)})")
 
     def _emit_stmt(self, st: F.Stmt, out: list, indent: str) -> None:
         if id(st) in self.reductions:
@@ -946,61 +1259,110 @@ class _LoopLowerer:
 
     # -- whole-loop emission -------------------------------------------
 
-    def emit(self, fn_name: str) -> list[str]:
-        out = [f"def {fn_name}(s):"]
+    def _emit_bounds(self, a: int, out: list, indent: str) -> None:
+        lv = self.levels[a]
+        out.append(f"{indent}_lo{a} = int({self.ex(lv.start, None)})")
+        out.append(f"{indent}_hi{a} = int({self.ex(lv.end, None)})")
+        if lv.step is not None:
+            out.append(f"{indent}_st{a} = int({self.ex(lv.step, None)})")
+            out.append(f"{indent}if _st{a} == 0:")
+            out.append(f"{indent}    ERR('zero DO step')")
+        else:
+            out.append(f"{indent}_st{a} = 1")
+        out.append(f"{indent}_n{a} = len(range(_lo{a}, _hi{a} + "
+                   f"(1 if _st{a} > 0 else -1), _st{a}))")
+
+    def emit(self, i: int) -> list[str]:
+        """Source of ``_s<i>`` (indented for the body of ``make``)."""
         k = len(self.axes)
-        indent = "    "
-        for a, lv in enumerate(self.levels):
-            out.append(f"{indent}_lo{a} = int({self.ex(lv.start, None)})")
-            out.append(f"{indent}_hi{a} = int({self.ex(lv.end, None)})")
-            if lv.step is not None:
-                out.append(f"{indent}_st{a} = "
-                           f"int({self.ex(lv.step, None)})")
-                out.append(f"{indent}if _st{a} == 0:")
-                out.append(f"{indent}    ERR('zero DO step')")
-            else:
-                out.append(f"{indent}_st{a} = 1")
-            out.append(f"{indent}_n{a} = len(range(_lo{a}, _hi{a} + "
-                       f"(1 if _st{a} > 0 else -1), _st{a}))")
+        # the outermost bounds are evaluated before the loop starts: the
+        # tree opens the loop on the recorder after them
+        head: list[str] = []
+        self._emit_bounds(0, head, "")
+        out: list[str] = []
+        if self.partials:
+            out.append("_t = False")
+        indent = ""
+        for a in range(k):
+            if a:
+                self._emit_bounds(a, out, indent)
             out.append(f"{indent}if _n{a}:")
             indent += "    "
-        for a in range(k):
             out.append(f"{indent}_iv{a} = np.arange(_lo{a}, _lo{a} + "
                        f"_st{a} * _n{a}, _st{a}, dtype=np.int64)")
             shape = ["1"] * k
             shape[a] = "-1"
             out.append(f"{indent}_g{a} = _iv{a}.reshape"
                        f"({', '.join(shape)})")
+            if a == 0 and self.bulk:
+                # iteration labels of the lanes: the loop variable, or
+                # for a collapsed strip-mine the start of the lane's
+                # strip — the iteration the tree runs the lane in
+                self._it = "_g0"
+                if self.strip is not None:
+                    self._it = "_it"
+                    out.append(f"{indent}_it = _lo0 + (_g0 - _lo0) // "
+                               f"{self.strip} * {self.strip}")
+                scalars = self._shared_scalars()
+                if scalars:
+                    out.append(f"{indent}SCAL(_cx, s, {scalars!r}, "
+                               f"{self._it})")
         for st in self.body:
             self._emit_stmt(st, out, indent)
+        if self.partials:
+            if k > 1:
+                out.append(f"{indent}_m = "
+                           + " * ".join(f"_n{a}" for a in range(1, k)))
+            out.append(f"{indent}_t = True")
         # sequential DO variables keep their scalar-loop final values;
         # DOALL variables live in discarded worker scopes and must not
         # leak (matching _parallel_do/_do_loop semantics exactly)
         for a in range(k - 1, -1, -1):
-            indent = "    " * (a + 2)
             if not isinstance(self.levels[a], C.ParallelDo) \
                     and a not in self.private_axes:
-                out.append(f"{indent}SSET(s, {self.axes[a]!r}, "
+                out.append(f"{'    ' * (a + 1)}SSET(s, {self.axes[a]!r}, "
                            f"_lo{a} + _st{a} * (_n{a} - 1))")
-        return out
+        if self.partials:
+            self._emit_folds(out)
+
+        fn = [f"def _s{i}(s):"]
+        if self.rec:
+            # already inside a checked iteration: the enclosing loop's
+            # log wants every access in the tree's order
+            guard = "SH.recording"
+            if self.bulk and self.writes and len(self._arrays) > 1:
+                guard += f" or ALIAS(s, {tuple(sorted(self._arrays))!r})"
+            fn += [f"    if {guard}:", f"        return _c{i}(s)"]
+        fn += ["    " + line for line in head]
+        if not self.bulk:
+            return fn + ["    " + line for line in out]
+        label = Interpreter._loop_label(self.loop)
+        fn += [f"    _cx = OPEN({label!r})", "    try:"]
+        fn += ["        " + line for line in out]
+        fn += ["    finally:", "        CLOSE(_cx)"]
+        # what the postambles' LOCK/UNLOCK pairs leave of the lockset
+        fn += [f"    REL({lock!r})" for lock in self.locks]
+        return fn
 
 
-def emit_module(interp: Interpreter, stmts: list[F.Stmt],
-                unit: str) -> str:
+def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
+                rec: bool = False) -> str:
     """Deterministic module text for one statement list: a ``make(rt)``
     returning one function per statement — ``_s<i>`` for each lowered
-    loop, ``rt.fallback(i)`` for everything else."""
+    loop, ``rt.fallback(i)`` for everything else.  ``rec`` asks for the
+    recorder-aware text (module docstring), in which a lowered loop
+    also keeps its instrumented closure ``_c<i>``."""
     lowered: dict[int, list[str]] = {}
     for i, s in enumerate(stmts):
-        if isinstance(s, _LOOPS):
+        if isinstance(s, LOOPS):
             try:
-                lowered[i] = _LoopLowerer(interp, s, unit).emit(f"_s{i}")
+                lowered[i] = _LoopLowerer(interp, s, unit, rec).emit(i)
             except _Ineligible:
                 pass
     head = [
         f'"""jit-source module: unit {unit!r}, {len(stmts)} '
         f'statements, {len(lowered)} vectorized loops '
-        f'(emitter v{JIT_VERSION})."""',
+        f'(emitter v{JIT_VERSION}{", recorder-aware" if rec else ""})."""',
         "import numpy as np",
         "",
         "",
@@ -1021,6 +1383,19 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt],
         "    SSET = rt.sset",
         "    AST = rt.astore",
         "    RED = rt.red_flat",
+        "    ROWS = rt.red_rows",
+        "    DEAL = rt.shares",
+    ]
+    if rec:
+        head += [
+            "    SH = rt.shadow",
+            "    OPEN = SH.open_loop",
+            "    CLOSE = SH.close_loop",
+            "    REL = SH.release",
+            "    SCAL = rt.log_scalars",
+            "    ALIAS = rt.aliased",
+        ]
+    head += [
         f"    rt.tally({len(lowered)}, {len(stmts) - len(lowered)})",
         "    fns = []",
     ]
@@ -1028,6 +1403,8 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt],
     for i in range(len(stmts)):
         if i in lowered:
             body.append("")
+            if rec:
+                body.append(f"    _c{i} = fb({i})")
             body.extend("    " + line for line in lowered[i])
             body.append(f"    fns.append(_s{i})")
         else:

@@ -220,8 +220,10 @@ def add_interpreter_arg(ap: argparse.ArgumentParser) -> None:
                     help="interpreter engine for every run this harness "
                          "executes: tree (reference walk) or compiled "
                          "(cached NumPy source modules for vectorizable "
-                         "loop nests, closures for the rest; race-"
-                         "checked runs record from closures alone); "
+                         "loop nests, closures for the rest; in race-"
+                         "checked runs a lowered DOALL logs its index "
+                         "sets in bulk, anything that could conflict "
+                         "records per access from closures); "
                          "results and race verdicts are identical "
                          "(default: $REPRO_ENGINE, else "
                          f"{DEFAULT_ENGINE} — one default for every "

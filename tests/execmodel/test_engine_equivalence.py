@@ -130,20 +130,25 @@ def test_track_multisets_match_baseline():
 
 
 def test_shadow_recorder_keeps_selected_engine():
-    """A recorder rides on whichever engine was selected; under
-    ``compiled`` it only keeps statement lists out of the vectoriser."""
+    """A recorder rides on whichever engine was selected, and under
+    ``compiled`` it no longer turns the lowerer off: ``cg``'s three
+    strip-mined DOALLs run as whole grids and log their accesses in
+    bulk, with the same number of loops checked as the tree walk."""
     from repro.execmodel.shadow import ShadowRecorder
 
     case = CASES["cg"]
     cedar, _ = cached_restructure(case.source)
+    checked = {}
     for engine in ("tree",) + FAST_ENGINES:
         interp = Interpreter(cedar, processors=2, shadow=ShadowRecorder(),
                              engine=engine)
         assert interp.engine == engine
-    args, _ = case.make_args(case.n, np.random.default_rng(3))
-    interp.call(case.entry, *args)
-    assert interp._compiler.vectorized_loops == 0
-    assert interp.shadow.loops_checked > 0
+        args, _ = case.make_args(case.n, np.random.default_rng(3))
+        interp.call(case.entry, *args)
+        checked[engine] = interp.shadow.loops_checked
+        assert interp.shadow.conflicts == []
+    assert interp._compiler.vectorized_loops >= 3
+    assert checked["compiled"] == checked["tree"] > 0
 
 
 def test_unknown_engine_rejected():

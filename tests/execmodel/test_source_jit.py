@@ -26,10 +26,13 @@ from repro.workloads import validation_cases
 CASES = validation_cases()
 
 #: what the unrecorded compiled engine did to every committed program at
-#: emitter v1: ``workload/config`` -> [vectorized_loops, fallback_stmts,
-#: digest of every statement list's cache-key inputs and module text].
-#: Regenerate (only together with a JIT_VERSION bump) by running this
-#: file: ``PYTHONPATH=src python tests/execmodel/test_source_jit.py``
+#: the current emitter version: ``workload/config`` -> [vectorized_loops,
+#: fallback_stmts, digest of every statement list's cache-key inputs and
+#: module text].  Regenerate (only together with a JIT_VERSION bump) by
+#: running this file:
+#: ``PYTHONPATH=src python tests/execmodel/test_source_jit.py`` — which
+#: refuses to write a file in which any entry vectorizes fewer loops
+#: than the one it replaces.
 GOLDEN = Path(__file__).with_name("jit_source_golden.json")
 
 ELEM = """
@@ -94,6 +97,42 @@ STENCIL = """
       do 10 j = 2, n - 1
          v(j) = 0.5 * (u(j-1) + u(j+1))
    10 continue
+      return
+      end
+"""
+
+
+RANK_STORE = """
+      subroutine rk(n, a, b)
+      integer n, i
+      real a(n,n), b(n)
+      do 10 i = 1, n
+         a(i) = b(i) * 2.0
+   10 continue
+      return
+      end
+"""
+
+RANK_LOAD = RANK_STORE.replace("a(i) = b(i) * 2.0", "b(i) = a(i) * 2.0")
+
+#: the loop is the same text (same lines) with and without the user's
+#: ``abs`` below it, so both programs probe the jit-source cache with
+#: the same statement dump
+ABS_LOOP = """
+      subroutine t(n, a, b)
+      integer n, i
+      real a(n), b(n)
+      do 10 i = 1, n
+         b(i) = abs(a(i))
+   10 continue
+      return
+      end
+"""
+
+USER_ABS = ABS_LOOP + """
+      real function abs(x)
+      real x
+      abs = x + 100.0
       return
       end
 """
@@ -170,6 +209,46 @@ class TestRejectedShapes:
         assert interp._compiler.vectorized_loops == 0
 
 
+class TestLoweredLoopIsTheTreesLoop:
+    """Programs the tree walk answers one way and a too-eager lowering
+    another."""
+
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    @pytest.mark.parametrize("src", [RANK_STORE, RANK_LOAD],
+                             ids=["store", "load"])
+    def test_rank_mismatch_raises_the_trees_error(self, src, engine):
+        """One subscript on a rank-2 array: the grid store used to
+        write whole rows, the grid load died in NumPy."""
+        from repro.errors import InterpreterError
+
+        interp = Interpreter(cached_parse(src), processors=1,
+                             engine=engine)
+        with pytest.raises(InterpreterError, match=(
+                "rank mismatch: 1 subscripts for rank 2 array")):
+            interp.call("rk", 3, np.zeros((3, 3)), np.ones(3))
+
+    def test_a_unit_named_like_an_intrinsic_is_what_gets_called(self):
+        a = np.array([-1.0, 2.0, -3.0])
+        tree, out, comp = _both(USER_ABS, "t", 3, a, np.zeros(3))
+        assert tree["b"].tolist() == [99.0, 102.0, 97.0]
+        _assert_bits(tree, out)
+        assert comp.vectorized_loops == 0
+
+    def test_cached_text_does_not_cross_programs(self, monkeypatch):
+        """The intrinsic-only program lowers ``abs`` to ``NP['abs']``;
+        the same statements in the program that defines ``abs`` must not
+        be served that text."""
+        monkeypatch.setattr(cache_mod, "_DEFAULT",
+                            cache_mod.CompilationCache())
+        a = np.array([-1.0, 2.0, -3.0])
+        _, out, comp = _both(ABS_LOOP, "t", 3, a, np.zeros(3))
+        assert out["b"].tolist() == [1.0, 2.0, 3.0]
+        assert comp.vectorized_loops == 1
+        tree, out, comp = _both(USER_ABS, "t", 3, a, np.zeros(3))
+        assert out["b"].tolist() == [99.0, 102.0, 97.0]
+        _assert_bits(tree, out)
+
+
 class TestRestructuredPrograms:
     """The generalized fast path must engage on the restructurer's own
     output — strip-mined PARALLEL DO nests, guards, reductions — not
@@ -179,7 +258,7 @@ class TestRestructuredPrograms:
 
     # every workload here gets at least one vectorized nest today
     EXPECTED_MIN = {"OCEAN": 2, "ARC2D": 2, "cg": 3, "sparse": 3,
-                    "TRFD": 1, "MDG": 1}
+                    "TRFD": 2, "MDG": 1, "svdcmp": 1}
 
     @pytest.mark.parametrize("wname", sorted(EXPECTED_MIN))
     def test_vectorizes_stripmined_output(self, wname):
@@ -334,6 +413,10 @@ if __name__ == "__main__":
     cache_mod._DEFAULT = cache_mod.CompilationCache()
     rows = {"jit_version": JIT_VERSION,
             **compiled_engine_footprint(cache_mod._DEFAULT)}
+    before = json.loads(GOLDEN.read_text())
+    fell = {k: (before[k][0], v[0]) for k, v in rows.items()
+            if k != "jit_version" and k in before and v[0] < before[k][0]}
+    assert not fell, f"vectorized_loops fell (was, now): {fell}"
     GOLDEN.write_text("{\n" + ",\n".join(
         f"{json.dumps(k)}: {json.dumps(v)}" for k, v in rows.items())
         + "\n}\n")
