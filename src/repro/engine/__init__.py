@@ -8,9 +8,9 @@ Three pieces, composable and individually optional:
   restructurer options, repro version); the cache keys on the SHA-256 of
   exactly that triple and memoizes parse trees and restructured Cedar
   programs in memory, with an optional on-disk store shared across
-  processes (``--cache-dir`` / ``REPRO_CACHE_DIR``).  The validate
-  harness's pass bisection and the experiments/faults matrices re-run
-  the same front-end work per cell; with the cache they pay it once.
+  processes (``--cache-dir``).  The validate harness's pass bisection
+  and the experiments/faults matrices re-run the same front-end work
+  per cell; with the cache they pay it once.
 
 - :mod:`repro.execmodel.compiled` — the compiler behind
   ``Interpreter(engine="compiled")``, the one fast engine: statement

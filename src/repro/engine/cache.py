@@ -21,39 +21,35 @@ and stores two artifact kinds:
     so one cached instance serves all cells of a sweep.
 
 The in-memory store is per-process; pass ``cache_dir`` (CLI
-``--cache-dir``, env ``REPRO_CACHE_DIR``) for an on-disk pickle store
-shared across processes — that is what makes ``--jobs N`` workers and
-repeated harness invocations warm-start.  ``REPRO_CACHE_DISABLE=1``
-turns the whole layer into a transparent pass-through (every call
-recomputes), which is how host benchmarks measure the uncached baseline.
+``--cache-dir``) for an on-disk pickle store shared across processes —
+that is what makes ``--jobs N`` workers and repeated harness invocations
+warm-start.  A cold measurement clears the store
+(:meth:`CompilationCache.clear`) rather than switching the layer off.
 
 Accounting routes through a :class:`repro.telemetry.MetricsRegistry` —
-one code path feeds the ``stats()`` dict, the ``REPRO_CACHE_STATS=FILE``
-atexit JSON (hit/miss/bytes per artifact kind), and, when ``--telemetry``
-is on, the ``repro-metrics/1`` artifact's cache hit rates.  Cache misses
-additionally open ``parse``/``restructure`` telemetry spans around the
-recomputation, so per-stage breakdowns attribute front-end wall-clock.
+one code path feeds the ``stats()`` dict (hit/miss/bytes per artifact
+kind) and, when ``--telemetry`` is on, the ``repro-metrics/1``
+artifact's cache hit rates.  Cache misses additionally open
+``parse``/``restructure`` telemetry spans around the recomputation, so
+per-stage breakdowns attribute front-end wall-clock.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import json
 import os
 import pickle
 import tempfile
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro._version import __version__
-from repro.obs.log import get_logger
-from repro.telemetry import span
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry import (MetricsRegistry, get_logger, get_registry,
+                             span)
 
 _LOG = get_logger("engine.cache")
 
@@ -110,10 +106,8 @@ class CompilationCache:
     """In-memory + optional on-disk store of front-end artifacts."""
 
     def __init__(self, cache_dir: str | os.PathLike | None = None,
-                 enabled: bool = True,
                  registry: MetricsRegistry | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.enabled = enabled
         # least recently used first; handler threads of a degraded
         # (pool:serial) server share the process-wide instance
         self._mem: OrderedDict[str, object] = OrderedDict()
@@ -124,8 +118,8 @@ class CompilationCache:
         self.disk_error_hook = None
         # one accounting path: every counter lives in a MetricsRegistry
         # (the process-wide telemetry registry for the default cache, a
-        # private one for directly constructed instances) — stats(),
-        # REPRO_CACHE_STATS and --telemetry all read the same numbers
+        # private one for directly constructed instances) — stats()
+        # and --telemetry read the same numbers
         self.metrics = registry if registry is not None \
             else MetricsRegistry()
         self._ctr: dict[tuple[str, str], object] = {}
@@ -152,9 +146,6 @@ class CompilationCache:
         from repro.fortran import ast_nodes as F
         from repro.fortran.parser import parse_program
 
-        if not self.enabled:
-            with span("parse", cached=False):
-                return parse_program(source)
         key = content_key("parse", source)
         sf = self._load(key, "parse")
         if sf is None:
@@ -174,8 +165,6 @@ class CompilationCache:
         does not parse it a second time.  ``sf`` becomes the shared
         instance: the caller must not modify it afterwards.
         """
-        if not self.enabled:
-            return
         key = content_key("parse", source)
         if self._mem_get(key) is None:
             self._store(key, sf, "parse")
@@ -191,10 +180,6 @@ class CompilationCache:
         """
         from repro.restructurer.pipeline import Restructurer
 
-        if not self.enabled:
-            sf = self.parse(source, mutable=True)
-            with span("restructure", cached=False):
-                return Restructurer(options).run(sf)
         key = content_key("restructure", source, options_fingerprint(options))
         pair = self._load(key, "restructure")
         if pair is None:
@@ -215,9 +200,6 @@ class CompilationCache:
         kind — and the text is re-``compile()``d per process, keeping the
         cache process-portable.
         """
-        if not self.enabled:
-            with span("jit-emit", cached=False):
-                return emit()
         key = content_key("jit-source", source, fingerprint)
         text = self._load(key, "jit-source")
         if not isinstance(text, str):
@@ -270,7 +252,6 @@ class CompilationCache:
         with self._mem_lock:
             entries = len(self._mem)
         return {
-            "enabled": self.enabled,
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "hits": self.hits,
             "misses": self.misses,
@@ -432,7 +413,6 @@ class CompilationCache:
 
 
 _DEFAULT: Optional[CompilationCache] = None
-_STATS_PID: Optional[int] = None
 _COLLECTOR_REGISTERED = False
 
 
@@ -442,59 +422,29 @@ def _entries_collector(registry) -> None:
         registry.gauge("repro_cache_entries").set(len(_DEFAULT._mem))
 
 
-def _env_disabled() -> bool:
-    return os.environ.get("REPRO_CACHE_DISABLE", "") not in ("", "0")
-
-
 def get_cache() -> CompilationCache:
-    """The process-wide cache (created on first use from the env)."""
-    global _DEFAULT
+    """The process-wide cache (memory-only unless :func:`configure`d)."""
     if _DEFAULT is None:
-        configure(cache_dir=os.environ.get("REPRO_CACHE_DIR") or None)
+        configure()
     return _DEFAULT
 
 
-def configure(cache_dir: str | None = None,
-              enabled: bool | None = None) -> CompilationCache:
+def configure(cache_dir: str | None = None) -> CompilationCache:
     """(Re)configure the process-wide cache.
 
-    ``cache_dir=None`` keeps the store memory-only; ``enabled`` defaults
-    to the ``REPRO_CACHE_DISABLE`` environment setting.  Harness CLIs
-    call this once from ``--cache-dir`` before fanning out work.  The
-    cache accounts into the process-wide telemetry registry; each
+    ``cache_dir=None`` keeps the store memory-only.  Harness CLIs call
+    this once from ``--cache-dir`` before fanning out work.  The cache
+    accounts into the process-wide telemetry registry; each
     ``configure`` starts a fresh accounting epoch.
     """
-    global _DEFAULT, _STATS_PID
-    from repro.telemetry import get_registry
-
-    if enabled is None:
-        enabled = not _env_disabled()
-    _DEFAULT = CompilationCache(cache_dir=cache_dir, enabled=enabled,
+    global _DEFAULT, _COLLECTOR_REGISTERED
+    _DEFAULT = CompilationCache(cache_dir=cache_dir,
                                 registry=get_registry())
     _DEFAULT._zero_metrics()
-    global _COLLECTOR_REGISTERED
     if not _COLLECTOR_REGISTERED:
         _COLLECTOR_REGISTERED = True
         get_registry().add_collector(_entries_collector)
-    stats_file = os.environ.get("REPRO_CACHE_STATS")
-    if stats_file and _STATS_PID is None:
-        _STATS_PID = os.getpid()
-        atexit.register(_write_stats, stats_file)
     return _DEFAULT
-
-
-def _write_stats(path: str) -> None:
-    # only the process that registered writes — forked --jobs workers
-    # inherit the registration but must not clobber the parent's file
-    if os.getpid() != _STATS_PID or _DEFAULT is None:
-        return
-    try:
-        doc = dict(_DEFAULT.stats(), pid=os.getpid(), t=time.time())
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    except OSError:
-        pass
 
 
 def cache_stats() -> dict:

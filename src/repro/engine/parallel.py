@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from repro import telemetry
-from repro.obs.log import get_logger
+from repro.telemetry.log import get_logger, tail as flight_tail
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -112,8 +112,6 @@ def _run_cell(fn: Callable, item, index: int, label: str,
     tail — raising across the process boundary would lose it — plus the
     worker's flight-recorder tail when logging is enabled.
     """
-    from repro.obs import flight
-
     t0 = time.perf_counter()
     try:
         with telemetry.cell_span(index, label, submit_t0=submit_t0):
@@ -128,7 +126,7 @@ def _run_cell(fn: Callable, item, index: int, label: str,
             index=index, label=label,
             message=f"{type(exc).__name__}: {exc}\n{_tb_tail(exc)}",
             duration_s=time.perf_counter() - t0,
-            flight=tuple(flight.tail()))
+            flight=tuple(flight_tail()))
 
 
 def _mp_context():

@@ -144,7 +144,7 @@ class Compiler:
             return [self._stmt(s, unit) for s in stmts]
 
         from repro.engine.cache import get_cache
-        from repro.obs.log import get_logger
+        from repro.telemetry.log import get_logger
 
         rec = self.shadow is not None
         try:

@@ -17,7 +17,6 @@ character data is not modelled.
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -71,7 +70,7 @@ class Interpreter:
                  inputs: list[float] | None = None,
                  shadow: "ShadowRecorder | None" = None,
                  step_budget: int | None = STEP_BUDGET,
-                 engine: str | None = None,
+                 engine: str = "tree",
                  deal: Callable[[int, int], Sequence[Sequence[int]]]
                  | None = None):
         """``shadow`` is an optional
@@ -94,10 +93,10 @@ class Interpreter:
         and still lowers loop nests — one headed by a DOALL logs the
         index sets it touches in bulk, unless it is already inside a
         checked iteration or could conflict, in which case it records
-        access by access like the tree.  ``engine=None`` (the
-        default) resolves to ``$REPRO_ENGINE`` when set, else
-        ``"tree"`` — harnesses that construct interpreters without an
-        explicit engine inherit the sweep-wide selection.
+        access by access like the tree.  The bare constructor's
+        default is the reference walk, the side tests compare against;
+        the harnesses thread their own default
+        (:data:`repro.validate.differential.DEFAULT_ENGINE`) explicitly.
 
         ``deal(n, p)`` decides which worker runs which iteration of every
         DOALL: it returns ``p`` sequences of positions in ``range(n)``,
@@ -107,8 +106,6 @@ class Interpreter:
         result is taken as given — a deal that drops or repeats a
         position runs exactly that, which is what the oracles' negative
         controls rely on."""
-        if engine is None:
-            engine = os.environ.get("REPRO_ENGINE") or "tree"
         if engine not in ENGINES:
             raise InterpreterError(f"unknown engine {engine!r}")
         self.sf = sf

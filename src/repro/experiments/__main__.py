@@ -20,8 +20,7 @@ unit, serial vs Cedar (see :mod:`repro.experiments.ingest`).
 
 Exit status (shared with ``python -m repro.lint``):
     0  all requested experiments ran / source ingested clean
-    1  ``--source`` file rejected by the linter (also reserved for
-       regressions — used by ``repro.prof diff``)
+    1  ``--source`` file rejected by the linter
     2  usage error (unknown experiment/flag, unreadable source)
     3  internal fault: an experiment crashed or exceeded its budget
 """
@@ -119,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         })
 
     hard_fault = False
-    from repro.obs.log import get_logger
+    from repro.telemetry.log import get_logger
 
     log = get_logger("experiments")
 

@@ -7,25 +7,30 @@ every table and figure of the paper plots.
 
 Also home to the CLI flags the harnesses share: ``add_engine_args`` (the
 performance layer — ``--jobs``, ``--cache-dir``, ``--telemetry``,
-``--log-level`` — on every harness) and ``add_interpreter_arg`` /
-``selected_engine`` (``--engine``, only on the harnesses that execute
-programs; nothing here builds an interpreter).
+``--log-level`` — on every harness) and ``add_interpreter_arg``
+(``--engine``, only on the harnesses that execute programs; nothing here
+builds an interpreter).  The flags are the only spellings: no
+environment variable is read anywhere under ``repro``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from repro import telemetry
 from repro.engine import cached_parse, cached_restructure, configure
 from repro.execmodel.perf import PerfEstimator, PerfResult
 from repro.fortran import ast_nodes as F
 from repro.machine.config import MachineConfig
 from repro.prof.session import ProfileSession
 from repro.restructurer.options import RestructurerOptions
+from repro.telemetry import log as telemetry_log
+from repro.telemetry.export import finalize
 
 #: the ProfileSession collecting estimates, when ``profiled()`` is active
 _ACTIVE_SESSION: Optional[ProfileSession] = None
@@ -190,33 +195,32 @@ def add_engine_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="on-disk compilation cache shared across "
                          "processes and invocations (default: "
-                         "$REPRO_CACHE_DIR, else memory-only)")
+                         "memory-only)")
     ap.add_argument("--telemetry", default=None, metavar="DIR",
-                    help="host-side telemetry: write per-stage spans, "
-                         "metrics and latency histograms into DIR as a "
-                         "repro-metrics/1 artifact (default: "
-                         "$REPRO_TELEMETRY, else off; off is a true "
-                         "no-op and never changes sweep payloads)")
+                    help="host-side telemetry: write per-stage spans "
+                         "and metrics into DIR as a repro-metrics/1 "
+                         "artifact (default: off; off is a true no-op "
+                         "and never changes sweep payloads)")
     ap.add_argument("--log-level", default=None, metavar="LEVEL",
                     choices=("debug", "info", "warning", "error"),
                     help="structured JSONL logging at LEVEL "
-                         "(debug/info/warning/error) to "
-                         "$REPRO_LOG_FILE, the telemetry dir's "
-                         "log.jsonl, or stderr; enables the crash "
-                         "flight recorder (default: $REPRO_LOG, else "
-                         "off; off is a true no-op and never changes "
-                         "sweep payloads)")
+                         "(debug/info/warning/error) to the telemetry "
+                         "dir's log.jsonl, else stderr; enables the "
+                         "crash flight recorder (default: off; off is "
+                         "a true no-op and never changes sweep "
+                         "payloads)")
 
 
 def add_interpreter_arg(ap: argparse.ArgumentParser) -> None:
     """``--engine``, for the harnesses that execute programs
     (``repro.validate``, ``repro.faults``); estimation-only paths never
-    build an :class:`~repro.execmodel.interp.Interpreter`.  Read the
-    choice back with :func:`selected_engine`."""
+    build an :class:`~repro.execmodel.interp.Interpreter`.  The parsed
+    ``ns.engine`` is threaded explicitly — into the calls the parent
+    makes and into every worker's job dict."""
     from repro.execmodel.interp import ENGINES
     from repro.validate.differential import DEFAULT_ENGINE
 
-    ap.add_argument("--engine", default=None, choices=ENGINES,
+    ap.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
                     help="interpreter engine for every run this harness "
                          "executes: tree (reference walk) or compiled "
                          "(cached NumPy source modules for vectorizable "
@@ -225,47 +229,26 @@ def add_interpreter_arg(ap: argparse.ArgumentParser) -> None:
                          "sets in bulk, anything that could conflict "
                          "records per access from closures); "
                          "results and race verdicts are identical "
-                         "(default: $REPRO_ENGINE, else "
-                         f"{DEFAULT_ENGINE} — one default for every "
-                         "harness)")
-
-
-def selected_engine(ns: argparse.Namespace) -> str:
-    """The engine a harness runs: ``--engine``, else ``$REPRO_ENGINE``,
-    else the one default every harness shares."""
-    from repro.validate.differential import DEFAULT_ENGINE
-
-    return getattr(ns, "engine", None) \
-        or os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
+                         f"(default: {DEFAULT_ENGINE} — one default for "
+                         "every harness)")
 
 
 def configure_engine(ns: argparse.Namespace) -> int:
-    """Apply the shared flags; returns the sanitized job count."""
-    from repro import telemetry
-    from repro.obs import log as obslog
+    """Apply the shared flags; returns the sanitized job count.
 
-    telemetry_dir = getattr(ns, "telemetry", None) \
-        or os.environ.get("REPRO_TELEMETRY") or None
+    Workers of a ``--jobs N`` sweep are forked after this ran, so they
+    inherit the telemetry session, the logging session and the cache
+    directory with the process image."""
+    telemetry_dir = getattr(ns, "telemetry", None)
     if telemetry_dir:
         telemetry.configure(telemetry_dir)
     log_level = getattr(ns, "log_level", None)
     if log_level:
-        from repro.telemetry import spans as spanmod
-
-        log_file = os.environ.get("REPRO_LOG_FILE") or None
-        if log_file is None and spanmod.current_dir() is not None:
-            log_file = str(spanmod.current_dir() / "log.jsonl")
-        obslog.configure(log_level, path=log_file)
-    else:
-        obslog.configure_from_env()    # forked/spawned workers join
-    cache_dir = getattr(ns, "cache_dir", None) \
-        or os.environ.get("REPRO_CACHE_DIR") or None
-    configure(cache_dir=cache_dir)
-    engine = getattr(ns, "engine", None)
-    if engine:
-        # exported so sweep worker processes (and any Interpreter built
-        # without an explicit engine) inherit the selection
-        os.environ["REPRO_ENGINE"] = engine
+        log_file = None
+        if telemetry_dir:
+            log_file = os.path.join(telemetry_dir, "log.jsonl")
+        telemetry_log.configure(log_level, path=log_file)
+    configure(cache_dir=getattr(ns, "cache_dir", None) or None)
     return max(1, int(getattr(ns, "jobs", 1) or 1))
 
 
@@ -273,19 +256,13 @@ def finalize_telemetry(harness: str) -> None:
     """Merge this run's telemetry session, if one is active.
 
     The shared epilogue of every sweep CLI: flushes the parent shard,
-    folds per-worker shards into ``DIR/metrics.json`` (plus the merged
-    span log and Prometheus text), prints a one-line stderr note, and
-    ends the structured-logging session.  A no-op when both
-    ``--telemetry`` and ``--log-level`` are off.
+    folds per-worker shards into ``DIR/metrics.json``, prints a
+    one-line stderr note, and ends the structured-logging session.  A
+    no-op when both ``--telemetry`` and ``--log-level`` are off.
     """
-    import sys
-
-    from repro import telemetry
-    from repro.obs import log as obslog
-
-    telemetry.finalize(
-        harness=harness,
-        echo=lambda msg: print(msg, file=sys.stderr))
-    if obslog.enabled():
-        obslog.get_logger("harness").info("finalized", harness=harness)
-        obslog.shutdown()
+    finalize(harness=harness,
+             echo=lambda msg: print(msg, file=sys.stderr))
+    if telemetry_log.enabled():
+        telemetry_log.get_logger("harness").info("finalized",
+                                                 harness=harness)
+        telemetry_log.shutdown()

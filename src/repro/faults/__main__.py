@@ -44,7 +44,7 @@ def _cmd_list(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    from repro.experiments.common import configure_engine, selected_engine
+    from repro.experiments.common import configure_engine
     from repro.faults.harness import SweepJournal
     from repro.faults.sweep import run_sweep
 
@@ -58,7 +58,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             scenarios=ns.scenarios or None,
             quick=ns.quick, timeout=ns.timeout,
             journal=journal, progress=progress, jobs=jobs,
-            engine=selected_engine(ns))
+            engine=ns.engine)
     except ReproError as exc:
         print(f"repro.faults: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import BudgetExceededError, ReproError
-from repro.obs.log import get_logger
+from repro.telemetry.log import get_logger, tail as flight_tail
 
 #: exception classes the harness never swallows — programming errors and
 #: interpreter-session control flow must propagate
@@ -85,9 +85,7 @@ class FaultReport:
                      message=str(exc), elapsed_s=elapsed_s, traceback=tb)
         # when the flight recorder is on (logging enabled), the report
         # carries the last-N-events context of the dying process
-        from repro.obs import flight
-
-        events = flight.tail()
+        events = flight_tail()
         if events:
             report.detail["flight_recorder"] = events
         return report

@@ -346,7 +346,7 @@ def run_sweep(workloads: Sequence[str] | None = None,
 
     runs: list[dict] = []
     faults: list[dict] = []
-    from repro.obs.log import get_logger
+    from repro.telemetry.log import get_logger
 
     log = get_logger("faults.sweep")
 

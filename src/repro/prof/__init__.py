@@ -10,8 +10,7 @@ Layers observability onto the discrete-event machine model:
 - :mod:`repro.prof.session` — per-experiment collection and the
   ``repro-profile/1`` document;
 - :mod:`repro.prof.export` — Chrome trace-event / Perfetto export;
-- :mod:`repro.prof.report` — ASCII Gantt + utilization reports;
-- :mod:`repro.prof.diff` — benchmark regression diffing (the CI gate).
+- :mod:`repro.prof.report` — ASCII Gantt + utilization reports.
 
 This package must stay importable from ``repro.machine`` — keep it free
 of ``repro.execmodel`` / ``repro.experiments`` imports.
@@ -24,7 +23,6 @@ from repro.prof.counters import (
     memory_cycles_from_counters,
     reconcile,
 )
-from repro.prof.diff import Delta, DiffResult, diff_payloads, extract_metrics
 from repro.prof.export import chrome_trace, write_chrome_trace
 from repro.prof.report import render_gantt, render_report, render_utilization
 from repro.prof.session import (
@@ -48,10 +46,6 @@ __all__ = [
     "ProfLedger",
     "memory_cycles_from_counters",
     "reconcile",
-    "Delta",
-    "DiffResult",
-    "diff_payloads",
-    "extract_metrics",
     "chrome_trace",
     "write_chrome_trace",
     "render_gantt",

@@ -1,10 +1,5 @@
 """Command-line front end for the profiler.
 
-``python -m repro.prof diff OLD NEW``
-    Compare two ``BENCH_*.json`` / ``--json`` / profile payloads and exit
-    nonzero when any workload regressed beyond ``--threshold``.  This is
-    the CI regression gate (see ``scripts/bench_diff.py``).
-
 ``python -m repro.prof gantt TRACE.json``
     Re-render a ``trace.json`` written by ``--profile`` as ASCII per-CE
     Gantt charts, for terminals without Perfetto.
@@ -14,9 +9,8 @@
 
 Exit status (shared CLI convention — see also ``repro.experiments``,
 ``repro.validate``, ``repro.faults``):
-    0  success / no regression
-    1  regression beyond threshold (``diff``)
-    2  usage error (bad flags, malformed/mismatched payloads)
+    0  success
+    2  usage error (bad flags, malformed payloads)
     3  internal fault (unexpected exception — a harness bug)
 """
 
@@ -26,8 +20,6 @@ import argparse
 import json
 import sys
 
-from repro.prof.diff import diff_payloads
-from repro.prof.export import run_events  # noqa: F401  (re-export symmetry)
 from repro.prof.report import render_gantt, render_utilization
 from repro.prof.timeline import CONTROL_TRACK, LoopRecord, Span
 
@@ -76,17 +68,6 @@ def loops_from_trace(trace: dict, pid: int | None = None) -> list[LoopRecord]:
     return records
 
 
-def _cmd_diff(ns: argparse.Namespace) -> int:
-    try:
-        result = diff_payloads(_load(ns.old), _load(ns.new),
-                               threshold=ns.threshold)
-    except ValueError as exc:
-        print(f"bench-diff: {exc}", file=sys.stderr)
-        return 2
-    print(result.render())
-    return 1 if result.failed else 0
-
-
 def _cmd_gantt(ns: argparse.Namespace) -> int:
     loops = loops_from_trace(_load(ns.trace), pid=ns.pid)
     if not loops:
@@ -121,16 +102,9 @@ def _cmd_report(ns: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.prof",
-        description="Profiler utilities: regression diffing and "
-                    "terminal rendering of traces.")
+        description="Profiler utilities: terminal rendering of "
+                    "traces and profile documents.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("diff", help="compare two benchmark/profile payloads")
-    p.add_argument("old", help="baseline payload (BENCH_*.json / profile)")
-    p.add_argument("new", help="candidate payload")
-    p.add_argument("--threshold", type=float, default=0.02,
-                   help="relative regression tolerance (default 0.02)")
-    p.set_defaults(func=_cmd_diff)
 
     p = sub.add_parser("gantt", help="ASCII Gantt from a trace.json")
     p.add_argument("trace")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.obs.log import get_logger
+from repro.telemetry.log import get_logger
 from repro.server.service import SERVER_SCHEMA, RestructurerService
 
 _LOG = get_logger("server.http")

@@ -23,7 +23,7 @@ import threading
 import time
 from typing import Callable, Optional
 
-from repro.obs.log import get_logger
+from repro.telemetry.log import get_logger
 
 _LOG = get_logger("server.queue")
 

@@ -44,7 +44,7 @@ from typing import Optional
 
 from repro.engine.cache import content_key, get_cache
 from repro.faults.harness import SweepJournal
-from repro.obs.log import get_logger
+from repro.telemetry.log import get_logger
 from repro.server.breaker import OPEN, CircuitBreaker
 from repro.server.queue import AdmissionQueue, ShedRequest
 from repro.server.retry import RetryPolicy

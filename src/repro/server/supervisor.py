@@ -28,7 +28,7 @@ import threading
 import time
 from typing import Any, Callable, Optional
 
-from repro.obs.log import get_logger
+from repro.telemetry.log import get_logger
 
 _LOG = get_logger("server.supervisor")
 

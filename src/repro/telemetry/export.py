@@ -1,37 +1,35 @@
-"""Exporters: shard merge, the ``repro-metrics/1`` artifact, Prometheus.
+"""Shard merge and the ``repro-metrics/1`` artifact.
 
 A telemetry session directory accumulates per-process shards
 (``spans-<pid>.jsonl``, ``metrics-<pid>.json``) plus the parent's
-``meta.json``.  :func:`merge_dir` folds them into the session's three
-final outputs:
-
-``metrics.json``
-    the ``repro-metrics/1`` artifact: merged metrics (counters, gauges,
-    histograms with p50/p90/p95/p99), every span keyed by sweep-cell
-    index, and a computed summary (per-stage time breakdown, top-N
-    slowest cells, per-artifact-kind cache hit rates, per-worker
-    utilization);
-``spans.jsonl``
-    the merged span log, one JSON object per line, sorted by
-    (cell, start time, pid) — a coherent trace across all workers;
-``metrics.prom``
-    the merged registry in Prometheus text exposition format.
+``meta.json``.  :func:`merge_dir` folds them into the session's one
+output, ``metrics.json`` — the ``repro-metrics/1`` artifact: merged
+metrics (counters, gauges, histograms), every span sorted by (cell,
+start time, pid) into one coherent trace across all workers, and a
+computed summary (per-stage time breakdown, top-N slowest cells,
+per-artifact-kind cache hit rates, per-worker utilization).
 
 Shard files are removed after a successful merge, leaving a clean
-artifact directory.
+artifact directory; :func:`load_session` is how a reader opens one,
+finalized or not.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 from typing import Optional
 
+from repro.telemetry import spans as spanmod
+from repro.telemetry.log import get_logger
 from repro.telemetry.registry import MetricsRegistry
 
 SCHEMA_TAG = "repro-metrics/1"
+
+_LOG = get_logger("telemetry.export")
 
 #: how many slowest cells the summary (and report) carries
 TOP_CELLS = 20
@@ -40,12 +38,8 @@ TOP_CELLS = 20
 def _shard_warn(msg: str) -> None:
     """A damaged shard degrades the merge, never kills it — but the
     degradation must be visible (stderr + the structured log)."""
-    import sys
-
     print(f"[telemetry] warning: {msg}", file=sys.stderr)
-    from repro.obs.log import get_logger
-
-    get_logger("telemetry.export").warning("shard_damaged", detail=msg)
+    _LOG.warning("shard_damaged", detail=msg)
 
 
 def _read_shards(out_dir: Path) -> tuple[list[dict], MetricsRegistry,
@@ -192,12 +186,10 @@ def build_payload(spans: list[dict], registry: MetricsRegistry,
 
 def merge_dir(out_dir: str | os.PathLike,
               harness: Optional[str] = None) -> dict:
-    """Merge a session directory's shards into the final artifacts.
+    """Merge a session directory's shards into ``metrics.json``.
 
-    Returns the ``repro-metrics/1`` payload; writes ``metrics.json``,
-    ``spans.jsonl`` and ``metrics.prom`` next to the shards, then
-    removes the shard files.  Idempotent: re-merging a merged directory
-    (no shards left) rebuilds the outputs from ``metrics.json``.
+    Returns the ``repro-metrics/1`` payload it wrote next to the
+    shards, then removes the shard files.
     """
     out = Path(out_dir)
     meta: dict = {}
@@ -208,27 +200,35 @@ def merge_dir(out_dir: str | os.PathLike,
         except json.JSONDecodeError:
             meta = {}
     spans, registry, pids, shard_files = _read_shards(out)
-    if not shard_files and (out / "metrics.json").exists():
-        prior = json.loads((out / "metrics.json").read_text())
-        spans = prior.get("spans", [])
-        registry = MetricsRegistry()
-        registry.merge_snapshot(prior.get("metrics", {}))
-        pids = prior.get("pids", [])
-        if harness is None:
-            harness = prior.get("harness")
-
     payload = build_payload(spans, registry, pids, meta, harness=harness)
     (out / "metrics.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    (out / "spans.jsonl").write_text(
-        "".join(json.dumps(s, sort_keys=True) + "\n"
-                for s in payload["spans"]))
-    (out / "metrics.prom").write_text(registry.to_prometheus())
     for path in shard_files:
         try:
             path.unlink()
         except OSError:
             pass
+    return payload
+
+
+def load_session(path: str | os.PathLike) -> dict:
+    """The ``repro-metrics/1`` payload behind ``path``: a
+    ``metrics.json`` file, or a session directory — whose leftover
+    shards are merged first, so the raw directory of a crashed sweep
+    reads like a finalized one."""
+    p = Path(path)
+    if p.is_dir():
+        if any(p.glob("spans-*.jsonl")) or any(p.glob("metrics-*.json")):
+            return merge_dir(p)
+        p = p / "metrics.json"
+        if not p.exists():
+            raise FileNotFoundError(
+                f"{p}: no metrics.json and no shards — run a harness "
+                f"with --telemetry first")
+    payload = json.loads(p.read_text())
+    if not isinstance(payload, dict) \
+            or payload.get("schema") != SCHEMA_TAG:
+        raise ValueError(f"{p}: not a {SCHEMA_TAG} payload")
     return payload
 
 
@@ -240,8 +240,6 @@ def finalize(harness: Optional[str] = None,
     ``None`` when telemetry is off.  ``echo`` (e.g. a stderr printer)
     receives a one-line summary of what was written.
     """
-    from repro.telemetry import spans as spanmod
-
     if not spanmod.enabled():
         return None
     out_dir = spanmod.current_dir()

@@ -1,4 +1,4 @@
-"""Structured JSONL logging for the repro harnesses.
+"""Structured JSONL logging and the crash flight recorder.
 
 One log record is one JSON object on one line::
 
@@ -10,24 +10,31 @@ One log record is one JSON object on one line::
 Design rules, in order of importance:
 
 - **Off is free.**  Logging is opt-in (``--log-level LEVEL`` on the
-  sweep CLIs, or ``REPRO_LOG=LEVEL``); while off, every logger method is
-  a single ``is None`` check — no allocation, no formatting, no I/O —
-  so instrumented code paths behave exactly as uninstrumented ones and
-  sweep JSON payloads stay byte-identical either way.
-- **Correlated with telemetry.**  When a telemetry session is active,
-  every record carries the session ``trace_id``, the innermost open
-  span id, and the current sweep-cell index — the exact same identifiers
-  the ``repro-metrics/1`` span log uses, so a log line joins against its
-  span with no guessing.
+  sweep CLIs); while off, every logger method is a single ``is None``
+  check — no allocation, no formatting, no I/O — so instrumented code
+  paths behave exactly as uninstrumented ones and sweep JSON payloads
+  stay byte-identical either way.
+- **Correlated with telemetry.**  While a telemetry session is active
+  (:func:`repro.telemetry.spans.configure` binds it here), every record
+  carries the session ``trace_id``, the innermost open span id, and the
+  current sweep-cell index — the same identifiers the ``repro-metrics/1``
+  span log uses, so a log line joins against its span with no guessing.
 - **Fork-safe.**  ``--jobs`` workers inherit the configured state; the
   sink is opened in append mode and every record is one ``write()`` of
   one line, so interleaved worker output stays line-atomic on POSIX.
-- **Crash-context capture.**  Every record (regardless of level
-  threshold) is also pushed into the :mod:`repro.obs.flight` ring
-  buffer, which crash reports dump as their last-N-events context.
+- **Crash-context capture.**  The session owns the *flight recorder*: a
+  bounded ring of the most recent records — at any level, including
+  ones below the write threshold — and of every completed telemetry
+  span.  When a workload crashes or times out,
+  :meth:`repro.faults.harness.FaultReport.from_exception` and the
+  :class:`repro.engine.parallel.WorkerCrash` path dump :func:`tail` into
+  the report's ``detail["flight_recorder"]``, so the report carries the
+  last things the process did before dying.  Forked workers inherit the
+  parent's ring contents on purpose: the parent-side events leading up
+  to the fan-out are the context a worker crash wants to show.
 
-The default sink is ``<telemetry dir>/log.jsonl`` when a telemetry
-session is active, else stderr; ``REPRO_LOG_FILE`` overrides either.
+The harnesses write to ``<telemetry dir>/log.jsonl`` when a telemetry
+session is active, else to stderr.
 """
 
 from __future__ import annotations
@@ -36,28 +43,38 @@ import json
 import os
 import sys
 import time
+from collections import deque
 from typing import Optional, TextIO
 
 #: level name -> numeric threshold (records below the configured
 #: threshold are ring-buffered but not written)
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
+#: how many events the flight-recorder ring holds by default
+DEFAULT_CAPACITY = 64
+
+#: how many trailing events a crash report carries
+TAIL_EVENTS = 16
+
 
 class _LogState:
     """Per-process logging session (shared via fork with workers)."""
 
-    __slots__ = ("level", "levelno", "path", "fh", "owns_fh")
+    __slots__ = ("levelno", "fh", "owns_fh", "ring")
 
-    def __init__(self, level: str, levelno: int, path: Optional[str],
-                 fh: TextIO, owns_fh: bool):
-        self.level = level
+    def __init__(self, levelno: int, fh: TextIO, owns_fh: bool,
+                 flight_capacity: int):
         self.levelno = levelno
-        self.path = path
         self.fh = fh
         self.owns_fh = owns_fh
+        self.ring: deque = deque(maxlen=max(1, int(flight_capacity)))
 
 
 _STATE: Optional[_LogState] = None
+
+#: the active telemetry session (its ``trace_id``, open-span ``stack``
+#: and current ``cell`` stamp every record), or None
+_SESSION = None
 
 
 def enabled() -> bool:
@@ -65,18 +82,14 @@ def enabled() -> bool:
     return _STATE is not None
 
 
-def level() -> Optional[str]:
-    return _STATE.level if _STATE is not None else None
-
-
 def configure(level: str = "info", path: str | os.PathLike | None = None,
-              flight_capacity: int | None = None) -> None:
+              flight_capacity: int = DEFAULT_CAPACITY) -> None:
     """Start a logging session at ``level``, writing to ``path``.
 
-    ``path=None`` writes to stderr.  Also enables the flight recorder
-    (ring buffer of recent events) — the two are one feature: when you
-    can log, crashes can explain themselves.  Raises :class:`ValueError`
-    on an unknown level name.
+    ``path=None`` writes to stderr.  The session carries the flight
+    recorder — the two are one feature: when you can log, crashes can
+    explain themselves.  Raises :class:`ValueError` on an unknown level
+    name.
     """
     global _STATE
     lvl = str(level).lower()
@@ -88,53 +101,66 @@ def configure(level: str = "info", path: str | os.PathLike | None = None,
     if path is not None:
         p = os.fspath(path)
         os.makedirs(os.path.dirname(p) or ".", exist_ok=True)
-        fh = open(p, "a", buffering=1)
-        _STATE = _LogState(lvl, LEVELS[lvl], p, fh, owns_fh=True)
+        _STATE = _LogState(LEVELS[lvl], open(p, "a", buffering=1),
+                           True, flight_capacity)
     else:
-        _STATE = _LogState(lvl, LEVELS[lvl], None, sys.stderr,
-                           owns_fh=False)
-    os.environ["REPRO_LOG"] = lvl
-    from repro.obs import flight
-
-    if flight_capacity is not None:
-        flight.enable(flight_capacity)
-    else:
-        flight.enable()
-
-
-def configure_from_env() -> bool:
-    """Join/start the session named by ``REPRO_LOG``, if any.
-
-    An unknown level in the environment degrades to ``info`` (with a
-    stderr note) rather than killing the harness.
-    """
-    lvl = os.environ.get("REPRO_LOG")
-    if not lvl:
-        return False
-    if _STATE is not None and _STATE.level == lvl.lower():
-        return True
-    if lvl.lower() not in LEVELS:
-        print(f"[repro.obs.log] unknown REPRO_LOG level {lvl!r}; "
-              f"using 'info'", file=sys.stderr)
-        lvl = "info"
-    configure(lvl.lower(), os.environ.get("REPRO_LOG_FILE") or None)
-    return True
+        _STATE = _LogState(LEVELS[lvl], sys.stderr, False, flight_capacity)
 
 
 def shutdown() -> None:
-    """End the session (close an owned sink, disable the recorder)."""
+    """End the session (close an owned sink, drop the ring)."""
     global _STATE
     st = _STATE
     _STATE = None
-    os.environ.pop("REPRO_LOG", None)
     if st is not None and st.owns_fh:
         try:
             st.fh.close()
         except OSError:
             pass
-    from repro.obs import flight
 
-    flight.disable()
+
+def bind_session(session) -> None:
+    """Correlate records with telemetry ``session`` (``None`` unbinds).
+
+    Called by the span layer when a session starts and ends; the object
+    is read, never written, for its ``trace_id`` / ``stack`` / ``cell``.
+    """
+    global _SESSION
+    _SESSION = session
+
+
+# ---------------------------------------------------------------------------
+# the flight recorder
+
+
+def tail(n: int = TAIL_EVENTS) -> list[dict]:
+    """The most recent ``n`` ring events, oldest first (empty while
+    logging is off)."""
+    st = _STATE
+    if st is None:
+        return []
+    events = list(st.ring)
+    return events[-n:] if n and n > 0 else events
+
+
+def record_span(rec: dict) -> None:
+    """Ring-buffer a compact summary of completed span ``rec`` — enough
+    to see the pipeline's recent shape in a crash tail without
+    duplicating the whole span log.  No-op while logging is off."""
+    st = _STATE
+    if st is None:
+        return
+    event: dict = {"kind": "span", "name": rec.get("name"),
+                   "span": rec.get("id"), "pid": rec.get("pid"),
+                   "duration_s": rec.get("duration_s")}
+    if rec.get("cell") is not None:
+        event["cell"] = rec["cell"]
+    if rec.get("error"):
+        event["error"] = rec["error"]
+    attrs = rec.get("attrs")
+    if attrs and "label" in attrs:
+        event["label"] = attrs["label"]
+    st.ring.append(event)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +207,7 @@ class Logger:
             "event": event,
             "pid": os.getpid(),
         }
-        # correlation with the active telemetry session, if any: the
-        # same trace id / span id / cell index the span log carries
-        from repro.telemetry import spans as spanmod
-
-        ts = spanmod._STATE
+        ts = _SESSION
         if ts is not None:
             rec["trace_id"] = ts.trace_id
             if ts.stack:
@@ -194,9 +216,7 @@ class Logger:
                 rec["cell"] = ts.cell
         if fields:
             rec["fields"] = fields
-        from repro.obs import flight
-
-        flight.record(rec)
+        st.ring.append(rec)
         if levelno < st.levelno:
             return
         try:

@@ -1,7 +1,7 @@
 """Process-wide metrics: counters, gauges, fixed-bucket histograms.
 
 The registry is the single accounting surface for the *host* pipeline —
-cache hits, stage latencies, sweep-cell durations.  It is deliberately
+cache traffic, server request counts and latencies.  It is deliberately
 tiny and dependency-free: every metric is a plain Python object with an
 ``inc``/``set``/``observe`` method cheap enough to call on hot paths,
 and the registry renders to three formats:
@@ -15,11 +15,10 @@ and the registry renders to three formats:
   exposition format, for scraping or eyeballing.
 
 Histograms use *fixed* bucket boundaries (upper bounds, implicit +inf
-tail) so shards merge by summing counts, and estimate percentiles by
-linear interpolation inside the bucket containing the target rank,
-clamped to the observed ``[min, max]``.  The estimate is therefore
-always bounded by the true extremes and monotone in ``q`` — properties
-the test suite asserts with hypothesis.
+tail) so shards merge by summing counts.  They carry no quantile
+estimates: a reader that wants a percentile computes the exact order
+statistic from the spans (``telemetry report``) or from the cumulative
+buckets (a Prometheus scraper).
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Callable, Iterable, Optional, Sequence
 
 #: default boundaries for wall-clock latencies, in seconds: exponential
@@ -53,10 +53,6 @@ HELP_TEXT = {
         "Bytes written to the artifact-cache disk store by kind",
     "repro_cache_entries":
         "Entries in the in-memory artifact cache",
-    "repro_stage_seconds":
-        "Wall-clock seconds per pipeline stage",
-    "repro_cell_seconds":
-        "Wall-clock seconds per sweep cell",
 }
 
 # Prometheus text-format identifiers: metric names allow [a-zA-Z0-9_:],
@@ -135,15 +131,12 @@ class Gauge:
     def set(self, v: float) -> None:
         self.value = float(v)
 
-    def inc(self, n: float = 1.0) -> None:
-        self.value += n
-
     def _reset(self) -> None:
         self.value = 0.0
 
 
 class Histogram:
-    """Fixed-bucket histogram with clamped percentile estimation.
+    """Fixed-bucket histogram.
 
     ``bounds`` are the inclusive upper edges of the finite buckets; one
     implicit overflow bucket catches everything above the last edge, so
@@ -169,49 +162,13 @@ class Histogram:
 
     def observe(self, v: float) -> None:
         v = float(v)
-        self.counts[self._bucket(v)] += 1
+        self.counts[bisect_left(self.bounds, v)] += 1   # first bound >= v
         self.count += 1
         self.sum += v
         if v < self.min:
             self.min = v
         if v > self.max:
             self.max = v
-
-    def _bucket(self, v: float) -> int:
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:                      # first bound >= v
-            mid = (lo + hi) // 2
-            if self.bounds[mid] >= v:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def percentile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (``0 <= q <= 1``).
-
-        Interpolates linearly within the bucket containing the target
-        rank and clamps to the observed ``[min, max]`` — the estimate
-        can never escape the true extremes, and it is monotone in ``q``.
-        Returns ``nan`` on an empty histogram.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if self.count == 0:
-            return math.nan
-        target = q * self.count
-        cum = 0.0
-        for i, n in enumerate(self.counts):
-            if n == 0:
-                continue
-            if cum + n >= target:
-                lo = self.bounds[i - 1] if i > 0 else self.min
-                hi = self.bounds[i] if i < len(self.bounds) else self.max
-                frac = (target - cum) / n
-                est = lo + frac * (hi - lo)
-                return min(max(est, self.min), self.max)
-            cum += n
-        return self.max
 
     def _reset(self) -> None:
         self.counts = [0] * (len(self.bounds) + 1)
@@ -231,10 +188,6 @@ class Histogram:
         self.sum += other.sum
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
-
-
-#: the quantiles every snapshot/report carries
-QUANTILES = (0.5, 0.90, 0.95, 0.99)
 
 
 class MetricsRegistry:
@@ -262,22 +215,16 @@ class MetricsRegistry:
     def histogram(self, name: str,
                   bounds: Sequence[float] | None = None,
                   **labels) -> Histogram:
-        key = ("histogram", name, _label_key(labels))
-        with self._lock:
-            m = self._metrics.get(key)
-            if m is None:
-                m = Histogram(name, dict(labels),
-                              bounds if bounds is not None
-                              else LATENCY_BUCKETS_S)
-                self._metrics[key] = m
-            return m  # type: ignore[return-value]
+        return self._get("histogram", Histogram, name, labels,
+                         bounds if bounds is not None
+                         else LATENCY_BUCKETS_S)
 
-    def _get(self, kind: str, cls, name: str, labels: dict):
+    def _get(self, kind: str, cls, name: str, labels: dict, *args):
         key = (kind, name, _label_key(labels))
         with self._lock:
             m = self._metrics.get(key)
             if m is None:
-                m = cls(name, dict(labels))
+                m = cls(name, dict(labels), *args)
                 self._metrics[key] = m
             return m
 
@@ -322,17 +269,13 @@ class MetricsRegistry:
                     "name": g.name, "labels": dict(g.labels),
                     "value": g.value})
             for h in self._sorted("histogram"):
-                entry = {
+                out["histograms"].append({
                     "name": h.name, "labels": dict(h.labels),
                     "bounds": list(h.bounds), "counts": list(h.counts),
                     "count": h.count, "sum": h.sum,
                     "min": h.min if h.count else None,
                     "max": h.max if h.count else None,
-                }
-                for q in QUANTILES:
-                    p = h.percentile(q)
-                    entry[f"p{int(q * 100)}"] = None if math.isnan(p) else p
-                out["histograms"].append(entry)
+                })
             return out
 
     def merge_snapshot(self, snap: dict) -> None:

@@ -7,10 +7,10 @@ a name, wall-clock start/duration, attributes, and a parent link.  Usage::
     with span("restructure", workload="TRFD"):
         ...
 
-Telemetry is opt-in (``--telemetry DIR`` / ``REPRO_TELEMETRY``); while
-off, :func:`span` returns a shared no-op context manager and nothing is
-allocated, timed, or written — instrumented code paths behave exactly
-as uninstrumented ones.
+Telemetry is opt-in (``--telemetry DIR``); while off, :func:`span`
+returns a shared no-op context manager and nothing is allocated, timed,
+or written — instrumented code paths behave exactly as uninstrumented
+ones.
 
 Context propagation across ``--jobs`` worker processes: the parent
 calls :func:`configure` before fanning out, forked workers inherit the
@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import time
 import uuid
 from pathlib import Path
 from typing import Optional
 
+from repro.telemetry import log
 from repro.telemetry.registry import get_registry
 
 
@@ -60,22 +62,6 @@ class _TelemetryState:
 
 _STATE: Optional[_TelemetryState] = None
 
-#: completed-span hook (the repro.obs flight recorder); called with the
-#: finished record dict.  None (the default) costs one identity check.
-_OBSERVER = None
-
-
-def set_span_observer(fn) -> None:
-    """Install/remove the completed-span observer (``None`` removes).
-
-    The observer receives every finished span's record dict *after* it
-    is buffered — it must not mutate the record.  There is exactly one
-    slot: the last caller wins (the flight recorder is the only
-    intended client).
-    """
-    global _OBSERVER
-    _OBSERVER = fn
-
 
 def enabled() -> bool:
     """True when a telemetry session is active in this process."""
@@ -84,10 +70,6 @@ def enabled() -> bool:
 
 def current_dir() -> Optional[Path]:
     return _STATE.dir if _STATE is not None else None
-
-
-def trace_id() -> Optional[str]:
-    return _STATE.trace_id if _STATE is not None else None
 
 
 def _after_fork(_obj=None) -> None:
@@ -107,38 +89,26 @@ def configure(out_dir: str | os.PathLike) -> None:
     """Start a telemetry session writing shards into ``out_dir``.
 
     Creates the directory, stamps a ``meta.json`` (trace id, start
-    time, harness argv), exports ``REPRO_TELEMETRY`` so spawned
-    subprocesses join the same session, and registers the after-fork
-    reset for ``--jobs`` workers.  Calling again replaces the session
-    (metrics are zeroed so each run's artifact is self-contained).
+    time, harness argv), binds the session to the structured log for
+    correlation, and registers the after-fork reset for ``--jobs``
+    workers.  Calling again replaces the session (metrics are zeroed so
+    each run's artifact is self-contained).
     """
     global _STATE
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tid = uuid.uuid4().hex[:16]
     _STATE = _TelemetryState(out, tid, time.perf_counter(), time.time())
-    os.environ["REPRO_TELEMETRY"] = str(out)
+    log.bind_session(_STATE)
     get_registry().reset()
-    try:
-        from multiprocessing.util import register_after_fork
+    # imported here: multiprocessing costs ~15 ms no telemetry-off run
+    # should pay
+    from multiprocessing.util import register_after_fork
 
-        register_after_fork(_STATE, _after_fork)
-    except ImportError:  # pragma: no cover
-        pass
+    register_after_fork(_STATE, _after_fork)
     meta = {"trace_id": tid, "started_unix": _STATE.started_unix,
-            "pid": os.getpid(), "argv": list(__import__("sys").argv)}
+            "pid": os.getpid(), "argv": list(sys.argv)}
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def configure_from_env() -> bool:
-    """Join/start the session named by ``REPRO_TELEMETRY``, if any."""
-    out = os.environ.get("REPRO_TELEMETRY")
-    if not out:
-        return False
-    if _STATE is not None and str(_STATE.dir) == out:
-        return True
-    configure(out)
-    return True
 
 
 def shutdown(flush_shard: bool = True) -> None:
@@ -149,7 +119,7 @@ def shutdown(flush_shard: bool = True) -> None:
     if _STATE is not None and flush_shard:
         flush()
     _STATE = None
-    os.environ.pop("REPRO_TELEMETRY", None)
+    log.bind_session(None)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +178,7 @@ class _Span:
         if exc_type is not None:
             rec["error"] = exc_type.__name__
         st.spans.append(rec)
-        if self.name != "cell":
-            get_registry().histogram(
-                "repro_stage_seconds", stage=self.name).observe(dur)
-        if _OBSERVER is not None:
-            _OBSERVER(rec)
+        log.record_span(rec)
         return False
 
 
@@ -227,10 +193,8 @@ def span(name: str, **attrs):
 def _cache_request_totals() -> tuple[float, float]:
     """Current (hits, misses) across every artifact kind — the counters
     :mod:`repro.engine.cache` accounts into the process registry."""
-    try:
-        from repro.engine.cache import ARTIFACT_KINDS
-    except ImportError:  # pragma: no cover — engine layer absent
-        ARTIFACT_KINDS = ("parse", "restructure")
+    from repro.engine.cache import ARTIFACT_KINDS
+
     reg = get_registry()
     hits = misses = 0.0
     for kind in ARTIFACT_KINDS:
@@ -242,9 +206,9 @@ def _cache_request_totals() -> tuple[float, float]:
 
 
 class _CellSpan:
-    """The per-sweep-cell root span: sets the cell context, observes the
-    cell-latency histogram, and flushes this process's shard on exit (so
-    a worker's telemetry is durable the moment its result is).
+    """The per-sweep-cell root span: sets the cell context and flushes
+    this process's shard on exit (so a worker's telemetry is durable the
+    moment its result is).
 
     The cell record additionally carries ``queue_delay_s`` (the
     submit→start gap, when the executor stamped a submission time — both
@@ -273,8 +237,6 @@ class _CellSpan:
         self._span.__exit__(exc_type, exc, tb)
         st = self._state
         rec = st.spans[-1]
-        get_registry().histogram("repro_cell_seconds").observe(
-            rec["duration_s"])
         if self._submit_t0 is not None:
             rec["queue_delay_s"] = max(
                 0.0, self._span.t0 - self._submit_t0)
@@ -298,7 +260,6 @@ def cell_span(index: int, label: str,
     if st is None:
         return _NOOP
     return _CellSpan(st, index, label, submit_t0)
-
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import sys
 from repro.engine.parallel import WorkerCrash, parallel_map
 from repro.experiments.common import (add_engine_args,
                                       add_interpreter_arg,
-                                      configure_engine, selected_engine)
+                                      configure_engine)
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.validate.differential import DEFAULT_ATOL, DEFAULT_RTOL
 from repro.validate.report import build_report_from_dicts, render_text_from_dicts
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     add_interpreter_arg(ap)
     ns = ap.parse_args(argv)
     jobs = configure_engine(ns)
-    engine = selected_engine(ns)
+    engine = ns.engine
 
     cases = validation_cases()
     if ns.workloads:
@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"validating {len(jobs_list)} workload(s), "
               f"jobs={jobs}, engine={engine} ...", file=sys.stderr)
 
-    from repro.obs.log import get_logger
+    from repro.telemetry.log import get_logger
 
     log = get_logger("validate")
 

@@ -84,11 +84,6 @@ class TestMemoryCache:
             SRC, RestructurerOptions(loop_interchange=False))
         assert a is not b
 
-    def test_disabled_cache_recomputes(self):
-        c = CompilationCache(enabled=False)
-        assert c.parse(SRC) is not c.parse(SRC)
-        assert c.hits == 0 and c.misses == 0
-
     def test_clear_drops_memory(self):
         c = CompilationCache()
         a = c.parse(SRC)
@@ -199,14 +194,6 @@ class TestSeedParse:
         cached = c.parse(SRC)
         c.seed_parse(SRC, parse_program(SRC))
         assert c.parse(SRC) is cached
-
-    def test_disabled_cache_ignores_the_seed(self):
-        from repro.fortran.parser import parse_program
-
-        c = CompilationCache(enabled=False)
-        sf = parse_program(SRC)
-        c.seed_parse(SRC, sf)
-        assert c.parse(SRC) is not sf and c.stats()["entries"] == 0
 
 
 class TestDiskCache:
@@ -378,29 +365,20 @@ class TestPerKindAccounting:
 
 
 class TestProcessWideConfiguration:
-    def test_configure_and_env(self, tmp_path, monkeypatch):
+    def test_configure_sets_the_store(self, tmp_path, monkeypatch):
         from repro.engine import cache as mod
 
         monkeypatch.setattr(mod, "_DEFAULT", None)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        c = mod.get_cache()
-        assert c.cache_dir == tmp_path
+        c = mod.configure(cache_dir=str(tmp_path))
+        assert mod.get_cache() is c and c.cache_dir == tmp_path
         assert mod.cached_parse(SRC) is mod.cached_parse(SRC)
         assert mod.cache_stats()["hits"] == 1
 
-    def test_env_disable(self, monkeypatch):
+    def test_default_is_memory_only(self, monkeypatch):
         from repro.engine import cache as mod
 
         monkeypatch.setattr(mod, "_DEFAULT", None)
-        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
-        assert mod.get_cache().enabled is False
-
-    def test_configure_overrides(self, monkeypatch):
-        from repro.engine import cache as mod
-
-        monkeypatch.setattr(mod, "_DEFAULT", None)
-        c = mod.configure(enabled=True)
-        assert c.enabled and mod.get_cache() is c
+        assert mod.get_cache().cache_dir is None
 
 
 @pytest.mark.parametrize("opts", [None, RestructurerOptions(
@@ -450,15 +428,6 @@ class TestJitSourceArtifacts:
         assert c.stats()["by_kind"]["jit-source"]["hits"] == 1
         # a different fingerprint (other symbol types) re-emits
         c.jit_source(self.DUMP, fingerprint="jit1|unit|x:i",
-                     emit=self._emitter(calls))
-        assert len(calls) == 2
-
-    def test_disabled_cache_always_emits(self):
-        c = CompilationCache(enabled=False)
-        calls = []
-        c.jit_source(self.DUMP, fingerprint=self.FP,
-                     emit=self._emitter(calls))
-        c.jit_source(self.DUMP, fingerprint=self.FP,
                      emit=self._emitter(calls))
         assert len(calls) == 2
 

@@ -61,14 +61,21 @@ class TestCacheDirFlag:
         assert list(store.rglob("*.pkl")) == entries
 
     def test_cache_dir_payloads_identical_to_uncached(self, tmp_path,
-                                                      capsys, monkeypatch):
-        _, plain = _validate([], tmp_path, "plain.json")
-        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+                                                      capsys):
+        """Recomputed, stored and read-back artifacts serialize alike.
+        Every ``main`` starts on an empty in-memory cache (the shared
+        flag code builds a fresh one), so the first run is the cold
+        side."""
+        from repro.engine.cache import get_cache
+
         _, cold = _validate([], tmp_path, "cold.json")
-        monkeypatch.delenv("REPRO_CACHE_DISABLE")
-        _, warm = _validate(["--cache-dir", str(tmp_path / "s")],
-                            tmp_path, "warm.json")
-        assert plain == cold == warm
+        assert get_cache().misses > 0 and get_cache().disk_hits == 0
+        store = ["--cache-dir", str(tmp_path / "s")]
+        _, filled = _validate(store, tmp_path, "filled.json")
+        assert get_cache().disk_writes > 0
+        _, warm = _validate(store, tmp_path, "warm.json")
+        assert get_cache().disk_hits > 0 and get_cache().misses == 0
+        assert cold == filled == warm
 
 
 class TestParallelFailurePaths:
@@ -117,19 +124,8 @@ class TestParallelFailurePaths:
 
 class TestLoggingByteIdentity:
     """Structured logging must be observational only: payload bytes do
-    not change whether it's off, on via --log-level, or on via
-    $REPRO_LOG, serial or parallel."""
-
-    def _logged(self, extra, tmp_path, name, env=None, monkeypatch=None):
-        if env:
-            for k, v in env.items():
-                monkeypatch.setenv(k, v)
-        try:
-            return _validate(extra, tmp_path, name)
-        finally:
-            if env and monkeypatch:
-                for k in env:
-                    monkeypatch.delenv(k, raising=False)
+    not change whether it's off or on via --log-level, serial or
+    parallel."""
 
     def test_validate_flag_logging_identical(self, tmp_path, capsys):
         rc1, plain = _validate(["--jobs", "2"], tmp_path, "off.json")
@@ -139,17 +135,15 @@ class TestLoggingByteIdentity:
         assert plain == logged
         assert plain, "payload unexpectedly empty"
 
-    def test_validate_env_logging_identical(self, tmp_path, capsys,
-                                            monkeypatch):
+    def test_validate_serial_logging_identical(self, tmp_path, capsys):
         rc1, plain = _validate([], tmp_path, "off.json")
-        rc2, logged = self._logged(
-            [], tmp_path, "env.json", monkeypatch=monkeypatch,
-            env={"REPRO_LOG": "debug",
-                 "REPRO_LOG_FILE": str(tmp_path / "log.jsonl")})
+        rc2, logged = _validate(
+            ["--log-level", "debug", "--telemetry", str(tmp_path / "t")],
+            tmp_path, "on.json")
         assert rc1 == rc2 == 0
         assert plain == logged
-        # the env run actually logged something
-        assert (tmp_path / "log.jsonl").read_text().strip()
+        # the logged run actually logged something
+        assert (tmp_path / "t" / "log.jsonl").read_text().strip()
 
     def test_faults_logging_identical(self, tmp_path, capsys):
         rc1, plain = _faults(["--jobs", "2"], tmp_path, "off.json")

@@ -184,7 +184,7 @@ def test_serial_and_parallel_agree():
 
 
 def log_then_boom(x):
-    from repro.obs.log import get_logger
+    from repro.telemetry.log import get_logger
 
     get_logger("worker").info("about_to_work", item=x)
     if x == 2:
@@ -194,7 +194,7 @@ def log_then_boom(x):
 
 class TestFlightRecorderInCrashes:
     def test_worker_crash_carries_flight_tail(self, tmp_path):
-        from repro.obs import log
+        from repro.telemetry import log
 
         log.configure("debug", path=tmp_path / "log.jsonl")
         try:

@@ -30,7 +30,8 @@ def test_driver_runs_quick(name):
 
 
 class TestQuickShapes:
-    """Light shape checks at quick size (full-size checks in benchmarks/)."""
+    """Light shape checks at quick size (full-size checks in
+    test_paper_shapes.py)."""
 
     def test_table2_manual_geq_auto(self):
         t = ALL_EXPERIMENTS["table2"](quick=True)
@@ -51,7 +52,7 @@ class TestQuickShapes:
 
     def test_fig8_partitioned_scales(self):
         # quick sizes leave startup dominant; require monotone growth only
-        # (the 2x+ scaling is asserted at full size in benchmarks/)
+        # (the 2x+ scaling is asserted at full size in test_paper_shapes)
         t = ALL_EXPERIMENTS["fig8"](quick=True)
         p1 = t.cell(1, "partitioned (measured)")
         p4 = t.cell(4, "partitioned (measured)")

@@ -55,11 +55,3 @@ class TestProfileCli:
         assert prof_main(["report", str(profile)]) == 0
         out = capsys.readouterr().out
         assert "table1/" in out and "total" in out
-
-    def test_diff_accepts_profile_docs(self, profile_artifacts, capsys):
-        from repro.prof.__main__ import main as prof_main
-
-        profile = str(profile_artifacts / "table1.profile.json")
-        assert prof_main(["diff", profile, profile]) == 0
-        out = capsys.readouterr().out
-        assert "0 regression(s)" in out

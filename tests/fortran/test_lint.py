@@ -308,18 +308,22 @@ def test_clean_lint_tree_is_the_strict_parsers_tree():
         assert report.ast == parse_program(source), name
 
 
-def test_ingest_json_is_the_same_with_and_without_the_seeded_tree(capsys):
+def test_ingest_json_is_the_same_with_and_without_the_seeded_tree(
+        capsys, monkeypatch):
     from repro.engine import cache
 
     argv = ["--source", "examples/sample.f", "--quick", "--json"]
     try:
-        cache.configure(enabled=False)      # seeding off: strict parse
-        assert experiments_main(argv) == 0
+        with monkeypatch.context() as m:    # seeding off: strict parse
+            m.setattr(cache.CompilationCache, "seed_parse",
+                      lambda self, source, sf: None)
+            assert experiments_main(argv) == 0
+            by_kind = cache.cache_stats()["by_kind"]
+            assert by_kind["parse"]["misses"] > 0
         strict = capsys.readouterr().out
-        seeded_cache = cache.configure(enabled=True)
         assert experiments_main(argv) == 0
         seeded = capsys.readouterr().out
-        by_kind = seeded_cache.stats()["by_kind"]
+        by_kind = cache.cache_stats()["by_kind"]
     finally:
         cache.configure()
     assert seeded == strict

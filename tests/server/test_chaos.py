@@ -197,10 +197,7 @@ class TestByteIdentity:
             [sys.executable, "-m", "repro.experiments", "--source",
              str(SAMPLE), "--quick", "--json"],
             capture_output=True, text=True, timeout=300,
-            env={**os.environ,
-                 "PYTHONPATH": str(REPO / "src"),
-                 "REPRO_CACHE_DISABLE": "",
-                 "REPRO_CACHE_DIR": ""},
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
             cwd=str(REPO))
         assert cli.returncode == 0, cli.stderr
         assert served == cli.stdout

@@ -79,30 +79,23 @@ class TestAcceptance:
 
     def test_session_dir_is_clean(self, sweep):
         names = {p.name for p in sweep["dir"].iterdir()}
-        assert names == {"meta.json", "metrics.json", "spans.jsonl",
-                         "metrics.prom"}
-
-    def test_prometheus_export_written(self, sweep):
-        text = (sweep["dir"] / "metrics.prom").read_text()
-        assert "# TYPE repro_cell_seconds histogram" in text
-        assert "repro_cell_seconds_count" in text
+        assert names == {"meta.json", "metrics.json"}
 
 
-class TestEnvVarPath:
-    def test_env_var_enables_telemetry(self, tmp_path, monkeypatch,
-                                       capsys, validator):
+class TestOtherHarnesses:
+    def test_validate_instrumented(self, tmp_path, capsys, validator):
         import repro.validate.__main__ as val
 
         tdir = tmp_path / "telem"
-        monkeypatch.setenv("REPRO_TELEMETRY", str(tdir))
-        assert val.main(["tridag", "--no-bisect", "--json"]) == 0
+        assert val.main(["tridag", "--no-bisect", "--json",
+                         "--telemetry", str(tdir)]) == 0
         payload = json.loads((tdir / "metrics.json").read_text())
         assert validator.validate(payload) == []
         assert payload["summary"]["cells"] == 1
-        # finalize popped the env var: the session does not leak
-        import os
+        # finalize ended the session: it does not leak into the next run
+        from repro import telemetry
 
-        assert "REPRO_TELEMETRY" not in os.environ
+        assert not telemetry.enabled()
 
     def test_faults_sweep_instrumented(self, tmp_path, capsys,
                                        validator):

@@ -4,13 +4,13 @@
 promise the same map::
 
     0  ok
-    1  regression / failed validation / failed oracle check
+    1  rejected input / failed validation / failed oracle check
     2  usage error
     3  internal fault (crashed tool, watchdog, lost worker)
 
-This test drives each tool through each outcome in-process.  The lone
-hole is deliberate: ``repro.experiments`` reserves 1 for
-``repro.prof diff`` and has no regression outcome of its own.
+This test drives each tool through each outcome in-process;
+``repro.experiments``'s exit 1 is a ``--source`` file the linter
+rejects.
 """
 
 import pytest
@@ -40,7 +40,10 @@ def _experiments(outcome, tmp_path, monkeypatch):
     if outcome == "crash":
         return _run(main, ["table1", "--quick", "--json",
                            "--timeout", "0.000001"])
-    raise AssertionError(outcome)
+    # regression: the lint gate of the ingestion front door says no
+    bad = tmp_path / "bad.f"
+    bad.write_text("      program bad\n      x = ((1\n      end\n")
+    return _run(main, ["--source", str(bad), "--quick"])
 
 
 def _validate(outcome, tmp_path, monkeypatch):
@@ -104,9 +107,6 @@ EXPECTED = {"ok": 0, "regression": 1, "usage": 2, "crash": 3}
 @pytest.mark.parametrize("outcome", sorted(EXPECTED))
 def test_shared_exit_code_map(tool, outcome, tmp_path, monkeypatch,
                               capsys):
-    if tool == "experiments" and outcome == "regression":
-        pytest.skip("repro.experiments reserves exit 1 for prof diff; "
-                    "it has no regression outcome")
     rc = TOOLS[tool](outcome, tmp_path, monkeypatch)
     assert rc == EXPECTED[outcome], \
         f"{tool} {outcome}: expected {EXPECTED[outcome]}, got {rc}"

@@ -1,50 +1,52 @@
-"""repro.obs.flight: the crash-context ring buffer."""
+"""The crash-context ring buffer: a field of the logging session."""
 
-from repro.obs import flight, log
+from repro.telemetry import log
+
+
+def _fill(n):
+    lg = log.get_logger("ring")
+    for i in range(n):
+        lg.debug("tick", i=i)
+
+
+def _ticks(events):
+    return [e["fields"]["i"] for e in events if e.get("event") == "tick"]
 
 
 class TestRing:
     def test_disabled_by_default(self):
-        assert not flight.enabled()
-        flight.record({"event": "dropped"})      # no-op, no error
-        assert flight.tail() == []
+        assert not log.enabled()
+        _fill(3)                                 # no-op, no error
+        log.record_span({"name": "parse"})
+        assert log.tail() == []
 
     def test_bounded_capacity_keeps_newest(self):
-        flight.enable(capacity=4)
-        for i in range(10):
-            flight.record({"i": i})
-        events = flight.tail(100)
-        assert [e["i"] for e in events] == [6, 7, 8, 9]
+        log.configure("error", flight_capacity=4)
+        _fill(10)
+        assert _ticks(log.tail(100)) == [6, 7, 8, 9]
 
     def test_tail_returns_oldest_first(self):
-        flight.enable()
-        for i in range(5):
-            flight.record({"i": i})
-        assert [e["i"] for e in flight.tail(3)] == [2, 3, 4]
+        log.configure("error")
+        _fill(5)
+        assert _ticks(log.tail(3)) == [2, 3, 4]
 
-    def test_reenable_same_capacity_keeps_events(self):
-        flight.enable()
-        flight.record({"i": 1})
-        flight.enable()
-        assert [e["i"] for e in flight.tail()] == [1]
-
-    def test_clear(self):
-        flight.enable()
-        flight.record({"i": 1})
-        flight.clear()
-        assert flight.tail() == []
+    def test_shutdown_drops_the_ring(self):
+        log.configure("error")
+        _fill(2)
+        log.shutdown()
+        assert log.tail() == []
 
 
-class TestSpanObserver:
+class TestSpanSummaries:
     def test_completed_spans_are_summarized(self, tmp_path):
         from repro import telemetry
 
         telemetry.configure(tmp_path / "telem")
-        flight.enable()
+        log.configure("error")
         with telemetry.cell_span(2, "validate tridag"):
             with telemetry.span("parse"):
                 pass
-        events = flight.tail()
+        events = log.tail()
         names = [e.get("name") for e in events if e.get("kind") == "span"]
         assert "parse" in names and "cell" in names
         cell_ev = next(e for e in events if e.get("name") == "cell")
@@ -53,18 +55,13 @@ class TestSpanObserver:
         assert isinstance(cell_ev["duration_s"], float)
         telemetry.shutdown()
 
-    def test_observer_removed_on_disable(self, tmp_path):
+    def test_spans_work_with_logging_off(self, tmp_path):
         from repro import telemetry
-        from repro.telemetry import spans as spanmod
 
-        flight.enable()
-        assert spanmod._OBSERVER is not None
-        flight.disable()
-        assert spanmod._OBSERVER is None
-        # spans still work with no observer installed
         telemetry.configure(tmp_path / "telem")
         with telemetry.span("parse"):
             pass
+        assert log.tail() == []
         telemetry.shutdown()
 
 

@@ -1,51 +1,30 @@
-"""repro.obs.log: the structured JSONL logger."""
+"""repro.telemetry.log: the structured JSONL logger."""
 
 import json
 import os
 
 import pytest
 
-from repro.obs import flight, log
+from repro.telemetry import log
 
 
 class TestConfigure:
     def test_disabled_by_default(self):
         assert not log.enabled()
-        assert log.level() is None
 
     def test_configure_and_shutdown(self, tmp_path):
         sink = tmp_path / "log.jsonl"
         log.configure("debug", path=sink)
         assert log.enabled()
-        assert log.level() == "debug"
-        assert os.environ["REPRO_LOG"] == "debug"
-        assert flight.enabled()     # one feature, enabled together
+        log.get_logger("t").debug("ringed")
+        assert log.tail()           # one feature, enabled together
         log.shutdown()
         assert not log.enabled()
-        assert "REPRO_LOG" not in os.environ
-        assert not flight.enabled()
+        assert log.tail() == []
 
     def test_unknown_level_raises(self):
         with pytest.raises(ValueError, match="unknown log level"):
             log.configure("verbose")
-
-    def test_configure_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG", "warning")
-        monkeypatch.setenv("REPRO_LOG_FILE", str(tmp_path / "l.jsonl"))
-        assert log.configure_from_env()
-        assert log.level() == "warning"
-
-    def test_configure_from_env_unset_is_noop(self):
-        assert not log.configure_from_env()
-        assert not log.enabled()
-
-    def test_unknown_env_level_degrades_to_info(self, tmp_path,
-                                                monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_LOG", "chatty")
-        monkeypatch.setenv("REPRO_LOG_FILE", str(tmp_path / "l.jsonl"))
-        assert log.configure_from_env()
-        assert log.level() == "info"
-        assert "chatty" in capsys.readouterr().err
 
 
 class TestEmission:
@@ -79,7 +58,7 @@ class TestEmission:
     def test_below_threshold_still_reaches_flight_ring(self, tmp_path):
         log.configure("error", path=tmp_path / "log.jsonl")
         log.get_logger("t").debug("invisible_but_recorded")
-        events = flight.tail()
+        events = log.tail()
         assert any(e.get("event") == "invisible_but_recorded"
                    for e in events)
 
@@ -104,6 +83,21 @@ class TestEmission:
         assert rec["trace_id"]
         assert rec["span"]          # the innermost open span's id
         telemetry.shutdown()
+
+    def test_correlation_follows_the_session_either_order(self, tmp_path):
+        """Logging configured *before* telemetry still correlates, and
+        stops the moment the session ends."""
+        from repro import telemetry
+
+        sink = tmp_path / "log.jsonl"
+        log.configure("debug", path=sink)
+        telemetry.configure(tmp_path / "telem")
+        log.get_logger("t").info("during")
+        telemetry.shutdown()
+        log.get_logger("t").info("after")
+        during, after = self._lines(sink)
+        assert during["trace_id"]
+        assert "trace_id" not in after
 
     def test_unserializable_fields_stringified(self, tmp_path):
         sink = tmp_path / "log.jsonl"

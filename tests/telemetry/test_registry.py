@@ -1,7 +1,5 @@
 """Counters, gauges, fixed-bucket histograms (repro.telemetry.registry)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +23,10 @@ class TestCounterGauge:
         with pytest.raises(ValueError):
             MetricsRegistry().counter("reqs").inc(-1)
 
-    def test_gauge_sets_and_bumps(self):
+    def test_gauge_sets(self):
         g = MetricsRegistry().gauge("depth")
         g.set(3)
-        g.inc()
-        assert g.value == 4.0
+        assert g.value == 3.0
 
     def test_identity_by_name_and_labels(self):
         r = MetricsRegistry()
@@ -51,13 +48,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h", {}, bounds=(2.0, 1.0))
 
-    def test_empty_percentile_is_nan(self):
-        assert math.isnan(Histogram("h", {}).percentile(0.5))
-
-    def test_q_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("h", {}).percentile(1.5)
-
     def test_merge_adds_counts(self):
         a = Histogram("h", {}, bounds=LATENCY_BUCKETS_S)
         b = Histogram("h", {}, bounds=LATENCY_BUCKETS_S)
@@ -72,25 +62,6 @@ class TestHistogram:
         b = Histogram("h", {}, bounds=(2.0,))
         with pytest.raises(ValueError):
             a._merge(b)
-
-
-# The invariant the artifact validator leans on: a percentile estimate
-# can never escape the observed extremes, and it is monotone in q.
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.floats(min_value=0.0, max_value=500.0,
-                          allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=100),
-       st.lists(st.floats(min_value=0.0, max_value=1.0),
-                min_size=2, max_size=8))
-def test_percentiles_bounded_and_monotone(values, qs):
-    h = Histogram("h", {})
-    for v in values:
-        h.observe(v)
-    lo, hi = min(values), max(values)
-    estimates = [h.percentile(q) for q in sorted(qs)]
-    for p in estimates:
-        assert lo <= p <= hi
-    assert all(b >= a for a, b in zip(estimates, estimates[1:]))
 
 
 @settings(deadline=None, max_examples=100)
@@ -111,12 +82,10 @@ def test_sharded_merge_equals_single_histogram(values, shards):
     assert merged.counts == whole.counts
     assert merged.count == whole.count
     assert merged.min == whole.min and merged.max == whole.max
-    for q in (0.5, 0.9, 0.99):
-        assert merged.percentile(q) == whole.percentile(q)
 
 
 class TestRegistryExport:
-    def test_snapshot_shape_and_percentile_keys(self):
+    def test_snapshot_shape(self):
         r = MetricsRegistry()
         r.counter("reqs", kind="parse").inc(2)
         h = r.histogram("lat")
@@ -126,15 +95,15 @@ class TestRegistryExport:
         assert c == {"name": "reqs", "labels": {"kind": "parse"},
                      "value": 2}
         [hs] = snap["histograms"]
-        assert hs["count"] == 1
-        for p in ("p50", "p90", "p95", "p99"):
-            assert hs[p] == pytest.approx(0.2)
+        assert set(hs) == {"name", "labels", "bounds", "counts", "count",
+                           "sum", "min", "max"}
+        assert hs["count"] == 1 and hs["min"] == hs["max"] == 0.2
 
-    def test_empty_histogram_snapshot_has_null_percentiles(self):
+    def test_empty_histogram_snapshot_has_null_extremes(self):
         r = MetricsRegistry()
         r.histogram("lat")
         [hs] = r.snapshot()["histograms"]
-        assert hs["min"] is None and hs["p99"] is None
+        assert hs["min"] is None and hs["max"] is None
 
     def test_merge_snapshot_roundtrip(self):
         a = MetricsRegistry()

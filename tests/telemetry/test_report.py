@@ -1,10 +1,12 @@
-"""repro.obs.explain: the cross-layer "why was this cell slow" join."""
+"""repro.telemetry.report: the cross-layer "why was this cell slow, or
+wrong" join and its rendering."""
 
 import json
 
 import pytest
 
-from repro.obs import explain
+from repro.telemetry import report
+from repro.telemetry.export import load_session
 
 
 def cell_span(cell, label, duration=1.0, queue=None, cache=None,
@@ -63,37 +65,66 @@ FAULTS_SWEEP = {
 
 class TestJoins:
     def test_experiment_join_folds_ledger_groups(self):
-        sim = explain._join_sim(EXPERIMENT_SWEEP, "experiment table1")
+        sim = report._join_sim(EXPERIMENT_SWEEP, "experiment table1")
         assert sim["kind"] == "experiment"
         assert sim["parallel_cycles"] == 1000.0
         assert sim["groups"]["parallel_overhead"] == 600.0
         assert sim["workloads"]["tridag"]["speedup"] == 3.5
 
     def test_validate_join(self):
-        sim = explain._join_sim(VALIDATE_SWEEP, "validate tridag")
+        sim = report._join_sim(VALIDATE_SWEEP, "validate tridag")
         assert sim == {"kind": "validate", "workload": "tridag",
                        "configs": {"restructured": "ok",
                                    "faulted": "mismatch"},
                        "ok": False}
 
     def test_faults_join(self):
-        sim = explain._join_sim(FAULTS_SWEEP, "tridag baseline")
+        sim = report._join_sim(FAULTS_SWEEP, "tridag baseline")
         assert sim["kind"] == "faults"
         assert sim["runs"][0]["degradation"] == 2.0
 
     def test_label_schema_mismatch_yields_none(self):
         # a validate label against an experiment payload must not join
-        assert explain._join_sim(EXPERIMENT_SWEEP,
+        assert report._join_sim(EXPERIMENT_SWEEP,
                                  "validate tridag") is None
-        assert explain._join_sim(VALIDATE_SWEEP,
+        assert report._join_sim(VALIDATE_SWEEP,
                                  "experiment table1") is None
-        assert explain._join_sim(None, "validate tridag") is None
+        assert report._join_sim(None, "validate tridag") is None
 
     def test_cell_faults_matched_by_label(self):
-        assert explain._cell_faults(FAULTS_SWEEP, "tridag baseline") \
+        assert report._cell_faults(FAULTS_SWEEP, "tridag baseline") \
             == [{"kind": "worker_crash", "error_type": "RuntimeError",
                  "message": "kaput"}]
-        assert explain._cell_faults(FAULTS_SWEEP, "other cell") == []
+        assert report._cell_faults(FAULTS_SWEEP, "other cell") == []
+
+    def test_scenario_fault_reaches_its_row(self):
+        """A fault-sweep row runs its scenarios inside the one
+        ``<workload> baseline`` cell; a scenario that timed out is
+        filed as ``<workload>:<scenario>`` and belongs to that cell —
+        and to no other row's."""
+        sweep = dict(FAULTS_SWEEP, faults=[
+            {"label": "cg:dead-ce", "kind": "timeout",
+             "error_type": "BudgetExceededError", "message": "30s"}])
+        [fd] = report._cell_faults(sweep, "cg baseline")
+        assert fd["kind"] == "timeout"
+        assert report._cell_faults(sweep, "cgx baseline") == []
+        assert report._cell_faults(sweep, "tridag baseline") == []
+        payload = metrics_payload([cell_span(0, "cg baseline")])
+        [row] = report.correlate(payload, sweep)
+        assert "1 harness fault(s)" in report.slow_reason(row)
+        assert "harness fault: (timeout)" in report.render_cell(row)
+
+    def test_fault_label_is_not_prefix_matched(self):
+        """``validate cg`` faulted; ``validate cgx`` merely starts with
+        the same text and must stay clean."""
+        sweep = {"schema": "repro-validate/1", "workloads": [],
+                 "faults": [{"label": "validate cg", "kind": "internal",
+                             "error_type": "KeyError", "message": "x"}]}
+        assert report._cell_faults(sweep, "validate cg")
+        assert report._cell_faults(sweep, "validate cgx") == []
+        # a scenario-shaped label only counts on a fault-sweep payload
+        sweep["faults"][0]["label"] = "cg:dead-ce"
+        assert report._cell_faults(sweep, "cg baseline") == []
 
 
 class TestCorrelate:
@@ -106,7 +137,7 @@ class TestCorrelate:
             stage_span(0, "parse", 0.3),
             stage_span(0, "restructure", 0.4),
         ])
-        rows = explain.correlate(payload)
+        rows = report.correlate(payload)
         assert [r["cell"] for r in rows] == [0, 1]
         assert rows[0]["stages"]["parse"] \
             == {"count": 2, "total_s": 0.5}
@@ -115,48 +146,48 @@ class TestCorrelate:
 
     def test_sim_and_faults_attached(self):
         payload = metrics_payload([cell_span(0, "tridag baseline")])
-        [row] = explain.correlate(payload, FAULTS_SWEEP)
+        [row] = report.correlate(payload, FAULTS_SWEEP)
         assert row["sim"]["kind"] == "faults"
         assert row["faults"][0]["error_type"] == "RuntimeError"
 
 
 class TestSlowReason:
     def test_crash_wins(self):
-        assert explain.slow_reason(
+        assert report.slow_reason(
             {"cell": 0, "error": "RuntimeError: x"}).startswith("crashed")
 
     def test_queue_delay(self):
         row = {"cell": 0, "host_s": 0.1, "queue_delay_s": 0.5}
-        assert "queued 0.50s" in explain.slow_reason(row)
+        assert "queued 0.50s" in report.slow_reason(row)
 
     def test_cold_cache(self):
         row = {"cell": 0, "host_s": 1.0,
                "cache": {"hits": 1.0, "misses": 4.0}}
-        assert "cold cache (4 miss(es))" in explain.slow_reason(row)
+        assert "cold cache (4 miss(es))" in report.slow_reason(row)
 
     def test_stage_dominance(self):
         row = {"cell": 0, "host_s": 1.0,
                "stages": {"restructure": {"count": 1, "total_s": 0.8}}}
         assert "dominated by restructure (80%" \
-            in explain.slow_reason(row)
+            in report.slow_reason(row)
 
     def test_simulated_cycle_attribution(self):
         payload = metrics_payload([cell_span(0, "experiment table1")])
-        [row] = explain.correlate(payload, EXPERIMENT_SWEEP)
+        [row] = report.correlate(payload, EXPERIMENT_SWEEP)
         assert "simulated cycles mostly parallel_overhead (60%)" \
-            in explain.slow_reason(row)
+            in report.slow_reason(row)
 
     def test_fault_degradation(self):
         payload = metrics_payload([cell_span(0, "tridag baseline")])
-        [row] = explain.correlate(payload, FAULTS_SWEEP)
-        reason = explain.slow_reason(row)
+        [row] = report.correlate(payload, FAULTS_SWEEP)
+        reason = report.slow_reason(row)
         assert "worst fault degradation x2.00 (dead-ce)" in reason
         assert "1 harness fault(s)" in reason
 
     def test_quiet_cell(self):
         row = {"cell": 0, "host_s": 1.0, "queue_delay_s": 0.001,
                "cache": {"hits": 5, "misses": 0}}
-        assert explain.slow_reason(row) == "nothing anomalous"
+        assert report.slow_reason(row) == "nothing anomalous"
 
 
 class TestRender:
@@ -166,36 +197,54 @@ class TestRender:
                       cache={"hits": 2.0, "misses": 0.0}),
             stage_span(0, "parse", 0.6),
         ])
-        rows = explain.correlate(payload, VALIDATE_SWEEP)
-        table = explain.render(rows)
+        rows = report.correlate(payload, VALIDATE_SWEEP)
+        table = report.render_cells(rows)
         assert "validate tridag" in table and "2h/0m" in table
-        detail = explain.render(rows, cell=0)
+        detail = report.render_report(payload, VALIDATE_SWEEP, cell=0)
         assert "queue delay" in detail
         assert "faulted" in detail and "mismatch" in detail
         assert "verdict:" in detail
 
+    def test_report_is_summary_then_attribution(self):
+        payload = metrics_payload([cell_span(0, "validate tridag")])
+        text = report.render_report(payload, VALIDATE_SWEEP)
+        assert text.index("telemetry report") \
+            < text.index("per-cell attribution")
+
     def test_missing_cell_and_empty_session(self):
-        assert "no cell 9" in explain.render(
-            [{"cell": 0, "label": "x"}], cell=9)
-        assert "no sweep cells" in explain.render([])
+        payload = metrics_payload([cell_span(0, "x")])
+        assert "no cell 9" in report.render_report(payload, cell=9)
+        assert "no sweep cells" in report.render_cells([])
 
 
-class TestLoadMetrics:
+class TestLoadSession:
     def test_dir_resolves_to_metrics_json(self, tmp_path):
         (tmp_path / "metrics.json").write_text(
             json.dumps(metrics_payload([])))
-        assert explain.load_metrics(tmp_path)["schema"] \
-            == "repro-metrics/1"
+        assert load_session(tmp_path)["schema"] == "repro-metrics/1"
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no metrics.json"):
-            explain.load_metrics(tmp_path)
+            load_session(tmp_path)
 
     def test_wrong_schema_raises(self, tmp_path):
         p = tmp_path / "metrics.json"
         p.write_text(json.dumps({"schema": "other/1"}))
         with pytest.raises(ValueError, match="not a repro-metrics/1"):
-            explain.load_metrics(p)
+            load_session(p)
+
+    def test_leftover_shards_are_merged_first(self, tmp_path):
+        from repro import telemetry
+
+        telemetry.configure(tmp_path)
+        with telemetry.cell_span(0, "validate tridag"):
+            pass
+        telemetry.shutdown()            # flushed, never finalized
+        assert not (tmp_path / "metrics.json").exists()
+        payload = load_session(tmp_path)
+        assert payload["summary"]["cells"] == 1
+        assert (tmp_path / "metrics.json").exists()
+        assert not list(tmp_path.glob("spans-*.jsonl"))
 
 
 class TestEndToEnd:
@@ -211,9 +260,9 @@ class TestEndToEnd:
         assert rc == 0
         capsys.readouterr()
 
-        payload = explain.load_metrics(telem)
+        payload = load_session(telem)
         sweep = json.loads(out.read_text())
-        rows = explain.correlate(payload, sweep)
+        rows = report.correlate(payload, sweep)
         assert len(rows) == 2
         for row in rows:
             assert row["label"].startswith("validate ")
@@ -222,6 +271,7 @@ class TestEndToEnd:
             assert row["sim"]["kind"] == "validate"
             assert row["sim"]["ok"]
             assert row["stages"], "cell has no child stage spans"
-        table = explain.render(rows)
+        table = report.render_cells(rows)
         assert "validate tridag" in table
-        assert explain.render(rows, cell=0).count("cell 0") == 1
+        assert report.render_report(payload, sweep, cell=0) \
+            .count("cell 0") == 1

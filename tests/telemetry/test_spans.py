@@ -6,6 +6,7 @@ import pytest
 
 from repro import telemetry
 from repro.telemetry import spans as spanmod
+from repro.telemetry.export import SCHEMA_TAG, finalize, merge_dir
 
 
 class TestDisabled:
@@ -31,29 +32,11 @@ class TestConfigure:
         assert telemetry.enabled()
         meta = json.loads((tmp_path / "t" / "meta.json").read_text())
         assert meta["trace_id"] and meta["pid"]
-        import os
 
-        assert os.environ["REPRO_TELEMETRY"] == str(tmp_path / "t")
-
-    def test_shutdown_clears_env(self, tmp_path, monkeypatch):
+    def test_shutdown_ends_session(self, tmp_path):
         telemetry.configure(tmp_path)
         telemetry.shutdown()
-        import os
-
-        assert "REPRO_TELEMETRY" not in os.environ
         assert not telemetry.enabled()
-
-    def test_configure_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "s"))
-        assert telemetry.configure_from_env()
-        assert spanmod.current_dir() == tmp_path / "s"
-        # idempotent: joining the same session again keeps the state
-        state = spanmod._STATE
-        assert telemetry.configure_from_env()
-        assert spanmod._STATE is state
-
-    def test_configure_from_env_without_var(self):
-        assert not telemetry.configure_from_env()
 
 
 class TestSpanRecording:
@@ -77,14 +60,6 @@ class TestSpanRecording:
         [rec] = spanmod._STATE.spans
         assert rec["error"] == "ValueError"
 
-    def test_stage_latency_observed(self, tmp_path):
-        telemetry.configure(tmp_path)
-        with telemetry.span("execute"):
-            pass
-        h = telemetry.get_registry().histogram("repro_stage_seconds",
-                                               stage="execute")
-        assert h.count == 1
-
     def test_cell_span_sets_context_and_flushes(self, tmp_path):
         telemetry.configure(tmp_path)
         with telemetry.cell_span(3, "validate tridag"):
@@ -100,18 +75,17 @@ class TestSpanRecording:
         assert [r["name"] for r in recs] == ["execute", "cell"]
         assert all(r["cell"] == 3 for r in recs)
         assert recs[1]["attrs"] == {"label": "validate tridag"}
-        assert telemetry.get_registry().histogram(
-            "repro_cell_seconds").count == 1
 
 
 class TestShardIO:
     def test_flush_appends_spans_and_snapshots_metrics(self, tmp_path):
         telemetry.configure(tmp_path)
+        ticks = telemetry.get_registry().counter("test_ticks_total")
         with telemetry.span("parse"):
-            pass
+            ticks.inc()
         telemetry.flush()
         with telemetry.span("parse"):
-            pass
+            ticks.inc()
         telemetry.flush()
         import os
 
@@ -120,10 +94,9 @@ class TestShardIO:
         assert len(lines) == 2                      # appended, not replaced
         snap = json.loads((tmp_path / f"metrics-{pid}.json").read_text())
         assert snap["pid"] == pid
-        [h] = [m for m in snap["metrics"]["histograms"]
-               if m["name"] == "repro_stage_seconds"
-               and m["labels"] == {"stage": "parse"}]
-        assert h["count"] == 2                      # snapshot, not delta
+        [c] = [m for m in snap["metrics"]["counters"]
+               if m["name"] == "test_ticks_total"]
+        assert c["value"] == 2                      # snapshot, not delta
 
     def test_unwritable_dir_never_raises(self, tmp_path):
         d = tmp_path / "ro"
@@ -149,44 +122,33 @@ class TestMergeDir:
     def test_merge_builds_artifact_and_removes_shards(self, tmp_path,
                                                       validator):
         self._session(tmp_path)
-        payload = telemetry.merge_dir(tmp_path, harness="test")
-        assert payload["schema"] == telemetry.SCHEMA_TAG
+        payload = merge_dir(tmp_path, harness="test")
+        assert payload["schema"] == SCHEMA_TAG
         assert payload["summary"]["cells"] == 3
         assert payload["summary"]["stages"]["execute"]["count"] == 3
         assert not list(tmp_path.glob("spans-*.jsonl"))
         assert not list(tmp_path.glob("metrics-*.json"))
-        for name in ("metrics.json", "spans.jsonl", "metrics.prom"):
-            assert (tmp_path / name).exists()
+        assert (tmp_path / "metrics.json").exists()
         assert validator.validate(payload) == []
 
-    def test_remerge_is_idempotent(self, tmp_path):
+    def test_merged_spans_sorted_by_cell(self, tmp_path):
         self._session(tmp_path)
-        first = telemetry.merge_dir(tmp_path, harness="test")
-        again = telemetry.merge_dir(tmp_path, harness="test")
-        assert again["spans"] == first["spans"]
-        assert again["summary"] == first["summary"]
-
-    def test_spans_jsonl_sorted_by_cell(self, tmp_path):
-        self._session(tmp_path)
-        telemetry.merge_dir(tmp_path)
-        cells = [json.loads(ln)["cell"] for ln in
-                 (tmp_path / "spans.jsonl").read_text().splitlines()]
+        cells = [s["cell"] for s in merge_dir(tmp_path)["spans"]]
         assert cells == sorted(cells)
 
     def test_finalize_echoes_and_ends_session(self, tmp_path):
         self._session(tmp_path, cells=1)
         echoed = []
-        payload = telemetry.finalize(harness="t", echo=echoed.append)
+        payload = finalize(harness="t", echo=echoed.append)
         assert payload["summary"]["cells"] == 1
         assert "metrics.json" in echoed[0]
         assert not telemetry.enabled()
         # nothing left behind but the merged artifact + meta
         leftovers = {p.name for p in tmp_path.iterdir()}
-        assert leftovers == {"meta.json", "metrics.json", "spans.jsonl",
-                             "metrics.prom"}
+        assert leftovers == {"meta.json", "metrics.json"}
 
     def test_finalize_is_noop_when_off(self):
-        assert telemetry.finalize(harness="t") is None
+        assert finalize(harness="t") is None
 
 
 class TestValidatorCatchesCorruption:
@@ -196,12 +158,28 @@ class TestValidatorCatchesCorruption:
         with telemetry.cell_span(0, "x"):
             pass
         telemetry.flush()
-        payload = telemetry.merge_dir(tmp_path)
+        payload = merge_dir(tmp_path)
         assert validator.validate(payload) == []
         payload["summary"]["cells"] += 1
         assert any("recount" in p for p in validator.validate(payload))
         payload["spans"][0]["parent"] = "nope-1"
         assert any("does not resolve" in p
+                   for p in validator.validate(payload))
+
+
+    def test_histograms_travel_and_are_recounted(self, tmp_path,
+                                                 validator):
+        """A served session carries the request-latency histogram."""
+        telemetry.configure(tmp_path)
+        telemetry.get_registry().histogram(
+            "repro_server_request_seconds", endpoint="lint").observe(0.2)
+        telemetry.flush()
+        payload = merge_dir(tmp_path)
+        [h] = payload["metrics"]["histograms"]
+        assert h["count"] == 1 and h["min"] == h["max"] == 0.2
+        assert validator.validate(payload) == []
+        h["counts"][0] += 1
+        assert any("bucket counts sum" in p
                    for p in validator.validate(payload))
 
 
@@ -224,7 +202,7 @@ class TestShardTolerance:
         lines = shard.read_text().splitlines(keepends=True)
         # a worker died mid-write: the last record is half a line
         shard.write_text("".join(lines[:-1]) + lines[-1][:10])
-        payload = telemetry.merge_dir(tmp_path, harness="test")
+        payload = merge_dir(tmp_path, harness="test")
         err = capsys.readouterr().err
         assert "truncated" in err and "torn line" in err
         # everything before the tear survived
@@ -237,7 +215,7 @@ class TestShardTolerance:
         self._session(tmp_path)
         [shard] = tmp_path.glob("metrics-*.json")
         shard.write_text('{"counters": {"x')   # killed mid-dump
-        payload = telemetry.merge_dir(tmp_path, harness="test")
+        payload = merge_dir(tmp_path, harness="test")
         err = capsys.readouterr().err
         assert "warning" in err
         assert payload["summary"]["cells"] == 3
@@ -246,5 +224,5 @@ class TestShardTolerance:
 
     def test_undamaged_merge_warns_nothing(self, tmp_path, capsys):
         self._session(tmp_path)
-        telemetry.merge_dir(tmp_path, harness="test")
+        merge_dir(tmp_path, harness="test")
         assert "warning" not in capsys.readouterr().err

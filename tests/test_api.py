@@ -69,3 +69,23 @@ def test_end_to_end_pipeline_with_interpreter():
     y = np.ones(32)
     Interpreter(cedar, processors=4).call("saxpy", 32, 3.0, x, y)
     assert np.allclose(y, 1.0 + 3.0 * np.arange(1.0, 33.0))
+
+
+def test_library_reads_no_environment():
+    """Flags are the only spellings (``--engine``, ``--telemetry``,
+    ``--log-level``, ``--cache-dir``): nothing under ``src/repro`` may
+    read or write the process environment, so no behaviour exists that
+    the benchmark — which strips every ``REPRO_*`` variable — cannot
+    see."""
+    import re
+    from pathlib import Path
+
+    pattern = re.compile(r"\bos\.(environ|getenv|putenv|unsetenv)\b"
+                         r"|\bfrom os import [^\n]*\b(environ|getenv)\b")
+    root = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(root)}:{n}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)]
+    assert offenders == []

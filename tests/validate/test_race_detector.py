@@ -7,6 +7,7 @@ stay quiet.
 """
 
 import numpy as np
+import pytest
 
 from repro.api import restructure
 from repro.cedar.nodes import ParallelDo
@@ -24,9 +25,17 @@ def find_pdos(sf):
             for node in s.walk() if isinstance(node, ParallelDo)]
 
 
-def run_with_shadow(cedar, entry, *args, processors=4):
+@pytest.fixture
+def engine():
+    """The engine hosting the recorder in the end-to-end cases below;
+    ``test_race_oracle`` re-collects them with ``compiled`` here."""
+    return "tree"
+
+
+def run_with_shadow(cedar, entry, *args, engine, processors=4):
     sh = ShadowRecorder()
-    Interpreter(cedar, processors=processors, shadow=sh).call(entry, *args)
+    Interpreter(cedar, processors=processors, shadow=sh,
+                engine=engine).call(entry, *args)
     return sh
 
 
@@ -55,28 +64,31 @@ class TestPrivatization:
         assert pdos[0].locals_, "t must be privatized"
         return cedar, pdos[0]
 
-    def test_privatized_scalar_is_quiet(self):
+    def test_privatized_scalar_is_quiet(self, engine):
         cedar, _ = self._restructured()
-        sh = run_with_shadow(cedar, "s", 16, np.ones(16), np.zeros(16))
+        sh = run_with_shadow(cedar, "s", 16, np.ones(16), np.zeros(16),
+                             engine=engine)
         assert sh.loops_checked == 1
         assert sh.conflicts == []
 
-    def test_unprivatized_scalar_is_flagged(self):
+    def test_unprivatized_scalar_is_flagged(self, engine):
         # Deliberately strip the privatization the planner proved
         # necessary: t becomes shared and every iteration writes it.
         cedar, pdo = self._restructured()
         pdo.locals_.clear()
-        sh = run_with_shadow(cedar, "s", 16, np.ones(16), np.zeros(16))
+        sh = run_with_shadow(cedar, "s", 16, np.ones(16), np.zeros(16),
+                             engine=engine)
         assert sh.conflicts, "shared t must race"
         c = sh.conflicts[0]
         assert c.var == "t"
         assert c.kind in ("write-write", "read-write")
         assert c.iterations[0] != c.iterations[1]
 
-    def test_conflict_survives_into_report_dict(self):
+    def test_conflict_survives_into_report_dict(self, engine):
         cedar, pdo = self._restructured()
         pdo.locals_.clear()
-        sh = run_with_shadow(cedar, "s", 16, np.ones(16), np.zeros(16))
+        sh = run_with_shadow(cedar, "s", 16, np.ones(16), np.zeros(16),
+                             engine=engine)
         d = sh.to_dict()
         assert d["loops_checked"] == 1
         assert d["conflicts"][0]["var"] == "t"
@@ -97,7 +109,7 @@ REDUCTION_SRC = """
 
 
 class TestReduction:
-    def test_recognized_reduction_is_quiet(self):
+    def test_recognized_reduction_is_quiet(self, engine):
         # The partials live in worker-local storage; the lock-protected
         # combine runs in the synchronized postamble.  Neither may be
         # reported.  (A bare sum loop would become a library call, so
@@ -105,21 +117,21 @@ class TestReduction:
         cedar, _ = restructure(parse_program(REDUCTION_SRC),
                                RestructurerOptions.manual())
         assert find_pdos(cedar), "the reduction loop must parallelize"
-        sh = run_with_shadow(cedar, "s", 64, np.ones(64), np.zeros(64), 0.0)
+        sh = run_with_shadow(cedar, "s", 64, np.ones(64), np.zeros(64), 0.0,
+                             engine=engine)
         assert sh.loops_checked >= 1
         assert sh.conflicts == []
 
 
 class TestCriticalSection:
-    def test_track_critical_section_is_quiet(self):
+    def test_track_critical_section_is_quiet(self, engine):
         # TRACK's hits-list append runs under lock(crit): the counter
         # updates conflict textually but share the lock.
         case = validation_cases()["TRACK"]
         cedar, _ = restructure(parse_program(case.source),
                                RestructurerOptions.manual())
         args, _ = case.make_args(256, np.random.default_rng(7))
-        sh = ShadowRecorder()
-        Interpreter(cedar, processors=4, shadow=sh).call(case.entry, *args)
+        sh = run_with_shadow(cedar, case.entry, *args, engine=engine)
         assert sh.loops_checked >= 1
         assert sh.conflicts == []
 
@@ -272,7 +284,7 @@ class TestArrayCells:
 
 
 class TestDoacrossExcluded:
-    def test_doacross_loops_are_not_checked(self):
+    def test_doacross_loops_are_not_checked(self, engine):
         # ordered loops synchronize their carried dependences with
         # await/advance; the detector must not second-guess them
         src = """
@@ -291,6 +303,6 @@ class TestDoacrossExcluded:
         pdos = find_pdos(cedar)
         assert [p.order for p in pdos] == ["doacross"]
         sh = run_with_shadow(cedar, "s", 32, np.ones(32), np.zeros(32),
-                             np.zeros(32))
+                             np.zeros(32), engine=engine)
         assert sh.loops_checked == 0
         assert sh.conflicts == []

@@ -21,9 +21,9 @@ from repro.execmodel.shadow import ShadowRecorder
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
 
-# the detector's own end-to-end cases build their interpreters without
-# an explicit engine: importing them re-collects them in this module,
-# where the fixture below points that default at the compiled engine
+# the detector's own end-to-end cases take the engine as a fixture:
+# importing them re-collects them in this module, where the fixture
+# below hands them the compiled engine
 from tests.validate.test_race_detector import (  # noqa: F401
     TestCriticalSection, TestDoacrossExcluded, TestPrivatization,
     TestReduction)
@@ -31,14 +31,13 @@ from tests.validate.test_race_detector import (  # noqa: F401
 CASES = validation_cases()
 
 
-@pytest.fixture(autouse=True)
-def compiled_by_default(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
+@pytest.fixture
+def engine():
+    return "compiled"
 
 
-def test_default_engine_here_is_compiled():
-    cedar, _ = cached_restructure(CASES["cg"].source)
-    assert Interpreter(cedar, shadow=ShadowRecorder()).engine == "compiled"
+def test_recollected_cases_get_the_compiled_engine(engine):
+    assert engine == "compiled"
 
 
 def _shadowed(cedar, case, engine):
