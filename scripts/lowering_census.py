@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Census of what the compiled engine still runs on closures.
+"""Census of what the compiled engine runs as vector text, as scalar
+text, and on the tree.
 
 For each validation case x pipeline configuration, with and without a
-``ShadowRecorder``: how many statement lists were compiled, how many of
-their loop statements the lowerer took, and how many loop *executions*
-ran as emitted NumPy source against how many ran on closures — a DO
-through ``Compiler._do_loop``, a parallel loop through the interpreter's
-worker-by-worker ``_parallel_do`` (instrumented, under a recorder).  A
-recorder-aware function that hands its statement to the closure counts
-as a closure execution.
+``ShadowRecorder``: how many statement lists were compiled and how many
+of them were left whole to the tree walk; how many loop statements got a
+vector form and how many statements run on scalar text; and how many
+loop *executions* ran as a whole grid against how many ran their scalar
+text — a DO through its emitted ``for``, a parallel loop through the
+interpreter's worker-by-worker ``_parallel_do`` (instrumented, under a
+recorder).  A vector form that hands its loop over — inside a checked
+iteration, under aliased array names — counts as a scalar execution.
 
 Usage (repo root): ``PYTHONPATH=src python scripts/lowering_census.py
 [--recorded-only] [case ...]`` — a Markdown table on stdout, all 22
@@ -38,62 +40,55 @@ def census(program, case, recorded: bool, processors: int = 8,
     defaults are one ``bench/run.py --workload validate-sweep --seed 2``
     cell)."""
     c: Counter = Counter()
-    # set by a lowered function on entry; still set when a closure
-    # starts only if that function handed its statement over
+    shadow = ShadowRecorder() if recorded else None
+    # set by a parallel loop's vector form on entry; still set when
+    # ``_parallel_do`` starts only if that form handed the loop over
     entered = [False]
 
-    def on_closure(kind: str) -> None:
-        c[f"{kind} on closures"] += 1
-        if entered[0]:
-            entered[0] = False
-            c[f"{kind} lowered"] -= 1
+    def counted(fn, stmt):
+        vector = fn.__name__.startswith("_v")
+        if isinstance(stmt, ParallelDo):
+            if not vector:
+                return fn       # counted by ``_parallel_do`` itself
 
-    def lowered(fn, kind: str):
+            def run(scope):
+                c["parallel vector"] += 1
+                entered[0] = True
+                try:
+                    return fn(scope)
+                finally:
+                    entered[0] = False
+            return run
+
         def run(scope):
-            c[f"{kind} lowered"] += 1
-            entered[0] = True
-            try:
-                return fn(scope)
-            finally:
-                entered[0] = False
+            # a DO's vector form hands over exactly when some enclosing
+            # loop is recording
+            grid = vector and not (recorded and shadow.recording)
+            c["do vector" if grid else "do scalar"] += 1
+            return fn(scope)
         return run
 
     compile_list = compiled.Compiler._compile_list
-    do_loop = compiled.Compiler._do_loop
 
     def counting_compile_list(self, stmts, unit):
         fns = compile_list(self, stmts, unit)
         c["lists"] += 1
-        loops = [i for i, s in enumerate(stmts) if isinstance(s, LOOPS)]
-        c["lists with a loop"] += bool(loops)
-        for i in loops:
-            if getattr(fns[i], "__name__", "") == f"_s{i}":
-                c["loop statements lowered"] += 1
-                kind = "parallel" if isinstance(stmts[i], ParallelDo) \
-                    else "do"
-                fns[i] = lowered(fns[i], kind)
-            else:
-                c["loop statements on closures"] += 1
+        for i, s in enumerate(stmts if fns is not None else ()):
+            if isinstance(s, LOOPS):
+                fns[i] = counted(fns[i], s)
         return fns
 
-    def counting_do_loop(self, s, unit):
-        fn = do_loop(self, s, unit)
-
-        def run(scope):
-            on_closure("do")
-            return fn(scope)
-        return run
-
     compiled.Compiler._compile_list = counting_compile_list
-    compiled.Compiler._do_loop = counting_do_loop
     try:
         interp = Interpreter(program, processors=processors,
-                             shadow=ShadowRecorder() if recorded else None,
-                             engine="compiled")
+                             shadow=shadow, engine="compiled")
         parallel_do = interp._parallel_do
 
         def counting_parallel_do(s, scope, unit):
-            on_closure("parallel")
+            c["parallel scalar"] += 1
+            if entered[0]:
+                entered[0] = False
+                c["parallel vector"] -= 1
             return parallel_do(s, scope, unit)
 
         interp._parallel_do = counting_parallel_do
@@ -101,13 +96,16 @@ def census(program, case, recorded: bool, processors: int = 8,
         interp.call(case.entry, *args)
     finally:
         compiled.Compiler._compile_list = compile_list
-        compiled.Compiler._do_loop = do_loop
+    comp = interp._compiler
+    c["tree lists"] = comp.tree_lists
+    c["vector-text loops"] = comp.vectorized_loops
+    c["scalar-text statements"] = comp.scalar_stmts
     return c
 
 
-COLUMNS = ("lists", "lists with a loop", "loop statements lowered",
-           "loop statements on closures", "parallel lowered",
-           "parallel on closures", "do lowered", "do on closures")
+COLUMNS = ("lists", "tree lists", "vector-text loops",
+           "scalar-text statements", "parallel vector", "parallel scalar",
+           "do vector", "do scalar")
 
 
 def main(argv=None) -> int:

@@ -14,11 +14,12 @@ Three pieces, composable and individually optional:
 
 - :mod:`repro.execmodel.compiled` — the compiler behind
   ``Interpreter(engine="compiled")``, the one fast engine: statement
-  lists are compiled once to Python/NumPy source modules whose text is
+  lists are emitted once as Python/NumPy source modules whose text is
   cached here as ``jit-source`` artifacts (whole-grid array code for
-  loop nests proven exact, closures with flattened dispatch and hoisted
-  lookups for everything else), guaranteed numerics-identical to the
-  tree-walking interpreter.
+  loop nests proven exact, scalar text with dispatch and symbol facts
+  resolved for every other statement; a list the emitter declines runs
+  on the tree walk), guaranteed numerics-identical to the tree-walking
+  interpreter.
 
 - :mod:`repro.engine.parallel` — an order-preserving multiprocessing
   fan-out (``--jobs N``) used by ``repro.experiments``,

@@ -84,15 +84,17 @@ class Interpreter:
         line of the statement that tripped the budget.
 
         ``engine`` selects ``"tree"`` (the reference tree-walk) or
-        ``"compiled"`` (:mod:`repro.execmodel.compiled` — statement
-        lists compiled once to cached Python/NumPy source modules with
-        loop-nest vectorization, per-statement closures for the rest;
-        bit-identical to the tree walk, several times faster).
-        Both engines host a shadow recorder: the compiled engine then
-        builds closures carrying the tree handlers' ``record_*`` calls
-        and still lowers loop nests — one headed by a DOALL logs the
-        index sets it touches in bulk, unless it is already inside a
-        checked iteration or could conflict, in which case it records
+        ``"compiled"`` (:mod:`repro.execmodel.compiled` — each
+        statement list emitted once as a cached Python module: vector
+        text for the loop nests proven exact, scalar text for every
+        other statement, and the tree walk itself for a list holding a
+        statement kind the emitter declines; bit-identical to the tree
+        walk, several times faster).
+        Both engines host a shadow recorder: the compiled engine's
+        access helpers then make the tree handlers' ``record_*`` calls,
+        and it still lowers loop nests — one headed by a DOALL logs
+        the index sets it touches in bulk, unless it is already inside
+        a checked iteration or could conflict, in which case it records
         access by access like the tree.  The bare constructor's
         default is the reference walk, the side tests compare against;
         the harnesses thread their own default
@@ -104,8 +106,9 @@ class Interpreter:
         :func:`cyclic_deal`).  Both engines read it, so they stay
         bit-identical under any deal; DOACROSS loops stay ordered.  The
         result is taken as given — a deal that drops or repeats a
-        position runs exactly that, which is what the oracles' negative
-        controls rely on."""
+        position runs exactly that (the compiled engine runs a DOALL as
+        one grid only under a partition), which is what the oracles'
+        negative controls rely on."""
         if engine not in ENGINES:
             raise InterpreterError(f"unknown engine {engine!r}")
         self.sf = sf

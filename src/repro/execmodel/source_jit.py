@@ -1,12 +1,27 @@
-"""Loop-nest lowering: whole-grid Python/NumPy source for the compiled engine.
+"""The compiled engine's emitter: one Python module text per statement list.
 
-:class:`repro.execmodel.compiled.Compiler` emits one Python module per
-statement list through :func:`emit_module`; this module decides which of
-the list's loops become vectorized source and writes that source.  Every
-statement the lowerer declines is emitted as a ``fb(i)`` request for the
-compiler's scalar closure, so coverage is total.
+:class:`repro.execmodel.compiled.Compiler` asks :func:`emit_module` for
+the text of each statement list it meets.  The module's ``make(rt)``
+returns one function per statement, in one of two forms:
 
-What lowers:
+- **vector text** (``_v<i>``, :class:`_LoopLowerer`) — a loop nest whose
+  whole-grid NumPy evaluation is provably bit-equal to the scalar loop;
+- **scalar text** (``_s<i>``, :class:`_ScalarText`) — every other
+  statement, as the tree handlers' own operation sequence over the
+  :class:`Runtime` helpers: the value before the target's subscripts,
+  one helper per access (scope lookup, ``isinstance`` check, bounds
+  check all kept), statement dispatch and symbol-table facts resolved at
+  emission.  Assignment, block and logical IF, DO, LOCK/UNLOCK, RETURN
+  and the no-ops are written inline; ``ParallelDo``, CALL statements,
+  nested lists and calls of program units go to the interpreter's own
+  handlers by AST node.
+
+A list holding a statement kind the scalar text does not cover — GOTO,
+computed GOTO, PRINT, READ, WHERE, STOP, other I/O — is not emitted at
+all (``make = None``): it runs whole on the tree walk, which is total
+and is the reference.
+
+What the vector text takes:
 
 - **loop nests** — a DOALL (or plain sequential DO) whose body is a
   chain of nested loops ending in eligible assignments is lowered to
@@ -32,42 +47,50 @@ What lowers:
   pass emits (loop-local real partials, a preamble assigning each a
   literal, accumulations into them, a postamble of ``LOCK; v = v op
   partial; UNLOCK`` triples): the contributed terms are evaluated
-  vectorized, then every worker share of the interpreter's ``deal`` —
-  exactly as dealt, so a share that drops or repeats a position changes
-  the result as it does on the tree — is folded sequentially from the
-  preamble value and combined into ``v`` through the scalar store
-  ladder.  A zero-trip loop still runs preamble + postamble once.
+  vectorized, then every worker share of the interpreter's ``deal`` is
+  folded sequentially from the preamble value and combined into ``v``
+  through the scalar store ladder.  A zero-trip loop still runs
+  preamble + postamble once.
 
-With a :class:`~repro.execmodel.shadow.ShadowRecorder` attached the same
-emitter writes a second, recorder-aware text (:func:`emit_module` with
-``rec=True``).  Every lowered function first tests ``recording``: inside
-a checked iteration of an enclosing loop the statement goes to the
-compiler's instrumented closure.  Otherwise a sequential nest runs as it
-does unrecorded (nothing is being checked), and a nest whose only
-parallel level is the outermost opens the loop on the recorder, logs —
-from the very ``_grid_key`` result each load/store indexes with — the
-flat offsets of every reference paired with the outer iteration values
-(the strip start for a collapsed strip-mined loop), one row per
-iteration for each shared scalar the body names, and closes it.  Loops
-the lowering proof cannot show conflict-free stay on the instrumented
+A grid stores every lane once, so a DOALL level takes its vector text
+only under a deal that hands each iteration to exactly one worker
+(:meth:`Runtime.partition`, checked at loop entry before anything is
+stored).  Under a deal that drops or repeats a position the loop runs
+its scalar text — ``_parallel_do``, exactly as dealt — like the tree.
+
+With a :class:`~repro.execmodel.shadow.ShadowRecorder` attached the
+vector forms are recorder-aware (:func:`emit_module` with ``rec=True``;
+the scalar text is the same either way — the ``Runtime`` binds recording
+helpers).  Every vector form first tests ``recording``: inside a checked
+iteration of an enclosing loop the statement runs its scalar text, which
+logs access by access.  Otherwise a sequential nest runs as it does
+unrecorded (nothing is being checked), and a nest whose only parallel
+level is the outermost opens the loop on the recorder, logs — from the
+very ``_grid_key`` result each load/store indexes with — the flat
+offsets of every reference paired with the outer iteration values (the
+strip start for a collapsed strip-mined loop), one row per iteration for
+each shared scalar the body names, and closes it.  Loops the lowering
+proof cannot show conflict-free stay on the instrumented
 ``_parallel_do``, so conflict order and the per-loop cap are always the
 tree's: LOCK/UNLOCK or a shared scalar write in the body, a parallel
 level below the outermost, and — checked at loop entry — two referenced
 array names bound to one ``ndarray``.
 
-Every lowering carries one exactness obligation — the vector evaluation
-must be bit-equal to the scalar loop: plain or affine loop-variable
-subscripts, intrinsics marked ``exact`` in
+Every vector form carries one exactness obligation — the vector
+evaluation must be bit-equal to the scalar loop: plain or affine
+loop-variable subscripts, intrinsics marked ``exact`` in
 :data:`repro.fortran.intrinsics.INTRINSICS` only, reads of written
 arrays restricted to the writing iteration's element.  Anything that
-cannot be proven falls back *per loop* (recurrences are rejected, never
-approximated).  Signed-zero and NaN treatment of the MIN/MAX lowerings
-follows the same table (``min``/``max`` are exact elementwise).
+cannot be proven keeps the scalar text *per loop* (recurrences are
+rejected, never approximated).  Signed-zero and NaN treatment of the
+MIN/MAX lowerings follows the same table (``min``/``max`` are exact
+elementwise).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from itertools import chain
 from typing import Optional
 
@@ -77,14 +100,15 @@ from repro.cedar import nodes as C
 from repro.cedar.library import CEDAR_LIBRARY
 from repro.errors import InterpreterError
 from repro.execmodel.interp import (_DECL_STMTS, _SYNC_STMTS,
-                                    Interpreter)
+                                    Interpreter, _ReturnSignal,
+                                    cyclic_deal)
 from repro.execmodel.values import FArray, Scope
 from repro.fortran import ast_nodes as F
 from repro.fortran.intrinsics import INTRINSICS
 
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact so stale module text can never be served to a newer runtime
-JIT_VERSION = 2
+JIT_VERSION = 3
 
 #: statements that do nothing when executed (sync statements are
 #: functional no-ops without a shadow recorder)
@@ -109,65 +133,105 @@ class _Ineligible(Exception):
     """Internal: the loop (or one statement of it) cannot be lowered."""
 
 
+class _Declined(Exception):
+    """Internal: the list holds a statement the scalar text does not
+    cover; it runs whole on the tree."""
+
+
+#: binary operators Python spells itself, and the scalar ones whose
+#: Fortran semantics need a :class:`Runtime` helper (``.and.``/``.or.``
+#: evaluate both operands, like the tree walk: Fortran does not promise
+#: short-circuiting)
+_PY_OPS = {"+": "+", "-": "-", "*": "*", "**": "**", ".lt.": "<",
+           ".le.": "<=", ".eq.": "==", ".ne.": "!=", ".gt.": ">",
+           ".ge.": ">="}
+_HELPER_OPS = {"/": "DIV", ".and.": "AND", ".or.": "OR", ".eqv.": "EQV",
+               ".neqv.": "NEQV"}
+
+
 def _fmt_literal(v) -> str:
-    if isinstance(v, bool):
-        return "True" if v else "False"
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return repr(v)
+    if isinstance(v, float) and not math.isfinite(v):
         return f"float({str(v)!r})"
-    return repr(v)
+    text = repr(v)
+    # a sign must not bind looser than the operator beside it (``**``)
+    return f"({text})" if text.startswith("-") else text
+
+
+class _NoRecorder:
+    """What the access helpers consult when no race detector rides
+    along: never recording, and deaf to LOCK/UNLOCK."""
+
+    recording = False
+
+    def acquire(self, name: str) -> None:
+        pass
+
+    release = acquire
 
 
 class Runtime:
-    """Semantics shared by the compiler's closures and emitted modules.
+    """What emitted modules cannot embed, one instance per statement list
+    (the ``rt`` handed to the module's ``make()``): scope access,
+    bounds-checked loads and stores, the Fortran division/logical
+    helpers, the numpy intrinsic table, and the interpreter's own
+    handlers for what the text hands over — nested statement lists,
+    ``ParallelDo``, CALL statements, names only the tree can resolve.
 
-    One instance per statement list is the ``rt`` object handed to the
-    module's ``make()``: it carries what generated source cannot embed —
-    scope access, bounds-checked grid loads/stores, the Fortran
-    division/logical helpers, the numpy intrinsic table, and the
-    compiler's closure lowering for statements the emitter declined.
-    The static helpers double as the closures' own operator semantics.
-    """
+    The scalar text is the same with and without a
+    :class:`~repro.execmodel.shadow.ShadowRecorder`; recording is chosen
+    here, once: ``shadow`` is the interpreter's recorder or a
+    :class:`_NoRecorder`, and every access helper makes the tree
+    handler's ``record_*`` call, in the tree's order, while it is
+    ``recording``."""
 
     #: the vectorizable intrinsics, as emitted code indexes them
     np_funcs = {name: info.np_fn for name, info in INTRINSICS.items()
                 if info.exact}
 
+    Return = _ReturnSignal
+    truth = staticmethod(Interpreter._truth)
+
     def __init__(self, compiler, stmts: list, unit: str):
         self.compiler = compiler
-        self.shadow = compiler.shadow
+        self.shadow = compiler.shadow or _NoRecorder()
         self.stmts = stmts
         self.unit = unit
 
-    def fallback(self, i: int):
-        return self.compiler._stmt(self.stmts[i], self.unit)
-
-    def tally(self, loops: int, fallback: int) -> None:
-        self.compiler.vectorized_loops += loops
-        self.compiler.fallback_stmts += fallback
+    def tally(self, vector: int, scalar: int) -> None:
+        self.compiler.vectorized_loops += vector
+        self.compiler.scalar_stmts += scalar
 
     # -- scope access --------------------------------------------------
 
-    @staticmethod
-    def scalar(scope: Scope, name: str):
+    def scalar(self, scope: Scope, name: str):
         sc = scope.lookup_scope(name)
-        if sc is None:
+        v = sc.vars[name] if sc is not None else None
+        if v is None:
             raise InterpreterError(f"undefined variable {name!r}")
-        v = sc.vars[name]
+        sh = self.shadow
         if isinstance(v, FArray):
             d = v.data
+            if sh.recording:
+                sh.record_array(v, name, "r",
+                                idx=() if d.ndim == 0 else None)
             if d.ndim == 0:          # COMMON scalar box
                 return d.item()
             return d
+        if sh.recording:
+            sh.record_scalar(sc, name, "r")
         return v
+
+    @staticmethod
+    def cell(scope: Scope, name: str) -> dict:
+        """The dict a DO variable lives in for the whole loop (the
+        containing scope cannot change mid-loop)."""
+        return (scope.lookup_scope(name) or scope._root()).vars
 
     @staticmethod
     def sset(scope: Scope, name: str, value) -> None:
         scope.set(name, value)
 
-    @staticmethod
-    def astore(scope: Scope, name: str, value, coerce_int: bool):
+    def astore(self, scope: Scope, name: str, value, coerce_int: bool):
         """One scalar store, replicating ``Interpreter._assign``'s
         coercion ladder with the symbol-table facts pre-resolved into
         ``coerce_int``.
@@ -178,12 +242,20 @@ class Runtime:
         """
         sc = scope.lookup_scope(name)
         cur = sc.vars[name] if sc is not None else None
+        sh = self.shadow
         if isinstance(cur, FArray):
+            if sh.recording:
+                sh.record_array(cur, name, "w",
+                                idx=() if cur.data.ndim == 0 else None)
             cur.data[...] = value
             d = cur.data
             return d.item() if d.ndim == 0 else d
         if sc is None:
+            # an undefined name is created in the root scope (Scope.set
+            # semantics) — and its write keyed there, as the tree does
             sc = scope._root()
+        if sh.recording:
+            sh.record_scalar(sc, name, "w")
         if isinstance(cur, (int, np.integer)) and not isinstance(
                 cur, (bool, np.bool_)):
             v = int(np.trunc(value))
@@ -198,6 +270,38 @@ class Runtime:
             return v
         sc.vars[name] = value
         return value
+
+    # -- element and section access (scalar text) ----------------------
+    #
+    # Subscripts arrive as evaluated: ``FArray`` and ``record_array``
+    # apply the tree's ``int()`` themselves.
+
+    def ref(self, scope: Scope, name: str, idx: tuple = None,
+            specs: list = None):
+        """``name(idx)`` as the tree's ``_ref_or_call`` reads it: an
+        element (``idx``) or section (``specs``) of the array bound to
+        the name, else a call.  The emitter sends the tree every section
+        of a name a call could resolve, so here that is an error."""
+        sc = scope.lookup_scope(name)
+        v = sc.vars[name] if sc is not None else None
+        if not isinstance(v, FArray):
+            return self.call(scope, name, idx)
+        if self.shadow.recording:
+            self.shadow.record_array(v, name, "r", idx=idx, specs=specs)
+        return v.get(idx) if specs is None else v.slice_of(specs)
+
+    def store(self, scope: Scope, name: str, value, idx: tuple = None,
+              specs: list = None) -> None:
+        """An element (``idx``) or section (``specs``) store."""
+        arr = scope.get(name)
+        if not isinstance(arr, FArray):
+            raise InterpreterError(f"{name!r} is not an array")
+        if self.shadow.recording:
+            self.shadow.record_array(arr, name, "w", idx=idx, specs=specs)
+        if specs is None:
+            arr.set(idx, value)
+        else:
+            arr.slice_of(specs)[...] = value
 
     def error(self, msg: str):
         raise InterpreterError(msg)
@@ -384,6 +488,23 @@ class Runtime:
         interp = self.compiler.interp
         return interp.deal(n, max(1, min(interp.processors, n or 1)))
 
+    def partition(self, n: int) -> bool:
+        """Whether the interpreter's deal hands each of a DOALL's ``n``
+        iterations to exactly one worker — what running the loop as one
+        whole grid assumes.  A deal that drops or repeats a position
+        must run exactly that, so the loop then takes its scalar text
+        through ``_parallel_do``."""
+        interp = self.compiler.interp
+        if interp.deal is cyclic_deal:
+            return True
+        p = max(1, min(interp.processors, n or 1))
+        verdicts = self.compiler.partitions
+        ok = verdicts.get((n, p))
+        if ok is None:
+            ok = verdicts[n, p] = sorted(chain.from_iterable(
+                interp.deal(n, p))) == list(range(n))
+        return ok
+
 
 def _scalar_locals(node: C.ParallelDo) -> Optional[dict]:
     """Name -> declared type of a DOALL's private ``locals_`` when every
@@ -555,8 +676,9 @@ class _LoopLowerer:
         self.red_vars: set[str] = set()
         self.reductions: dict[int, tuple] = {}  # id(stmt) -> lowering
         self.body: list[F.Stmt] = []
-        #: block size when the outermost level is a collapsed strip-mine
-        self.strip: Optional[int] = None
+        #: level -> block size, for each level that is a collapsed
+        #: strip-mine (the tree deals and labels strips, not lanes)
+        self.strips: dict[int, int] = {}
         # partial-sum DOALL: partial -> preamble literal, the postamble
         # as (target, op, partial) combines, and its lock names
         self.partials: dict[str, float] = {}
@@ -654,8 +776,7 @@ class _LoopLowerer:
             if not self._plain_level(node):
                 d = _desugar_stripmine(node)
                 if d is not None:
-                    if not self.levels:
-                        self.strip = node.step.value
+                    self.strips[len(self.levels)] = node.step.value
                     node = d
                 elif not self.levels and isinstance(node, C.ParallelDo) \
                         and (node.preamble or node.postamble):
@@ -914,8 +1035,9 @@ class _LoopLowerer:
         """Emit ``e`` as Python source.
 
         ``ctx`` maps each axis variable to its lane-array name (open grid
-        or compressed); ``ctx=None`` is invariant/scalar mode, mirroring
-        the closures' ``_expr`` semantics.
+        or compressed); ``ctx=None`` is invariant mode: the scalar value
+        of an expression no axis reaches, as :class:`_ScalarText` writes
+        it but with the loop's proof obligations checked on every name.
         """
         if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit)):
             return _fmt_literal(e.value)
@@ -997,25 +1119,14 @@ class _LoopLowerer:
         l = self.ex(e.left, ctx)
         r = self.ex(e.right, ctx)
         op = e.op
-        simple = {"+": "+", "-": "-", "*": "*", "**": "**",
-                  ".lt.": "<", ".le.": "<=", ".eq.": "==",
-                  ".ne.": "!=", ".gt.": ">", ".ge.": ">="}
-        if op in simple:
-            return f"({l} {simple[op]} {r})"
-        if op == "/":
-            return f"DIV({l}, {r})"
-        if ctx is not None:
-            vec_logical = {".and.": "np.logical_and",
-                           ".or.": "np.logical_or",
-                           ".eqv.": "np.equal",
-                           ".neqv.": "np.not_equal"}
-            if op in vec_logical:
-                return f"{vec_logical[op]}({l}, {r})"
-        else:
-            scalar_logical = {".and.": "AND", ".or.": "OR",
-                              ".eqv.": "EQV", ".neqv.": "NEQV"}
-            if op in scalar_logical:
-                return f"{scalar_logical[op]}({l}, {r})"
+        if op in _PY_OPS:
+            return f"({l} {_PY_OPS[op]} {r})"
+        vec_logical = {".and.": "np.logical_and", ".or.": "np.logical_or",
+                       ".eqv.": "np.equal", ".neqv.": "np.not_equal"}
+        if ctx is not None and op in vec_logical:
+            return f"{vec_logical[op]}({l}, {r})"
+        if op in _HELPER_OPS and (ctx is None or op == "/"):
+            return f"{_HELPER_OPS[op]}({l}, {r})"
         raise _Ineligible(f"operator {op!r}")
 
     # -- type-class inference (MIN/MAX reduction proof) ----------------
@@ -1272,13 +1383,35 @@ class _LoopLowerer:
         out.append(f"{indent}_n{a} = len(range(_lo{a}, _hi{a} + "
                    f"(1 if _st{a} > 0 else -1), _st{a}))")
 
+    def _emit_deal_check(self, a: int, i: int, out: list,
+                         indent: str) -> None:
+        """A DOALL level runs as a grid only under a deal that is a
+        partition of its iterations (of its strips, for a collapsed
+        strip-mine); nothing has been stored yet, so otherwise the loop
+        starts over on its scalar text."""
+        if isinstance(self.levels[a], C.ParallelDo):
+            n = f"_n{a}"
+            if a in self.strips:
+                n = f"-(-{n} // {self.strips[a]})"
+            out += [f"{indent}if not PART({n}):",
+                    f"{indent}    return _s{i}(s)"]
+
+    @property
+    def hands_over(self) -> bool:
+        """Whether ``_v<i>`` can hand the loop to its scalar text
+        ``_s<i>``: inside a checked iteration, or under a deal that is
+        not a partition."""
+        return self.rec or any(isinstance(lv, C.ParallelDo)
+                               for lv in self.levels)
+
     def emit(self, i: int) -> list[str]:
-        """Source of ``_s<i>`` (indented for the body of ``make``)."""
+        """Source of ``_v<i>`` (indented for the body of ``make``)."""
         k = len(self.axes)
         # the outermost bounds are evaluated before the loop starts: the
         # tree opens the loop on the recorder after them
         head: list[str] = []
         self._emit_bounds(0, head, "")
+        self._emit_deal_check(0, i, head, "")
         out: list[str] = []
         if self.partials:
             out.append("_t = False")
@@ -1286,6 +1419,7 @@ class _LoopLowerer:
         for a in range(k):
             if a:
                 self._emit_bounds(a, out, indent)
+                self._emit_deal_check(a, i, out, indent)
             out.append(f"{indent}if _n{a}:")
             indent += "    "
             out.append(f"{indent}_iv{a} = np.arange(_lo{a}, _lo{a} + "
@@ -1299,10 +1433,10 @@ class _LoopLowerer:
                 # for a collapsed strip-mine the start of the lane's
                 # strip — the iteration the tree runs the lane in
                 self._it = "_g0"
-                if self.strip is not None:
+                if 0 in self.strips:
                     self._it = "_it"
                     out.append(f"{indent}_it = _lo0 + (_g0 - _lo0) // "
-                               f"{self.strip} * {self.strip}")
+                               f"{self.strips[0]} * {self.strips[0]}")
                 scalars = self._shared_scalars()
                 if scalars:
                     out.append(f"{indent}SCAL(_cx, s, {scalars!r}, "
@@ -1325,14 +1459,14 @@ class _LoopLowerer:
         if self.partials:
             self._emit_folds(out)
 
-        fn = [f"def _s{i}(s):"]
+        fn = [f"def _v{i}(s):"]
         if self.rec:
             # already inside a checked iteration: the enclosing loop's
             # log wants every access in the tree's order
             guard = "SH.recording"
             if self.bulk and self.writes and len(self._arrays) > 1:
                 guard += f" or ALIAS(s, {tuple(sorted(self._arrays))!r})"
-            fn += [f"    if {guard}:", f"        return _c{i}(s)"]
+            fn += [f"    if {guard}:", f"        return _s{i}(s)"]
         fn += ["    " + line for line in head]
         if not self.bulk:
             return fn + ["    " + line for line in out]
@@ -1341,73 +1475,246 @@ class _LoopLowerer:
         fn += ["        " + line for line in out]
         fn += ["    finally:", "        CLOSE(_cx)"]
         # what the postambles' LOCK/UNLOCK pairs leave of the lockset
-        fn += [f"    REL({lock!r})" for lock in self.locks]
+        fn += [f"    UNLOCK({lock!r})" for lock in self.locks]
         return fn
+
+
+class _ScalarText:
+    """Scalar Python source for the statements of one list: what the
+    tree handlers do, operation for operation — the value before the
+    target's subscripts, each access through the one :class:`Runtime`
+    helper that makes the handler's ``record_*`` call — with statement
+    dispatch, operator choice and symbol-table facts resolved now.
+
+    One liberty: an array is looked up after the subscripts of its
+    reference are evaluated (the tree looks first), which only swaps
+    two errors of a program that has both.
+
+    Inline: assignment, block and logical IF, DO, LOCK/UNLOCK, RETURN
+    and the no-ops.  Handed to the interpreter's own handlers, by AST
+    node: ``ParallelDo``, CALL statements, the nested lists of DO and
+    IF (each compiled as a list of its own), and every name only the
+    tree can resolve at run time — calls of program units, ``Apply``
+    nodes nobody resolved, unknown functions.  Any other statement kind
+    (GOTO, computed GOTO, PRINT, READ, WHERE, STOP, assigned GOTO, I/O)
+    raises :class:`_Declined`."""
+
+    def __init__(self, interp: Interpreter, stmts: list[F.Stmt],
+                 unit: str):
+        self.units = interp.units
+        self.symtab = interp.tables.get(unit)
+        self.stmts = stmts
+        #: ``make``-level lines naming the AST nodes the text hands over
+        self.binds: list[str] = []
+        self._at = 0          # index of the statement being emitted
+
+    def function(self, i: int) -> list[str]:
+        """Source of ``_s<i>``, the scalar text of statement ``i``."""
+        self._at = i
+        out = [f"def _s{i}(s):"]
+        self.stmt(self.stmts[i], out, "    ")
+        return out
+
+    def node(self, target) -> str:
+        """A ``make``-level name bound to ``target``, an AST node or
+        nested list of the current statement."""
+        path = _path(self.stmts[self._at], target)
+        name = f"_k{len(self.binds)}"
+        self.binds.append(f"{name} = rt.stmts[{self._at}]{path}")
+        return name
+
+    # -- statements ----------------------------------------------------
+
+    def stmt(self, s: F.Stmt, out: list, ind: str) -> None:
+        if isinstance(s, F.Assign):
+            self._assign(s, out, ind)
+        elif isinstance(s, C.ParallelDo):
+            out.append(f"{ind}PDO({self.node(s)}, s, U)")
+        elif isinstance(s, F.DoLoop):
+            out += [f"{ind}_lo = int({self.ex(s.start)})",
+                    f"{ind}_hi = int({self.ex(s.end)})"]
+            rng = "range(_lo, _hi + 1)"
+            if s.step is not None:
+                out += [f"{ind}_st = int({self.ex(s.step)})",
+                        f"{ind}if _st == 0:",
+                        f"{ind}    ERR('zero DO step')"]
+                rng = "range(_lo, _hi + (1 if _st > 0 else -1), _st)"
+            out += [f"{ind}_cell = CELL(s, {s.var!r})",
+                    f"{ind}for _v in {rng}:",
+                    f"{ind}    _cell[{s.var!r}] = _v",
+                    f"{ind}    XB({self.node(s.body)}, s, U)"]
+        elif isinstance(s, F.IfBlock):
+            for k, (cond, body) in enumerate(s.arms):
+                test = "True" if cond is None else f"T({self.ex(cond)})"
+                out += [f"{ind}{'el' if k else ''}if {test}:",
+                        f"{ind}    XB({self.node(body)}, s, U)"]
+            if not s.arms:
+                out.append(f"{ind}pass")
+        elif isinstance(s, F.LogicalIf):
+            out.append(f"{ind}if T({self.ex(s.cond)}):")
+            self.stmt(s.stmt, out, ind + "    ")
+        elif isinstance(s, (C.LockStmt, C.UnlockStmt)):
+            # the race detector tracks critical sections
+            held = "LOCK" if isinstance(s, C.LockStmt) else "UNLOCK"
+            out.append(f"{ind}{held}({s.name!r})")
+        elif isinstance(s, NOOP_STMTS):
+            out.append(f"{ind}pass")
+        elif isinstance(s, F.CallStmt):
+            out.append(f"{ind}CALLS({self.node(s)}, s, U)")
+        elif isinstance(s, F.ReturnStmt):
+            out.append(f"{ind}raise RET()")
+        else:
+            raise _Declined(type(s).__name__)
+
+    def _assign(self, s: F.Assign, out: list, ind: str) -> None:
+        t = s.target
+        value = self.ex(s.value)
+        if isinstance(t, F.Var):
+            out.append(f"{ind}AST(s, {t.name!r}, {value}, "
+                       f"{coerces_to_int(self.symtab, t.name)})")
+        elif isinstance(t, (F.ArrayRef, F.Apply)):
+            subs = t.subscripts if isinstance(t, F.ArrayRef) else t.args
+            if any(isinstance(x, F.RangeExpr) for x in subs):
+                out.append(f"{ind}ST(s, {t.name!r}, {value}, "
+                           f"specs={self._specs(subs)})")
+            else:
+                out.append(f"{ind}ST(s, {t.name!r}, {value}, "
+                           f"{self._tuple(subs)})")
+        else:
+            raise _Declined("assignment target")
+
+    # -- expressions ---------------------------------------------------
+
+    def _tuple(self, es) -> str:
+        return "(" + "".join(f"{self.ex(e)}, " for e in es) + ")"
+
+    def _specs(self, subs) -> str:
+        """``Interpreter._spec`` of each subscript, as a list display."""
+        def bound(e):
+            return "None" if e is None else self.ex(e)
+
+        return "[" + ", ".join(
+            f"({bound(x.lo)}, {bound(x.hi)}, {bound(x.stride)})"
+            if isinstance(x, F.RangeExpr) else f"int({self.ex(x)})"
+            for x in subs) + "]"
+
+    def ex(self, e: F.Expr) -> str:
+        if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit, F.StrLit)):
+            return _fmt_literal(e.value)
+        if isinstance(e, F.Var):
+            return f"G(s, {e.name!r})"
+        if isinstance(e, F.BinOp) and e.op in _PY_OPS:
+            return (f"({self.ex(e.left)} {_PY_OPS[e.op]} "
+                    f"{self.ex(e.right)})")
+        if isinstance(e, F.BinOp) and e.op in _HELPER_OPS:
+            return (f"{_HELPER_OPS[e.op]}({self.ex(e.left)}, "
+                    f"{self.ex(e.right)})")
+        if isinstance(e, F.UnOp) and e.op in ("-", "+", ".not."):
+            x = self.ex(e.operand)
+            return {"-": f"(-{x})", "+": x, ".not.": f"NOT({x})"}[e.op]
+        name = getattr(e, "name", None)
+        callable_ = name in CEDAR_LIBRARY or name in INTRINSICS
+        if name not in self.units or name in CEDAR_LIBRARY:
+            if isinstance(e, F.FuncCall) and callable_:
+                return f"CALL(s, {name!r}, {self._tuple(e.args)})"
+            if isinstance(e, F.ArrayRef):
+                if not e.is_section():
+                    return f"REF(s, {name!r}, {self._tuple(e.subscripts)})"
+                if not callable_:
+                    return (f"REF(s, {name!r}, "
+                            f"specs={self._specs(e.subscripts)})")
+        # what the tree resolves as it runs: a program unit's call, an
+        # ``Apply``, an unknown function or operator, a stray section
+        return f"EV({self.node(e)}, s, U)"
+
+
+def _path(root, target) -> Optional[str]:
+    """Python source of the attribute/index path from ``root`` to the
+    node or list ``target`` below it (found by identity)."""
+    if root is target:
+        return ""
+    if isinstance(root, F.Node):
+        for name in F.node_slots(type(root)).child:
+            path = _path(getattr(root, name), target)
+            if path is not None:
+                return f".{name}{path}"
+    elif isinstance(root, (list, tuple)):
+        for k, item in enumerate(root):
+            path = _path(item, target)
+            if path is not None:
+                return f"[{k}]{path}"
+    return None
 
 
 def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
                 rec: bool = False) -> str:
     """Deterministic module text for one statement list: a ``make(rt)``
-    returning one function per statement — ``_s<i>`` for each lowered
-    loop, ``rt.fallback(i)`` for everything else.  ``rec`` asks for the
-    recorder-aware text (module docstring), in which a lowered loop
-    also keeps its instrumented closure ``_c<i>``."""
-    lowered: dict[int, list[str]] = {}
-    for i, s in enumerate(stmts):
-        if isinstance(s, LOOPS):
-            try:
-                lowered[i] = _LoopLowerer(interp, s, unit, rec).emit(i)
-            except _Ineligible:
-                pass
+    returning one function per statement — the vector form ``_v<i>`` of
+    each loop the lowerer proves (with the loop's scalar text beside it
+    when the vector form can hand over), the scalar text ``_s<i>`` of
+    everything else.  ``rec`` asks for the recorder-aware vector forms
+    (module docstring); the scalar text is the same either way.  A list
+    holding a statement the scalar text declines gets ``make = None``:
+    it runs whole on the tree."""
+    scalar = _ScalarText(interp, stmts, unit)
+    mode = f"emitter v{JIT_VERSION}{', recorder-aware' if rec else ''}"
+    body: list[str] = []
+    fns: list[str] = []
+    try:
+        for i, s in enumerate(stmts):
+            lines = None
+            if isinstance(s, LOOPS):
+                try:
+                    lowerer = _LoopLowerer(interp, s, unit, rec)
+                    lines = lowerer.emit(i)
+                    if lowerer.hands_over:
+                        lines = scalar.function(i) + lines
+                except _Ineligible:
+                    pass
+            fns.append(f"_s{i}" if lines is None else f"_v{i}")
+            body.append("")
+            body.extend("    " + line
+                        for line in lines or scalar.function(i))
+    except _Declined as why:
+        return (f'"""jit-source module: unit {unit!r}, {len(stmts)} '
+                f'statements, run on the tree ({why}; {mode})."""\n'
+                f'make = None\n')
+    vector = sum(name.startswith("_v") for name in fns)
+    used = set(re.findall(r"\b[A-Z]+\b", "\n".join(body)))
     head = [
         f'"""jit-source module: unit {unit!r}, {len(stmts)} '
-        f'statements, {len(lowered)} vectorized loops '
-        f'(emitter v{JIT_VERSION}{", recorder-aware" if rec else ""})."""',
-        "import numpy as np",
+        f'statements, {vector} vectorized loops ({mode})."""',
+        "import numpy as np" if vector else "",
         "",
         "",
         "def make(rt):",
-        "    fb = rt.fallback",
-        "    G = rt.scalar",
-        "    VL = rt.vload",
-        "    VS = rt.vstore",
-        "    CALL = rt.call",
-        "    DIV = rt.div",
-        "    AND = rt.and_",
-        "    OR = rt.or_",
-        "    EQV = rt.eqv",
-        "    NEQV = rt.neqv",
-        "    NOT = rt.not_",
-        "    NP = rt.np_funcs",
-        "    ERR = rt.error",
-        "    SSET = rt.sset",
-        "    AST = rt.astore",
-        "    RED = rt.red_flat",
-        "    ROWS = rt.red_rows",
-        "    DEAL = rt.shares",
     ]
-    if rec:
-        head += [
-            "    SH = rt.shadow",
-            "    OPEN = SH.open_loop",
-            "    CLOSE = SH.close_loop",
-            "    REL = SH.release",
-            "    SCAL = rt.log_scalars",
-            "    ALIAS = rt.aliased",
-        ]
-    head += [
-        f"    rt.tally({len(lowered)}, {len(stmts) - len(lowered)})",
-        "    fns = []",
-    ]
-    body: list[str] = []
-    for i in range(len(stmts)):
-        if i in lowered:
-            body.append("")
-            if rec:
-                body.append(f"    _c{i} = fb({i})")
-            body.extend("    " + line for line in lowered[i])
-            body.append(f"    fns.append(_s{i})")
-        else:
-            body.append(f"    fns.append(fb({i}))")
-    tail = ["    return fns", ""]
-    return "\n".join(head + body + tail)
+    head += [f"    {name} = rt.{attr}" for name, attr in _HELPERS.items()
+             if name in used]
+    head += ["    " + line for line in scalar.binds]
+    head.append(f"    rt.tally({vector}, {len(stmts) - vector})")
+    return "\n".join(head + body
+                     + ["", f"    return [{', '.join(fns)}]", ""])
+
+
+#: the names emitted text calls the :class:`Runtime` by -> its attribute;
+#: a module binds the ones its text uses
+_HELPERS = {
+    "G": "scalar", "AST": "astore", "SSET": "sset", "CALL": "call",
+    "DIV": "div", "AND": "and_", "OR": "or_", "EQV": "eqv",
+    "NEQV": "neqv", "NOT": "not_", "ERR": "error",
+    # scalar text
+    "REF": "ref", "ST": "store", "T": "truth", "CELL": "cell",
+    "LOCK": "shadow.acquire", "UNLOCK": "shadow.release",
+    "RET": "Return", "U": "unit", "XB": "compiler.exec_body",
+    # ... and hands to the interpreter's own handlers, by AST node
+    "PDO": "compiler.interp._parallel_do",
+    "CALLS": "compiler.interp._call_stmt", "EV": "compiler.interp.eval",
+    # vector forms
+    "VL": "vload", "VS": "vstore", "NP": "np_funcs", "RED": "red_flat",
+    "ROWS": "red_rows", "DEAL": "shares", "PART": "partition",
+    # recorder-aware vector forms
+    "SH": "shadow", "OPEN": "shadow.open_loop",
+    "CLOSE": "shadow.close_loop", "SCAL": "log_scalars",
+    "ALIAS": "aliased",
+}

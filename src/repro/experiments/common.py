@@ -223,11 +223,13 @@ def add_interpreter_arg(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
                     help="interpreter engine for every run this harness "
                          "executes: tree (reference walk) or compiled "
-                         "(cached NumPy source modules for vectorizable "
-                         "loop nests, closures for the rest; in race-"
-                         "checked runs a lowered DOALL logs its index "
-                         "sets in bulk, anything that could conflict "
-                         "records per access from closures); "
+                         "(one cached source module per statement list: "
+                         "vector text for vectorizable loop nests, "
+                         "scalar text for the rest, the tree walk for a "
+                         "list with GOTO or I/O; in race-checked runs a "
+                         "lowered DOALL logs its index sets in bulk, "
+                         "anything that could conflict records per "
+                         "access); "
                          "results and race verdicts are identical "
                          f"(default: {DEFAULT_ENGINE} — one default for "
                          "every harness)")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.engine import cached_parse, cached_restructure
 from repro.engine.cache import get_cache
+from repro.execmodel import source_jit
 from repro.execmodel.interp import Interpreter, cyclic_deal
 from repro.faults.plan import all_scenarios
 from repro.faults.sweep import SWEEP_WORKLOADS, _synthetic_cases
@@ -20,32 +21,54 @@ from repro.workloads import validation_cases
 
 CASES = validation_cases()
 
+def lossy_deal(n, p):
+    """Not a partition: worker 0's first position is never run."""
+    shares = [list(s) for s in cyclic_deal(n, p)]
+    del shares[0][:1]
+    return shares
+
+
+def duplicating_deal(n, p):
+    """Not a partition: the last worker runs position 0 a second time."""
+    shares = [list(s) for s in cyclic_deal(n, p)]
+    if n:
+        shares[-1].append(0)
+    return shares
+
+
 #: the deals the fault sweep interprets under — one scenario per distinct
-#: deal of the matrix — plus one whose shares are not even ascending
+#: deal of the matrix — plus one whose shares are not even ascending and
+#: two that are not partitions, which both engines must run as dealt
 _BY_KEY: dict = {}
 for _name, _plan in all_scenarios().items():
     _BY_KEY.setdefault(_plan.deal_key, (_name, _plan.deal))
 DEALS = dict(_BY_KEY.values(), reversed=lambda n, p: [
-    share[::-1] for share in reversed(cyclic_deal(n, p))])
+    share[::-1] for share in reversed(cyclic_deal(n, p))],
+    lossy=lossy_deal, duplicating=duplicating_deal)
 
 #: the non-reference engines, each proven against the tree walk
 FAST_ENGINES = ("compiled",)
 
-#: the compiled engine's two lowerings, each proven over the whole
-#: matrix (labels chosen to keep this suite's test ids stable): "source"
-#: is the path every run takes — emitted NumPy modules for the loops the
-#: lowerer accepts, closures for the rest; "compiled" is closures for
-#: everything — where any statement list lands when its module text is
-#: rejected
-LOWERINGS = ("compiled", "source")
+#: the compiled engine's two text forms, each proven over the whole
+#: matrix: "vector" is the path every run takes — whole-grid NumPy text
+#: for the loops the lowerer proves, scalar text for the rest; "scalar"
+#: has the lowerer decline every loop, so the scalar text alone carries
+#: every statement
+LOWERINGS = ("scalar", "vector")
 
 
 @pytest.fixture
 def lowering(request, monkeypatch):
-    if request.param == "compiled":
+    if request.param == "scalar":
+        def decline(self, *args, **kwargs):
+            raise source_jit._Ineligible("scalar text only")
+
+        monkeypatch.setattr(source_jit._LoopLowerer, "__init__", decline)
+        # emit every time: the process-wide store holds (and must keep)
+        # the vector text of the same lists
         monkeypatch.setattr(
             get_cache(), "jit_source",
-            lambda source, *, fingerprint, emit: "not a module (")
+            lambda source, *, fingerprint, emit: emit())
     return request.param
 
 
@@ -66,6 +89,16 @@ def _outputs(program, case, seed: int, processors: int,
     args, _ = case.make_args(case.n, np.random.default_rng(seed))
     return Interpreter(program, processors=processors, engine=engine,
                        deal=deal).call(case.entry, *args)
+
+
+def _outcome(*args, **kwargs) -> dict:
+    """:func:`_outputs`, or the error the run dies of (a deal that
+    drops an iteration can leave a divisor at zero)."""
+    try:
+        with np.errstate(all="ignore"):
+            return _outputs(*args, **kwargs)
+    except ArithmeticError as exc:
+        return {"error": np.array(repr(exc))}
 
 
 @pytest.mark.parametrize("lowering", LOWERINGS, indirect=True)
@@ -94,18 +127,20 @@ def test_restructured_programs_identical(wname, config, lowering):
             tree, fast, f"{wname}@{config}/P={processors}[{lowering}]")
 
 
+@pytest.mark.parametrize("lowering", LOWERINGS, indirect=True)
 @pytest.mark.parametrize("deal", sorted(DEALS))
 @pytest.mark.parametrize("wname", SWEEP_WORKLOADS)
-def test_identical_under_every_deal(wname, deal):
+def test_identical_under_every_deal(wname, deal, lowering):
     """Who runs which iteration is the interpreter's ``deal``; both
-    engines read it, reductions included."""
+    engines read it, reductions included — and a deal that is not a
+    partition is run as dealt, by a vector form's scalar text."""
     case = {**CASES, **_synthetic_cases()}[wname]
     cedar, _ = cached_restructure(case.source)
-    tree = _outputs(cedar, case, seed=3, processors=8, engine="tree",
+    tree = _outcome(cedar, case, seed=3, processors=8, engine="tree",
                     deal=DEALS[deal])
-    fast = _outputs(cedar, case, seed=3, processors=8, engine="compiled",
+    fast = _outcome(cedar, case, seed=3, processors=8, engine="compiled",
                     deal=DEALS[deal])
-    assert_bit_identical(tree, fast, f"{wname}@deal={deal}")
+    assert_bit_identical(tree, fast, f"{wname}@deal={deal}[{lowering}]")
 
 
 def test_track_multisets_match_baseline():

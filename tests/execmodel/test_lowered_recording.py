@@ -21,7 +21,9 @@ from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
-from tests.execmodel.test_engine_equivalence import assert_bit_identical
+from tests.execmodel.test_engine_equivalence import (assert_bit_identical,
+                                                     duplicating_deal,
+                                                     lossy_deal)
 from tests.validate.test_order_independence import (reversed_deal,
                                                     shuffled_deal)
 
@@ -130,20 +132,6 @@ def partial_sum_source(accs, nested: bool, elementwise: bool) -> str:
 # ---------------------------------------------------------------------------
 # deals: three honest ones, two that are not partitions
 
-
-def lossy_deal(n, p):
-    shares = [list(s) for s in cyclic_deal(n, p)]
-    shares[-1] = shares[-1][:-1]
-    return shares
-
-
-def duplicating_deal(n, p):
-    shares = [list(s) for s in cyclic_deal(n, p)]
-    if n:
-        shares[-1].append(0)
-    return shares
-
-
 DEALS = {"cyclic": cyclic_deal, "reversed": reversed_deal,
          "shuffled": shuffled_deal, "lossy": lossy_deal,
          "duplicating": duplicating_deal}
@@ -173,10 +161,6 @@ def partial_sum_args(n, m, seed):
 def test_partial_sum_doall_is_the_trees(data, n, processors, deal, nested,
                                         elementwise, m, seed):
     accs = data.draw(accumulators(TERMS_2D if nested else TERMS_1D))
-    # the folds take the deal exactly as given; an elementwise store in
-    # the same loop runs its whole grid whatever the deal says (the
-    # lowerer's documented limit), so it is only paired with partitions
-    elementwise = elementwise and deal not in ("lossy", "duplicating")
     program = doall_program(
         partial_sum_source(accs, nested, elementwise),
         partials=[a[:4] for a in accs],
@@ -187,7 +171,9 @@ def test_partial_sum_doall_is_the_trees(data, n, processors, deal, nested,
                   shadowed=shadowed)
         tree, sh_t, _ = run(program, "r", args, engine="tree", **kw)
         fast, sh_c, comp = run(program, "r", args, engine="compiled", **kw)
-        assert comp.vectorized_loops == 1, "the generated shape must lower"
+        # under a deal that is no partition the DOALL hands over to
+        # ``_parallel_do``, and a nested body's DO lowers on its own
+        assert comp.vectorized_loops >= 1, "the generated shape must lower"
         assert_bit_identical(tree, fast, "tree vs compiled")
         if shadowed:
             assert sh_c.loops_checked == sh_t.loops_checked == 1

@@ -149,7 +149,7 @@ def test_vectorized_nest_beats_tree_walk():
         assert np.asarray(out_tree[k]).tobytes() \
             == np.asarray(out_fast[k]).tobytes(), k
     # the lowering must actually have engaged, or the comparison is
-    # closures-vs-tree and proves nothing about the vector path
+    # scalar-text-vs-tree and proves nothing about the vector path
     assert comp.vectorized_loops >= 1
     assert t_fast < t_tree * 0.25, (
         f"warm compiled engine not faster: {t_fast * 1e3:.2f}ms vs "

@@ -6,7 +6,7 @@ loop shapes vectorize (whole nests, guarded bodies, reductions), which
 are rejected (recurrences), that the restructurer's strip-mined
 PARALLEL DO output is recognized, that emitted modules round-trip
 through the jit-source cache, and that a poisoned module never breaks
-execution — the list falls back to closures.
+execution — the list falls back to the tree walk.
 """
 
 import hashlib
@@ -27,8 +27,8 @@ CASES = validation_cases()
 
 #: what the unrecorded compiled engine did to every committed program at
 #: the current emitter version: ``workload/config`` -> [vectorized_loops,
-#: fallback_stmts, digest of every statement list's cache-key inputs and
-#: module text].  Regenerate (only together with a JIT_VERSION bump) by
+#: scalar_stmts, tree_lists, digest of every statement list's cache-key
+#: inputs and module text].  Regenerate (only together with a JIT_VERSION bump) by
 #: running this file:
 #: ``PYTHONPATH=src python tests/execmodel/test_source_jit.py`` — which
 #: refuses to write a file in which any entry vectorizes fewer loops
@@ -191,12 +191,12 @@ class TestRejectedShapes:
     def test_recurrence_falls_back_not_wrong(self):
         """x(i) = x(i-1) + x(i): the read mask differs from the write
         mask, so the proof rejects the loop; the tree semantics are
-        replayed by the loop's closure."""
+        replayed by the loop's scalar text."""
         x = np.arange(7.0) + 1.0
         tree, out, comp = _both(RECUR, "scan", 7, x)
         _assert_bits(tree, out)
         assert comp.vectorized_loops == 0
-        assert comp.fallback_stmts >= 1
+        assert comp.scalar_stmts >= 1 and comp.tree_lists == 0
 
     def test_recurrent_workload_never_vectorizes(self):
         """tridag's sweeps are genuine recurrences end to end — the
@@ -274,8 +274,8 @@ class TestRestructuredPrograms:
 
     def test_qcd_automatic_doall_is_lowered(self):
         """The XDOALL at line 19 of QCD's automatic output is the one
-        loop in the committed workloads that only the closure tier's own
-        vectoriser (deleted) took under ``engine="compiled"``; rejected
+        loop in the committed workloads that only a vectoriser deleted
+        with its tier once took under ``engine="compiled"``; rejected
         by the lowerer, it would silently run worker-by-worker through
         ``_parallel_do``."""
         from repro.cedar.nodes import ParallelDo
@@ -319,16 +319,18 @@ def compiled_engine_footprint(cache) -> dict:
             args, _ = case.make_args(case.n, np.random.default_rng(3))
             interp = Interpreter(program, processors=4, engine="compiled")
             interp.call(case.entry, *args)
+            comp = interp._compiler
             out[f"{wname}/{config}"] = [
-                interp._compiler.vectorized_loops,
-                interp._compiler.fallback_stmts, seen.hexdigest()[:16]]
+                comp.vectorized_loops, comp.scalar_stmts, comp.tree_lists,
+                seen.hexdigest()[:16]]
     return out
 
 
 class TestOffMeansOff:
     """A recorder can ride on the compiled engine; without one the
     engine must not know: same module text under the same cache keys,
-    same loops vectorized, same statements left to closures."""
+    same loops vectorized, same statements on scalar text, and not one
+    list of the 66 programs left to the tree."""
 
     def test_unrecorded_footprint_is_the_golden_one(self, monkeypatch):
         golden = json.loads(GOLDEN.read_text())
@@ -338,6 +340,8 @@ class TestOffMeansOff:
         monkeypatch.setattr(cache_mod, "_DEFAULT", cache)
         assert compiled_engine_footprint(cache) == golden
         assert len(golden) == 3 * len(CASES)
+        assert not any(tree_lists for _, _, tree_lists, _ in
+                       golden.values())
 
 
 class TestModuleCache:
@@ -360,13 +364,22 @@ class TestModuleCache:
         st = fresh_cache.stats()["by_kind"]["jit-source"]
         assert st["hits"] >= 1
 
-    def test_poisoned_module_text_falls_back(self, fresh_cache):
+    def test_poisoned_module_text_falls_back(self, fresh_cache, tmp_path):
         """A digest-valid but unparseable stored module (stale entry,
         hand-edited store) must not take the engine down: compile()
-        fails, the list falls back to closures, and results stay
-        bit-identical."""
-        fresh_cache.jit_source = \
-            lambda source, *, fingerprint, emit: "this is not python ("
+        fails, that list — here the entry unit's body — runs on the
+        tree, says so once, and results stay bit-identical."""
+        from repro.telemetry import log
+
+        served = []
+        orig = fresh_cache.jit_source
+
+        def poison_first(source, *, fingerprint, emit):
+            text = orig(source, fingerprint=fingerprint, emit=emit)
+            served.append(text)
+            return "this is not python (" if len(served) == 1 else text
+
+        fresh_cache.jit_source = poison_first
         case = CASES["cg"]
         cedar, _ = cached_restructure(case.source)
         args, _ = case.make_args(case.n, np.random.default_rng(3))
@@ -374,10 +387,18 @@ class TestModuleCache:
                            engine="tree").call(case.entry, *args)
         args2, _ = case.make_args(case.n, np.random.default_rng(3))
         interp = Interpreter(cedar, processors=4, engine="compiled")
-        out = interp.call(case.entry, *args2)
+        log.configure("warning", path=tmp_path / "log.jsonl")
+        try:
+            out = interp.call(case.entry, *args2)
+        finally:
+            log.shutdown()
         _assert_bits(tree, out)
-        assert interp._compiler.vectorized_loops == 0
-        assert interp._compiler.fallback_stmts >= 1
+        assert interp._compiler.tree_lists == 1
+        assert interp._compiler.vectorized_loops >= 1   # nested lists
+        events = [json.loads(line) for line in
+                  (tmp_path / "log.jsonl").read_text().splitlines()]
+        assert [(e["event"], e["fields"]["error_type"]) for e in events] \
+            == [("module_rejected", "SyntaxError")]
 
     def test_emitted_module_is_deterministic(self, fresh_cache):
         """Same statements + same symbol facts => byte-identical module

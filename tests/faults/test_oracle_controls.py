@@ -46,18 +46,37 @@ class _DuplicatingPlan(FaultPlan):
         return shares
 
 
-@pytest.mark.parametrize("workload", ["cg", "TRFD", "sparse"])
-def test_lossy_deal_fails_recovery(workload):
+# MDG's one DOALL is a single strip at validation size, so worker 0 is
+# the only one to join it.  MDG and cg run every DOALL as one whole
+# grid, which no deal could reach before the vector forms asked whether
+# theirs is a partition.  (A dropped strip leaves MDG dividing by zero.)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workload,dead", [("cg", 1), ("TRFD", 1),
+                                           ("sparse", 1), ("MDG", 0)])
+def test_lossy_deal_fails_recovery(workload, dead):
     h = _harness(workload)
-    run = run_cell(h, _LossyPlan(name="lossy", dead_ces=(1,)))
+    run = run_cell(h, _LossyPlan(name="lossy", dead_ces=(dead,)))
     assert not run.checks["recovery_ok"]
     # the honest version of the same fault recovers
-    assert run_cell(h, FaultPlan(name="dead", dead_ces=(1,))).ok
+    assert run_cell(h, FaultPlan(name="dead", dead_ces=(dead,))).ok
 
 
-def test_duplicated_iteration_fails_recovery_on_a_reduction():
-    run = run_cell(_harness("TRFD"), _DuplicatingPlan(name="duplicating"))
+@pytest.mark.parametrize("workload", ["TRFD", "cg", "sparse"])
+def test_duplicated_iteration_fails_recovery(workload):
+    """On a reduction (TRFD) and on elementwise updates that read what
+    they write (cg's ``x = x + alpha * p``, in a loop that lowers)."""
+    run = run_cell(_harness(workload), _DuplicatingPlan(name="duplicating"))
     assert not run.checks["recovery_ok"]
+
+
+def test_duplicated_iteration_is_idempotent_on_mdg():
+    """No output can show a repeated MDG strip — ``dr`` and ``r2`` are
+    recomputed from ``x`` alone, on the tree as on the vector form — so
+    the control that bites there is the lossy one; that both engines
+    run the duplicate is test_engine_equivalence's
+    ``test_identical_under_every_deal``."""
+    run = run_cell(_harness("MDG"), _DuplicatingPlan(name="duplicating"))
+    assert run.checks["recovery_ok"]
 
 
 CULPRIT = "bank-degraded"

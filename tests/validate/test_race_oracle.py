@@ -1,11 +1,11 @@
 """The race detector gives one verdict per program, whichever engine
 hosts the recorder.
 
-``tree`` + recorder is the oracle; ``compiled`` + recorder (closures
-carrying the tree handlers' ``record_*`` calls) must report the same
-loops, the same results and the same conflicts — on the restructurer's
-real output and on mutants whose privatisation was stripped so that
-they do race.
+``tree`` + recorder is the oracle; ``compiled`` + recorder (scalar text
+over helpers making the tree handlers' ``record_*`` calls) must report
+the same loops, the same results and the same conflicts — on the
+restructurer's real output and on mutants whose privatisation was
+stripped so that they do race.
 """
 
 import copy
