@@ -42,14 +42,14 @@ Quickstart::
     print(cedar_source)
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.api import (
-    parse_source,
-    restructure,
-    restructure_source,
-    unparse_cedar,
-    unparse_f77,
-)
+
+# the convenience API pulls in the parser; ``import repro.<package>``
+# (every CLI does it) should not
+__getattr__, __dir__ = lazy_exports(globals(), {"repro.api": (
+    "parse_source", "restructure", "restructure_source", "unparse_cedar",
+    "unparse_f77")})
 
 __all__ = [
     "__version__",

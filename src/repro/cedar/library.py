@@ -4,16 +4,17 @@ The restructurer replaces recognized reduction/recurrence loops with calls
 into this library; each routine records how the Cedar implementation
 distributes work (two-step cluster/cross-cluster combining for reductions,
 cyclic reduction for linear recurrences) so the performance model can charge
-realistic costs, and provides a numpy-backed reference semantics for the
-functional interpreter.
+realistic costs, and names its NumPy-backed reference semantics for the
+functional interpreter (:mod:`repro.cedar.kernels`, loaded when a program
+first calls one — pricing a call never imports NumPy).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,15 @@ class LibraryRoutine:
     name: str
     kind: str                      # 'reduction' | 'recurrence' | 'scan'
     serial_ops_per_elem: float
-    fn: Callable
     combine_steps: int = 2         # within-cluster then cross-cluster (§3.3)
+
+    @functools.cached_property
+    def fn(self) -> Callable:
+        """The reference kernel, bound on first use: only the execution
+        engines ask, so a call after the first is a plain attribute."""
+        from repro.cedar import kernels
+
+        return getattr(kernels, self.name)
 
     def parallel_ops(self, n: int, p: int) -> float:
         """Critical-path operation count on ``p`` processors."""
@@ -37,69 +45,29 @@ class LibraryRoutine:
             return self.serial_ops_per_elem * n
         if self.kind == "reduction":
             # local partial results + log-tree combining at two levels
-            local = self.serial_ops_per_elem * np.ceil(n / p)
-            combine = self.combine_steps * np.ceil(np.log2(p))
+            local = self.serial_ops_per_elem * math.ceil(n / p)
+            combine = self.combine_steps * math.ceil(math.log2(p))
             return float(local + combine)
         if self.kind == "recurrence":
             # cyclic reduction: ~2.5x total work, log-depth critical path
             total = 2.5 * self.serial_ops_per_elem * n
-            return float(total / p + np.ceil(np.log2(max(n, 2))))
+            return float(total / p + math.ceil(math.log2(max(n, 2))))
         if self.kind == "scan":
             total = 2.0 * self.serial_ops_per_elem * n
-            return float(total / p + np.ceil(np.log2(max(n, 2))))
+            return float(total / p + math.ceil(math.log2(max(n, 2))))
         raise ValueError(self.kind)
-
-
-def _dotproduct(x, y):
-    return float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-
-
-def _sum(x):
-    return float(np.sum(np.asarray(x, dtype=float)))
-
-
-def _maxval(x):
-    return float(np.max(np.asarray(x, dtype=float)))
-
-
-def _minval(x):
-    return float(np.min(np.asarray(x, dtype=float)))
-
-
-def _maxloc(x):
-    return int(np.argmax(np.asarray(x, dtype=float))) + 1
-
-
-def _minloc(x):
-    return int(np.argmin(np.asarray(x, dtype=float))) + 1
-
-
-def _linrec(b, c):
-    """First-order linear recurrence x(i) = x(i-1)*b(i) + c(i), x(0)=0."""
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    out = np.empty_like(c)
-    acc = 0.0
-    for i in range(len(c)):
-        acc = acc * b[i] + c[i]
-        out[i] = acc
-    return out
-
-
-def _prefix_sum(x):
-    return np.cumsum(np.asarray(x, dtype=float))
 
 
 #: name → routine.  Names carry a ``ces_`` prefix (Cedar scientific library).
 CEDAR_LIBRARY: dict[str, LibraryRoutine] = {
-    "ces_dotproduct": LibraryRoutine("ces_dotproduct", "reduction", 2.0, _dotproduct),
-    "ces_sum": LibraryRoutine("ces_sum", "reduction", 1.0, _sum),
-    "ces_maxval": LibraryRoutine("ces_maxval", "reduction", 1.0, _maxval),
-    "ces_minval": LibraryRoutine("ces_minval", "reduction", 1.0, _minval),
-    "ces_maxloc": LibraryRoutine("ces_maxloc", "reduction", 1.0, _maxloc),
-    "ces_minloc": LibraryRoutine("ces_minloc", "reduction", 1.0, _minloc),
-    "ces_linrec": LibraryRoutine("ces_linrec", "recurrence", 2.0, _linrec),
-    "ces_prefix_sum": LibraryRoutine("ces_prefix_sum", "scan", 1.0, _prefix_sum),
+    "ces_dotproduct": LibraryRoutine("ces_dotproduct", "reduction", 2.0),
+    "ces_sum": LibraryRoutine("ces_sum", "reduction", 1.0),
+    "ces_maxval": LibraryRoutine("ces_maxval", "reduction", 1.0),
+    "ces_minval": LibraryRoutine("ces_minval", "reduction", 1.0),
+    "ces_maxloc": LibraryRoutine("ces_maxloc", "reduction", 1.0),
+    "ces_minloc": LibraryRoutine("ces_minloc", "reduction", 1.0),
+    "ces_linrec": LibraryRoutine("ces_linrec", "recurrence", 2.0),
+    "ces_prefix_sum": LibraryRoutine("ces_prefix_sum", "scan", 1.0),
 }
 
 

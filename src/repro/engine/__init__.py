@@ -28,6 +28,7 @@ Three pieces, composable and individually optional:
   payloads to serial runs.
 """
 
+from repro._lazy import lazy_exports
 from repro.engine.cache import (
     CompilationCache,
     cache_stats,
@@ -36,7 +37,11 @@ from repro.engine.cache import (
     configure,
     get_cache,
 )
-from repro.engine.parallel import WorkerCrash, parallel_map
+
+# the fan-out is for the sweeps; a library or server-cell caller of the
+# cache does not load it
+__getattr__, __dir__ = lazy_exports(
+    globals(), {"repro.engine.parallel": ("WorkerCrash", "parallel_map")})
 
 __all__ = [
     "CompilationCache",

@@ -30,7 +30,6 @@ result payloads are untouched either way.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
@@ -132,6 +131,8 @@ def _run_cell(fn: Callable, item, index: int, label: str,
 def _mp_context():
     # fork keeps workers cheap and lets them inherit warm in-memory
     # state; fall back to the platform default where fork is unavailable
+    import multiprocessing  # a --jobs 1 sweep never pays for it
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else None)

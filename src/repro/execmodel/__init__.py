@@ -11,7 +11,12 @@ Two engines:
   through the :mod:`repro.machine` models.
 """
 
-from repro.execmodel.interp import Interpreter
+from repro._lazy import lazy_exports
 from repro.execmodel.perf import PerfEstimator, PerfResult
+
+# the estimator prices a program without running it: only a command that
+# executes one loads the interpreter, and NumPy with it
+__getattr__, __dir__ = lazy_exports(
+    globals(), {"repro.execmodel.interp": ("Interpreter",)})
 
 __all__ = ["Interpreter", "PerfEstimator", "PerfResult"]

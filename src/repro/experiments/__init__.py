@@ -18,25 +18,13 @@ paper values next to measured values; ``python -m repro.experiments``
 prints them all.
 """
 
+from repro._lazy import lazy_exports
 from repro.experiments.report import Table
-from repro.experiments import (
-    fig6_prefetch,
-    fig7_privatization,
-    fig8_partitioning,
-    fig9_fusion,
-    qcd_ablation,
-    table1,
-    table2,
-)
 
-ALL_EXPERIMENTS = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "fig6": fig6_prefetch.run,
-    "fig7": fig7_privatization.run,
-    "fig8": fig8_partitioning.run,
-    "fig9": fig9_fusion.run,
-    "qcd": qcd_ablation.run,
-}
+# the seven drivers bring the 22 workload modules with them; ``--source``
+# ingestion and the server's request cell import this package for
+# ``ingest`` and ``common`` and run none of them
+__getattr__, __dir__ = lazy_exports(
+    globals(), {"repro.experiments.worker": ("ALL_EXPERIMENTS",)})
 
 __all__ = ["Table", "ALL_EXPERIMENTS"]

@@ -33,9 +33,7 @@ import os
 import sys
 
 from repro.experiments import ALL_EXPERIMENTS
-
-#: stamped into every --json payload; bump on incompatible shape changes
-JSON_SCHEMA = "repro-experiment/1"
+from repro.experiments.report import JSON_SCHEMA
 
 
 def main(argv: list[str] | None = None) -> int:

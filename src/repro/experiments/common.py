@@ -20,17 +20,18 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro import telemetry
 from repro.engine import cached_parse, cached_restructure, configure
 from repro.execmodel.perf import PerfEstimator, PerfResult
 from repro.fortran import ast_nodes as F
 from repro.machine.config import MachineConfig
-from repro.prof.session import ProfileSession
 from repro.restructurer.options import RestructurerOptions
 from repro.telemetry import log as telemetry_log
-from repro.telemetry.export import finalize
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.prof.session import ProfileSession
 
 #: the ProfileSession collecting estimates, when ``profiled()`` is active
 _ACTIVE_SESSION: Optional[ProfileSession] = None
@@ -48,6 +49,8 @@ def profiled(experiment: str):
     global _ACTIVE_SESSION
     if _ACTIVE_SESSION is not None:
         raise RuntimeError("profiled() sessions do not nest")
+    from repro.prof.session import ProfileSession
+
     session = ProfileSession(experiment)
     _ACTIVE_SESSION = session
     try:
@@ -262,8 +265,11 @@ def finalize_telemetry(harness: str) -> None:
     one-line stderr note, and ends the structured-logging session.  A
     no-op when both ``--telemetry`` and ``--log-level`` are off.
     """
-    finalize(harness=harness,
-             echo=lambda msg: print(msg, file=sys.stderr))
+    if telemetry.enabled():
+        from repro.telemetry.export import finalize
+
+        finalize(harness=harness,
+                 echo=lambda msg: print(msg, file=sys.stderr))
     if telemetry_log.enabled():
         telemetry_log.get_logger("harness").info("finalized",
                                                  harness=harness)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.experiments.report import Table
+from repro.experiments.report import JSON_SCHEMA, Table
 
 #: dummy-argument binding used for every unit (``--quick`` shrinks it)
 DEFAULT_SIZE = 100
@@ -100,8 +100,6 @@ def source_payload(table: Table, quick: bool) -> dict:
     ``repro.server`` ``/restructure`` endpoint build the *same* object
     — their serialized outputs are byte-identical by construction.
     """
-    from repro.experiments.__main__ import JSON_SCHEMA
-
     return {
         "schema": JSON_SCHEMA,
         "quick": quick,

@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+#: stamped into every --json payload; bump on incompatible shape changes
+JSON_SCHEMA = "repro-experiment/1"
+
 
 @dataclass
 class Table:

@@ -11,7 +11,26 @@ from __future__ import annotations
 import json
 import os
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import (
+    fig6_prefetch,
+    fig7_privatization,
+    fig8_partitioning,
+    fig9_fusion,
+    qcd_ablation,
+    table1,
+    table2,
+)
+
+#: name → driver; ``repro.experiments`` re-exports it on first use
+ALL_EXPERIMENTS = {
+    "table1": table1.run,
+    "table2": table2.run,
+    "fig6": fig6_prefetch.run,
+    "fig7": fig7_privatization.run,
+    "fig8": fig8_partitioning.run,
+    "fig9": fig9_fusion.run,
+    "qcd": qcd_ablation.run,
+}
 
 
 def run_experiment_cell(job: dict) -> dict:

@@ -23,15 +23,6 @@ from repro.prof.counters import (
     memory_cycles_from_counters,
     reconcile,
 )
-from repro.prof.export import chrome_trace, write_chrome_trace
-from repro.prof.report import render_gantt, render_report, render_utilization
-from repro.prof.session import (
-    MACHINE_CONSTANTS,
-    PROFILE_SCHEMA,
-    ProfileSession,
-    RunProfile,
-    machine_constants,
-)
 from repro.prof.timeline import (
     CATEGORY_GLYPHS,
     CONTROL_TRACK,
@@ -40,22 +31,16 @@ from repro.prof.timeline import (
     TimelineRecorder,
 )
 
+# the machine model charges counters and timelines on every estimate;
+# sessions, exports and reports exist only under ``--profile`` and
+# ``python -m repro.prof`` — import ``repro.prof.session`` / ``.export`` /
+# ``.report`` by name, this package does not re-export them
 __all__ = [
     "COUNTERS",
     "HwCounters",
     "ProfLedger",
     "memory_cycles_from_counters",
     "reconcile",
-    "chrome_trace",
-    "write_chrome_trace",
-    "render_gantt",
-    "render_report",
-    "render_utilization",
-    "MACHINE_CONSTANTS",
-    "PROFILE_SCHEMA",
-    "ProfileSession",
-    "RunProfile",
-    "machine_constants",
     "CATEGORY_GLYPHS",
     "CONTROL_TRACK",
     "LoopRecord",

@@ -8,8 +8,6 @@ vector product (outer loop parallel, inner loop a dot product), the
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "cg"
 ENTRY = "cg"
 TABLE1_SIZE = 400
@@ -63,6 +61,8 @@ SOURCE = """
 
 
 def make_inputs(n: int, rng: np.random.Generator):
+    import numpy as np
+
     m = rng.standard_normal((n, n))
     a = (m @ m.T) / n + np.eye(n) * n * 0.1  # SPD, well conditioned
     xs = rng.standard_normal(n)
@@ -71,6 +71,8 @@ def make_inputs(n: int, rng: np.random.Generator):
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     a, b, xs = make_inputs(n, rng)
     niter = min(2 * n, 60)
     return (n, niter, np.asfortranarray(a), b,
@@ -82,6 +84,8 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     a, b, xs = aux
     x = result["x"]
     return bool(np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-4)

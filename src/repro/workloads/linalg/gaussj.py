@@ -8,8 +8,6 @@ symbolically).  Pivoting is omitted; inputs are diagonally dominant.
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "gaussj"
 ENTRY = "gaussj"
 TABLE1_SIZE = 600
@@ -45,6 +43,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     a = rng.standard_normal((n, n))
     a += np.eye(n) * (np.abs(a).sum(axis=1) + 1.0)
     xs = rng.standard_normal(n)
@@ -57,6 +57,8 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     a, xs = aux
     return bool(np.allclose(result["b"], xs,
                             atol=1e-4 * (1 + np.abs(xs).max())))

@@ -7,8 +7,6 @@ the fully parallel routines.
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "lubksb"
 ENTRY = "lubksb"
 TABLE1_SIZE = 1000
@@ -40,6 +38,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     a = rng.standard_normal((n, n))
     a += np.eye(n) * (np.abs(a).sum(axis=1) + 1.0)
     l = np.tril(a, -1) + np.eye(n)
@@ -54,5 +54,7 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     a, xs = aux
     return bool(np.allclose(result["b"], xs, atol=1e-5 * (1 + np.abs(xs).max())))

@@ -11,8 +11,6 @@ that the restructurer also handles, exercised separately in the tests.
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "ludcmp"
 ENTRY = "ludcmp"
 TABLE1_SIZE = 1000
@@ -46,6 +44,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     a = rng.standard_normal((n, n))
     a += np.eye(n) * (np.abs(a).sum(axis=1) + 1.0)  # diagonally dominant
     return (n, np.asfortranarray(a.copy())), a
@@ -56,6 +56,8 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     a0 = aux
     lu = result["a"]
     l = np.tril(lu, -1) + np.eye(n)

@@ -10,8 +10,6 @@ hence a speedup far beyond the machine's processor count.
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "mprove"
 ENTRY = "mprove"
 TABLE1_SIZE = 1000
@@ -53,6 +51,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     a = rng.standard_normal((n, n))
     a += np.eye(n) * (np.abs(a).sum(axis=1) + 1.0)
     # Doolittle LU of a (no pivoting; a is diagonally dominant)
@@ -72,6 +72,8 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     a, b, xs, x0 = aux
     x1 = result["x"]
     e0 = np.linalg.norm(x0 - xs)

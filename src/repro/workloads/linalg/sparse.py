@@ -8,8 +8,6 @@ stays parallel with a privatized accumulator.
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "sparse"
 ENTRY = "sparsecg"
 TABLE1_SIZE = 800
@@ -74,6 +72,8 @@ SOURCE = """
 
 def make_csr(n: int, rng: np.random.Generator):
     """SPD pentadiagonal-ish sparse matrix in CSR (1-based indices)."""
+    import numpy as np
+
     rowptr = np.zeros(n + 1, dtype=np.int64)
     cols: list[int] = []
     vals: list[float] = []
@@ -94,6 +94,8 @@ def make_csr(n: int, rng: np.random.Generator):
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     rowptr, col, val, dense = make_csr(n, rng)
     xs = rng.standard_normal(n)
     b = dense @ xs
@@ -107,6 +109,8 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     dense, b, xs = aux
     x = result["x"]
     return bool(np.linalg.norm(dense @ x - b) / np.linalg.norm(b) < 1e-4)

@@ -7,8 +7,6 @@ speedup at a small size.
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "svbksb"
 ENTRY = "svbksb"
 TABLE1_SIZE = 200
@@ -43,6 +41,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     m = n
     a = rng.standard_normal((m, n)) + np.eye(n) * 2.0
     u, w, vt = np.linalg.svd(a)
@@ -59,6 +59,8 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     a, xs = aux
     return bool(np.allclose(result["x"], xs,
                             atol=1e-4 * (1 + np.abs(xs).max())))

@@ -8,8 +8,6 @@ rotation updates) — matching the paper's middling speedup.
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "svdcmp"
 ENTRY = "svdcmp"
 TABLE1_SIZE = 200
@@ -60,6 +58,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     m = n
     a = rng.standard_normal((m, n))
     nsweep = 10
@@ -71,6 +71,8 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     a0 = aux
     w = np.sort(result["w"])[::-1]
     ref = np.linalg.svd(a0, compute_uv=False)

@@ -8,8 +8,6 @@ the paper's near-1 speedup.
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "toeplz"
 ENTRY = "toeplz"
 TABLE1_SIZE = 800
@@ -61,6 +59,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     c = rng.standard_normal(2 * n - 1) * 0.1
     c[n - 1] = 2.0 * n ** 0.5  # dominant diagonal
     # r holds the Toeplitz diagonals: T[i,j] = r(n + i - j)
@@ -79,6 +79,8 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     t, xs = aux
     return bool(np.allclose(result["x"], xs,
                             atol=1e-3 * (1 + np.abs(xs).max())))

@@ -7,8 +7,6 @@ idiom, so the routine stays near-serial — the paper's 2.1.
 
 from __future__ import annotations
 
-import numpy as np
-
 NAME = "tridag"
 ENTRY = "tridag"
 TABLE1_SIZE = 800
@@ -36,6 +34,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     a = rng.standard_normal(n) * 0.3
     c = rng.standard_normal(n) * 0.3
     b = np.abs(rng.standard_normal(n)) + 2.0
@@ -53,6 +53,8 @@ def bindings(n: int) -> dict:
 
 
 def verify(n: int, aux, result) -> bool:
+    import numpy as np
+
     t, xs = aux
     return bool(np.allclose(result["u"], xs,
                             atol=1e-4 * (1 + np.abs(xs).max())))

@@ -6,7 +6,7 @@ analysis** the call is opaque and the loop stays serial (on Cedar the
 parallel overhead even made it *slower* than serial — auto 0.6).
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "ADM"
 ENTRY = "adm"
@@ -47,6 +47,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     m = n
     q = rng.standard_normal((m, n))
     return (n, m, np.asfortranarray(q),

@@ -6,7 +6,7 @@ Manual improvement (10.6 / 20.8) came from larger-grain restructuring —
 here, fusing the adjacent sweep loops.
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "ARC2D"
 ENTRY = "arc2d"
@@ -43,6 +43,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     u = rng.standard_normal((n, n))
     v = np.zeros((n, n))
     w = np.zeros((n, n))

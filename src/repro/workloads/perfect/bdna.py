@@ -6,7 +6,7 @@ computes per-particle work arrays and accumulates multi-statement energy
 sums.
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "BDNA"
 ENTRY = "bdna"
@@ -44,6 +44,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     x = rng.standard_normal(n)
     y = rng.standard_normal(n)
     z = rng.standard_normal(n)

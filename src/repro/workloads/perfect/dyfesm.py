@@ -6,7 +6,7 @@ index map — an **array-element reduction** (``f(ix(..)) += ...``) plus
 **array privatization** of the element workspace.
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "DYFESM"
 ENTRY = "dyfesm"
@@ -40,6 +40,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     ne = n
     nn = max(16, n // 16)  # many elements share few nodes (real meshes)
     ix = np.zeros((4, ne), dtype=np.int64, order="F")

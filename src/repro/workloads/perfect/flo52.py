@@ -10,7 +10,7 @@ b); fusing them — replicating the scalar code between — yields one big
 parallel loop (variant c).
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "FLO52"
 ENTRY = "flo52"
@@ -48,6 +48,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     q = rng.standard_normal((n, n))
     f = np.zeros((n, n))
     g = np.zeros((n, n))

@@ -7,7 +7,7 @@ needs its distance workspace privatized.  This is also the Figure 7 loop
 (privatized workspace vs globally expanded workspace).
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "MDG"
 ENTRY = "mdg"
@@ -40,6 +40,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     x = rng.standard_normal(n)
     return (n, x, np.zeros(n), 0.0), None
 

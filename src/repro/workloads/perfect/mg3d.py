@@ -7,7 +7,7 @@ manual Cedar speedup reflects the big data set exceeding one cluster's
 memory in the serial run.
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "MG3D"
 ENTRY = "mg3d"
@@ -49,6 +49,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     m = n
     nt = n
     nz = 3

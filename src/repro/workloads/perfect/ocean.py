@@ -10,7 +10,7 @@ Auto 1.4/0.7 → manual 8.9/16.7.  Two documented obstacles (§4.1.4,
   wave-amplitude loop whose recognition unlocked a 15.8× loop speedup.
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "OCEAN"
 ENTRY = "ocean"
@@ -43,6 +43,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     ni = n
     nj = n
     lda = n  # rows exactly adjacent: parallel-safe, provable only at run time

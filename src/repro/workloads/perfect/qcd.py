@@ -9,7 +9,7 @@ only the independent measurement loop parallelizes — both versions stay
 near serial, with the automatic Cedar attempt slower than serial.
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "QCD"
 ENTRY = "qcd"
@@ -49,6 +49,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     link = rng.standard_normal(n) * 0.1
     return (n, 6, 12345, link, 0.0, np.zeros(n)), None
 

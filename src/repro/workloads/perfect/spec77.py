@@ -6,7 +6,7 @@ statement group** (§4.1.3 names SPEC77 among the programs needing the
 parallel-reduction transformation) over privatizable work arrays.
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "SPEC77"
 ENTRY = "spec77"
@@ -44,6 +44,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     nlat = n
     nwave = n
     grid = rng.standard_normal((nlat, nwave))

@@ -7,7 +7,7 @@ automatic restructurer serializes the whole loop (and on Cedar the
 attempt cost made it 2.5× slower than serial).
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "TRACK"
 ENTRY = "track"
@@ -39,6 +39,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     m = 64
     obs = rng.standard_normal(n) * 10.0
     tgt = rng.standard_normal(m) * 10.0

@@ -8,7 +8,7 @@ form (and knowing it is strictly monotonic, so writes through it never
 collide) parallelizes the transformation loops.
 """
 
-import numpy as np
+from __future__ import annotations
 
 NAME = "TRFD"
 ENTRY = "trfd"
@@ -52,6 +52,8 @@ SOURCE = """
 
 
 def make_args(n: int, rng: np.random.Generator):
+    import numpy as np
+
     x = rng.standard_normal(n)
     v = rng.standard_normal(n)
     tri = n * (n + 1) // 2

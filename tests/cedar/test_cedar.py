@@ -129,6 +129,24 @@ class TestLibrary:
         assert serial / p32 < 14
         assert serial / p32 > 4
 
+    def test_parallel_ops_is_the_numpy_formula(self):
+        """Pricing uses ``math``; the catalogue is NumPy-free.  Same
+        floats as the ``np.ceil``/``np.log2`` form it replaced."""
+        def old(r, n, p):
+            if p <= 1:
+                return r.serial_ops_per_elem * n
+            if r.kind == "reduction":
+                return float(r.serial_ops_per_elem * np.ceil(n / p)
+                             + r.combine_steps * np.ceil(np.log2(p)))
+            work = {"recurrence": 2.5, "scan": 2.0}[r.kind]
+            return float(work * r.serial_ops_per_elem * n / p
+                         + np.ceil(np.log2(max(n, 2))))
+
+        for r in CEDAR_LIBRARY.values():
+            for p in (1, 2, 3, 4, 8, 32):
+                for n in range(1, 4097):
+                    assert r.parallel_ops(n, p) == old(r, n, p), (r.name, n, p)
+
     def test_linrec_matches_loop(self):
         rec = CEDAR_LIBRARY["ces_linrec"]
         b = np.array([0.5, 0.2, 0.9, 1.1])
