@@ -248,7 +248,7 @@ def memory_cycles_from_counters(counters: dict, machine: dict) -> dict:
     """Recompute the memory-side cycle categories from raw counters.
 
     Must stay in lockstep with
-    ``repro.prof.counters.memory_cycles_from_counters`` — the point of
+    ``repro.trace.ledger.memory_cycles_from_counters`` — the point of
     embedding the machine constants in the document is that this script
     can audit the reconciliation with no repro import.
     """

@@ -36,26 +36,22 @@ def unparse_cedar(node: F.Node) -> str:
 
 
 def restructure(sf: F.SourceFile, options: "RestructurerOptions | None" = None,
-                trace: Any = None,
                 ) -> tuple[F.SourceFile, "RestructureReport"]:
     """Run the Cedar restructurer on a parsed source file.
 
     Returns the transformed AST (containing Cedar Fortran nodes) and a
-    report describing what each pass did.  ``trace`` may be any object
-    with an ``emit(event)`` method (e.g. :class:`repro.trace.TraceRecorder`)
-    to observe planner/pass decisions as they happen; the complete trace
-    is also available afterwards on ``report.events``.
+    report describing what each pass did; every planner/pass decision is
+    on ``report.events`` (``report.rejections()`` filters the refusals).
     """
     from repro.restructurer.pipeline import Restructurer
 
-    return Restructurer(options, trace=trace).run(sf)
+    return Restructurer(options).run(sf)
 
 
 def restructure_source(source: str,
                        options: "RestructurerOptions | None" = None,
-                       trace: Any = None,
                        ) -> tuple[str, Any]:
     """Parse, restructure, and unparse: fortran77 text → Cedar Fortran text."""
     sf = parse_source(source)
-    cedar_ast, report = restructure(sf, options, trace=trace)
+    cedar_ast, report = restructure(sf, options)
     return unparse_cedar(cedar_ast), report

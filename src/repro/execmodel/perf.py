@@ -18,9 +18,9 @@ Every estimate also attributes its cycles into a
 :class:`repro.trace.CycleLedger` (compute / vector / startup / dispatch /
 sync / per-tier memory / prefetch / page faults).  The ledger composes
 exactly as the cycle totals do, so the category sums always equal the
-aggregate — the estimate itself is unchanged by tracing.  Construct with
-``trace=False`` to skip the bookkeeping (a shared null ledger absorbs all
-charges).
+aggregate — the estimate itself is unchanged by attribution.  Construct
+with a ``timeline`` to profile: the ledgers then also count hardware
+events, and the loop scheduler records per-CE spans into the timeline.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ from repro.machine.paging import PagingModel
 from repro.machine.scheduler import LoopScheduler
 from repro.machine.sync import SyncModel
 from repro.machine.vector import VectorUnit
-from repro.prof.counters import HwCounters, ProfLedger
-from repro.prof.timeline import TimelineRecorder
-from repro.trace.ledger import NULL_LEDGER, CycleLedger
+from repro.trace.ledger import CycleLedger
+from repro.trace.timeline import TimelineRecorder
 
 _HEAVY_OPS = {"/", "**"}
 
@@ -62,19 +61,15 @@ class PerfResult:
     profile: AccessProfile
     notes: list[str] = field(default_factory=list)
     #: per-category attribution; ``ledger.total() == total`` (within fp
-    #: rounding) when the estimator ran with ``trace=True``
+    #: rounding).  A profiled estimate's ledger carries event ``counts``.
     ledger: Optional[CycleLedger] = None
-    #: hardware-style event counters, populated when the estimator ran
-    #: with ``profile=True`` (counter×latency reconciles with the
-    #: ledger's memory categories — see :mod:`repro.prof.counters`)
-    counters: Optional[HwCounters] = None
 
     @property
     def total(self) -> float:
         return self.cycles + self.page_overhead
 
     def breakdown(self) -> dict:
-        """JSON-ready hierarchical cycle attribution (empty if untraced)."""
+        """JSON-ready hierarchical cycle attribution (empty if absent)."""
         return self.ledger.to_dict() if self.ledger is not None else {}
 
 
@@ -93,8 +88,6 @@ class PerfEstimator:
                  prefetch: bool = True,
                  placements: Mapping[str, str] | None = None,
                  serial_data_placement: str = "cluster",
-                 trace: bool = True,
-                 profile: bool = False,
                  timeline: Optional[TimelineRecorder] = None,
                  faults: Optional[FaultPlan] = None):
         self.sf = sf
@@ -118,8 +111,6 @@ class PerfEstimator:
         self.sync = SyncModel(config, faults=inj)
         self.paging = PagingModel(config)
         self.prefetch = prefetch
-        self.profile = profile or timeline is not None
-        self.trace = trace or self.profile
         self.timeline = timeline
         self.placement_override = dict(placements or {})
         self.serial_default = serial_data_placement
@@ -137,15 +128,11 @@ class PerfEstimator:
             self.declared_placement[u.name] = decl
 
     def _ledger(self) -> CycleLedger:
-        """A fresh ledger, or the shared null sink when tracing is off.
-
-        Profiling estimates get a :class:`ProfLedger`, which charges
-        cycles identically (totals stay bit-identical) while also
-        accumulating hardware counters through ``ledger.count``.
-        """
-        if self.profile:
-            return ProfLedger()
-        return CycleLedger() if self.trace else NULL_LEDGER
+        """A fresh ledger; a profiling estimate's also counts events
+        (cycles are charged identically, so totals stay bit-identical)."""
+        if self.timeline is None:
+            return CycleLedger()
+        return CycleLedger(counts={})
 
     # ------------------------------------------------------------------
 
@@ -171,10 +158,7 @@ class PerfEstimator:
             cycles, prof, led = self._body(unit.body, ctx, unit_name)
             page = self._paging_overhead(unit_name, env, prof, led)
         return PerfResult(cycles=cycles, compute_cycles=cycles,
-                          page_overhead=page, profile=prof,
-                          ledger=led if self.trace else None,
-                          counters=(led.counters
-                                    if isinstance(led, ProfLedger) else None))
+                          page_overhead=page, profile=prof, ledger=led)
 
     # ------------------------------------------------------------------
     # placement
@@ -765,8 +749,7 @@ class PerfEstimator:
     # paging
 
     def _paging_overhead(self, unit: str, env: Mapping[str, float],
-                         prof: AccessProfile,
-                         ledger: CycleLedger = NULL_LEDGER) -> float:
+                         prof: AccessProfile, ledger: CycleLedger) -> float:
         st = self.tables[unit]
         ws = {"global": 0.0, "cluster": 0.0}
         ctx = _Ctx(env=dict(env))

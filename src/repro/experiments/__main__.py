@@ -16,7 +16,9 @@ to a JSONL file for resume.
 Real-world sources: ``--source FILE.f`` ingests an on-disk Fortran 77
 file instead of a named experiment — it is lint-gated through
 ``repro.lint`` (errors reject the file) and then estimated per program
-unit, serial vs Cedar (see :mod:`repro.experiments.ingest`).
+unit, serial vs Cedar (see :mod:`repro.experiments.ingest`); ``--trace``
+applies to it, the sweep options ``--profile``, ``--journal``,
+``--keep-going`` and ``--timeout`` are refused (exit 2).
 
 Exit status (shared with ``python -m repro.lint``):
     0  all requested experiments ran / source ingested clean
@@ -72,13 +74,23 @@ def main(argv: list[str] | None = None) -> int:
 
     add_engine_args(ap)
     args = ap.parse_args(argv)
+
+    if args.source is not None:
+        # options of the experiment sweep that an ingested source has
+        # no use for: refused, never silently ignored
+        unused = [flag for flag, given in (
+            ("experiment names", args.names),
+            ("--profile", args.profile is not None),
+            ("--journal", args.journal is not None),
+            ("--keep-going", args.keep_going),
+            ("--timeout", args.timeout is not None)) if given]
+        if unused:
+            print(f"--source does not combine with {', '.join(unused)}",
+                  file=sys.stderr)
+            return 2
     jobs = configure_engine(args)
 
     if args.source is not None:
-        if args.names:
-            print("--source does not combine with experiment names",
-                  file=sys.stderr)
-            return 2
         from repro.experiments.ingest import run_source
 
         return run_source(args)

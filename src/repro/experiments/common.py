@@ -29,9 +29,10 @@ from repro.fortran import ast_nodes as F
 from repro.machine.config import MachineConfig
 from repro.restructurer.options import RestructurerOptions
 from repro.telemetry import log as telemetry_log
+from repro.trace.timeline import TimelineRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.prof.session import ProfileSession
+    from repro.trace.profile import ProfileSession
 
 #: the ProfileSession collecting estimates, when ``profiled()`` is active
 _ACTIVE_SESSION: Optional[ProfileSession] = None
@@ -41,15 +42,15 @@ _ACTIVE_SESSION: Optional[ProfileSession] = None
 def profiled(experiment: str):
     """Collect a :class:`ProfileSession` around an experiment driver.
 
-    While active, every ``serial_estimate``/``restructured_estimate``
-    call runs its estimator with profiling on (hardware counters + a
-    per-CE timeline) and registers the result with the session.  Nesting
-    is not supported — experiment drivers don't call each other.
+    While active, every estimate made through this module runs with a
+    per-CE timeline (which also makes its ledger count hardware events)
+    and lands in the session.  Nesting is not supported — experiment
+    drivers don't call each other.
     """
     global _ACTIVE_SESSION
     if _ACTIVE_SESSION is not None:
         raise RuntimeError("profiled() sessions do not nest")
-    from repro.prof.session import ProfileSession
+    from repro.trace.profile import ProfileSession
 
     session = ProfileSession(experiment)
     _ACTIVE_SESSION = session
@@ -59,28 +60,23 @@ def profiled(experiment: str):
         _ACTIVE_SESSION = None
 
 
-def _profiled_estimator_kwargs() -> dict:
-    if _ACTIVE_SESSION is None:
-        return {}
-    return {"profile": True, "timeline": _ACTIVE_SESSION.new_timeline()}
-
-
 def direct_estimate(sf: F.SourceFile, entry: str,
                     bindings: Mapping[str, float],
                     machine: MachineConfig, workload: str,
                     role: str = "parallel", **est_kwargs) -> PerfResult:
     """Estimate an already-built AST, visible to ``profiled()`` sessions.
 
-    Drivers that construct estimators directly (placement sweeps,
-    hand-built variants) route through here so their runs still land in
-    an active profile session; without one this is a plain estimate.
+    Every estimate of the experiment drivers goes through here — placement
+    sweeps and hand-built variants directly, the serial/restructured
+    helpers below by way of it — so an active profile session sees them
+    all; without one this is a plain estimate.
     """
-    prof_kwargs = _profiled_estimator_kwargs()
-    est = PerfEstimator(sf, machine, **est_kwargs, **prof_kwargs)
-    res = est.estimate(entry, bindings)
-    if _ACTIVE_SESSION is not None:
-        _ACTIVE_SESSION.add(workload, role, machine, res,
-                            prof_kwargs["timeline"])
+    session = _ACTIVE_SESSION
+    timeline = TimelineRecorder() if session is not None else None
+    res = PerfEstimator(sf, machine, timeline=timeline,
+                        **est_kwargs).estimate(entry, bindings)
+    if session is not None:
+        session.add(workload, role, machine, res, timeline)
     return res
 
 
@@ -121,14 +117,9 @@ def serial_estimate(source: str, entry: str,
     """Estimate the original serial/scalar program (data in cluster
     memory — the paper's baseline)."""
     sf = cached_parse(source)  # estimation never mutates the tree
-    prof_kwargs = _profiled_estimator_kwargs()
-    est = PerfEstimator(sf, machine, prefetch=False, placements=placements,
-                        serial_data_placement="cluster", **prof_kwargs)
-    res = est.estimate(entry, bindings)
-    if _ACTIVE_SESSION is not None:
-        _ACTIVE_SESSION.add(entry, "serial", machine, res,
-                            prof_kwargs["timeline"])
-    return res
+    return direct_estimate(sf, entry, bindings, machine, entry, "serial",
+                           prefetch=False, placements=placements,
+                           serial_data_placement="cluster")
 
 
 def restructured_estimate(source: str, entry: str,
@@ -147,13 +138,9 @@ def restructured_estimate(source: str, entry: str,
     across fault scenarios).
     """
     cedar, report = cached_restructure(source, options)
-    prof_kwargs = _profiled_estimator_kwargs()
-    est = PerfEstimator(cedar, machine, prefetch=prefetch,
-                        placements=placements, faults=faults, **prof_kwargs)
-    res = est.estimate(entry, bindings)
-    if _ACTIVE_SESSION is not None:
-        _ACTIVE_SESSION.add(entry, "parallel", machine, res,
-                            prof_kwargs["timeline"])
+    res = direct_estimate(cedar, entry, bindings, machine, entry,
+                          prefetch=prefetch, placements=placements,
+                          faults=faults)
     return res, cedar, report
 
 

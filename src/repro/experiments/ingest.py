@@ -134,6 +134,11 @@ def run_source(args) -> int:
         sys.stdout.write("\n")
     else:
         print(table.render())
+        if args.trace:
+            from repro.trace.report import TraceReport
+
+            print()
+            print(TraceReport(table.title, table.meta["trace"]).render())
         if report.warning_count:
             print()
             print(report.render())

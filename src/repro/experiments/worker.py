@@ -48,16 +48,17 @@ def run_experiment_cell(job: dict) -> dict:
         if not job["profile"]:
             return ALL_EXPERIMENTS[name](quick=quick)
         from repro.experiments.common import profiled
-        from repro.prof.export import write_chrome_trace
+        from repro.trace.profile import chrome_trace
 
         with profiled(name) as session:
             table = ALL_EXPERIMENTS[name](quick=quick)
-        write_chrome_trace(
-            session, os.path.join(job["profile"], f"{name}.trace.json"))
-        with open(os.path.join(job["profile"],
-                               f"{name}.profile.json"), "w") as fh:
-            json.dump(session.to_profile_doc(quick=quick), fh, indent=2)
-            fh.write("\n")
+        for kind, doc, indent in (
+                ("trace", chrome_trace(session), 1),
+                ("profile", session.to_profile_doc(quick=quick), 2)):
+            with open(os.path.join(job["profile"], f"{name}.{kind}.json"),
+                      "w") as fh:
+                json.dump(doc, fh, indent=indent)
+                fh.write("\n")
         return table
 
     if job["isolate"]:

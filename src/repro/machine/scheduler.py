@@ -19,7 +19,7 @@ synchronization / iteration-body / preamble+postamble cycles) whose sum
 equals ``total_time`` exactly, and can charge its overhead components
 into a :class:`repro.trace.CycleLedger`.
 
-With a :class:`repro.prof.timeline.TimelineRecorder` attached, every
+With a :class:`repro.trace.timeline.TimelineRecorder` attached, every
 priced loop additionally emits per-worker spans (preamble, dispatch,
 chunk-execute, sync, idle) whose busy durations sum to ``busy_time``
 exactly — the profiler's per-CE Gantt view.  Without one (the default),
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.machine.config import MachineConfig
-from repro.prof.timeline import CONTROL_TRACK, Span, TimelineRecorder
 from repro.trace.ledger import NULL_LEDGER, CycleLedger
+from repro.trace.timeline import CONTROL_TRACK, Span, TimelineRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.inject import FaultInjector

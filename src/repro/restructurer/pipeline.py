@@ -28,7 +28,7 @@ from repro.restructurer.globalize import PlacementResult, globalize_unit
 from repro.restructurer.inline import inline_calls
 from repro.restructurer.options import RestructurerOptions
 from repro.restructurer.planner import LoopPlanner, NestPlan
-from repro.trace.events import DecisionEvent, TeeSink, TraceRecorder
+from repro.trace.events import DecisionEvent, TraceRecorder
 
 #: The canonical, ordered list of restructurer passes: (stage label,
 #: option fields that enable it).  Stage order follows the pipeline —
@@ -132,20 +132,15 @@ class RestructureReport:
 class Restructurer:
     """Drives fortran77 → Cedar Fortran translation of a source file."""
 
-    def __init__(self, options: RestructurerOptions | None = None,
-                 trace=None):
-        """``trace`` is an optional extra sink (any object with an
-        ``emit(event)`` method) that sees every decision event live; the
-        full trace always lands on ``RestructureReport.events``."""
+    def __init__(self, options: RestructurerOptions | None = None):
         self.opt = options or RestructurerOptions()
-        self._user_sink = trace
 
     def run(self, sf: F.SourceFile) -> tuple[F.SourceFile, RestructureReport]:
         """Restructure every unit of ``sf`` (the tree is transformed in
         place and also returned, with Cedar nodes spliced in)."""
         report = RestructureReport()
-        self._recorder = TraceRecorder()
-        self._sink = TeeSink(self._recorder, self._user_sink)
+        # every decision event lands on ``report.events``
+        self._sink = TraceRecorder()
 
         effects = None
         if self.opt.interprocedural:
@@ -160,7 +155,7 @@ class Restructurer:
 
         for unit in sf.units:
             report.units[unit.name] = self._run_unit(unit, pristine, effects)
-        report.events = list(self._recorder.events)
+        report.events = self._sink.events
         return sf, report
 
     # ------------------------------------------------------------------

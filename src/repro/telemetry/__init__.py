@@ -1,7 +1,7 @@
 """repro.telemetry — host-side observability for the whole pipeline.
 
-Where :mod:`repro.trace` and :mod:`repro.prof` observe the *simulated*
-Cedar machine (cycle ledgers, hardware counters, per-CE timelines),
+Where :mod:`repro.trace` observes the *simulated* Cedar machine (cycle
+ledgers, hardware counters, per-CE timelines),
 this package observes the *host* pipeline that runs it:
 
 - :mod:`repro.telemetry.spans` — wall-clock spans around parse →

@@ -4,15 +4,15 @@ Every technique the planner or a transformation pass *tries* produces a
 :class:`DecisionEvent`: which loop (identified by index variable and
 source line), what was attempted, whether it was accepted, and — the
 part the paper's methodology leans on — *why not* when it was rejected.
-Sinks are duck-typed on a single ``emit(event)`` method;
-:class:`TraceRecorder` is the standard in-memory collector and
-:data:`NULL_SINK` the zero-overhead default.
+The restructurer collects them in a :class:`TraceRecorder` and hands the
+list over as ``RestructureReport.events``; a pass run on its own emits
+into :data:`NULL_SINK`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, runtime_checkable
+from typing import Mapping, Optional
 
 #: event actions, in roughly decreasing order of interest
 ACTIONS = ("accepted", "rejected", "failed", "applied", "declined", "noted")
@@ -38,10 +38,6 @@ class DecisionEvent:
     reason: str = ""
     predicted_cycles: Optional[float] = None
 
-    def where(self) -> str:
-        loc = f"@{self.line}" if self.line is not None else ""
-        return f"{self.unit}:{self.loop}{loc}" if self.loop else self.unit
-
     def to_dict(self) -> dict:
         d = {
             "kind": self.kind,
@@ -60,21 +56,22 @@ class DecisionEvent:
         return d
 
     def render(self) -> str:
-        cost = (f" [{self.predicted_cycles:.0f} cyc]"
-                if self.predicted_cycles is not None else "")
-        why = f": {self.reason}" if self.reason else ""
-        return f"{self.where()} {self.technique} {self.action}{cost}{why}"
+        return render_decision(self.to_dict())
 
 
-@runtime_checkable
-class TraceSink(Protocol):
-    """Anything with an ``emit(event)`` method accepts decision events."""
-
-    def emit(self, event: DecisionEvent) -> None: ...
+def render_decision(d: Mapping) -> str:
+    """One text line for a ``DecisionEvent.to_dict()``-shaped mapping."""
+    loc = f"@{d['line']}" if d.get("line") is not None else ""
+    loop = f"{d.get('loop', '')}{loc}" or "<unit>"
+    cost = (f" [{d['predicted_cycles']:.0f} cyc]"
+            if d.get("predicted_cycles") is not None else "")
+    why = f": {d['reason']}" if d.get("reason") else ""
+    return (f"{d.get('unit', '?')}:{loop} {d.get('technique', '?')} "
+            f"{d.get('action', '?')}{cost}{why}")
 
 
 class _NullSink:
-    """Drops every event (the zero-overhead default)."""
+    """Drops every event (a pass run outside the restructurer)."""
 
     def emit(self, event: DecisionEvent) -> None:
         pass
@@ -86,7 +83,7 @@ NULL_SINK = _NullSink()
 
 @dataclass
 class TraceRecorder:
-    """In-memory event collector with the common filters."""
+    """In-memory event collector."""
 
     events: list[DecisionEvent] = field(default_factory=list)
 
@@ -98,38 +95,3 @@ class TraceRecorder:
 
     def __iter__(self):
         return iter(self.events)
-
-    # -- filters -------------------------------------------------------------
-
-    def for_unit(self, unit: str) -> list[DecisionEvent]:
-        return [e for e in self.events if e.unit == unit]
-
-    def for_loop(self, loop: str,
-                 line: Optional[int] = None) -> list[DecisionEvent]:
-        return [e for e in self.events
-                if e.loop == loop and (line is None or e.line == line)]
-
-    def rejections(self) -> list[DecisionEvent]:
-        return [e for e in self.events
-                if e.action in ("rejected", "failed", "declined")]
-
-    def accepted(self) -> list[DecisionEvent]:
-        return [e for e in self.events if e.action == "accepted"]
-
-    def to_list(self) -> list[dict]:
-        return [e.to_dict() for e in self.events]
-
-
-class TeeSink:
-    """Forwards each event to several sinks (recorder + user sink)."""
-
-    def __init__(self, *sinks: TraceSink):
-        self.sinks = [s for s in sinks if s is not None and s is not NULL_SINK]
-
-    def emit(self, event: DecisionEvent) -> None:
-        for s in self.sinks:
-            s.emit(event)
-
-
-def render_events(events: Iterable[DecisionEvent]) -> str:
-    return "\n".join(e.render() for e in events)

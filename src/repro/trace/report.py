@@ -10,25 +10,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.trace.ledger import CATEGORIES, HIERARCHY
-
-
-def _breakdown_lines(breakdown: Mapping, indent: str) -> list[str]:
-    """Render a ``CycleLedger.to_dict()``-shaped mapping."""
-    total = breakdown.get("total", 0.0)
-    lines = [f"{indent}total {total:,.0f} cycles"]
-    for group, cats in breakdown.get("groups", {}).items():
-        gt = cats.get("total", 0.0)
-        if not gt:
-            continue
-        pct = f" ({100.0 * gt / total:.1f}%)" if total else ""
-        lines.append(f"{indent}  {group}: {gt:,.0f}{pct}")
-        for name, v in cats.items():
-            if name == "total" or not v:
-                continue
-            cpct = f" ({100.0 * v / total:.1f}%)" if total else ""
-            lines.append(f"{indent}    {name}: {v:,.0f}{cpct}")
-    return lines
+from repro.trace.events import render_decision
+from repro.trace.ledger import render_breakdown
 
 
 class TraceReport:
@@ -57,24 +40,11 @@ class TraceReport:
                 bd = w.get(key)
                 if bd:
                     lines.append(f"  {label}:")
-                    lines.extend(_breakdown_lines(bd, "  "))
+                    lines.extend(render_breakdown(bd, "  "))
             decisions = w.get("decisions") or []
             if decisions:
                 lines.append("  decisions:")
                 for d in decisions:
-                    lines.append("    " + _render_decision(d))
+                    lines.append("    " + render_decision(d))
             lines.append("")
         return "\n".join(lines).rstrip()
-
-
-def _render_decision(d: Mapping) -> str:
-    loc = f"@{d['line']}" if d.get("line") is not None else ""
-    loop = f"{d.get('loop', '')}{loc}" or "<unit>"
-    cost = (f" [{d['predicted_cycles']:.0f} cyc]"
-            if d.get("predicted_cycles") is not None else "")
-    why = f": {d['reason']}" if d.get("reason") else ""
-    return (f"{d.get('unit', '?')}:{loop} {d.get('technique', '?')} "
-            f"{d.get('action', '?')}{cost}{why}")
-
-
-__all__ = ["TraceReport", "CATEGORIES", "HIERARCHY"]

@@ -25,19 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: span categories, with their one-character ASCII-Gantt glyphs
-CATEGORY_GLYPHS = {
-    "startup": ">",
-    "preamble": "|",
-    "dispatch": ":",
-    "chunk": "#",
-    "sync": "~",
-    "wait": ".",
-    "idle": ".",
-    "postamble": "|",
-    "fault": "!",
-}
-
 #: track id used for loop-level (not per-worker) spans
 CONTROL_TRACK = -1
 
@@ -114,8 +101,8 @@ class LoopRecord:
             return 0.0
         return 1.0 - (sum(per) / len(per)) / top
 
-    def to_dict(self, with_spans: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "label": self.label,
             "level": self.level,
             "order": self.order,
@@ -127,10 +114,16 @@ class LoopRecord:
             "utilization": self.utilization(),
             "imbalance": self.imbalance(),
             "n_spans": len(self.spans),
+            "spans": [s.to_dict() for s in self.spans],
         }
-        if with_spans:
-            d["spans"] = [s.to_dict() for s in self.spans]
-        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LoopRecord":
+        """Inverse of :meth:`to_dict` (the derived fields are recomputed)."""
+        return cls(label=d["label"], level=d["level"], order=d["order"],
+                   workers=d["workers"], base=d["base"],
+                   total=d["total_time"], busy=d["busy_time"],
+                   spans=[Span(**s) for s in d["spans"]])
 
 
 class TimelineRecorder:
@@ -165,6 +158,3 @@ class TimelineRecorder:
 
     def total_time(self) -> float:
         return self.cursor
-
-    def to_list(self, with_spans: bool = False) -> list[dict]:
-        return [r.to_dict(with_spans=with_spans) for r in self.loops]

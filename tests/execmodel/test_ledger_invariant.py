@@ -3,15 +3,12 @@
 For every Table 1 routine (and a couple of Perfect proxies), the sum of
 the :class:`CycleLedger` categories must equal the estimator's aggregate
 cycle count to within 1e-6 relative — on both the serial original and the
-restructured parallel program.  Running with ``trace=False`` must produce
-the identical total with no ledger at all.
+restructured parallel program.
 """
 
 import pytest
 
-from repro.execmodel.perf import PerfEstimator
 from repro.experiments.common import restructured_estimate, serial_estimate
-from repro.fortran.parser import parse_program
 from repro.machine.config import cedar_config1
 from repro.restructurer.options import RestructurerOptions
 from repro.workloads.linalg import LINALG_ROUTINES
@@ -54,20 +51,6 @@ def test_ledger_matches_total_perfect_proxies(name):
         cedar_config1(), RestructurerOptions.manual())
     assert res.ledger is not None
     assert _rel_err(res.ledger.total(), res.total) <= REL_TOL
-
-
-def test_untraced_total_identical_and_ledger_absent():
-    r = LINALG_ROUTINES["cg"]
-    sf = parse_program(r.source)
-    traced = PerfEstimator(sf, cedar_config1(), prefetch=False,
-                           serial_data_placement="cluster")
-    untraced = PerfEstimator(parse_program(r.source), cedar_config1(),
-                             prefetch=False,
-                             serial_data_placement="cluster", trace=False)
-    a = traced.estimate(r.entry, r.bindings(SIZE))
-    b = untraced.estimate(r.entry, r.bindings(SIZE))
-    assert b.total == a.total  # bit-identical: tracing never perturbs math
-    assert a.ledger is not None and b.ledger is None
 
 
 def test_breakdown_helper_shape():

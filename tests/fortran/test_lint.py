@@ -271,6 +271,33 @@ def test_ingest_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--profile", "prof"), ("--journal", "journal.jsonl"),
+    ("--keep-going", None), ("--timeout", "5")])
+def test_ingest_refuses_sweep_options(flag, value, tmp_path, capsys):
+    """``--source`` runs no sweep: the sweep's options are refused with
+    exit 2 instead of being silently ignored, and nothing is written."""
+    argv = ["--source", "examples/sample.f", "--quick", flag]
+    if value is not None:
+        argv.append(value if flag == "--timeout" else str(tmp_path / value))
+    assert experiments_main(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ingest_trace_appends_the_trace_report(capsys):
+    assert experiments_main(["--source", "examples/sample.f",
+                             "--quick"]) == 0
+    plain = capsys.readouterr().out
+    assert experiments_main(["--source", "examples/sample.f", "--quick",
+                             "--trace"]) == 0
+    traced = capsys.readouterr().out
+    assert traced.startswith(plain + "\n")
+    assert "cycle attribution" in traced and "cycle attribution" not in plain
+    assert "decisions:" in traced
+
+
 def test_ingest_json_is_experiment_shaped(capsys):
     assert experiments_main(["--source", "examples/sample.f",
                              "--quick", "--json"]) == 0

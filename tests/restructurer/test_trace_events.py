@@ -7,10 +7,8 @@ did, and the report summary must disambiguate same-named loops by source
 line.
 """
 
-from repro.api import restructure, restructure_source
-from repro.fortran.parser import parse_program
+from repro.api import restructure_source
 from repro.restructurer.options import RestructurerOptions
-from repro.trace import TraceRecorder
 
 RECURRENCE = """      subroutine rec(a, b, n)
       integer n
@@ -155,13 +153,6 @@ class TestReportPlumbing:
         text = report.summary()
         assert "do i @ line 4" in text
         assert "do i @ line 7" in text
-
-    def test_user_sink_sees_live_events(self):
-        rec = TraceRecorder()
-        sf = parse_program(RECURRENCE)
-        _, report = restructure(sf, trace=rec)
-        assert len(rec) == len(report.events) > 0
-        assert rec.events == report.events
 
     def test_events_for_unit_filter(self):
         report = _events(CALLS, RestructurerOptions.manual())

@@ -59,7 +59,7 @@ EXECUTE_PATH = ("numpy", "repro.cedar.kernels", "repro.execmodel.interp",
                 "repro.validate", "repro.faults.sweep")
 #: loaded by a flag, and only by it
 JOBS = ("multiprocessing", "concurrent.futures")
-PROFILE = ("repro.prof.session", "repro.prof.export", "repro.prof.report")
+PROFILE = ("repro.trace.profile",)
 TELEMETRY = ("repro.telemetry.export", "repro.telemetry.report")
 #: what a compile-path command given none of those flags leaves unloaded
 UNASKED = EXECUTE_PATH + JOBS + PROFILE + TELEMETRY

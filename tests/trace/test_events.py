@@ -1,13 +1,6 @@
-"""Unit tests for decision events, sinks, and the trace report renderer."""
+"""Unit tests for decision events, the recorder, and the trace report."""
 
-from repro.trace import (
-    NULL_SINK,
-    DecisionEvent,
-    TeeSink,
-    TraceRecorder,
-    TraceReport,
-)
-from repro.trace.events import render_events
+from repro.trace import NULL_SINK, DecisionEvent, TraceRecorder, TraceReport
 
 
 def _ev(**kw):
@@ -18,10 +11,10 @@ def _ev(**kw):
 
 
 class TestDecisionEvent:
-    def test_where_includes_line(self):
-        assert _ev().where() == "foo:do i@12"
-        assert _ev(line=None).where() == "foo:do i"
-        assert _ev(loop="", line=None).where() == "foo"
+    def test_location_includes_line(self):
+        assert _ev().render().startswith("foo:do i@12 ")
+        assert _ev(line=None).render().startswith("foo:do i ")
+        assert _ev(loop="", line=None).render().startswith("foo:<unit> ")
 
     def test_to_dict_omits_empty_fields(self):
         d = _ev(reason="", predicted_cycles=None).to_dict()
@@ -46,32 +39,17 @@ class TestDecisionEvent:
 
 
 class TestSinks:
-    def test_recorder_collects_and_filters(self):
+    def test_recorder_collects_in_order(self):
         rec = TraceRecorder()
-        rec.emit(_ev())
-        rec.emit(_ev(action="rejected", technique="cdoacross"))
-        rec.emit(_ev(unit="bar", loop="do j", line=3, action="declined"))
+        events = [_ev(), _ev(action="rejected", technique="cdoacross"),
+                  _ev(unit="bar", loop="do j", line=3, action="declined")]
+        for e in events:
+            rec.emit(e)
         assert len(rec) == 3
-        assert len(rec.for_unit("foo")) == 2
-        assert len(rec.for_loop("do i", 12)) == 2
-        assert [e.action for e in rec.rejections()] \
-            == ["rejected", "declined"]
-        assert len(rec.accepted()) == 1
-        assert all(isinstance(d, dict) for d in rec.to_list())
+        assert list(rec) == rec.events == events
 
     def test_null_sink_noop(self):
         NULL_SINK.emit(_ev())  # must not raise or store anything
-
-    def test_tee_forwards_and_drops_nulls(self):
-        a, b = TraceRecorder(), TraceRecorder()
-        tee = TeeSink(a, None, NULL_SINK, b)
-        assert len(tee.sinks) == 2
-        tee.emit(_ev())
-        assert len(a) == 1 and len(b) == 1
-
-    def test_render_events_one_line_each(self):
-        text = render_events([_ev(), _ev(action="rejected")])
-        assert len(text.splitlines()) == 2
 
 
 class TestTraceReport:
@@ -94,6 +72,18 @@ class TestTraceReport:
         assert "speedup 6.50" in text
         assert "mem_cluster" in text and "startup" in text
         assert "carried dep" in text
+
+    def test_one_renderer_per_record(self):
+        """The report, the ledger and the event render alike."""
+        from repro.trace import CycleLedger
+
+        led = CycleLedger(compute=90.0, mem_cluster=10.0)
+        ev = _ev(action="rejected", reason="carried dep")
+        text = TraceReport("T", {"w": {
+            "serial_breakdown": led.to_dict(),
+            "decisions": [ev.to_dict()]}}).render()
+        assert led.render("  ") in text
+        assert "    " + ev.render() in text.splitlines()
 
     def test_empty_workload_entry_is_tolerated(self):
         text = TraceReport("T", {"empty": {}}).render()

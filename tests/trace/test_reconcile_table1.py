@@ -13,8 +13,7 @@ import pytest
 
 from repro.experiments import table1
 from repro.experiments.common import profiled
-from repro.prof.counters import reconcile
-from repro.prof.session import _ConstView
+from repro.trace.ledger import reconcile
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +39,7 @@ class TestTable1Reconciliation:
     def test_counters_reconcile_with_ledger(self, profiled_table1):
         _, session = profiled_table1
         for run in session.runs:
-            # reconcile() wants ledger-like / config-like attribute
-            # access; the stored dicts serve via _ConstView
-            cfg = _ConstView(run.machine)
-            ledger = _ConstView(run.memory_ledger)
-            report = reconcile(run.counters, ledger, cfg)
+            report = reconcile(run.ledger, run.cfg)
             bad = {k: v for k, v in report.items() if not v["ok"]}
             assert not bad, (run.workload, run.role, bad)
 
@@ -77,5 +72,5 @@ class TestTable1Reconciliation:
         _, session = profiled_table1
         for run in session.runs:
             if run.role == "parallel" and len(run.timeline):
-                assert run.counters.loop_startups > 0
-                assert run.counters.chunks_dispatched > 0
+                assert run.ledger.counts["loop_startups"] > 0
+                assert run.ledger.counts["chunks_dispatched"] > 0

@@ -20,7 +20,7 @@ from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.machine.config import cedar_config1, cedar_config2
 from repro.machine.scheduler import LoopScheduler
-from repro.prof.timeline import TimelineRecorder
+from repro.trace.timeline import TimelineRecorder
 from repro.trace.ledger import CycleLedger
 
 REL = 1e-9

@@ -9,7 +9,7 @@ import pytest
 
 from repro.machine.config import cedar_config1, cedar_config2
 from repro.machine.scheduler import LoopScheduler
-from repro.prof.timeline import CONTROL_TRACK, TimelineRecorder
+from repro.trace.timeline import CONTROL_TRACK, TimelineRecorder
 
 
 def record_one(fn):
