@@ -229,6 +229,8 @@ def _serial_loops_explained(decisions: list, path: str,
 
 
 def check_experiment(payload: dict, path: str, out: list[str]) -> None:
+    if not payload["experiments"] and not payload.get("faults"):
+        out.append(f"{path}.experiments: empty, and no fault says why")
     for name, table in payload["experiments"].items():
         tpath = f"{path}.experiments.{name}"
         columns = set(table["columns"])

@@ -41,11 +41,10 @@ from repro.engine.cache import (
 # the fan-out is for the sweeps; a library or server-cell caller of the
 # cache does not load it
 __getattr__, __dir__ = lazy_exports(
-    globals(), {"repro.engine.parallel": ("WorkerCrash", "parallel_map")})
+    globals(), {"repro.engine.parallel": ("parallel_map",)})
 
 __all__ = [
     "CompilationCache",
-    "WorkerCrash",
     "cache_stats",
     "cached_parse",
     "cached_restructure",

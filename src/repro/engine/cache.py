@@ -108,8 +108,8 @@ class CompilationCache:
     def __init__(self, cache_dir: str | os.PathLike | None = None,
                  registry: MetricsRegistry | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        # least recently used first; handler threads of a degraded
-        # (pool:serial) server share the process-wide instance
+        # least recently used first; locked, so the threads of a
+        # library caller can share the process-wide instance
         self._mem: OrderedDict[str, object] = OrderedDict()
         self._mem_lock = threading.Lock()
         #: optional observer of disk-store failures (not plain misses):

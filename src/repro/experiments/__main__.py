@@ -7,18 +7,19 @@ each table; ``--profile DIR`` additionally profiles every estimate and
 writes, per experiment, a Perfetto-loadable ``<name>.trace.json`` and a
 ``repro-profile/1`` ``<name>.profile.json`` into DIR.
 
-Resilience (repro.faults): ``--timeout SEC`` puts a wall-clock watchdog
-around each experiment; ``--keep-going`` isolates crashes so one broken
-experiment doesn't kill the run (failed experiments are reported as
-structured faults); ``--journal FILE`` checkpoints completed experiments
+Resilience (repro.faults): every experiment runs crash-isolated, so one
+broken experiment doesn't kill the run — it is reported as a structured
+fault (``faults`` in the JSON payload), the others are still printed,
+and the run exits 3; ``--timeout SEC`` puts a wall-clock watchdog around
+each experiment; ``--journal FILE`` checkpoints completed experiments
 to a JSONL file for resume.
 
 Real-world sources: ``--source FILE.f`` ingests an on-disk Fortran 77
 file instead of a named experiment — it is lint-gated through
 ``repro.lint`` (errors reject the file) and then estimated per program
 unit, serial vs Cedar (see :mod:`repro.experiments.ingest`); ``--trace``
-applies to it, the sweep options ``--profile``, ``--journal``,
-``--keep-going`` and ``--timeout`` are refused (exit 2).
+applies to it, the sweep options ``--profile``, ``--journal`` and
+``--timeout`` are refused (exit 2).
 
 Exit status (shared with ``python -m repro.lint``):
     0  all requested experiments ran / source ingested clean
@@ -57,9 +58,6 @@ def main(argv: list[str] | None = None) -> int:
                          "trace.json (Perfetto) + profile.json into DIR")
     ap.add_argument("--timeout", type=float, default=None, metavar="SEC",
                     help="wall-clock budget per experiment (watchdog)")
-    ap.add_argument("--keep-going", action="store_true",
-                    help="isolate crashes: report a failed experiment as "
-                         "a structured fault and continue with the rest")
     ap.add_argument("--journal", metavar="FILE", default=None,
                     help="JSONL checkpoint of completed experiments; "
                          "rerun with the same file to resume (implies "
@@ -82,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
             ("experiment names", args.names),
             ("--profile", args.profile is not None),
             ("--journal", args.journal is not None),
-            ("--keep-going", args.keep_going),
             ("--timeout", args.timeout is not None)) if given]
         if unused:
             print(f"--source does not combine with {', '.join(unused)}",
@@ -104,9 +101,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile:
         os.makedirs(args.profile, exist_ok=True)
 
-    from repro.engine.parallel import WorkerCrash, parallel_map
+    from repro.engine.parallel import parallel_map
     from repro.experiments.worker import run_experiment_cell
-    from repro.faults.harness import SweepJournal
+    from repro.faults.harness import FaultReport, SweepJournal
 
     journal = SweepJournal(args.journal)
     fault_reports: list[dict] = []
@@ -122,30 +119,21 @@ def main(argv: list[str] | None = None) -> int:
         jobs_list.append({
             "name": name, "quick": args.quick, "trace": args.trace,
             "profile": args.profile, "timeout": args.timeout,
-            # a parallel run always isolates: a crashing worker must
-            # surface as a structured fault, not a broken pool
-            "isolate": args.keep_going or bool(args.timeout) or jobs > 1,
         })
 
-    hard_fault = False
     from repro.telemetry.log import get_logger
 
     log = get_logger("experiments")
 
     def merge(i: int, res) -> None:
-        nonlocal hard_fault
         name = jobs_list[i]["name"]
-        fd = res.to_fault_dict() if isinstance(res, WorkerCrash) \
-            else res["fault"]
-        if fd is not None:
+        if isinstance(res, FaultReport):
+            fd = res.to_dict()
             fault_reports.append(fd)
-            cont = " -- continuing" if args.keep_going else ""
-            print(f"{name}: FAULT ({fd['kind']}) {fd['message']}{cont}",
+            print(f"{name}: FAULT ({fd['kind']}) {fd['message']}",
                   file=sys.stderr)
             log.warning("experiment_fault", name=name, kind=fd["kind"],
                         message=fd["message"])
-            if not args.keep_going:
-                hard_fault = True
             return
         texts[name] = res["text"]
         table_dicts[name] = res["table_dict"]
@@ -158,8 +146,6 @@ def main(argv: list[str] | None = None) -> int:
     from repro.experiments.common import finalize_telemetry
 
     finalize_telemetry("repro.experiments")
-    if hard_fault:
-        return 3
 
     if args.as_json:
         payload = {

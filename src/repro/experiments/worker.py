@@ -1,9 +1,10 @@
 """Picklable per-experiment cell for the parallel experiments driver.
 
-One cell = one experiment (table/figure), optionally profiled and
-crash-isolated, returning everything the parent needs to merge output
-deterministically: the JSON table dict, the pre-rendered text table, and
-the optional trace rendering — worker processes must not print.
+One cell = one experiment (table/figure), optionally profiled, run
+under the ``--timeout`` watchdog (the executor isolates it), returning
+everything the parent needs to merge output deterministically: the JSON
+table dict, the pre-rendered text table, and the optional trace
+rendering — worker processes must not print.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ def run_experiment_cell(job: dict) -> dict:
     """Run one experiment; returns a JSON-shaped merge record.
 
     ``job`` keys: name, quick, trace (bool), profile (dir or None),
-    timeout, isolate (bool).  Returns ``{"name", "table_dict", "text",
-    "fault"}`` — ``fault`` set (and the others None) when the isolated
-    run crashed or timed out.
+    timeout.  Returns ``{"name", "table_dict", "text"}``; a crash or
+    timeout raises, and :func:`repro.engine.parallel.parallel_map`
+    reports it as the cell's fault.
     """
     name = job["name"]
     quick = job["quick"]
@@ -61,15 +62,11 @@ def run_experiment_cell(job: dict) -> dict:
                 fh.write("\n")
         return table
 
-    if job["isolate"]:
-        from repro.faults.harness import run_isolated
+    from repro.faults.harness import watchdog
 
-        table, fault = run_isolated(run_one, label=f"experiment {name}",
-                                    timeout=job["timeout"])
-        if fault is not None:
-            return {"name": name, "table_dict": None, "text": None,
-                    "fault": fault.to_dict()}
-    else:
+    # a raise (the watchdog's timeout included) is isolated by the
+    # executor, which reports it in this cell's slot
+    with watchdog(job["timeout"], f"experiment {name}"):
         table = run_one()
 
     text = table.render()
@@ -78,5 +75,4 @@ def run_experiment_cell(job: dict) -> dict:
 
         text += "\n\n" + TraceReport(table.title,
                                      table.meta["trace"]).render()
-    return {"name": name, "table_dict": table.to_dict(), "text": text,
-            "fault": None}
+    return {"name": name, "table_dict": table.to_dict(), "text": text}

@@ -163,7 +163,7 @@ def watchdog(seconds: Optional[float],
     — a ``threading.Timer`` async-exception fallback fires at the next
     bytecode boundary, so the guard is armed in every calling context.
     ``seconds=None`` or ``<= 0`` disables the guard.  Nested watchdogs
-    restore the outer alarm on exit.
+    restore the outer alarm on exit, less the time the inner block ran.
     """
     if not seconds or seconds <= 0:
         yield
@@ -186,6 +186,7 @@ def watchdog(seconds: Optional[float],
     try:
         prev_handler = signal.signal(signal.SIGALRM, _fire)
         prev_delay = signal.getitimer(signal.ITIMER_REAL)[0]
+        t0 = time.monotonic()
     except ValueError:          # raced a main-thread check: fall back
         if _HAS_ASYNC_EXC:
             with _timer_watchdog(seconds, deadline):
@@ -199,8 +200,14 @@ def watchdog(seconds: Optional[float],
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, prev_handler)
-        if prev_delay > 0.0:    # re-arm an enclosing watchdog
-            signal.setitimer(signal.ITIMER_REAL, prev_delay)
+        if prev_delay > 0.0:
+            # re-arm an enclosing watchdog with what this block left of
+            # it; a budget this block used up fires now
+            left = prev_delay - (time.monotonic() - t0)
+            if left > 0.0 or not callable(prev_handler):
+                signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6))
+            else:
+                prev_handler(signal.SIGALRM, None)
 
 
 def run_isolated(fn: Callable[[], Any], label: str,
@@ -220,13 +227,14 @@ def run_isolated(fn: Callable[[], Any], label: str,
     except _NEVER_ISOLATE:
         raise
     except BaseException as exc:  # noqa: BLE001 — isolation is the point
-        report = FaultReport.from_exception(
-            label, exc, elapsed_s=time.monotonic() - t0)
-        _LOG.warning("isolated_fault", label=label, kind=report.kind,
-                     error_type=report.error_type,
-                     message=report.message,
-                     elapsed_s=report.elapsed_s)
-        return None, report
+        elapsed = time.monotonic() - t0
+        # logged before the report is made, so the report's flight
+        # recorder tail holds the failure itself
+        _LOG.warning("isolated_fault", label=label,
+                     error_type=type(exc).__name__, message=str(exc),
+                     elapsed_s=elapsed)
+        return None, FaultReport.from_exception(label, exc,
+                                                elapsed_s=elapsed)
 
 
 class SweepJournal:

@@ -329,7 +329,7 @@ def run_sweep(workloads: Sequence[str] | None = None,
     if unknown:
         raise ReproError(f"unknown workload(s): {', '.join(unknown)}")
 
-    from repro.engine.parallel import WorkerCrash, parallel_map
+    from repro.engine.parallel import parallel_map
     from repro.faults.worker import run_fault_workload
 
     jobs_list = []
@@ -352,15 +352,9 @@ def run_sweep(workloads: Sequence[str] | None = None,
 
     def merge(i: int, res) -> None:
         wname = jobs_list[i]["workload"]
-        if isinstance(res, WorkerCrash):
-            faults.append(res.to_fault_dict())
-            say(f"[{wname}] FAULT (internal) {res.message}")
-            log.warning("workload_crash", workload=wname,
-                        message=res.message.splitlines()[0]
-                        if res.message else "")
-            return
-        if res["baseline_fault"] is not None:
-            fd = res["baseline_fault"]
+        fd = res.to_dict() if isinstance(res, FaultReport) \
+            else res["baseline_fault"]
+        if fd is not None:
             faults.append(fd)
             say(f"[{wname}] FAULT ({fd['kind']}) {fd['message']}")
             log.warning("baseline_fault", workload=wname,

@@ -8,13 +8,14 @@ config and returns restructured-program estimates and lint reports,
 with **resilience as the headline**:
 
 - :mod:`repro.server.supervisor` — a supervised worker-process pool
-  (crash detection, automatic respawn, per-request hard deadlines);
+  (crash detection, automatic respawn, per-request hard deadlines) —
+  every request runs in it, one per worker, none in the server process;
 - :mod:`repro.server.retry` — seeded-deterministic exponential backoff
   with jitter and a per-request retry budget; worker crashes and
   timeouts retry, malformed input is terminal;
-- :mod:`repro.server.breaker` — circuit breakers over the on-disk cache
-  store and the worker pool, tripping to degraded in-memory / serial
-  in-process modes instead of failing;
+- :mod:`repro.server.breaker` — the circuit breaker over the on-disk
+  cache store and journal, tripping to degraded memory-only operation
+  instead of failing;
 - :mod:`repro.server.queue` — bounded admission with deadline-aware
   load shedding (a distinct ``shed`` status, never a deadlock);
 - :mod:`repro.server.service` — the orchestration: request envelopes
@@ -35,12 +36,11 @@ from repro.server.breaker import CircuitBreaker
 from repro.server.queue import AdmissionQueue, ShedRequest
 from repro.server.retry import RetryPolicy
 from repro.server.service import SERVER_SCHEMA, RestructurerService
-from repro.server.supervisor import PoolCrashError, WorkerSupervisor
+from repro.server.supervisor import WorkerSupervisor
 
 __all__ = [
     "AdmissionQueue",
     "CircuitBreaker",
-    "PoolCrashError",
     "RestructurerService",
     "RetryPolicy",
     "SERVER_SCHEMA",

@@ -8,7 +8,8 @@ bodies carry fault-injection directives (tests only — never enable it
 on a server exposed to untrusted callers).
 
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: admission stops
-(``/readyz`` flips to 503), in-flight requests finish (bounded), the
+(``/readyz`` flips to 503, new requests are shed with reason
+``draining``), in-flight requests finish (bounded), the
 pool shuts down, telemetry finalizes, and the process exits 0.
 """
 
@@ -32,7 +33,7 @@ def main(argv=None) -> int:
         prog="python -m repro.server",
         description="serve the restructurer over JSON/HTTP "
                     "(fault-tolerant: supervised workers, retries, "
-                    "circuit breakers, load shedding)")
+                    "a store circuit breaker, load shedding)")
     ap.add_argument("--host", default="127.0.0.1",
                     help="bind address (default 127.0.0.1)")
     ap.add_argument("--port", type=int, default=8757,

@@ -1,16 +1,15 @@
 """Circuit breaker: stop hammering a failing dependency, probe later.
 
-The server has two dependencies that can go bad independently of any
-single request: the on-disk cache store (disk full, permissions yanked,
-filesystem remounted read-only) and the worker pool (a crash loop —
-e.g. an OOM killer repeatedly taking workers down).  Retrying *through*
-a dead dependency turns one failure into a pileup; the breaker converts
-"failing repeatedly" into "degraded deliberately":
+The server's store — the on-disk cache store and the journal — can go
+bad independently of any single request (disk full, permissions yanked,
+filesystem remounted read-only).  Retrying *through* a dead dependency
+turns one failure into a pileup; the breaker converts "failing
+repeatedly" into "degraded deliberately":
 
 - **closed** — healthy; calls flow, failures are counted;
 - **open** — ``failure_threshold`` consecutive failures seen; calls are
-  refused (the caller takes its degraded path: in-memory cache, serial
-  in-process execution) until ``reset_after_s`` has passed;
+  refused (the caller takes its degraded path: memory-only cache, no
+  journaling) until ``reset_after_s`` has passed;
 - **half-open** — cool-down elapsed; exactly one probe call is allowed
   through.  Success closes the breaker, failure re-opens it and the
   cool-down restarts.

@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.faults.harness import run_isolated
 from repro.telemetry.log import get_logger
-from repro.server.service import SERVER_SCHEMA, RestructurerService
+from repro.server.service import RestructurerService
 
 _LOG = get_logger("server.http")
 
@@ -108,26 +109,13 @@ def _make_handler(service: RestructurerService):
                     self.rfile.read(length).decode("utf-8", "replace"))
             except (json.JSONDecodeError, ValueError):
                 request = None      # -> classified invalid-input
-            try:
-                envelope = service.handle(endpoint, request)
-            except Exception as exc:  # noqa: BLE001 - last-ditch guard
-                # the service classifies everything; this is belt and
-                # braces so a bug still yields an envelope, not a bare
-                # 500 traceback
-                _LOG.error("handler_internal", endpoint=endpoint,
-                           error_type=type(exc).__name__,
-                           message=str(exc))
-                envelope = {
-                    "schema": SERVER_SCHEMA, "request_id": "req-unknown",
-                    "endpoint": endpoint, "status": "error",
-                    "attempts": 1, "retries": 0, "degraded": [],
-                    "reason": f"{type(exc).__name__}: {exc}",
-                    "elapsed_s": 0.0, "result": None,
-                    "fault": {"label": endpoint, "kind": "internal",
-                              "error_type": type(exc).__name__,
-                              "message": str(exc), "elapsed_s": 0.0,
-                              "traceback": "", "detail": {}},
-                }
+            # the service classifies everything; isolating it too is
+            # belt and braces, so a bug still yields an envelope, not a
+            # bare 500 traceback
+            envelope, fault = run_isolated(
+                lambda: service.handle(endpoint, request), endpoint)
+            if fault is not None:
+                envelope = service.failed(endpoint, fault)
             self._send_envelope(envelope)
 
     return Handler

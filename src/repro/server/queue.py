@@ -50,6 +50,7 @@ class AdmissionQueue:
         self._slots_free = threading.Condition(self._lock)
         self._in_flight = 0
         self._waiting = 0
+        self._closed = False
         self._depth_gauge = None
         self._shed_total = None
         if registry is not None:
@@ -81,7 +82,13 @@ class AdmissionQueue:
             budget = min(budget, deadline_s)
         give_up = self._clock() + budget
         with self._lock:
-            while self._in_flight >= self.capacity:
+            while True:
+                # checked under the lock, on every wake-up: once drain()
+                # has begun, nothing more is admitted
+                if self._closed:
+                    self._shed("draining", "the service is draining")
+                if self._in_flight < self.capacity:
+                    break
                 remaining = give_up - self._clock()
                 if remaining <= 0:
                     reason = "deadline" if deadline_s is not None \
@@ -107,10 +114,13 @@ class AdmissionQueue:
             self._slots_free.notify()
 
     def drain(self, timeout_s: float = 10.0) -> bool:
-        """Wait (bounded) for all in-flight work to finish; True when
-        fully drained."""
+        """Stop admitting — waiting and later callers are shed with
+        reason ``draining`` — and wait (bounded) for all in-flight work
+        to finish; True when fully drained."""
         give_up = self._clock() + timeout_s
         with self._lock:
+            self._closed = True
+            self._slots_free.notify_all()
             while self._in_flight > 0:
                 remaining = give_up - self._clock()
                 if remaining <= 0:

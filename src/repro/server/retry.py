@@ -4,9 +4,10 @@ A request that failed on a *transient* fault — its worker crashed, its
 watchdog fired, an unexpected internal error — is worth retrying; a
 request that failed because the *input* is malformed will fail the same
 way every time and must not burn pool capacity on retries.  The
-classification reuses the fault taxonomy the harness already stamps on
-every failure (:class:`repro.faults.harness.FaultReport` ``kind`` and
-:class:`repro.engine.parallel.WorkerCrash`):
+classification reuses the fault taxonomy the harness stamps on every
+failure — the ``kind`` of a :class:`repro.faults.harness.FaultReport`,
+whether the worker reported it or the supervisor made it for a lost
+worker:
 
 =============  ==========================================  =========
 kind           meaning                                     retryable

@@ -1,16 +1,17 @@
 """The restructurer service: classified outcomes, always.
 
 :class:`RestructurerService` composes the resilience pieces — admission
-queue, supervised pool, retry policy, circuit breakers, journal — into
-one contract: **every accepted request terminates with a classified
-outcome**.  The response envelope (``repro-server/1``) carries exactly
-one of five statuses:
+queue, supervised pool, retry policy, store circuit breaker, journal —
+into one contract: **every accepted request terminates with a
+classified outcome**.  The response envelope (``repro-server/1``)
+carries exactly one of five statuses:
 
 ==================  =====================================================
 ``ok``              full-fidelity result
 ``degraded``        correct result from a degraded path (fault scenario
-                    active, serial fallback, memory-only cache)
-``shed``            refused under load / past deadline — retry later
+                    active, memory-only cache)
+``shed``            refused under load / past deadline / while
+                    draining — retry later
 ``invalid-input``   the request can never succeed; do not retry
 ``error``           transient faults exhausted the retry budget
 ==================  =====================================================
@@ -28,10 +29,11 @@ in flight when it died as ``lost-on-restart`` in ``/healthz`` instead
 of silently forgetting them.
 
 Degradation ladder: the *store* breaker (journal + on-disk cache
-store) trips to memory-only operation; the *pool* breaker (worker
-crashes, supervisor deadlines) trips to serial in-process execution
-guarded by the thread-fallback watchdog.  Both degrade the service —
-neither stops it.
+store) trips to memory-only operation — it degrades the service, never
+stops it.  There is no such rung for the pool: every attempt runs in a
+supervised worker, a crashed or wedged one is killed and respawned, and
+a pool that keeps failing spends the retry budget into a classified
+``error`` — the service never runs request work in its own process.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from collections import OrderedDict
 from typing import Optional
 
 from repro.engine.cache import content_key, get_cache
-from repro.faults.harness import SweepJournal
+from repro.faults.harness import FaultReport, SweepJournal
 from repro.telemetry.log import get_logger
 from repro.server.breaker import OPEN, CircuitBreaker
 from repro.server.queue import AdmissionQueue, ShedRequest
@@ -159,8 +161,6 @@ class RestructurerService:
                                            registry=self.registry)
         self.store_breaker = CircuitBreaker(
             "store", failure_threshold=3, registry=self.registry)
-        self.pool_breaker = CircuitBreaker(
-            "pool", failure_threshold=3, registry=self.registry)
         self.journal = SweepJournal(journal_path)
         self.draining = False
         self._id_lock = threading.Lock()
@@ -262,7 +262,6 @@ class RestructurerService:
             "quick": bool(request.get("quick")),
             "fault_scenario": request.get("fault_scenario") or None,
             "timeout_s": timeout_s,
-            "server_pid": os.getpid(),
             "attempt": 1,
         }
         if self.chaos and isinstance(request.get("chaos"), dict):
@@ -290,29 +289,15 @@ class RestructurerService:
 
     # -- execution ---------------------------------------------------------
 
-    def _run_attempt(self, req: dict, degraded: list) -> dict:
-        """One attempt, through the pool or the serial fallback."""
-        label = f"{req['endpoint']}:{req['request_id']}"
-        if self.pool_breaker.allow():
-            result, fault = self.supervisor.submit(
-                run_request_cell, req, label,
-                timeout_s=req["timeout_s"] + _SUPERVISOR_SLACK_S)
-            if fault is not None:
-                # a pool-level loss (crash / wedged worker), distinct
-                # from a workload fault the worker reported itself
-                self.pool_breaker.record_failure()
-                return {"outcome": "fault", "fault": fault}
-            self.pool_breaker.record_success()
-            return result
-        # pool breaker open: serial in-process, thread-watchdog guarded
-        degraded.append("pool:serial")
-        try:
-            return run_request_cell(req)
-        except Exception as exc:  # noqa: BLE001 — classify, don't 500
-            return {"outcome": "fault", "fault": {
-                "label": label, "kind": "internal",
-                "error_type": type(exc).__name__, "message": str(exc),
-                "elapsed_s": 0.0, "traceback": "", "detail": {}}}
+    def _run_attempt(self, req: dict) -> dict:
+        """One attempt in a supervised worker; a lost worker comes back
+        as a fault outcome like one the worker reported itself."""
+        result, fault = self.supervisor.submit(
+            run_request_cell, req, f"{req['endpoint']}:{req['request_id']}",
+            timeout_s=req["timeout_s"] + _SUPERVISOR_SLACK_S)
+        if fault is not None:
+            return {"outcome": "fault", "fault": fault.to_dict()}
+        return result
 
     def _dedup_key(self, endpoint: str, request: dict) -> Optional[str]:
         """Result-table key of one shareable request, or None.
@@ -337,15 +322,29 @@ class RestructurerService:
         return self._envelope(self._next_id(), endpoint, "invalid-input",
                               reason=reason, t0=time.monotonic())
 
+    def failed(self, endpoint: str, fault: FaultReport) -> dict:
+        """The ``error`` envelope for a request :meth:`handle` itself
+        raised on — the front end's last-ditch guard.  The fault's
+        flight-recorder tail is the server's ring, other requests'
+        events included, so it stays out of the client's envelope."""
+        return self._envelope(
+            self._next_id(), endpoint, "error",
+            reason=f"{fault.error_type}: {fault.message}",
+            fault=dict(fault.to_dict(), detail={}), t0=time.monotonic())
+
     def handle(self, endpoint: str, request) -> dict:
         """Run one request end to end; always returns an envelope.
 
         The path is validate → result table → admission → pool: a body
         whose outcome the table holds (or is computing) never reaches
-        the queue or a worker.
+        the queue or a worker.  Once :meth:`drain` has begun, every
+        request is shed before any of it.
         """
         request_id = self._next_id()
         t0 = time.monotonic()
+        if self.draining:
+            return self._envelope(request_id, endpoint, "shed",
+                                  reason="draining", t0=t0)
         problem = self._validate(endpoint, request)
         if problem is not None:
             return self._envelope(request_id, endpoint, "invalid-input",
@@ -437,7 +436,7 @@ class RestructurerService:
         while True:
             attempt += 1
             req["attempt"] = attempt
-            outcome = self._run_attempt(req, degraded)
+            outcome = self._run_attempt(req)
             for _ in range(int(outcome.pop("disk_errors", 0) or 0)):
                 # worker-side cache store failures, shipped home
                 self.store_breaker.record_failure()
@@ -489,8 +488,7 @@ class RestructurerService:
         return {
             "status": "draining" if self.draining else "ok",
             "in_flight": self.queue.in_flight,
-            "breakers": {"store": self.store_breaker.state,
-                         "pool": self.pool_breaker.state},
+            "breakers": {"store": self.store_breaker.state},
             "lost_on_restart": list(self.lost_on_restart),
         }
 

@@ -1,77 +1,58 @@
 """Supervised worker pool: crash detection, hard deadlines, respawn.
 
-:class:`WorkerSupervisor` wraps the same fork-context
-``ProcessPoolExecutor`` the sweep executor
-(:mod:`repro.engine.parallel`) uses, and adds the two guarantees a
-*service* needs that a batch sweep does not:
+:class:`WorkerSupervisor` runs requests on the same fork-context
+``ProcessPoolExecutor`` the sweep executor (:mod:`repro.engine.parallel`)
+uses — one single-process executor per worker *slot*, each running one
+request at a time — and adds the two guarantees a *service* needs that
+a batch sweep does not:
 
 - **crash containment with respawn** — a worker that dies mid-request
-  (segfault, OOM kill, ``os._exit``) breaks the pool; the supervisor
-  detects it, converts the loss into a classified fault dict (the
-  ``FaultReport.to_dict()`` shape, kind ``internal``), and rebuilds the
-  pool so the *next* request finds healthy workers;
+  (segfault, OOM kill, ``os._exit``) breaks its slot's executor; the
+  supervisor detects it, reports the loss exactly as the sweep executor
+  does (:func:`repro.engine.parallel.lost_cell`: a
+  :class:`~repro.faults.harness.FaultReport` of kind ``internal``), and
+  rebuilds that slot so the *next* request finds a healthy worker.  A
+  slot holds one request, so a death takes no other request with it —
+  a crash-looping request cannot spend the retry budgets of the
+  requests running beside it;
 - **supervisor-side hard deadlines** — the in-worker watchdog
   (:func:`repro.faults.harness.watchdog`) catches Python-level stalls,
   but a worker wedged in a C call or spinning with signals blocked
-  never comes back.  ``submit`` bounds the wait from the parent side;
-  on expiry the wedged workers are killed outright and the pool is
-  rebuilt, so one stuck request cannot brown out the service.
+  never comes back.  ``submit`` bounds the wait from the parent side,
+  the wait for a free slot included; on expiry the wedged worker is
+  killed outright and its slot rebuilt, so one stuck request cannot
+  brown out the service.
 
-The supervisor is deliberately single-flight per call (the admission
-queue upstream bounds concurrency); a lock serializes pool teardown so
-concurrent HTTP threads cannot race a respawn.
+A lock serializes slot teardown so concurrent HTTP threads cannot race
+a respawn.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from typing import Any, Callable, Optional
 
+from repro.errors import BudgetExceededError
+from repro.faults.harness import FaultReport
 from repro.telemetry.log import get_logger
 
 _LOG = get_logger("server.supervisor")
 
 
-class PoolCrashError(Exception):
-    """The worker executing a request died before returning."""
-
-
-def _crash_fault(label: str, message: str, elapsed_s: float) -> dict:
-    # FaultReport.to_dict() shape, so the retry classifier and the
-    # envelope treat pool losses like any other harness fault
-    return {
-        "label": label,
-        "kind": "internal",
-        "error_type": "PoolCrashError",
-        "message": message,
-        "elapsed_s": elapsed_s,
-        "traceback": "",
-        "detail": {},
-    }
-
-
-def _timeout_fault(label: str, timeout_s: float, elapsed_s: float) -> dict:
-    return {
-        "label": label,
-        "kind": "timeout",
-        "error_type": "BudgetExceededError",
-        "message": f"{label} exceeded its {timeout_s:g}s supervisor "
-                   "deadline (worker killed)",
-        "elapsed_s": elapsed_s,
-        "traceback": "",
-        "detail": {},
-    }
-
-
 class WorkerSupervisor:
-    """A crash-supervised process pool executing one request at a time
-    per slot, with parent-side deadlines and automatic respawn."""
+    """``workers`` crash-supervised worker slots, one request at a time
+    each, with parent-side deadlines and automatic respawn."""
 
     def __init__(self, workers: int = 2, registry=None):
         self.workers = max(1, workers)
         self._lock = threading.Lock()
-        self._pool = None
+        #: per slot: its one-process executor, None until first used
+        self._pools: list = [None] * self.workers
+        self._idle: queue.SimpleQueue[int] = queue.SimpleQueue()
+        for slot in range(self.workers):
+            self._idle.put(slot)
         self._respawns = None
         if registry is not None:
             self._respawns = registry.counter(
@@ -79,24 +60,24 @@ class WorkerSupervisor:
 
     # -- pool lifecycle ----------------------------------------------------
 
-    def _ensure_pool(self):
+    def _ensure_pool(self, slot: int):
         import concurrent.futures as cf
 
         from repro.engine.parallel import _mp_context
 
         with self._lock:
-            if self._pool is None:
-                self._pool = cf.ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=_mp_context())
-                _LOG.info("pool_started", workers=self.workers)
-            return self._pool
+            if self._pools[slot] is None:
+                self._pools[slot] = cf.ProcessPoolExecutor(
+                    max_workers=1, mp_context=_mp_context())
+                _LOG.info("pool_started", slot=slot)
+            return self._pools[slot]
 
-    def _respawn(self, pool, *, kill: bool) -> None:
-        """Tear down a broken/wedged pool; the next submit rebuilds."""
+    def _respawn(self, slot: int, pool, *, kill: bool) -> None:
+        """Tear down a broken/wedged slot; its next request rebuilds."""
         with self._lock:
-            if self._pool is not pool:
-                return          # another thread already replaced it
-            self._pool = None
+            if self._pools[slot] is not pool:
+                return          # shutdown() already replaced it
+            self._pools[slot] = None
         if kill:
             # a wedged worker never returns: kill outright before the
             # shutdown join.  _processes is stdlib-private but stable;
@@ -112,57 +93,63 @@ class WorkerSupervisor:
             pass
         if self._respawns is not None:
             self._respawns.inc()
-        _LOG.warning("pool_respawned", kill=kill)
+        _LOG.warning("pool_respawned", slot=slot, kill=kill)
 
     def shutdown(self) -> None:
         with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+            pools, self._pools = self._pools, [None] * self.workers
+        for pool in pools:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     # -- request execution -------------------------------------------------
 
     def submit(self, fn: Callable[[Any], dict], arg: Any, label: str,
                timeout_s: Optional[float] = None,
-               ) -> tuple[Optional[dict], Optional[dict]]:
+               ) -> tuple[Optional[dict], Optional[FaultReport]]:
         """Run ``fn(arg)`` in a worker; returns ``(result, fault)``.
 
         Exactly one of the pair is non-``None``.  ``fn`` must be a
         picklable module-level function returning a dict.  A worker
-        crash or deadline expiry tears the pool down, respawns it, and
-        comes back as a classified fault dict — never an exception.
+        crash or deadline expiry tears the worker's slot down, respawns
+        it, and comes back as a :class:`FaultReport` — never an
+        exception.
         """
         import concurrent.futures as cf
 
-        pool = self._ensure_pool()
-        t0 = time.monotonic()
+        from repro.engine.parallel import lost_cell
+
+        t0 = time.perf_counter()
         try:
-            fut = pool.submit(fn, arg)
-        except RuntimeError as exc:
-            # raced shutdown(); one rebuild attempt, then classify
-            _LOG.warning("submit_raced_shutdown", label=label,
-                         message=str(exc))
-            pool = self._ensure_pool()
-            fut = pool.submit(fn, arg)
+            slot = self._idle.get(timeout=timeout_s)
+        except queue.Empty:
+            return None, lost_cell(BudgetExceededError(
+                f"{label} exceeded its {timeout_s:g}s supervisor "
+                "deadline (no worker came free)"), label, t0)
         try:
-            return fut.result(timeout=timeout_s), None
-        except cf.TimeoutError:
-            self._respawn(pool, kill=True)
-            elapsed = time.monotonic() - t0
-            _LOG.warning("request_deadline_expired", label=label,
-                         timeout_s=timeout_s, elapsed_s=elapsed)
-            return None, _timeout_fault(label, timeout_s or 0.0, elapsed)
-        except cf.process.BrokenProcessPool:
-            self._respawn(pool, kill=False)
-            elapsed = time.monotonic() - t0
-            _LOG.warning("worker_crashed", label=label,
-                         elapsed_s=elapsed)
-            return None, _crash_fault(
-                label, "worker process died before returning "
-                       "(broken process pool)", elapsed)
-        except Exception as exc:  # noqa: BLE001 — classify, don't die
-            elapsed = time.monotonic() - t0
-            _LOG.error("submit_failed", label=label,
-                       error_type=type(exc).__name__, message=str(exc))
-            return None, _crash_fault(
-                label, f"{type(exc).__name__}: {exc}", elapsed)
+            pool = self._ensure_pool(slot)
+            try:
+                fut = pool.submit(fn, arg)
+            except RuntimeError as exc:
+                # raced shutdown(); one rebuild attempt, then classify
+                _LOG.warning("submit_raced_shutdown", label=label,
+                             message=str(exc))
+                pool = self._ensure_pool(slot)
+                fut = pool.submit(fn, arg)
+            left = None if timeout_s is None \
+                else max(0.0, timeout_s - (time.perf_counter() - t0))
+            try:
+                return fut.result(timeout=left), None
+            except cf.TimeoutError:
+                self._respawn(slot, pool, kill=True)
+                lost = BudgetExceededError(
+                    f"{label} exceeded its {timeout_s:g}s supervisor "
+                    "deadline (worker killed)")
+            except cf.process.BrokenProcessPool as exc:
+                self._respawn(slot, pool, kill=False)
+                lost = exc
+            except Exception as exc:  # noqa: BLE001 — classify, don't die
+                lost = exc
+            return None, lost_cell(lost, label, t0)
+        finally:
+            self._idle.put(slot)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -174,8 +173,6 @@ def build_payload(spans: list[dict], registry: MetricsRegistry,
         "schema": SCHEMA_TAG,
         "trace_id": meta.get("trace_id", ""),
         "harness": harness or " ".join(meta.get("argv", [])[:2]) or None,
-        "started_unix": meta.get("started_unix"),
-        "merged_unix": time.time(),
         "pids": pids,
         "metrics": metrics,
         "spans": spans,

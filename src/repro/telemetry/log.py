@@ -25,13 +25,17 @@ Design rules, in order of importance:
 - **Crash-context capture.**  The session owns the *flight recorder*: a
   bounded ring of the most recent records — at any level, including
   ones below the write threshold — and of every completed telemetry
-  span.  When a workload crashes or times out,
-  :meth:`repro.faults.harness.FaultReport.from_exception` and the
-  :class:`repro.engine.parallel.WorkerCrash` path dump :func:`tail` into
-  the report's ``detail["flight_recorder"]``, so the report carries the
-  last things the process did before dying.  Forked workers inherit the
-  parent's ring contents on purpose: the parent-side events leading up
-  to the fan-out are the context a worker crash wants to show.
+  span.  When a workload crashes or times out — in-process or in a
+  ``--jobs`` worker —
+  :meth:`repro.faults.harness.FaultReport.from_exception`, the one place
+  a fault report is made, dumps :func:`tail` into the report's
+  ``detail["flight_recorder"]``, so the report carries the last things
+  the process did before failing.  Forked workers inherit the parent's
+  ring contents on purpose: the parent-side events leading up to the
+  fan-out are the context a worker crash wants to show.  A worker that
+  dies outright leaves no tail behind: the parent reports the loss
+  (:func:`repro.engine.parallel.lost_cell`) without one, since its own
+  ring is not the dead worker's context.
 
 The harnesses write to ``<telemetry dir>/log.jsonl`` when a telemetry
 session is active, else to stderr.

@@ -159,9 +159,8 @@ def _cell_faults(sweep: Optional[dict], label: str) -> list[dict]:
         flabel = str(fd.get("label", ""))
         if flabel == label or (workload is not None
                                and flabel.startswith(f"{workload}:")):
-            out.append({"kind": fd.get("kind"),
-                        "error_type": fd.get("error_type"),
-                        "message": fd.get("message")})
+            out.append({k: fd.get(k)
+                        for k in ("kind", "error_type", "message")})
     return out
 
 

@@ -44,15 +44,13 @@ from repro.telemetry.registry import get_registry
 class _TelemetryState:
     """Per-process telemetry session (shared via fork with workers)."""
 
-    __slots__ = ("dir", "trace_id", "epoch", "started_unix", "pid",
-                 "spans", "stack", "cell", "seq", "__weakref__")
+    __slots__ = ("dir", "trace_id", "epoch", "pid", "spans", "stack",
+                 "cell", "seq", "__weakref__")
 
-    def __init__(self, out_dir: Path, trace_id: str, epoch: float,
-                 started_unix: float):
+    def __init__(self, out_dir: Path, trace_id: str, epoch: float):
         self.dir = out_dir
         self.trace_id = trace_id
         self.epoch = epoch
-        self.started_unix = started_unix
         self.pid = os.getpid()
         self.spans: list[dict] = []
         self.stack: list[str] = []      # open span ids (parent linkage)
@@ -88,8 +86,8 @@ def _after_fork(_obj=None) -> None:
 def configure(out_dir: str | os.PathLike) -> None:
     """Start a telemetry session writing shards into ``out_dir``.
 
-    Creates the directory, stamps a ``meta.json`` (trace id, start
-    time, harness argv), binds the session to the structured log for
+    Creates the directory, stamps a ``meta.json`` (trace id, pid,
+    harness argv), binds the session to the structured log for
     correlation, and registers the after-fork reset for ``--jobs``
     workers.  Calling again replaces the session (metrics are zeroed so
     each run's artifact is self-contained).
@@ -98,7 +96,7 @@ def configure(out_dir: str | os.PathLike) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tid = uuid.uuid4().hex[:16]
-    _STATE = _TelemetryState(out, tid, time.perf_counter(), time.time())
+    _STATE = _TelemetryState(out, tid, time.perf_counter())
     log.bind_session(_STATE)
     get_registry().reset()
     # imported here: multiprocessing costs ~15 ms no telemetry-off run
@@ -106,8 +104,7 @@ def configure(out_dir: str | os.PathLike) -> None:
     from multiprocessing.util import register_after_fork
 
     register_after_fork(_STATE, _after_fork)
-    meta = {"trace_id": tid, "started_unix": _STATE.started_unix,
-            "pid": os.getpid(), "argv": list(sys.argv)}
+    meta = {"trace_id": tid, "pid": os.getpid(), "argv": list(sys.argv)}
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 

@@ -34,7 +34,7 @@ import argparse
 import json
 import sys
 
-from repro.engine.parallel import WorkerCrash, parallel_map
+from repro.engine.parallel import parallel_map
 from repro.experiments.common import (add_engine_args,
                                       add_interpreter_arg,
                                       configure_engine)
@@ -129,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
 
     config_names = ns.configs or sorted(PIPELINE_CONFIGS)
 
-    from repro.faults.harness import SweepJournal
+    from repro.faults.harness import FaultReport, SweepJournal
 
     journal = SweepJournal(ns.journal)
     wdicts: list[dict] = []
@@ -166,10 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         # payloads whatever the job count
         name = jobs_list[i]["workload"]
         case = cases[name]
-        if isinstance(res, WorkerCrash):
-            fd = res.to_fault_dict()
-        else:
-            fd = res["fault"]
+        fd = res.to_dict() if isinstance(res, FaultReport) else res["fault"]
         if fd is not None:
             fault_reports.append(fd)
             wd = _crashed_workload_dict(case, config_names,

@@ -103,7 +103,7 @@ class TestParallelFailurePaths:
         from repro.experiments.__main__ import main
 
         rc = main(["table1", "--quick", "--json", "--jobs", "2",
-                   "--keep-going", "--timeout", "0.000001"])
+                   "--timeout", "0.000001"])
         assert rc == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["faults"]

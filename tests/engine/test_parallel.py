@@ -2,9 +2,8 @@
 
 import os
 
-import pytest
-
-from repro.engine.parallel import WorkerCrash, parallel_map
+from repro.engine.parallel import parallel_map
+from repro.faults.harness import FaultReport
 
 
 # --- module-level cell functions (must be picklable) -----------------------
@@ -68,10 +67,16 @@ class TestSerialPath:
                      on_result=lambda i, r: seen.append((i, r)))
         assert seen == [(0, 1), (1, 4), (2, 9)]
 
-    def test_serial_exception_propagates(self):
-        # jobs<=1 is a plain map: isolation is the cell's own job
-        with pytest.raises(ValueError):
-            parallel_map(boom, [1, 2, 3], jobs=1)
+    def test_serial_exception_becomes_fault_report(self):
+        # one isolation rule at every job count: the raising cell is a
+        # report in its slot, and the cells after it still run
+        out = parallel_map(boom, [1, 2, 3], jobs=1, labels=["a", "b", "c"])
+        assert out[0] == 1 and out[2] == 3
+        crash = out[1]
+        assert isinstance(crash, FaultReport)
+        assert crash.label == "b" and crash.kind == "internal"
+        assert crash.error_type == "ValueError"
+        assert crash.detail == {"cell_index": 1}
 
 
 class TestParallelPath:
@@ -90,68 +95,63 @@ class TestParallelPath:
                      on_result=lambda i, r: seen.append(i))
         assert seen == [0, 1, 2]
 
-    def test_cell_exception_becomes_worker_crash(self):
+    def test_cell_exception_becomes_fault_report(self):
         out = parallel_map(boom, [1, 2, 3], jobs=2,
                            labels=["a", "b", "c"])
         assert out[0] == 1 and out[2] == 3
         crash = out[1]
-        assert isinstance(crash, WorkerCrash)
-        assert crash.label == "b"
-        assert "exploded" in crash.message
+        assert isinstance(crash, FaultReport)
+        assert crash.label == "b" and crash.kind == "internal"
+        assert crash.error_type == "ValueError"
+        assert crash.message == "cell 2 exploded"
 
-    def test_dead_worker_becomes_worker_crash(self):
+    def test_dead_worker_becomes_fault_report(self):
         out = parallel_map(hard_exit, [0, 1, 2], jobs=2)
-        assert isinstance(out[1], WorkerCrash)
+        assert isinstance(out[1], FaultReport)
+        assert out[1].kind == "internal"
+        # the error type the server's supervised pool reports too
+        assert out[1].error_type == "BrokenProcessPool"
         # positions of unaffected results are preserved (a broken pool
-        # may take siblings down with it — those also become crashes)
-        assert all(r == i or isinstance(r, WorkerCrash)
+        # may take siblings down with it — those also become reports)
+        assert all(r == i or isinstance(r, FaultReport)
                    for i, r in enumerate(out))
 
-    def test_crash_fault_dict_shape(self):
-        fd = WorkerCrash(label="cell", message="died").to_fault_dict()
-        assert fd["kind"] == "internal"
-        assert fd["error_type"] == "WorkerCrash"
-        assert fd["label"] == "cell" and fd["message"] == "died"
-        # shape-compatible with FaultReport.to_dict()
-        from repro.faults.harness import FaultReport
-
-        assert set(fd) == set(
-            FaultReport(label="x", kind="internal", error_type="E",
-                        message="m").to_dict())
+    def test_serial_and_parallel_reports_agree(self):
+        serial, parallel = (
+            parallel_map(boom, [1, 2, 3], jobs=jobs)[1].to_dict()
+            for jobs in (1, 2))
+        for fd in (serial, parallel):
+            del fd["elapsed_s"], fd["traceback"]
+        assert serial == parallel
 
     def test_crash_stamped_with_index_and_duration(self):
         out = parallel_map(boom, [1, 2, 3], jobs=2)
         crash = out[1]
-        assert isinstance(crash, WorkerCrash)
-        assert crash.index == 1
-        assert crash.duration_s >= 0.0
-        fd = crash.to_fault_dict()
-        assert fd["detail"] == {"cell_index": 1}
-        assert fd["elapsed_s"] == crash.duration_s
+        assert isinstance(crash, FaultReport)
+        assert crash.detail == {"cell_index": 1}
+        assert crash.elapsed_s >= 0.0
 
-    def test_crash_message_carries_traceback_tail(self):
+    def test_crash_carries_the_worker_traceback(self):
         out = parallel_map(boom, [1, 2, 3], jobs=2)
-        crash = out[1]
-        assert crash.message.startswith("ValueError: cell 2 exploded")
-        # the tail of the worker's traceback rides along for diagnosis
-        assert "in boom" in crash.message
-        assert "raise ValueError" in crash.message
+        tb = out[1].traceback
+        # the worker's traceback rides along for diagnosis
+        assert "in boom" in tb
+        assert "raise ValueError" in tb
 
     def test_dead_worker_crash_stamped_with_index(self):
         out = parallel_map(hard_exit, [0, 1, 2], jobs=2)
         for i, r in enumerate(out):
-            if isinstance(r, WorkerCrash):
-                assert r.index == i
-                assert r.duration_s >= 0.0
+            if isinstance(r, FaultReport):
+                assert r.detail["cell_index"] == i
+                assert r.elapsed_s >= 0.0
 
     def test_crash_duration_measures_cell_runtime(self):
         # a cell that runs before dying carries the measured wall-clock,
         # not a zero placeholder — telemetry attributes the lost time
         out = parallel_map(sleep_then_boom, [0, 1, 2], jobs=2)
         crash = out[1]
-        assert isinstance(crash, WorkerCrash)
-        assert crash.duration_s >= 0.15
-        assert crash.to_fault_dict()["elapsed_s"] == crash.duration_s
+        assert isinstance(crash, FaultReport)
+        assert crash.elapsed_s >= 0.15
 
     def test_multiple_kills_preserve_positions_and_labels(self):
         # several workers dying in one sweep must not shift surviving
@@ -161,7 +161,7 @@ class TestParallelPath:
                            labels=labels)
         assert len(out) == 6
         for i, r in enumerate(out):
-            if isinstance(r, WorkerCrash):
+            if isinstance(r, FaultReport):
                 assert r.label == labels[i]
             else:
                 assert r == i and i % 2 == 0
@@ -172,7 +172,7 @@ class TestParallelPath:
         seen = []
         parallel_map(hard_exit, [0, 1, 2], jobs=2,
                      on_result=lambda i, r: seen.append(
-                         (i, isinstance(r, WorkerCrash))))
+                         (i, isinstance(r, FaultReport))))
         assert [i for i, _ in seen] == [0, 1, 2]
         assert any(crashed for _, crashed in seen)
 
@@ -203,16 +203,15 @@ class TestFlightRecorderInCrashes:
         finally:
             log.shutdown()
         crash = out[1]
-        assert isinstance(crash, WorkerCrash)
-        events = crash.to_fault_dict()["detail"]["flight_recorder"]
+        assert isinstance(crash, FaultReport)
+        events = crash.detail["flight_recorder"]
         # the worker's own last moments: the log line it emitted just
-        # before raising, and the cell_failed record itself
+        # before raising, and the isolated_fault record itself
         assert any(e.get("event") == "about_to_work"
                    and e.get("fields", {}).get("item") == 2
                    for e in events)
-        assert any(e.get("event") == "cell_failed" for e in events)
+        assert any(e.get("event") == "isolated_fault" for e in events)
 
     def test_no_flight_when_logging_off(self):
         out = parallel_map(boom, [1, 2, 3], jobs=2)
-        fd = out[1].to_fault_dict()
-        assert "flight_recorder" not in fd["detail"]
+        assert "flight_recorder" not in out[1].detail

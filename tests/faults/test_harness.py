@@ -51,6 +51,29 @@ class TestWatchdog:
             assert signal.getitimer(signal.ITIMER_REAL)[0] > 0.0
         assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
 
+    @pytest.mark.skipif(not HAS_SIGALRM, reason="needs SIGALRM")
+    def test_nested_block_does_not_extend_the_outer_budget(self):
+        # the outer alarm is re-armed with what is left of it, not with
+        # what was left when the inner block entered
+        t0 = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="outer"):
+            with watchdog(0.5, label="outer"):
+                with watchdog(5.0, label="inner"):
+                    time.sleep(0.3)
+                time.sleep(5.0)
+        assert time.monotonic() - t0 < 0.75
+        assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
+
+    @pytest.mark.skipif(not HAS_SIGALRM, reason="needs SIGALRM")
+    def test_outer_budget_spent_inside_a_nested_block_fires_at_once(self):
+        with pytest.raises(BudgetExceededError, match="outer"):
+            with watchdog(0.2, label="outer"):
+                with watchdog(5.0, label="inner"):
+                    time.sleep(0.3)
+                # nothing runs past the exhausted outer budget
+                pytest.fail("outer watchdog did not fire")
+        assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
+
 
 class TestWatchdogThreadFallback:
     """Watchdogs armed off the main thread use the timer fallback —

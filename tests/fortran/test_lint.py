@@ -273,13 +273,12 @@ def test_ingest_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--profile", "prof"), ("--journal", "journal.jsonl"),
-    ("--keep-going", None), ("--timeout", "5")])
+    ("--timeout", "5")])
 def test_ingest_refuses_sweep_options(flag, value, tmp_path, capsys):
     """``--source`` runs no sweep: the sweep's options are refused with
     exit 2 instead of being silently ignored, and nothing is written."""
-    argv = ["--source", "examples/sample.f", "--quick", flag]
-    if value is not None:
-        argv.append(value if flag == "--timeout" else str(tmp_path / value))
+    argv = ["--source", "examples/sample.f", "--quick", flag,
+            value if flag == "--timeout" else str(tmp_path / value)]
     assert experiments_main(argv) == 2
     captured = capsys.readouterr()
     assert flag in captured.err and captured.out == ""

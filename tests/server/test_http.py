@@ -104,7 +104,7 @@ class TestOperationalEndpoints:
         code, body = get(server_url, "/healthz")
         h = json.loads(body)
         assert code == 200 and h["status"] == "ok"
-        assert set(h["breakers"]) == {"store", "pool"}
+        assert set(h["breakers"]) == {"store"}
 
     def test_readyz(self, server_url):
         code, body = get(server_url, "/readyz")
@@ -243,3 +243,31 @@ class TestTransport:
             get_cache().disk_error_hook = None
         assert code == 200
         assert seen and all(seen)
+
+
+class TestLastDitchGuard:
+    def test_a_raising_service_still_answers_an_error_envelope(self):
+        svc = RestructurerService(workers=1, registry=MetricsRegistry())
+
+        def broken(endpoint, request):
+            raise RuntimeError("service bug")
+
+        svc.handle = broken
+        server = make_server(svc)
+        thread = threading.Thread(target=server.serve_forever,
+                                  daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            code, env = post(f"http://{host}:{port}", "/lint",
+                             {"source": SRC})
+        finally:
+            server.shutdown()
+            server.server_close()
+            svc.drain(timeout_s=5.0)
+            get_cache().disk_error_hook = None
+        assert code == 500 and env["status"] == "error"
+        assert env["reason"] == "RuntimeError: service bug"
+        assert env["fault"]["kind"] == "internal"
+        assert env["fault"]["error_type"] == "RuntimeError"
+        assert env["request_id"].startswith("req-")

@@ -90,6 +90,43 @@ class TestDrain:
         assert q.drain(timeout_s=5.0)
         assert q.in_flight == 0
 
+    def test_drain_sheds_later_callers(self):
+        q = AdmissionQueue(capacity=2)
+        assert q.drain(timeout_s=0.5)
+        with pytest.raises(ShedRequest) as exc:
+            q.acquire()
+        assert exc.value.reason == "draining"
+        assert q.in_flight == 0
+
+    def test_drain_sheds_a_waiter_the_last_release_wakes(self):
+        # a caller parked at capacity when drain() begins is shed, not
+        # admitted by the release that lets the drain finish
+        q = AdmissionQueue(capacity=1, max_wait_s=5.0)
+        q.acquire()
+        reasons = []
+
+        def waiter():
+            try:
+                q.acquire()
+                reasons.append("admitted")
+            except ShedRequest as shed:
+                reasons.append(shed.reason)
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        while q._waiting == 0:
+            time.sleep(0.01)
+        drained = []
+        d = threading.Thread(target=lambda: drained.append(
+            q.drain(timeout_s=5.0)))
+        d.start()
+        time.sleep(0.05)
+        q.release()
+        t.join(5.0)
+        d.join(5.0)
+        assert reasons == ["draining"]
+        assert drained == [True] and q.in_flight == 0
+
     def test_drain_times_out_bounded(self):
         q = AdmissionQueue(capacity=1)
         q.acquire()                     # never released

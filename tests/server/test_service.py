@@ -155,18 +155,21 @@ class TestDurability:
 
 
 class TestDegradationLadder:
-    def test_open_pool_breaker_serves_serially(self, service):
-        service.pool_breaker.record_failure()
-        service.pool_breaker.record_failure()
-        service.pool_breaker.record_failure()
-        assert service.pool_breaker.state == "open"
-        env = service.handle("restructure", {"source": SRC,
-                                             "quick": True})
-        assert env["status"] == "degraded"
-        assert "pool:serial" in env["degraded"]
-        # the serial result is the full-fidelity artifact
-        assert env["result"]["experiment"]["schema"] \
-            == "repro-experiment/1"
+    def test_a_failing_pool_never_moves_work_in_process(self, service):
+        """Lost workers are retried and then reported ``error``; no
+        request after them is served by the server process itself."""
+        from repro.engine.parallel import lost_cell
+
+        def lost(fn, req, label, **kw):
+            return None, lost_cell(RuntimeError("worker lost"), label, 0.0)
+
+        service.supervisor.submit = lost
+        for _ in range(4):
+            env = service.handle("restructure", {"source": SRC,
+                                                 "quick": True})
+            assert env["status"] == "error" and env["degraded"] == []
+            assert env["attempts"] == service.retry.max_attempts
+            assert env["fault"]["kind"] == "internal"
 
     def test_open_store_breaker_goes_memory_only(self, service,
                                                  tmp_path):
@@ -200,9 +203,22 @@ class TestLifecycle:
         assert service.readyz() == {"ready": False}
         assert service.healthz()["status"] == "draining"
 
-    def test_healthz_reports_breakers(self, service):
+    def test_drained_service_sheds_without_touching_queue_or_pool(
+            self, service):
+        assert service.drain(timeout_s=5.0)
+        acquired = []
+        service.queue.acquire = lambda *a: acquired.append(a)
+        for endpoint in ("lint", "restructure"):
+            env = service.handle(endpoint, {"source": SRC, "quick": True})
+            assert env["status"] == "shed" and env["reason"] == "draining"
+            assert env["attempts"] == 1 and env["result"] is None
+        assert acquired == []
+        sup = service.supervisor
+        assert sup._pools == [None] * sup.workers     # no pool rebuilt
+
+    def test_healthz_reports_the_store_breaker(self, service):
         h = service.healthz()
-        assert h["breakers"] == {"store": "closed", "pool": "closed"}
+        assert h["breakers"] == {"store": "closed"}
         assert h["in_flight"] == 0
 
 
@@ -251,7 +267,7 @@ class TestRequestDedup:
         release = threading.Event()
         canned = {"outcome": "ok", "payload": {"x": 1}, "degraded": []}
 
-        def blocked_attempt(req, degraded):
+        def blocked_attempt(req):
             assert release.wait(10.0)
             return dict(canned)
 
@@ -338,7 +354,7 @@ class TestResultTable:
         asked = []
         queue = list(outcomes or [])
 
-        def attempt(req, degraded):
+        def attempt(req):
             asked.append(req["source"])
             if queue:
                 return queue.pop(0)
@@ -389,13 +405,6 @@ class TestResultTable:
     def test_worker_invalid_input_is_not_retained(self, service):
         env = service.handle("restructure", {"source": "not fortran"})
         assert env["status"] == "invalid-input"
-        assert len(service._results) == 0
-
-    def test_pool_serial_outcome_is_not_retained(self, service):
-        for _ in range(3):
-            service.pool_breaker.record_failure()
-        env = service.handle("restructure", dict(self.BODY))
-        assert env["degraded"] == ["pool:serial"]
         assert len(service._results) == 0
 
     def test_hit_under_open_store_breaker_reports_memory_only(

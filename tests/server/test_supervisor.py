@@ -1,6 +1,7 @@
 """Worker supervisor: crash containment, deadlines, respawn."""
 
 import os
+import threading
 import time
 
 from repro.telemetry import MetricsRegistry
@@ -22,6 +23,11 @@ def die(arg):
 def sleep_forever(arg):
     time.sleep(60.0)
     return {"outcome": "ok"}
+
+
+def nap_then_echo(arg):
+    time.sleep(0.5)
+    return echo(arg)
 
 
 class TestHappyPath:
@@ -52,9 +58,9 @@ class TestCrashContainment:
         try:
             result, fault = sup.submit(die, None, "r1")
             assert result is None
-            assert fault["kind"] == "internal"
-            assert fault["error_type"] == "PoolCrashError"
-            assert "died" in fault["message"]
+            assert fault.kind == "internal"
+            assert fault.error_type == "BrokenProcessPool"
+            assert fault.elapsed_s > 0.0
         finally:
             sup.shutdown()
 
@@ -74,6 +80,22 @@ class TestCrashContainment:
         finally:
             sup.shutdown()
 
+    def test_a_death_takes_no_other_request_with_it(self):
+        sup = WorkerSupervisor(workers=2)
+        try:
+            beside = []
+            t = threading.Thread(target=lambda: beside.append(
+                sup.submit(nap_then_echo, "beside", "r1")))
+            t.start()
+            time.sleep(0.1)             # r1 is running in its worker
+            _, fault = sup.submit(die, None, "r2")
+            assert fault is not None and fault.kind == "internal"
+            t.join(30.0)
+            result, fault = beside[0]
+            assert fault is None and result["payload"] == "beside"
+        finally:
+            sup.shutdown()
+
 
 class TestDeadlines:
     def test_wedged_worker_is_killed_and_classified(self):
@@ -84,11 +106,28 @@ class TestDeadlines:
                                        timeout_s=0.5)
             elapsed = time.monotonic() - t0
             assert result is None
-            assert fault["kind"] == "timeout"
-            assert "deadline" in fault["message"]
+            assert fault.kind == "timeout"
+            assert "deadline" in fault.message
             assert elapsed < 30.0     # did not wait out the sleep
             # and the pool recovered
             result, fault = sup.submit(echo, "next", "r2")
+            assert fault is None and result["payload"] == "next"
+        finally:
+            sup.shutdown()
+
+    def test_the_wait_for_a_free_worker_is_bounded(self):
+        sup = WorkerSupervisor(workers=1)
+        try:
+            busy = threading.Thread(target=lambda: sup.submit(
+                nap_then_echo, "busy", "r1"))
+            busy.start()
+            time.sleep(0.1)             # r1 holds the only worker
+            result, fault = sup.submit(echo, "late", "r2", timeout_s=0.1)
+            assert result is None and fault.kind == "timeout"
+            assert "no worker came free" in fault.message
+            busy.join(30.0)
+            # nothing was killed: the busy worker serves the next request
+            result, fault = sup.submit(echo, "next", "r3")
             assert fault is None and result["payload"] == "next"
         finally:
             sup.shutdown()

@@ -10,8 +10,11 @@ promise the same map::
 
 This test drives each tool through each outcome in-process;
 ``repro.experiments``'s exit 1 is a ``--source`` file the linter
-rejects.
+rejects.  A crash is isolated alike at every job count: the run still
+writes its payload, with the crash as a fault record.
 """
+
+import json
 
 import pytest
 
@@ -110,3 +113,72 @@ def test_shared_exit_code_map(tool, outcome, tmp_path, monkeypatch,
     rc = TOOLS[tool](outcome, tmp_path, monkeypatch)
     assert rc == EXPECTED[outcome], \
         f"{tool} {outcome}: expected {EXPECTED[outcome]}, got {rc}"
+
+
+# ---------------------------------------------------------------------------
+# the same crash, the same outcome, at either job count
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("injected crash")
+
+
+def _crashing_experiments(jobs, tmp_path, monkeypatch, capsys):
+    import repro.experiments.worker as worker
+    from repro.experiments.__main__ import main
+
+    monkeypatch.setitem(worker.ALL_EXPERIMENTS, "table1", _boom)
+    rc = _run(main, ["table1", "fig6", "--quick", "--json",
+                     "--jobs", str(jobs)])
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["experiments"]) == ["fig6"]
+    return rc, payload["faults"]
+
+
+def _crashing_validate(jobs, tmp_path, monkeypatch, capsys):
+    import repro.validate.worker as worker
+    from repro.validate.__main__ import main
+
+    monkeypatch.setattr(worker, "validate_workload", _boom)
+    out = tmp_path / f"v{jobs}.json"
+    rc = _run(main, ["tridag", "cg", "--no-bisect", "--jobs", str(jobs),
+                     "-o", str(out)])
+    return rc, json.loads(out.read_text())["faults"]
+
+
+def _crashing_faults(jobs, tmp_path, monkeypatch, capsys):
+    import repro.faults.sweep as sweep
+    from repro.faults.__main__ import main
+
+    monkeypatch.setattr(sweep, "_WorkloadHarness", _boom)
+    out = tmp_path / f"f{jobs}.json"
+    rc = _run(main, ["sweep", "--quick", "--workloads", "tridag", "cg",
+                     "--scenarios", "healthy", "--jobs", str(jobs),
+                     "-o", str(out)])
+    return rc, json.loads(out.read_text())["faults"]
+
+
+CRASHING = {"experiments": (_crashing_experiments, 1),
+            "validate": (_crashing_validate, 2),
+            "faults": (_crashing_faults, 2)}
+
+
+@pytest.mark.parametrize("tool", sorted(CRASHING))
+def test_crash_outcome_is_independent_of_job_count(tool, tmp_path,
+                                                   monkeypatch, capsys):
+    """A raising driver exits 3 with its payload written at ``--jobs 1``
+    and ``--jobs 2``, and the fault records agree but for timing and
+    traceback text."""
+    run, n_faults = CRASHING[tool]
+    records = []
+    for jobs in (1, 2):
+        rc, faults = run(jobs, tmp_path, monkeypatch, capsys)
+        assert rc == 3, f"{tool} --jobs {jobs}: exit {rc}"
+        assert len(faults) == n_faults
+        assert all(fd["kind"] == "internal"
+                   and fd["error_type"] == "RuntimeError"
+                   and fd["message"] == "injected crash" for fd in faults)
+        records.append([{k: v for k, v in fd.items()
+                         if k not in ("elapsed_s", "traceback")}
+                        for fd in faults])
+    assert records[0] == records[1]
