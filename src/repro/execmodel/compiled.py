@@ -5,8 +5,9 @@ this module.  Like KAP's one translation path emitting one specialised
 text per program, each statement list becomes *one* Python module text
 (:func:`repro.execmodel.source_jit.emit_module`) holding a function per
 statement: whole-grid NumPy source for the loop nests the lowerer can
-prove bit-identical, scalar source over the ``Runtime`` helpers for
-every other statement.  The text is cached by the engine's SHA-256
+prove bit-identical, scalar source — names looked up once per
+statement, nested bodies inline where it can — for every other
+statement.  The text is cached by the engine's SHA-256
 content address (artifact kind ``jit-source`` in
 :mod:`repro.engine.cache`), so warm runs skip analysis and emission and
 a corrupt stored module quarantines and re-emits like any other entry;
@@ -14,8 +15,9 @@ it is ``compile()``d once per process (:func:`_load`), however many
 interpreters run the program.
 
 This class keeps what is per list and per run: the label map and
-``_GotoSignal`` handling of a statement list, the step budget, and the
-choice of who executes the list.  There are two implementations of the
+``_GotoSignal`` handling of a statement list, the step budget (a body
+written inline counts its own statements, as ``exec_body`` would), and
+the choice of who executes the list.  There are two implementations of the
 language, not three:
 
 - the module text, for every list the emitter covers — and in it the
@@ -33,12 +35,13 @@ replicates the exact operation sequence of the corresponding
 same truncation rules, same evaluation order), and the lowerer only
 accepts loops whose vector evaluation is bit-equal to the scalar loop.
 
-A :class:`~repro.execmodel.shadow.ShadowRecorder` changes no scalar
-text: the ``Runtime`` a module is instantiated with holds the recorder
-(or a stand-in that never records), and each access helper makes
-exactly the ``record_*`` call of the tree handler it stands for, in the
-same order; every ``ParallelDo`` outside a vector form runs the
-interpreter's instrumented ``_parallel_do``.  The vector forms have a recorder-aware text of their
+A :class:`~repro.execmodel.shadow.ShadowRecorder` changes no access
+the scalar text makes: the ``Runtime`` a module is instantiated with
+holds the recorder (or a stand-in that never records), and each access
+makes exactly the ``record_*`` call of the tree handler it stands for,
+in the same order, while it is ``recording``; every ``ParallelDo``
+outside a vector form runs the interpreter's instrumented
+``_parallel_do``.  The vector forms have a recorder-aware text of their
 own (its own ``jit-source`` entry: the mode is part of the fingerprint)
 — see :mod:`repro.execmodel.source_jit`.
 """

@@ -7,14 +7,15 @@ returns one function per statement, in one of two forms:
 - **vector text** (``_v<i>``, :class:`_LoopLowerer`) — a loop nest whose
   whole-grid NumPy evaluation is provably bit-equal to the scalar loop;
 - **scalar text** (``_s<i>``, :class:`_ScalarText`) — every other
-  statement, as the tree handlers' own operation sequence over the
-  :class:`Runtime` helpers: the value before the target's subscripts,
-  one helper per access (scope lookup, ``isinstance`` check, bounds
-  check all kept), statement dispatch and symbol-table facts resolved at
-  emission.  Assignment, block and logical IF, DO, LOCK/UNLOCK, RETURN
-  and the no-ops are written inline; ``ParallelDo``, CALL statements,
-  nested lists and calls of program units go to the interpreter's own
-  handlers by AST node.
+  statement, as the tree handlers' own operation sequence: each name
+  looked up once when the statement starts, and per access only what
+  can change (the value, each subscript's ``int()``, the bounds test,
+  the recorder's calls, the store ladder); statement dispatch and
+  symbol-table facts resolved at emission.  Assignment, block and
+  logical IF, DO, LOCK/UNLOCK, RETURN, the no-ops and the DO/IF bodies
+  the text writes whole are inline; ``ParallelDo``, CALL statements,
+  other nested lists and calls of program units go to the interpreter's
+  own handlers by AST node.
 
 A list holding a statement kind the scalar text does not cover — GOTO,
 computed GOTO, PRINT, READ, WHERE, STOP, other I/O — is not emitted at
@@ -60,8 +61,9 @@ its scalar text — ``_parallel_do``, exactly as dealt — like the tree.
 
 With a :class:`~repro.execmodel.shadow.ShadowRecorder` attached the
 vector forms are recorder-aware (:func:`emit_module` with ``rec=True``;
-the scalar text is the same either way — the ``Runtime`` binds recording
-helpers).  Every vector form first tests ``recording``: inside a checked
+the scalar text makes the same accesses either way, and tests the
+``Runtime``'s recorder — a stand-in that never records when there is
+none).  Every vector form first tests ``recording``: inside a checked
 iteration of an enclosing loop the statement runs its scalar text, which
 logs access by access.  Otherwise a sequential nest runs as it does
 unrecorded (nothing is being checked), and a nest whose only parallel
@@ -72,9 +74,10 @@ strip start for a collapsed strip-mined loop), one row per iteration for
 each shared scalar the body names, and closes it.  Loops the lowering
 proof cannot show conflict-free stay on the instrumented
 ``_parallel_do``, so conflict order and the per-loop cap are always the
-tree's: LOCK/UNLOCK or a shared scalar write in the body, a parallel
-level below the outermost, and — checked at loop entry — two referenced
-array names bound to one ``ndarray``.
+tree's: LOCK/UNLOCK or a shared scalar write in the body, and a
+parallel level below the outermost.  With a recorder or without, a
+nest that writes hands over to its scalar text when — checked at loop
+entry — two of its array names are bound to storage of one ``ndarray``.
 
 Every vector form carries one exactness obligation — the vector
 evaluation must be bit-equal to the scalar loop: plain or affine
@@ -98,7 +101,7 @@ import numpy as np
 
 from repro.cedar import nodes as C
 from repro.cedar.library import CEDAR_LIBRARY
-from repro.errors import InterpreterError
+from repro.errors import InterpreterBudgetError, InterpreterError
 from repro.execmodel.interp import (_DECL_STMTS, _SYNC_STMTS,
                                     Interpreter, _ReturnSignal,
                                     cyclic_deal)
@@ -108,7 +111,7 @@ from repro.fortran.intrinsics import INTRINSICS
 
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact so stale module text can never be served to a newer runtime
-JIT_VERSION = 3
+JIT_VERSION = 4
 
 #: statements that do nothing when executed (sync statements are
 #: functional no-ops without a shadow recorder)
@@ -116,6 +119,14 @@ NOOP_STMTS = (F.ContinueStmt,) + _DECL_STMTS + _SYNC_STMTS
 
 #: loop-nest levels the lowerer can walk through
 LOOPS = (F.DoLoop, C.ParallelDo)
+
+#: the statement kinds the scalar text writes (every other kind sends
+#: its list to the tree)
+WRITTEN = (F.Assign, C.ParallelDo, F.DoLoop, F.IfBlock, F.LogicalIf,
+           F.CallStmt, F.ReturnStmt) + NOOP_STMTS
+
+#: integers up to this magnitude survive a round trip through a double
+_EXACT = 2 ** 53
 
 
 def coerces_to_int(symtab, name: str) -> bool:
@@ -157,6 +168,40 @@ def _fmt_literal(v) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
+def _store_text(c: str, name: str, val: str, coerce: bool, dest: str,
+                ind: str) -> list[str]:
+    """Source of the tree's store of ``val`` (a local or literal) into
+    scalar ``name`` — ``Interpreter._assign``'s coercion ladder, with
+    the symbol-table fact pre-resolved into ``coerce`` — through the
+    holding scope ``c`` resolved at entry (its dict is ``c``'s
+    ``_d`` twin).  ``dest`` gets the value a fresh read would see.
+    Both texts store scalars only through this."""
+    d, n = "_d" + c[2:], repr(name)
+    lines = [f"_o = {d}.get({n})",
+             "if isinstance(_o, FA):",
+             f"    {dest} = BOXW(_o, {n}, {val})",
+             "else:",
+             "    if SH.recording:",
+             f"        SH.record_scalar({c}, {n}, 'w')",
+             "    if isinstance(_o, INTS) and not isinstance(_o, BOOLS):",
+             f"        {d}[{n}] = {dest} = TR({val})",
+             f"    elif isinstance({val}, NDA):",
+             f"        ERR({f'array value assigned to scalar {name!r}'!r})"]
+    if coerce:
+        lines += [f"    elif not isinstance({val}, BOOLS):",
+                  f"        {d}[{n}] = {dest} = TR({val})"]
+    lines += ["    else:", f"        {d}[{n}] = {dest} = {val}"]
+    return [ind + line for line in lines]
+
+
+def _hold_text(holders: dict) -> list[str]:
+    """A function's opening lines: the holding scope ``_c<k>`` of each
+    scalar name it touches, and that scope's dict ``_d<k>``."""
+    return [line for name, c in holders.items()
+            for line in (f"{c} = HOLD(s, {name!r})",
+                         f"_d{c[2:]} = {c}.vars")]
+
+
 class _NoRecorder:
     """What the access helpers consult when no race detector rides
     along: never recording, and deaf to LOCK/UNLOCK."""
@@ -171,18 +216,18 @@ class _NoRecorder:
 
 class Runtime:
     """What emitted modules cannot embed, one instance per statement list
-    (the ``rt`` handed to the module's ``make()``): scope access,
-    bounds-checked loads and stores, the Fortran division/logical
-    helpers, the numpy intrinsic table, and the interpreter's own
+    (the ``rt`` handed to the module's ``make()``): names resolved at
+    entry, the accesses the text does not write itself, bounds-checked
+    grid loads and stores, the Fortran division/logical helpers, the
+    numpy intrinsic table, the step budget, and the interpreter's own
     handlers for what the text hands over — nested statement lists,
     ``ParallelDo``, CALL statements, names only the tree can resolve.
 
-    The scalar text is the same with and without a
-    :class:`~repro.execmodel.shadow.ShadowRecorder`; recording is chosen
-    here, once: ``shadow`` is the interpreter's recorder or a
-    :class:`_NoRecorder`, and every access helper makes the tree
-    handler's ``record_*`` call, in the tree's order, while it is
-    ``recording``."""
+    The scalar text makes the same accesses with and without a
+    :class:`~repro.execmodel.shadow.ShadowRecorder`: ``shadow`` is the
+    interpreter's recorder or a :class:`_NoRecorder`, and the text and
+    these helpers make the tree handler's ``record_*`` calls, in the
+    tree's order, while it is ``recording``."""
 
     #: the vectorizable intrinsics, as emitted code indexes them
     np_funcs = {name: info.np_fn for name, info in INTRINSICS.items()
@@ -196,16 +241,39 @@ class Runtime:
         self.shadow = compiler.shadow or _NoRecorder()
         self.stmts = stmts
         self.unit = unit
+        budget = compiler.interp.step_budget
+        #: what the interpreter's step count may reach
+        self.budget = math.inf if budget is None else budget
 
     def tally(self, vector: int, scalar: int) -> None:
         self.compiler.vectorized_loops += vector
         self.compiler.scalar_stmts += scalar
 
-    # -- scope access --------------------------------------------------
+    # -- names resolved at entry ---------------------------------------
+    #
+    # A statement function looks each name up once, when it starts: no
+    # statement of a list binds a name in a nearer scope than the one
+    # holding it, and an unbound name is created in the root scope
+    # (``Scope.set``), so the holder found at entry is the holder of
+    # every later access.  Only the value is read per access.
 
-    def scalar(self, scope: Scope, name: str):
-        sc = scope.lookup_scope(name)
-        v = sc.vars[name] if sc is not None else None
+    #: what the emitted store ladder and reads test values against
+    FArray = FArray
+    ints = (int, np.integer)
+    bools = (bool, np.bool_)
+    ndarray = np.ndarray
+
+    @staticmethod
+    def hold(scope: Scope, name: str) -> Scope:
+        """The scope holding ``name``, or the root, which an unbound
+        name is created in."""
+        return scope.lookup_scope(name) or scope._root()
+
+    def read(self, holder: Scope, name: str):
+        """The tree's ``_eval_var`` through the holder resolved at entry;
+        the text reads a plain value itself and comes here for the rest
+        — no value, a COMMON box or whole array, a recorder logging."""
+        v = holder.vars.get(name)
         if v is None:
             raise InterpreterError(f"undefined variable {name!r}")
         sh = self.shadow
@@ -218,60 +286,60 @@ class Runtime:
                 return d.item()
             return d
         if sh.recording:
-            sh.record_scalar(sc, name, "r")
+            sh.record_scalar(holder, name, "r")
         return v
 
+    def box_store(self, arr: FArray, name: str, value):
+        """A scalar store to a name bound to an ``FArray`` (a COMMON
+        box); returns the value as a fresh read would see it."""
+        d = arr.data
+        if self.shadow.recording:
+            self.shadow.record_array(arr, name, "w",
+                                     idx=() if d.ndim == 0 else None)
+        d[...] = value
+        return d.item() if d.ndim == 0 else d
+
     @staticmethod
-    def cell(scope: Scope, name: str) -> dict:
-        """The dict a DO variable lives in for the whole loop (the
-        containing scope cannot change mid-loop)."""
-        return (scope.lookup_scope(name) or scope._root()).vars
+    def trunc(v) -> int:
+        """``int(np.trunc(v))``, the tree's integer store, as plain
+        ``int(v)`` where the two agree: on floats, and on integers a
+        double holds exactly."""
+        c = v.__class__
+        if c is float or c is np.float64 or (
+                (c is int or c is np.int64) and -_EXACT <= v <= _EXACT):
+            return int(v)
+        return int(np.trunc(v))
+
+    @staticmethod
+    def array(scope: Scope, name: str, rank: int) -> tuple:
+        """``(arr, data, lower bounds…, extents…)`` of the array bound
+        to ``name`` when it has ``rank`` dimensions; else ``None`` in
+        the first two places and the text takes :meth:`ref`/:meth:`store`
+        (a call, or the tree's error)."""
+        sc = scope.lookup_scope(name)
+        v = sc.vars[name] if sc is not None else None
+        if isinstance(v, FArray) and v.data.ndim == rank:
+            return (v, v.data) + tuple(v.lowers) + v.data.shape
+        return (None, None) + (0,) * (2 * rank)
+
+    @staticmethod
+    def oob(arr: FArray, dim: int, i: int):
+        lo, n = arr.lowers[dim], arr.data.shape[dim]
+        raise InterpreterError(
+            f"subscript {i} out of bounds in dimension {dim + 1} "
+            f"[{lo}, {lo + n - 1}]")
+
+    def over_budget(self, line):
+        """``exec_body``'s budget trip, for a statement written inline."""
+        raise InterpreterBudgetError(
+            f"statement budget of {self.compiler.interp.step_budget} "
+            f"exceeded in {self.unit} (livelock?)", line=line)
 
     @staticmethod
     def sset(scope: Scope, name: str, value) -> None:
         scope.set(name, value)
 
-    def astore(self, scope: Scope, name: str, value, coerce_int: bool):
-        """One scalar store, replicating ``Interpreter._assign``'s
-        coercion ladder with the symbol-table facts pre-resolved into
-        ``coerce_int``.
-
-        Returns the stored value exactly as a fresh scope read would see
-        it, so a reduction's accumulation loop observes the same
-        per-iteration coercions as the tree walk's store-then-reload.
-        """
-        sc = scope.lookup_scope(name)
-        cur = sc.vars[name] if sc is not None else None
-        sh = self.shadow
-        if isinstance(cur, FArray):
-            if sh.recording:
-                sh.record_array(cur, name, "w",
-                                idx=() if cur.data.ndim == 0 else None)
-            cur.data[...] = value
-            d = cur.data
-            return d.item() if d.ndim == 0 else d
-        if sc is None:
-            # an undefined name is created in the root scope (Scope.set
-            # semantics) — and its write keyed there, as the tree does
-            sc = scope._root()
-        if sh.recording:
-            sh.record_scalar(sc, name, "w")
-        if isinstance(cur, (int, np.integer)) and not isinstance(
-                cur, (bool, np.bool_)):
-            v = int(np.trunc(value))
-            sc.vars[name] = v
-            return v
-        if isinstance(value, np.ndarray):
-            raise InterpreterError(
-                f"array value assigned to scalar {name!r}")
-        if coerce_int and not isinstance(value, (bool, np.bool_)):
-            v = int(np.trunc(value))
-            sc.vars[name] = v
-            return v
-        sc.vars[name] = value
-        return value
-
-    # -- element and section access (scalar text) ----------------------
+    # -- per-access lookups: sections, and names :meth:`array` refused -
     #
     # Subscripts arrive as evaluated: ``FArray`` and ``record_array``
     # apply the tree's ``int()`` themselves.
@@ -404,17 +472,21 @@ class Runtime:
 
     @staticmethod
     def aliased(scope: Scope, names: tuple) -> bool:
-        """Whether two of the array names are bound to one ``ndarray``
-        (argument association): the lowering proof compares references
-        by name, so such a loop keeps the instrumented path."""
+        """Whether two of the array names are bound to storage of one
+        ``ndarray`` (argument association, a reshaped dummy's view): the
+        lowering proof compares references by name, so such a loop runs
+        its scalar text."""
         seen = set()
         for name in names:
             sc = scope.lookup_scope(name)
             v = sc.vars[name] if sc is not None else None
             if isinstance(v, FArray):
-                if id(v.data) in seen:
+                d = v.data
+                while isinstance(d.base, np.ndarray):
+                    d = d.base
+                if id(d) in seen:
                     return True
-                seen.add(id(v.data))
+                seen.add(id(d))
         return False
 
     # -- Fortran operator semantics ------------------------------------
@@ -686,6 +758,8 @@ class _LoopLowerer:
         self.locks: list[str] = []
         self._folds: list[str] = []          # per-iteration fold lines
         self._arrays: set[str] = set()       # array names referenced
+        #: scalar name -> the local holding its scope (resolved at entry)
+        self._holders: dict[str, str] = {}
         #: source name of the iteration labels of the lanes being
         #: emitted while a bulk-recorded loop is open, else None
         self._it: Optional[str] = None
@@ -1031,6 +1105,9 @@ class _LoopLowerer:
         sym = self.symtab.lookup(name)
         return sym is not None and sym.is_array
 
+    def _holder(self, name: str) -> str:
+        return self._holders.setdefault(name, f"_c{len(self._holders)}")
+
     def ex(self, e: F.Expr, ctx: Optional[dict]) -> str:
         """Emit ``e`` as Python source.
 
@@ -1056,7 +1133,7 @@ class _LoopLowerer:
                 # a whole-array read would vectorize where the scalar
                 # loop raises (array condition / array arithmetic)
                 raise _Ineligible("bare array reference")
-            return f"G(s, {name!r})"
+            return f"RD({self._holder(name)}, {name!r})"
         if isinstance(e, (F.ArrayRef, F.Apply)):
             return self._ex_ref(e, ctx)
         if isinstance(e, F.FuncCall):
@@ -1230,7 +1307,8 @@ class _LoopLowerer:
         self._uniq += 1
         u = self._uniq
         coerce = coerces_to_int(self.symtab, var)
-        out.append(f"{indent}_a{u} = G(s, {var!r})")
+        c = self._holder(var)
+        out.append(f"{indent}_a{u} = RD({c}, {var!r})")
         if kind == "minmax":
             op, contrib = info[2], info[3]
             acls = self._sym_class(var)
@@ -1244,8 +1322,7 @@ class _LoopLowerer:
             out.append(f"{indent}_f{u} = RED({csrc}, ({shape},), False)")
             out.append(f"{indent}_v{u} = {red}(_a{u}, "
                        f"{red}.reduce(_f{u}))")
-            out.append(f"{indent}_a{u} = AST(s, {var!r}, _v{u}, "
-                       f"{coerce})")
+            out += _store_text(c, var, f"_v{u}", coerce, f"_a{u}", indent)
             return
         # '+'/'*': vectorize the contributed terms, then replay the
         # scalar loop's accumulation order store-for-store
@@ -1264,8 +1341,8 @@ class _LoopLowerer:
                        f"{doall0})")
             upd = f"(_f{u}_0[_q{u}] {top} _a{u})"
         out.append(f"{indent}for _q{u} in range(_f{u}_0.shape[0]):")
-        out.append(f"{indent}    _a{u} = AST(s, {var!r}, {upd}, "
-                   f"{coerce})")
+        out.append(f"{indent}    _y = {upd}")
+        out += _store_text(c, var, "_y", coerce, f"_a{u}", indent + "    ")
 
     def _emit_partial(self, info: tuple, out: list, indent: str) -> None:
         """One accumulation into a partial: its contributed terms as one
@@ -1317,7 +1394,7 @@ class _LoopLowerer:
         for v, _, _ in self.combines:
             if v not in cur:
                 cur[v] = f"_v{len(cur)}"
-                out.append(f"{cur[v]} = G(s, {v!r})")
+                out.append(f"{cur[v]} = RD({self._holder(v)}, {v!r})")
         out.append("for _sh in DEAL(_n0):")
         for p, lit in self.partials.items():
             out.append(f"    {self._acc(p)} = {_fmt_literal(lit)}")
@@ -1331,8 +1408,10 @@ class _LoopLowerer:
         for v, op, p in self.combines:
             val = f"({cur[v]} {op} {self._acc(p)})" if op in "+*" \
                 else f"CALL(s, {op!r}, ({cur[v]}, {self._acc(p)}))"
-            out.append(f"    {cur[v]} = AST(s, {v!r}, {val}, "
-                       f"{coerces_to_int(self.symtab, v)})")
+            out.append(f"    _y = {val}")
+            out += _store_text(self._holder(v), v, "_y",
+                               coerces_to_int(self.symtab, v), cur[v],
+                               "    ")
 
     def _emit_stmt(self, st: F.Stmt, out: list, indent: str) -> None:
         if id(st) in self.reductions:
@@ -1397,12 +1476,19 @@ class _LoopLowerer:
                     f"{indent}    return _s{i}(s)"]
 
     @property
+    def _aliasable(self) -> bool:
+        """Whether two of the arrays the nest names could be one
+        ``ndarray`` that it writes (argument association)."""
+        return bool(self.writes) and len(self._arrays) > 1
+
+    @property
     def hands_over(self) -> bool:
         """Whether ``_v<i>`` can hand the loop to its scalar text
-        ``_s<i>``: inside a checked iteration, or under a deal that is
-        not a partition."""
-        return self.rec or any(isinstance(lv, C.ParallelDo)
-                               for lv in self.levels)
+        ``_s<i>``: inside a checked iteration, under aliased array
+        names, or under a deal that is not a partition (known after
+        :meth:`emit`)."""
+        return self.rec or self._aliasable or any(
+            isinstance(lv, C.ParallelDo) for lv in self.levels)
 
     def emit(self, i: int) -> list[str]:
         """Source of ``_v<i>`` (indented for the body of ``make``)."""
@@ -1460,14 +1546,18 @@ class _LoopLowerer:
             self._emit_folds(out)
 
         fn = [f"def _v{i}(s):"]
+        guards = []
         if self.rec:
             # already inside a checked iteration: the enclosing loop's
             # log wants every access in the tree's order
-            guard = "SH.recording"
-            if self.bulk and self.writes and len(self._arrays) > 1:
-                guard += f" or ALIAS(s, {tuple(sorted(self._arrays))!r})"
-            fn += [f"    if {guard}:", f"        return _s{i}(s)"]
-        fn += ["    " + line for line in head]
+            guards.append("SH.recording")
+        if self._aliasable:
+            # the proof compares references by name
+            guards.append(f"ALIAS(s, {tuple(sorted(self._arrays))!r})")
+        if guards:
+            fn += [f"    if {' or '.join(guards)}:",
+                   f"        return _s{i}(s)"]
+        fn += ["    " + line for line in _hold_text(self._holders) + head]
         if not self.bulk:
             return fn + ["    " + line for line in out]
         label = Interpreter._loop_label(self.loop)
@@ -1479,30 +1569,49 @@ class _LoopLowerer:
         return fn
 
 
+#: emitted text that is evaluated where it is written without reordering
+#: anything: a local of the text, or a numeric or logical literal
+_ATOM = re.compile(r"_t\d+|\(?-?[0-9][0-9.e+-]*\)?|True|False")
+_INT_LITERAL = re.compile(r"\(?-?[0-9]+\)?")
+
+
 class _ScalarText:
     """Scalar Python source for the statements of one list: what the
-    tree handlers do, operation for operation — the value before the
-    target's subscripts, each access through the one :class:`Runtime`
-    helper that makes the handler's ``record_*`` call — with statement
-    dispatch, operator choice and symbol-table facts resolved now.
+    tree handlers do, operation for operation, with statement dispatch,
+    operator choice and symbol-table facts resolved now.
 
-    One liberty: an array is looked up after the subscripts of its
-    reference are evaluated (the tree looks first), which only swaps
-    two errors of a program that has both.
+    Each function looks up the names it touches once, when it starts
+    (:meth:`Runtime.hold`, :meth:`Runtime.array`).  Per access the text
+    keeps what can change: the value in the holding scope's dict, the
+    ``int()`` of each subscript, the bounds test with the tree's
+    message, the recorder's ``record_*`` call while it is ``recording``
+    (in the tree's order), and the store coercion ladder
+    (:func:`_store_text`).  Values are computed into locals in the
+    tree's evaluation order — except that a reference's subscripts are
+    all evaluated before any is ``int()``-ed or an unknown function is
+    named, which only swaps two errors of a program that has both.
+    Elements of a name some DO of the
+    statement may rebind, sections, and names :meth:`Runtime.array`
+    refuses go through :meth:`Runtime.ref`/:meth:`Runtime.store`.
 
-    Inline: assignment, block and logical IF, DO, LOCK/UNLOCK, RETURN
-    and the no-ops.  Handed to the interpreter's own handlers, by AST
-    node: ``ParallelDo``, CALL statements, the nested lists of DO and
-    IF (each compiled as a list of its own), and every name only the
+    Inline: assignment, block and logical IF, DO, LOCK/UNLOCK, RETURN,
+    the no-ops, and each DO or IF body the text writes whole
+    (:meth:`_whole`), with ``exec_body``'s step count and budget trip
+    before each of its statements.  Handed to the interpreter's own
+    handlers, by AST node: ``ParallelDo``, CALL statements, every other
+    nested body (compiled as a list of its own), and every name only the
     tree can resolve at run time — calls of program units, ``Apply``
     nodes nobody resolved, unknown functions.  Any other statement kind
     (GOTO, computed GOTO, PRINT, READ, WHERE, STOP, assigned GOTO, I/O)
     raises :class:`_Declined`."""
 
     def __init__(self, interp: Interpreter, stmts: list[F.Stmt],
-                 unit: str):
+                 unit: str, rec: bool = False):
+        self.interp = interp
         self.units = interp.units
         self.symtab = interp.tables.get(unit)
+        self.unit = unit
+        self.rec = rec
         self.stmts = stmts
         #: ``make``-level lines naming the AST nodes the text hands over
         self.binds: list[str] = []
@@ -1511,9 +1620,24 @@ class _ScalarText:
     def function(self, i: int) -> list[str]:
         """Source of ``_s<i>``, the scalar text of statement ``i``."""
         self._at = i
-        out = [f"def _s{i}(s):"]
-        self.stmt(self.stmts[i], out, "    ")
-        return out
+        top = self.stmts[i]
+        self._holders: dict[str, str] = {}
+        self._arrays: dict[tuple[str, int], int] = {}
+        self._n = 0
+        #: a DO may rebind its variable, array or not
+        self._rebound = {n.var for n in top.walk()
+                         if isinstance(n, LOOPS)}
+        body: list[str] = []
+        self.stmt(top, body, "    ")
+        head = [f"def _s{i}(s):"]
+        head += ["    " + line for line in _hold_text(self._holders)]
+        for (name, rank), k in self._arrays.items():
+            names = [f"_a{k}", f"_x{k}"] \
+                + [f"_l{k}_{d}" for d in range(rank)] \
+                + [f"_n{k}_{d}" for d in range(rank)]
+            head.append(f"    {', '.join(names)} = "
+                        f"ARR(s, {name!r}, {rank})")
+        return head + body
 
     def node(self, target) -> str:
         """A ``make``-level name bound to ``target``, an AST node or
@@ -1523,6 +1647,13 @@ class _ScalarText:
         self.binds.append(f"{name} = rt.stmts[{self._at}]{path}")
         return name
 
+    def _new(self) -> str:
+        self._n += 1
+        return f"_t{self._n}"
+
+    def _holder(self, name: str) -> str:
+        return self._holders.setdefault(name, f"_c{len(self._holders)}")
+
     # -- statements ----------------------------------------------------
 
     def stmt(self, s: F.Stmt, out: list, ind: str) -> None:
@@ -1531,27 +1662,12 @@ class _ScalarText:
         elif isinstance(s, C.ParallelDo):
             out.append(f"{ind}PDO({self.node(s)}, s, U)")
         elif isinstance(s, F.DoLoop):
-            out += [f"{ind}_lo = int({self.ex(s.start)})",
-                    f"{ind}_hi = int({self.ex(s.end)})"]
-            rng = "range(_lo, _hi + 1)"
-            if s.step is not None:
-                out += [f"{ind}_st = int({self.ex(s.step)})",
-                        f"{ind}if _st == 0:",
-                        f"{ind}    ERR('zero DO step')"]
-                rng = "range(_lo, _hi + (1 if _st > 0 else -1), _st)"
-            out += [f"{ind}_cell = CELL(s, {s.var!r})",
-                    f"{ind}for _v in {rng}:",
-                    f"{ind}    _cell[{s.var!r}] = _v",
-                    f"{ind}    XB({self.node(s.body)}, s, U)"]
+            self._do(s, out, ind)
         elif isinstance(s, F.IfBlock):
-            for k, (cond, body) in enumerate(s.arms):
-                test = "True" if cond is None else f"T({self.ex(cond)})"
-                out += [f"{ind}{'el' if k else ''}if {test}:",
-                        f"{ind}    XB({self.node(body)}, s, U)"]
-            if not s.arms:
-                out.append(f"{ind}pass")
+            self._arms(s.arms, out, ind)
         elif isinstance(s, F.LogicalIf):
-            out.append(f"{ind}if T({self.ex(s.cond)}):")
+            test = self._test(s.cond, out, ind)
+            out.append(f"{ind}if {test}:")
             self.stmt(s.stmt, out, ind + "    ")
         elif isinstance(s, (C.LockStmt, C.UnlockStmt)):
             # the race detector tracks critical sections
@@ -1566,63 +1682,211 @@ class _ScalarText:
         else:
             raise _Declined(type(s).__name__)
 
+    def _do(self, s: F.DoLoop, out: list, ind: str) -> None:
+        u = self._new()[2:]
+        out.append(f"{ind}_lo{u} = int({self.ex(s.start, out, ind)})")
+        out.append(f"{ind}_hi{u} = int({self.ex(s.end, out, ind)})")
+        rng = f"range(_lo{u}, _hi{u} + 1)"
+        if s.step is not None:
+            out.append(f"{ind}_st{u} = int({self.ex(s.step, out, ind)})")
+            out += [f"{ind}if _st{u} == 0:", f"{ind}    ERR('zero DO step')"]
+            rng = (f"range(_lo{u}, _hi{u} + (1 if _st{u} > 0 else -1), "
+                   f"_st{u})")
+        d = "_d" + self._holder(s.var)[2:]
+        out += [f"{ind}for _w{u} in {rng}:",
+                f"{ind}    {d}[{s.var!r}] = _w{u}"]
+        self._body(s.body, out, ind + "    ")
+
+    def _arms(self, arms: list, out: list, ind: str) -> None:
+        """IF arms: each later one in the ``else`` of the one before,
+        where its condition's statements can go."""
+        for k, (cond, body) in enumerate(arms):
+            if k:
+                out.append(f"{ind}else:")
+                ind += "    "
+            if cond is None:
+                self._body(body, out, ind)
+                return
+            test = self._test(cond, out, ind)
+            out.append(f"{ind}if {test}:")
+            self._body(body, out, ind + "    ")
+        if not arms:
+            out.append(f"{ind}pass")
+
+    def _body(self, body: list, out: list, ind: str) -> None:
+        """A DO or IF body: written inline, each statement after
+        ``exec_body``'s step count and budget test, or one ``XB``."""
+        if not self._whole(body):
+            out.append(f"{ind}XB({self.node(body)}, s, U)")
+            return
+        for st in body:
+            out += [f"{ind}IP._steps += 1",
+                    f"{ind}if IP._steps > BUD:",
+                    f"{ind}    OVER({st.line!r})"]
+            self.stmt(st, out, ind)
+        if not body:
+            out.append(f"{ind}pass")
+
+    def _whole(self, body: list) -> bool:
+        """Whether the text writes ``body`` inline: no statement in it,
+        at any depth, is of a kind the text declines — so no GOTO can
+        land on a label in it — and none of its own statements is a
+        loop with a vector form, which keeps a list of its own."""
+        for st in body:
+            for n in st.walk():
+                if isinstance(n, F.Stmt) and not isinstance(n, WRITTEN) \
+                        or isinstance(n, F.Assign) and not isinstance(
+                            n.target, (F.Var, F.ArrayRef, F.Apply)):
+                    return False
+        return not any(self._vectorizes(st) for st in body)
+
+    def _vectorizes(self, st: F.Stmt) -> bool:
+        if not isinstance(st, LOOPS):
+            return False
+        try:
+            _LoopLowerer(self.interp, st, self.unit, self.rec).emit(0)
+        except _Ineligible:
+            return False
+        return True
+
     def _assign(self, s: F.Assign, out: list, ind: str) -> None:
         t = s.target
-        value = self.ex(s.value)
+        value = self._atom(self.ex(s.value, out, ind), out, ind)
         if isinstance(t, F.Var):
-            out.append(f"{ind}AST(s, {t.name!r}, {value}, "
-                       f"{coerces_to_int(self.symtab, t.name)})")
+            out += _store_text(self._holder(t.name), t.name, value,
+                               coerces_to_int(self.symtab, t.name),
+                               "_r", ind)
         elif isinstance(t, (F.ArrayRef, F.Apply)):
             subs = t.subscripts if isinstance(t, F.ArrayRef) else t.args
             if any(isinstance(x, F.RangeExpr) for x in subs):
+                specs = self._specs(subs, out, ind)
                 out.append(f"{ind}ST(s, {t.name!r}, {value}, "
-                           f"specs={self._specs(subs)})")
+                           f"specs={specs})")
             else:
-                out.append(f"{ind}ST(s, {t.name!r}, {value}, "
-                           f"{self._tuple(subs)})")
+                self._element(t.name, subs, out, ind, value)
         else:
             raise _Declined("assignment target")
 
     # -- expressions ---------------------------------------------------
 
-    def _tuple(self, es) -> str:
-        return "(" + "".join(f"{self.ex(e)}, " for e in es) + ")"
+    def _atom(self, v: str, out: list, ind: str, local: bool = False
+              ) -> str:
+        """``v`` as a local (or, unless ``local``, a literal): computed
+        here, once."""
+        if _ATOM.fullmatch(v) and not (local and v[:2] != "_t"):
+            return v
+        t = self._new()
+        out.append(f"{ind}{t} = {v}")
+        return t
 
-    def _specs(self, subs) -> str:
+    def _seq(self, es, out: list, ind: str) -> list[str]:
+        """Operands in the tree's order: a value already written that
+        a later operand's statements would overtake is computed first."""
+        vals: list[str] = []
+        for e in es:
+            mark = len(out)
+            v = self.ex(e, out, ind)
+            if len(out) > mark:
+                for j, p in enumerate(vals):
+                    if not _ATOM.fullmatch(p):
+                        vals[j] = self._new()
+                        out.insert(mark, f"{ind}{vals[j]} = {p}")
+                        mark += 1
+            vals.append(v)
+        return vals
+
+    def _test(self, cond: F.Expr, out: list, ind: str) -> str:
+        """``Interpreter._truth`` of ``cond``; a bool is its own."""
+        t = self._atom(self.ex(cond, out, ind), out, ind, local=True)
+        return f"({t} if {t}.__class__ is bool else T({t}))"
+
+    def _specs(self, subs, out: list, ind: str) -> str:
         """``Interpreter._spec`` of each subscript, as a list display."""
+        parts = [p for x in subs for p in (
+            (x.lo, x.hi, x.stride) if isinstance(x, F.RangeExpr) else (x,))]
+        vals = iter(self._seq([p for p in parts if p is not None], out,
+                              ind))
+
         def bound(e):
-            return "None" if e is None else self.ex(e)
+            return "None" if e is None else next(vals)
 
         return "[" + ", ".join(
             f"({bound(x.lo)}, {bound(x.hi)}, {bound(x.stride)})"
-            if isinstance(x, F.RangeExpr) else f"int({self.ex(x)})"
+            if isinstance(x, F.RangeExpr) else f"int({next(vals)})"
             for x in subs) + "]"
 
-    def ex(self, e: F.Expr) -> str:
+    def _element(self, name: str, subs, out: list, ind: str,
+                 store: Optional[str] = None) -> Optional[str]:
+        """One element of array ``name``: loaded into a new local (whose
+        name is returned), or assigned the local ``store``."""
+        vals = [v if _INT_LITERAL.fullmatch(v)
+                else self._atom(v, out, ind, local=True)
+                for v in self._seq(subs, out, ind)]
+        idx = "(" + "".join(f"{v}, " for v in vals) + ")"
+        t = self._new() if store is None else None
+        slow = (f"{t} = REF(s, {name!r}, {idx})" if store is None
+                else f"ST(s, {name!r}, {store}, {idx})")
+        if name in self._rebound:
+            out.append(ind + slow)
+            return t
+        rank = len(vals)
+        k = self._arrays.setdefault((name, rank), len(self._arrays))
+        out += [f"{ind}if _x{k} is None:", f"{ind}    {slow}",
+                f"{ind}else:"]
+        ind += "    "
+        for d, v in enumerate(vals):
+            out.append(f"{ind}_i{d} = " + (
+                v if _INT_LITERAL.fullmatch(v)
+                else f"{v} if {v}.__class__ is int else int({v})"))
+        ints = "(" + "".join(f"_i{d}, " for d in range(rank)) + ")"
+        kind = "r" if store is None else "w"
+        out += [f"{ind}if SH.recording:",
+                f"{ind}    SH.record_array(_a{k}, {name!r}, {kind!r}, "
+                f"idx={ints})"]
+        for d in range(rank):
+            out += [f"{ind}_j{d} = _i{d} - _l{k}_{d}",
+                    f"{ind}if _j{d} < 0 or _j{d} >= _n{k}_{d}:",
+                    f"{ind}    OOB(_a{k}, {d}, _i{d})"]
+        key = ", ".join(f"_j{d}" for d in range(rank))
+        out.append(f"{ind}_x{k}[{key}] = {store}" if store is not None
+                   else f"{ind}{t} = _x{k}[{key}]")
+        return t
+
+    def ex(self, e: F.Expr, out: list, ind: str) -> str:
+        """Source of ``e``'s value; the statements it needs first go to
+        ``out``."""
         if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit, F.StrLit)):
             return _fmt_literal(e.value)
         if isinstance(e, F.Var):
-            return f"G(s, {e.name!r})"
+            c = self._holder(e.name)
+            t = self._new()
+            out += [f"{ind}{t} = _d{c[2:]}.get({e.name!r})",
+                    f"{ind}if {t} is None or isinstance({t}, FA) "
+                    f"or SH.recording:",
+                    f"{ind}    {t} = RD({c}, {e.name!r})"]
+            return t
         if isinstance(e, F.BinOp) and e.op in _PY_OPS:
-            return (f"({self.ex(e.left)} {_PY_OPS[e.op]} "
-                    f"{self.ex(e.right)})")
+            l, r = self._seq((e.left, e.right), out, ind)
+            return f"({l} {_PY_OPS[e.op]} {r})"
         if isinstance(e, F.BinOp) and e.op in _HELPER_OPS:
-            return (f"{_HELPER_OPS[e.op]}({self.ex(e.left)}, "
-                    f"{self.ex(e.right)})")
+            l, r = self._seq((e.left, e.right), out, ind)
+            return f"{_HELPER_OPS[e.op]}({l}, {r})"
         if isinstance(e, F.UnOp) and e.op in ("-", "+", ".not."):
-            x = self.ex(e.operand)
+            x = self.ex(e.operand, out, ind)
             return {"-": f"(-{x})", "+": x, ".not.": f"NOT({x})"}[e.op]
         name = getattr(e, "name", None)
         callable_ = name in CEDAR_LIBRARY or name in INTRINSICS
         if name not in self.units or name in CEDAR_LIBRARY:
             if isinstance(e, F.FuncCall) and callable_:
-                return f"CALL(s, {name!r}, {self._tuple(e.args)})"
+                args = "".join(f"{a}, "
+                               for a in self._seq(e.args, out, ind))
+                return f"CALL(s, {name!r}, ({args}))"
             if isinstance(e, F.ArrayRef):
                 if not e.is_section():
-                    return f"REF(s, {name!r}, {self._tuple(e.subscripts)})"
+                    return self._element(name, e.subscripts, out, ind)
                 if not callable_:
-                    return (f"REF(s, {name!r}, "
-                            f"specs={self._specs(e.subscripts)})")
+                    specs = self._specs(e.subscripts, out, ind)
+                    return f"REF(s, {name!r}, specs={specs})"
         # what the tree resolves as it runs: a program unit's call, an
         # ``Apply``, an unknown function or operator, a stray section
         return f"EV({self.node(e)}, s, U)"
@@ -1656,7 +1920,7 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
     (module docstring); the scalar text is the same either way.  A list
     holding a statement the scalar text declines gets ``make = None``:
     it runs whole on the tree."""
-    scalar = _ScalarText(interp, stmts, unit)
+    scalar = _ScalarText(interp, stmts, unit, rec)
     mode = f"emitter v{JIT_VERSION}{', recorder-aware' if rec else ''}"
     body: list[str] = []
     fns: list[str] = []
@@ -1700,13 +1964,18 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
 #: the names emitted text calls the :class:`Runtime` by -> its attribute;
 #: a module binds the ones its text uses
 _HELPERS = {
-    "G": "scalar", "AST": "astore", "SSET": "sset", "CALL": "call",
+    "SSET": "sset", "CALL": "call",
     "DIV": "div", "AND": "and_", "OR": "or_", "EQV": "eqv",
     "NEQV": "neqv", "NOT": "not_", "ERR": "error",
+    # names resolved at entry, and the scalar store
+    "HOLD": "hold", "RD": "read", "BOXW": "box_store", "TR": "trunc",
+    "FA": "FArray", "INTS": "ints", "BOOLS": "bools", "NDA": "ndarray",
+    "SH": "shadow",
     # scalar text
-    "REF": "ref", "ST": "store", "T": "truth", "CELL": "cell",
-    "LOCK": "shadow.acquire", "UNLOCK": "shadow.release",
+    "ARR": "array", "OOB": "oob", "REF": "ref", "ST": "store",
+    "T": "truth", "LOCK": "shadow.acquire", "UNLOCK": "shadow.release",
     "RET": "Return", "U": "unit", "XB": "compiler.exec_body",
+    "IP": "compiler.interp", "BUD": "budget", "OVER": "over_budget",
     # ... and hands to the interpreter's own handlers, by AST node
     "PDO": "compiler.interp._parallel_do",
     "CALLS": "compiler.interp._call_stmt", "EV": "compiler.interp.eval",
@@ -1714,7 +1983,7 @@ _HELPERS = {
     "VL": "vload", "VS": "vstore", "NP": "np_funcs", "RED": "red_flat",
     "ROWS": "red_rows", "DEAL": "shares", "PART": "partition",
     # recorder-aware vector forms
-    "SH": "shadow", "OPEN": "shadow.open_loop",
+    "OPEN": "shadow.open_loop",
     "CLOSE": "shadow.close_loop", "SCAL": "log_scalars",
     "ALIAS": "aliased",
 }

@@ -1,12 +1,14 @@
 """The compiled engine's scalar text (repro.execmodel.source_jit).
 
 Every statement the loop lowerer does not take as a whole grid is
-written into its list's module as scalar Python over the ``Runtime``
-helpers; a list holding a statement kind that text does not cover runs
-whole on the tree walk.  The tree is the oracle: generated programs the
-22 workloads never shaped are bit-identical on both engines, under the
-race detector too; every declined kind gives the tree's result; and a
-faulty program dies of the tree's own message.
+written into its list's module as scalar Python, its names looked up
+once when it starts and its GOTO-free nested bodies inline; a list
+holding a statement kind that text does not cover runs whole on the
+tree walk.  The tree is the oracle: generated programs the 22 workloads
+never shaped are bit-identical on both engines, under the race detector
+too; so are the shapes that could break a lookup made at entry; every
+declined kind gives the tree's result; and a faulty program dies of the
+tree's own message.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.errors import InterpreterBudgetError, InterpreterError
 from repro.execmodel.compiled import Compiler
 from repro.execmodel.interp import Interpreter, cyclic_deal
 from repro.execmodel.shadow import ShadowRecorder
+from repro.execmodel.source_jit import Runtime
 from repro.fortran import ast_nodes as F
 from repro.fortran import fuzz
 from repro.fortran.parser import parse_program
@@ -192,17 +195,66 @@ def test_declined_kinds_give_the_trees_result(name):
     assert not interp.inputs
 
 
-def test_goto_lands_on_a_label_of_an_emitted_list():
+#: GOTO_OUT with a second IF whose arm — a DO and its body — the text
+#: writes inline in the DO body's function
+GOTO_BESIDE_INLINE = """
+      subroutine s(n, a)
+      integer n, i, j
+      real a(n)
+      do 20 i = 1, n
+         if (a(i) .lt. 0.0) then
+            a(i) = 0.0
+            goto 10
+         endif
+         if (a(i) .gt. 2.0) then
+            do j = 1, 2
+               a(i) = a(i) - 0.5
+            end do
+         endif
+         a(i) = a(i) + 1.0
+   10    a(i) = a(i) * 2.0
+   20 continue
+      end
+"""
+
+#: every nested body written inline into the outer DO's function
+INLINED = """
+      subroutine s(n, a)
+      integer n, i, j
+      real a(n)
+      do i = 1, n
+         a(i) = a(i) + 1.0
+         do j = 1, n
+            a(j) = a(j) + 1.0
+            a(i) = a(i) * 0.5
+         end do
+      end do
+      end
+"""
+
+
+@pytest.mark.parametrize("src,lists", [(GOTO_OUT, (1, 5)),
+                                       (GOTO_BESIDE_INLINE, (1, 6))],
+                         ids=["goto-out", "beside-an-inlined-body"])
+def test_goto_lands_on_a_label_of_an_emitted_list(src, lists):
     """The IF arm holding the GOTO runs on the tree; the DO body it
-    jumps within is module text, and its label map takes the signal."""
-    _, _, interp = _run(parse_program(GOTO_OUT), "s", [4, A4],
-                        engine="compiled")
+    jumps within is module text, and its label map takes the signal.
+    A body holding a GOTO is never written inline — a GOTO lands only
+    on a label of a list enclosing it — but its GOTO-free neighbour
+    is: the second IF's arm and the DO in it are no list of their
+    own."""
+    tree, _, _ = _run(parse_program(src), "s", [4, A4], engine="tree")
+    fast, _, interp = _run(parse_program(src), "s", [4, A4],
+                           engine="compiled")
+    assert_bit_identical(tree, fast, "goto")
     comp = interp._compiler
-    assert (comp.tree_lists, comp.scalar_stmts) == (1, 5)
+    assert (comp.tree_lists, comp.scalar_stmts) == lists
 
 
-@pytest.mark.parametrize("src,budget", [(SPIN, 5000), (GOTO_OUT, 9)],
-                         ids=["in-a-tree-list", "in-an-emitted-list"])
+@pytest.mark.parametrize("src,budget", [(SPIN, 5000), (GOTO_OUT, 9),
+                                        (INLINED, 9)],
+                         ids=["in-a-tree-list", "in-an-emitted-list",
+                              "in-an-inlined-body"])
 def test_budget_trip_names_the_trees_line(src, budget):
     sf = parse_program(src)
     tripped = {}
@@ -210,11 +262,169 @@ def test_budget_trip_names_the_trees_line(src, budget):
         interp = Interpreter(sf, step_budget=budget, engine=engine)
         with pytest.raises(InterpreterBudgetError) as exc:
             interp.call("s", 4, np.copy(A4))
-        tripped[engine] = (str(exc.value), exc.value.line)
+        tripped[engine] = (str(exc.value), exc.value.line, interp._steps)
     assert tripped["compiled"] == tripped["tree"]
     assert f"statement budget of {budget} exceeded in s" \
         in tripped["tree"][0]
     assert tripped["tree"][1] is not None
+
+
+def test_inlined_bodies_count_the_trees_steps():
+    """One statement list, the outer DO: its nested bodies are written
+    inline, each statement after ``exec_body``'s step count."""
+    steps = {}
+    for engine in ("tree", "compiled"):
+        _, _, interp = _run(parse_program(INLINED), "s", [4, A4],
+                            engine=engine)
+        steps[engine] = interp._steps
+    assert steps["compiled"] == steps["tree"] == 1 + 4 * (2 + 4 * 2)
+    assert interp._compiler.scalar_stmts == 1
+
+
+# ---------------------------------------------------------------------------
+# (b') names are looked up when a statement starts, values on each access
+
+HAZARDS = {
+    # a scalar first created by a store inside the loop: its holder is
+    # the root scope, where the store creates it
+    "created-in-the-loop": ("""
+      subroutine s(n, a, b)
+      integer n, i, j
+      real a(n), b(n, n)
+      do i = 1, n
+         do j = 1, n
+            if (j .gt. 1) b(j, i) = t + a(j)
+            t = a(j) * i
+         end do
+      end do
+      end
+""", lambda: [4, A4, np.zeros((4, 4))]),
+    # a COMMON scalar lives in a 0-d box: read and written through it
+    "common-box": ("""
+      subroutine s(n, a, b)
+      integer n, i, j
+      real a(n), b(n, n), c
+      common /blk/ c
+      c = 0.0
+      do i = 1, n
+         do j = 1, n
+            c = c + a(j)
+            b(j, i) = c * 0.5
+         end do
+      end do
+      end
+""", lambda: [4, A4, np.zeros((4, 4))]),
+    # a real scalar holding an integer makes every later store truncate
+    "stored-type-flips": ("""
+      subroutine s(n, a, b)
+      integer n, i, j
+      real a(n), b(n, n), x
+      do i = 1, n
+         do j = 1, n
+            x = 0.75
+            if (j .gt. 2) x = i
+            b(j, i) = x / 2 + a(j)
+         end do
+      end do
+      end
+""", lambda: [4, A4, np.zeros((4, 4))]),
+    # two dummies bound to one array: a store through one is the next
+    # iteration's load through the other
+    "two-dummies-one-array": ("""
+      subroutine t(n, a, b)
+      integer n, i
+      real a(n), b(n)
+      do i = 2, n
+         a(i) = b(i - 1) + 1.0
+      end do
+      end
+
+      subroutine s(n, a, b)
+      integer n, i, j
+      real a(n), b(n, n)
+      call t(n, a, a)
+      do i = 1, n
+         do j = 2, n
+            b(j, i) = a(j)
+            a(j) = b(j - 1, i) + a(i)
+         end do
+      end do
+      end
+""", lambda: [4, A4, np.zeros((4, 4))]),
+    # ... and a reshaped dummy is a view of the other's array
+    "reshaped-dummy-shares-storage": ("""
+      subroutine t(n, a, b)
+      integer n, i
+      real a(2, 2), b(n)
+      do i = 1, 2
+         a(i, 2) = b(i + 1) + 1.0
+      end do
+      end
+
+      subroutine s(n, a, b)
+      integer n
+      real a(n), b(n, n)
+      call t(n, a, a)
+      end
+""", lambda: [4, A4, np.zeros((4, 4))]),
+}
+
+
+@pytest.mark.parametrize("v", [2.7, -2.7, -0.0, 1e300, np.float64(-3.5),
+                               7, -(2 ** 53), 2 ** 53 + 1, 2 ** 70,
+                               np.int64(2 ** 62 + 1), np.int32(-5), True,
+                               np.bool_(True), np.float32(2.5)])
+def test_integer_store_is_the_trees_truncation(v):
+    assert Runtime.trunc(v) == int(np.trunc(v))
+    assert type(Runtime.trunc(v)) is int
+
+
+@pytest.mark.parametrize("v", [float("nan"), float("inf"),
+                               np.float64("-inf")])
+def test_integer_store_of_a_non_finite_raises_the_trees_error(v):
+    with pytest.raises(Exception) as tree:
+        int(np.trunc(v))
+    with pytest.raises(type(tree.value), match=str(tree.value)):
+        Runtime.trunc(v)
+
+
+def test_literal_conditions_and_subscripts_are_the_trees():
+    src = """
+      subroutine s(n, a)
+      integer n
+      real a(n)
+      if (1) a(2.5) = a(1.0) + 1.0
+      if (.true.) a(3) = 2
+      end
+"""
+    tree, _, _ = _run(parse_program(src), "s", [4, A4], engine="tree")
+    fast, _, interp = _run(parse_program(src), "s", [4, A4],
+                           engine="compiled")
+    assert_bit_identical(tree, fast, "literals")
+    assert interp._compiler.tree_lists == 0
+
+
+@pytest.mark.parametrize("name", sorted(HAZARDS))
+def test_names_resolved_at_entry_are_the_trees(name):
+    src, make_args = HAZARDS[name]
+    programs = {"original": parse_program(src)}
+    for config in ("automatic", "manual"):
+        programs[config], _ = cached_restructure(
+            src, PIPELINE_CONFIGS[config]())
+    for config, program in programs.items():
+        for shadowed in (False, True):
+            ctx = f"{name}@{config}/shadow={shadowed}"
+            runs = [_run(program, "s", make_args(), engine=engine,
+                         processors=4,
+                         shadow=ShadowRecorder() if shadowed else None)
+                    for engine in ("tree", "compiled")]
+            (tree, _, t), (fast, _, c) = runs
+            assert_bit_identical(tree, fast, ctx)
+            assert c._compiler.tree_lists == 0, ctx
+            if shadowed:
+                assert c.shadow.conflicts == t.shadow.conflicts, ctx
+                assert c.shadow.loops_checked \
+                    == t.shadow.loops_checked, ctx
 
 
 # ---------------------------------------------------------------------------
