@@ -11,6 +11,9 @@ text — a DO through its emitted ``for``, a parallel loop through the
 interpreter's worker-by-worker ``_parallel_do`` (instrumented, under a
 recorder).  A vector form that hands its loop over — inside a checked
 iteration, under aliased array names — counts as a scalar execution.
+Under a recorder, "unlogged" counts the parallel loop executions it
+counted in ``loops_checked`` but opened no log for: those of fewer than
+two iterations, which cannot conflict.
 
 Usage (repo root): ``PYTHONPATH=src python scripts/lowering_census.py
 [--recorded-only] [case ...]`` — a Markdown table on stdout, all 22
@@ -41,6 +44,16 @@ def census(program, case, recorded: bool, processors: int = 8,
     cell)."""
     c: Counter = Counter()
     shadow = ShadowRecorder() if recorded else None
+    if recorded:
+        open_loop = shadow.open_loop
+
+        def counting_open_loop(label, n):
+            ctx = open_loop(label, n)
+            c["unlogged"] += ctx is None
+            return ctx
+
+        # both engines' loops, and the vector text's OPEN, call it here
+        shadow.open_loop = counting_open_loop
     # set by a parallel loop's vector form on entry; still set when
     # ``_parallel_do`` starts only if that form handed the loop over
     entered = [False]
@@ -105,7 +118,7 @@ def census(program, case, recorded: bool, processors: int = 8,
 
 COLUMNS = ("lists", "tree lists", "vector-text loops",
            "scalar-text statements", "parallel vector", "parallel scalar",
-           "do vector", "do scalar")
+           "do vector", "do scalar", "unlogged")
 
 
 def main(argv=None) -> int:

@@ -396,8 +396,8 @@ class Interpreter:
             self.exec_body(s.postamble, wscope, unit)
             return
         shadow = self.shadow
-        ctx = shadow.open_loop(self._loop_label(s)) if shadow is not None \
-            else None
+        ctx = shadow.open_loop(self._loop_label(s), len(iters)) \
+            if shadow is not None else None
         p = max(1, min(self.processors, len(iters) or 1))
         try:
             for share in self.deal(len(iters), p):

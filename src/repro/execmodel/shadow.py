@@ -11,6 +11,15 @@ exit the log is checked for cross-iteration conflicts — two different
 iterations touching the same scalar cell or the same array element with
 at least one write.
 
+A loop execution of fewer than two iterations is counted but opens no
+log (:meth:`ShadowRecorder.open_loop` returns None).  That is exact, not
+a sampling: every access it logs belongs to its one iteration — its
+preamble and postamble are never logged for it — and a conflict needs
+two different iterations, so its log could never report anything.  It
+runs as it would with no recorder attached, and any enclosing open loop
+still logs its accesses.  Zero- and one-strip DOALLs (strip-mined loops
+with n no larger than the strip) are most of them.
+
 Scope rules:
 
 - accesses to loop-local storage (the ``locals_`` a privatization or
@@ -154,7 +163,9 @@ class ShadowRecorder:
 
     def __init__(self):
         self.conflicts: list[RaceConflict] = []
-        #: executions of parallel loops seen (doall only)
+        #: executions of parallel loops seen (doall only), logged or
+        #: not: one of fewer than two iterations opens no log, since a
+        #: conflict needs two different iterations
         self.loops_checked = 0
         #: True while some open loop is inside an iteration body — the
         #: engines test this before paying for a ``record_*`` call
@@ -204,10 +215,16 @@ class ShadowRecorder:
                         if c.cur_iter is not None and not c.suspended]
         self.recording = bool(self._active)
 
-    def open_loop(self, label: str) -> _LoopCtx:
+    def open_loop(self, label: str, n: int) -> Optional[_LoopCtx]:
+        """Count one execution of a DOALL of ``n`` iterations and open
+        its log — or, for fewer than two iterations, which cannot
+        conflict, return None: the loop runs as it does unrecorded,
+        and an enclosing open loop still logs its accesses."""
+        self.loops_checked += 1
+        if n < 2:
+            return None
         ctx = _LoopCtx(label)
         self._ctxs.append(ctx)
-        self.loops_checked += 1
         return ctx
 
     def begin_worker(self, ctx: _LoopCtx, wscope: Scope) -> None:
@@ -231,7 +248,9 @@ class ShadowRecorder:
         ctx.suspended = False
         self._refresh()
 
-    def close_loop(self, ctx: _LoopCtx) -> None:
+    def close_loop(self, ctx: Optional[_LoopCtx]) -> None:
+        if ctx is None:
+            return
         assert self._ctxs and self._ctxs[-1] is ctx
         self._ctxs.pop()
         self._refresh()

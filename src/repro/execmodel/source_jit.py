@@ -53,6 +53,12 @@ What the vector text takes:
   through the scalar store ladder.  A zero-trip loop still runs
   preamble + postamble once.
 
+A vector form loads each distinct grid once per straight-line block: a
+load whose text comes again reads the local its first use filled.  The
+reuse stops at the next store of any kind, at each guard arm and at each
+nest level, so a repeat never reads past a store or a lane set that may
+not have run.
+
 A grid stores every lane once, so a DOALL level takes its vector text
 only under a deal that hands each iteration to exactly one worker
 (:meth:`Runtime.partition`, checked at loop entry before anything is
@@ -67,7 +73,8 @@ none).  Every vector form first tests ``recording``: inside a checked
 iteration of an enclosing loop the statement runs its scalar text, which
 logs access by access.  Otherwise a sequential nest runs as it does
 unrecorded (nothing is being checked), and a nest whose only parallel
-level is the outermost opens the loop on the recorder, logs — from the
+level is the outermost opens the loop on the recorder with its iteration
+count (the recorder opens no log for fewer than two), logs — from the
 very ``_grid_key`` result each load/store indexes with — the flat
 offsets of every reference paired with the outer iteration values (the
 strip start for a collapsed strip-mined loop), one row per iteration for
@@ -111,7 +118,7 @@ from repro.fortran.intrinsics import INTRINSICS
 
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact so stale module text can never be served to a newer runtime
-JIT_VERSION = 4
+JIT_VERSION = 5
 
 #: statements that do nothing when executed (sync statements are
 #: functional no-ops without a shadow recorder)
@@ -424,7 +431,8 @@ class Runtime:
     def vload(self, scope: Scope, name: str, parts: tuple,
               cx=None, it=None):
         """Load a grid of elements; recorder-aware text passes the open
-        loop ``cx`` and the lanes' iteration labels ``it``."""
+        loop ``cx`` (None when the recorder opened no log) and the
+        lanes' iteration labels ``it``."""
         arr = scope.get(name)
         if not isinstance(arr, FArray):
             raise InterpreterError(f"{name!r} is not an array")
@@ -458,7 +466,10 @@ class Runtime:
     def log_scalars(self, cx, scope: Scope, names: tuple, it) -> None:
         """A read per iteration of each shared scalar the loop names —
         a superset of what a guarded body evaluates, which only adds
-        reads of cells a bulk-recorded loop never writes."""
+        reads of cells a bulk-recorded loop never writes.  Nothing
+        when the recorder opened no log (``cx`` None)."""
+        if cx is None:
+            return
         for name in names:
             sc = scope.lookup_scope(name)
             if sc is None:
@@ -763,6 +774,9 @@ class _LoopLowerer:
         #: source name of the iteration labels of the lanes being
         #: emitted while a bulk-recorded loop is open, else None
         self._it: Optional[str] = None
+        #: load text -> the local its first use filled, within the
+        #: current straight-line block (:meth:`_ex_ref`)
+        self._loaded: dict[str, str] = {}
         self._uniq = 0
         self._collect_nest(loop)
         #: recorder-aware text of a nest with a parallel level: lowered
@@ -1168,8 +1182,17 @@ class _LoopLowerer:
                     raise _Ineligible("axis in invariant position")
                 parts.append(self._sub_src(sub, entry, ctx))
             self._arrays.add(name)
-            return (f"VL(s, {name!r}, ({', '.join(parts)},)"
+            load = (f"VL(s, {name!r}, ({', '.join(parts)},)"
                     f"{self._rec_args()})")
+            # a load already made in this block reads its local: the
+            # first use fills it where it stands, so the text's order of
+            # evaluation is the order ``ex`` is called in
+            local = self._loaded.get(load)
+            if local is None:
+                self._uniq += 1
+                local = self._loaded[load] = f"_ld{self._uniq}"
+                return f"({local} := {load})"
+            return local
         return self._ex_call(name, list(subs), ctx)
 
     def _rec_args(self) -> str:
@@ -1267,16 +1290,20 @@ class _LoopLowerer:
 
     def _emit_assign(self, st: F.Assign, ctx: dict, out: list,
                      indent: str) -> None:
-        rhs = self.ex(st.value, ctx)
         t = st.target
+        parts = self._target_parts(t, ctx)   # evaluated first: VS(...)
+        rhs = self.ex(st.value, ctx)
         self._arrays.add(t.name)
-        out.append(f"{indent}VS(s, {t.name!r}, "
-                   f"({self._target_parts(t, ctx)}), {rhs}"
+        out.append(f"{indent}VS(s, {t.name!r}, ({parts}), {rhs}"
                    f"{self._rec_args()})")
+        self._loaded.clear()       # a later load sees what this stored
 
     def _emit_guarded(self, mask_src: str, assigns: list, out: list,
                       indent: str) -> None:
-        """Compressed-lane lowering of one guard arm."""
+        """Compressed-lane lowering of one guard arm: a block of its
+        own — it reuses no load made before it, and its last store ends
+        it, so no load made on its lanes is reused after it."""
+        self._loaded.clear()
         self._uniq += 1
         u = self._uniq
         out.append(f"{indent}_w{u} = np.nonzero({mask_src})")
@@ -1416,6 +1443,8 @@ class _LoopLowerer:
     def _emit_stmt(self, st: F.Stmt, out: list, indent: str) -> None:
         if id(st) in self.reductions:
             self._emit_reduction(st, out, indent)
+            if self.reductions[id(st)][1] not in self.partials:
+                self._loaded.clear()    # the accumulator's stores
             return
         if isinstance(st, NOOP_STMTS):
             return
@@ -1462,6 +1491,13 @@ class _LoopLowerer:
         out.append(f"{indent}_n{a} = len(range(_lo{a}, _hi{a} + "
                    f"(1 if _st{a} > 0 else -1), _st{a}))")
 
+    def _trips(self, a: int = 0) -> str:
+        """Source of the iteration count the tree runs level ``a``
+        with: its lanes, or its strips for a collapsed strip-mine."""
+        if a in self.strips:
+            return f"-(-_n{a} // {self.strips[a]})"
+        return f"_n{a}"
+
     def _emit_deal_check(self, a: int, i: int, out: list,
                          indent: str) -> None:
         """A DOALL level runs as a grid only under a deal that is a
@@ -1469,10 +1505,7 @@ class _LoopLowerer:
         strip-mine); nothing has been stored yet, so otherwise the loop
         starts over on its scalar text."""
         if isinstance(self.levels[a], C.ParallelDo):
-            n = f"_n{a}"
-            if a in self.strips:
-                n = f"-(-{n} // {self.strips[a]})"
-            out += [f"{indent}if not PART({n}):",
+            out += [f"{indent}if not PART({self._trips(a)}):",
                     f"{indent}    return _s{i}(s)"]
 
     @property
@@ -1508,6 +1541,7 @@ class _LoopLowerer:
                 self._emit_deal_check(a, i, out, indent)
             out.append(f"{indent}if _n{a}:")
             indent += "    "
+            self._loaded.clear()      # each nest level is a new block
             out.append(f"{indent}_iv{a} = np.arange(_lo{a}, _lo{a} + "
                        f"_st{a} * _n{a}, _st{a}, dtype=np.int64)")
             shape = ["1"] * k
@@ -1561,7 +1595,7 @@ class _LoopLowerer:
         if not self.bulk:
             return fn + ["    " + line for line in out]
         label = Interpreter._loop_label(self.loop)
-        fn += [f"    _cx = OPEN({label!r})", "    try:"]
+        fn += [f"    _cx = OPEN({label!r}, {self._trips()})", "    try:"]
         fn += ["        " + line for line in out]
         fn += ["    finally:", "        CLOSE(_cx)"]
         # what the postambles' LOCK/UNLOCK pairs leave of the lockset

@@ -7,14 +7,25 @@ same log kept by the test.  Random scripts drive both through the
 public API only.
 """
 
+import copy
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cedar.nodes import ParallelDo
+from repro.engine import cached_restructure
+from repro.errors import InterpreterError
+from repro.execmodel.interp import Interpreter
 from repro.execmodel.shadow import ShadowRecorder
 from repro.execmodel.values import FArray, Scope
+from repro.validate.configs import PIPELINE_CONFIGS
+from repro.workloads import validation_cases
+from tests.validate.test_race_detector import LogsEveryLoop
+
+CASES = validation_cases()
 
 #: small enough that the whole 3x3 array coarsens to a supercell
 CAP = 8
@@ -112,7 +123,7 @@ def test_array_analysis_matches_pairwise_reference(script):
 
     def open_loop(label):
         parent = loops[-1].wscope if loops else root
-        m = Model(label, sh.open_loop(label), Scope(parent=parent))
+        m = Model(label, sh.open_loop(label, 6), Scope(parent=parent))
         m.wscope.declare("t", 0.0)        # loop-local: never recorded
         sh.begin_worker(m.ctx, m.wscope)
         loops.append(m)
@@ -184,7 +195,7 @@ def test_worker_private_pins_die_with_their_loop():
     def pins_after(workers):
         sh = ShadowRecorder()
         shared = FArray(np.zeros(4), (1,))
-        ctx = sh.open_loop("do i @ test")
+        ctx = sh.open_loop("do i @ test", workers)
         for w in range(workers):
             wscope = Scope(parent=Scope())
             wscope.declare("tmp", FArray.zeros("real", [(1, 32)]))
@@ -196,3 +207,37 @@ def test_worker_private_pins_die_with_their_loop():
         return len(sh._pins)
 
     assert pins_after(2) == pins_after(200) == 1
+
+
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
+@pytest.mark.parametrize("stripped", (False, True),
+                         ids=("intact", "stripped"))
+@pytest.mark.parametrize("config", ["automatic", "manual"])
+@pytest.mark.parametrize("wname", sorted(CASES))
+def test_two_iteration_rule_changes_no_verdict(wname, config, stripped,
+                                              engine):
+    """Every case and configuration, as restructured and with its
+    privatisation stripped so that it races: the recorder that logs
+    only executions of two or more iterations counts the same loops
+    and reports the same conflicts, in the same order, as one that
+    logs every execution."""
+    case = CASES[wname]
+    cedar, _ = cached_restructure(case.source, PIPELINE_CONFIGS[config]())
+    if stripped:
+        cedar = copy.deepcopy(cedar)     # the cached program is shared
+        for node in cedar.walk():
+            if isinstance(node, ParallelDo):
+                node.locals_ = []
+    runs = []
+    for recorder in (ShadowRecorder, LogsEveryLoop):
+        sh, error = recorder(), None
+        args, _ = case.make_args(case.n, np.random.default_rng(3))
+        try:
+            Interpreter(cedar, processors=8, shadow=sh,
+                        engine=engine).call(case.entry, *args)
+        except InterpreterError as exc:
+            # a stripped array local is undeclared: both runs stop there
+            error = str(exc)
+        runs.append((error, sh.loops_checked,
+                     [c.to_dict() for c in sh.conflicts]))
+    assert runs[0] == runs[1]

@@ -16,10 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cedar import nodes as C
 from repro.engine import cached_parse, cached_restructure
 from repro.engine import cache as cache_mod
 from repro.execmodel.interp import Interpreter
 from repro.execmodel.source_jit import JIT_VERSION
+from repro.fortran import ast_nodes as F
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
 
@@ -247,6 +249,141 @@ class TestLoweredLoopIsTheTreesLoop:
         tree, out, comp = _both(USER_ABS, "t", 3, a, np.zeros(3))
         assert out["b"].tolist() == [99.0, 102.0, 97.0]
         _assert_bits(tree, out)
+
+
+#: ``a(i)`` loaded, stored, and loaded again: the last load must see the
+#: store (``gaussj``'s shape: ``a(k,j) = a(k,j) * piv; rowk(j) = a(k,j)``)
+STORE_BETWEEN = """
+      subroutine sb(n, a, b, c)
+      integer n, i
+      real a(n), b(n), c(n)
+      do 10 i = 1, n
+         b(i) = a(i) * 2.0
+         a(i) = a(i) + 1.0
+         c(i) = a(i) * 3.0
+   10 continue
+      return
+      end
+"""
+
+#: ``w(3)`` loaded inside a guard arm that may take no lane, then again
+#: after it, and ``a(i)`` in the guard and after it
+IN_AND_OUT_OF_ARM = """
+      subroutine arm(n, a, b, c, w)
+      integer n, i
+      real a(n), b(n), c(n), w(4)
+      do 10 i = 1, n
+         if (a(i) .gt. w(2)) then
+            b(i) = a(i) * w(3)
+         else
+            b(i) = w(3) - a(i)
+         endif
+         c(i) = a(i) + w(3)
+   10 continue
+      return
+      end
+"""
+
+#: ``k(1)`` loaded in the stored element's subscript, evaluated before
+#: the value that loads it again
+SUBSCRIPT_AND_VALUE = """
+      subroutine sv(n, a, b, k)
+      integer n, i, k(2)
+      real a(n, 2), b(n)
+      do 10 i = 1, n
+         a(i, k(1)) = b(i) * k(1)
+   10 continue
+      return
+      end
+"""
+
+
+def _module_text(src, rec):
+    from repro.execmodel.source_jit import emit_module
+
+    sf = cached_parse(src)
+    unit = sf.units[0]
+    return emit_module(Interpreter(sf, engine="compiled"), unit.body,
+                       unit.name, rec)
+
+
+class TestLoadReuse:
+    """Vector text loads a grid once per straight-line block: a repeat
+    of the same load text reads the local the first one filled, until
+    the next store, guard arm or nest level."""
+
+    def _check(self, src, entry, args):
+        from repro.execmodel.shadow import ShadowRecorder
+        from repro.fortran.parser import parse_program
+        from tests.execmodel.test_lowered_recording import as_doall
+
+        sf = cached_parse(src)
+        doall = parse_program(src)       # not the cached, shared tree
+        body = doall.units[0].body
+        at = next(i for i, st in enumerate(body)
+                  if isinstance(st, F.DoLoop))
+        body[at] = as_doall(body[at])
+        for program in (sf, doall):
+            for shadowed in (False, True):
+                runs = []
+                for engine in ("tree", "compiled"):
+                    sh = ShadowRecorder() if shadowed else None
+                    interp = Interpreter(program, processors=4, shadow=sh,
+                                         engine=engine)
+                    out = interp.call(entry, *[
+                        np.copy(a) if isinstance(a, np.ndarray) else a
+                        for a in args])
+                    runs.append((out, sh))
+                (tree, sh_t), (out, sh_c) = runs
+                _assert_bits(tree, out)
+                assert interp._compiler.vectorized_loops == 1
+                if shadowed:
+                    assert sh_c.loops_checked == sh_t.loops_checked
+                    assert sh_c.conflicts == sh_t.conflicts
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_a_store_between_two_loads_reloads(self, n):
+        a = np.arange(7.0) - 3.0
+        self._check(STORE_BETWEEN, "sb", [n, a, np.zeros(7), np.zeros(7)])
+        for rec in (False, True):
+            # each statement loads a(i) itself: the first is followed by
+            # a store (to b), the last follows the store to a
+            assert _module_text(STORE_BETWEEN, rec).count("VL(") == 3
+
+    @pytest.mark.parametrize("cut", [-10.0, 0.0, 10.0],
+                             ids=["every-lane", "some-lanes", "no-lane"])
+    def test_a_load_in_an_arm_and_after_it(self, cut):
+        a = np.linspace(-2.0, 2.0, 9)
+        w = np.array([0.0, cut, 0.5, 0.0])
+        self._check(IN_AND_OUT_OF_ARM, "arm",
+                    [9, a, np.zeros(9), np.zeros(9), w])
+        for rec in (False, True):
+            # guard: a(i), w(2); each arm: a(i), w(3) on its own lanes;
+            # after the arms: a(i), w(3) again
+            assert _module_text(IN_AND_OUT_OF_ARM, rec).count("VL(") == 8
+
+    def test_a_load_in_the_stored_subscript_and_in_the_value(self):
+        self._check(SUBSCRIPT_AND_VALUE, "sv",
+                    [5, np.zeros((5, 2)), np.arange(5.0),
+                     np.array([2, 1], dtype=np.int64)])
+        for rec in (False, True):
+            assert _module_text(SUBSCRIPT_AND_VALUE, rec).count("VL(") == 2
+
+    def test_svdcmp_reduction_loop_loads_each_column_once(self):
+        """svdcmp's partial-sum DOALL accumulates a(i,p)**2, a(i,q)**2
+        and a(i,p)*a(i,q): two grid loads, each logged once."""
+        from repro.execmodel.shadow import ShadowRecorder
+        from repro.execmodel.source_jit import _LoopLowerer
+
+        case = CASES["svdcmp"]
+        cedar, _ = cached_restructure(case.source,
+                                      PIPELINE_CONFIGS["automatic"]())
+        [pdo] = [n for n in cedar.walk()
+                 if isinstance(n, C.ParallelDo) and n.postamble]
+        interp = Interpreter(cedar, processors=4, engine="compiled",
+                             shadow=ShadowRecorder())
+        text = "\n".join(_LoopLowerer(interp, pdo, "svdcmp", True).emit(0))
+        assert "OPEN(" in text and text.count("VL(") == 2
 
 
 class TestRestructuredPrograms:

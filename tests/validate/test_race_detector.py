@@ -14,10 +14,12 @@ from repro.cedar.nodes import ParallelDo
 from repro.execmodel.interp import Interpreter
 from repro.execmodel.shadow import ShadowRecorder
 from repro.execmodel.values import Scope
+from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
 from repro.restructurer.options import RestructurerOptions
 from repro.validate.configs import options_for_stages
 from repro.workloads import validation_cases
+from tests.execmodel.test_lowered_recording import as_doall
 
 
 def find_pdos(sf):
@@ -136,6 +138,137 @@ class TestCriticalSection:
         assert sh.conflicts == []
 
 
+class LogsEveryLoop(ShadowRecorder):
+    """The recorder without the two-iteration rule: every execution of
+    a DOALL opens a log, however few iterations it has."""
+
+    def open_loop(self, label, n):
+        return super().open_loop(label, max(n, 2))
+
+
+class CountsLogs(ShadowRecorder):
+    """A recorder that counts the loop executions it opens a log for."""
+
+    logged = 0
+
+    def open_loop(self, label, n):
+        ctx = super().open_loop(label, n)
+        self.logged += ctx is not None
+        return ctx
+
+
+SHARED_CELL_SRC = """
+      subroutine w(n, a, b)
+      integer n, i
+      real a(8), b(8)
+      do i = 1, n
+         a(1) = b(i)
+      end do
+      end
+"""
+
+ELEMENTWISE_SRC = """
+      subroutine e(n, a, b)
+      integer n, i
+      real a(8), b(8)
+      do i = 1, n
+         a(i) = b(i) * 2.0
+      end do
+      end
+"""
+
+NESTED_ONE_TRIP_SRC = """
+      subroutine nest(n, m, a, b)
+      integer n, m, i, k
+      real a(8), b(8)
+      do k = 1, n
+         do i = 1, m
+            a(i) = b(k) + 1.0
+         end do
+      end do
+      end
+"""
+
+
+def doalls(src):
+    """``src`` with every DO loop turned into a DOALL, innermost
+    first."""
+    sf = parse_program(src)
+
+    def convert(body):
+        for k, st in enumerate(body):
+            if isinstance(st, F.DoLoop):
+                convert(st.body)
+                body[k] = as_doall(st)
+
+    for u in sf.units:
+        convert(u.body)
+    return sf
+
+
+def race_run(program, entry, args, engine, recorder=ShadowRecorder):
+    sh = recorder()
+    fresh = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
+    out = Interpreter(program, processors=4, shadow=sh,
+                      engine=engine).call(entry, *fresh)
+    return out, sh
+
+
+def verdicts(sh):
+    return [(c.loop, c.var, c.element, c.kind, c.iterations)
+            for c in sh.conflicts]
+
+
+class TestFewerThanTwoIterations:
+    """A conflict needs two different iterations, so a DOALL execution
+    of fewer than two is counted and not logged — and no verdict moves."""
+
+    def test_two_iterations_still_race(self, engine):
+        _, sh = race_run(doalls(SHARED_CELL_SRC), "w",
+                         [2, np.zeros(8), np.arange(8.0)], engine,
+                         CountsLogs)
+        assert (sh.loops_checked, sh.logged) == (1, 1)
+        assert [(c.var, c.element, c.kind, c.iterations)
+                for c in sh.conflicts] \
+            == [("a", (1,), "write-write", (1, 2))]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("src", [SHARED_CELL_SRC, ELEMENTWISE_SRC],
+                             ids=["shared-cell", "elementwise"])
+    def test_short_loops_are_counted_not_logged(self, src, n, engine):
+        program = doalls(src)
+        entry = program.units[0].name
+        args = [n, np.zeros(8), np.arange(8.0)]
+        out, sh = race_run(program, entry, args, engine, CountsLogs)
+        assert (sh.loops_checked, sh.logged) == (1, 0)
+        assert sh.conflicts == []
+        bare = Interpreter(program, processors=4, engine="tree").call(
+            entry, *[np.copy(a) if isinstance(a, np.ndarray) else a
+                     for a in args])
+        for k in bare:
+            assert np.asarray(out[k]).tobytes() \
+                == np.asarray(bare[k]).tobytes(), k
+
+    def test_outer_race_around_a_one_trip_inner_doall(self, engine):
+        """Every outer iteration writes ``a(1)`` inside an inner DOALL
+        of one iteration: the inner loop logs nothing, the outer one
+        still logs its accesses and reports the conflict it always
+        did."""
+        program = doalls(NESTED_ONE_TRIP_SRC)
+        args = [4, 1, np.zeros(8), np.arange(8.0)]
+        out, sh = race_run(program, "nest", args, engine, CountsLogs)
+        old_out, old = race_run(program, "nest", args, engine,
+                                LogsEveryLoop)
+        assert (sh.loops_checked, sh.logged) == (5, 1)
+        assert old.loops_checked == 5
+        assert verdicts(sh) == verdicts(old)
+        assert [(c.loop, c.var, c.element, c.kind) for c in sh.conflicts] \
+            == [("xdoall do k @ line 5", "a", (1,), "write-write")]
+        for k in out:
+            assert np.asarray(out[k]).tobytes() \
+                == np.asarray(old_out[k]).tobytes(), k
+
+
 class TestShadowRecorderUnit:
     """Direct API tests pinning the cell-keying semantics."""
 
@@ -144,7 +277,7 @@ class TestShadowRecorderUnit:
         root = Scope()
         root.declare("m", 64)
         root.declare("nhit", 0)
-        ctx = sh.open_loop("do i @ test")
+        ctx = sh.open_loop("do i @ test", 2)
         sh.begin_worker(ctx, Scope(parent=root))
         return sh, ctx, root
 
@@ -220,7 +353,7 @@ class TestArrayCells:
 
     def _loop(self):
         sh = ShadowRecorder()
-        ctx = sh.open_loop("do i @ test")
+        ctx = sh.open_loop("do i @ test", 2)
         sh.begin_worker(ctx, Scope(parent=Scope()))
         return sh, ctx
 

@@ -25,8 +25,8 @@ from repro.workloads import validation_cases
 # importing them re-collects them in this module, where the fixture
 # below hands them the compiled engine
 from tests.validate.test_race_detector import (  # noqa: F401
-    TestCriticalSection, TestDoacrossExcluded, TestPrivatization,
-    TestReduction)
+    TestCriticalSection, TestDoacrossExcluded, TestFewerThanTwoIterations,
+    TestPrivatization, TestReduction)
 
 CASES = validation_cases()
 
