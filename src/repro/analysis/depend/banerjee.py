@@ -39,12 +39,15 @@ class LoopBounds:
         return LoopBounds(var, lo_v, hi_v)
 
 
-def _pos(x: float) -> float:
-    return x if x > 0 else 0.0
-
-
-def _neg(x: float) -> float:
-    return x if x < 0 else 0.0
+def _span(c: int, lo: float, hi: float) -> tuple[float, float]:
+    """Min/max of ``c*i`` with i in [lo, hi].  ``0·∞ = 0``: a zero
+    coefficient drops the term even over an unknown bound, where IEEE
+    arithmetic would give NaN."""
+    if c > 0:
+        return c * lo, c * hi
+    if c < 0:
+        return c * hi, c * lo
+    return 0.0, 0.0
 
 
 def _term_extremes(a: int, b: int, lo: float, hi: float,
@@ -58,27 +61,23 @@ def _term_extremes(a: int, b: int, lo: float, hi: float,
     """
     if direction == "*":
         # unconstrained pair
-        cands_min = _pos(a) * lo + _neg(a) * hi - (_pos(b) * hi + _neg(b) * lo)
-        cands_max = _pos(a) * hi + _neg(a) * lo - (_pos(b) * lo + _neg(b) * hi)
-        return _san(cands_min), _san(cands_max)
+        a_min, a_max = _span(a, lo, hi)
+        b_min, b_max = _span(b, lo, hi)
+        return a_min - b_max, a_max - b_min
     if direction == "=":
-        c = a - b
-        mn = _pos(c) * lo + _neg(c) * hi
-        mx = _pos(c) * hi + _neg(c) * lo
-        return _san(mn), _san(mx)
+        return _span(a - b, lo, hi)
     if direction == "<":
         # i <= i' - 1.  Write i' = i + d, d >= 1, i in [lo, hi-1], i+d <= hi.
         # h_term = a*i - b*(i+d) = (a-b)*i - b*d with d in [1, hi-lo].
         c = a - b
         if lo == -inf or hi == inf:
             # ranges unbounded: bound only by coefficient signs
-            mn = -inf if (c != 0 or b > 0) else 0.0 - _pos(b)
-            mx = inf if (c != 0 or b < 0) else 0.0 - _neg(b)
-            # when c == 0: h = -b*d, d>=1 unbounded above
-            if c == 0:
+            if c == 0:  # h = -b*d, d >= 1 unbounded above
                 mn = -inf if b > 0 else -b * 1.0
                 mx = inf if b < 0 else -b * 1.0
-            return _san(mn), _san(mx)
+            else:
+                mn, mx = -inf, inf
+            return mn, mx
         dmax = hi - lo
         if dmax < 1:
             return inf, -inf  # empty: no i < i' possible
@@ -86,7 +85,7 @@ def _term_extremes(a: int, b: int, lo: float, hi: float,
         # (lo,1), (hi-1,1), (lo,dmax): extremes occur at the vertices.
         verts = [(lo, 1.0), (hi - 1, 1.0), (lo, dmax)]
         vals = [c * i - b * d for i, d in verts]
-        return _san(min(vals)), _san(max(vals))
+        return min(vals), max(vals)
     if direction == ">":
         # mirror of '<': i' <= i - 1 → h = a*i - b*i', i = i' + d, d >= 1
         # h = (a-b)*i' + a*d, i' in [lo, hi-1], d in [1, hi-lo]
@@ -97,19 +96,14 @@ def _term_extremes(a: int, b: int, lo: float, hi: float,
                 mx = inf if a > 0 else a * 1.0
             else:
                 mn, mx = -inf, inf
-            return _san(mn), _san(mx)
+            return mn, mx
         dmax = hi - lo
         if dmax < 1:
             return inf, -inf
         verts = [(lo, 1.0), (hi - 1, 1.0), (lo, dmax)]
         vals = [c * ip + a * d for ip, d in verts]
-        return _san(min(vals)), _san(max(vals))
+        return min(vals), max(vals)
     raise ValueError(direction)
-
-
-def _san(x: float) -> float:
-    # keep inf/-inf as-is; guard NaN from inf arithmetic
-    return 0.0 if x != x else x
 
 
 def banerjee_test(src: LinearExpr, sink: LinearExpr,

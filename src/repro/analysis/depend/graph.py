@@ -18,9 +18,14 @@ the graph records them; the parallelization planner filters them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
-from repro.analysis.depend.tests import DependenceTester, TestResult
+from repro.analysis.depend.tests import (
+    DependenceTester,
+    SubscriptPair,
+    TestResult,
+)
+from repro.analysis.expr import LinearExpr, const_value, linearize
 from repro.analysis.refs import LoopInfo, Ref, RefCollector
 from repro.fortran import ast_nodes as F
 
@@ -119,6 +124,7 @@ def build_dependence_graph(loop: F.DoLoop,
         by_name.setdefault(r.name, []).append((pos, r))
 
     loop_vars = {li.var for r in refs for li in r.loops}
+    facts = _BuildFacts(params)
 
     for name, items in by_name.items():
         if name in loop_vars and all(r.is_scalar for _, r in items):
@@ -132,7 +138,7 @@ def build_dependence_graph(loop: F.DoLoop,
                 if o is w:
                     # self output dependence: the same write may hit the
                     # same cell in a *different* iteration
-                    for dep in _self_dependence(w, params):
+                    for dep in _self_dependence(w, facts):
                         if not dep.result.exact:
                             graph.exact = False
                         graph.deps.append(dep)
@@ -142,7 +148,7 @@ def build_dependence_graph(loop: F.DoLoop,
                     if key in seen_ww:
                         continue
                     seen_ww.add(key)
-                for dep in _pair_dependences(w, pw, o, po, params):
+                for dep in _pair_dependences(w, pw, o, po, facts):
                     if not dep.result.exact:
                         graph.exact = False
                     graph.deps.append(dep)
@@ -160,16 +166,72 @@ def _flip(dv: tuple[str, ...]) -> tuple[str, ...]:
     return tuple("<" if d == ">" else (">" if d == "<" else "=") for d in dv)
 
 
-def _self_dependence(w: Ref, params: Mapping[str, int] | None) -> list[Dependence]:
+class _BuildFacts:
+    """What one :func:`build_dependence_graph` call derives, each once.
+
+    Per reference, the affine form and the subscript range of each
+    dimension; per distinct common nest, one :class:`DependenceTester`;
+    per (common nest, source forms, sink forms), one :class:`TestResult`.
+    Each is a function of its key and ``params``, which the call holds
+    fixed, so a looked-up fact equals a recomputed one.  The table lives
+    only as long as the call, and the references and loop records its
+    ``id()`` keys name stay alive for all of it.  Shared results are
+    read-only: edges build their own ``TestResult``.
+    """
+
+    def __init__(self, params: Mapping[str, int] | None):
+        self.params = params
+        self._forms: dict[int, tuple[Optional[LinearExpr], ...]] = {}
+        self._ranges: dict[tuple[int, int], Optional[tuple]] = {}
+        self._testers: dict[tuple[int, ...], DependenceTester] = {}
+        self._results: dict[tuple, TestResult] = {}
+
+    def forms(self, ref: Ref) -> tuple[Optional[LinearExpr], ...]:
+        """Affine form of each subscript of ``ref`` (None: non-affine)."""
+        got = self._forms.get(id(ref))
+        if got is None:
+            got = self._forms[id(ref)] = tuple(
+                linearize(e, self.params) for e in ref.subscripts)
+        return got
+
+    def subscript_range(self, ref: Ref, dim: int):
+        key = (id(ref), dim)
+        if key not in self._ranges:
+            self._ranges[key] = _subscript_range(
+                self.forms(ref)[dim], ref.loops, self.params)
+        return self._ranges[key]
+
+    def test(self, nest: tuple[LoopInfo, ...], src: Ref,
+             sink: Ref) -> TestResult:
+        """``DependenceTester(nest, params).test_refs`` on the two
+        references' subscripts — its ``conservative()`` answer for a
+        scalar or call-induced reference — computed once per build."""
+        system = None  # not an affine system: conservative
+        if not (src.is_scalar or sink.is_scalar
+                or src.in_call or sink.in_call):
+            fs, fk = self.forms(src), self.forms(sink)
+            if len(fs) == len(fk) and None not in fs and None not in fk:
+                system = (fs, fk)
+        nest_key = tuple(map(id, nest))
+        key = (nest_key, system)
+        got = self._results.get(key)
+        if got is None:
+            tester = self._testers.get(nest_key)
+            if tester is None:
+                tester = self._testers[nest_key] = DependenceTester(
+                    nest, self.params)
+            got = self._results[key] = (
+                tester.conservative() if system is None else
+                tester.test_subscripts(
+                    [SubscriptPair(a, b) for a, b in zip(*system)]))
+        return got
+
+
+def _self_dependence(w: Ref, facts: _BuildFacts) -> list[Dependence]:
     """Output dependence of a write against itself across iterations."""
-    nest = w.loops
-    if not nest:
+    if not w.loops:
         return []
-    tester = DependenceTester(nest, params)
-    if w.is_scalar or w.in_call:
-        result = tester.conservative()
-    else:
-        result = tester.test_refs(w.subscripts, w.subscripts)
+    result = facts.test(w.loops, w, w)
     fwd = {dv for dv in result.directions if _first_noneq(dv) == "<"}
     if not fwd:
         return []
@@ -177,7 +239,8 @@ def _self_dependence(w: Ref, params: Mapping[str, int] | None) -> list[Dependenc
     return [Dependence(kind="output", source=w, sink=w, result=res)]
 
 
-def _subscript_range(ref: Ref, dim: int, params):
+def _subscript_range(le: Optional[LinearExpr],
+                     loops: tuple[LoopInfo, ...], params):
     """Symbolic (min, max) of one subscript over all enclosing loops.
 
     Only affine subscripts whose loop-index coefficients are ±1 with
@@ -185,16 +248,13 @@ def _subscript_range(ref: Ref, dim: int, params):
     the outer pivot index) stays symbolic in both endpoints, so pure
     differences cancel it.
     """
-    from repro.analysis.expr import LinearExpr, const_value, linearize
-
-    le = linearize(ref.subscripts[dim], params)
     if le is None:
         return None
-    loops = {li.var: li for li in ref.loops}
+    by_var = {li.var: li for li in loops}
     lo_acc = LinearExpr.constant(le.const)
     hi_acc = LinearExpr.constant(le.const)
     for name, c in le.coeffs:
-        li = loops.get(name)
+        li = by_var.get(name)
         if li is None:
             lo_acc = lo_acc + LinearExpr.variable(name, c)
             hi_acc = hi_acc + LinearExpr.variable(name, c)
@@ -219,14 +279,14 @@ def _subscript_range(ref: Ref, dim: int, params):
     return lo_acc, hi_acc
 
 
-def _ranges_disjoint(a: Ref, b: Ref, params) -> bool:
+def _ranges_disjoint(a: Ref, b: Ref, facts: _BuildFacts) -> bool:
     """True when some dimension's address sets provably never overlap —
     e.g. the LU row update writing columns [k, n] while reading [1, k-1]."""
     if not a.subscripts or len(a.subscripts) != len(b.subscripts):
         return False
     for d in range(len(a.subscripts)):
-        ra = _subscript_range(a, d, params)
-        rb = _subscript_range(b, d, params)
+        ra = facts.subscript_range(a, d)
+        rb = facts.subscript_range(b, d)
         if ra is None or rb is None:
             continue
         gap1 = ra[0] - rb[1]  # a above b
@@ -238,26 +298,21 @@ def _ranges_disjoint(a: Ref, b: Ref, params) -> bool:
 
 
 def _pair_dependences(w: Ref, pw: int, o: Ref, po: int,
-                      params: Mapping[str, int] | None) -> list[Dependence]:
+                      facts: _BuildFacts) -> list[Dependence]:
     """Dependence edges between a write ``w`` and another reference ``o``.
 
     The tester is run with ``w`` as source; surviving direction vectors
     whose leading non-'=' is '<' (or all-'=' with ``w`` textually first)
     give an edge with ``w`` as source, the rest give the reversed edge.
     """
-    if not w.is_scalar and not o.is_scalar and not w.in_call \
-            and not o.in_call and _ranges_disjoint(w, o, params):
-        return []
-    nest = _common_nest(w, o)
-    tester = DependenceTester(nest, params)
     if w.is_scalar or o.is_scalar or w.in_call or o.in_call:
         # scalars: one cell → dependence possible at all levels;
         # call-induced refs: unknown section → conservative
         if w.is_scalar != o.is_scalar:
             return []  # scalar vs array of the same name: distinct symbols
-        result = tester.conservative()
-    else:
-        result = tester.test_refs(w.subscripts, o.subscripts)
+    elif _ranges_disjoint(w, o, facts):
+        return []
+    result = facts.test(_common_nest(w, o), w, o)
     if result.independent:
         return []
 

@@ -71,12 +71,46 @@ class DependenceTester:
         self.nest = list(nest)
         self.params = dict(params or {})
         self.index_vars = [l.var for l in self.nest]
+        #: indices of loops with a negative constant step, tested as î = −i
+        self.descending: set[str] = set()
+        #: indices of loops whose step is not a known constant
+        self.unordered: set[str] = set()
         self.bounds = [self._bounds(l) for l in self.nest]
 
     def _bounds(self, l: LoopInfo) -> LoopBounds:
+        """Bounds of ``l``'s index in execution order.
+
+        A negative constant step runs ``i`` downward, so the level is
+        tested on ``î = −i`` over ``−start..−end`` (``_oriented`` negates
+        its coefficients): directions and distances then read in
+        execution order.  A step that is not a known constant leaves the
+        level unbounded and its order unknown (``_either_way``).
+        """
+        descending = False
+        if l.step is not None:
+            step = linearize(l.step, self.params)
+            if step is None or not step.is_constant or step.const == 0:
+                self.unordered.add(l.var)
+                return LoopBounds(l.var)
+            descending = step.const < 0
         lo = linearize(l.start, self.params)
         hi = linearize(l.end, self.params)
+        if descending:
+            self.descending.add(l.var)
+            lo = None if lo is None else -lo
+            hi = None if hi is None else -hi
         return LoopBounds.from_linear(l.var, lo, hi)
+
+    def _oriented(self, e: LinearExpr) -> LinearExpr:
+        return LinearExpr(e.const, tuple(
+            (n, -c if n in self.descending else c) for n, c in e.coeffs))
+
+    def _either_way(self, dv: tuple[str, ...]):
+        """``dv`` with ``<``/``>`` free at every unordered level: index
+        order says nothing about execution order there."""
+        return itertools.product(*(
+            ("<", ">") if d != "=" and v in self.unordered else (d,)
+            for d, v in zip(dv, self.index_vars)))
 
     # ------------------------------------------------------------------
 
@@ -89,6 +123,10 @@ class DependenceTester:
                 if not gcd_test(p.src, p.sink, []):
                     return TestResult(set())
             return TestResult({()})
+
+        if self.descending:
+            pairs = [SubscriptPair(self._oriented(p.src),
+                                   self._oriented(p.sink)) for p in pairs]
 
         # Whole-system GCD screening, per dimension.
         for p in pairs:
@@ -104,6 +142,9 @@ class DependenceTester:
                     break
             if ok:
                 surviving.add(dv)
+        if self.unordered:
+            return TestResult({e for dv in surviving
+                               for e in self._either_way(dv)})
 
         distance = self._exact_distance(pairs, k) if surviving else None
         if distance is not None:
