@@ -7,12 +7,15 @@ with concurrent requests covering every classified outcome —
 - a clean ``/restructure`` (``ok``, and byte-identical to the
   ``repro.experiments --source --json`` CLI path),
 - a malformed ``.f`` (terminal ``invalid-input``, exactly one attempt),
+- malformed optional fields — ``fault_scenario``, ``timeout_s``,
+  ``deadline_s`` of an unusable type (the same, refused up front),
 - an injected fault scenario (``degraded`` but correct),
 - a worker SIGKILL mid-request (retried to ``ok``),
 
 — validates every envelope with ``scripts/validate_experiment_json.py``
-and ``/metrics`` for the expected series, then sends SIGTERM and
-asserts the graceful drain (exit 0, "drained" on stderr).
+and ``/metrics`` for the expected series, checks that every JSON body
+it read is a single line, then sends SIGTERM and asserts the graceful
+drain (exit 0, "drained" on stderr).
 
 Usage: ``python scripts/server_smoke.py`` from the repo root
 (``src/`` is put on ``sys.path`` for the child automatically).
@@ -38,6 +41,8 @@ sys.path.insert(0, str(REPO / "scripts"))
 import validate_experiment_json as vej  # noqa: E402
 
 _failures: list[str] = []
+#: ``(label, raw body)`` of every JSON response read
+_bodies: list[tuple[str, bytes]] = []
 
 
 def check(cond: bool, label: str, detail: str = "") -> None:
@@ -47,20 +52,30 @@ def check(cond: bool, label: str, detail: str = "") -> None:
         _failures.append(label)
 
 
+def read_json(label: str, raw: bytes) -> dict:
+    _bodies.append((label, raw))
+    return json.loads(raw)
+
+
 def post(base: str, path: str, body: dict) -> tuple[int, dict]:
     req = urllib.request.Request(
         base + path, data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(req, timeout=300) as resp:
-            return resp.status, json.loads(resp.read())
+            return resp.status, read_json(path, resp.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        return exc.code, read_json(path, exc.read())
 
 
-def get(base: str, path: str) -> tuple[int, str]:
+def get(base: str, path: str) -> tuple[int, bytes]:
     with urllib.request.urlopen(base + path, timeout=60) as resp:
-        return resp.status, resp.read().decode()
+        return resp.status, resp.read()
+
+
+def get_json(base: str, path: str) -> tuple[int, dict]:
+    code, raw = get(base, path)
+    return code, read_json(path, raw)
 
 
 def main() -> int:
@@ -103,6 +118,16 @@ def main() -> int:
                                          "chaos": {"kill_worker": 1}}),
         "lint": ("/lint", {"source": source, "path": str(SAMPLE)}),
     }
+    # optional fields no request can run with: refused before any work
+    malformed_fields = {
+        "bad-fault-scenario": {"fault_scenario": ["x"]},
+        "bad-timeout": {"timeout_s": "soon"},
+        "bad-deadline": {"deadline_s": "later"},
+    }
+    for name, extra in malformed_fields.items():
+        requests[name] = ("/restructure", {"source": source,
+                                           "path": str(SAMPLE),
+                                           "quick": True, **extra})
     results: dict[str, tuple[int, dict]] = {}
 
     def drive(name: str) -> None:
@@ -132,6 +157,15 @@ def main() -> int:
           "malformed: invalid-input/422")
     check(envl["attempts"] == 1, "malformed: terminal, no retry",
           f"attempts={envl['attempts']}")
+    for name, extra in malformed_fields.items():
+        code, envl = results[name]
+        field = next(iter(extra))
+        check(code == 422 and envl["status"] == "invalid-input"
+              and envl["attempts"] == 1,
+              f"{name}: terminal invalid-input/422",
+              f"http={code} attempts={envl['attempts']}")
+        check(field in (envl["reason"] or ""),
+              f"{name}: reason names {field}")
     code, envl = results["fault-plan"]
     check(code == 200 and envl["status"] == "degraded",
           "fault-plan: degraded/200")
@@ -159,13 +193,12 @@ def main() -> int:
           f"{len(served)} vs {len(cli.stdout)} bytes")
 
     print("operational endpoints:")
-    code, body = get(base, "/healthz")
-    health = json.loads(body)
+    code, health = get_json(base, "/healthz")
     check(code == 200 and health["status"] == "ok", "/healthz ok")
-    code, body = get(base, "/readyz")
-    check(code == 200 and json.loads(body) == {"ready": True},
-          "/readyz ready")
-    code, metrics = get(base, "/metrics")
+    code, ready = get_json(base, "/readyz")
+    check(code == 200 and ready == {"ready": True}, "/readyz ready")
+    code, raw = get(base, "/metrics")
+    metrics = raw.decode()
     check(code == 200, "/metrics serves")
     for series in ("repro_server_requests_total",
                    "repro_server_breaker_state",
@@ -175,6 +208,12 @@ def main() -> int:
         check(series in metrics, f"/metrics exposes {series}")
     check('status="ok"' in metrics and 'status="invalid-input"'
           in metrics, "/metrics labels outcomes")
+
+    print("wire format:")
+    multi = [label for label, raw in _bodies
+             if not raw.endswith(b"\n") or raw.count(b"\n") != 1]
+    check(multi == [], f"all {len(_bodies)} JSON bodies are one line",
+          ", ".join(multi))
 
     print("graceful shutdown:")
     proc.send_signal(signal.SIGTERM)

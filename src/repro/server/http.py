@@ -62,8 +62,12 @@ def _make_handler(service: RestructurerService):
             self.wfile.write(body)
 
         def _send_json(self, code: int, payload: dict) -> None:
+            # compact separators keep CPython on its C encoder; any
+            # ``indent`` falls back to the pure-Python one, which runs
+            # under this process's GIL while the pool's answers queue
             self._send(code, "application/json",
-                       json.dumps(payload, indent=2).encode() + b"\n")
+                       json.dumps(payload, separators=(",", ":")).encode()
+                       + b"\n")
 
         def _send_envelope(self, envelope: dict) -> None:
             self._send_json(_STATUS_HTTP.get(envelope["status"], 500),

@@ -282,9 +282,20 @@ class RestructurerService:
         if scenario_name:
             from repro.faults.plan import SCENARIO_SPECS
 
+            if not isinstance(scenario_name, str):
+                return "'fault_scenario' must be a string"
             if scenario_name not in SCENARIO_SPECS:
                 return (f"unknown fault scenario {scenario_name!r} "
                         f"(known: {', '.join(sorted(SCENARIO_SPECS))})")
+        # exactly the values the float() calls below would raise on: a
+        # falsy timeout_s means the default, a null deadline_s none
+        for field, value in (("timeout_s", request.get("timeout_s") or None),
+                             ("deadline_s", request.get("deadline_s"))):
+            if value is not None:
+                try:
+                    float(value)
+                except (TypeError, ValueError):
+                    return f"'{field}' must be a number of seconds"
         return None
 
     # -- execution ---------------------------------------------------------

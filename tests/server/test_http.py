@@ -1,6 +1,7 @@
 """The HTTP front end: routes, status mapping, concurrent clients."""
 
 import json
+import re
 import socket
 import threading
 import urllib.error
@@ -85,6 +86,13 @@ class TestRoutes:
                          raw=b"this is not json{")
         assert code == 422 and env["status"] == "invalid-input"
         assert env["schema"] == "repro-server/1"
+
+    def test_malformed_optional_field_is_422(self, server_url):
+        code, env = post(server_url, "/restructure",
+                         {"source": SRC, "quick": True,
+                          "timeout_s": "soon"})
+        assert code == 422 and env["status"] == "invalid-input"
+        assert env["attempts"] == 1 and "timeout_s" in env["reason"]
 
     def test_unknown_path_is_404(self, server_url):
         code, _ = post(server_url, "/nope", {"source": SRC})
@@ -213,6 +221,77 @@ class TestContentLength:
         assert code == 422 and env["status"] == "invalid-input"
         assert env["schema"] == "repro-server/1"
         assert "Content-Length" in env["reason"]
+
+
+def exchange(url, method: str, path: str,
+             body=None) -> tuple[int, dict, bytes]:
+    """One request on its own connection: ``(status code, headers with
+    lower-cased names, body bytes exactly as written)``."""
+    data = b"" if body is None else json.dumps(body).encode()
+    head = (f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+            "Connection: close\r\n")
+    if body is not None:
+        head += ("Content-Type: application/json\r\n"
+                 f"Content-Length: {len(data)}\r\n")
+    stream = raw_exchange(url, (head + "\r\n").encode() + data)
+    head, _, payload = stream.partition(b"\r\n\r\n")
+    lines = head.decode().split("\r\n")
+    headers = dict((name.strip().lower(), value.strip()) for name, value
+                   in (line.split(":", 1) for line in lines[1:]))
+    return int(lines[0].split()[1]), headers, payload
+
+
+def dedup_total(url) -> float:
+    _, text = get(url, "/metrics")
+    found = re.search(
+        r'^repro_server_dedup_total\{endpoint="restructure"\} (\S+)$',
+        text, re.M)
+    return float(found.group(1)) if found else 0.0
+
+
+class TestWireFormat:
+    """Every JSON body is one compact line — what CPython's C encoder
+    writes — and its ``Content-Length`` counts exactly those bytes."""
+
+    @staticmethod
+    def assert_compact(headers: dict, body: bytes) -> dict:
+        assert int(headers["content-length"]) == len(body)
+        assert headers["content-type"] == "application/json"
+        parsed = json.loads(body)
+        assert body == json.dumps(
+            parsed, separators=(",", ":")).encode() + b"\n"
+        return parsed
+
+    def test_restructure_from_worker_then_from_result_table(
+            self, server_url):
+        body = {"source": "c wire format\n" + SRC, "quick": True}
+        before = dedup_total(server_url)
+        code, headers, first = exchange(server_url, "POST",
+                                        "/restructure", body)
+        assert code == 200
+        assert dedup_total(server_url) == before      # a worker ran it
+        env = self.assert_compact(headers, first)
+        assert env["status"] == "ok"
+        code, headers, again = exchange(server_url, "POST",
+                                        "/restructure", body)
+        assert code == 200
+        assert dedup_total(server_url) == before + 1  # the table did
+        hit = self.assert_compact(headers, again)
+        assert hit["result"] == env["result"]
+
+    @pytest.mark.parametrize("method,path,body,code", [
+        ("POST", "/lint", {"source": SRC}, 200),
+        ("POST", "/restructure", {"source": "garbage"}, 422),
+        ("GET", "/healthz", None, 200),
+        ("GET", "/readyz", None, 200),
+        ("GET", "/nope", None, 404),
+        ("POST", "/nope", {"source": SRC}, 404),
+    ])
+    def test_every_json_body_is_one_compact_line(
+            self, server_url, method, path, body, code):
+        got, headers, payload = exchange(server_url, method, path, body)
+        assert got == code
+        self.assert_compact(headers, payload)
 
 
 class TestTransport:

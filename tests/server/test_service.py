@@ -100,6 +100,82 @@ class TestEnvelope:
         assert table["meta"]["fault_scenario"] == "chaos"
 
 
+#: optional fields of a type no request can ever run with, and the field
+#: each rejection must name
+MALFORMED_FIELDS = [
+    ({"fault_scenario": ["x"]}, "fault_scenario"),
+    ({"fault_scenario": {"a": 1}}, "fault_scenario"),
+    ({"timeout_s": "soon"}, "timeout_s"),
+    ({"deadline_s": "later"}, "deadline_s"),
+]
+
+
+class TestMalformedFields:
+    """A malformed optional field is the client's error, terminal: it is
+    refused before the journal, the queue or a worker sees the request,
+    and never answered ``error`` (which invites a retry)."""
+
+    @pytest.mark.parametrize("extra,field", MALFORMED_FIELDS)
+    def test_is_invalid_input_before_any_work(self, service, extra,
+                                              field):
+        submits = []
+        service.supervisor.submit = \
+            lambda *a, **kw: submits.append(a) or (None, None)
+        env = service.handle("restructure", {"source": SRC, "quick": True,
+                                             **extra})
+        assert env["status"] == "invalid-input"
+        assert env["attempts"] == 1 and env["fault"] is None
+        assert field in env["reason"]
+        assert submits == []
+        assert service.journal.completed == []
+
+    def test_bad_timeout_is_not_lost_on_restart(self, tmp_path):
+        """A request refused after ``accept:<id>`` is journaled would be
+        reported lost in flight by the next start."""
+        journal = tmp_path / "server.jsonl"
+        svc = RestructurerService(workers=1, registry=MetricsRegistry(),
+                                  journal_path=journal)
+        try:
+            env = svc.handle("restructure", {"source": SRC,
+                                             "timeout_s": "soon"})
+        finally:
+            svc.drain(5.0)
+            get_cache().disk_error_hook = None
+        assert env["status"] == "invalid-input"
+        restarted = RestructurerService(workers=1,
+                                        registry=MetricsRegistry(),
+                                        journal_path=journal)
+        try:
+            assert restarted.lost_on_restart == []
+        finally:
+            restarted.drain(5.0)
+            get_cache().disk_error_hook = None
+
+    @pytest.mark.parametrize("extra,timeout_s,deadline_s,scenario", [
+        ({"fault_scenario": ""}, 30.0, None, None),
+        ({"fault_scenario": []}, 30.0, None, None),
+        ({"timeout_s": 0, "deadline_s": None}, 30.0, None, None),
+        ({"timeout_s": "", "deadline_s": "2.5"}, 30.0, 2.5, None),
+        ({"timeout_s": "7", "deadline_s": 4}, 7.0, 4.0, None),
+        ({"timeout_s": True, "fault_scenario": "chaos"}, 1.0, None,
+         "chaos"),
+    ])
+    def test_accepted_values_keep_their_meaning(
+            self, service, extra, timeout_s, deadline_s, scenario):
+        sent, acquired = [], []
+        acquire = service.queue.acquire
+        service.queue.acquire = \
+            lambda deadline: acquired.append(deadline) or acquire(deadline)
+        service._run_attempt = lambda req: sent.append(dict(req)) or {
+            "outcome": "ok", "payload": {}, "degraded": []}
+        env = service.handle("lint", {"source": SRC, **extra})
+        assert env["status"] == "ok"
+        assert acquired == [deadline_s]
+        (req,) = sent
+        assert req["timeout_s"] == timeout_s
+        assert req["fault_scenario"] == scenario
+
+
 class TestMetrics:
     def test_requests_counted_by_status(self, service):
         service.handle("restructure", {"source": SRC, "quick": True})
