@@ -47,8 +47,8 @@ def census(program, case, recorded: bool, processors: int = 8,
     if recorded:
         open_loop = shadow.open_loop
 
-        def counting_open_loop(label, n):
-            ctx = open_loop(label, n)
+        def counting_open_loop(label, n, read_only=frozenset()):
+            ctx = open_loop(label, n, read_only)
             c["unlogged"] += ctx is None
             return ctx
 

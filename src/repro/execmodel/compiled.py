@@ -52,7 +52,7 @@ from functools import lru_cache
 
 from repro.errors import InterpreterBudgetError, InterpreterError
 from repro.execmodel.interp import Interpreter, _GotoSignal
-from repro.execmodel.source_jit import JIT_VERSION, Runtime, emit_module
+from repro.execmodel.source_jit import TEXT_VERSION, Runtime, emit_module
 from repro.execmodel.values import Scope
 from repro.fortran import ast_nodes as F
 
@@ -178,7 +178,7 @@ class Compiler:
         called = sorted({n.name for s in stmts for n in s.walk()
                          if isinstance(n, (F.FuncCall, F.Apply, F.ArrayRef))
                          and n.name in units})
-        return (f"jit{JIT_VERSION}{'r' if rec else ''}|{unit}|"
+        return (f"jit{TEXT_VERSION[rec]}{'r' if rec else ''}|{unit}|"
                 f"{','.join(called)}|{facts}")
 
     @staticmethod

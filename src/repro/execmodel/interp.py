@@ -124,6 +124,10 @@ class Interpreter:
         self._steps = 0
         self.engine = engine
         self.deal = deal or cyclic_deal
+        #: id(ParallelDo) -> (node, names it reads only, names it may
+        #: write), or (node, None, None) for an opaque one
+        #: (:meth:`_read_only`); the node pins its id
+        self._summaries: dict[int, tuple] = {}
         self._compiler = None
         if self.engine == "compiled":
             from repro.execmodel.compiled import Compiler
@@ -396,7 +400,8 @@ class Interpreter:
             self.exec_body(s.postamble, wscope, unit)
             return
         shadow = self.shadow
-        ctx = shadow.open_loop(self._loop_label(s), len(iters)) \
+        ctx = shadow.open_loop(self._loop_label(s), len(iters),
+                               self._read_only(s, scope)) \
             if shadow is not None else None
         p = max(1, min(self.processors, len(iters) or 1))
         try:
@@ -428,6 +433,60 @@ class Interpreter:
         finally:
             if ctx is not None:
                 shadow.close_loop(ctx)
+
+    def _read_only(self, s: C.ParallelDo, scope: Scope) -> frozenset:
+        """The storage keys no iteration of ``s`` can write, as bound in
+        its enclosing ``scope`` now: the keys of the names it references
+        minus the keys of the names it may write (an array's ``id`` of
+        its data, so a written alias keeps the other name's reads; a
+        scalar's ``(id(holding scope), name)``).  Empty for an opaque
+        loop, one that can write storage its syntax does not name."""
+        entry = self._summaries.get(id(s))
+        if entry is None:
+            entry = self._summaries[id(s)] = (s, *self._summarize(s))
+        _, reads, writes = entry
+        if reads is None:
+            return frozenset()
+        keys = set()
+        for name in reads:
+            sc = scope.lookup_scope(name)
+            if sc is not None:
+                v = sc.vars[name]
+                keys.add(id(v.data) if isinstance(v, FArray)
+                         else (id(sc), name))
+        for name in writes:
+            sc = scope.lookup_scope(name)
+            if sc is not None and isinstance(sc.vars[name], FArray):
+                keys.discard(id(sc.vars[name].data))
+        return frozenset(keys)
+
+    def _summarize(self, s: C.ParallelDo):
+        """``(names only read, names it may write)`` of a loop — its
+        assignment targets, WHERE bodies included, and DO variables, at
+        any depth — or ``(None, None)`` when it is opaque: it calls a
+        routine other than a sync one, calls a program unit or a Cedar
+        library routine in an expression, holds an ``Apply`` or a
+        statement outside :data:`_NAMED_WRITES` (I/O, READ, …)."""
+        refs: set[str] = set()
+        writes: set[str] = set()
+        for n in s.walk():
+            if isinstance(n, F.Stmt):
+                if isinstance(n, F.CallStmt):
+                    if n.name not in _SYNC_CALLS:
+                        return None, None
+                elif not isinstance(n, _NAMED_WRITES):
+                    return None, None
+                elif isinstance(n, F.Assign):
+                    writes.add(n.target.name)
+                elif isinstance(n, F.DoLoop):
+                    writes.add(n.var)
+            elif isinstance(n, F.Apply) or isinstance(
+                    n, (F.FuncCall, F.ArrayRef)) and (
+                    n.name in self.units or n.name in CEDAR_LIBRARY):
+                return None, None
+            elif isinstance(n, (F.Var, F.ArrayRef, F.FuncCall)):
+                refs.add(n.name)
+        return tuple(refs - writes), tuple(writes)
 
     @staticmethod
     def _loop_label(s: C.ParallelDo) -> str:
@@ -475,7 +534,7 @@ class Interpreter:
         if s.name in CEDAR_LIBRARY:
             self._library_call(s, scope, unit)
             return
-        if s.name in ("await", "advance", "lock", "unlock", "post", "wait"):
+        if s.name in _SYNC_CALLS:
             return
         callee = self.units.get(s.name)
         if callee is None:
@@ -852,11 +911,20 @@ def _resolve_handler(t: type, chain):
 #: race detector tracks the lock ones)
 _SYNC_STMTS = (C.AwaitStmt, C.AdvanceStmt, C.LockStmt, C.UnlockStmt,
                C.PostWaitStmt)
+#: routines a CALL names for synchronization: functional no-ops
+_SYNC_CALLS = ("await", "advance", "lock", "unlock", "post", "wait")
 #: declarations in executable position
 _DECL_STMTS = (F.TypeDecl, F.DimensionStmt, F.CommonStmt, F.ParameterStmt,
                F.DataStmt, F.EquivalenceStmt, F.ImplicitStmt,
                F.ExternalStmt, F.IntrinsicStmt, F.SaveStmt, C.GlobalDecl,
                C.ClusterDecl, C.ProcessCommonStmt)
+
+#: statements whose every write of storage is named by an assignment
+#: target or a DO variable (a loop holding any other kind is opaque to
+#: :meth:`Interpreter._read_only`)
+_NAMED_WRITES = (F.Assign, C.ParallelDo, F.DoLoop, F.IfBlock, F.LogicalIf,
+                 C.WhereStmt, F.Goto, F.ComputedGoto, F.ContinueStmt,
+                 F.ReturnStmt, F.StopStmt) + _SYNC_STMTS + _DECL_STMTS
 
 _STMT_CHAIN = [
     (F.Assign, Interpreter._exec_assign),

@@ -46,6 +46,18 @@ single writer differs from some reader is a read-write conflict.  Only
 cells written under a lock (or belonging to a coarsened array, below)
 fall back to comparing access events pairwise, locksets included.
 
+Reads of storage no iteration can write are not logged.  Each log is
+opened with the storage keys its loop cannot write
+(:meth:`ShadowRecorder.open_loop`'s ``read_only``, worked out by the
+interpreter from the loop's syntax), and a read row of such a key is
+dropped; write rows are always kept.  That is exact: ``close_loop``
+builds its cells from write rows alone, a read whose key has no write
+row matches no cell, and a supercell read marks only cells of its own
+token — so the conflicts, their order and their iteration pairs are
+those of the full log.  A dropped read still registers its storage's
+token where a logged one would, so a conflict is reported under the
+same name and element subscripts either way.
+
 A loop the compiled engine runs as one whole grid is held open by the
 engine itself and logs through :meth:`ShadowRecorder.record_block`: many
 rows of the same format per call, one per (element, iteration) it
@@ -133,11 +145,14 @@ class _Log:
 class _LoopCtx:
     """Recording state of one active DOALL loop."""
 
-    __slots__ = ("label", "wscope", "cur_iter", "suspended",
+    __slots__ = ("label", "read_only", "wscope", "cur_iter", "suspended",
                  "private_data", "writes", "reads")
 
-    def __init__(self, label: str):
+    def __init__(self, label: str, read_only):
         self.label = label
+        #: storage keys no iteration of the loop writes: their reads
+        #: are not logged
+        self.read_only = read_only
         self.wscope: Optional[Scope] = None
         self.cur_iter: Optional[int] = None
         self.suspended = False
@@ -215,15 +230,21 @@ class ShadowRecorder:
                         if c.cur_iter is not None and not c.suspended]
         self.recording = bool(self._active)
 
-    def open_loop(self, label: str, n: int) -> Optional[_LoopCtx]:
+    def open_loop(self, label: str, n: int,
+                  read_only=frozenset()) -> Optional[_LoopCtx]:
         """Count one execution of a DOALL of ``n`` iterations and open
         its log — or, for fewer than two iterations, which cannot
         conflict, return None: the loop runs as it does unrecorded,
-        and an enclosing open loop still logs its accesses."""
+        and an enclosing open loop still logs its accesses.
+
+        ``read_only`` holds the storage keys no iteration of the loop
+        can write (an array's ``id`` of its data, a scalar's
+        ``(id(holding scope), name)``): the log keeps no read of
+        them."""
         self.loops_checked += 1
         if n < 2:
             return None
-        ctx = _LoopCtx(label)
+        ctx = _LoopCtx(label, read_only)
         self._ctxs.append(ctx)
         return ctx
 
@@ -273,6 +294,32 @@ class ShadowRecorder:
 
     # -- access recording (called by the interpreter) ------------------
 
+    def logs_scalar_read(self, holder: Scope, name: str) -> bool:
+        """Whether a read of scalar ``name``, held by ``holder``, makes
+        :meth:`record_scalar` do anything now: some active loop it is
+        not private to keeps the read, or its token is still to be
+        registered.  While one statement's own text runs the active
+        loops do not change (a nested loop restores them on return),
+        so the compiled engine asks once per statement."""
+        key = (id(holder), name)
+        for ctx in self._active:
+            if not _scope_under(holder, ctx.wscope) and (
+                    key not in ctx.read_only or key not in self._tokens):
+                return True
+        return False
+
+    def logs_array_read(self, arr: Optional[FArray]) -> bool:
+        """:meth:`logs_scalar_read` for an element read of ``arr``
+        (False for None: the access is not the caller's to record)."""
+        if arr is None:
+            return False
+        key = id(arr.data)
+        for ctx in self._active:
+            if key not in ctx.private_data and (
+                    key not in ctx.read_only or key not in self._tokens):
+                return True
+        return False
+
     def record_scalar(self, containing: Optional[Scope], name: str,
                       kind: str) -> None:
         """A scalar variable access; ``containing`` is the scope that
@@ -286,8 +333,9 @@ class ShadowRecorder:
             tok = self._tokens.get(key)
             if tok is None:
                 tok = self._token(holder, name, key)
-            (ctx.writes if kind == "w" else ctx.reads).rows.extend(
-                (tok, 0, ctx.cur_iter, self._lockset))
+            if kind == "w" or key not in ctx.read_only:
+                (ctx.writes if kind == "w" else ctx.reads).rows.extend(
+                    (tok, 0, ctx.cur_iter, self._lockset))
 
     def record_array(self, arr: FArray, name: str, kind: str,
                      idx: Optional[tuple] = None,
@@ -303,6 +351,10 @@ class ShadowRecorder:
         tok = self._tokens.get(key)
         if tok is None:
             tok = self._token(data, name, key, arr)
+        if kind == "r":
+            ctxs = [c for c in ctxs if key not in c.read_only]
+            if not ctxs:
+                return
         offsets = None
         if idx is not None:
             off = 0
@@ -342,6 +394,8 @@ class ShadowRecorder:
         tok = self._tokens.get(key)
         if tok is None:
             tok = self._token(pin, name, key, arr)
+        if kind == "r" and key in ctx.read_only:
+            return
         rows = np.empty(np.broadcast(offsets, iterations).shape + (4,),
                         dtype=np.int64)
         rows[..., 0] = tok

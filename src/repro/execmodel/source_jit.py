@@ -66,25 +66,31 @@ stored).  Under a deal that drops or repeats a position the loop runs
 its scalar text — ``_parallel_do``, exactly as dealt — like the tree.
 
 With a :class:`~repro.execmodel.shadow.ShadowRecorder` attached the
-vector forms are recorder-aware (:func:`emit_module` with ``rec=True``;
-the scalar text makes the same accesses either way, and tests the
-``Runtime``'s recorder — a stand-in that never records when there is
-none).  Every vector form first tests ``recording``: inside a checked
-iteration of an enclosing loop the statement runs its scalar text, which
-logs access by access.  Otherwise a sequential nest runs as it does
+text is recorder-aware (:func:`emit_module` with ``rec=True``).  The
+scalar text makes the same accesses either way.  Unrecorded, it tests
+the ``Runtime``'s stand-in recorder, which never records; recorder-aware,
+each statement starts with one flag per name it reads — whether some
+active loop would log that read, which it does not for storage no
+iteration of the loop can write — so a skipped read costs no call.
+
+Every vector form first tests ``recording``: inside a checked iteration
+of an enclosing loop the statement runs its scalar text, which logs
+access by access.  Otherwise a sequential nest runs as it does
 unrecorded (nothing is being checked), and a nest whose only parallel
-level is the outermost opens the loop on the recorder with its iteration
-count (the recorder opens no log for fewer than two), logs — from the
-very ``_grid_key`` result each load/store indexes with — the flat
-offsets of every reference paired with the outer iteration values (the
-strip start for a collapsed strip-mined loop), one row per iteration for
-each shared scalar the body names, and closes it.  Loops the lowering
-proof cannot show conflict-free stay on the instrumented
-``_parallel_do``, so conflict order and the per-loop cap are always the
-tree's: LOCK/UNLOCK or a shared scalar write in the body, and a
-parallel level below the outermost.  With a recorder or without, a
-nest that writes hands over to its scalar text when — checked at loop
-entry — two of its array names are bound to storage of one ``ndarray``.
+level is the outermost opens the loop on the recorder as
+``_parallel_do`` does — with its iteration count (the recorder opens no
+log for fewer than two) and the storage keys the loop cannot write (it
+keeps no read of them) — logs, from the very ``_grid_key`` result each
+load/store indexes with, the flat offsets of every reference paired
+with the outer iteration values (the strip start for a collapsed
+strip-mined loop), one row per iteration for each shared scalar the
+body names, and closes it.  Loops the lowering proof cannot show
+conflict-free stay on the instrumented ``_parallel_do``, so conflict
+order and the per-loop cap are always the tree's: LOCK/UNLOCK or a
+shared scalar write in the body, and a parallel level below the
+outermost.  With a recorder or without, a nest that writes hands over
+to its scalar text when — checked at loop entry — two of its array
+names are bound to storage of one ``ndarray``.
 
 Every vector form carries one exactness obligation — the vector
 evaluation must be bit-equal to the scalar loop: plain or affine
@@ -118,7 +124,13 @@ from repro.fortran.intrinsics import INTRINSICS
 
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact so stale module text can never be served to a newer runtime
-JIT_VERSION = 5
+JIT_VERSION = 6
+
+#: per mode (``rec``), the emitter version its text last changed at —
+#: what that mode's cache keys and module docstrings carry, so a change
+#: to the recorder-aware text alone leaves every unrecorded module, and
+#: its cache entries, byte-identical
+TEXT_VERSION = {False: 5, True: JIT_VERSION}
 
 #: statements that do nothing when executed (sync statements are
 #: functional no-ops without a shadow recorder)
@@ -275,6 +287,12 @@ class Runtime:
         """The scope holding ``name``, or the root, which an unbound
         name is created in."""
         return scope.lookup_scope(name) or scope._root()
+
+    def read_only(self, i: int, scope: Scope) -> frozenset:
+        """The storage keys the loop of statement ``i`` cannot write, as
+        bound in ``scope`` (:meth:`Interpreter._read_only`): what a
+        recorder-aware vector form opens its log with."""
+        return self.compiler.interp._read_only(self.stmts[i], scope)
 
     def read(self, holder: Scope, name: str):
         """The tree's ``_eval_var`` through the holder resolved at entry;
@@ -1595,7 +1613,8 @@ class _LoopLowerer:
         if not self.bulk:
             return fn + ["    " + line for line in out]
         label = Interpreter._loop_label(self.loop)
-        fn += [f"    _cx = OPEN({label!r}, {self._trips()})", "    try:"]
+        fn += [f"    _cx = OPEN({label!r}, {self._trips()}, RO({i}, s))",
+               "    try:"]
         fn += ["        " + line for line in out]
         fn += ["    finally:", "        CLOSE(_cx)"]
         # what the postambles' LOCK/UNLOCK pairs leave of the lockset
@@ -1619,7 +1638,9 @@ class _ScalarText:
     keeps what can change: the value in the holding scope's dict, the
     ``int()`` of each subscript, the bounds test with the tree's
     message, the recorder's ``record_*`` call while it is ``recording``
-    (in the tree's order), and the store coercion ladder
+    (in the tree's order; recorder-aware, a read's call only where the
+    statement's flag for its name, set next to the lookups, says the
+    recorder would do anything with it), and the store coercion ladder
     (:func:`_store_text`).  Values are computed into locals in the
     tree's evaluation order — except that a reference's subscripts are
     all evaluated before any is ``int()``-ed or an unknown function is
@@ -1657,6 +1678,10 @@ class _ScalarText:
         top = self.stmts[i]
         self._holders: dict[str, str] = {}
         self._arrays: dict[tuple[str, int], int] = {}
+        #: recorder-aware: the flag local of each scalar read inline, and
+        #: the arrays an element is read of
+        self._flags: dict[str, str] = {}
+        self._reads: set[int] = set()
         self._n = 0
         #: a DO may rebind its variable, array or not
         self._rebound = {n.var for n in top.walk()
@@ -1671,6 +1696,11 @@ class _ScalarText:
                 + [f"_n{k}_{d}" for d in range(rank)]
             head.append(f"    {', '.join(names)} = "
                         f"ARR(s, {name!r}, {rank})")
+        head += [f"    {flag} = SH.recording and "
+                 f"LOGS({self._holders[name]}, {name!r})"
+                 for name, flag in self._flags.items()]
+        head += [f"    _ra{k} = SH.recording and LOGA(_a{k})"
+                 for k in sorted(self._reads)]
         return head + body
 
     def node(self, target) -> str:
@@ -1874,7 +1904,11 @@ class _ScalarText:
                 else f"{v} if {v}.__class__ is int else int({v})"))
         ints = "(" + "".join(f"_i{d}, " for d in range(rank)) + ")"
         kind = "r" if store is None else "w"
-        out += [f"{ind}if SH.recording:",
+        test = "SH.recording"
+        if self.rec and store is None:
+            self._reads.add(k)
+            test = f"_ra{k}"
+        out += [f"{ind}if {test}:",
                 f"{ind}    SH.record_array(_a{k}, {name!r}, {kind!r}, "
                 f"idx={ints})"]
         for d in range(rank):
@@ -1894,9 +1928,11 @@ class _ScalarText:
         if isinstance(e, F.Var):
             c = self._holder(e.name)
             t = self._new()
+            test = self._flags.setdefault(e.name, f"_rs{c[2:]}") \
+                if self.rec else "SH.recording"
             out += [f"{ind}{t} = _d{c[2:]}.get({e.name!r})",
                     f"{ind}if {t} is None or isinstance({t}, FA) "
-                    f"or SH.recording:",
+                    f"or {test}:",
                     f"{ind}    {t} = RD({c}, {e.name!r})"]
             return t
         if isinstance(e, F.BinOp) and e.op in _PY_OPS:
@@ -1951,11 +1987,11 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
     each loop the lowerer proves (with the loop's scalar text beside it
     when the vector form can hand over), the scalar text ``_s<i>`` of
     everything else.  ``rec`` asks for the recorder-aware vector forms
-    (module docstring); the scalar text is the same either way.  A list
+    (module docstring).  A list
     holding a statement the scalar text declines gets ``make = None``:
     it runs whole on the tree."""
     scalar = _ScalarText(interp, stmts, unit, rec)
-    mode = f"emitter v{JIT_VERSION}{', recorder-aware' if rec else ''}"
+    mode = f"emitter v{TEXT_VERSION[rec]}{', recorder-aware' if rec else ''}"
     body: list[str] = []
     fns: list[str] = []
     try:
@@ -2017,7 +2053,9 @@ _HELPERS = {
     "VL": "vload", "VS": "vstore", "NP": "np_funcs", "RED": "red_flat",
     "ROWS": "red_rows", "DEAL": "shares", "PART": "partition",
     # recorder-aware vector forms
-    "OPEN": "shadow.open_loop",
+    "OPEN": "shadow.open_loop", "RO": "read_only",
     "CLOSE": "shadow.close_loop", "SCAL": "log_scalars",
     "ALIAS": "aliased",
+    # recorder-aware scalar text
+    "LOGS": "shadow.logs_scalar_read", "LOGA": "shadow.logs_array_read",
 }

@@ -318,8 +318,12 @@ def run_sweep(workloads: Sequence[str] | None = None,
     do not depend on it.
     """
     say = progress or (lambda msg: None)
-    names = list(workloads if workloads is not None
-                 else (QUICK_WORKLOADS if quick else SWEEP_WORKLOADS))
+    # a name given twice is one row or column, where it first appears
+    names = list(dict.fromkeys(
+        workloads if workloads is not None
+        else (QUICK_WORKLOADS if quick else SWEEP_WORKLOADS)))
+    if scenarios is not None:
+        scenarios = list(dict.fromkeys(scenarios))
     plans = _resolve_plans(quick, scenarios)
     scenario_names = list(plans)
 

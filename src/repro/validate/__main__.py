@@ -117,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             ap.error(f"unknown workload(s): {', '.join(unknown)} "
                      f"(known: {', '.join(sorted(cases))})")
-        selected = [cases[w] for w in ns.workloads]
+        # a name given twice is validated once, where it first appears
+        selected = [cases[w] for w in dict.fromkeys(ns.workloads)]
     elif ns.quick:
         selected = [cases[w] for w in QUICK_WORKLOADS]
     else:
@@ -127,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
         if not selected:
             ap.error(f"no selected workload in suite {ns.suite!r}")
 
-    config_names = ns.configs or sorted(PIPELINE_CONFIGS)
+    config_names = (list(dict.fromkeys(ns.configs)) if ns.configs
+                    else sorted(PIPELINE_CONFIGS))
 
     from repro.faults.harness import FaultReport, SweepJournal
 

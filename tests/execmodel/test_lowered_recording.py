@@ -343,7 +343,8 @@ def logged_rows(program, case, engine, monkeypatch):
     return seen, interp
 
 
-@pytest.mark.parametrize("wname", ["cg", "svdcmp", "TRFD", "OCEAN"])
+@pytest.mark.parametrize("wname",
+                         ["cg", "svdcmp", "TRFD", "OCEAN", "sparse"])
 def test_bulk_rows_are_the_trees_rows(wname, monkeypatch):
     """Strip-mined DOALLs (rows labelled with the strip the tree runs
     the lane in), partial-sum DOALLs and plain elementwise ones: the

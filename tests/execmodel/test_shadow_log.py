@@ -8,6 +8,7 @@ public API only.
 """
 
 import copy
+import functools
 import itertools
 
 import numpy as np
@@ -21,8 +22,11 @@ from repro.errors import InterpreterError
 from repro.execmodel.interp import Interpreter
 from repro.execmodel.shadow import ShadowRecorder
 from repro.execmodel.values import FArray, Scope
+from repro.fortran import ast_nodes as F
+from repro.fortran.parser import parse_program
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
+from tests.execmodel.test_lowered_recording import as_doall
 from tests.validate.test_race_detector import LogsEveryLoop
 
 CASES = validation_cases()
@@ -209,6 +213,39 @@ def test_worker_private_pins_die_with_their_loop():
     assert pins_after(2) == pins_after(200) == 1
 
 
+def restructured(wname, config, stripped):
+    """A case's restructured program; ``stripped`` drops every DOALL's
+    private declarations so that it races."""
+    case = CASES[wname]
+    cedar, _ = cached_restructure(case.source, PIPELINE_CONFIGS[config]())
+    if stripped:
+        cedar = copy.deepcopy(cedar)     # the cached program is shared
+        for node in cedar.walk():
+            if isinstance(node, ParallelDo):
+                node.locals_ = []
+    return cedar
+
+
+def verdicts(wname, config, stripped, engine, recorder):
+    """What a race-checked run of one case says: the error it stopped
+    with, the loops it counted and its conflicts, in order."""
+    case = CASES[wname]
+    sh, error = recorder(), None
+    args, _ = case.make_args(case.n, np.random.default_rng(3))
+    try:
+        Interpreter(restructured(wname, config, stripped), processors=8,
+                    shadow=sh, engine=engine).call(case.entry, *args)
+    except InterpreterError as exc:
+        # a stripped array local is undeclared: every run stops there
+        error = str(exc)
+    return error, sh.loops_checked, [c.to_dict() for c in sh.conflicts]
+
+
+@functools.lru_cache(maxsize=None)
+def shipped_verdicts(wname, config, stripped, engine):
+    return verdicts(wname, config, stripped, engine, ShadowRecorder)
+
+
 @pytest.mark.parametrize("engine", ["tree", "compiled"])
 @pytest.mark.parametrize("stripped", (False, True),
                          ids=("intact", "stripped"))
@@ -221,23 +258,286 @@ def test_two_iteration_rule_changes_no_verdict(wname, config, stripped,
     only executions of two or more iterations counts the same loops
     and reports the same conflicts, in the same order, as one that
     logs every execution."""
-    case = CASES[wname]
-    cedar, _ = cached_restructure(case.source, PIPELINE_CONFIGS[config]())
-    if stripped:
-        cedar = copy.deepcopy(cedar)     # the cached program is shared
-        for node in cedar.walk():
-            if isinstance(node, ParallelDo):
-                node.locals_ = []
-    runs = []
-    for recorder in (ShadowRecorder, LogsEveryLoop):
-        sh, error = recorder(), None
-        args, _ = case.make_args(case.n, np.random.default_rng(3))
-        try:
-            Interpreter(cedar, processors=8, shadow=sh,
-                        engine=engine).call(case.entry, *args)
-        except InterpreterError as exc:
-            # a stripped array local is undeclared: both runs stop there
-            error = str(exc)
-        runs.append((error, sh.loops_checked,
-                     [c.to_dict() for c in sh.conflicts]))
-    assert runs[0] == runs[1]
+    assert shipped_verdicts(wname, config, stripped, engine) \
+        == verdicts(wname, config, stripped, engine, LogsEveryLoop)
+
+
+class LogsEveryRead(ShadowRecorder):
+    """The recorder without the read rule: every log it opens keeps the
+    reads of storage its loop cannot write too."""
+
+    def open_loop(self, label, n, read_only=frozenset()):
+        return super().open_loop(label, n)
+
+
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
+@pytest.mark.parametrize("stripped", (False, True),
+                         ids=("intact", "stripped"))
+@pytest.mark.parametrize("config", ["automatic", "manual"])
+@pytest.mark.parametrize("wname", sorted(CASES))
+def test_read_rule_changes_no_verdict(wname, config, stripped, engine):
+    """The same grid: the recorder that drops reads of storage no
+    iteration of their loop writes says what one that logs every read
+    says — the same error, loop count, and conflicts in the same order
+    with the same names, elements and iteration pairs."""
+    assert shipped_verdicts(wname, config, stripped, engine) \
+        == verdicts(wname, config, stripped, engine, LogsEveryRead)
+
+
+# ---------------------------------------------------------------------------
+# the read rule on programs built to test it
+
+
+class KeepsLogs:
+    """Mixin: each closed log's rows, per loop execution, as
+    ``(label, {kind: {(name, offset, iteration)}})``."""
+
+    def __init__(self):
+        super().__init__()
+        self.logs = []
+
+    def _analyze(self, ctx):
+        rows = {kind: {(self._names[tok], off, it)
+                       for tok, off, it, _ in log.flat().tolist()}
+                for kind, log in (("w", ctx.writes), ("r", ctx.reads))}
+        self.logs.append((ctx.label, rows))
+        return super()._analyze(ctx)
+
+
+class Shipped(KeepsLogs, ShadowRecorder):
+    pass
+
+
+class EveryRead(KeepsLogs, LogsEveryRead):
+    pass
+
+
+def checked_run(program, entry, args, engine, recorder):
+    sh = recorder()
+    fresh = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
+    Interpreter(program, processors=4, shadow=sh,
+                engine=engine).call(entry, *fresh)
+    return sh
+
+
+def both_recorders(program, entry, args, engine):
+    """The shipped recorder's run and the every-read reference's, after
+    checking that they report the same conflicts and write rows."""
+    sh = checked_run(program, entry, args, engine, Shipped)
+    ref = checked_run(program, entry, args, engine, EveryRead)
+    assert sh.loops_checked == ref.loops_checked
+    assert sh.conflicts == ref.conflicts
+    assert [(label, rows["w"]) for label, rows in sh.logs] \
+        == [(label, rows["w"]) for label, rows in ref.logs]
+    return sh, ref
+
+
+def doall_everywhere(src):
+    """``src`` parsed, with every DO loop of every unit a DOALL (an
+    inner loop stays one: ``as_doall`` keeps the body it is given)."""
+    sf = parse_program(src)
+
+    def convert(stmts):
+        for k, st in enumerate(stmts):
+            if isinstance(st, F.DoLoop):
+                convert(st.body)
+                stmts[k] = as_doall(st)
+
+    for unit in sf.units:
+        convert(unit.body)
+    return sf
+
+
+def read_names(sh, loop=None):
+    return {name for label, rows in sh.logs
+            if loop is None or loop in label
+            for name, _, _ in rows["r"]}
+
+
+ENGINES = ["tree", "compiled"]
+
+ALIASED_DUMMIES_SRC = """
+      subroutine top(n, x)
+      integer n
+      real x(16)
+      call shift(n, x, x)
+      end
+      subroutine shift(n, a, b)
+      integer n, i
+      real a(16), b(16)
+      do i = 1, n - 1
+         a(i) = b(i + 1) + 1.0
+      end do
+      end
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_written_alias_keeps_the_read_only_names_reads(engine):
+    """``b`` is read only, but it is ``a``'s storage, which the loop
+    writes: its reads stay logged and the race is reported."""
+    sf = doall_everywhere(ALIASED_DUMMIES_SRC)
+    sh, _ = both_recorders(sf, "top", [16, np.arange(16.0)], engine)
+    assert {c.kind for c in sh.conflicts} == {"read-write"}
+    assert read_names(sh) == {"b"}      # the reads of ``b`` are logged
+
+
+CALL_IN_LOOP_SRC = """
+      subroutine top(n, x, y, z)
+      integer n, i
+      real x(8), y(8), z(8)
+      do i = 1, n
+         call f(i, x)
+         y(i) = z(i)
+      end do
+      end
+      subroutine f(i, x)
+      integer i
+      real x(8)
+      x(i) = 1.0
+      end
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_loop_that_calls_a_routine_logs_every_read(engine):
+    """A CALL can write storage the loop's syntax does not name, so
+    the loop has no read-only set: ``z`` is never written, and its
+    reads are logged all the same."""
+    sf = doall_everywhere(CALL_IN_LOOP_SRC)
+    [pdo] = [n for n in sf.units[0].walk() if isinstance(n, ParallelDo)]
+    assert Interpreter(sf)._summarize(pdo) == (None, None)
+    sh, ref = both_recorders(sf, "top", [8, np.zeros(8), np.zeros(8),
+                                         np.arange(8.0)], engine)
+    assert [rows["r"] for _, rows in sh.logs] \
+        == [rows["r"] for _, rows in ref.logs]
+    assert "z" in read_names(sh)
+
+
+COMMON_SRC = """
+      subroutine top(n, x, y)
+      integer n, i
+      real x(8), y(8), c
+      common /blk/ c
+      c = 2.0
+      do i = 1, n
+         y(i) = x(i) * c
+      end do
+      do i = 1, n
+         c = x(i)
+         y(i) = c
+      end do
+      end
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_read_only_common_scalar_is_not_logged(engine):
+    """A COMMON scalar lives in a box, keyed like an array: the first
+    loop only reads ``c`` and logs none of it, the second writes it and
+    races on it as before."""
+    sf = doall_everywhere(COMMON_SRC)
+    sh, ref = both_recorders(sf, "top", [8, np.arange(8.0), np.zeros(8)],
+                             engine)
+    first, second = [label for label, _ in sh.logs]
+    assert "c" not in read_names(sh, first)
+    assert "c" in read_names(ref, first)
+    assert "c" in read_names(sh, second)
+    assert [(c.loop, c.var) for c in sh.conflicts][0] == (second, "c")
+
+
+NESTED_POSTAMBLE_SRC = """
+      subroutine nest(n, m, x, y, t)
+      integer n, m, i, j
+      real x(8, 8), y(8), t
+      do i = 1, n
+         do j = 1, m
+            p1 = p1 + x(i, j)
+         end do
+         y(i) = t
+      end do
+      end
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_an_inner_postamble_write_keeps_the_outer_read(engine):
+    """The inner DOALL's postamble writes ``t`` (under its lock) and the
+    outer body reads it: ``t`` may be written by an outer iteration, so
+    the outer log keeps the read — the only side of the race that holds
+    no lock."""
+    sf = parse_program(NESTED_POSTAMBLE_SRC)
+    outer = sf.units[0].body[-1]
+    outer.body[0] = as_doall(outer.body[0], partials=[("p1", 0.0, "t", "+")],
+                             level="C")
+    sf.units[0].body[-1] = as_doall(outer)
+    sh, _ = both_recorders(sf, "nest", [8, 3, np.ones((8, 8)), np.zeros(8),
+                                        0.0], engine)
+    outer_label = sh.logs[-1][0]
+    assert "t" in read_names(sh, outer_label)
+    assert [(c.var, c.kind) for c in sh.conflicts] == [("t", "read-write")]
+
+
+TWO_ROUTINE_SRC = """
+      subroutine top(n, p, q)
+      integer n, i
+      real p(16), q(16)
+      call sub(n, p, q)
+      do i = 1, n
+         p(1) = q(i)
+      end do
+      end
+      subroutine sub(n, x, q)
+      integer n, i
+      real x(16), q(16), t
+      do i = 1, n
+{body}
+      end do
+      end
+"""
+
+#: ``sub``'s loop body: one the compiled engine runs as a grid (bulk
+#: rows), and one with a private scalar it runs on scalar text
+SUB_BODIES = {
+    "grid": "         q(i) = x(i) * 2.0",
+    "scalar": "         t = x(i) * 2.0\n         q(i) = t",
+}
+
+
+@pytest.mark.parametrize("body", sorted(SUB_BODIES))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_skipped_read_still_names_the_storage(engine, body):
+    """``sub``'s loop reads ``p``'s storage as ``x`` and logs none of
+    it, yet the race ``top``'s loop then has on ``p(1)`` is reported as
+    ``x(1)``: the skipped read registered the storage's name, as a
+    logged one would have."""
+    sf = doall_everywhere(TWO_ROUTINE_SRC.format(body=SUB_BODIES[body]))
+    if body == "scalar":
+        loop = sf.units[1].body[-1]
+        loop.locals_ = as_doall(loop, locals_=[("t", "real")]).locals_
+    sh, _ = both_recorders(sf, "top", [16, np.arange(16.0), np.zeros(16)],
+                           engine)
+    assert "x" not in read_names(sh)
+    assert [(c.var, c.element, c.kind) for c in sh.conflicts] \
+        == [("x", (1,), "write-write")]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_spmv_logs_no_read_of_its_operands(engine):
+    """The guard that the rule engages: ``sparse``'s row loop writes
+    only ``y`` (and its private ``s`` and ``k``), so its log keeps no
+    read of ``rowptr``, ``val``, ``col`` or ``x`` — every read the
+    every-read reference logs there — and the same write rows."""
+    case = CASES["sparse"]
+    cedar, _ = cached_restructure(case.source,
+                                  PIPELINE_CONFIGS["automatic"]())
+    spmv = next(u for u in cedar.units if u.name == "spmv")
+    [pdo] = [n for n in spmv.walk() if isinstance(n, ParallelDo)]
+    label = Interpreter._loop_label(pdo)
+    args, _ = case.make_args(case.n, np.random.default_rng(3))
+    sh, ref = both_recorders(cedar, case.entry, args, engine)
+    mine = [rows for lbl, rows in sh.logs if lbl == label]
+    theirs = [rows for lbl, rows in ref.logs if lbl == label]
+    assert mine and len(mine) == len(theirs)
+    assert all(not rows["r"] for rows in mine)
+    assert len({name for rows in theirs for name, _, _ in rows["r"]}) == 4

@@ -42,3 +42,20 @@ def test_json_goes_to_stdout(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "repro-faults/1"
+
+
+def test_repeated_names_are_one_cell(tmp_path, validator):
+    """A workload or scenario named twice is one row or column: one
+    cell, listed once, and the payload passes its own validator."""
+    out = tmp_path / "dup.json"
+    rc = main(["sweep", "--quick", "--workloads", "tridag", "tridag",
+               "--scenarios", "healthy", "healthy", "-o", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert validator.validate(payload) == []
+    assert payload["workloads"] == ["tridag"]
+    assert list(payload["scenarios"]) == ["healthy"]
+    assert [(r["workload"], r["scenario"]) for r in payload["runs"]] \
+        == [("tridag", "healthy")]
+    assert payload["summary"]["cells_run"] \
+        == payload["summary"]["cells_expected"] == 1

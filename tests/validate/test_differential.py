@@ -170,6 +170,22 @@ class TestCli:
         assert payload["summary"]["ok"] == payload["summary"]["configs_run"]
         assert validator.validate(payload) == []
 
+    def test_repeated_names_run_once(self, tmp_path, validator):
+        """A workload or config named twice is validated once, listed
+        once, and the payload passes its own validator."""
+        from repro.validate.__main__ import main
+        out = tmp_path / "dup.json"
+        rc = main(["tridag", "tridag", "--config", "automatic",
+                   "--config", "automatic", "--processors", "2",
+                   "--no-bisect", "-o", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert validator.validate(payload) == []
+        assert [w["workload"] for w in payload["workloads"]] == ["tridag"]
+        assert payload["configs"] == ["automatic"]
+        assert [c["config"] for c in payload["workloads"][0]["configs"]] \
+            == ["automatic"]
+
     def test_cli_rejects_unknown_workload(self):
         from repro.validate.__main__ import main
         with pytest.raises(SystemExit):

@@ -142,8 +142,8 @@ class LogsEveryLoop(ShadowRecorder):
     """The recorder without the two-iteration rule: every execution of
     a DOALL opens a log, however few iterations it has."""
 
-    def open_loop(self, label, n):
-        return super().open_loop(label, max(n, 2))
+    def open_loop(self, label, n, read_only=frozenset()):
+        return super().open_loop(label, max(n, 2), read_only)
 
 
 class CountsLogs(ShadowRecorder):
@@ -151,8 +151,8 @@ class CountsLogs(ShadowRecorder):
 
     logged = 0
 
-    def open_loop(self, label, n):
-        ctx = super().open_loop(label, n)
+    def open_loop(self, label, n, read_only=frozenset()):
+        ctx = super().open_loop(label, n, read_only)
         self.logged += ctx is not None
         return ctx
 
