@@ -9,8 +9,12 @@ vector form and how many statements run on scalar text; and how many
 loop *executions* ran as a whole grid against how many ran their scalar
 text — a DO through its emitted ``for``, a parallel loop through the
 interpreter's worker-by-worker ``_parallel_do`` (instrumented, under a
-recorder).  A vector form that hands its loop over — inside a checked
-iteration, under aliased array names — counts as a scalar execution.
+recorder).  Of those parallel loops, "parallel worker" counts the
+unrecorded DOALL executions whose shares each ran as one worker
+function of the text, "parallel scalar" the ones that ran each share's
+statement lists iteration by iteration.  A vector form that hands its
+loop over — inside a checked iteration, under aliased array names,
+under a deal that is not a partition — counts as a scalar execution.
 Under a recorder, "unlogged" counts the parallel loop executions it
 counted in ``loops_checked`` but opened no log for: those of fewer than
 two iterations, which cannot conflict.
@@ -97,12 +101,15 @@ def census(program, case, recorded: bool, processors: int = 8,
                              shadow=shadow, engine="compiled")
         parallel_do = interp._parallel_do
 
-        def counting_parallel_do(s, scope, unit):
-            c["parallel scalar"] += 1
+        def counting_parallel_do(s, scope, unit, worker=None):
+            # unrecorded, a DOALL the text writes whole passes its
+            # worker function, which runs every share
+            c["parallel worker" if worker and not recorded
+              else "parallel scalar"] += 1
             if entered[0]:
                 entered[0] = False
                 c["parallel vector"] -= 1
-            return parallel_do(s, scope, unit)
+            return parallel_do(s, scope, unit, worker)
 
         interp._parallel_do = counting_parallel_do
         args, _ = case.make_args(case.n, np.random.default_rng(seed))
@@ -117,8 +124,8 @@ def census(program, case, recorded: bool, processors: int = 8,
 
 
 COLUMNS = ("lists", "tree lists", "vector-text loops",
-           "scalar-text statements", "parallel vector", "parallel scalar",
-           "do vector", "do scalar", "unlogged")
+           "scalar-text statements", "parallel vector", "parallel worker",
+           "parallel scalar", "do vector", "do scalar", "unlogged")
 
 
 def main(argv=None) -> int:

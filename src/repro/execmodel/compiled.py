@@ -16,8 +16,9 @@ interpreters run the program.
 
 This class keeps what is per list and per run: the label map and
 ``_GotoSignal`` handling of a statement list, the step budget (a body
-written inline counts its own statements, as ``exec_body`` would), and
-the choice of who executes the list.  There are two implementations of the
+written inline, and a DOALL share run as worker text, counts its own
+statements, as ``exec_body`` would), and the choice of who executes
+the list.  There are two implementations of the
 language, not three:
 
 - the module text, for every list the emitter covers — and in it the
@@ -36,14 +37,14 @@ same truncation rules, same evaluation order), and the lowerer only
 accepts loops whose vector evaluation is bit-equal to the scalar loop.
 
 A :class:`~repro.execmodel.shadow.ShadowRecorder` changes no access
-the scalar text makes: the ``Runtime`` a module is instantiated with
-holds the recorder (or a stand-in that never records), and each access
-makes exactly the ``record_*`` call of the tree handler it stands for,
-in the same order, while it is ``recording``; every ``ParallelDo``
-outside a vector form runs the interpreter's instrumented
-``_parallel_do``.  The vector forms have a recorder-aware text of their
-own (its own ``jit-source`` entry: the mode is part of the fingerprint)
-— see :mod:`repro.execmodel.source_jit`.
+the scalar text makes.  The recorder-aware text (its own ``jit-source``
+entry: the mode is part of the fingerprint) makes, at each access, the
+``record_*`` call of the tree handler it stands for, in the same order,
+while the recorder is ``recording``, and every ``ParallelDo`` outside a
+vector form runs the interpreter's instrumented ``_parallel_do`` list
+by list.  The unrecorded text holds no recorder call, and
+``_parallel_do`` runs each share of a DOALL the text writes whole as
+one worker function of it — see :mod:`repro.execmodel.source_jit`.
 """
 
 from __future__ import annotations

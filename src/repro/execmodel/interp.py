@@ -385,7 +385,14 @@ class Interpreter:
             cell[var] = v
             exec_body(body, scope, unit)
 
-    def _parallel_do(self, s: C.ParallelDo, scope: Scope, unit: str) -> None:
+    def _parallel_do(self, s: C.ParallelDo, scope: Scope, unit: str,
+                     worker: Callable[[Scope, list], None] | None = None
+                     ) -> None:
+        """Run a parallel loop worker by worker, each share as dealt in a
+        worker scope of its own.  Without a recorder, ``worker(wscope,
+        mine)`` — the compiled engine's text of a DOALL it writes whole
+        — runs a share's preamble, iterations and postamble in place of
+        one ``exec_body`` per statement list."""
         iters = list(self._loop_range(s, scope, unit))
         if s.order == "doacross":
             # ordered loop: run iterations in order under one worker scope
@@ -410,6 +417,9 @@ class Interpreter:
                 if not mine and not s.preamble and not s.postamble:
                     continue
                 wscope = self._worker_scope(s, scope, unit)
+                if worker is not None and shadow is None:
+                    worker(wscope, mine)
+                    continue
                 if ctx is not None:
                     shadow.begin_worker(ctx, wscope)
                     shadow.suspend(ctx)

@@ -15,7 +15,12 @@ returns one function per statement, in one of two forms:
   logical IF, DO, LOCK/UNLOCK, RETURN, the no-ops and the DO/IF bodies
   the text writes whole are inline; ``ParallelDo``, CALL statements,
   other nested lists and calls of program units go to the interpreter's
-  own handlers by AST node.
+  own handlers by AST node;
+- **worker text** (``_p<k>``, unrecorded only) — one share of a DOALL
+  whose preamble, body and postamble the scalar text writes whole:
+  ``_parallel_do`` deals the iterations and builds each worker scope,
+  and the worker function looks its names up once in that scope, then
+  runs the preamble, each iteration of its share and the postamble.
 
 A list holding a statement kind the scalar text does not cover — GOTO,
 computed GOTO, PRINT, READ, WHERE, STOP, other I/O — is not emitted at
@@ -67,11 +72,14 @@ its scalar text — ``_parallel_do``, exactly as dealt — like the tree.
 
 With a :class:`~repro.execmodel.shadow.ShadowRecorder` attached the
 text is recorder-aware (:func:`emit_module` with ``rec=True``).  The
-scalar text makes the same accesses either way.  Unrecorded, it tests
-the ``Runtime``'s stand-in recorder, which never records; recorder-aware,
-each statement starts with one flag per name it reads — whether some
-active loop would log that read, which it does not for storage no
-iteration of the loop can write — so a skipped read costs no call.
+scalar text makes the same accesses either way.  Unrecorded, it runs
+only against the ``Runtime``'s stand-in recorder, which never records,
+so it tests no recorder at all, and it runs DOALL shares as worker
+text; recorder-aware, each statement starts with one flag per name it
+reads — whether some active loop would log that read, which it does
+not for storage no iteration of the loop can write — so a skipped read
+costs no call, and every DOALL outside a vector form runs the
+instrumented ``_parallel_do`` list by list.
 
 Every vector form first tests ``recording``: inside a checked iteration
 of an enclosing loop the statement runs its scalar text, which logs
@@ -124,13 +132,13 @@ from repro.fortran.intrinsics import INTRINSICS
 
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact so stale module text can never be served to a newer runtime
-JIT_VERSION = 6
+JIT_VERSION = 7
 
 #: per mode (``rec``), the emitter version its text last changed at —
 #: what that mode's cache keys and module docstrings carry, so a change
-#: to the recorder-aware text alone leaves every unrecorded module, and
-#: its cache entries, byte-identical
-TEXT_VERSION = {False: 5, True: JIT_VERSION}
+#: to one mode's text alone leaves every module of the other, and its
+#: cache entries, byte-identical
+TEXT_VERSION = {False: JIT_VERSION, True: 6}
 
 #: statements that do nothing when executed (sync statements are
 #: functional no-ops without a shadow recorder)
@@ -188,24 +196,26 @@ def _fmt_literal(v) -> str:
 
 
 def _store_text(c: str, name: str, val: str, coerce: bool, dest: str,
-                ind: str) -> list[str]:
+                ind: str, rec: bool) -> list[str]:
     """Source of the tree's store of ``val`` (a local or literal) into
     scalar ``name`` — ``Interpreter._assign``'s coercion ladder, with
     the symbol-table fact pre-resolved into ``coerce`` — through the
     holding scope ``c`` resolved at entry (its dict is ``c``'s
-    ``_d`` twin).  ``dest`` gets the value a fresh read would see.
+    ``_d`` twin).  ``dest`` gets the value a fresh read would see;
+    the recorder-aware text (``rec``) also makes the recorder's call.
     Both texts store scalars only through this."""
     d, n = "_d" + c[2:], repr(name)
     lines = [f"_o = {d}.get({n})",
              "if isinstance(_o, FA):",
              f"    {dest} = BOXW(_o, {n}, {val})",
-             "else:",
-             "    if SH.recording:",
-             f"        SH.record_scalar({c}, {n}, 'w')",
-             "    if isinstance(_o, INTS) and not isinstance(_o, BOOLS):",
-             f"        {d}[{n}] = {dest} = TR({val})",
-             f"    elif isinstance({val}, NDA):",
-             f"        ERR({f'array value assigned to scalar {name!r}'!r})"]
+             "else:"]
+    if rec:
+        lines += ["    if SH.recording:",
+                  f"        SH.record_scalar({c}, {n}, 'w')"]
+    lines += ["    if isinstance(_o, INTS) and not isinstance(_o, BOOLS):",
+              f"        {d}[{n}] = {dest} = TR({val})",
+              f"    elif isinstance({val}, NDA):",
+              f"        ERR({f'array value assigned to scalar {name!r}'!r})"]
     if coerce:
         lines += [f"    elif not isinstance({val}, BOOLS):",
                   f"        {d}[{n}] = {dest} = TR({val})"]
@@ -1367,7 +1377,8 @@ class _LoopLowerer:
             out.append(f"{indent}_f{u} = RED({csrc}, ({shape},), False)")
             out.append(f"{indent}_v{u} = {red}(_a{u}, "
                        f"{red}.reduce(_f{u}))")
-            out += _store_text(c, var, f"_v{u}", coerce, f"_a{u}", indent)
+            out += _store_text(c, var, f"_v{u}", coerce, f"_a{u}", indent,
+                               self.rec)
             return
         # '+'/'*': vectorize the contributed terms, then replay the
         # scalar loop's accumulation order store-for-store
@@ -1387,7 +1398,8 @@ class _LoopLowerer:
             upd = f"(_f{u}_0[_q{u}] {top} _a{u})"
         out.append(f"{indent}for _q{u} in range(_f{u}_0.shape[0]):")
         out.append(f"{indent}    _y = {upd}")
-        out += _store_text(c, var, "_y", coerce, f"_a{u}", indent + "    ")
+        out += _store_text(c, var, "_y", coerce, f"_a{u}",
+                           indent + "    ", self.rec)
 
     def _emit_partial(self, info: tuple, out: list, indent: str) -> None:
         """One accumulation into a partial: its contributed terms as one
@@ -1456,7 +1468,7 @@ class _LoopLowerer:
             out.append(f"    _y = {val}")
             out += _store_text(self._holder(v), v, "_y",
                                coerces_to_int(self.symtab, v), cur[v],
-                               "    ")
+                               "    ", self.rec)
 
     def _emit_stmt(self, st: F.Stmt, out: list, indent: str) -> None:
         if id(st) in self.reductions:
@@ -1637,8 +1649,8 @@ class _ScalarText:
     (:meth:`Runtime.hold`, :meth:`Runtime.array`).  Per access the text
     keeps what can change: the value in the holding scope's dict, the
     ``int()`` of each subscript, the bounds test with the tree's
-    message, the recorder's ``record_*`` call while it is ``recording``
-    (in the tree's order; recorder-aware, a read's call only where the
+    message, recorder-aware the recorder's ``record_*`` call while it is
+    ``recording`` (in the tree's order; a read's call only where the
     statement's flag for its name, set next to the lookups, says the
     recorder would do anything with it), and the store coercion ladder
     (:func:`_store_text`).  Values are computed into locals in the
@@ -1656,7 +1668,10 @@ class _ScalarText:
     handlers, by AST node: ``ParallelDo``, CALL statements, every other
     nested body (compiled as a list of its own), and every name only the
     tree can resolve at run time — calls of program units, ``Apply``
-    nodes nobody resolved, unknown functions.  Any other statement kind
+    nodes nobody resolved, unknown functions.  Unrecorded, a DOALL whose
+    preamble, body and postamble are all written whole goes to
+    ``_parallel_do`` with a worker function (:meth:`_worker`) that runs
+    a share inline.  Any other statement kind
     (GOTO, computed GOTO, PRINT, READ, WHERE, STOP, assigned GOTO, I/O)
     raises :class:`_Declined`."""
 
@@ -1670,12 +1685,27 @@ class _ScalarText:
         self.stmts = stmts
         #: ``make``-level lines naming the AST nodes the text hands over
         self.binds: list[str] = []
+        #: the lines of each worker function ``_p<k>`` the statements'
+        #: DOALLs run their shares on (unrecorded text only)
+        self.workers: list[list[str]] = []
         self._at = 0          # index of the statement being emitted
+        # what :meth:`_function` keeps per function being written
+        self._holders, self._arrays, self._flags = {}, {}, {}
+        self._reads, self._n, self._rebound = set(), 0, set()
 
     def function(self, i: int) -> list[str]:
         """Source of ``_s<i>``, the scalar text of statement ``i``."""
         self._at = i
         top = self.stmts[i]
+        return self._function(f"def _s{i}(s):", top,
+                              lambda out: self.stmt(top, out, "    "))
+
+    def _function(self, head_line: str, root: F.Stmt, write) -> list[str]:
+        """Source of one function: ``head_line``, the lookups of every
+        name touched by the text ``write(out)`` emits, then that text.
+        A worker function emitted meanwhile keeps lookups of its own."""
+        outer = (self._holders, self._arrays, self._flags, self._reads,
+                 self._n, self._rebound)
         self._holders: dict[str, str] = {}
         self._arrays: dict[tuple[str, int], int] = {}
         #: recorder-aware: the flag local of each scalar read inline, and
@@ -1683,12 +1713,12 @@ class _ScalarText:
         self._flags: dict[str, str] = {}
         self._reads: set[int] = set()
         self._n = 0
-        #: a DO may rebind its variable, array or not
-        self._rebound = {n.var for n in top.walk()
+        #: a DO or DOALL of ``root`` may rebind its variable, array or not
+        self._rebound = {n.var for n in root.walk()
                          if isinstance(n, LOOPS)}
         body: list[str] = []
-        self.stmt(top, body, "    ")
-        head = [f"def _s{i}(s):"]
+        write(body)
+        head = [head_line]
         head += ["    " + line for line in _hold_text(self._holders)]
         for (name, rank), k in self._arrays.items():
             names = [f"_a{k}", f"_x{k}"] \
@@ -1701,6 +1731,8 @@ class _ScalarText:
                  for name, flag in self._flags.items()]
         head += [f"    _ra{k} = SH.recording and LOGA(_a{k})"
                  for k in sorted(self._reads)]
+        (self._holders, self._arrays, self._flags, self._reads, self._n,
+         self._rebound) = outer
         return head + body
 
     def node(self, target) -> str:
@@ -1724,7 +1756,9 @@ class _ScalarText:
         if isinstance(s, F.Assign):
             self._assign(s, out, ind)
         elif isinstance(s, C.ParallelDo):
-            out.append(f"{ind}PDO({self.node(s)}, s, U)")
+            worker = self._worker(s)
+            out.append(f"{ind}PDO({self.node(s)}, s, U"
+                       + (f", {worker})" if worker else ")"))
         elif isinstance(s, F.DoLoop):
             self._do(s, out, ind)
         elif isinstance(s, F.IfBlock):
@@ -1777,19 +1811,47 @@ class _ScalarText:
         if not arms:
             out.append(f"{ind}pass")
 
+    def _worker(self, s: C.ParallelDo) -> Optional[str]:
+        """The worker function ``_p<k>(s, mine)`` that runs one share of
+        DOALL ``s`` — preamble, each iteration of ``mine``, postamble —
+        when the unrecorded text writes all three whole; else None, and
+        ``_parallel_do`` runs each statement list of the share.  Its
+        names are looked up once per share in the worker scope ``s``,
+        which declares the privates before the share starts."""
+        parts = (s.preamble, s.body, s.postamble)
+        if self.rec or s.order != "doall" \
+                or not all(self._whole(part) for part in parts):
+            return None
+        k = len(self.workers)
+        self.workers.append([])      # its name, before a nested DOALL's
+
+        def write(out: list) -> None:
+            self._inline(s.preamble, out, "    ")
+            d = "_d" + self._holder(s.var)[2:]
+            out += ["    for _w in mine:", f"        {d}[{s.var!r}] = _w"]
+            self._inline(s.body, out, "        ")
+            self._inline(s.postamble, out, "    ")
+
+        self.workers[k] = self._function(f"def _p{k}(s, mine):", s, write)
+        return f"_p{k}"
+
     def _body(self, body: list, out: list, ind: str) -> None:
-        """A DO or IF body: written inline, each statement after
-        ``exec_body``'s step count and budget test, or one ``XB``."""
+        """A DO or IF body: written inline, or one ``XB``."""
         if not self._whole(body):
             out.append(f"{ind}XB({self.node(body)}, s, U)")
             return
+        self._inline(body, out, ind)
+        if not body:
+            out.append(f"{ind}pass")
+
+    def _inline(self, body: list, out: list, ind: str) -> None:
+        """``body``'s statements, each after ``exec_body``'s step count
+        and budget test."""
         for st in body:
             out += [f"{ind}IP._steps += 1",
                     f"{ind}if IP._steps > BUD:",
                     f"{ind}    OVER({st.line!r})"]
             self.stmt(st, out, ind)
-        if not body:
-            out.append(f"{ind}pass")
 
     def _whole(self, body: list) -> bool:
         """Whether the text writes ``body`` inline: no statement in it,
@@ -1819,7 +1881,7 @@ class _ScalarText:
         if isinstance(t, F.Var):
             out += _store_text(self._holder(t.name), t.name, value,
                                coerces_to_int(self.symtab, t.name),
-                               "_r", ind)
+                               "_r", ind, self.rec)
         elif isinstance(t, (F.ArrayRef, F.Apply)):
             subs = t.subscripts if isinstance(t, F.ArrayRef) else t.args
             if any(isinstance(x, F.RangeExpr) for x in subs):
@@ -1903,14 +1965,15 @@ class _ScalarText:
                 v if _INT_LITERAL.fullmatch(v)
                 else f"{v} if {v}.__class__ is int else int({v})"))
         ints = "(" + "".join(f"_i{d}, " for d in range(rank)) + ")"
-        kind = "r" if store is None else "w"
-        test = "SH.recording"
-        if self.rec and store is None:
-            self._reads.add(k)
-            test = f"_ra{k}"
-        out += [f"{ind}if {test}:",
-                f"{ind}    SH.record_array(_a{k}, {name!r}, {kind!r}, "
-                f"idx={ints})"]
+        if self.rec:
+            kind = "r" if store is None else "w"
+            test = "SH.recording"
+            if store is None:
+                self._reads.add(k)
+                test = f"_ra{k}"
+            out += [f"{ind}if {test}:",
+                    f"{ind}    SH.record_array(_a{k}, {name!r}, {kind!r}, "
+                    f"idx={ints})"]
         for d in range(rank):
             out += [f"{ind}_j{d} = _i{d} - _l{k}_{d}",
                     f"{ind}if _j{d} < 0 or _j{d} >= _n{k}_{d}:",
@@ -1928,11 +1991,12 @@ class _ScalarText:
         if isinstance(e, F.Var):
             c = self._holder(e.name)
             t = self._new()
-            test = self._flags.setdefault(e.name, f"_rs{c[2:]}") \
-                if self.rec else "SH.recording"
+            test = f"{t} is None or isinstance({t}, FA)"
+            if self.rec:
+                test += " or " + self._flags.setdefault(e.name,
+                                                        f"_rs{c[2:]}")
             out += [f"{ind}{t} = _d{c[2:]}.get({e.name!r})",
-                    f"{ind}if {t} is None or isinstance({t}, FA) "
-                    f"or {test}:",
+                    f"{ind}if {test}:",
                     f"{ind}    {t} = RD({c}, {e.name!r})"]
             return t
         if isinstance(e, F.BinOp) and e.op in _PY_OPS:
@@ -2009,6 +2073,9 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
             body.append("")
             body.extend("    " + line
                         for line in lines or scalar.function(i))
+        for worker in scalar.workers:
+            body.append("")
+            body.extend("    " + line for line in worker)
     except _Declined as why:
         return (f'"""jit-source module: unit {unit!r}, {len(stmts)} '
                 f'statements, run on the tree ({why}; {mode})."""\n'

@@ -40,6 +40,10 @@ from repro.experiments.report import JSON_SCHEMA
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.experiments.common import (add_engine_args,
+                                          configure_engine,
+                                          finite_seconds)
+
     ap = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures")
@@ -56,7 +60,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--profile", metavar="DIR", default=None,
                     help="profile every estimate; write per-experiment "
                          "trace.json (Perfetto) + profile.json into DIR")
-    ap.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    ap.add_argument("--timeout", type=finite_seconds, default=None,
+                    metavar="SEC",
                     help="wall-clock budget per experiment (watchdog)")
     ap.add_argument("--journal", metavar="FILE", default=None,
                     help="JSONL checkpoint of completed experiments; "
@@ -68,8 +73,6 @@ def main(argv: list[str] | None = None) -> int:
                          "errors, diagnostics on stderr), restructure "
                          "it, and report per-unit serial vs Cedar "
                          "estimates")
-    from repro.experiments.common import add_engine_args, configure_engine
-
     add_engine_args(ap)
     args = ap.parse_args(argv)
 

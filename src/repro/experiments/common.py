@@ -7,15 +7,17 @@ every table and figure of the paper plots.
 
 Also home to the CLI flags the harnesses share: ``add_engine_args`` (the
 performance layer — ``--jobs``, ``--cache-dir``, ``--telemetry``,
-``--log-level`` — on every harness) and ``add_interpreter_arg``
+``--log-level`` — on every harness), ``add_interpreter_arg``
 (``--engine``, only on the harnesses that execute programs; nothing here
-builds an interpreter).  The flags are the only spellings: no
+builds an interpreter) and ``finite_seconds``, the type of every
+``--timeout``.  The flags are the only spellings: no
 environment variable is read anywhere under ``repro``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -199,6 +201,18 @@ def add_engine_args(ap: argparse.ArgumentParser) -> None:
                          "crash flight recorder (default: off; off is "
                          "a true no-op and never changes sweep "
                          "payloads)")
+
+
+def finite_seconds(text: str) -> float:
+    """The argparse ``type=`` of every harness's ``--timeout``: a finite
+    number of seconds (``0`` is no budget, as
+    :func:`repro.faults.harness.watchdog` documents).  ``nan`` or
+    ``inf`` is a usage error, not a budget the watchdog could arm."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"not a finite number of seconds: {text!r}")
+    return value
 
 
 def add_interpreter_arg(ap: argparse.ArgumentParser) -> None:

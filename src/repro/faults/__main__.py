@@ -92,6 +92,10 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.experiments.common import (add_engine_args,
+                                          add_interpreter_arg,
+                                          finite_seconds)
+
     ap = argparse.ArgumentParser(
         prog="python -m repro.faults",
         description="deterministic fault injection: scenario matrix and "
@@ -106,7 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scenarios", nargs="+", metavar="S",
                    choices=sorted(SCENARIO_SPECS),
                    help="override the scenario list")
-    p.add_argument("--timeout", type=float, default=120.0, metavar="SEC",
+    p.add_argument("--timeout", type=finite_seconds, default=120.0,
+                   metavar="SEC",
                    help="wall-clock budget per cell (default 120; "
                         "0 disables)")
     p.add_argument("--journal", metavar="FILE", default=None,
@@ -116,9 +121,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="emit the repro-faults/1 JSON payload on stdout")
     p.add_argument("-o", "--output", metavar="FILE",
                    help="write the JSON payload to FILE")
-    from repro.experiments.common import (add_engine_args,
-                                          add_interpreter_arg)
-
     add_engine_args(p)
     add_interpreter_arg(p)
     p.set_defaults(func=_cmd_sweep)

@@ -24,7 +24,8 @@ import threading
 def main(argv=None) -> int:
     from repro.experiments.common import (add_engine_args,
                                           configure_engine,
-                                          finalize_telemetry)
+                                          finalize_telemetry,
+                                          finite_seconds)
     from repro.server.http import make_server
     from repro.server.retry import RetryPolicy
     from repro.server.service import RestructurerService
@@ -38,7 +39,8 @@ def main(argv=None) -> int:
                     help="bind address (default 127.0.0.1)")
     ap.add_argument("--port", type=int, default=8757,
                     help="bind port; 0 picks a free one (default 8757)")
-    ap.add_argument("--timeout", type=float, default=30.0, metavar="S",
+    ap.add_argument("--timeout", type=finite_seconds, default=30.0,
+                    metavar="S",
                     help="per-request watchdog budget in seconds "
                          "(default 30)")
     ap.add_argument("--max-attempts", type=int, default=3, metavar="N",

@@ -37,7 +37,7 @@ import sys
 from repro.engine.parallel import parallel_map
 from repro.experiments.common import (add_engine_args,
                                       add_interpreter_arg,
-                                      configure_engine)
+                                      configure_engine, finite_seconds)
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.validate.differential import DEFAULT_ATOL, DEFAULT_RTOL
 from repro.validate.report import build_report_from_dicts, render_text_from_dicts
@@ -94,7 +94,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     ap.add_argument("--no-bisect", action="store_true",
                     help="skip pass bisection on divergence")
-    ap.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    ap.add_argument("--timeout", type=finite_seconds, default=None,
+                    metavar="SEC",
                     help="wall-clock budget per workload (watchdog; "
                          "a timed-out workload is isolated, not fatal)")
     ap.add_argument("--journal", metavar="FILE", default=None,

@@ -143,6 +143,30 @@ def test_identical_under_every_deal(wname, deal, lowering):
     assert_bit_identical(tree, fast, f"{wname}@deal={deal}[{lowering}]")
 
 
+@pytest.mark.parametrize("lowering", ["scalar"], indirect=True)
+@pytest.mark.parametrize("wname", sorted(CASES))
+def test_scalar_text_counts_the_trees_steps(wname, lowering):
+    """With no loop on vector text, the compiled engine counts every
+    statement as ``exec_body`` does: the bodies its scalar text writes
+    inline and the DOALL shares it runs as worker functions alike."""
+    case = CASES[wname]
+    programs = {"sequential": cached_parse(case.source)}
+    for config in sorted(PIPELINE_CONFIGS):
+        programs[config], _ = cached_restructure(
+            case.source, PIPELINE_CONFIGS[config]())
+    for config, program in programs.items():
+        for processors in (1, 4, 8):
+            steps = {}
+            for engine in ("tree", "compiled"):
+                args, _ = case.make_args(case.n, np.random.default_rng(3))
+                interp = Interpreter(program, processors=processors,
+                                     engine=engine)
+                interp.call(case.entry, *args)
+                steps[engine] = interp._steps
+            assert steps["compiled"] == steps["tree"], \
+                f"{wname}@{config}/P={processors}"
+
+
 def test_track_multisets_match_baseline():
     """TRACK's outputs are order-sensitive (permutation_ok): every
     engine must produce the *same multiset* as the sequential original,

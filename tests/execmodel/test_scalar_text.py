@@ -14,7 +14,7 @@ tree's own message.
 import numpy as np
 import pytest
 
-from repro.cedar.nodes import WhereStmt
+from repro.cedar.nodes import LockStmt, ParallelDo, UnlockStmt, WhereStmt
 from repro.engine import cached_parse, cached_restructure
 from repro.engine.cache import get_cache
 from repro.errors import InterpreterBudgetError, InterpreterError
@@ -26,7 +26,10 @@ from repro.fortran import ast_nodes as F
 from repro.fortran import fuzz
 from repro.fortran.parser import parse_program
 from repro.validate.configs import PIPELINE_CONFIGS
-from tests.execmodel.test_engine_equivalence import assert_bit_identical
+from repro.workloads import validation_cases
+from tests.execmodel.test_engine_equivalence import (assert_bit_identical,
+                                                     duplicating_deal,
+                                                     lossy_deal)
 from tests.validate.test_order_independence import reversed_deal
 
 FUZZ_SEED, FUZZ_COUNT = 2, 40
@@ -251,12 +254,42 @@ def test_goto_lands_on_a_label_of_an_emitted_list(src, lists):
     assert (comp.tree_lists, comp.scalar_stmts) == lists
 
 
-@pytest.mark.parametrize("src,budget", [(SPIN, 5000), (GOTO_OUT, 9),
-                                        (INLINED, 9)],
-                         ids=["in-a-tree-list", "in-an-emitted-list",
-                              "in-an-inlined-body"])
-def test_budget_trip_names_the_trees_line(src, budget):
+def _cedar(src: str, **loops) -> F.SourceFile:
+    """``src`` with the DO loop of each variable named in ``loops`` made
+    a parallel loop, given the ``ParallelDo`` fields beyond the DO's."""
     sf = parse_program(src)
+
+    def convert(body: list) -> None:
+        for k, st in enumerate(body):
+            if isinstance(st, F.DoLoop):
+                convert(st.body)
+                if st.var in loops:
+                    body[k] = ParallelDo(
+                        var=st.var, start=st.start, end=st.end,
+                        step=st.step, body=st.body, label=st.label,
+                        line=st.line, **loops[st.var])
+
+    for unit in sf.units:
+        convert(unit.body)
+    return sf
+
+
+def _stmts(*lines: str) -> list:
+    """The statements (``.body``) or declarations (``.specs``) of a
+    subroutine made of ``lines``."""
+    unit = parse_program("".join(f"      {line}\n" for line in
+                                 ("subroutine z",) + lines + ("end",))
+                         ).units[0]
+    return unit.specs or unit.body
+
+
+@pytest.mark.parametrize("src,budget", [
+    (SPIN, 5000), (GOTO_OUT, 9), (INLINED, 9),
+    (lambda: _cedar(INLINED, i=dict(level="C")), 9)],
+    ids=["in-a-tree-list", "in-an-emitted-list", "in-an-inlined-body",
+         "in-a-DOALL-share"])
+def test_budget_trip_names_the_trees_line(src, budget):
+    sf = src() if callable(src) else parse_program(src)
     tripped = {}
     for engine in ("tree", "compiled"):
         interp = Interpreter(sf, step_budget=budget, engine=engine)
@@ -543,3 +576,167 @@ def test_no_closure_tier_and_no_fallback_request(monkeypatch):
     assert len(texts) >= 5
     assert not any("fb(" in text or "fallback" in text for text in texts)
     assert any(text.endswith("make = None\n") for text in texts)
+
+
+# ---------------------------------------------------------------------------
+# (d) an unrecorded DOALL the text writes whole runs each worker's share
+#     as one worker function
+
+#: name -> (program, args, worker functions its shares run on)
+WORKER_SHAPES = {
+    "loop-local-array": (lambda: _cedar("""
+      subroutine s(n, a, b)
+      integer n, i, j
+      real a(n), b(n), t(3)
+      do i = 1, n
+         t(1) = a(i)
+         do j = 2, 3
+            t(j) = t(j - 1) * 0.5 + a(i)
+         end do
+         b(i) = t(1) + t(2) * t(3)
+      end do
+      end
+""", i=dict(level="C", locals_=_stmts("real t(3)"))),
+        lambda: [7, np.linspace(-1.5, 2.0, 7), np.zeros(7)], 1),
+    "preamble-postamble-and-lock": (lambda: _cedar("""
+      subroutine s(n, a, b, total)
+      integer n, i
+      real a(n), b(n), total, p
+      do i = 1, n
+         p = p + a(i)
+         b(i) = p * 2.0
+      end do
+      end
+""", i=dict(level="S", locals_=_stmts("real p"),
+            preamble=_stmts("p = 0.5"),
+            postamble=[LockStmt(name="l"), *_stmts("total = total + p"),
+                       UnlockStmt(name="l")])),
+        lambda: [7, np.linspace(-1.5, 2.0, 7), np.zeros(7), 0.25], 1),
+    "sdoall-around-cdoall": (lambda: _cedar("""
+      subroutine s(n, m, a, b)
+      integer n, m, i, j, k
+      real a(n), b(n, m), x
+      do j = 1, m
+         do i = 1, n
+            x = 0.0
+            do k = 1, i
+               x = x * 0.5 + a(k) * j
+            end do
+            b(i, j) = x
+         end do
+      end do
+      end
+""", j=dict(level="S"), i=dict(level="C", locals_=_stmts("real x"))),
+        lambda: [7, 3, np.linspace(-1.5, 2.0, 7), np.zeros((7, 3))], 2),
+    "zero-trip-with-a-preamble": (lambda: _cedar("""
+      subroutine s(n, a, c)
+      integer n, i
+      real a(n), c
+      do i = 1, n - n
+         a(i) = a(i) + 1.0
+      end do
+      end
+""", i=dict(level="C", preamble=_stmts("c = c + 1.0"))),
+        lambda: [4, np.copy(A4), 0.5], 1),
+    "goto-in-the-body": (lambda: _cedar("""
+      subroutine s(n, a, b)
+      integer n, i
+      real a(n), b(n)
+      do i = 1, n
+         b(i) = 0.0
+         if (a(i) .lt. 0.0) goto 10
+         b(i) = a(i) * 2.0
+   10    continue
+      end do
+      end
+""", i=dict(level="C")), lambda: [4, np.copy(A4), np.zeros(4)], 0),
+}
+
+
+@pytest.mark.parametrize("deal", [lossy_deal, duplicating_deal],
+                         ids=["lossy", "duplicating"])
+@pytest.mark.parametrize("name", sorted(WORKER_SHAPES))
+def test_worker_text_is_the_trees(name, deal, monkeypatch):
+    """Both engines give the same bits in the same steps under deals
+    that drop or repeat an iteration; the compiled engine runs the
+    shares on the shape's worker functions, and a DOALL whose body
+    holds a GOTO on ``_parallel_do``'s per-iteration lists."""
+    make, make_args, workers = WORKER_SHAPES[name]
+    program = make()
+    parallel_do = Interpreter._parallel_do
+    calls = []
+
+    def spy(self, s, scope, unit, worker=None):
+        calls.append(worker and worker.__name__)
+        return parallel_do(self, s, scope, unit, worker)
+
+    monkeypatch.setattr(Interpreter, "_parallel_do", spy)
+    runs = {engine: _run(program, "s", make_args(), engine=engine,
+                         processors=4, deal=deal)
+            for engine in ("tree", "compiled")}
+    (tree, _, t), (fast, _, c) = runs["tree"], runs["compiled"]
+    assert_bit_identical(tree, fast, name)
+    assert c._steps == t._steps
+    assert calls and len(set(calls) - {None}) == workers
+    assert c._compiler.tree_lists == (workers == 0)
+
+
+def test_csr_row_loop_runs_no_body_list_unrecorded(monkeypatch):
+    """``spmv``'s CSR row loop is the engagement: unrecorded, its shares
+    run on a worker function and its body list never reaches
+    ``Compiler.exec_body``; race-checked, ``_parallel_do`` still runs
+    the list iteration by iteration."""
+    case = validation_cases()["sparse"]
+    program, _ = cached_restructure(case.source)
+    [row_loop] = [n for n in program.unit("spmv").walk()
+                  if isinstance(n, ParallelDo)]
+    exec_body = Compiler.exec_body
+    lists = []
+
+    def spy(self, stmts, scope, unit):
+        lists.append(stmts)
+        return exec_body(self, stmts, scope, unit)
+
+    monkeypatch.setattr(Compiler, "exec_body", spy)
+    body_runs = {}
+    for shadowed in (False, True):
+        lists.clear()
+        args, _ = case.make_args(case.n, np.random.default_rng(3))
+        Interpreter(program, processors=8, engine="compiled",
+                    shadow=ShadowRecorder() if shadowed else None
+                    ).call(case.entry, *args)
+        body_runs[shadowed] = sum(stmts is row_loop.body
+                                  for stmts in lists)
+    assert body_runs[False] == 0
+    assert body_runs[True] > 0
+
+
+def test_only_the_unrecorded_text_has_worker_functions(monkeypatch):
+    """Worker functions, and no recorder test, in the unrecorded text;
+    none in the recorder-aware text, whose DOALLs keep
+    ``_parallel_do``'s instrumented walk."""
+    cache = get_cache()
+    served = cache.jit_source
+    texts = {False: [], True: []}
+
+    def spy(source, *, fingerprint, emit):
+        text = served(source, fingerprint=fingerprint, emit=emit)
+        texts[fingerprint.split("|")[0].endswith("r")].append(text)
+        return text
+
+    monkeypatch.setattr(cache, "jit_source", spy)
+    case = validation_cases()["sparse"]
+    programs = [(cached_restructure(case.source)[0], case.entry,
+                 lambda: case.make_args(case.n,
+                                        np.random.default_rng(3))[0])]
+    programs += [(make(), "s", make_args)
+                 for make, make_args, _ in WORKER_SHAPES.values()]
+    for program, entry, make_args in programs:
+        for shadow in (None, ShadowRecorder()):
+            _run(program, entry, make_args(), engine="compiled",
+                 processors=4, shadow=shadow)
+    assert any("def _p" in text for text in texts[False])
+    assert not any("SH." in text or "record_" in text
+                   for text in texts[False])
+    assert texts[True]
+    assert not any("def _p" in text for text in texts[True])

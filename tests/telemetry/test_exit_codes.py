@@ -182,3 +182,61 @@ def test_crash_outcome_is_independent_of_job_count(tool, tmp_path,
                          if k not in ("elapsed_s", "traceback")}
                         for fd in faults])
     assert records[0] == records[1]
+
+
+# ---------------------------------------------------------------------------
+# a --timeout no watchdog can arm is a usage error, not a fault per cell
+
+
+def _refuse_service(*args, **kwargs):
+    raise AssertionError("the server started with a non-finite --timeout")
+
+
+def _timeout_experiments(value, tmp_path, monkeypatch):
+    from repro.experiments.__main__ import main
+
+    return _run(main, ["table1", "--quick", f"--timeout={value}"])
+
+
+def _timeout_validate(value, tmp_path, monkeypatch):
+    from repro.validate.__main__ import main
+
+    return _run(main, ["tridag", "--no-bisect", f"--timeout={value}",
+                       "-o", str(tmp_path / "v.json")])
+
+
+def _timeout_faults(value, tmp_path, monkeypatch):
+    from repro.faults.__main__ import main
+
+    return _run(main, ["sweep", "--workloads", "tridag", "--scenarios",
+                       "healthy", f"--timeout={value}"])
+
+
+def _timeout_server(value, tmp_path, monkeypatch):
+    import repro.server.service as service
+    from repro.server.__main__ import main
+
+    # its default_timeout_s reaches the same watchdog, per request
+    monkeypatch.setattr(service, "RestructurerService", _refuse_service)
+    return _run(main, ["--port", "0", f"--timeout={value}"])
+
+
+TIMEOUTS = {"experiments": _timeout_experiments,
+            "validate": _timeout_validate, "faults": _timeout_faults,
+            "server": _timeout_server}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("tool", sorted(TIMEOUTS))
+def test_non_finite_timeout_is_a_usage_error(tool, value, tmp_path,
+                                             monkeypatch, capsys):
+    rc = TIMEOUTS[tool](value, tmp_path, monkeypatch)
+    assert rc == 2, f"{tool} --timeout={value}: exit {rc}"
+    assert "not a finite number of seconds" in capsys.readouterr().err
+
+
+def test_zero_timeout_still_means_no_budget():
+    from repro.experiments.common import finite_seconds
+
+    assert finite_seconds("0") == 0.0
+    assert finite_seconds("1e-6") == 1e-6
