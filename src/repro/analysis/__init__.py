@@ -6,8 +6,8 @@ Submodules:
   constant folder/simplifier over the AST.
 - :mod:`repro.analysis.refs` — reference collection (reads/writes of scalars
   and array elements) with loop-nest context.
-- :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` — control-flow
-  graph and classic bit-vector data-flow (reaching defs, liveness).
+- :mod:`repro.analysis.dataflow` — structured data-flow walkers
+  (definite assignment, liveness) over the GOTO-free statement subset.
 - :mod:`repro.analysis.depend` — data-dependence testing (ZIV/SIV exact
   tests, GCD, Banerjee with direction vectors) and the loop dependence
   graph.

@@ -20,9 +20,6 @@ class CallGraph:
         return {c for c in self.callees.get(name, set())
                 if c not in self.defined}
 
-    def callers_of(self, name: str) -> set[str]:
-        return {u for u, cs in self.callees.items() if name in cs}
-
     def topological(self) -> list[str]:
         """Callees-first order; members of call cycles keep file order."""
         order: list[str] = []

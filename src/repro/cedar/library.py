@@ -69,7 +69,3 @@ CEDAR_LIBRARY: dict[str, LibraryRoutine] = {
     "ces_linrec": LibraryRoutine("ces_linrec", "recurrence", 2.0),
     "ces_prefix_sum": LibraryRoutine("ces_prefix_sum", "scan", 1.0),
 }
-
-
-def is_library_call(name: str) -> bool:
-    return name in CEDAR_LIBRARY

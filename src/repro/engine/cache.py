@@ -6,7 +6,7 @@ the repro version.  The cache therefore keys every artifact on
 
     SHA-256(repro version || artifact kind || options fingerprint || source)
 
-and stores two artifact kinds:
+and stores three artifact kinds:
 
 ``parse``
     the pristine parse tree.  Consumers that go on to *mutate* the tree
@@ -19,6 +19,12 @@ and stores two artifact kinds:
     Both are treated as immutable after construction — every downstream
     consumer (interpreter, estimator, report renderers) only reads them,
     so one cached instance serves all cells of a sweep.
+
+``jit-source``
+    the module text the compiled engine emits for one statement list
+    (keyed on the list's statement dump and its codegen fingerprint
+    rather than on the restructurer options).  It is text, never code
+    objects: each process ``compile()``s it again.
 
 The in-memory store is per-process; pass ``cache_dir`` (CLI
 ``--cache-dir``) for an on-disk pickle store shared across processes —

@@ -46,10 +46,6 @@ class SemanticError(SourceError):
     """Raised for semantically invalid programs (bad types, shapes, labels)."""
 
 
-class AnalysisError(ReproError):
-    """Raised when an analysis is asked something it cannot answer."""
-
-
 class TransformError(ReproError):
     """Raised when a restructuring pass is applied to an ineligible target."""
 

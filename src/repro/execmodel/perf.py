@@ -108,7 +108,7 @@ class PerfEstimator:
         self.memory = MemorySystem(config, faults=inj)
         self.vector = VectorUnit(config)
         self.scheduler = LoopScheduler(config, faults=inj)
-        self.sync = SyncModel(config, faults=inj)
+        self.sync = SyncModel(config)
         self.paging = PagingModel(config)
         self.prefetch = prefetch
         self.timeline = timeline

@@ -9,9 +9,11 @@ Also home to the CLI flags the harnesses share: ``add_engine_args`` (the
 performance layer — ``--jobs``, ``--cache-dir``, ``--telemetry``,
 ``--log-level`` — on every harness), ``add_interpreter_arg``
 (``--engine``, only on the harnesses that execute programs; nothing here
-builds an interpreter) and ``finite_seconds``, the type of every
-``--timeout``.  The flags are the only spellings: no
-environment variable is read anywhere under ``repro``.
+builds an interpreter), ``finite_seconds``, the type of every
+``--timeout``, and the types of ``repro.validate``'s numeric flags
+(``positive_int``, ``non_negative_int``, ``finite_tolerance``).  The
+flags are the only spellings: no environment variable is read anywhere
+under ``repro``.
 """
 
 from __future__ import annotations
@@ -159,16 +161,6 @@ def estimate_pair(source: str, entry: str,
     return SpeedupResult(serial=ser, parallel=par, report=report)
 
 
-def scale_bindings(bindings: Mapping[str, float], n: int,
-                   size_keys: tuple[str, ...]) -> dict[str, float]:
-    """Override the size symbols of a bindings dict (for sweeps)."""
-    out = dict(bindings)
-    for k in size_keys:
-        if k in out:
-            out[k] = n
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shared engine CLI flags (experiments / validate / faults / server)
 
@@ -212,6 +204,34 @@ def finite_seconds(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
             f"not a finite number of seconds: {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """An integer ≥ 1 (``--processors``): the payload contract refuses
+    0, and the interpreter would silently run it as 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """An integer ≥ 0 (``--seeds``: a NumPy seed cannot be negative)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"not a non-negative integer: {text!r}")
+    return value
+
+
+def finite_tolerance(text: str) -> float:
+    """A finite number ≥ 0 (``--atol``/``--rtol``): a ``nan`` or negative
+    tolerance makes every comparison meaningless."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"not a finite non-negative tolerance: {text!r}")
     return value
 
 

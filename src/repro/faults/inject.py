@@ -66,28 +66,3 @@ class FaultInjector:
     @property
     def prefetch_disabled(self) -> bool:
         return self.plan.prefetch_disabled
-
-    # -- synchronization -----------------------------------------------------
-
-    def sync_retry(self, resend_cost: float) -> float:
-        """Cost of re-sending this signal if it was lost (0.0 otherwise).
-
-        Consumes one signal index; each lost signal is re-sent exactly
-        once (the retry itself is assumed reliable), so the penalty per
-        cascade op is bounded by one extra ``resend_cost``.
-        """
-        i = self.sync_index
-        self.sync_index += 1
-        if not self.plan.sync_lost(i):
-            return 0.0
-        self.sync_retries += 1
-        self.note(resend_cost)
-        return resend_cost
-
-    # -- tasking -------------------------------------------------------------
-
-    def helper_delay(self) -> float:
-        d = self.plan.helper_delay
-        if d > 0.0:
-            self.note(d)
-        return d

@@ -652,10 +652,6 @@ class SourceFile(Node):
 # small helpers used across the package
 # ---------------------------------------------------------------------------
 
-def intlit(v: int) -> IntLit:
-    return IntLit(int(v))
-
-
 def one() -> IntLit:
     return IntLit(1)
 

@@ -90,12 +90,6 @@ class _StmtTokens:
                   f"found {t.value!r}", t.line, t.col)
         return self.next()
 
-    def accept_ident(self, *names: str) -> Optional[Token]:
-        t = self.peek()
-        if t.kind is TokenKind.IDENT and t.value in names:
-            return self.next()
-        return None
-
     def accept(self, kind: TokenKind, value: str | None = None) -> Optional[Token]:
         t = self.peek()
         if t.kind is kind and (value is None or t.value == value):
@@ -106,21 +100,6 @@ class _StmtTokens:
         if not self.at_end():
             t = self.peek()
             _fail("F101", f"trailing tokens: {t.value!r}", t.line, t.col)
-
-    # -- scanning helpers ---------------------------------------------------
-
-    def contains_toplevel(self, kind: TokenKind, value: str | None = None,
-                          start: int = 0) -> bool:
-        """True if a token of ``kind`` occurs at paren depth 0 after start."""
-        depth = 0
-        for t in self.toks[self.pos + start:]:
-            if t.kind is TokenKind.LPAREN:
-                depth += 1
-            elif t.kind is TokenKind.RPAREN:
-                depth -= 1
-            elif depth == 0 and t.kind is kind and (value is None or t.value == value):
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ exercise:
 - virtual-memory paging and thrashing (Table 1's mprove anomaly);
 - self-scheduled (microtasked) parallel loops with per-level startup and
   dispatch costs (:mod:`repro.machine.scheduler`, §2.2.1, §4.2.4);
-- await/advance cascade synchronization and lock contention
-  (:mod:`repro.machine.sync`);
-- subroutine-level tasking via ``ctskstart``/``mtskstart``
-  (:mod:`repro.machine.tasking`, §2.2.2).
+- DOACROSS await/advance signalling (charged by the scheduler), lock
+  contention and reduction combines (:mod:`repro.machine.sync`).
+
+Subroutine-level tasking (``ctskstart``/``mtskstart``, §2.2.2) is not
+modelled; late helper tasks are a start-up delay of S/X loops in the
+scheduler.
 
 All times are in processor clock cycles.
 """

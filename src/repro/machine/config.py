@@ -73,10 +73,6 @@ class MachineConfig:
     cost_unlock: float = 12.0
     cross_cluster_signal: float = 80.0
 
-    # tasking (§2.2.2)
-    cost_ctskstart: float = 40000.0  # OS-built cluster task
-    cost_mtskstart: float = 900.0    # helper-task handoff
-
     # paging
     page_kb: int = 4
     page_fault_cost: float = 150000.0

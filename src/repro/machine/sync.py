@@ -1,44 +1,20 @@
-"""Synchronization costs: await/advance cascades and unordered locks."""
+"""Synchronization costs: unordered locks and reduction combines.
+
+The DOACROSS await/advance cascade (and its lost-signal fault) is
+charged by :meth:`repro.machine.scheduler.LoopScheduler.doacross`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 from repro.machine.config import MachineConfig
 from repro.trace.ledger import NULL_LEDGER, CycleLedger
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.inject import FaultInjector
 
 
 @dataclass
 class SyncModel:
     cfg: MachineConfig
-    faults: Optional["FaultInjector"] = None
-
-    def cascade_cost(self, cross_cluster: bool,
-                     ledger: CycleLedger = NULL_LEDGER) -> float:
-        """One await+advance pair along a DOACROSS cascade.
-
-        Under an injected lost-synchronization fault the signal may be
-        dropped and re-sent once (deterministic per-index draw); the
-        retry cost lands in the ledger's ``fault`` category, never in
-        ``sync``, so healthy attribution is untouched.
-        """
-        c = self.cfg.cost_await + self.cfg.cost_advance
-        if cross_cluster:
-            c += self.cfg.cross_cluster_signal
-        ledger.charge("sync", c)
-        ledger.count("sync_ops")
-        if self.faults is not None and self.faults.plan.lost_sync_rate > 0.0:
-            retry = self.faults.sync_retry(c)
-            if retry > 0.0:
-                ledger.charge("fault", retry)
-                ledger.count("sync_retries", 1.0)
-                ledger.count("fault_events", 1.0)
-                c += retry
-        return c
 
     def critical_section(self, body_cost: float, contenders: int,
                          ledger: CycleLedger = NULL_LEDGER) -> float:

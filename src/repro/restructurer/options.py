@@ -10,7 +10,7 @@ reductions, critical sections, interprocedural analysis — which is how the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -19,12 +19,10 @@ class RestructurerOptions:
 
     # --- capability switches (baseline ≈ 1991 KAP) ---
     scalar_privatization: bool = True
-    scalar_expansion: bool = True
     basic_induction: bool = True
     simple_reductions: bool = True          # s = s + a(i), single statement
     recurrence_recognition: bool = True     # library replacement
     doacross: bool = True
-    if_to_where: bool = True
     stripmining: bool = True
 
     # --- advanced techniques (paper §4.1, off by default = "automatic") ---
@@ -37,7 +35,6 @@ class RestructurerOptions:
     interprocedural: bool = False           # §4.1.1 (MOD/REF + const prop)
     inline_expansion: bool = False          # §3.2
     loop_fusion: bool = False               # §4.2.4
-    loop_interchange: bool = True
     # The 1991 system mapped a single parallel loop to XDOALL+strip (§3.2);
     # choosing a cheap single-cluster CDOALL for small loops was part of
     # the manual loop-level/hardware-level matching the paper was still

@@ -37,7 +37,9 @@ import sys
 from repro.engine.parallel import parallel_map
 from repro.experiments.common import (add_engine_args,
                                       add_interpreter_arg,
-                                      configure_engine, finite_seconds)
+                                      configure_engine, finite_seconds,
+                                      finite_tolerance, non_negative_int,
+                                      positive_int)
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.validate.differential import DEFAULT_ATOL, DEFAULT_RTOL
 from repro.validate.report import build_report_from_dicts, render_text_from_dicts
@@ -85,13 +87,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--config", action="append", dest="configs",
                     choices=sorted(PIPELINE_CONFIGS),
                     help="configuration(s) to validate (default: all)")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[3],
+    ap.add_argument("--seeds", type=non_negative_int, nargs="+", default=[3],
                     metavar="SEED", help="input seeds (default: 3)")
-    ap.add_argument("--processors", type=int, nargs="+", default=[2, 8],
-                    metavar="P",
+    ap.add_argument("--processors", type=positive_int, nargs="+",
+                    default=[2, 8], metavar="P",
                     help="simulated processor counts (default: 2 8)")
-    ap.add_argument("--atol", type=float, default=DEFAULT_ATOL)
-    ap.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+    ap.add_argument("--atol", type=finite_tolerance, default=DEFAULT_ATOL)
+    ap.add_argument("--rtol", type=finite_tolerance, default=DEFAULT_RTOL)
     ap.add_argument("--no-bisect", action="store_true",
                     help="skip pass bisection on divergence")
     ap.add_argument("--timeout", type=finite_seconds, default=None,

@@ -28,7 +28,6 @@ from repro.fortran import ast_nodes as F
 from repro.fortran import fuzz
 from repro.fortran.parser import parse_program
 from repro.fortran.symtab import build_symbol_table
-from repro.restructurer import interchange as interchange_mod
 from repro.restructurer.pipeline import Restructurer
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
@@ -435,9 +434,7 @@ class GraphOracle:
         self.builds = 0
         self.mismatches: list[str] = []
         self.build = graph_mod.build_dependence_graph
-        for module in (nest_mod, interchange_mod):
-            monkeypatch.setattr(module, "build_dependence_graph",
-                                self.checked)
+        monkeypatch.setattr(nest_mod, "build_dependence_graph", self.checked)
 
     def checked(self, loop, params=None, effects=None, refs=None):
         if refs is None:

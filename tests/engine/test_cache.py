@@ -36,7 +36,7 @@ class TestContentKey:
 
     def test_fingerprint_sensitive(self):
         fp = options_fingerprint(
-            RestructurerOptions(loop_interchange=False))
+            RestructurerOptions(loop_fusion=True))
         assert content_key("restructure", SRC) \
             != content_key("restructure", SRC, fp)
 
@@ -53,7 +53,7 @@ class TestOptionsFingerprint:
     def test_distinguishes_options(self):
         assert options_fingerprint(RestructurerOptions()) \
             != options_fingerprint(
-                RestructurerOptions(loop_interchange=False))
+                RestructurerOptions(loop_fusion=True))
 
 
 class TestMemoryCache:
@@ -81,7 +81,7 @@ class TestMemoryCache:
         c = CompilationCache()
         a, _ = c.restructure(SRC)
         b, _ = c.restructure(
-            SRC, RestructurerOptions(loop_interchange=False))
+            SRC, RestructurerOptions(loop_fusion=True))
         assert a is not b
 
     def test_clear_drops_memory(self):
@@ -382,7 +382,7 @@ class TestProcessWideConfiguration:
 
 
 @pytest.mark.parametrize("opts", [None, RestructurerOptions(
-    scalar_expansion=False)])
+    stripmining=False)])
 def test_cached_restructure_matches_uncached(opts):
     """Cache hits must be semantically identical to recomputation."""
     from repro.fortran.parser import parse_program

@@ -16,7 +16,6 @@ from repro.machine import (
     cedar_config1,
     cedar_config2,
 )
-from repro.machine.tasking import TaskingModel, TaskSpawn
 
 
 class TestConfig:
@@ -168,9 +167,13 @@ class TestScheduler:
 
 
 class TestSync:
-    def test_cascade_cost_cross_cluster_higher(self):
-        m = SyncModel(cedar_config1())
-        assert m.cascade_cost(True) > m.cascade_cost(False)
+    def test_doacross_cascade_cross_cluster_higher(self):
+        """An X-level DOACROSS signals across clusters: with the same
+        trips and costs it charges more sync cycles than a C-level one."""
+        s = LoopScheduler(cedar_config1())
+        x = s.doacross("X", 64, iter_cost=50.0, region_cost=50.0)
+        c = s.doacross("C", 64, iter_cost=50.0, region_cost=50.0)
+        assert x.sync_cycles > c.sync_cycles > 0
 
     def test_critical_section_contention(self):
         m = SyncModel(cedar_config1())
@@ -179,31 +182,6 @@ class TestSync:
     def test_reduction_combine_levels(self):
         m = SyncModel(cedar_config1())
         assert m.reduction_combine("X") > m.reduction_combine("C")
-
-
-class TestTasking:
-    def test_ctskstart_much_more_expensive(self):
-        t = TaskingModel(cedar_config1())
-        c = t.spawn_cost(TaskSpawn("ctskstart"))
-        mt = t.spawn_cost(TaskSpawn("mtskstart"))
-        assert c > 10 * mt
-
-    def test_mtskstart_rejects_synchronization(self):
-        """§2.2.2: sync in helper-task threads can deadlock."""
-        t = TaskingModel(cedar_config1())
-        with pytest.raises(MachineModelError):
-            t.spawn_cost(TaskSpawn("mtskstart", uses_synchronization=True))
-
-    def test_ctskstart_allows_synchronization(self):
-        t = TaskingModel(cedar_config1())
-        assert t.spawn_cost(TaskSpawn("ctskstart",
-                                      uses_synchronization=True)) > 0
-
-    def test_helper_capacity(self):
-        t = TaskingModel(cedar_config1(), helper_tasks=4)
-        assert t.can_run_concurrently(4, "mtskstart")
-        assert not t.can_run_concurrently(5, "mtskstart")
-        assert t.can_run_concurrently(100, "ctskstart")
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,10 +10,8 @@ from repro.errors import TransformError
 from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
 from repro.fortran.symtab import build_symbol_table
-from repro.restructurer.distribution import distribute
 from repro.restructurer.fusion import fuse_adjacent_in, fusion_legal
 from repro.restructurer.inline import inline_calls
-from repro.restructurer.interchange import interchange, interchange_legal
 from repro.restructurer.names import NamePool
 from repro.restructurer.recurrence import replace_with_library
 from repro.restructurer.reduction_xform import transform_reductions
@@ -243,102 +241,6 @@ class TestLibraryReplacement:
       end
 """)
         assert replace_with_library(loop) is None
-
-
-class TestInterchange:
-    def test_legal_and_swap(self):
-        loop, _, _ = get_loop("""
-      subroutine s(a, n, m)
-      integer n, m
-      real a(100, 100)
-      do i = 1, n
-         do j = 1, m
-            a(i, j) = a(i, j) * 2.0
-         end do
-      end do
-      end
-""")
-        assert interchange_legal(loop)
-        interchange(loop)
-        assert loop.var == "j"
-        inner = loop.body[0]
-        assert inner.var == "i"
-
-    def test_illegal_lt_gt(self):
-        loop, _, _ = get_loop("""
-      subroutine s(a, n, m)
-      integer n, m
-      real a(100, 100)
-      do i = 2, n
-         do j = 1, m - 1
-            a(i, j) = a(i - 1, j + 1) + 1.0
-         end do
-      end do
-      end
-""")
-        assert not interchange_legal(loop)
-
-    def test_triangular_not_interchangeable(self):
-        loop, _, _ = get_loop("""
-      subroutine s(a, n)
-      integer n
-      real a(100, 100)
-      do i = 1, n
-         do j = 1, i
-            a(i, j) = 0.0
-         end do
-      end do
-      end
-""")
-        assert not interchange_legal(loop)
-
-
-class TestDistribution:
-    def test_split_independent_statements(self):
-        loop, _, _ = get_loop("""
-      subroutine s(a, b, c, d, n)
-      integer n
-      real a(n), b(n), c(n), d(n)
-      do i = 1, n
-         a(i) = b(i) + 1.0
-         c(i) = d(i) * 2.0
-      end do
-      end
-""")
-        parts = distribute(loop)
-        assert len(parts) == 2
-        assert isinstance(parts[0].body[0], F.Assign)
-
-    def test_recurrence_isolated(self):
-        loop, _, _ = get_loop("""
-      subroutine s(a, b, x, n)
-      integer n
-      real a(n), b(n), x(n)
-      do i = 2, n
-         a(i) = b(i) + 1.0
-         x(i) = x(i-1) + a(i)
-      end do
-      end
-""")
-        parts = distribute(loop)
-        assert len(parts) == 2
-        # the recurrence part must come second (it consumes a(i))
-        second = unparse_cedar(parts[1])
-        assert "x(i - 1)" in second
-
-    def test_cycle_keeps_together(self):
-        loop, _, _ = get_loop("""
-      subroutine s(a, b, n)
-      integer n
-      real a(n), b(n)
-      do i = 2, n
-         a(i) = b(i-1) + 1.0
-         b(i) = a(i) * 2.0
-      end do
-      end
-""")
-        parts = distribute(loop)
-        assert len(parts) == 1
 
 
 class TestFusion:

@@ -9,7 +9,11 @@ from repro.execmodel.interp import Interpreter
 from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
 from repro.restructurer.options import RestructurerOptions
+from repro.restructurer.pipeline import PASS_STAGES, Restructurer
+from repro.validate.configs import PIPELINE_CONFIGS
+from repro.workloads import validation_cases
 from repro.workloads.synthetic import ALL_SOURCES
+from tests.restructurer.test_interprocedural_planning import CALL_IN_LOOP
 
 
 class TestPaperExamples:
@@ -105,6 +109,60 @@ class TestOptionGates:
         assert not a.array_privatization and m.array_privatization
         assert not a.generalized_induction and m.generalized_induction
         assert not a.runtime_dependence_test and m.runtime_dependence_test
+
+
+#: one witness per ``PASS_STAGES`` label: a program (a synthetic kernel,
+#: a workload, or the CALL-in-a-loop fixture) and a preset on which
+#: flipping the stage's option fields changes the Cedar text or the
+#: decision events.  A switch that no program can observe has no row.
+STAGE_WITNESSES = {
+    "inline-expansion": ("CALL_IN_LOOP", "automatic"),
+    "interprocedural": ("CALL_IN_LOOP", "automatic"),   # events only
+    "loop-fusion": ("DYFESM", "automatic"),
+    "induction-substitution": ("tgiv", "automatic"),
+    "generalized-induction": ("tgiv", "automatic"),
+    "recurrence-recognition": ("ssum", "automatic"),
+    "reduction-recognition": ("TRACK", "automatic"),
+    "array-reductions": ("QCD", "automatic"),
+    "scalar-privatization": ("ptmp", "automatic"),
+    "array-privatization": ("ptmp", "automatic"),
+    "stripmine-vectorize": ("saxpy", "automatic"),
+    "doacross": ("casc", "automatic"),
+    "runtime-test": ("casc", "automatic"),
+    "critical-sections": ("casc", "automatic"),
+    "cluster-mapping": ("saxpy", "automatic"),
+}
+
+
+def _witness_source(name: str) -> str:
+    if name == "CALL_IN_LOOP":
+        return CALL_IN_LOOP
+    if name in ALL_SOURCES:
+        return ALL_SOURCES[name]
+    return validation_cases()[name].source
+
+
+def _restructured(source: str, options) -> tuple[str, list[dict]]:
+    from repro.cedar.unparse import unparse_cedar
+
+    cedar, report = Restructurer(options).run(parse_program(source))
+    return unparse_cedar(cedar), [e.to_dict() for e in report.events]
+
+
+class TestEveryStageSwitchesSomething:
+    def test_one_witness_per_stage(self):
+        assert set(STAGE_WITNESSES) == {label for label, _ in PASS_STAGES}
+
+    @pytest.mark.parametrize("label", sorted(STAGE_WITNESSES))
+    def test_flipping_the_stage_changes_the_output(self, label):
+        from dataclasses import replace
+
+        program, preset = STAGE_WITNESSES[label]
+        base = PIPELINE_CONFIGS[preset]()
+        fields = dict(PASS_STAGES)[label]
+        flipped = replace(base, **{f: not getattr(base, f) for f in fields})
+        source = _witness_source(program)
+        assert _restructured(source, base) != _restructured(source, flipped)
 
 
 class TestReport:

@@ -240,3 +240,26 @@ def test_zero_timeout_still_means_no_budget():
 
     assert finite_seconds("0") == 0.0
     assert finite_seconds("1e-6") == 1e-6
+
+
+# ---------------------------------------------------------------------------
+# repro.validate refuses the numbers its own payload contract refuses
+
+
+@pytest.mark.parametrize("flags", [
+    ["--processors", "0"],
+    ["--processors", "2", "-3"],
+    ["--seeds", "-1"],
+    ["--atol", "nan"],
+    ["--atol", "inf"],
+    ["--rtol=-1e-3"],
+], ids=lambda flags: " ".join(flags))
+def test_validate_refuses_out_of_contract_numbers(flags, tmp_path, capsys):
+    from repro.validate.__main__ import main
+
+    rc = _run(main, ["tridag", "--no-bisect", *flags,
+                     "-o", str(tmp_path / "v.json")])
+    assert rc == 2, f"validate {' '.join(flags)}: exit {rc}"
+    flag = flags[0].split("=")[0]
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()

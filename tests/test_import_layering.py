@@ -230,3 +230,66 @@ def test_every_public_name_resolves_and_unknown_ones_do_not(package):
         mod.no_such_name
     with pytest.raises(ImportError):
         exec(f"from {package} import no_such_name")
+
+
+# ---------------------------------------------------------------------------
+# no module is orphaned: each one is reached from another ``repro`` module
+
+#: modules nothing under ``src/repro`` imports, and why each may exist.
+#: A ``__main__`` is exempt by rule (``python -m`` runs it); a workload
+#: needs no entry, since its suite's registry imports it by name.
+ENTRY_MODULES = {
+    "repro.fortran.fuzz": "a `python -m` entry point (CI's fuzz oracle); "
+                          "the fuzz tests import it",
+}
+
+
+def _imported_modules(path: Path, name: str, modules: set[str]) -> set[str]:
+    """Every ``repro`` module the source of module ``name`` imports:
+    module-level or inside a function, ``from pkg import submodule``
+    included, and the module strings of a ``lazy_exports`` table."""
+    import ast
+
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                anchor = ".".join(parts[:len(parts) - node.level + 1])
+                base = f"{anchor}.{base}".rstrip(".")
+            found.add(base)
+            found.update(f"{base}.{a.name}" for a in node.names)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "lazy_exports"):
+            table = node.args[1]
+            found.update(k.value for k in table.keys
+                         if isinstance(k, ast.Constant))
+    # importing a submodule imports every package above it
+    return {prefix for m in found for prefix in _prefixes(m)} & modules
+
+
+def _prefixes(module: str) -> list[str]:
+    parts = module.split(".")
+    return [".".join(parts[:k]) for k in range(1, len(parts) + 1)]
+
+
+def test_every_module_is_imported_by_another_module():
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
+    paths = {}
+    for path in root.rglob("*.py"):
+        rel = path.relative_to(root.parent).with_suffix("")
+        parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+        paths[".".join(parts)] = path
+    modules = set(paths)
+    reached = set()
+    for name, path in paths.items():
+        reached |= _imported_modules(path, name, modules) - {name}
+    orphans = {m for m in modules - reached
+               if m.rpartition(".")[2] != "__main__"}
+    assert orphans == set(ENTRY_MODULES)
