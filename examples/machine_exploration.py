@@ -12,7 +12,7 @@ Run:  python examples/machine_exploration.py
 from repro.execmodel.perf import PerfEstimator
 from repro.experiments.common import restructured_estimate
 from repro.fortran.parser import parse_program
-from repro.machine.config import alliant_fx80, cedar_config1
+from repro.machine.config import cedar_config1
 from repro.machine.scheduler import LoopScheduler
 from repro.restructurer.options import RestructurerOptions
 from repro.restructurer.pipeline import Restructurer
@@ -52,13 +52,12 @@ def cluster_scaling() -> None:
 def startup_costs() -> None:
     print("\n== parallel loop startup costs (cf. §4.2.4, Figure 9) ==")
     cedar = cedar_config1()
-    fx80 = alliant_fx80()
     sched_c = LoopScheduler(cedar)
     print(f"  {'loop kind':>10} {'trips':>6} {'iter ops':>9} "
           f"{'cedar cycles':>13}")
     for kind, level in (("CDOALL", "C"), ("SDOALL", "S"), ("XDOALL", "X")):
         for trips in (16, 256, 4096):
-            t = sched_c.run(level, "doall", trips, iter_cost=40.0)
+            t = sched_c.run(level, trips, iter_cost=40.0)
             print(f"  {kind:>10} {trips:>6} {40:>9} {t.total_time:>13.0f}")
     print("  (an SDOALL only pays off with enough work per start — the "
           "reason Figure 9's fusion wins 2x on Cedar)")

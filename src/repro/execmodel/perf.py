@@ -87,7 +87,6 @@ class PerfEstimator:
     def __init__(self, sf: F.SourceFile, config: MachineConfig,
                  prefetch: bool = True,
                  placements: Mapping[str, str] | None = None,
-                 serial_data_placement: str = "cluster",
                  timeline: Optional[TimelineRecorder] = None,
                  faults: Optional[FaultPlan] = None):
         self.sf = sf
@@ -113,7 +112,6 @@ class PerfEstimator:
         self.prefetch = prefetch
         self.timeline = timeline
         self.placement_override = dict(placements or {})
-        self.serial_default = serial_data_placement
         # honor the globalization pass's GLOBAL/CLUSTER declarations
         self.declared_placement: dict[str, dict[str, str]] = {}
         for u in sf.units:
@@ -175,7 +173,7 @@ class PerfEstimator:
         sym = st.lookup(name) if st else None
         if sym is not None and sym.placement:
             return sym.placement
-        return self.serial_default
+        return "cluster"   # undeclared serial data lives in cluster memory
 
     # ------------------------------------------------------------------
     # numeric evaluation over the walk environment
@@ -536,10 +534,6 @@ class PerfEstimator:
         post_c, post_p, post_l = self._body(s.postamble, inner, unit)
 
         level = s.level
-        if not self.cfg.has_global_memory and level in ("S", "X"):
-            # FX/80: spread/cross loops collapse onto the single cluster
-            pass  # startup costs already encode this in the config
-
         led = self._ledger()
         label = f"{unit}:do {s.var}" + (f"@{s.line}" if s.line else "")
         if s.order == "doacross":
@@ -548,8 +542,8 @@ class PerfEstimator:
                 level, max(trips, 1), body_c, region, pre_c, post_c,
                 ledger=led, timeline=self.timeline, label=label)
         else:
-            timing = self.scheduler.run(level, "doall", max(trips, 1),
-                                        body_c, pre_c, post_c, ledger=led,
+            timing = self.scheduler.run(level, max(trips, 1), body_c, pre_c,
+                                        post_c, ledger=led,
                                         timeline=self.timeline, label=label)
         workers = timing.workers
         prof = body_p.scaled(trips)

@@ -122,8 +122,7 @@ def serial_estimate(source: str, entry: str,
     memory — the paper's baseline)."""
     sf = cached_parse(source)  # estimation never mutates the tree
     return direct_estimate(sf, entry, bindings, machine, entry, "serial",
-                           prefetch=False, placements=placements,
-                           serial_data_placement="cluster")
+                           prefetch=False, placements=placements)
 
 
 def restructured_estimate(source: str, entry: str,

@@ -6,7 +6,7 @@ a sweep instead of killing it:
 
 - :func:`watchdog` — a wall-clock guard that turns a hang into a
   :class:`~repro.errors.BudgetExceededError`: SIGALRM on the POSIX main
-  thread (interrupts even blocking C calls), a ``threading.Timer`` +
+  thread (interrupts even blocking C calls), a timer-thread +
   async-exception fallback everywhere else (worker threads, platforms
   without SIGALRM), so timeouts fire in every calling context;
 - :func:`run_isolated` — runs one workload, converting any exception or
@@ -107,10 +107,10 @@ _HAS_ASYNC_EXC = _async_exc_supported()
 
 @contextmanager
 def _timer_watchdog(seconds: float, deadline_msg: str) -> Iterator[None]:
-    """The ``threading.Timer`` fallback guard (any thread, any platform).
+    """The timer-thread fallback guard (any thread, any platform).
 
-    A daemon timer delivers :class:`BudgetExceededError` into the
-    *calling* thread via ``PyThreadState_SetAsyncExc``; the exception
+    A daemon countdown thread delivers :class:`BudgetExceededError` into
+    the *calling* thread via ``PyThreadState_SetAsyncExc``; the exception
     surfaces at the next bytecode boundary.  Disarming is race-free: the
     timer and the exit path share a lock, and a timeout that fires after
     the block already completed is cleared before it can leak into
@@ -137,13 +137,22 @@ def _timer_watchdog(seconds: float, deadline_msg: str) -> Iterator[None]:
             ctypes.pythonapi.PyThreadState_SetAsyncExc(
                 ctypes.c_ulong(tid), ctypes.py_object(exc_cls))
 
-    timer = threading.Timer(seconds, _fire)
-    timer.daemon = True
-    timer.start()
+    started, done = threading.Event(), threading.Event()
+
+    def _countdown() -> None:
+        started.wait()
+        if not done.wait(seconds):
+            _fire()
+
+    # starting a thread waits for it to run, and a short budget could
+    # expire in that wait — so the budget counts from ``started.set()``,
+    # inside the try whose finally clears a fire that lands too late
+    threading.Thread(target=_countdown, daemon=True).start()
     try:
+        started.set()
         yield
     finally:
-        timer.cancel()
+        done.set()
         with lock:
             state["armed"] = False
             if state["fired"]:
@@ -160,7 +169,7 @@ def watchdog(seconds: Optional[float],
 
     Uses ``SIGALRM`` on the POSIX main thread (interrupts blocking C
     calls); everywhere else — worker threads, platforms without SIGALRM
-    — a ``threading.Timer`` async-exception fallback fires at the next
+    — a timer-thread async-exception fallback fires at the next
     bytecode boundary, so the guard is armed in every calling context.
     ``seconds=None`` or ``<= 0`` disables the guard.  Nested watchdogs
     restore the outer alarm on exit, less the time the inner block ran.

@@ -264,7 +264,7 @@ class FaultPlan:
         XDOALL startup is at least ~200 cycles on every configuration,
         that inflates an affected loop by at most ``helper_delay / 200``
         of its healthy time.  A 1.25 slack term absorbs scheduling-edge
-        effects (partial tail chunks landing on a slow CE).
+        effects (the last iterations landing on a slow CE).
         """
         n_survive = max(len(self.survivors(p)), 1)
         bound = (p / n_survive) * self.max_speed_factor(p) \

@@ -508,6 +508,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--out", metavar="DIR", default=None,
                     help="write the generated programs into DIR")
     ns = ap.parse_args(argv)
+    if ns.count < 1:    # an oracle run that checks nothing must not pass
+        ap.error(f"argument --count: not a positive integer: {ns.count}")
 
     failures = 0
     for k in range(ns.count):

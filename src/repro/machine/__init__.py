@@ -4,13 +4,14 @@ The model captures the architectural features the paper's experiments
 exercise:
 
 - the three-level memory hierarchy (cache / cluster memory / global
-  memory) with per-level access latencies (:mod:`repro.machine.memory`);
-- the 32-element vector prefetch unit for global data
-  (:mod:`repro.machine.prefetch`, paper §2.2.3);
+  memory) with per-level access latencies, and the 32-element vector
+  prefetch unit global streams go through
+  (:mod:`repro.machine.memory`, paper §2.2.3);
 - global-memory bandwidth saturation across clusters (Figure 8);
 - virtual-memory paging and thrashing (Table 1's mprove anomaly);
-- self-scheduled (microtasked) parallel loops with per-level startup and
-  dispatch costs (:mod:`repro.machine.scheduler`, §2.2.1, §4.2.4);
+- self-scheduled (microtasked) DOALL loops with per-level startup and
+  dispatch costs, priced in closed form (:mod:`repro.machine.scheduler`,
+  §2.2.1, §4.2.4);
 - DOACROSS await/advance signalling (charged by the scheduler), lock
   contention and reduction combines (:mod:`repro.machine.sync`).
 
@@ -28,7 +29,6 @@ from repro.machine.config import (
     cedar_config2,
 )
 from repro.machine.memory import MemorySystem
-from repro.machine.prefetch import PrefetchUnit
 from repro.machine.paging import PagingModel
 from repro.machine.scheduler import LoopScheduler
 from repro.machine.sync import SyncModel
@@ -40,7 +40,6 @@ __all__ = [
     "cedar_config2",
     "alliant_fx80",
     "MemorySystem",
-    "PrefetchUnit",
     "PagingModel",
     "LoopScheduler",
     "SyncModel",

@@ -47,7 +47,6 @@ class MachineConfig:
     prefetch_trigger: float = 8.0   # issuing one prefetch instruction
 
     # capacities
-    cache_kb_per_cluster: int = 512
     cluster_memory_mb: int = 16
     global_memory_mb: int = 64
 

@@ -1,10 +1,13 @@
 """Memory hierarchy timing: cache, cluster memory, global memory.
 
 The model answers "what does one element access cost" given the data's
-placement and access pattern, and models the Figure 8 effect: aggregate
-global-memory traffic across clusters is capped by the network/GM
-bandwidth, so adding clusters stops helping once the program runs at the
-global transfer rate.
+placement and access pattern.  Global *vector* streams go through the
+32-element prefetch unit (§2.2.3) when it is enabled: one trigger per
+block, then near-cache delivery; scalar global loads pay full latency,
+which is why prefetch gains grow with vector length (Figure 6).  It also
+models the Figure 8 effect: aggregate global-memory traffic across
+clusters is capped by the network/GM bandwidth, so adding clusters stops
+helping once the program runs at the global transfer rate.
 """
 
 from __future__ import annotations

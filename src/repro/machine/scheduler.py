@@ -1,18 +1,15 @@
 """Self-scheduled (microtasked) parallel loop timing (paper §2.2.1).
 
-``LoopScheduler.run`` computes the completion time of a parallel loop
-given per-iteration costs, using a discrete simulation of self-scheduling:
-each of the P workers repeatedly grabs the next chunk and executes it, so
-load imbalance, small trip counts, and dispatch contention all show up —
-exactly the effects that make small loops not worth spreading across
-clusters (§4.2.4).
-
-For the common homogeneous case an O(1) closed form is used; the event
-simulation handles heterogeneous iteration costs (e.g. triangular loops).
-The closed form models the same round-robin chunk deal the simulation
-produces — including a final partial chunk when the trip count does not
-divide the chunk size — so the two agree to floating-point rounding on
-homogeneous costs (property-tested).
+``LoopScheduler.run`` prices a DOALL whose iterations all cost the same:
+each of the P workers repeatedly grabs the next iteration and executes
+it, so small trip counts, load imbalance at the tail and dispatch cost
+all show up — exactly the effects that make small loops not worth
+spreading across clusters (§4.2.4).  It is an O(1) closed form of the
+round-robin deal; the event-driven drain of the same queue,
+:meth:`repro.faults.plan.FaultPlan.drain`, replays it under injected
+faults and is the closed form's reference (property-tested: a healthy
+drain agrees to floating-point rounding).  ``LoopScheduler.doacross``
+prices a DOACROSS with an explicit synchronized region.
 
 Every timing carries a critical-path breakdown (startup / dispatch /
 synchronization / iteration-body / preamble+postamble cycles) whose sum
@@ -28,9 +25,8 @@ no span is built and results are bit-identical to the unprofiled path.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.machine.config import MachineConfig
 from repro.trace.ledger import NULL_LEDGER, CycleLedger
@@ -63,11 +59,6 @@ class LoopTiming:
     body_cycles: float = 0.0       # iteration-body time on the critical path
     pre_post_cycles: float = 0.0   # one preamble+postamble on the path
     fault_cycles: float = 0.0      # degradation added by injected faults
-
-    @property
-    def efficiency(self) -> float:
-        denom = self.total_time * self.workers
-        return self.busy_time / denom if denom > 0 else 0.0
 
     @property
     def overhead_cycles(self) -> float:
@@ -104,22 +95,21 @@ class LoopScheduler:
 
     # ------------------------------------------------------------------
 
-    def run(self, level: str, order: str, trips: int,
-            iter_cost: float | Sequence[float],
-            preamble: float = 0.0, postamble: float = 0.0,
-            chunk: int = 1, ledger: CycleLedger = NULL_LEDGER,
+    def run(self, level: str, trips: int, iter_cost: float,
+            preamble: float = 0.0, postamble: float = 0.0, *,
+            ledger: CycleLedger = NULL_LEDGER,
             timeline: Optional[TimelineRecorder] = None,
             label: str = "") -> LoopTiming:
-        """Completion time of a self-scheduled loop.
+        """Completion time of a self-scheduled DOALL.
 
-        ``iter_cost`` is one number (homogeneous) or a per-iteration
-        sequence.  ``preamble``/``postamble`` run once per worker.
-        ``chunk`` iterations are grabbed per dispatch.  Scheduler-added
-        overhead (startup/dispatch/sync) is charged into ``ledger``;
-        per-worker spans land in ``timeline`` when one is given.
+        Each of the ``trips`` iterations costs ``iter_cost`` and is one
+        dispatch; ``preamble``/``postamble`` run once per worker.
+        Scheduler-added overhead (startup/dispatch/sync) is charged into
+        ``ledger``; per-worker spans land in ``timeline`` when one is
+        given.
         """
         p = min(self.cfg.processors_at(level), max(trips, 1))
-        startup = self.cfg.startup(level, order)
+        startup = self.cfg.startup(level, "doall")
         dispatch = self.cfg.dispatch(level)
 
         if trips <= 0:
@@ -127,64 +117,37 @@ class LoopScheduler:
             timing.charge_overhead(ledger)
             if timeline is not None:
                 timeline.record(
-                    label, level, order, p, timing.total_time, 0.0,
+                    label, level, "doall", p, timing.total_time, 0.0,
                     [Span(CONTROL_TRACK, "startup", 0.0, startup,
                           busy=False)])
             return timing
 
-        if not isinstance(iter_cost, (int, float)):
-            timing = self._simulate(level, order, list(iter_cost), p, startup,
-                                    dispatch, preamble, postamble, chunk,
-                                    timeline=timeline, label=label)
-            timing.charge_overhead(ledger)
-            return timing
-
         per = float(iter_cost)
-        chunks = -(-trips // chunk)
-        if order == "doacross":
-            # without an explicit synchronized-region cost, assume the
-            # whole iteration is synchronized (callers with a region use
-            # :meth:`doacross` directly)
-            return self.doacross(level, trips, per, per,
-                                 preamble, postamble, ledger=ledger,
-                                 timeline=timeline, label=label)
-        # homogeneous DOALL: workers grab chunks round-robin until
-        # exhausted; the last chunk holds the leftover trips (may be
-        # partial), and the critical path belongs to a worker with
-        # ceil(chunks/p) chunks — all full ones, unless the only such
-        # worker is the one holding the partial tail chunk
-        per_worker_chunks = -(-chunks // p)
-        full_tail = chunks - (per_worker_chunks - 1) * p
-        last_chunk = trips - (chunks - 1) * chunk
-        if last_chunk == chunk or full_tail >= 2:
-            crit_body = per_worker_chunks * chunk * per
-        else:
-            crit_body = ((per_worker_chunks - 1) * chunk + last_chunk) * per
-        busy = trips * per + chunks * dispatch + p * (preamble + postamble)
-        total = (startup + preamble + postamble
-                 + per_worker_chunks * dispatch + crit_body)
+        # workers grab iterations round-robin until the queue is empty;
+        # the critical path belongs to a worker with ceil(trips/p) of them
+        k = -(-trips // p)
+        crit_body = k * per
+        busy = trips * per + trips * dispatch + p * (preamble + postamble)
+        total = startup + preamble + postamble + k * dispatch + crit_body
         timing = LoopTiming(
-            total, busy, p, chunks,
+            total, busy, p, trips,
             startup_cycles=startup,
-            dispatch_cycles=per_worker_chunks * dispatch,
+            dispatch_cycles=k * dispatch,
             body_cycles=crit_body,
             pre_post_cycles=preamble + postamble)
         delta = 0.0
         if self.faults is not None:
             if self.faults.plan.degrades_workers:
-                chunk_costs = [chunk * per] * (chunks - 1) \
-                    + [last_chunk * per]
                 delta = self._fault_delta_selfsched(
-                    chunk_costs, p, dispatch, preamble, postamble,
+                    [per] * trips, p, dispatch, preamble, postamble,
                     startup, total)
             delta += self._helper_startup_delay(level)
             self._apply_fault_delta(timing, delta)
         timing.charge_overhead(ledger)
         if timeline is not None:
             spans = self._spans_homogeneous(
-                p, chunks, chunk, last_chunk, per, dispatch, startup,
-                preamble, postamble, total,
-                max_chunk_spans=timeline.max_chunk_spans)
+                p, trips, per, dispatch, startup, preamble, postamble,
+                total, max_chunk_spans=timeline.max_chunk_spans)
             if delta > 0.0:
                 spans.append(Span(CONTROL_TRACK, "fault", total,
                                   total + delta, busy=False))
@@ -251,78 +214,6 @@ class LoopScheduler:
         return timing
 
     # ------------------------------------------------------------------
-
-    def _simulate(self, level: str, order: str, costs: list[float], p: int,
-                  startup: float, dispatch: float, preamble: float,
-                  postamble: float, chunk: int,
-                  timeline: Optional[TimelineRecorder] = None,
-                  label: str = "") -> LoopTiming:
-        """Event-driven self-scheduling over heterogeneous iterations."""
-        heap = [(preamble, w) for w in range(p)]
-        heapq.heapify(heap)
-        next_iter = 0
-        busy = p * (preamble + postamble)
-        n = len(costs)
-        n_chunks = -(-n // chunk)
-        finish = preamble
-        # per-worker critical-path decomposition
-        w_dispatch = [0.0] * p
-        w_body = [0.0] * p
-        w_chunks = [0] * p
-        chunk_spans: list[tuple[int, float, float]] = []  # (worker, t0, t1)
-        keep_spans = (timeline is not None
-                      and n_chunks <= timeline.max_chunk_spans)
-        faulted = (self.faults is not None
-                   and self.faults.plan.degrades_workers)
-        chunk_costs: list[float] = []
-        while next_iter < n:
-            t, w = heapq.heappop(heap)
-            take = costs[next_iter:next_iter + chunk]
-            next_iter += len(take)
-            body = sum(take)
-            dt = dispatch + body
-            w_dispatch[w] += dispatch
-            w_body[w] += body
-            w_chunks[w] += 1
-            if keep_spans:
-                chunk_spans.append((w, t, t + dt))
-            if faulted:
-                chunk_costs.append(body)
-            busy += dt
-            t += dt
-            finish = max(finish, t)
-            heapq.heappush(heap, (t, w))
-        # all workers then run their postamble; the finishing worker's
-        # split defines the critical-path breakdown
-        last_t, last_w = max(heap)
-        finish = max(finish, last_t) + postamble
-        total = startup + finish
-        timing = LoopTiming(
-            total, busy, p, n_chunks,
-            startup_cycles=startup,
-            dispatch_cycles=w_dispatch[last_w],
-            body_cycles=w_body[last_w],
-            pre_post_cycles=preamble + postamble)
-        delta = 0.0
-        if self.faults is not None:
-            if faulted:
-                delta = self._fault_delta_selfsched(
-                    chunk_costs, p, dispatch, preamble, postamble,
-                    startup, total)
-            delta += self._helper_startup_delay(level)
-            self._apply_fault_delta(timing, delta)
-        if timeline is not None:
-            worker_end = {w: t for t, w in heap}
-            spans = self._spans_simulated(
-                p, startup, preamble, postamble, total, dispatch,
-                chunk_spans if keep_spans else None,
-                w_dispatch, w_body, w_chunks, worker_end)
-            if delta > 0.0:
-                spans.append(Span(CONTROL_TRACK, "fault", total,
-                                  total + delta, busy=False))
-            timeline.record(label, level, order, p, timing.total_time,
-                            busy, spans)
-        return timing
 
     # ------------------------------------------------------------------
     # fault injection (repro.faults) — timing-only graceful degradation
@@ -411,35 +302,27 @@ class LoopScheduler:
                               busy=busy, count=count))
         return start + duration
 
-    def _spans_homogeneous(self, p: int, chunks: int, chunk: int,
-                           last_chunk: int, per: float, dispatch: float,
-                           startup: float, preamble: float, postamble: float,
-                           total: float, max_chunk_spans: int) -> list[Span]:
+    def _spans_homogeneous(self, p: int, trips: int, per: float,
+                           dispatch: float, startup: float, preamble: float,
+                           postamble: float, total: float,
+                           max_chunk_spans: int) -> list[Span]:
         spans: list[Span] = []
         self._span(spans, CONTROL_TRACK, "startup", 0.0, startup, busy=False)
-        counts = _round_robin_counts(chunks, p)
-        coalesce = chunks > max_chunk_spans
+        counts = _round_robin_counts(trips, p)
+        coalesce = trips > max_chunk_spans
         for w in range(p):
             k_w = counts[w]
             t = self._span(spans, w, "preamble", startup, preamble, busy=True)
-            # the globally last (possibly partial) chunk belongs to the
-            # last worker holding ceil(chunks/p) chunks
-            owns_tail = (w == (chunks - 1) % p)
-            body_w = (k_w * chunk - (chunk - last_chunk if owns_tail else 0)) \
-                * per if k_w else 0.0
             if coalesce:
                 t = self._span(spans, w, "dispatch", t, k_w * dispatch,
                                busy=True, count=k_w)
-                t = self._span(spans, w, "chunk", t, body_w, busy=True,
+                t = self._span(spans, w, "chunk", t, k_w * per, busy=True,
                                count=k_w)
             else:
-                for j in range(k_w):
-                    size = (last_chunk if owns_tail and j == k_w - 1
-                            else chunk)
+                for _ in range(k_w):
                     t = self._span(spans, w, "dispatch", t, dispatch,
                                    busy=True)
-                    t = self._span(spans, w, "chunk", t, size * per,
-                                   busy=True)
+                    t = self._span(spans, w, "chunk", t, per, busy=True)
             t = self._span(spans, w, "postamble", t, postamble, busy=True)
             self._span(spans, w, "idle", t, total - t, busy=False)
         return spans
@@ -484,34 +367,5 @@ class LoopScheduler:
                         t = self._span(spans, w, "sync", t, signal,
                                        busy=True)
             t = self._span(spans, w, "postamble", t, postamble, busy=False)
-            self._span(spans, w, "idle", t, total - t, busy=False)
-        return spans
-
-    def _spans_simulated(self, p: int, startup: float, preamble: float,
-                         postamble: float, total: float, dispatch: float,
-                         chunk_spans, w_dispatch: list[float],
-                         w_body: list[float], w_chunks: list[int],
-                         worker_end: dict[int, float]) -> list[Span]:
-        spans: list[Span] = []
-        self._span(spans, CONTROL_TRACK, "startup", 0.0, startup, busy=False)
-        for w in range(p):
-            self._span(spans, w, "preamble", startup, preamble, busy=True)
-        if chunk_spans is not None:
-            for w, t0, t1 in chunk_spans:
-                self._span(spans, w, "dispatch", startup + t0, dispatch,
-                           busy=True)
-                self._span(spans, w, "chunk", startup + t0 + dispatch,
-                           t1 - t0 - dispatch, busy=True)
-        else:
-            # coalesced: each worker works continuously from its preamble
-            for w in range(p):
-                t = startup + preamble
-                t = self._span(spans, w, "dispatch", t, w_dispatch[w],
-                               busy=True, count=w_chunks[w])
-                self._span(spans, w, "chunk", t, w_body[w], busy=True,
-                           count=w_chunks[w])
-        for w in range(p):
-            t = startup + worker_end.get(w, preamble)
-            t = self._span(spans, w, "postamble", t, postamble, busy=True)
             self._span(spans, w, "idle", t, total - t, busy=False)
         return spans

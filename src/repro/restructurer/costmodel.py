@@ -127,14 +127,3 @@ class CostModel:
         serial_path = trips * (sync_region_ops + SYNC_SIGNAL)
         delay_factor = (sync_region_ops / max(body_ops, 1.0)) / processors
         return max(base * (1.0 + delay_factor), serial_path)
-
-    def processors_for(self, kind: str) -> int:
-        if kind in ("serial", "vector"):
-            return 1
-        if kind.startswith("c"):
-            return self.ppc
-        if kind.startswith("s"):
-            return self.clusters
-        if kind.startswith("x"):
-            return self.total_p
-        return 1

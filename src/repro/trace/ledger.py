@@ -234,9 +234,9 @@ def memory_cycles_from_counters(counts: Mapping, cfg) -> dict:
     """Recompute the ledger's five memory-side categories from counts.
 
     ``cfg`` is a :class:`repro.machine.config.MachineConfig`.  Mirrors
-    exactly how :mod:`repro.machine.memory`, :mod:`repro.machine.prefetch`
-    and :mod:`repro.machine.paging` price accesses, so the result equals
-    the ledger categories to floating-point rounding.
+    exactly how :mod:`repro.machine.memory` (prefetched global streams
+    included) and :mod:`repro.machine.paging` price accesses, so the
+    result equals the ledger categories to floating-point rounding.
     """
     n = {c: counts.get(c, 0.0) for c in COUNTERS}
     return {

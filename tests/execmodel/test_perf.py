@@ -58,10 +58,9 @@ class TestBasics:
         assert par.total > ser.total * 0.5
 
     def test_placement_matters(self):
-        ser_cluster = serial_est(SAXPY, "saxpy", {"n": 10000},
-                                 serial_data_placement="cluster")
+        ser_cluster = serial_est(SAXPY, "saxpy", {"n": 10000})
         ser_global = serial_est(SAXPY, "saxpy", {"n": 10000},
-                                serial_data_placement="global")
+                                placements=dict.fromkeys("naxyi", "global"))
         assert ser_global.total > ser_cluster.total  # scalar global is slow
 
     def test_prefetch_helps_parallel_global_streams(self):

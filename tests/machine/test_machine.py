@@ -9,7 +9,6 @@ from repro.machine import (
     LoopScheduler,
     MemorySystem,
     PagingModel,
-    PrefetchUnit,
     SyncModel,
     VectorUnit,
     alliant_fx80,
@@ -84,16 +83,20 @@ class TestMemory:
         assert c == 0.0 and prof.global_elems == 0
 
 
-class TestPrefetchUnit:
+class TestPrefetch:
+    @staticmethod
+    def _gain(length):
+        m = MemorySystem(cedar_config1())
+        off, _ = m.vector_access("global", length, prefetch=False)
+        on, _ = m.vector_access("global", length, prefetch=True)
+        return off / on
+
     def test_speedup_grows_with_length(self):
         """Figure 6's cause: long vectors gain much more than short ones."""
-        u = PrefetchUnit(cedar_config1())
-        assert u.speedup_for(1000) > u.speedup_for(8)
+        assert self._gain(1000) > self._gain(8)
 
-    def test_disabled_unit_no_gain(self):
-        u = PrefetchUnit(cedar_config1(), enabled=False)
-        v = PrefetchUnit(cedar_config1(), enabled=True)
-        assert u.stream_cost(256) > v.stream_cost(256)
+    def test_prefetch_on_cheaper_than_off(self):
+        assert self._gain(256) > 1.0
 
 
 class TestPaging:
@@ -121,22 +124,22 @@ class TestPaging:
 class TestScheduler:
     def test_doall_scales(self):
         s = LoopScheduler(cedar_config1())
-        t8 = s.run("C", "doall", 1024, iter_cost=100.0)
+        t8 = s.run("C", 1024, iter_cost=100.0)
         assert t8.workers == 8
         serial = 1024 * 100.0
         assert t8.total_time < serial / 4  # decent efficiency
 
     def test_small_trip_counts_dont_scale(self):
         s = LoopScheduler(cedar_config1())
-        t = s.run("X", "doall", 4, iter_cost=10.0)
+        t = s.run("X", 4, iter_cost=10.0)
         assert t.workers == 4  # only as many workers as iterations
         assert t.total_time > 4 * 10.0  # startup dominates
 
     def test_startup_gap_c_vs_s(self):
         """§4.2.4: spreading a tiny loop across clusters loses."""
         s = LoopScheduler(cedar_config1())
-        c = s.run("C", "doall", 16, iter_cost=20.0)
-        x = s.run("X", "doall", 16, iter_cost=20.0)
+        c = s.run("C", 16, iter_cost=20.0)
+        x = s.run("X", 16, iter_cost=20.0)
         assert c.total_time < x.total_time
 
     def test_doacross_serial_chain_bound(self):
@@ -151,18 +154,9 @@ class TestScheduler:
         small_region = s.doacross("C", 1000, 100.0, region_cost=5.0)
         assert small_region.total_time < big_region.total_time
 
-    def test_heterogeneous_simulation(self):
-        """Triangular per-iteration costs load-balance via self-scheduling."""
-        s = LoopScheduler(cedar_config1())
-        costs = [float(i) for i in range(1, 65)]
-        t = s.run("C", "doall", 64, iter_cost=costs)
-        busy_ideal = sum(costs) / 8
-        assert t.total_time >= busy_ideal
-        assert t.total_time < busy_ideal * 2.5
-
     def test_zero_trips(self):
         s = LoopScheduler(cedar_config1())
-        t = s.run("C", "doall", 0, iter_cost=10.0)
+        t = s.run("C", 0, iter_cost=10.0)
         assert t.total_time == cedar_config1().start_cdoall
 
 
@@ -191,7 +185,7 @@ def test_scheduler_bounds(trips, iter_cost):
     by startup + serial time + dispatch."""
     cfg = cedar_config1()
     s = LoopScheduler(cfg)
-    t = s.run("X", "doall", trips, iter_cost=iter_cost)
+    t = s.run("X", trips, iter_cost=iter_cost)
     ideal = trips * iter_cost / t.workers
     assert t.total_time >= ideal * 0.99
     serial = trips * (iter_cost + cfg.dispatch_x)

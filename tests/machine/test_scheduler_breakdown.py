@@ -1,7 +1,6 @@
 """Critical-path breakdown tests for the loop scheduler (satellite of the
 cycle-attribution work): the ``*_cycles`` fields must always sum to
-``total_time``, across the closed form, the DOACROSS bound, and the
-event-driven heterogeneous simulation."""
+``total_time``, across the DOALL closed form and the DOACROSS bound."""
 
 import pytest
 from hypothesis import given
@@ -19,7 +18,7 @@ def _parts(t):
 class TestBreakdownInvariant:
     def test_homogeneous_doall(self):
         s = LoopScheduler(cedar_config1())
-        t = s.run("C", "doall", 1024, iter_cost=100.0,
+        t = s.run("C", 1024, iter_cost=100.0,
                   preamble=7.0, postamble=3.0)
         assert _parts(t) == pytest.approx(t.total_time)
         assert t.pre_post_cycles == 10.0
@@ -27,7 +26,7 @@ class TestBreakdownInvariant:
 
     def test_zero_trips_is_pure_startup(self):
         s = LoopScheduler(cedar_config1())
-        t = s.run("X", "doall", 0, iter_cost=10.0)
+        t = s.run("X", 0, iter_cost=10.0)
         assert t.startup_cycles == t.total_time
         assert _parts(t) == pytest.approx(t.total_time)
 
@@ -43,30 +42,10 @@ class TestBreakdownInvariant:
         assert _parts(t) == pytest.approx(t.total_time)
         assert t.dispatch_cycles > 0  # self-scheduling path, not the chain
 
-    def test_heterogeneous_triangular(self):
-        s = LoopScheduler(cedar_config1())
-        costs = [float(i) for i in range(1, 65)]
-        t = s.run("C", "doall", 64, iter_cost=costs,
-                  preamble=5.0, postamble=2.0)
-        assert _parts(t) == pytest.approx(t.total_time)
-        assert t.chunks == 64
-
-    def test_heterogeneous_chunked(self):
-        s = LoopScheduler(cedar_config1())
-        costs = [10.0, 1.0] * 32
-        t1 = s.run("C", "doall", 64, iter_cost=costs, chunk=1)
-        t4 = s.run("C", "doall", 64, iter_cost=costs, chunk=4)
-        assert t4.chunks == 16
-        assert _parts(t4) == pytest.approx(t4.total_time)
-        # fewer dispatches with bigger chunks
-        assert t4.dispatch_cycles < t1.dispatch_cycles
-
     def test_postamble_lands_on_critical_path(self):
         s = LoopScheduler(cedar_config1())
-        plain = s.run("C", "doall", 64,
-                      iter_cost=[1.0] * 64)
-        with_post = s.run("C", "doall", 64,
-                          iter_cost=[1.0] * 64, postamble=50.0)
+        plain = s.run("C", 64, iter_cost=1.0)
+        with_post = s.run("C", 64, iter_cost=1.0, postamble=50.0)
         assert with_post.total_time == pytest.approx(plain.total_time + 50.0)
         assert with_post.pre_post_cycles == 50.0
         assert _parts(with_post) == pytest.approx(with_post.total_time)
@@ -76,7 +55,7 @@ class TestLedgerCharging:
     def test_run_charges_only_overhead(self):
         s = LoopScheduler(cedar_config1())
         led = CycleLedger()
-        t = s.run("C", "doall", 128, iter_cost=20.0, ledger=led)
+        t = s.run("C", 128, iter_cost=20.0, ledger=led)
         assert led.startup == t.startup_cycles
         assert led.dispatch == t.dispatch_cycles
         assert led.sync == t.sync_cycles
@@ -95,15 +74,13 @@ class TestLedgerCharging:
         from repro.trace import NULL_LEDGER
 
         s = LoopScheduler(cedar_config1())
-        s.run("C", "doall", 128, iter_cost=20.0)
+        s.run("C", 128, iter_cost=20.0)
         assert NULL_LEDGER.total() == 0.0
 
 
-@given(st.lists(st.floats(0.5, 100.0), min_size=1, max_size=120),
-       st.integers(1, 8))
-def test_breakdown_sums_to_total_property(costs, chunk):
-    """Property: the decomposition is exact for arbitrary cost vectors."""
+@given(st.integers(1, 120), st.floats(0.5, 100.0))
+def test_breakdown_sums_to_total_property(trips, per):
+    """Property: the decomposition is exact for arbitrary loop shapes."""
     s = LoopScheduler(cedar_config1())
-    t = s.run("C", "doall", len(costs), iter_cost=costs, chunk=chunk,
-              preamble=1.0, postamble=2.0)
+    t = s.run("C", trips, iter_cost=per, preamble=1.0, postamble=2.0)
     assert _parts(t) == pytest.approx(t.total_time, rel=1e-12)

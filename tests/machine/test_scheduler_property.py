@@ -1,73 +1,83 @@
-"""Property test: the O(1) homogeneous closed form in ``LoopScheduler.run``
-must agree with the event simulation (``_simulate``) to floating-point
-rounding, across worker counts, trip counts (including trips < workers),
-chunk sizes, and partial tail chunks."""
+"""Property test: the O(1) closed form in ``LoopScheduler.run`` must agree
+with a healthy :meth:`FaultPlan.drain` — the event-driven replay of the
+same self-scheduled queue that the fault path prices with — to
+floating-point rounding, across worker counts and trip counts (including
+trips < workers), down to how many iterations each worker takes."""
+
+from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.plan import FaultPlan
 from repro.machine.config import MachineConfig, cedar_config1, cedar_config2
-from repro.machine.scheduler import LoopScheduler
+from repro.machine.scheduler import LoopScheduler, _round_robin_counts
 
 
-def closed_vs_simulated(cfg: MachineConfig, level: str, trips: int,
-                        per: float, chunk: int, preamble: float,
-                        postamble: float) -> tuple:
-    sched = LoopScheduler(cfg)
-    closed = sched.run(level, "doall", trips, per, preamble=preamble,
-                       postamble=postamble, chunk=chunk)
-    p = min(cfg.processors_at(level), max(trips, 1))
-    startup = cfg.startup(level, "doall")
-    dispatch = cfg.dispatch(level)
-    simulated = sched._simulate(level, "doall", [per] * trips, p, startup,
-                                dispatch, preamble, postamble, chunk)
-    return closed, simulated
+@dataclass
+class Drained:
+    total_time: float
+    busy_time: float
+    workers: int
+    chunks: int
+    counts: list[int]
+
+
+def closed_vs_drained(cfg: MachineConfig, level: str, trips: int,
+                      per: float, preamble: float,
+                      postamble: float) -> tuple:
+    closed = LoopScheduler(cfg).run(level, trips, per, preamble, postamble)
+    p = min(cfg.processors_at(level), trips)
+    owners, clocks = FaultPlan().drain([per] * trips, p, cfg.dispatch(level),
+                                       preamble)
+    # a healthy drain retires no worker: every clock is a worker's last
+    # chunk end, after which it runs its postamble
+    assert sorted(w for _, w in clocks) == list(range(p))
+    drained = Drained(
+        total_time=(cfg.startup(level, "doall")
+                    + max(t for t, _ in clocks) + postamble),
+        busy_time=sum(t for t, _ in clocks) + p * postamble,
+        workers=p,
+        chunks=len(owners),
+        counts=[owners.count(w) for w in range(p)])
+    return closed, drained
+
+
+def assert_agree(closed, drained):
+    scale = max(abs(drained.total_time), 1.0)
+    assert abs(closed.total_time - drained.total_time) <= 1e-9 * scale, (
+        f"total: closed {closed.total_time} != drain {drained.total_time}")
+    busy_scale = max(abs(drained.busy_time), 1.0)
+    assert abs(closed.busy_time - drained.busy_time) <= 1e-9 * busy_scale
+    assert closed.workers == drained.workers
+    assert closed.chunks == drained.chunks
+    assert drained.counts == _round_robin_counts(closed.chunks,
+                                                 closed.workers)
 
 
 @given(
     trips=st.integers(min_value=1, max_value=400),
     per=st.floats(min_value=0.5, max_value=500.0,
                   allow_nan=False, allow_infinity=False),
-    chunk=st.integers(min_value=1, max_value=16),
     preamble=st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
     postamble=st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
     level=st.sampled_from(["C", "S", "X"]),
     config=st.sampled_from(["cedar1", "cedar2"]),
 )
 @settings(max_examples=200, deadline=None)
-def test_closed_form_matches_simulation(trips, per, chunk, preamble,
-                                        postamble, level, config):
+def test_closed_form_matches_drain(trips, per, preamble, postamble, level,
+                                   config):
     cfg = cedar_config1() if config == "cedar1" else cedar_config2()
-    closed, simulated = closed_vs_simulated(cfg, level, trips, per, chunk,
-                                            preamble, postamble)
-    scale = max(abs(simulated.total_time), 1.0)
-    assert abs(closed.total_time - simulated.total_time) <= 1e-9 * scale, (
-        f"total: closed {closed.total_time} != sim {simulated.total_time} "
-        f"(trips={trips} chunk={chunk} per={per})")
-    busy_scale = max(abs(simulated.busy_time), 1.0)
-    assert abs(closed.busy_time - simulated.busy_time) <= 1e-9 * busy_scale
-    assert closed.workers == simulated.workers
-    assert closed.chunks == simulated.chunks
+    assert_agree(*closed_vs_drained(cfg, level, trips, per, preamble,
+                                    postamble))
 
 
 def test_trips_below_workers_edge():
     """Fewer trips than CEs: every trip gets its own worker; completion is
-    one chunk deep."""
+    one iteration deep."""
     cfg = cedar_config1()
     for trips in range(1, cfg.processors_at("C") + 1):
-        closed, simulated = closed_vs_simulated(cfg, "C", trips, 10.0, 1,
-                                                0.0, 0.0)
+        closed, drained = closed_vs_drained(cfg, "C", trips, 10.0, 0.0, 0.0)
         assert closed.workers == trips
-        assert abs(closed.total_time - simulated.total_time) <= 1e-9 * max(
-            simulated.total_time, 1.0)
-
-
-def test_partial_tail_chunk():
-    """trips % chunk != 0 leaves a short final chunk; both paths must
-    price the same critical path."""
-    cfg = cedar_config2()
-    for trips, chunk in [(10, 3), (17, 4), (33, 8), (100, 7), (5, 4)]:
-        closed, simulated = closed_vs_simulated(cfg, "S", trips, 9.0, chunk,
-                                                2.0, 2.0)
-        assert abs(closed.total_time - simulated.total_time) <= 1e-9 * max(
-            simulated.total_time, 1.0), (trips, chunk)
+        assert drained.counts == [1] * trips
+        assert_agree(closed, drained)

@@ -102,11 +102,5 @@ class TestVersionScoring:
         t = self.cm.doacross("cdoacross", 1000, 100.0, 100.0, 8)
         assert t >= 1000 * 100.0  # fully serialized region bounds it
 
-    def test_processors_for_levels(self):
-        assert self.cm.processors_for("cdoall") == 8
-        assert self.cm.processors_for("sdoall") == 4
-        assert self.cm.processors_for("xdoall") == 32
-        assert self.cm.processors_for("serial") == 1
-
     def test_vectorization_discount(self):
         assert self.cm.vectorized(10000, 10.0) < self.cm.serial(10000, 10.0)

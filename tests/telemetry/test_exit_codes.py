@@ -263,3 +263,15 @@ def test_validate_refuses_out_of_contract_numbers(flags, tmp_path, capsys):
     flag = flags[0].split("=")[0]
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fuzz_refuses_a_count_that_checks_nothing(count, capsys):
+    """``--check`` over no programs would report "0/0 passed" and exit 0."""
+    from repro.fortran.fuzz import main
+
+    rc = _run(main, ["--seed", "1", "--count", count, "--check"])
+    assert rc == 2, f"fuzz --count {count}: exit {rc}"
+    captured = capsys.readouterr()
+    assert "argument --count:" in captured.err
+    assert "passed" not in captured.out

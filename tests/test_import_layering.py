@@ -235,13 +235,26 @@ def test_every_public_name_resolves_and_unknown_ones_do_not(package):
 # ---------------------------------------------------------------------------
 # no module is orphaned: each one is reached from another ``repro`` module
 
-#: modules nothing under ``src/repro`` imports, and why each may exist.
+#: modules nothing under ``src/repro`` reaches, and why each may exist.
 #: A ``__main__`` is exempt by rule (``python -m`` runs it); a workload
 #: needs no entry, since its suite's registry imports it by name.
 ENTRY_MODULES = {
     "repro.fortran.fuzz": "a `python -m` entry point (CI's fuzz oracle); "
                           "the fuzz tests import it",
+    "repro.analysis.interproc.constprop":
+        "ROADMAP item 3(c) decides it: either its trip counts feed the "
+        "planner, or it goes with the `interprocedural` switch",
 }
+
+
+def _from_base(node, package: str) -> str:
+    """The absolute module a ``from … import`` statement reads from."""
+    base = node.module or ""
+    if node.level:
+        parts = package.split(".")
+        anchor = ".".join(parts[:len(parts) - node.level + 1])
+        base = f"{anchor}.{base}".rstrip(".")
+    return base
 
 
 def _imported_modules(path: Path, name: str, modules: set[str]) -> set[str]:
@@ -256,11 +269,7 @@ def _imported_modules(path: Path, name: str, modules: set[str]) -> set[str]:
         if isinstance(node, ast.Import):
             found.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parts = package.split(".")
-                anchor = ".".join(parts[:len(parts) - node.level + 1])
-                base = f"{anchor}.{base}".rstrip(".")
+            base = _from_base(node, package)
             found.add(base)
             found.update(f"{base}.{a.name}" for a in node.names)
         elif (isinstance(node, ast.Call)
@@ -272,12 +281,55 @@ def _imported_modules(path: Path, name: str, modules: set[str]) -> set[str]:
     return {prefix for m in found for prefix in _prefixes(m)} & modules
 
 
+def _reexported_names(path: Path, package: str, module: str,
+                      modules: set[str]) -> set[str]:
+    """The names package ``__init__`` (at ``path``) re-exports from
+    ``module``: ``from module import X`` where ``X`` is no submodule,
+    and the names of ``module``'s ``lazy_exports`` entry.  A registry
+    that imports modules whole re-exports none."""
+    import ast
+
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.ImportFrom)
+                and _from_base(node, package) == module):
+            names.update(a.name for a in node.names
+                         if f"{module}.{a.name}" not in modules)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "lazy_exports"):
+            table = node.args[1]
+            for k, v in zip(table.keys, table.values):
+                if isinstance(k, ast.Constant) and k.value == module:
+                    names.update(e.value for e in v.elts)
+    return names
+
+
+def _mentioned_names(path: Path) -> set[str]:
+    """Every identifier a module's source mentions: names, attributes
+    and imported names (a superset of the names it uses)."""
+    import ast
+
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return found
+
+
 def _prefixes(module: str) -> list[str]:
     parts = module.split(".")
     return [".".join(parts[:k]) for k in range(1, len(parts) + 1)]
 
 
 def test_every_module_is_imported_by_another_module():
+    """A module is reached when another ``repro`` module imports it.  An
+    import by its own package's ``__init__`` alone counts only while some
+    other module uses a name that ``__init__`` re-exports from it: a
+    re-export nothing reads keeps dead code looking imported."""
     import repro
 
     root = Path(repro.__file__).resolve().parent
@@ -287,9 +339,18 @@ def test_every_module_is_imported_by_another_module():
         parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
         paths[".".join(parts)] = path
     modules = set(paths)
-    reached = set()
+    importers: dict[str, set[str]] = {m: set() for m in modules}
     for name, path in paths.items():
-        reached |= _imported_modules(path, name, modules) - {name}
-    orphans = {m for m in modules - reached
-               if m.rpartition(".")[2] != "__main__"}
+        for m in _imported_modules(path, name, modules) - {name}:
+            importers[m].add(name)
+    orphans = {m for m, by in importers.items()
+               if not by and m.rpartition(".")[2] != "__main__"}
+    for m, by in importers.items():
+        package = m.rpartition(".")[0]
+        if by != {package}:
+            continue
+        names = _reexported_names(paths[package], package, m, modules)
+        if names and not any(names & _mentioned_names(paths[o])
+                             for o in modules - {m, package}):
+            orphans.add(m)
     assert orphans == set(ENTRY_MODULES)

@@ -21,7 +21,7 @@ from repro.trace.timeline import LoopRecord, TimelineRecorder
 def make_timeline():
     sched = LoopScheduler(cedar_config1())
     tl = TimelineRecorder()
-    sched.run("C", "doall", 40, 8.0, preamble=2.0, postamble=2.0,
+    sched.run("C", 40, 8.0, preamble=2.0, postamble=2.0,
               timeline=tl, label="wl:do i@3")
     sched.doacross("S", 20, 12.0, 4.0, timeline=tl, label="wl:do j@9")
     return tl

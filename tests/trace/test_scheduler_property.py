@@ -26,16 +26,20 @@ from repro.trace.ledger import CycleLedger
 REL = 1e-9
 
 
-def run_with_plan(plan, cfg, level, order, trips, iter_cost, chunk=1,
-                  preamble=0.0, postamble=0.0):
-    """One scheduler call under ``plan`` with ledger + timeline attached."""
+def run_with_plan(plan, cfg, level, order, trips, per, preamble=0.0,
+                  postamble=0.0):
+    """One scheduler call under ``plan`` with ledger + timeline attached;
+    a DOACROSS synchronizes its whole iteration."""
     ledger = CycleLedger()
     tl = TimelineRecorder()
     injector = FaultInjector(plan) if plan is not None else None
     sched = LoopScheduler(cfg, faults=injector)
-    timing = sched.run(level, order, trips, iter_cost, chunk=chunk,
-                       preamble=preamble, postamble=postamble,
-                       ledger=ledger, timeline=tl, label="prop")
+    if order == "doacross":
+        timing = sched.doacross(level, trips, per, per, preamble, postamble,
+                                ledger=ledger, timeline=tl, label="prop")
+    else:
+        timing = sched.run(level, trips, per, preamble, postamble,
+                           ledger=ledger, timeline=tl, label="prop")
     return timing, ledger, tl.loops[0], injector
 
 
@@ -60,7 +64,6 @@ loop_shapes = dict(
     trips=st.integers(min_value=1, max_value=200),
     per=st.floats(min_value=0.5, max_value=200.0,
                   allow_nan=False, allow_infinity=False),
-    chunk=st.integers(min_value=1, max_value=8),
     preamble=st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
     postamble=st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
     level=st.sampled_from(["C", "S", "X"]),
@@ -71,39 +74,23 @@ loop_shapes = dict(
 
 @given(**loop_shapes)
 @settings(max_examples=150, deadline=None)
-def test_homogeneous_doall_invariants(trips, per, chunk, preamble,
-                                      postamble, level, config, plan_seed):
+def test_homogeneous_doall_invariants(trips, per, preamble, postamble, level,
+                                      config, plan_seed):
     cfg = cedar_config1() if config == "cedar1" else cedar_config2()
     plan = FaultPlan.sample(plan_seed)
     timing, ledger, rec, inj = run_with_plan(
-        plan, cfg, level, "doall", trips, per, chunk, preamble, postamble)
+        plan, cfg, level, "doall", trips, per, preamble, postamble)
     check_reconciliation(timing, ledger, rec)
     healthy, _, _, _ = run_with_plan(
-        None, cfg, level, "doall", trips, per, chunk, preamble, postamble)
+        None, cfg, level, "doall", trips, per, preamble, postamble)
     assert timing.total_time >= healthy.total_time * (1.0 - REL)
     assert timing.busy_time == healthy.busy_time  # faults are timing-only
 
 
 @given(**loop_shapes)
 @settings(max_examples=100, deadline=None)
-def test_heterogeneous_simulation_invariants(trips, per, chunk, preamble,
-                                             postamble, level, config,
-                                             plan_seed):
-    cfg = cedar_config1() if config == "cedar1" else cedar_config2()
-    plan = FaultPlan.sample(plan_seed)
-    costs = [per * (1.0 + (i % 5) / 3.0) for i in range(trips)]
-    timing, ledger, rec, inj = run_with_plan(
-        plan, cfg, level, "doall", trips, costs, chunk, preamble, postamble)
-    check_reconciliation(timing, ledger, rec)
-    healthy, _, _, _ = run_with_plan(
-        None, cfg, level, "doall", trips, costs, chunk, preamble, postamble)
-    assert timing.total_time >= healthy.total_time * (1.0 - REL)
-
-
-@given(**loop_shapes)
-@settings(max_examples=100, deadline=None)
-def test_doacross_invariants(trips, per, chunk, preamble, postamble, level,
-                             config, plan_seed):
+def test_doacross_invariants(trips, per, preamble, postamble, level, config,
+                             plan_seed):
     cfg = cedar_config1() if config == "cedar1" else cedar_config2()
     plan = FaultPlan.sample(plan_seed)
     timing, ledger, rec, inj = run_with_plan(

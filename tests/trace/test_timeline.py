@@ -1,4 +1,4 @@
-"""Timeline span invariants across every scheduler path.
+"""Timeline span invariants across both scheduler entries.
 
 The load-bearing invariant: for every recorded loop, the sum of busy
 span durations equals ``LoopTiming.busy_time`` exactly, and no span
@@ -42,42 +42,24 @@ class TestDoallSpans:
     def test_homogeneous(self, trips):
         sched = LoopScheduler(cedar_config1())
         timing, rec = record_one(lambda tl: sched.run(
-            "C", "doall", trips, 12.0, preamble=5.0, postamble=4.0,
+            "C", trips, 12.0, preamble=5.0, postamble=4.0,
             timeline=tl, label="t"))
         check_invariants(timing, rec)
 
     def test_coalescing_bounds_span_count(self):
         sched = LoopScheduler(cedar_config1())
         tl = TimelineRecorder(max_chunk_spans=16)
-        sched.run("C", "doall", 1000, 3.0, timeline=tl, label="big")
+        sched.run("C", 1000, 3.0, timeline=tl, label="big")
         rec = tl.loops[0]
         # ≤ a handful of spans per worker, not one per chunk
         assert len(rec.spans) < 8 * rec.workers
         assert any(s.count > 1 for s in rec.spans)
         assert rec.busy_span_sum() == pytest.approx(rec.busy, rel=1e-9)
 
-    def test_heterogeneous_simulation(self):
-        sched = LoopScheduler(cedar_config2())
-        costs = [float(3 + (i % 7)) for i in range(40)]
-        timing, rec = record_one(lambda tl: sched.run(
-            "S", "doall", len(costs), costs, preamble=2.0, postamble=2.0,
-            timeline=tl, label="tri"))
-        check_invariants(timing, rec)
-
-    def test_heterogeneous_coalesced(self):
-        sched = LoopScheduler(cedar_config2())
-        costs = [float(1 + (i % 5)) for i in range(500)]
-        tl = TimelineRecorder(max_chunk_spans=32)
-        timing = sched.run("S", "doall", len(costs), costs, timeline=tl,
-                           label="tri-big")
-        rec = tl.loops[0]
-        check_invariants(timing, rec)
-        assert len(rec.spans) < 8 * rec.workers
-
     def test_zero_trips(self):
         sched = LoopScheduler(cedar_config1())
         timing, rec = record_one(lambda tl: sched.run(
-            "C", "doall", 0, 1.0, timeline=tl, label="empty"))
+            "C", 0, 1.0, timeline=tl, label="empty"))
         assert timing.busy_time == 0.0
         assert rec.busy_span_sum() == 0.0
         assert all(s.worker == CONTROL_TRACK for s in rec.spans)
@@ -92,10 +74,10 @@ class TestDoacrossSpans:
             timeline=tl, label="dx"))
         check_invariants(timing, rec)
 
-    def test_run_doacross_path(self):
+    def test_whole_iteration_region(self):
         sched = LoopScheduler(cedar_config1())
-        timing, rec = record_one(lambda tl: sched.run(
-            "S", "doacross", 25, 15.0, timeline=tl, label="dx2"))
+        timing, rec = record_one(lambda tl: sched.doacross(
+            "S", 25, 15.0, 15.0, timeline=tl, label="dx2"))
         check_invariants(timing, rec)
         assert rec.order == "doacross"
 
@@ -104,8 +86,8 @@ class TestRecorder:
     def test_sequential_clock(self):
         sched = LoopScheduler(cedar_config1())
         tl = TimelineRecorder()
-        t1 = sched.run("C", "doall", 10, 5.0, timeline=tl, label="a")
-        t2 = sched.run("C", "doall", 20, 5.0, timeline=tl, label="b")
+        t1 = sched.run("C", 10, 5.0, timeline=tl, label="a")
+        t2 = sched.run("C", 20, 5.0, timeline=tl, label="b")
         assert tl.loops[0].base == 0.0
         assert tl.loops[1].base == t1.total_time
         assert tl.total_time() == t1.total_time + t2.total_time
@@ -114,16 +96,16 @@ class TestRecorder:
         """The default path must not build spans at all (and timings must
         match the profiled path exactly)."""
         sched = LoopScheduler(cedar_config1())
-        plain = sched.run("C", "doall", 33, 7.0, preamble=1.0)
+        plain = sched.run("C", 33, 7.0, preamble=1.0)
         tl = TimelineRecorder()
-        profiled = sched.run("C", "doall", 33, 7.0, preamble=1.0,
+        profiled = sched.run("C", 33, 7.0, preamble=1.0,
                              timeline=tl, label="x")
         assert plain == profiled
 
     def test_metrics(self):
         sched = LoopScheduler(cedar_config1())
         tl = TimelineRecorder()
-        sched.run("C", "doall", 64, 10.0, timeline=tl, label="m")
+        sched.run("C", 64, 10.0, timeline=tl, label="m")
         rec = tl.loops[0]
         assert 0.0 <= rec.utilization() <= 1.0
         assert 0.0 <= rec.imbalance() <= 1.0
