@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineModelError
+from repro.faults.plan import FaultPlan
 from repro.machine import (
     LoopScheduler,
     MemorySystem,
@@ -83,7 +84,9 @@ class TestMemory:
         assert c == 0.0 and prof.global_elems == 0
 
 
-class TestPrefetch:
+class TestPrefetchUnit:
+    """The prefetch unit as :meth:`MemorySystem.vector_access` models it."""
+
     @staticmethod
     def _gain(length):
         m = MemorySystem(cedar_config1())
@@ -95,8 +98,15 @@ class TestPrefetch:
         """Figure 6's cause: long vectors gain much more than short ones."""
         assert self._gain(1000) > self._gain(8)
 
-    def test_prefetch_on_cheaper_than_off(self):
+    def test_disabled_unit_no_gain(self):
         assert self._gain(256) > 1.0
+
+    def test_cluster_stream_ignores_prefetch(self):
+        """The unit sits on the global-memory path only (§2.2.3)."""
+        m = MemorySystem(cedar_config1())
+        off, _ = m.vector_access("cluster", 256, prefetch=False)
+        on, prof = m.vector_access("cluster", 256, prefetch=True)
+        assert on == off and prof.prefetched_elems == 0
 
 
 class TestPaging:
@@ -153,6 +163,25 @@ class TestScheduler:
         big_region = s.doacross("C", 1000, 100.0, region_cost=90.0)
         small_region = s.doacross("C", 1000, 100.0, region_cost=5.0)
         assert small_region.total_time < big_region.total_time
+
+    def test_busy_time_counts_every_dispatch(self):
+        """Busy cycles: every iteration and its dispatch, plus one
+        preamble and postamble per worker."""
+        cfg = cedar_config1()
+        t = LoopScheduler(cfg).run("S", 10, 30.0, preamble=4.0, postamble=1.0)
+        assert t.workers == 4
+        assert t.busy_time == 10 * (30.0 + cfg.dispatch("S")) + 4 * 5.0
+
+    def test_heterogeneous_simulation(self):
+        """Triangular per-iteration costs load-balance via self-scheduling
+        (the event-driven drain of the chunk queue)."""
+        costs = [float(i) for i in range(1, 65)]
+        owners, clocks = FaultPlan().drain(costs, 8)
+        busy_ideal = sum(costs) / 8
+        makespan = max(t for t, _ in clocks)
+        assert makespan >= busy_ideal
+        assert makespan < busy_ideal * 2.5
+        assert sorted(set(owners)) == list(range(8))  # every CE takes work
 
     def test_zero_trips(self):
         s = LoopScheduler(cedar_config1())

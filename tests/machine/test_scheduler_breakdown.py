@@ -42,6 +42,16 @@ class TestBreakdownInvariant:
         assert _parts(t) == pytest.approx(t.total_time)
         assert t.dispatch_cycles > 0  # self-scheduling path, not the chain
 
+    def test_partial_last_round_on_critical_path(self):
+        """One iteration past a full round makes the path two deep."""
+        cfg = cedar_config1()
+        s = LoopScheduler(cfg)
+        t = s.run("C", 9, iter_cost=40.0)
+        assert t.workers == 8 and t.chunks == 9
+        assert t.dispatch_cycles == 2 * cfg.dispatch("C")
+        assert t.body_cycles == 2 * 40.0
+        assert _parts(t) == pytest.approx(t.total_time)
+
     def test_postamble_lands_on_critical_path(self):
         s = LoopScheduler(cedar_config1())
         plain = s.run("C", 64, iter_cost=1.0)

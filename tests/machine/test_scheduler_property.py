@@ -65,8 +65,8 @@ def assert_agree(closed, drained):
     config=st.sampled_from(["cedar1", "cedar2"]),
 )
 @settings(max_examples=200, deadline=None)
-def test_closed_form_matches_drain(trips, per, preamble, postamble, level,
-                                   config):
+def test_closed_form_matches_simulation(trips, per, preamble, postamble,
+                                        level, config):
     cfg = cedar_config1() if config == "cedar1" else cedar_config2()
     assert_agree(*closed_vs_drained(cfg, level, trips, per, preamble,
                                     postamble))
@@ -80,4 +80,19 @@ def test_trips_below_workers_edge():
         closed, drained = closed_vs_drained(cfg, "C", trips, 10.0, 0.0, 0.0)
         assert closed.workers == trips
         assert drained.counts == [1] * trips
+        assert_agree(closed, drained)
+
+
+def test_partial_last_round():
+    """trips % workers != 0 leaves a short last round: the first
+    ``trips % workers`` CEs take one iteration more, and both paths price
+    the same critical path."""
+    cfg = cedar_config2()
+    for level, trips in [("C", 10), ("C", 17), ("S", 5), ("S", 33),
+                         ("X", 100)]:
+        closed, drained = closed_vs_drained(cfg, level, trips, 9.0, 2.0, 2.0)
+        p, extra = closed.workers, trips % closed.workers
+        assert extra, (level, trips)
+        k = -(-trips // p)
+        assert drained.counts == [k] * extra + [k - 1] * (p - extra)
         assert_agree(closed, drained)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fortran.parser import parse_program
+from repro.machine.config import cedar_config1
 from repro.fortran import ast_nodes as F
 from repro.restructurer.costmodel import (
     CostModel,
@@ -101,6 +102,14 @@ class TestVersionScoring:
     def test_doacross_serial_chain_floor(self):
         t = self.cm.doacross("cdoacross", 1000, 100.0, 100.0, 8)
         assert t >= 1000 * 100.0  # fully serialized region bounds it
+
+    def test_processors_for_levels(self):
+        """The per-version processor counts the planner scores with are the
+        machine's CE counts at each level."""
+        cfg = cedar_config1()
+        assert self.cm.ppc == cfg.processors_at("C") == 8        # cdoall
+        assert self.cm.clusters == cfg.processors_at("S") == 4   # sdoall
+        assert self.cm.total_p == cfg.processors_at("X") == 32   # xdoall
 
     def test_vectorization_discount(self):
         assert self.cm.vectorized(10000, 10.0) < self.cm.serial(10000, 10.0)

@@ -9,7 +9,9 @@ the healthy machine: for any sampled :class:`FaultPlan` and loop shape,
   leaks outside the loop's ``[0, total]`` window,
 - the ledger's ``fault`` category equals the timing's ``fault_cycles``,
 - degradation is monotone (a faulted loop is never faster than healthy),
-- and an *inactive* plan is bit-identical to running with no injector.
+- an *inactive* plan is bit-identical to running with no injector,
+- and the chunk-queue drain the faulted DOALL is priced with deals every
+  chunk exactly once, whatever the per-chunk costs.
 """
 
 import pytest
@@ -85,6 +87,35 @@ def test_homogeneous_doall_invariants(trips, per, preamble, postamble, level,
         None, cfg, level, "doall", trips, per, preamble, postamble)
     assert timing.total_time >= healthy.total_time * (1.0 - REL)
     assert timing.busy_time == healthy.busy_time  # faults are timing-only
+
+
+@given(**loop_shapes)
+@settings(max_examples=100, deadline=None)
+def test_heterogeneous_simulation_invariants(trips, per, preamble,
+                                             postamble, level, config,
+                                             plan_seed):
+    """The event-driven drain of a chunk queue with unequal costs, under
+    any plan: every chunk runs exactly once, a dead CE takes nothing once
+    its death cycle has passed, and every live CE's clock is its
+    preamble plus the work it took, stretched by its clock factor."""
+    cfg = cedar_config1() if config == "cedar1" else cedar_config2()
+    plan = FaultPlan.sample(plan_seed)
+    costs = [per * (1.0 + (i % 5) / 3.0) for i in range(trips)]
+    p = min(cfg.processors_at(level), trips)
+    dispatch = cfg.dispatch(level)
+    owners, clocks = plan.drain(costs, p, dispatch, preamble)
+    assert len(owners) == trips
+    assert all(0 <= w < p for w in owners)
+    alive = set(plan.survivors(p))
+    f = [plan.speed_factor(w) for w in range(p)]
+    clock = [preamble * f[w] for w in range(p)]
+    for cost, w in zip(costs, owners):
+        if w not in alive:
+            assert clock[w] < plan.death_cycle
+        clock[w] += (dispatch + cost) * f[w]
+    assert alive <= {w for _, w in clocks}  # live CEs never retire
+    for t, w in clocks:
+        assert t == pytest.approx(clock[w], rel=REL)
 
 
 @given(**loop_shapes)

@@ -56,6 +56,17 @@ class TestDoallSpans:
         assert any(s.count > 1 for s in rec.spans)
         assert rec.busy_span_sum() == pytest.approx(rec.busy, rel=1e-9)
 
+    def test_partial_last_round_chunk_counts(self):
+        """10 iterations on 8 CEs: the first two run two chunks each."""
+        sched = LoopScheduler(cedar_config1())
+        timing, rec = record_one(lambda tl: sched.run(
+            "C", 10, 6.0, timeline=tl, label="tail"))
+        check_invariants(timing, rec)
+        chunks = [sum(1 for s in rec.spans
+                      if s.worker == w and s.category == "chunk")
+                  for w in range(rec.workers)]
+        assert chunks == [2, 2] + [1] * 6
+
     def test_zero_trips(self):
         sched = LoopScheduler(cedar_config1())
         timing, rec = record_one(lambda tl: sched.run(
