@@ -12,7 +12,11 @@ interpreter's worker-by-worker ``_parallel_do`` (instrumented, under a
 recorder).  Of those parallel loops, "parallel worker" counts the
 unrecorded DOALL executions whose shares each ran as one worker
 function of the text, "parallel scalar" the ones that ran each share's
-statement lists iteration by iteration.  A vector form that hands its
+statement lists iteration by iteration.  "promoted loops" counts the
+executions of the unrecorded text that ran as a closed region — a
+worker function's share, or a DO nest written inline, run on locals of
+its scalars (the text's ``# closed region`` marker, counted by running
+an instrumented copy of each module text).  A vector form that hands its
 loop over — inside a checked iteration, under aliased array names,
 under a deal that is not a partition — counts as a scalar execution.
 Under a recorder, "unlogged" counts the parallel loop executions it
@@ -27,6 +31,7 @@ cases by default.  Informational: nothing here is gated.
 from __future__ import annotations
 
 import argparse
+import re
 from collections import Counter
 
 import numpy as np
@@ -85,7 +90,15 @@ def census(program, case, recorded: bool, processors: int = 8,
             return fn(scope)
         return run
 
+    def counting_load(text: str):
+        # one count per closed region the module's text enters
+        ns = {"REGION": lambda: c.update(("promoted loops",))}
+        exec(compile(REGION.sub(r"\1REGION()", text), "<jit-source>",
+                     "exec"), ns)
+        return ns["make"]
+
     compile_list = compiled.Compiler._compile_list
+    load = compiled._load
 
     def counting_compile_list(self, stmts, unit):
         fns = compile_list(self, stmts, unit)
@@ -96,6 +109,7 @@ def census(program, case, recorded: bool, processors: int = 8,
         return fns
 
     compiled.Compiler._compile_list = counting_compile_list
+    compiled._load = counting_load
     try:
         interp = Interpreter(program, processors=processors,
                              shadow=shadow, engine="compiled")
@@ -116,6 +130,7 @@ def census(program, case, recorded: bool, processors: int = 8,
         interp.call(case.entry, *args)
     finally:
         compiled.Compiler._compile_list = compile_list
+        compiled._load = load
     comp = interp._compiler
     c["tree lists"] = comp.tree_lists
     c["vector-text loops"] = comp.vectorized_loops
@@ -125,7 +140,11 @@ def census(program, case, recorded: bool, processors: int = 8,
 
 COLUMNS = ("lists", "tree lists", "vector-text loops",
            "scalar-text statements", "parallel vector", "parallel worker",
-           "parallel scalar", "do vector", "do scalar", "unlogged")
+           "parallel scalar", "do vector", "do scalar", "promoted loops",
+           "unlogged")
+
+#: the line a closed region of the module text starts with
+REGION = re.compile(r"^( *)# closed region$", re.M)
 
 
 def main(argv=None) -> int:

@@ -165,22 +165,29 @@ class Compiler:
     def _fingerprint(self, stmts: list[F.Stmt], unit: str,
                      rec: bool) -> str:
         """Codegen-relevant facts beyond the statement dump: emitter
-        version and mode, the symbol facts, and which of the names the
-        list calls are program units here (a unit is called before an
-        intrinsic of its name, so the same statements lower differently
-        in a program that defines one)."""
+        version and mode, the symbol facts (type, array, dummy, COMMON),
+        the unit's private arrays (what a closed region may keep in a
+        local), the private scalars of the DOALLs around the list (what
+        a store into one obeys), and which of the names the list calls
+        are program units here (a unit is called before an intrinsic of
+        its name, so the same statements lower differently in a program
+        that defines one)."""
         st = self.interp.tables.get(unit)
         facts = ""
         if st is not None:
             facts = ";".join(
-                f"{n}:{sym.type}:{int(sym.is_array)}"
+                f"{n}:{sym.type}:{int(sym.is_array)}:{int(sym.is_dummy)}"
+                f":{int(sym.common_block is not None)}"
                 for n, sym in sorted(st.symbols.items()))
+        privates = ",".join(sorted(self.interp.private_arrays(unit))) \
+            + ";" + ",".join(f"{n}:{c}" for n, c in sorted(
+                self.interp.private_classes(unit, stmts).items()))
         units = self.interp.units
         called = sorted({n.name for s in stmts for n in s.walk()
                          if isinstance(n, (F.FuncCall, F.Apply, F.ArrayRef))
                          and n.name in units})
         return (f"jit{TEXT_VERSION[rec]}{'r' if rec else ''}|{unit}|"
-                f"{','.join(called)}|{facts}")
+                f"{','.join(called)}|{facts}|{privates}")
 
     @staticmethod
     def _dump(stmts: list[F.Stmt]) -> str:

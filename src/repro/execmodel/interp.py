@@ -17,7 +17,8 @@ character data is not modelled.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Mapping, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -49,6 +50,61 @@ class _StopSignal(Exception):
 
 #: the execution engines: the reference tree walk and the one fast tier
 ENGINES = ("tree", "compiled")
+
+
+#: integers up to this magnitude survive a round trip through a double
+_EXACT = 2 ** 53
+
+#: store class of each Fortran type (:func:`store_class`)
+_STORE_CLASSES = {"integer": "i", "real": "r", "doubleprecision": "r"}
+
+
+def store_class(symtab: Optional[SymbolTable], name: str) -> str:
+    """How a scalar store to ``name`` converts its value, by the type the
+    unit declares it with — or, for a name its table does not hold,
+    Fortran's implicit i-n rule: ``"i"`` INTEGER, ``"r"`` REAL or DOUBLE
+    PRECISION, ``""`` any other type.  Symbol-table facts are static, so
+    the compiled engine resolves this once, when it emits the store."""
+    sym = symtab.lookup(name) if symtab is not None else None
+    typ = sym.type if sym is not None else (
+        "integer" if name[0] in "ijklmn" else "real")
+    return _STORE_CLASSES.get(typ, "")
+
+
+def truncate(v) -> int:
+    """``int(np.trunc(v))``, an INTEGER store, as plain ``int(v)`` where
+    the two agree: on floats, and on integers a double holds exactly."""
+    c = v.__class__
+    if c is float or c is np.float64 or (
+            (c is int or c is np.int64) and -_EXACT <= v <= _EXACT):
+        return int(v)
+    return int(np.trunc(v))
+
+
+def stored_value(cls: str, name: str, value: Any) -> Any:
+    """The value a scalar store of ``value`` into a name of store class
+    ``cls`` (:func:`store_class`) keeps: an INTEGER truncates
+    (``int(np.trunc(v))``), a REAL or DOUBLE PRECISION name turns an
+    integer into a float, a logical value and any other type's store
+    keep the value as it is.  An array value is an error."""
+    if isinstance(value, np.ndarray):
+        raise InterpreterError(f"array value assigned to scalar {name!r}")
+    if not cls or isinstance(value, (bool, np.bool_)):
+        return value
+    if cls == "i":
+        return truncate(value)
+    if isinstance(value, (int, np.integer)):
+        return float(value)
+    return value
+
+
+def declared_classes(node: C.ParallelDo) -> dict[str, str]:
+    """Name -> store class of each private scalar DOALL ``node``
+    declares in its ``locals_``: the type a store into it obeys in the
+    loop's worker scopes."""
+    return {ent.name: _STORE_CLASSES.get(d.type.base, "")
+            for d in node.locals_ if isinstance(d, F.TypeDecl)
+            for ent in d.entities if not ent.dims}
 
 
 def cyclic_deal(n: int, p: int) -> list[range]:
@@ -128,6 +184,8 @@ class Interpreter:
         #: write), or (node, None, None) for an opaque one
         #: (:meth:`_read_only`); the node pins its id
         self._summaries: dict[int, tuple] = {}
+        #: unit -> :meth:`_private_facts`
+        self._privates: dict[str, tuple] = {}
         self._compiler = None
         if self.engine == "compiled":
             from repro.execmodel.compiled import Compiler
@@ -394,12 +452,13 @@ class Interpreter:
         — runs a share's preamble, iterations and postamble in place of
         one ``exec_body`` per statement list."""
         iters = list(self._loop_range(s, scope, unit))
+        classes = declared_classes(s)
         if s.order == "doacross":
             # ordered loop: run iterations in order under one worker scope
             # per iteration batch; cascade sync is a no-op sequentially.
             # Not race-checked: carried dependences are covered by the
             # await/advance synchronization by construction.
-            wscope = self._worker_scope(s, scope, unit)
+            wscope = self._worker_scope(s, scope, unit, classes)
             self.exec_body(s.preamble, wscope, unit)
             for v in iters:
                 wscope.set(s.var, v)
@@ -416,7 +475,7 @@ class Interpreter:
                 mine = [iters[i] for i in share]
                 if not mine and not s.preamble and not s.postamble:
                     continue
-                wscope = self._worker_scope(s, scope, unit)
+                wscope = self._worker_scope(s, scope, unit, classes)
                 if worker is not None and shadow is None:
                     worker(wscope, mine)
                     continue
@@ -498,12 +557,62 @@ class Interpreter:
                 refs.add(n.name)
         return tuple(refs - writes), tuple(writes)
 
+    def private_arrays(self, unit: str) -> frozenset:
+        """Names some DOALL of ``unit`` declares as a private array: in
+        its worker scopes (:meth:`_worker_scope`) such a name is bound to
+        an ``FArray``."""
+        return self._private_facts(unit)[0]
+
+    def private_classes(self, unit: str, stmts: list) -> Mapping[str, str]:
+        """Name -> store class of each private scalar that the DOALLs of
+        ``unit`` around the statement list ``stmts`` declare, the
+        innermost declaration winning: the class a store into it obeys
+        wherever ``stmts`` runs (:attr:`Scope.classes`)."""
+        return self._private_facts(unit)[1].get(id(stmts), {})
+
+    def _private_facts(self, unit: str) -> tuple:
+        """``(private arrays, id(list) -> private scalar classes)`` of
+        ``unit``, from one walk of its statement lists."""
+        facts = self._privates.get(unit)
+        if facts is not None:
+            return facts
+        arrays: set[str] = set()
+        around: dict[int, dict] = {}
+
+        def visit(stmts: list, classes: dict) -> None:
+            around[id(stmts)] = classes
+            for st in stmts:
+                inner = classes
+                if isinstance(st, C.ParallelDo):
+                    inner = {**classes, **declared_classes(st)}
+                    arrays.update(ent.name for d in st.locals_
+                                  if isinstance(d, F.TypeDecl)
+                                  for ent in d.entities if ent.dims)
+                for name in F.node_slots(type(st)).child:
+                    part = getattr(st, name)
+                    if isinstance(part, list) and part \
+                            and isinstance(part[0], F.Stmt):
+                        visit(part, inner)
+                    elif isinstance(st, F.IfBlock) and name == "arms":
+                        for _, body in part:
+                            visit(body, inner)
+
+        u = self.units.get(unit)
+        if u is not None:
+            visit(u.body, {})
+        facts = self._privates[unit] = (frozenset(arrays), around)
+        return facts
+
     @staticmethod
     def _loop_label(s: C.ParallelDo) -> str:
         where = f" @ line {s.line}" if s.line is not None else ""
         return f"{s.keyword} do {s.var}{where}"
 
-    def _worker_scope(self, s: C.ParallelDo, scope: Scope, unit: str) -> Scope:
+    def _worker_scope(self, s: C.ParallelDo, scope: Scope, unit: str,
+                      classes: Mapping[str, str]) -> Scope:
+        """A fresh scope of one share of ``s``: its loop variable and
+        ``locals_`` declared, the private scalars' store ``classes``
+        (:func:`declared_classes`) attached."""
         w = Scope(parent=scope)
         w.declare(s.var, 0)
         for decl in s.locals_:
@@ -524,6 +633,8 @@ class Interpreter:
                     else:
                         zero = 0 if decl.type.base == "integer" else 0.0
                         w.declare(ent.name, zero)
+        if classes:
+            w.classes = classes
         return w
 
     def _where(self, s: C.WhereStmt, scope: Scope, unit: str) -> None:
@@ -852,32 +963,22 @@ class Interpreter:
                 unit: str) -> None:
         sh = self.shadow
         if isinstance(target, F.Var):
-            cur = scope.get(target.name) if scope.has(target.name) else None
+            name = target.name
+            holder = scope.lookup_scope(name)
+            cur = holder.vars[name] if holder is not None else None
             if isinstance(cur, FArray):
                 if sh is not None and sh.recording:
-                    sh.record_array(cur, target.name, "w",
+                    sh.record_array(cur, name, "w",
                                     idx=() if cur.data.ndim == 0 else None)
                 cur.data[...] = value
                 return
-            self._record_scalar_write(scope, target.name)
-            if isinstance(cur, (int, np.integer)) and not isinstance(
-                    cur, (bool, np.bool_)):
-                scope.set(target.name, int(np.trunc(value)))
-                return
-            if isinstance(value, np.ndarray):
-                raise InterpreterError(
-                    f"array value assigned to scalar {target.name!r}")
-            # type from implicit rules on first assignment
-            st = self.tables.get(unit)
-            sym = st.lookup(target.name) if st else None
-            if sym is not None and sym.type == "integer" and not isinstance(
-                    value, (bool, np.bool_)):
-                scope.set(target.name, int(np.trunc(value)))
-            elif sym is None and target.name[0] in "ijklmn" and not \
-                    isinstance(value, (bool, np.bool_)):
-                scope.set(target.name, int(np.trunc(value)))
-            else:
-                scope.set(target.name, value)
+            self._record_scalar_write(scope, name)
+            if holder is None:
+                holder = scope._root()    # where Scope.set creates it
+            cls = holder.classes.get(name)
+            if cls is None:
+                cls = store_class(self.tables.get(unit), name)
+            holder.vars[name] = stored_value(cls, name, value)
             return
         if isinstance(target, (F.ArrayRef, F.Apply)):
             v = scope.get(target.name)
@@ -928,6 +1029,10 @@ _DECL_STMTS = (F.TypeDecl, F.DimensionStmt, F.CommonStmt, F.ParameterStmt,
                F.DataStmt, F.EquivalenceStmt, F.ImplicitStmt,
                F.ExternalStmt, F.IntrinsicStmt, F.SaveStmt, C.GlobalDecl,
                C.ClusterDecl, C.ProcessCommonStmt)
+
+#: statements that do nothing when executed (sync statements are
+#: functional no-ops without a shadow recorder)
+NOOP_STMTS = (F.ContinueStmt,) + _DECL_STMTS + _SYNC_STMTS
 
 #: statements whose every write of storage is named by an assignment
 #: target or a DO variable (a loop holding any other kind is opaque to

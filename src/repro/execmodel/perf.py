@@ -539,10 +539,10 @@ class PerfEstimator:
         if s.order == "doacross":
             region = self._sync_region_cost(s, inner, unit)
             timing = self.scheduler.doacross(
-                level, max(trips, 1), body_c, region, pre_c, post_c,
+                level, trips, body_c, region, pre_c, post_c,
                 ledger=led, timeline=self.timeline, label=label)
         else:
-            timing = self.scheduler.run(level, max(trips, 1), body_c, pre_c,
+            timing = self.scheduler.run(level, trips, body_c, pre_c,
                                         post_c, ledger=led,
                                         timeline=self.timeline, label=label)
         workers = timing.workers

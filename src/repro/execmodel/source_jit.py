@@ -10,8 +10,9 @@ returns one function per statement, in one of two forms:
   statement, as the tree handlers' own operation sequence: each name
   looked up once when the statement starts, and per access only what
   can change (the value, each subscript's ``int()``, the bounds test,
-  the recorder's calls, the store ladder); statement dispatch and
-  symbol-table facts resolved at emission.  Assignment, block and
+  the recorder's calls, the store by declared type); statement dispatch
+  and symbol-table facts resolved at emission — and, unrecorded, a
+  closed region keeps its scalars in locals, stored back once.  Assignment, block and
   logical IF, DO, LOCK/UNLOCK, RETURN, the no-ops and the DO/IF bodies
   the text writes whole are inline; ``ParallelDo``, CALL statements,
   other nested lists and calls of program units go to the interpreter's
@@ -44,7 +45,7 @@ What the vector text takes:
   :func:`repro.analysis.reductions.find_reductions` evaluate their
   contributed terms vectorized, then replay the tree walk's exact
   per-iteration accumulation: same left-spine operator order, same
-  per-store integer-coercion ladder, same worker-by-worker iteration
+  per-store conversion by declared type, same worker-by-worker iteration
   order (the interpreter's ``deal``) when the outer axis is a DOALL.
   MIN/MAX accumulators lower to ``np.minimum.reduce``/
   ``np.maximum.reduce`` when the accumulator and contribution provably
@@ -55,7 +56,7 @@ What the vector text takes:
   partial; UNLOCK`` triples): the contributed terms are evaluated
   vectorized, then every worker share of the interpreter's ``deal`` is
   folded sequentially from the preamble value and combined into ``v``
-  through the scalar store ladder.  A zero-trip loop still runs
+  through the scalar store.  A zero-trip loop still runs
   preamble + postamble once.
 
 A vector form loads each distinct grid once per straight-line block: a
@@ -113,6 +114,7 @@ elementwise).
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from itertools import chain
@@ -123,26 +125,24 @@ import numpy as np
 from repro.cedar import nodes as C
 from repro.cedar.library import CEDAR_LIBRARY
 from repro.errors import InterpreterBudgetError, InterpreterError
-from repro.execmodel.interp import (_DECL_STMTS, _SYNC_STMTS,
-                                    Interpreter, _ReturnSignal,
-                                    cyclic_deal)
+from repro.execmodel.interp import (NOOP_STMTS, Interpreter, _ReturnSignal,
+                                    cyclic_deal, declared_classes,
+                                    store_class, stored_value)
+from repro.execmodel.loop_shapes import desugar_stripmine, scalar_locals
 from repro.execmodel.values import FArray, Scope
 from repro.fortran import ast_nodes as F
 from repro.fortran.intrinsics import INTRINSICS
 
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact so stale module text can never be served to a newer runtime
-JIT_VERSION = 7
+JIT_VERSION = 8
 
 #: per mode (``rec``), the emitter version its text last changed at —
 #: what that mode's cache keys and module docstrings carry, so a change
 #: to one mode's text alone leaves every module of the other, and its
 #: cache entries, byte-identical
-TEXT_VERSION = {False: JIT_VERSION, True: 6}
+TEXT_VERSION = {False: JIT_VERSION, True: JIT_VERSION}
 
-#: statements that do nothing when executed (sync statements are
-#: functional no-ops without a shadow recorder)
-NOOP_STMTS = (F.ContinueStmt,) + _DECL_STMTS + _SYNC_STMTS
 
 #: loop-nest levels the lowerer can walk through
 LOOPS = (F.DoLoop, C.ParallelDo)
@@ -152,19 +152,16 @@ LOOPS = (F.DoLoop, C.ParallelDo)
 WRITTEN = (F.Assign, C.ParallelDo, F.DoLoop, F.IfBlock, F.LogicalIf,
            F.CallStmt, F.ReturnStmt) + NOOP_STMTS
 
-#: integers up to this magnitude survive a round trip through a double
-_EXACT = 2 ** 53
-
-
-def coerces_to_int(symtab, name: str) -> bool:
-    """Whether a scalar store to ``name`` truncates to integer: declared
-    integer, or undeclared under the implicit i-n rule.  Symbol-table
-    facts are static, so this branch of ``Interpreter._assign`` is
-    resolved once at compile time."""
+def _promotable(symtab, name: str, privates: frozenset) -> bool:
+    """Whether a closed region may keep scalar ``name`` in a local: no
+    binding of it can be an ``FArray``.  An array of the unit or of a
+    DOALL's private declarations is one; a COMMON name lives in a box,
+    and a dummy argument may be bound to its actual's box or array."""
+    if name in privates:
+        return False
     sym = symtab.lookup(name) if symtab is not None else None
-    if sym is not None:
-        return sym.type == "integer"
-    return name[0] in "ijklmn"
+    return sym is None or not (sym.is_array or sym.is_dummy
+                               or sym.common_block is not None)
 
 
 class _Ineligible(Exception):
@@ -195,15 +192,33 @@ def _fmt_literal(v) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _store_text(c: str, name: str, val: str, coerce: bool, dest: str,
+def _stored_text(cls: str, name: str, val: str) -> str:
+    """Source of what a store of ``val`` (a local or literal) into a name
+    of store class ``cls`` keeps (:func:`stored_value`): worked out now
+    for a literal; else the kind of value the class keeps as it is is
+    tested inline, and any other goes through the rule."""
+    if val[0] != "_":
+        return _fmt_literal(stored_value(cls, name, ast.literal_eval(val)))
+    rule = f"SV({cls!r}, {name!r}, {val})"
+    if cls == "i":
+        return f"{val} if {val}.__class__ is int else {rule}"
+    if cls == "r":
+        return (f"{val} if {val}.__class__ is DBL or {val}.__class__ is "
+                f"float else {rule}")
+    return f"{rule} if isinstance({val}, NDA) else {val}"
+
+
+def _store_text(c: str, name: str, val: str, cls: str, dest: str,
                 ind: str, rec: bool) -> list[str]:
     """Source of the tree's store of ``val`` (a local or literal) into
-    scalar ``name`` — ``Interpreter._assign``'s coercion ladder, with
-    the symbol-table fact pre-resolved into ``coerce`` — through the
-    holding scope ``c`` resolved at entry (its dict is ``c``'s
-    ``_d`` twin).  ``dest`` gets the value a fresh read would see;
-    the recorder-aware text (``rec``) also makes the recorder's call.
-    Both texts store scalars only through this."""
+    scalar ``name`` — ``Interpreter._assign``: a COMMON box takes it as
+    its dtype does, any other binding keeps what the declared-type rule
+    of store class ``cls`` makes of it (:func:`_stored_text`) — through
+    the holding scope ``c`` resolved at entry (its dict is ``c``'s
+    ``_d`` twin).  ``dest`` gets the value a fresh read would see; the
+    recorder-aware text (``rec``) also makes the recorder's call.  Every
+    store of a name a closed region does not keep in a local goes
+    through this."""
     d, n = "_d" + c[2:], repr(name)
     lines = [f"_o = {d}.get({n})",
              "if isinstance(_o, FA):",
@@ -212,14 +227,7 @@ def _store_text(c: str, name: str, val: str, coerce: bool, dest: str,
     if rec:
         lines += ["    if SH.recording:",
                   f"        SH.record_scalar({c}, {n}, 'w')"]
-    lines += ["    if isinstance(_o, INTS) and not isinstance(_o, BOOLS):",
-              f"        {d}[{n}] = {dest} = TR({val})",
-              f"    elif isinstance({val}, NDA):",
-              f"        ERR({f'array value assigned to scalar {name!r}'!r})"]
-    if coerce:
-        lines += [f"    elif not isinstance({val}, BOOLS):",
-                  f"        {d}[{n}] = {dest} = TR({val})"]
-    lines += ["    else:", f"        {d}[{n}] = {dest} = {val}"]
+    lines.append(f"    {d}[{n}] = {dest} = {_stored_text(cls, name, val)}")
     return [ind + line for line in lines]
 
 
@@ -286,11 +294,12 @@ class Runtime:
     # (``Scope.set``), so the holder found at entry is the holder of
     # every later access.  Only the value is read per access.
 
-    #: what the emitted store ladder and reads test values against
+    #: what the emitted stores and reads test values against
     FArray = FArray
-    ints = (int, np.integer)
-    bools = (bool, np.bool_)
+    float64 = np.float64
     ndarray = np.ndarray
+    #: the declared-type store rule, for what a store's text leaves to it
+    stored = staticmethod(stored_value)
 
     @staticmethod
     def hold(scope: Scope, name: str) -> Scope:
@@ -333,17 +342,6 @@ class Runtime:
                                      idx=() if d.ndim == 0 else None)
         d[...] = value
         return d.item() if d.ndim == 0 else d
-
-    @staticmethod
-    def trunc(v) -> int:
-        """``int(np.trunc(v))``, the tree's integer store, as plain
-        ``int(v)`` where the two agree: on floats, and on integers a
-        double holds exactly."""
-        c = v.__class__
-        if c is float or c is np.float64 or (
-                (c is int or c is np.int64) and -_EXACT <= v <= _EXACT):
-            return int(v)
-        return int(np.trunc(v))
 
     @staticmethod
     def array(scope: Scope, name: str, rank: int) -> tuple:
@@ -617,165 +615,19 @@ class Runtime:
         return ok
 
 
-def _scalar_locals(node: C.ParallelDo) -> Optional[dict]:
-    """Name -> declared type of a DOALL's private ``locals_`` when every
-    one is a scalar declaration, else None."""
-    names: dict = {}
-    for d in node.locals_:
-        if not isinstance(d, F.TypeDecl):
-            return None
-        for ent in d.entities:
-            if ent.dims:
-                return None
-            names[ent.name] = d.type.base
-    return names
-
-
-def _desugar_stripmine(pdo: F.Stmt) -> Optional[C.ParallelDo]:
-    """Collapse the restructurer's canonical strip-mined DOALL back to a
-    plain elementwise DOALL.
-
-    The memory-hierarchy pass emits::
-
-        PARALLEL DO v = lo, end, B  (private L, U)
-          L = min(B, end - v + 1)
-          U = v + L - 1
-          x(c + v : c + U) = <elementwise section expression>
-          ...
-
-    The per-lane blocks ``[v, U]`` tile ``[lo, end]`` disjointly, and
-    every statement is an elementwise section assignment evaluated with
-    NumPy ufuncs — so executing each statement once over the whole range
-    is bit-identical to executing it block-by-block in any block order.
-    Returns the rewritten nest (fresh nodes; the original is untouched
-    for the fallback path) or None when the shape doesn't match.
-    """
-    if not isinstance(pdo, C.ParallelDo) or pdo.order != "doall" \
-            or pdo.preamble or pdo.postamble:
-        return None
-    if not isinstance(pdo.step, F.IntLit) or pdo.step.value < 1:
-        return None
-    blk = pdo.step.value
-    names = set(_scalar_locals(pdo) or ())
-    if len(names) != 2:
-        return None
-    v = pdo.var
-    body = [s for s in pdo.body if not isinstance(s, NOOP_STMTS)]
-    if len(body) < 3:
-        return None
-    a1, a2, rest = body[0], body[1], body[2:]
-    # a1:  L = min(B, end - v + 1)
-    if not (isinstance(a1, F.Assign) and isinstance(a1.target, F.Var)
-            and a1.target.name in names):
-        return None
-    lname = a1.target.name
-    m = a1.value
-    if not (isinstance(m, F.FuncCall) and m.name == "min"
-            and len(m.args) == 2 and isinstance(m.args[0], F.IntLit)
-            and m.args[0].value == blk):
-        return None
-    rem = m.args[1]
-    if not (isinstance(rem, F.BinOp) and rem.op == "+"
-            and isinstance(rem.right, F.IntLit) and rem.right.value == 1
-            and isinstance(rem.left, F.BinOp) and rem.left.op == "-"
-            and isinstance(rem.left.right, F.Var)
-            and rem.left.right.name == v
-            and repr(rem.left.left) == repr(pdo.end)):
-        return None
-    # a2:  U = v + L - 1
-    uname = (names - {lname}).pop()
-    if not (isinstance(a2, F.Assign) and isinstance(a2.target, F.Var)
-            and a2.target.name == uname):
-        return None
-    u = a2.value
-    if not (isinstance(u, F.BinOp) and u.op == "-"
-            and isinstance(u.right, F.IntLit) and u.right.value == 1
-            and isinstance(u.left, F.BinOp) and u.left.op == "+"
-            and isinstance(u.left.left, F.Var) and u.left.left.name == v
-            and isinstance(u.left.right, F.Var)
-            and u.left.right.name == lname):
-        return None
-
-    def bound_split(e: F.Expr, base: str) -> Optional[tuple]:
-        """``e`` as ``base``, ``base + c`` or ``c + base`` with an
-        offset free of v/L/U: (offset repr, offset node)."""
-        if isinstance(e, F.Var) and e.name == base:
-            return ("", None)
-        if isinstance(e, F.BinOp) and e.op == "+":
-            for off, bvar in ((e.left, e.right), (e.right, e.left)):
-                if isinstance(bvar, F.Var) and bvar.name == base \
-                        and not any(isinstance(n, F.Var)
-                                    and n.name in (v, lname, uname)
-                                    for n in off.walk()):
-                    return (repr(off), off)
-        return None
-
-    def rw(e: F.Expr) -> Optional[F.Expr]:
-        if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit)):
-            return e
-        if isinstance(e, F.Var):
-            return None if e.name in (lname, uname) else e
-        if isinstance(e, F.BinOp):
-            l, r = rw(e.left), rw(e.right)
-            return None if l is None or r is None \
-                else F.BinOp(e.op, l, r)
-        if isinstance(e, F.UnOp):
-            x = rw(e.operand)
-            return None if x is None else F.UnOp(e.op, x)
-        if isinstance(e, F.FuncCall):
-            args = [rw(a) for a in e.args]
-            return None if any(a is None for a in args) \
-                else F.FuncCall(e.name, args, intrinsic=e.intrinsic)
-        if isinstance(e, (F.ArrayRef, F.Apply)):
-            subs = (e.subscripts if isinstance(e, F.ArrayRef)
-                    else e.args)
-            parts = []
-            for sub in subs:
-                if isinstance(sub, F.RangeExpr):
-                    if sub.stride is not None or sub.lo is None \
-                            or sub.hi is None:
-                        return None
-                    lo = bound_split(sub.lo, v)
-                    hi = bound_split(sub.hi, uname)
-                    if lo is None or hi is None or lo[0] != hi[0]:
-                        return None
-                    parts.append(sub.lo)   # element at lane v
-                else:
-                    parts.append(rw(sub))
-            if any(p is None for p in parts):
-                return None
-            if isinstance(e, F.ArrayRef):
-                return F.ArrayRef(e.name, parts)
-            return F.Apply(e.name, parts)
-        return None
-
-    new_body: list[F.Stmt] = []
-    for st in rest:
-        if not (isinstance(st, F.Assign)
-                and isinstance(st.target, F.ArrayRef)):
-            return None
-        nt = rw(st.target)
-        nv = rw(st.value)
-        if nt is None or nv is None:
-            return None
-        new_body.append(F.Assign(label=st.label, line=st.line,
-                                 target=nt, value=nv))
-    return C.ParallelDo(level=pdo.level, order="doall", var=v,
-                        start=pdo.start, end=pdo.end, step=None,
-                        locals_=[], preamble=[], body=new_body,
-                        postamble=[])
-
-
 class _LoopLowerer:
     """Analysis + Python/NumPy source emission for one loop nest.
 
     ``rec`` selects the recorder-aware text (module docstring)."""
 
     def __init__(self, interp: Interpreter, loop: F.Stmt, unit: str,
-                 rec: bool = False):
+                 rec: bool = False, classes: Optional[dict] = None):
         self.interp = interp
         self.unit = unit
         self.symtab = interp.tables.get(unit)
+        #: store class of each private scalar of the DOALLs around the
+        #: loop (:meth:`Interpreter.private_classes`)
+        self.classes = classes or {}
         if self.symtab is None:
             raise _Ineligible("no symbol table")
         self.loop = loop
@@ -839,19 +691,17 @@ class _LoopLowerer:
         """Recognize ``reduction_xform``'s scalar output on the
         outermost DOALL and fill ``partials``/``combines``/``locks``;
         returns the locals that are not partials."""
-        decls = _scalar_locals(node)
+        decls = scalar_locals(node)
         if node.order != "doall" or not decls:
             raise _Ineligible("ineligible nest level")
         for st in node.preamble:
             name = st.target.name if isinstance(st, F.Assign) \
                 and isinstance(st.target, F.Var) else None
-            # real-typed partials only: an integer one (declared, or by
-            # the implicit rule the tree applies to names its symbol
-            # table does not hold) truncates on every store
+            # real-typed partials only: an integer one truncates on
+            # every store
             if name not in decls or name in self.partials \
                     or not isinstance(st.value, F.RealLit) \
-                    or decls[name] not in ("real", "doubleprecision") \
-                    or coerces_to_int(self.symtab, name):
+                    or decls[name] not in ("real", "doubleprecision"):
                 raise _Ineligible("preamble is not a partial's literal")
             self.partials[name] = st.value.value
         post = node.postamble
@@ -890,7 +740,7 @@ class _LoopLowerer:
         pending: list[tuple[int, set]] = []
         while True:
             if not self._plain_level(node):
-                d = _desugar_stripmine(node)
+                d = desugar_stripmine(node)
                 if d is not None:
                     self.strips[len(self.levels)] = node.step.value
                     node = d
@@ -903,7 +753,7 @@ class _LoopLowerer:
                     # a DOALL whose private locals declare only inner
                     # loop variables is still plain: worker scopes hide
                     # those names either way (validated below)
-                    names = (_scalar_locals(node)
+                    names = (scalar_locals(node)
                              if isinstance(node, C.ParallelDo)
                              and node.order == "doall"
                              and not node.preamble
@@ -993,7 +843,7 @@ class _LoopLowerer:
         the worker scope (inner DO variables not declared local are
         shared, and the tree records their reads)."""
         loop = self.loop
-        private = {loop.var} | set(_scalar_locals(loop) or ())
+        private = {loop.var} | set(scalar_locals(loop) or ())
         return tuple(sorted(
             {n.name for st in loop.body for n in st.walk()
              if isinstance(n, F.Var) and n.name not in private
@@ -1361,7 +1211,7 @@ class _LoopLowerer:
         doall0 = isinstance(self.levels[0], C.ParallelDo)
         self._uniq += 1
         u = self._uniq
-        coerce = coerces_to_int(self.symtab, var)
+        cls = self.classes.get(var, store_class(self.symtab, var))
         c = self._holder(var)
         out.append(f"{indent}_a{u} = RD({c}, {var!r})")
         if kind == "minmax":
@@ -1377,29 +1227,49 @@ class _LoopLowerer:
             out.append(f"{indent}_f{u} = RED({csrc}, ({shape},), False)")
             out.append(f"{indent}_v{u} = {red}(_a{u}, "
                        f"{red}.reduce(_f{u}))")
-            out += _store_text(c, var, f"_v{u}", coerce, f"_a{u}", indent,
+            out += _store_text(c, var, f"_v{u}", cls, f"_a{u}", indent,
                                self.rec)
             return
         # '+'/'*': vectorize the contributed terms, then replay the
         # scalar loop's accumulation order store-for-store
         if kind == "spine":
-            terms = info[2]
-            upd = f"_a{u}"
-            for j, (top, te) in enumerate(terms):
-                csrc = self.ex(te, ctx)
-                out.append(f"{indent}_f{u}_{j} = RED({csrc}, "
-                           f"({shape},), {doall0})")
-                upd = f"({upd} {top} _f{u}_{j}[_q{u}])"
+            terms = [(top, self.ex(te, ctx)) for top, te in info[2]]
         else:   # ("right", var, op, expr):  s = e op s
-            top, te = info[2], info[3]
-            csrc = self.ex(te, ctx)
-            out.append(f"{indent}_f{u}_0 = RED({csrc}, ({shape},), "
+            terms = [(info[2], self.ex(info[3], ctx))]
+        for j, (_, csrc) in enumerate(terms):
+            out.append(f"{indent}_f{u}_{j} = RED({csrc}, ({shape},), "
                        f"{doall0})")
-            upd = f"(_f{u}_0[_q{u}] {top} _a{u})"
+        if self._local_ok(var):
+            # the accumulator is a local, stored back once
+            elems = [f"_e{u}_{j}" for j in range(len(terms))]
+            upd = f"_a{u}"
+            for (top, _), e in zip(terms, elems):
+                upd = f"({upd} {top} {e})"
+            if kind != "spine":
+                upd = f"({elems[0]} {terms[0][0]} _a{u})"
+            arrays = ", ".join(f"_f{u}_{j}" for j in range(len(terms)))
+            out += [f"{indent}for {', '.join(elems)} in "
+                    + (f"zip({arrays}):" if len(terms) > 1
+                       else f"{arrays}:"),
+                    f"{indent}    _y = {upd}",
+                    f"{indent}    _a{u} = {_stored_text(cls, var, '_y')}",
+                    f"{indent}_d{c[2:]}[{var!r}] = _a{u}"]
+            return
+        upd = f"_a{u}"
+        for j, (top, _) in enumerate(terms):
+            upd = f"({upd} {top} _f{u}_{j}[_q{u}])"
+        if kind != "spine":
+            upd = f"(_f{u}_0[_q{u}] {terms[0][0]} _a{u})"
         out.append(f"{indent}for _q{u} in range(_f{u}_0.shape[0]):")
         out.append(f"{indent}    _y = {upd}")
-        out += _store_text(c, var, "_y", coerce, f"_a{u}",
+        out += _store_text(c, var, "_y", cls, f"_a{u}",
                            indent + "    ", self.rec)
+
+    def _local_ok(self, name: str) -> bool:
+        """Whether the unrecorded text may keep accumulator ``name`` in a
+        local while it replays the accumulation (:func:`_promotable`)."""
+        return not self.rec and _promotable(
+            self.symtab, name, self.interp.private_arrays(self.unit))
 
     def _emit_partial(self, info: tuple, out: list, indent: str) -> None:
         """One accumulation into a partial: its contributed terms as one
@@ -1436,6 +1306,11 @@ class _LoopLowerer:
         else:   # ("right", var, op, expr):  s = e op s
             upd = f"({rows(0, info[3])} {info[2]} {acc})"
         self._folds.append(f"{acc} = {upd}")
+        if kind == "minmax":
+            # min/max may hand back an integer argument's value, which
+            # the real partial's store makes a float; a sum or product
+            # of a real literal's float already is one
+            self._folds.append(f"{acc} = {_stored_text('r', var, acc)}")
 
     def _acc(self, partial: str) -> str:
         """The emitted function's local holding ``partial``."""
@@ -1446,7 +1321,8 @@ class _LoopLowerer:
         share of the folds, postamble combines.  Runs once — on the one
         empty share — for a zero-trip loop, like ``_parallel_do``."""
         # a combine target is read once: every later value is what its
-        # own store ladder returned, as a fresh read would see it
+        # own store returned, as a fresh read would see it — and the
+        # unrecorded text keeps it in that local, stored back once
         cur = {}
         for v, _, _ in self.combines:
             if v not in cur:
@@ -1466,9 +1342,14 @@ class _LoopLowerer:
             val = f"({cur[v]} {op} {self._acc(p)})" if op in "+*" \
                 else f"CALL(s, {op!r}, ({cur[v]}, {self._acc(p)}))"
             out.append(f"    _y = {val}")
-            out += _store_text(self._holder(v), v, "_y",
-                               coerces_to_int(self.symtab, v), cur[v],
-                               "    ", self.rec)
+            cls = self.classes.get(v, store_class(self.symtab, v))
+            if self._local_ok(v):
+                out.append(f"    {cur[v]} = {_stored_text(cls, v, '_y')}")
+            else:
+                out += _store_text(self._holder(v), v, "_y", cls, cur[v],
+                                   "    ", self.rec)
+        out += [f"_d{self._holder(v)[2:]}[{v!r}] = {local}"
+                for v, local in cur.items() if self._local_ok(v)]
 
     def _emit_stmt(self, st: F.Stmt, out: list, indent: str) -> None:
         if id(st) in self.reductions:
@@ -1636,7 +1517,7 @@ class _LoopLowerer:
 
 #: emitted text that is evaluated where it is written without reordering
 #: anything: a local of the text, or a numeric or logical literal
-_ATOM = re.compile(r"_t\d+|\(?-?[0-9][0-9.e+-]*\)?|True|False")
+_ATOM = re.compile(r"_[tu]\d+|\(?-?[0-9][0-9.e+-]*\)?|True|False")
 _INT_LITERAL = re.compile(r"\(?-?[0-9]+\)?")
 
 
@@ -1652,7 +1533,7 @@ class _ScalarText:
     message, recorder-aware the recorder's ``record_*`` call while it is
     ``recording`` (in the tree's order; a read's call only where the
     statement's flag for its name, set next to the lookups, says the
-    recorder would do anything with it), and the store coercion ladder
+    recorder would do anything with it), and the store by declared type
     (:func:`_store_text`).  Values are computed into locals in the
     tree's evaluation order — except that a reference's subscripts are
     all evaluated before any is ``int()``-ed or an unknown function is
@@ -1673,7 +1554,17 @@ class _ScalarText:
     ``_parallel_do`` with a worker function (:meth:`_worker`) that runs
     a share inline.  Any other statement kind
     (GOTO, computed GOTO, PRINT, READ, WHERE, STOP, assigned GOTO, I/O)
-    raises :class:`_Declined`."""
+    raises :class:`_Declined`.
+
+    Unrecorded, a *closed region* — a worker function, or a DO nest
+    written inline, whose text makes every access to its scalars itself
+    (:meth:`_closed`) — keeps each scalar it names in a local
+    (:meth:`_enclose`): loaded once when the region starts, tested for a
+    value only where a read may come before the region's first store,
+    assigned by the store rule, a DO's counter standing in for its
+    variable, and stored back to its holder once when the region ends.
+    A COMMON name, a dummy argument and an array name keep their
+    per-access text (:func:`_promotable`)."""
 
     def __init__(self, interp: Interpreter, stmts: list[F.Stmt],
                  unit: str, rec: bool = False):
@@ -1689,9 +1580,21 @@ class _ScalarText:
         #: DOALLs run their shares on (unrecorded text only)
         self.workers: list[list[str]] = []
         self._at = 0          # index of the statement being emitted
+        #: names some DOALL of the unit declares as a private array
+        self.privates = interp.private_arrays(unit)
+        #: store class of each private scalar of the DOALLs around the
+        #: text being written — those around the list, and a worker
+        #: function's own
+        self.classes = interp.private_classes(unit, stmts)
         # what :meth:`_function` keeps per function being written
         self._holders, self._arrays, self._flags = {}, {}, {}
         self._reads, self._n, self._rebound = set(), 0, set()
+        #: id(body) -> :meth:`_whole`, for the bodies of ``stmts``
+        self._wholes: dict[int, bool] = {}
+        #: inside a closed region: whether one is being written, each
+        #: promoted scalar's local, and the promoted scalars that hold a
+        #: value wherever the text being written runs
+        self._region, self._locals, self._defined = False, {}, set()
 
     def function(self, i: int) -> list[str]:
         """Source of ``_s<i>``, the scalar text of statement ``i``."""
@@ -1705,7 +1608,9 @@ class _ScalarText:
         name touched by the text ``write(out)`` emits, then that text.
         A worker function emitted meanwhile keeps lookups of its own."""
         outer = (self._holders, self._arrays, self._flags, self._reads,
-                 self._n, self._rebound)
+                 self._n, self._rebound, self._region, self._locals,
+                 self._defined)
+        self._region, self._locals, self._defined = False, {}, set()
         self._holders: dict[str, str] = {}
         self._arrays: dict[tuple[str, int], int] = {}
         #: recorder-aware: the flag local of each scalar read inline, and
@@ -1732,12 +1637,13 @@ class _ScalarText:
         head += [f"    _ra{k} = SH.recording and LOGA(_a{k})"
                  for k in sorted(self._reads)]
         (self._holders, self._arrays, self._flags, self._reads, self._n,
-         self._rebound) = outer
+         self._rebound, self._region, self._locals, self._defined) = outer
         return head + body
 
     def node(self, target) -> str:
         """A ``make``-level name bound to ``target``, an AST node or
         nested list of the current statement."""
+        assert not self._region, "a closed region hands a node over"
         path = _path(self.stmts[self._at], target)
         name = f"_k{len(self.binds)}"
         self.binds.append(f"{name} = rt.stmts[{self._at}]{path}")
@@ -1766,7 +1672,9 @@ class _ScalarText:
         elif isinstance(s, F.LogicalIf):
             test = self._test(s.cond, out, ind)
             out.append(f"{ind}if {test}:")
+            defined = set(self._defined)
             self.stmt(s.stmt, out, ind + "    ")
+            self._defined = defined
         elif isinstance(s, (C.LockStmt, C.UnlockStmt)):
             # the race detector tracks critical sections
             held = "LOCK" if isinstance(s, C.LockStmt) else "UNLOCK"
@@ -1776,11 +1684,19 @@ class _ScalarText:
         elif isinstance(s, F.CallStmt):
             out.append(f"{ind}CALLS({self.node(s)}, s, U)")
         elif isinstance(s, F.ReturnStmt):
+            assert not self._region, "a closed region returns"
             out.append(f"{ind}raise RET()")
         else:
             raise _Declined(type(s).__name__)
 
     def _do(self, s: F.DoLoop, out: list, ind: str) -> None:
+        if self._region or not self._closed([s]):
+            self._loop(s, out, ind)
+            return
+        self._enclose([s], set(), out, ind,
+                      lambda out: self._loop(s, out, ind))
+
+    def _loop(self, s: F.DoLoop, out: list, ind: str) -> None:
         u = self._new()[2:]
         out.append(f"{ind}_lo{u} = int({self.ex(s.start, out, ind)})")
         out.append(f"{ind}_hi{u} = int({self.ex(s.end, out, ind)})")
@@ -1790,26 +1706,51 @@ class _ScalarText:
             out += [f"{ind}if _st{u} == 0:", f"{ind}    ERR('zero DO step')"]
             rng = (f"range(_lo{u}, _hi{u} + (1 if _st{u} > 0 else -1), "
                    f"_st{u})")
-        d = "_d" + self._holder(s.var)[2:]
-        out += [f"{ind}for _w{u} in {rng}:",
-                f"{ind}    {d}[{s.var!r}] = _w{u}"]
-        self._body(s.body, out, ind + "    ")
+        self._iterate(s.var, rng, f"_w{u}", out, ind,
+                      lambda ind: self._body(s.body, out, ind))
+
+    def _iterate(self, var: str, items: str, counter: str, out: list,
+                 ind: str, body) -> None:
+        """``for`` each of ``items``, the loop variable ``var`` bound to
+        it, the text ``body(ind)`` writes: ``counter`` stores each item
+        into ``var``'s holder, or a promoted variable's local is the
+        counter itself.  A loop may run no iteration, so what its body
+        gives a value is not known after it."""
+        local = self._locals.get(var)
+        if local is not None:
+            out.append(f"{ind}for {local} in {items}:")
+        else:
+            d = "_d" + self._holder(var)[2:]
+            out += [f"{ind}for {counter} in {items}:",
+                    f"{ind}    {d}[{var!r}] = {counter}"]
+        defined = set(self._defined)
+        self._defined.add(var)
+        body(ind + "    ")
+        self._defined = defined
 
     def _arms(self, arms: list, out: list, ind: str) -> None:
         """IF arms: each later one in the ``else`` of the one before,
-        where its condition's statements can go."""
+        where its condition's statements can go.  After them a promoted
+        scalar holds a value if it does at the end of every path."""
+        ends = []
         for k, (cond, body) in enumerate(arms):
             if k:
                 out.append(f"{ind}else:")
                 ind += "    "
             if cond is None:
                 self._body(body, out, ind)
-                return
+                break
             test = self._test(cond, out, ind)
             out.append(f"{ind}if {test}:")
+            before = set(self._defined)
             self._body(body, out, ind + "    ")
-        if not arms:
-            out.append(f"{ind}pass")
+            ends.append(self._defined)
+            self._defined = before
+        else:
+            if not arms:
+                out.append(f"{ind}pass")
+        ends.append(self._defined)
+        self._defined = set.intersection(*ends)
 
     def _worker(self, s: C.ParallelDo) -> Optional[str]:
         """The worker function ``_p<k>(s, mine)`` that runs one share of
@@ -1817,23 +1758,122 @@ class _ScalarText:
         when the unrecorded text writes all three whole; else None, and
         ``_parallel_do`` runs each statement list of the share.  Its
         names are looked up once per share in the worker scope ``s``,
-        which declares the privates before the share starts."""
+        which declares the privates before the share starts — so when
+        the function is a closed region, they and the loop variable hold
+        a value from its start."""
         parts = (s.preamble, s.body, s.postamble)
         if self.rec or s.order != "doall" \
                 or not all(self._whole(part) for part in parts):
             return None
         k = len(self.workers)
         self.workers.append([])      # its name, before a nested DOALL's
+        outer = self.classes
+        self.classes = {**outer, **declared_classes(s)}
 
-        def write(out: list) -> None:
+        def share(out: list) -> None:
             self._inline(s.preamble, out, "    ")
-            d = "_d" + self._holder(s.var)[2:]
-            out += ["    for _w in mine:", f"        {d}[{s.var!r}] = _w"]
-            self._inline(s.body, out, "        ")
+            self._iterate(s.var, "mine", "_w", out, "    ",
+                          lambda ind: self._inline(s.body, out, ind))
             self._inline(s.postamble, out, "    ")
 
+        def write(out: list) -> None:
+            if not all(self._closed(part) for part in parts):
+                share(out)
+                return
+            self._enclose([*s.preamble, *s.body, *s.postamble],
+                          {s.var}, out, "    ", share, loop_var=s.var)
+
         self.workers[k] = self._function(f"def _p{k}(s, mine):", s, write)
+        self.classes = outer
         return f"_p{k}"
+
+    # -- closed regions ------------------------------------------------
+
+    def _closed(self, body: list) -> bool:
+        """Whether the unrecorded text of ``body`` makes every access to
+        the scalars it names itself: it hands nothing to the interpreter
+        — no DOALL, CALL statement, nested list or expression only the
+        tree resolves (intrinsic and library calls are values) — and
+        holds no RETURN; a body the text writes whole holds no GOTO,
+        STOP or I/O either."""
+        if self.rec:
+            return False
+        for st in body:
+            for n in st.walk():
+                if isinstance(n, (C.ParallelDo, F.CallStmt, F.ReturnStmt)) \
+                        or isinstance(n, F.DoLoop) \
+                        and not self._whole(n.body) \
+                        or isinstance(n, F.IfBlock) and not all(
+                            self._whole(arm) for _, arm in n.arms) \
+                        or isinstance(n, F.Expr) and self._handed_over(n):
+                    return False
+        return True
+
+    def _handed_over(self, e: F.Expr) -> bool:
+        """Whether :meth:`ex` hands ``e`` to the interpreter (``EV``):
+        what the tree resolves as it runs — a program unit's call, an
+        ``Apply``, an unknown function or operator, a call given a
+        section, a section of a name a call could resolve.  A range is
+        its section's, read by the section's specs."""
+        if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit, F.StrLit,
+                          F.Var, F.RangeExpr)):
+            return False
+        if isinstance(e, F.BinOp):
+            return e.op not in _PY_OPS and e.op not in _HELPER_OPS
+        if isinstance(e, F.UnOp):
+            return e.op not in ("-", "+", ".not.")
+        name = getattr(e, "name", None)
+        if name in self.units and name not in CEDAR_LIBRARY:
+            return True
+        callable_ = name in CEDAR_LIBRARY or name in INTRINSICS
+        if isinstance(e, F.FuncCall):
+            return not callable_ or any(isinstance(a, F.RangeExpr)
+                                        for a in e.args)
+        if isinstance(e, F.ArrayRef):
+            return e.is_section() and callable_
+        return True
+
+    def _enclose(self, stmts: list, known, out: list, ind: str, write,
+                 loop_var: Optional[str] = None) -> None:
+        """The closed region ``stmts`` (and the loop variable
+        ``loop_var`` a worker's ``for`` binds): the text ``write(out)``
+        emits, on a local of each scalar it names that
+        :func:`_promotable` allows — loaded before it, and stored back
+        after it if the region may assign it.  The ``known`` names and
+        the private scalars around it, which their worker scopes
+        declare, hold a value when it starts; any other may be unbound
+        (``None``)."""
+        names: dict[str, None] = {}
+        assigned = {loop_var}
+        for st in stmts:
+            for n in st.walk():
+                if isinstance(n, F.Var):
+                    names[n.name] = None
+                elif isinstance(n, F.DoLoop):
+                    names[n.var] = None
+                    assigned.add(n.var)
+                elif isinstance(n, F.Assign) \
+                        and isinstance(n.target, F.Var):
+                    assigned.add(n.target.name)
+        if loop_var is not None:
+            names[loop_var] = None
+        locals_ = {name: "_u" + self._holder(name)[2:] for name in names
+                   if _promotable(self.symtab, name, self.privates)}
+        if locals_:
+            out.append(f"{ind}# closed region")
+        out += [f"{ind}{local} = _d{local[2:]}.get({name!r})"
+                for name, local in locals_.items()]
+        known = known | self.classes.keys()
+        self._region, self._locals = True, locals_
+        self._defined = set(known)
+        write(out)
+        for name, local in locals_.items():
+            if name not in assigned:
+                continue
+            store = f"_d{local[2:]}[{name!r}] = {local}"
+            out += [f"{ind}{store}"] if name in known else [
+                f"{ind}if {local} is not None:", f"{ind}    {store}"]
+        self._region, self._locals, self._defined = False, {}, set()
 
     def _body(self, body: list, out: list, ind: str) -> None:
         """A DO or IF body: written inline, or one ``XB``."""
@@ -1857,14 +1897,17 @@ class _ScalarText:
         """Whether the text writes ``body`` inline: no statement in it,
         at any depth, is of a kind the text declines — so no GOTO can
         land on a label in it — and none of its own statements is a
-        loop with a vector form, which keeps a list of its own."""
-        for st in body:
-            for n in st.walk():
-                if isinstance(n, F.Stmt) and not isinstance(n, WRITTEN) \
-                        or isinstance(n, F.Assign) and not isinstance(
-                            n.target, (F.Var, F.ArrayRef, F.Apply)):
-                    return False
-        return not any(self._vectorizes(st) for st in body)
+        loop with a vector form, which keeps a list of its own.  Asked
+        again of a body the list holds, it answers from ``_wholes``."""
+        whole = self._wholes.get(id(body))
+        if whole is None:
+            whole = self._wholes[id(body)] = not any(
+                isinstance(n, F.Stmt) and not isinstance(n, WRITTEN)
+                or isinstance(n, F.Assign) and not isinstance(
+                    n.target, (F.Var, F.ArrayRef, F.Apply))
+                for st in body for n in st.walk()) \
+                and not any(self._vectorizes(st) for st in body)
+        return whole
 
     def _vectorizes(self, st: F.Stmt) -> bool:
         if not isinstance(st, LOOPS):
@@ -1879,9 +1922,15 @@ class _ScalarText:
         t = s.target
         value = self._atom(self.ex(s.value, out, ind), out, ind)
         if isinstance(t, F.Var):
-            out += _store_text(self._holder(t.name), t.name, value,
-                               coerces_to_int(self.symtab, t.name),
-                               "_r", ind, self.rec)
+            cls = self.classes.get(t.name, store_class(self.symtab, t.name))
+            local = self._locals.get(t.name)
+            if local is not None:
+                out.append(f"{ind}{local} = "
+                           f"{_stored_text(cls, t.name, value)}")
+                self._defined.add(t.name)
+            else:
+                out += _store_text(self._holder(t.name), t.name, value,
+                                   cls, "_r", ind, self.rec)
         elif isinstance(t, (F.ArrayRef, F.Apply)):
             subs = t.subscripts if isinstance(t, F.ArrayRef) else t.args
             if any(isinstance(x, F.RangeExpr) for x in subs):
@@ -1899,7 +1948,7 @@ class _ScalarText:
               ) -> str:
         """``v`` as a local (or, unless ``local``, a literal): computed
         here, once."""
-        if _ATOM.fullmatch(v) and not (local and v[:2] != "_t"):
+        if _ATOM.fullmatch(v) and not (local and v[0] != "_"):
             return v
         t = self._new()
         out.append(f"{ind}{t} = {v}")
@@ -1989,6 +2038,14 @@ class _ScalarText:
         if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit, F.StrLit)):
             return _fmt_literal(e.value)
         if isinstance(e, F.Var):
+            local = self._locals.get(e.name)
+            if local is not None:
+                if e.name not in self._defined:
+                    msg = f"undefined variable {e.name!r}"
+                    out += [f"{ind}if {local} is None:",
+                            f"{ind}    ERR({msg!r})"]
+                    self._defined.add(e.name)
+                return local
             c = self._holder(e.name)
             t = self._new()
             test = f"{t} is None or isinstance({t}, FA)"
@@ -2008,22 +2065,15 @@ class _ScalarText:
         if isinstance(e, F.UnOp) and e.op in ("-", "+", ".not."):
             x = self.ex(e.operand, out, ind)
             return {"-": f"(-{x})", "+": x, ".not.": f"NOT({x})"}[e.op]
-        name = getattr(e, "name", None)
-        callable_ = name in CEDAR_LIBRARY or name in INTRINSICS
-        if name not in self.units or name in CEDAR_LIBRARY:
-            if isinstance(e, F.FuncCall) and callable_:
-                args = "".join(f"{a}, "
-                               for a in self._seq(e.args, out, ind))
-                return f"CALL(s, {name!r}, ({args}))"
-            if isinstance(e, F.ArrayRef):
-                if not e.is_section():
-                    return self._element(name, e.subscripts, out, ind)
-                if not callable_:
-                    specs = self._specs(e.subscripts, out, ind)
-                    return f"REF(s, {name!r}, specs={specs})"
-        # what the tree resolves as it runs: a program unit's call, an
-        # ``Apply``, an unknown function or operator, a stray section
-        return f"EV({self.node(e)}, s, U)"
+        if self._handed_over(e):
+            return f"EV({self.node(e)}, s, U)"
+        if isinstance(e, F.FuncCall):
+            args = "".join(f"{a}, " for a in self._seq(e.args, out, ind))
+            return f"CALL(s, {e.name!r}, ({args}))"
+        if not e.is_section():
+            return self._element(e.name, e.subscripts, out, ind)
+        specs = self._specs(e.subscripts, out, ind)
+        return f"REF(s, {e.name!r}, specs={specs})"
 
 
 def _path(root, target) -> Optional[str]:
@@ -2063,7 +2113,8 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
             lines = None
             if isinstance(s, LOOPS):
                 try:
-                    lowerer = _LoopLowerer(interp, s, unit, rec)
+                    lowerer = _LoopLowerer(interp, s, unit, rec,
+                                           scalar.classes)
                     lines = lowerer.emit(i)
                     if lowerer.hands_over:
                         lines = scalar.function(i) + lines
@@ -2105,8 +2156,8 @@ _HELPERS = {
     "DIV": "div", "AND": "and_", "OR": "or_", "EQV": "eqv",
     "NEQV": "neqv", "NOT": "not_", "ERR": "error",
     # names resolved at entry, and the scalar store
-    "HOLD": "hold", "RD": "read", "BOXW": "box_store", "TR": "trunc",
-    "FA": "FArray", "INTS": "ints", "BOOLS": "bools", "NDA": "ndarray",
+    "HOLD": "hold", "RD": "read", "BOXW": "box_store", "SV": "stored",
+    "FA": "FArray", "DBL": "float64", "NDA": "ndarray",
     "SH": "shadow",
     # scalar text
     "ARR": "array", "OOB": "oob", "REF": "ref", "ST": "store",

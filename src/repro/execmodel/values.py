@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -80,6 +81,13 @@ class FArray:
 
 class Scope:
     """Lexical scope chain: unit scope, loop-local scopes."""
+
+    #: store class of each scalar this scope declares with a type of its
+    #: own — a DOALL's private ``locals_`` — which a store into it obeys
+    #: (:func:`repro.execmodel.interp.stored_value`); the unit's names
+    #: take the unit's symbol table.  Never mutated: a worker scope
+    #: assigns a dict of its own.
+    classes: Mapping[str, str] = MappingProxyType({})
 
     def __init__(self, parent: Optional["Scope"] = None):
         self.parent = parent

@@ -113,13 +113,19 @@ class LoopScheduler:
         dispatch = self.cfg.dispatch(level)
 
         if trips <= 0:
-            timing = LoopTiming(startup, 0.0, p, 0, startup_cycles=startup)
+            # one worker runs the one empty share: its preamble and
+            # postamble, as the interpreter's ``_parallel_do`` does
+            pre_post = preamble + postamble
+            timing = LoopTiming(startup + pre_post, pre_post, p, 0,
+                                startup_cycles=startup,
+                                pre_post_cycles=pre_post)
             timing.charge_overhead(ledger)
             if timeline is not None:
                 timeline.record(
-                    label, level, "doall", p, timing.total_time, 0.0,
-                    [Span(CONTROL_TRACK, "startup", 0.0, startup,
-                          busy=False)])
+                    label, level, "doall", p, timing.total_time, pre_post,
+                    self._spans_homogeneous(
+                        p, 0, 0.0, dispatch, startup, preamble, postamble,
+                        timing.total_time, timeline.max_chunk_spans))
             return timing
 
         per = float(iter_cost)

@@ -198,12 +198,12 @@ class TestShapesThatKeepTheFallback:
         self._check(doall_program(
             self.SRC, partials=[("p1", 0.0, "s1", "+")]), 1)
 
-    def test_partial_the_implicit_rule_makes_integer(self):
-        # the tree's store ladder truncates a name its symbol table
-        # does not hold when it starts with i-n, whatever locals_ says
+    def test_partial_is_stored_as_its_loop_declares(self):
+        # ``kp``, INTEGER by the implicit rule, is a REAL partial: both
+        # engines store it as its locals_ declare it, so it lowers
         src = self.SRC.replace("p1", "kp")
         self._check(doall_program(
-            src, partials=[("kp", 0.0, "s1", "+")]), 0)
+            src, partials=[("kp", 0.0, "s1", "+")]), 1)
 
     def test_partial_not_declared_local(self):
         program = doall_program(self.SRC,

@@ -57,6 +57,15 @@ class TestBasics:
         par = PerfEstimator(sf, cedar_config1()).estimate("saxpy", {"n": 10})
         assert par.total > ser.total * 0.5
 
+    def test_zero_trip_doall_costs_less_than_one_iteration(self):
+        """An empty DOALL runs its start-up and one empty share's
+        preamble and postamble, like the interpreter, and no
+        iteration."""
+        opts = RestructurerOptions.manual()
+        one = parallel_est(SAXPY, "saxpy", {"n": 1}, options=opts)
+        none = parallel_est(SAXPY, "saxpy", {"n": 0}, options=opts)
+        assert none.total < one.total
+
     def test_placement_matters(self):
         ser_cluster = serial_est(SAXPY, "saxpy", {"n": 10000})
         ser_global = serial_est(SAXPY, "saxpy", {"n": 10000},

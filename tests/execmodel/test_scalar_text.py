@@ -11,6 +11,9 @@ declined kind gives the tree's result; and a faulty program dies of the
 tree's own message.
 """
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -18,10 +21,11 @@ from repro.cedar.nodes import LockStmt, ParallelDo, UnlockStmt, WhereStmt
 from repro.engine import cached_parse, cached_restructure
 from repro.engine.cache import get_cache
 from repro.errors import InterpreterBudgetError, InterpreterError
+from repro.execmodel import compiled
 from repro.execmodel.compiled import Compiler
-from repro.execmodel.interp import Interpreter, cyclic_deal
+from repro.execmodel.interp import Interpreter, cyclic_deal, truncate
 from repro.execmodel.shadow import ShadowRecorder
-from repro.execmodel.source_jit import Runtime
+from repro.execmodel.source_jit import emit_module
 from repro.fortran import ast_nodes as F
 from repro.fortran import fuzz
 from repro.fortran.parser import parse_program
@@ -29,10 +33,11 @@ from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
 from tests.execmodel.test_engine_equivalence import (assert_bit_identical,
                                                      duplicating_deal,
-                                                     lossy_deal)
+                                                     lossy_deal, lowering)
 from tests.validate.test_order_independence import reversed_deal
 
-FUZZ_SEED, FUZZ_COUNT = 2, 40
+#: generated programs: 40, or ``SCALAR_TEXT_FUZZ=N``
+FUZZ_SEED, FUZZ_COUNT = 2, int(os.environ.get("SCALAR_TEXT_FUZZ", "40"))
 
 
 def _run(program, entry, args, *, engine, inputs=None, **kw):
@@ -408,8 +413,11 @@ HAZARDS = {
                                np.int64(2 ** 62 + 1), np.int32(-5), True,
                                np.bool_(True), np.float32(2.5)])
 def test_integer_store_is_the_trees_truncation(v):
-    assert Runtime.trunc(v) == int(np.trunc(v))
-    assert type(Runtime.trunc(v)) is int
+    assert truncate(v) == int(np.trunc(v))
+    assert type(truncate(v)) is int
+    if type(v) is int:
+        # the emitted integer store keeps a Python int as it is
+        assert int(np.trunc(v)) == v
 
 
 @pytest.mark.parametrize("v", [float("nan"), float("inf"),
@@ -418,7 +426,7 @@ def test_integer_store_of_a_non_finite_raises_the_trees_error(v):
     with pytest.raises(Exception) as tree:
         int(np.trunc(v))
     with pytest.raises(type(tree.value), match=str(tree.value)):
-        Runtime.trunc(v)
+        truncate(v)
 
 
 def test_literal_conditions_and_subscripts_are_the_trees():
@@ -740,3 +748,270 @@ def test_only_the_unrecorded_text_has_worker_functions(monkeypatch):
                    for text in texts[False])
     assert texts[True]
     assert not any("def _p" in text for text in texts[True])
+
+
+# ---------------------------------------------------------------------------
+# (e) scalar stores convert by the declared type
+
+DECLARED_TYPE = """
+      subroutine s(y)
+      real y(2), s, r
+      s = 1
+      y(1) = s / 2
+      r = 0
+      r = r + 0.5
+      y(2) = r
+      end
+"""
+
+
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
+def test_a_real_store_of_an_integer_keeps_a_float(engine):
+    """A REAL name assigned an integer holds a float: ``s / 2`` divides
+    as reals, and a later ``r + 0.5`` is not truncated."""
+    out, _, _ = _run(parse_program(DECLARED_TYPE), "s", [np.zeros(2)],
+                     engine=engine)
+    assert out["y"].tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("shadowed", [False, True])
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
+def test_a_private_store_obeys_its_loop_declaration(engine, shadowed):
+    """A DOALL's private scalar is stored as its ``locals_`` declare it,
+    whatever the unit's implicit rule says of the name: ``upper`` (REAL
+    by the rule) truncates, ``kr`` (INTEGER by it) holds a float."""
+    program = _cedar("""
+      subroutine s(n, a, b)
+      integer n, i
+      real a(n), b(n)
+      do i = 1, n
+         upper = a(i) * 2.0
+         kr = i
+         b(i) = upper + kr / 2
+      end do
+      end
+""", i=dict(level="C", locals_=_stmts("integer upper", "real kr")))
+    a = np.linspace(-1.5, 2.0, 5)
+    out, _, _ = _run(program, "s", [5, a, np.zeros(5)], engine=engine,
+                     processors=4,
+                     shadow=ShadowRecorder() if shadowed else None)
+    want = np.trunc(a * 2.0) + np.arange(1, 6) / 2
+    assert out["b"].tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# (f) unrecorded, a closed region keeps its scalars in locals
+
+#: name -> (program, args, budget, whether a region names a local);
+#: every region also keeps the per-access text of the names it may not
+#: promote
+CLOSED = {
+    "reads-a-common-scalar": (lambda: parse_program("""
+      subroutine s(n, a, b)
+      integer n, i
+      real a(n), b(n), w, t
+      common /c/ w
+      w = 0.5
+      t = 0.0
+      do i = 1, n
+         t = t + a(i) * w
+         b(i) = t
+      end do
+      end
+"""), lambda: [5, np.linspace(-1.5, 2.0, 5), np.zeros(5)], None),
+    "reads-a-dummy-bound-to-an-element": (lambda: parse_program("""
+      subroutine f(x, n, b)
+      integer n, i
+      real x, b(n), t
+      t = 0.0
+      do i = 1, n
+         t = t * 0.5 + x
+         b(i) = t
+      end do
+      end
+
+      subroutine s(n, a, b)
+      integer n
+      real a(n), b(n)
+      call f(a(3), n, b)
+      end
+"""), lambda: [5, np.linspace(-1.5, 2.0, 5), np.zeros(5)], None),
+    "reads-an-unbound-local-first": (lambda: parse_program("""
+      subroutine s(n, a, b)
+      integer n, i
+      real a(n), b(n), u
+      do i = 1, n
+         b(i) = a(i) + u
+         u = a(i)
+      end do
+      end
+"""), lambda: [5, np.linspace(-1.5, 2.0, 5), np.zeros(5)], None),
+    "trips-the-budget-in-its-inner-loop": (lambda: parse_program("""
+      subroutine s(n, a, b)
+      integer n, i, j
+      real a(n), b(n), t
+      do i = 1, n
+         t = 0.0
+         do j = 1, i
+            t = t * 0.5 + a(j)
+         end do
+         b(i) = t
+      end do
+      end
+"""), lambda: [5, np.linspace(-1.5, 2.0, 5), np.zeros(5)], 12),
+    "has-a-zero-trip-inner-do": (lambda: parse_program("""
+      subroutine s(n, a, b)
+      integer n, i, j
+      real a(n), b(n), t
+      j = 7
+      do i = 1, n
+         t = a(i)
+         do j = i, 2
+            t = t * 2.0 + 1.0
+         end do
+         b(i) = t + j
+      end do
+      end
+"""), lambda: [5, np.linspace(-1.5, 2.0, 5), np.zeros(5)], None),
+    "doall-shares-write-a-shared-scalar": (lambda: _cedar("""
+      subroutine s(n, a, b)
+      integer n, i
+      real a(n), b(n), x
+      x = 0.25
+      do i = 1, n
+         b(i) = x
+         x = a(i) * 2.0
+      end do
+      a(1) = x
+      end
+""", i=dict(level="C")), lambda: [7, np.linspace(-1.5, 2.0, 7),
+                                  np.zeros(7)], None),
+}
+
+
+def _texts(monkeypatch) -> list:
+    """The module texts the compiled engine is served from now on."""
+    cache = get_cache()
+    served = cache.jit_source
+    texts = []
+
+    def spy(source, *, fingerprint, emit):
+        texts.append(served(source, fingerprint=fingerprint, emit=emit))
+        return texts[-1]
+
+    monkeypatch.setattr(cache, "jit_source", spy)
+    return texts
+
+
+@pytest.mark.parametrize("processors", [1, 4])
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_closed_regions_are_the_trees(name, processors, monkeypatch):
+    """The same bits in the same steps, or the same error at the same
+    line, with each loop run as a closed region on locals of its
+    scalars (none of them has a vector form)."""
+    make, make_args, budget = CLOSED[name]
+    program = make()
+    texts = _texts(monkeypatch)
+    runs = {}
+    for engine in ("tree", "compiled"):
+        interp = Interpreter(program, engine=engine, processors=processors,
+                             step_budget=budget or Interpreter.STEP_BUDGET)
+        try:
+            runs[engine] = (interp.call("s", *make_args()), None)
+        except InterpreterError as exc:
+            runs[engine] = (None, (type(exc), str(exc),
+                                   getattr(exc, "line", None)))
+        runs[engine] += (interp._steps,)
+    assert interp._compiler.vectorized_loops == 0
+    (tree, terr, tsteps), (fast, ferr, fsteps) = (runs["tree"],
+                                                  runs["compiled"])
+    assert ferr == terr
+    assert fsteps == tsteps
+    if terr is None:
+        assert_bit_identical(tree, fast, name)
+    else:
+        assert name in ("reads-an-unbound-local-first",
+                        "trips-the-budget-in-its-inner-loop")
+    assert any("# closed region" in text for text in texts)
+
+
+def test_closed_regions_keep_common_names_and_dummies_per_access(
+        monkeypatch):
+    """A COMMON name or dummy argument may be bound to a box: its reads
+    in a closed region stay lookups of its holder."""
+    texts = _texts(monkeypatch)
+    for name in ("reads-a-common-scalar",
+                 "reads-a-dummy-bound-to-an-element"):
+        make, make_args, _ = CLOSED[name]
+        _run(make(), "s", make_args(), engine="compiled")
+    text = "\n".join(texts)
+    assert ".get('w')" in text and ".get('x')" in text
+    assert "_u" in text
+
+
+@pytest.mark.parametrize("lowering", ["vector", "scalar"],
+                         indirect=True)
+def test_integer_accumulator_is_the_trees(lowering, monkeypatch):
+    """A reduction into an INTEGER accumulator replays every truncating
+    store on a local and stores it back once: in its vector form, and
+    — in the tree's steps — as a closed region of the scalar text."""
+    src = """
+      subroutine s(n, a, b)
+      integer n, i, k
+      real a(n), b(n)
+      k = 3
+      do i = 1, n
+         k = k + a(i) * 2.5
+      end do
+      b(1) = k
+      end
+"""
+    texts = []
+
+    def spy(*args):
+        texts.append(emit_module(*args))
+        return texts[-1]
+
+    monkeypatch.setattr(compiled, "emit_module", spy)
+    monkeypatch.setattr(get_cache(), "jit_source",
+                        lambda source, *, fingerprint, emit: emit())
+    a = np.linspace(-3.7, 4.1, 9)
+    k = 3
+    for x in a:
+        k = int(k + x * 2.5)
+    args = [9, a, np.zeros(9)]
+    vector = lowering == "vector"
+    for processors in (1, 4):
+        (tree, _, t), (fast, _, c) = [
+            _run(parse_program(src), "s", args, engine=engine,
+                 processors=processors)
+            for engine in ("tree", "compiled")]
+        assert_bit_identical(tree, fast, f"P={processors}")
+        assert fast["b"][0] == k
+        assert c._compiler.vectorized_loops == vector
+        if not vector:
+            assert c._steps == t._steps
+    marker = "def _v" if vector else "# closed region"
+    assert any(marker in text and "SV('i', 'k'" in text
+               for text in texts)
+
+
+def test_spmv_worker_inner_loop_looks_nothing_up():
+    """The unrecorded ``spmv`` worker's CSR inner loop reads and stores
+    its scalars as locals: no lookup of a holder, no store ladder."""
+    program, _ = cached_restructure(validation_cases()["sparse"].source)
+    interp = Interpreter(program, engine="compiled")
+    text = emit_module(interp, interp.units["spmv"].body, "spmv")
+    lines = text.splitlines()
+    start = next(k for k, line in enumerate(lines)
+                 if "for _u" in line and "in range(" in line)
+    depth = len(lines[start]) - len(lines[start].lstrip())
+    inner = []
+    for line in lines[start + 1:]:
+        if len(line) - len(line.lstrip()) <= depth:
+            break
+        inner.append(line)
+    assert inner
+    body = "\n".join(inner)
+    assert not re.search(r"_d\d+\.get\(", body)
+    assert "isinstance(_o, FA)" not in body and "BOXW" not in body
