@@ -5,11 +5,13 @@ text, and on the tree.
 For each validation case x pipeline configuration, with and without a
 ``ShadowRecorder``: how many statement lists were compiled and how many
 of them were left whole to the tree walk; how many loop statements got a
-vector form and how many statements run on scalar text; and how many
-loop *executions* ran as a whole grid against how many ran their scalar
-text — a DO through its emitted ``for``, a parallel loop through the
-interpreter's worker-by-worker ``_parallel_do`` (instrumented, under a
-recorder).  Of those parallel loops, "parallel worker" counts the
+vector form (only DOALL-headed nests of the recorder-aware text do, so
+unrecorded runs count none) and how many statements run on scalar text;
+and how many loop *executions* ran as a whole grid against how many ran
+their scalar text — a DO through its emitted ``for`` ("do scalar"), a
+parallel loop through the interpreter's worker-by-worker
+``_parallel_do`` (instrumented, under a recorder).  Of those parallel
+loops, "parallel worker" counts the
 unrecorded DOALL executions whose shares each ran as one worker
 function of the text, "parallel scalar" the ones that ran each share's
 statement lists iteration by iteration.  "promoted loops" counts the
@@ -68,9 +70,8 @@ def census(program, case, recorded: bool, processors: int = 8,
     entered = [False]
 
     def counted(fn, stmt):
-        vector = fn.__name__.startswith("_v")
         if isinstance(stmt, ParallelDo):
-            if not vector:
+            if not fn.__name__.startswith("_v"):
                 return fn       # counted by ``_parallel_do`` itself
 
             def run(scope):
@@ -83,10 +84,7 @@ def census(program, case, recorded: bool, processors: int = 8,
             return run
 
         def run(scope):
-            # a DO's vector form hands over exactly when some enclosing
-            # loop is recording
-            grid = vector and not (recorded and shadow.recording)
-            c["do vector" if grid else "do scalar"] += 1
+            c["do scalar"] += 1
             return fn(scope)
         return run
 
@@ -140,7 +138,7 @@ def census(program, case, recorded: bool, processors: int = 8,
 
 COLUMNS = ("lists", "tree lists", "vector-text loops",
            "scalar-text statements", "parallel vector", "parallel worker",
-           "parallel scalar", "do vector", "do scalar", "promoted loops",
+           "parallel scalar", "do scalar", "promoted loops",
            "unlogged")
 
 #: the line a closed region of the module text starts with

@@ -4,10 +4,11 @@
 this module.  Like KAP's one translation path emitting one specialised
 text per program, each statement list becomes *one* Python module text
 (:func:`repro.execmodel.source_jit.emit_module`) holding a function per
-statement: whole-grid NumPy source for the loop nests the lowerer can
-prove bit-identical, scalar source — names looked up once per
-statement, nested bodies inline where it can — for every other
-statement.  The text is cached by the engine's SHA-256
+statement: scalar source — names looked up once per statement, nested
+bodies inline where it can — for every statement, and, only under a
+race detector, whole-grid NumPy source for the DOALL-headed nests the
+lowerer can prove bit-identical, which log their accesses in bulk.
+The text is cached by the engine's SHA-256
 content address (artifact kind ``jit-source`` in
 :mod:`repro.engine.cache`), so warm runs skip analysis and emission and
 a corrupt stored module quarantines and re-emits like any other entry;
@@ -21,10 +22,10 @@ statements, as ``exec_body`` would), and the choice of who executes
 the list.  There are two implementations of the
 language, not three:
 
-- the module text, for every list the emitter covers — and in it the
-  fallback from vector to scalar text is per loop and per entry (inside
-  a checked iteration, under aliased array names, under a deal that is
-  not a partition);
+- the module text, for every list the emitter covers — and in its
+  recorder-aware form the fallback from vector to scalar text is per
+  loop and per entry (inside a checked iteration, under aliased array
+  names, under a deal that is not a partition);
 - the tree walk (``Interpreter.exec_body``), which is total and is the
   reference, for a list holding a statement kind the emitter declines
   (GOTO, computed GOTO, PRINT, READ, WHERE, STOP) and for a list whose
@@ -42,9 +43,10 @@ entry: the mode is part of the fingerprint) makes, at each access, the
 ``record_*`` call of the tree handler it stands for, in the same order,
 while the recorder is ``recording``, and every ``ParallelDo`` outside a
 vector form runs the interpreter's instrumented ``_parallel_do`` list
-by list.  The unrecorded text holds no recorder call, and
-``_parallel_do`` runs each share of a DOALL the text writes whole as
-one worker function of it — see :mod:`repro.execmodel.source_jit`.
+by list.  The unrecorded text holds no recorder call and no vector
+form, and ``_parallel_do`` runs each share of a DOALL the text writes
+whole as one worker function of it — see
+:mod:`repro.execmodel.source_jit`.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from functools import lru_cache
 
 from repro.errors import InterpreterBudgetError, InterpreterError
 from repro.execmodel.interp import Interpreter, _GotoSignal
-from repro.execmodel.source_jit import TEXT_VERSION, Runtime, emit_module
+from repro.execmodel.source_jit import JIT_VERSION, Runtime, emit_module
 from repro.execmodel.values import Scope
 from repro.fortran import ast_nodes as F
 
@@ -134,9 +136,9 @@ class Compiler:
     def _compile_list(self, stmts: list[F.Stmt],
                       unit: str) -> list | None:
         """One function per statement, from the list's cached module
-        (recorder-aware vector forms when a recorder is attached); None
-        when the list runs on the tree — the emitter declined one of its
-        statements, or the module text does not load."""
+        (recorder-aware, with vector forms, when a recorder is attached);
+        None when the list runs on the tree — the emitter declined one of
+        its statements, or the module text does not load."""
         from repro.engine.cache import get_cache
         from repro.telemetry.log import get_logger
 
@@ -186,7 +188,7 @@ class Compiler:
         called = sorted({n.name for s in stmts for n in s.walk()
                          if isinstance(n, (F.FuncCall, F.Apply, F.ArrayRef))
                          and n.name in units})
-        return (f"jit{TEXT_VERSION[rec]}{'r' if rec else ''}|{unit}|"
+        return (f"jit{JIT_VERSION}{'r' if rec else ''}|{unit}|"
                 f"{','.join(called)}|{facts}|{privates}")
 
     @staticmethod

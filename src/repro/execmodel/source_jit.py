@@ -4,72 +4,32 @@
 the text of each statement list it meets.  The module's ``make(rt)``
 returns one function per statement, in one of two forms:
 
-- **vector text** (``_v<i>``, :class:`_LoopLowerer`) — a loop nest whose
-  whole-grid NumPy evaluation is provably bit-equal to the scalar loop;
-- **scalar text** (``_s<i>``, :class:`_ScalarText`) — every other
-  statement, as the tree handlers' own operation sequence: each name
-  looked up once when the statement starts, and per access only what
-  can change (the value, each subscript's ``int()``, the bounds test,
-  the recorder's calls, the store by declared type); statement dispatch
-  and symbol-table facts resolved at emission — and, unrecorded, a
-  closed region keeps its scalars in locals, stored back once.  Assignment, block and
-  logical IF, DO, LOCK/UNLOCK, RETURN, the no-ops and the DO/IF bodies
-  the text writes whole are inline; ``ParallelDo``, CALL statements,
-  other nested lists and calls of program units go to the interpreter's
-  own handlers by AST node;
-- **worker text** (``_p<k>``, unrecorded only) — one share of a DOALL
-  whose preamble, body and postamble the scalar text writes whole:
-  ``_parallel_do`` deals the iterations and builds each worker scope,
-  and the worker function looks its names up once in that scope, then
-  runs the preamble, each iteration of its share and the postamble.
+- **scalar text** (``_s<i>``, :class:`_ScalarText`) — every statement,
+  as the tree handlers' own operation sequence: each name looked up once
+  when the statement starts, and per access only what can change (the
+  value, each subscript's ``int()``, the bounds test, the recorder's
+  calls, the store by declared type); statement dispatch and
+  symbol-table facts resolved at emission — and, unrecorded, a closed
+  region keeps its scalars in locals, stored back once.  Assignment,
+  block and logical IF, DO, LOCK/UNLOCK, RETURN, the no-ops and the
+  DO/IF bodies the text writes whole are inline; ``ParallelDo``, CALL
+  statements, other nested lists and calls of program units go to the
+  interpreter's own handlers by AST node;
+- **vector text** (``_v<i>``, :class:`_LoopLowerer`, recorder-aware
+  only) — the race detector's bulk logger: a DOALL-headed nest whose
+  whole-grid NumPy evaluation is provably bit-equal to the scalar loop,
+  with the nest's scalar text beside it to hand over to;
+
+and, unrecorded, **worker text** (``_p<k>``) — one share of a DOALL
+whose preamble, body and postamble the scalar text writes whole:
+``_parallel_do`` deals the iterations and builds each worker scope, and
+the worker function looks its names up once in that scope, then runs
+the preamble, each iteration of its share and the postamble.
 
 A list holding a statement kind the scalar text does not cover — GOTO,
 computed GOTO, PRINT, READ, WHERE, STOP, other I/O — is not emitted at
 all (``make = None``): it runs whole on the tree walk, which is total
 and is the reference.
-
-What the vector text takes:
-
-- **loop nests** — a DOALL (or plain sequential DO) whose body is a
-  chain of nested loops ending in eligible assignments is lowered to
-  one set of broadcast NumPy operations over the full iteration grid;
-  the restructurer's strip-mined PARALLEL DO is recognized and
-  collapsed back to its elementwise form first;
-- **IF-guarded bodies** — ``IF (c) a(i) = e`` and two-arm block IFs
-  lower to masked assignment: the guard is evaluated over the whole
-  grid (exactly as the scalar loop evaluates it every iteration), and
-  the guarded statement's reads, evaluation, and writes happen only on
-  the compressed true lanes, so the executed operation set is identical
-  to the scalar loop's;
-- **reductions** — scalar SUM/PRODUCT accumulators recognized by
-  :func:`repro.analysis.reductions.find_reductions` evaluate their
-  contributed terms vectorized, then replay the tree walk's exact
-  per-iteration accumulation: same left-spine operator order, same
-  per-store conversion by declared type, same worker-by-worker iteration
-  order (the interpreter's ``deal``) when the outer axis is a DOALL.
-  MIN/MAX accumulators lower to ``np.minimum.reduce``/
-  ``np.maximum.reduce`` when the accumulator and contribution provably
-  share a type class;
-- **partial-sum DOALLs** — the one shape the restructurer's reduction
-  pass emits (loop-local real partials, a preamble assigning each a
-  literal, accumulations into them, a postamble of ``LOCK; v = v op
-  partial; UNLOCK`` triples): the contributed terms are evaluated
-  vectorized, then every worker share of the interpreter's ``deal`` is
-  folded sequentially from the preamble value and combined into ``v``
-  through the scalar store.  A zero-trip loop still runs
-  preamble + postamble once.
-
-A vector form loads each distinct grid once per straight-line block: a
-load whose text comes again reads the local its first use filled.  The
-reuse stops at the next store of any kind, at each guard arm and at each
-nest level, so a repeat never reads past a store or a lane set that may
-not have run.
-
-A grid stores every lane once, so a DOALL level takes its vector text
-only under a deal that hands each iteration to exactly one worker
-(:meth:`Runtime.partition`, checked at loop entry before anything is
-stored).  Under a deal that drops or repeats a position the loop runs
-its scalar text — ``_parallel_do``, exactly as dealt — like the tree.
 
 With a :class:`~repro.execmodel.shadow.ShadowRecorder` attached the
 text is recorder-aware (:func:`emit_module` with ``rec=True``).  The
@@ -82,24 +42,58 @@ not for storage no iteration of the loop can write — so a skipped read
 costs no call, and every DOALL outside a vector form runs the
 instrumented ``_parallel_do`` list by list.
 
-Every vector form first tests ``recording``: inside a checked iteration
-of an enclosing loop the statement runs its scalar text, which logs
-access by access.  Otherwise a sequential nest runs as it does
-unrecorded (nothing is being checked), and a nest whose only parallel
-level is the outermost opens the loop on the recorder as
+The vector text exists only where it pays: logging a checked DOALL's
+accesses in bulk instead of one call per access.  Every other loop —
+every unrecorded one, and a sequential nest under a recorder — runs its
+scalar text.  A vector form takes a nest whose only parallel level is
+the outermost, a DOALL, and whose body has no LOCK/UNLOCK and writes no
+shared scalar (the lowering proof shows it conflict-free, so its row
+order need not be the tree's):
+
+- **loop nests** — a DOALL whose body is a chain of nested DOs ending
+  in eligible assignments is lowered to one set of broadcast NumPy
+  operations over the full iteration grid; the restructurer's
+  strip-mined PARALLEL DO is recognized and collapsed back to its
+  elementwise form first;
+- **IF-guarded bodies** — ``IF (c) a(i) = e`` and two-arm block IFs
+  lower to masked assignment: the guard is evaluated over the whole
+  grid (exactly as the scalar loop evaluates it every iteration), and
+  the guarded statement's reads, evaluation, and writes happen only on
+  the compressed true lanes, so the executed operation set is identical
+  to the scalar loop's;
+- **partial-sum DOALLs** — the one shape the restructurer's reduction
+  pass emits (loop-local real partials, a preamble assigning each a
+  literal, SUM/PRODUCT/MIN/MAX accumulations into them, a postamble of
+  ``LOCK; v = v op partial; UNLOCK`` triples): the contributed terms are
+  evaluated vectorized, then every worker share of the interpreter's
+  ``deal`` is folded sequentially from the preamble value — same
+  left-spine operator order as the tree walk — and combined into ``v``
+  through the scalar store.  A zero-trip loop still runs preamble +
+  postamble once.
+
+A vector form first tests ``recording``: inside a checked iteration of
+an enclosing loop the statement runs its scalar text, which logs access
+by access.  Otherwise it opens the loop on the recorder as
 ``_parallel_do`` does — with its iteration count (the recorder opens no
 log for fewer than two) and the storage keys the loop cannot write (it
 keeps no read of them) — logs, from the very ``_grid_key`` result each
 load/store indexes with, the flat offsets of every reference paired
 with the outer iteration values (the strip start for a collapsed
 strip-mined loop), one row per iteration for each shared scalar the
-body names, and closes it.  Loops the lowering proof cannot show
-conflict-free stay on the instrumented ``_parallel_do``, so conflict
-order and the per-loop cap are always the tree's: LOCK/UNLOCK or a
-shared scalar write in the body, and a parallel level below the
-outermost.  With a recorder or without, a nest that writes hands over
-to its scalar text when — checked at loop entry — two of its array
-names are bound to storage of one ``ndarray``.
+body names, and closes it.  A nest that writes hands over to its scalar
+text when — checked at loop entry — two of its array names are bound to
+storage of one ``ndarray``.  A grid stores every lane once, so the
+DOALL takes its vector text only under a deal that hands each iteration
+to exactly one worker (:meth:`Runtime.partition`, checked at loop entry
+before anything is stored); under a deal that drops or repeats a
+position the loop runs its scalar text — ``_parallel_do``, exactly as
+dealt — like the tree.
+
+A vector form loads each distinct grid once per straight-line block: a
+load whose text comes again reads the local its first use filled.  The
+reuse stops at the next store of any kind, at each guard arm and at each
+nest level, so a repeat never reads past a store or a lane set that may
+not have run.
 
 Every vector form carries one exactness obligation — the vector
 evaluation must be bit-equal to the scalar loop: plain or affine
@@ -107,9 +101,7 @@ loop-variable subscripts, intrinsics marked ``exact`` in
 :data:`repro.fortran.intrinsics.INTRINSICS` only, reads of written
 arrays restricted to the writing iteration's element.  Anything that
 cannot be proven keeps the scalar text *per loop* (recurrences are
-rejected, never approximated).  Signed-zero and NaN treatment of the
-MIN/MAX lowerings follows the same table (``min``/``max`` are exact
-elementwise).
+rejected, never approximated).
 """
 
 from __future__ import annotations
@@ -134,14 +126,9 @@ from repro.fortran import ast_nodes as F
 from repro.fortran.intrinsics import INTRINSICS
 
 #: bump when the emitter changes: keys every cached ``jit-source``
-#: artifact so stale module text can never be served to a newer runtime
-JIT_VERSION = 8
-
-#: per mode (``rec``), the emitter version its text last changed at —
-#: what that mode's cache keys and module docstrings carry, so a change
-#: to one mode's text alone leaves every module of the other, and its
-#: cache entries, byte-identical
-TEXT_VERSION = {False: JIT_VERSION, True: JIT_VERSION}
+#: artifact, of both modes, so stale module text can never be served to
+#: a newer runtime
+JIT_VERSION = 9
 
 
 #: loop-nest levels the lowerer can walk through
@@ -564,23 +551,7 @@ class Runtime:
     def not_(v):
         return ~np.asarray(v) if isinstance(v, np.ndarray) else not v
 
-    # -- reduction support ---------------------------------------------
-
-    def red_flat(self, value, shape: tuple, doall_outer: bool):
-        """Flatten a grid of contributed terms into scalar-loop order.
-
-        C-order ravel is the sequential nest order; a DOALL outer axis
-        is permuted into the order the tree walk visits it in — worker
-        by worker, each through its share of the interpreter's deal.
-        """
-        a = np.broadcast_to(np.asarray(value), shape)
-        if doall_outer and len(shape) >= 1:
-            interp = self.compiler.interp
-            n0 = shape[0]
-            p = max(1, min(interp.processors, n0 or 1))
-            a = a[np.fromiter(chain.from_iterable(interp.deal(n0, p)),
-                              dtype=np.intp)]
-        return a.ravel()
+    # -- partial-sum support --------------------------------------------
 
     @staticmethod
     def red_rows(value, shape: tuple):
@@ -616,12 +587,12 @@ class Runtime:
 
 
 class _LoopLowerer:
-    """Analysis + Python/NumPy source emission for one loop nest.
-
-    ``rec`` selects the recorder-aware text (module docstring)."""
+    """Analysis + Python/NumPy source emission for one DOALL-headed nest,
+    the recorder-aware vector form that logs it in bulk (module
+    docstring)."""
 
     def __init__(self, interp: Interpreter, loop: F.Stmt, unit: str,
-                 rec: bool = False, classes: Optional[dict] = None):
+                 classes: Optional[dict] = None):
         self.interp = interp
         self.unit = unit
         self.symtab = interp.tables.get(unit)
@@ -631,17 +602,16 @@ class _LoopLowerer:
         if self.symtab is None:
             raise _Ineligible("no symbol table")
         self.loop = loop
-        self.rec = rec
         self.levels: list[F.Stmt] = []
         self.axes: list[str] = []            # loop vars, outer -> inner
-        self.private_axes: set[int] = set()  # declared in a PDO's locals
+        self.private_axes: set[int] = set()  # declared in the PDO's locals
         self.writes: dict[str, tuple] = {}   # array -> per-dim axis mask
         self.red_vars: set[str] = set()
         self.reductions: dict[int, tuple] = {}  # id(stmt) -> lowering
         self.body: list[F.Stmt] = []
-        #: level -> block size, for each level that is a collapsed
+        #: block size of an outermost level that is a collapsed
         #: strip-mine (the tree deals and labels strips, not lanes)
-        self.strips: dict[int, int] = {}
+        self.strip: Optional[int] = None
         # partial-sum DOALL: partial -> preamble literal, the postamble
         # as (target, op, partial) combines, and its lock names
         self.partials: dict[str, float] = {}
@@ -659,27 +629,23 @@ class _LoopLowerer:
         self._loaded: dict[str, str] = {}
         self._uniq = 0
         self._collect_nest(loop)
-        #: recorder-aware text of a nest with a parallel level: lowered
-        #: only if it may log in bulk
-        self.bulk = rec and any(isinstance(lv, C.ParallelDo)
-                                for lv in self.levels)
-        if self.bulk:
-            self._check_bulk_structure()
+        if any(isinstance(n, (C.LockStmt, C.UnlockStmt))
+               for st in loop.body for n in st.walk()):
+            raise _Ineligible("critical section in a checked loop")
         self._collect_reductions(loop)
-        if self.partials:
-            self._check_partial_sums()
-        if self.bulk and self.red_vars - set(self.partials):
-            raise _Ineligible("shared scalar written in a checked loop")
+        # the fold replays each partial on its own, after the grid: so
+        # nothing else may read or assign one
+        if not set(self.partials) <= self.red_vars:
+            raise _Ineligible("partial is not a recognized accumulator")
         self._collect_writes()
 
     # -- structure -----------------------------------------------------
-
-    @staticmethod
-    def _plain_level(s: F.Stmt) -> bool:
-        if isinstance(s, C.ParallelDo):
-            return (s.order == "doall" and not s.preamble
-                    and not s.postamble and not s.locals_)
-        return isinstance(s, F.DoLoop)
+    #
+    # Only nests the lowering proof shows conflict-free may log in bulk
+    # (their row order is not the tree's): one parallel level, the
+    # outermost, no critical section in the body, and no shared scalar
+    # written — a scalar write other than into a partial is no array
+    # write, which :meth:`_write_targets` refuses.
 
     def _user_callable(self, name: str) -> bool:
         """Whether a call to ``name`` resolves to a program unit or a
@@ -736,31 +702,24 @@ class _LoopLowerer:
         return set(decls) - set(self.partials)
 
     def _collect_nest(self, loop: F.Stmt) -> None:
+        if not isinstance(loop, C.ParallelDo) or loop.order != "doall":
+            raise _Ineligible("not a DOALL-headed nest")
         node: F.Stmt = loop
-        pending: list[tuple[int, set]] = []
+        names: set = set()       # the DOALL's private scalars
+        d = desugar_stripmine(loop)
+        if d is not None:
+            self.strip = loop.step.value
+            node = d
+        elif loop.preamble or loop.postamble:
+            names = self._match_partial_sums(loop)
+        elif loop.locals_:
+            # a DOALL whose private locals declare only inner loop
+            # variables is still plain: worker scopes hide those names
+            # either way (validated below)
+            names = set(scalar_locals(loop) or ())
+            if not names:
+                raise _Ineligible("ineligible nest level")
         while True:
-            if not self._plain_level(node):
-                d = desugar_stripmine(node)
-                if d is not None:
-                    self.strips[len(self.levels)] = node.step.value
-                    node = d
-                elif not self.levels and isinstance(node, C.ParallelDo) \
-                        and (node.preamble or node.postamble):
-                    names = self._match_partial_sums(node)
-                    if names:
-                        pending.append((0, names))
-                else:
-                    # a DOALL whose private locals declare only inner
-                    # loop variables is still plain: worker scopes hide
-                    # those names either way (validated below)
-                    names = (scalar_locals(node)
-                             if isinstance(node, C.ParallelDo)
-                             and node.order == "doall"
-                             and not node.preamble
-                             and not node.postamble else None)
-                    if not names:
-                        raise _Ineligible("ineligible nest level")
-                    pending.append((len(self.axes), set(names)))
             if node.var in self.axes:
                 raise _Ineligible("duplicate loop variable")
             self.levels.append(node)
@@ -772,28 +731,27 @@ class _LoopLowerer:
             inner = [s for s in body if not isinstance(s, NOOP_STMTS)]
             if len(inner) == 1 and isinstance(inner[0], LOOPS):
                 node = inner[0]
+                if isinstance(node, C.ParallelDo):
+                    raise _Ineligible("parallel level below the outermost")
                 continue
             if not inner:
                 raise _Ineligible("empty body")
             self.body = body
             break
-        for lvl, names in pending:
-            deeper = set(self.axes[lvl + 1:])
-            if not names <= deeper:
-                raise _Ineligible("private scalar locals")
-            # a sequential DO over a privately-declared variable must
-            # not leak its final value to the parent scope
-            self.private_axes.update(self.axes.index(n) for n in names)
+        if not names <= set(self.axes[1:]):
+            raise _Ineligible("private scalar locals")
+        # a sequential DO over a privately-declared variable must not
+        # leak its final value to the parent scope
+        self.private_axes = {self.axes.index(n) for n in names}
 
     def _collect_reductions(self, loop: F.Stmt) -> None:
+        """The accumulations into the partials: a bulk-logged loop
+        writes no shared scalar."""
         from repro.analysis.reductions import find_reductions
 
-        # a reduction's accumulation order is only reproducible when the
-        # sharded axis is the outermost one (or no axis is sharded)
-        if any(isinstance(lv, C.ParallelDo) for lv in self.levels[1:]):
-            return
         for red in find_reductions(loop):
-            if red.kind != "scalar" or red.var in self.axes:
+            if red.kind != "scalar" or red.var in self.axes \
+                    or red.var not in self.partials:
                 continue
             if red.op not in ("+", "*", "min", "max"):
                 continue
@@ -814,29 +772,6 @@ class _LoopLowerer:
             for st, info in entries:
                 self.reductions[id(st)] = info
             self.red_vars.add(red.var)
-
-    def _check_partial_sums(self) -> None:
-        """The fold replays each partial on its own, after the grid:
-        every partial must be a recognized accumulator (so nothing else
-        reads or assigns it), and no combine target may also be
-        accumulated directly in the body (its stores would interleave
-        with the postambles worker by worker)."""
-        if not set(self.partials) <= self.red_vars:
-            raise _Ineligible("partial is not a recognized accumulator")
-        if self.red_vars & {v for v, _, _ in self.combines}:
-            raise _Ineligible("combine target accumulated in the body")
-
-    def _check_bulk_structure(self) -> None:
-        """Only loops the lowering proof shows conflict-free may log in
-        bulk (their row order is not the tree's): one parallel level,
-        the outermost, and no critical section.  ``__init__`` adds the
-        third condition — no shared scalar accumulated — once the
-        reductions are known."""
-        if any(isinstance(lv, C.ParallelDo) for lv in self.levels[1:]):
-            raise _Ineligible("parallel level below the outermost")
-        if any(isinstance(n, (C.LockStmt, C.UnlockStmt))
-               for st in self.loop.body for n in st.walk()):
-            raise _Ineligible("critical section in a checked loop")
 
     def _shared_scalars(self) -> tuple:
         """Scalar names the original loop body reads that live outside
@@ -1107,7 +1042,7 @@ class _LoopLowerer:
             return f"{_HELPER_OPS[op]}({l}, {r})"
         raise _Ineligible(f"operator {op!r}")
 
-    # -- type-class inference (MIN/MAX reduction proof) ----------------
+    # -- type-class inference (affine offsets, MIN/MAX partials) --------
 
     def _type_class(self, e: F.Expr) -> Optional[str]:
         if isinstance(e, F.IntLit):
@@ -1198,79 +1133,6 @@ class _LoopLowerer:
             self._emit_assign(st, cctx, out, indent + "    ")
         self._it = it
 
-    def _emit_reduction(self, st: F.Stmt, out: list,
-                        indent: str) -> None:
-        info = self.reductions[id(st)]
-        kind, var = info[0], info[1]
-        if var in self.partials:
-            self._emit_partial(info, out, indent)
-            return
-        ctx = self._grid_ctx()
-        k = len(self.axes)
-        shape = ", ".join(f"_n{a}" for a in range(k))
-        doall0 = isinstance(self.levels[0], C.ParallelDo)
-        self._uniq += 1
-        u = self._uniq
-        cls = self.classes.get(var, store_class(self.symtab, var))
-        c = self._holder(var)
-        out.append(f"{indent}_a{u} = RD({c}, {var!r})")
-        if kind == "minmax":
-            op, contrib = info[2], info[3]
-            acls = self._sym_class(var)
-            ccls = self._type_class(contrib)
-            if acls is None or ccls != acls:
-                raise _Ineligible("min/max reduction type classes differ")
-            if self._user_callable(info[4]):
-                raise _Ineligible("min/max names a user routine")
-            csrc = self.ex(contrib, ctx)
-            red = "np.minimum" if op == "min" else "np.maximum"
-            out.append(f"{indent}_f{u} = RED({csrc}, ({shape},), False)")
-            out.append(f"{indent}_v{u} = {red}(_a{u}, "
-                       f"{red}.reduce(_f{u}))")
-            out += _store_text(c, var, f"_v{u}", cls, f"_a{u}", indent,
-                               self.rec)
-            return
-        # '+'/'*': vectorize the contributed terms, then replay the
-        # scalar loop's accumulation order store-for-store
-        if kind == "spine":
-            terms = [(top, self.ex(te, ctx)) for top, te in info[2]]
-        else:   # ("right", var, op, expr):  s = e op s
-            terms = [(info[2], self.ex(info[3], ctx))]
-        for j, (_, csrc) in enumerate(terms):
-            out.append(f"{indent}_f{u}_{j} = RED({csrc}, ({shape},), "
-                       f"{doall0})")
-        if self._local_ok(var):
-            # the accumulator is a local, stored back once
-            elems = [f"_e{u}_{j}" for j in range(len(terms))]
-            upd = f"_a{u}"
-            for (top, _), e in zip(terms, elems):
-                upd = f"({upd} {top} {e})"
-            if kind != "spine":
-                upd = f"({elems[0]} {terms[0][0]} _a{u})"
-            arrays = ", ".join(f"_f{u}_{j}" for j in range(len(terms)))
-            out += [f"{indent}for {', '.join(elems)} in "
-                    + (f"zip({arrays}):" if len(terms) > 1
-                       else f"{arrays}:"),
-                    f"{indent}    _y = {upd}",
-                    f"{indent}    _a{u} = {_stored_text(cls, var, '_y')}",
-                    f"{indent}_d{c[2:]}[{var!r}] = _a{u}"]
-            return
-        upd = f"_a{u}"
-        for j, (top, _) in enumerate(terms):
-            upd = f"({upd} {top} _f{u}_{j}[_q{u}])"
-        if kind != "spine":
-            upd = f"(_f{u}_0[_q{u}] {terms[0][0]} _a{u})"
-        out.append(f"{indent}for _q{u} in range(_f{u}_0.shape[0]):")
-        out.append(f"{indent}    _y = {upd}")
-        out += _store_text(c, var, "_y", cls, f"_a{u}",
-                           indent + "    ", self.rec)
-
-    def _local_ok(self, name: str) -> bool:
-        """Whether the unrecorded text may keep accumulator ``name`` in a
-        local while it replays the accumulation (:func:`_promotable`)."""
-        return not self.rec and _promotable(
-            self.symtab, name, self.interp.private_arrays(self.unit))
-
     def _emit_partial(self, info: tuple, out: list, indent: str) -> None:
         """One accumulation into a partial: its contributed terms as one
         row per outer iteration, and the fold line that replays one
@@ -1321,8 +1183,7 @@ class _LoopLowerer:
         share of the folds, postamble combines.  Runs once — on the one
         empty share — for a zero-trip loop, like ``_parallel_do``."""
         # a combine target is read once: every later value is what its
-        # own store returned, as a fresh read would see it — and the
-        # unrecorded text keeps it in that local, stored back once
+        # own store returned, as a fresh read would see it
         cur = {}
         for v, _, _ in self.combines:
             if v not in cur:
@@ -1343,19 +1204,12 @@ class _LoopLowerer:
                 else f"CALL(s, {op!r}, ({cur[v]}, {self._acc(p)}))"
             out.append(f"    _y = {val}")
             cls = self.classes.get(v, store_class(self.symtab, v))
-            if self._local_ok(v):
-                out.append(f"    {cur[v]} = {_stored_text(cls, v, '_y')}")
-            else:
-                out += _store_text(self._holder(v), v, "_y", cls, cur[v],
-                                   "    ", self.rec)
-        out += [f"_d{self._holder(v)[2:]}[{v!r}] = {local}"
-                for v, local in cur.items() if self._local_ok(v)]
+            out += _store_text(self._holder(v), v, "_y", cls, cur[v],
+                               "    ", True)
 
     def _emit_stmt(self, st: F.Stmt, out: list, indent: str) -> None:
         if id(st) in self.reductions:
-            self._emit_reduction(st, out, indent)
-            if self.reductions[id(st)][1] not in self.partials:
-                self._loaded.clear()    # the accumulator's stores
+            self._emit_partial(self.reductions[id(st)], out, indent)
             return
         if isinstance(st, NOOP_STMTS):
             return
@@ -1402,22 +1256,12 @@ class _LoopLowerer:
         out.append(f"{indent}_n{a} = len(range(_lo{a}, _hi{a} + "
                    f"(1 if _st{a} > 0 else -1), _st{a}))")
 
-    def _trips(self, a: int = 0) -> str:
-        """Source of the iteration count the tree runs level ``a``
-        with: its lanes, or its strips for a collapsed strip-mine."""
-        if a in self.strips:
-            return f"-(-_n{a} // {self.strips[a]})"
-        return f"_n{a}"
-
-    def _emit_deal_check(self, a: int, i: int, out: list,
-                         indent: str) -> None:
-        """A DOALL level runs as a grid only under a deal that is a
-        partition of its iterations (of its strips, for a collapsed
-        strip-mine); nothing has been stored yet, so otherwise the loop
-        starts over on its scalar text."""
-        if isinstance(self.levels[a], C.ParallelDo):
-            out += [f"{indent}if not PART({self._trips(a)}):",
-                    f"{indent}    return _s{i}(s)"]
+    def _trips(self) -> str:
+        """Source of the iteration count the tree runs the DOALL with:
+        its lanes, or its strips for a collapsed strip-mine."""
+        if self.strip is not None:
+            return f"-(-_n0 // {self.strip})"
+        return "_n0"
 
     @property
     def _aliasable(self) -> bool:
@@ -1425,23 +1269,21 @@ class _LoopLowerer:
         ``ndarray`` that it writes (argument association)."""
         return bool(self.writes) and len(self._arrays) > 1
 
-    @property
-    def hands_over(self) -> bool:
-        """Whether ``_v<i>`` can hand the loop to its scalar text
-        ``_s<i>``: inside a checked iteration, under aliased array
-        names, or under a deal that is not a partition (known after
-        :meth:`emit`)."""
-        return self.rec or self._aliasable or any(
-            isinstance(lv, C.ParallelDo) for lv in self.levels)
-
     def emit(self, i: int) -> list[str]:
-        """Source of ``_v<i>`` (indented for the body of ``make``)."""
+        """Source of ``_v<i>`` (indented for the body of ``make``), which
+        hands the loop to its scalar text ``_s<i>`` inside a checked
+        iteration, under aliased array names, or under a deal that is
+        not a partition."""
         k = len(self.axes)
         # the outermost bounds are evaluated before the loop starts: the
-        # tree opens the loop on the recorder after them
+        # tree opens the loop on the recorder after them.  The DOALL runs
+        # as a grid only under a deal that is a partition of its
+        # iterations (of its strips, for a collapsed strip-mine); nothing
+        # has been stored yet, so otherwise the loop starts over on its
+        # scalar text.
         head: list[str] = []
         self._emit_bounds(0, head, "")
-        self._emit_deal_check(0, i, head, "")
+        head += [f"if not PART({self._trips()}):", f"    return _s{i}(s)"]
         out: list[str] = []
         if self.partials:
             out.append("_t = False")
@@ -1449,7 +1291,6 @@ class _LoopLowerer:
         for a in range(k):
             if a:
                 self._emit_bounds(a, out, indent)
-                self._emit_deal_check(a, i, out, indent)
             out.append(f"{indent}if _n{a}:")
             indent += "    "
             self._loaded.clear()      # each nest level is a new block
@@ -1459,15 +1300,15 @@ class _LoopLowerer:
             shape[a] = "-1"
             out.append(f"{indent}_g{a} = _iv{a}.reshape"
                        f"({', '.join(shape)})")
-            if a == 0 and self.bulk:
+            if a == 0:
                 # iteration labels of the lanes: the loop variable, or
                 # for a collapsed strip-mine the start of the lane's
                 # strip — the iteration the tree runs the lane in
                 self._it = "_g0"
-                if 0 in self.strips:
+                if self.strip is not None:
                     self._it = "_it"
                     out.append(f"{indent}_it = _lo0 + (_g0 - _lo0) // "
-                               f"{self.strips[0]} * {self.strips[0]}")
+                               f"{self.strip} * {self.strip}")
                 scalars = self._shared_scalars()
                 if scalars:
                     out.append(f"{indent}SCAL(_cx, s, {scalars!r}, "
@@ -1480,31 +1321,26 @@ class _LoopLowerer:
                            + " * ".join(f"_n{a}" for a in range(1, k)))
             out.append(f"{indent}_t = True")
         # sequential DO variables keep their scalar-loop final values;
-        # DOALL variables live in discarded worker scopes and must not
-        # leak (matching _parallel_do/_do_loop semantics exactly)
-        for a in range(k - 1, -1, -1):
-            if not isinstance(self.levels[a], C.ParallelDo) \
-                    and a not in self.private_axes:
+        # the DOALL's variable and privates live in discarded worker
+        # scopes and must not leak (matching _parallel_do/_do_loop
+        # semantics exactly)
+        for a in range(k - 1, 0, -1):
+            if a not in self.private_axes:
                 out.append(f"{'    ' * (a + 1)}SSET(s, {self.axes[a]!r}, "
                            f"_lo{a} + _st{a} * (_n{a} - 1))")
         if self.partials:
             self._emit_folds(out)
 
-        fn = [f"def _v{i}(s):"]
-        guards = []
-        if self.rec:
-            # already inside a checked iteration: the enclosing loop's
-            # log wants every access in the tree's order
-            guards.append("SH.recording")
+        # already inside a checked iteration, the enclosing loop's log
+        # wants every access in the tree's order
+        guards = ["SH.recording"]
         if self._aliasable:
             # the proof compares references by name
             guards.append(f"ALIAS(s, {tuple(sorted(self._arrays))!r})")
-        if guards:
-            fn += [f"    if {' or '.join(guards)}:",
-                   f"        return _s{i}(s)"]
+        fn = [f"def _v{i}(s):",
+              f"    if {' or '.join(guards)}:",
+              f"        return _s{i}(s)"]
         fn += ["    " + line for line in _hold_text(self._holders) + head]
-        if not self.bulk:
-            return fn + ["    " + line for line in out]
         label = Interpreter._loop_label(self.loop)
         fn += [f"    _cx = OPEN({label!r}, {self._trips()}, RO({i}, s))",
                "    try:"]
@@ -1910,10 +1746,10 @@ class _ScalarText:
         return whole
 
     def _vectorizes(self, st: F.Stmt) -> bool:
-        if not isinstance(st, LOOPS):
+        if not self.rec or not isinstance(st, C.ParallelDo):
             return False
         try:
-            _LoopLowerer(self.interp, st, self.unit, self.rec).emit(0)
+            _LoopLowerer(self.interp, st, self.unit).emit(0)
         except _Ineligible:
             return False
         return True
@@ -2097,27 +1933,24 @@ def _path(root, target) -> Optional[str]:
 def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
                 rec: bool = False) -> str:
     """Deterministic module text for one statement list: a ``make(rt)``
-    returning one function per statement — the vector form ``_v<i>`` of
-    each loop the lowerer proves (with the loop's scalar text beside it
-    when the vector form can hand over), the scalar text ``_s<i>`` of
-    everything else.  ``rec`` asks for the recorder-aware vector forms
-    (module docstring).  A list
+    returning one function per statement — the scalar text ``_s<i>`` of
+    each, and in the recorder-aware text (``rec``, module docstring) the
+    vector form ``_v<i>`` of each DOALL-headed nest the lowerer proves,
+    with the nest's scalar text beside it to hand over to.  A list
     holding a statement the scalar text declines gets ``make = None``:
     it runs whole on the tree."""
     scalar = _ScalarText(interp, stmts, unit, rec)
-    mode = f"emitter v{TEXT_VERSION[rec]}{', recorder-aware' if rec else ''}"
+    mode = f"emitter v{JIT_VERSION}{', recorder-aware' if rec else ''}"
     body: list[str] = []
     fns: list[str] = []
     try:
         for i, s in enumerate(stmts):
             lines = None
-            if isinstance(s, LOOPS):
+            if rec and isinstance(s, C.ParallelDo):
                 try:
-                    lowerer = _LoopLowerer(interp, s, unit, rec,
-                                           scalar.classes)
-                    lines = lowerer.emit(i)
-                    if lowerer.hands_over:
-                        lines = scalar.function(i) + lines
+                    lines = _LoopLowerer(interp, s, unit,
+                                         scalar.classes).emit(i)
+                    lines = scalar.function(i) + lines
                 except _Ineligible:
                     pass
             fns.append(f"_s{i}" if lines is None else f"_v{i}")
@@ -2168,9 +2001,8 @@ _HELPERS = {
     "PDO": "compiler.interp._parallel_do",
     "CALLS": "compiler.interp._call_stmt", "EV": "compiler.interp.eval",
     # vector forms
-    "VL": "vload", "VS": "vstore", "NP": "np_funcs", "RED": "red_flat",
+    "VL": "vload", "VS": "vstore", "NP": "np_funcs",
     "ROWS": "red_rows", "DEAL": "shares", "PART": "partition",
-    # recorder-aware vector forms
     "OPEN": "shadow.open_loop", "RO": "read_only",
     "CLOSE": "shadow.close_loop", "SCAL": "log_scalars",
     "ALIAS": "aliased",

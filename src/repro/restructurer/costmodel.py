@@ -39,8 +39,9 @@ DISPATCH = {
 SYNC_SIGNAL = 10.0
 
 
-def estimate_body_ops(stmts: list[F.Stmt], default_trip: int = 100) -> float:
-    """Rough operation count of one execution of ``stmts``."""
+def estimate_body_ops(stmts: list[F.Stmt], default_trip: int) -> float:
+    """Rough operation count of one execution of ``stmts``, a DO of
+    unknown bounds taken to run ``default_trip`` iterations."""
     total = 0.0
     for s in stmts:
         total += _stmt_ops(s, default_trip)
@@ -63,7 +64,7 @@ def _expr_ops(e: F.Expr) -> float:
     return ops
 
 
-def trip_count(loop: F.DoLoop, default_trip: int = 100) -> float:
+def trip_count(loop: F.DoLoop, default_trip: int) -> float:
     """Estimated iteration count (constant bounds, else the default)."""
     lo, hi = const_value(loop.start), const_value(loop.end)
     step = 1 if loop.step is None else const_value(loop.step)
@@ -93,12 +94,10 @@ def _stmt_ops(s: F.Stmt, default_trip: int) -> float:
 class CostModel:
     """Scores loop-nest execution alternatives."""
 
-    def __init__(self, clusters: int = 4, processors_per_cluster: int = 8,
-                 default_trip: int = 100):
+    def __init__(self, clusters: int = 4, processors_per_cluster: int = 8):
         self.clusters = clusters
         self.ppc = processors_per_cluster
         self.total_p = clusters * processors_per_cluster
-        self.default_trip = default_trip
 
     # -- individual shapes -------------------------------------------------
 

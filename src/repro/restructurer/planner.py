@@ -142,8 +142,7 @@ class LoopPlanner:
         self.sink = sink if sink is not None else NULL_SINK
         self.pool = NamePool(unit)
         self.cost = CostModel(options.clusters,
-                              options.processors_per_cluster,
-                              options.default_trip)
+                              options.processors_per_cluster)
 
     # ------------------------------------------------------------------
 
@@ -411,7 +410,8 @@ class LoopPlanner:
         else:
             # DOACROSS alternative for carried-but-synchronizable loops
             if self.opt.doacross and not reductions:
-                plan = plan_doacross(nest, graph, ignore)
+                plan = plan_doacross(nest, graph, ignore,
+                                     default_trip=self.opt.default_trip)
                 if plan is not None:
                     score = self.cost.doacross(
                         "cdoacross", trips, body_ops,
@@ -451,7 +451,8 @@ class LoopPlanner:
                                       "synthesizable for the subscripts")
             # unordered critical section (§4.1.6)
             if self.opt.critical_sections:
-                cplan = plan_critical_section(nest, graph, ignore)
+                cplan = plan_critical_section(
+                    nest, graph, ignore, default_trip=self.opt.default_trip)
                 if cplan is not None:
                     base = self.cost.parallel("xdoall", trips, body_ops,
                                               self.cost.total_p)

@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import cached_parse, cached_restructure
-from repro.engine.cache import get_cache
-from repro.execmodel import source_jit
 from repro.execmodel.interp import Interpreter, cyclic_deal
+from repro.execmodel.shadow import ShadowRecorder
 from repro.faults.plan import all_scenarios
 from repro.faults.sweep import SWEEP_WORKLOADS, _synthetic_cases
 from repro.validate.configs import PIPELINE_CONFIGS
@@ -50,26 +49,11 @@ DEALS = dict(_BY_KEY.values(), reversed=lambda n, p: [
 FAST_ENGINES = ("compiled",)
 
 #: the compiled engine's two text forms, each proven over the whole
-#: matrix: "vector" is the path every run takes — whole-grid NumPy text
-#: for the loops the lowerer proves, scalar text for the rest; "scalar"
-#: has the lowerer decline every loop, so the scalar text alone carries
-#: every statement
+#: matrix: "scalar" is the unrecorded run, whose text is scalar text
+#: alone; "vector" attaches a ``ShadowRecorder`` to both engines, so each
+#: DOALL-headed nest the lowerer proves runs its whole-grid NumPy text
+#: and logs in bulk — and the two engines' race verdicts must agree too
 LOWERINGS = ("scalar", "vector")
-
-
-@pytest.fixture
-def lowering(request, monkeypatch):
-    if request.param == "scalar":
-        def decline(self, *args, **kwargs):
-            raise source_jit._Ineligible("scalar text only")
-
-        monkeypatch.setattr(source_jit._LoopLowerer, "__init__", decline)
-        # emit every time: the process-wide store holds (and must keep)
-        # the vector text of the same lists
-        monkeypatch.setattr(
-            get_cache(), "jit_source",
-            lambda source, *, fingerprint, emit: emit())
-    return request.param
 
 
 def assert_bit_identical(a: dict, b: dict, ctx: str) -> None:
@@ -85,10 +69,19 @@ def assert_bit_identical(a: dict, b: dict, ctx: str) -> None:
 
 
 def _outputs(program, case, seed: int, processors: int,
-             engine: str, deal=None) -> dict:
+             engine: str, deal=None, lowering: str = "scalar") -> dict:
+    """The run's outputs; under the "vector" lowering, its race verdicts
+    as well (``conflicts``, ``loops_checked``)."""
     args, _ = case.make_args(case.n, np.random.default_rng(seed))
-    return Interpreter(program, processors=processors, engine=engine,
-                       deal=deal).call(case.entry, *args)
+    shadow = ShadowRecorder() if lowering == "vector" else None
+    out = Interpreter(program, processors=processors, engine=engine,
+                      deal=deal, shadow=shadow).call(case.entry, *args)
+    if shadow is not None:
+        out["conflicts"] = np.array(repr([
+            (c.loop, c.var, c.element, c.kind, c.iterations)
+            for c in shadow.conflicts]))
+        out["loops_checked"] = np.array(shadow.loops_checked)
+    return out
 
 
 def _outcome(*args, **kwargs) -> dict:
@@ -101,17 +94,19 @@ def _outcome(*args, **kwargs) -> dict:
         return {"error": np.array(repr(exc))}
 
 
-@pytest.mark.parametrize("lowering", LOWERINGS, indirect=True)
+@pytest.mark.parametrize("lowering", LOWERINGS)
 @pytest.mark.parametrize("wname", sorted(CASES))
 def test_sequential_originals_identical(wname, lowering):
     case = CASES[wname]
     sf = cached_parse(case.source)
-    tree = _outputs(sf, case, seed=3, processors=1, engine="tree")
-    fast = _outputs(sf, case, seed=3, processors=1, engine="compiled")
+    tree = _outputs(sf, case, seed=3, processors=1, engine="tree",
+                    lowering=lowering)
+    fast = _outputs(sf, case, seed=3, processors=1, engine="compiled",
+                    lowering=lowering)
     assert_bit_identical(tree, fast, f"{wname}@sequential[{lowering}]")
 
 
-@pytest.mark.parametrize("lowering", LOWERINGS, indirect=True)
+@pytest.mark.parametrize("lowering", LOWERINGS)
 @pytest.mark.parametrize("config", sorted(PIPELINE_CONFIGS))
 @pytest.mark.parametrize("wname", sorted(CASES))
 def test_restructured_programs_identical(wname, config, lowering):
@@ -120,14 +115,14 @@ def test_restructured_programs_identical(wname, config, lowering):
                                   PIPELINE_CONFIGS[config]())
     for processors in (2, 8):
         tree = _outputs(cedar, case, seed=3, processors=processors,
-                        engine="tree")
+                        engine="tree", lowering=lowering)
         fast = _outputs(cedar, case, seed=3, processors=processors,
-                        engine="compiled")
+                        engine="compiled", lowering=lowering)
         assert_bit_identical(
             tree, fast, f"{wname}@{config}/P={processors}[{lowering}]")
 
 
-@pytest.mark.parametrize("lowering", LOWERINGS, indirect=True)
+@pytest.mark.parametrize("lowering", LOWERINGS)
 @pytest.mark.parametrize("deal", sorted(DEALS))
 @pytest.mark.parametrize("wname", SWEEP_WORKLOADS)
 def test_identical_under_every_deal(wname, deal, lowering):
@@ -137,18 +132,18 @@ def test_identical_under_every_deal(wname, deal, lowering):
     case = {**CASES, **_synthetic_cases()}[wname]
     cedar, _ = cached_restructure(case.source)
     tree = _outcome(cedar, case, seed=3, processors=8, engine="tree",
-                    deal=DEALS[deal])
+                    deal=DEALS[deal], lowering=lowering)
     fast = _outcome(cedar, case, seed=3, processors=8, engine="compiled",
-                    deal=DEALS[deal])
+                    deal=DEALS[deal], lowering=lowering)
     assert_bit_identical(tree, fast, f"{wname}@deal={deal}[{lowering}]")
 
 
-@pytest.mark.parametrize("lowering", ["scalar"], indirect=True)
 @pytest.mark.parametrize("wname", sorted(CASES))
-def test_scalar_text_counts_the_trees_steps(wname, lowering):
-    """With no loop on vector text, the compiled engine counts every
-    statement as ``exec_body`` does: the bodies its scalar text writes
-    inline and the DOALL shares it runs as worker functions alike."""
+def test_scalar_text_counts_the_trees_steps(wname):
+    """Unrecorded, with no loop on vector text, the compiled engine
+    counts every statement as ``exec_body`` does: the bodies its scalar
+    text writes inline and the DOALL shares it runs as worker functions
+    alike.  (A vector form counts as one statement.)"""
     case = CASES[wname]
     programs = {"sequential": cached_parse(case.source)}
     for config in sorted(PIPELINE_CONFIGS):
@@ -193,8 +188,6 @@ def test_shadow_recorder_keeps_selected_engine():
     ``compiled`` it no longer turns the lowerer off: ``cg``'s three
     strip-mined DOALLs run as whole grids and log their accesses in
     bulk, with the same number of loops checked as the tree walk."""
-    from repro.execmodel.shadow import ShadowRecorder
-
     case = CASES["cg"]
     cedar, _ = cached_restructure(case.source)
     checked = {}

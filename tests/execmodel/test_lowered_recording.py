@@ -171,9 +171,10 @@ def test_partial_sum_doall_is_the_trees(data, n, processors, deal, nested,
                   shadowed=shadowed)
         tree, sh_t, _ = run(program, "r", args, engine="tree", **kw)
         fast, sh_c, comp = run(program, "r", args, engine="compiled", **kw)
-        # under a deal that is no partition the DOALL hands over to
-        # ``_parallel_do``, and a nested body's DO lowers on its own
-        assert comp.vectorized_loops >= 1, "the generated shape must lower"
+        # recorder-aware text only; under a deal that is no partition the
+        # DOALL's vector form hands over to ``_parallel_do``
+        assert comp.vectorized_loops == shadowed, \
+            "the generated shape must lower"
         assert_bit_identical(tree, fast, "tree vs compiled")
         if shadowed:
             assert sh_c.loops_checked == sh_t.loops_checked == 1
@@ -182,16 +183,21 @@ def test_partial_sum_doall_is_the_trees(data, n, processors, deal, nested,
 
 class TestShapesThatKeepTheFallback:
     """Anything but real partials initialised by a literal and combined
-    under a lock stays worker-by-worker — and still the tree's answer."""
+    under a lock stays worker-by-worker under a recorder — and still the
+    tree's answer and verdict."""
 
     SRC = partial_sum_source(
         [("p1", 0.0, "s1", "+", "p1 = p1 + x(i) * y(i)")], False, False)
 
     def _check(self, program, lowered):
         args = partial_sum_args(17, 0, 5)
-        tree, _, _ = run(program, "r", args, engine="tree")
-        fast, _, comp = run(program, "r", args, engine="compiled")
+        tree, sh_t, _ = run(program, "r", args, engine="tree",
+                            shadowed=True)
+        fast, sh_c, comp = run(program, "r", args, engine="compiled",
+                               shadowed=True)
         assert_bit_identical(tree, fast, "tree vs compiled")
+        assert conflicts_of(sh_c) == conflicts_of(sh_t)
+        assert sh_c.loops_checked == sh_t.loops_checked == 1
         assert comp.vectorized_loops == lowered
 
     def test_the_canonical_shape_lowers(self):
@@ -243,6 +249,21 @@ NESTED_SRC = """
       end
 """
 
+
+def nested_program(outer_doall: bool):
+    """``NESTED_SRC`` with its inner DO a DOALL, and its outer one too
+    when ``outer_doall``."""
+    sf = parse_program(NESTED_SRC)
+    body = sf.units[0].body
+    at = next(i for i, s in enumerate(body) if isinstance(s, F.DoLoop))
+    outer = body[at]
+    inner = next(j for j, s in enumerate(outer.body)
+                 if isinstance(s, F.DoLoop))
+    outer.body[inner] = as_doall(outer.body[inner])
+    if outer_doall:
+        body[at] = as_doall(outer)
+    return sf
+
 ALIAS_SRC = """
       subroutine top(n, x)
       integer n
@@ -265,26 +286,31 @@ def conflicts_of(sh):
 
 
 def test_loop_inside_a_checked_iteration_records_per_access():
-    """The inner DO lowers, but while the outer DOALL is being checked
-    every write of it must land in that loop's log in program order:
-    every ``k`` writes column 1, and both engines say so identically."""
-    program = doall_program(NESTED_SRC, locals_=[("i", "integer")])
+    """The inner DOALL lowers, but while the outer DOALL is being
+    checked every write of it must land in that loop's log in program
+    order: every ``k`` writes column 1, and both engines say so
+    identically."""
+    program = nested_program(outer_doall=True)
     args = [6, 5, np.zeros((8, 8)), np.arange(64.0).reshape(8, 8),
             np.zeros(8)]
     tree, sh_t, _ = run(program, "nest", args, engine="tree",
                         shadowed=True)
     fast, sh_c, comp = run(program, "nest", args, engine="compiled",
                            shadowed=True)
-    assert comp.vectorized_loops == 1      # the inner DO has a lowering
+    assert comp.vectorized_loops == 1    # the inner DOALL has a lowering
     assert_bit_identical(tree, fast, "tree vs compiled")
     assert sh_t.conflicts and conflicts_of(sh_c) == conflicts_of(sh_t)
-    assert sh_c.loops_checked == sh_t.loops_checked == 1
-    # outside any checked loop the same text runs lowered and silent
-    seq = parse_program(NESTED_SRC)
-    tree, _, _ = run(seq, "nest", args, engine="tree", shadowed=True)
-    fast, sh_c, _ = run(seq, "nest", args, engine="compiled", shadowed=True)
+    assert sh_c.loops_checked == sh_t.loops_checked
+    # outside any checked loop the same nest runs lowered, logged in
+    # bulk, and conflict-free
+    seq = nested_program(outer_doall=False)
+    tree, sh_t, _ = run(seq, "nest", args, engine="tree", shadowed=True)
+    fast, sh_c, comp = run(seq, "nest", args, engine="compiled",
+                           shadowed=True)
+    assert comp.vectorized_loops == 1
     assert_bit_identical(tree, fast, "tree vs compiled")
-    assert sh_c.loops_checked == 0
+    assert sh_c.loops_checked == sh_t.loops_checked == 5
+    assert sh_c.conflicts == sh_t.conflicts == []
 
 
 def test_aliased_dummies_keep_the_instrumented_loop():

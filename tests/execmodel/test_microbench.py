@@ -85,7 +85,8 @@ def test_tree_walk_throughput_floor():
 
 # vectorizable kernel: elementwise nest + guard — the shape the loop
 # lowerer turns into whole-array NumPy instead of per-element dispatch
-# (3 stmts x n^2 lanes).
+# (3 stmts x n^2 lanes) once its outer DO is a DOALL run under a race
+# detector; unrecorded, it runs its scalar text.
 VEC_KERNEL = """
       subroutine smooth(n, a, b, c)
       integer n, i, j
@@ -106,15 +107,31 @@ VEC_KERNEL = """
 VN = 64
 
 
-def _run_warm(engine: str) -> tuple[float, dict, object]:
+def _skip_if_opted_out():
+    """Set REPRO_SKIP_PERF_TESTS=1 to skip wall-clock assertions
+    entirely on hosts too loaded to time anything (shared build boxes,
+    heavily throttled containers)."""
+    import os
+
+    if os.environ.get("REPRO_SKIP_PERF_TESTS") == "1":
+        import pytest
+
+        pytest.skip("REPRO_SKIP_PERF_TESTS=1: host opted out of "
+                    "wall-clock assertions")
+
+
+def _run_warm(engine: str, program, recorded: bool
+              ) -> tuple[float, dict, object]:
     """Best-of-5 *warm* call time: compilation (and module emission)
     happens on a discarded warmup call, so this measures the execute
     path alone — the quantity the engines differ on."""
-    sf = cached_parse(VEC_KERNEL)
+    from repro.execmodel.shadow import ShadowRecorder
+
     rng = np.random.default_rng(7)
     a = np.asarray(rng.standard_normal((VN, VN)), dtype=np.float64)
     b = np.asarray(rng.standard_normal((VN, VN)), dtype=np.float64)
-    interp = Interpreter(sf, processors=1, engine=engine)
+    interp = Interpreter(program, processors=1, engine=engine,
+                         shadow=ShadowRecorder() if recorded else None)
     interp.call("smooth", VN, a, b.copy(), np.zeros((VN, VN)))
     best = float("inf")
     out = None
@@ -126,34 +143,55 @@ def _run_warm(engine: str) -> tuple[float, dict, object]:
     return best, out, interp._compiler
 
 
-def test_vectorized_nest_beats_tree_walk():
-    """The warm fast-tier floor: on a vectorizable nest the emitted
-    NumPy module must beat the tree walk's per-element dispatch.
-
-    Measured headroom is over two orders of magnitude on development
-    hosts; asserting 4x (t < 0.25 * tree) leaves ample margin for noisy
-    CI runners.  Set REPRO_SKIP_PERF_TESTS=1 to skip wall-clock
-    assertions entirely on hosts too loaded to time anything (shared
-    build boxes, heavily throttled containers)."""
-    import os
-
-    if os.environ.get("REPRO_SKIP_PERF_TESTS") == "1":
-        import pytest
-
-        pytest.skip("REPRO_SKIP_PERF_TESTS=1: host opted out of "
-                    "wall-clock assertions")
-    t_tree, out_tree, _ = _run_warm("tree")
-    t_fast, out_fast, comp = _run_warm("compiled")
+def _engines(program, recorded: bool) -> tuple[float, float, object]:
+    """Warm tree and compiled times of the kernel, checked bit-equal."""
+    t_tree, out_tree, _ = _run_warm("tree", program, recorded)
+    t_fast, out_fast, comp = _run_warm("compiled", program, recorded)
     # numerics first — a fast wrong answer is not a win
     for k in out_tree:
         assert np.asarray(out_tree[k]).tobytes() \
             == np.asarray(out_fast[k]).tobytes(), k
+    return t_tree, t_fast, comp
+
+
+def test_vectorized_nest_beats_tree_walk():
+    """The warm vector-text floor: on a race-checked DOALL nest the
+    emitted NumPy module, logging in bulk, must beat the recorded tree
+    walk's per-element dispatch and logging.
+
+    Asserting 4x (t < 0.25 * tree) leaves ample margin for noisy CI
+    runners; REPRO_SKIP_PERF_TESTS=1 skips it."""
+    from tests.execmodel.test_lowered_recording import doall_program
+
+    _skip_if_opted_out()
+    # the outer DO as a DOALL declaring ``i`` private: the nest the
+    # recorder-aware vector text takes
+    t_tree, t_fast, comp = _engines(
+        doall_program(VEC_KERNEL, locals_=[("i", "integer")]),
+        recorded=True)
     # the lowering must actually have engaged, or the comparison is
     # scalar-text-vs-tree and proves nothing about the vector path
     assert comp.vectorized_loops >= 1
     assert t_fast < t_tree * 0.25, (
-        f"warm compiled engine not faster: {t_fast * 1e3:.2f}ms vs "
+        f"warm recorded vector text not faster: {t_fast * 1e3:.2f}ms vs "
         f"tree {t_tree * 1e3:.2f}ms")
+
+
+def test_scalar_text_beats_tree_walk_on_the_vector_kernel():
+    """The warm scalar-text floor on the same kernel unrecorded, where
+    no loop takes a vector form: names resolved once, the nest written
+    inline as a closed region.
+
+    Measured at about 14x on a 2-CPU x86-64 container; asserting 4x
+    leaves margin for noisy runners.  REPRO_SKIP_PERF_TESTS=1 skips
+    it."""
+    _skip_if_opted_out()
+    t_tree, t_fast, comp = _engines(cached_parse(VEC_KERNEL),
+                                    recorded=False)
+    assert comp.vectorized_loops == 0
+    assert t_fast < t_tree * 0.25, (
+        f"warm scalar text not 4x the tree walk: {t_fast * 1e3:.2f}ms "
+        f"vs tree {t_tree * 1e3:.2f}ms")
 
 
 def test_scalar_text_beats_tree_walk_on_the_csr_row_loop():
@@ -163,14 +201,8 @@ def test_scalar_text_beats_tree_walk_on_the_csr_row_loop():
 
     Measured at 8-9x on a 2-CPU x86-64 container; asserting 4x leaves
     margin for noisy runners.  REPRO_SKIP_PERF_TESTS=1 skips it, like
-    the vector-text floor above."""
-    import os
-
-    if os.environ.get("REPRO_SKIP_PERF_TESTS") == "1":
-        import pytest
-
-        pytest.skip("REPRO_SKIP_PERF_TESTS=1: host opted out of "
-                    "wall-clock assertions")
+    the floors above."""
+    _skip_if_opted_out()
     from repro.workloads.linalg import sparse
 
     n = 24

@@ -33,7 +33,7 @@ from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
 from tests.execmodel.test_engine_equivalence import (assert_bit_identical,
                                                      duplicating_deal,
-                                                     lossy_deal, lowering)
+                                                     lossy_deal)
 from tests.validate.test_order_independence import reversed_deal
 
 #: generated programs: 40, or ``SCALAR_TEXT_FUZZ=N``
@@ -949,12 +949,10 @@ def test_closed_regions_keep_common_names_and_dummies_per_access(
     assert "_u" in text
 
 
-@pytest.mark.parametrize("lowering", ["vector", "scalar"],
-                         indirect=True)
-def test_integer_accumulator_is_the_trees(lowering, monkeypatch):
+def test_integer_accumulator_is_the_trees(monkeypatch):
     """A reduction into an INTEGER accumulator replays every truncating
-    store on a local and stores it back once: in its vector form, and
-    — in the tree's steps — as a closed region of the scalar text."""
+    store on a local and stores it back once, in the tree's steps, as a
+    closed region of the scalar text."""
     src = """
       subroutine s(n, a, b)
       integer n, i, k
@@ -980,7 +978,6 @@ def test_integer_accumulator_is_the_trees(lowering, monkeypatch):
     for x in a:
         k = int(k + x * 2.5)
     args = [9, a, np.zeros(9)]
-    vector = lowering == "vector"
     for processors in (1, 4):
         (tree, _, t), (fast, _, c) = [
             _run(parse_program(src), "s", args, engine=engine,
@@ -988,11 +985,9 @@ def test_integer_accumulator_is_the_trees(lowering, monkeypatch):
             for engine in ("tree", "compiled")]
         assert_bit_identical(tree, fast, f"P={processors}")
         assert fast["b"][0] == k
-        assert c._compiler.vectorized_loops == vector
-        if not vector:
-            assert c._steps == t._steps
-    marker = "def _v" if vector else "# closed region"
-    assert any(marker in text and "SV('i', 'k'" in text
+        assert c._compiler.vectorized_loops == 0
+        assert c._steps == t._steps
+    assert any("# closed region" in text and "SV('i', 'k'" in text
                for text in texts)
 
 

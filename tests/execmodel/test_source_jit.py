@@ -2,11 +2,13 @@
 
 Bit-identity with the tree walk is the golden suite's job
 (test_engine_equivalence.py); this file pins the *mechanics*: which
-loop shapes vectorize (whole nests, guarded bodies, reductions), which
-are rejected (recurrences), that the restructurer's strip-mined
-PARALLEL DO output is recognized, that emitted modules round-trip
-through the jit-source cache, and that a poisoned module never breaks
-execution — the list falls back to the tree walk.
+DOALL-headed nests take a vector form under a ``ShadowRecorder`` (whole
+nests, guarded bodies, affine stencils), which are rejected
+(recurrences), that the restructurer's strip-mined PARALLEL DO output
+is recognized, that the unrecorded engine runs no vector text at all,
+that emitted modules round-trip through the jit-source cache, and that
+a poisoned module never breaks execution — the list falls back to the
+tree walk.
 """
 
 import hashlib
@@ -20,10 +22,11 @@ from repro.cedar import nodes as C
 from repro.engine import cached_parse, cached_restructure
 from repro.engine import cache as cache_mod
 from repro.execmodel.interp import Interpreter
+from repro.execmodel.shadow import ShadowRecorder
 from repro.execmodel.source_jit import JIT_VERSION
-from repro.fortran import ast_nodes as F
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
+from tests.execmodel.test_lowered_recording import doall_program
 
 CASES = validation_cases()
 
@@ -33,8 +36,8 @@ CASES = validation_cases()
 #: inputs and module text].  Regenerate (only together with a JIT_VERSION bump) by
 #: running this file:
 #: ``PYTHONPATH=src python tests/execmodel/test_source_jit.py`` — which
-#: refuses to write a file in which any entry vectorizes fewer loops
-#: than the one it replaces.
+#: refuses to write a file in which any entry runs a loop on vector text
+#: or leaves a list to the tree.
 GOLDEN = Path(__file__).with_name("jit_source_golden.json")
 
 ELEM = """
@@ -61,22 +64,6 @@ GUARD = """
             a(i) = 0.0
          endif
    10 continue
-      return
-      end
-"""
-
-RED = """
-      subroutine sums(n, x, s, lo)
-      integer n, i
-      real x(n), s, lo
-      s = 0.0
-      lo = x(1)
-      do 10 i = 1, n
-         s = s + x(i)
-   10 continue
-      do 20 i = 1, n
-         lo = min(lo, x(i))
-   20 continue
       return
       end
 """
@@ -154,6 +141,25 @@ def _both(src, entry, *args, processors=1):
     return tree, out, interp._compiler
 
 
+def _recorded(src, entry, *args, locals_=(), processors=4):
+    """:func:`_both` on ``src``'s DOALL form, a ``ShadowRecorder`` on
+    each engine, whose verdicts must agree."""
+    def fresh():
+        return [np.copy(a) if isinstance(a, np.ndarray) else a
+                for a in args]
+
+    program = doall_program(src, locals_=locals_)
+    runs = []
+    for engine in ("tree", "compiled"):
+        interp = Interpreter(program, processors=processors,
+                             shadow=ShadowRecorder(), engine=engine)
+        runs.append((interp.call(entry, *fresh()), interp.shadow))
+    (tree, sh_t), (out, sh_c) = runs
+    assert sh_c.loops_checked == sh_t.loops_checked
+    assert sh_c.conflicts == sh_t.conflicts
+    return tree, out, interp._compiler
+
+
 def _assert_bits(tree, out):
     assert set(tree) == set(out)
     for k in tree:
@@ -162,29 +168,30 @@ def _assert_bits(tree, out):
 
 
 class TestVectorizedShapes:
+    """Recorded DOALL-headed nests that run as one grid, logged in
+    bulk; the same nests unrecorded run their scalar text."""
+
     def test_whole_nest_broadcasts(self):
         b = np.arange(36.0).reshape(6, 6)
-        tree, out, comp = _both(ELEM, "scale2", 6, np.zeros((6, 6)), b)
+        tree, out, comp = _recorded(ELEM, "scale2", 6, np.zeros((6, 6)), b,
+                                    locals_=[("i", "integer")])
         _assert_bits(tree, out)
         assert comp.vectorized_loops == 1
+        tree, out, comp = _both(ELEM, "scale2", 6, np.zeros((6, 6)), b)
+        _assert_bits(tree, out)
+        assert comp.vectorized_loops == 0
 
     def test_guarded_body_uses_masked_lanes(self):
         b = np.linspace(-1.0, 1.0, 8)
-        tree, out, comp = _both(GUARD, "clip", 8, np.zeros(8), b)
+        tree, out, comp = _recorded(GUARD, "clip", 8, np.zeros(8), b)
         _assert_bits(tree, out)
         assert comp.vectorized_loops == 1
-
-    def test_sum_and_min_reductions(self):
-        x = np.arange(9.0) - 4.0
-        tree, out, comp = _both(RED, "sums", 9, x, 0.0, 0.0)
-        _assert_bits(tree, out)
-        assert comp.vectorized_loops == 2    # the + spine and the min
 
     def test_affine_stencil_with_disjoint_reads(self):
         """Reads at j-1/j+1 of an array *not* written in the loop are
         loop-invariant inputs — the offset subscripts vectorize."""
         u = np.arange(10.0)
-        tree, out, comp = _both(STENCIL, "relax", 10, u, np.zeros(10))
+        tree, out, comp = _recorded(STENCIL, "relax", 10, u, np.zeros(10))
         _assert_bits(tree, out)
         assert comp.vectorized_loops == 1
 
@@ -192,21 +199,23 @@ class TestVectorizedShapes:
 class TestRejectedShapes:
     def test_recurrence_falls_back_not_wrong(self):
         """x(i) = x(i-1) + x(i): the read mask differs from the write
-        mask, so the proof rejects the loop; the tree semantics are
-        replayed by the loop's scalar text."""
+        mask, so the proof rejects the loop; the tree semantics — and
+        the conflicts the tree reports — are replayed by the loop's
+        scalar text."""
         x = np.arange(7.0) + 1.0
-        tree, out, comp = _both(RECUR, "scan", 7, x)
+        tree, out, comp = _recorded(RECUR, "scan", 7, x)
         _assert_bits(tree, out)
         assert comp.vectorized_loops == 0
         assert comp.scalar_stmts >= 1 and comp.tree_lists == 0
 
     def test_recurrent_workload_never_vectorizes(self):
         """tridag's sweeps are genuine recurrences end to end — the
-        engine must not claim a single nest there."""
+        engine must not claim a single nest there, recorded or not."""
         case = CASES["tridag"]
         cedar, _ = cached_restructure(case.source)
         args, _ = case.make_args(case.n, np.random.default_rng(3))
-        interp = Interpreter(cedar, processors=4, engine="compiled")
+        interp = Interpreter(cedar, processors=4, engine="compiled",
+                             shadow=ShadowRecorder())
         interp.call(case.entry, *args)
         assert interp._compiler.vectorized_loops == 0
 
@@ -243,12 +252,13 @@ class TestLoweredLoopIsTheTreesLoop:
         monkeypatch.setattr(cache_mod, "_DEFAULT",
                             cache_mod.CompilationCache())
         a = np.array([-1.0, 2.0, -3.0])
-        _, out, comp = _both(ABS_LOOP, "t", 3, a, np.zeros(3))
+        _, out, comp = _recorded(ABS_LOOP, "t", 3, a, np.zeros(3))
         assert out["b"].tolist() == [1.0, 2.0, 3.0]
         assert comp.vectorized_loops == 1
-        tree, out, comp = _both(USER_ABS, "t", 3, a, np.zeros(3))
+        tree, out, comp = _recorded(USER_ABS, "t", 3, a, np.zeros(3))
         assert out["b"].tolist() == [99.0, 102.0, 97.0]
         _assert_bits(tree, out)
+        assert comp.vectorized_loops == 0
 
 
 #: ``a(i)`` loaded, stored, and loaded again: the last load must see the
@@ -298,13 +308,14 @@ SUBSCRIPT_AND_VALUE = """
 """
 
 
-def _module_text(src, rec):
+def _module_text(src):
+    """The recorder-aware module text of ``src``'s DOALL form."""
     from repro.execmodel.source_jit import emit_module
 
-    sf = cached_parse(src)
+    sf = doall_program(src)
     unit = sf.units[0]
     return emit_module(Interpreter(sf, engine="compiled"), unit.body,
-                       unit.name, rec)
+                       unit.name, True)
 
 
 class TestLoadReuse:
@@ -313,42 +324,35 @@ class TestLoadReuse:
     the next store, guard arm or nest level."""
 
     def _check(self, src, entry, args):
-        from repro.execmodel.shadow import ShadowRecorder
-        from repro.fortran.parser import parse_program
-        from tests.execmodel.test_lowered_recording import as_doall
-
-        sf = cached_parse(src)
-        doall = parse_program(src)       # not the cached, shared tree
-        body = doall.units[0].body
-        at = next(i for i, st in enumerate(body)
-                  if isinstance(st, F.DoLoop))
-        body[at] = as_doall(body[at])
-        for program in (sf, doall):
-            for shadowed in (False, True):
-                runs = []
-                for engine in ("tree", "compiled"):
-                    sh = ShadowRecorder() if shadowed else None
-                    interp = Interpreter(program, processors=4, shadow=sh,
-                                         engine=engine)
-                    out = interp.call(entry, *[
-                        np.copy(a) if isinstance(a, np.ndarray) else a
-                        for a in args])
-                    runs.append((out, sh))
-                (tree, sh_t), (out, sh_c) = runs
-                _assert_bits(tree, out)
-                assert interp._compiler.vectorized_loops == 1
-                if shadowed:
-                    assert sh_c.loops_checked == sh_t.loops_checked
-                    assert sh_c.conflicts == sh_t.conflicts
+        # the DO, and the DOALL unrecorded, run their scalar text
+        doall = doall_program(src)
+        for program, shadowed in ((cached_parse(src), False),
+                                  (cached_parse(src), True),
+                                  (doall, False), (doall, True)):
+            lowered = int(program is doall and shadowed)
+            runs = []
+            for engine in ("tree", "compiled"):
+                sh = ShadowRecorder() if shadowed else None
+                interp = Interpreter(program, processors=4, shadow=sh,
+                                     engine=engine)
+                out = interp.call(entry, *[
+                    np.copy(a) if isinstance(a, np.ndarray) else a
+                    for a in args])
+                runs.append((out, sh))
+            (tree, sh_t), (out, sh_c) = runs
+            _assert_bits(tree, out)
+            assert interp._compiler.vectorized_loops == lowered
+            if shadowed:
+                assert sh_c.loops_checked == sh_t.loops_checked
+                assert sh_c.conflicts == sh_t.conflicts
 
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_a_store_between_two_loads_reloads(self, n):
         a = np.arange(7.0) - 3.0
         self._check(STORE_BETWEEN, "sb", [n, a, np.zeros(7), np.zeros(7)])
-        for rec in (False, True):
-            # each statement loads a(i) itself: the first is followed by
-            # a store (to b), the last follows the store to a
-            assert _module_text(STORE_BETWEEN, rec).count("VL(") == 3
+        # each statement loads a(i) itself: the first is followed by a
+        # store (to b), the last follows the store to a
+        assert _module_text(STORE_BETWEEN).count("VL(") == 3
 
     @pytest.mark.parametrize("cut", [-10.0, 0.0, 10.0],
                              ids=["every-lane", "some-lanes", "no-lane"])
@@ -357,22 +361,19 @@ class TestLoadReuse:
         w = np.array([0.0, cut, 0.5, 0.0])
         self._check(IN_AND_OUT_OF_ARM, "arm",
                     [9, a, np.zeros(9), np.zeros(9), w])
-        for rec in (False, True):
-            # guard: a(i), w(2); each arm: a(i), w(3) on its own lanes;
-            # after the arms: a(i), w(3) again
-            assert _module_text(IN_AND_OUT_OF_ARM, rec).count("VL(") == 8
+        # guard: a(i), w(2); each arm: a(i), w(3) on its own lanes; after
+        # the arms: a(i), w(3) again
+        assert _module_text(IN_AND_OUT_OF_ARM).count("VL(") == 8
 
     def test_a_load_in_the_stored_subscript_and_in_the_value(self):
         self._check(SUBSCRIPT_AND_VALUE, "sv",
                     [5, np.zeros((5, 2)), np.arange(5.0),
                      np.array([2, 1], dtype=np.int64)])
-        for rec in (False, True):
-            assert _module_text(SUBSCRIPT_AND_VALUE, rec).count("VL(") == 2
+        assert _module_text(SUBSCRIPT_AND_VALUE).count("VL(") == 2
 
     def test_svdcmp_reduction_loop_loads_each_column_once(self):
         """svdcmp's partial-sum DOALL accumulates a(i,p)**2, a(i,q)**2
         and a(i,p)*a(i,q): two grid loads, each logged once."""
-        from repro.execmodel.shadow import ShadowRecorder
         from repro.execmodel.source_jit import _LoopLowerer
 
         case = CASES["svdcmp"]
@@ -382,19 +383,19 @@ class TestLoadReuse:
                  if isinstance(n, C.ParallelDo) and n.postamble]
         interp = Interpreter(cedar, processors=4, engine="compiled",
                              shadow=ShadowRecorder())
-        text = "\n".join(_LoopLowerer(interp, pdo, "svdcmp", True).emit(0))
+        text = "\n".join(_LoopLowerer(interp, pdo, "svdcmp").emit(0))
         assert "OPEN(" in text and text.count("VL(") == 2
 
 
 class TestRestructuredPrograms:
-    """The generalized fast path must engage on the restructurer's own
-    output — strip-mined PARALLEL DO nests, guards, reductions — not
-    just on handwritten kernels.  These counts are the breadth
-    regression guard: a silent narrowing of eligibility flips one to
-    zero long before wall clocks move."""
+    """The bulk logger must engage on the restructurer's own output —
+    strip-mined PARALLEL DO nests, guards, partial sums — not just on
+    handwritten kernels.  These counts, of race-checked runs, are the
+    breadth regression guard: a silent narrowing of eligibility flips
+    one to zero long before wall clocks move."""
 
-    # every workload here gets at least one vectorized nest today
-    EXPECTED_MIN = {"OCEAN": 2, "ARC2D": 2, "cg": 3, "sparse": 3,
+    # every workload here gets at least one vectorized DOALL today
+    EXPECTED_MIN = {"OCEAN": 1, "ARC2D": 2, "cg": 3, "sparse": 3,
                     "TRFD": 2, "MDG": 1, "svdcmp": 1}
 
     @pytest.mark.parametrize("wname", sorted(EXPECTED_MIN))
@@ -402,7 +403,8 @@ class TestRestructuredPrograms:
         case = CASES[wname]
         cedar, _ = cached_restructure(case.source)
         args, _ = case.make_args(case.n, np.random.default_rng(3))
-        interp = Interpreter(cedar, processors=4, engine="compiled")
+        interp = Interpreter(cedar, processors=4, engine="compiled",
+                             shadow=ShadowRecorder())
         interp.call(case.entry, *args)
         assert interp._compiler.vectorized_loops \
             >= self.EXPECTED_MIN[wname], (
@@ -414,7 +416,7 @@ class TestRestructuredPrograms:
         loop in the committed workloads that only a vectoriser deleted
         with its tier once took under ``engine="compiled"``; rejected
         by the lowerer, it would silently run worker-by-worker through
-        ``_parallel_do``."""
+        the instrumented ``_parallel_do`` under a race-checked run."""
         from repro.cedar.nodes import ParallelDo
         from repro.execmodel.source_jit import _LoopLowerer
         from repro.validate.configs import PIPELINE_CONFIGS
@@ -424,7 +426,8 @@ class TestRestructuredPrograms:
                                       PIPELINE_CONFIGS["automatic"]())
         [pdo] = [n for n in cedar.walk() if isinstance(n, ParallelDo)]
         assert (pdo.line, pdo.order) == (19, "doall")
-        interp = Interpreter(cedar, processors=4, engine="compiled")
+        interp = Interpreter(cedar, processors=4, engine="compiled",
+                             shadow=ShadowRecorder())
         _LoopLowerer(interp, pdo, "qcd")    # raises when ineligible
         args, _ = case.make_args(case.n, np.random.default_rng(3))
         interp.call(case.entry, *args)
@@ -466,8 +469,9 @@ def compiled_engine_footprint(cache) -> dict:
 class TestOffMeansOff:
     """A recorder can ride on the compiled engine; without one the
     engine must not know: same module text under the same cache keys,
-    same loops vectorized, same statements on scalar text, and not one
-    list of the 66 programs left to the tree."""
+    same statements on scalar text, not one loop on vector text (the
+    vector forms log in bulk, and nothing logs here), and not one list
+    of the 66 programs left to the tree."""
 
     def test_unrecorded_footprint_is_the_golden_one(self, monkeypatch):
         golden = json.loads(GOLDEN.read_text())
@@ -477,8 +481,8 @@ class TestOffMeansOff:
         monkeypatch.setattr(cache_mod, "_DEFAULT", cache)
         assert compiled_engine_footprint(cache) == golden
         assert len(golden) == 3 * len(CASES)
-        assert not any(tree_lists for _, _, tree_lists, _ in
-                       golden.values())
+        assert not any(vector or tree_lists for vector, _, tree_lists, _
+                       in golden.values())
 
 
 class TestModuleCache:
@@ -505,7 +509,8 @@ class TestModuleCache:
         """A digest-valid but unparseable stored module (stale entry,
         hand-edited store) must not take the engine down: compile()
         fails, that list — here the entry unit's body — runs on the
-        tree, says so once, and results stay bit-identical."""
+        tree, says so once, and results stay bit-identical and race
+        verdicts the tree's; the nested lists still take vector text."""
         from repro.telemetry import log
 
         served = []
@@ -520,10 +525,12 @@ class TestModuleCache:
         case = CASES["cg"]
         cedar, _ = cached_restructure(case.source)
         args, _ = case.make_args(case.n, np.random.default_rng(3))
-        tree = Interpreter(cedar, processors=4,
+        tree_sh = ShadowRecorder()
+        tree = Interpreter(cedar, processors=4, shadow=tree_sh,
                            engine="tree").call(case.entry, *args)
         args2, _ = case.make_args(case.n, np.random.default_rng(3))
-        interp = Interpreter(cedar, processors=4, engine="compiled")
+        interp = Interpreter(cedar, processors=4, engine="compiled",
+                             shadow=ShadowRecorder())
         log.configure("warning", path=tmp_path / "log.jsonl")
         try:
             out = interp.call(case.entry, *args2)
@@ -532,6 +539,8 @@ class TestModuleCache:
         _assert_bits(tree, out)
         assert interp._compiler.tree_lists == 1
         assert interp._compiler.vectorized_loops >= 1   # nested lists
+        assert interp.shadow.conflicts == tree_sh.conflicts
+        assert interp.shadow.loops_checked == tree_sh.loops_checked
         events = [json.loads(line) for line in
                   (tmp_path / "log.jsonl").read_text().splitlines()]
         assert [(e["event"], e["fields"]["error_type"]) for e in events] \
@@ -571,10 +580,9 @@ if __name__ == "__main__":
     cache_mod._DEFAULT = cache_mod.CompilationCache()
     rows = {"jit_version": JIT_VERSION,
             **compiled_engine_footprint(cache_mod._DEFAULT)}
-    before = json.loads(GOLDEN.read_text())
-    fell = {k: (before[k][0], v[0]) for k, v in rows.items()
-            if k != "jit_version" and k in before and v[0] < before[k][0]}
-    assert not fell, f"vectorized_loops fell (was, now): {fell}"
+    off = {k: v for k, v in rows.items()
+           if k != "jit_version" and (v[0] or v[2])}
+    assert not off, f"vector-text loops or tree lists unrecorded: {off}"
     GOLDEN.write_text("{\n" + ",\n".join(
         f"{json.dumps(k)}: {json.dumps(v)}" for k, v in rows.items())
         + "\n}\n")

@@ -12,6 +12,11 @@ from repro.restructurer.criticals import (
     plan_critical_section,
 )
 from repro.restructurer.doacross import build_doacross, plan_doacross
+from repro.restructurer.options import RestructurerOptions
+
+#: the operation counts' assumed trips of a DO of unknown bounds: the
+#: planner's own
+TRIP = RestructurerOptions().default_trip
 
 
 def get_loop(src):
@@ -38,7 +43,7 @@ class TestDoacross:
 
     def test_plan_finds_minimal_region(self):
         loop, g = get_loop(self.CASCADE)
-        plan = plan_doacross(loop, g)
+        plan = plan_doacross(loop, g, default_trip=TRIP)
         assert plan is not None
         # only the b-recurrence statement is synchronized
         assert plan.first == plan.last == 1
@@ -46,7 +51,7 @@ class TestDoacross:
 
     def test_delay_factor(self):
         loop, g = get_loop(self.CASCADE)
-        plan = plan_doacross(loop, g)
+        plan = plan_doacross(loop, g, default_trip=TRIP)
         # region is roughly a third of the body; per §3.3 divided by procs
         f8 = plan.delay_factor(8)
         f32 = plan.delay_factor(32)
@@ -54,7 +59,7 @@ class TestDoacross:
 
     def test_build_brackets_region(self):
         loop, g = get_loop(self.CASCADE)
-        plan = plan_doacross(loop, g)
+        plan = plan_doacross(loop, g, default_trip=TRIP)
         pdo = build_doacross(plan, level="C")
         kinds = [type(s).__name__ for s in pdo.body]
         ai = kinds.index("AwaitStmt")
@@ -73,7 +78,41 @@ class TestDoacross:
       end do
       end
 """)
-        assert plan_doacross(loop, g) is None
+        assert plan_doacross(loop, g, default_trip=TRIP) is None
+
+    def test_region_is_priced_at_the_planners_trip_count(self,
+                                                         monkeypatch):
+        """A sync region that is the whole body, holding a DO of unknown
+        trip count: the plan's ``region_ops`` is the ``body_ops`` the
+        planner scores the DOACROSS against, not a tenth of it."""
+        import repro
+        from repro.restructurer import planner
+        from repro.restructurer.costmodel import estimate_body_ops
+
+        plans = []
+        plan = planner.plan_doacross
+
+        def spy(*args, **kwargs):
+            plans.append(plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(planner, "plan_doacross", spy)
+        repro.restructure_source("""
+      subroutine s(n, m, a, b)
+      integer n, m, i, j
+      real a(n), b(n, m)
+      do i = 2, n
+         do j = 1, m
+            b(i, j) = b(i, j) * a(i - 1)
+         end do
+         a(i) = b(i, 1) + 1.0
+      end do
+      end
+""")
+        [p] = [p for p in plans if p is not None]
+        assert (p.first, p.last) == (0, len(p.loop.body) - 1)
+        assert p.region_ops == p.body_ops \
+            == estimate_body_ops(p.loop.body, TRIP)
 
     def test_unknown_distance_declines(self):
         loop, g = get_loop("""
@@ -86,7 +125,7 @@ class TestDoacross:
       end do
       end
 """)
-        assert plan_doacross(loop, g) is None
+        assert plan_doacross(loop, g, default_trip=TRIP) is None
 
 
 class TestCriticalSections:
@@ -114,13 +153,15 @@ class TestCriticalSections:
     def test_plan_accepts_append_idiom(self):
         loop, g = get_loop(self.HITS)
         # the planner passes the privatizable scalars as the ignore set
-        plan = plan_critical_section(loop, g, ignore={"d", "k"})
+        plan = plan_critical_section(loop, g, ignore={"d", "k"},
+                                     default_trip=TRIP)
         assert plan is not None
         assert "nhit" in plan.variables
 
     def test_build_brackets_with_locks(self):
         loop, g = get_loop(self.HITS)
-        plan = plan_critical_section(loop, g, ignore={"d", "k"})
+        plan = plan_critical_section(loop, g, ignore={"d", "k"},
+                                     default_trip=TRIP)
         pdo = build_critical_loop(plan)
         kinds = [type(s).__name__ for s in pdo.body]
         assert kinds.index("LockStmt") < kinds.index("UnlockStmt")
@@ -140,7 +181,8 @@ class TestCriticalSections:
       end do
       end
 """)
-        assert plan_critical_section(loop, g, ignore=set()) is None
+        assert plan_critical_section(loop, g, ignore=set(),
+                                     default_trip=TRIP) is None
 
     def test_region_covering_whole_body_rejected(self):
         loop, g = get_loop("""
@@ -155,7 +197,8 @@ class TestCriticalSections:
       end
 """)
         # t is read outside any small region (whole body involved)
-        assert plan_critical_section(loop, g, ignore=set()) is None
+        assert plan_critical_section(loop, g, ignore=set(),
+                                     default_trip=TRIP) is None
 
     def test_variable_escaping_region_rejected(self):
         loop, g = get_loop("""
@@ -169,4 +212,5 @@ class TestCriticalSections:
       end do
       end
 """)
-        assert plan_critical_section(loop, g, ignore=set()) is None
+        assert plan_critical_section(loop, g, ignore=set(),
+                                     default_trip=TRIP) is None
