@@ -23,7 +23,10 @@ loop over — inside a checked iteration, under aliased array names,
 under a deal that is not a partition — counts as a scalar execution.
 Under a recorder, "unlogged" counts the parallel loop executions it
 counted in ``loops_checked`` but opened no log for: those of fewer than
-two iterations, which cannot conflict.
+two iterations, which cannot conflict; and "recorder calls" the calls
+both engines' access paths make into it — ``record_scalar``,
+``record_array``, ``record_block``, ``logs_scalar_read`` and
+``logs_array_read`` — each one paid whether or not it logs a row.
 
 Usage (repo root): ``PYTHONPATH=src python scripts/lowering_census.py
 [--recorded-only] [case ...]`` — a Markdown table on stdout, all 22
@@ -55,6 +58,13 @@ def census(program, case, recorded: bool, processors: int = 8,
     cell)."""
     c: Counter = Counter()
     shadow = ShadowRecorder() if recorded else None
+
+    def counting(call):
+        def run(*args, **kwargs):
+            c["recorder calls"] += 1
+            return call(*args, **kwargs)
+        return run
+
     if recorded:
         open_loop = shadow.open_loop
 
@@ -65,6 +75,8 @@ def census(program, case, recorded: bool, processors: int = 8,
 
         # both engines' loops, and the vector text's OPEN, call it here
         shadow.open_loop = counting_open_loop
+        for name in RECORDER_CALLS:
+            setattr(shadow, name, counting(getattr(shadow, name)))
     # set by a parallel loop's vector form on entry; still set when
     # ``_parallel_do`` starts only if that form handed the loop over
     entered = [False]
@@ -139,7 +151,12 @@ def census(program, case, recorded: bool, processors: int = 8,
 COLUMNS = ("lists", "tree lists", "vector-text loops",
            "scalar-text statements", "parallel vector", "parallel worker",
            "parallel scalar", "do scalar", "promoted loops",
-           "unlogged")
+           "unlogged", "recorder calls")
+
+#: the recorder's per-access entry points: the engines call them on the
+#: instance, and the emitted text binds them when a list is compiled
+RECORDER_CALLS = ("record_scalar", "record_array", "record_block",
+                  "logs_scalar_read", "logs_array_read")
 
 #: the line a closed region of the module text starts with
 REGION = re.compile(r"^( *)# closed region$", re.M)

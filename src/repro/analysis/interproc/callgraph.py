@@ -56,16 +56,17 @@ class CallGraph:
 
 
 def _called_names(unit: F.ProgramUnit, arrays: set[str]) -> set[str]:
+    """Names ``unit`` calls: CALL statements, non-intrinsic function
+    references and unresolved applications of non-arrays — from one
+    walk of its body."""
     out: set[str] = set()
-    for s in F.stmts_walk(unit.body):
-        if isinstance(s, F.CallStmt):
-            out.add(s.name)
-        for n in s.walk():
-            if isinstance(n, F.FuncCall) and not n.intrinsic:
-                out.add(n.name)
-            elif isinstance(n, F.Apply) and n.name not in arrays \
-                    and not is_intrinsic(n.name):
-                out.add(n.name)
+    for n in F.stmts_walk(unit.body):
+        if isinstance(n, F.CallStmt) or isinstance(n, F.FuncCall) \
+                and not n.intrinsic:
+            out.add(n.name)
+        elif isinstance(n, F.Apply) and n.name not in arrays \
+                and not is_intrinsic(n.name):
+            out.add(n.name)
     return out
 
 

@@ -17,9 +17,9 @@ interpreters run the program.
 
 This class keeps what is per list and per run: the label map and
 ``_GotoSignal`` handling of a statement list, the step budget (a body
-written inline, and a DOALL share run as worker text, counts its own
-statements, as ``exec_body`` would), and the choice of who executes
-the list.  There are two implementations of the
+written inline, a DOALL share run as worker text and a vector form's
+lanes count their own statements, as ``exec_body`` would), and the
+choice of who executes the list.  There are two implementations of the
 language, not three:
 
 - the module text, for every list the emitter covers — and in its
@@ -170,7 +170,9 @@ class Compiler:
         version and mode, the symbol facts (type, array, dummy, COMMON),
         the unit's private arrays (what a closed region may keep in a
         local), the private scalars of the DOALLs around the list (what
-        a store into one obeys), and which of the names the list calls
+        a store into one obeys) and, recorder-aware, those of the
+        innermost one (which the text makes no recorder call for), and
+        which of the names the list calls
         are program units here (a unit is called before an intrinsic of
         its name, so the same statements lower differently in a program
         that defines one)."""
@@ -184,6 +186,9 @@ class Compiler:
         privates = ",".join(sorted(self.interp.private_arrays(unit))) \
             + ";" + ",".join(f"{n}:{c}" for n, c in sorted(
                 self.interp.private_classes(unit, stmts).items()))
+        if rec:
+            privates += ";" + ",".join(sorted(
+                self.interp.own_privates(unit, stmts)))
         units = self.interp.units
         called = sorted({n.name for s in stmts for n in s.walk()
                          if isinstance(n, (F.FuncCall, F.Apply, F.ArrayRef))

@@ -466,9 +466,12 @@ class Interpreter:
             self.exec_body(s.postamble, wscope, unit)
             return
         shadow = self.shadow
-        ctx = shadow.open_loop(self._loop_label(s), len(iters),
-                               self._read_only(s, scope)) \
-            if shadow is not None else None
+        ctx = None
+        if shadow is not None:
+            # only an execution of two or more iterations opens a log
+            ctx = shadow.open_loop(self._loop_label(s), len(iters),
+                                   self._read_only(s, scope)
+                                   if len(iters) > 1 else frozenset())
         p = max(1, min(self.processors, len(iters) or 1))
         try:
             for share in self.deal(len(iters), p):
@@ -533,9 +536,11 @@ class Interpreter:
         """``(names only read, names it may write)`` of a loop — its
         assignment targets, WHERE bodies included, and DO variables, at
         any depth — or ``(None, None)`` when it is opaque: it calls a
-        routine other than a sync one, calls a program unit or a Cedar
-        library routine in an expression, holds an ``Apply`` or a
-        statement outside :data:`_NAMED_WRITES` (I/O, READ, …)."""
+        routine other than a sync one, calls a program unit in an
+        expression, holds an ``Apply`` or a statement outside
+        :data:`_NAMED_WRITES` (I/O, READ, …).  A Cedar library function
+        in an expression only reads its arguments: the kernels write
+        nothing (the CALL form, ``ces_linrec``, stays opaque)."""
         refs: set[str] = set()
         writes: set[str] = set()
         for n in s.walk():
@@ -550,8 +555,7 @@ class Interpreter:
                 elif isinstance(n, F.DoLoop):
                     writes.add(n.var)
             elif isinstance(n, F.Apply) or isinstance(
-                    n, (F.FuncCall, F.ArrayRef)) and (
-                    n.name in self.units or n.name in CEDAR_LIBRARY):
+                    n, (F.FuncCall, F.ArrayRef)) and n.name in self.units:
                 return None, None
             elif isinstance(n, (F.Var, F.ArrayRef, F.FuncCall)):
                 refs.add(n.name)
@@ -568,23 +572,35 @@ class Interpreter:
         ``unit`` around the statement list ``stmts`` declare, the
         innermost declaration winning: the class a store into it obeys
         wherever ``stmts`` runs (:attr:`Scope.classes`)."""
-        return self._private_facts(unit)[1].get(id(stmts), {})
+        return self._private_facts(unit)[1].get(id(stmts), ({},))[0]
+
+    def own_privates(self, unit: str, stmts: list) -> frozenset:
+        """The scalars the innermost DOALL of ``unit`` around the
+        statement list ``stmts`` holds in its worker scopes — its
+        variable and its private scalars — or nothing outside every
+        DOALL.  Such a scope sits under the worker scope of every loop
+        of the unit around it, so no access to them is ever logged."""
+        return self._private_facts(unit)[1].get(id(stmts),
+                                                ({}, frozenset()))[1]
 
     def _private_facts(self, unit: str) -> tuple:
-        """``(private arrays, id(list) -> private scalar classes)`` of
-        ``unit``, from one walk of its statement lists."""
+        """``(private arrays, id(list) -> (private scalar classes, own
+        privates))`` of ``unit``, from one walk of its statement
+        lists."""
         facts = self._privates.get(unit)
         if facts is not None:
             return facts
         arrays: set[str] = set()
-        around: dict[int, dict] = {}
+        around: dict[int, tuple] = {}
 
-        def visit(stmts: list, classes: dict) -> None:
-            around[id(stmts)] = classes
+        def visit(stmts: list, classes: dict, own: frozenset) -> None:
+            around[id(stmts)] = (classes, own)
             for st in stmts:
-                inner = classes
+                inner, mine = classes, own
                 if isinstance(st, C.ParallelDo):
-                    inner = {**classes, **declared_classes(st)}
+                    declared = declared_classes(st)
+                    inner = {**classes, **declared}
+                    mine = frozenset((st.var, *declared))
                     arrays.update(ent.name for d in st.locals_
                                   if isinstance(d, F.TypeDecl)
                                   for ent in d.entities if ent.dims)
@@ -592,14 +608,14 @@ class Interpreter:
                     part = getattr(st, name)
                     if isinstance(part, list) and part \
                             and isinstance(part[0], F.Stmt):
-                        visit(part, inner)
+                        visit(part, inner, mine)
                     elif isinstance(st, F.IfBlock) and name == "arms":
                         for _, body in part:
-                            visit(body, inner)
+                            visit(body, inner, mine)
 
         u = self.units.get(unit)
         if u is not None:
-            visit(u.body, {})
+            visit(u.body, {}, frozenset())
         facts = self._privates[unit] = (frozenset(arrays), around)
         return facts
 

@@ -49,14 +49,24 @@ fall back to comparing access events pairwise, locksets included.
 Reads of storage no iteration can write are not logged.  Each log is
 opened with the storage keys its loop cannot write
 (:meth:`ShadowRecorder.open_loop`'s ``read_only``, worked out by the
-interpreter from the loop's syntax), and a read row of such a key is
-dropped; write rows are always kept.  That is exact: ``close_loop``
-builds its cells from write rows alone, a read whose key has no write
-row matches no cell, and a supercell read marks only cells of its own
-token — so the conflicts, their order and their iteration pairs are
-those of the full log.  A dropped read still registers its storage's
-token where a logged one would, so a conflict is reported under the
-same name and element subscripts either way.
+interpreter from the loop's syntax — a Cedar library function in an
+expression only reads its arguments, the kernels write nothing), and a
+read row of such a key is dropped; write rows are always kept.  That is
+exact: ``close_loop`` builds its cells from write rows alone, a read
+whose key has no write row matches no cell, and a supercell read marks
+only cells of its own token — so the conflicts, their order and their
+iteration pairs are those of the full log.  A dropped read still
+registers its storage's token where a logged one would, so a conflict
+is reported under the same name and element subscripts either way.
+
+An access to a scalar of a loop's own worker scope (its index and the
+private scalars it declares) is private to that loop and to every loop
+around it in the same unit — the scope sits under all their worker
+scopes — so the compiled engine's recorder-aware text makes no call at
+all for the innermost DOALL's scalars; the tree still asks, and is
+answered with nothing.  (Below a CALL the callee's scopes hang off no
+worker scope: each iteration that calls it makes fresh ones, whose
+scalar rows can never meet another iteration's.)
 
 A loop the compiled engine runs as one whole grid is held open by the
 engine itself and logs through :meth:`ShadowRecorder.record_block`: many
@@ -146,7 +156,7 @@ class _LoopCtx:
     """Recording state of one active DOALL loop."""
 
     __slots__ = ("label", "read_only", "wscope", "cur_iter", "suspended",
-                 "private_data", "writes", "reads")
+                 "private_data", "outside", "writes", "reads")
 
     def __init__(self, label: str, read_only):
         self.label = label
@@ -160,6 +170,10 @@ class _LoopCtx:
         #: holding the arrays keeps those ids unique while the loop is
         #: open and lets them go when it closes
         self.private_data: dict[int, np.ndarray] = {}
+        #: scopes known to hold shared scalars — not a worker scope of
+        #: the loop nor below one — by id; holding them keeps the ids
+        #: unique, and a scope made later can never be their ancestor
+        self.outside: dict[int, Scope] = {}
         self.writes = _Log()
         self.reads = _Log()
 
@@ -200,6 +214,11 @@ class ShadowRecorder:
         self._dims: list[Optional[tuple[tuple, tuple]]] = []
         #: token -> ``arange`` index grid of a sectioned array
         self._grids: dict[int, np.ndarray] = {}
+        #: cell key stride: above every offset + 1 of every token, so
+        #: ``token * _span + offset + 1`` is one integer per cell — a
+        #: bound kept as tokens register, as small as it can be (a wider
+        #: key range moves ``np.isin`` off its lookup-table method)
+        self._span = 2
 
     # -- identity ------------------------------------------------------
 
@@ -221,6 +240,8 @@ class ShadowRecorder:
         self._names.append(name)
         self._dims.append(None if arr is None
                           else (arr.data.shape, arr.lowers))
+        if arr is not None:
+            self._span = max(self._span, arr.data.size + 2)
         return t
 
     # -- loop lifecycle (called by the interpreter) --------------------
@@ -258,16 +279,20 @@ class ShadowRecorder:
         self._refresh()
 
     def begin_iteration(self, ctx: _LoopCtx, iteration: int) -> None:
+        started = ctx.cur_iter is not None
         ctx.cur_iter = int(iteration)
-        self._refresh()
+        if not started:     # a next iteration leaves the active set as is
+            self._refresh()
 
     def suspend(self, ctx: _LoopCtx) -> None:
         ctx.suspended = True
-        self._refresh()
+        if ctx.cur_iter is not None:    # else it was not active anyway
+            self._refresh()
 
     def resume(self, ctx: _LoopCtx) -> None:
         ctx.suspended = False
-        self._refresh()
+        if ctx.cur_iter is not None:
+            self._refresh()
 
     def close_loop(self, ctx: Optional[_LoopCtx]) -> None:
         if ctx is None:
@@ -303,8 +328,8 @@ class ShadowRecorder:
         so the compiled engine asks once per statement."""
         key = (id(holder), name)
         for ctx in self._active:
-            if not _scope_under(holder, ctx.wscope) and (
-                    key not in ctx.read_only or key not in self._tokens):
+            if (key not in ctx.read_only or key not in self._tokens) \
+                    and _outside(ctx, holder):
                 return True
         return False
 
@@ -324,18 +349,18 @@ class ShadowRecorder:
                       kind: str) -> None:
         """A scalar variable access; ``containing`` is the scope that
         holds the variable (None is treated as global/shared)."""
+        holder = containing if containing is not None else self
         for ctx in self._active:
-            if containing is not None and _scope_under(containing,
-                                                       ctx.wscope):
+            if containing is not None and not _outside(ctx, containing):
                 continue  # loop-local: private by construction
-            holder = containing if containing is not None else self
             key = (id(holder), name)
             tok = self._tokens.get(key)
             if tok is None:
                 tok = self._token(holder, name, key)
-            if kind == "w" or key not in ctx.read_only:
-                (ctx.writes if kind == "w" else ctx.reads).rows.extend(
-                    (tok, 0, ctx.cur_iter, self._lockset))
+            if kind == "w":
+                ctx.writes.rows.extend((tok, 0, ctx.cur_iter, self._lockset))
+            elif key not in ctx.read_only:
+                ctx.reads.rows.extend((tok, 0, ctx.cur_iter, self._lockset))
 
     def record_array(self, arr: FArray, name: str, kind: str,
                      idx: Optional[tuple] = None,
@@ -345,28 +370,27 @@ class ShadowRecorder:
         whole array (neither)."""
         data = arr.data
         key = id(data)
-        ctxs = [c for c in self._active if key not in c.private_data]
-        if not ctxs:
-            return
-        tok = self._tokens.get(key)
-        if tok is None:
-            tok = self._token(data, name, key, arr)
-        if kind == "r":
-            ctxs = [c for c in ctxs if key not in c.read_only]
-            if not ctxs:
-                return
-        offsets = None
-        if idx is not None:
-            off = 0
-            for i, lo, n in zip(idx, arr.lowers, data.shape):
-                j = int(i) - lo
-                if not 0 <= j < n:
-                    return  # the access itself raises out-of-bounds
-                off = off * n + j
-        else:
-            offsets = self._section(tok, arr, specs)
-            off = _ALL
-        for ctx in ctxs:
+        tok = off = None
+        for ctx in self._active:
+            if key in ctx.private_data:
+                continue
+            if tok is None:     # registered for a read it drops too
+                tok = self._tokens.get(key)
+                if tok is None:
+                    tok = self._token(data, name, key, arr)
+            if kind == "r" and key in ctx.read_only:
+                continue
+            if off is None:     # the first log that keeps the access
+                offsets, off = None, _ALL
+                if idx is None:
+                    offsets = self._section(tok, arr, specs)
+                else:
+                    off = 0
+                    for i, lo, n in zip(idx, arr.lowers, data.shape):
+                        j = int(i) - lo
+                        if not 0 <= j < n:
+                            return  # the access itself raises out-of-bounds
+                        off = off * n + j
             log = ctx.writes if kind == "w" else ctx.reads
             if offsets is not None:
                 off = _SECTION0 - len(log.sections)
@@ -423,12 +447,14 @@ class ShadowRecorder:
     # -- analysis ------------------------------------------------------
 
     def _analyze(self, ctx: _LoopCtx) -> list[RaceConflict]:
+        if not ctx.writes.rows:
+            return []
         w = ctx.writes.flat()
-        if not len(w):
+        if not len(w):          # empty sections only
             return []
         r = ctx.reads.flat()
         # one integer per cell: supercells sort first within their token
-        span = int(max(w[:, 1].max(), r[:, 1].max() if len(r) else 0)) + 2
+        span = self._span
         wkey = w[:, 0] * span + (w[:, 1] + 1)
         rkey = r[:, 0] * span + (r[:, 1] + 1)
 
@@ -444,14 +470,20 @@ class ShadowRecorder:
         wmin = np.minimum.reduceat(wit, starts)
         wmax = np.maximum.reduceat(wit, starts)
 
-        # readers of those cells
+        # readers of those cells, grouped by cell
         pos = np.searchsorted(cells, rkey)
         pos[pos == len(cells)] = 0
         hit = cells[pos] == rkey
         rmin = np.full(len(cells), _I64.max)
         rmax = np.full(len(cells), _I64.min)
-        np.minimum.at(rmin, pos[hit], r[hit, 2])
-        np.maximum.at(rmax, pos[hit], r[hit, 2])
+        if hit.any():
+            rorder = np.argsort(pos[hit], kind="stable")
+            rpos = pos[hit][rorder]
+            rit = r[hit, 2][rorder]
+            rstarts = np.flatnonzero(np.concatenate(
+                ([True], rpos[1:] != rpos[:-1])))
+            rmin[rpos[rstarts]] = np.minimum.reduceat(rit, rstarts)
+            rmax[rpos[rstarts]] = np.maximum.reduceat(rit, rstarts)
 
         # the rule for lock-free cells: several writers, or a reader
         # that is not the single writer
@@ -460,12 +492,20 @@ class ShadowRecorder:
         # cells written under a lock (a lock only ever excuses a pair
         # whose write holds it), and arrays with a supercell access,
         # compare events pairwise instead
-        slow = np.isin(cells, wkey[w[:, 3] != 0])
-        slow |= np.isin(cells // span, np.concatenate(
-            (w[w[:, 1] == _ALL, 0], r[r[:, 1] == _ALL, 0])))
-        found = self._pairwise(cells[slow], first[slow], wkey, w, rkey, r,
-                               span) if slow.any() else {}
-        hits = np.flatnonzero((ww | rw) & ~slow)
+        hits = ww | rw
+        found = {}
+        locked = w[:, 3] != 0
+        wsuper = w[:, 1] == _ALL
+        rsuper = r[:, 1] == _ALL
+        if locked.any() or wsuper.any() or rsuper.any():
+            slow = np.isin(cells, wkey[locked])
+            slow |= np.isin(cells // span, np.concatenate(
+                (w[wsuper, 0], r[rsuper, 0])))
+            if slow.any():
+                found = self._pairwise(cells[slow], first[slow], wkey, w,
+                                       rkey, r, span)
+                hits &= ~slow
+        hits = np.flatnonzero(hits)
         hits = hits[np.argsort(first[hits])][:self.max_conflicts_per_loop]
         for c in hits.tolist():
             if ww[c]:
@@ -534,6 +574,21 @@ class ShadowRecorder:
             "loops_checked": self.loops_checked,
             "conflicts": [c.to_dict() for c in self.conflicts],
         }
+
+
+def _outside(ctx: _LoopCtx, scope: Scope) -> bool:
+    """Whether ``scope`` is neither ``ctx``'s worker scope nor nested
+    below it — the scalars it holds are shared in ``ctx``'s loop.  Such
+    a scope is remembered (``ctx.outside``): it is no descendant of any
+    worker scope the loop makes later either."""
+    if scope is ctx.wscope:
+        return False
+    if id(scope) in ctx.outside:
+        return True
+    if _scope_under(scope, ctx.wscope):
+        return False
+    ctx.outside[id(scope)] = scope
+    return True
 
 
 def _scope_under(scope: Scope, wscope: Optional[Scope]) -> bool:

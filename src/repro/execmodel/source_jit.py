@@ -39,8 +39,10 @@ so it tests no recorder at all, and it runs DOALL shares as worker
 text; recorder-aware, each statement starts with one flag per name it
 reads — whether some active loop would log that read, which it does
 not for storage no iteration of the loop can write — so a skipped read
-costs no call, and every DOALL outside a vector form runs the
-instrumented ``_parallel_do`` list by list.
+costs no call, it makes no recorder call at all for the index and
+private scalars of the innermost DOALL around the list, which no log
+keeps, and every DOALL outside a vector form runs the instrumented
+``_parallel_do`` list by list.
 
 The vector text exists only where it pays: logging a checked DOALL's
 accesses in bulk instead of one call per access.  Every other loop —
@@ -80,9 +82,14 @@ keeps no read of them) — logs, from the very ``_grid_key`` result each
 load/store indexes with, the flat offsets of every reference paired
 with the outer iteration values (the strip start for a collapsed
 strip-mined loop), one row per iteration for each shared scalar the
-body names, and closes it.  A nest that writes hands over to its scalar
-text when — checked at loop entry — two of its array names are bound to
-storage of one ``ndarray``.  A grid stores every lane once, so the
+body names, and closes it.  Before it opens the loop it evaluates every
+level's bounds (invariant) and adds to the interpreter's step count
+what the tree's ``exec_body`` counts for the nest — each level's body
+per iteration of the levels around it, a block IF's arm per true lane;
+a nest that could pass the step budget runs its scalar text instead,
+which stops at the tree's statement.  A nest that writes hands over to
+its scalar text when — checked at loop entry — two of its array names
+are bound to storage of one ``ndarray``.  A grid stores every lane once, so the
 DOALL takes its vector text only under a deal that hands each iteration
 to exactly one worker (:meth:`Runtime.partition`, checked at loop entry
 before anything is stored); under a deal that drops or repeats a
@@ -128,7 +135,7 @@ from repro.fortran.intrinsics import INTRINSICS
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact, of both modes, so stale module text can never be served to
 #: a newer runtime
-JIT_VERSION = 9
+JIT_VERSION = 10
 
 
 #: loop-nest levels the lowerer can walk through
@@ -179,24 +186,28 @@ def _fmt_literal(v) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _stored_text(cls: str, name: str, val: str) -> str:
+def _stored_text(cls: str, name: str, val: str, used: set) -> str:
     """Source of what a store of ``val`` (a local or literal) into a name
     of store class ``cls`` keeps (:func:`stored_value`): worked out now
     for a literal; else the kind of value the class keeps as it is is
-    tested inline, and any other goes through the rule."""
+    tested inline, and any other goes through the rule.  The helpers it
+    names go to ``used``."""
     if val[0] != "_":
         return _fmt_literal(stored_value(cls, name, ast.literal_eval(val)))
     rule = f"SV({cls!r}, {name!r}, {val})"
     if cls == "i":
+        used.add("SV")
         return f"{val} if {val}.__class__ is int else {rule}"
     if cls == "r":
+        used.update(("SV", "DBL"))
         return (f"{val} if {val}.__class__ is DBL or {val}.__class__ is "
                 f"float else {rule}")
+    used.update(("SV", "NDA"))
     return f"{rule} if isinstance({val}, NDA) else {val}"
 
 
 def _store_text(c: str, name: str, val: str, cls: str, dest: str,
-                ind: str, rec: bool) -> list[str]:
+                ind: str, rec: bool, used: set) -> list[str]:
     """Source of the tree's store of ``val`` (a local or literal) into
     scalar ``name`` — ``Interpreter._assign``: a COMMON box takes it as
     its dtype does, any other binding keeps what the declared-type rule
@@ -207,20 +218,25 @@ def _store_text(c: str, name: str, val: str, cls: str, dest: str,
     store of a name a closed region does not keep in a local goes
     through this."""
     d, n = "_d" + c[2:], repr(name)
+    used.update(("FA", "BOXW"))
     lines = [f"_o = {d}.get({n})",
              "if isinstance(_o, FA):",
              f"    {dest} = BOXW(_o, {n}, {val})",
              "else:"]
     if rec:
+        used.add("SH")
         lines += ["    if SH.recording:",
                   f"        SH.record_scalar({c}, {n}, 'w')"]
-    lines.append(f"    {d}[{n}] = {dest} = {_stored_text(cls, name, val)}")
+    lines.append(f"    {d}[{n}] = {dest} = "
+                 f"{_stored_text(cls, name, val, used)}")
     return [ind + line for line in lines]
 
 
-def _hold_text(holders: dict) -> list[str]:
+def _hold_text(holders: dict, used: set) -> list[str]:
     """A function's opening lines: the holding scope ``_c<k>`` of each
     scalar name it touches, and that scope's dict ``_d<k>``."""
+    if holders:
+        used.add("HOLD")
     return [line for name, c in holders.items()
             for line in (f"{c} = HOLD(s, {name!r})",
                          f"_d{c[2:]} = {c}.vars")]
@@ -628,6 +644,8 @@ class _LoopLowerer:
         #: current straight-line block (:meth:`_ex_ref`)
         self._loaded: dict[str, str] = {}
         self._uniq = 0
+        #: the :data:`_HELPERS` names the emitted text calls
+        self.used: set[str] = set()
         self._collect_nest(loop)
         if any(isinstance(n, (C.LockStmt, C.UnlockStmt))
                for st in loop.body for n in st.walk()):
@@ -960,6 +978,7 @@ class _LoopLowerer:
                 # a whole-array read would vectorize where the scalar
                 # loop raises (array condition / array arithmetic)
                 raise _Ineligible("bare array reference")
+            self.used.add("RD")
             return f"RD({self._holder(name)}, {name!r})"
         if isinstance(e, (F.ArrayRef, F.Apply)):
             return self._ex_ref(e, ctx)
@@ -976,6 +995,7 @@ class _LoopLowerer:
             if e.op == ".not.":
                 if ctx is not None:
                     return f"(~np.asarray({x}))"
+                self.used.add("NOT")
                 return f"NOT({x})"
         raise _Ineligible(f"cannot emit {type(e).__name__}")
 
@@ -995,6 +1015,7 @@ class _LoopLowerer:
                     raise _Ineligible("axis in invariant position")
                 parts.append(self._sub_src(sub, entry, ctx))
             self._arrays.add(name)
+            self.used.add("VL")
             load = (f"VL(s, {name!r}, ({', '.join(parts)},)"
                     f"{self._rec_args()})")
             # a load already made in this block reads its local: the
@@ -1022,10 +1043,12 @@ class _LoopLowerer:
             if name not in Runtime.np_funcs or self._user_callable(name):
                 raise _Ineligible(f"intrinsic {name!r} not exact")
             parts = [self.ex(a, ctx) for a in args]
+            self.used.add("NP")
             return f"NP[{name!r}]({', '.join(parts)})"
         if name in self.interp.units:
             raise _Ineligible("user routine in invariant position")
         parts = [self.ex(a, None) for a in args]
+        self.used.add("CALL")
         return f"CALL(s, {name!r}, ({', '.join(parts)},))"
 
     def _ex_binop(self, e: F.BinOp, ctx: Optional[dict]) -> str:
@@ -1039,6 +1062,7 @@ class _LoopLowerer:
         if ctx is not None and op in vec_logical:
             return f"{vec_logical[op]}({l}, {r})"
         if op in _HELPER_OPS and (ctx is None or op == "/"):
+            self.used.add(_HELPER_OPS[op])
             return f"{_HELPER_OPS[op]}({l}, {r})"
         raise _Ineligible(f"operator {op!r}")
 
@@ -1107,15 +1131,18 @@ class _LoopLowerer:
         parts = self._target_parts(t, ctx)   # evaluated first: VS(...)
         rhs = self.ex(st.value, ctx)
         self._arrays.add(t.name)
+        self.used.add("VS")
         out.append(f"{indent}VS(s, {t.name!r}, ({parts}), {rhs}"
                    f"{self._rec_args()})")
         self._loaded.clear()       # a later load sees what this stored
 
     def _emit_guarded(self, mask_src: str, assigns: list, out: list,
-                      indent: str) -> None:
+                      indent: str, steps: int = 0) -> None:
         """Compressed-lane lowering of one guard arm: a block of its
         own — it reuses no load made before it, and its last store ends
-        it, so no load made on its lanes is reused after it."""
+        it, so no load made on its lanes is reused after it.  A block
+        IF's arm counts its ``steps`` statements per true lane, as the
+        tree's ``exec_body`` of the arm does."""
         self._loaded.clear()
         self._uniq += 1
         u = self._uniq
@@ -1128,6 +1155,8 @@ class _LoopLowerer:
         if it is not None:      # the true lanes' iteration labels
             out.append(f"{indent}_k{u} = {it}.ravel()[_w{u}[0]]")
             self._it = f"_k{u}"
+        if steps:
+            out.append(f"{indent}IP._steps += {steps} * _h{u}_0.size")
         out.append(f"{indent}if _h{u}_0.size:")
         for st in assigns:
             self._emit_assign(st, cctx, out, indent + "    ")
@@ -1147,6 +1176,7 @@ class _LoopLowerer:
         u = self._uniq
 
         def rows(j: int, e: F.Expr) -> str:
+            self.used.add("ROWS")
             out.append(f"{indent}_f{u}_{j} = ROWS({self.ex(e, ctx)}, "
                        f"({shape},))")
             return f"_f{u}_{j}[_q, {0 if k == 1 else '_r'}]"
@@ -1160,6 +1190,7 @@ class _LoopLowerer:
                 raise _Ineligible("min/max into a partial is not exact")
             term = rows(0, contrib)
             args = f"{acc}, {term}" if acc_first else f"{term}, {acc}"
+            self.used.add("CALL")
             upd = f"CALL(s, {fname!r}, ({args}))"
         elif kind == "spine":
             upd = acc
@@ -1172,7 +1203,8 @@ class _LoopLowerer:
             # min/max may hand back an integer argument's value, which
             # the real partial's store makes a float; a sum or product
             # of a real literal's float already is one
-            self._folds.append(f"{acc} = {_stored_text('r', var, acc)}")
+            self._folds.append(
+                f"{acc} = {_stored_text('r', var, acc, self.used)}")
 
     def _acc(self, partial: str) -> str:
         """The emitted function's local holding ``partial``."""
@@ -1189,7 +1221,8 @@ class _LoopLowerer:
             if v not in cur:
                 cur[v] = f"_v{len(cur)}"
                 out.append(f"{cur[v]} = RD({self._holder(v)}, {v!r})")
-        out.append("for _sh in DEAL(_n0):")
+                self.used.add("RD")
+        out.append("for _sh in _sh0:")
         for p, lit in self.partials.items():
             out.append(f"    {self._acc(p)} = {_fmt_literal(lit)}")
         out.append("    if _t:")
@@ -1202,10 +1235,12 @@ class _LoopLowerer:
         for v, op, p in self.combines:
             val = f"({cur[v]} {op} {self._acc(p)})" if op in "+*" \
                 else f"CALL(s, {op!r}, ({cur[v]}, {self._acc(p)}))"
+            if op not in "+*":
+                self.used.add("CALL")
             out.append(f"    _y = {val}")
             cls = self.classes.get(v, store_class(self.symtab, v))
             out += _store_text(self._holder(v), v, "_y", cls, cur[v],
-                               "    ", True)
+                               "    ", True, self.used)
 
     def _emit_stmt(self, st: F.Stmt, out: list, indent: str) -> None:
         if id(st) in self.reductions:
@@ -1233,11 +1268,8 @@ class _LoopLowerer:
             cond = self.ex(st.arms[0][0], ctx)
             out.append(f"{indent}_m{u} = np.broadcast_to(np.asarray("
                        f"{cond}, dtype=bool), ({shape},))")
-            self._emit_guarded(f"_m{u}", list(st.arms[0][1]), out,
-                               indent)
-            if len(st.arms) == 2:
-                self._emit_guarded(f"(~_m{u})", list(st.arms[1][1]),
-                                   out, indent)
+            for mask, (_, arm) in zip((f"_m{u}", f"(~_m{u})"), st.arms):
+                self._emit_guarded(mask, list(arm), out, indent, len(arm))
             return
         raise _Ineligible(f"ineligible statement {type(st).__name__}")
 
@@ -1249,6 +1281,7 @@ class _LoopLowerer:
         out.append(f"{indent}_hi{a} = int({self.ex(lv.end, None)})")
         if lv.step is not None:
             out.append(f"{indent}_st{a} = int({self.ex(lv.step, None)})")
+            self.used.add("ERR")
             out.append(f"{indent}if _st{a} == 0:")
             out.append(f"{indent}    ERR('zero DO step')")
         else:
@@ -1262,6 +1295,32 @@ class _LoopLowerer:
         if self.strip is not None:
             return f"-(-_n0 // {self.strip})"
         return "_n0"
+
+    def _steps(self) -> tuple[str, str]:
+        """Source of the statements the tree's ``exec_body`` counts for
+        the loop that every lane runs — each level's body once per
+        iteration of the levels around it (the original body once per
+        strip, for a collapsed strip-mine), a partial-sum DOALL's
+        preamble and postamble once per share — and of that plus every
+        block IF arm on all lanes: the bound the step budget is tested
+        against at entry.  Each arm adds its true lanes' count as it
+        runs (:meth:`_emit_guarded`)."""
+        if self.strip is not None:
+            terms = [f"{self._trips()} * {len(self.loop.body)}"]
+        else:
+            terms = [" * ".join(f"_n{b}" for b in range(a + 1))
+                     + f" * {len(lv.body)}"
+                     for a, lv in enumerate(self.levels)]
+        if self.partials:
+            ends = len(self.loop.preamble) + len(self.loop.postamble)
+            terms.append(f"len(_sh0) * {ends}")
+        fixed = " + ".join(terms)
+        arms = sum(len(arm) for st in self.body if isinstance(st, F.IfBlock)
+                   for _, arm in st.arms)
+        if not arms:
+            return fixed, fixed
+        lanes = " * ".join(f"_n{a}" for a in range(len(self.axes)))
+        return fixed, f"{fixed} + {lanes} * {arms}"
 
     @property
     def _aliasable(self) -> bool:
@@ -1284,13 +1343,34 @@ class _LoopLowerer:
         head: list[str] = []
         self._emit_bounds(0, head, "")
         head += [f"if not PART({self._trips()}):", f"    return _s{i}(s)"]
+        self.used.update(("PART", "SH", "OPEN", "RO", "CLOSE", "IP", "BUD"))
+        if k > 1:
+            # the inner bounds are invariant and read nothing a checked
+            # iteration logs: evaluated here, where a level runs, so the
+            # budget test knows every trip count.  One that raises runs
+            # the loop's scalar text, which raises it where the tree does.
+            head += [f"_n{a} = 0" for a in range(1, k)]
+            head += ["try:"]
+            indent = "    "
+            for a in range(1, k):
+                head.append(f"{indent}if _n{a - 1}:")
+                indent += "    "
+                self._emit_bounds(a, head, indent)
+            head += ["except Exception:", f"    return _s{i}(s)"]
+        if self.partials:
+            self.used.add("DEAL")
+            head.append("_sh0 = DEAL(_n0)")
+        # every statement the tree would count: a loop that could pass
+        # the step budget runs its scalar text, which stops where the
+        # tree does
+        fixed, bound = self._steps()
+        head += [f"if IP._steps + {bound} > BUD:", f"    return _s{i}(s)",
+                 f"IP._steps += {fixed}"]
         out: list[str] = []
         if self.partials:
             out.append("_t = False")
         indent = ""
         for a in range(k):
-            if a:
-                self._emit_bounds(a, out, indent)
             out.append(f"{indent}if _n{a}:")
             indent += "    "
             self._loaded.clear()      # each nest level is a new block
@@ -1311,6 +1391,7 @@ class _LoopLowerer:
                                f"{self.strip} * {self.strip}")
                 scalars = self._shared_scalars()
                 if scalars:
+                    self.used.add("SCAL")
                     out.append(f"{indent}SCAL(_cx, s, {scalars!r}, "
                                f"{self._it})")
         for st in self.body:
@@ -1326,6 +1407,7 @@ class _LoopLowerer:
         # semantics exactly)
         for a in range(k - 1, 0, -1):
             if a not in self.private_axes:
+                self.used.add("SSET")
                 out.append(f"{'    ' * (a + 1)}SSET(s, {self.axes[a]!r}, "
                            f"_lo{a} + _st{a} * (_n{a} - 1))")
         if self.partials:
@@ -1336,18 +1418,24 @@ class _LoopLowerer:
         guards = ["SH.recording"]
         if self._aliasable:
             # the proof compares references by name
+            self.used.add("ALIAS")
             guards.append(f"ALIAS(s, {tuple(sorted(self._arrays))!r})")
         fn = [f"def _v{i}(s):",
               f"    if {' or '.join(guards)}:",
               f"        return _s{i}(s)"]
-        fn += ["    " + line for line in _hold_text(self._holders) + head]
+        fn += ["    " + line
+               for line in _hold_text(self._holders, self.used) + head]
         label = Interpreter._loop_label(self.loop)
-        fn += [f"    _cx = OPEN({label!r}, {self._trips()}, RO({i}, s))",
+        # only a log of two or more iterations keeps a read set
+        fn += [f"    _cx = OPEN({label!r}, {self._trips()}, "
+               f"RO({i}, s) if {self._trips()} > 1 else ())",
                "    try:"]
         fn += ["        " + line for line in out]
         fn += ["    finally:", "        CLOSE(_cx)"]
         # what the postambles' LOCK/UNLOCK pairs leave of the lockset
         fn += [f"    UNLOCK({lock!r})" for lock in self.locks]
+        if self.locks:
+            self.used.add("UNLOCK")
         return fn
 
 
@@ -1369,8 +1457,9 @@ class _ScalarText:
     message, recorder-aware the recorder's ``record_*`` call while it is
     ``recording`` (in the tree's order; a read's call only where the
     statement's flag for its name, set next to the lookups, says the
-    recorder would do anything with it), and the store by declared type
-    (:func:`_store_text`).  Values are computed into locals in the
+    recorder would do anything with it; none at all for the scalars of
+    the innermost DOALL's worker scope, :attr:`own`), and the store by
+    declared type (:func:`_store_text`).  Values are computed into locals in the
     tree's evaluation order — except that a reference's subscripts are
     all evaluated before any is ``int()``-ed or an unknown function is
     named, which only swaps two errors of a program that has both.
@@ -1422,6 +1511,11 @@ class _ScalarText:
         #: text being written — those around the list, and a worker
         #: function's own
         self.classes = interp.private_classes(unit, stmts)
+        #: the scalars of the worker scope of the innermost DOALL around
+        #: the list (:meth:`Interpreter.own_privates`): no log keeps an
+        #: access to them, so the recorder-aware text makes none of the
+        #: recorder's calls for them
+        self.own = interp.own_privates(unit, stmts) if rec else frozenset()
         # what :meth:`_function` keeps per function being written
         self._holders, self._arrays, self._flags = {}, {}, {}
         self._reads, self._n, self._rebound = set(), 0, set()
@@ -1431,6 +1525,8 @@ class _ScalarText:
         #: promoted scalar's local, and the promoted scalars that hold a
         #: value wherever the text being written runs
         self._region, self._locals, self._defined = False, {}, set()
+        #: the :data:`_HELPERS` names the emitted text calls
+        self.used: set[str] = set()
 
     def function(self, i: int) -> list[str]:
         """Source of ``_s<i>``, the scalar text of statement ``i``."""
@@ -1460,7 +1556,14 @@ class _ScalarText:
         body: list[str] = []
         write(body)
         head = [head_line]
-        head += ["    " + line for line in _hold_text(self._holders)]
+        head += ["    " + line for line in _hold_text(self._holders,
+                                                      self.used)]
+        if self._arrays:
+            self.used.add("ARR")
+        if self._flags:
+            self.used.update(("SH", "LOGS"))
+        if self._reads:
+            self.used.update(("SH", "LOGA"))
         for (name, rank), k in self._arrays.items():
             names = [f"_a{k}", f"_x{k}"] \
                 + [f"_l{k}_{d}" for d in range(rank)] \
@@ -1499,6 +1602,7 @@ class _ScalarText:
             self._assign(s, out, ind)
         elif isinstance(s, C.ParallelDo):
             worker = self._worker(s)
+            self.used.update(("PDO", "U"))
             out.append(f"{ind}PDO({self.node(s)}, s, U"
                        + (f", {worker})" if worker else ")"))
         elif isinstance(s, F.DoLoop):
@@ -1514,13 +1618,16 @@ class _ScalarText:
         elif isinstance(s, (C.LockStmt, C.UnlockStmt)):
             # the race detector tracks critical sections
             held = "LOCK" if isinstance(s, C.LockStmt) else "UNLOCK"
+            self.used.add(held)
             out.append(f"{ind}{held}({s.name!r})")
         elif isinstance(s, NOOP_STMTS):
             out.append(f"{ind}pass")
         elif isinstance(s, F.CallStmt):
+            self.used.update(("CALLS", "U"))
             out.append(f"{ind}CALLS({self.node(s)}, s, U)")
         elif isinstance(s, F.ReturnStmt):
             assert not self._region, "a closed region returns"
+            self.used.add("RET")
             out.append(f"{ind}raise RET()")
         else:
             raise _Declined(type(s).__name__)
@@ -1540,6 +1647,7 @@ class _ScalarText:
         if s.step is not None:
             out.append(f"{ind}_st{u} = int({self.ex(s.step, out, ind)})")
             out += [f"{ind}if _st{u} == 0:", f"{ind}    ERR('zero DO step')"]
+            self.used.add("ERR")
             rng = (f"range(_lo{u}, _hi{u} + (1 if _st{u} > 0 else -1), "
                    f"_st{u})")
         self._iterate(s.var, rng, f"_w{u}", out, ind,
@@ -1714,6 +1822,7 @@ class _ScalarText:
     def _body(self, body: list, out: list, ind: str) -> None:
         """A DO or IF body: written inline, or one ``XB``."""
         if not self._whole(body):
+            self.used.update(("XB", "U"))
             out.append(f"{ind}XB({self.node(body)}, s, U)")
             return
         self._inline(body, out, ind)
@@ -1723,6 +1832,8 @@ class _ScalarText:
     def _inline(self, body: list, out: list, ind: str) -> None:
         """``body``'s statements, each after ``exec_body``'s step count
         and budget test."""
+        if body:
+            self.used.update(("IP", "BUD", "OVER"))
         for st in body:
             out += [f"{ind}IP._steps += 1",
                     f"{ind}if IP._steps > BUD:",
@@ -1762,15 +1873,18 @@ class _ScalarText:
             local = self._locals.get(t.name)
             if local is not None:
                 out.append(f"{ind}{local} = "
-                           f"{_stored_text(cls, t.name, value)}")
+                           f"{_stored_text(cls, t.name, value, self.used)}")
                 self._defined.add(t.name)
             else:
                 out += _store_text(self._holder(t.name), t.name, value,
-                                   cls, "_r", ind, self.rec)
+                                   cls, "_r", ind,
+                                   self.rec and t.name not in self.own,
+                                   self.used)
         elif isinstance(t, (F.ArrayRef, F.Apply)):
             subs = t.subscripts if isinstance(t, F.ArrayRef) else t.args
             if any(isinstance(x, F.RangeExpr) for x in subs):
                 specs = self._specs(subs, out, ind)
+                self.used.add("ST")
                 out.append(f"{ind}ST(s, {t.name!r}, {value}, "
                            f"specs={specs})")
             else:
@@ -1809,6 +1923,7 @@ class _ScalarText:
     def _test(self, cond: F.Expr, out: list, ind: str) -> str:
         """``Interpreter._truth`` of ``cond``; a bool is its own."""
         t = self._atom(self.ex(cond, out, ind), out, ind, local=True)
+        self.used.add("T")
         return f"({t} if {t}.__class__ is bool else T({t}))"
 
     def _specs(self, subs, out: list, ind: str) -> str:
@@ -1837,6 +1952,7 @@ class _ScalarText:
         t = self._new() if store is None else None
         slow = (f"{t} = REF(s, {name!r}, {idx})" if store is None
                 else f"ST(s, {name!r}, {store}, {idx})")
+        self.used.add("REF" if store is None else "ST")
         if name in self._rebound:
             out.append(ind + slow)
             return t
@@ -1853,12 +1969,14 @@ class _ScalarText:
         if self.rec:
             kind = "r" if store is None else "w"
             test = "SH.recording"
+            self.used.add("SH")
             if store is None:
                 self._reads.add(k)
                 test = f"_ra{k}"
             out += [f"{ind}if {test}:",
                     f"{ind}    SH.record_array(_a{k}, {name!r}, {kind!r}, "
                     f"idx={ints})"]
+        self.used.add("OOB")
         for d in range(rank):
             out += [f"{ind}_j{d} = _i{d} - _l{k}_{d}",
                     f"{ind}if _j{d} < 0 or _j{d} >= _n{k}_{d}:",
@@ -1878,14 +1996,16 @@ class _ScalarText:
             if local is not None:
                 if e.name not in self._defined:
                     msg = f"undefined variable {e.name!r}"
+                    self.used.add("ERR")
                     out += [f"{ind}if {local} is None:",
                             f"{ind}    ERR({msg!r})"]
                     self._defined.add(e.name)
                 return local
             c = self._holder(e.name)
             t = self._new()
+            self.used.update(("FA", "RD"))
             test = f"{t} is None or isinstance({t}, FA)"
-            if self.rec:
+            if self.rec and e.name not in self.own:
                 test += " or " + self._flags.setdefault(e.name,
                                                         f"_rs{c[2:]}")
             out += [f"{ind}{t} = _d{c[2:]}.get({e.name!r})",
@@ -1897,18 +2017,24 @@ class _ScalarText:
             return f"({l} {_PY_OPS[e.op]} {r})"
         if isinstance(e, F.BinOp) and e.op in _HELPER_OPS:
             l, r = self._seq((e.left, e.right), out, ind)
+            self.used.add(_HELPER_OPS[e.op])
             return f"{_HELPER_OPS[e.op]}({l}, {r})"
         if isinstance(e, F.UnOp) and e.op in ("-", "+", ".not."):
             x = self.ex(e.operand, out, ind)
+            if e.op == ".not.":
+                self.used.add("NOT")
             return {"-": f"(-{x})", "+": x, ".not.": f"NOT({x})"}[e.op]
         if self._handed_over(e):
+            self.used.update(("EV", "U"))
             return f"EV({self.node(e)}, s, U)"
         if isinstance(e, F.FuncCall):
             args = "".join(f"{a}, " for a in self._seq(e.args, out, ind))
+            self.used.add("CALL")
             return f"CALL(s, {e.name!r}, ({args}))"
         if not e.is_section():
             return self._element(e.name, e.subscripts, out, ind)
         specs = self._specs(e.subscripts, out, ind)
+        self.used.add("REF")
         return f"REF(s, {e.name!r}, specs={specs})"
 
 
@@ -1943,14 +2069,16 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
     mode = f"emitter v{JIT_VERSION}{', recorder-aware' if rec else ''}"
     body: list[str] = []
     fns: list[str] = []
+    used = scalar.used
     try:
         for i, s in enumerate(stmts):
             lines = None
             if rec and isinstance(s, C.ParallelDo):
                 try:
-                    lines = _LoopLowerer(interp, s, unit,
-                                         scalar.classes).emit(i)
+                    lowerer = _LoopLowerer(interp, s, unit, scalar.classes)
+                    lines = lowerer.emit(i)
                     lines = scalar.function(i) + lines
+                    used |= lowerer.used
                 except _Ineligible:
                     pass
             fns.append(f"_s{i}" if lines is None else f"_v{i}")
@@ -1965,7 +2093,6 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
                 f'statements, run on the tree ({why}; {mode})."""\n'
                 f'make = None\n')
     vector = sum(name.startswith("_v") for name in fns)
-    used = set(re.findall(r"\b[A-Z]+\b", "\n".join(body)))
     head = [
         f'"""jit-source module: unit {unit!r}, {len(stmts)} '
         f'statements, {vector} vectorized loops ({mode})."""',
@@ -1983,7 +2110,8 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
 
 
 #: the names emitted text calls the :class:`Runtime` by -> its attribute;
-#: a module binds the ones its text uses
+#: a module binds the ones its text uses, which the emitter records as
+#: it writes them (``used``)
 _HELPERS = {
     "SSET": "sset", "CALL": "call",
     "DIV": "div", "AND": "and_", "OR": "or_", "EQV": "eqv",

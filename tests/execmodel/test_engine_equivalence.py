@@ -143,7 +143,7 @@ def test_scalar_text_counts_the_trees_steps(wname):
     """Unrecorded, with no loop on vector text, the compiled engine
     counts every statement as ``exec_body`` does: the bodies its scalar
     text writes inline and the DOALL shares it runs as worker functions
-    alike.  (A vector form counts as one statement.)"""
+    alike."""
     case = CASES[wname]
     programs = {"sequential": cached_parse(case.source)}
     for config in sorted(PIPELINE_CONFIGS):
@@ -160,6 +160,26 @@ def test_scalar_text_counts_the_trees_steps(wname):
                 steps[engine] = interp._steps
             assert steps["compiled"] == steps["tree"], \
                 f"{wname}@{config}/P={processors}"
+
+
+@pytest.mark.parametrize("wname", sorted(CASES))
+def test_vector_text_counts_the_trees_steps(wname):
+    """Under a recorder too: a vector form counts each lane's statements
+    (a block IF's arm by its true lanes) and a partial-sum DOALL's
+    preamble and postamble per share, so the step budget — the livelock
+    guard — means the same on both engines."""
+    case = CASES[wname]
+    for config in sorted(PIPELINE_CONFIGS):
+        program, _ = cached_restructure(case.source,
+                                        PIPELINE_CONFIGS[config]())
+        steps = {}
+        for engine in ("tree", "compiled"):
+            args, _ = case.make_args(case.n, np.random.default_rng(3))
+            interp = Interpreter(program, processors=4, engine=engine,
+                                 shadow=ShadowRecorder())
+            interp.call(case.entry, *args)
+            steps[engine] = interp._steps
+        assert steps["compiled"] == steps["tree"], f"{wname}@{config}"
 
 
 def test_track_multisets_match_baseline():

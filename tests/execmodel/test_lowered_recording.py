@@ -3,9 +3,11 @@ partial-sum DOALL and recorder-aware text).
 
 The tree walk is the oracle throughout: a generated partial-sum DOALL is
 bit-identical on both engines under honest and dishonest deals, with and
-without a recorder; a bulk-logged loop leaves the rows the tree leaves;
-and the loops the lowering proof cannot vouch for — nested in a checked
-iteration, aliased dummies — report the tree's conflicts, in its order.
+without a recorder, and counts the tree's statements; a bulk-logged loop
+leaves the rows the tree leaves and trips the step budget where the tree
+does; and the loops the lowering proof cannot vouch for — nested in a
+checked iteration, aliased dummies — report the tree's conflicts, in its
+order.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cedar.nodes import LockStmt, ParallelDo, UnlockStmt
 from repro.engine import cached_restructure
+from repro.errors import InterpreterBudgetError
 from repro.execmodel.interp import Interpreter, cyclic_deal
 from repro.execmodel.shadow import ShadowRecorder
 from repro.fortran import ast_nodes as F
@@ -138,12 +141,16 @@ DEALS = {"cyclic": cyclic_deal, "reversed": reversed_deal,
 
 
 def run(program, entry, args, *, engine, processors=4, deal=None,
-        shadowed=False):
+        shadowed=False, step_budget=Interpreter.STEP_BUDGET):
+    """The run's outputs — and, as ``"steps"``, the statements it
+    counted — its recorder and the compiled engine's compiler."""
     sh = ShadowRecorder() if shadowed else None
     interp = Interpreter(program, processors=processors, shadow=sh,
-                         engine=engine, deal=deal)
+                         engine=engine, deal=deal, step_budget=step_budget)
     fresh = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
-    return interp.call(entry, *fresh), sh, interp._compiler
+    out = interp.call(entry, *fresh)
+    out["steps"] = np.array(interp._steps)
+    return out, sh, interp._compiler
 
 
 def partial_sum_args(n, m, seed):
@@ -311,6 +318,57 @@ def test_loop_inside_a_checked_iteration_records_per_access():
     assert_bit_identical(tree, fast, "tree vs compiled")
     assert sh_c.loops_checked == sh_t.loops_checked == 5
     assert sh_c.conflicts == sh_t.conflicts == []
+
+
+GUARDED_NEST_SRC = """
+      subroutine g(n, m, a, b)
+      integer n, m, i, j
+      real a(8, 8), b(8, 8)
+      do i = 1, n
+         do j = 1, m
+            if (b(i, j) .gt. 0.5) then
+               a(i, j) = b(i, j) * 2.0
+            else
+               a(i, j) = -b(i, j)
+               a(i, j) = a(i, j) + 1.0
+            end if
+         end do
+         continue
+      end do
+      a(1, 1) = a(1, 1) + 1.0
+      end
+"""
+
+
+def test_vector_form_trips_the_step_budget_where_the_tree_does():
+    """A bulk-logged nest counts what ``exec_body`` counts — each
+    level's body per iteration, a block IF's arm per true lane — and
+    under a budget it could pass it runs its scalar text, which stops
+    at the tree's statement: every budget around and inside the loop
+    gives both engines the same outcome."""
+    program = doall_program(GUARDED_NEST_SRC)
+    b = np.random.default_rng(7).random((8, 8))
+    args = [7, 5, np.zeros((8, 8)), b]
+    tree, _, _ = run(program, "g", args, engine="tree", shadowed=True)
+    fast, _, comp = run(program, "g", args, engine="compiled",
+                        shadowed=True)
+    assert comp.vectorized_loops == 1
+    assert_bit_identical(tree, fast, "tree vs compiled")
+    total = int(tree["steps"])
+    outcomes = set()
+    for budget in (1, 2, total // 3, total // 2, total - 2, total - 1,
+                   total):
+        seen = []
+        for engine in ("tree", "compiled"):
+            try:
+                out, _, comp = run(program, "g", args, engine=engine,
+                                   shadowed=True, step_budget=budget)
+                seen.append(("ran", out["a"].tobytes(), int(out["steps"])))
+            except InterpreterBudgetError as exc:
+                seen.append(("tripped", str(exc), exc.line))
+        assert seen[0] == seen[1], budget
+        outcomes.add(seen[0][0])
+    assert outcomes == {"ran", "tripped"}
 
 
 def test_aliased_dummies_keep_the_instrumented_loop():

@@ -541,3 +541,125 @@ def test_spmv_logs_no_read_of_its_operands(engine):
     assert mine and len(mine) == len(theirs)
     assert all(not rows["r"] for rows in mine)
     assert len({name for rows in theirs for name, _, _ in rows["r"]}) == 4
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_dot_product_loop_logs_no_read_of_its_operands(engine):
+    """A Cedar library function only reads its arguments: ``cg``'s
+    matrix-vector DOALL (``s = s + ces_dotproduct(a(i, 1:n), p(1:n))``)
+    writes only ``q`` and its privates, so its log keeps no read of
+    ``a`` or ``p`` — which the every-read reference logs there — and
+    the same write rows and conflicts."""
+    case = CASES["cg"]
+    cedar, _ = cached_restructure(case.source,
+                                  PIPELINE_CONFIGS["automatic"]())
+    [pdo] = [n for n in cedar.walk() if isinstance(n, ParallelDo)
+             and any(isinstance(m, F.FuncCall)
+                     and m.name == "ces_dotproduct" for m in n.walk())]
+    assert Interpreter(cedar)._summarize(pdo) != (None, None)
+    label = Interpreter._loop_label(pdo)
+    args, _ = case.make_args(case.n, np.random.default_rng(3))
+    sh, ref = both_recorders(cedar, case.entry, args, engine)
+    assert any(lbl == label for lbl, _ in sh.logs)
+    assert not {"a", "p"} & read_names(sh, label)
+    assert {"a", "p"} <= read_names(ref, label)
+
+
+LIBRARY_OVER_WRITTEN_SRC = """
+      subroutine top(n, x, y)
+      integer n, i
+      real x(8), y(8)
+      do i = 1, n
+         y(i) = ces_sum(x(1:n))
+         x(i) = y(i) * 0.5
+      end do
+      end
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_library_call_over_a_written_section_still_races(engine):
+    """The negative control: every iteration's ``ces_sum`` reads the
+    section ``x(1:n)`` that the other iterations write, so ``x`` is no
+    read-only name, its section reads stay in the log and the loop is
+    reported read-write — as the every-read reference reports it."""
+    sf = doall_everywhere(LIBRARY_OVER_WRITTEN_SRC)
+    sh, _ = both_recorders(sf, "top", [8, np.arange(8.0), np.zeros(8)],
+                           engine)
+    assert "x" in read_names(sh)
+    assert {(c.var, c.kind) for c in sh.conflicts} == {("x", "read-write")}
+
+
+# ---------------------------------------------------------------------------
+# ``_analyze`` on logs built row by row
+
+
+#: tokens of the hand-built logs: three arrays of ``SIZE`` elements, one
+#: scalar
+SIZE = 5
+TOKENS = ("u", "v", "w", "s")
+LOCKSETS = (frozenset(), frozenset("p"), frozenset("q"), frozenset("pq"))
+
+offset = st.one_of(
+    st.integers(0, SIZE - 1),                              # an element
+    st.just(ALL),                                          # a supercell
+    st.lists(st.integers(0, SIZE - 1), max_size=3),        # a section
+)
+log_rows = st.lists(st.tuples(kinds, st.integers(0, len(TOKENS) - 1),
+                              offset, st.integers(-2, 3),
+                              st.integers(0, len(LOCKSETS) - 1)),
+                    min_size=1, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(log_rows)
+def test_analysis_matches_a_pairwise_checker(rows):
+    """Random logs — element, section and supercell rows, locksets,
+    negative iteration numbers — against every pair of access events:
+    the same conflicting cells and kinds, in first-write order, each
+    with an iteration pair two of its events really make."""
+    sh = ShadowRecorder()
+    for tok, name in enumerate(TOKENS):
+        arr = None if name == "s" else FArray(np.zeros(SIZE), (1,))
+        sh._token(arr if arr is not None else Scope(), name, name, arr)
+    for locks in LOCKSETS:
+        sh._hold(locks)
+    ctx = sh.open_loop("loop", 2)
+    events, first_write = [], {}
+    for kind, tok, off, it, lk in rows:
+        if TOKENS[tok] == "s":
+            off = 0                                   # a scalar's one cell
+        log = ctx.writes if kind == "w" else ctx.reads
+        cells = [ALL] if off == ALL else off if isinstance(off, list) \
+            else [off]
+        if isinstance(off, list):
+            log.rows.extend((tok, -2 - len(log.sections), it, lk))
+            log.sections.append(np.array(off, dtype=np.int64))
+        else:
+            log.rows.extend((tok, -1 if off == ALL else off, it, lk))
+        for cell in cells:
+            events.append((tok, cell, kind, it, LOCKSETS[lk]))
+            if kind == "w":
+                first_write.setdefault((tok, cell), len(first_write))
+    sh.close_loop(ctx)
+
+    def cell_of(c):
+        tok = TOKENS.index(c.var)
+        return tok, (ALL if c.element is None and c.var != "s"
+                     else 0 if c.element is None else c.element[0] - 1)
+
+    got = [(cell_of(c), c.kind) for c in sh.conflicts]
+    assert {(tok, kind, cell) for (tok, cell), kind in got} \
+        == reference(events)
+    assert [cell for cell, _ in got] == sorted(
+        (cell for cell, _ in got), key=first_write.__getitem__)
+    for c, ((tok, cell), kind) in zip(sh.conflicts, got):
+        i, j = c.iterations
+        assert i < j
+        writes = [(e[3], e[4]) for e in events
+                  if e[:3] == (tok, cell, "w")]
+        touching = [(e[3], e[4]) for e in events if e[0] == tok
+                    and (e[1] == cell or (e[1] == ALL and cell != ALL))
+                    and e[2] == kind[0]]
+        assert any({a, b} == {i, j} and not (la & lb)
+                   for a, la in writes for b, lb in touching)

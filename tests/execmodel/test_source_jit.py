@@ -13,6 +13,7 @@ tree walk.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,10 @@ import pytest
 from repro.cedar import nodes as C
 from repro.engine import cached_parse, cached_restructure
 from repro.engine import cache as cache_mod
+from repro.execmodel import compiled as compiled_mod
 from repro.execmodel.interp import Interpreter
 from repro.execmodel.shadow import ShadowRecorder
-from repro.execmodel.source_jit import JIT_VERSION
+from repro.execmodel.source_jit import _HELPERS, JIT_VERSION, emit_module
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
 from tests.execmodel.test_lowered_recording import doall_program
@@ -34,8 +36,8 @@ CASES = validation_cases()
 #: the current emitter version: ``workload/config`` -> [vectorized_loops,
 #: scalar_stmts, tree_lists, digest of every statement list's cache-key
 #: inputs and module text].  Regenerate (only together with a JIT_VERSION bump) by
-#: running this file:
-#: ``PYTHONPATH=src python tests/execmodel/test_source_jit.py`` — which
+#: running this file from the repository root:
+#: ``PYTHONPATH=src:. python tests/execmodel/test_source_jit.py`` — which
 #: refuses to write a file in which any entry runs a loop on vector text
 #: or leaves a list to the tree.
 GOLDEN = Path(__file__).with_name("jit_source_golden.json")
@@ -483,6 +485,72 @@ class TestOffMeansOff:
         assert len(golden) == 3 * len(CASES)
         assert not any(vector or tree_lists for vector, _, tree_lists, _
                        in golden.values())
+
+
+@pytest.fixture(scope="module")
+def emitted():
+    """Every module text the 66 programs' runs emit, unrecorded and under
+    a ``ShadowRecorder``: ``[(rec, own, text)]``, ``own`` the scalars of
+    the innermost DOALL's worker scope around the list
+    (:meth:`Interpreter.own_privates`)."""
+    texts = []
+
+    def spy(interp, stmts, unit, rec):
+        text = emit_module(interp, stmts, unit, rec)
+        texts.append((rec, interp.own_privates(unit, stmts), text))
+        return text
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiled_mod, "emit_module", spy)
+        mp.setattr(cache_mod, "_DEFAULT", cache_mod.CompilationCache())
+        for wname, case in sorted(CASES.items()):
+            programs = [cached_parse(case.source)] + [
+                cached_restructure(case.source, PIPELINE_CONFIGS[config]())[0]
+                for config in sorted(PIPELINE_CONFIGS)]
+            for program in programs:
+                for shadow in (None, ShadowRecorder()):
+                    args, _ = case.make_args(case.n,
+                                             np.random.default_rng(3))
+                    Interpreter(program, processors=4, engine="compiled",
+                                shadow=shadow).call(case.entry, *args)
+    return texts
+
+
+#: a scalar recorder call of the recorder-aware text, and the name it is for
+SCALAR_CALL = re.compile(r"(?:SH\.record_scalar|LOGS)\(_c\d+, '(\w+)'")
+
+
+def test_recorded_text_makes_no_call_for_the_innermost_privates(emitted):
+    """The scalars of the innermost DOALL's worker scope around a list —
+    its variable and private scalars — sit under the worker scope of
+    every loop around them, so no log keeps an access to them: over the
+    66 programs' recorded runs, the recorder-aware text of every list
+    inside a DOALL names none of them in a ``record_scalar`` or ``LOGS``
+    call, and still makes those calls for the scalars it shares."""
+    texts = [(own, text) for rec, own, text in emitted if rec and own]
+    assert len(texts) > 50
+    named = [set(SCALAR_CALL.findall(text)) for _, text in texts]
+    assert all(not own & names for (own, _), names in zip(texts, named))
+    assert any(named)
+
+
+def test_a_module_binds_the_helpers_its_text_names(emitted):
+    """The helpers a module binds are the ones the emitter recorded as
+    it wrote them: over every text of the 66 programs, in both modes,
+    exactly the :data:`_HELPERS` names that occur as words in the
+    functions' text — none missing (a name the text calls unbound would
+    fail only when that path runs), none extra."""
+    assert {rec for rec, _, _ in emitted} == {False, True}
+    checked = 0
+    for _, _, text in emitted:
+        if text.endswith("make = None\n"):
+            continue
+        head, body = text.split("    rt.tally(", 1)
+        bound = set(re.findall(r"^    ([A-Z]+) = rt\.", head, re.M))
+        named = set(re.findall(r"\b[A-Z]+\b", body)) & _HELPERS.keys()
+        assert bound == named, (bound ^ named, text.splitlines()[0])
+        checked += 1
+    assert checked > 100
 
 
 class TestModuleCache:
