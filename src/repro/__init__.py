@@ -10,7 +10,7 @@ The package provides:
 - :mod:`repro.analysis` — program analyses: affine expression algebra,
   control/data flow, data-dependence testing, induction variables (including
   generalized IVs), reduction recognition, scalar/array privatization,
-  interprocedural summaries, and run-time dependence test synthesis.
+  and run-time dependence test synthesis.
 - :mod:`repro.restructurer` — the source-to-source parallelizer that turns
   sequential Fortran 77 into Cedar Fortran (the paper's KAP-derived
   restructurer, rebuilt from scratch).

@@ -13,6 +13,10 @@ Direction vectors are expressed over the loops enclosing **both** endpoints
 or write-read pair of a scalar yields dependences at every level unless a
 later pass (induction/reduction/privatization) explains the scalar away —
 the graph records them; the parallelization planner filters them.
+
+A nest that calls a routine of unknown effect (see :mod:`repro.analysis.refs`)
+has edges only for what the call's arguments show; its graph is marked
+``opaque_calls`` and no level of it is parallel.
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ class DependenceGraph:
     deps: list[Dependence] = field(default_factory=list)
     refs: list[Ref] = field(default_factory=list)
     exact: bool = True  # False if any conservative edge was added
+    #: the body calls a routine whose effects the references do not show
+    opaque_calls: bool = False
 
     def carried_at(self, depth: int) -> list[Dependence]:
         """Dependences carried by the loop at ``depth`` in the nest."""
@@ -82,11 +88,14 @@ class DependenceGraph:
 
     def is_parallel(self, depth: int = 0,
                     ignore: Iterable[str] = ()) -> bool:
-        """True if the loop at ``depth`` carries no dependences.
+        """True if the loop at ``depth`` carries no dependences and the
+        nest calls no routine of unknown effect.
 
         ``ignore`` names variables already explained (privatized scalars,
         recognized reductions, substituted induction variables).
         """
+        if self.opaque_calls:
+            return False
         ig = set(ignore)
         return not any(d for d in self.carried_at(depth)
                        if d.variable not in ig)
@@ -105,18 +114,20 @@ def _common_nest(a: Ref, b: Ref) -> tuple[LoopInfo, ...]:
 
 def build_dependence_graph(loop: F.DoLoop,
                            params: Mapping[str, int] | None = None,
-                           effects=None,
-                           refs: list[Ref] | None = None) -> DependenceGraph:
+                           collector: RefCollector | None = None
+                           ) -> DependenceGraph:
     """Build the dependence graph of ``loop`` (the outermost of the nest).
 
-    ``params`` maps PARAMETER names to integer values.  ``effects`` is an
-    optional interprocedural MOD/REF oracle for CALL statements.  A
-    caller that already holds the nest's reference inventory (collected
-    with that oracle, under ``LoopInfo.of(loop)``) passes it as ``refs``.
+    ``params`` maps PARAMETER names to integer values.  A caller that
+    already holds the nest's reference inventory (collected under
+    ``LoopInfo.of(loop)``) passes it as ``collector``.
     """
-    if refs is None:
-        refs = RefCollector(effects).collect(loop.body, (LoopInfo.of(loop),))
-    graph = DependenceGraph(loop=loop, nest=(LoopInfo.of(loop),), refs=refs)
+    if collector is None:
+        collector = RefCollector()
+        collector.collect(loop.body, (LoopInfo.of(loop),))
+    refs = collector.refs
+    graph = DependenceGraph(loop=loop, nest=(LoopInfo.of(loop),), refs=refs,
+                            opaque_calls=collector.has_unknown_calls)
 
     # group references by variable
     by_name: dict[str, list[tuple[int, Ref]]] = {}

@@ -165,9 +165,7 @@ def _classify(loop: F.DoLoop, name: str, op: str, step: F.Expr,
     step_val = const_value(step)
     if op == "*":
         # Geometric GIV.  Monotonicity would additionally require v0 > 0,
-        # which is not visible locally, so it stays False here; the
-        # restructurer upgrades it when interprocedural constant
-        # propagation pins the initial value down.
+        # which is not visible locally, so it stays False.
         closed = _geometric_closed_form(loop, name, step, inner_path)
         return InductionVar(name, "geometric", step, update,
                             closed_form=closed, strictly_monotonic=False)

@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 from repro.analysis.dataflow import RegionUsage, regions_after
 from repro.analysis.depend.graph import DependenceGraph, build_dependence_graph
-from repro.analysis.refs import EffectsOracle, LoopInfo, Ref, RefCollector
+from repro.analysis.refs import LoopInfo, Ref, RefCollector
 from repro.fortran import ast_nodes as F
 from repro.fortran.symtab import SymbolTable
 
@@ -32,21 +32,18 @@ class NestRecord:
     """Lazily computed facts about ``loop`` (the outermost of a nest).
 
     ``unit``/``symtab`` give liveness its context (without a unit every
-    variable counts as live-out); ``params`` and ``effects`` are the
-    PARAMETER constants and the interprocedural MOD/REF oracle the
-    dependence graph is built with.
+    variable counts as live-out); ``params`` are the PARAMETER constants
+    the dependence graph is built with.
     """
 
     def __init__(self, loop: F.DoLoop,
                  unit: Optional[F.ProgramUnit] = None,
                  symtab: Optional[SymbolTable] = None,
-                 params: Mapping[str, int] | None = None,
-                 effects: EffectsOracle | None = None):
+                 params: Mapping[str, int] | None = None):
         self.loop = loop
         self.unit = unit
         self.symtab = symtab
         self.params = params
-        self.effects = effects
 
     @classmethod
     def of(cls, loop: "F.DoLoop | NestRecord", *context) -> "NestRecord":
@@ -56,30 +53,19 @@ class NestRecord:
 
     def invalidate(self) -> None:
         """Forget every fact: the loop's body was rewritten in place."""
-        context = (self.loop, self.unit, self.symtab, self.params,
-                   self.effects)
+        context = (self.loop, self.unit, self.symtab, self.params)
         self.__dict__.clear()
         self.__init__(*context)
 
     # -- references ---------------------------------------------------------
 
-    def _collect(self, effects: EffectsOracle | None) -> RefCollector:
-        rc = RefCollector(effects)
-        rc.collect(self.loop.body, (LoopInfo.of(self.loop),))
-        return rc
-
     @cached_property
     def collector(self) -> RefCollector:
-        """References with every CALL treated conservatively — what the
-        scalar analyses and the run-time test synthesis read."""
-        return self._collect(None)
-
-    @cached_property
-    def oracle_collector(self) -> RefCollector:
-        """References with CALLs resolved through ``effects`` — what the
-        dependence graph is built from."""
-        return (self.collector if self.effects is None
-                else self._collect(self.effects))
+        """The nest's reference inventory — what the dependence graph,
+        the scalar analyses and the run-time test synthesis read."""
+        rc = RefCollector()
+        rc.collect(self.loop.body, (LoopInfo.of(self.loop),))
+        return rc
 
     @property
     def refs(self) -> list[Ref]:
@@ -137,7 +123,7 @@ class NestRecord:
     @cached_property
     def graph(self) -> DependenceGraph:
         return build_dependence_graph(self.loop, self.params,
-                                      refs=self.oracle_collector.refs)
+                                      collector=self.collector)
 
     @cached_property
     def after_usages(self) -> Optional[list[RegionUsage]]:

@@ -5,16 +5,22 @@ the same inventory: which memory locations does each statement touch, under
 which enclosing loops, and is the access conditional?  :func:`collect_refs`
 builds that inventory for a statement list.
 
-``CALL`` statements are handled through an optional *effects oracle* (the
-interprocedural MOD/REF summaries); without one, every argument and every
-COMMON variable is conservatively treated as both read and written.
+Calls follow one rule.  Each variable or array argument of a ``CALL`` is
+recorded as both read and written; an expression argument, and every
+argument of a function reference, is read.  The routine's other effects —
+COMMON variables above all — are not modelled, so a call to anything but
+an intrinsic or a Cedar library routine sets
+:attr:`RefCollector.has_unknown_calls`: the dependence graph then refuses
+every level of the nest (no parallel loop, no vector form), loop fusion
+leaves the loop alone, and the run-time test synthesis declines it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
+from repro.cedar.library import CEDAR_LIBRARY
 from repro.fortran import ast_nodes as F
 
 
@@ -66,17 +72,13 @@ def subscripts_of(e: F.Expr) -> Optional[list[F.Expr]]:
     return e.args if isinstance(e, F.Apply) else None
 
 
-#: Effects oracle: call statement → (ref names, mod names) among the actual
-#: arguments, or None when the callee is unknown.
-EffectsOracle = Callable[[F.CallStmt], Optional[tuple[set[str], set[str]]]]
-
-
 class RefCollector:
     """Walks statement lists accumulating :class:`Ref` records."""
 
-    def __init__(self, effects: EffectsOracle | None = None):
-        self.effects = effects
+    def __init__(self):
         self.refs: list[Ref] = []
+        #: some call names a routine that is neither an intrinsic nor a
+        #: Cedar library routine: its effects are unknown
         self.has_unknown_calls = False
         self.has_goto = False
 
@@ -145,8 +147,7 @@ class RefCollector:
         return
 
     def _call(self, s: F.CallStmt, loops: tuple[LoopInfo, ...], cond: bool) -> None:
-        summary = self.effects(s) if self.effects else None
-        if summary is None:
+        if s.name not in CEDAR_LIBRARY:
             self.has_unknown_calls = True
         for a in s.args:
             # expression args are pure reads; variable/array args may be
@@ -155,12 +156,10 @@ class RefCollector:
                 subs = subscripts_of(a) or []
                 for sub in subs:
                     self._expr(sub, loops, cond, s)
-                if summary is None or a.name in summary[0]:
-                    self._add(a.name, list(subs), False, s, loops, cond,
-                              in_call=True)
-                if summary is None or a.name in summary[1]:
-                    self._add(a.name, list(subs), True, s, loops, cond,
-                              in_call=True)
+                self._add(a.name, list(subs), False, s, loops, cond,
+                          in_call=True)
+                self._add(a.name, list(subs), True, s, loops, cond,
+                          in_call=True)
             else:
                 self._expr(a, loops, cond, s)
 
@@ -175,6 +174,8 @@ class RefCollector:
             self._add(e.name, list(subs), False, stmt, loops, cond)
             return
         if isinstance(e, F.FuncCall):
+            if not e.intrinsic and e.name not in CEDAR_LIBRARY:
+                self.has_unknown_calls = True
             for a in e.args:
                 self._expr(a, loops, cond, stmt)
             return
@@ -199,10 +200,9 @@ class RefCollector:
 
 
 def collect_refs(stmts: list[F.Stmt],
-                 loops: tuple[LoopInfo, ...] = (),
-                 effects: EffectsOracle | None = None) -> list[Ref]:
+                 loops: tuple[LoopInfo, ...] = ()) -> list[Ref]:
     """Collect all references under ``stmts`` (see :class:`RefCollector`)."""
-    return RefCollector(effects).collect(stmts, loops)
+    return RefCollector().collect(stmts, loops)
 
 
 def written_names(stmts: list[F.Stmt]) -> set[str]:

@@ -4,8 +4,8 @@ speedups on the Alliant FX/80 and Cedar.
 "Automatic" runs the baseline 1991 restructurer configuration;
 "manual" switches on the hand-applied techniques of §4.1 (array
 privatization, generalized induction variables, run-time dependence
-tests, array/multi-statement reductions, critical sections,
-interprocedural analysis + inlining, fusion).  The paper's headline: the
+tests, array/multi-statement reductions, critical sections, inline
+expansion, fusion).  The paper's headline: the
 manual codes average 4.5× the automatic ones on the FX/80 and 17.2× on
 Cedar.
 """
@@ -35,7 +35,6 @@ def run(quick: bool = False, n_override: int | None = None) -> Table:
     )
     auto = RestructurerOptions.automatic()
     manual = RestructurerOptions.manual()
-    fx80_auto = dict(auto.__dict__)
     ratios_fx = []
     ratios_cedar = []
     t.meta["trace"] = {}

@@ -92,12 +92,12 @@ def _stmt_ops(s: F.Stmt, default_trip: int) -> float:
 
 
 class CostModel:
-    """Scores loop-nest execution alternatives."""
+    """Scores loop-nest execution alternatives on Cedar's shape: 4
+    clusters of 8 processors."""
 
-    def __init__(self, clusters: int = 4, processors_per_cluster: int = 8):
-        self.clusters = clusters
-        self.ppc = processors_per_cluster
-        self.total_p = clusters * processors_per_cluster
+    clusters = 4
+    ppc = 8                      # processors per cluster
+    total_p = clusters * ppc
 
     # -- individual shapes -------------------------------------------------
 

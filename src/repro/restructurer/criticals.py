@@ -46,12 +46,15 @@ def plan_critical_section(loop: "F.DoLoop | NestRecord",
                           default_trip: int) -> Optional[CriticalPlan]:
     """Find a contiguous region covering all carried dependences.
 
-    Returns None when no such region exists, when the region is most of
-    the body (no parallelism left), or when a dependence variable is also
-    referenced outside the region (the lock would not protect it).  The
-    operation counts take a DO of unknown bounds to run ``default_trip``
+    Returns None when the body calls a routine of unknown effect, when no
+    such region exists, when the region is most of the body (no
+    parallelism left), or when a dependence variable is also referenced
+    outside the region (the lock would not protect it).  The operation
+    counts take a DO of unknown bounds to run ``default_trip``
     iterations, as the planner that scores the plan does.
     """
+    if graph.opaque_calls:
+        return None
     carried = [d for d in graph.carried_at(0) if d.variable not in ignore]
     if not carried:
         return None

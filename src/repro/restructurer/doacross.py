@@ -51,12 +51,15 @@ def plan_doacross(loop: "F.DoLoop | NestRecord", graph: DependenceGraph,
                   default_trip: int) -> Optional[DoacrossPlan]:
     """Plan a DOACROSS for ``loop`` given its dependence graph.
 
-    Eligible when every carried dependence (not in ``ignore``) is exact
-    with positive distance; the sync region spans from the earliest sink
-    to the latest source among those dependences.  Its operation counts
-    take a DO of unknown bounds to run ``default_trip`` iterations, as
-    the planner that scores the plan does.
+    Eligible when the body calls no routine of unknown effect and every
+    carried dependence (not in ``ignore``) is exact with positive
+    distance; the sync region spans from the earliest sink to the latest
+    source among those dependences.  Its operation counts take a DO of
+    unknown bounds to run ``default_trip`` iterations, as the planner
+    that scores the plan does.
     """
+    if graph.opaque_calls:
+        return None
     carried = [d for d in graph.carried_at(0) if d.variable not in ignore]
     if not carried:
         return None  # plain DOALL, no sync needed

@@ -52,14 +52,17 @@ def try_fuse(a: F.DoLoop, b: F.DoLoop,
     """The analysis record of ``fuse(a, b)`` when ``a`` and ``b``
     (adjacent) can legally be fused, else None.
 
-    Legal when the headers match and, in the fused loop, no dependence
-    from a ``b``-statement to an ``a``-statement is carried (backward
-    across the fusion seam) and no loop-independent dependence from ``b``
-    to ``a`` exists.
+    Legal when the headers match, neither loop calls a routine of
+    unknown effect (the graph cannot show what it touches) and, in the
+    fused loop, no dependence from a ``b``-statement to an
+    ``a``-statement is carried (backward across the fusion seam) and no
+    loop-independent dependence from ``b`` to ``a`` exists.
     """
     if not same_header(a, b, params):
         return None
     merged = NestRecord(fuse(a, b), params=params)
+    if merged.graph.opaque_calls:
+        return None
     seam = len(a.body)
     for d in merged.graph.deps:
         if d.variable in ignore:

@@ -5,12 +5,9 @@ Decides the memory placement of every variable of a unit:
 - variables referenced inside S- or X-level parallel loops are visible to
   processors on *different clusters* → ``GLOBAL`` (one copy in global
   memory);
-- everything else defaults to ``CLUSTER`` (one copy per cluster, fast
-  cluster memory + cache);
-- *interface data* (COMMON blocks, dummy arguments) follows the
-  user-settable default placement, since its usage may cross routine
-  boundaries the compiler cannot see; explicit GLOBAL/CLUSTER declarations
-  win.
+- everything else, *interface data* (COMMON blocks, dummy arguments)
+  included, is ``CLUSTER`` (one copy per cluster, fast cluster memory +
+  cache).
 
 The pass emits :class:`GlobalDecl`/:class:`ClusterDecl` statements at the
 top of the unit's specification part and records the placement on the
@@ -60,7 +57,6 @@ def _local_names(loop: ParallelDo) -> set[str]:
 
 
 def globalize_unit(unit: F.ProgramUnit, symtab: SymbolTable,
-                   default_placement: str = "cluster",
                    sink=NULL_SINK) -> PlacementResult:
     """Run the globalization pass over a (restructured) unit.
 
@@ -83,24 +79,16 @@ def globalize_unit(unit: F.ProgramUnit, symtab: SymbolTable,
     for name, sym in sorted(symtab.symbols.items()):
         if sym.is_function or sym.is_external or sym.is_parameter:
             continue
-        interface = sym.is_dummy or sym.common_block is not None
         if name in cross_cluster:
-            placement = "global"
-        elif interface:
-            placement = default_placement
-        else:
-            placement = "cluster"
-        sym.placement = placement
-        if placement == "global":
+            sym.placement = "global"
             result.global_names.append(name)
             sink.emit(DecisionEvent(
                 kind="pass", unit=unit.name, technique="globalize",
                 action="applied", loop=name,
                 reason="referenced inside an S/X-level parallel loop: "
-                       "processors on different clusters need one copy"
-                if name in cross_cluster else
-                f"interface data placed {default_placement} by option"))
+                       "processors on different clusters need one copy"))
         else:
+            sym.placement = "cluster"
             result.cluster_names.append(name)
 
     if result.global_names:

@@ -1,4 +1,4 @@
-"""Inline subroutine expansion (paper §3.2, §4.1.1).
+"""Inline subroutine expansion (paper §3.2).
 
 Replaces a CALL with the callee's body: dummy arguments are renamed to the
 actual arguments (whole variables/arrays only; expression actuals go

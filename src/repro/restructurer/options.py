@@ -4,8 +4,10 @@ The defaults correspond to the paper's *automatic* configuration (the 1991
 KAP-derived restructurer).  The ``aggressive()`` preset switches on every
 technique the paper applied *by hand* (§4.1) — array privatization,
 generalized induction variables, run-time dependence tests, array
-reductions, critical sections, interprocedural analysis — which is how the
-"manually improved" columns of Table 2 are modelled.
+reductions, critical sections, inline expansion — which is how the
+"manually improved" columns of Table 2 are modelled.  The paper's
+interprocedural analysis (§4.1.1) has no switch: inline expansion is what
+opens the loops that call a routine.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class RestructurerOptions:
     multi_stmt_reductions: bool = False     # §4.1.3
     runtime_dependence_test: bool = False   # §4.1.5
     critical_sections: bool = False         # §4.1.6
-    interprocedural: bool = False           # §4.1.1 (MOD/REF + const prop)
     inline_expansion: bool = False          # §3.2
     loop_fusion: bool = False               # §4.2.4
     # The 1991 system mapped a single parallel loop to XDOALL+strip (§3.2);
@@ -42,14 +43,7 @@ class RestructurerOptions:
     cluster_mapping: bool = False
 
     # --- planning ---
-    max_versions: int = 50                  # candidate-version cap (§3.4)
     default_trip: int = 1000                # assumed trips for unknown bounds
-    default_strip: int = 32                 # default vector strip length
-    default_placement: str = "cluster"      # interface data default (§3.2)
-
-    # --- target shape (used by the planner's cost model) ---
-    clusters: int = 4
-    processors_per_cluster: int = 8
 
     def aggressive(self) -> "RestructurerOptions":
         """The paper's hand-applied technique set (Table 2 'manual')."""
@@ -61,7 +55,6 @@ class RestructurerOptions:
             multi_stmt_reductions=True,
             runtime_dependence_test=True,
             critical_sections=True,
-            interprocedural=True,
             inline_expansion=True,
             loop_fusion=True,
             cluster_mapping=True,

@@ -2,8 +2,8 @@
 
 :class:`Restructurer` drives the whole translation:
 
-1. parse-level preparation: symbol tables, PARAMETER constants, optional
-   interprocedural summaries and inline expansion;
+1. parse-level preparation: symbol tables, PARAMETER constants and
+   optional inline expansion;
 2. per-unit, per-nest planning and transformation (the
    :class:`LoopPlanner`), optionally preceded by loop fusion;
 3. globalization (GLOBAL/CLUSTER placement).
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.expr import const_value
-from repro.analysis.interproc.summaries import effects_oracle, summarize_source_file
 from repro.cedar.nodes import ParallelDo
 from repro.fortran import ast_nodes as F
 from repro.fortran.symtab import SymbolTable, build_symbol_table
@@ -32,7 +31,7 @@ from repro.trace.events import DecisionEvent, TraceRecorder
 
 #: The canonical, ordered list of restructurer passes: (stage label,
 #: option fields that enable it).  Stage order follows the pipeline —
-#: interprocedural preparation, then per-nest scalar analyses, then the
+#: inline expansion and fusion, then per-nest scalar analyses, then the
 #: version builders.  ``repro.validate`` bisects over prefixes of this
 #: list to name the pass that introduced an output divergence; keep new
 #: passes registered here when adding option switches, each with a
@@ -40,7 +39,6 @@ from repro.trace.events import DecisionEvent, TraceRecorder
 #: tests/restructurer/test_pipeline.py).
 PASS_STAGES: list[tuple[str, tuple[str, ...]]] = [
     ("inline-expansion", ("inline_expansion",)),
-    ("interprocedural", ("interprocedural",)),
     ("loop-fusion", ("loop_fusion",)),
     ("induction-substitution", ("basic_induction",)),
     ("generalized-induction", ("generalized_induction",)),
@@ -141,11 +139,6 @@ class Restructurer:
         # every decision event lands on ``report.events``
         self._sink = TraceRecorder()
 
-        effects = None
-        if self.opt.interprocedural:
-            summaries = summarize_source_file(sf)
-            effects = effects_oracle(summaries)
-
         # inline expansion must see the *original* callees: units are
         # restructured in file order, and inlining an already-transformed
         # callee would splice Cedar nodes into a pre-translation tree
@@ -153,14 +146,14 @@ class Restructurer:
             if self.opt.inline_expansion else sf
 
         for unit in sf.units:
-            report.units[unit.name] = self._run_unit(unit, pristine, effects)
+            report.units[unit.name] = self._run_unit(unit, pristine)
         report.events = self._sink.events
         return sf, report
 
     # ------------------------------------------------------------------
 
-    def _run_unit(self, unit: F.ProgramUnit, sf: F.SourceFile,
-                  effects) -> UnitReport:
+    def _run_unit(self, unit: F.ProgramUnit,
+                  sf: F.SourceFile) -> UnitReport:
         ur = UnitReport(unit.name)
 
         if self.opt.inline_expansion:
@@ -174,13 +167,11 @@ class Restructurer:
             ur.fused_loops = fuse_everywhere(unit.body, params,
                                              sink=self._sink, unit=unit.name)
 
-        planner = LoopPlanner(self.opt, unit, symtab, params, effects,
+        planner = LoopPlanner(self.opt, unit, symtab, params,
                               sink=self._sink)
         self._plan_region(unit.body, planner, ur)
 
-        ur.placement = globalize_unit(unit, symtab,
-                                      self.opt.default_placement,
-                                      sink=self._sink)
+        ur.placement = globalize_unit(unit, symtab, sink=self._sink)
         return ur
 
     def _plan_region(self, stmts: list[F.Stmt], planner: LoopPlanner,

@@ -8,8 +8,7 @@ For each outermost loop nest the planner
    in parallel;
 3. enumerates candidate execution versions — serial, inner-vector,
    XDOALL (+stripmined vector body), SDOALL/CDOALL nests, CDOACROSS with
-   synchronization, optionally behind a run-time dependence test — up to
-   the user-settable cap (default 50);
+   synchronization, optionally behind a run-time dependence test;
 4. scores each with the compile-time cost model and materializes the
    cheapest.
 
@@ -132,17 +131,14 @@ class LoopPlanner:
     def __init__(self, options: RestructurerOptions,
                  unit: F.ProgramUnit, symtab: SymbolTable,
                  params: dict[str, int] | None = None,
-                 effects: Optional[Callable] = None,
                  sink=None):
         self.opt = options
         self.unit = unit
         self.symtab = symtab
         self.params = params or {}
-        self.effects = effects
         self.sink = sink if sink is not None else NULL_SINK
         self.pool = NamePool(unit)
-        self.cost = CostModel(options.clusters,
-                              options.processors_per_cluster)
+        self.cost = CostModel()
 
     # ------------------------------------------------------------------
 
@@ -157,8 +153,7 @@ class LoopPlanner:
         # every analysis below reads this one record; induction
         # substitution, the only step that rewrites ``loop`` in place,
         # invalidates it
-        nest = NestRecord(loop, self.unit, self.symtab, self.params,
-                          self.effects)
+        nest = NestRecord(loop, self.unit, self.symtab, self.params)
         notes: list[str] = []
         before: list[F.Stmt] = []
         after: list[F.Stmt] = []
@@ -246,24 +241,22 @@ class LoopPlanner:
         outer_parallel = graph.is_parallel(0, ignore)
         if not outer_parallel:
             blockers = sorted(graph.variables_with_carried(0) - ignore)
-            self._emit(loop, "xdoall", "rejected",
-                       reason="loop-carried dependence on "
-                              + (", ".join(blockers) if blockers
-                                 else "unanalyzable references"))
+            if blockers:
+                reason = "loop-carried dependence on " + ", ".join(blockers)
+            elif graph.opaque_calls:
+                reason = ("calls a routine that is neither an intrinsic nor "
+                          "a Cedar library routine")
+            else:
+                reason = "loop-carried dependence on unanalyzable references"
+            self._emit(loop, "xdoall", "rejected", reason=reason)
         inner = self._inner_loop(loop)
         if inner is not None:
-            inner = NestRecord(inner, self.unit, self.symtab, self.params,
-                               self.effects)
+            inner = NestRecord(inner, self.unit, self.symtab, self.params)
         inner_parallel = inner is not None and self._inner_is_parallel(inner)
 
         # 6. enumerate and score
         versions = self._versions(nest, ignore, reductions, priv_ok,
                                   outer_parallel, inner, inner_parallel)
-        versions = versions[: self.opt.max_versions]
-        if not versions:
-            return NestPlan(loop, before + [loop] + after, chosen="serial",
-                            considered=[("serial", 0.0)], notes=notes,
-                            line=loop.line, discharged=discharged)
         versions.sort(key=lambda v: v[1])
         considered = [(label, score) for label, score, _ in versions]
 
@@ -508,7 +501,7 @@ class LoopPlanner:
                 raise TransformError(
                     f"scalars block vectorization: {plan.blocked}")
             pdo = stripmine_vectorize(
-                work, self.pool, strip=self.opt.default_strip, level=level,
+                work, self.pool, level=level,
                 expanded_scalars=plan.mapping, scalar_types=plan.types)
         else:
             # inner library idioms (dot products, sums) still pay off per
@@ -550,7 +543,7 @@ class LoopPlanner:
         # stripmines the innermost to generate vector statements
         try:
             cdo = stripmine_vectorize(
-                w_inner, self.pool, strip=self.opt.default_strip, level="C")
+                w_inner, self.pool, level="C")
         except TransformError:
             inner_priv = privatize_for_loop(
                 w_inner, inner_priv_results,
@@ -593,7 +586,7 @@ class LoopPlanner:
         while i < len(stmts):
             s = stmts[i]
             if isinstance(s, F.DoLoop):
-                nest = NestRecord(s, params=self.params, effects=self.effects)
+                nest = NestRecord(s, params=self.params)
                 if not nest.inner_loops:
                     priv = {p.name for p in
                             find_privatizable(nest, arrays=False)

@@ -1,9 +1,9 @@
 """ADM proxy: pseudospectral air-pollution model.
 
 Auto 1.2/0.6 → manual 7.1/10.1: the column loop calls a smoothing
-subroutine per column; without **inline expansion / interprocedural
-analysis** the call is opaque and the loop stays serial (on Cedar the
-parallel overhead even made it *slower* than serial — auto 0.6).
+subroutine per column; without **inline expansion** the call is opaque
+and the loop stays serial (on Cedar the parallel overhead even made it
+*slower* than serial — auto 0.6).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ ENTRY = "adm"
 DEFAULT_N = 256
 PAPER = {"fx80_auto": 1.2, "cedar_auto": 0.6,
          "fx80_manual": 7.1, "cedar_manual": 10.1}
-TECHNIQUES = ("inline_expansion", "interprocedural", "array_privatization")
+TECHNIQUES = ("inline_expansion", "array_privatization")
 
 SOURCE = """
       subroutine smooth(m, qcol, wcol)

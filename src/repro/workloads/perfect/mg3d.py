@@ -1,7 +1,7 @@
 """MG3D proxy: 3-D seismic migration.
 
 Auto 1.5/0.9 → manual 13.3/48.8: depth-extrapolation loops call a
-per-trace filter routine (**inlining/interprocedural** needed) and use
+per-trace filter routine (**inline expansion** needed) and use
 large per-trace workspaces (**array privatization**).  The very large
 manual Cedar speedup reflects the big data set exceeding one cluster's
 memory in the serial run.
@@ -14,7 +14,7 @@ ENTRY = "mg3d"
 DEFAULT_N = 256
 PAPER = {"fx80_auto": 1.5, "cedar_auto": 0.9,
          "fx80_manual": 13.3, "cedar_manual": 48.8}
-TECHNIQUES = ("inline_expansion", "interprocedural", "array_privatization")
+TECHNIQUES = ("inline_expansion", "array_privatization")
 
 SOURCE = """
       subroutine filtrc(m, tin, tout)

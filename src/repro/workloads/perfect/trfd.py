@@ -15,7 +15,7 @@ ENTRY = "trfd"
 DEFAULT_N = 128
 PAPER = {"fx80_auto": 2.2, "cedar_auto": 0.8,
          "fx80_manual": 16.0, "cedar_manual": 43.2}
-TECHNIQUES = ("generalized_induction", "interprocedural")
+TECHNIQUES = ("generalized_induction",)
 
 SOURCE = """
       subroutine xpair(k, xi, xj, s, xij)

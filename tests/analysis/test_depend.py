@@ -436,14 +436,14 @@ class GraphOracle:
         self.build = graph_mod.build_dependence_graph
         monkeypatch.setattr(nest_mod, "build_dependence_graph", self.checked)
 
-    def checked(self, loop, params=None, effects=None, refs=None):
-        if refs is None:
-            refs = RefCollector(effects).collect(loop.body,
-                                                 (LoopInfo.of(loop),))
-        got = self.build(loop, params, refs=refs)
+    def checked(self, loop, params=None, collector=None):
+        if collector is None:
+            collector = RefCollector()
+            collector.collect(loop.body, (LoopInfo.of(loop),))
+        got = self.build(loop, params, collector=collector)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(graph_mod, "_BuildFacts", _Direct)
-            want = self.build(loop, params, refs=refs)
+            want = self.build(loop, params, collector=collector)
         self.builds += 1
         if _edges(got) != _edges(want):
             self.mismatches.append(f"do {loop.var} @ line {loop.line}")

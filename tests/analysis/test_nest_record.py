@@ -41,8 +41,7 @@ FUZZ_SEED, FUZZ_COUNT = 11, 40
 
 
 def fresh(nest: NestRecord) -> NestRecord:
-    return NestRecord(nest.loop, nest.unit, nest.symtab, nest.params,
-                      nest.effects)
+    return NestRecord(nest.loop, nest.unit, nest.symtab, nest.params)
 
 
 def answers(nest: NestRecord, arrays: bool = True) -> dict:
@@ -134,12 +133,8 @@ def test_a_missed_invalidation_is_visible(config, monkeypatch):
     """Negative control: the audit above must fail when the one in-place
     rewriter forgets to invalidate.  TRFD's packed-triangle subscripts
     ``xij(k)`` go through a substituted induction variable, so a stale
-    reference inventory changes the dependence graph.  (Without a MOD/REF
-    oracle: with one, the graph's references are collected separately,
-    after the substitution, and the stale inventory happens to give the
-    scalar analyses the same answers.)"""
+    reference inventory changes the dependence graph."""
     options = PIPELINE_CONFIGS[config]()
-    options.interprocedural = False
     audit = Audit(monkeypatch)
     monkeypatch.setattr(NestRecord, "invalidate", lambda self: None)
     Restructurer(options).run(parse_program(CASES["TRFD"].source))
@@ -215,7 +210,6 @@ class TestStaleness:
         unit, _, nest = _giv()
         nest.graph, nest.usage, nest.stmts
         nest.invalidate()
-        assert set(vars(nest)) == {"loop", "unit", "symtab", "params",
-                                   "effects"}
+        assert set(vars(nest)) == {"loop", "unit", "symtab", "params"}
         assert nest.unit is unit and nest.live_after("t")
         assert not nest.live_after("k")

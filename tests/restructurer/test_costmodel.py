@@ -82,7 +82,7 @@ class TestEstimates:
 
 class TestVersionScoring:
     def setup_method(self):
-        self.cm = CostModel(clusters=4, processors_per_cluster=8)
+        self.cm = CostModel()
 
     def test_serial_beats_parallel_for_tiny_loops(self):
         assert self.cm.serial(10, 5.0) \

@@ -1,14 +1,11 @@
 """Tests for the globalization pass (§3.2)."""
 
-from dataclasses import replace
-
 from repro.api import restructure
 from repro.cedar.nodes import ClusterDecl, GlobalDecl, ParallelDo
 from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
 from repro.fortran.symtab import build_symbol_table
 from repro.restructurer.globalize import globalize_unit
-from repro.restructurer.options import RestructurerOptions
 
 
 def _decls(unit, cls):
@@ -75,8 +72,8 @@ class TestGlobalize:
         assert "t" not in result.global_names
 
     def test_interface_data_default_placement(self):
-        """COMMON/dummy data with no cross-cluster use follows the
-        user-settable default (§3.2)."""
+        """COMMON/dummy data with no cross-cluster use stays in cluster
+        memory, like any other variable (§3.2)."""
         src = """
       subroutine s(x)
       real x
@@ -87,14 +84,9 @@ class TestGlobalize:
         sf = parse_program(src)
         unit = sf.units[0]
         st = build_symbol_table(unit)
-        res_cluster = globalize_unit(unit, st, default_placement="cluster")
-        assert "c" in res_cluster.cluster_names
-
-        sf2 = parse_program(src)
-        unit2 = sf2.units[0]
-        st2 = build_symbol_table(unit2)
-        res_global = globalize_unit(unit2, st2, default_placement="global")
-        assert "c" in res_global.global_names
+        res = globalize_unit(unit, st)
+        assert "c" in res.cluster_names and "x" in res.cluster_names
+        assert res.global_names == []
 
     def test_placement_annotated_on_symbols(self):
         sf, rep = restructure(parse_program("""
@@ -110,15 +102,3 @@ class TestGlobalize:
         placement = rep.units["s"].placement
         assert placement is not None
         assert placement.placement_of("a") == "global"
-
-    def test_default_placement_option_flows_through(self):
-        opts = replace(RestructurerOptions.automatic(),
-                       default_placement="global")
-        sf, rep = restructure(parse_program("""
-      subroutine s(x)
-      real x
-      common /blk/ c
-      x = c
-      end
-"""), opts)
-        assert rep.units["s"].placement.placement_of("c") == "global"

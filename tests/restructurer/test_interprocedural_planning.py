@@ -1,9 +1,21 @@
-"""Interprocedural analysis feeding the planner (§4.1.1 end to end)."""
+"""Loops that call a routine: inline expansion (§3.2) opens them, and a
+call nothing opens keeps its nest serial.
+
+The paper's interprocedural analysis (§4.1.1) is not modelled.  A call
+to a routine that is neither an intrinsic nor a Cedar library routine
+may touch COMMON storage the loop's own text never names, so every level
+of a nest holding one stays serial and takes no vector form — the CALL
+statement and the function reference alike.
+"""
+
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.api import restructure
 from repro.execmodel.interp import Interpreter
+from repro.execmodel.shadow import ShadowRecorder
 from repro.fortran.parser import parse_program
 from repro.restructurer.options import RestructurerOptions
 
@@ -51,63 +63,119 @@ class TestInliningUnlocksLoops:
         assert np.allclose(b0, a * 2.0 + 1.0)
 
 
-class TestConstantPropagationSizes:
-    SRC = """
-      program main
-      parameter (n = 64)
-      real a(n), b(n)
-      call fill(a, b, n)
-      end
+#: a loop whose CALL advances a clock in COMMON — the source the
+#: front-door CI step ingests too
+CLOCK_TICK = (Path(__file__).resolve().parents[2]
+              / "examples" / "clock_tick.f").read_text()
 
-      subroutine fill(a, b, m)
-      integer m
-      real a(m), b(m)
-      integer i
-      do i = 1, m
-         a(i) = b(i) * 2.0
-      end do
+#: a REAL FUNCTION that advances a COMMON seed and returns it
+NEXT = """
+      real function next(x)
+      real x, seed
+      common /rng/ seed
+      seed = seed + x
+      next = seed
       end
 """
 
-    def test_entry_constant_resolved(self):
-        from repro.analysis.interproc import propagate_constants
+NEXT_IN_LOOP = """
+      subroutine fill(n, a)
+      integer n, i
+      real a(n), next
+      do 10 i = 1, n
+         a(i) = next(1.0)
+   10 continue
+      end
+""" + NEXT
 
-        sf = parse_program(self.SRC)
-        assert propagate_constants(sf, "fill", ["m"]) == {"m": 64}
-
-
-class TestSummariesRestrictCallEffects:
-    SRC = """
-      subroutine reader(xin, acc)
-      real xin, acc
-      acc = acc + xin
+#: a CALL inline expansion cannot open (an array element bound to an
+#: array dummy) whose callee sums into COMMON
+COLSUM_IN_LOOP = """
+      subroutine sums(n, a, t)
+      integer n, i
+      real a(n, n), t, total
+      common /acc/ total
+      do 10 i = 1, n
+         call colsum(a(1, i), n)
+   10 continue
+      t = total
       end
 
-      subroutine driver(n, a, total)
-      integer n
-      real a(n), total
-      integer i
-      do i = 1, n
-         call reader(a(i), total)
-      end do
+      subroutine colsum(x, n)
+      integer n, j
+      real x(n), total
+      common /acc/ total
+      do 20 j = 1, n
+         total = total + x(j)
+   20 continue
       end
 """
 
-    def test_summaries_expose_read_only_argument(self):
-        """With MOD/REF summaries, 'a' is known read-only at the call —
-        the conservative both-ways dependence on it disappears."""
-        from repro.analysis.depend import build_dependence_graph
-        from repro.analysis.interproc import summarize_source_file
-        from repro.analysis.interproc.summaries import effects_oracle
-        from repro.fortran import ast_nodes as F
-        from repro.fortran.symtab import build_symbol_table
+#: fusing the two loops would run every ``next`` before the reads of
+#: ``seed`` they feed, not after
+NEXT_THEN_SEED = """
+      subroutine two(n, b, c)
+      integer n, i
+      real b(n), c(n), next, seed
+      common /rng/ seed
+      do 10 i = 2, n
+         c(i) = next(1.0)
+   10 continue
+      do 20 i = 2, n
+         b(i) = b(i-1) + seed
+   20 continue
+      end
+""" + NEXT
 
-        sf = parse_program(self.SRC)
-        driver = sf.unit("driver")
-        build_symbol_table(driver)
-        loop = next(s for s in driver.body if isinstance(s, F.DoLoop))
-        oracle = effects_oracle(summarize_source_file(sf))
-        g = build_dependence_graph(loop, effects=oracle)
-        carried = {d.variable for d in g.carried_at(0)}
-        assert "a" not in carried      # read-only via the summary
-        assert "total" in carried      # genuinely modified every call
+N = 16  # four iterations per processor at P = 4
+
+
+def _clock_args():
+    return N, np.ones(N), np.zeros(1)
+
+
+def _next_args():
+    return N, np.zeros(N)
+
+
+class TestCallsWithUnknownEffects:
+    @pytest.mark.parametrize("preset", ("automatic", "manual"))
+    @pytest.mark.parametrize("source, unit", (
+        (CLOCK_TICK, "scale"),
+        (NEXT_IN_LOOP, "fill"),
+        (COLSUM_IN_LOOP, "sums"),
+    ), ids=("tick", "next", "colsum"))
+    def test_the_calling_loop_stays_serial(self, source, unit, preset):
+        _, rep = restructure(parse_program(source),
+                             getattr(RestructurerOptions, preset)())
+        [plan] = rep.units[unit].plans
+        assert plan.chosen == "serial"
+
+    @pytest.mark.parametrize("engine", ("tree", "compiled"))
+    @pytest.mark.parametrize("preset", ("automatic", "manual"))
+    @pytest.mark.parametrize("source, entry, make_args", (
+        (CLOCK_TICK, "scale", _clock_args),
+        (NEXT_IN_LOOP, "fill", _next_args),
+    ), ids=("tick", "next"))
+    def test_serial_result_and_no_race(self, source, entry, make_args,
+                                       preset, engine):
+        want = Interpreter(parse_program(source)).call(entry, *make_args())
+        cedar, _ = restructure(parse_program(source),
+                               getattr(RestructurerOptions, preset)())
+        sh = ShadowRecorder()
+        got = Interpreter(cedar, processors=4, shadow=sh,
+                          engine=engine).call(entry, *make_args())
+        assert sh.conflicts == []
+        for name in want:
+            assert np.asarray(got[name]).tobytes() \
+                == np.asarray(want[name]).tobytes(), name
+
+    def test_a_call_blocks_fusion(self):
+        cedar, rep = restructure(parse_program(NEXT_THEN_SEED),
+                                 RestructurerOptions.manual())
+        assert rep.units["two"].fused_loops == 0
+        want = Interpreter(parse_program(NEXT_THEN_SEED)).call(
+            "two", N, np.zeros(N), np.zeros(N))
+        got = Interpreter(cedar, processors=4).call(
+            "two", N, np.zeros(N), np.zeros(N))
+        assert np.array_equal(got["b"], want["b"])

@@ -94,15 +94,6 @@ class TestOptionGates:
         text, _ = restructure_source(ALL_SOURCES["casc"], opts)
         assert "cdoacross" not in text
 
-    def test_max_versions_cap(self):
-        from dataclasses import replace
-
-        opts = replace(RestructurerOptions.automatic(), max_versions=1)
-        _, rep = restructure(parse_program(ALL_SOURCES["saxpy"]), opts)
-        for u in rep.units.values():
-            for p in u.plans:
-                assert len(p.considered) <= 1
-
     def test_aggressive_superset(self):
         a = RestructurerOptions.automatic()
         m = RestructurerOptions.manual()
@@ -117,7 +108,6 @@ class TestOptionGates:
 #: decision events.  A switch that no program can observe has no row.
 STAGE_WITNESSES = {
     "inline-expansion": ("CALL_IN_LOOP", "automatic"),
-    "interprocedural": ("CALL_IN_LOOP", "automatic"),   # events only
     "loop-fusion": ("DYFESM", "automatic"),
     "induction-substitution": ("tgiv", "automatic"),
     "generalized-induction": ("tgiv", "automatic"),

@@ -241,9 +241,6 @@ def test_every_public_name_resolves_and_unknown_ones_do_not(package):
 ENTRY_MODULES = {
     "repro.fortran.fuzz": "a `python -m` entry point (CI's fuzz oracle); "
                           "the fuzz tests import it",
-    "repro.analysis.interproc.constprop":
-        "ROADMAP item 3(c) decides it: either its trip counts feed the "
-        "planner, or it goes with the `interprocedural` switch",
 }
 
 
@@ -343,6 +340,8 @@ def test_every_module_is_imported_by_another_module():
     for name, path in paths.items():
         for m in _imported_modules(path, name, modules) - {name}:
             importers[m].add(name)
+    stale = set(ENTRY_MODULES) - modules
+    assert not stale, f"ENTRY_MODULES names no module: {sorted(stale)}"
     orphans = {m for m, by in importers.items()
                if not by and m.rpartition(".")[2] != "__main__"}
     for m, by in importers.items():
