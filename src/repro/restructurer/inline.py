@@ -50,6 +50,8 @@ def inline_calls(unit: F.ProgramUnit, sf: F.SourceFile,
     callees = {u.name: u for u in sf.units if isinstance(u, F.Subroutine)}
     caller_st = build_symbol_table(unit)
     pool = NamePool(unit)
+    #: nesting depth of each CALL spliced in from an expanded body
+    spliced_depth: dict[int, int] = {}
 
     def fail(s: F.CallStmt, why: str) -> None:
         result.failed.append((s.name, why))
@@ -62,7 +64,8 @@ def inline_calls(unit: F.ProgramUnit, sf: F.SourceFile,
         while i < len(stmts):
             s = stmts[i]
             if isinstance(s, F.CallStmt) and s.name in callees:
-                if _depth >= max_depth:
+                level = spliced_depth.get(id(s), 0)
+                if _depth + level >= max_depth:
                     fail(s, "max inline depth")
                     i += 1
                     continue
@@ -79,6 +82,9 @@ def inline_calls(unit: F.ProgramUnit, sf: F.SourceFile,
                     i += 1
                     continue
                 stmts[i:i + 1] = replacement
+                for n in F.stmts_walk(replacement):
+                    if isinstance(n, F.CallStmt):
+                        spliced_depth[id(n)] = level + 1
                 result.expanded += 1
                 sink.emit(DecisionEvent(
                     kind="pass", unit=unit.name, technique="inline",

@@ -1,65 +1,57 @@
-"""Tests for call graph, MOD/REF summaries, constant propagation, and the
-run-time dependence test synthesis."""
+"""Calls across routines, without MOD/REF summaries.
 
-from repro.analysis.interproc import (
-    build_call_graph,
-    propagate_constants,
-    summarize_source_file,
-)
-from repro.analysis.interproc.summaries import effects_oracle
+The paper's interprocedural analysis (§4.1.1) is not modelled: a call to
+a routine that is neither an intrinsic nor a Cedar library routine keeps
+its nest serial, and inline expansion (§3.2) is what opens such a call.
+These tests pin what the analyses do know of a call: its arguments, its
+unknown callee, how far inlining follows a call chain, and the PARAMETER
+constants the planner reads.
+"""
+
 from repro.analysis.depend import build_dependence_graph
-from repro.analysis.runtime_test import synthesize_runtime_test
+from repro.analysis.refs import RefCollector
+from repro.api import restructure
 from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
 from repro.fortran.symtab import build_symbol_table
+from repro.restructurer.inline import inline_calls
+from repro.restructurer.options import RestructurerOptions
+from repro.restructurer.pipeline import Restructurer
 
 
-SRC = """
-      subroutine top(a, b, n)
-      integer n
-      real a(n), b(n)
-      call mid(a, b, n)
-      end
+def _collector(stmts):
+    rc = RefCollector()
+    rc.collect(stmts)
+    return rc
 
-      subroutine mid(x, y, n)
-      integer n
-      real x(n), y(n)
-      do i = 1, n
-         y(i) = getx(x, i)
-      end do
-      end
 
-      real function getx(x, i)
-      integer i
-      real x(*)
-      getx = x(i)
-      end
-"""
+def _first_loop(unit):
+    build_symbol_table(unit)
+    return next(s for s in unit.body if isinstance(s, F.DoLoop))
 
 
 class TestCallGraph:
-    def test_edges(self):
-        g = build_call_graph(parse_program(SRC))
-        assert g.callees["top"] == {"mid"}
-        assert g.callees["mid"] == {"getx"}
-        assert g.callees["getx"] == set()
-
-    def test_topological_order(self):
-        g = build_call_graph(parse_program(SRC))
-        order = g.topological()
-        assert order.index("getx") < order.index("mid") < order.index("top")
-
     def test_external_calls(self):
+        """Only a routine outside the intrinsics and the Cedar library
+        counts as a call of unknown effect."""
         src = """
-      subroutine s(a)
+      subroutine s(a, t)
+      real a(10), t
+      call ces_sum(a, 10, t)
+      t = sqrt(t)
+      end
+      subroutine u(a)
       real a(10)
       call unknown(a)
       end
 """
-        g = build_call_graph(parse_program(src))
-        assert g.external_calls("s") == {"unknown"}
+        sf = parse_program(src)
+        assert not _collector(sf.unit("s").body).has_unknown_calls
+        assert _collector(sf.unit("u").body).has_unknown_calls
 
     def test_recursion_detection(self):
+        """Inline expansion of a recursive pair stops at the depth cap
+        instead of expanding forever."""
         src = """
       subroutine a(x)
       real x
@@ -70,53 +62,82 @@ class TestCallGraph:
       call a(x)
       end
 """
-        g = build_call_graph(parse_program(src))
-        assert g.is_recursive("a") and g.is_recursive("b")
+        sf = parse_program(src)
+        res = inline_calls(sf.unit("a"), sf, max_depth=3)
+        assert res.expanded == 3
+        assert res.failed == [("a", "max inline depth")]
+        _, rep = restructure(parse_program(src), RestructurerOptions.manual())
+        assert rep.units["a"].inlined_calls == 3
 
 
 class TestSummaries:
     def test_mod_ref_args(self):
+        """A variable or array argument is both read and written at the
+        call; an expression argument is only read."""
         src = """
-      subroutine axpy(n, alpha, x, y)
+      subroutine caller(n, alpha, x, y)
       integer n
       real alpha, x(n), y(n)
+      call axpy(n, alpha * 2.0, x, y)
+      end
+"""
+        refs = _collector(parse_program(src).units[0].body).refs
+        written = {r.name for r in refs if r.is_write}
+        read = {r.name for r in refs if not r.is_write}
+        assert {"n", "x", "y"} <= written
+        assert {"n", "alpha", "x", "y"} <= read
+        assert "alpha" not in written
+        assert all(r.in_call for r in refs if r.is_write)
+
+    def test_transitive_through_calls(self):
+        """A call chain stays opaque without inlining and opens when
+        inline expansion follows it to its leaf."""
+        src = """
+      subroutine work(xin, yout)
+      real xin, yout
+      yout = xin * 2.0 + 1.0
+      end
+      subroutine mid(x, y)
+      real x, y
+      call work(x, y)
+      end
+      subroutine driver(n, a, b)
+      integer n
+      real a(n), b(n)
+      integer i
       do i = 1, n
-         y(i) = y(i) + alpha * x(i)
+         call mid(a(i), b(i))
       end do
       end
 """
-        sums = summarize_source_file(parse_program(src))
-        s = sums["axpy"]
-        assert 2 in s.ref_args and 3 in s.ref_args     # x read, y read
-        assert 3 in s.mod_args                          # y written
-        assert 2 not in s.mod_args                      # x not written
-        assert 0 in s.ref_args and 1 in s.ref_args      # n, alpha read
-
-    def test_transitive_through_calls(self):
-        sums = summarize_source_file(parse_program(SRC))
-        top = sums["top"]
-        # top(a, b, n): mid writes y→b (pos 1), reads x→a (pos 0)
-        assert 1 in top.mod_args
-        assert 0 in top.ref_args
-        assert 0 not in top.mod_args
+        _, auto = restructure(parse_program(src),
+                              RestructurerOptions.automatic())
+        assert auto.units["driver"].plans[0].chosen == "serial"
+        _, man = restructure(parse_program(src), RestructurerOptions.manual())
+        assert man.units["driver"].inlined_calls == 2
+        assert man.units["driver"].plans[0].chosen != "serial"
 
     def test_common_effects(self):
+        """A callee's COMMON write never shows in the loop's text, so the
+        call alone keeps the loop from running in parallel."""
         src = """
       subroutine w
       common /blk/ c
-      c = 1.0
+      c = c + 1.0
       end
-      subroutine r(out)
-      real out
-      common /blk/ c
-      out = c
-      call w
+      subroutine r(a, n)
+      integer n
+      real a(n)
+      do i = 1, n
+         a(i) = 0.0
+         call w
+      end do
       end
 """
-        sums = summarize_source_file(parse_program(src))
-        assert ("blk", "c") in sums["w"].mod_common
-        assert ("blk", "c") in sums["r"].mod_common  # via the call
-        assert ("blk", "c") in sums["r"].ref_common
+        g = build_dependence_graph(_first_loop(parse_program(src).unit("r")))
+        assert "c" not in g.variables_with_carried(0)
+        assert g.opaque_calls
+        assert not g.is_parallel(0)
 
     def test_unknown_callee_flags(self):
         src = """
@@ -125,73 +146,10 @@ class TestSummaries:
       call mystery(a)
       end
 """
-        sums = summarize_source_file(parse_program(src))
-        assert sums["s"].unknown
-
-    def test_oracle_enables_parallelization(self):
-        src = """
-      subroutine caller(a, b, n)
-      integer n
-      real a(n), b(n)
-      do i = 1, n
-         call work(a(i), b(i))
-      end do
-      end
-      subroutine work(x, y)
-      real x, y
-      y = x * 2.0
-      end
-"""
-        sf = parse_program(src)
-        sums = summarize_source_file(sf)
-        oracle = effects_oracle(sums)
-        unit = sf.units[0]
-        build_symbol_table(unit)
-        loop = next(s for s in unit.body if isinstance(s, F.DoLoop))
-        # without the oracle, the call is opaque → not parallel
-        g0 = build_dependence_graph(loop)
-        assert not g0.is_parallel(0)
-        # with the oracle the call reads a(i), writes b(i) → still
-        # conservative because sections are unknown, but restricted to b
-        g1 = build_dependence_graph(loop, effects=oracle)
-        vars_carried = g1.variables_with_carried(0)
-        assert "a" in vars_carried or "b" in vars_carried  # sections unknown
+        assert _collector(parse_program(src).units[0].body).has_unknown_calls
 
 
 class TestConstProp:
-    def test_all_sites_agree(self):
-        src = """
-      program main
-      real a(100)
-      call work(a, 100)
-      call work(a, 100)
-      end
-      subroutine work(a, n)
-      integer n
-      real a(n)
-      a(1) = 0.0
-      end
-"""
-        sf = parse_program(src)
-        got = propagate_constants(sf, "work", ["n"])
-        assert got == {"n": 100}
-
-    def test_disagreeing_sites(self):
-        src = """
-      program main
-      real a(100)
-      call work(a, 100)
-      call work(a, 50)
-      end
-      subroutine work(a, n)
-      integer n
-      real a(n)
-      a(1) = 0.0
-      end
-"""
-        got = propagate_constants(parse_program(src), "work", ["n"])
-        assert got == {}
-
     def test_parameter_resolution(self):
         src = """
       subroutine s
@@ -200,76 +158,5 @@ class TestConstProp:
       a(1) = 0.0
       end
 """
-        got = propagate_constants(parse_program(src), "s", ["m"])
-        assert got == {"m": 64}
-
-    def test_chained_through_caller(self):
-        src = """
-      program main
-      parameter (n = 32)
-      real a(n)
-      k = n
-      call work(a, k)
-      end
-      subroutine work(a, n)
-      integer n
-      real a(n)
-      a(1) = 0.0
-      end
-"""
-        got = propagate_constants(parse_program(src), "work", ["n"])
-        assert got == {"n": 32}
-
-
-class TestRuntimeTest:
-    def _loop(self, src):
-        sf = parse_program(src)
-        u = sf.units[0]
-        build_symbol_table(u)
-        return next(s for s in u.body if isinstance(s, F.DoLoop))
-
-    def test_linearized_pattern_recognized(self):
-        loop = self._loop("""
-      subroutine s(a, n, m)
-      integer n, m
-      real a(*)
-      do j = 1, n
-         do i = 1, m
-            a(i + m * (j - 1)) = 0.0
-         end do
-      end do
-      end
-""")
-        t = synthesize_runtime_test(loop)
-        assert t is not None
-        assert t.array == "a"
-        # predicate mentions the stride symbol m
-        names = {n.name for n in t.predicate.walk() if isinstance(n, F.Var)}
-        assert "m" in names
-
-    def test_constant_stride_not_needed(self):
-        loop = self._loop("""
-      subroutine s(a, n)
-      integer n
-      real a(*)
-      do j = 1, n
-         do i = 1, 8
-            a(i + 8 * (j - 1)) = 0.0
-         end do
-      end do
-      end
-""")
-        # constant strides are decidable at compile time: no runtime test
-        assert synthesize_runtime_test(loop) is None
-
-    def test_unrelated_loop_none(self):
-        loop = self._loop("""
-      subroutine s(a, n)
-      integer n
-      real a(n)
-      do i = 1, n
-         a(i) = 0.0
-      end do
-      end
-""")
-        assert synthesize_runtime_test(loop) is None
+        st = build_symbol_table(parse_program(src).units[0])
+        assert Restructurer._parameter_values(st) == {"m": 64}
