@@ -28,9 +28,13 @@ both engines' access paths make into it — ``record_scalar``,
 ``record_array``, ``record_block``, ``logs_scalar_read`` and
 ``logs_array_read`` — each one paid whether or not it logs a row.
 
+With ``--shapes`` a second table follows: the vector-text loops by the
+shape of their vector form — ``plain``, ``strip-mine`` or ``partial-sum``
+(``_LoopLowerer.shape``), the only three the lowerer takes.
+
 Usage (repo root): ``PYTHONPATH=src python scripts/lowering_census.py
-[--recorded-only] [case ...]`` — a Markdown table on stdout, all 22
-cases by default.  Informational: nothing here is gated.
+[--recorded-only] [--shapes] [case ...]`` — a Markdown table on stdout,
+all 22 cases by default.  Informational: nothing here is gated.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.engine import cached_restructure
 from repro.execmodel import compiled
 from repro.execmodel.interp import Interpreter
 from repro.execmodel.shadow import ShadowRecorder
-from repro.execmodel.source_jit import LOOPS
+from repro.execmodel.source_jit import LOOPS, _LoopLowerer
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
 
@@ -114,6 +118,9 @@ def census(program, case, recorded: bool, processors: int = 8,
         fns = compile_list(self, stmts, unit)
         c["lists"] += 1
         for i, s in enumerate(stmts if fns is not None else ()):
+            if fns[i].__name__.startswith("_v"):
+                shape = _LoopLowerer(self.interp, s, unit).shape
+                c[f"shape {shape}"] += 1
             if isinstance(s, LOOPS):
                 fns[i] = counted(fns[i], s)
         return fns
@@ -153,6 +160,9 @@ COLUMNS = ("lists", "tree lists", "vector-text loops",
            "parallel scalar", "do scalar", "promoted loops",
            "unlogged", "recorder calls")
 
+#: the shapes a vector form takes (``_LoopLowerer.shape``)
+SHAPES = ("plain", "strip-mine", "partial-sum")
+
 #: the recorder's per-access entry points: the engines call them on the
 #: instance, and the emitted text binds them when a list is compiled
 RECORDER_CALLS = ("record_scalar", "record_array", "record_block",
@@ -168,6 +178,8 @@ def main(argv=None) -> int:
                     "(default: all)")
     ap.add_argument("--recorded-only", action="store_true",
                     help="only the runs with a ShadowRecorder attached")
+    ap.add_argument("--shapes", action="store_true",
+                    help="also count the vector-text loops by shape")
     ns = ap.parse_args(argv)
     cases = validation_cases()
     names = ns.cases or sorted(cases)
@@ -190,6 +202,13 @@ def main(argv=None) -> int:
             print(f"| **all {len(names)} cases** | "
                   f"{'yes' if recorded else 'no'} | "
                   + " | ".join(f"**{c[k]}**" for k in COLUMNS) + " |")
+    if ns.shapes:
+        c = totals[False] + totals[True]
+        print()
+        print("| vector form shape | vector-text loops |")
+        print("|---|---:|")
+        for shape in SHAPES:
+            print(f"| {shape} | {c[f'shape {shape}']} |")
     return 0
 
 

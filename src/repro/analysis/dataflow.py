@@ -223,11 +223,6 @@ class RegionUsage:
         # Continue / Return / Stop / declarations: no effect
 
 
-def scalar_usage(stmts: list[F.Stmt], name: str) -> ScalarUsage:
-    """Analyze reads/writes of scalar ``name`` through a statement region."""
-    return RegionUsage(stmts).of(name)
-
-
 def regions_after(stmts: list[F.Stmt],
                   marker: F.Stmt) -> Optional[list[list[F.Stmt]]]:
     """The statement regions control may reach after ``marker`` finishes:
@@ -247,24 +242,3 @@ def regions_after(stmts: list[F.Stmt],
                 if sub is not None:
                     return sub + [stmts[idx + 1:]]
     return None
-
-
-def reads_after(stmts: list[F.Stmt], marker: F.Stmt, name: str) -> Optional[bool]:
-    """Does ``name`` get read in ``stmts`` strictly after statement ``marker``?
-
-    Returns None if ``marker`` is not found.
-    """
-    regions = regions_after(stmts, marker)
-    return None if regions is None else any(
-        RegionUsage(r).observes(name) for r in regions)
-
-
-def live_after_loop(unit: F.ProgramUnit, loop: F.Stmt, name: str,
-                    escapes: bool) -> bool:
-    """Conservative liveness of ``name`` after ``loop`` within ``unit``.
-
-    ``escapes`` should be True for dummy arguments, COMMON and SAVE
-    variables (their value is observable by callers).
-    """
-    # None: loop not found where expected — stay safe
-    return escapes or reads_after(unit.body, loop, name) is not False

@@ -27,7 +27,7 @@ from repro.cedar.library import CEDAR_LIBRARY
 from repro.errors import InterpreterBudgetError, InterpreterError
 from repro.fortran import ast_nodes as F
 from repro.fortran.intrinsics import INTRINSICS
-from repro.fortran.symtab import SymbolTable, build_symbol_table
+from repro.fortran.symtab import SymbolTable, build_symbol_table, type_of
 from repro.execmodel.values import DTYPES, FArray, Scope
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,10 +65,7 @@ def store_class(symtab: Optional[SymbolTable], name: str) -> str:
     Fortran's implicit i-n rule: ``"i"`` INTEGER, ``"r"`` REAL or DOUBLE
     PRECISION, ``""`` any other type.  Symbol-table facts are static, so
     the compiled engine resolves this once, when it emits the store."""
-    sym = symtab.lookup(name) if symtab is not None else None
-    typ = sym.type if sym is not None else (
-        "integer" if name[0] in "ijklmn" else "real")
-    return _STORE_CLASSES.get(typ, "")
+    return _STORE_CLASSES.get(type_of(symtab, name), "")
 
 
 def truncate(v) -> int:

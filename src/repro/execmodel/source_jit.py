@@ -16,9 +16,9 @@ returns one function per statement, in one of two forms:
   statements, other nested lists and calls of program units go to the
   interpreter's own handlers by AST node;
 - **vector text** (``_v<i>``, :class:`_LoopLowerer`, recorder-aware
-  only) — the race detector's bulk logger: a DOALL-headed nest whose
-  whole-grid NumPy evaluation is provably bit-equal to the scalar loop,
-  with the nest's scalar text beside it to hand over to;
+  only) — the race detector's bulk logger: a DOALL whose whole-grid
+  NumPy evaluation is provably bit-equal to the scalar loop, with the
+  loop's scalar text beside it to hand over to;
 
 and, unrecorded, **worker text** (``_p<k>``) — one share of a DOALL
 whose preamble, body and postamble the scalar text writes whole:
@@ -47,31 +47,24 @@ keeps, and every DOALL outside a vector form runs the instrumented
 The vector text exists only where it pays: logging a checked DOALL's
 accesses in bulk instead of one call per access.  Every other loop —
 every unrecorded one, and a sequential nest under a recorder — runs its
-scalar text.  A vector form takes a nest whose only parallel level is
-the outermost, a DOALL, and whose body has no LOCK/UNLOCK and writes no
-shared scalar (the lowering proof shows it conflict-free, so its row
-order need not be the tree's):
+scalar text.  A vector form takes only the shapes the race-checked runs
+of the restructurer's output reach: one DOALL level whose body holds no
+loop, guard, call, LOCK/UNLOCK or shared scalar write (the lowering
+proof shows it conflict-free, so its row order need not be the tree's),
+in one of three forms:
 
-- **loop nests** — a DOALL whose body is a chain of nested DOs ending
-  in eligible assignments is lowered to one set of broadcast NumPy
-  operations over the full iteration grid; the restructurer's
-  strip-mined PARALLEL DO is recognized and collapsed back to its
-  elementwise form first;
-- **IF-guarded bodies** — ``IF (c) a(i) = e`` and two-arm block IFs
-  lower to masked assignment: the guard is evaluated over the whole
-  grid (exactly as the scalar loop evaluates it every iteration), and
-  the guarded statement's reads, evaluation, and writes happen only on
-  the compressed true lanes, so the executed operation set is identical
-  to the scalar loop's;
-- **partial-sum DOALLs** — the one shape the restructurer's reduction
-  pass emits (loop-local real partials, a preamble assigning each a
-  literal, SUM/PRODUCT/MIN/MAX accumulations into them, a postamble of
-  ``LOCK; v = v op partial; UNLOCK`` triples): the contributed terms are
-  evaluated vectorized, then every worker share of the interpreter's
-  ``deal`` is folded sequentially from the preamble value — same
-  left-spine operator order as the tree walk — and combined into ``v``
-  through the scalar store.  A zero-trip loop still runs preamble +
-  postamble once.
+- **plain** — array assignments, lowered to one set of NumPy operations
+  over the iteration vector ``_g0``;
+- **strip-mine** — the restructurer's strip-mined PARALLEL DO,
+  recognized and collapsed back to its elementwise form first;
+- **partial-sum** — the shape the restructurer's reduction pass emits
+  (loop-local real partials, a preamble assigning each a literal, sums
+  ``s = s ± e …`` into them, a postamble of ``LOCK; v = v + partial;
+  UNLOCK`` triples): the terms are evaluated vectorized, then every
+  worker share of the interpreter's ``deal`` is folded sequentially
+  from the preamble value — same left-spine operator order as the tree
+  walk — and combined into ``v`` through the scalar store.  A
+  zero-trip loop still runs preamble + postamble once.
 
 A vector form first tests ``recording``: inside a checked iteration of
 an enclosing loop the statement runs its scalar text, which logs access
@@ -80,16 +73,15 @@ by access.  Otherwise it opens the loop on the recorder as
 log for fewer than two) and the storage keys the loop cannot write (it
 keeps no read of them) — logs, from the very ``_grid_key`` result each
 load/store indexes with, the flat offsets of every reference paired
-with the outer iteration values (the strip start for a collapsed
-strip-mined loop), one row per iteration for each shared scalar the
-body names, and closes it.  Before it opens the loop it evaluates every
-level's bounds (invariant) and adds to the interpreter's step count
-what the tree's ``exec_body`` counts for the nest — each level's body
-per iteration of the levels around it, a block IF's arm per true lane;
-a nest that could pass the step budget runs its scalar text instead,
-which stops at the tree's statement.  A nest that writes hands over to
-its scalar text when — checked at loop entry — two of its array names
-are bound to storage of one ``ndarray``.  A grid stores every lane once, so the
+with the iteration values (the strip start for a collapsed strip-mined
+loop), one row per iteration for each shared scalar the body names, and
+closes it.  Before it opens the loop it evaluates the bounds
+(invariant) and adds to the interpreter's step count what the tree's
+``exec_body`` counts for the loop — its body per iteration; a loop that
+could pass the step budget runs its scalar text instead, which stops at
+the tree's statement.  A loop that writes hands over to its scalar text
+when — checked at loop entry — two of its array names are bound to
+storage of one ``ndarray``.  A grid stores every lane once, so the
 DOALL takes its vector text only under a deal that hands each iteration
 to exactly one worker (:meth:`Runtime.partition`, checked at loop entry
 before anything is stored); under a deal that drops or repeats a
@@ -98,17 +90,15 @@ dealt — like the tree.
 
 A vector form loads each distinct grid once per straight-line block: a
 load whose text comes again reads the local its first use filled.  The
-reuse stops at the next store of any kind, at each guard arm and at each
-nest level, so a repeat never reads past a store or a lane set that may
-not have run.
+reuse stops at the next store of any kind, so a repeat never reads past
+a store.
 
 Every vector form carries one exactness obligation — the vector
 evaluation must be bit-equal to the scalar loop: plain or affine
-loop-variable subscripts, intrinsics marked ``exact`` in
-:data:`repro.fortran.intrinsics.INTRINSICS` only, reads of written
-arrays restricted to the writing iteration's element.  Anything that
-cannot be proven keeps the scalar text *per loop* (recurrences are
-rejected, never approximated).
+loop-variable subscripts with INTEGER offsets, the arithmetic and
+relational operators only, reads of written arrays restricted to the
+writing iteration's element.  Anything that cannot be proven keeps the
+scalar text *per loop* (recurrences are rejected, never approximated).
 """
 
 from __future__ import annotations
@@ -131,14 +121,15 @@ from repro.execmodel.loop_shapes import desugar_stripmine, scalar_locals
 from repro.execmodel.values import FArray, Scope
 from repro.fortran import ast_nodes as F
 from repro.fortran.intrinsics import INTRINSICS
+from repro.fortran.symtab import type_of
 
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact, of both modes, so stale module text can never be served to
 #: a newer runtime
-JIT_VERSION = 10
+JIT_VERSION = 11
 
 
-#: loop-nest levels the lowerer can walk through
+#: the loop statements
 LOOPS = (F.DoLoop, C.ParallelDo)
 
 #: the statement kinds the scalar text writes (every other kind sends
@@ -259,7 +250,7 @@ class Runtime:
     (the ``rt`` handed to the module's ``make()``): names resolved at
     entry, the accesses the text does not write itself, bounds-checked
     grid loads and stores, the Fortran division/logical helpers, the
-    numpy intrinsic table, the step budget, and the interpreter's own
+    step budget, and the interpreter's own
     handlers for what the text hands over — nested statement lists,
     ``ParallelDo``, CALL statements, names only the tree can resolve.
 
@@ -268,10 +259,6 @@ class Runtime:
     interpreter's recorder or a :class:`_NoRecorder`, and the text and
     these helpers make the tree handler's ``record_*`` calls, in the
     tree's order, while it is ``recording``."""
-
-    #: the vectorizable intrinsics, as emitted code indexes them
-    np_funcs = {name: info.np_fn for name, info in INTRINSICS.items()
-                if info.exact}
 
     Return = _ReturnSignal
     truth = staticmethod(Interpreter._truth)
@@ -370,10 +357,6 @@ class Runtime:
         raise InterpreterBudgetError(
             f"statement budget of {self.compiler.interp.step_budget} "
             f"exceeded in {self.unit} (livelock?)", line=line)
-
-    @staticmethod
-    def sset(scope: Scope, name: str, value) -> None:
-        scope.set(name, value)
 
     # -- per-access lookups: sections, and names :meth:`array` refused -
     #
@@ -493,10 +476,11 @@ class Runtime:
         self.shadow.record_block(cx, kind, arr, name, off, it)
 
     def log_scalars(self, cx, scope: Scope, names: tuple, it) -> None:
-        """A read per iteration of each shared scalar the loop names —
-        a superset of what a guarded body evaluates, which only adds
-        reads of cells a bulk-recorded loop never writes.  Nothing
-        when the recorder opened no log (``cx`` None)."""
+        """A read per lane of each shared scalar the loop names,
+        labelled with the lane's iteration — cells a bulk-recorded loop
+        never writes, so a row the tree would not log changes no
+        verdict.  Nothing when the recorder opened no log (``cx``
+        None)."""
         if cx is None:
             return
         for name in names:
@@ -569,15 +553,6 @@ class Runtime:
 
     # -- partial-sum support --------------------------------------------
 
-    @staticmethod
-    def red_rows(value, shape: tuple):
-        """A grid of contributed terms as one row per outer iteration,
-        each row in sequential nest order."""
-        a = np.asarray(value)
-        if a.shape != shape:
-            a = np.broadcast_to(a, shape)
-        return a.reshape(shape[0], -1)
-
     def shares(self, n: int):
         """The worker shares ``_parallel_do`` walks for ``n`` iterations,
         exactly as the interpreter's deal hands them out."""
@@ -603,9 +578,11 @@ class Runtime:
 
 
 class _LoopLowerer:
-    """Analysis + Python/NumPy source emission for one DOALL-headed nest,
-    the recorder-aware vector form that logs it in bulk (module
-    docstring)."""
+    """Analysis + Python/NumPy source emission for one DOALL, the
+    recorder-aware vector form that logs it in bulk (module docstring):
+    one level — a plain DOALL, a collapsed strip-mine or a partial-sum
+    DOALL — whose body is array assignments and sums into its
+    partials."""
 
     def __init__(self, interp: Interpreter, loop: F.Stmt, unit: str,
                  classes: Optional[dict] = None):
@@ -618,27 +595,25 @@ class _LoopLowerer:
         if self.symtab is None:
             raise _Ineligible("no symbol table")
         self.loop = loop
-        self.levels: list[F.Stmt] = []
-        self.axes: list[str] = []            # loop vars, outer -> inner
-        self.private_axes: set[int] = set()  # declared in the PDO's locals
-        self.writes: dict[str, tuple] = {}   # array -> per-dim axis mask
+        self.writes: dict[str, tuple] = {}   # array -> per-dim mask
         self.red_vars: set[str] = set()
-        self.reductions: dict[int, tuple] = {}  # id(stmt) -> lowering
-        self.body: list[F.Stmt] = []
-        #: block size of an outermost level that is a collapsed
-        #: strip-mine (the tree deals and labels strips, not lanes)
+        #: id(accumulation) -> its sum's ``(op, term)`` spine
+        self.reductions: dict[int, list] = {}
+        #: block size of a collapsed strip-mine (the tree deals and
+        #: labels strips, not lanes)
         self.strip: Optional[int] = None
         # partial-sum DOALL: partial -> preamble literal, the postamble
-        # as (target, op, partial) combines, and its lock names
+        # as (target, partial) combines ``v = v + partial``, and its
+        # lock names
         self.partials: dict[str, float] = {}
-        self.combines: list[tuple[str, str, str]] = []
+        self.combines: list[tuple[str, str]] = []
         self.locks: list[str] = []
         self._folds: list[str] = []          # per-iteration fold lines
         self._arrays: set[str] = set()       # array names referenced
         #: scalar name -> the local holding its scope (resolved at entry)
         self._holders: dict[str, str] = {}
-        #: source name of the iteration labels of the lanes being
-        #: emitted while a bulk-recorded loop is open, else None
+        #: source name of the lanes' iteration labels once the loop is
+        #: open on the recorder, else None (the bounds)
         self._it: Optional[str] = None
         #: load text -> the local its first use filled, within the
         #: current straight-line block (:meth:`_ex_ref`)
@@ -646,10 +621,7 @@ class _LoopLowerer:
         self._uniq = 0
         #: the :data:`_HELPERS` names the emitted text calls
         self.used: set[str] = set()
-        self._collect_nest(loop)
-        if any(isinstance(n, (C.LockStmt, C.UnlockStmt))
-               for st in loop.body for n in st.walk()):
-            raise _Ineligible("critical section in a checked loop")
+        self._collect_level(loop)
         self._collect_reductions(loop)
         # the fold replays each partial on its own, after the grid: so
         # nothing else may read or assign one
@@ -657,27 +629,48 @@ class _LoopLowerer:
             raise _Ineligible("partial is not a recognized accumulator")
         self._collect_writes()
 
+    @property
+    def shape(self) -> str:
+        """The vector form's shape: ``strip-mine``, ``partial-sum`` or
+        ``plain``."""
+        if self.strip is not None:
+            return "strip-mine"
+        return "partial-sum" if self.partials else "plain"
+
     # -- structure -----------------------------------------------------
     #
-    # Only nests the lowering proof shows conflict-free may log in bulk
-    # (their row order is not the tree's): one parallel level, the
-    # outermost, no critical section in the body, and no shared scalar
-    # written — a scalar write other than into a partial is no array
-    # write, which :meth:`_write_targets` refuses.
+    # Only loops the lowering proof shows conflict-free may log in bulk
+    # (their row order is not the tree's): a DOALL whose body holds only
+    # array assignments and sums into its partials — no loop, guard,
+    # LOCK/UNLOCK or shared scalar write, which :meth:`_collect_writes`
+    # refuses — and no call, which :meth:`ex` refuses.
 
-    def _user_callable(self, name: str) -> bool:
-        """Whether a call to ``name`` resolves to a program unit or a
-        Cedar library routine before any intrinsic of that name (the
-        order of ``Interpreter._func_call``)."""
-        return name in self.interp.units or name in CEDAR_LIBRARY
+    def _collect_level(self, loop: F.Stmt) -> None:
+        if not isinstance(loop, C.ParallelDo) or loop.order != "doall":
+            raise _Ineligible("not a DOALL")
+        #: the level the grid runs: the DOALL, or the elementwise DOALL
+        #: a collapsed strip-mine was made from
+        self.level = loop
+        d = desugar_stripmine(loop)
+        if d is not None:
+            self.strip = loop.step.value
+            self.level = d
+        elif loop.preamble or loop.postamble:
+            self._match_partial_sums(loop)
+        elif loop.locals_:
+            raise _Ineligible("private locals")
+        self.var = self.level.var
+        self.body = self.level.body
+        if all(isinstance(s, NOOP_STMTS) for s in self.body):
+            raise _Ineligible("empty body")
 
-    def _match_partial_sums(self, node: C.ParallelDo) -> set:
-        """Recognize ``reduction_xform``'s scalar output on the
-        outermost DOALL and fill ``partials``/``combines``/``locks``;
-        returns the locals that are not partials."""
+    def _match_partial_sums(self, node: C.ParallelDo) -> None:
+        """Recognize ``reduction_xform``'s scalar output and fill
+        ``partials``/``combines``/``locks``: its locals are exactly the
+        partials."""
         decls = scalar_locals(node)
-        if node.order != "doall" or not decls:
-            raise _Ineligible("ineligible nest level")
+        if not decls:
+            raise _Ineligible("partials are not scalar locals")
         for st in node.preamble:
             name = st.target.name if isinstance(st, F.Assign) \
                 and isinstance(st.target, F.Var) else None
@@ -689,7 +682,8 @@ class _LoopLowerer:
                 raise _Ineligible("preamble is not a partial's literal")
             self.partials[name] = st.value.value
         post = node.postamble
-        if not self.partials or len(post) != 3 * len(self.partials):
+        if set(decls) != set(self.partials) \
+                or len(post) != 3 * len(self.partials):
             raise _Ineligible("postamble is not one combine per partial")
         for lock, st, unlock in zip(post[0::3], post[1::3], post[2::3]):
             if not (isinstance(lock, C.LockStmt)
@@ -699,102 +693,37 @@ class _LoopLowerer:
                     and isinstance(st.target, F.Var)):
                 raise _Ineligible("postamble is not LOCK/combine/UNLOCK")
             v, e = st.target.name, st.value
-            if isinstance(e, F.BinOp) and e.op in ("+", "*"):
-                op, args = e.op, [e.left, e.right]
-            elif isinstance(e, F.FuncCall) and e.name in ("min", "max") \
-                    and len(e.args) == 2 \
-                    and not self._user_callable(e.name):
-                op, args = e.name, e.args
-            else:
-                raise _Ineligible("unknown combine")
-            if not (isinstance(args[0], F.Var) and args[0].name == v
-                    and isinstance(args[1], F.Var)
-                    and args[1].name in self.partials
-                    and all(args[1].name != c[2] for c in self.combines)
+            if not (isinstance(e, F.BinOp) and e.op == "+"
+                    and isinstance(e.left, F.Var) and e.left.name == v
+                    and isinstance(e.right, F.Var)
+                    and e.right.name in self.partials
+                    and all(e.right.name != p for _, p in self.combines)
                     and v not in decls and v != node.var
                     and not self._is_array_sym(v)):
-                raise _Ineligible("combine is not v = v op partial")
-            self.combines.append((v, op, args[1].name))
+                raise _Ineligible("combine is not v = v + partial")
+            self.combines.append((v, e.right.name))
             if lock.name not in self.locks:
                 self.locks.append(lock.name)
-        return set(decls) - set(self.partials)
-
-    def _collect_nest(self, loop: F.Stmt) -> None:
-        if not isinstance(loop, C.ParallelDo) or loop.order != "doall":
-            raise _Ineligible("not a DOALL-headed nest")
-        node: F.Stmt = loop
-        names: set = set()       # the DOALL's private scalars
-        d = desugar_stripmine(loop)
-        if d is not None:
-            self.strip = loop.step.value
-            node = d
-        elif loop.preamble or loop.postamble:
-            names = self._match_partial_sums(loop)
-        elif loop.locals_:
-            # a DOALL whose private locals declare only inner loop
-            # variables is still plain: worker scopes hide those names
-            # either way (validated below)
-            names = set(scalar_locals(loop) or ())
-            if not names:
-                raise _Ineligible("ineligible nest level")
-        while True:
-            if node.var in self.axes:
-                raise _Ineligible("duplicate loop variable")
-            self.levels.append(node)
-            self.axes.append(node.var)
-            body = node.body
-            # declaration/CONTINUE no-ops around a single nested loop do
-            # not break the nest (shared-termination DO chains end in a
-            # labelled CONTINUE the tree walk also ignores)
-            inner = [s for s in body if not isinstance(s, NOOP_STMTS)]
-            if len(inner) == 1 and isinstance(inner[0], LOOPS):
-                node = inner[0]
-                if isinstance(node, C.ParallelDo):
-                    raise _Ineligible("parallel level below the outermost")
-                continue
-            if not inner:
-                raise _Ineligible("empty body")
-            self.body = body
-            break
-        if not names <= set(self.axes[1:]):
-            raise _Ineligible("private scalar locals")
-        # a sequential DO over a privately-declared variable must not
-        # leak its final value to the parent scope
-        self.private_axes = {self.axes.index(n) for n in names}
 
     def _collect_reductions(self, loop: F.Stmt) -> None:
-        """The accumulations into the partials: a bulk-logged loop
-        writes no shared scalar."""
+        """The sums into the partials: a bulk-logged loop writes no
+        shared scalar."""
         from repro.analysis.reductions import find_reductions
 
         for red in find_reductions(loop):
-            if red.kind != "scalar" or red.var in self.axes \
-                    or red.var not in self.partials:
-                continue
-            if red.op not in ("+", "*", "min", "max"):
-                continue
-            if red.op in ("+", "*") and len(red.stmts) != 1:
+            if red.kind != "scalar" or red.op != "+" \
+                    or red.var not in self.partials or len(red.stmts) != 1:
                 continue   # interleaved accumulations: order not ours
-            entries = []
-            for st in red.stmts:
-                if not any(st is b for b in self.body):
-                    entries = None     # accumulated outside our body
-                    break
-                info = self._match_strict(st, red.var, red.op)
-                if info is None:
-                    entries = None
-                    break
-                entries.append((st, info))
-            if not entries:
-                continue   # unhandled form: the loop will fall back
-            for st, info in entries:
-                self.reductions[id(st)] = info
-            self.red_vars.add(red.var)
+            [st] = red.stmts
+            terms = self._sum_spine(st, red.var) \
+                if any(st is b for b in self.body) else None
+            if terms is not None:
+                self.reductions[id(st)] = terms
+                self.red_vars.add(red.var)
 
     def _shared_scalars(self) -> tuple:
         """Scalar names the original loop body reads that live outside
-        the worker scope (inner DO variables not declared local are
-        shared, and the tree records their reads)."""
+        the worker scope."""
         loop = self.loop
         private = {loop.var} | set(scalar_locals(loop) or ())
         return tuple(sorted(
@@ -803,120 +732,88 @@ class _LoopLowerer:
              and not self._is_array_sym(n.name)}))
 
     @staticmethod
-    def _match_strict(st: F.Stmt, var: str, op: str) -> Optional[tuple]:
-        """Map one accumulation statement to a lowering that replays the
-        tree walk's exact evaluation order, or None if the shape is not
-        one we can replay."""
+    def _sum_spine(st: F.Stmt, var: str) -> Optional[list]:
+        """The ``(op, term)`` list of ``var = ((var ± e1) ± e2) ...``,
+        the left spine the tree walk folds left to right and the fold
+        replays in the same association; else None."""
         if not isinstance(st, F.Assign) \
                 or not isinstance(st.target, F.Var) \
                 or st.target.name != var:
             return None
-        v = st.value
-        if op in ("min", "max"):
-            if isinstance(v, (F.FuncCall, F.Apply)) and len(v.args) == 2:
-                a, b = v.args
-                # (…, contribution, call name, accumulator comes first)
-                if isinstance(a, F.Var) and a.name == var:
-                    return ("minmax", var, op, b, v.name, True)
-                if isinstance(b, F.Var) and b.name == var:
-                    return ("minmax", var, op, a, v.name, False)
-            return None
-        if not isinstance(v, F.BinOp):
-            return None
-        if op == "+" and v.op in ("+", "-"):
-            # left spine  s = (((s op1 e1) op2 e2) ...): the tree walk
-            # folds left-to-right; we replay the same association
-            terms: list[tuple] = []
-            node: F.Expr = v
-            while isinstance(node, F.BinOp) and node.op in ("+", "-"):
-                terms.append((node.op, node.right))
-                node = node.left
-            if isinstance(node, F.Var) and node.name == var:
-                return ("spine", var, list(reversed(terms)))
-            if v.op == "+" and isinstance(v.right, F.Var) \
-                    and v.right.name == var:
-                return ("right", var, "+", v.left)
-            return None
-        if op == "*" and v.op == "*":
-            if isinstance(v.left, F.Var) and v.left.name == var:
-                return ("spine", var, [("*", v.right)])
-            if isinstance(v.right, F.Var) and v.right.name == var:
-                return ("right", var, "*", v.left)
+        terms: list[tuple] = []
+        node: F.Expr = st.value
+        while isinstance(node, F.BinOp) and node.op in ("+", "-"):
+            terms.append((node.op, node.right))
+            node = node.left
+        if terms and isinstance(node, F.Var) and node.name == var:
+            return terms[::-1]
         return None
 
     def _collect_writes(self) -> None:
         for st in self.body:
-            for t in self._write_targets(st):
-                name = t.name
-                subs = (t.subscripts if isinstance(t, F.ArrayRef)
-                        else t.args)
-                mask = self._axis_mask(subs)
-                if set(e[0] for e in mask if e is not None) != \
-                        set(range(len(self.axes))):
-                    raise _Ineligible("write misses a nest axis")
-                prev = self.writes.get(name)
-                if prev is not None and prev != mask:
-                    raise _Ineligible("two write shapes for one array")
-                self.writes[name] = mask
-
-    def _write_targets(self, st: F.Stmt):
-        """Array-element targets of one innermost statement (validated)."""
-        if id(st) in self.reductions:
-            return []
-        if isinstance(st, NOOP_STMTS):
-            return []
-        if isinstance(st, F.Assign):
-            t = st.target
+            if id(st) in self.reductions or isinstance(st, NOOP_STMTS):
+                continue
+            t = st.target if isinstance(st, F.Assign) else None
             if not isinstance(t, (F.ArrayRef, F.Apply)):
-                raise _Ineligible("non-array write")
-            return [t]
-        if isinstance(st, F.LogicalIf):
-            inner = st.stmt
-            if not isinstance(inner, F.Assign):
-                raise _Ineligible("guarded non-assignment")
-            return self._write_targets(inner)
-        if isinstance(st, F.IfBlock):
-            if len(st.arms) > 2 or not st.arms:
-                raise _Ineligible("multi-arm IF")
-            if len(st.arms) == 2 and st.arms[1][0] is not None:
-                raise _Ineligible("ELSE IF chain")
-            out = []
-            for _, arm_body in st.arms:
-                for inner in arm_body:
-                    if not isinstance(inner, F.Assign):
-                        raise _Ineligible("guarded non-assignment")
-                    out.extend(self._write_targets(inner))
-            return out
-        raise _Ineligible(f"ineligible statement "
-                          f"{type(st).__name__}")
+                raise _Ineligible(f"not an array assignment: "
+                                  f"{type(st).__name__}")
+            mask = self._axis_mask(self._subscripts(t))
+            if all(e is None for e in mask):
+                raise _Ineligible("write misses the loop axis")
+            prev = self.writes.get(t.name)
+            if prev is not None and prev != mask:
+                raise _Ineligible("two write shapes for one array")
+            self.writes[t.name] = mask
+
+    @staticmethod
+    def _subscripts(ref) -> list:
+        return ref.subscripts if isinstance(ref, F.ArrayRef) else ref.args
 
     def _uses_axis(self, e: F.Expr) -> bool:
-        return any(isinstance(n, F.Var) and n.name in self.axes
+        return any(isinstance(n, F.Var) and n.name == self.var
                    for n in e.walk())
 
     def _split_affine(self, sub: F.Expr) -> Optional[tuple]:
         """``sub`` as ``axis``, ``axis ± c`` or ``c + axis`` with an
-        integer-classed invariant offset: (axis, op, offset|None)."""
-        if isinstance(sub, F.Var) and sub.name in self.axes:
-            return (self.axes.index(sub.name), "+", None)
+        integer invariant offset: (op, offset|None)."""
+        if isinstance(sub, F.Var) and sub.name == self.var:
+            return ("+", None)
         if isinstance(sub, F.BinOp) and sub.op in ("+", "-"):
             l, r = sub.left, sub.right
-            l_ax = isinstance(l, F.Var) and l.name in self.axes
-            r_ax = isinstance(r, F.Var) and r.name in self.axes
+            l_ax = isinstance(l, F.Var) and l.name == self.var
+            r_ax = isinstance(r, F.Var) and r.name == self.var
             cand = None
             if l_ax and not r_ax and not self._uses_axis(r):
-                cand = (self.axes.index(l.name), sub.op, r)
+                cand = (sub.op, r)
             elif sub.op == "+" and r_ax and not l_ax \
                     and not self._uses_axis(l):
-                cand = (self.axes.index(r.name), "+", l)
-            if cand is not None and self._type_class(cand[2]) == "i":
+                cand = ("+", l)
+            if cand is not None and self._integer(cand[1]):
                 return cand
         return None
 
+    def _integer(self, e: F.Expr) -> bool:
+        """Whether invariant ``e`` is an INTEGER expression: literals,
+        INTEGER names and elements (:func:`type_of`), and their
+        arithmetic."""
+        if isinstance(e, F.IntLit):
+            return True
+        if isinstance(e, F.Var):
+            return type_of(self.symtab, e.name) == "integer"
+        if isinstance(e, (F.ArrayRef, F.Apply)):
+            return self._is_array_sym(e.name) \
+                and type_of(self.symtab, e.name) == "integer"
+        if isinstance(e, F.BinOp):
+            return e.op in ("+", "-", "*", "/", "**") \
+                and self._integer(e.left) and self._integer(e.right)
+        if isinstance(e, F.UnOp):
+            return e.op in ("-", "+") and self._integer(e.operand)
+        return False
+
     def _axis_mask(self, subs) -> tuple:
         """Per-dim subscript classification: None for invariant
-        subscripts, ``(axis, op, offset-key)`` for affine ones.  The
-        offset key (a structural repr) makes masks comparable, so the
+        subscripts, ``(op, offset-key)`` for affine ones.  The offset key
+        (a structural repr) makes masks comparable, so the
         read-equals-write proof covers offsets too — a stencil read
         ``u(j+1)`` against a write ``u(j)`` is a mask mismatch, i.e. a
         rejected recurrence."""
@@ -926,23 +823,27 @@ class _LoopLowerer:
                 raise _Ineligible("section subscript")
             aff = self._split_affine(sub)
             if aff is not None:
-                a, op, off = aff
-                mask.append((a, op, "" if off is None else repr(off)))
+                op, off = aff
+                mask.append((op, "" if off is None else repr(off)))
             elif self._uses_axis(sub):
                 raise _Ineligible("loop var inside subscript arithmetic")
             else:
                 mask.append(None)
         return tuple(mask)
 
-    def _sub_src(self, sub: F.Expr, entry, ctx: dict) -> str:
+    def _sub_src(self, sub: F.Expr, entry) -> str:
         """Python source for one subscript's lane index array."""
         if entry is None:
-            return f"({self.ex(sub, None)})"
-        a, op, off = self._split_affine(sub)
-        base = ctx[self.axes[a]]
+            return f"({self.ex(sub, False)})"
+        op, off = self._split_affine(sub)
         if off is None:
-            return base
-        return f"({base} {op} ({self.ex(off, None)}))"
+            return "_g0"
+        return f"(_g0 {op} ({self.ex(off, False)}))"
+
+    def _parts(self, ref) -> list[str]:
+        subs = self._subscripts(ref)
+        return [self._sub_src(sub, entry)
+                for sub, entry in zip(subs, self._axis_mask(subs))]
 
     # -- expression emission -------------------------------------------
 
@@ -953,26 +854,24 @@ class _LoopLowerer:
     def _holder(self, name: str) -> str:
         return self._holders.setdefault(name, f"_c{len(self._holders)}")
 
-    def ex(self, e: F.Expr, ctx: Optional[dict]) -> str:
-        """Emit ``e`` as Python source.
-
-        ``ctx`` maps each axis variable to its lane-array name (open grid
-        or compressed); ``ctx=None`` is invariant mode: the scalar value
-        of an expression no axis reaches, as :class:`_ScalarText` writes
-        it but with the loop's proof obligations checked on every name.
-        """
+    def ex(self, e: F.Expr, lanes: bool) -> str:
+        """Emit ``e`` as Python source: over the grid's lanes (the loop
+        variable is ``_g0``), or else the invariant scalar value of an
+        expression the loop variable does not reach, as
+        :class:`_ScalarText` writes it but with the loop's proof
+        obligations checked on every name."""
         if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit)):
             return _fmt_literal(e.value)
         if isinstance(e, F.Var):
             name = e.name
             if name in self.red_vars:
                 raise _Ineligible("accumulator read outside reduction")
-            if any(name == v for v, _, _ in self.combines):
+            if any(name == v for v, _ in self.combines):
                 # worker w+1's iterations would see worker w's combine
                 raise _Ineligible("combine target read in the loop")
-            if ctx is not None and name in ctx:
-                return ctx[name]
-            if name in self.axes or name in self.writes:
+            if lanes and name == self.var:
+                return "_g0"
+            if name == self.var or name in self.writes:
                 raise _Ineligible("loop-carried scalar read")
             if self._is_array_sym(name):
                 # a whole-array read would vectorize where the scalar
@@ -980,231 +879,78 @@ class _LoopLowerer:
                 raise _Ineligible("bare array reference")
             self.used.add("RD")
             return f"RD({self._holder(name)}, {name!r})"
-        if isinstance(e, (F.ArrayRef, F.Apply)):
-            return self._ex_ref(e, ctx)
-        if isinstance(e, F.FuncCall):
-            return self._ex_call(e.name, e.args, ctx)
+        if isinstance(e, (F.ArrayRef, F.Apply)) \
+                and self._is_array_sym(e.name):
+            return self._ex_ref(e, lanes)
         if isinstance(e, F.BinOp):
-            return self._ex_binop(e, ctx)
-        if isinstance(e, F.UnOp):
-            x = self.ex(e.operand, ctx)
-            if e.op == "-":
-                return f"(-{x})"
-            if e.op == "+":
-                return x
-            if e.op == ".not.":
-                if ctx is not None:
-                    return f"(~np.asarray({x}))"
-                self.used.add("NOT")
-                return f"NOT({x})"
+            l = self.ex(e.left, lanes)
+            r = self.ex(e.right, lanes)
+            if e.op in _PY_OPS:
+                return f"({l} {_PY_OPS[e.op]} {r})"
+            if e.op == "/":
+                self.used.add("DIV")
+                return f"DIV({l}, {r})"
+        if isinstance(e, F.UnOp) and e.op in ("-", "+"):
+            x = self.ex(e.operand, lanes)
+            return f"(-{x})" if e.op == "-" else x
         raise _Ineligible(f"cannot emit {type(e).__name__}")
 
-    def _ex_ref(self, e, ctx: Optional[dict]) -> str:
+    def _ex_ref(self, e, lanes: bool) -> str:
         name = e.name
-        subs = e.subscripts if isinstance(e, F.ArrayRef) else e.args
-        if self._is_array_sym(name):
-            mask = self._axis_mask(subs)
-            if name in self.writes and ctx is not None \
-                    and mask != self.writes[name]:
-                raise _Ineligible("read crosses written iterations")
-            if name in self.writes and ctx is None:
-                raise _Ineligible("written array in invariant position")
-            parts = []
-            for sub, entry in zip(subs, mask):
-                if entry is not None and ctx is None:
-                    raise _Ineligible("axis in invariant position")
-                parts.append(self._sub_src(sub, entry, ctx))
-            self._arrays.add(name)
-            self.used.add("VL")
-            load = (f"VL(s, {name!r}, ({', '.join(parts)},)"
-                    f"{self._rec_args()})")
-            # a load already made in this block reads its local: the
-            # first use fills it where it stands, so the text's order of
-            # evaluation is the order ``ex`` is called in
-            local = self._loaded.get(load)
-            if local is None:
-                self._uniq += 1
-                local = self._loaded[load] = f"_ld{self._uniq}"
-                return f"({local} := {load})"
-            return local
-        return self._ex_call(name, list(subs), ctx)
+        mask = self._axis_mask(self._subscripts(e))
+        if name in self.writes and not lanes:
+            raise _Ineligible("written array in invariant position")
+        if name in self.writes and mask != self.writes[name]:
+            raise _Ineligible("read crosses written iterations")
+        if not lanes and any(mask):
+            raise _Ineligible("axis in invariant position")
+        self._arrays.add(name)
+        self.used.add("VL")
+        load = (f"VL(s, {name!r}, ({', '.join(self._parts(e))},)"
+                f"{self._rec_args()})")
+        # a load already made in this block reads its local: the first
+        # use fills it where it stands, so the text's order of
+        # evaluation is the order ``ex`` is called in
+        local = self._loaded.get(load)
+        if local is None:
+            self._uniq += 1
+            local = self._loaded[load] = f"_ld{self._uniq}"
+            return f"({local} := {load})"
+        return local
 
     def _rec_args(self) -> str:
-        """Trailing ``cx, it`` of a load/store emitted while a
-        bulk-recorded loop is open."""
+        """Trailing ``cx, it`` of a load/store emitted while the loop is
+        open on the recorder."""
         return "" if self._it is None else f", _cx, {self._it}"
-
-    def _ex_call(self, name: str, args, ctx: Optional[dict]) -> str:
-        if name in self.writes or name in self.red_vars:
-            raise _Ineligible("call shadows a written name")
-        if ctx is not None:
-            # a unit or library routine of an intrinsic's name is what
-            # the tree walk calls
-            if name not in Runtime.np_funcs or self._user_callable(name):
-                raise _Ineligible(f"intrinsic {name!r} not exact")
-            parts = [self.ex(a, ctx) for a in args]
-            self.used.add("NP")
-            return f"NP[{name!r}]({', '.join(parts)})"
-        if name in self.interp.units:
-            raise _Ineligible("user routine in invariant position")
-        parts = [self.ex(a, None) for a in args]
-        self.used.add("CALL")
-        return f"CALL(s, {name!r}, ({', '.join(parts)},))"
-
-    def _ex_binop(self, e: F.BinOp, ctx: Optional[dict]) -> str:
-        l = self.ex(e.left, ctx)
-        r = self.ex(e.right, ctx)
-        op = e.op
-        if op in _PY_OPS:
-            return f"({l} {_PY_OPS[op]} {r})"
-        vec_logical = {".and.": "np.logical_and", ".or.": "np.logical_or",
-                       ".eqv.": "np.equal", ".neqv.": "np.not_equal"}
-        if ctx is not None and op in vec_logical:
-            return f"{vec_logical[op]}({l}, {r})"
-        if op in _HELPER_OPS and (ctx is None or op == "/"):
-            self.used.add(_HELPER_OPS[op])
-            return f"{_HELPER_OPS[op]}({l}, {r})"
-        raise _Ineligible(f"operator {op!r}")
-
-    # -- type-class inference (affine offsets, MIN/MAX partials) --------
-
-    def _type_class(self, e: F.Expr) -> Optional[str]:
-        if isinstance(e, F.IntLit):
-            return "i"
-        if isinstance(e, F.RealLit):
-            return "f"
-        if isinstance(e, F.Var):
-            if e.name in self.axes:
-                return "i"
-            return self._sym_class(e.name)
-        if isinstance(e, (F.ArrayRef, F.Apply, F.FuncCall)):
-            if isinstance(e, (F.ArrayRef, F.Apply)) \
-                    and self._is_array_sym(e.name):
-                return self._sym_class(e.name)
-            info = INTRINSICS.get(e.name)
-            if info is not None and info.result == "arg":
-                args = (e.subscripts if isinstance(e, F.ArrayRef)
-                        else e.args)
-                return self._join_class([self._type_class(a)
-                                         for a in args])
-            return info.result if info is not None else None
-        if isinstance(e, F.BinOp):
-            if e.op in ("+", "-", "*", "/", "**"):
-                return self._join_class([self._type_class(e.left),
-                                         self._type_class(e.right)])
-            return None
-        if isinstance(e, F.UnOp) and e.op in ("-", "+"):
-            return self._type_class(e.operand)
-        return None
-
-    def _sym_class(self, name: str) -> Optional[str]:
-        sym = self.symtab.lookup(name)
-        if sym is not None:
-            if sym.type == "integer":
-                return "i"
-            if sym.type in ("real", "doubleprecision"):
-                return "f"
-            return None
-        return "i" if name[0] in "ijklmn" else "f"
-
-    @staticmethod
-    def _join_class(classes) -> Optional[str]:
-        if any(c is None for c in classes):
-            return None
-        return "f" if "f" in classes else "i"
 
     # -- statement lowerings -------------------------------------------
 
-    def _grid_ctx(self) -> dict:
-        return {v: f"_g{a}" for a, v in enumerate(self.axes)}
-
-    def _target_parts(self, t, ctx: dict) -> str:
-        subs = t.subscripts if isinstance(t, F.ArrayRef) else t.args
-        mask = self._axis_mask(subs)
-        parts = [self._sub_src(sub, entry, ctx)
-                 for sub, entry in zip(subs, mask)]
-        return ", ".join(parts) + ","
-
-    def _emit_assign(self, st: F.Assign, ctx: dict, out: list,
-                     indent: str) -> None:
+    def _emit_assign(self, st: F.Assign, out: list) -> None:
         t = st.target
-        parts = self._target_parts(t, ctx)   # evaluated first: VS(...)
-        rhs = self.ex(st.value, ctx)
+        parts = ", ".join(self._parts(t)) + ","  # evaluated first: VS(...)
+        rhs = self.ex(st.value, True)
         self._arrays.add(t.name)
         self.used.add("VS")
-        out.append(f"{indent}VS(s, {t.name!r}, ({parts}), {rhs}"
+        out.append(f"    VS(s, {t.name!r}, ({parts}), {rhs}"
                    f"{self._rec_args()})")
         self._loaded.clear()       # a later load sees what this stored
 
-    def _emit_guarded(self, mask_src: str, assigns: list, out: list,
-                      indent: str, steps: int = 0) -> None:
-        """Compressed-lane lowering of one guard arm: a block of its
-        own — it reuses no load made before it, and its last store ends
-        it, so no load made on its lanes is reused after it.  A block
-        IF's arm counts its ``steps`` statements per true lane, as the
-        tree's ``exec_body`` of the arm does."""
-        self._loaded.clear()
-        self._uniq += 1
-        u = self._uniq
-        out.append(f"{indent}_w{u} = np.nonzero({mask_src})")
-        cctx = {}
-        for a, v in enumerate(self.axes):
-            out.append(f"{indent}_h{u}_{a} = _iv{a}[_w{u}[{a}]]")
-            cctx[v] = f"_h{u}_{a}"
-        it = self._it
-        if it is not None:      # the true lanes' iteration labels
-            out.append(f"{indent}_k{u} = {it}.ravel()[_w{u}[0]]")
-            self._it = f"_k{u}"
-        if steps:
-            out.append(f"{indent}IP._steps += {steps} * _h{u}_0.size")
-        out.append(f"{indent}if _h{u}_0.size:")
-        for st in assigns:
-            self._emit_assign(st, cctx, out, indent + "    ")
-        self._it = it
-
-    def _emit_partial(self, info: tuple, out: list, indent: str) -> None:
-        """One accumulation into a partial: its contributed terms as one
-        row per outer iteration, and the fold line that replays one
-        element of them (``_q`` the dealt position, ``_r`` the place in
-        the row) with the tree's own scalar arithmetic."""
-        kind, var = info[0], info[1]
-        ctx = self._grid_ctx()
-        k = len(self.axes)
-        shape = ", ".join(f"_n{a}" for a in range(k))
+    def _emit_partial(self, var: str, terms: list, out: list) -> None:
+        """One sum into a partial: each term's value per lane — a term
+        the loop variable reaches already is one, an invariant one is
+        broadcast — and the fold line that replays one lane (``_q``,
+        the dealt position) with the tree's own scalar arithmetic."""
         acc = self._acc(var)
         self._uniq += 1
         u = self._uniq
-
-        def rows(j: int, e: F.Expr) -> str:
-            self.used.add("ROWS")
-            out.append(f"{indent}_f{u}_{j} = ROWS({self.ex(e, ctx)}, "
-                       f"({shape},))")
-            return f"_f{u}_{j}[_q, {0 if k == 1 else '_r'}]"
-
-        if kind == "minmax":
-            contrib, fname, acc_first = info[3:]
-            # the partial is real; a real contribution keeps it so
-            # whichever argument min/max hands back
-            if self._type_class(contrib) != "f" \
-                    or self._user_callable(fname):
-                raise _Ineligible("min/max into a partial is not exact")
-            term = rows(0, contrib)
-            args = f"{acc}, {term}" if acc_first else f"{term}, {acc}"
-            self.used.add("CALL")
-            upd = f"CALL(s, {fname!r}, ({args}))"
-        elif kind == "spine":
-            upd = acc
-            for j, (top, te) in enumerate(info[2]):
-                upd = f"({upd} {top} {rows(j, te)})"
-        else:   # ("right", var, op, expr):  s = e op s
-            upd = f"({rows(0, info[3])} {info[2]} {acc})"
+        upd = acc
+        for j, (op, term) in enumerate(terms):
+            value = self.ex(term, True)
+            if not self._uses_axis(term):
+                value = f"np.broadcast_to({value}, (_n0,))"
+            out.append(f"    _f{u}_{j} = {value}")
+            upd = f"({upd} {op} _f{u}_{j}[_q])"
         self._folds.append(f"{acc} = {upd}")
-        if kind == "minmax":
-            # min/max may hand back an integer argument's value, which
-            # the real partial's store makes a float; a sum or product
-            # of a real literal's float already is one
-            self._folds.append(
-                f"{acc} = {_stored_text('r', var, acc, self.used)}")
 
     def _acc(self, partial: str) -> str:
         """The emitted function's local holding ``partial``."""
@@ -1217,7 +963,7 @@ class _LoopLowerer:
         # a combine target is read once: every later value is what its
         # own store returned, as a fresh read would see it
         cur = {}
-        for v, _, _ in self.combines:
+        for v, _ in self.combines:
             if v not in cur:
                 cur[v] = f"_v{len(cur)}"
                 out.append(f"{cur[v]} = RD({self._holder(v)}, {v!r})")
@@ -1227,67 +973,27 @@ class _LoopLowerer:
             out.append(f"    {self._acc(p)} = {_fmt_literal(lit)}")
         out.append("    if _t:")
         out.append("        for _q in _sh:")
-        indent = " " * 12
-        if len(self.axes) > 1:
-            out.append(f"{indent}for _r in range(_m):")
-            indent += "    "
-        out.extend(indent + line for line in self._folds)
-        for v, op, p in self.combines:
-            val = f"({cur[v]} {op} {self._acc(p)})" if op in "+*" \
-                else f"CALL(s, {op!r}, ({cur[v]}, {self._acc(p)}))"
-            if op not in "+*":
-                self.used.add("CALL")
-            out.append(f"    _y = {val}")
+        out.extend(" " * 12 + line for line in self._folds)
+        for v, p in self.combines:
+            out.append(f"    _y = ({cur[v]} + {self._acc(p)})")
             cls = self.classes.get(v, store_class(self.symtab, v))
             out += _store_text(self._holder(v), v, "_y", cls, cur[v],
                                "    ", True, self.used)
 
-    def _emit_stmt(self, st: F.Stmt, out: list, indent: str) -> None:
-        if id(st) in self.reductions:
-            self._emit_partial(self.reductions[id(st)], out, indent)
-            return
-        if isinstance(st, NOOP_STMTS):
-            return
-        ctx = self._grid_ctx()
-        if isinstance(st, F.Assign):
-            self._emit_assign(st, ctx, out, indent)
-            return
-        k = len(self.axes)
-        shape = ", ".join(f"_n{a}" for a in range(k))
-        if isinstance(st, F.LogicalIf):
-            self._uniq += 1
-            u = self._uniq
-            cond = self.ex(st.cond, ctx)
-            out.append(f"{indent}_m{u} = np.broadcast_to(np.asarray("
-                       f"{cond}, dtype=bool), ({shape},))")
-            self._emit_guarded(f"_m{u}", [st.stmt], out, indent)
-            return
-        if isinstance(st, F.IfBlock):
-            self._uniq += 1
-            u = self._uniq
-            cond = self.ex(st.arms[0][0], ctx)
-            out.append(f"{indent}_m{u} = np.broadcast_to(np.asarray("
-                       f"{cond}, dtype=bool), ({shape},))")
-            for mask, (_, arm) in zip((f"_m{u}", f"(~_m{u})"), st.arms):
-                self._emit_guarded(mask, list(arm), out, indent, len(arm))
-            return
-        raise _Ineligible(f"ineligible statement {type(st).__name__}")
-
     # -- whole-loop emission -------------------------------------------
 
-    def _emit_bounds(self, a: int, out: list, indent: str) -> None:
-        lv = self.levels[a]
-        out.append(f"{indent}_lo{a} = int({self.ex(lv.start, None)})")
-        out.append(f"{indent}_hi{a} = int({self.ex(lv.end, None)})")
+    def _emit_bounds(self, out: list) -> None:
+        lv = self.level
+        out.append(f"_lo0 = int({self.ex(lv.start, False)})")
+        out.append(f"_hi0 = int({self.ex(lv.end, False)})")
         if lv.step is not None:
-            out.append(f"{indent}_st{a} = int({self.ex(lv.step, None)})")
+            out.append(f"_st0 = int({self.ex(lv.step, False)})")
             self.used.add("ERR")
-            out.append(f"{indent}if _st{a} == 0:")
-            out.append(f"{indent}    ERR('zero DO step')")
+            out += ["if _st0 == 0:", "    ERR('zero DO step')"]
         else:
-            out.append(f"{indent}_st{a} = 1")
-        out.append(f"{indent}_n{a} = len(range(_lo{a}, _hi{a} + "
-                   f"(1 if _st{a} > 0 else -1), _st{a}))")
+            out.append("_st0 = 1")
+        out.append("_n0 = len(range(_lo0, _hi0 + (1 if _st0 > 0 else -1), "
+                   "_st0))")
 
     def _trips(self) -> str:
         """Source of the iteration count the tree runs the DOALL with:
@@ -1296,35 +1002,20 @@ class _LoopLowerer:
             return f"-(-_n0 // {self.strip})"
         return "_n0"
 
-    def _steps(self) -> tuple[str, str]:
+    def _steps(self) -> str:
         """Source of the statements the tree's ``exec_body`` counts for
-        the loop that every lane runs — each level's body once per
-        iteration of the levels around it (the original body once per
-        strip, for a collapsed strip-mine), a partial-sum DOALL's
-        preamble and postamble once per share — and of that plus every
-        block IF arm on all lanes: the bound the step budget is tested
-        against at entry.  Each arm adds its true lanes' count as it
-        runs (:meth:`_emit_guarded`)."""
-        if self.strip is not None:
-            terms = [f"{self._trips()} * {len(self.loop.body)}"]
-        else:
-            terms = [" * ".join(f"_n{b}" for b in range(a + 1))
-                     + f" * {len(lv.body)}"
-                     for a, lv in enumerate(self.levels)]
+        the loop: its body once per iteration (per strip, for a
+        collapsed strip-mine), and a partial-sum DOALL's preamble and
+        postamble once per share."""
+        steps = f"{self._trips()} * {len(self.loop.body)}"
         if self.partials:
             ends = len(self.loop.preamble) + len(self.loop.postamble)
-            terms.append(f"len(_sh0) * {ends}")
-        fixed = " + ".join(terms)
-        arms = sum(len(arm) for st in self.body if isinstance(st, F.IfBlock)
-                   for _, arm in st.arms)
-        if not arms:
-            return fixed, fixed
-        lanes = " * ".join(f"_n{a}" for a in range(len(self.axes)))
-        return fixed, f"{fixed} + {lanes} * {arms}"
+            steps += f" + len(_sh0) * {ends}"
+        return steps
 
     @property
     def _aliasable(self) -> bool:
-        """Whether two of the arrays the nest names could be one
+        """Whether two of the arrays the loop names could be one
         ``ndarray`` that it writes (argument association)."""
         return bool(self.writes) and len(self._arrays) > 1
 
@@ -1333,84 +1024,51 @@ class _LoopLowerer:
         hands the loop to its scalar text ``_s<i>`` inside a checked
         iteration, under aliased array names, or under a deal that is
         not a partition."""
-        k = len(self.axes)
-        # the outermost bounds are evaluated before the loop starts: the
-        # tree opens the loop on the recorder after them.  The DOALL runs
-        # as a grid only under a deal that is a partition of its
-        # iterations (of its strips, for a collapsed strip-mine); nothing
-        # has been stored yet, so otherwise the loop starts over on its
-        # scalar text.
+        # the bounds are evaluated before the loop starts: the tree opens
+        # the loop on the recorder after them.  The DOALL runs as a grid
+        # only under a deal that is a partition of its iterations (of its
+        # strips, for a collapsed strip-mine); nothing has been stored
+        # yet, so otherwise the loop starts over on its scalar text.
         head: list[str] = []
-        self._emit_bounds(0, head, "")
+        self._emit_bounds(head)
         head += [f"if not PART({self._trips()}):", f"    return _s{i}(s)"]
         self.used.update(("PART", "SH", "OPEN", "RO", "CLOSE", "IP", "BUD"))
-        if k > 1:
-            # the inner bounds are invariant and read nothing a checked
-            # iteration logs: evaluated here, where a level runs, so the
-            # budget test knows every trip count.  One that raises runs
-            # the loop's scalar text, which raises it where the tree does.
-            head += [f"_n{a} = 0" for a in range(1, k)]
-            head += ["try:"]
-            indent = "    "
-            for a in range(1, k):
-                head.append(f"{indent}if _n{a - 1}:")
-                indent += "    "
-                self._emit_bounds(a, head, indent)
-            head += ["except Exception:", f"    return _s{i}(s)"]
         if self.partials:
             self.used.add("DEAL")
             head.append("_sh0 = DEAL(_n0)")
         # every statement the tree would count: a loop that could pass
         # the step budget runs its scalar text, which stops where the
         # tree does
-        fixed, bound = self._steps()
-        head += [f"if IP._steps + {bound} > BUD:", f"    return _s{i}(s)",
-                 f"IP._steps += {fixed}"]
+        steps = self._steps()
+        head += [f"if IP._steps + {steps} > BUD:", f"    return _s{i}(s)",
+                 f"IP._steps += {steps}"]
         out: list[str] = []
         if self.partials:
             out.append("_t = False")
-        indent = ""
-        for a in range(k):
-            out.append(f"{indent}if _n{a}:")
-            indent += "    "
-            self._loaded.clear()      # each nest level is a new block
-            out.append(f"{indent}_iv{a} = np.arange(_lo{a}, _lo{a} + "
-                       f"_st{a} * _n{a}, _st{a}, dtype=np.int64)")
-            shape = ["1"] * k
-            shape[a] = "-1"
-            out.append(f"{indent}_g{a} = _iv{a}.reshape"
-                       f"({', '.join(shape)})")
-            if a == 0:
-                # iteration labels of the lanes: the loop variable, or
-                # for a collapsed strip-mine the start of the lane's
-                # strip — the iteration the tree runs the lane in
-                self._it = "_g0"
-                if self.strip is not None:
-                    self._it = "_it"
-                    out.append(f"{indent}_it = _lo0 + (_g0 - _lo0) // "
-                               f"{self.strip} * {self.strip}")
-                scalars = self._shared_scalars()
-                if scalars:
-                    self.used.add("SCAL")
-                    out.append(f"{indent}SCAL(_cx, s, {scalars!r}, "
-                               f"{self._it})")
+        out.append("if _n0:")
+        self._loaded.clear()      # the body is a new block
+        out.append("    _g0 = np.arange(_lo0, _lo0 + _st0 * _n0, _st0, "
+                   "dtype=np.int64)")
+        # iteration labels of the lanes: the loop variable, or for a
+        # collapsed strip-mine the start of the lane's strip — the
+        # iteration the tree runs the lane in
+        self._it = "_g0"
+        if self.strip is not None:
+            self._it = "_it"
+            out.append(f"    _it = _lo0 + (_g0 - _lo0) // {self.strip} * "
+                       f"{self.strip}")
+        scalars = self._shared_scalars()
+        if scalars:
+            self.used.add("SCAL")
+            out.append(f"    SCAL(_cx, s, {scalars!r}, {self._it})")
         for st in self.body:
-            self._emit_stmt(st, out, indent)
+            if id(st) in self.reductions:
+                self._emit_partial(st.target.name, self.reductions[id(st)],
+                                   out)
+            elif isinstance(st, F.Assign):
+                self._emit_assign(st, out)
         if self.partials:
-            if k > 1:
-                out.append(f"{indent}_m = "
-                           + " * ".join(f"_n{a}" for a in range(1, k)))
-            out.append(f"{indent}_t = True")
-        # sequential DO variables keep their scalar-loop final values;
-        # the DOALL's variable and privates live in discarded worker
-        # scopes and must not leak (matching _parallel_do/_do_loop
-        # semantics exactly)
-        for a in range(k - 1, 0, -1):
-            if a not in self.private_axes:
-                self.used.add("SSET")
-                out.append(f"{'    ' * (a + 1)}SSET(s, {self.axes[a]!r}, "
-                           f"_lo{a} + _st{a} * (_n{a} - 1))")
-        if self.partials:
+            out.append("    _t = True")
             self._emit_folds(out)
 
         # already inside a checked iteration, the enclosing loop's log
@@ -2061,8 +1719,8 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
     """Deterministic module text for one statement list: a ``make(rt)``
     returning one function per statement — the scalar text ``_s<i>`` of
     each, and in the recorder-aware text (``rec``, module docstring) the
-    vector form ``_v<i>`` of each DOALL-headed nest the lowerer proves,
-    with the nest's scalar text beside it to hand over to.  A list
+    vector form ``_v<i>`` of each DOALL the lowerer proves, with the
+    loop's scalar text beside it to hand over to.  A list
     holding a statement the scalar text declines gets ``make = None``:
     it runs whole on the tree."""
     scalar = _ScalarText(interp, stmts, unit, rec)
@@ -2113,7 +1771,7 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
 #: a module binds the ones its text uses, which the emitter records as
 #: it writes them (``used``)
 _HELPERS = {
-    "SSET": "sset", "CALL": "call",
+    "CALL": "call",
     "DIV": "div", "AND": "and_", "OR": "or_", "EQV": "eqv",
     "NEQV": "neqv", "NOT": "not_", "ERR": "error",
     # names resolved at entry, and the scalar store
@@ -2129,8 +1787,7 @@ _HELPERS = {
     "PDO": "compiler.interp._parallel_do",
     "CALLS": "compiler.interp._call_stmt", "EV": "compiler.interp.eval",
     # vector forms
-    "VL": "vload", "VS": "vstore", "NP": "np_funcs",
-    "ROWS": "red_rows", "DEAL": "shares", "PART": "partition",
+    "VL": "vload", "VS": "vstore", "DEAL": "shares", "PART": "partition",
     "OPEN": "shadow.open_loop", "RO": "read_only",
     "CLOSE": "shadow.close_loop", "SCAL": "log_scalars",
     "ALIAS": "aliased",

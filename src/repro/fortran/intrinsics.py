@@ -1,13 +1,14 @@
 """Catalogue of the Fortran 77 intrinsic functions the front end knows.
 
 Each entry records the Python callable used by the functional interpreter
-element-at-a-time, its NumPy equivalent for array sections and vectorized
-loops, and a nominal cost class used by the performance model ('cheap' ≈
-an ALU op, 'func' ≈ a short libm routine, 'heavy' ≈ divide/sqrt class
-latency).  This is the one intrinsic table: the tree walk, the compiled
-engine and the loop lowerer's exactness and type-class proofs all read it,
-and tests/execmodel/test_intrinsic_consistency.py cross-checks ``fn``
-against ``np_fn`` for every entry that has both.
+element-at-a-time, its NumPy equivalent for array arguments (sections and
+whole arrays), and a nominal cost class used by the performance model
+('cheap' ≈ an ALU op, 'func' ≈ a short libm routine, 'heavy' ≈
+divide/sqrt class latency).  This is the one intrinsic table: the tree
+walk and the compiled engine both read it, and
+tests/execmodel/test_intrinsic_consistency.py cross-checks ``fn`` against
+``np_fn`` for every entry that has both.  The compiled engine's vector
+text calls no intrinsic: a loop that does runs its scalar text.
 """
 
 from __future__ import annotations
@@ -30,14 +31,6 @@ class Intrinsic:
     #: :func:`_numpy_forms` or else an attribute of ``numpy``.  None: not
     #: applicable to arrays.  Read it through :attr:`np_fn`.
     np_name: Optional[str] = None
-    #: ``fn`` and ``np_fn`` are *bit-equal* elementwise (correctly-rounded
-    #: or pure integer/compare ops) — the only intrinsics a loop may be
-    #: vectorized through.  Transcendentals (exp, log, sin, …) are not:
-    #: libm and npymath may differ in the last ulp.
-    exact: bool = False
-    #: result type class: "i" integer or "f" real whatever the arguments,
-    #: "arg" follows the arguments, None unknown
-    result: Optional[str] = None
 
     @property
     def np_fn(self) -> Optional[Callable]:
@@ -139,54 +132,37 @@ def _reg(name: str, *args, **fields) -> None:
 
 
 # numeric conversion / simple
-_reg("abs", (1, 1), abs, "cheap", np_name="abs", exact=True, result="arg")
-_reg("iabs", (1, 1), abs, "cheap", np_name="abs", exact=True, result="i")
-_reg("dabs", (1, 1), abs, "cheap", np_name="abs", exact=True, result="arg")
-_reg("int", (1, 1), int, "cheap", np_name="to_int", exact=True, result="i")
-_reg("ifix", (1, 1), int, "cheap", np_name="to_int", exact=True, result="i")
-_reg("idint", (1, 1), int, "cheap", np_name="to_int", exact=True, result="i")
-_reg("float", (1, 1), float, "cheap", np_name="to_float", exact=True,
-     result="f")
-_reg("real", (1, 1), float, "cheap", np_name="to_float", exact=True,
-     result="f")
-_reg("dble", (1, 1), float, "cheap", np_name="to_float", exact=True,
-     result="f")
-_reg("sngl", (1, 1), float, "cheap", np_name="to_float", exact=True,
-     result="f")
-_reg("nint", (1, 1), _nint, "cheap", np_name="nint", exact=True,
-     result="i")
-_reg("sign", (2, 2), _sign, "cheap", np_name="sign", exact=True,
-     result="arg")
-_reg("isign", (2, 2), _sign, "cheap", np_name="sign", exact=True,
-     result="i")
+_reg("abs", (1, 1), abs, "cheap", np_name="abs")
+_reg("iabs", (1, 1), abs, "cheap", np_name="abs")
+_reg("dabs", (1, 1), abs, "cheap", np_name="abs")
+_reg("int", (1, 1), int, "cheap", np_name="to_int")
+_reg("ifix", (1, 1), int, "cheap", np_name="to_int")
+_reg("idint", (1, 1), int, "cheap", np_name="to_int")
+_reg("float", (1, 1), float, "cheap", np_name="to_float")
+_reg("real", (1, 1), float, "cheap", np_name="to_float")
+_reg("dble", (1, 1), float, "cheap", np_name="to_float")
+_reg("sngl", (1, 1), float, "cheap", np_name="to_float")
+_reg("nint", (1, 1), _nint, "cheap", np_name="nint")
+_reg("sign", (2, 2), _sign, "cheap", np_name="sign")
+_reg("isign", (2, 2), _sign, "cheap", np_name="sign")
 _reg("dim", (2, 2), _dim, "cheap", np_name="dim")
 # np.fmod, not np.mod: Fortran MOD carries the *dividend*'s sign; np.mod
 # is floored division and follows the divisor instead.
 _reg("mod", (2, 2), _mod, "cheap", np_name="fmod")
 _reg("amod", (2, 2), _mod, "cheap", np_name="fmod")
 _reg("dmod", (2, 2), _mod, "cheap", np_name="fmod")
-_reg("max", (2, -1), _fmax, "cheap", np_name="nary_max", exact=True,
-     result="arg")
-_reg("max0", (2, -1), _fmax, "cheap", np_name="nary_max", exact=True,
-     result="i")
-_reg("amax1", (2, -1), _fmax, "cheap", np_name="nary_max", exact=True,
-     result="f")
-_reg("dmax1", (2, -1), _fmax, "cheap", np_name="nary_max", exact=True,
-     result="f")
-_reg("min", (2, -1), _fmin, "cheap", np_name="nary_min", exact=True,
-     result="arg")
-_reg("min0", (2, -1), _fmin, "cheap", np_name="nary_min", exact=True,
-     result="i")
-_reg("amin1", (2, -1), _fmin, "cheap", np_name="nary_min", exact=True,
-     result="f")
-_reg("dmin1", (2, -1), _fmin, "cheap", np_name="nary_min", exact=True,
-     result="f")
+_reg("max", (2, -1), _fmax, "cheap", np_name="nary_max")
+_reg("max0", (2, -1), _fmax, "cheap", np_name="nary_max")
+_reg("amax1", (2, -1), _fmax, "cheap", np_name="nary_max")
+_reg("dmax1", (2, -1), _fmax, "cheap", np_name="nary_max")
+_reg("min", (2, -1), _fmin, "cheap", np_name="nary_min")
+_reg("min0", (2, -1), _fmin, "cheap", np_name="nary_min")
+_reg("amin1", (2, -1), _fmin, "cheap", np_name="nary_min")
+_reg("dmin1", (2, -1), _fmin, "cheap", np_name="nary_min")
 
 # math
-_reg("sqrt", (1, 1), math.sqrt, "heavy", np_name="sqrt", exact=True,
-     result="f")
-_reg("dsqrt", (1, 1), math.sqrt, "heavy", np_name="sqrt", exact=True,
-     result="f")
+_reg("sqrt", (1, 1), math.sqrt, "heavy", np_name="sqrt")
+_reg("dsqrt", (1, 1), math.sqrt, "heavy", np_name="sqrt")
 _reg("exp", (1, 1), math.exp, np_name="exp")
 _reg("dexp", (1, 1), math.exp, np_name="exp")
 _reg("log", (1, 1), math.log, np_name="log")

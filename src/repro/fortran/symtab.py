@@ -52,7 +52,13 @@ class Symbol:
         return len(self.dims)
 
 
-def _implicit_type(name: str) -> str:
+def type_of(symtab: Optional["SymbolTable"], name: str) -> str:
+    """The type of ``name``: as ``symtab`` declares it, else by Fortran's
+    implicit rule — INTEGER for a name starting with I to N, REAL for
+    any other — also when there is no table.  Inserts nothing."""
+    sym = symtab.symbols.get(name) if symtab is not None else None
+    if sym is not None:
+        return sym.type
     return "integer" if name[0] in "ijklmn" else "real"
 
 
@@ -76,7 +82,7 @@ class SymbolTable:
         if sym is None:
             if self.implicit_none:
                 raise SemanticError(f"undeclared name {name!r} under IMPLICIT NONE")
-            sym = Symbol(name=name, type=_implicit_type(name))
+            sym = Symbol(name=name, type=type_of(None, name))
             self.symbols[name] = sym
         return sym
 
@@ -89,7 +95,7 @@ class SymbolTable:
 
     def declare(self, name: str) -> Symbol:
         if name not in self.symbols:
-            self.symbols[name] = Symbol(name=name, type=_implicit_type(name))
+            self.symbols[name] = Symbol(name=name, type=type_of(None, name))
         return self.symbols[name]
 
     # -- construction -----------------------------------------------------

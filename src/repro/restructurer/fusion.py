@@ -81,13 +81,6 @@ def try_fuse(a: F.DoLoop, b: F.DoLoop,
     return merged
 
 
-def fusion_legal(a: F.DoLoop, b: F.DoLoop,
-                 params: Mapping[str, int] | None = None,
-                 ignore: frozenset[str] | set[str] = frozenset()) -> bool:
-    """Can ``a`` and ``b`` (adjacent, same header) be fused?"""
-    return try_fuse(a, b, params, ignore) is not None
-
-
 def fuse_everywhere(stmts: list[F.Stmt],
                     params: Mapping[str, int] | None = None,
                     replicate_between: bool = True,

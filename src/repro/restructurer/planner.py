@@ -429,7 +429,20 @@ class LoopPlanner:
             # run-time dependence test: two-version loop
             if self.opt.runtime_dependence_test:
                 test = synthesize_runtime_test(nest, self.params)
-                if test is not None:
+                # the test proves one array independent: any other
+                # carried dependence keeps the loop serial
+                others = [] if test is None else sorted(
+                    graph.variables_with_carried(0) - ignore - {test.array})
+                if test is None:
+                    self._emit(loop, "runtime-two-version", "rejected",
+                               reason="no run-time dependence test "
+                                      "synthesizable for the subscripts")
+                elif others:
+                    self._emit(loop, "runtime-two-version", "rejected",
+                               reason=f"the run-time test covers only "
+                                      f"{test.array}; loop-carried "
+                                      f"dependence on {', '.join(others)}")
+                else:
                     par_score = self.cost.parallel(
                         "xdoall", trips, body_ops, self.cost.total_p)
                     out.append((
@@ -438,10 +451,6 @@ class LoopPlanner:
                         lambda t=test: self._build_two_version(
                             nest, t, reductions, priv_ok),
                     ))
-                else:
-                    self._emit(loop, "runtime-two-version", "rejected",
-                               reason="no run-time dependence test "
-                                      "synthesizable for the subscripts")
             # unordered critical section (§4.1.6)
             if self.opt.critical_sections:
                 cplan = plan_critical_section(

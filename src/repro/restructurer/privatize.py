@@ -18,7 +18,7 @@ from repro.analysis.nest import NestRecord
 from repro.analysis.privatization import PrivatizationResult
 from repro.errors import TransformError
 from repro.fortran import ast_nodes as F
-from repro.fortran.symtab import SymbolTable
+from repro.fortran.symtab import SymbolTable, type_of
 from repro.restructurer.rename import substitute_reads
 from repro.trace.events import NULL_SINK, DecisionEvent
 
@@ -43,8 +43,7 @@ def _decl_for(name: str, symtab: SymbolTable | None) -> F.TypeDecl:
         base = sym.type
     else:
         ent = F.EntityDecl(name)
-        base = sym.type if sym else (
-            "integer" if name[0] in "ijklmn" else "real")
+        base = type_of(symtab, name)
     return F.TypeDecl(type=F.TypeSpec(base), entities=[ent])
 
 

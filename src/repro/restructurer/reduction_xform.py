@@ -22,7 +22,7 @@ from repro.analysis.reductions import Reduction
 from repro.cedar.nodes import LockStmt, UnlockStmt
 from repro.errors import TransformError
 from repro.fortran import ast_nodes as F
-from repro.fortran.symtab import SymbolTable
+from repro.fortran.symtab import SymbolTable, type_of
 from repro.restructurer.names import NamePool
 from repro.restructurer.rename import rename_in_stmts
 from repro.trace.events import NULL_SINK, DecisionEvent
@@ -74,8 +74,7 @@ def transform_reductions(loop: F.DoLoop, reductions: list[Reduction],
             reason=f"{red.var}: {red.kind} {red.op}-reduction split into "
                    f"per-processor partials"))
         sym = symtab.lookup(red.var) if symtab else None
-        ftype = sym.type if sym else (
-            "integer" if red.var[0] in "ijklmn" else "real")
+        ftype = type_of(symtab, red.var)
         partial = pool.fresh(red.var + "_p")
         out.renames[red.var] = partial
         out.transformed.append(red.var)

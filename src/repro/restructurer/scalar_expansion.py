@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro.analysis.nest import NestRecord
 from repro.analysis.privatization import analyze_scalar
 from repro.fortran import ast_nodes as F
+from repro.fortran.symtab import type_of
 from repro.restructurer.names import NamePool
 
 
@@ -60,7 +61,5 @@ def plan_expansion(nest: NestRecord, pool: NamePool) -> ExpansionPlan:
         # the expanded array keeps the scalar's name, declared loop-local
         # (shadowing), exactly as in the paper's §3.2 example
         mapping[name] = name
-        sym = symtab.lookup(name) if symtab else None
-        types[name] = sym.type if sym else (
-            "integer" if name[0] in "ijklmn" else "real")
+        types[name] = type_of(symtab, name)
     return ExpansionPlan(mapping, types, blocked)

@@ -1,13 +1,10 @@
 """Direct tests of the definite-assignment / liveness walkers."""
 
-from repro.analysis.dataflow import (
-    Assigned,
-    live_after_loop,
-    reads_after,
-    scalar_usage,
-)
+from repro.analysis.dataflow import Assigned, RegionUsage
+from repro.analysis.nest import NestRecord
 from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
+from repro.fortran.symtab import build_symbol_table
 
 
 def unit_of(src):
@@ -34,7 +31,7 @@ class TestReadsAfter:
       end
 """)
         loop = first_loop(u)
-        assert reads_after(u.body, loop, "t") is True
+        assert NestRecord(loop, u).live_after("t")
 
     def test_no_read_after(self):
         u = unit_of("""
@@ -50,7 +47,7 @@ class TestReadsAfter:
       end
 """)
         loop = first_loop(u)
-        assert reads_after(u.body, loop, "t") is False
+        assert not NestRecord(loop, u).live_after("t")
 
     def test_redefinition_kills_liveness(self):
         """A later statement that overwrites before reading does not keep
@@ -70,7 +67,7 @@ class TestReadsAfter:
       end
 """)
         loop = first_loop(u)
-        assert reads_after(u.body, loop, "t") is False
+        assert not NestRecord(loop, u).live_after("t")
 
     def test_reexecution_covered_by_redef(self):
         """The FLO52 case: a scalar defined at the top of every outer
@@ -91,7 +88,7 @@ class TestReadsAfter:
 """)
         outer = first_loop(u)
         inner = first_loop(outer)
-        assert reads_after(u.body, inner, "w") is False
+        assert not NestRecord(inner, u).live_after("w")
 
     def test_reexecution_upward_exposed(self):
         """A scalar read before redefinition in the next iteration stays
@@ -113,7 +110,7 @@ class TestReadsAfter:
 """)
         outer = first_loop(u)
         inner = first_loop(outer)
-        assert reads_after(u.body, inner, "acc") is True
+        assert NestRecord(inner, u).live_after("acc")
 
 
 class TestLiveAfterLoop:
@@ -130,8 +127,10 @@ class TestLiveAfterLoop:
       end
 """)
         loop = first_loop(u)
-        assert live_after_loop(u, loop, "t", escapes=True)
-        assert not live_after_loop(u, loop, "t", escapes=False)
+        # a dummy argument escapes to the caller; without the unit's
+        # table nothing says so, and no later statement reads it
+        assert NestRecord(loop, u, build_symbol_table(u)).live_after("t")
+        assert not NestRecord(loop, u).live_after("t")
 
 
 class TestScalarUsageEdges:
@@ -149,7 +148,7 @@ class TestScalarUsageEdges:
       end
 """)
         loop = first_loop(u)
-        usage = scalar_usage(loop.body, "t")
+        usage = RegionUsage(loop.body).of("t")
         assert usage.upward_exposed  # conditional def does not dominate
 
     def test_goto_poisons(self):
@@ -167,7 +166,7 @@ class TestScalarUsageEdges:
       end
 """)
         loop = first_loop(u)
-        usage = scalar_usage(loop.body, "t")
+        usage = RegionUsage(loop.body).of("t")
         assert usage.saw_goto and usage.conservative
 
     def test_do_var_counts_as_definition(self):
@@ -184,6 +183,6 @@ class TestScalarUsageEdges:
       end
 """)
         loop = first_loop(u)
-        usage = scalar_usage(loop.body, "j")
+        usage = RegionUsage(loop.body).of("j")
         assert not usage.upward_exposed
         assert usage.written_anywhere

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.dataflow import Assigned, scalar_usage
+from repro.analysis.dataflow import Assigned, RegionUsage
 from repro.analysis.induction import find_induction_variables
 from repro.analysis.privatization import (
     analyze_array,
@@ -34,7 +34,7 @@ class TestScalarUsage:
       end do
       end
 """)
-        u = scalar_usage(loop.body, "t")
+        u = RegionUsage(loop.body).of("t")
         assert not u.upward_exposed
         assert u.assigned == Assigned.YES
 
@@ -48,7 +48,7 @@ class TestScalarUsage:
       end do
       end
 """)
-        u = scalar_usage(loop.body, "t")
+        u = RegionUsage(loop.body).of("t")
         assert u.upward_exposed
 
     def test_if_both_arms_define(self):
@@ -65,7 +65,7 @@ class TestScalarUsage:
       end do
       end
 """)
-        u = scalar_usage(loop.body, "t")
+        u = RegionUsage(loop.body).of("t")
         assert not u.upward_exposed
 
     def test_if_one_arm_defines(self):
@@ -80,7 +80,7 @@ class TestScalarUsage:
       end do
       end
 """)
-        u = scalar_usage(loop.body, "t")
+        u = RegionUsage(loop.body).of("t")
         assert u.upward_exposed
 
     def test_def_in_constant_inner_loop_counts(self):
@@ -95,7 +95,7 @@ class TestScalarUsage:
       end do
       end
 """)
-        u = scalar_usage(loop.body, "t")
+        u = RegionUsage(loop.body).of("t")
         assert not u.upward_exposed
 
     def test_def_in_symbolic_inner_loop_degrades(self):
@@ -110,7 +110,7 @@ class TestScalarUsage:
       end do
       end
 """)
-        u = scalar_usage(loop.body, "t")
+        u = RegionUsage(loop.body).of("t")
         assert u.upward_exposed
 
     def test_call_is_conservative(self):
@@ -123,7 +123,7 @@ class TestScalarUsage:
       end do
       end
 """)
-        u = scalar_usage(loop.body, "t")
+        u = RegionUsage(loop.body).of("t")
         assert u.conservative
 
 

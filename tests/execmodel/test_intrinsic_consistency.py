@@ -37,6 +37,12 @@ _DEFAULT_DOMAIN = (-50.0, 50.0)
 SHARED = sorted(n for n, info in INTRINSICS.items()
                 if info.np_fn is not None)
 
+#: the intrinsics whose result is INTEGER whatever their arguments: they
+#: take integer operands (iabs, min0, …), and the conversions must pass
+#: them through
+INTEGER_RESULT = {"iabs", "int", "ifix", "idint", "nint", "isign", "max0",
+                  "min0"}
+
 
 def _draw(name: str, nargs: int, *, integer: bool) -> list:
     lo, hi = _DOMAINS.get(name, _DEFAULT_DOMAIN)
@@ -52,14 +58,17 @@ def _arity(name: str) -> int:
     return lo if hi == lo else 3  # exercise the n-ary forms with 3 args
 
 
+def test_integer_result_intrinsics_have_both_forms():
+    assert INTEGER_RESULT <= set(SHARED)
+
+
 @pytest.mark.parametrize("name", SHARED)
 def test_scalar_vs_vector_agree(name):
     """``fn`` on scalars == ``np_fn`` on 1-element arrays."""
     info = INTRINSICS[name]
     nargs = _arity(name)
-    # integer-result intrinsics see integer operands too (iabs, min0, …
-    # take them; the conversions int/nint must pass them through)
-    for integer in ((False, True) if info.result == "i" else (False,)):
+    for integer in ((False, True) if name in INTEGER_RESULT
+                    else (False,)):
         for trial in range(200):
             args = _draw(name, nargs, integer=integer)
             if name in ("mod", "amod", "dmod") and args[1] == 0:

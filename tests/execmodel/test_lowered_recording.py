@@ -3,11 +3,13 @@ partial-sum DOALL and recorder-aware text).
 
 The tree walk is the oracle throughout: a generated partial-sum DOALL is
 bit-identical on both engines under honest and dishonest deals, with and
-without a recorder, and counts the tree's statements; a bulk-logged loop
-leaves the rows the tree leaves and trips the step budget where the tree
-does; and the loops the lowering proof cannot vouch for — nested in a
-checked iteration, aliased dummies — report the tree's conflicts, in its
-order.
+without a recorder, and counts the tree's statements — whether it takes
+its vector form (one level, left-spine sums of call-free terms) or its
+scalar text (a nest, a MIN/MAX or right-hand accumulation, a call); a
+bulk-logged loop leaves the rows the tree leaves and trips the step
+budget where the tree does; and the loops the lowering proof cannot
+vouch for — nested in a checked iteration, aliased dummies — report the
+tree's conflicts, in its order.
 """
 
 import numpy as np
@@ -112,6 +114,14 @@ def card(stmt: str) -> list[str]:
     return lines + [line]
 
 
+def lowers(accs, nested: bool) -> bool:
+    """Whether the vector form takes the generated loop: one level, and
+    every accumulation a left-spine sum of call-free terms."""
+    return not nested and all(
+        stmt.startswith(f"{p} = {p} ") and "abs(" not in stmt
+        for p, *_, stmt in accs)
+
+
 def partial_sum_source(accs, nested: bool, elementwise: bool) -> str:
     lines = ["      subroutine r(n, m, c, x, y, z, w, v, s1, s2, s3)",
              "      integer n, m, i, j",
@@ -180,8 +190,7 @@ def test_partial_sum_doall_is_the_trees(data, n, processors, deal, nested,
         fast, sh_c, comp = run(program, "r", args, engine="compiled", **kw)
         # recorder-aware text only; under a deal that is no partition the
         # DOALL's vector form hands over to ``_parallel_do``
-        assert comp.vectorized_loops == shadowed, \
-            "the generated shape must lower"
+        assert comp.vectorized_loops == (shadowed and lowers(accs, nested))
         assert_bit_identical(tree, fast, "tree vs compiled")
         if shadowed:
             assert sh_c.loops_checked == sh_t.loops_checked == 1
@@ -217,6 +226,11 @@ class TestShapesThatKeepTheFallback:
         src = self.SRC.replace("p1", "kp")
         self._check(doall_program(
             src, partials=[("kp", 0.0, "s1", "+")]), 1)
+
+    def test_an_invariant_term_is_summed_on_every_lane(self):
+        src = self.SRC.replace("x(i) * y(i)", "c * 2.0")
+        self._check(doall_program(
+            src, partials=[("p1", 0.0, "s1", "+")]), 1)
 
     def test_partial_not_declared_local(self):
         program = doall_program(self.SRC,
@@ -340,35 +354,52 @@ GUARDED_NEST_SRC = """
 """
 
 
+#: one level, two array assignments: the shape a vector form takes
+FLAT_SRC = """
+      subroutine g(n, m, a, b)
+      integer n, m, i
+      real a(8, 8), b(8, 8)
+      do i = 1, n
+         a(i, m) = b(i, m) * 2.0
+         a(i, m) = a(i, m) + 1.0
+      end do
+      a(1, 1) = a(1, 1) + 1.0
+      end
+"""
+
+
 def test_vector_form_trips_the_step_budget_where_the_tree_does():
-    """A bulk-logged nest counts what ``exec_body`` counts — each
-    level's body per iteration, a block IF's arm per true lane — and
-    under a budget it could pass it runs its scalar text, which stops
-    at the tree's statement: every budget around and inside the loop
-    gives both engines the same outcome."""
-    program = doall_program(GUARDED_NEST_SRC)
+    """A bulk-logged loop counts what ``exec_body`` counts — its body
+    per iteration — and under a budget it could pass it runs its scalar
+    text, which stops at the tree's statement: every budget around and
+    inside the loop gives both engines the same outcome.  A guarded nest
+    runs its scalar text under every budget, and also stops where the
+    tree does."""
     b = np.random.default_rng(7).random((8, 8))
     args = [7, 5, np.zeros((8, 8)), b]
-    tree, _, _ = run(program, "g", args, engine="tree", shadowed=True)
-    fast, _, comp = run(program, "g", args, engine="compiled",
-                        shadowed=True)
-    assert comp.vectorized_loops == 1
-    assert_bit_identical(tree, fast, "tree vs compiled")
-    total = int(tree["steps"])
-    outcomes = set()
-    for budget in (1, 2, total // 3, total // 2, total - 2, total - 1,
-                   total):
-        seen = []
-        for engine in ("tree", "compiled"):
-            try:
-                out, _, comp = run(program, "g", args, engine=engine,
-                                   shadowed=True, step_budget=budget)
-                seen.append(("ran", out["a"].tobytes(), int(out["steps"])))
-            except InterpreterBudgetError as exc:
-                seen.append(("tripped", str(exc), exc.line))
-        assert seen[0] == seen[1], budget
-        outcomes.add(seen[0][0])
-    assert outcomes == {"ran", "tripped"}
+    for src, lowered in ((FLAT_SRC, 1), (GUARDED_NEST_SRC, 0)):
+        program = doall_program(src)
+        tree, _, _ = run(program, "g", args, engine="tree", shadowed=True)
+        fast, _, comp = run(program, "g", args, engine="compiled",
+                            shadowed=True)
+        assert comp.vectorized_loops == lowered
+        assert_bit_identical(tree, fast, "tree vs compiled")
+        total = int(tree["steps"])
+        outcomes = set()
+        for budget in (1, 2, total // 3, total // 2, total - 2, total - 1,
+                       total):
+            seen = []
+            for engine in ("tree", "compiled"):
+                try:
+                    out, _, comp = run(program, "g", args, engine=engine,
+                                       shadowed=True, step_budget=budget)
+                    seen.append(("ran", out["a"].tobytes(),
+                                 int(out["steps"])))
+                except InterpreterBudgetError as exc:
+                    seen.append(("tripped", str(exc), exc.line))
+            assert seen[0] == seen[1], (src, budget)
+            outcomes.add(seen[0][0])
+        assert outcomes == {"ran", "tripped"}
 
 
 def test_aliased_dummies_keep_the_instrumented_loop():

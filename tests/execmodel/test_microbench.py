@@ -83,10 +83,8 @@ def test_tree_walk_throughput_floor():
         f"({steps} steps in {t_tree:.4f}s)")
 
 
-# vectorizable kernel: elementwise nest + guard — the shape the loop
-# lowerer turns into whole-array NumPy instead of per-element dispatch
-# (3 stmts x n^2 lanes) once its outer DO is a DOALL run under a race
-# detector; unrecorded, it runs its scalar text.
+# elementwise nest + guard (3 stmts x n^2 iterations): unrecorded, it
+# runs its scalar text, written inline as a closed region
 VEC_KERNEL = """
       subroutine smooth(n, a, b, c)
       integer n, i, j
@@ -100,6 +98,21 @@ VEC_KERNEL = """
             b(i,j) = c(i,j) + a(i,j)
    10    continue
    20 continue
+      return
+      end
+"""
+
+#: the same elementwise work as one level, the shape the loop lowerer
+#: turns into whole-array NumPy instead of per-element dispatch once the
+#: DO is a DOALL run under a race detector
+FLAT_KERNEL = """
+      subroutine smooth(n, a, b, c)
+      integer n, i
+      real a(n), b(n), c(n)
+      do 10 i = 1, n
+         c(i) = a(i) * 0.25 + b(i) * 0.75
+         b(i) = c(i) + a(i)
+   10 continue
       return
       end
 """
@@ -120,7 +133,7 @@ def _skip_if_opted_out():
                     "wall-clock assertions")
 
 
-def _run_warm(engine: str, program, recorded: bool
+def _run_warm(engine: str, program, recorded: bool, shape: tuple
               ) -> tuple[float, dict, object]:
     """Best-of-5 *warm* call time: compilation (and module emission)
     happens on a discarded warmup call, so this measures the execute
@@ -128,25 +141,27 @@ def _run_warm(engine: str, program, recorded: bool
     from repro.execmodel.shadow import ShadowRecorder
 
     rng = np.random.default_rng(7)
-    a = np.asarray(rng.standard_normal((VN, VN)), dtype=np.float64)
-    b = np.asarray(rng.standard_normal((VN, VN)), dtype=np.float64)
+    a = np.asarray(rng.standard_normal(shape), dtype=np.float64)
+    b = np.asarray(rng.standard_normal(shape), dtype=np.float64)
     interp = Interpreter(program, processors=1, engine=engine,
                          shadow=ShadowRecorder() if recorded else None)
-    interp.call("smooth", VN, a, b.copy(), np.zeros((VN, VN)))
+    interp.call("smooth", shape[0], a, b.copy(), np.zeros(shape))
     best = float("inf")
     out = None
     for _ in range(5):
         t0 = time.perf_counter()
-        out = interp.call("smooth", VN, a, b.copy(),
-                          np.zeros((VN, VN)))
+        out = interp.call("smooth", shape[0], a, b.copy(),
+                          np.zeros(shape))
         best = min(best, time.perf_counter() - t0)
     return best, out, interp._compiler
 
 
-def _engines(program, recorded: bool) -> tuple[float, float, object]:
+def _engines(program, recorded: bool, shape: tuple = (VN, VN)
+             ) -> tuple[float, float, object]:
     """Warm tree and compiled times of the kernel, checked bit-equal."""
-    t_tree, out_tree, _ = _run_warm("tree", program, recorded)
-    t_fast, out_fast, comp = _run_warm("compiled", program, recorded)
+    t_tree, out_tree, _ = _run_warm("tree", program, recorded, shape)
+    t_fast, out_fast, comp = _run_warm("compiled", program, recorded,
+                                       shape)
     # numerics first — a fast wrong answer is not a win
     for k in out_tree:
         assert np.asarray(out_tree[k]).tobytes() \
@@ -155,20 +170,18 @@ def _engines(program, recorded: bool) -> tuple[float, float, object]:
 
 
 def test_vectorized_nest_beats_tree_walk():
-    """The warm vector-text floor: on a race-checked DOALL nest the
-    emitted NumPy module, logging in bulk, must beat the recorded tree
-    walk's per-element dispatch and logging.
+    """The warm vector-text floor: on a race-checked DOALL the emitted
+    NumPy module, logging in bulk, must beat the recorded tree walk's
+    per-element dispatch and logging.
 
     Asserting 4x (t < 0.25 * tree) leaves ample margin for noisy CI
     runners; REPRO_SKIP_PERF_TESTS=1 skips it."""
     from tests.execmodel.test_lowered_recording import doall_program
 
     _skip_if_opted_out()
-    # the outer DO as a DOALL declaring ``i`` private: the nest the
-    # recorder-aware vector text takes
-    t_tree, t_fast, comp = _engines(
-        doall_program(VEC_KERNEL, locals_=[("i", "integer")]),
-        recorded=True)
+    # the DO as a DOALL: the shape the recorder-aware vector text takes
+    t_tree, t_fast, comp = _engines(doall_program(FLAT_KERNEL),
+                                    recorded=True, shape=(VN * VN,))
     # the lowering must actually have engaged, or the comparison is
     # scalar-text-vs-tree and proves nothing about the vector path
     assert comp.vectorized_loops >= 1

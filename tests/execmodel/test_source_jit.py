@@ -2,18 +2,19 @@
 
 Bit-identity with the tree walk is the golden suite's job
 (test_engine_equivalence.py); this file pins the *mechanics*: which
-DOALL-headed nests take a vector form under a ``ShadowRecorder`` (whole
-nests, guarded bodies, affine stencils), which are rejected
-(recurrences), that the restructurer's strip-mined PARALLEL DO output
-is recognized, that the unrecorded engine runs no vector text at all,
-that emitted modules round-trip through the jit-source cache, and that
-a poisoned module never breaks execution — the list falls back to the
-tree walk.
+DOALLs take a vector form under a ``ShadowRecorder`` (one level: plain,
+affine stencils, collapsed strip-mines, partial sums), which run their
+scalar text (recurrences, nests, guarded bodies, calls), that the
+restructurer's strip-mined PARALLEL DO output is recognized, that the
+unrecorded engine runs no vector text at all, that emitted modules
+round-trip through the jit-source cache, and that a poisoned module
+never breaks execution — the list falls back to the tree walk.
 """
 
 import hashlib
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,11 @@ from repro.engine import cached_parse, cached_restructure
 from repro.engine import cache as cache_mod
 from repro.execmodel import compiled as compiled_mod
 from repro.execmodel.interp import Interpreter
+from repro.execmodel.loop_shapes import desugar_stripmine
 from repro.execmodel.shadow import ShadowRecorder
-from repro.execmodel.source_jit import _HELPERS, JIT_VERSION, emit_module
+from repro.execmodel.source_jit import (_HELPERS, JIT_VERSION, _LoopLowerer,
+                                        emit_module)
+from repro.fortran import ast_nodes as F
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
 from tests.execmodel.test_lowered_recording import doall_program
@@ -170,24 +174,8 @@ def _assert_bits(tree, out):
 
 
 class TestVectorizedShapes:
-    """Recorded DOALL-headed nests that run as one grid, logged in
-    bulk; the same nests unrecorded run their scalar text."""
-
-    def test_whole_nest_broadcasts(self):
-        b = np.arange(36.0).reshape(6, 6)
-        tree, out, comp = _recorded(ELEM, "scale2", 6, np.zeros((6, 6)), b,
-                                    locals_=[("i", "integer")])
-        _assert_bits(tree, out)
-        assert comp.vectorized_loops == 1
-        tree, out, comp = _both(ELEM, "scale2", 6, np.zeros((6, 6)), b)
-        _assert_bits(tree, out)
-        assert comp.vectorized_loops == 0
-
-    def test_guarded_body_uses_masked_lanes(self):
-        b = np.linspace(-1.0, 1.0, 8)
-        tree, out, comp = _recorded(GUARD, "clip", 8, np.zeros(8), b)
-        _assert_bits(tree, out)
-        assert comp.vectorized_loops == 1
+    """A recorded one-level DOALL runs as one grid, logged in bulk; the
+    same loop unrecorded runs its scalar text."""
 
     def test_affine_stencil_with_disjoint_reads(self):
         """Reads at j-1/j+1 of an array *not* written in the loop are
@@ -196,9 +184,28 @@ class TestVectorizedShapes:
         tree, out, comp = _recorded(STENCIL, "relax", 10, u, np.zeros(10))
         _assert_bits(tree, out)
         assert comp.vectorized_loops == 1
+        tree, out, comp = _both(STENCIL, "relax", 10, u, np.zeros(10))
+        _assert_bits(tree, out)
+        assert comp.vectorized_loops == 0
 
 
 class TestRejectedShapes:
+    """Shapes no race-checked run of the restructurer's output reaches
+    run their scalar text, with the tree's bits and verdicts."""
+
+    def test_nest_runs_its_scalar_text(self):
+        b = np.arange(36.0).reshape(6, 6)
+        tree, out, comp = _recorded(ELEM, "scale2", 6, np.zeros((6, 6)), b,
+                                    locals_=[("i", "integer")])
+        _assert_bits(tree, out)
+        assert comp.vectorized_loops == 0
+
+    def test_guarded_body_runs_its_scalar_text(self):
+        b = np.linspace(-1.0, 1.0, 8)
+        tree, out, comp = _recorded(GUARD, "clip", 8, np.zeros(8), b)
+        _assert_bits(tree, out)
+        assert comp.vectorized_loops == 0
+
     def test_recurrence_falls_back_not_wrong(self):
         """x(i) = x(i-1) + x(i): the read mask differs from the write
         mask, so the proof rejects the loop; the tree semantics — and
@@ -248,15 +255,16 @@ class TestLoweredLoopIsTheTreesLoop:
         assert comp.vectorized_loops == 0
 
     def test_cached_text_does_not_cross_programs(self, monkeypatch):
-        """The intrinsic-only program lowers ``abs`` to ``NP['abs']``;
-        the same statements in the program that defines ``abs`` must not
-        be served that text."""
+        """The intrinsic-only program's text calls ``abs`` as the
+        intrinsic; the same statements in the program that defines
+        ``abs`` must not be served that text.  A loop that calls a
+        function has no vector form."""
         monkeypatch.setattr(cache_mod, "_DEFAULT",
                             cache_mod.CompilationCache())
         a = np.array([-1.0, 2.0, -3.0])
         _, out, comp = _recorded(ABS_LOOP, "t", 3, a, np.zeros(3))
         assert out["b"].tolist() == [1.0, 2.0, 3.0]
-        assert comp.vectorized_loops == 1
+        assert comp.vectorized_loops == 0
         tree, out, comp = _recorded(USER_ABS, "t", 3, a, np.zeros(3))
         assert out["b"].tolist() == [99.0, 102.0, 97.0]
         _assert_bits(tree, out)
@@ -273,24 +281,6 @@ STORE_BETWEEN = """
          b(i) = a(i) * 2.0
          a(i) = a(i) + 1.0
          c(i) = a(i) * 3.0
-   10 continue
-      return
-      end
-"""
-
-#: ``w(3)`` loaded inside a guard arm that may take no lane, then again
-#: after it, and ``a(i)`` in the guard and after it
-IN_AND_OUT_OF_ARM = """
-      subroutine arm(n, a, b, c, w)
-      integer n, i
-      real a(n), b(n), c(n), w(4)
-      do 10 i = 1, n
-         if (a(i) .gt. w(2)) then
-            b(i) = a(i) * w(3)
-         else
-            b(i) = w(3) - a(i)
-         endif
-         c(i) = a(i) + w(3)
    10 continue
       return
       end
@@ -323,7 +313,7 @@ def _module_text(src):
 class TestLoadReuse:
     """Vector text loads a grid once per straight-line block: a repeat
     of the same load text reads the local the first one filled, until
-    the next store, guard arm or nest level."""
+    the next store."""
 
     def _check(self, src, entry, args):
         # the DO, and the DOALL unrecorded, run their scalar text
@@ -356,17 +346,6 @@ class TestLoadReuse:
         # store (to b), the last follows the store to a
         assert _module_text(STORE_BETWEEN).count("VL(") == 3
 
-    @pytest.mark.parametrize("cut", [-10.0, 0.0, 10.0],
-                             ids=["every-lane", "some-lanes", "no-lane"])
-    def test_a_load_in_an_arm_and_after_it(self, cut):
-        a = np.linspace(-2.0, 2.0, 9)
-        w = np.array([0.0, cut, 0.5, 0.0])
-        self._check(IN_AND_OUT_OF_ARM, "arm",
-                    [9, a, np.zeros(9), np.zeros(9), w])
-        # guard: a(i), w(2); each arm: a(i), w(3) on its own lanes; after
-        # the arms: a(i), w(3) again
-        assert _module_text(IN_AND_OUT_OF_ARM).count("VL(") == 8
-
     def test_a_load_in_the_stored_subscript_and_in_the_value(self):
         self._check(SUBSCRIPT_AND_VALUE, "sv",
                     [5, np.zeros((5, 2)), np.arange(5.0),
@@ -391,8 +370,8 @@ class TestLoadReuse:
 
 class TestRestructuredPrograms:
     """The bulk logger must engage on the restructurer's own output —
-    strip-mined PARALLEL DO nests, guards, partial sums — not just on
-    handwritten kernels.  These counts, of race-checked runs, are the
+    strip-mined PARALLEL DOs, partial sums — not just on handwritten
+    kernels.  These counts, of race-checked runs, are the
     breadth regression guard: a silent narrowing of eligibility flips
     one to zero long before wall clocks move."""
 
@@ -490,14 +469,17 @@ class TestOffMeansOff:
 @pytest.fixture(scope="module")
 def emitted():
     """Every module text the 66 programs' runs emit, unrecorded and under
-    a ``ShadowRecorder``: ``[(rec, own, text)]``, ``own`` the scalars of
-    the innermost DOALL's worker scope around the list
-    (:meth:`Interpreter.own_privates`)."""
+    a ``ShadowRecorder``: ``[(rec, own, text, vector)]``, ``own`` the
+    scalars of the innermost DOALL's worker scope around the list
+    (:meth:`Interpreter.own_privates`), ``vector`` each statement the
+    text gives a vector form, with the lowerer's name for its shape."""
     texts = []
 
     def spy(interp, stmts, unit, rec):
         text = emit_module(interp, stmts, unit, rec)
-        texts.append((rec, interp.own_privates(unit, stmts), text))
+        vector = [(s, _LoopLowerer(interp, s, unit).shape)
+                  for i, s in enumerate(stmts) if f"def _v{i}(s):" in text]
+        texts.append((rec, interp.own_privates(unit, stmts), text, vector))
         return text
 
     with pytest.MonkeyPatch.context() as mp:
@@ -527,7 +509,7 @@ def test_recorded_text_makes_no_call_for_the_innermost_privates(emitted):
     66 programs' recorded runs, the recorder-aware text of every list
     inside a DOALL names none of them in a ``record_scalar`` or ``LOGS``
     call, and still makes those calls for the scalars it shares."""
-    texts = [(own, text) for rec, own, text in emitted if rec and own]
+    texts = [(own, text) for rec, own, text, _ in emitted if rec and own]
     assert len(texts) > 50
     named = [set(SCALAR_CALL.findall(text)) for _, text in texts]
     assert all(not own & names for (own, _), names in zip(texts, named))
@@ -540,9 +522,9 @@ def test_a_module_binds_the_helpers_its_text_names(emitted):
     exactly the :data:`_HELPERS` names that occur as words in the
     functions' text — none missing (a name the text calls unbound would
     fail only when that path runs), none extra."""
-    assert {rec for rec, _, _ in emitted} == {False, True}
+    assert {rec for rec, *_ in emitted} == {False, True}
     checked = 0
-    for _, _, text in emitted:
+    for _, _, text, _ in emitted:
         if text.endswith("make = None\n"):
             continue
         head, body = text.split("    rt.tally(", 1)
@@ -551,6 +533,31 @@ def test_a_module_binds_the_helpers_its_text_names(emitted):
         assert bound == named, (bound ^ named, text.splitlines()[0])
         checked += 1
     assert checked > 100
+
+
+def test_vector_forms_take_only_the_shapes_checked_runs_reach(emitted):
+    """The vector text exists to log a checked DOALL in bulk, and the
+    race-checked runs of the restructurer's output reach three shapes of
+    it: over the 66 programs' recorded runs, every vector form is a
+    plain DOALL, a collapsed strip-mine or a partial-sum DOALL — one
+    level, no guard, no call, every combine ``v = v + partial`` — the
+    lowerer names it so, and each shape has a witness."""
+    shapes = Counter()
+    for rec, _, _, vector in emitted:
+        assert rec or not vector
+        for pdo, shape in vector:
+            level = desugar_stripmine(pdo)
+            want = ("strip-mine" if level is not None
+                    else "partial-sum" if pdo.postamble else "plain")
+            assert shape == want, pdo.line
+            assert not any(
+                isinstance(n, (F.DoLoop, C.ParallelDo, F.IfBlock,
+                               F.LogicalIf, F.FuncCall))
+                for st in (level or pdo).body for n in st.walk()), pdo.line
+            assert all(st.value.op == "+" for st in pdo.postamble
+                       if isinstance(st, F.Assign)), pdo.line
+            shapes[shape] += 1
+    assert set(shapes) == {"plain", "strip-mine", "partial-sum"}, shapes
 
 
 class TestModuleCache:

@@ -140,3 +140,37 @@ class TestTwoVersionLoops:
         serial version must run, still giving identical results."""
         w0, w1 = self._both(lda=3)
         assert np.allclose(w0, w1)
+
+    #: the run-time test can prove ``a``'s rows disjoint, but ``b`` carries
+    #: a flow dependence from iteration j to j+1 that no test covers
+    TWO_BLOCKERS = """
+      subroutine tv(n, m, a, b)
+      integer n, m, i, j
+      real a(n*m), b(n+1), t
+      do 20 j = 1, n
+         t = b(j) + 1.0
+         do 10 i = 1, m
+            a(i + m*(j-1)) = t
+   10    continue
+         b(j+1) = t
+   20 continue
+      return
+      end
+"""
+
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    def test_a_test_on_one_array_leaves_other_blockers_serial(self, engine):
+        """Two-versioned on ``a`` alone, the loop ran in parallel and
+        returned ``b = [0 1 2 3 4 1 2 3 4]`` with 7 races."""
+        from repro.execmodel.shadow import ShadowRecorder
+
+        cedar, rep = restructure(parse_program(self.TWO_BLOCKERS),
+                                 RestructurerOptions.manual())
+        assert "runtime-two-version" not in [
+            p.chosen for u in rep.units.values() for p in u.plans]
+        shadow = ShadowRecorder()
+        out = Interpreter(cedar, processors=4, shadow=shadow,
+                          engine=engine).call("tv", 8, 4, np.zeros(32),
+                                              np.zeros(9))
+        assert out["b"].tolist() == [float(k) for k in range(9)]
+        assert not shadow.conflicts

@@ -10,7 +10,7 @@ from repro.errors import TransformError
 from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
 from repro.fortran.symtab import build_symbol_table
-from repro.restructurer.fusion import fuse_adjacent_in, fusion_legal
+from repro.restructurer.fusion import fuse_adjacent_in, try_fuse
 from repro.restructurer.inline import inline_calls
 from repro.restructurer.names import NamePool
 from repro.restructurer.recurrence import replace_with_library
@@ -286,7 +286,7 @@ class TestFusion:
         # fusing would make iteration i of loop2 write b(i) which iteration
         # i of loop1 already read — loop-independent a→b flow on a is fine,
         # anti on b is '=': actually legal; verify via the checker
-        legal = fusion_legal(loops[0], loops[1])
+        legal = try_fuse(loops[0], loops[1]) is not None
         count = fuse_adjacent_in(u.body)
         assert (count == 1) == legal
 
@@ -309,7 +309,7 @@ class TestFusion:
         loops = [s for s in u.body if isinstance(s, F.DoLoop)]
         # fused: iteration i reads a(i+1), which iteration i+1 writes →
         # backward carried dependence, illegal
-        assert not fusion_legal(loops[0], loops[1])
+        assert try_fuse(loops[0], loops[1]) is None
 
     def test_different_headers_not_fused(self):
         src = """
