@@ -6,8 +6,10 @@ text per program, each statement list becomes *one* Python module text
 (:func:`repro.execmodel.source_jit.emit_module`) holding a function per
 statement: scalar source — names looked up once per statement, nested
 bodies inline where it can — for every statement, and, only under a
-race detector, whole-grid NumPy source for the DOALL-headed nests the
-lowerer can prove bit-identical, which log their accesses in bulk.
+race detector, whole-grid NumPy source for the one-level DOALLs the
+lowerer proves bit-identical in a pre-pass, which log their accesses in
+bulk; their bounds, invariant subscripts and operands are scalar source
+too.
 The text is cached by the engine's SHA-256
 content address (artifact kind ``jit-source`` in
 :mod:`repro.engine.cache`), so warm runs skip analysis and emission and
@@ -83,7 +85,7 @@ class Compiler:
         #: (n, p) -> whether ``interp.deal(n, p)`` is a partition of
         #: ``range(n)`` (:meth:`Runtime.partition`)
         self.partitions: dict[tuple[int, int], bool] = {}
-        #: loop nests running as vector text, statements on scalar text
+        #: DOALLs running as vector text, statements on scalar text
         #: and whole lists left to the tree — for observability and tests
         self.vectorized_loops = 0
         self.scalar_stmts = 0

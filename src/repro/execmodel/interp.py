@@ -138,17 +138,16 @@ class Interpreter:
 
         ``engine`` selects ``"tree"`` (the reference tree-walk) or
         ``"compiled"`` (:mod:`repro.execmodel.compiled` — each
-        statement list emitted once as a cached Python module: vector
-        text for the loop nests proven exact, scalar text for every
-        other statement, and the tree walk itself for a list holding a
-        statement kind the emitter declines; bit-identical to the tree
-        walk, several times faster).
+        statement list emitted once as a cached Python module: scalar
+        text for every statement, and the tree walk itself for a list
+        holding a statement kind the emitter declines; bit-identical to
+        the tree walk, several times faster).
         Both engines host a shadow recorder: the compiled engine's
         access helpers then make the tree handlers' ``record_*`` calls,
-        and it still lowers loop nests — one headed by a DOALL logs
-        the index sets it touches in bulk, unless it is already inside
-        a checked iteration or could conflict, in which case it records
-        access by access like the tree.  The bare constructor's
+        and only then does it give a DOALL vector text — one level the
+        lowerer proves conflict-free logs the index sets it touches in
+        bulk, unless it is already inside a checked iteration, in which
+        case it records access by access like the tree.  The bare constructor's
         default is the reference walk, the side tests compare against;
         the harnesses thread their own default
         (:data:`repro.validate.differential.DEFAULT_ENGINE`) explicitly.
@@ -681,6 +680,8 @@ class Interpreter:
         copy_back: list[tuple[str, F.Expr]] = []
         for dummy, actual in zip(callee.args, actuals):
             dsym = self.tables[callee.name].lookup(dummy)
+            subs = actual.subscripts if isinstance(actual, F.ArrayRef) \
+                else getattr(actual, "args", ())
             if isinstance(actual, F.Var) and scope.has(actual.name):
                 v = scope.get(actual.name)
                 if isinstance(v, FArray):
@@ -695,12 +696,20 @@ class Interpreter:
                     cscope.declare(dummy, v)
                     copy_back.append((dummy, actual))
             elif isinstance(actual, (F.ArrayRef, F.Apply)) and \
-                    not any(isinstance(x, F.RangeExpr) for x in
-                            (actual.subscripts if isinstance(actual, F.ArrayRef)
-                             else actual.args)):
-                v = self.eval(actual, scope, unit)
-                cscope.declare(dummy, v)
-                copy_back.append((dummy, actual))
+                    not any(isinstance(x, F.RangeExpr) for x in subs):
+                sc = scope.lookup_scope(actual.name)
+                arr = sc.vars[actual.name] if sc is not None else None
+                if isinstance(arr, FArray) and dsym is not None \
+                        and dsym.is_array:
+                    # sequence association: the dummy is the caller's
+                    # storage from the element on, so stores reach it
+                    idx = tuple(self.eval(x, scope, unit) for x in subs)
+                    seq = FArray(self._sequence(arr, idx), (1,))
+                    cscope.declare(dummy, self._reshape_for_dummy(
+                        seq, dsym, cscope))
+                else:
+                    cscope.declare(dummy, self.eval(actual, scope, unit))
+                    copy_back.append((dummy, actual))
             else:
                 cscope.declare(dummy, self.eval(actual, scope, unit))
         try:
@@ -712,6 +721,18 @@ class Interpreter:
         if isinstance(callee, F.Function):
             return cscope.vars.get(callee.name)
         return None
+
+    @staticmethod
+    def _sequence(arr: FArray, idx: tuple) -> np.ndarray:
+        """``arr``'s storage from element ``idx`` on, in column-major
+        order, as a 1-D view: to its end when the data is laid out that
+        way (one dimension, or Fortran-ordered), else to the end of the
+        element's column."""
+        j = arr._offset(idx)
+        flat = arr.data.reshape(-1, order="F")
+        if np.may_share_memory(flat, arr.data):
+            return flat[np.ravel_multi_index(j, arr.data.shape, order="F"):]
+        return arr.data[(slice(j[0], None),) + j[1:]]
 
     def _reshape_for_dummy(self, v: FArray, dsym, cscope: Scope) -> FArray:
         """Handle rank/extent differences (sequence association)."""

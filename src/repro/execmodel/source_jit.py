@@ -18,7 +18,9 @@ returns one function per statement, in one of two forms:
 - **vector text** (``_v<i>``, :class:`_LoopLowerer`, recorder-aware
   only) — the race detector's bulk logger: a DOALL whose whole-grid
   NumPy evaluation is provably bit-equal to the scalar loop, with the
-  loop's scalar text beside it to hand over to;
+  loop's scalar text beside it to hand over to.  Only its lanes are its
+  own: every subexpression the loop variable does not reach, and the
+  function's lookups, are scalar text;
 
 and, unrecorded, **worker text** (``_p<k>``) — one share of a DOALL
 whose preamble, body and postamble the scalar text writes whole:
@@ -89,16 +91,16 @@ position the loop runs its scalar text — ``_parallel_do``, exactly as
 dealt — like the tree.
 
 A vector form loads each distinct grid once per straight-line block: a
-load whose text comes again reads the local its first use filled.  The
-reuse stops at the next store of any kind, so a repeat never reads past
-a store.
+repeat of a reference reads the local its first load filled, until the
+next store of any kind.
 
 Every vector form carries one exactness obligation — the vector
 evaluation must be bit-equal to the scalar loop: plain or affine
 loop-variable subscripts with INTEGER offsets, the arithmetic and
 relational operators only, reads of written arrays restricted to the
-writing iteration's element.  Anything that cannot be proven keeps the
-scalar text *per loop* (recurrences are rejected, never approximated).
+writing iteration's element.  The lowerer proves it in a pre-pass over
+the loop before it writes anything; a loop it cannot prove keeps the
+scalar text (recurrences are rejected, never approximated).
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ from repro.fortran.symtab import type_of
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact, of both modes, so stale module text can never be served to
 #: a newer runtime
-JIT_VERSION = 11
+JIT_VERSION = 12
 
 
 #: the loop statements
@@ -221,16 +223,6 @@ def _store_text(c: str, name: str, val: str, cls: str, dest: str,
     lines.append(f"    {d}[{n}] = {dest} = "
                  f"{_stored_text(cls, name, val, used)}")
     return [ind + line for line in lines]
-
-
-def _hold_text(holders: dict, used: set) -> list[str]:
-    """A function's opening lines: the holding scope ``_c<k>`` of each
-    scalar name it touches, and that scope's dict ``_d<k>``."""
-    if holders:
-        used.add("HOLD")
-    return [line for name, c in holders.items()
-            for line in (f"{c} = HOLD(s, {name!r})",
-                         f"_d{c[2:]} = {c}.vars")]
 
 
 class _NoRecorder:
@@ -393,7 +385,7 @@ class Runtime:
     def error(self, msg: str):
         raise InterpreterError(msg)
 
-    # -- library/intrinsic calls in loop-invariant position ------------
+    # -- library and intrinsic calls ------------------------------------
 
     @staticmethod
     def call(scope: Scope, name: str, vals: tuple):
@@ -440,40 +432,33 @@ class Runtime:
                 key.append(j)
         return tuple(key)
 
-    def vload(self, scope: Scope, name: str, parts: tuple,
-              cx=None, it=None):
-        """Load a grid of elements; recorder-aware text passes the open
-        loop ``cx`` (None when the recorder opened no log) and the
-        lanes' iteration labels ``it``."""
+    def _grid(self, scope: Scope, name: str, parts: tuple, kind: str,
+              cx, it) -> tuple:
+        """The data and key of a grid access, logged on the open loop
+        ``cx`` (None when the recorder opened no log) as one bulk row
+        block: the C-order offsets of the elements the key indexes,
+        paired with the lanes' iteration labels ``it``."""
         arr = scope.get(name)
         if not isinstance(arr, FArray):
             raise InterpreterError(f"{name!r} is not an array")
         key = self._grid_key(arr, parts)
         if cx is not None:
-            self._log(cx, "r", arr, name, key, it)
-        return arr.data[key]
+            off = key[0]
+            for j, n in zip(key[1:], arr.data.shape[1:]):
+                off = off * n + j
+            self.shadow.record_block(cx, kind, arr, name, off, it)
+        return arr.data, key
 
-    def vstore(self, scope: Scope, name: str, parts: tuple,
-               value, cx=None, it=None) -> None:
-        arr = scope.get(name)
-        if not isinstance(arr, FArray):
-            raise InterpreterError(f"{name!r} is not an array")
-        key = self._grid_key(arr, parts)
-        if cx is not None:
-            self._log(cx, "w", arr, name, key, it)
-        arr.data[key] = value
+    def vload(self, scope: Scope, name: str, parts: tuple, cx, it):
+        data, key = self._grid(scope, name, parts, "r", cx, it)
+        return data[key]
 
-    # -- bulk shadow recording (recorder-aware text only) --------------
+    def vstore(self, scope: Scope, name: str, parts: tuple, value, cx,
+               it) -> None:
+        data, key = self._grid(scope, name, parts, "w", cx, it)
+        data[key] = value
 
-    def _log(self, cx, kind: str, arr: FArray, name: str, key: tuple,
-             it) -> None:
-        """One bulk row block for a grid access: the C-order offsets of
-        the elements ``key`` indexes, paired with the lanes' iteration
-        labels."""
-        off = key[0]
-        for j, n in zip(key[1:], arr.data.shape[1:]):
-            off = off * n + j
-        self.shadow.record_block(cx, kind, arr, name, off, it)
+    # -- bulk shadow recording -----------------------------------------
 
     def log_scalars(self, cx, scope: Scope, names: tuple, it) -> None:
         """A read per lane of each shared scalar the loop names,
@@ -578,20 +563,21 @@ class Runtime:
 
 
 class _LoopLowerer:
-    """Analysis + Python/NumPy source emission for one DOALL, the
-    recorder-aware vector form that logs it in bulk (module docstring):
-    one level — a plain DOALL, a collapsed strip-mine or a partial-sum
-    DOALL — whose body is array assignments and sums into its
-    partials."""
+    """The recorder-aware vector form of one DOALL, which logs it in bulk
+    (module docstring): one level — a plain DOALL, a collapsed strip-mine
+    or a partial-sum DOALL — whose body is array assignments and sums
+    into its partials.
 
-    def __init__(self, interp: Interpreter, loop: F.Stmt, unit: str,
-                 classes: Optional[dict] = None):
-        self.interp = interp
-        self.unit = unit
+    The constructor is the proof: it walks the loop and raises
+    :class:`_Ineligible` where the grid could differ from the scalar
+    loop, so whether it raises is the whole decision.  :meth:`emit` then
+    writes the lanes through a :class:`_ScalarText`, which writes every
+    subexpression the loop variable does not reach — the bounds,
+    invariant subscripts and offsets, invariant operands — and the
+    function's lookups."""
+
+    def __init__(self, interp: Interpreter, loop: F.Stmt, unit: str):
         self.symtab = interp.tables.get(unit)
-        #: store class of each private scalar of the DOALLs around the
-        #: loop (:meth:`Interpreter.private_classes`)
-        self.classes = classes or {}
         if self.symtab is None:
             raise _Ineligible("no symbol table")
         self.loop = loop
@@ -608,19 +594,8 @@ class _LoopLowerer:
         self.partials: dict[str, float] = {}
         self.combines: list[tuple[str, str]] = []
         self.locks: list[str] = []
-        self._folds: list[str] = []          # per-iteration fold lines
-        self._arrays: set[str] = set()       # array names referenced
-        #: scalar name -> the local holding its scope (resolved at entry)
-        self._holders: dict[str, str] = {}
-        #: source name of the lanes' iteration labels once the loop is
-        #: open on the recorder, else None (the bounds)
-        self._it: Optional[str] = None
-        #: load text -> the local its first use filled, within the
-        #: current straight-line block (:meth:`_ex_ref`)
-        self._loaded: dict[str, str] = {}
-        self._uniq = 0
-        #: the :data:`_HELPERS` names the emitted text calls
-        self.used: set[str] = set()
+        #: the array names the loop references
+        self.arrays: set[str] = set()
         self._collect_level(loop)
         self._collect_reductions(loop)
         # the fold replays each partial on its own, after the grid: so
@@ -628,6 +603,7 @@ class _LoopLowerer:
         if not set(self.partials) <= self.red_vars:
             raise _Ineligible("partial is not a recognized accumulator")
         self._collect_writes()
+        self._prove()
 
     @property
     def shape(self) -> str:
@@ -643,7 +619,7 @@ class _LoopLowerer:
     # (their row order is not the tree's): a DOALL whose body holds only
     # array assignments and sums into its partials — no loop, guard,
     # LOCK/UNLOCK or shared scalar write, which :meth:`_collect_writes`
-    # refuses — and no call, which :meth:`ex` refuses.
+    # refuses — and no call, which :meth:`_prove` refuses.
 
     def _collect_level(self, loop: F.Stmt) -> None:
         if not isinstance(loop, C.ParallelDo) or loop.order != "doall":
@@ -831,270 +807,278 @@ class _LoopLowerer:
                 mask.append(None)
         return tuple(mask)
 
-    def _sub_src(self, sub: F.Expr, entry) -> str:
-        """Python source for one subscript's lane index array."""
-        if entry is None:
-            return f"({self.ex(sub, False)})"
-        op, off = self._split_affine(sub)
-        if off is None:
-            return "_g0"
-        return f"(_g0 {op} ({self.ex(off, False)}))"
-
-    def _parts(self, ref) -> list[str]:
-        subs = self._subscripts(ref)
-        return [self._sub_src(sub, entry)
-                for sub, entry in zip(subs, self._axis_mask(subs))]
-
-    # -- expression emission -------------------------------------------
-
     def _is_array_sym(self, name: str) -> bool:
         sym = self.symtab.lookup(name)
         return sym is not None and sym.is_array
 
-    def _holder(self, name: str) -> str:
-        return self._holders.setdefault(name, f"_c{len(self._holders)}")
+    # -- the proof: a pre-pass over every expression the form writes ----
+    #
+    # The vector evaluation must be bit-equal to the scalar loop: reads
+    # of written arrays only at the writing iteration's element, the
+    # arithmetic and relational operators only, and nothing the scalar
+    # text would hand to the tree.
 
-    def ex(self, e: F.Expr, lanes: bool) -> str:
-        """Emit ``e`` as Python source: over the grid's lanes (the loop
-        variable is ``_g0``), or else the invariant scalar value of an
-        expression the loop variable does not reach, as
-        :class:`_ScalarText` writes it but with the loop's proof
-        obligations checked on every name."""
-        if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit)):
-            return _fmt_literal(e.value)
-        if isinstance(e, F.Var):
-            name = e.name
-            if name in self.red_vars:
-                raise _Ineligible("accumulator read outside reduction")
-            if any(name == v for v, _ in self.combines):
-                # worker w+1's iterations would see worker w's combine
-                raise _Ineligible("combine target read in the loop")
-            if lanes and name == self.var:
-                return "_g0"
-            if name == self.var or name in self.writes:
-                raise _Ineligible("loop-carried scalar read")
-            if self._is_array_sym(name):
-                # a whole-array read would vectorize where the scalar
-                # loop raises (array condition / array arithmetic)
-                raise _Ineligible("bare array reference")
-            self.used.add("RD")
-            return f"RD({self._holder(name)}, {name!r})"
-        if isinstance(e, (F.ArrayRef, F.Apply)) \
-                and self._is_array_sym(e.name):
-            return self._ex_ref(e, lanes)
-        if isinstance(e, F.BinOp):
-            l = self.ex(e.left, lanes)
-            r = self.ex(e.right, lanes)
-            if e.op in _PY_OPS:
-                return f"({l} {_PY_OPS[e.op]} {r})"
-            if e.op == "/":
-                self.used.add("DIV")
-                return f"DIV({l}, {r})"
-        if isinstance(e, F.UnOp) and e.op in ("-", "+"):
-            x = self.ex(e.operand, lanes)
-            return f"(-{x})" if e.op == "-" else x
-        raise _Ineligible(f"cannot emit {type(e).__name__}")
-
-    def _ex_ref(self, e, lanes: bool) -> str:
-        name = e.name
-        mask = self._axis_mask(self._subscripts(e))
-        if name in self.writes and not lanes:
-            raise _Ineligible("written array in invariant position")
-        if name in self.writes and mask != self.writes[name]:
-            raise _Ineligible("read crosses written iterations")
-        if not lanes and any(mask):
-            raise _Ineligible("axis in invariant position")
-        self._arrays.add(name)
-        self.used.add("VL")
-        load = (f"VL(s, {name!r}, ({', '.join(self._parts(e))},)"
-                f"{self._rec_args()})")
-        # a load already made in this block reads its local: the first
-        # use fills it where it stands, so the text's order of
-        # evaluation is the order ``ex`` is called in
-        local = self._loaded.get(load)
-        if local is None:
-            self._uniq += 1
-            local = self._loaded[load] = f"_ld{self._uniq}"
-            return f"({local} := {load})"
-        return local
-
-    def _rec_args(self) -> str:
-        """Trailing ``cx, it`` of a load/store emitted while the loop is
-        open on the recorder."""
-        return "" if self._it is None else f", _cx, {self._it}"
-
-    # -- statement lowerings -------------------------------------------
-
-    def _emit_assign(self, st: F.Assign, out: list) -> None:
-        t = st.target
-        parts = ", ".join(self._parts(t)) + ","  # evaluated first: VS(...)
-        rhs = self.ex(st.value, True)
-        self._arrays.add(t.name)
-        self.used.add("VS")
-        out.append(f"    VS(s, {t.name!r}, ({parts}), {rhs}"
-                   f"{self._rec_args()})")
-        self._loaded.clear()       # a later load sees what this stored
-
-    def _emit_partial(self, var: str, terms: list, out: list) -> None:
-        """One sum into a partial: each term's value per lane — a term
-        the loop variable reaches already is one, an invariant one is
-        broadcast — and the fold line that replays one lane (``_q``,
-        the dealt position) with the tree's own scalar arithmetic."""
-        acc = self._acc(var)
-        self._uniq += 1
-        u = self._uniq
-        upd = acc
-        for j, (op, term) in enumerate(terms):
-            value = self.ex(term, True)
-            if not self._uses_axis(term):
-                value = f"np.broadcast_to({value}, (_n0,))"
-            out.append(f"    _f{u}_{j} = {value}")
-            upd = f"({upd} {op} _f{u}_{j}[_q])"
-        self._folds.append(f"{acc} = {upd}")
-
-    def _acc(self, partial: str) -> str:
-        """The emitted function's local holding ``partial``."""
-        return f"_p{list(self.partials).index(partial)}"
-
-    def _emit_folds(self, out: list) -> None:
-        """Worker by worker, as dealt: preamble value, the worker's
-        share of the folds, postamble combines.  Runs once — on the one
-        empty share — for a zero-trip loop, like ``_parallel_do``."""
-        # a combine target is read once: every later value is what its
-        # own store returned, as a fresh read would see it
-        cur = {}
-        for v, _ in self.combines:
-            if v not in cur:
-                cur[v] = f"_v{len(cur)}"
-                out.append(f"{cur[v]} = RD({self._holder(v)}, {v!r})")
-                self.used.add("RD")
-        out.append("for _sh in _sh0:")
-        for p, lit in self.partials.items():
-            out.append(f"    {self._acc(p)} = {_fmt_literal(lit)}")
-        out.append("    if _t:")
-        out.append("        for _q in _sh:")
-        out.extend(" " * 12 + line for line in self._folds)
-        for v, p in self.combines:
-            out.append(f"    _y = ({cur[v]} + {self._acc(p)})")
-            cls = self.classes.get(v, store_class(self.symtab, v))
-            out += _store_text(self._holder(v), v, "_y", cls, cur[v],
-                               "    ", True, self.used)
-
-    # -- whole-loop emission -------------------------------------------
-
-    def _emit_bounds(self, out: list) -> None:
+    def _prove(self) -> None:
         lv = self.level
-        out.append(f"_lo0 = int({self.ex(lv.start, False)})")
-        out.append(f"_hi0 = int({self.ex(lv.end, False)})")
-        if lv.step is not None:
-            out.append(f"_st0 = int({self.ex(lv.step, False)})")
-            self.used.add("ERR")
-            out += ["if _st0 == 0:", "    ERR('zero DO step')"]
-        else:
-            out.append("_st0 = 1")
-        out.append("_n0 = len(range(_lo0, _hi0 + (1 if _st0 > 0 else -1), "
-                   "_st0))")
+        for bound in (lv.start, lv.end, lv.step):
+            if bound is not None:
+                self._invariant(bound)
+        for st in self.body:
+            if id(st) in self.reductions:
+                for _, term in self.reductions[id(st)]:
+                    self._lane(term)
+            elif isinstance(st, F.Assign):
+                self._reference(st.target)
+                self._lane(st.value)
 
-    def _trips(self) -> str:
-        """Source of the iteration count the tree runs the DOALL with:
-        its lanes, or its strips for a collapsed strip-mine."""
-        if self.strip is not None:
-            return f"-(-_n0 // {self.strip})"
-        return "_n0"
+    def _lane(self, e: F.Expr) -> None:
+        """``e`` evaluated over the grid's lanes."""
+        if not self._uses_axis(e):
+            self._invariant(e)
+        elif isinstance(e, (F.ArrayRef, F.Apply)) \
+                and self._is_array_sym(e.name):
+            mask = self._axis_mask(self._subscripts(e))
+            if e.name in self.writes and mask != self.writes[e.name]:
+                raise _Ineligible("read crosses written iterations")
+            self._reference(e)
+        elif isinstance(e, F.BinOp) and (e.op in _PY_OPS or e.op == "/"):
+            self._lane(e.left)
+            self._lane(e.right)
+        elif isinstance(e, F.UnOp) and e.op in ("-", "+"):
+            self._lane(e.operand)
+        elif not isinstance(e, F.Var):       # else the loop variable
+            raise _Ineligible(f"cannot emit {type(e).__name__}")
 
-    def _steps(self) -> str:
-        """Source of the statements the tree's ``exec_body`` counts for
-        the loop: its body once per iteration (per strip, for a
-        collapsed strip-mine), and a partial-sum DOALL's preamble and
-        postamble once per share."""
-        steps = f"{self._trips()} * {len(self.loop.body)}"
-        if self.partials:
-            ends = len(self.loop.preamble) + len(self.loop.postamble)
-            steps += f" + len(_sh0) * {ends}"
-        return steps
+    def _reference(self, ref) -> None:
+        """An array reference the loop variable reaches: its invariant
+        subscripts and affine offsets are scalar text."""
+        self.arrays.add(ref.name)
+        subs = self._subscripts(ref)
+        for sub, entry in zip(subs, self._axis_mask(subs)):
+            if entry is None:
+                self._invariant(sub)
+            else:
+                off = self._split_affine(sub)[1]
+                if off is not None:
+                    self._invariant(off)
 
-    @property
-    def _aliasable(self) -> bool:
-        """Whether two of the arrays the loop names could be one
-        ``ndarray`` that it writes (argument association)."""
-        return bool(self.writes) and len(self._arrays) > 1
+    def _invariant(self, e: F.Expr) -> None:
+        """``e``, which must not depend on the iteration, as the scalar
+        text writes it: literals, the arithmetic and relational
+        operators, reads of scalars the loop neither indexes by nor
+        assigns, and elements of arrays it does not write."""
+        for n in e.walk():
+            # a partial is read only by the fold, and a combine target
+            # not at all (worker w+1's iterations would see worker w's
+            # combine); the loop variable and written names vary by
+            # iteration; a whole-array read would vectorize where the
+            # scalar loop raises
+            if isinstance(n, F.Var):
+                if n.name in self.red_vars or n.name == self.var \
+                        or n.name in self.writes \
+                        or any(n.name == v for v, _ in self.combines) \
+                        or self._is_array_sym(n.name):
+                    raise _Ineligible(f"{n.name!r} read as an invariant")
+            elif isinstance(n, F.ArrayRef) and self._is_array_sym(n.name):
+                if n.name in self.writes:
+                    raise _Ineligible("written array read at an "
+                                      "invariant element")
+                self.arrays.add(n.name)
+            elif not (isinstance(n, (F.IntLit, F.RealLit, F.LogicalLit))
+                      or isinstance(n, F.BinOp)
+                      and (n.op in _PY_OPS or n.op == "/")
+                      or isinstance(n, F.UnOp) and n.op in ("-", "+")):
+                # a call, another operator, a section, or what the
+                # scalar text hands to the tree (an ``Apply``)
+                raise _Ineligible(f"cannot emit {type(n).__name__}")
 
-    def emit(self, i: int) -> list[str]:
-        """Source of ``_v<i>`` (indented for the body of ``make``), which
-        hands the loop to its scalar text ``_s<i>`` inside a checked
-        iteration, under aliased array names, or under a deal that is
-        not a partition."""
+    # -- lane emission -------------------------------------------------
+
+    def emit(self, text: "_ScalarText", i: int) -> list[str]:
+        """Source of ``_v<i>``, written by ``text``'s function writer,
+        which hands the loop to its scalar text ``_s<i>`` inside a
+        checked iteration, under aliased array names, or under a deal
+        that is not a partition."""
+        self._text = text
+        # already inside a checked iteration, the enclosing loop's log
+        # wants every access in the tree's order
+        guards = ["SH.recording"]
+        if self.writes and len(self.arrays) > 1:
+            # the proof compares references by name
+            text.used.add("ALIAS")
+            guards.append(f"ALIAS(s, {tuple(sorted(self.arrays))!r})")
+        head = [f"def _v{i}(s):", f"    if {' or '.join(guards)}:",
+                f"        return _s{i}(s)"]
+        return text._function(head, self.loop,
+                              lambda out: self._write(i, out))
+
+    def _write(self, i: int, out: list) -> None:
+        text = self._text
         # the bounds are evaluated before the loop starts: the tree opens
         # the loop on the recorder after them.  The DOALL runs as a grid
         # only under a deal that is a partition of its iterations (of its
         # strips, for a collapsed strip-mine); nothing has been stored
         # yet, so otherwise the loop starts over on its scalar text.
-        head: list[str] = []
-        self._emit_bounds(head)
-        head += [f"if not PART({self._trips()}):", f"    return _s{i}(s)"]
-        self.used.update(("PART", "SH", "OPEN", "RO", "CLOSE", "IP", "BUD"))
+        _, rng = text._bounds(self.level, out, "    ")
+        # the iterations the tree runs: the lanes, or the strips of a
+        # collapsed strip-mine
+        trips = "_n0" if self.strip is None else f"-(-_n0 // {self.strip})"
+        out += [f"    _r0 = {rng}", "    _n0 = len(_r0)",
+                f"    if not PART({trips}):", f"        return _s{i}(s)"]
+        text.used.update(("PART", "SH", "OPEN", "RO", "CLOSE", "IP", "BUD"))
+        # every statement the tree's ``exec_body`` would count — the body
+        # per iteration, a partial-sum DOALL's preamble and postamble per
+        # share: a loop that could pass the step budget runs its scalar
+        # text, which stops where the tree does
+        steps = f"{trips} * {len(self.loop.body)}"
         if self.partials:
-            self.used.add("DEAL")
-            head.append("_sh0 = DEAL(_n0)")
-        # every statement the tree would count: a loop that could pass
-        # the step budget runs its scalar text, which stops where the
-        # tree does
-        steps = self._steps()
-        head += [f"if IP._steps + {steps} > BUD:", f"    return _s{i}(s)",
-                 f"IP._steps += {steps}"]
-        out: list[str] = []
-        if self.partials:
-            out.append("_t = False")
-        out.append("if _n0:")
-        self._loaded.clear()      # the body is a new block
-        out.append("    _g0 = np.arange(_lo0, _lo0 + _st0 * _n0, _st0, "
-                   "dtype=np.int64)")
+            text.used.add("DEAL")
+            out.append("    _sh0 = DEAL(_n0)")
+            ends = len(self.loop.preamble) + len(self.loop.postamble)
+            steps += f" + len(_sh0) * {ends}"
+        out += [f"    if IP._steps + {steps} > BUD:",
+                f"        return _s{i}(s)", f"    IP._steps += {steps}"]
+        label = Interpreter._loop_label(self.loop)
+        # only a log of two or more iterations keeps a read set
+        out += [f"    _cx = OPEN({label!r}, {trips}, "
+                f"RO({i}, s) if {trips} > 1 else ())", "    try:",
+                "        if _n0:",
+                "            _g0 = np.arange(_r0.start, _r0.stop, _r0.step, "
+                "dtype=np.int64)"]
         # iteration labels of the lanes: the loop variable, or for a
         # collapsed strip-mine the start of the lane's strip — the
         # iteration the tree runs the lane in
         self._it = "_g0"
         if self.strip is not None:
             self._it = "_it"
-            out.append(f"    _it = _lo0 + (_g0 - _lo0) // {self.strip} * "
-                       f"{self.strip}")
+            out.append(f"            _it = _r0.start + (_g0 - _r0.start) "
+                       f"// {self.strip} * {self.strip}")
         scalars = self._shared_scalars()
         if scalars:
-            self.used.add("SCAL")
-            out.append(f"    SCAL(_cx, s, {scalars!r}, {self._it})")
+            text.used.add("SCAL")
+            out.append(f"            SCAL(_cx, s, {scalars!r}, {self._it})")
+        #: the reference key of each grid loaded in the current
+        #: straight-line block -> the local its first use filled
+        self._loaded: dict[tuple, str] = {}
+        self._folds: list[str] = []          # per-iteration fold lines
         for st in self.body:
             if id(st) in self.reductions:
                 self._emit_partial(st.target.name, self.reductions[id(st)],
-                                   out)
+                                   out, " " * 12)
             elif isinstance(st, F.Assign):
-                self._emit_assign(st, out)
+                self._emit_assign(st, out, " " * 12)
         if self.partials:
-            out.append("    _t = True")
-            self._emit_folds(out)
-
-        # already inside a checked iteration, the enclosing loop's log
-        # wants every access in the tree's order
-        guards = ["SH.recording"]
-        if self._aliasable:
-            # the proof compares references by name
-            self.used.add("ALIAS")
-            guards.append(f"ALIAS(s, {tuple(sorted(self._arrays))!r})")
-        fn = [f"def _v{i}(s):",
-              f"    if {' or '.join(guards)}:",
-              f"        return _s{i}(s)"]
-        fn += ["    " + line
-               for line in _hold_text(self._holders, self.used) + head]
-        label = Interpreter._loop_label(self.loop)
-        # only a log of two or more iterations keeps a read set
-        fn += [f"    _cx = OPEN({label!r}, {self._trips()}, "
-               f"RO({i}, s) if {self._trips()} > 1 else ())",
-               "    try:"]
-        fn += ["        " + line for line in out]
-        fn += ["    finally:", "        CLOSE(_cx)"]
+            self._emit_folds(out, " " * 8)
+        out += ["    finally:", "        CLOSE(_cx)"]
         # what the postambles' LOCK/UNLOCK pairs leave of the lockset
-        fn += [f"    UNLOCK({lock!r})" for lock in self.locks]
+        out += [f"    UNLOCK({lock!r})" for lock in self.locks]
         if self.locks:
-            self.used.add("UNLOCK")
-        return fn
+            text.used.add("UNLOCK")
+
+    def ex(self, e: F.Expr, out: list, ind: str) -> str:
+        """Source of ``e`` over the grid's lanes (the loop variable is
+        ``_g0``); a subexpression the loop variable does not reach is the
+        scalar text's, its statements first in ``out``."""
+        if not self._uses_axis(e):
+            return self._text.ex(e, out, ind)
+        if isinstance(e, F.Var):
+            return "_g0"
+        if isinstance(e, (F.ArrayRef, F.Apply)):
+            return self._load(e, out, ind)
+        if isinstance(e, F.BinOp):
+            l, r = self.ex(e.left, out, ind), self.ex(e.right, out, ind)
+            if e.op == "/":
+                self._text.used.add("DIV")
+                return f"DIV({l}, {r})"
+            return f"({l} {_PY_OPS[e.op]} {r})"
+        x = self.ex(e.operand, out, ind)
+        return f"(-{x})" if e.op == "-" else x
+
+    def _parts(self, ref, out: list, ind: str) -> str:
+        """The lane index arrays of ``ref``'s subscripts, each followed
+        by a comma."""
+        subs = self._subscripts(ref)
+        parts = ""
+        for sub, entry in zip(subs, self._axis_mask(subs)):
+            if entry is None:
+                parts += f"{self._text.ex(sub, out, ind)}, "
+                continue
+            op, off = self._split_affine(sub)
+            parts += "_g0, " if off is None else \
+                f"(_g0 {op} {self._text.ex(off, out, ind)}), "
+        return parts
+
+    def _load(self, ref, out: list, ind: str) -> str:
+        """A grid load, logged.  A load already made in this block reads
+        its local: the first use fills it where it stands, so the text's
+        order of evaluation is the order :meth:`ex` is called in."""
+        subs = self._subscripts(ref)
+        key = (ref.name,) + tuple(
+            entry or repr(sub)
+            for sub, entry in zip(subs, self._axis_mask(subs)))
+        local = self._loaded.get(key)
+        if local is None:
+            parts = self._parts(ref, out, ind)
+            local = self._loaded[key] = self._text._new()
+            self._text.used.add("VL")
+            return (f"({local} := VL(s, {ref.name!r}, ({parts}), _cx, "
+                    f"{self._it}))")
+        return local
+
+    # -- statement lowerings -------------------------------------------
+
+    def _emit_assign(self, st: F.Assign, out: list, ind: str) -> None:
+        t = st.target
+        parts = self._parts(t, out, ind)       # evaluated first: VS(...)
+        rhs = self.ex(st.value, out, ind)
+        self._text.used.add("VS")
+        out.append(f"{ind}VS(s, {t.name!r}, ({parts}), {rhs}, _cx, "
+                   f"{self._it})")
+        self._loaded.clear()       # a later load sees what this stored
+
+    def _emit_partial(self, var: str, terms: list, out: list,
+                      ind: str) -> None:
+        """One sum into a partial: each term's value per lane — a term
+        the loop variable reaches already is one, an invariant one is
+        broadcast — and the fold line that replays one lane (``_q``,
+        the dealt position) with the tree's own scalar arithmetic."""
+        acc = self._acc(var)
+        upd = acc
+        for op, term in terms:
+            value = self.ex(term, out, ind)
+            if not self._uses_axis(term):
+                value = f"np.broadcast_to({value}, (_n0,))"
+            f = self._text._new()
+            out.append(f"{ind}{f} = {value}")
+            upd = f"({upd} {op} {f}[_q])"
+        self._folds.append(f"{acc} = {upd}")
+
+    def _acc(self, partial: str) -> str:
+        """The emitted function's local holding ``partial``."""
+        return f"_p{list(self.partials).index(partial)}"
+
+    def _emit_folds(self, out: list, ind: str) -> None:
+        """Worker by worker, as dealt: preamble value, the worker's
+        share of the folds, postamble combines.  Runs once — on the one
+        empty share, which folds nothing — for a zero-trip loop, like
+        ``_parallel_do``."""
+        text = self._text
+        # a combine target is read once: every later value is what its
+        # own store returned, as a fresh read would see it
+        cur = {}
+        for v, _ in self.combines:
+            if v not in cur:
+                cur[v] = text.ex(F.Var(v), out, ind)
+        out.append(f"{ind}for _sh in _sh0:")
+        for p, lit in self.partials.items():
+            out.append(f"{ind}    {self._acc(p)} = {_fmt_literal(lit)}")
+        out.append(f"{ind}    for _q in _sh:")
+        out += [f"{ind}        {line}" for line in self._folds]
+        for v, p in self.combines:
+            out.append(f"{ind}    _y = ({cur[v]} + {self._acc(p)})")
+            cls = text.classes.get(v, store_class(self.symtab, v))
+            out += _store_text(text._holder(v), v, "_y", cls, cur[v],
+                               ind + "    ", True, text.used)
 
 
 #: emitted text that is evaluated where it is written without reordering
@@ -1190,13 +1174,15 @@ class _ScalarText:
         """Source of ``_s<i>``, the scalar text of statement ``i``."""
         self._at = i
         top = self.stmts[i]
-        return self._function(f"def _s{i}(s):", top,
+        return self._function([f"def _s{i}(s):"], top,
                               lambda out: self.stmt(top, out, "    "))
 
-    def _function(self, head_line: str, root: F.Stmt, write) -> list[str]:
-        """Source of one function: ``head_line``, the lookups of every
-        name touched by the text ``write(out)`` emits, then that text.
-        A worker function emitted meanwhile keeps lookups of its own."""
+    def _function(self, head: list[str], root: F.Stmt, write) -> list[str]:
+        """Source of one function: its opening lines ``head``, the
+        lookups of every name touched by the text ``write(out)`` emits —
+        the holding scope ``_c<k>`` of each scalar and its dict ``_d<k>``,
+        each array, each read flag — then that text.  A worker function
+        emitted meanwhile keeps lookups of its own."""
         outer = (self._holders, self._arrays, self._flags, self._reads,
                  self._n, self._rebound, self._region, self._locals,
                  self._defined)
@@ -1213,9 +1199,11 @@ class _ScalarText:
                          if isinstance(n, LOOPS)}
         body: list[str] = []
         write(body)
-        head = [head_line]
-        head += ["    " + line for line in _hold_text(self._holders,
-                                                      self.used)]
+        head = list(head)
+        for name, c in self._holders.items():
+            self.used.add("HOLD")
+            head += [f"    {c} = HOLD(s, {name!r})",
+                     f"    _d{c[2:]} = {c}.vars"]
         if self._arrays:
             self.used.add("ARR")
         if self._flags:
@@ -1298,18 +1286,23 @@ class _ScalarText:
                       lambda out: self._loop(s, out, ind))
 
     def _loop(self, s: F.DoLoop, out: list, ind: str) -> None:
+        u, rng = self._bounds(s, out, ind)
+        self._iterate(s.var, rng, f"_w{u}", out, ind,
+                      lambda ind: self._body(s.body, out, ind))
+
+    def _bounds(self, s, out: list, ind: str) -> tuple[str, str]:
+        """The tree's evaluation of the bounds of DO or DOALL ``s`` into
+        locals ``_lo<u>``, ``_hi<u>``, ``_st<u>``: ``(u, the source of
+        the range of its iterations)``."""
         u = self._new()[2:]
         out.append(f"{ind}_lo{u} = int({self.ex(s.start, out, ind)})")
         out.append(f"{ind}_hi{u} = int({self.ex(s.end, out, ind)})")
-        rng = f"range(_lo{u}, _hi{u} + 1)"
-        if s.step is not None:
-            out.append(f"{ind}_st{u} = int({self.ex(s.step, out, ind)})")
-            out += [f"{ind}if _st{u} == 0:", f"{ind}    ERR('zero DO step')"]
-            self.used.add("ERR")
-            rng = (f"range(_lo{u}, _hi{u} + (1 if _st{u} > 0 else -1), "
-                   f"_st{u})")
-        self._iterate(s.var, rng, f"_w{u}", out, ind,
-                      lambda ind: self._body(s.body, out, ind))
+        if s.step is None:
+            return u, f"range(_lo{u}, _hi{u} + 1)"
+        out.append(f"{ind}_st{u} = int({self.ex(s.step, out, ind)})")
+        out += [f"{ind}if _st{u} == 0:", f"{ind}    ERR('zero DO step')"]
+        self.used.add("ERR")
+        return u, f"range(_lo{u}, _hi{u} + (1 if _st{u} > 0 else -1), _st{u})"
 
     def _iterate(self, var: str, items: str, counter: str, out: list,
                  ind: str, body) -> None:
@@ -1385,7 +1378,8 @@ class _ScalarText:
             self._enclose([*s.preamble, *s.body, *s.postamble],
                           {s.var}, out, "    ", share, loop_var=s.var)
 
-        self.workers[k] = self._function(f"def _p{k}(s, mine):", s, write)
+        self.workers[k] = self._function([f"def _p{k}(s, mine):"], s,
+                                         write)
         self.classes = outer
         return f"_p{k}"
 
@@ -1514,14 +1508,15 @@ class _ScalarText:
                 and not any(self._vectorizes(st) for st in body)
         return whole
 
-    def _vectorizes(self, st: F.Stmt) -> bool:
-        if not self.rec or not isinstance(st, C.ParallelDo):
-            return False
-        try:
-            _LoopLowerer(self.interp, st, self.unit).emit(0)
-        except _Ineligible:
-            return False
-        return True
+    def _vectorizes(self, st: F.Stmt) -> Optional[_LoopLowerer]:
+        """The lowerer of ``st``'s vector form, when the recorder-aware
+        text gives it one: its proof is the decision."""
+        if self.rec and isinstance(st, C.ParallelDo):
+            try:
+                return _LoopLowerer(self.interp, st, self.unit)
+            except _Ineligible:
+                pass
+        return None
 
     def _assign(self, s: F.Assign, out: list, ind: str) -> None:
         t = s.target
@@ -1727,22 +1722,15 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
     mode = f"emitter v{JIT_VERSION}{', recorder-aware' if rec else ''}"
     body: list[str] = []
     fns: list[str] = []
-    used = scalar.used
     try:
         for i, s in enumerate(stmts):
-            lines = None
-            if rec and isinstance(s, C.ParallelDo):
-                try:
-                    lowerer = _LoopLowerer(interp, s, unit, scalar.classes)
-                    lines = lowerer.emit(i)
-                    lines = scalar.function(i) + lines
-                    used |= lowerer.used
-                except _Ineligible:
-                    pass
-            fns.append(f"_s{i}" if lines is None else f"_v{i}")
+            lines = scalar.function(i)
+            lowerer = scalar._vectorizes(s)
+            if lowerer is not None:
+                lines += lowerer.emit(scalar, i)
+            fns.append(f"_s{i}" if lowerer is None else f"_v{i}")
             body.append("")
-            body.extend("    " + line
-                        for line in lines or scalar.function(i))
+            body.extend("    " + line for line in lines)
         for worker in scalar.workers:
             body.append("")
             body.extend("    " + line for line in worker)
@@ -1760,7 +1748,7 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
         "def make(rt):",
     ]
     head += [f"    {name} = rt.{attr}" for name, attr in _HELPERS.items()
-             if name in used]
+             if name in scalar.used]
     head += ["    " + line for line in scalar.binds]
     head.append(f"    rt.tally({vector}, {len(stmts) - vector})")
     return "\n".join(head + body

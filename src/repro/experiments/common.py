@@ -247,12 +247,11 @@ def add_interpreter_arg(ap: argparse.ArgumentParser) -> None:
                     help="interpreter engine for every run this harness "
                          "executes: tree (reference walk) or compiled "
                          "(one cached source module per statement list: "
-                         "vector text for vectorizable loop nests, "
-                         "scalar text for the rest, the tree walk for a "
-                         "list with GOTO or I/O; in race-checked runs a "
-                         "lowered DOALL logs its index sets in bulk, "
-                         "anything that could conflict records per "
-                         "access); "
+                         "scalar text for every statement, the tree walk "
+                         "for a list with GOTO or I/O; in race-checked "
+                         "runs a DOALL proven conflict-free runs as "
+                         "vector text and logs its index sets in bulk, "
+                         "anything else records per access); "
                          "results and race verdicts are identical "
                          f"(default: {DEFAULT_ENGINE} — one default for "
                          "every harness)")

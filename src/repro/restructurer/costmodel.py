@@ -39,12 +39,16 @@ DISPATCH = {
 SYNC_SIGNAL = 10.0
 
 
-def estimate_body_ops(stmts: list[F.Stmt], default_trip: int) -> float:
+#: iterations assumed for a DO of unknown bounds
+DEFAULT_TRIP = 1000
+
+
+def estimate_body_ops(stmts: list[F.Stmt]) -> float:
     """Rough operation count of one execution of ``stmts``, a DO of
-    unknown bounds taken to run ``default_trip`` iterations."""
+    unknown bounds taken to run :data:`DEFAULT_TRIP` iterations."""
     total = 0.0
     for s in stmts:
-        total += _stmt_ops(s, default_trip)
+        total += _stmt_ops(s)
     return total
 
 
@@ -64,28 +68,28 @@ def _expr_ops(e: F.Expr) -> float:
     return ops
 
 
-def trip_count(loop: F.DoLoop, default_trip: int) -> float:
+def trip_count(loop: F.DoLoop) -> float:
     """Estimated iteration count (constant bounds, else the default)."""
     lo, hi = const_value(loop.start), const_value(loop.end)
     step = 1 if loop.step is None else const_value(loop.step)
     if lo is not None and hi is not None and step:
         n = (hi - lo + step) // step if step > 0 else (lo - hi - step) // (-step)
         return float(max(0, n))
-    return float(default_trip)
+    return float(DEFAULT_TRIP)
 
 
-def _stmt_ops(s: F.Stmt, default_trip: int) -> float:
+def _stmt_ops(s: F.Stmt) -> float:
     if isinstance(s, F.Assign):
         return 1.0 + _expr_ops(s.value) + _expr_ops(s.target)
     if isinstance(s, F.DoLoop):
-        inner = estimate_body_ops(s.body, default_trip)
-        return STARTUP["serial"] + trip_count(s, default_trip) * (inner + 1.0)
+        inner = estimate_body_ops(s.body)
+        return STARTUP["serial"] + trip_count(s) * (inner + 1.0)
     if isinstance(s, F.IfBlock):
-        arms = [estimate_body_ops(b, default_trip) for _, b in s.arms]
+        arms = [estimate_body_ops(b) for _, b in s.arms]
         conds = sum(_expr_ops(c) for c, _ in s.arms if c is not None)
         return conds + (max(arms) + min(arms)) / 2.0 if arms else conds
     if isinstance(s, F.LogicalIf):
-        return _expr_ops(s.cond) + 0.5 * _stmt_ops(s.stmt, default_trip)
+        return _expr_ops(s.cond) + 0.5 * _stmt_ops(s.stmt)
     if isinstance(s, F.CallStmt):
         return 20.0 + 2.0 * len(s.args)
     return 0.5

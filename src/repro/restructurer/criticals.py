@@ -42,16 +42,14 @@ class CriticalPlan:
 def plan_critical_section(loop: "F.DoLoop | NestRecord",
                           graph: DependenceGraph,
                           ignore: set[str] = frozenset(),
-                          max_fraction: float = 0.5, *,
-                          default_trip: int) -> Optional[CriticalPlan]:
+                          max_fraction: float = 0.5
+                          ) -> Optional[CriticalPlan]:
     """Find a contiguous region covering all carried dependences.
 
     Returns None when the body calls a routine of unknown effect, when no
     such region exists, when the region is most of the body (no
     parallelism left), or when a dependence variable is also referenced
-    outside the region (the lock would not protect it).  The operation
-    counts take a DO of unknown bounds to run ``default_trip``
-    iterations, as the planner that scores the plan does.
+    outside the region (the lock would not protect it).
     """
     if graph.opaque_calls:
         return None
@@ -89,8 +87,8 @@ def plan_critical_section(loop: "F.DoLoop | NestRecord",
     if not _region_commutative(loop.body[first:last + 1], variables):
         return None
 
-    region_ops = estimate_body_ops(loop.body[first:last + 1], default_trip)
-    body_ops = estimate_body_ops(loop.body, default_trip)
+    region_ops = estimate_body_ops(loop.body[first:last + 1])
+    body_ops = estimate_body_ops(loop.body)
     if body_ops <= 0 or region_ops / body_ops > max_fraction:
         return None
     return CriticalPlan(loop, first, last, region_ops, body_ops, variables)

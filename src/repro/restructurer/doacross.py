@@ -47,16 +47,13 @@ class DoacrossPlan:
 
 
 def plan_doacross(loop: "F.DoLoop | NestRecord", graph: DependenceGraph,
-                  ignore: set[str] = frozenset(), *,
-                  default_trip: int) -> Optional[DoacrossPlan]:
+                  ignore: set[str] = frozenset()) -> Optional[DoacrossPlan]:
     """Plan a DOACROSS for ``loop`` given its dependence graph.
 
     Eligible when the body calls no routine of unknown effect and every
     carried dependence (not in ``ignore``) is exact with positive
     distance; the sync region spans from the earliest sink to the latest
-    source among those dependences.  Its operation counts take a DO of
-    unknown bounds to run ``default_trip`` iterations, as the planner
-    that scores the plan does.
+    source among those dependences.
     """
     if graph.opaque_calls:
         return None
@@ -82,8 +79,8 @@ def plan_doacross(loop: "F.DoLoop | NestRecord", graph: DependenceGraph,
     region = loop.body[first:last + 1]
     return DoacrossPlan(
         loop=loop, first=first, last=last, distance=min_dist or 1,
-        region_ops=estimate_body_ops(region, default_trip),
-        body_ops=estimate_body_ops(loop.body, default_trip),
+        region_ops=estimate_body_ops(region),
+        body_ops=estimate_body_ops(loop.body),
     )
 
 

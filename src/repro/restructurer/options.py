@@ -1,7 +1,7 @@
 """User-settable restructurer options.
 
 The defaults correspond to the paper's *automatic* configuration (the 1991
-KAP-derived restructurer).  The ``aggressive()`` preset switches on every
+KAP-derived restructurer).  The ``manual()`` preset switches on every
 technique the paper applied *by hand* (§4.1) — array privatization,
 generalized induction variables, run-time dependence tests, array
 reductions, critical sections, inline expansion — which is how the
@@ -12,7 +12,7 @@ opens the loops that call a routine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass
@@ -42,13 +42,15 @@ class RestructurerOptions:
     # studying (§3.4, §4.2.4)
     cluster_mapping: bool = False
 
-    # --- planning ---
-    default_trip: int = 1000                # assumed trips for unknown bounds
+    @staticmethod
+    def automatic() -> "RestructurerOptions":
+        """The baseline automatic configuration."""
+        return RestructurerOptions()
 
-    def aggressive(self) -> "RestructurerOptions":
+    @staticmethod
+    def manual() -> "RestructurerOptions":
         """The paper's hand-applied technique set (Table 2 'manual')."""
-        return replace(
-            self,
+        return RestructurerOptions(
             array_privatization=True,
             generalized_induction=True,
             array_reductions=True,
@@ -59,13 +61,3 @@ class RestructurerOptions:
             loop_fusion=True,
             cluster_mapping=True,
         )
-
-    @staticmethod
-    def automatic() -> "RestructurerOptions":
-        """The baseline automatic configuration."""
-        return RestructurerOptions()
-
-    @staticmethod
-    def manual() -> "RestructurerOptions":
-        """Alias for ``automatic().aggressive()``."""
-        return RestructurerOptions().aggressive()

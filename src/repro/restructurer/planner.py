@@ -333,16 +333,16 @@ class LoopPlanner:
         """(label, score, builder) candidates, unsorted."""
         loop, graph = nest.loop, nest.graph
         inner = inner_nest.loop if inner_nest is not None else None
-        trips = trip_count(loop, self.opt.default_trip)
-        body_ops = estimate_body_ops(loop.body, self.opt.default_trip)
+        trips = trip_count(loop)
+        body_ops = estimate_body_ops(loop.body)
         out: list[tuple[str, float, Callable[[], list[F.Stmt]]]] = []
 
         out.append(("serial", self.cost.serial(trips, body_ops),
                     lambda: [loop]))
 
         if inner is not None and inner_parallel and self.opt.stripmining:
-            itrips = trip_count(inner, self.opt.default_trip)
-            ibody = estimate_body_ops(inner.body, self.opt.default_trip)
+            itrips = trip_count(inner)
+            ibody = estimate_body_ops(inner.body)
             per_iter = (body_ops - self.cost.serial(itrips, ibody)
                         + self.cost.vectorized(itrips, ibody))
             out.append((
@@ -388,8 +388,8 @@ class LoopPlanner:
                                                vector=False, level="C"),
                 ))
             if inner is not None and inner_parallel:
-                itrips = trip_count(inner, self.opt.default_trip)
-                ibody = estimate_body_ops(inner.body, self.opt.default_trip)
+                itrips = trip_count(inner)
+                ibody = estimate_body_ops(inner.body)
                 inner_cost = self.cost.parallel(
                     "cdoall", itrips, max(0.35 * ibody, 1.0), self.cost.ppc)
                 rest = max(body_ops - self.cost.serial(itrips, ibody), 0.0)
@@ -403,8 +403,7 @@ class LoopPlanner:
         else:
             # DOACROSS alternative for carried-but-synchronizable loops
             if self.opt.doacross and not reductions:
-                plan = plan_doacross(nest, graph, ignore,
-                                     default_trip=self.opt.default_trip)
+                plan = plan_doacross(nest, graph, ignore)
                 if plan is not None:
                     score = self.cost.doacross(
                         "cdoacross", trips, body_ops,
@@ -453,8 +452,7 @@ class LoopPlanner:
                     ))
             # unordered critical section (§4.1.6)
             if self.opt.critical_sections:
-                cplan = plan_critical_section(
-                    nest, graph, ignore, default_trip=self.opt.default_trip)
+                cplan = plan_critical_section(nest, graph, ignore)
                 if cplan is not None:
                     base = self.cost.parallel("xdoall", trips, body_ops,
                                               self.cost.total_p)

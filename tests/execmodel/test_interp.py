@@ -258,6 +258,78 @@ class TestProceduresAndCommon:
         assert res["out"] == 8.0  # column-major: b(2,3) = a(2 + 3*(3-1))
 
 
+#: an element actual to an array dummy (F77 sequence association): the
+#: dummy is the caller's storage from that element on, column-major
+ELEMENT_ACTUALS = """
+      subroutine drive(a, s, n)
+      integer n, i
+      real a(n, n), s(n)
+      do 10 i = 1, n
+         call colsum(a(1, i), s(i), n)
+   10 continue
+      end
+
+      subroutine colsum(x, t, n)
+      integer n, j
+      real x(n), t
+      t = 0.0
+      do 20 j = 1, n
+         t = t + x(j)
+   20 continue
+      end
+
+      subroutine twice(a, n, i, j, m)
+      integer n, i, j, m
+      real a(n, n)
+      call dbl(a(i, j), m)
+      end
+
+      subroutine dbl(x, m)
+      integer m, k
+      real x(*)
+      do 30 k = 1, m
+         x(k) = 2.0 * x(k)
+   30 continue
+      end
+"""
+
+
+@pytest.mark.parametrize("recorded", [False, True],
+                         ids=["unrecorded", "recorded"])
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
+class TestElementActualToArrayDummy:
+    def _interp(self, engine, recorded):
+        from repro.execmodel.shadow import ShadowRecorder
+
+        return Interpreter(parse_program(ELEMENT_ACTUALS), engine=engine,
+                           shadow=ShadowRecorder() if recorded else None)
+
+    def test_column_sums(self, engine, recorded):
+        a = np.arange(16.0).reshape(4, 4, order="F")
+        s = np.zeros(4)
+        self._interp(engine, recorded).call("drive", a, s, 4)
+        assert s.tolist() == [6.0, 22.0, 38.0, 54.0]
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_callee_stores_reach_the_caller(self, engine, recorded, order):
+        """``x(k)`` of the callee is ``a(k, 2)``, whichever way the
+        caller's data is laid out."""
+        a = np.arange(16.0).reshape(4, 4, order=order)
+        want = a.copy()
+        want[:, 1] *= 2
+        self._interp(engine, recorded).call("twice", a, 4, 1, 2, 4)
+        assert np.array_equal(a, want)
+
+    def test_a_sequence_runs_on_into_the_next_column(self, engine,
+                                                     recorded):
+        a = np.arange(16.0).reshape(4, 4, order="F")
+        want = a.copy()
+        want[2:, 0] *= 2
+        want[:2, 1] *= 2
+        self._interp(engine, recorded).call("twice", a, 4, 3, 1, 4)
+        assert np.array_equal(a, want)
+
+
 class TestCedarExecution:
     def test_xdoall_with_locals(self):
         src = """

@@ -27,8 +27,8 @@ from repro.execmodel import compiled as compiled_mod
 from repro.execmodel.interp import Interpreter
 from repro.execmodel.loop_shapes import desugar_stripmine
 from repro.execmodel.shadow import ShadowRecorder
-from repro.execmodel.source_jit import (_HELPERS, JIT_VERSION, _LoopLowerer,
-                                        emit_module)
+from repro.execmodel.source_jit import (_HELPERS, JIT_VERSION, _Ineligible,
+                                        _LoopLowerer, emit_module)
 from repro.fortran import ast_nodes as F
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
@@ -286,8 +286,8 @@ STORE_BETWEEN = """
       end
 """
 
-#: ``k(1)`` loaded in the stored element's subscript, evaluated before
-#: the value that loads it again
+#: ``k(1)`` in the stored element's subscript and in the value: an
+#: invariant element, which the scalar text reads before the statement
 SUBSCRIPT_AND_VALUE = """
       subroutine sv(n, a, b, k)
       integer n, i, k(2)
@@ -350,13 +350,12 @@ class TestLoadReuse:
         self._check(SUBSCRIPT_AND_VALUE, "sv",
                     [5, np.zeros((5, 2)), np.arange(5.0),
                      np.array([2, 1], dtype=np.int64)])
-        assert _module_text(SUBSCRIPT_AND_VALUE).count("VL(") == 2
+        text = _module_text(SUBSCRIPT_AND_VALUE)
+        assert text.count("VL(") == 1 and "VL(s, 'k'" not in text
 
     def test_svdcmp_reduction_loop_loads_each_column_once(self):
         """svdcmp's partial-sum DOALL accumulates a(i,p)**2, a(i,q)**2
         and a(i,p)*a(i,q): two grid loads, each logged once."""
-        from repro.execmodel.source_jit import _LoopLowerer
-
         case = CASES["svdcmp"]
         cedar, _ = cached_restructure(case.source,
                                       PIPELINE_CONFIGS["automatic"]())
@@ -364,7 +363,7 @@ class TestLoadReuse:
                  if isinstance(n, C.ParallelDo) and n.postamble]
         interp = Interpreter(cedar, processors=4, engine="compiled",
                              shadow=ShadowRecorder())
-        text = "\n".join(_LoopLowerer(interp, pdo, "svdcmp").emit(0))
+        text = emit_module(interp, [pdo], "svdcmp", True)
         assert "OPEN(" in text and text.count("VL(") == 2
 
 
@@ -471,14 +470,25 @@ def emitted():
     """Every module text the 66 programs' runs emit, unrecorded and under
     a ``ShadowRecorder``: ``[(rec, own, text, vector)]``, ``own`` the
     scalars of the innermost DOALL's worker scope around the list
-    (:meth:`Interpreter.own_privates`), ``vector`` each statement the
-    text gives a vector form, with the lowerer's name for its shape."""
+    (:meth:`Interpreter.own_privates`), ``vector`` each DOALL at any
+    depth of the list that the lowerer's proof accepts: ``(node, its
+    shape, whether the text gives it a vector form)``."""
     texts = []
+
+    def proof(interp, stmt, unit):
+        try:
+            return _LoopLowerer(interp, stmt, unit)
+        except _Ineligible:
+            return None
 
     def spy(interp, stmts, unit, rec):
         text = emit_module(interp, stmts, unit, rec)
-        vector = [(s, _LoopLowerer(interp, s, unit).shape)
-                  for i, s in enumerate(stmts) if f"def _v{i}(s):" in text]
+        top = {id(s): i for i, s in enumerate(stmts)}
+        vector = [(n, lowerer.shape,
+                   id(n) in top and f"def _v{top[id(n)]}(s):" in text)
+                  for st in stmts for n in st.walk()
+                  if isinstance(n, C.ParallelDo)
+                  and (lowerer := proof(interp, n, unit)) is not None]
         texts.append((rec, interp.own_privates(unit, stmts), text, vector))
         return text
 
@@ -544,8 +554,10 @@ def test_vector_forms_take_only_the_shapes_checked_runs_reach(emitted):
     lowerer names it so, and each shape has a witness."""
     shapes = Counter()
     for rec, _, _, vector in emitted:
-        assert rec or not vector
-        for pdo, shape in vector:
+        for pdo, shape, written in vector:
+            if not written:
+                continue
+            assert rec, pdo.line
             level = desugar_stripmine(pdo)
             want = ("strip-mine" if level is not None
                     else "partial-sum" if pdo.postamble else "plain")
@@ -558,6 +570,24 @@ def test_vector_forms_take_only_the_shapes_checked_runs_reach(emitted):
                        if isinstance(st, F.Assign)), pdo.line
             shapes[shape] += 1
     assert set(shapes) == {"plain", "strip-mine", "partial-sum"}, shapes
+
+
+def test_a_doall_has_a_vector_form_exactly_when_the_proof_accepts_it(
+        emitted):
+    """The lowerer's constructor is the whole decision: over the
+    recorder-aware texts of the 66 programs' runs, every DOALL that
+    ``_LoopLowerer`` accepts heads a list of its own — the text never
+    writes it inline in a body — and has its ``def _v<i>`` there, and no
+    other statement has one."""
+    written: dict[int, bool] = {}
+    for rec, _, text, vector in emitted:
+        if rec:
+            for node, _, has in vector:
+                written[id(node)] = written.get(id(node), False) or has
+            assert text.count("    def _v") \
+                == sum(has for _, _, has in vector), text
+    assert len(written) > 20
+    assert all(written.values())
 
 
 class TestModuleCache:

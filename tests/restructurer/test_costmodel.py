@@ -6,13 +6,11 @@ from repro.fortran.parser import parse_program
 from repro.machine.config import cedar_config1
 from repro.fortran import ast_nodes as F
 from repro.restructurer.costmodel import (
+    DEFAULT_TRIP,
     CostModel,
     estimate_body_ops,
     trip_count,
 )
-
-#: assumed trips of a DO of unknown bounds (none of these has one)
-TRIP = 1000
 
 
 def body_of(src):
@@ -31,7 +29,7 @@ class TestEstimates:
       end do
       end
 """)
-        assert trip_count(loop, TRIP) == 49
+        assert trip_count(loop) == 49
 
     def test_trip_count_symbolic_default(self):
         (loop,) = body_of("""
@@ -44,7 +42,7 @@ class TestEstimates:
       end do
       end
 """)
-        assert trip_count(loop, default_trip=777) == 777
+        assert trip_count(loop) == DEFAULT_TRIP == 1000
 
     def test_body_ops_scale_with_statements(self):
         one = body_of("""
@@ -61,8 +59,8 @@ class TestEstimates:
       a = a / b
       end
 """)
-        assert estimate_body_ops(three, TRIP) \
-            > estimate_body_ops(one, TRIP) * 2
+        assert estimate_body_ops(three) \
+            > estimate_body_ops(one) * 2
 
     def test_divide_costs_more(self):
         add = body_of("""
@@ -77,7 +75,7 @@ class TestEstimates:
       a = b / b
       end
 """)
-        assert estimate_body_ops(div, TRIP) > estimate_body_ops(add, TRIP)
+        assert estimate_body_ops(div) > estimate_body_ops(add)
 
 
 class TestVersionScoring:

@@ -12,11 +12,6 @@ from repro.restructurer.criticals import (
     plan_critical_section,
 )
 from repro.restructurer.doacross import build_doacross, plan_doacross
-from repro.restructurer.options import RestructurerOptions
-
-#: the operation counts' assumed trips of a DO of unknown bounds: the
-#: planner's own
-TRIP = RestructurerOptions().default_trip
 
 
 def get_loop(src):
@@ -43,7 +38,7 @@ class TestDoacross:
 
     def test_plan_finds_minimal_region(self):
         loop, g = get_loop(self.CASCADE)
-        plan = plan_doacross(loop, g, default_trip=TRIP)
+        plan = plan_doacross(loop, g)
         assert plan is not None
         # only the b-recurrence statement is synchronized
         assert plan.first == plan.last == 1
@@ -51,7 +46,7 @@ class TestDoacross:
 
     def test_delay_factor(self):
         loop, g = get_loop(self.CASCADE)
-        plan = plan_doacross(loop, g, default_trip=TRIP)
+        plan = plan_doacross(loop, g)
         # region is roughly a third of the body; per §3.3 divided by procs
         f8 = plan.delay_factor(8)
         f32 = plan.delay_factor(32)
@@ -59,7 +54,7 @@ class TestDoacross:
 
     def test_build_brackets_region(self):
         loop, g = get_loop(self.CASCADE)
-        plan = plan_doacross(loop, g, default_trip=TRIP)
+        plan = plan_doacross(loop, g)
         pdo = build_doacross(plan, level="C")
         kinds = [type(s).__name__ for s in pdo.body]
         ai = kinds.index("AwaitStmt")
@@ -78,7 +73,7 @@ class TestDoacross:
       end do
       end
 """)
-        assert plan_doacross(loop, g, default_trip=TRIP) is None
+        assert plan_doacross(loop, g) is None
 
     def test_region_is_priced_at_the_planners_trip_count(self,
                                                          monkeypatch):
@@ -112,7 +107,7 @@ class TestDoacross:
         [p] = [p for p in plans if p is not None]
         assert (p.first, p.last) == (0, len(p.loop.body) - 1)
         assert p.region_ops == p.body_ops \
-            == estimate_body_ops(p.loop.body, TRIP)
+            == estimate_body_ops(p.loop.body)
 
     def test_unknown_distance_declines(self):
         loop, g = get_loop("""
@@ -125,7 +120,7 @@ class TestDoacross:
       end do
       end
 """)
-        assert plan_doacross(loop, g, default_trip=TRIP) is None
+        assert plan_doacross(loop, g) is None
 
 
 class TestCriticalSections:
@@ -153,15 +148,13 @@ class TestCriticalSections:
     def test_plan_accepts_append_idiom(self):
         loop, g = get_loop(self.HITS)
         # the planner passes the privatizable scalars as the ignore set
-        plan = plan_critical_section(loop, g, ignore={"d", "k"},
-                                     default_trip=TRIP)
+        plan = plan_critical_section(loop, g, ignore={"d", "k"})
         assert plan is not None
         assert "nhit" in plan.variables
 
     def test_build_brackets_with_locks(self):
         loop, g = get_loop(self.HITS)
-        plan = plan_critical_section(loop, g, ignore={"d", "k"},
-                                     default_trip=TRIP)
+        plan = plan_critical_section(loop, g, ignore={"d", "k"})
         pdo = build_critical_loop(plan)
         kinds = [type(s).__name__ for s in pdo.body]
         assert kinds.index("LockStmt") < kinds.index("UnlockStmt")
@@ -181,8 +174,7 @@ class TestCriticalSections:
       end do
       end
 """)
-        assert plan_critical_section(loop, g, ignore=set(),
-                                     default_trip=TRIP) is None
+        assert plan_critical_section(loop, g, ignore=set()) is None
 
     def test_region_covering_whole_body_rejected(self):
         loop, g = get_loop("""
@@ -197,8 +189,7 @@ class TestCriticalSections:
       end
 """)
         # t is read outside any small region (whole body involved)
-        assert plan_critical_section(loop, g, ignore=set(),
-                                     default_trip=TRIP) is None
+        assert plan_critical_section(loop, g, ignore=set()) is None
 
     def test_variable_escaping_region_rejected(self):
         loop, g = get_loop("""
@@ -212,5 +203,4 @@ class TestCriticalSections:
       end do
       end
 """)
-        assert plan_critical_section(loop, g, ignore=set(),
-                                     default_trip=TRIP) is None
+        assert plan_critical_section(loop, g, ignore=set()) is None
