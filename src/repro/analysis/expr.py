@@ -14,22 +14,37 @@ expressions such as ``min(i + strip - 1, n)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.fortran import ast_nodes as F
 
 
-@dataclass(frozen=True)
 class LinearExpr:
     """An affine form: ``const + Σ coeffs[name] * name``.
 
-    Immutable; arithmetic returns new instances.  Zero coefficients are
-    pruned so equality is structural.
+    Treated as immutable; arithmetic returns new instances.  ``coeffs``
+    is sorted by name with zero coefficients pruned, so equality is
+    structural.  A slotted class rather than a dataclass: the
+    dependence tests build these by the hundred thousand.
     """
 
-    const: int = 0
-    coeffs: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, const: int = 0,
+                 coeffs: tuple[tuple[str, int], ...] = ()):
+        self.const = const
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LinearExpr:
+            return NotImplemented
+        return self.const == other.const and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.const, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"LinearExpr(const={self.const!r}, coeffs={self.coeffs!r})"
 
     # -- construction -----------------------------------------------------
 
@@ -71,6 +86,10 @@ class LinearExpr:
     def __add__(self, other: "LinearExpr | int") -> "LinearExpr":
         if isinstance(other, int):
             return LinearExpr(self.const + other, self.coeffs)
+        if not other.coeffs:
+            return LinearExpr(self.const + other.const, self.coeffs)
+        if not self.coeffs:
+            return LinearExpr(self.const + other.const, other.coeffs)
         d = dict(self.coeffs)
         for n, c in other.coeffs:
             d[n] = d.get(n, 0) + c
@@ -79,6 +98,8 @@ class LinearExpr:
     def __sub__(self, other: "LinearExpr | int") -> "LinearExpr":
         if isinstance(other, int):
             return LinearExpr(self.const - other, self.coeffs)
+        if not other.coeffs:
+            return LinearExpr(self.const - other.const, self.coeffs)
         return self + other.scale(-1)
 
     def scale(self, k: int) -> "LinearExpr":

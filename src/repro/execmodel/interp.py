@@ -678,23 +678,20 @@ class Interpreter:
                 scope: Scope, unit: str) -> Any:
         cscope = self._unit_scope(callee)
         copy_back: list[tuple[str, F.Expr]] = []
+        # array dummies take their shape once every scalar dummy is
+        # bound: ``x(n)`` may come before ``n``
+        arrays: list[tuple[str, FArray, Any]] = []
         for dummy, actual in zip(callee.args, actuals):
             dsym = self.tables[callee.name].lookup(dummy)
             subs = actual.subscripts if isinstance(actual, F.ArrayRef) \
                 else getattr(actual, "args", ())
             if isinstance(actual, F.Var) and scope.has(actual.name):
                 v = scope.get(actual.name)
-                if isinstance(v, FArray):
-                    if dsym is not None and dsym.is_array:
-                        lowers = tuple(self._const_lower(b.lower)
-                                       for b in dsym.dims)
-                        reshaped = self._reshape_for_dummy(v, dsym, cscope)
-                        cscope.declare(dummy, reshaped)
-                    else:
-                        cscope.declare(dummy, v)
-                else:
-                    cscope.declare(dummy, v)
+                cscope.declare(dummy, v)
+                if not isinstance(v, FArray):
                     copy_back.append((dummy, actual))
+                elif dsym is not None and dsym.is_array:
+                    arrays.append((dummy, v, dsym))
             elif isinstance(actual, (F.ArrayRef, F.Apply)) and \
                     not any(isinstance(x, F.RangeExpr) for x in subs):
                 sc = scope.lookup_scope(actual.name)
@@ -705,17 +702,24 @@ class Interpreter:
                     # storage from the element on, so stores reach it
                     idx = tuple(self.eval(x, scope, unit) for x in subs)
                     seq = FArray(self._sequence(arr, idx), (1,))
-                    cscope.declare(dummy, self._reshape_for_dummy(
-                        seq, dsym, cscope))
+                    cscope.declare(dummy, seq)
+                    arrays.append((dummy, seq, dsym))
                 else:
                     cscope.declare(dummy, self.eval(actual, scope, unit))
                     copy_back.append((dummy, actual))
             else:
                 cscope.declare(dummy, self.eval(actual, scope, unit))
+        stores: list[tuple[np.ndarray, np.ndarray]] = []
+        for dummy, v, dsym in arrays:
+            cscope.declare(dummy, self._reshape_for_dummy(v, dsym, cscope,
+                                                          stores))
         try:
             self.exec_body(callee.body, cscope, callee.name)
         except _ReturnSignal:
             pass
+        finally:
+            for flat, data in stores:
+                data[...] = flat.reshape(data.shape, order="F")
         for dummy, actual in copy_back:
             self._assign(actual, cscope.get(dummy), scope, unit)
         if isinstance(callee, F.Function):
@@ -734,8 +738,13 @@ class Interpreter:
             return flat[np.ravel_multi_index(j, arr.data.shape, order="F"):]
         return arr.data[(slice(j[0], None),) + j[1:]]
 
-    def _reshape_for_dummy(self, v: FArray, dsym, cscope: Scope) -> FArray:
-        """Handle rank/extent differences (sequence association)."""
+    def _reshape_for_dummy(self, v: FArray, dsym, cscope: Scope,
+                           stores: list) -> FArray:
+        """Handle rank/extent differences (sequence association): the
+        dummy views the actual's storage in column-major order.  Where
+        the actual's data cannot be viewed that way, the dummy gets a
+        copy and ``(copy, data)`` goes on ``stores`` for the caller to
+        write back after the call."""
         dims = []
         ok = True
         for b in dsym.dims:
@@ -758,11 +767,16 @@ class Interpreter:
         want_shape = tuple(hi - lo + 1 for lo, hi in dims)
         if want_shape == v.data.shape:
             return FArray(v.data, tuple(lo for lo, _ in dims))
-        if int(np.prod(want_shape)) <= v.data.size:
-            flat = v.data.reshape(-1, order="F")[: int(np.prod(want_shape))]
-            return FArray(flat.reshape(want_shape, order="F"),
-                          tuple(lo for lo, _ in dims))
-        raise InterpreterError("actual array smaller than dummy")
+        size = int(np.prod(want_shape))
+        if size > v.data.size:
+            raise InterpreterError("actual array smaller than dummy")
+        flat = v.data.reshape(-1, order="F")
+        if not np.may_share_memory(flat, v.data):
+            # not laid out column-major: the dummy works on a copy in
+            # that order, stored back into the actual after the call
+            stores.append((flat, v.data))
+        return FArray(flat[:size].reshape(want_shape, order="F"),
+                      tuple(lo for lo, _ in dims))
 
     def _library_call(self, s: F.CallStmt, scope: Scope, unit: str) -> None:
         if s.name == "ces_linrec":

@@ -2,10 +2,13 @@
 
 Nodes are plain dataclasses.  Child traversal is generic: any field whose
 value is a ``Node`` or a (nested) list/tuple of ``Node`` is a child.
-Which fields *can* hold children is decided once per node class from its
-field annotations (:func:`node_slots`), so traversal, cloning, rebuilding
-and comparison read a precomputed tuple of field names instead of
-introspecting the dataclass on every visit.  Two traversal helpers are
+Which fields *can* hold children, and in what shape (one node or None,
+a flat list of nodes, anything nested), is decided once per node class
+from its field annotations (:func:`node_slots`).  From that plan each
+class gets two functions, generated on first use: one listing a node's
+children and one copying it without running ``__init__`` (fields
+assigned in declaration order, so copies keep the instance layout the
+constructor gives).  Two traversal helpers are
 provided: :class:`Visitor` (read-only, dispatches on class name) and
 :class:`Transformer` (rebuilds, a method may return a replacement node, a
 list of nodes for statement positions, or ``None`` to keep recursing).
@@ -27,11 +30,18 @@ from typing import Any, Iterator, NamedTuple, Optional
 # base machinery
 # ---------------------------------------------------------------------------
 
+#: child shapes of a field, read off its annotation
+ONE = 0      # a single Node or None (``Expr``, ``Optional[Stmt]``)
+MANY = 1     # a flat list of Nodes (``list[Stmt]``)
+NESTED = 2   # anything else that may hold Nodes (``list[tuple[...]]``)
+
+
 class NodeSlots(NamedTuple):
     """Field names of one node class, by what a traversal needs."""
     fields: tuple[str, ...]    # every dataclass field, declaration order
     child: tuple[str, ...]     # fields that can hold Nodes
     compared: tuple[str, ...]  # fields structural equality looks at
+    plan: tuple[tuple[str, int], ...]  # (child field, its shape)
 
 
 #: fields that are layout artifacts, not program structure
@@ -50,8 +60,7 @@ def _annotation_is_leaf(tree: _pyast.expr) -> bool:
     if isinstance(tree, _pyast.Name):
         return tree.id in _SCALAR_TYPES
     if isinstance(tree, _pyast.Subscript):
-        return (isinstance(tree.value, _pyast.Name)
-                and tree.value.id in _CONTAINER_TYPES
+        return (_type_name(tree.value) in _CONTAINER_TYPES
                 and _annotation_is_leaf(tree.slice))
     if isinstance(tree, _pyast.Tuple):
         return all(_annotation_is_leaf(e) for e in tree.elts)
@@ -60,16 +69,63 @@ def _annotation_is_leaf(tree: _pyast.expr) -> bool:
     return False
 
 
-def _can_hold_nodes(annotation: Any) -> bool:
-    """Conservative: anything not provably scalar counts as child-bearing
-    (its value is then inspected at run time, as every field once was)."""
+def _type_name(tree: _pyast.expr) -> Optional[str]:
+    """``Expr``, ``F.Expr`` and ``typing.Optional`` by their last name."""
+    if isinstance(tree, _pyast.Name):
+        return tree.id
+    if isinstance(tree, _pyast.Attribute):
+        return tree.attr
+    return None
+
+
+def _is_none(tree: _pyast.expr) -> bool:
+    return isinstance(tree, _pyast.Constant) and tree.value is None \
+        or _type_name(tree) == "None"
+
+
+def _node_class_names() -> set[str]:
+    names: set[str] = set()
+    todo = [Node]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return names
+
+
+def _shape(tree: _pyast.expr, nodes: set[str]) -> int:
+    """The child shape an annotation promises: a node class name, alone
+    or with ``None``, is ONE; ``list`` of one is MANY; anything else
+    (``Any``, bare ``tuple``, lists of tuples) is NESTED."""
+    if _type_name(tree) in nodes:
+        return ONE
+    if isinstance(tree, _pyast.BinOp) and isinstance(tree.op, _pyast.BitOr):
+        parts = [tree.left, tree.right]
+    elif isinstance(tree, _pyast.Subscript):
+        head, arg = _type_name(tree.value), tree.slice
+        if head == "list" and _type_name(arg) in nodes:
+            return MANY
+        if head == "Optional":
+            parts = [arg, _pyast.Constant(None)]
+        elif head == "Union" and isinstance(arg, _pyast.Tuple):
+            parts = arg.elts
+        else:
+            return NESTED
+    else:
+        return NESTED
+    named = [p for p in parts if not _is_none(p)]
+    if len(named) == 1 and _type_name(named[0]) in nodes:
+        return ONE
+    return NESTED
+
+
+def _annotation_tree(annotation: Any) -> Optional[_pyast.expr]:
     if not isinstance(annotation, str):
         annotation = getattr(annotation, "__name__", None) or repr(annotation)
     try:
-        return not _annotation_is_leaf(
-            _pyast.parse(annotation, mode="eval").body)
+        return _pyast.parse(annotation, mode="eval").body
     except SyntaxError:
-        return True
+        return None
 
 
 _SLOTS: dict[type, NodeSlots] = {}
@@ -78,14 +134,25 @@ _SLOTS: dict[type, NodeSlots] = {}
 def node_slots(cls: type) -> NodeSlots:
     """The :class:`NodeSlots` of a node class, computed on first use (the
     ``@dataclass`` decorator has not run yet when ``__init_subclass__``
-    fires, so the table cannot be filled at class creation)."""
+    fires, so the table cannot be filled at class creation).  A field is
+    a child unless its annotation is provably scalar; one whose
+    annotation cannot be read counts as NESTED."""
     slots = _SLOTS.get(cls)
     if slots is None:
         fs = dataclasses.fields(cls)
+        nodes = _node_class_names()
+        plan = []
+        for f in fs:
+            tree = _annotation_tree(f.type)
+            if tree is None:
+                plan.append((f.name, NESTED))
+            elif not _annotation_is_leaf(tree):
+                plan.append((f.name, _shape(tree, nodes)))
         slots = _SLOTS[cls] = NodeSlots(
             tuple(f.name for f in fs),
-            tuple(f.name for f in fs if _can_hold_nodes(f.type)),
-            tuple(f.name for f in fs if f.name not in _EQUAL_IGNORED))
+            tuple(name for name, _ in plan),
+            tuple(f.name for f in fs if f.name not in _EQUAL_IGNORED),
+            tuple(plan))
     return slots
 
 
@@ -98,29 +165,59 @@ def _collect_nodes(seq: Any, out: list["Node"]) -> None:
             _collect_nodes(item, out)
 
 
+def _nested_nodes(value: Any, out: list["Node"]) -> None:
+    if isinstance(value, Node):
+        out.append(value)
+    elif isinstance(value, (list, tuple)):
+        _collect_nodes(value, out)
+
+
+def _compile(name: str, lines: list[str], scope: dict):
+    """Define function ``name`` from source ``lines`` in ``scope``."""
+    exec("\n".join(lines), scope)
+    return scope[name]
+
+
+_LISTERS: dict[type, Any] = {}
+
+
+def _lister(cls: type):
+    """The function listing one ``cls`` node's children, in field order,
+    generated once from the class's plan: a ONE field is appended unless
+    None, a MANY list is appended whole, anything else is searched."""
+    lines = ["def children(node):", "    out = []"]
+    for name, shape in node_slots(cls).plan:
+        if shape == ONE:
+            lines += [f"    if node.{name} is not None:",
+                      f"        out.append(node.{name})"]
+        elif shape == MANY:
+            lines.append(f"    out += node.{name}")
+        else:
+            lines.append(f"    _nested_nodes(node.{name}, out)")
+    lines.append("    return out")
+    lister = _LISTERS[cls] = _compile(
+        "children", lines, {"_nested_nodes": _nested_nodes})
+    return lister
+
+
 def _child_list(node: "Node") -> list["Node"]:
-    out: list[Node] = []
     cls = node.__class__
-    for name in (_SLOTS.get(cls) or node_slots(cls)).child:
-        v = getattr(node, name)
-        if isinstance(v, Node):
-            out.append(v)
-        elif isinstance(v, (list, tuple)):
-            _collect_nodes(v, out)
-    return out
+    return (_LISTERS.get(cls) or _lister(cls))(node)
 
 
 def _walk(stack: list["Node"]) -> Iterator["Node"]:
     """Pre-order walk of the nodes on ``stack`` (top of stack first).  A
     node's children are read when the walk resumes after yielding it."""
     pop = stack.pop
+    listers = _LISTERS
     while stack:
         node = pop()
         yield node
-        kids = _child_list(node)
+        cls = node.__class__
+        kids = (listers.get(cls) or _lister(cls))(node)
         if kids:
             kids.reverse()
-            stack.extend(kids)
+            stack += kids
 
 
 _ATOMS = frozenset({str, int, float, bool, type(None)})
@@ -132,12 +229,54 @@ def _clone_value(value: Any) -> Any:
     if cls in _ATOMS:
         return value
     if isinstance(value, Node):
-        return value.clone()
+        return _clone(value)
     if cls is list:
         return [_clone_value(v) for v in value]
     if cls is tuple:
         return tuple(_clone_value(v) for v in value)
     return value
+
+
+_COPIERS: dict[type, Any] = {}
+
+
+def _holds_container(tree: Optional[_pyast.expr]) -> bool:
+    """True unless the annotation names no list or tuple (an unreadable
+    one might)."""
+    return tree is None or any(
+        _type_name(n) in ("list", "tuple") for n in _pyast.walk(tree))
+
+
+def _copier(cls: type):
+    """A function copying one ``cls`` node: a new instance whose fields
+    are assigned in declaration order, as the dataclass ``__init__``
+    assigns them (so instances keep sharing one key table), with
+    neither ``__init__`` nor ``__post_init__`` run — a copy of a valid
+    node is valid.  Child fields are copied by shape; other fields that
+    may hold a list or tuple are copied too; scalars are shared."""
+    shapes = dict(node_slots(cls).plan)
+    lines = ["def copy(node):", "    new = _new(_cls)"]
+    for f in dataclasses.fields(cls):
+        name, shape = f.name, shapes.get(f.name)
+        if shape == ONE:
+            value = f"None if node.{name} is None else _clone(node.{name})"
+        elif shape == MANY:
+            value = f"[_clone(x) for x in node.{name}]"
+        elif shape is not None or _holds_container(_annotation_tree(f.type)):
+            value = f"_clone_value(node.{name})"
+        else:
+            value = f"node.{name}"
+        lines.append(f"    new.{name} = {value}")
+    lines.append("    return new")
+    copy = _COPIERS[cls] = _compile(
+        "copy", lines, {"_new": object.__new__, "_cls": cls,
+                        "_clone": _clone, "_clone_value": _clone_value})
+    return copy
+
+
+def _clone(node: "Node") -> "Node":
+    copy = _COPIERS.get(node.__class__) or _copier(node.__class__)
+    return copy(node)
 
 
 @dataclass
@@ -155,9 +294,7 @@ class Node:
 
     def clone(self) -> "Node":
         """Deep copy of the subtree (including nested list/tuple fields)."""
-        return self.__class__(**{
-            name: _clone_value(getattr(self, name))
-            for name in node_slots(self.__class__).fields})
+        return _clone(self)
 
 
 class _Dispatcher:

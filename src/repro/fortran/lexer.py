@@ -22,6 +22,20 @@ recognition is the parser's job.
 Each logical statement is terminated by a ``NEWLINE`` token; a ``LABEL``
 token (if any) leads the statement.  The token stream ends with ``EOF``.
 
+A logical statement is its cards' body text joined, plus one (offset,
+line, column) record per card segment, from which a token's source
+position is read.  The text is tokenized by one compiled master pattern
+(``_MASTER``, scanned with ``re.finditer``) whose named alternatives
+are the token shapes: quoted literals with doubled quotes, dot
+operators and logical constants, numbers (a number's ``.`` is left to a
+dot operator that starts there, as in ``1.eq.2``; ``e``/``d`` exponents;
+leading-dot reals), names, punctuation, and ``** // + - * /``.  A kind
+table maps most alternatives straight to a token.  Digits and letters
+are ASCII ones only, so any other character (``2²``, ``٣``) falls to
+the catch-all: a lone ``.`` reports ``F005``, anything else ``F001``,
+at that character's line and column, and an unterminated literal
+reports ``F002`` at its opening quote.
+
 Errors and warnings flow through a
 :class:`~repro.fortran.diagnostics.DiagnosticSink`.  Without one, the
 historical fail-fast contract holds: the first error raises
@@ -38,6 +52,7 @@ removed) into one ``RAW`` token, because format edit descriptors
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from repro.fortran.diagnostics import DiagnosticSink, _RaisingSink
@@ -51,6 +66,56 @@ from repro.fortran.tokens import (
 
 _COMMENT_CHARS = {"c", "C", "*", "!"}
 
+
+def _either(words) -> str:
+    return "|".join(re.escape(w) for w in words)
+
+
+#: One alternative per token shape, tried in order at each position
+#: after optional blanks.  A number's dot is not taken when a dot
+#: operator starts there (``1.eq.2``); a lone dot is ``dot`` (F005) and
+#: any other character no alternative accepts is ``other`` (F001).
+#: ``re.ASCII``: digits and letters are ASCII ones only.
+_MASTER = re.compile(
+    r"[ \t]*(?:"
+    r"(?P<bang>!)"
+    r"|(?P<string>'(?P<body>(?:[^']|'')*)(?P<close>'?))"
+    rf"|(?P<dotop>{_either(DOT_OPERATORS)})"
+    rf"|(?P<logical>{_either(DOT_CONSTANTS)})"
+    r"|(?P<number>(?:[0-9]+(?:\.(?!(?:"
+    + _either(op[1:] for op in DOT_OPERATORS)
+    + r"))[0-9]*)?|\.[0-9]+)(?:[ed][+-]?[0-9]+)?)"
+    r"|(?P<ident>[a-z_][a-z0-9_]*)"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<colon>:)"
+    r"|(?P<equals>=)"
+    rf"|(?P<op>{_either(SYMBOL_OPERATORS)})"
+    r"|(?P<dot>\.)"
+    r"|(?P<other>[^ \t]))",
+    re.ASCII | re.IGNORECASE)
+
+#: token kind of each ``_MASTER`` group that maps one match to one token
+_SIMPLE_KINDS: dict[str, TokenKind] = {
+    "ident": TokenKind.IDENT,
+    "lparen": TokenKind.LPAREN,
+    "rparen": TokenKind.RPAREN,
+    "comma": TokenKind.COMMA,
+    "colon": TokenKind.COLON,
+    "equals": TokenKind.EQUALS,
+    "op": TokenKind.OP,
+    "dotop": TokenKind.OP,
+    "logical": TokenKind.LOGICAL,
+}
+
+#: the one string object each fixed spelling is stored as (trees keep
+#: operator values, so a copy per token would cost memory)
+_SPELLINGS = {s: s for s in ("(", ")", ",", ":", "=", *SYMBOL_OPERATORS,
+                             *DOT_OPERATORS, *DOT_CONSTANTS)}
+
+#: ``(group name, its _SIMPLE_KINDS entry or None)`` by group number (a
+#: match's ``lastindex`` is its outermost group: ``string``, not ``body``)
+_GROUPS = {index: (name, _SIMPLE_KINDS.get(name))
+           for name, index in _MASTER.groupindex.items()}
+
 #: significant columns of a fixed-form statement body (7..72)
 _BODY_WIDTH = 66
 
@@ -61,22 +126,17 @@ def _is_comment_card(line: str) -> bool:
     return line[0] in _COMMENT_CHARS
 
 
+#: a run of text up to the first ``!`` outside character literals (a
+#: doubled quote inside a literal closes and reopens it)
+_TO_BANG = re.compile(r"(?:[^'!]|'[^']*(?:'|$))*")
+#: a character literal (to keep) or a run of blanks (to drop)
+_QUOTED_OR_BLANKS = re.compile(r"'[^']*(?:'|$)|[ \t]+")
+
+
 def _unquoted_bang(text: str) -> int:
     """Index of the first ``!`` outside character literals, or -1."""
-    in_quote = False
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if in_quote and i + 1 < n and text[i + 1] == "'":
-                i += 2
-                continue
-            in_quote = not in_quote
-        elif ch == "!" and not in_quote:
-            return i
-        i += 1
-    return -1
+    end = _TO_BANG.match(text).end()
+    return end if end < len(text) else -1
 
 
 def strip_format_spec(spec: str) -> str:
@@ -87,44 +147,42 @@ def strip_format_spec(spec: str) -> str:
     byte-for-byte even when the unparser had to split it across
     continuation cards (card splits eat the spaces they cut at).
     """
-    out: list[str] = []
-    in_quote = False
-    i = 0
-    n = len(spec)
-    while i < n:
-        ch = spec[i]
-        if ch == "'":
-            if in_quote and i + 1 < n and spec[i + 1] == "'":
-                out.append("''")
-                i += 2
-                continue
-            in_quote = not in_quote
-            out.append(ch)
-        elif ch in " \t" and not in_quote:
-            pass
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
+    return _QUOTED_OR_BLANKS.sub(
+        lambda m: m.group() if m.group()[0] == "'" else "", spec)
 
 
 class _LogicalLine:
-    """A logical statement: label, body text, and source line of each char."""
+    """A logical statement: label, body text, and one (offset, line,
+    column) record per non-empty card segment of the body."""
 
-    __slots__ = ("label", "text", "lines", "cols", "first_line")
+    __slots__ = ("label", "parts", "segments", "size", "first_line")
 
     def __init__(self, label: str | None, first_line: int):
         self.label = label
-        self.text: list[str] = []
-        self.lines: list[int] = []
-        self.cols: list[int] = []
+        self.parts: list[str] = []
+        self.segments: list[tuple[int, int, int]] = []
+        self.size = 0
         self.first_line = first_line
 
     def extend(self, body: str, lineno: int, col0: int) -> None:
-        for i, ch in enumerate(body):
-            self.text.append(ch)
-            self.lines.append(lineno)
-            self.cols.append(col0 + i)
+        if body:
+            self.segments.append((self.size, lineno, col0))
+            self.parts.append(body)
+            self.size += len(body)
+
+    def loc(self, j: int) -> tuple[int, int]:
+        """Source line and column of body character ``j`` (clamped to
+        the last character)."""
+        if not self.segments:
+            return self.first_line, 7
+        j = min(j, self.size - 1)
+        for offset, line, col0 in reversed(self.segments):
+            if offset <= j:
+                break
+        return line, col0 + j - offset
+
+    def last_line(self) -> int:
+        return self.segments[-1][1] if self.segments else self.first_line
 
 
 class Lexer:
@@ -153,7 +211,7 @@ class Lexer:
                 "(DEC tab convention)", lineno, tab + 1)
             head = raw[:tab]
             rest = raw[tab + 1:]
-            if rest[:1].isdigit() and rest[0] != "0":
+            if rest[:1] and rest[0] in "123456789":
                 label_field, cont, body, body_col = head, rest[0], rest[1:], 7
             else:
                 label_field, cont, body, body_col = head, " ", rest, 7
@@ -202,7 +260,8 @@ class Lexer:
             if current is not None:
                 logical.append(current)
             label = label_field.strip() or None
-            if label is not None and not label.isdigit():
+            if label is not None and not (label.isascii()
+                                          and label.isdigit()):
                 self._sink.error(
                     "F003", f"malformed statement label {label!r}",
                     lineno, 1 + label_field.index(label[0]))
@@ -235,8 +294,7 @@ class Lexer:
         of the spec (``format(i) = 2`` keeps going after it).
         """
         stripped = text.lstrip()
-        low = stripped.lower()
-        if not low.startswith("format"):
+        if stripped[:6].lower() != "format":
             return None
         rest = stripped[6:]
         if not rest.lstrip().startswith("("):
@@ -253,173 +311,62 @@ class Lexer:
         if ll.label is not None:
             toks.append(Token(TokenKind.LABEL, str(int(ll.label)),
                               ll.first_line, 1))
-        text = "".join(ll.text)
-        n = len(text)
-        i = 0
-
-        def loc(j: int) -> tuple[int, int]:
-            j = min(j, n - 1) if n else 0
-            if not ll.lines:
-                return ll.first_line, 7
-            return ll.lines[j], ll.cols[j]
+        text = "".join(ll.parts)
 
         fmt_at = self._format_split(text)
         if fmt_at is not None:
-            kw_at = text.lower().index("format")
-            line, col = loc(kw_at)
+            line, col = ll.loc(text.lower().index("format"))
             toks.append(Token(TokenKind.IDENT, "format", line, col))
             bang = _unquoted_bang(text)
             raw = text[fmt_at:bang] if bang >= 0 else text[fmt_at:]
-            rline, rcol = loc(fmt_at)
+            rline, rcol = ll.loc(fmt_at)
             toks.append(Token(TokenKind.RAW, strip_format_spec(raw),
                               rline, rcol))
-            line = ll.lines[-1] if ll.lines else ll.first_line
-            toks.append(Token(TokenKind.NEWLINE, "", line, 73))
+            toks.append(Token(TokenKind.NEWLINE, "", ll.last_line(), 73))
             return toks
 
-        while i < n:
-            ch = text[i]
-            if ch in " \t":
-                i += 1
-                continue
-            if ch == "!":
-                break  # trailing comment
-            line, col = loc(i)
-            if ch == "'":
-                j = i + 1
-                buf = []
-                terminated = True
-                while True:
-                    if j >= n:
-                        self._sink.error(
-                            "F002", "unterminated character literal",
-                            line, col)
-                        terminated = False
-                        break
-                    if text[j] == "'":
-                        if j + 1 < n and text[j + 1] == "'":
-                            buf.append("'")
-                            j += 2
-                            continue
-                        break
-                    buf.append(text[j])
-                    j += 1
-                toks.append(Token(TokenKind.STRING, "".join(buf), line, col))
-                if not terminated:
-                    i = n     # recovery: the literal ate the rest of the card
-                    break
-                i = j + 1
-                continue
-            if ch == ".":
-                low = text[i:i + 8].lower()
-                matched = False
-                for op in DOT_OPERATORS:
-                    if low.startswith(op):
-                        toks.append(Token(TokenKind.OP, op, line, col))
-                        i += len(op)
-                        matched = True
-                        break
-                if matched:
-                    continue
-                for const in DOT_CONSTANTS:
-                    if low.startswith(const):
-                        toks.append(Token(TokenKind.LOGICAL, const, line, col))
-                        i += len(const)
-                        matched = True
-                        break
-                if matched:
-                    continue
-                if i + 1 < n and (text[i + 1].isdigit()):
-                    tok, i = self._lex_number(text, i, line, col)
-                    toks.append(tok)
-                    continue
+        # one card segment (the usual case): columns follow offsets
+        one_card = len(ll.segments) == 1
+        if one_card:
+            _, line, col0 = ll.segments[0]
+        for m in _MASTER.finditer(text):
+            group, simple = _GROUPS[m.lastindex]
+            value = m.group(m.lastindex)
+            start = m.end() - len(value)
+            if one_card:
+                col = col0 + start
+            else:
+                line, col = ll.loc(start)
+            if simple is TokenKind.IDENT:
+                toks.append(Token(simple, value.lower(), line, col))
+            elif simple is not None:
+                toks.append(Token(simple, _SPELLINGS[value.lower()],
+                                  line, col))
+            elif group == "number":
+                value = value.lower()
+                kind = (TokenKind.DOUBLE if "d" in value else
+                        TokenKind.REAL if "." in value or "e" in value else
+                        TokenKind.INT)
+                toks.append(Token(kind, value, line, col))
+            elif group == "string":
+                if not m.group("close"):
+                    self._sink.error("F002", "unterminated character literal",
+                                     line, col)
+                toks.append(Token(TokenKind.STRING,
+                                  m.group("body").replace("''", "'"),
+                                  line, col))
+            elif group == "bang":
+                break     # trailing comment
+            elif group == "dot":
                 self._sink.error(
-                    "F005", f"unexpected '.' sequence {text[i:i+6]!r}",
+                    "F005",
+                    f"unexpected '.' sequence {text[start:start + 6]!r}",
                     line, col)
-                i += 1    # recovery: skip the dot
-                continue
-            if ch.isdigit():
-                tok, i = self._lex_number(text, i, line, col)
-                toks.append(tok)
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(Token(TokenKind.IDENT, text[i:j].lower(), line, col))
-                i = j
-                continue
-            if ch == "(":
-                toks.append(Token(TokenKind.LPAREN, "(", line, col))
-                i += 1
-                continue
-            if ch == ")":
-                toks.append(Token(TokenKind.RPAREN, ")", line, col))
-                i += 1
-                continue
-            if ch == ",":
-                toks.append(Token(TokenKind.COMMA, ",", line, col))
-                i += 1
-                continue
-            if ch == ":":
-                toks.append(Token(TokenKind.COLON, ":", line, col))
-                i += 1
-                continue
-            if ch == "=":
-                toks.append(Token(TokenKind.EQUALS, "=", line, col))
-                i += 1
-                continue
-            matched = False
-            for op in SYMBOL_OPERATORS:
-                if text.startswith(op, i):
-                    toks.append(Token(TokenKind.OP, op, line, col))
-                    i += len(op)
-                    matched = True
-                    break
-            if matched:
-                continue
-            self._sink.error("F001", f"unexpected character {ch!r}",
-                             line, col)
-            i += 1    # recovery: skip the character
-        line = ll.lines[-1] if ll.lines else ll.first_line
-        toks.append(Token(TokenKind.NEWLINE, "", line, 73))
+            else:
+                self._sink.error("F001", f"unexpected character {value!r}",
+                                 line, col)
+        toks.append(Token(TokenKind.NEWLINE, "", ll.last_line(), 73))
         return toks
-
-    @staticmethod
-    def _lex_number(text: str, i: int, line: int, col: int) -> tuple[Token, int]:
-        """Lex an integer, real, or double literal starting at ``i``."""
-        n = len(text)
-        j = i
-        while j < n and text[j].isdigit():
-            j += 1
-        is_real = False
-        is_double = False
-        if j < n and text[j] == ".":
-            # Guard: "1.eq.2" — the dot belongs to the operator, not the number.
-            low = text[j:j + 8].lower()
-            if not any(low.startswith(op) for op in DOT_OPERATORS):
-                is_real = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-        if j < n and text[j].lower() in ("e", "d"):
-            k = j + 1
-            if k < n and text[k] in "+-":
-                k += 1
-            if k < n and text[k].isdigit():
-                is_double = text[j].lower() == "d"
-                is_real = is_real or not is_double
-                j = k
-                while j < n and text[j].isdigit():
-                    j += 1
-        value = text[i:j].lower()
-        if is_double:
-            kind = TokenKind.DOUBLE
-        elif is_real:
-            kind = TokenKind.REAL
-        else:
-            kind = TokenKind.INT
-        return Token(kind, value, line, col), j
 
 
 def lex_source(source: str,

@@ -9,6 +9,21 @@ The parser produces :class:`repro.fortran.ast_nodes.SourceFile`; any
 ``name(...)`` form in an expression becomes the unresolved :class:`Apply`
 node, later resolved against the symbol table.
 
+Two tables drive it.  ``_STATEMENT_TABLE`` is the statement inventory:
+keyword(s), a guard that tells the statement from an assignment to a
+variable of the same name (Fortran has no reserved words: ``data`` needs
+a name next, ``read``/``write`` must not look like ``name(...) = ...``),
+and a handler; a keyword no entry accepts starts an assignment.
+``_INFIX`` gives each binary operator a left and a right binding power,
+and :meth:`ExprParser.parse` is one loop over it.  Loosest to tightest:
+``.eqv.``/``.neqv.``, ``.or.``, ``.and.``, prefix ``.not.``, the
+relational operators (which do not associate: a second one is left to
+the statement, which reports ``trailing tokens``), ``//``, ``+``/``-``
+(a leading sign takes the whole first product: ``-a*b`` is
+``-(a*b)``), ``*``/``/``, a sign after an operator (``x*-a*b`` is
+``(x*(-a))*b``), and ``**`` (right-associative, its right operand may
+be signed).
+
 Two error contracts coexist:
 
 - **fail-fast** (the default, no sink): the first error raises
@@ -53,23 +68,25 @@ def _fail(code: str, message: str, line: int | None,
 class _StmtTokens:
     """Cursor over the tokens of one logical statement."""
 
+    __slots__ = ("toks", "pos", "end")
+
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        # what the cursor reads past the last token
+        last = toks[-1] if toks else Token(TokenKind.NEWLINE, "", 1, 1)
+        self.end = Token(TokenKind.NEWLINE, "", last.line, last.col)
 
     # -- cursor primitives -------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
         i = self.pos + offset
-        if i < len(self.toks):
-            return self.toks[i]
-        last = self.toks[-1] if self.toks else Token(TokenKind.NEWLINE, "", 1, 1)
-        return Token(TokenKind.NEWLINE, "", last.line, last.col)
+        return self.toks[i] if i < len(self.toks) else self.end
 
     def next(self) -> Token:
-        t = self.peek()
-        self.pos += 1
-        return t
+        i = self.pos
+        self.pos = i + 1
+        return self.toks[i] if i < len(self.toks) else self.end
 
     def at_end(self) -> bool:
         return self.pos >= len(self.toks)
@@ -103,8 +120,49 @@ class _StmtTokens:
 
 
 # ---------------------------------------------------------------------------
-# expression parsing (precedence climbing)
+# expression parsing (binding powers)
 # ---------------------------------------------------------------------------
+
+#: binding power of a leading sign (the first term of a sum): its
+#: operand is a whole product, ``-a*b`` is ``-(a*b)``
+_ADD = 10
+#: binding power of a sign after an operator and of ``**``: its operand
+#: is a power, ``x*-a*b`` is ``(x*(-a))*b``
+_POW = 13
+#: operand binding power of prefix ``.not.``, which is allowed at that
+#: binding power or looser: ``.not. a .lt. b`` is ``.not. (a .lt. b)``
+_NOT = 7
+#: left binding power of the relational operators, which do not
+#: associate: a second one is left to the caller (``trailing tokens``)
+_REL = 8
+
+#: infix operator -> (left, right) binding power, loosest first:
+#: ``.eqv.``/``.neqv.``, ``.or.``, ``.and.``, (prefix ``.not.``),
+#: relational, ``//``, additive, multiplicative, (a sign after an
+#: operator), ``**``.  A left-associative operator binds its right
+#: operand one tighter; ``**`` (right-associative) at its own power
+_INFIX: dict[str, tuple[int, int]] = {
+    ".eqv.": (1, 2), ".neqv.": (1, 2),
+    ".or.": (3, 4),
+    ".and.": (5, 6),
+    **{op: (_REL, _REL + 1) for op in _RELATIONAL},
+    "//": (9, 10),
+    "+": (_ADD, 11), "-": (_ADD, 11),
+    "*": (11, 12), "/": (11, 12),
+    "**": (_POW, _POW),
+}
+
+
+#: literal token kind -> the node its spelling makes
+_LITERALS = {
+    TokenKind.INT: lambda v: F.IntLit(int(v)),
+    TokenKind.REAL: lambda v: F.RealLit(float(v)),
+    TokenKind.DOUBLE: lambda v: F.RealLit(float(v.replace("d", "e")),
+                                          double=True),
+    TokenKind.LOGICAL: lambda v: F.LogicalLit(v == ".true."),
+    TokenKind.STRING: F.StrLit,
+}
+
 
 class ExprParser:
     """Parses Fortran expressions from a :class:`_StmtTokens` cursor."""
@@ -112,118 +170,54 @@ class ExprParser:
     def __init__(self, ts: _StmtTokens):
         self.ts = ts
 
-    def parse(self) -> F.Expr:
-        return self._equiv()
-
-    def _equiv(self) -> F.Expr:
-        e = self._disjunction()
-        while True:
-            t = self.ts.peek()
-            if t.kind is TokenKind.OP and t.value in (".eqv.", ".neqv."):
-                self.ts.next()
-                e = F.BinOp(t.value, e, self._disjunction())
-            else:
-                return e
-
-    def _disjunction(self) -> F.Expr:
-        e = self._conjunction()
-        while self.ts.accept(TokenKind.OP, ".or."):
-            e = F.BinOp(".or.", e, self._conjunction())
-        return e
-
-    def _conjunction(self) -> F.Expr:
-        e = self._negation()
-        while self.ts.accept(TokenKind.OP, ".and."):
-            e = F.BinOp(".and.", e, self._negation())
-        return e
-
-    def _negation(self) -> F.Expr:
-        if self.ts.accept(TokenKind.OP, ".not."):
-            return F.UnOp(".not.", self._negation())
-        return self._relational()
-
-    def _relational(self) -> F.Expr:
-        e = self._concat()
-        t = self.ts.peek()
-        if t.kind is TokenKind.OP and t.value in _RELATIONAL:
-            self.ts.next()
-            return F.BinOp(t.value, e, self._concat())
-        return e
-
-    def _concat(self) -> F.Expr:
-        e = self._additive()
-        while self.ts.accept(TokenKind.OP, "//"):
-            e = F.BinOp("//", e, self._additive())
-        return e
-
-    def _additive(self) -> F.Expr:
-        t = self.ts.peek()
+    def parse(self, min_bp: int = 0) -> F.Expr:
+        """The longest expression whose operators bind at ``min_bp`` or
+        tighter.  ``level`` is the binding power of the operator at the
+        top of ``left``; a relational operator takes only a left operand
+        that binds tighter than it."""
+        ts = self.ts
+        t = ts.peek()
         if t.kind is TokenKind.OP and t.value in ("+", "-"):
-            self.ts.next()
-            e: F.Expr = F.UnOp(t.value, self._multiplicative())
+            ts.next()
+            level = _ADD if min_bp <= _ADD else _POW
+            left: F.Expr = F.UnOp(t.value, self.parse(
+                _ADD + 1 if level == _ADD else _POW))
+        elif t.kind is TokenKind.OP and t.value == ".not." \
+                and min_bp <= _NOT:
+            ts.next()
+            level = _NOT
+            left = F.UnOp(".not.", self.parse(_NOT))
         else:
-            e = self._multiplicative()
+            level = _POW + 1
+            left = self._primary()
         while True:
-            t = self.ts.peek()
-            if t.kind is TokenKind.OP and t.value in ("+", "-"):
-                self.ts.next()
-                e = F.BinOp(t.value, e, self._multiplicative())
-            else:
-                return e
-
-    def _multiplicative(self) -> F.Expr:
-        e = self._unary()
-        while True:
-            t = self.ts.peek()
-            if t.kind is TokenKind.OP and t.value in ("*", "/"):
-                self.ts.next()
-                e = F.BinOp(t.value, e, self._unary())
-            else:
-                return e
-
-    def _unary(self) -> F.Expr:
-        t = self.ts.peek()
-        if t.kind is TokenKind.OP and t.value in ("+", "-"):
-            self.ts.next()
-            return F.UnOp(t.value, self._unary())
-        return self._power()
-
-    def _power(self) -> F.Expr:
-        base = self._primary()
-        if self.ts.accept(TokenKind.OP, "**"):
-            return F.BinOp("**", base, self._unary())  # right associative
-        return base
+            t = ts.peek()
+            if t.kind is not TokenKind.OP or t.value not in _INFIX:
+                return left
+            lbp, rbp = _INFIX[t.value]
+            if lbp < min_bp or (lbp == _REL and level <= _REL):
+                return left
+            ts.next()
+            left = F.BinOp(t.value, left, self.parse(rbp))
+            level = lbp
 
     def _primary(self) -> F.Expr:
-        t = self.ts.peek()
-        if t.kind is TokenKind.INT:
-            self.ts.next()
-            return F.IntLit(int(t.value))
-        if t.kind is TokenKind.REAL:
-            self.ts.next()
-            return F.RealLit(float(t.value))
-        if t.kind is TokenKind.DOUBLE:
-            self.ts.next()
-            return F.RealLit(float(t.value.replace("d", "e")), double=True)
-        if t.kind is TokenKind.LOGICAL:
-            self.ts.next()
-            return F.LogicalLit(t.value == ".true.")
-        if t.kind is TokenKind.STRING:
-            self.ts.next()
-            return F.StrLit(t.value)
-        if t.kind is TokenKind.LPAREN:
-            self.ts.next()
-            e = self.parse()
-            self.ts.expect(TokenKind.RPAREN)
-            return e
+        ts = self.ts
+        t = ts.next()
         if t.kind is TokenKind.IDENT:
-            self.ts.next()
-            if self.ts.peek().kind is TokenKind.LPAREN:
-                self.ts.next()
+            if ts.peek().kind is TokenKind.LPAREN:
+                ts.next()
                 args = self._arg_list()
-                self.ts.expect(TokenKind.RPAREN)
+                ts.expect(TokenKind.RPAREN)
                 return F.Apply(t.value, args)
             return F.Var(t.value)
+        literal = _LITERALS.get(t.kind)
+        if literal is not None:
+            return literal(t.value)
+        if t.kind is TokenKind.LPAREN:
+            e = self.parse()
+            ts.expect(TokenKind.RPAREN)
+            return e
         _fail("F101", f"unexpected token {t.value!r} in expression",
               t.line, t.col)
 
@@ -422,7 +416,7 @@ class Parser:
                     close_unit()
                     continue
 
-                stmt_or_marker = self._parse_statement(ts, kw, line)
+                stmt_or_marker = self._parse_statement(ts, line)
                 if isinstance(stmt_or_marker, str):
                     marker = stmt_or_marker
                     if marker == "enddo":
@@ -544,146 +538,124 @@ class Parser:
 
     # ------------------------------------------------------------------
 
-    def _parse_statement(self, ts: _StmtTokens, kw: str, line: int):
-        """Parse one statement; returns a Stmt, or a control marker string."""
-        # declarations
-        if kw in _TYPE_KEYWORDS or (kw == "double" and ts.peek(1).is_ident("precision")):
-            return self._parse_type_decl(ts, line)
-        if kw == "dimension":
-            ts.next()
-            return F.DimensionStmt(entities=self._parse_entity_list(ts), line=line)
-        if kw == "common":
-            return self._parse_common(ts, line)
-        if kw == "parameter" and ts.peek(1).kind is TokenKind.LPAREN:
-            return self._parse_parameter(ts, line)
-        if kw == "data" and ts.peek(1).kind is TokenKind.IDENT:
-            return self._parse_data(ts, line)
-        if kw == "equivalence" and ts.peek(1).kind is TokenKind.LPAREN:
-            return self._parse_equivalence(ts, line)
-        if kw == "implicit":
-            ts.next()
-            ts.expect_ident("none")
-            ts.require_end()
-            return F.ImplicitStmt(none=True, line=line)
-        if kw == "save" and (
-                ts.peek(1).kind in (TokenKind.NEWLINE, TokenKind.IDENT)
-                or (ts.peek(1).kind is TokenKind.OP
-                    and ts.peek(1).value == "/")):
-            return self._parse_save(ts, line)
-        if kw in ("external", "intrinsic") \
-                and ts.peek(1).kind is TokenKind.IDENT:
-            ts.next()
-            names = [ts.expect(TokenKind.IDENT).value]
-            while ts.accept(TokenKind.COMMA):
-                names.append(ts.expect(TokenKind.IDENT).value)
-            ts.require_end()
-            cls = {"external": F.ExternalStmt,
-                   "intrinsic": F.IntrinsicStmt}[kw]
-            return cls(names=names, line=line)
-        if kw == "entry" and ts.peek(1).kind is TokenKind.IDENT:
-            ts.next()
-            name = ts.expect(TokenKind.IDENT).value
-            args = self._parse_dummy_args(ts)
-            ts.require_end()
-            return F.EntryStmt(name=name, args=args, line=line)
-        if kw == "format" and ts.peek(1).kind is TokenKind.RAW:
-            ts.next()
-            spec = ts.next().value
-            ts.require_end()
-            return F.FormatStmt(spec=spec, line=line)
-
-        # control / executable
-        if kw == "do" and ts.peek(1).kind in (TokenKind.INT, TokenKind.IDENT):
-            return self._parse_do(ts, line)
-        if kw == "enddo" or (kw == "end" and ts.peek(1).is_ident("do")):
-            return "enddo"
-        if kw == "endif" or (kw == "end" and ts.peek(1).is_ident("if")):
-            return "endif"
-        if kw == "elseif" or (kw == "else" and ts.peek(1).is_ident("if")):
-            ts.next()
-            if ts.peek().is_ident("if"):
-                ts.next()
-            ts.expect(TokenKind.LPAREN)
-            cond = ExprParser(ts).parse()
-            ts.expect(TokenKind.RPAREN)
-            ts.expect_ident("then")
-            ts.require_end()
-            self._pending_cond = cond
-            return "elseif"
-        if kw == "else":
-            ts.next()
-            ts.require_end()
-            return "else"
-        if kw == "if" and ts.peek(1).kind is TokenKind.LPAREN:
-            return self._parse_if(ts, line)
-        if kw == "goto" or (kw == "go" and ts.peek(1).is_ident("to")):
-            return self._parse_goto(ts, line)
-        if kw == "assign" and ts.peek(1).kind is TokenKind.INT:
-            ts.next()
-            target = int(ts.expect(TokenKind.INT).value)
-            ts.expect_ident("to")
-            var = ts.expect(TokenKind.IDENT).value
-            ts.require_end()
-            return F.AssignLabelStmt(target=target, var=var, line=line)
-        if kw == "continue":
-            ts.next()
-            ts.require_end()
-            return F.ContinueStmt(line=line)
-        if kw == "call":
-            ts.next()
-            name = ts.expect(TokenKind.IDENT).value
-            args: list[F.Expr] = []
-            if ts.accept(TokenKind.LPAREN):
-                if not ts.accept(TokenKind.RPAREN):
-                    args = ExprParser(ts)._arg_list()
-                    ts.expect(TokenKind.RPAREN)
-            ts.require_end()
-            return F.CallStmt(name=name, args=args, line=line)
-        if kw == "return" and ts.peek(1).kind is TokenKind.NEWLINE:
-            ts.next()
-            return F.ReturnStmt(line=line)
-        if kw == "stop" and ts.peek(1).kind in (TokenKind.STRING,
-                                                TokenKind.INT,
-                                                TokenKind.NEWLINE):
-            ts.next()
-            msg = None
-            t = ts.peek()
-            if t.kind is TokenKind.STRING:
-                ts.next()
-                msg = t.value
-            elif t.kind is TokenKind.INT:
-                ts.next()
-                msg = t.value
-            ts.require_end()
-            return F.StopStmt(message=msg, line=line)
-        if kw == "print" and ts.peek(1).kind is not TokenKind.EQUALS:
-            return self._parse_print(ts, line)
-        if kw == "write" and ts.peek(1).kind is TokenKind.LPAREN \
-                and not self._looks_like_assignment(ts):
-            return self._parse_read_write(ts, "write", line)
-        if kw == "read" and ts.peek(1).kind is not TokenKind.EQUALS \
-                and not self._looks_like_assignment(ts):
-            return self._parse_read_write(ts, "read", line)
-        if kw in _IO_CONTROL_KEYWORDS \
-                and ts.peek(1).kind is TokenKind.LPAREN \
-                and not self._looks_like_assignment(ts):
-            ts.next()
-            controls = self._parse_io_controls(ts)
-            ts.require_end()
-            return F.IoStmt(kind=kw, controls=controls, line=line)
-        if kw in _IO_POSITION_KEYWORDS \
-                and ts.peek(1).kind is not TokenKind.EQUALS \
-                and not self._looks_like_assignment(ts):
-            ts.next()
-            if ts.peek().kind is TokenKind.LPAREN:
-                controls = self._parse_io_controls(ts)
-            else:
-                controls = [F.IoControl(None, ExprParser(ts).parse())]
-            ts.require_end()
-            return F.IoStmt(kind=kw, controls=controls, line=line)
-
-        # otherwise: assignment
+    def _parse_statement(self, ts: _StmtTokens, line: int):
+        """Parse the statement at the cursor (its keyword is the current
+        token); returns a Stmt, or a control marker string.  The first
+        ``_STATEMENTS`` entry for the keyword whose guard holds parses
+        it; with none, it is an assignment."""
+        for guard, handler in _STATEMENTS.get(ts.peek().value, ()):
+            if guard is None or guard(ts):
+                return handler(self, ts, line)
         return self._parse_assignment(ts, line)
+
+    # -- small statements ------------------------------------------------
+
+    def _parse_dimension(self, ts: _StmtTokens, line: int):
+        ts.next()
+        return F.DimensionStmt(entities=self._parse_entity_list(ts),
+                               line=line)
+
+    def _parse_implicit(self, ts: _StmtTokens, line: int):
+        ts.next()
+        ts.expect_ident("none")
+        ts.require_end()
+        return F.ImplicitStmt(none=True, line=line)
+
+    def _parse_names(self, ts: _StmtTokens, line: int):
+        """``EXTERNAL`` / ``INTRINSIC`` name list."""
+        cls = {"external": F.ExternalStmt,
+               "intrinsic": F.IntrinsicStmt}[ts.next().value]
+        names = [ts.expect(TokenKind.IDENT).value]
+        while ts.accept(TokenKind.COMMA):
+            names.append(ts.expect(TokenKind.IDENT).value)
+        ts.require_end()
+        return cls(names=names, line=line)
+
+    def _parse_entry(self, ts: _StmtTokens, line: int):
+        ts.next()
+        name = ts.expect(TokenKind.IDENT).value
+        args = self._parse_dummy_args(ts)
+        ts.require_end()
+        return F.EntryStmt(name=name, args=args, line=line)
+
+    def _parse_format(self, ts: _StmtTokens, line: int):
+        ts.next()
+        spec = ts.next().value
+        ts.require_end()
+        return F.FormatStmt(spec=spec, line=line)
+
+    def _parse_elseif(self, ts: _StmtTokens, line: int):
+        ts.next()
+        if ts.peek().is_ident("if"):
+            ts.next()
+        ts.expect(TokenKind.LPAREN)
+        cond = ExprParser(ts).parse()
+        ts.expect(TokenKind.RPAREN)
+        ts.expect_ident("then")
+        ts.require_end()
+        self._pending_cond = cond
+        return "elseif"
+
+    def _parse_else(self, ts: _StmtTokens, line: int):
+        ts.next()
+        ts.require_end()
+        return "else"
+
+    def _parse_assign_label(self, ts: _StmtTokens, line: int):
+        ts.next()
+        target = int(ts.expect(TokenKind.INT).value)
+        ts.expect_ident("to")
+        var = ts.expect(TokenKind.IDENT).value
+        ts.require_end()
+        return F.AssignLabelStmt(target=target, var=var, line=line)
+
+    def _parse_continue(self, ts: _StmtTokens, line: int):
+        ts.next()
+        ts.require_end()
+        return F.ContinueStmt(line=line)
+
+    def _parse_call(self, ts: _StmtTokens, line: int):
+        ts.next()
+        name = ts.expect(TokenKind.IDENT).value
+        args: list[F.Expr] = []
+        if ts.accept(TokenKind.LPAREN):
+            if not ts.accept(TokenKind.RPAREN):
+                args = ExprParser(ts)._arg_list()
+                ts.expect(TokenKind.RPAREN)
+        ts.require_end()
+        return F.CallStmt(name=name, args=args, line=line)
+
+    def _parse_return(self, ts: _StmtTokens, line: int):
+        ts.next()
+        return F.ReturnStmt(line=line)
+
+    def _parse_stop(self, ts: _StmtTokens, line: int):
+        ts.next()
+        msg = None
+        t = ts.peek()
+        if t.kind in (TokenKind.STRING, TokenKind.INT):
+            ts.next()
+            msg = t.value
+        ts.require_end()
+        return F.StopStmt(message=msg, line=line)
+
+    def _parse_io_control_stmt(self, ts: _StmtTokens, line: int):
+        """``OPEN`` / ``CLOSE`` / ``INQUIRE`` (control list)."""
+        kw = ts.next().value
+        controls = self._parse_io_controls(ts)
+        ts.require_end()
+        return F.IoStmt(kind=kw, controls=controls, line=line)
+
+    def _parse_io_position(self, ts: _StmtTokens, line: int):
+        """``REWIND`` / ``BACKSPACE`` / ``ENDFILE`` (control list or a
+        bare unit expression)."""
+        kw = ts.next().value
+        if ts.peek().kind is TokenKind.LPAREN:
+            controls = self._parse_io_controls(ts)
+        else:
+            controls = [F.IoControl(None, ExprParser(ts).parse())]
+        ts.require_end()
+        return F.IoStmt(kind=kw, controls=controls, line=line)
 
     @staticmethod
     def _looks_like_assignment(ts: _StmtTokens) -> bool:
@@ -918,8 +890,7 @@ class Parser:
             return F.IfBlock(arms=[], line=line)  # marker: opening of block IF
         # logical IF: one trailing statement
         inner_tok = ts.peek()
-        inner_kw = inner_tok.value
-        inner = self._parse_statement(ts, inner_kw, line)
+        inner = self._parse_statement(ts, line)
         if isinstance(inner, str) or isinstance(inner, (F.DoLoop, F.IfBlock)):
             _fail("F105", "invalid statement in logical IF",
                   line, inner_tok.col)
@@ -966,8 +937,8 @@ class Parser:
                 and all(c.keyword is None and isinstance(c.value, F.Star)
                         for c in controls))
 
-    def _parse_read_write(self, ts: _StmtTokens, kind: str, line: int):
-        ts.next()
+    def _parse_read_write(self, ts: _StmtTokens, line: int):
+        kind = ts.next().value
         if kind == "read" and ts.peek().kind is not TokenKind.LPAREN:
             # read *, items   |   read 100, items
             if ts.accept(TokenKind.OP, "*"):
@@ -1022,6 +993,84 @@ class Parser:
         value = ExprParser(ts).parse()
         ts.require_end()
         return F.Assign(target=target, value=value, line=line)
+
+
+def _next(*kinds: TokenKind):
+    """Guard: the token after the keyword is of one of ``kinds``."""
+    return lambda ts: ts.peek(1).kind in kinds
+
+
+def _next_ident(name: str):
+    """Guard: the token after the keyword is the identifier ``name``."""
+    return lambda ts: ts.peek(1).is_ident(name)
+
+
+def _io_statement(ts: _StmtTokens) -> bool:
+    """Guard of READ and REWIND/…: not ``name [(...)] = ...``."""
+    return ts.peek(1).kind is not TokenKind.EQUALS \
+        and not Parser._looks_like_assignment(ts)
+
+
+def _io_control_list(ts: _StmtTokens) -> bool:
+    """Guard of WRITE and OPEN/…: ``(`` but not ``name(...) = ...``."""
+    return ts.peek(1).kind is TokenKind.LPAREN \
+        and not Parser._looks_like_assignment(ts)
+
+
+def _marker(name: str):
+    return lambda parser, ts, line: name
+
+
+#: The statement inventory: keyword(s), guard (``None``: always), and
+#: handler ``(parser, ts, line)``.  Fortran has no reserved words, so a
+#: guard tells a statement from an assignment to a variable of the same
+#: name; a keyword's entries are tried in this order.
+_STATEMENT_TABLE = (
+    (_TYPE_KEYWORDS, None, Parser._parse_type_decl),
+    ("double", _next_ident("precision"), Parser._parse_type_decl),
+    ("dimension", None, Parser._parse_dimension),
+    ("common", None, Parser._parse_common),
+    ("parameter", _next(TokenKind.LPAREN), Parser._parse_parameter),
+    ("data", _next(TokenKind.IDENT), Parser._parse_data),
+    ("equivalence", _next(TokenKind.LPAREN), Parser._parse_equivalence),
+    ("implicit", None, Parser._parse_implicit),
+    ("save", lambda ts: ts.peek(1).kind in (TokenKind.NEWLINE,
+                                            TokenKind.IDENT)
+     or (ts.peek(1).kind is TokenKind.OP and ts.peek(1).value == "/"),
+     Parser._parse_save),
+    (("external", "intrinsic"), _next(TokenKind.IDENT), Parser._parse_names),
+    ("entry", _next(TokenKind.IDENT), Parser._parse_entry),
+    ("format", _next(TokenKind.RAW), Parser._parse_format),
+    ("do", _next(TokenKind.INT, TokenKind.IDENT), Parser._parse_do),
+    ("enddo", None, _marker("enddo")),
+    ("end", _next_ident("do"), _marker("enddo")),
+    ("endif", None, _marker("endif")),
+    ("end", _next_ident("if"), _marker("endif")),
+    ("elseif", None, Parser._parse_elseif),
+    ("else", _next_ident("if"), Parser._parse_elseif),
+    ("else", None, Parser._parse_else),
+    ("if", _next(TokenKind.LPAREN), Parser._parse_if),
+    ("goto", None, Parser._parse_goto),
+    ("go", _next_ident("to"), Parser._parse_goto),
+    ("assign", _next(TokenKind.INT), Parser._parse_assign_label),
+    ("continue", None, Parser._parse_continue),
+    ("call", None, Parser._parse_call),
+    ("return", _next(TokenKind.NEWLINE), Parser._parse_return),
+    ("stop", _next(TokenKind.STRING, TokenKind.INT, TokenKind.NEWLINE),
+     Parser._parse_stop),
+    ("print", lambda ts: ts.peek(1).kind is not TokenKind.EQUALS,
+     Parser._parse_print),
+    ("write", _io_control_list, Parser._parse_read_write),
+    ("read", _io_statement, Parser._parse_read_write),
+    (_IO_CONTROL_KEYWORDS, _io_control_list, Parser._parse_io_control_stmt),
+    (_IO_POSITION_KEYWORDS, _io_statement, Parser._parse_io_position),
+)
+
+#: keyword -> its (guard, handler) entries, in table order
+_STATEMENTS: dict[str, list] = {}
+for _kws, _guard, _handler in _STATEMENT_TABLE:
+    for _kw in ((_kws,) if isinstance(_kws, str) else sorted(_kws)):
+        _STATEMENTS.setdefault(_kw, []).append((_guard, _handler))
 
 
 def parse_program(source: str,

@@ -6,12 +6,19 @@ PARAMETER constants), applies Fortran's implicit typing rules to the rest,
 and rewrites every unresolved :class:`Apply` expression into either an
 :class:`ArrayRef` (name declared as an array) or a :class:`FuncCall`
 (intrinsic or external).
+
+The rewrite is in place: one walk over the unit's statements, led by
+each node class's child plan (:func:`repro.fortran.ast_nodes.node_slots`),
+puts the replacement in the Apply's own field or list slot and builds
+nothing else, so a tree with no Apply left (a clone, a Cedar tree) is
+only read.  An Apply's arguments are resolved before it (post-order),
+which fixes the order in which external functions enter the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import SemanticError
 from repro.fortran import ast_nodes as F
@@ -158,39 +165,67 @@ def build_symbol_table(unit: F.ProgramUnit) -> SymbolTable:
         elif isinstance(spec, F.EquivalenceStmt):
             st.equivalences.extend(spec.groups)
 
-    _ApplyResolver(st).resolve_unit(unit)
+    resolver = _SlotResolver(st)
+    for group in (unit.specs, unit.body):
+        resolver.slots(group)
     return st
 
 
-class _ApplyResolver(F.Transformer):
-    """Rewrites Apply nodes into ArrayRef or FuncCall using the scope."""
+class _SlotResolver:
+    """Replaces each Apply node by an ArrayRef or a FuncCall in its
+    parent's field or list slot, in one walk that builds nothing else.
+    An Apply's arguments are resolved before it, so function symbols
+    are declared in post-order."""
 
     def __init__(self, st: SymbolTable):
         self.st = st
 
-    def resolve_unit(self, unit: F.ProgramUnit) -> None:
-        for group in (unit.specs, unit.body):
-            for i, stmt in enumerate(group):
-                new = self.visit(stmt)
-                if isinstance(new, list):
-                    raise SemanticError("resolver cannot splice statements")
-                group[i] = new
+    def node(self, node: F.Node) -> F.Node:
+        """``node`` with every Apply below it resolved in place; an
+        Apply itself returns its replacement."""
+        for name, shape in F.node_slots(node.__class__).plan:
+            v = getattr(node, name)
+            if shape == F.MANY:
+                self.slots(v)
+            elif v is not None:
+                new = self.node(v) if shape == F.ONE else self.nested(v)
+                if new is not v:
+                    setattr(node, name, new)
+        if node.__class__ is F.Apply:
+            return self.apply(node)
+        return node
 
-    def visit_Apply(self, node: F.Apply):
-        args = []
-        for a in node.args:
-            new = self.visit(a)
-            assert isinstance(new, F.Expr)
-            args.append(new)
+    def slots(self, nodes: list[F.Node]) -> None:
+        for i, item in enumerate(nodes):
+            new = self.node(item)
+            if new is not item:
+                nodes[i] = new
+
+    def nested(self, v: Any) -> Any:
+        if isinstance(v, F.Node):
+            return self.node(v)
+        if isinstance(v, list):
+            for i, item in enumerate(v):
+                new = self.nested(item)
+                if new is not item:
+                    v[i] = new
+            return v
+        if isinstance(v, tuple):
+            items = tuple(self.nested(item) for item in v)
+            changed = any(a is not b for a, b in zip(items, v))
+            return items if changed else v
+        return v
+
+    def apply(self, node: F.Apply) -> F.Expr:
         sym = self.st.lookup(node.name)
         if sym is not None and sym.is_array:
-            return F.ArrayRef(node.name, args)
+            return F.ArrayRef(node.name, node.args)
         # statement functions are not modelled; anything non-array is a call
         if is_intrinsic(node.name) and not (sym is not None and sym.is_external):
-            return F.FuncCall(node.name, args, intrinsic=True)
+            return F.FuncCall(node.name, node.args, intrinsic=True)
         fsym = self.st.declare(node.name)
         fsym.is_function = True
-        return F.FuncCall(node.name, args, intrinsic=False)
+        return F.FuncCall(node.name, node.args, intrinsic=False)
 
 
 def resolve_source_file(sf: F.SourceFile) -> dict[str, SymbolTable]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
 
 
@@ -40,18 +39,33 @@ DOT_CONSTANTS = (".true.", ".false.")
 SYMBOL_OPERATORS = ("**", "//", "+", "-", "*", "/")
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token.
 
     ``value`` holds the canonical text: identifiers and dot-operators are
-    lower-cased; literals keep their spelling.
+    lower-cased; literals keep their spelling.  A slotted class rather
+    than a dataclass: the lexer builds one per token, and tokens compare
+    and hash by value.
     """
 
-    kind: TokenKind
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: TokenKind, value: str, line: int, col: int):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
+
+    def _key(self) -> tuple:
+        return (self.kind, self.value, self.line, self.col)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def is_ident(self, *names: str) -> bool:
         """True if this token is an identifier equal to one of ``names``."""

@@ -330,6 +330,70 @@ class TestElementActualToArrayDummy:
         assert np.array_equal(a, want)
 
 
+#: a whole array actual to a dummy of another shape (F77 sequence
+#: association): the dummy is the actual's storage, column-major
+RESHAPED_ACTUALS = """
+      subroutine drive(out, which)
+      integer which, i, j
+      real out(4, 4), a(4, 4)
+      if (which .eq. 1) call fill(a, 16)
+      if (which .eq. 2) call filln(a, 16)
+      if (which .eq. 3) call fill(out, 16)
+      if (which .eq. 3) return
+      do 10 j = 1, 4
+         do 10 i = 1, 4
+            out(i, j) = a(i, j)
+   10 continue
+      end
+
+      subroutine fill(x, n)
+      integer n, k
+      real x(16)
+      do 20 k = 1, n
+         x(k) = k
+   20 continue
+      end
+
+      subroutine filln(x, n)
+      integer n, k
+      real x(n)
+      do 30 k = 1, n
+         x(k) = k
+   30 continue
+      end
+"""
+
+
+@pytest.mark.parametrize("recorded", [False, True],
+                         ids=["unrecorded", "recorded"])
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
+class TestWholeArrayActualToReshapedDummy:
+    def _run(self, engine, recorded, which, order="C"):
+        from repro.execmodel.shadow import ShadowRecorder
+
+        out = np.zeros((4, 4), order=order)
+        Interpreter(parse_program(RESHAPED_ACTUALS), engine=engine,
+                    shadow=ShadowRecorder() if recorded else None
+                    ).call("drive", out, which)
+        return out
+
+    def test_stores_reach_a_local_array(self, engine, recorded):
+        """``x(k)`` is ``a(1 + mod(k-1, 4), 1 + (k-1)/4)``."""
+        want = np.arange(1.0, 17.0).reshape(4, 4, order="F")
+        assert np.array_equal(self._run(engine, recorded, 1), want)
+
+    def test_extent_bound_after_the_array(self, engine, recorded):
+        """``x(n)`` with ``n`` the dummy after ``x``."""
+        want = np.arange(1.0, 17.0).reshape(4, 4, order="F")
+        assert np.array_equal(self._run(engine, recorded, 2), want)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_stores_reach_the_callers_actual(self, engine, recorded,
+                                             order):
+        want = np.arange(1.0, 17.0).reshape(4, 4, order="F")
+        assert np.array_equal(self._run(engine, recorded, 3, order), want)
+
+
 class TestCedarExecution:
     def test_xdoall_with_locals(self):
         src = """

@@ -161,3 +161,68 @@ def test_lexer_recovery_collects_multiple_errors():
     assert "F001" in codes and "F002" in codes
     for d in sink.errors:
         assert d.line >= 1 and d.col >= 1
+
+
+# ---------------------------------------------------------------------------
+# characters outside Fortran's set: the front end reports, never crashes
+
+
+def _lex_with_sink(src):
+    from repro.fortran.diagnostics import DiagnosticSink
+    sink = DiagnosticSink(src)
+    toks = lex_source(src, sink)
+    return [(t.kind, t.value, t.col) for t in toks
+            if t.kind not in (TokenKind.EOF, TokenKind.NEWLINE)], \
+        [(d.code, d.message, d.line, d.col) for d in sink.diagnostics]
+
+
+@pytest.mark.parametrize("src, want_toks, want_diags", [
+    # a superscript digit is not part of the number before it
+    ("      x = 2²",
+     [(TokenKind.IDENT, "x", 7), (TokenKind.EQUALS, "=", 9),
+      (TokenKind.INT, "2", 11)],
+     [("F001", "unexpected character '²'", 1, 12)]),
+    # nor an exponent's digit
+    ("      x = 1.5e²",
+     [(TokenKind.IDENT, "x", 7), (TokenKind.EQUALS, "=", 9),
+      (TokenKind.REAL, "1.5", 11), (TokenKind.IDENT, "e", 14)],
+     [("F001", "unexpected character '²'", 1, 15)]),
+    # an Arabic-Indic digit is not read as 3
+    ("      x = ٣",
+     [(TokenKind.IDENT, "x", 7), (TokenKind.EQUALS, "=", 9)],
+     [("F001", "unexpected character '٣'", 1, 11)]),
+])
+def test_numbers_take_ascii_digits_only(src, want_toks, want_diags):
+    assert _lex_with_sink(src) == (want_toks, want_diags)
+    with pytest.raises(LexError, match="unexpected character"):
+        lex_source(src)
+
+
+def test_a_non_ascii_digit_label_is_malformed():
+    toks, diags = _lex_with_sink("٣     continue\n  ²   continue\n")
+    assert [t[1] for t in toks] == ["continue", "continue"]
+    assert [d[0] for d in diags] == ["F003", "F003"]
+
+
+def test_non_ascii_digits_reach_lint_as_diagnostics():
+    from repro.fortran.parser import parse_program
+    from repro.lint import lint_source
+
+    for body in ("2²", "1.5e²", "٣"):
+        src = f"      program p\n      x = {body}\n      end\n"
+        report = lint_source(src)
+        assert "F001" in [d.code for d in report.diagnostics]
+        with pytest.raises(LexError):
+            parse_program(src)
+
+
+def test_continuation_cards_keep_their_columns():
+    src = "      x = a +\n     &    bb * 'it''s'\n     &  .eq. c\n"
+    toks, diags = _lex_with_sink(src)
+    assert diags == []
+    located = [(t.value, t.line, t.col) for t in lex_source(src)
+               if t.kind not in (TokenKind.EOF,)]
+    assert located == [
+        ("x", 1, 7), ("=", 1, 9), ("a", 1, 11), ("+", 1, 13),
+        ("bb", 2, 11), ("*", 2, 14), ("it's", 2, 16),
+        (".eq.", 3, 9), ("c", 3, 14), ("", 3, 73)]

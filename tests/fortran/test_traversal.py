@@ -321,3 +321,100 @@ class TestTransformer:
         assert F.Var in Count._dispatch
         assert Count._dispatch is not CountUpper._dispatch
         assert F.Visitor._dispatch == {} and F.Transformer._dispatch == {}
+
+
+# ---------------------------------------------------------------------------
+# copies and child lists, node by node
+# ---------------------------------------------------------------------------
+
+GUARD_FUZZ_SEED, GUARD_FUZZ_COUNT = 300, 200
+
+
+def _guard_trees():
+    for name, case in sorted(validation_cases().items()):
+        yield f"workload:{name}", parse_program(case.source)
+    for i in range(GUARD_FUZZ_COUNT):
+        prog = fuzz.generate(GUARD_FUZZ_SEED + i,
+                             "executable" if i % 2 else "surface")
+        yield f"fuzz:{prog.name}", parse_program(prog.source)
+
+
+def reference_children(node: F.Node) -> list:
+    """Every field of the node, every nested list and tuple, with no
+    regard to what the annotations say."""
+    return list(oracle_children(node))
+
+
+def containers(value: Any, out: list) -> list:
+    """Every list and tuple below ``value``, Nodes' fields included."""
+    if isinstance(value, F.Node):
+        for f in dataclasses.fields(value):
+            containers(getattr(value, f.name), out)
+    elif isinstance(value, (list, tuple)):
+        out.append(value)
+        for item in value:
+            containers(item, out)
+    return out
+
+
+def test_every_node_clones_and_lists_its_children_exactly():
+    for label, sf in _guard_trees():
+        nodes = list(sf.walk())
+        for node in nodes:
+            assert ids(F._child_list(node)) == ids(reference_children(node)), \
+                (label, type(node).__name__)
+        copy = sf.clone()
+        assert repr(copy) == repr(sf) and F.ast_equal(copy, sf), label
+        copies = list(copy.walk())
+        assert [type(n) for n in copies] == [type(n) for n in nodes]
+        assert [(n.line, n.label) for n in copies
+                if isinstance(n, F.Stmt)] == \
+            [(n.line, n.label) for n in nodes if isinstance(n, F.Stmt)]
+        assert not set(ids(copies)) & set(ids(nodes)), label
+        assert not set(ids(c for c in containers(copy, [])
+                           if isinstance(c, list))) \
+            & set(ids(containers(sf, []))), label
+        # a subtree's copy is the copy of that subtree
+        for node in nodes[::7]:
+            assert repr(node.clone()) == repr(node), label
+
+
+def rebuild(value: Any) -> Any:
+    """``value`` rebuilt through the dataclass constructors."""
+    if isinstance(value, F.Node):
+        return type(value)(**{f.name: rebuild(getattr(value, f.name))
+                              for f in dataclasses.fields(value)})
+    if isinstance(value, list):
+        return [rebuild(v) for v in value]
+    if isinstance(value, tuple):
+        return tuple(rebuild(v) for v in value)
+    return value
+
+
+def test_a_clone_takes_no_more_memory_than_a_rebuild():
+    """Copies keep the instance layout ``__init__`` gives (one key table
+    shared by the class's instances): a copier that wrote ``__dict__``
+    would give each copy a dict of its own."""
+    import tracemalloc
+
+    trees = [sf for name, sf in _guard_trees()
+             if name.startswith("workload:")]
+    assert len(trees) == 22
+    for sf in trees:          # warm-up: per-class copiers are built once
+        sf.clone()
+        rebuild(sf)
+
+    def retained(make) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [make(sf) for sf in trees]
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == len(trees)
+        return after - before
+
+    cloned = retained(lambda sf: sf.clone())
+    rebuilt = retained(rebuild)
+    assert cloned <= rebuilt, (cloned, rebuilt)

@@ -80,6 +80,13 @@ class TestEnvelope:
         assert "lint error" in env["reason"]
         assert env["result"] is None
 
+    def test_non_ascii_digit_is_invalid_input(self, service):
+        """The lexer reports ``2²`` (F001); the worker does not fault."""
+        env = service.handle("restructure", {
+            "source": "      program p\n      x = 2\u00b2\n      end\n"})
+        assert env["status"] == "invalid-input"
+        assert env["attempts"] == 1 and env["fault"] is None
+
     def test_missing_source_is_invalid_input(self, service):
         for bad in (None, [], {}, {"source": ""}, {"source": 42}):
             env = service.handle("restructure", bad)

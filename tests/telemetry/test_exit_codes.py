@@ -115,6 +115,24 @@ def test_shared_exit_code_map(tool, outcome, tmp_path, monkeypatch,
         f"{tool} {outcome}: expected {EXPECTED[outcome]}, got {rc}"
 
 
+@pytest.mark.parametrize("tool", ["lint", "experiments"])
+def test_a_non_ascii_digit_is_rejected_input(tool, tmp_path, capsys):
+    """``x = 2²`` is a lexical error of the input (exit 1), not a crash
+    of the front end (exit 3)."""
+    src = tmp_path / "digit.f"
+    src.write_text("      program p\n      x = 2\u00b2\n      end\n",
+                   encoding="utf-8")
+    if tool == "lint":
+        from repro.lint.__main__ import main
+        argv = [str(src)]
+    else:
+        from repro.experiments.__main__ import main
+        argv = ["--source", str(src), "--quick"]
+    assert _run(main, argv) == 1
+    captured = capsys.readouterr()
+    assert "unexpected character '\u00b2'" in captured.out + captured.err
+
+
 # ---------------------------------------------------------------------------
 # the same crash, the same outcome, at either job count
 
