@@ -26,7 +26,11 @@ counted in ``loops_checked`` but opened no log for: those of fewer than
 two iterations, which cannot conflict; and "recorder calls" the calls
 both engines' access paths make into it — ``record_scalar``,
 ``record_array``, ``record_block``, ``logs_scalar_read`` and
-``logs_array_read`` — each one paid whether or not it logs a row.
+``logs_array_read`` — each one paid whether or not it logs a row;
+"read-only sets computed" the loop executions whose read-only keys
+``Interpreter._read_only`` worked out afresh (its memo per loop site
+missed), and "small logs" the closed logs ``ShadowRecorder._analyze``
+checked on its plain-Python path (at most ``shadow.SMALL_LOG`` rows).
 
 With ``--shapes`` a second table follows: the vector-text loops by the
 shape of their vector form — ``plain``, ``strip-mine`` or ``partial-sum``
@@ -143,6 +147,21 @@ def census(program, case, recorded: bool, processors: int = 8,
             return parallel_do(s, scope, unit, worker)
 
         interp._parallel_do = counting_parallel_do
+        if recorded:
+            read_keys = interp._read_keys
+
+            def counting_read_keys(s, scope):
+                c["read-only sets computed"] += 1
+                return read_keys(s, scope)
+
+            scan_small = shadow._scan_small
+
+            def counting_scan_small(w, r):
+                c["small logs"] += 1
+                return scan_small(w, r)
+
+            interp._read_keys = counting_read_keys
+            shadow._scan_small = counting_scan_small
         args, _ = case.make_args(case.n, np.random.default_rng(seed))
         interp.call(case.entry, *args)
     finally:
@@ -158,7 +177,8 @@ def census(program, case, recorded: bool, processors: int = 8,
 COLUMNS = ("lists", "tree lists", "vector-text loops",
            "scalar-text statements", "parallel vector", "parallel worker",
            "parallel scalar", "do scalar", "promoted loops",
-           "unlogged", "recorder calls")
+           "unlogged", "recorder calls", "read-only sets computed",
+           "small logs")
 
 #: the shapes a vector form takes (``_LoopLowerer.shape``)
 SHAPES = ("plain", "strip-mine", "partial-sum")

@@ -180,6 +180,10 @@ class Interpreter:
         #: write), or (node, None, None) for an opaque one
         #: (:meth:`_read_only`); the node pins its id
         self._summaries: dict[int, tuple] = {}
+        #: id(ParallelDo) -> (scope, its chain's dicts and sizes, the
+        #: bindings looked up, read-only keys): the last
+        #: :meth:`_read_only` set of each loop site
+        self._read_sets: dict[int, tuple] = {}
         #: unit -> :meth:`_private_facts`
         self._privates: dict[str, tuple] = {}
         self._compiler = None
@@ -504,29 +508,60 @@ class Interpreter:
 
     def _read_only(self, s: C.ParallelDo, scope: Scope) -> frozenset:
         """The storage keys no iteration of ``s`` can write, as bound in
-        its enclosing ``scope`` now: the keys of the names it references
-        minus the keys of the names it may write (an array's ``id`` of
-        its data, so a written alias keeps the other name's reads; a
-        scalar's ``(id(holding scope), name)``).  Empty for an opaque
-        loop, one that can write storage its syntax does not name."""
+        its enclosing ``scope`` now (:meth:`_read_keys`), memoised per
+        loop site: the last set worked out for ``s`` is the answer again
+        while ``scope`` is the scope it was worked out in and every name
+        it looked up is bound as it was then — no scope of the chain has
+        gained a name (a scope never loses one), so each name has the
+        same holder, and each holder binds it to the same array, or
+        still to no array."""
+        memo = self._read_sets.get(id(s))
+        if memo is not None and memo[0] is scope and _unmoved(*memo[1:3]):
+            return memo[3]
+        keys, bound = self._read_keys(s, scope)
+        chain = []
+        sc: Optional[Scope] = scope
+        while sc is not None:
+            chain.append((sc.vars, len(sc.vars)))
+            sc = sc.parent
+        self._read_sets[id(s)] = (scope, chain, bound, keys)
+        return keys
+
+    def _read_keys(self, s: C.ParallelDo, scope: Scope) -> tuple:
+        """``(keys, bindings)``: the storage keys of the names ``s``
+        references minus the keys of the names it may write, as bound in
+        ``scope`` now (an array's ``id`` of its data, so a written alias
+        keeps the other name's reads; a scalar's ``(id(holding scope),
+        name)``) — empty for an opaque loop, one that can write storage
+        its syntax does not name — and each name found as ``(holder's
+        dict, name, its array's data or None)``."""
         entry = self._summaries.get(id(s))
         if entry is None:
             entry = self._summaries[id(s)] = (s, *self._summarize(s))
         _, reads, writes = entry
         if reads is None:
-            return frozenset()
-        keys = set()
+            return frozenset(), ()
+        keys, bound = set(), []
         for name in reads:
             sc = scope.lookup_scope(name)
             if sc is not None:
                 v = sc.vars[name]
-                keys.add(id(v.data) if isinstance(v, FArray)
-                         else (id(sc), name))
+                if isinstance(v, FArray):
+                    keys.add(id(v.data))
+                    bound.append((sc.vars, name, v.data))
+                else:
+                    keys.add((id(sc), name))
+                    bound.append((sc.vars, name, None))
         for name in writes:
             sc = scope.lookup_scope(name)
-            if sc is not None and isinstance(sc.vars[name], FArray):
-                keys.discard(id(sc.vars[name].data))
-        return frozenset(keys)
+            if sc is not None:
+                v = sc.vars[name]
+                if isinstance(v, FArray):
+                    keys.discard(id(v.data))
+                    bound.append((sc.vars, name, v.data))
+                else:
+                    bound.append((sc.vars, name, None))
+        return frozenset(keys), bound
 
     def _summarize(self, s: C.ParallelDo):
         """``(names only read, names it may write)`` of a loop — its
@@ -1057,6 +1092,22 @@ class Interpreter:
 # a plain dict (_STMT_HANDLERS/_EVAL_HANDLERS).  The chain order mirrors
 # the original isinstance ladders — in particular C.ParallelDo precedes
 # F.DoLoop, which it subclasses.
+
+
+def _unmoved(chain: list, bound: list) -> bool:
+    """Whether no dict of a scope chain has gained a name since its
+    ``(dict, size)`` pairs ``chain`` were taken, and each ``(holder's
+    dict, name, data)`` of ``bound`` still binds the name to an array of
+    that data — or, for None, to no array."""
+    for d, n in chain:
+        if len(d) != n:
+            return False
+    for d, name, data in bound:
+        v = d[name]
+        if (v.data is not data if isinstance(v, FArray)
+                else data is not None):
+            return False
+    return True
 
 
 def _resolve_handler(t: type, chain):

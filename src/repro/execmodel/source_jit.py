@@ -8,9 +8,10 @@ returns one function per statement, in one of two forms:
   as the tree handlers' own operation sequence: each name looked up once
   when the statement starts, and per access only what can change (the
   value, each subscript's ``int()``, the bounds test, the recorder's
-  calls, the store by declared type); statement dispatch and
-  symbol-table facts resolved at emission — and, unrecorded, a closed
-  region keeps its scalars in locals, stored back once.  Assignment,
+  calls, the store by declared type); statement dispatch, symbol-table
+  facts and each intrinsic or library function it calls resolved at
+  emission — and, unrecorded, a closed region keeps its scalars in
+  locals, stored back once.  Assignment,
   block and logical IF, DO, LOCK/UNLOCK, RETURN, the no-ops and the
   DO/IF bodies the text writes whole are inline; ``ParallelDo``, CALL
   statements, other nested lists and calls of program units go to the
@@ -73,17 +74,23 @@ an enclosing loop the statement runs its scalar text, which logs access
 by access.  Otherwise it opens the loop on the recorder as
 ``_parallel_do`` does — with its iteration count (the recorder opens no
 log for fewer than two) and the storage keys the loop cannot write (it
-keeps no read of them) — logs, from the very ``_grid_key`` result each
-load/store indexes with, the flat offsets of every reference paired
-with the iteration values (the strip start for a collapsed strip-mined
-loop), one row per iteration for each shared scalar the body names, and
-closes it.  Before it opens the loop it evaluates the bounds
-(invariant) and adds to the interpreter's step count what the tree's
-``exec_body`` counts for the loop — its body per iteration; a loop that
-could pass the step budget runs its scalar text instead, which stops at
-the tree's statement.  A loop that writes hands over to its scalar text
-when — checked at loop entry — two of its array names are bound to
-storage of one ``ndarray``.  A grid stores every lane once, so the
+keeps no read of them) — and labels the log's lanes with their
+iterations (the strip start for a collapsed strip-mined loop) once.
+Its lanes are a range: every lane subscript is the loop variable plus
+an invariant integer, so the array of each lane-accessed name is
+resolved once per execution (:meth:`Runtime.lanes`), an access is
+bounds-checked on its two lane ends and indexes with a basic slice (a
+load returns a view only of an array no store of the form writes), and
+the log keeps it as one block row — first flat offset, offset step —
+expanded when the loop closes; each shared scalar the body names gets
+one such row, read by every lane.  Then it closes the loop.  Before it
+opens the loop it evaluates the bounds (invariant) and adds to the
+interpreter's step count what the tree's ``exec_body`` counts for the
+loop — its body per iteration; a loop that could pass the step budget
+runs its scalar text instead, which stops at the tree's statement.  A
+loop that writes hands over to its scalar text when — checked at loop
+entry — two of its array names are bound to storage of one
+``ndarray``.  A grid stores every lane once, so the
 DOALL takes its vector text only under a deal that hands each iteration
 to exactly one worker (:meth:`Runtime.partition`, checked at loop entry
 before anything is stored); under a deal that drops or repeats a
@@ -128,7 +135,7 @@ from repro.fortran.symtab import type_of
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact, of both modes, so stale module text can never be served to
 #: a newer runtime
-JIT_VERSION = 12
+JIT_VERSION = 13
 
 
 #: the loop statements
@@ -237,6 +244,21 @@ class _NoRecorder:
     release = acquire
 
 
+class _Lanes:
+    """One vector-form execution's view of a lane-accessed array
+    (:meth:`Runtime.lanes`): the ``FArray``, or the error its first
+    access raises; the open log; the lanes ``r`` and their last value;
+    whether a load may return a view of the storage."""
+
+    __slots__ = ("arr", "name", "cx", "r", "last", "view", "error")
+
+    def __init__(self, arr, name: str, cx, r: range, view: bool,
+                 error: Optional[str]):
+        self.arr, self.name, self.cx, self.r = arr, name, cx, r
+        self.last = r[-1] if r else r.start
+        self.view, self.error = view, error
+
+
 class Runtime:
     """What emitted modules cannot embed, one instance per statement list
     (the ``rt`` handed to the module's ``make()``): names resolved at
@@ -288,12 +310,6 @@ class Runtime:
         """The scope holding ``name``, or the root, which an unbound
         name is created in."""
         return scope.lookup_scope(name) or scope._root()
-
-    def read_only(self, i: int, scope: Scope) -> frozenset:
-        """The storage keys the loop of statement ``i`` cannot write, as
-        bound in ``scope`` (:meth:`Interpreter._read_only`): what a
-        recorder-aware vector form opens its log with."""
-        return self.compiler.interp._read_only(self.stmts[i], scope)
 
     def read(self, holder: Scope, name: str):
         """The tree's ``_eval_var`` through the holder resolved at entry;
@@ -388,79 +404,142 @@ class Runtime:
     # -- library and intrinsic calls ------------------------------------
 
     @staticmethod
-    def call(scope: Scope, name: str, vals: tuple):
+    def function(name: str, scalar: bool):
+        """What the text calls ``name`` by, bound once when the module is
+        made: a Cedar library routine (which wins over an intrinsic of
+        the name), or an intrinsic — its scalar form where the emitter
+        proved every argument scalar, else the tree's dispatch, the
+        NumPy form once an argument is an ``ndarray``."""
         if name in CEDAR_LIBRARY:
-            return CEDAR_LIBRARY[name].fn(*vals)
-        info = INTRINSICS.get(name)
-        if info is not None:
+            return CEDAR_LIBRARY[name].fn
+        info = INTRINSICS[name]
+        fn = info.fn
+        if scalar:
+            return fn
+
+        def call(*vals):
             for v in vals:
                 if isinstance(v, np.ndarray):
                     if info.np_fn is None:
                         raise InterpreterError(
                             f"intrinsic {name!r} not vectorized")
                     return info.np_fn(*vals)
-            return info.fn(*vals)
+            return fn(*vals)
+        return call
+
+    @classmethod
+    def call(cls, scope: Scope, name: str, vals: tuple):
+        """``name(vals)`` for a name the text could not bind: a name
+        :meth:`ref` finds bound to no array."""
+        if name in CEDAR_LIBRARY or name in INTRINSICS:
+            return cls.function(name, False)(*vals)
         raise InterpreterError(f"unknown function {name!r}")
 
     # -- grid loads/stores (bounds-checked like FArray.get/set) --------
+    #
+    # A vector form's lanes are a range: the loop's iterations ``r``,
+    # each lane subscript the axis plus an invariant offset.  So each
+    # lane subscript is monotonic, its extremes are its ends, and one
+    # reference's elements are one strided run of the array's storage.
+
+    def open_grid(self, i: int, scope: Scope, label: str, trips: int,
+                  r: range, strip: Optional[int]):
+        """Count and open the vector form of statement ``i`` on the
+        recorder as ``_parallel_do`` opens its loop — ``trips``
+        iterations, the read-only keys of the loop as bound in
+        ``scope`` (:meth:`Interpreter._read_only`) for two or more — and
+        label its lanes ``r`` with the iteration each runs in: the
+        lane's own, or the start of its strip of ``strip`` lanes."""
+        sh = self.shadow
+        cx = sh.open_loop(label, trips, self.compiler.interp._read_only(
+            self.stmts[i], scope) if trips > 1 else ())
+        if cx is not None:
+            lanes = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+            if strip is not None:
+                lanes = r.start + (lanes - r.start) // strip * strip
+            sh.grid(cx, lanes)
+        return cx
 
     @staticmethod
-    def _grid_key(arr: FArray, parts: tuple) -> tuple:
-        if len(parts) != arr.data.ndim:
+    def lanes(scope: Scope, name: str, cx, r: range, view: bool
+              ) -> "_Lanes":
+        """The array bound to ``name`` as one vector-form execution
+        indexes it over the lanes ``r``, resolved once (an unbound or
+        non-array name raises at its first access, as the tree would)."""
+        sc = scope.lookup_scope(name)
+        v = sc.vars[name] if sc is not None else None
+        if isinstance(v, FArray):
+            return _Lanes(v, name, cx, r,
+                          view and v.data.flags.c_contiguous, None)
+        return _Lanes(v, name, cx, r, False,
+                      f"{name!r} is not an array" if sc is not None
+                      else f"reference to undefined variable {name!r}")
+
+    def _lane_key(self, h: "_Lanes", subs: tuple, lanes: tuple,
+                  kind: str) -> tuple:
+        """The index of a grid access — ``subs`` the invariant subscript
+        of each dimension, or for the dimensions in ``lanes`` the lane
+        offset — bounds-checked on the lane ends like ``FArray.get`` on
+        every lane, and logged on the open loop as one block row."""
+        if h.error is not None:
+            raise InterpreterError(h.error)
+        arr = h.arr
+        shape = arr.data.shape
+        if len(subs) != len(shape):
             raise InterpreterError(
-                f"rank mismatch: {len(parts)} subscripts for rank "
-                f"{arr.data.ndim} array")
+                f"rank mismatch: {len(subs)} subscripts for rank "
+                f"{len(shape)} array")
+        r = h.r
+        step = r.step
         key = []
-        for dim, part in enumerate(parts):
+        start = stride = 0
+        for dim, sub in enumerate(subs):
             lo = arr.lowers[dim]
-            n = arr.data.shape[dim]
-            if isinstance(part, np.ndarray):
-                j = part - lo
-                if j.size and (int(j.min()) < 0 or int(j.max()) >= n):
-                    bad = int(part.min()) if int(j.min()) < 0 \
-                        else int(part.max())
+            n = shape[dim]
+            if dim in lanes:
+                ends = (r.start + sub, h.last + sub)
+                least, most = ends if step > 0 else ends[::-1]
+                if least < lo or most - lo >= n:
                     raise InterpreterError(
-                        f"subscript {bad} out of bounds in dimension "
-                        f"{dim + 1} [{lo}, {lo + n - 1}]")
-                key.append(j)
+                        f"subscript {least if least < lo else most} out of "
+                        f"bounds in dimension {dim + 1} [{lo}, {lo + n - 1}]")
+                j = ends[0] - lo
+                stop = ends[1] - lo + (1 if step > 0 else -1)
+                key.append(slice(j, stop if stop >= 0 else None, step))
+                start, stride = start * n + j, stride * n + step
             else:
-                j = int(part) - lo
+                j = int(sub) - lo
                 if not (0 <= j < n):
                     raise InterpreterError(
                         f"subscript {j + lo} out of bounds in dimension "
                         f"{dim + 1} [{lo}, {lo + n - 1}]")
                 key.append(j)
+                start, stride = start * n + j, stride * n
+        if h.cx is not None:
+            self.shadow.record_block(h.cx, kind, arr, h.name, start, stride)
+        if len(lanes) > 1:
+            # several lane dimensions advance together: a diagonal,
+            # which only an index array selects
+            key = [np.arange(k.start, k.start + step * len(r), step)
+                   if isinstance(k, slice) else k for k in key]
         return tuple(key)
 
-    def _grid(self, scope: Scope, name: str, parts: tuple, kind: str,
-              cx, it) -> tuple:
-        """The data and key of a grid access, logged on the open loop
-        ``cx`` (None when the recorder opened no log) as one bulk row
-        block: the C-order offsets of the elements the key indexes,
-        paired with the lanes' iteration labels ``it``."""
-        arr = scope.get(name)
-        if not isinstance(arr, FArray):
-            raise InterpreterError(f"{name!r} is not an array")
-        key = self._grid_key(arr, parts)
-        if cx is not None:
-            off = key[0]
-            for j, n in zip(key[1:], arr.data.shape[1:]):
-                off = off * n + j
-            self.shadow.record_block(cx, kind, arr, name, off, it)
-        return arr.data, key
+    def vload(self, h: "_Lanes", subs: tuple, lanes: tuple):
+        """The lanes' elements of a grid reference: a view of storage
+        no store of the vector form reaches, when it is contiguous, else
+        a copy — what a gather would give."""
+        v = h.arr.data[self._lane_key(h, subs, lanes, "r")]
+        if h.view and lanes == (len(subs) - 1,) and h.r.step == 1:
+            return v
+        return v.copy()
 
-    def vload(self, scope: Scope, name: str, parts: tuple, cx, it):
-        data, key = self._grid(scope, name, parts, "r", cx, it)
-        return data[key]
-
-    def vstore(self, scope: Scope, name: str, parts: tuple, value, cx,
-               it) -> None:
-        data, key = self._grid(scope, name, parts, "w", cx, it)
-        data[key] = value
+    def vstore(self, h: "_Lanes", subs: tuple, lanes: tuple,
+               value) -> None:
+        h.arr.data[self._lane_key(h, subs, lanes, "w")] = value
 
     # -- bulk shadow recording -----------------------------------------
 
-    def log_scalars(self, cx, scope: Scope, names: tuple, it) -> None:
+    def log_scalars(self, cx, scope: Scope, names: tuple) -> None:
         """A read per lane of each shared scalar the loop names,
         labelled with the lane's iteration — cells a bulk-recorded loop
         never writes, so a row the tree would not log changes no
@@ -477,7 +556,7 @@ class Runtime:
                 if v.data.ndim:
                     continue
                 sc = v                       # COMMON scalar box
-            self.shadow.record_block(cx, "r", sc, name, 0, it)
+            self.shadow.record_block(cx, "r", sc, name, 0, 0)
 
     @staticmethod
     def aliased(scope: Scope, names: tuple) -> bool:
@@ -925,7 +1004,7 @@ class _LoopLowerer:
         trips = "_n0" if self.strip is None else f"-(-_n0 // {self.strip})"
         out += [f"    _r0 = {rng}", "    _n0 = len(_r0)",
                 f"    if not PART({trips}):", f"        return _s{i}(s)"]
-        text.used.update(("PART", "SH", "OPEN", "RO", "CLOSE", "IP", "BUD"))
+        text.used.update(("PART", "SH", "OPEN", "CLOSE", "IP", "BUD"))
         # every statement the tree's ``exec_body`` would count — the body
         # per iteration, a partial-sum DOALL's preamble and postamble per
         # share: a loop that could pass the step budget runs its scalar
@@ -939,24 +1018,20 @@ class _LoopLowerer:
         out += [f"    if IP._steps + {steps} > BUD:",
                 f"        return _s{i}(s)", f"    IP._steps += {steps}"]
         label = Interpreter._loop_label(self.loop)
-        # only a log of two or more iterations keeps a read set
-        out += [f"    _cx = OPEN({label!r}, {trips}, "
-                f"RO({i}, s) if {trips} > 1 else ())", "    try:",
-                "        if _n0:",
-                "            _g0 = np.arange(_r0.start, _r0.stop, _r0.step, "
-                "dtype=np.int64)"]
-        # iteration labels of the lanes: the loop variable, or for a
-        # collapsed strip-mine the start of the lane's strip — the
-        # iteration the tree runs the lane in
-        self._it = "_g0"
-        if self.strip is not None:
-            self._it = "_it"
-            out.append(f"            _it = _r0.start + (_g0 - _r0.start) "
-                       f"// {self.strip} * {self.strip}")
+        # the log labels each lane with the iteration the tree runs it
+        # in: its own, or for a collapsed strip-mine its strip's start
+        out += [f"    _cx = OPEN({i}, s, {label!r}, {trips}, _r0, "
+                f"{self.strip})", "    try:", "        if _n0:"]
+        #: where the lanes' own lines go once the body is written: the
+        #: loop variable's values, if the text reads them, and the
+        #: arrays it indexes by lane (:meth:`_array`)
+        at = len(out)
+        self._g0 = False
+        self._arrays: dict[str, str] = {}
         scalars = self._shared_scalars()
         if scalars:
             text.used.add("SCAL")
-            out.append(f"            SCAL(_cx, s, {scalars!r}, {self._it})")
+            out.append(f"            SCAL(_cx, s, {scalars!r})")
         #: the reference key of each grid loaded in the current
         #: straight-line block -> the local its first use filled
         self._loaded: dict[tuple, str] = {}
@@ -967,6 +1042,15 @@ class _LoopLowerer:
                                    out, " " * 12)
             elif isinstance(st, F.Assign):
                 self._emit_assign(st, out, " " * 12)
+        lanes = ["            _g0 = np.arange(_r0.start, _r0.stop, "
+                 "_r0.step, dtype=np.int64)"] if self._g0 else []
+        if self._arrays:
+            text.used.add("LANES")
+        # a load may be a view of storage no store of the form reaches
+        lanes += [f"            {local} = LANES(s, {name!r}, _cx, _r0, "
+                  f"{name not in self.writes})"
+                  for name, local in self._arrays.items()]
+        out[at:at] = lanes
         if self.partials:
             self._emit_folds(out, " " * 8)
         out += ["    finally:", "        CLOSE(_cx)"]
@@ -975,6 +1059,11 @@ class _LoopLowerer:
         if self.locks:
             text.used.add("UNLOCK")
 
+    def _array(self, name: str) -> str:
+        """The local of the lane view of array ``name``
+        (:meth:`Runtime.lanes`), resolved once per execution."""
+        return self._arrays.setdefault(name, f"_A{len(self._arrays)}")
+
     def ex(self, e: F.Expr, out: list, ind: str) -> str:
         """Source of ``e`` over the grid's lanes (the loop variable is
         ``_g0``); a subexpression the loop variable does not reach is the
@@ -982,6 +1071,7 @@ class _LoopLowerer:
         if not self._uses_axis(e):
             return self._text.ex(e, out, ind)
         if isinstance(e, F.Var):
+            self._g0 = True
             return "_g0"
         if isinstance(e, (F.ArrayRef, F.Apply)):
             return self._load(e, out, ind)
@@ -995,18 +1085,24 @@ class _LoopLowerer:
         return f"(-{x})" if e.op == "-" else x
 
     def _parts(self, ref, out: list, ind: str) -> str:
-        """The lane index arrays of ``ref``'s subscripts, each followed
-        by a comma."""
+        """The arguments of a grid access of ``ref`` after its array:
+        each subscript's invariant value, or the lane offset of a
+        dimension the loop variable indexes, then those dimensions."""
         subs = self._subscripts(ref)
-        parts = ""
-        for sub, entry in zip(subs, self._axis_mask(subs)):
+        parts, lanes = "", ""
+        for dim, (sub, entry) in enumerate(zip(subs,
+                                               self._axis_mask(subs))):
             if entry is None:
                 parts += f"{self._text.ex(sub, out, ind)}, "
                 continue
+            lanes += f"{dim}, "
             op, off = self._split_affine(sub)
-            parts += "_g0, " if off is None else \
-                f"(_g0 {op} {self._text.ex(off, out, ind)}), "
-        return parts
+            if off is None:
+                parts += "0, "
+                continue
+            off = self._text.ex(off, out, ind)
+            parts += f"{off}, " if op == "+" else f"-{off}, "
+        return f"{self._array(ref.name)}, ({parts}), ({lanes})"
 
     def _load(self, ref, out: list, ind: str) -> str:
         """A grid load, logged.  A load already made in this block reads
@@ -1021,8 +1117,7 @@ class _LoopLowerer:
             parts = self._parts(ref, out, ind)
             local = self._loaded[key] = self._text._new()
             self._text.used.add("VL")
-            return (f"({local} := VL(s, {ref.name!r}, ({parts}), _cx, "
-                    f"{self._it}))")
+            return f"({local} := VL({parts}))"
         return local
 
     # -- statement lowerings -------------------------------------------
@@ -1032,8 +1127,7 @@ class _LoopLowerer:
         parts = self._parts(t, out, ind)       # evaluated first: VS(...)
         rhs = self.ex(st.value, out, ind)
         self._text.used.add("VS")
-        out.append(f"{ind}VS(s, {t.name!r}, ({parts}), {rhs}, _cx, "
-                   f"{self._it})")
+        out.append(f"{ind}VS({parts}, {rhs})")
         self._loaded.clear()       # a later load sees what this stored
 
     def _emit_partial(self, var: str, terms: list, out: list,
@@ -1169,6 +1263,9 @@ class _ScalarText:
         self._region, self._locals, self._defined = False, {}, set()
         #: the :data:`_HELPERS` names the emitted text calls
         self.used: set[str] = set()
+        #: (function name, arguments proven scalar) -> the ``make``-level
+        #: local the text calls it by (:meth:`Runtime.function`)
+        self.functions: dict[tuple[str, bool], str] = {}
 
     def function(self, i: int) -> list[str]:
         """Source of ``_s<i>``, the scalar text of statement ``i``."""
@@ -1429,6 +1526,29 @@ class _ScalarText:
             return e.is_section() and callable_
         return True
 
+    def _scalar(self, e: F.Expr) -> bool:
+        """Whether ``e``'s value is never an ``ndarray``: literals, names
+        no binding of which is an array (:func:`_promotable`; a scalar
+        store refuses an array value), elements of array names, and the
+        operators and intrinsics the text writes, over such operands."""
+        if isinstance(e, (F.IntLit, F.RealLit, F.LogicalLit, F.StrLit)):
+            return True
+        if isinstance(e, F.Var):
+            return _promotable(self.symtab, e.name, self.privates)
+        if self._handed_over(e):
+            return False
+        if isinstance(e, F.BinOp):
+            return self._scalar(e.left) and self._scalar(e.right)
+        if isinstance(e, F.UnOp):
+            return self._scalar(e.operand)
+        if isinstance(e, F.FuncCall):
+            # a library routine may return an array
+            return e.name not in CEDAR_LIBRARY \
+                and all(self._scalar(a) for a in e.args)
+        # an element: a name bound to no array is no function here
+        return isinstance(e, F.ArrayRef) and not e.is_section() \
+            and e.name not in CEDAR_LIBRARY and e.name not in INTRINSICS
+
     def _enclose(self, stmts: list, known, out: list, ind: str, write,
                  loop_var: Optional[str] = None) -> None:
         """The closed region ``stmts`` (and the loop variable
@@ -1681,9 +1801,10 @@ class _ScalarText:
             self.used.update(("EV", "U"))
             return f"EV({self.node(e)}, s, U)"
         if isinstance(e, F.FuncCall):
-            args = "".join(f"{a}, " for a in self._seq(e.args, out, ind))
-            self.used.add("CALL")
-            return f"CALL(s, {e.name!r}, ({args}))"
+            args = ", ".join(self._seq(e.args, out, ind))
+            key = (e.name, all(self._scalar(a) for a in e.args))
+            fn = self.functions.setdefault(key, f"_f{len(self.functions)}")
+            return f"{fn}({args})"
         if not e.is_section():
             return self._element(e.name, e.subscripts, out, ind)
         specs = self._specs(e.subscripts, out, ind)
@@ -1750,6 +1871,8 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
     head += [f"    {name} = rt.{attr}" for name, attr in _HELPERS.items()
              if name in scalar.used]
     head += ["    " + line for line in scalar.binds]
+    head += [f"    {local} = rt.function({name!r}, {proven})"
+             for (name, proven), local in scalar.functions.items()]
     head.append(f"    rt.tally({vector}, {len(stmts) - vector})")
     return "\n".join(head + body
                      + ["", f"    return [{', '.join(fns)}]", ""])
@@ -1759,7 +1882,6 @@ def emit_module(interp: Interpreter, stmts: list[F.Stmt], unit: str,
 #: a module binds the ones its text uses, which the emitter records as
 #: it writes them (``used``)
 _HELPERS = {
-    "CALL": "call",
     "DIV": "div", "AND": "and_", "OR": "or_", "EQV": "eqv",
     "NEQV": "neqv", "NOT": "not_", "ERR": "error",
     # names resolved at entry, and the scalar store
@@ -1776,7 +1898,7 @@ _HELPERS = {
     "CALLS": "compiler.interp._call_stmt", "EV": "compiler.interp.eval",
     # vector forms
     "VL": "vload", "VS": "vstore", "DEAL": "shares", "PART": "partition",
-    "OPEN": "shadow.open_loop", "RO": "read_only",
+    "OPEN": "open_grid", "LANES": "lanes",
     "CLOSE": "shadow.close_loop", "SCAL": "log_scalars",
     "ALIAS": "aliased",
     # recorder-aware scalar text

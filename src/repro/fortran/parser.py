@@ -70,11 +70,13 @@ class _StmtTokens:
 
     __slots__ = ("toks", "pos", "end")
 
-    def __init__(self, toks: list[Token]):
+    def __init__(self, toks: list[Token], label: Optional[Token] = None):
         self.toks = toks
         self.pos = 0
-        # what the cursor reads past the last token
-        last = toks[-1] if toks else Token(TokenKind.NEWLINE, "", 1, 1)
+        # what the cursor reads past the last token: a NEWLINE where the
+        # last token is — or, on a labelled card with no statement, where
+        # the label is
+        last = toks[-1] if toks else label
         self.end = Token(TokenKind.NEWLINE, "", last.line, last.col)
 
     # -- cursor primitives -------------------------------------------------
@@ -284,22 +286,23 @@ class Parser:
     def _split_statements(tokens: list[Token]) -> list[tuple[Optional[int], _StmtTokens]]:
         out: list[tuple[Optional[int], _StmtTokens]] = []
         cur: list[Token] = []
-        label: Optional[int] = None
+        label: Optional[Token] = None
         for t in tokens:
             if t.kind is TokenKind.EOF:
                 break
             if t.kind is TokenKind.LABEL:
-                label = int(t.value)
+                label = t
                 continue
             if t.kind is TokenKind.NEWLINE:
                 if cur or label is not None:
-                    out.append((label, _StmtTokens(cur)))
+                    out.append((label and int(label.value),
+                                _StmtTokens(cur, label)))
                 cur = []
                 label = None
                 continue
             cur.append(t)
         if cur or label is not None:
-            out.append((label, _StmtTokens(cur)))
+            out.append((label and int(label.value), _StmtTokens(cur, label)))
         return out
 
     # -- error reporting ------------------------------------------------

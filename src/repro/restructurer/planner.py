@@ -260,7 +260,9 @@ class LoopPlanner:
         versions.sort(key=lambda v: v[1])
         considered = [(label, score) for label, score, _ in versions]
 
-        # 7. materialize the winner (fall back down the list on failure)
+        # 7. materialize the winner (fall back down the list on failure);
+        # a version that failed has its record already
+        failed = set()
         for label, score, builder in versions:
             try:
                 stmts = builder()
@@ -268,10 +270,11 @@ class LoopPlanner:
                 notes.append(f"version {label} failed: {exc}")
                 self._emit(loop, label, "failed", reason=str(exc),
                            cost=score)
+                failed.add(label)
                 continue
             self._emit(loop, label, "accepted", cost=score)
             for other, oscore in considered:
-                if other != label:
+                if other != label and other not in failed:
                     self._emit(loop, other, "rejected",
                                reason=f"predicted {oscore:.0f} cycles vs "
                                       f"{score:.0f} for {label}",

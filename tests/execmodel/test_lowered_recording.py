@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.cedar.nodes import LockStmt, ParallelDo, UnlockStmt
 from repro.engine import cached_restructure
-from repro.errors import InterpreterBudgetError
+from repro.errors import InterpreterBudgetError, InterpreterError
 from repro.execmodel.interp import Interpreter, cyclic_deal
 from repro.execmodel.shadow import ShadowRecorder
 from repro.fortran import ast_nodes as F
@@ -479,3 +479,125 @@ def test_bulk_rows_are_the_trees_rows(wname, monkeypatch):
             in zip(tree, fast):
         assert arrays_c == arrays_t, label
         assert scalars_c >= scalars_t, label
+
+
+# ---------------------------------------------------------------------------
+# lanes are ranges: bounds on the lane ends, slices, stores before loads
+
+
+LANES_SRC = """
+      subroutine l(lo, hi, st, k, a, b, c, w)
+      integer lo, hi, st, k, i
+      real a(12), b(12), c(12), w(12, 12)
+      do i = lo, hi, st
+         a(i) = b(i + k) * 2.0
+         c(i) = a(i) + w(3, i) - w(i - k, 2)
+      end do
+      end
+"""
+
+
+class KeepsRows(ShadowRecorder):
+    """Each closed log's array rows, ``(kind, name, offset,
+    iteration)``, per loop execution."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def _analyze(self, ctx):
+        self.rows.append((ctx.label, {
+            (kind, self._names[tok], off, it)
+            for kind, log in (("w", ctx.writes), ("r", ctx.reads))
+            for tok, off, it, _ in log.flat().tolist()
+            if self._dims[tok] is not None}))
+        return super()._analyze(ctx)
+
+
+def lanes_run(program, entry, args, engine):
+    """Outputs, the recorder and the compiler of one recorded run, or
+    the text of the error it raised."""
+    sh = KeepsRows()
+    interp = Interpreter(program, processors=4, shadow=sh, engine=engine)
+    fresh = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
+    try:
+        out = interp.call(entry, *fresh)
+    except InterpreterError as exc:
+        return str(exc), sh, interp._compiler
+    out["steps"] = np.array(interp._steps)
+    return out, sh, interp._compiler
+
+
+def lanes_args(lo, hi, st, k):
+    rng = np.random.default_rng(lo * 7 + hi)
+    return [lo, hi, st, k, np.zeros(12), rng.standard_normal(12),
+            np.zeros(12), rng.standard_normal((12, 12))]
+
+
+@pytest.mark.parametrize("lo, hi, st, k", [
+    (2, 9, 1, 1),       # ascending, unit step
+    (10, 2, -1, 1),     # descending
+    (1, 11, 3, 0),      # a non-unit step
+    (11, 2, -2, -1),    # a descending non-unit step
+], ids=["ascending", "descending", "step-3", "step-minus-2"])
+def test_lane_ranges_are_the_trees(lo, hi, st, k):
+    """Every direction and stride of the lanes: the tree's results,
+    step count, verdicts and logged cells — a store then a load of
+    ``a`` in one vector form, ``w`` read along its contiguous and its
+    strided dimension."""
+    program = doall_program(LANES_SRC)
+    args = lanes_args(lo, hi, st, k)
+    tree, sh_t, _ = lanes_run(program, "l", args, "tree")
+    fast, sh_c, comp = lanes_run(program, "l", args, "compiled")
+    assert comp.vectorized_loops == 1
+    assert_bit_identical(tree, fast, "tree vs compiled")
+    assert sh_c.loops_checked == sh_t.loops_checked == 1
+    assert sh_c.conflicts == sh_t.conflicts == []
+    assert sh_c.rows == sh_t.rows and sh_t.rows
+
+
+@pytest.mark.parametrize("lo, hi, st, k, bad", [
+    (1, 8, 1, -1, "subscript 0 "),      # b(0) at the first lane
+    (2, 12, 1, 1, "subscript 13 "),     # b(13) at the last lane
+    (12, 3, -3, 1, "subscript 13 "),    # b(13) at the first lane, down
+    (9, 1, -2, 4, "subscript 13 "),     # b(13) at the first lane, step 2
+    (7, 0, -1, 0, "subscript 0 "),      # a(0), b(0) at the last lane
+], ids=["first", "last", "first-descending", "first-step", "last-down"])
+def test_an_out_of_bounds_lane_raises_the_trees_error(lo, hi, st, k, bad):
+    """Bounds are checked on the two lane ends: the error names the
+    subscript the tree's first failing iteration names."""
+    program = doall_program(LANES_SRC)
+    args = lanes_args(lo, hi, st, k)
+    tree, _, _ = lanes_run(program, "l", args, "tree")
+    fast, _, comp = lanes_run(program, "l", args, "compiled")
+    assert comp.vectorized_loops == 1
+    assert isinstance(tree, str) and tree.startswith(bad)
+    assert fast == tree
+
+
+LOAD_THEN_STORE_SRC = """
+      subroutine r(n, x, y, s1)
+      integer n, i
+      real x(40), y(40), s1
+      do i = 1, n
+         p1 = p1 + x(i)
+         x(i) = y(i) * 2.0
+      end do
+      end
+"""
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 40])
+def test_a_load_the_vector_form_stores_over_is_a_copy(n):
+    """The sum's term ``x(i)`` is loaded before the store to ``x`` and
+    folded after it: the fold must see the values the tree read."""
+    program = doall_program(LOAD_THEN_STORE_SRC,
+                            partials=[("p1", 0.0, "s1", "+")])
+    rng = np.random.default_rng(n)
+    args = [n, rng.standard_normal(40), rng.standard_normal(40), 0.5]
+    tree, sh_t, _ = lanes_run(program, "r", args, "tree")
+    fast, sh_c, comp = lanes_run(program, "r", args, "compiled")
+    assert comp.vectorized_loops == 1
+    assert_bit_identical(tree, fast, "tree vs compiled")
+    assert sh_c.loops_checked == sh_t.loops_checked == 1
+    assert sh_c.conflicts == sh_t.conflicts == []

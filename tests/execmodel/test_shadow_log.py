@@ -20,7 +20,7 @@ from repro.cedar.nodes import ParallelDo
 from repro.engine import cached_restructure
 from repro.errors import InterpreterError
 from repro.execmodel.interp import Interpreter
-from repro.execmodel.shadow import ShadowRecorder
+from repro.execmodel.shadow import SMALL_LOG, ShadowRecorder
 from repro.execmodel.values import FArray, Scope
 from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
@@ -286,6 +286,83 @@ def test_read_rule_changes_no_verdict(wname, config, stripped, engine):
 
 # ---------------------------------------------------------------------------
 # the read rule on programs built to test it
+
+
+@pytest.mark.parametrize("config", ["automatic", "manual"])
+@pytest.mark.parametrize("wname", sorted(CASES))
+def test_read_only_memo_is_a_fresh_computation(wname, config, monkeypatch):
+    """On every execution that opens a log the memoised read-only set
+    is the set worked out afresh in the same scope."""
+    case = CASES[wname]
+    memoised = Interpreter._read_only
+
+    def checked(self, s, scope):
+        keys = memoised(self, s, scope)
+        assert keys == self._read_keys(s, scope)[0]
+        return keys
+
+    monkeypatch.setattr(Interpreter, "_read_only", checked)
+    interp = Interpreter(restructured(wname, config, False), processors=8,
+                         shadow=ShadowRecorder(), engine="compiled")
+    args, _ = case.make_args(case.n, np.random.default_rng(3))
+    interp.call(case.entry, *args)
+
+
+class TestReadOnlyMemo:
+    """The memo per loop site misses on every change a fresh
+    computation would see."""
+
+    SRC = """
+      subroutine t(n, a, b)
+      integer n, i
+      real a(8), b(8)
+      do i = 1, n
+         a(i) = b(i) * n
+      end do
+      end
+"""
+
+    def setup_method(self):
+        sf = parse_program(self.SRC)
+        self.interp = Interpreter(sf)
+        self.loop = as_doall(sf.units[0].body[0])
+        self.unit = Scope()
+        self.unit.declare("n", 8)
+        self.unit.declare("a", FArray(np.zeros(8), (1,)))
+        self.unit.declare("b", FArray(np.ones(8), (1,)))
+
+    def keys(self, scope):
+        got = self.interp._read_only(self.loop, scope)
+        assert got == self.interp._read_keys(self.loop, scope)[0]
+        return got
+
+    def test_a_new_scalar_value_hits(self):
+        first = self.keys(self.unit)
+        self.unit.vars["n"] = 5
+        assert self.keys(self.unit) is first
+
+    def test_an_array_rebound_in_its_scope_misses(self):
+        first = self.keys(self.unit)
+        b = FArray(np.ones(8), (1,))
+        self.unit.vars["b"] = b
+        again = self.keys(self.unit)
+        assert id(b.data) in again and again != first
+
+    def test_a_new_inner_binding_misses(self):
+        inner = Scope(parent=self.unit)
+        first = self.keys(inner)
+        b = FArray(np.ones(8), (1,))
+        inner.declare("b", b)
+        again = self.keys(inner)
+        assert id(b.data) in again and again != first
+        inner.declare("n", 3)
+        assert (id(inner), "n") in self.keys(inner)
+
+    def test_another_scope_misses(self):
+        first = self.keys(self.unit)
+        other = Scope(parent=self.unit)
+        assert self.keys(other) == first
+        assert self.interp._read_sets[id(self.loop)][0] is other
 
 
 class KeepsLogs:
@@ -608,7 +685,13 @@ offset = st.one_of(
 log_rows = st.lists(st.tuples(kinds, st.integers(0, len(TOKENS) - 1),
                               offset, st.integers(-2, 3),
                               st.integers(0, len(LOCKSETS) - 1)),
-                    min_size=1, max_size=40)
+                    min_size=1, max_size=90)
+
+
+def first_conflicts(sh, found: dict) -> list:
+    """What ``close_loop`` reports of a pass's conflicts: the first
+    ones in first-write order."""
+    return sorted(found.items())[:sh.max_conflicts_per_loop]
 
 
 @settings(max_examples=400, deadline=None)
@@ -617,7 +700,9 @@ def test_analysis_matches_a_pairwise_checker(rows):
     """Random logs — element, section and supercell rows, locksets,
     negative iteration numbers — against every pair of access events:
     the same conflicting cells and kinds, in first-write order, each
-    with an iteration pair two of its events really make."""
+    with an iteration pair two of its events really make.  Up to 90
+    rows, sections of up to three elements: the logs straddle
+    ``SMALL_LOG``, and both passes give the same answer on each."""
     sh = ShadowRecorder()
     for tok, name in enumerate(TOKENS):
         arr = None if name == "s" else FArray(np.zeros(SIZE), (1,))
@@ -641,6 +726,10 @@ def test_analysis_matches_a_pairwise_checker(rows):
             events.append((tok, cell, kind, it, LOCKSETS[lk]))
             if kind == "w":
                 first_write.setdefault((tok, cell), len(first_write))
+    # both passes of the analysis, whichever size the log has
+    w, r = ctx.writes, ctx.reads
+    assert first_conflicts(sh, sh._scan_small(w.tuples(), r.tuples())) \
+        == first_conflicts(sh, sh._scan(w.flat(), r.flat()))
     sh.close_loop(ctx)
 
     def cell_of(c):
@@ -663,3 +752,50 @@ def test_analysis_matches_a_pairwise_checker(rows):
                     and e[2] == kind[0]]
         assert any({a, b} == {i, j} and not (la & lb)
                    for a, la in writes for b, lb in touching)
+
+
+@pytest.mark.parametrize("n", [1, SMALL_LOG // 2, SMALL_LOG // 2 + 1,
+                               2 * SMALL_LOG])
+@pytest.mark.parametrize("shape", ["elements", "section", "grid"])
+def test_a_log_takes_the_pass_its_size_picks(n, shape, monkeypatch):
+    """``n`` iterations each write ``u(i)`` and read ``u(i+1)`` — the
+    reads one by one, as one section, or as one grid block: a log of at
+    most ``SMALL_LOG`` rows, each section element and block lane
+    counted, is checked in plain Python, a larger one with NumPy, and
+    the two passes agree."""
+    taken = []
+    scan_small = ShadowRecorder._scan_small
+
+    def spy(self, w, r):
+        taken.append(len(w) + len(r))
+        return scan_small(self, w, r)
+
+    monkeypatch.setattr(ShadowRecorder, "_scan_small", spy)
+    sh = ShadowRecorder()
+    arr = FArray(np.zeros(8 * SMALL_LOG), (1,))
+    ctx = sh.open_loop("loop", 2)
+    if shape == "grid":
+        sh.grid(ctx, np.arange(n))
+        sh.record_block(ctx, "w", arr, "u", 0, 1)
+        sh.record_block(ctx, "r", arr, "u", 1, 1)
+    else:
+        sh.begin_worker(ctx, Scope())
+        for i in range(n):
+            sh.begin_iteration(ctx, i)
+            sh.record_array(arr, "u", "w", idx=(i + 1,))
+            if shape == "elements":
+                sh.record_array(arr, "u", "r", idx=(i + 2,))
+        if shape == "section":
+            sh.record_array(arr, "u", "r", specs=[(2, n + 1, None)])
+    w, r = ctx.writes, ctx.reads
+    assert w.size() + r.size() == 2 * n
+    found = first_conflicts(sh, sh._scan(w.flat(), r.flat()))
+    assert first_conflicts(sh, sh._scan_small(w.tuples(), r.tuples())) \
+        == found
+    taken.clear()
+    sh.close_loop(ctx)
+    assert taken == ([2 * n] if 2 * n <= SMALL_LOG else [])
+    # each u(i+1) but the section reader's own is another iteration's
+    others = n - 1 - (shape == "section")
+    assert len(sh.conflicts) == len(found) == min(
+        max(others, 0), sh.max_conflicts_per_loop)

@@ -102,6 +102,15 @@ def test_labeled_do_with_continue():
     assert loop.body[1].label == 10
 
 
+def test_labelled_empty_card_keeps_its_own_line():
+    """A card holding only a label is a CONTINUE on that card's line,
+    not on line 1."""
+    sf = parse_program("      program p\n      x = 1\n   10\n      end\n")
+    stmt = sf.units[0].body[-1]
+    assert isinstance(stmt, F.ContinueStmt)
+    assert (stmt.label, stmt.line) == (10, 3)
+
+
 def test_shared_do_termination():
     u = sub_body("""
         do 100 i = 1, n

@@ -114,6 +114,26 @@ class TestPlannerEvents:
         assert rej
 
 
+    def test_a_failed_version_is_not_also_rejected(self):
+        """cg's loop at line 17: ``xdoall-vector`` fails to materialise
+        and ``xdoall`` wins.  The failure is the failed version's one
+        record — no "predicted N cycles vs M" rejection beside it."""
+        from repro.validate.configs import PIPELINE_CONFIGS
+        from repro.workloads import validation_cases
+
+        report = _events(validation_cases()["cg"].source,
+                         PIPELINE_CONFIGS["automatic"]())
+        plans = [(e.technique, e.action) for e in report.events
+                 if e.kind == "plan" and e.line == 17]
+        assert ("xdoall-vector", "failed") in plans
+        assert ("xdoall", "accepted") in plans
+        assert ("xdoall-vector", "rejected") not in plans
+        failed = {(e.unit, e.loop, e.line, e.technique)
+                  for e in report.events if e.action == "failed"}
+        assert not any((e.unit, e.loop, e.line, e.technique) in failed
+                       for e in report.events if e.action == "rejected")
+
+
 class TestPassEvents:
     def test_privatization_logged(self):
         report = _events(PRIV)
