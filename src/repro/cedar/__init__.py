@@ -19,7 +19,6 @@ from repro.cedar.nodes import (
     GlobalDecl,
     LockStmt,
     ParallelDo,
-    PostWaitStmt,
     ProcessCommonStmt,
     UnlockStmt,
     WhereStmt,
@@ -37,7 +36,6 @@ __all__ = [
     "AdvanceStmt",
     "LockStmt",
     "UnlockStmt",
-    "PostWaitStmt",
     "CedarUnparser",
     "unparse_cedar",
     "CEDAR_LIBRARY",

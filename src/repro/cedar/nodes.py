@@ -109,20 +109,6 @@ class UnlockStmt(F.Stmt):
     name: str = "lck"
 
 
-@dataclass
-class PostWaitStmt(F.Stmt):
-    """``call post(ev)`` / ``call wait(ev)`` event synchronization."""
-    action: str = "post"  # 'post' | 'wait'
-    event: str = "ev"
-
-
-def is_cedar_stmt(s: F.Stmt) -> bool:
-    """True if the statement is a Cedar Fortran extension node."""
-    return isinstance(s, (ParallelDo, GlobalDecl, ClusterDecl,
-                          ProcessCommonStmt, WhereStmt, AwaitStmt,
-                          AdvanceStmt, LockStmt, UnlockStmt, PostWaitStmt))
-
-
 def contains_parallelism(stmts: list[F.Stmt]) -> bool:
     """True if any statement in the subtree is a parallel loop."""
     for s in F.stmts_walk(stmts):

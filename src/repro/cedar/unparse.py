@@ -69,9 +69,6 @@ class CedarUnparser(UnparserBase):
     def s_UnlockStmt(self, s: C.UnlockStmt, d: int) -> None:
         self.emit(f"call unlock({s.name})", s.label, d)
 
-    def s_PostWaitStmt(self, s: C.PostWaitStmt, d: int) -> None:
-        self.emit(f"call {s.action}({s.event})", s.label, d)
-
 
 def unparse_cedar(node: F.Node) -> str:
     """Render an AST possibly containing Cedar nodes to Cedar Fortran text."""

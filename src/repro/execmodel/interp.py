@@ -447,34 +447,31 @@ class Interpreter:
                      worker: Callable[[Scope, list], None] | None = None
                      ) -> None:
         """Run a parallel loop worker by worker, each share as dealt in a
-        worker scope of its own.  Without a recorder, ``worker(wscope,
-        mine)`` — the compiled engine's text of a DOALL it writes whole
-        — runs a share's preamble, iterations and postamble in place of
-        one ``exec_body`` per statement list."""
+        worker scope of its own — a DOACROSS as one share holding every
+        iteration in order, with no log.  Without a recorder,
+        ``worker(wscope, mine)`` — the compiled engine's text of a loop
+        it writes whole — runs a share's preamble, iterations and
+        postamble in place of one ``exec_body`` per statement list."""
         iters = list(self._loop_range(s, scope, unit))
         classes = declared_classes(s)
-        if s.order == "doacross":
-            # ordered loop: run iterations in order under one worker scope
-            # per iteration batch; cascade sync is a no-op sequentially.
-            # Not race-checked: carried dependences are covered by the
-            # await/advance synchronization by construction.
-            wscope = self._worker_scope(s, scope, unit, classes)
-            self.exec_body(s.preamble, wscope, unit)
-            for v in iters:
-                wscope.set(s.var, v)
-                self.exec_body(s.body, wscope, unit)
-            self.exec_body(s.postamble, wscope, unit)
-            return
         shadow = self.shadow
         ctx = None
-        if shadow is not None:
-            # only an execution of two or more iterations opens a log
-            ctx = shadow.open_loop(self._loop_label(s), len(iters),
-                                   self._read_only(s, scope)
-                                   if len(iters) > 1 else frozenset())
-        p = max(1, min(self.processors, len(iters) or 1))
+        if s.order == "doacross":
+            # ordered loop: one share holding every iteration in order;
+            # cascade sync is a no-op sequentially.  Not race-checked:
+            # carried dependences are covered by the await/advance
+            # synchronization by construction.
+            shares = (range(len(iters)),)
+        else:
+            if shadow is not None:
+                # only an execution of two or more iterations opens a log
+                ctx = shadow.open_loop(self._loop_label(s), len(iters),
+                                       self._read_only(s, scope)
+                                       if len(iters) > 1 else frozenset())
+            shares = self.deal(len(iters),
+                               max(1, min(self.processors, len(iters) or 1)))
         try:
-            for share in self.deal(len(iters), p):
+            for share in shares:
                 mine = [iters[i] for i in share]
                 if not mine and not s.preamble and not s.postamble:
                     continue
@@ -1119,8 +1116,7 @@ def _resolve_handler(t: type, chain):
 
 #: synchronization statements: functional no-ops under simulation (the
 #: race detector tracks the lock ones)
-_SYNC_STMTS = (C.AwaitStmt, C.AdvanceStmt, C.LockStmt, C.UnlockStmt,
-               C.PostWaitStmt)
+_SYNC_STMTS = (C.AwaitStmt, C.AdvanceStmt, C.LockStmt, C.UnlockStmt)
 #: routines a CALL names for synchronization: functional no-ops
 _SYNC_CALLS = ("await", "advance", "lock", "unlock", "post", "wait")
 #: declarations in executable position

@@ -51,6 +51,23 @@ _HEAVY_OPS = {"/", "**"}
 _Costed = "tuple[float, AccessProfile, CycleLedger]"
 
 
+def _region_cost(body: list[F.Stmt], costs: list[float], opening: type,
+                 closing: type) -> float:
+    """The summed cost of ``body``'s top-level statements between an
+    ``opening`` and a ``closing`` bracket (AWAIT/ADVANCE, LOCK/UNLOCK),
+    read from ``costs``, the body walk's cost of each statement."""
+    inside = False
+    cost = 0.0
+    for st, c in zip(body, costs):
+        if isinstance(st, opening):
+            inside = True
+        elif isinstance(st, closing):
+            inside = False
+        elif inside:
+            cost += c
+    return cost
+
+
 @dataclass
 class PerfResult:
     """Estimated execution of one unit call."""
@@ -253,12 +270,17 @@ class PerfEstimator:
     # ------------------------------------------------------------------
     # statement costing
 
-    def _body(self, stmts: list[F.Stmt], ctx: _Ctx, unit: str):
+    def _body(self, stmts: list[F.Stmt], ctx: _Ctx, unit: str,
+              costs: Optional[list[float]] = None):
+        """Cost, access profile and ledger of ``stmts``; each statement's
+        cost is appended to ``costs`` when given."""
         total = 0.0
         prof = AccessProfile()
         led = self._ledger()
         for s in stmts:
             c, p, l = self._stmt(s, ctx, unit)
+            if costs is not None:
+                costs.append(c)
             total += c
             prof.add(p)
             led.add(l)
@@ -529,7 +551,8 @@ class PerfEstimator:
         inner = _Ctx(env=mid_env, private=frozenset(private),
                      level=s.level, depth=ctx.depth + 1)
 
-        body_c, body_p, body_l = self._body(s.body, inner, unit)
+        costs: list[float] = []
+        body_c, body_p, body_l = self._body(s.body, inner, unit, costs)
         pre_c, pre_p, pre_l = self._body(s.preamble, inner, unit)
         post_c, post_p, post_l = self._body(s.postamble, inner, unit)
 
@@ -537,7 +560,7 @@ class PerfEstimator:
         led = self._ledger()
         label = f"{unit}:do {s.var}" + (f"@{s.line}" if s.line else "")
         if s.order == "doacross":
-            region = self._sync_region_cost(s, inner, unit)
+            region = _region_cost(s.body, costs, C.AwaitStmt, C.AdvanceStmt)
             timing = self.scheduler.doacross(
                 level, trips, body_c, region, pre_c, post_c,
                 ledger=led, timeline=self.timeline, label=label)
@@ -566,7 +589,7 @@ class PerfEstimator:
             total += extra
         # a critical section inside the body serializes its region across
         # all iterations: the lock chain is a hard floor on completion time
-        region_c = self._lock_region_cost(s.body, inner, unit)
+        region_c = _region_cost(s.body, costs, C.LockStmt, C.UnlockStmt)
         if region_c > 0:
             lock_chain = trips * (region_c + self.cfg.cost_lock
                                   + self.cfg.cost_unlock)
@@ -582,39 +605,6 @@ class PerfEstimator:
             led.charge("mem_global", (factor - 1.0) * total)
             led.count("bank_stall_cycles", (factor - 1.0) * total)
         return total * factor, prof, led
-
-    def _lock_region_cost(self, body: list[F.Stmt], ctx: _Ctx,
-                          unit: str) -> float:
-        """Cost of statements between LOCK and UNLOCK at body top level."""
-        inside = False
-        cost = 0.0
-        for st in body:
-            if isinstance(st, C.LockStmt):
-                inside = True
-                continue
-            if isinstance(st, C.UnlockStmt):
-                inside = False
-                continue
-            if inside:
-                c, _, _ = self._stmt(st, ctx, unit)
-                cost += c
-        return cost
-
-    def _sync_region_cost(self, s: C.ParallelDo, ctx: _Ctx,
-                          unit: str) -> float:
-        inside = False
-        cost = 0.0
-        for st in s.body:
-            if isinstance(st, C.AwaitStmt):
-                inside = True
-                continue
-            if isinstance(st, C.AdvanceStmt):
-                inside = False
-                continue
-            if inside:
-                c, _, _ = self._stmt(st, ctx, unit)
-                cost += c
-        return cost
 
     def _where(self, s: C.WhereStmt, ctx: _Ctx, unit: str):
         L = self._section_len(s.mask, ctx)

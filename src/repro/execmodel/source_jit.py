@@ -18,14 +18,16 @@ returns one function per statement, in one of two forms:
   interpreter's own handlers by AST node;
 - **vector text** (``_v<i>``, :class:`_LoopLowerer`, recorder-aware
   only) — the race detector's bulk logger: a DOALL whose whole-grid
-  NumPy evaluation is provably bit-equal to the scalar loop, with the
+  NumPy evaluation is provably bit-equal to the scalar loop (so no
+  ``**`` over lanes: NumPy's array power is not), with the
   loop's scalar text beside it to hand over to.  Only its lanes are its
   own: every subexpression the loop variable does not reach, and the
   function's lookups, are scalar text;
 
-and, unrecorded, **worker text** (``_p<k>``) — one share of a DOALL
-whose preamble, body and postamble the scalar text writes whole:
-``_parallel_do`` deals the iterations and builds each worker scope, and
+and, unrecorded, **worker text** (``_p<k>``) — one share of a parallel
+loop whose preamble, body and postamble the scalar text writes whole:
+``_parallel_do`` deals the iterations (a DOACROSS's in one share, in
+order) and builds each worker scope, and
 the worker function looks its names up once in that scope, then runs
 the preamble, each iteration of its share and the postamble.
 
@@ -78,8 +80,11 @@ keeps no read of them) — and labels the log's lanes with their
 iterations (the strip start for a collapsed strip-mined loop) once.
 Its lanes are a range: every lane subscript is the loop variable plus
 an invariant integer, so the array of each lane-accessed name is
-resolved once per execution (:meth:`Runtime.lanes`), an access is
-bounds-checked on its two lane ends and indexes with a basic slice (a
+resolved once per execution (:meth:`Runtime.lanes`), every access is
+bounds-checked on its two lane ends before the form's first store
+(:meth:`Runtime.in_bounds`; if one fails, the loop runs its scalar
+text, which raises the tree's error at the tree's iteration), an access
+indexes with a basic slice (a
 load returns a view only of an array no store of the form writes), and
 the log keeps it as one block row — first flat offset, offset step —
 expanded when the loop closes; each shared scalar the body names gets
@@ -135,7 +140,7 @@ from repro.fortran.symtab import type_of
 #: bump when the emitter changes: keys every cached ``jit-source``
 #: artifact, of both modes, so stale module text can never be served to
 #: a newer runtime
-JIT_VERSION = 13
+JIT_VERSION = 14
 
 
 #: the loop statements
@@ -246,17 +251,17 @@ class _NoRecorder:
 
 class _Lanes:
     """One vector-form execution's view of a lane-accessed array
-    (:meth:`Runtime.lanes`): the ``FArray``, or the error its first
-    access raises; the open log; the lanes ``r`` and their last value;
-    whether a load may return a view of the storage."""
+    (:meth:`Runtime.lanes`): the ``FArray``, or None when the name is
+    bound to no array; the open log, once the form opens it; the lanes
+    ``r`` and their last value; whether a load may return a view of the
+    storage."""
 
-    __slots__ = ("arr", "name", "cx", "r", "last", "view", "error")
+    __slots__ = ("arr", "name", "cx", "r", "last", "view")
 
-    def __init__(self, arr, name: str, cx, r: range, view: bool,
-                 error: Optional[str]):
-        self.arr, self.name, self.cx, self.r = arr, name, cx, r
+    def __init__(self, arr, name: str, r: range, view: bool):
+        self.arr, self.name, self.cx, self.r = arr, name, None, r
         self.last = r[-1] if r else r.start
-        self.view, self.error = view, error
+        self.view = view
 
 
 class Runtime:
@@ -461,34 +466,46 @@ class Runtime:
         return cx
 
     @staticmethod
-    def lanes(scope: Scope, name: str, cx, r: range, view: bool
-              ) -> "_Lanes":
+    def lanes(scope: Scope, name: str, r: range, view: bool) -> "_Lanes":
         """The array bound to ``name`` as one vector-form execution
-        indexes it over the lanes ``r``, resolved once (an unbound or
-        non-array name raises at its first access, as the tree would)."""
+        indexes it over the lanes ``r``, resolved once."""
         sc = scope.lookup_scope(name)
         v = sc.vars[name] if sc is not None else None
         if isinstance(v, FArray):
-            return _Lanes(v, name, cx, r,
-                          view and v.data.flags.c_contiguous, None)
-        return _Lanes(v, name, cx, r, False,
-                      f"{name!r} is not an array" if sc is not None
-                      else f"reference to undefined variable {name!r}")
+            return _Lanes(v, name, r, view and v.data.flags.c_contiguous)
+        return _Lanes(None, name, r, False)
+
+    @staticmethod
+    def in_bounds(*accesses) -> bool:
+        """Whether each grid access ``(h, subs, lanes)`` of a vector form
+        finds an array of its rank and, on every lane, an element — as
+        ``FArray.get`` would: each lane subscript's two ends and each
+        invariant one inside its dimension.  The form asks before its
+        first store, so a loop any access of which fails runs its scalar
+        text, which raises the tree's error at the tree's iteration."""
+        for h, subs, lanes in accesses:
+            arr = h.arr
+            if arr is None or len(subs) != arr.data.ndim:
+                return False
+            for dim, sub in enumerate(subs):
+                lo = arr.lowers[dim]
+                n = arr.data.shape[dim]
+                if dim in lanes:
+                    if not (0 <= h.r.start + sub - lo < n
+                            and 0 <= h.last + sub - lo < n):
+                        return False
+                elif not 0 <= int(sub) - lo < n:
+                    return False
+        return True
 
     def _lane_key(self, h: "_Lanes", subs: tuple, lanes: tuple,
                   kind: str) -> tuple:
         """The index of a grid access — ``subs`` the invariant subscript
         of each dimension, or for the dimensions in ``lanes`` the lane
-        offset — bounds-checked on the lane ends like ``FArray.get`` on
-        every lane, and logged on the open loop as one block row."""
-        if h.error is not None:
-            raise InterpreterError(h.error)
+        offset — in bounds (:meth:`in_bounds`), logged on the open loop
+        as one block row."""
         arr = h.arr
         shape = arr.data.shape
-        if len(subs) != len(shape):
-            raise InterpreterError(
-                f"rank mismatch: {len(subs)} subscripts for rank "
-                f"{len(shape)} array")
         r = h.r
         step = r.step
         key = []
@@ -497,22 +514,12 @@ class Runtime:
             lo = arr.lowers[dim]
             n = shape[dim]
             if dim in lanes:
-                ends = (r.start + sub, h.last + sub)
-                least, most = ends if step > 0 else ends[::-1]
-                if least < lo or most - lo >= n:
-                    raise InterpreterError(
-                        f"subscript {least if least < lo else most} out of "
-                        f"bounds in dimension {dim + 1} [{lo}, {lo + n - 1}]")
-                j = ends[0] - lo
-                stop = ends[1] - lo + (1 if step > 0 else -1)
+                j = r.start + sub - lo
+                stop = h.last + sub - lo + (1 if step > 0 else -1)
                 key.append(slice(j, stop if stop >= 0 else None, step))
                 start, stride = start * n + j, stride * n + step
             else:
                 j = int(sub) - lo
-                if not (0 <= j < n):
-                    raise InterpreterError(
-                        f"subscript {j + lo} out of bounds in dimension "
-                        f"{dim + 1} [{lo}, {lo + n - 1}]")
                 key.append(j)
                 start, stride = start * n + j, stride * n
         if h.cx is not None:
@@ -920,6 +927,9 @@ class _LoopLowerer:
             if e.name in self.writes and mask != self.writes[e.name]:
                 raise _Ineligible("read crosses written iterations")
             self._reference(e)
+        elif isinstance(e, F.BinOp) and e.op == "**":
+            # NumPy's array power is not bit-equal to the scalar ``**``
+            raise _Ineligible("'**' over lanes")
         elif isinstance(e, F.BinOp) and (e.op in _PY_OPS or e.op == "/"):
             self._lane(e.left)
             self._lane(e.right)
@@ -1004,6 +1014,8 @@ class _LoopLowerer:
         trips = "_n0" if self.strip is None else f"-(-_n0 // {self.strip})"
         out += [f"    _r0 = {rng}", "    _n0 = len(_r0)",
                 f"    if not PART({trips}):", f"        return _s{i}(s)"]
+        #: where the bounds check goes once the body is written
+        check = len(out)
         text.used.update(("PART", "SH", "OPEN", "CLOSE", "IP", "BUD"))
         # every statement the tree's ``exec_body`` would count — the body
         # per iteration, a partial-sum DOALL's preamble and postamble per
@@ -1023,11 +1035,15 @@ class _LoopLowerer:
         out += [f"    _cx = OPEN({i}, s, {label!r}, {trips}, _r0, "
                 f"{self.strip})", "    try:", "        if _n0:"]
         #: where the lanes' own lines go once the body is written: the
-        #: loop variable's values, if the text reads them, and the
-        #: arrays it indexes by lane (:meth:`_array`)
+        #: loop variable's values, if the text reads them, and the log
+        #: of the arrays it indexes by lane (:meth:`_array`)
         at = len(out)
         self._g0 = False
         self._arrays: dict[str, str] = {}
+        #: the invariant parts of the grid accesses, hoisted above the
+        #: bounds check, and each access's arguments (:meth:`_parts`)
+        self._hoisted: list[str] = []
+        self._accesses: list[str] = []
         scalars = self._shared_scalars()
         if scalars:
             text.used.add("SCAL")
@@ -1045,12 +1061,24 @@ class _LoopLowerer:
         lanes = ["            _g0 = np.arange(_r0.start, _r0.stop, "
                  "_r0.step, dtype=np.int64)"] if self._g0 else []
         if self._arrays:
-            text.used.add("LANES")
-        # a load may be a view of storage no store of the form reaches
-        lanes += [f"            {local} = LANES(s, {name!r}, _cx, _r0, "
-                  f"{name not in self.writes})"
-                  for name, local in self._arrays.items()]
+            lanes.append("            " + "".join(
+                f"{local}.cx = " for local in self._arrays.values()) + "_cx")
         out[at:at] = lanes
+        if self._accesses:
+            # every access in bounds on every lane before the first
+            # store — else, or if the hoisted text raises, the scalar
+            # text raises where the tree does; a load may be a view of
+            # storage no store of the form reaches
+            text.used.update(("LANES", "INB"))
+            checks = ", ".join(dict.fromkeys(self._accesses))
+            out[check:check] = [
+                "    if _n0:", "        try:", *self._hoisted,
+                *(f"            {local} = LANES(s, {name!r}, _r0, "
+                  f"{name not in self.writes})"
+                  for name, local in self._arrays.items()),
+                f"            _ok = INB({checks})",
+                "        except Exception:", "            _ok = False",
+                "        if not _ok:", f"            return _s{i}(s)"]
         if self.partials:
             self._emit_folds(out, " " * 8)
         out += ["    finally:", "        CLOSE(_cx)"]
@@ -1084,25 +1112,29 @@ class _LoopLowerer:
         x = self.ex(e.operand, out, ind)
         return f"(-{x})" if e.op == "-" else x
 
-    def _parts(self, ref, out: list, ind: str) -> str:
-        """The arguments of a grid access of ``ref`` after its array:
-        each subscript's invariant value, or the lane offset of a
-        dimension the loop variable indexes, then those dimensions."""
+    def _parts(self, ref) -> str:
+        """The arguments of a grid access of ``ref``: its array, each
+        subscript's invariant value, or the lane offset of a dimension
+        the loop variable indexes, then those dimensions.  Their scalar
+        text is hoisted above the bounds check, which checks the access
+        too: a value the loop does not write is the same there."""
         subs = self._subscripts(ref)
         parts, lanes = "", ""
         for dim, (sub, entry) in enumerate(zip(subs,
                                                self._axis_mask(subs))):
             if entry is None:
-                parts += f"{self._text.ex(sub, out, ind)}, "
+                parts += f"{self._text.ex(sub, self._hoisted, ' ' * 12)}, "
                 continue
             lanes += f"{dim}, "
             op, off = self._split_affine(sub)
             if off is None:
                 parts += "0, "
                 continue
-            off = self._text.ex(off, out, ind)
+            off = self._text.ex(off, self._hoisted, " " * 12)
             parts += f"{off}, " if op == "+" else f"-{off}, "
-        return f"{self._array(ref.name)}, ({parts}), ({lanes})"
+        args = f"{self._array(ref.name)}, ({parts}), ({lanes})"
+        self._accesses.append(f"({args})")
+        return args
 
     def _load(self, ref, out: list, ind: str) -> str:
         """A grid load, logged.  A load already made in this block reads
@@ -1114,7 +1146,7 @@ class _LoopLowerer:
             for sub, entry in zip(subs, self._axis_mask(subs)))
         local = self._loaded.get(key)
         if local is None:
-            parts = self._parts(ref, out, ind)
+            parts = self._parts(ref)
             local = self._loaded[key] = self._text._new()
             self._text.used.add("VL")
             return f"({local} := VL({parts}))"
@@ -1124,7 +1156,7 @@ class _LoopLowerer:
 
     def _emit_assign(self, st: F.Assign, out: list, ind: str) -> None:
         t = st.target
-        parts = self._parts(t, out, ind)       # evaluated first: VS(...)
+        parts = self._parts(t)
         rhs = self.ex(st.value, out, ind)
         self._text.used.add("VS")
         out.append(f"{ind}VS({parts}, {rhs})")
@@ -1210,8 +1242,8 @@ class _ScalarText:
     handlers, by AST node: ``ParallelDo``, CALL statements, every other
     nested body (compiled as a list of its own), and every name only the
     tree can resolve at run time — calls of program units, ``Apply``
-    nodes nobody resolved, unknown functions.  Unrecorded, a DOALL whose
-    preamble, body and postamble are all written whole goes to
+    nodes nobody resolved, unknown functions.  Unrecorded, a parallel
+    loop whose preamble, body and postamble are all written whole goes to
     ``_parallel_do`` with a worker function (:meth:`_worker`) that runs
     a share inline.  Any other statement kind
     (GOTO, computed GOTO, PRINT, READ, WHERE, STOP, assigned GOTO, I/O)
@@ -1446,7 +1478,8 @@ class _ScalarText:
 
     def _worker(self, s: C.ParallelDo) -> Optional[str]:
         """The worker function ``_p<k>(s, mine)`` that runs one share of
-        DOALL ``s`` — preamble, each iteration of ``mine``, postamble —
+        parallel loop ``s`` (a DOACROSS has one, every iteration in
+        order) — preamble, each iteration of ``mine``, postamble —
         when the unrecorded text writes all three whole; else None, and
         ``_parallel_do`` runs each statement list of the share.  Its
         names are looked up once per share in the worker scope ``s``,
@@ -1454,8 +1487,7 @@ class _ScalarText:
         the function is a closed region, they and the loop variable hold
         a value from its start."""
         parts = (s.preamble, s.body, s.postamble)
-        if self.rec or s.order != "doall" \
-                or not all(self._whole(part) for part in parts):
+        if self.rec or not all(self._whole(part) for part in parts):
             return None
         k = len(self.workers)
         self.workers.append([])      # its name, before a nested DOALL's
@@ -1898,7 +1930,7 @@ _HELPERS = {
     "CALLS": "compiler.interp._call_stmt", "EV": "compiler.interp.eval",
     # vector forms
     "VL": "vload", "VS": "vstore", "DEAL": "shares", "PART": "partition",
-    "OPEN": "open_grid", "LANES": "lanes",
+    "OPEN": "open_grid", "LANES": "lanes", "INB": "in_bounds",
     "CLOSE": "shadow.close_loop", "SCAL": "log_scalars",
     "ALIAS": "aliased",
     # recorder-aware scalar text

@@ -28,16 +28,17 @@ from repro.analysis.nest import NestRecord
 from repro.analysis.privatization import PrivatizationResult, find_privatizable
 from repro.analysis.reductions import Reduction, find_reductions
 from repro.analysis.runtime_test import synthesize_runtime_test
-from repro.cedar.nodes import ParallelDo
+from repro.cedar.nodes import (
+    AdvanceStmt,
+    AwaitStmt,
+    LockStmt,
+    ParallelDo,
+    UnlockStmt,
+)
 from repro.errors import TransformError
 from repro.fortran import ast_nodes as F
 from repro.fortran.symtab import SymbolTable
 from repro.restructurer.costmodel import CostModel, estimate_body_ops, trip_count
-from repro.restructurer.criticals import (
-    build_critical_loop,
-    plan_critical_section,
-)
-from repro.restructurer.doacross import build_doacross, plan_doacross
 from repro.restructurer.induction_sub import substitute_inductions
 from repro.restructurer.names import NamePool
 from repro.restructurer.options import RestructurerOptions
@@ -46,6 +47,12 @@ from repro.restructurer.recurrence import replace_with_library
 from repro.restructurer.reduction_xform import transform_reductions
 from repro.restructurer.scalar_expansion import plan_expansion
 from repro.restructurer.stripmine import stripmine_vectorize, vectorize_inner
+from repro.restructurer.sync_region import (
+    SyncPlan,
+    bracket,
+    plan_critical_section,
+    plan_doacross,
+)
 from repro.restructurer.versioning import build_two_version
 from repro.trace.events import NULL_SINK, DecisionEvent
 
@@ -415,7 +422,10 @@ class LoopPlanner:
                                reason=plan.describe(), cost=score)
                     out.append((
                         "cdoacross", score,
-                        lambda p=plan: self._build_doacross(p, priv_ok),
+                        lambda p=plan: self._build_bracketed(
+                            p, priv_ok,
+                            AwaitStmt(point=1, distance=p.distance),
+                            AdvanceStmt(point=1), "C", "doacross"),
                     ))
                 else:
                     self._emit(loop, "cdoacross", "rejected",
@@ -462,7 +472,9 @@ class LoopPlanner:
                     serialized = trips * (cplan.region_ops + 60.0)
                     out.append((
                         "critical-xdoall", max(base, serialized) * 1.05,
-                        lambda cp=cplan: self._build_critical(cp, priv_ok),
+                        lambda cp=cplan: self._build_bracketed(
+                            cp, priv_ok, LockStmt(name="crit"),
+                            UnlockStmt(name="crit"), "X", "doall"),
                     ))
                 else:
                     self._emit(loop, "critical-xdoall", "rejected",
@@ -575,13 +587,18 @@ class LoopPlanner:
                          locals_=priv_out.locals_, body=new_body)
         return [sdo] + priv_out.after_loop
 
-    def _build_doacross(self, plan, priv: list[PrivatizationResult]
-                        ) -> list[F.Stmt]:
+    def _build_bracketed(self, plan: SyncPlan,
+                         priv: list[PrivatizationResult], opening: F.Stmt,
+                         closing: F.Stmt, level: str, order: str
+                         ) -> list[F.Stmt]:
+        """A synchronised region's loop: ``opening``/``closing`` around
+        the region, the loop's privatized scalars declared local."""
         priv_out = privatize_for_loop(
             plan.loop, priv, self.symtab,
             allow_arrays=self.opt.array_privatization,
             sink=self.sink, unit=self.unit.name)
-        pdo = build_doacross(plan, level="C", locals_=priv_out.locals_)
+        pdo = bracket(plan, opening, closing, level, order,
+                      locals_=priv_out.locals_)
         return [pdo] + priv_out.after_loop
 
     def _build_two_version(self, nest: NestRecord, test,
@@ -630,13 +647,3 @@ class LoopPlanner:
                 for _, body in s.arms:
                     self._replace_inner_idioms(body)
             i += 1
-
-    def _build_critical(self, cplan, priv: list[PrivatizationResult]
-                        ) -> list[F.Stmt]:
-        priv_out = privatize_for_loop(
-            cplan.loop, priv, self.symtab,
-            allow_arrays=self.opt.array_privatization,
-            sink=self.sink, unit=self.unit.name)
-        pdo = build_critical_loop(cplan, level="X",
-                                  locals_=priv_out.locals_)
-        return [pdo] + priv_out.after_loop

@@ -15,7 +15,7 @@ from repro.cedar import (
     WhereStmt,
     unparse_cedar,
 )
-from repro.cedar.nodes import contains_parallelism, is_cedar_stmt
+from repro.cedar.nodes import contains_parallelism
 from repro.fortran import ast_nodes as F
 
 
@@ -42,11 +42,6 @@ class TestNodes:
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
             make_loop("C", "sideways")
-
-    def test_is_cedar_stmt(self):
-        assert is_cedar_stmt(make_loop())
-        assert is_cedar_stmt(GlobalDecl(names=["a"]))
-        assert not is_cedar_stmt(F.ContinueStmt())
 
     def test_contains_parallelism(self):
         serial = F.DoLoop(var="i", start=F.IntLit(1), end=F.IntLit(2),

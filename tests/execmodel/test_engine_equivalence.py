@@ -262,3 +262,32 @@ def test_engines_identical_on_sampled_inputs(seed, wname, processors):
                         engine=engine)
         assert_bit_identical(
             tree, fast, f"{wname}@seed={seed}/P={processors}[{engine}]")
+
+
+@pytest.mark.parametrize("lowering", LOWERINGS)
+@pytest.mark.parametrize("deal", ["reversed", "shuffled"])
+def test_doacross_gives_the_serial_result_under_any_deal(deal, lowering):
+    """A DOACROSS runs through the DOALL share loop as one share holding
+    every iteration in order, so a deal that reverses or shuffles the
+    DOALLs' iterations leaves the Fig. 4 cascade's recurrence — and its
+    step count — as the sequential program has them, on both engines;
+    a recorder opens no log for it."""
+    from repro.cedar.nodes import ParallelDo
+    from tests.validate.test_order_independence import DEALS as REORDER
+
+    case = _synthetic_cases()["cascade"]
+    cedar, _ = cached_restructure(case.source)
+    assert [s.order for s in cedar.units[0].body
+            if isinstance(s, ParallelDo)] == ["doacross"]
+    serial = _outputs(cached_parse(case.source), case, seed=3,
+                      processors=1, engine="tree")
+    for engine in ("tree",) + FAST_ENGINES:
+        args, _ = case.make_args(case.n, np.random.default_rng(3))
+        shadow = ShadowRecorder() if lowering == "vector" else None
+        interp = Interpreter(cedar, processors=8, engine=engine,
+                             deal=REORDER[deal], shadow=shadow)
+        out = interp.call(case.entry, *args)
+        assert_bit_identical(serial, out, f"{engine}@deal={deal}")
+        assert interp._steps == 1 + 5 * (case.n - 1)
+        if shadow is not None:
+            assert (shadow.loops_checked, shadow.conflicts) == (0, [])

@@ -601,3 +601,80 @@ def test_a_load_the_vector_form_stores_over_is_a_copy(n):
     assert_bit_identical(tree, fast, "tree vs compiled")
     assert sh_c.loops_checked == sh_t.loops_checked == 1
     assert sh_c.conflicts == sh_t.conflicts == []
+
+
+POWER_SRC = """
+      subroutine p(n, a, b, c, e)
+      integer n, i
+      real a(64), b(64), c(64), e
+      do i = 1, n
+         a(i) = b(i) ** c(i) + e ** 2
+      end do
+      end
+"""
+
+
+def test_a_power_over_lanes_runs_the_scalar_text():
+    """NumPy's array power is not bit-equal to the scalar ``**`` the
+    tree computes, so the lowerer declines a loop whose lanes it joins;
+    an invariant power is scalar text and does not count."""
+    program = doall_program(POWER_SRC)
+    rng = np.random.default_rng(11)
+    args = [64, np.zeros(64), rng.uniform(0.1, 10.0, 64),
+            rng.uniform(-3.0, 3.0, 64), 1.5]
+    tree, sh_t, _ = lanes_run(program, "p", args, "tree")
+    fast, sh_c, comp = lanes_run(program, "p", args, "compiled")
+    assert comp.vectorized_loops == 0
+    assert_bit_identical(tree, fast, "tree vs compiled")
+    assert sh_c.loops_checked == sh_t.loops_checked == 1
+    assert sh_c.conflicts == sh_t.conflicts == []
+    lowered = doall_program(POWER_SRC.replace("b(i) ** c(i)",
+                                              "b(i) * c(i)"))
+    assert lanes_run(lowered, "p", args, "compiled")[2] \
+        .vectorized_loops == 1
+
+
+TWO_BOUNDS_SRC = """
+      subroutine t(a, b, c)
+      integer i
+      real a(12), b(12), c(12)
+      do i = 1, 12
+         a(i) = b(i + 1)
+         c(i) = b(i - 1)
+      end do
+      end
+"""
+
+INVARIANT_READ_SRC = """
+      subroutine t(a, b, c, w, k, m)
+      integer i, m
+      integer k(12)
+      real a(12), b(12), c(12), w(12, 12)
+      do i = 1, 12
+         c(i) = b(i + 1)
+         a(i) = b(i) + w(k(m), i)
+      end do
+      end
+"""
+
+
+@pytest.mark.parametrize("src, extra", [
+    (TWO_BOUNDS_SRC, []),
+    (INVARIANT_READ_SRC, [np.ones((12, 12)), np.full(12, 2), 0]),
+], ids=["lane-ends", "invariant-subscript-read"])
+def test_the_first_failing_iteration_names_the_subscript(src, extra):
+    """Two accesses out of bounds, one at the last lane of the first
+    statement (``b(13)``), one in the tree's first iteration, in the
+    second statement — at its other lane end (``b(0)``), or reading an
+    invariant subscript (``k(0)``): the tree names subscript 0.  The
+    vector form checks every access before its first store, its
+    invariant subscripts evaluated first, and runs the scalar text —
+    stores and all — when one fails."""
+    program = doall_program(src)
+    rng = np.random.default_rng(4)
+    args = [np.zeros(12), rng.standard_normal(12), np.zeros(12), *extra]
+    tree, _, _ = lanes_run(program, "t", args, "tree")
+    fast, _, comp = lanes_run(program, "t", args, "compiled")
+    assert comp.vectorized_loops == 1
+    assert isinstance(tree, str) and tree.startswith("subscript 0 ")
+    assert fast == tree

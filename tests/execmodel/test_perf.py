@@ -167,3 +167,45 @@ class TestBranchDecision:
         bad = PerfEstimator(sf, cedar_config1()).estimate(
             "rt", {"ni": 512, "nj": 512, "lda": 100})
         assert good.total < bad.total
+
+
+class TestSynchronisedRegions:
+    """A region's cost comes from the body walk: each statement is
+    priced once, whichever bracket — AWAIT/ADVANCE or LOCK/UNLOCK —
+    marks it."""
+
+    @pytest.mark.parametrize("bracket", ["doacross", "lock"])
+    @pytest.mark.parametrize("scenario",
+                             ["bank-degraded", "bank-outage", "chaos"])
+    def test_a_degraded_region_is_noted_once(self, scenario, bracket):
+        """Under a degraded bank the cascade's loop notes as many
+        injected faults with its region bracketed — the DOACROSS's
+        AWAIT/ADVANCE, or LOCK/UNLOCK in a DOALL — as without: the
+        region's accesses are not priced a second time."""
+        from repro.cedar import nodes as C
+        from repro.engine import cached_restructure
+        from repro.faults.plan import all_scenarios
+        from repro.faults.sweep import _synthetic_cases
+
+        case = _synthetic_cases()["cascade"]
+        cedar, _ = cached_restructure(case.source)
+        bracketed, plain = cedar.clone(), cedar.clone()
+        [pdo] = bracketed.units[0].body
+        if bracket == "lock":
+            pdo.order = "doall"
+            pdo.body = [C.LockStmt(name="crit")
+                        if isinstance(s, C.AwaitStmt)
+                        else C.UnlockStmt(name="crit")
+                        if isinstance(s, C.AdvanceStmt) else s
+                        for s in pdo.body]
+        [pdo] = plain.units[0].body
+        pdo.order = "doall"
+        pdo.body = [s for s in pdo.body
+                    if not isinstance(s, (C.AwaitStmt, C.AdvanceStmt))]
+        counts = []
+        for program in (bracketed, plain):
+            est = PerfEstimator(program, cedar_config1(),
+                                faults=all_scenarios()[scenario])
+            est.estimate(case.entry, {"n": 1000})
+            counts.append(est.fault_injector.injected_faults)
+        assert counts[0] == counts[1] > 0

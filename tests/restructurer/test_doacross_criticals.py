@@ -1,4 +1,5 @@
-"""Unit tests for DOACROSS planning and unordered critical sections."""
+"""Unit tests for synchronised regions: DOACROSS planning and unordered
+critical sections."""
 
 import pytest
 
@@ -7,11 +8,12 @@ from repro.cedar.nodes import AdvanceStmt, AwaitStmt, LockStmt, UnlockStmt
 from repro.fortran import ast_nodes as F
 from repro.fortran.parser import parse_program
 from repro.fortran.symtab import build_symbol_table
-from repro.restructurer.criticals import (
-    build_critical_loop,
+from repro.restructurer import sync_region
+from repro.restructurer.sync_region import (
+    bracket,
     plan_critical_section,
+    plan_doacross,
 )
-from repro.restructurer.doacross import build_doacross, plan_doacross
 
 
 def get_loop(src):
@@ -44,22 +46,14 @@ class TestDoacross:
         assert plan.first == plan.last == 1
         assert plan.distance == 1
 
-    def test_delay_factor(self):
-        loop, g = get_loop(self.CASCADE)
-        plan = plan_doacross(loop, g)
-        # region is roughly a third of the body; per §3.3 divided by procs
-        f8 = plan.delay_factor(8)
-        f32 = plan.delay_factor(32)
-        assert 0 < f32 < f8 < 1
-
     def test_build_brackets_region(self):
         loop, g = get_loop(self.CASCADE)
         plan = plan_doacross(loop, g)
-        pdo = build_doacross(plan, level="C")
+        pdo = bracket(plan, AwaitStmt(distance=plan.distance),
+                      AdvanceStmt(), "C", "doacross")
         kinds = [type(s).__name__ for s in pdo.body]
-        ai = kinds.index("AwaitStmt")
-        vi = kinds.index("AdvanceStmt")
-        assert ai < vi
+        assert kinds == ["Assign", "AwaitStmt", "Assign", "AdvanceStmt",
+                         "Assign"]
         assert pdo.order == "doacross"
 
     def test_parallel_loop_needs_no_plan(self):
@@ -150,12 +144,14 @@ class TestCriticalSections:
         # the planner passes the privatizable scalars as the ignore set
         plan = plan_critical_section(loop, g, ignore={"d", "k"})
         assert plan is not None
-        assert "nhit" in plan.variables
+        # the IF holding the hit-list append, and nothing else
+        assert (plan.first, plan.last) == (3, 3)
 
     def test_build_brackets_with_locks(self):
         loop, g = get_loop(self.HITS)
         plan = plan_critical_section(loop, g, ignore={"d", "k"})
-        pdo = build_critical_loop(plan)
+        pdo = bracket(plan, LockStmt(name="crit"), UnlockStmt(name="crit"),
+                      "X", "doall")
         kinds = [type(s).__name__ for s in pdo.body]
         assert kinds.index("LockStmt") < kinds.index("UnlockStmt")
         assert pdo.order == "doall"
@@ -204,3 +200,40 @@ class TestCriticalSections:
       end
 """)
         assert plan_critical_section(loop, g, ignore=set()) is None
+
+
+class TestRegionFinder:
+    """The one region both kinds of synchronisation bracket, as the
+    planner asks for it: the Fig. 4 cascade's recurrence statement, and
+    TRACK's hit-list append (a DOACROSS candidate first, then the
+    critical section the manual configuration takes)."""
+
+    @staticmethod
+    def regions(monkeypatch, source, options):
+        import repro
+
+        found = []
+        find = sync_region.find_region
+
+        def spy(*args, **kwargs):
+            region = find(*args, **kwargs)
+            found.append(region and region[:2])
+            return region
+
+        monkeypatch.setattr(sync_region, "find_region", spy)
+        repro.restructure_source(source, options)
+        return found
+
+    def test_figure_4_cascade(self, monkeypatch):
+        from repro.restructurer.options import RestructurerOptions
+        from repro.workloads.synthetic import ALL_SOURCES
+
+        assert self.regions(monkeypatch, ALL_SOURCES["casc"],
+                            RestructurerOptions.automatic()) == [(2, 2)]
+
+    def test_track_hit_list(self, monkeypatch):
+        from repro.restructurer.options import RestructurerOptions
+        from repro.workloads.perfect import track
+
+        assert self.regions(monkeypatch, track.SOURCE,
+                            RestructurerOptions.manual()) == [(2, 2), (2, 2)]
