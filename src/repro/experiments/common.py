@@ -196,13 +196,14 @@ def add_engine_args(ap: argparse.ArgumentParser) -> None:
 
 def finite_seconds(text: str) -> float:
     """The argparse ``type=`` of every harness's ``--timeout``: a finite
-    number of seconds (``0`` is no budget, as
-    :func:`repro.faults.harness.watchdog` documents).  ``nan`` or
-    ``inf`` is a usage error, not a budget the watchdog could arm."""
+    number of seconds ≥ 0 (``0`` is no budget, as
+    :func:`repro.faults.harness.watchdog` documents).  ``nan``, ``inf``
+    or a negative value is a usage error, not a budget the watchdog
+    could arm."""
     value = float(text)
-    if not math.isfinite(value):
+    if not math.isfinite(value) or value < 0.0:
         raise argparse.ArgumentTypeError(
-            f"not a finite number of seconds: {text!r}")
+            f"not a finite number of seconds >= 0: {text!r}")
     return value
 
 
@@ -216,7 +217,8 @@ def positive_int(text: str) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    """An integer ≥ 0 (``--seeds``: a NumPy seed cannot be negative)."""
+    """An integer ≥ 0 (``--seeds``: a NumPy seed cannot be negative;
+    the fuzzer's ``--seed``: a seed names its program's unit)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(

@@ -32,7 +32,7 @@ def run(quick: bool = False) -> Table:
     )
 
     cg = LINALG_ROUTINES["cg"]
-    n = 100 if quick else cg.table1_size
+    n = 100 if quick else cg.paper_n
     off, _, _ = restructured_estimate(cg.source, cg.entry, cg.bindings(n),
                                       machine,
                                       RestructurerOptions.automatic(),
@@ -44,7 +44,7 @@ def run(quick: bool = False) -> Table:
     t.add("CG", PAPER["cg"], off.total / on.total)
 
     trfd = PERFECT_PROGRAMS["TRFD"]
-    n = 24 if quick else trfd.default_n
+    n = 24 if quick else trfd.paper_n
     # the paper measured the *manually optimized* TRFD, whose references
     # are largely privatized — exactly what limits its prefetch gain
     opts = RestructurerOptions.manual()

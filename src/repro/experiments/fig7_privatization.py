@@ -51,7 +51,7 @@ def _strip_locals(sf: F.SourceFile, names: tuple[str, ...]) -> None:
 def run(quick: bool = False) -> Table:
     machine = cedar_config1()
     p = PERFECT_PROGRAMS["MDG"]
-    n = 32 if quick else p.default_n
+    n = 32 if quick else p.paper_n
     b = p.bindings(n)
     opts = RestructurerOptions.manual()
 

@@ -34,7 +34,7 @@ PARTITIONED_PLACEMENTS = {"a": "cluster"}
 
 def run(quick: bool = False) -> Table:
     cg = LINALG_ROUTINES["cg"]
-    n = 100 if quick else cg.table1_size
+    n = 100 if quick else cg.paper_n
     b = cg.bindings(n)
     opts = RestructurerOptions.automatic()
 

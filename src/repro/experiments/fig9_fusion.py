@@ -43,7 +43,7 @@ def _variant_options(variant: str) -> RestructurerOptions:
 
 def run(quick: bool = False) -> Table:
     p = PERFECT_PROGRAMS["FLO52"]
-    n = 32 if quick else p.default_n
+    n = 32 if quick else p.paper_n
     b = p.bindings(n)
     t = Table(
         title="Figure 9: combining multiple parallel loops into one "

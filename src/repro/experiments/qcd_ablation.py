@@ -99,7 +99,7 @@ def _critical_variant(source: str) -> F.SourceFile:
 def run(quick: bool = False) -> Table:
     machine = cedar_config1()
     p = PERFECT_PROGRAMS["QCD"]
-    n = 512 if quick else p.default_n
+    n = 512 if quick else p.paper_n
     b = p.bindings(n)
 
     serial = serial_estimate(p.source, p.entry, b, machine)

@@ -16,20 +16,6 @@ from repro.machine.config import cedar_config1
 from repro.restructurer.options import RestructurerOptions
 from repro.workloads.linalg import LINALG_ROUTINES
 
-#: paper column (routine → (size, speedup))
-PAPER = {
-    "cg": (400, 163.0),
-    "ludcmp": (1000, 9.2),
-    "lubksb": (1000, 6.8),
-    "sparse": (800, 29.0),
-    "gaussj": (600, 10.0),
-    "svbksb": (200, 32.0),
-    "svdcmp": (200, 7.2),
-    "mprove": (1000, 1079.0),
-    "toeplz": (800, 1.3),
-    "tridag": (800, 2.1),
-}
-
 
 def run(quick: bool = False) -> Table:
     """Regenerate Table 1.  ``quick`` shrinks sizes (for smoke tests)."""
@@ -41,13 +27,12 @@ def run(quick: bool = False) -> Table:
         columns=["routine", "size", "paper speedup", "measured speedup"],
     )
     t.meta["trace"] = {}
-    for name, (size, paper) in PAPER.items():
-        r = LINALG_ROUTINES[name]
-        n = max(16, size // 8) if quick else size
+    for r in LINALG_ROUTINES.values():
+        n = max(16, r.paper_n // 8) if quick else r.paper_n
         res = estimate_pair(r.source, r.entry, r.bindings(n),
                             machine, options)
-        t.add(name, n, paper, res.speedup)
-        t.meta["trace"][name] = res.trace_entry()
+        t.add(r.name, n, r.paper["cedar_auto"], res.speedup)
+        t.meta["trace"][r.name] = res.trace_entry()
     return t
 
 

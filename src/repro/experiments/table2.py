@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from repro.experiments.common import estimate_pair
 from repro.experiments.report import Table
-from repro.machine.config import alliant_fx80, cedar_config1, cedar_config2
+from repro.machine.config import alliant_fx80, cedar_config1
 from repro.restructurer.options import RestructurerOptions
 from repro.workloads.perfect import PERFECT_PROGRAMS
-
-ORDER = ["ARC2D", "FLO52", "BDNA", "DYFESM", "ADM", "MDG",
-         "MG3D", "OCEAN", "TRACK", "TRFD", "QCD", "SPEC77"]
 
 
 def run(quick: bool = False, n_override: int | None = None) -> Table:
@@ -38,15 +35,12 @@ def run(quick: bool = False, n_override: int | None = None) -> Table:
     ratios_fx = []
     ratios_cedar = []
     t.meta["trace"] = {}
-    for name in ORDER:
-        p = PERFECT_PROGRAMS[name]
-        n = n_override or (max(16, p.default_n // 4) if quick else p.default_n)
+    for name, p in PERFECT_PROGRAMS.items():
+        n = n_override or (max(16, p.paper_n // 4) if quick else p.paper_n)
         b = p.bindings(n)
         cells = {}
-        for mach_label, machine, cfg in (
-            ("fx80", fx80, None),
-            ("cedar", cedar_config1(), None),
-        ):
+        for mach_label, machine in (("fx80", fx80),
+                                    ("cedar", cedar_config1())):
             for opt_label, opts in (("auto", auto), ("manual", manual)):
                 res = estimate_pair(p.source, p.entry, b, machine, opts)
                 cells[f"{mach_label} {opt_label}"] = res.speedup

@@ -68,6 +68,7 @@ from repro.machine.config import cedar_config1
 from repro.validate.differential import (DEFAULT_ENGINE, compare_outputs,
                                          run_baseline, run_variant)
 from repro.workloads import validation_cases
+from repro.workloads.synthetic import CASCADE_WORKLOAD
 
 SCHEMA_TAG = "repro-faults/1"
 
@@ -78,8 +79,8 @@ SCHEMA_TAG = "repro-faults/1"
 SWEEP_WORKLOADS = ("tridag", "cg", "sparse", "TRFD", "MDG", "cascade")
 QUICK_WORKLOADS = ("tridag", "cg", "TRFD", "cascade")
 
-#: estimator problem sizes (larger than the interpreter's VALIDATE_N so
-#: parallel loops have many chunks to redistribute)
+#: estimator problem sizes per suite (larger than the records'
+#: validation sizes so parallel loops have many chunks to redistribute)
 ESTIMATE_N = {"linalg": 64, "perfect": 24, "synthetic": 96}
 ESTIMATE_N_QUICK = {"linalg": 32, "perfect": 16, "synthetic": 48}
 
@@ -147,8 +148,7 @@ class _WorkloadHarness:
         # cedar program is read-only downstream — estimator + interpreter)
         self.cedar, _ = cached_restructure(case.source)
         self.cedar_text = unparse_cedar(self.cedar)
-        registry = _bindings_registry(case)
-        self.bindings = registry(estimate_n)
+        self.bindings = case.bindings(estimate_n)
         self.healthy = self._estimate(None)
         self.baseline_out = run_baseline(case, seed, engine=engine)
         #: deal key -> (the first plan that dealt it, its result)
@@ -188,33 +188,10 @@ class _WorkloadHarness:
         return _outputs_identical(first, self._interpret(plan))
 
 
-def _cascade_args(n, rng):
-    arrs = [rng.standard_normal(n) for _ in range(8)]
-    return (n, *arrs), None
-
-
-def _synthetic_cases() -> dict:
-    """Synthetic oracle-only cases (not part of the validation suite)."""
-    from repro.workloads import ValidationCase
-    from repro.workloads.synthetic import CASCADE
-
-    return {
-        "cascade": ValidationCase(
-            name="cascade", suite="synthetic", source=CASCADE,
-            entry="casc", make_args=_cascade_args, n=24),
-    }
-
-
-def _bindings_registry(case) -> Callable:
-    if case.suite == "linalg":
-        from repro.workloads import LINALG_ROUTINES
-
-        return LINALG_ROUTINES[case.name].bindings
-    if case.suite == "synthetic":
-        return lambda n: {"n": n}
-    from repro.workloads import PERFECT_PROGRAMS
-
-    return PERFECT_PROGRAMS[case.name].bindings
+def _cases() -> dict:
+    """Every program the sweep can run: the 22 validation cases and the
+    synthetic ``cascade`` row."""
+    return {**validation_cases(), CASCADE_WORKLOAD.name: CASCADE_WORKLOAD}
 
 
 def _outputs_identical(a: dict, b: dict) -> bool:
@@ -295,6 +272,63 @@ def _resolve_plans(quick: bool,
     return all_scenarios(quick=quick)
 
 
+def run_fault_workload(job: dict) -> dict:
+    """Run one workload row of the fault matrix: the parallel sweep's
+    picklable cell.
+
+    The harness (restructure + healthy estimate + sequential baseline)
+    is built once, then every non-journaled scenario runs crash-isolated
+    against it.  ``job`` keys: workload, quick (bool), timeout, engine,
+    scenario_override (list of scenario names or None), skip (scenario
+    names already in the parent's journal).  Returns JSON-shaped records
+    only — printing and journaling stay in the parent, so serial and
+    parallel sweeps emit byte-identical payloads::
+
+        {"workload": str,
+         "baseline_fault": fault-dict | None,
+         "cells": [{"scenario": str, "resumed": True}
+                   | {"scenario": str, "run": run-dict, "fault": None}
+                   | {"scenario": str, "run": None, "fault": fault-dict},
+                   ...]}
+
+    Cells appear in scenario-matrix order; journaled scenarios become
+    ``resumed`` placeholders the parent replaces from its journal.
+    """
+    wname = job["workload"]
+    quick = job["quick"]
+    timeout = job["timeout"]
+    skip = set(job["skip"])
+    plans = _resolve_plans(quick, job["scenario_override"])
+    sizes = ESTIMATE_N_QUICK if quick else ESTIMATE_N
+    case = _cases()[wname]
+
+    harness, fr = run_isolated(
+        lambda: _WorkloadHarness(case, estimate_n=sizes[case.suite],
+                                 engine=job["engine"]),
+        label=f"{wname} baseline", timeout=timeout)
+    if fr is not None:
+        return {"workload": wname, "baseline_fault": fr.to_dict(),
+                "cells": []}
+
+    cells: list[dict] = []
+    todo = [s for s in plans if s not in skip]
+    for sname, plan in plans.items():
+        if sname in skip:
+            cells.append({"scenario": sname, "resumed": True})
+            continue
+        cell, fr = run_isolated(
+            lambda plan=plan, last=sname == todo[-1]:
+                run_cell(harness, plan, last_in_row=last),
+            label=f"{wname}:{sname}", timeout=timeout)
+        if fr is not None:
+            cells.append({"scenario": sname, "run": None,
+                          "fault": fr.to_dict()})
+        else:
+            cells.append({"scenario": sname, "run": cell.to_dict(),
+                          "fault": None})
+    return {"workload": wname, "baseline_fault": None, "cells": cells}
+
+
 def run_sweep(workloads: Sequence[str] | None = None,
               scenarios: Sequence[str] | None = None, *,
               quick: bool = False,
@@ -327,14 +361,12 @@ def run_sweep(workloads: Sequence[str] | None = None,
     plans = _resolve_plans(quick, scenarios)
     scenario_names = list(plans)
 
-    cases = validation_cases()
-    cases.update(_synthetic_cases())
+    cases = _cases()
     unknown = [n for n in names if n not in cases]
     if unknown:
         raise ReproError(f"unknown workload(s): {', '.join(unknown)}")
 
     from repro.engine.parallel import parallel_map
-    from repro.faults.worker import run_fault_workload
 
     jobs_list = []
     for wname in names:

@@ -399,7 +399,11 @@ class _ExecGen:
 
 
 def generate(seed: int, mode: str = "surface") -> FuzzProgram:
-    """Deterministically generate one program from an explicit seed."""
+    """Deterministically generate one program from an explicit seed.
+
+    The seed names the program's unit, so it must be non-negative."""
+    if seed < 0:
+        raise ValueError(f"fuzz seed must be non-negative, got {seed}")
     if mode == "surface":
         return _SurfaceGen(seed).generate()
     if mode == "executable":
@@ -434,9 +438,8 @@ def round_trip_check(source: str) -> Optional[str]:
 
 
 def make_case(prog: FuzzProgram, n: int = 24):
-    """Wrap an executable fuzz program as a ValidationCase."""
-    import numpy as np
-    from repro.workloads import ValidationCase
+    """Wrap an executable fuzz program as a workload record."""
+    from repro.workloads.record import Workload
 
     if prog.mode != "executable":
         raise ValueError("only executable fuzz programs are runnable")
@@ -447,8 +450,8 @@ def make_case(prog: FuzzProgram, n: int = 24):
         c = rng.standard_normal(n)
         return (n, a.copy(), b.copy(), c.copy()), None
 
-    return ValidationCase(
-        name=prog.name, suite="linalg", source=prog.source,
+    return Workload(
+        name=prog.name, suite="fuzz", source=prog.source,
         entry=prog.entry, make_args=make_args, n=n)
 
 
@@ -486,11 +489,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     import os
     import sys
 
+    from repro.experiments.common import non_negative_int
+
     ap = argparse.ArgumentParser(
         prog="python -m repro.fortran.fuzz",
         description="Seeded F77 fuzzer with round-trip and differential "
                     "oracles")
-    ap.add_argument("--seed", type=int, default=1,
+    ap.add_argument("--seed", type=non_negative_int, default=1,
                     help="base seed (program k uses seed+k)")
     ap.add_argument("--count", type=int, default=20,
                     help="number of programs to generate")

@@ -27,7 +27,7 @@ from repro.execmodel.interp import Interpreter
 from repro.execmodel.shadow import RaceConflict, ShadowRecorder
 from repro.restructurer.options import RestructurerOptions
 from repro.validate.configs import config_stages, options_for_stages
-from repro.workloads import ValidationCase
+from repro.workloads.record import Workload
 
 #: float comparison tolerances: reductions and recurrences legitimately
 #: reassociate, so bit-identity is not the bar — these mirror the
@@ -133,7 +133,7 @@ class WorkloadResult:
 # execution
 
 
-def run_baseline(case: ValidationCase, seed: int, *,
+def run_baseline(case: Workload, seed: int, *,
                  engine: str = DEFAULT_ENGINE) -> dict:
     """Interpret the sequential original; returns the result dict.
 
@@ -147,7 +147,7 @@ def run_baseline(case: ValidationCase, seed: int, *,
         case.entry, *args)
 
 
-def run_variant(case: ValidationCase, options: RestructurerOptions,
+def run_variant(case: Workload, options: RestructurerOptions,
                 seed: int, processors: int,
                 shadow: Optional[ShadowRecorder] = None, *,
                 engine: str = DEFAULT_ENGINE,
@@ -231,7 +231,7 @@ def compare_outputs(baseline: dict, candidate: dict, *,
 # bisection
 
 
-def bisect_stages(case: ValidationCase, stages: list[str], *,
+def bisect_stages(case: Workload, stages: list[str], *,
                   seed: int, processors: int,
                   atol: float = DEFAULT_ATOL,
                   rtol: float = DEFAULT_RTOL,
@@ -278,7 +278,7 @@ def bisect_stages(case: ValidationCase, stages: list[str], *,
 # the per-workload driver
 
 
-def validate_workload(case: ValidationCase,
+def validate_workload(case: Workload,
                       configs: dict[str, Callable[[], RestructurerOptions]],
                       *, seeds: Sequence[int] = (3,),
                       processors: Sequence[int] = (2, 8),

@@ -6,63 +6,21 @@
 - :mod:`repro.workloads.perfect` — proxy kernels for the Perfect
   Benchmarks of Table 2; each embeds the parallelization obstacles the
   paper documents for that program (§4.1).
-- :mod:`repro.workloads.synthetic` — small loops used by unit tests.
+- :mod:`repro.workloads.synthetic` — small loops used by unit tests, and
+  the fault sweep's ``cascade`` row.
+
+Every program is one :class:`~repro.workloads.record.Workload` record.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
-from repro.workloads.linalg import LINALG_ROUTINES, LinalgRoutine
-from repro.workloads.perfect import PERFECT_PROGRAMS, PerfectProgram
-
-#: interpreter-friendly data sizes for differential validation — small
-#: enough that every workload runs under the pure-Python interpreter in
-#: well under a second, large enough that each parallel loop gets many
-#: iterations per simulated processor
-VALIDATE_N = {
-    "cg": 24, "ludcmp": 24, "lubksb": 24, "sparse": 24, "gaussj": 24,
-    "svbksb": 16, "svdcmp": 16, "mprove": 20, "toeplz": 20, "tridag": 24,
-    "ARC2D": 16, "FLO52": 16, "BDNA": 16, "DYFESM": 16, "ADM": 16,
-    "MDG": 16, "MG3D": 16, "OCEAN": 16, "TRACK": 16, "TRFD": 16,
-    "QCD": 16, "SPEC77": 16,
-}
-
-#: workloads whose outputs are order-sensitive only up to a permutation
-#: (unordered critical-section hit lists)
-PERMUTATION_OK = frozenset({"TRACK"})
+from repro.workloads.linalg import LINALG_ROUTINES
+from repro.workloads.perfect import PERFECT_PROGRAMS
+from repro.workloads.record import Workload
 
 
-@dataclass(frozen=True)
-class ValidationCase:
-    """Uniform view of one workload for the translation validator."""
-
-    name: str
-    suite: str                    # "linalg" | "perfect"
-    source: str
-    entry: str
-    make_args: Callable           # (n, rng) -> (args, aux)
-    n: int                        # default validation size
-    permutation_ok: bool = False
-    verify: Optional[Callable] = None  # (n, aux, result) -> bool, if any
+def validation_cases() -> dict[str, Workload]:
+    """The 22 linalg and perfect records, keyed by name."""
+    return {**LINALG_ROUTINES, **PERFECT_PROGRAMS}
 
 
-def validation_cases() -> dict[str, ValidationCase]:
-    """Every workload as a :class:`ValidationCase`, keyed by name."""
-    out: dict[str, ValidationCase] = {}
-    for r in LINALG_ROUTINES.values():
-        out[r.name] = ValidationCase(
-            name=r.name, suite="linalg", source=r.source, entry=r.entry,
-            make_args=r.make_args, n=VALIDATE_N.get(r.name, 16),
-            permutation_ok=r.name in PERMUTATION_OK, verify=r.verify)
-    for p in PERFECT_PROGRAMS.values():
-        out[p.name] = ValidationCase(
-            name=p.name, suite="perfect", source=p.source, entry=p.entry,
-            make_args=p.make_args, n=VALIDATE_N.get(p.name, 16),
-            permutation_ok=p.name in PERMUTATION_OK)
-    return out
-
-
-__all__ = ["LINALG_ROUTINES", "LinalgRoutine",
-           "PERFECT_PROGRAMS", "PerfectProgram",
-           "ValidationCase", "validation_cases",
-           "VALIDATE_N", "PERMUTATION_OK"]
+__all__ = ["LINALG_ROUTINES", "PERFECT_PROGRAMS", "Workload",
+           "validation_cases"]

@@ -8,9 +8,6 @@ verifier used by the correctness tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from repro.workloads.linalg import (
     cg,
     gaussj,
@@ -23,34 +20,10 @@ from repro.workloads.linalg import (
     toeplz,
     tridag,
 )
+from repro.workloads.record import Workload, declared
 
-
-@dataclass(frozen=True)
-class LinalgRoutine:
-    """Descriptor of one Table 1 routine."""
-
-    name: str
-    source: str
-    entry: str                     # subroutine to call / estimate
-    table1_size: int
-    paper_speedup: float
-    make_args: Callable            # (n, rng) -> tuple of interpreter args
-    bindings: Callable             # (n) -> {symbol: value} for the estimator
-    verify: Callable               # (n, args_before, result) -> bool
-    passes_over_data: float = 1.0  # rough data passes (paging model aid)
-
-
-def _mk(mod) -> LinalgRoutine:
-    return LinalgRoutine(
-        name=mod.NAME, source=mod.SOURCE, entry=mod.ENTRY,
-        table1_size=mod.TABLE1_SIZE, paper_speedup=mod.PAPER_SPEEDUP,
-        make_args=mod.make_args, bindings=mod.bindings, verify=mod.verify,
-        passes_over_data=getattr(mod, "PASSES", 1.0),
-    )
-
-
-LINALG_ROUTINES: dict[str, LinalgRoutine] = {
-    m.NAME: _mk(m) for m in (
+LINALG_ROUTINES: dict[str, Workload] = {
+    m.NAME: declared(m, "linalg") for m in (
         cg, ludcmp, lubksb, sparse, gaussj,
         svbksb, svdcmp, mprove, toeplz, tridag,
     )

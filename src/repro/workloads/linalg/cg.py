@@ -10,9 +10,9 @@ from __future__ import annotations
 
 NAME = "cg"
 ENTRY = "cg"
-TABLE1_SIZE = 400
-PAPER_SPEEDUP = 163.0
-PASSES = 25.0  # iterations stream the matrix repeatedly
+VALIDATE_N = 24
+PAPER_N = 400
+PAPER = {"cedar_auto": 163.0}
 
 SOURCE = """
       subroutine cg(n, niter, a, b, x, r, p, q)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 NAME = "gaussj"
 ENTRY = "gaussj"
-TABLE1_SIZE = 600
-PAPER_SPEEDUP = 10.0
-PASSES = 2.0
+VALIDATE_N = 24
+PAPER_N = 600
+PAPER = {"cedar_auto": 10.0}
 
 SOURCE = """
       subroutine gaussj(n, a, b, rowk)
@@ -50,10 +50,6 @@ def make_args(n: int, rng: np.random.Generator):
     xs = rng.standard_normal(n)
     b = a @ xs
     return (n, np.asfortranarray(a.copy()), b.copy(), np.zeros(n)), (a, xs)
-
-
-def bindings(n: int) -> dict:
-    return {"n": n}
 
 
 def verify(n: int, aux, result) -> bool:

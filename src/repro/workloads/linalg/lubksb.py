@@ -9,9 +9,9 @@ from __future__ import annotations
 
 NAME = "lubksb"
 ENTRY = "lubksb"
-TABLE1_SIZE = 1000
-PAPER_SPEEDUP = 6.8
-PASSES = 1.0
+VALIDATE_N = 24
+PAPER_N = 1000
+PAPER = {"cedar_auto": 6.8}
 
 SOURCE = """
       subroutine lubksb(n, a, b)
@@ -47,10 +47,6 @@ def make_args(n: int, rng: np.random.Generator):
     xs = rng.standard_normal(n)
     b = (l @ (u @ xs))
     return (n, np.asfortranarray(a.copy()), b.copy()), (a, xs)
-
-
-def bindings(n: int) -> dict:
-    return {"n": n}
 
 
 def verify(n: int, aux, result) -> bool:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 NAME = "ludcmp"
 ENTRY = "ludcmp"
-TABLE1_SIZE = 1000
-PAPER_SPEEDUP = 9.2
-PASSES = 3.0
+VALIDATE_N = 24
+PAPER_N = 1000
+PAPER = {"cedar_auto": 9.2}
 
 SOURCE = """
       subroutine ludcmp(n, a)
@@ -49,10 +49,6 @@ def make_args(n: int, rng: np.random.Generator):
     a = rng.standard_normal((n, n))
     a += np.eye(n) * (np.abs(a).sum(axis=1) + 1.0)  # diagonally dominant
     return (n, np.asfortranarray(a.copy())), a
-
-
-def bindings(n: int) -> dict:
-    return {"n": n}
 
 
 def verify(n: int, aux, result) -> bool:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 NAME = "mprove"
 ENTRY = "mprove"
-TABLE1_SIZE = 1000
-PAPER_SPEEDUP = 1079.0
-PASSES = 6.0
+VALIDATE_N = 20
+PAPER_N = 1000
+PAPER = {"cedar_auto": 1079.0}
 
 SOURCE = """
       subroutine mprove(n, a, alud, b, x, r)
@@ -65,10 +65,6 @@ def make_args(n: int, rng: np.random.Generator):
     x = xs + rng.standard_normal(n) * 1e-4  # slightly wrong solution
     return (n, np.asfortranarray(a), np.asfortranarray(alud),
             b.copy(), x.copy(), np.zeros(n)), (a, b, xs, x.copy())
-
-
-def bindings(n: int) -> dict:
-    return {"n": n}
 
 
 def verify(n: int, aux, result) -> bool:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 NAME = "sparse"
 ENTRY = "sparsecg"
-TABLE1_SIZE = 800
-PAPER_SPEEDUP = 29.0
-PASSES = 20.0
+VALIDATE_N = 24
+PAPER_N = 800
+PAPER = {"cedar_auto": 29.0}
 
 SOURCE = """
       subroutine spmv(n, rowptr, col, val, x, y)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 NAME = "svbksb"
 ENTRY = "svbksb"
-TABLE1_SIZE = 200
-PAPER_SPEEDUP = 32.0
-PASSES = 1.0
+VALIDATE_N = 16
+PAPER_N = 200
+PAPER = {"cedar_auto": 32.0}
 
 SOURCE = """
       subroutine svbksb(m, n, u, w, v, b, x, tmp)

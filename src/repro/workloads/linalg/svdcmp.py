@@ -10,9 +10,9 @@ from __future__ import annotations
 
 NAME = "svdcmp"
 ENTRY = "svdcmp"
-TABLE1_SIZE = 200
-PAPER_SPEEDUP = 7.2
-PASSES = 12.0
+VALIDATE_N = 16
+PAPER_N = 200
+PAPER = {"cedar_auto": 7.2}
 
 SOURCE = """
       subroutine svdcmp(m, n, nsweep, a, w)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 NAME = "toeplz"
 ENTRY = "toeplz"
-TABLE1_SIZE = 800
-PAPER_SPEEDUP = 1.3
-PASSES = 2.0
+VALIDATE_N = 20
+PAPER_N = 800
+PAPER = {"cedar_auto": 1.3}
 
 SOURCE = """
       subroutine toeplz(n, r, x, y, g, h)
@@ -72,10 +72,6 @@ def make_args(n: int, rng: np.random.Generator):
     y = t @ xs
     return (n, c.copy(), np.zeros(n), y.copy(),
             np.zeros(n), np.zeros(n)), (t, xs)
-
-
-def bindings(n: int) -> dict:
-    return {"n": n}
 
 
 def verify(n: int, aux, result) -> bool:

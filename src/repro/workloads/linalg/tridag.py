@@ -9,9 +9,9 @@ from __future__ import annotations
 
 NAME = "tridag"
 ENTRY = "tridag"
-TABLE1_SIZE = 800
-PAPER_SPEEDUP = 2.1
-PASSES = 1.0
+VALIDATE_N = 24
+PAPER_N = 800
+PAPER = {"cedar_auto": 2.1}
 
 SOURCE = """
       subroutine tridag(n, a, b, c, r, u, gam)
@@ -46,10 +46,6 @@ def make_args(n: int, rng: np.random.Generator):
     r = t @ xs
     return (n, a.copy(), b.copy(), c.copy(), r.copy(),
             np.zeros(n), np.zeros(n)), (t, xs)
-
-
-def bindings(n: int) -> dict:
-    return {"n": n}
 
 
 def verify(n: int, aux, result) -> bool:

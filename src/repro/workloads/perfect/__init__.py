@@ -11,9 +11,6 @@ by construction of the same compiler decisions, not by curve fitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from repro.workloads.perfect import (
     adm,
     arc2d,
@@ -28,33 +25,10 @@ from repro.workloads.perfect import (
     track,
     trfd,
 )
+from repro.workloads.record import Workload, declared
 
-
-@dataclass(frozen=True)
-class PerfectProgram:
-    """Descriptor of one Table 2 proxy."""
-
-    name: str
-    source: str
-    entry: str
-    paper: dict                # auto/manual speedups on fx80/cedar
-    techniques: tuple[str, ...]  # §4.1 techniques the manual version needs
-    make_args: Callable        # (n, rng) -> (args, aux)
-    bindings: Callable         # (n) -> {symbol: value}
-    default_n: int
-
-
-def _mk(mod) -> PerfectProgram:
-    return PerfectProgram(
-        name=mod.NAME, source=mod.SOURCE, entry=mod.ENTRY,
-        paper=mod.PAPER, techniques=tuple(mod.TECHNIQUES),
-        make_args=mod.make_args, bindings=mod.bindings,
-        default_n=mod.DEFAULT_N,
-    )
-
-
-PERFECT_PROGRAMS: dict[str, PerfectProgram] = {
-    m.NAME: _mk(m) for m in (
+PERFECT_PROGRAMS: dict[str, Workload] = {
+    m.NAME: declared(m, "perfect") for m in (
         arc2d, flo52, bdna, dyfesm, adm, mdg,
         mg3d, ocean, track, trfd, qcd, spec77,
     )

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 NAME = "ADM"
 ENTRY = "adm"
-DEFAULT_N = 256
+VALIDATE_N = 16
+PAPER_N = 256
 PAPER = {"fx80_auto": 1.2, "cedar_auto": 0.6,
          "fx80_manual": 7.1, "cedar_manual": 10.1}
 TECHNIQUES = ("inline_expansion", "array_privatization")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 NAME = "ARC2D"
 ENTRY = "arc2d"
-DEFAULT_N = 256
+VALIDATE_N = 16
+PAPER_N = 256
 PAPER = {"fx80_auto": 8.7, "cedar_auto": 13.5,
          "fx80_manual": 10.6, "cedar_manual": 20.8}
 TECHNIQUES = ("loop_fusion",)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 NAME = "BDNA"
 ENTRY = "bdna"
-DEFAULT_N = 256
+VALIDATE_N = 16
+PAPER_N = 256
 PAPER = {"fx80_auto": 1.9, "cedar_auto": 1.8,
          "fx80_manual": 5.6, "cedar_manual": 8.5}
 TECHNIQUES = ("array_privatization", "multi_stmt_reductions")
@@ -50,7 +51,3 @@ def make_args(n: int, rng: np.random.Generator):
     y = rng.standard_normal(n)
     z = rng.standard_normal(n)
     return (n, x, y, z, np.zeros(n), 0.0), None
-
-
-def bindings(n: int) -> dict:
-    return {"n": n}

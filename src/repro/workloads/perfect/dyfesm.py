@@ -10,7 +10,8 @@ from __future__ import annotations
 
 NAME = "DYFESM"
 ENTRY = "dyfesm"
-DEFAULT_N = 2048
+VALIDATE_N = 16
+PAPER_N = 2048
 PAPER = {"fx80_auto": 3.9, "cedar_auto": 2.2,
          "fx80_manual": 10.3, "cedar_manual": 11.4}
 TECHNIQUES = ("array_privatization", "array_reductions")

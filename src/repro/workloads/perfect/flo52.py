@@ -14,7 +14,8 @@ from __future__ import annotations
 
 NAME = "FLO52"
 ENTRY = "flo52"
-DEFAULT_N = 256
+VALIDATE_N = 16
+PAPER_N = 256
 PAPER = {"fx80_auto": 9.0, "cedar_auto": 5.5,
          "fx80_manual": 14.6, "cedar_manual": 15.3}
 TECHNIQUES = ("array_privatization", "loop_fusion")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 NAME = "MDG"
 ENTRY = "mdg"
-DEFAULT_N = 256
+VALIDATE_N = 16
+PAPER_N = 256
 PAPER = {"fx80_auto": 1.0, "cedar_auto": 1.0,
          "fx80_manual": 7.3, "cedar_manual": 20.6}
 TECHNIQUES = ("array_privatization", "array_reductions",
@@ -44,7 +45,3 @@ def make_args(n: int, rng: np.random.Generator):
 
     x = rng.standard_normal(n)
     return (n, x, np.zeros(n), 0.0), None
-
-
-def bindings(n: int) -> dict:
-    return {"n": n}

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 NAME = "MG3D"
 ENTRY = "mg3d"
-DEFAULT_N = 256
+VALIDATE_N = 16
+PAPER_N = 256
 PAPER = {"fx80_auto": 1.5, "cedar_auto": 0.9,
          "fx80_manual": 13.3, "cedar_manual": 48.8}
 TECHNIQUES = ("inline_expansion", "array_privatization")

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 NAME = "OCEAN"
 ENTRY = "ocean"
-DEFAULT_N = 256
+VALIDATE_N = 16
+PAPER_N = 256
 PAPER = {"fx80_auto": 1.4, "cedar_auto": 0.7,
          "fx80_manual": 8.9, "cedar_manual": 16.7}
 TECHNIQUES = ("runtime_dependence_test", "generalized_induction")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 NAME = "QCD"
 ENTRY = "qcd"
-DEFAULT_N = 4096
+VALIDATE_N = 16
+PAPER_N = 4096
 PAPER = {"fx80_auto": 1.1, "cedar_auto": 0.5,
          "fx80_manual": 2.0, "cedar_manual": 1.81}
 TECHNIQUES = ("critical_sections", "array_privatization")

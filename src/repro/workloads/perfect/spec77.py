@@ -10,7 +10,8 @@ from __future__ import annotations
 
 NAME = "SPEC77"
 ENTRY = "spec77"
-DEFAULT_N = 256
+VALIDATE_N = 16
+PAPER_N = 256
 PAPER = {"fx80_auto": 2.4, "cedar_auto": 2.4,
          "fx80_manual": 10.2, "cedar_manual": 15.7}
 TECHNIQUES = ("array_privatization", "array_reductions",

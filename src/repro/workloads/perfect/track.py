@@ -11,10 +11,12 @@ from __future__ import annotations
 
 NAME = "TRACK"
 ENTRY = "track"
-DEFAULT_N = 4096
+VALIDATE_N = 16
+PAPER_N = 4096
 PAPER = {"fx80_auto": 1.0, "cedar_auto": 0.4,
          "fx80_manual": 4.0, "cedar_manual": 5.2}
 TECHNIQUES = ("critical_sections", "doacross")
+PERMUTATION_OK = True
 
 SOURCE = """
       subroutine track(n, m, obs, tgt, thresh, hits, nhit)

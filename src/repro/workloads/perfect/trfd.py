@@ -12,7 +12,8 @@ from __future__ import annotations
 
 NAME = "TRFD"
 ENTRY = "trfd"
-DEFAULT_N = 128
+VALIDATE_N = 16
+PAPER_N = 128
 PAPER = {"fx80_auto": 2.2, "cedar_auto": 0.8,
          "fx80_manual": 16.0, "cedar_manual": 43.2}
 TECHNIQUES = ("generalized_induction",)
@@ -58,7 +59,3 @@ def make_args(n: int, rng: np.random.Generator):
     v = rng.standard_normal(n)
     tri = n * (n + 1) // 2
     return (n, x, np.zeros(tri), v, np.zeros(tri)), None
-
-
-def bindings(n: int) -> dict:
-    return {"n": n}

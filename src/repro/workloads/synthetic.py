@@ -1,5 +1,7 @@
 """Small synthetic loops used by unit and integration tests."""
 
+from repro.workloads.record import Workload
+
 SAXPY = """
       subroutine saxpy(n, a, x, y)
       integer n
@@ -76,6 +78,18 @@ TRIANGULAR_GIV = """
       end do
       end
 """
+
+
+def _casc_args(n, rng):
+    return (n, *[rng.standard_normal(n) for _ in range(8)]), None
+
+
+#: the fault sweep's oracle-only row (not a validation case): the one
+#: program that restructures to DOACROSS, so the lost-sync fault class
+#: runs end to end
+CASCADE_WORKLOAD = Workload(name="cascade", suite="synthetic",
+                            source=CASCADE, entry="casc",
+                            make_args=_casc_args, n=24)
 
 ALL_SOURCES = {
     "saxpy": SAXPY,

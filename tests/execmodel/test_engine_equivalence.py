@@ -14,9 +14,10 @@ from repro.engine import cached_parse, cached_restructure
 from repro.execmodel.interp import Interpreter, cyclic_deal
 from repro.execmodel.shadow import ShadowRecorder
 from repro.faults.plan import all_scenarios
-from repro.faults.sweep import SWEEP_WORKLOADS, _synthetic_cases
+from repro.faults.sweep import SWEEP_WORKLOADS
 from repro.validate.configs import PIPELINE_CONFIGS
 from repro.workloads import validation_cases
+from repro.workloads.synthetic import CASCADE_WORKLOAD
 
 CASES = validation_cases()
 
@@ -129,7 +130,7 @@ def test_identical_under_every_deal(wname, deal, lowering):
     """Who runs which iteration is the interpreter's ``deal``; both
     engines read it, reductions included — and a deal that is not a
     partition is run as dealt, by a vector form's scalar text."""
-    case = {**CASES, **_synthetic_cases()}[wname]
+    case = {**CASES, "cascade": CASCADE_WORKLOAD}[wname]
     cedar, _ = cached_restructure(case.source)
     tree = _outcome(cedar, case, seed=3, processors=8, engine="tree",
                     deal=DEALS[deal], lowering=lowering)
@@ -275,7 +276,7 @@ def test_doacross_gives_the_serial_result_under_any_deal(deal, lowering):
     from repro.cedar.nodes import ParallelDo
     from tests.validate.test_order_independence import DEALS as REORDER
 
-    case = _synthetic_cases()["cascade"]
+    case = CASCADE_WORKLOAD
     cedar, _ = cached_restructure(case.source)
     assert [s.order for s in cedar.units[0].body
             if isinstance(s, ParallelDo)] == ["doacross"]

@@ -47,7 +47,7 @@ def test_ledger_matches_total_perfect_proxies(name):
 
     p = PERFECT_PROGRAMS[name]
     res, _, _ = restructured_estimate(
-        p.source, p.entry, p.bindings(max(16, p.default_n // 4)),
+        p.source, p.entry, p.bindings(max(16, p.paper_n // 4)),
         cedar_config1(), RestructurerOptions.manual())
     assert res.ledger is not None
     assert _rel_err(res.ledger.total(), res.total) <= REL_TOL

@@ -185,9 +185,8 @@ class TestSynchronisedRegions:
         from repro.cedar import nodes as C
         from repro.engine import cached_restructure
         from repro.faults.plan import all_scenarios
-        from repro.faults.sweep import _synthetic_cases
+        from repro.workloads.synthetic import CASCADE_WORKLOAD as case
 
-        case = _synthetic_cases()["cascade"]
         cedar, _ = cached_restructure(case.source)
         bracketed, plain = cedar.clone(), cedar.clone()
         [pdo] = bracketed.units[0].body

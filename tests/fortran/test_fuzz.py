@@ -75,11 +75,20 @@ def test_round_trip_check_flags_breakage():
     assert round_trip_check("      program p\n      x = ((1\n") is not None
 
 
+@pytest.mark.parametrize("mode", ["surface", "executable"])
+def test_a_negative_seed_is_refused(mode):
+    """The seed names the unit (``fzx0004``); ``-4`` would make it
+    ``fzx-004``, not a Fortran name."""
+    with pytest.raises(ValueError, match="non-negative"):
+        generate(-4, mode)
+
+
 def test_make_case_shape():
     import numpy as np
     prog = generate(301, "executable")
     case = make_case(prog, n=8)
     assert case.entry == prog.entry
+    assert case.suite == "fuzz" and case.bindings(8) == {"n": 8}
     args, _ = case.make_args(8, np.random.default_rng(0))
     n, a, b, c = args
     assert n == 8 and a.shape == (8,) and b.shape == (8,) \

@@ -87,7 +87,7 @@ def _faults(outcome, tmp_path, monkeypatch):
     if outcome == "crash":
         return _run(main, base + ["--timeout", "0.000001"])
     # regression: a cell whose oracle checks all fail (no crash)
-    import repro.faults.worker as worker
+    import repro.faults.sweep as sweep
 
     def fake_workload(job):
         run = FaultRun(workload=job["workload"], scenario="healthy",
@@ -96,7 +96,7 @@ def _faults(outcome, tmp_path, monkeypatch):
                 "cells": [{"scenario": "healthy", "run": run,
                            "fault": None}]}
 
-    monkeypatch.setattr(worker, "run_fault_workload", fake_workload)
+    monkeypatch.setattr(sweep, "run_fault_workload", fake_workload)
     return _run(main, base)
 
 
@@ -204,10 +204,11 @@ def test_crash_outcome_is_independent_of_job_count(tool, tmp_path,
 
 # ---------------------------------------------------------------------------
 # a --timeout no watchdog can arm is a usage error, not a fault per cell
+# (or, for the server, a failure of every request)
 
 
 def _refuse_service(*args, **kwargs):
-    raise AssertionError("the server started with a non-finite --timeout")
+    raise AssertionError("the server started with an unusable --timeout")
 
 
 def _timeout_experiments(value, tmp_path, monkeypatch):
@@ -253,6 +254,18 @@ def test_non_finite_timeout_is_a_usage_error(tool, value, tmp_path,
     assert "not a finite number of seconds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-10", "-1", "-0.5"])
+@pytest.mark.parametrize("tool", sorted(TIMEOUTS))
+def test_negative_timeout_is_a_usage_error(tool, value, tmp_path,
+                                           monkeypatch, capsys):
+    """A negative budget is no budget the watchdog can arm: between -5
+    and 0 it switched the watchdog off, and the server's supervisor
+    turned any negative one into a failure of every request."""
+    rc = TIMEOUTS[tool](value, tmp_path, monkeypatch)
+    assert rc == 2, f"{tool} --timeout={value}: exit {rc}"
+    assert "argument --timeout:" in capsys.readouterr().err
+
+
 def test_zero_timeout_still_means_no_budget():
     from repro.experiments.common import finite_seconds
 
@@ -292,4 +305,16 @@ def test_fuzz_refuses_a_count_that_checks_nothing(count, capsys):
     assert rc == 2, f"fuzz --count {count}: exit {rc}"
     captured = capsys.readouterr()
     assert "argument --count:" in captured.err
+    assert "passed" not in captured.out
+
+
+def test_fuzz_refuses_a_negative_seed(capsys):
+    """A negative seed would name the unit ``fzx-004``, which is not a
+    Fortran name, so ``--check`` failed and blamed the front end."""
+    from repro.fortran.fuzz import main
+
+    rc = _run(main, ["--seed", "-4", "--mode", "executable", "--check"])
+    assert rc == 2, f"fuzz --seed -4: exit {rc}"
+    captured = capsys.readouterr()
+    assert "argument --seed:" in captured.err
     assert "passed" not in captured.out

@@ -14,6 +14,7 @@ import pytest
 from repro.experiments import table1
 from repro.experiments.common import profiled
 from repro.trace.ledger import reconcile
+from repro.workloads.linalg import LINALG_ROUTINES
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +30,8 @@ class TestTable1Reconciliation:
         workloads = {r.workload for r in session.runs}
         # entry-point names may differ slightly from the table's routine
         # labels (e.g. sparse → sparsecg), but every routine must appear
-        assert len(workloads) == len(table1.PAPER)
-        for routine in table1.PAPER:
+        assert len(workloads) == len(LINALG_ROUTINES)
+        for routine in LINALG_ROUTINES:
             assert any(routine in w or w in routine for w in workloads), \
                 routine
         roles = {(r.workload, r.role) for r in session.runs}

@@ -17,16 +17,12 @@ from repro.workloads.perfect import PERFECT_PROGRAMS
 
 TEST_N = 16
 
-#: programs whose results are order-sensitive only up to a permutation
-#: (the critical-section hits list)
-PERMUTATION_OK = {"TRACK"}
 
-
-def _equivalent(name, r0, r1):
+def _equivalent(program, r0, r1):
     for key in r0:
         x = np.asarray(r0[key], dtype=float)
         y = np.asarray(r1[key], dtype=float)
-        if name in PERMUTATION_OK and getattr(x, "ndim", 0):
+        if program.permutation_ok and getattr(x, "ndim", 0):
             x, y = np.sort(x.ravel()), np.sort(y.ravel())
         if not np.allclose(x, y, atol=1e-4, rtol=1e-3):
             return False, key
@@ -49,7 +45,7 @@ class TestEquivalence:
         r0 = Interpreter(parse_program(program.source),
                          processors=1).call(program.entry, *a0)
         r1 = Interpreter(cedar, processors=4).call(program.entry, *a1)
-        ok, key = _equivalent(program.name, r0, r1)
+        ok, key = _equivalent(program, r0, r1)
         assert ok, (program.name, mode, key)
 
 
